@@ -72,7 +72,8 @@ cluster-obs:
 # compilation latency (cold at 1/2/4/8 build workers and incremental, at
 # paper and ~50K-AS full-table scale), the cluster flow transport over TCP
 # loopback (frame batch 1/64/512 × deflate off/on, plus interleaved
-# plain/telemetry federation-overhead pairs at batch 64/512), and the
+# plain/telemetry federation-overhead pairs at batch 64/512), the checkpoint
+# codec (encode/decode × typical/attack-shaped state), and the
 # single-core classify hot path (perflow/batch256 × trie/flat indexes, with
 # allocation counts), recording the machine-readable baseline in
 # BENCH_runtime.json. The document carries the recording host's CPU count,
@@ -80,6 +81,7 @@ cluster-obs:
 bench:
 	( $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=3x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkPipelineBuild -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkClusterTransport/^batch-' -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
@@ -87,29 +89,32 @@ bench:
 		| $(GO) run ./cmd/benchjson > BENCH_runtime.json
 	cat BENCH_runtime.json
 
-# bench-smoke compiles and runs both benchmarks once — the CI guard that
-# keeps the benchmark suite executable without paying measurement time. The
-# build benchmark runs at its reduced smoke scale.
+# bench-smoke compiles and runs the drain and build benchmarks once — a quick
+# local check that they still execute, without paying measurement time (CI
+# runs bench-compare-smoke through `make verify` instead). The build
+# benchmark runs at its reduced smoke scale.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=1x .
 	SPOOFSCOPE_BENCH_SMOKE=1 $(GO) test -run='^$$' -bench=BenchmarkPipelineBuild -benchtime=1x .
 
 # bench-compare remeasures the classify hot path, the federation-overhead
-# transport pairs, and the live-runtime drain/ingest benchmarks and gates
-# them against the committed BENCH_runtime.json: any classify or runtime
-# variant whose flows/sec fell more than 15% below the baseline fails, so
-# does an overhead pair where telemetry federation costs more than 5%
-# throughput against the plain lifecycle interleaved with it in the same
-# run, and so does an ingest replay that allocates (cap 512 allocs per
-# whole-trace op — a single per-message alloc would be ~6,900). Run it on
-# classifier, index, queue, decoder, or observability-plane changes; refresh
+# transport pairs, the live-runtime drain/ingest benchmarks, and the
+# checkpoint codec and gates them against the committed BENCH_runtime.json:
+# any classify or runtime variant whose flows/sec — or codec variant whose
+# MB/s — fell more than 15% below the baseline fails, so does an overhead
+# pair where telemetry federation costs more than 5% throughput against the
+# plain lifecycle interleaved with it in the same run, and so does an ingest
+# replay that allocates (cap 512 allocs per whole-trace op — a single
+# per-message alloc would be ~6,900). Run it on classifier, index, queue,
+# decoder, checkpoint-codec, or observability-plane changes; refresh
 # the baseline with `make bench` when a speedup (or an accepted cost) moves
 # the numbers for real.
 bench-compare:
 	( $(GO) test -run='^$$' -bench=BenchmarkClassifyHotPath -benchtime=2s -benchmem . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=3x . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ) \
+	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json
 
 # bench-compare-smoke is the verify/CI variant: a single iteration proves
@@ -120,7 +125,8 @@ bench-compare-smoke:
 	( $(GO) test -run='^$$' -bench=BenchmarkClassifyHotPath -benchtime=1x -benchmem . ; \
 	  SPOOFSCOPE_OVERHEAD_ROUNDS=2 $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=1x . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=1x -benchmem . ) \
+	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=1x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=1x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json -smoke
 
 # fuzz gives the stream-framing paths a short adversarial workout beyond the

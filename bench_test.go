@@ -427,6 +427,68 @@ func TestIngestPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// attackAggregate is the aggregate of an attack-shaped rewrite of the
+// default trace: four flows in five get a uniform-random source aimed at one
+// of a few victims (a quarter of those as NTP triggers), entering at any
+// member. Classified by the real pipeline, that is large fan-in source sets,
+// many invalid origins and trigger pairs — the state on which a checkpoint
+// is mostly keyed maps, where the typical mix is mostly dense port pages.
+func attackAggregate(env *experiments.Env) *core.Aggregator {
+	rng := rand.New(rand.NewSource(12))
+	agg := core.NewAggregator(env.Scenario.Cfg.Start, env.Scenario.Cfg.Duration/168)
+	var victims [64]netx.Addr
+	for i := range victims {
+		victims[i] = env.Flows[rng.Intn(len(env.Flows))].DstAddr
+	}
+	for _, f := range env.Flows {
+		if rng.Intn(5) != 0 {
+			f.SrcAddr, f.DstAddr = netx.Addr(rng.Uint32()), victims[rng.Intn(len(victims))]
+			f.Ingress = env.Scenario.Members[rng.Intn(len(env.Scenario.Members))].Port
+			f.Protocol, f.SrcPort, f.DstPort = ipfix.ProtoTCP, uint16(1024+rng.Intn(64512)), 80
+			if rng.Intn(4) == 0 {
+				f.Protocol, f.DstPort = ipfix.ProtoUDP, 123
+			}
+		}
+		agg.Add(f, env.Pipeline.Classify(f))
+	}
+	return agg
+}
+
+// BenchmarkCheckpointCodec is the checkpoint stage's line in the ledger: the
+// canonical codec over one full trace's state, typical mix and attack-shaped,
+// each way. ns/op, MB/s and allocs/op are tracked in the `codec` section of
+// BENCH_runtime.json and gated by `make bench-compare`; allocs/op for encode
+// is a small constant whatever the state's size.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	env := benchEnvironment(b)
+	n := uint64(len(env.Flows))
+	for _, shape := range []struct {
+		name string
+		agg  *core.Aggregator
+	}{{"mixed", env.Agg}, {"attack", attackAggregate(env)}} {
+		cp := &core.Checkpoint{Ingested: n, Queued: n, Processed: n, Epoch: 1, Swaps: 1, Agg: shape.agg}
+		raw := core.AppendCheckpoint(nil, cp)
+		b.Run("encode/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				if err := core.EncodeCheckpoint(io.Discard, cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				if _, err := core.DecodeCheckpointBytes(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDepthAblation exercises the bounded-cone extension sweep.
 func BenchmarkDepthAblation(b *testing.B) {
 	env := benchEnvironment(b)

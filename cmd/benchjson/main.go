@@ -11,6 +11,9 @@
 // the document header, so a baseline measured on a single-core box cannot be
 // mistaken for one with real parallelism.
 //
+// BenchmarkCheckpointCodec/<op>/<shape> entries are lifted into a codec
+// section — the checkpoint stage's line of the per-stage ledger.
+//
 // With -diff <baseline.json> the tool compares instead of emitting: the
 // classify hot-path entries parsed from stdin are checked against the
 // committed baseline's classify section and the exit status is non-zero when
@@ -21,7 +24,8 @@
 // live-drain gate runs as well: every RuntimeThroughput variant and the
 // end-to-end IngestPath entry must reappear, lose no more than 15% flows/sec,
 // and the ingest entry must keep its effectively-zero allocs/op (cap 512 per
-// whole-trace replay). -smoke relaxes the comparisons to a
+// whole-trace replay). When it has a codec section, every checkpoint-codec
+// variant must reappear and lose no more than 15% MB/s. -smoke relaxes the comparisons to a
 // structural check — every baseline variant must still be produced by the
 // fresh run, but single-iteration numbers are reported without being judged
 // — which is what `make verify` and CI run.
@@ -129,6 +133,20 @@ type runtimeSummary struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
+// codecSummary surfaces one BenchmarkCheckpointCodec/<op>/<shape> entry: the
+// canonical checkpoint codec over one full trace's state (typical mix or
+// attack-shaped), encode or decode. `benchjson -diff` gates MB/s; allocs/op
+// is recorded because the codec's contract is a count per container, not per
+// field.
+type codecSummary struct {
+	Benchmark   string  `json:"benchmark"`
+	Op          string  `json:"op"`    // "encode" or "decode"
+	Shape       string  `json:"shape"` // "mixed" or "attack"
+	NsPerOp     float64 `json:"nsPerOp"`
+	MBPerSec    float64 `json:"mbPerSec"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
+}
+
 type document struct {
 	GeneratedAt time.Time           `json:"generatedAt"`
 	GoVersion   string              `json:"goVersion"`
@@ -142,6 +160,7 @@ type document struct {
 	ClusterObs  []clusterObsSummary `json:"clusterObs,omitempty"`
 	Classify    []classifySummary   `json:"classify,omitempty"`
 	Runtime     []runtimeSummary    `json:"runtime,omitempty"`
+	Codec       []codecSummary      `json:"codec,omitempty"`
 }
 
 func main() {
@@ -199,6 +218,9 @@ func main() {
 		if rs, ok := parseRuntimeEntry(b); ok {
 			doc.Runtime = append(doc.Runtime, rs)
 		}
+		if cs, ok := parseCodecEntry(b); ok {
+			doc.Codec = append(doc.Codec, cs)
+		}
 	}
 	if *diffPath != "" {
 		if err := diffClassify(*diffPath, doc, *smoke); err != nil {
@@ -252,6 +274,10 @@ const ingestAllocTolerance = 512
 // additionally fails past ingestAllocTolerance allocs per whole-trace
 // replay — the committed proof that the decode→queue→drain path stays
 // allocation-free in steady state.
+//
+// When the baseline carries a codec section, every checkpoint-codec variant
+// must reappear, and full mode fails one whose MB/s fell more than
+// regressionTolerance.
 func diffClassify(path string, doc document, smoke bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -279,15 +305,8 @@ func diffClassify(path string, doc document, smoke bool) error {
 			failures = append(failures, fmt.Sprintf("%s: missing from this run", key))
 			continue
 		}
-		delta := 0.0
-		if b.FlowsPerSec > 0 {
-			delta = (c.FlowsPerSec - b.FlowsPerSec) / b.FlowsPerSec
-		}
-		status := "ok"
-		if smoke {
-			status = "smoke"
-		} else if b.FlowsPerSec > 0 && c.FlowsPerSec < b.FlowsPerSec*(1-regressionTolerance) {
-			status = "REGRESSION"
+		delta, status, regressed := judge(smoke, b.FlowsPerSec, c.FlowsPerSec)
+		if regressed {
 			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f flows/sec (%.1f%%)",
 				key, b.FlowsPerSec, c.FlowsPerSec, 100*delta))
 		}
@@ -346,15 +365,8 @@ func diffClassify(path string, doc document, smoke bool) error {
 				failures = append(failures, fmt.Sprintf("runtime %s: missing from this run", b.Variant))
 				continue
 			}
-			delta := 0.0
-			if b.FlowsPerSec > 0 {
-				delta = (r.FlowsPerSec - b.FlowsPerSec) / b.FlowsPerSec
-			}
-			status := "ok"
-			if smoke {
-				status = "smoke"
-			} else if b.FlowsPerSec > 0 && r.FlowsPerSec < b.FlowsPerSec*(1-regressionTolerance) {
-				status = "REGRESSION"
+			delta, status, regressed := judge(smoke, b.FlowsPerSec, r.FlowsPerSec)
+			if regressed {
 				failures = append(failures, fmt.Sprintf("runtime %s: %.0f -> %.0f flows/sec (%.1f%%)",
 					b.Variant, b.FlowsPerSec, r.FlowsPerSec, 100*delta))
 			}
@@ -368,11 +380,49 @@ func diffClassify(path string, doc document, smoke bool) error {
 				b.Variant, b.FlowsPerSec, r.FlowsPerSec, 100*delta, status)
 		}
 	}
+	if len(base.Codec) > 0 {
+		freshCodec := make(map[string]codecSummary, len(doc.Codec))
+		for _, c := range doc.Codec {
+			freshCodec[c.Op+"/"+c.Shape] = c
+		}
+		for _, b := range base.Codec {
+			key := b.Op + "/" + b.Shape
+			c, ok := freshCodec[key]
+			if !ok {
+				failures = append(failures, fmt.Sprintf("codec %s: missing from this run", key))
+				continue
+			}
+			delta, status, regressed := judge(smoke, b.MBPerSec, c.MBPerSec)
+			if regressed {
+				failures = append(failures, fmt.Sprintf("codec %s: %.0f -> %.0f MB/s (%.1f%%)",
+					key, b.MBPerSec, c.MBPerSec, 100*delta))
+			}
+			fmt.Printf("codec    %-20s %12.0f -> %12.0f MB/s       %+6.1f%%  %6.0f allocs/op  %s\n",
+				key, b.MBPerSec, c.MBPerSec, 100*delta, c.AllocsPerOp, status)
+		}
+	}
 	if len(failures) > 0 {
-		return fmt.Errorf("benchmark gate failed (classify/runtime tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d):\n  %s",
+		return fmt.Errorf("benchmark gate failed (classify/runtime/codec tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d):\n  %s",
 			100*regressionTolerance, clusterObsTolerancePct, ingestAllocTolerance, strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// judge compares one fresh throughput figure (flows/sec, MB/s) with its
+// baseline: the relative change, and whether it fell more than
+// regressionTolerance — which smoke mode reports but never holds against the
+// run.
+func judge(smoke bool, base, fresh float64) (delta float64, status string, regressed bool) {
+	if base > 0 {
+		delta = (fresh - base) / base
+	}
+	switch {
+	case smoke:
+		return delta, "smoke", false
+	case base > 0 && fresh < base*(1-regressionTolerance):
+		return delta, "REGRESSION", true
+	}
+	return delta, "ok", false
 }
 
 // parseRuntimeEntry lifts one BenchmarkRuntimeThroughput/<variant> or
@@ -429,6 +479,32 @@ func runtimeEntry(b benchmark, variant string) runtimeSummary {
 		NsPerFlow:   b.Metrics["ns/flow"],
 		AllocsPerOp: b.Metrics["allocs/op"],
 	}
+}
+
+// parseCodecEntry lifts one BenchmarkCheckpointCodec/<op>/<shape> entry into
+// a codecSummary, stripping the -P GOMAXPROCS suffix Go appends to the shape.
+func parseCodecEntry(b benchmark) (codecSummary, bool) {
+	rest, ok := strings.CutPrefix(b.Name, "BenchmarkCheckpointCodec/")
+	if !ok {
+		return codecSummary{}, false
+	}
+	op, shape, ok := strings.Cut(rest, "/")
+	if !ok || (op != "encode" && op != "decode") {
+		return codecSummary{}, false
+	}
+	if i := strings.LastIndex(shape, "-"); i >= 0 {
+		if _, err := strconv.Atoi(shape[i+1:]); err == nil {
+			shape = shape[:i]
+		}
+	}
+	return codecSummary{
+		Benchmark:   b.Name,
+		Op:          op,
+		Shape:       shape,
+		NsPerOp:     b.Metrics["ns/op"],
+		MBPerSec:    b.Metrics["MB/s"],
+		AllocsPerOp: b.Metrics["allocs/op"],
+	}, true
 }
 
 // parseClassifyEntry lifts one BenchmarkClassifyHotPath/<path>-<index> entry

@@ -43,7 +43,7 @@ func openConn(t *testing.T, coord *Coordinator) (net.Conn, []byte) {
 	t.Helper()
 	coordSide, clientSide := net.Pipe()
 	coord.AddConn(coordSide)
-	body, err := readFrame(clientSide, time.Now().Add(5*time.Second))
+	body, err := readFrame(clientSide, time.Now().Add(5*time.Second), nil)
 	if err != nil {
 		t.Fatalf("reading challenge: %v", err)
 	}

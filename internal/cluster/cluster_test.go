@@ -144,6 +144,9 @@ type testCluster struct {
 	tel      *obs.Telemetry
 	cfg      Config
 	wrapDial func(worker int, coordSide, workerSide net.Conn) (net.Conn, net.Conn)
+	// tuneWorker, when non-nil, sees each worker before it runs — where a
+	// test installs hooks.
+	tuneWorker func(*Worker)
 
 	mu      sync.Mutex
 	coord   *Coordinator // replaced by restartCoordinator; read under mu
@@ -251,6 +254,9 @@ func (tc *testCluster) startWorker(i int) {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
+	if tc.tuneWorker != nil {
+		tc.tuneWorker(w)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()
@@ -352,6 +358,12 @@ func (tc *testCluster) assertCursorInvariant(fed int) {
 	if st.Orphaned != 0 {
 		tc.t.Fatalf("%d shards orphaned after checkpoint", st.Orphaned)
 	}
+	// The coordinator checks every report's cursor against the Processed
+	// count in the checkpoint it carries; whatever was done to the links, no
+	// worker may ever have sent one that disagreed.
+	if st.ReportMismatches != 0 {
+		tc.t.Fatalf("%d reports claimed a cursor their checkpoint did not have", st.ReportMismatches)
+	}
 }
 
 func TestShardOfStableAndBounded(t *testing.T) {
@@ -424,7 +436,8 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	fm := flowsMsg{shard: 2, base: 41, flows: flows}
-	gf, err := decodeFlows(encodeFlows(fm))
+	var scratch flowScratch // reused by the compressed frame below, as a read loop would
+	gf, err := scratch.decode(encodeFlows(fm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +474,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	zm := flowsMsg{shard: 4, base: 17, flows: flows}
-	gz, err := decodeFlows(encodeFlowsZ(zm))
+	gz, err := scratch.decode(encodeFlowsZ(zm))
 	if err != nil {
 		t.Fatal(err)
 	}

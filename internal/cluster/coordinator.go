@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
@@ -246,21 +245,22 @@ type Coordinator struct {
 	ledgerWMu  sync.Mutex // serializes actual file writes
 
 	// counters (under mu; exposed as func-backed metrics)
-	flowsRouted     uint64
-	handoffs        uint64
-	rebalances      uint64
-	reclaims        uint64
-	hbMisses        uint64
-	staleReports    uint64
-	epochsSent      uint64
-	checkpoints     uint64
-	authFailures    uint64
-	identityRejects uint64
-	connsRejected   uint64
-	acceptErrors    uint64
-	ledgerWrites    uint64
-	ledgerErrors    uint64
-	ledgerBytes     uint64
+	flowsRouted      uint64
+	handoffs         uint64
+	rebalances       uint64
+	reclaims         uint64
+	hbMisses         uint64
+	staleReports     uint64
+	reportMismatches uint64
+	epochsSent       uint64
+	checkpoints      uint64
+	authFailures     uint64
+	identityRejects  uint64
+	connsRejected    uint64
+	acceptErrors     uint64
+	ledgerWrites     uint64
+	ledgerErrors     uint64
+	ledgerBytes      uint64
 }
 
 // NewCoordinator validates the configuration and registers telemetry. With
@@ -484,6 +484,9 @@ func (c *Coordinator) instrument(tel *obs.Telemetry) {
 	m.CounterFunc("spoofscope_cluster_stale_reports_total",
 		"Shard reports rejected because the sender no longer owns the shard.",
 		locked(func() uint64 { return c.staleReports }))
+	m.CounterFunc("spoofscope_cluster_report_mismatches_total",
+		"Shard reports rejected because their cursor disagrees with their checkpoint.",
+		locked(func() uint64 { return c.reportMismatches }))
 	m.CounterFunc("spoofscope_cluster_epochs_total",
 		"Routing-state epochs distributed to workers.",
 		locked(func() uint64 { return c.epochsSent }))
@@ -741,7 +744,7 @@ func (c *Coordinator) readLoop(l *link) {
 	// The first frame must be an authenticated hello, inside the hello
 	// timeout — the pre-auth read deadline that stops an idle connection
 	// from squatting a conn slot.
-	body, err := readFrame(l.conn, time.Now().Add(c.cfg.helloTimeout()))
+	body, err := readFrame(l.conn, time.Now().Add(c.cfg.helloTimeout()), nil)
 	if err != nil || len(body) == 0 || body[0] != msgHello {
 		c.authFail(l, false, "no hello before deadline")
 		return
@@ -770,7 +773,9 @@ func (c *Coordinator) readLoop(l *link) {
 	}
 
 	for {
-		body, err := readFrame(l.conn, time.Now().Add(c.cfg.deadline()))
+		// Each body is a fresh allocation: a report's checkpoint is kept, in
+		// place, as the shard's durable state.
+		body, err := readFrame(l.conn, time.Now().Add(c.cfg.deadline()), nil)
 		if err != nil {
 			reason := "read: " + err.Error()
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -783,9 +788,6 @@ func (c *Coordinator) readLoop(l *link) {
 			}
 			c.killLink(l, reason)
 			return
-		}
-		if len(body) == 0 {
-			continue
 		}
 		l.lastRead.Store(time.Now().UnixNano())
 		switch body[0] {
@@ -1191,6 +1193,16 @@ func (c *Coordinator) handleReport(l *link, m reportMsg) {
 			m.shard, m.cursor, s.ackBase, s.sentCursor))
 		return
 	}
+	// The checkpoint says itself how many flows it incorporates. A report
+	// that claims another position would be merged short (or long) of the
+	// flows it acknowledges, and — since a shard that looks caught up is not
+	// asked again — stay that way.
+	if head, err := core.CheckpointHeader(m.checkpoint); err != nil || head.Processed != m.cursor {
+		c.reportMismatches++
+		go c.killLink(l, fmt.Sprintf("shard %d report claims cursor %d, its checkpoint says %d (%v)",
+			m.shard, m.cursor, head.Processed, err))
+		return
+	}
 	// A solicited report echoes the request's send timestamp — the
 	// round-trip is measured on the coordinator clock alone.
 	if m.reqNanos > 0 && c.rttHist != nil {
@@ -1199,7 +1211,10 @@ func (c *Coordinator) handleReport(l *link, m reportMsg) {
 		}
 	}
 	c.spanResumedLocked(s, l, now)
-	s.replay = s.replay[m.cursor-s.ackBase:]
+	// Compact in place: reslicing from the front would shed the capacity in
+	// front of the tail, and Ingest's appends would regrow the buffer for as
+	// long as the feed runs.
+	s.replay = s.replay[:copy(s.replay, s.replay[m.cursor-s.ackBase:])]
 	s.ackBase = m.cursor
 	s.lastReport = m.checkpoint
 	if m.final && s.revoking {
@@ -1217,13 +1232,17 @@ func (c *Coordinator) handleReport(l *link, m reportMsg) {
 	c.cond.Broadcast()
 }
 
-// requestReportsLocked asks every owned, in-sync shard's owner for a fresh
-// quiescent report. Each request carries a trace ID and the send timestamp;
-// the report echoes both, closing the round-trip histogram.
+// requestReportsLocked asks the owner of every owned, in-sync shard that is
+// behind — or whose handoff is still waiting for the new owner's first report
+// — for a fresh quiescent report. A shard whose durable report already covers
+// its cursor has nothing to add, and asking anyway costs its owner a full
+// encode of the shard's state per request. Each request carries a trace ID
+// and the send timestamp; the report echoes both, closing the round-trip
+// histogram.
 func (c *Coordinator) requestReportsLocked() {
 	now := time.Now().UnixNano()
 	for _, s := range c.shards {
-		if s.owner == nil || s.revoking {
+		if s.owner == nil || s.revoking || !(s.behind() || s.span != nil) {
 			continue
 		}
 		c.flushToOwnerLocked(s)
@@ -1276,7 +1295,7 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		if s.lastReport == nil {
 			continue
 		}
-		cp, err := core.DecodeCheckpoint(bytes.NewReader(s.lastReport))
+		cp, err := core.DecodeCheckpointBytes(s.lastReport)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d report: %w", s.id, err)
 		}
@@ -1316,31 +1335,40 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 func (c *Coordinator) behindLocked() int {
 	n := 0
 	for _, s := range c.shards {
-		if s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil) {
+		if s.behind() {
 			n++
 		}
 	}
 	return n
 }
 
+// behind reports whether the shard's durable report is short of the flows
+// routed to it.
+func (s *shardState) behind() bool {
+	return s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil)
+}
+
 // Stats is a point-in-time cluster summary for tests and operators.
 type Stats struct {
-	Workers         int
-	Conns           int
-	Orphaned        int
-	ReplayFlows     int
-	FlowsRouted     uint64
-	Handoffs        uint64
-	Rebalances      uint64
-	Reclaims        uint64
-	StaleReports    uint64
-	EpochSeq        uint64
-	AuthFailures    uint64
-	IdentityRejects uint64
-	ConnsRejected   uint64
-	AcceptErrors    uint64
-	LedgerWrites    uint64
-	LedgerErrors    uint64
+	Workers      int
+	Conns        int
+	Orphaned     int
+	ReplayFlows  int
+	FlowsRouted  uint64
+	Handoffs     uint64
+	Rebalances   uint64
+	Reclaims     uint64
+	StaleReports uint64
+	// ReportMismatches counts reports whose claimed cursor disagreed with
+	// the Processed count in their own checkpoint; each one kills its link.
+	ReportMismatches uint64
+	EpochSeq         uint64
+	AuthFailures     uint64
+	IdentityRejects  uint64
+	ConnsRejected    uint64
+	AcceptErrors     uint64
+	LedgerWrites     uint64
+	LedgerErrors     uint64
 }
 
 // Stats snapshots the coordinator counters.
@@ -1348,21 +1376,22 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Workers:         len(c.links),
-		Conns:           c.conns,
-		Orphaned:        c.orphanedLocked(),
-		FlowsRouted:     c.flowsRouted,
-		Handoffs:        c.handoffs,
-		Rebalances:      c.rebalances,
-		Reclaims:        c.reclaims,
-		StaleReports:    c.staleReports,
-		EpochSeq:        c.epochSeq,
-		AuthFailures:    c.authFailures,
-		IdentityRejects: c.identityRejects,
-		ConnsRejected:   c.connsRejected,
-		AcceptErrors:    c.acceptErrors,
-		LedgerWrites:    c.ledgerWrites,
-		LedgerErrors:    c.ledgerErrors,
+		Workers:          len(c.links),
+		Conns:            c.conns,
+		Orphaned:         c.orphanedLocked(),
+		FlowsRouted:      c.flowsRouted,
+		Handoffs:         c.handoffs,
+		Rebalances:       c.rebalances,
+		Reclaims:         c.reclaims,
+		StaleReports:     c.staleReports,
+		ReportMismatches: c.reportMismatches,
+		EpochSeq:         c.epochSeq,
+		AuthFailures:     c.authFailures,
+		IdentityRejects:  c.identityRejects,
+		ConnsRejected:    c.connsRejected,
+		AcceptErrors:     c.acceptErrors,
+		LedgerWrites:     c.ledgerWrites,
+		LedgerErrors:     c.ledgerErrors,
 	}
 	for _, s := range c.shards {
 		st.ReplayFlows += len(s.replay)

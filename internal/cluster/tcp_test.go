@@ -147,7 +147,7 @@ func TestClusterTCPChaos(t *testing.T) {
 		t.Fatal("checkpoint diverged over TCP with faults injected")
 	}
 	st := coord.Stats()
-	if st.FlowsRouted != uint64(len(flows)) || st.ReplayFlows != 0 || st.Orphaned != 0 {
+	if st.FlowsRouted != uint64(len(flows)) || st.ReplayFlows != 0 || st.Orphaned != 0 || st.ReportMismatches != 0 {
 		t.Fatalf("cursor invariant broken over TCP: %+v", st)
 	}
 	if st.Handoffs == 0 {
@@ -280,7 +280,7 @@ func TestStandbyTakeover(t *testing.T) {
 		t.Fatal("checkpoint diverged across a standby takeover")
 	}
 	st := p.coord.Stats()
-	if st.FlowsRouted != uint64(len(flows)) || st.ReplayFlows != 0 || st.Orphaned != 0 {
+	if st.FlowsRouted != uint64(len(flows)) || st.ReplayFlows != 0 || st.Orphaned != 0 || st.ReportMismatches != 0 {
 		t.Fatalf("cursor invariant broken across takeover: %+v", st)
 	}
 	// The checkpoint only needs the workers that own shards, so it can

@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,23 +81,34 @@ func writeFrame(w io.Writer, body []byte) error {
 }
 
 // readFrame reads one frame body. The deadline (zero = none) bounds the
-// wait — the liveness detector for both sides of a link.
-func readFrame(c net.Conn, deadline time.Time) ([]byte, error) {
+// wait — the liveness detector for both sides of a link. The body lands in
+// buf's storage when that is large enough and in a fresh allocation
+// otherwise; a read loop that is done with each body before the next read
+// passes the last body back (a stack header would escape through
+// io.ReadFull, so the length prefix is read into the same storage), and one
+// that keeps bodies passes nil.
+func readFrame(c net.Conn, deadline time.Time, buf []byte) ([]byte, error) {
 	if err := c.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(c, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, errors.New("cluster: empty frame")
 	}
 	if n > maxFrame {
 		return nil, errFrameTooLarge
 	}
-	body := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(c, body); err != nil {
 		return nil, err
 	}
@@ -385,7 +397,8 @@ func decodeEpoch(body []byte) (epochMsg, error) {
 // shard flows already incorporated into the carried checkpoint (zero and an
 // empty checkpoint for a fresh shard); the coordinator replays everything
 // past it. Start/bucket configure a fresh shard's aggregator so every shard
-// — and therefore the merged checkpoint — shares one time base.
+// — and therefore the merged checkpoint — shares one time base. A decoded
+// message's checkpoint aliases the frame body it was decoded from.
 type assignMsg struct {
 	shard      uint32
 	trace      uint64 // non-zero: the handoff span this assign continues
@@ -414,7 +427,7 @@ func decodeAssign(body []byte) (assignMsg, error) {
 	m.cursor = r.u64()
 	m.startNanos = int64(r.u64())
 	m.bucket = int64(r.u64())
-	m.checkpoint = append([]byte(nil), r.bytes()...)
+	m.checkpoint = r.bytes()
 	return m, r.done()
 }
 
@@ -502,9 +515,19 @@ func encodeFlowsZ(m flowsMsg) []byte {
 	return append(b, z.Bytes()...)
 }
 
-func decodeFlows(body []byte) (flowsMsg, error) {
+// flowScratch is decode storage a read loop owns and lends to every flow
+// frame: the decoded flows — and, for a compressed frame, the inflated bytes —
+// land in it, so the returned message is valid only until the next decode.
+// The shard runtime copies flows into its ring on ingest, which is all the
+// lifetime the worker needs. The zero value is ready to use.
+type flowScratch struct {
+	flows []ipfix.Flow
+	raw   bytes.Buffer
+}
+
+func (sc *flowScratch) decode(body []byte) (flowsMsg, error) {
 	if body[0] == msgFlowsZ {
-		return decodeFlowsZ(body)
+		return sc.decodeZ(body)
 	}
 	r := &reader{b: body[1:]}
 	var m flowsMsg
@@ -514,14 +537,20 @@ func decodeFlows(body []byte) (flowsMsg, error) {
 	if r.err == nil && n*flowWireLen != len(r.b) {
 		return m, fmt.Errorf("cluster: flow batch length mismatch: %d flows, %d bytes", n, len(r.b))
 	}
-	m.flows = make([]ipfix.Flow, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.flows = append(m.flows, r.flow())
-	}
+	m.flows = sc.readFlows(r, n)
 	return m, r.done()
 }
 
-func decodeFlowsZ(body []byte) (flowsMsg, error) {
+// readFlows decodes n flows whose bytes r is known to hold.
+func (sc *flowScratch) readFlows(r *reader, n int) []ipfix.Flow {
+	sc.flows = slices.Grow(sc.flows[:0], n)
+	for i := 0; i < n && r.err == nil; i++ {
+		sc.flows = append(sc.flows, r.flow())
+	}
+	return sc.flows
+}
+
+func (sc *flowScratch) decodeZ(body []byte) (flowsMsg, error) {
 	r := &reader{b: body[1:]}
 	var m flowsMsg
 	m.shard = r.u32()
@@ -535,24 +564,23 @@ func decodeFlowsZ(body []byte) (flowsMsg, error) {
 	if n*flowWireLen != rawLen || rawLen > maxFrame {
 		return m, fmt.Errorf("cluster: compressed flow batch claims %d flows, %d raw bytes", n, rawLen)
 	}
-	raw := make([]byte, 0, rawLen)
+	sc.raw.Reset()
+	sc.raw.Grow(rawLen)
 	zr := flateReaders.Get().(io.ReadCloser)
 	zr.(flate.Resetter).Reset(bytes.NewReader(comp), nil)
-	buf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(buf, io.LimitReader(zr, int64(rawLen)+1)); err != nil {
-		flateReaders.Put(zr)
+	_, err := io.Copy(&sc.raw, io.LimitReader(zr, int64(rawLen)+1))
+	if err == nil {
+		zr.Close()
+	}
+	flateReaders.Put(zr)
+	if err != nil {
 		return m, fmt.Errorf("cluster: inflating flow batch: %w", err)
 	}
-	zr.Close()
-	flateReaders.Put(zr)
-	if buf.Len() != rawLen {
-		return m, fmt.Errorf("cluster: compressed flow batch inflated to %d bytes, want %d", buf.Len(), rawLen)
+	if sc.raw.Len() != rawLen {
+		return m, fmt.Errorf("cluster: compressed flow batch inflated to %d bytes, want %d", sc.raw.Len(), rawLen)
 	}
-	fr := &reader{b: buf.Bytes()}
-	m.flows = make([]ipfix.Flow, 0, n)
-	for i := 0; i < n && fr.err == nil; i++ {
-		m.flows = append(m.flows, fr.flow())
-	}
+	fr := &reader{b: sc.raw.Bytes()}
+	m.flows = sc.readFlows(fr, n)
 	return m, fr.done()
 }
 
@@ -570,8 +598,17 @@ type reportMsg struct {
 	checkpoint []byte
 }
 
-func encodeReport(m reportMsg) []byte {
-	b := []byte{msgReport}
+// reportHeadLen is the fixed part of a report frame, everything before the
+// checkpoint's bytes: type, shard, final, trace, reqNanos, cursor, length.
+const reportHeadLen = 1 + 4 + 1 + 8 + 8 + 8 + 4
+
+// appendReportHead starts a report frame in b: everything but the
+// checkpoint, with the cursor and the checkpoint's length left zero. The
+// worker appends the checkpoint's bytes straight after it — encoded where
+// they ship from — and sealReport fills in the two fields the snapshot only
+// then knows. m.cursor and m.checkpoint are not read.
+func appendReportHead(b []byte, m reportMsg) []byte {
+	b = append(b, msgReport)
 	b = appendU32(b, m.shard)
 	if m.final {
 		b = append(b, 1)
@@ -580,11 +617,19 @@ func encodeReport(m reportMsg) []byte {
 	}
 	b = appendU64(b, m.trace)
 	b = appendU64(b, uint64(m.reqNanos))
-	b = appendU64(b, m.cursor)
-	b = appendU32(b, uint32(len(m.checkpoint)))
-	return append(b, m.checkpoint...)
+	b = appendU64(b, 0)    // cursor
+	return appendU32(b, 0) // checkpoint length
 }
 
+// sealReport completes a frame that is a report head followed by the
+// checkpoint's bytes. (A frame past maxFrame is refused by writeFrame.)
+func sealReport(frame []byte, cursor uint64) {
+	binary.BigEndian.PutUint64(frame[reportHeadLen-12:], cursor)
+	binary.BigEndian.PutUint32(frame[reportHeadLen-4:], uint32(len(frame)-reportHeadLen))
+}
+
+// decodeReport decodes a report in place: m.checkpoint aliases body, which
+// the caller must therefore own for as long as it keeps the checkpoint.
 func decodeReport(body []byte) (reportMsg, error) {
 	r := &reader{b: body[1:]}
 	var m reportMsg
@@ -593,7 +638,7 @@ func decodeReport(body []byte) (reportMsg, error) {
 	m.trace = r.u64()
 	m.reqNanos = int64(r.u64())
 	m.cursor = r.u64()
-	m.checkpoint = append([]byte(nil), r.bytes()...)
+	m.checkpoint = r.bytes()
 	return m, r.done()
 }
 

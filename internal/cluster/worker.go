@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -104,9 +103,19 @@ func (c *WorkerConfig) telemetryEvery() time.Duration {
 type workerShard struct {
 	id     uint32
 	rt     *core.Runtime
-	cursor uint64 // absolute shard-stream position ingested so far
+	cursor uint64 // absolute shard-stream position received so far (under Worker.mu)
 	drain  chan struct{}
+
+	// reportedAt is the stream position of the last report sent for this
+	// shard on this session (noReport before the first), so a request that
+	// finds the shard still there answers nothing instead of encoding the
+	// same state again (under Worker.mu).
+	reportedAt uint64
 }
+
+// noReport is workerShard.reportedAt before the session's first report; no
+// stream reaches it.
+const noReport = ^uint64(0)
 
 // Worker owns shards assigned by a coordinator and reports their
 // checkpoints. One Worker runs one link at a time; after a link failure it
@@ -138,6 +147,11 @@ type Worker struct {
 	// when Telemetry is set.
 	epochCompile *obs.Histogram
 	epochVerdict *obs.Histogram
+
+	// enqueueHook, set by tests only, runs on the read loop between a flow
+	// frame being counted into its shard's cursor and being queued on the
+	// shard's runtime — the window a report must not misread.
+	enqueueHook func(shard uint32)
 }
 
 // NewWorker validates the configuration and registers telemetry.
@@ -290,6 +304,11 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 
 	out := make(chan []byte, outboundDepth)
 	writeErr := make(chan error, 1)
+	// One report buffer per session, not per shard or per report: the
+	// reporter encodes each report straight into it, the writer hands it back
+	// once the frame is on the wire. It grows to the largest report and stays.
+	reportBuf := make(chan []byte, 1)
+	reportBuf <- nil
 	go func() {
 		for {
 			select {
@@ -301,6 +320,9 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 				if err := writeFrame(conn, frame); err != nil {
 					writeErr <- err
 					return
+				}
+				if frame[0] == msgReport {
+					reportBuf <- frame
 				}
 			case <-sctx.Done():
 				return
@@ -319,7 +341,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	// The coordinator challenges first; the hello answers it with an HMAC
 	// binding this connection's nonce to our identity, so a captured hello
 	// cannot be replayed on another connection.
-	body, err := readFrame(conn, time.Now().Add(w.cfg.deadline()))
+	body, err := readFrame(conn, time.Now().Add(w.cfg.deadline()), nil)
 	if err != nil {
 		return fmt.Errorf("cluster: reading challenge: %w", err)
 	}
@@ -352,18 +374,12 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 
 	// The reporter serializes quiescent checkpoint reports off the read
 	// loop, so a slow drain never starves heartbeat reads.
-	type reportReq struct {
-		shard    uint32
-		final    bool
-		trace    uint64
-		reqNanos int64
-	}
-	reportc := make(chan reportReq, 64)
+	reportc := make(chan reportMsg, 64) // requests: cursor and checkpoint unset
 	go func() {
 		for {
 			select {
 			case r := <-reportc:
-				w.report(sctx, r.shard, r.final, r.trace, r.reqNanos, send)
+				w.report(sctx, r, reportBuf, send)
 			case <-sctx.Done():
 				return
 			}
@@ -401,18 +417,19 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		}()
 	}
 
+	// Every frame is consumed before the next is read — decoders copy what
+	// they keep, and the shard runtime copies flows into its ring — so the
+	// loop reads into one frame buffer and decodes flows into one scratch.
+	var flows flowScratch
 	for {
 		select {
 		case err := <-writeErr:
 			return err
 		default:
 		}
-		body, err := readFrame(conn, time.Now().Add(w.cfg.deadline()))
+		body, err = readFrame(conn, time.Now().Add(w.cfg.deadline()), body)
 		if err != nil {
 			return err
-		}
-		if len(body) == 0 {
-			continue
 		}
 		switch body[0] {
 		case msgHeartbeat:
@@ -433,7 +450,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 				return err
 			}
 		case msgFlows, msgFlowsZ:
-			m, err := decodeFlows(body)
+			m, err := flows.decode(body)
 			if err != nil {
 				return err
 			}
@@ -446,7 +463,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 				return err
 			}
 			select {
-			case reportc <- reportReq{shard: m.shard, trace: m.trace, reqNanos: m.nanos}:
+			case reportc <- reportMsg{shard: m.shard, trace: m.trace, reqNanos: m.nanos}:
 			default:
 				// A full report queue means one is already pending for
 				// this link; dropping the request is safe — the
@@ -460,7 +477,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 			w.cfg.Telemetry.Recordf(obs.EventShardRevoke,
 				"%s draining shard %d (trace %016x)", w.label(), m.shard, m.trace)
 			select {
-			case reportc <- reportReq{shard: m.shard, final: true, trace: m.trace}:
+			case reportc <- reportMsg{shard: m.shard, final: true, trace: m.trace}:
 			case <-sctx.Done():
 				return errors.New("cluster: session cancelled")
 			}
@@ -643,7 +660,7 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 		Queue:    w.cfg.Queue,
 	}
 	if len(m.checkpoint) > 0 {
-		cp, err := core.DecodeCheckpoint(bytes.NewReader(m.checkpoint))
+		cp, err := core.DecodeCheckpointBytes(m.checkpoint)
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d resume checkpoint: %w", m.shard, err)
 		}
@@ -659,7 +676,7 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard %d runtime: %w", m.shard, err)
 	}
-	s := &workerShard{id: m.shard, rt: rt, cursor: m.cursor, drain: make(chan struct{})}
+	s := &workerShard{id: m.shard, rt: rt, cursor: m.cursor, drain: make(chan struct{}), reportedAt: noReport}
 	w.shards[m.shard] = s
 	workers := w.cfg.DrainWorkers
 	go func() {
@@ -699,6 +716,9 @@ func (w *Worker) applyFlows(m flowsMsg) error {
 	s.cursor += uint64(len(m.flows))
 	w.flowsIn += uint64(len(m.flows))
 	w.mu.Unlock()
+	if w.enqueueHook != nil {
+		w.enqueueHook(m.shard)
+	}
 	// IngestBatchWait applies backpressure outside the lock: a full queue
 	// slows the link read loop, which slows the coordinator — never drops.
 	// The whole frame queues in one call (one consumer wake per frame).
@@ -713,58 +733,78 @@ func (w *Worker) applyFlows(m flowsMsg) error {
 // (the coordinator re-asks); a final report — the revoke drain — keeps
 // trying until the session dies, because the coordinator has stopped the
 // shard's stream and is waiting on it.
-func (w *Worker) report(sctx context.Context, shard uint32, final bool, trace uint64, reqNanos int64, send func([]byte) bool) {
+//
+// The position a report claims is the snapshot's own Processed count, read
+// under the runtime's lock together with the state it encodes. The shard
+// runtime is fed only by this shard's stream, never sheds and is resumed at
+// Processed == cursor, so Processed is the stream position the aggregate
+// incorporates. The read loop's count of frames received (workerShard.cursor)
+// runs ahead of it while a frame is between the socket and the queue, and a
+// report that claimed that count would ship a checkpoint short of it.
+//
+// The checkpoint is encoded straight into the session's report buffer,
+// behind the frame head: the bytes are written once, where they ship from.
+func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, send func([]byte) bool) {
+	w.mu.Lock()
+	s, ok := w.shards[req.shard]
+	reportedAt := noReport
+	if ok {
+		reportedAt = s.reportedAt
+	}
+	w.mu.Unlock()
+	if !ok {
+		return
+	}
+	var frame []byte
+	select {
+	case frame = <-bufs:
+	case <-sctx.Done():
+		return
+	}
 	deadline := time.Now().Add(w.cfg.deadline())
-	for {
-		if sctx.Err() != nil {
-			return
+	for sctx.Err() == nil {
+		var cursor uint64
+		frame = appendReportHead(frame[:0], req)
+		err := s.rt.Snapshot(func(cp *core.Checkpoint) error {
+			cursor = cp.Processed
+			if req.final || cursor != reportedAt {
+				frame = core.AppendCheckpoint(frame, cp)
+			}
+			return nil
+		})
+		if err == nil && len(frame) == reportHeadLen {
+			break // quiescent where the last report left the shard: nothing new to say
 		}
-		w.mu.Lock()
-		s, ok := w.shards[shard]
-		w.mu.Unlock()
-		if !ok {
-			return
-		}
-		w.mu.Lock()
-		c1 := s.cursor
-		w.mu.Unlock()
-		var buf bytes.Buffer
-		err := s.rt.WriteCheckpoint(&buf)
-		w.mu.Lock()
-		c2 := s.cursor
-		w.mu.Unlock()
-		if err == nil && c1 == c2 {
-			// Quiescent at a pinned cursor: the checkpoint incorporates
-			// exactly c1 flows of the shard stream. The report echoes the
-			// request's trace and send timestamp, so the coordinator ties
-			// it to the span that asked and measures the round-trip on
-			// its own clock.
-			if !send(encodeReport(reportMsg{
-				shard: shard, final: final, trace: trace, reqNanos: reqNanos,
-				cursor: c1, checkpoint: buf.Bytes(),
-			})) {
+		if err == nil {
+			// The report echoes the request's trace and send timestamp, so
+			// the coordinator ties it to the span that asked and measures
+			// the round-trip on its own clock.
+			sealReport(frame, cursor)
+			if !send(frame) {
 				return
 			}
 			w.mu.Lock()
+			s.reportedAt = cursor
 			w.reports++
-			if final {
-				delete(w.shards, shard)
+			if req.final {
+				delete(w.shards, req.shard)
 			}
 			w.mu.Unlock()
-			if final {
+			if req.final {
 				if tel := w.cfg.Telemetry; tel != nil {
-					tel.Metrics.Unregister(MetricWorkerShardCursor, w.shardCursorLabels(shard)...)
+					tel.Metrics.Unregister(MetricWorkerShardCursor, w.shardCursorLabels(req.shard)...)
 				}
 				s.rt.Close()
 				<-s.drain
 			}
-			return
+			return // the writer hands the buffer back
 		}
-		if !final && time.Now().After(deadline) {
-			return
+		if !req.final && time.Now().After(deadline) {
+			break
 		}
 		time.Sleep(time.Millisecond)
 	}
+	bufs <- frame
 }
 
 // teardown discards every shard after a session loss. Unreported progress

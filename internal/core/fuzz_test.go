@@ -37,12 +37,14 @@ func fuzzSeedCheckpoint() []byte {
 }
 
 // FuzzDecodeCheckpoint feeds truncated, corrupted, and adversarial inputs
-// to the checkpoint decoder. The contract under attack: every malformed
-// input returns an error — never a panic, and never an allocation
-// proportional to a forged element count rather than to the input itself
-// (the preallocCap clamp). Inputs that do decode must canonicalize: their
-// re-encoding is stable under a decode/encode round trip, the property the
-// byte-equality oracle rests on.
+// to the slice decoder. The contract under attack: every malformed input
+// returns an error — never a panic, and never an allocation proportional to
+// a forged element count rather than to the input itself (every count is
+// checked against the bytes left before anything is allocated for it). The
+// per-primitive oracle decoder must agree on what is a checkpoint at all, and
+// inputs that do decode must canonicalize: both decoders' results encode to
+// the same bytes, and that encoding is stable under a decode/encode round
+// trip, the property the byte-equality oracle rests on.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	seed := fuzzSeedCheckpoint()
 	f.Add(seed)
@@ -58,17 +60,27 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := DecodeCheckpoint(bytes.NewReader(data))
+		cp, err := DecodeCheckpointBytes(data)
+		ref, refErr := oracleDecodeCheckpoint(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoders disagree on the input: slice decoder %v, oracle %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
 		// Successful decodes must re-encode, and the re-encoding must be a
 		// fixed point: decode(encode(cp)) encodes to the same bytes.
-		var once bytes.Buffer
+		var once, viaOracle bytes.Buffer
 		if err := EncodeCheckpoint(&once, cp); err != nil {
 			t.Fatalf("re-encoding a decoded checkpoint failed: %v", err)
 		}
-		cp2, err := DecodeCheckpoint(bytes.NewReader(once.Bytes()))
+		if err := EncodeCheckpoint(&viaOracle, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), viaOracle.Bytes()) {
+			t.Fatal("the slice decoder and the oracle decoded different states from one input")
+		}
+		cp2, err := DecodeCheckpointBytes(once.Bytes())
 		if err != nil {
 			t.Fatalf("decoding a re-encoded checkpoint failed: %v", err)
 		}

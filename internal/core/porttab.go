@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // This file holds the dense tally containers behind the Aggregator's port
@@ -50,6 +51,16 @@ func (p *portPage) at(port uint16) uint64 {
 
 func (p *portPage) add(port uint16, pkts uint64) {
 	*p.slot(port) += pkts
+	w, b := uint32(port)>>6, uint64(1)<<(port&63)
+	if p.seen[w]&b == 0 {
+		p.seen[w] |= b
+		p.n++
+	}
+}
+
+// set stores an exact tally (map-assign semantics; checkpoint decode).
+func (p *portPage) set(port uint16, v uint64) {
+	*p.slot(port) = v
 	w, b := uint32(port)>>6, uint64(1)<<(port&63)
 	if p.seen[w]&b == 0 {
 		p.seen[w] |= b
@@ -155,34 +166,78 @@ func (t *PortTab) Len() int {
 	return n
 }
 
-// pages visits every page in (class, proto, dir) order — the checkpoint
-// codec's key order.
-func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
-	keys := make([]portPageKey, 0, 8)
+// maxFastPages is how many pages the direct-indexed array can hold.
+const maxFastPages = int(numTrafficClasses) * 2 * 2
+
+// pageKeys appends every page's key to buf in (class, proto, dir) order —
+// the checkpoint codec's key order. The fast array is walked in that order
+// already; only a table that carries spilled protocols has to sort.
+func (t *PortTab) pageKeys(buf []portPageKey) []portPageKey {
 	for c := TrafficClass(0); c < numTrafficClasses; c++ {
 		for pi, proto := range [2]uint8{6, 17} {
 			for dir := uint8(0); dir < 2; dir++ {
 				if t.fast[c][pi][dir] != nil {
-					keys = append(keys, portPageKey{c, proto, dir})
+					buf = append(buf, portPageKey{c, proto, dir})
 				}
 			}
 		}
 	}
-	for k := range t.spill {
-		keys = append(keys, k)
+	if len(t.spill) == 0 {
+		return buf
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.class != kj.class {
-			return ki.class < kj.class
-		}
-		if ki.proto != kj.proto {
-			return ki.proto < kj.proto
-		}
-		return ki.dir < kj.dir
+	for k := range t.spill {
+		buf = append(buf, k)
+	}
+	slices.SortFunc(buf, func(a, b portPageKey) int {
+		return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.proto, b.proto), cmp.Compare(a.dir, b.dir))
 	})
-	for _, k := range keys {
+	return buf
+}
+
+// pages visits every page in (class, proto, dir) order.
+func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
+	var buf [maxFastPages]portPageKey
+	for _, k := range t.pageKeys(buf[:0]) {
 		fn(k, t.page(k.class, k.proto, k.dir, false))
+	}
+}
+
+// encode writes the port mix sorted by (class, proto, dir, port), a bitmap
+// word — up to 64 entries — per reservation.
+func (t *PortTab) encode(e *cpEnc) {
+	e.u32(uint32(t.Len()))
+	t.pages(func(k portPageKey, p *portPage) {
+		head := uint64(uint32(k.class))<<32 | uint64(k.proto)<<24 | uint64(k.dir)<<16
+		for w, word := range p.seen {
+			if word == 0 {
+				continue
+			}
+			blk := p.blk[w>>2] // a word's 64 ports share one 256-port block
+			q := e.grow(16 * bits.OnesCount64(word))
+			for ; word != 0; word &= word - 1 {
+				port := w<<6 | bits.TrailingZeros64(word)
+				be.PutUint64(q, head|uint64(port))
+				be.PutUint64(q[8:], blk[port&0xff])
+				q = q[16:]
+			}
+		}
+	})
+}
+
+// decode reads the port mix. Entries arrive grouped by page, so the page
+// lookup is paid once per run of equal (class, proto, dir).
+func (t *PortTab) decode(d *cpDec) {
+	var (
+		last portPageKey
+		pg   *portPage
+	)
+	for p := d.take(16 * d.count("port-mix entry", 16)); len(p) > 0; p = p[16:] {
+		head := be.Uint64(p)
+		k := portPageKey{TrafficClass(head >> 32), uint8(head >> 24), uint8(head >> 16)}
+		if pg == nil || k != last {
+			pg, last = t.page(k.class, k.proto, k.dir, true), k
+		}
+		pg.set(uint16(head), be.Uint64(p[8:]))
 	}
 }
 
@@ -199,17 +254,6 @@ func (t *PortTab) Range(fn func(PortKey, uint64)) {
 			}
 		}
 	})
-}
-
-// Set stores an exact tally for k (map-assign semantics; checkpoint decode).
-func (t *PortTab) Set(k PortKey, v uint64) {
-	p := t.page(k.Class, k.Proto, k.Dir, true)
-	*p.slot(k.Port) = v
-	w, b := uint32(k.Port)>>6, uint64(1)<<(k.Port&63)
-	if p.seen[w]&b == 0 {
-		p.seen[w] |= b
-		p.n++
-	}
 }
 
 // MergeFrom folds other into t without adopting its pages.
@@ -268,6 +312,23 @@ func (p *sizePage) add(size int, pkts uint64) {
 	p.spill[size] += pkts
 }
 
+// set stores an exact tally (map-assign semantics; checkpoint decode).
+func (p *sizePage) set(size int, v uint64) {
+	if size >= 0 && size < sizeDense {
+		p.cnt[size] = v
+		w, b := uint32(size)>>6, uint64(1)<<(size&63)
+		if p.seen[w]&b == 0 {
+			p.seen[w] |= b
+			p.n++
+		}
+		return
+	}
+	if p.spill == nil {
+		p.spill = make(map[int]uint64)
+	}
+	p.spill[size] = v
+}
+
 func (p *sizePage) len() int { return p.n + len(p.spill) }
 
 // SizeTab is the per-class packet-size histogram, replacing
@@ -315,73 +376,91 @@ func (t *SizeTab) Add(c TrafficClass, size int, pkts uint64) {
 	t.page(c, true).add(size, pkts)
 }
 
-// Classes counts classes with a histogram.
-func (t *SizeTab) Classes() int { return len(t.classList()) }
-
-// classList returns the recorded classes in ascending order.
-func (t *SizeTab) classList() []TrafficClass {
-	out := make([]TrafficClass, 0, numTrafficClasses)
+// classList appends the recorded classes to buf in ascending order.
+func (t *SizeTab) classList(buf []TrafficClass) []TrafficClass {
 	for c := TrafficClass(0); c < numTrafficClasses; c++ {
 		if p := t.pages[c]; p != nil && p.present {
-			out = append(out, c)
+			buf = append(buf, c)
 		}
+	}
+	if len(t.spill) == 0 {
+		return buf
 	}
 	for c, p := range t.spill {
 		if p.present {
-			out = append(out, c)
+			buf = append(buf, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ClassLen counts recorded sizes for one class.
-func (t *SizeTab) ClassLen(c TrafficClass) int {
-	p := t.page(c, false)
-	if p == nil {
-		return 0
-	}
-	return p.len()
+	slices.Sort(buf)
+	return buf
 }
 
 // RangeClass visits one class's (size, packets) entries in ascending size
 // order — the checkpoint codec's order.
 func (t *SizeTab) RangeClass(c TrafficClass, fn func(int, uint64)) {
-	p := t.page(c, false)
-	if p == nil {
-		return
-	}
-	if len(p.spill) == 0 {
-		for w, bits := range p.seen {
-			for bits != 0 {
-				b := bits & (-bits)
-				size := w<<6 | trailingZeros(b)
+	if p := t.page(c, false); p != nil {
+		p.walk(func(w int, word uint64) {
+			for ; word != 0; word &= word - 1 {
+				size := w<<6 | bits.TrailingZeros64(word)
 				fn(size, p.cnt[size])
-				bits &^= b
 			}
+		}, fn)
+	}
+}
+
+// walk visits the page in ascending size order: the spilled sizes below the
+// dense range (negative quotients), the non-empty words of the dense bitmap,
+// then the spilled sizes above it. Spilled sizes never fall inside the dense
+// range, so the three runs need no merge.
+func (p *sizePage) walk(dense func(w int, word uint64), spilled func(size int, pkts uint64)) {
+	spill := sortedKeys(nil, p.spill)
+	i := 0
+	for ; i < len(spill) && spill[i] < 0; i++ {
+		spilled(spill[i], p.spill[spill[i]])
+	}
+	for w, word := range p.seen {
+		if word != 0 {
+			dense(w, word)
 		}
-		return
 	}
-	// Spilled sizes can sort anywhere relative to the dense range (negative
-	// quotients wrap below zero), so collect and sort the union exactly as
-	// the map encoding did.
-	sizes := make([]int, 0, p.len())
-	for w, bits := range p.seen {
-		for bits != 0 {
-			b := bits & (-bits)
-			sizes = append(sizes, w<<6|trailingZeros(b))
-			bits &^= b
-		}
+	for ; i < len(spill); i++ {
+		spilled(spill[i], p.spill[spill[i]])
 	}
-	for s := range p.spill {
-		sizes = append(sizes, s)
+}
+
+// encode writes the size histograms per class, sizes sorted, a bitmap word —
+// up to 64 bins — per reservation.
+func (t *SizeTab) encode(e *cpEnc) {
+	var buf [numTrafficClasses]TrafficClass
+	classes := t.classList(buf[:0])
+	e.u32(uint32(len(classes)))
+	for _, c := range classes {
+		p := t.page(c, false)
+		e.u32pair(uint32(c), uint32(p.len()))
+		p.walk(func(w int, word uint64) {
+			q := e.grow(16 * bits.OnesCount64(word))
+			for ; word != 0; word &= word - 1 {
+				size := w<<6 | bits.TrailingZeros64(word)
+				be.PutUint64(q, uint64(size))
+				be.PutUint64(q[8:], p.cnt[size])
+				q = q[16:]
+			}
+		}, func(size int, pkts uint64) {
+			q := e.grow(16)
+			be.PutUint64(q, uint64(size))
+			be.PutUint64(q[8:], pkts)
+		})
 	}
-	sort.Ints(sizes)
-	for _, s := range sizes {
-		if s >= 0 && s < sizeDense && p.has(s) {
-			fn(s, p.cnt[s])
-		} else {
-			fn(s, p.spill[s])
+}
+
+// decode reads the size histograms. A class may carry zero bins, which the
+// map layout this table replaced kept as a present empty map: creating the
+// page marks it present either way.
+func (t *SizeTab) decode(d *cpDec) {
+	for i := d.count("size histogram", 8); i > 0 && d.err == nil; i-- {
+		pg := t.page(TrafficClass(d.u32()), true)
+		for p := d.take(16 * d.count("size bin", 16)); len(p) > 0; p = p[16:] {
+			pg.set(int(be.Uint64(p)), be.Uint64(p[8:]))
 		}
 	}
 }
@@ -403,34 +482,13 @@ func (t *SizeTab) Get(c TrafficClass, size int) (uint64, bool) {
 	return v, ok
 }
 
-// Touch marks class c present without recording any size (a decoded class
-// may carry zero bins, which the map layout kept as a present empty map).
-func (t *SizeTab) Touch(c TrafficClass) { t.page(c, true) }
-
-// Set stores an exact tally (map-assign semantics; checkpoint decode).
-func (t *SizeTab) Set(c TrafficClass, size int, v uint64) {
-	p := t.page(c, true)
-	if size >= 0 && size < sizeDense {
-		p.cnt[size] = v
-		w, b := uint32(size)>>6, uint64(1)<<(size&63)
-		if p.seen[w]&b == 0 {
-			p.seen[w] |= b
-			p.n++
-		}
-		return
-	}
-	if p.spill == nil {
-		p.spill = make(map[int]uint64)
-	}
-	p.spill[size] = v
-}
-
 // MergeFrom folds other into t without adopting its pages.
 func (t *SizeTab) MergeFrom(other *SizeTab) {
 	if other == nil {
 		return
 	}
-	for _, c := range other.classList() {
+	var buf [numTrafficClasses]TrafficClass
+	for _, c := range other.classList(buf[:0]) {
 		op := other.page(c, false)
 		p := t.page(c, true)
 		for w, bits := range op.seen {
@@ -450,7 +508,8 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 // Reset zeroes every recorded tally in place and marks every class absent,
 // keeping pages allocated for reuse.
 func (t *SizeTab) Reset() {
-	for _, c := range t.classList() {
+	var buf [numTrafficClasses]TrafficClass
+	for _, c := range t.classList(buf[:0]) {
 		p := t.page(c, false)
 		for w, bits := range p.seen {
 			for bits != 0 {

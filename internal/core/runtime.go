@@ -470,13 +470,23 @@ func (rt *Runtime) snapshotLocked() (*Checkpoint, error) {
 // lock, so parallel workers cannot merge mid-encode; it fails with
 // ErrNotQuiescent while any flow is still in flight.
 func (rt *Runtime) WriteCheckpoint(w io.Writer) error {
+	return rt.Snapshot(func(cp *Checkpoint) error { return EncodeCheckpoint(w, cp) })
+}
+
+// Snapshot calls fn with a quiescent snapshot of the runtime while the
+// runtime lock is held, so the cursor block and the aggregate fn sees belong
+// to one instant: cp.Processed is exactly the number of ingested flows cp.Agg
+// incorporates. It fails with ErrNotQuiescent, without calling fn, while any
+// flow is in flight. cp aliases live state and is valid only until fn
+// returns; fn must not call back into the runtime.
+func (rt *Runtime) Snapshot(fn func(cp *Checkpoint) error) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	cp, err := rt.snapshotLocked()
 	if err != nil {
 		return err
 	}
-	return EncodeCheckpoint(w, cp)
+	return fn(cp)
 }
 
 func (rt *Runtime) currentEpoch() Epoch {
