@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify closure-prop obs-smoke cluster-chaos cluster-tcp cluster-obs fuzz bench bench-smoke bench-compare bench-compare-smoke
+.PHONY: build test vet race verify closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs fuzz bench bench-smoke bench-compare bench-compare-smoke
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,9 @@ race:
 
 # verify is the CI entry point: static checks, the race-checked suite, the
 # parallel-compilation equivalence property, the observability smoke, the
-# cluster chaos suite, the cluster observability-plane gate, and the
-# benchmark-baseline structural check.
-verify: vet race closure-prop obs-smoke cluster-chaos cluster-tcp cluster-obs bench-compare-smoke
+# drain-engine stress run, the cluster chaos suite, the cluster
+# observability-plane gate, and the benchmark-baseline structural check.
+verify: vet race closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs bench-compare-smoke
 
 # closure-prop runs the parallel-closure property tests explicitly (random
 # cyclic topologies: ConeClosures at 1/2/4/8 workers must match the
@@ -35,6 +35,14 @@ closure-prop:
 # unready -> ok (see obs_smoke_test.go).
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -count=1 .
+
+# stress-drain repeats the drain engine's tests under the race detector:
+# where a batch lands — in place, or in a worker's private shard — depends on
+# who holds the aggregate lock at that instant, so one pass sees only a few
+# of the interleavings; twenty see enough that a fold or quiescence bug which
+# needs a particular one does not get through.
+stress-drain:
+	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge' ./internal/core
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-run (internal/cluster chaos suite) plus the end-to-end acceptance run
@@ -73,7 +81,8 @@ cluster-obs:
 # paper and ~50K-AS full-table scale), the cluster flow transport over TCP
 # loopback (frame batch 1/64/512 × deflate off/on, plus interleaved
 # plain/telemetry federation-overhead pairs at batch 64/512), the checkpoint
-# codec (encode/decode × typical/attack-shaped state), and the
+# codec (encode/decode × typical/attack-shaped state), the spill merge (one
+# worker's 256-flow private shard into a warm aggregate), and the
 # single-core classify hot path (perflow/batch256 × trie/flat indexes, with
 # allocation counts), recording the machine-readable baseline in
 # BENCH_runtime.json. The document carries the recording host's CPU count,
@@ -82,6 +91,7 @@ bench:
 	( $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=3x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=20000x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkPipelineBuild -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkClusterTransport/^batch-' -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
@@ -98,15 +108,18 @@ bench-smoke:
 	SPOOFSCOPE_BENCH_SMOKE=1 $(GO) test -run='^$$' -bench=BenchmarkPipelineBuild -benchtime=1x .
 
 # bench-compare remeasures the classify hot path, the federation-overhead
-# transport pairs, the live-runtime drain/ingest benchmarks, and the
-# checkpoint codec and gates them against the committed BENCH_runtime.json:
-# any classify or runtime variant whose flows/sec — or codec variant whose
-# MB/s — fell more than 15% below the baseline fails, so does an overhead
-# pair where telemetry federation costs more than 5% throughput against the
-# plain lifecycle interleaved with it in the same run, and so does an ingest
-# replay that allocates (cap 512 allocs per whole-trace op — a single
-# per-message alloc would be ~6,900). Run it on classifier, index, queue,
-# decoder, checkpoint-codec, or observability-plane changes; refresh
+# transport pairs, the live-runtime drain/ingest benchmarks, the checkpoint
+# codec and the spill merge and gates them against the committed
+# BENCH_runtime.json: any classify or runtime variant, or the spill merge,
+# whose flows/sec — or codec variant whose MB/s — fell more than 15% below
+# the baseline fails, so does an overhead pair where telemetry federation
+# costs more than 5% throughput against the plain lifecycle interleaved with
+# it in the same run, so does an ingest replay that allocates (cap 512 allocs
+# per whole-trace op — a single per-message alloc would be ~6,900), and so
+# does a run in which RunParallel(1) drains at under 97% of Run(nil)'s rate
+# (interleaved parity-1 pairs) or allocates more than 1% apart from it: they
+# are one worker of one engine. Run it on classifier, index, queue, decoder,
+# drain-engine, checkpoint-codec, or observability-plane changes; refresh
 # the baseline with `make bench` when a speedup (or an accepted cost) moves
 # the numbers for real.
 bench-compare:
@@ -114,7 +127,8 @@ bench-compare:
 	  $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=3x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem . ) \
+	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=20000x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json
 
 # bench-compare-smoke is the verify/CI variant: a single iteration proves
@@ -126,7 +140,8 @@ bench-compare-smoke:
 	  SPOOFSCOPE_OVERHEAD_ROUNDS=2 $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=1x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=1x -benchmem . ) \
+	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=1x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=1x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json -smoke
 
 # fuzz gives the stream-framing paths a short adversarial workout beyond the

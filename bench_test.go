@@ -230,57 +230,72 @@ func BenchmarkClassifyParallel(b *testing.B) {
 }
 
 // BenchmarkRuntimeThroughput measures the live runtime's consumption rate
-// over the full default-scale trace (≈440K flows): the sequential batched
-// Run drain (the cmd/classify single-core path) against the batch-parallel
-// consumer at several worker counts. The queue is pre-filled outside the
-// timer so only the drain is measured, and flows/sec is the headline metric
-// tracked in BENCH_runtime.json (`make bench`), gated by the `runtime`
-// section of `make bench-compare`. On a multi-core host the parallel
-// variants scale with workers; under GOMAXPROCS=1 they measure the batching
-// overheads alone.
+// over the full default-scale trace (≈440K flows): the observer-free Run
+// drain (the cmd/classify single-core path) against RunParallel at several
+// worker counts — one batch drain engine, entered with one worker or with n.
+// The queue is pre-filled outside the timer so only the drain is measured,
+// and flows/sec is the headline metric tracked in BENCH_runtime.json (`make
+// bench`), gated by the `runtime` section of `make bench-compare`. On a
+// multi-core host the parallel variants scale with workers; under
+// GOMAXPROCS=1 they measure the batching overheads alone.
 //
 // The *-telemetry variants run the same drain with a live obs.Telemetry
 // attached, so the baseline records what instrumentation costs (the budget is
 // <5% of the uninstrumented flows/sec) alongside the sampled classify-latency
 // quantiles (classify-p50-ns / classify-p99-ns).
+//
+// parity-1 holds "one worker costs what the sequential drain costs" to a
+// tolerance this host's back-to-back sub-benchmarks cannot: it alternates
+// Run(nil) and RunParallel(1) drains and reports the median per-pair
+// throughput ratio (parity-pct), which `make bench-compare` gates at 97.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	env := benchEnvironment(b)
 	flows := env.Flows
+	// filled returns a closed runtime whose queue holds the whole trace;
+	// drain empties it with Run (workers == 0) or RunParallel.
+	filled := func(b *testing.B, tel *obs.Telemetry) *core.Runtime {
+		rt, err := core.NewRuntime(core.RuntimeConfig{
+			Pipeline: env.Pipeline,
+			Start:    env.Scenario.Cfg.Start, Bucket: env.Scenario.Cfg.Duration / 168,
+			// Hold the whole trace: benchmark the drain, not shedding.
+			Queue:     core.QueueConfig{Capacity: len(flows) + 1, HighWatermark: len(flows) + 1},
+			Telemetry: tel,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range flows {
+			rt.Ingest(f)
+		}
+		rt.Close()
+		return rt
+	}
+	drain := func(b *testing.B, rt *core.Runtime, workers int) {
+		var err error
+		if workers == 0 {
+			err = rt.Run(nil, nil)
+		} else {
+			err = rt.RunParallel(nil, workers, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := rt.Stats().Processed; got != uint64(len(flows)) {
+			b.Fatalf("processed %d flows, want %d", got, len(flows))
+		}
+	}
 	run := func(b *testing.B, workers int, withTelemetry bool) {
 		b.ReportAllocs()
 		var tel *obs.Telemetry
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cfg := core.RuntimeConfig{
-				Pipeline: env.Pipeline,
-				Start:    env.Scenario.Cfg.Start, Bucket: env.Scenario.Cfg.Duration / 168,
-				// Hold the whole trace: benchmark the drain, not shedding.
-				Queue: core.QueueConfig{Capacity: len(flows) + 1, HighWatermark: len(flows) + 1},
-			}
 			if withTelemetry {
 				tel = obs.NewTelemetry()
-				cfg.Telemetry = tel
 			}
-			rt, err := core.NewRuntime(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, f := range flows {
-				rt.Ingest(f)
-			}
-			rt.Close()
+			rt := filled(b, tel)
 			b.StartTimer()
-			if workers == 0 {
-				if err := rt.Run(nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			} else if err := rt.RunParallel(nil, workers, nil); err != nil {
-				b.Fatal(err)
-			}
-			if got := rt.Stats().Processed; got != uint64(len(flows)) {
-				b.Fatalf("processed %d flows, want %d", got, len(flows))
-			}
+			drain(b, rt, workers)
 		}
 		b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 		if tel != nil {
@@ -298,6 +313,31 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	}
 	b.Run("sequential-telemetry", func(b *testing.B) { run(b, 0, true) })
 	b.Run("parallel-4-telemetry", func(b *testing.B) { run(b, 4, true) })
+	b.Run("parity-1", func(b *testing.B) {
+		// Pairs per iteration: adjacent drains share the machine's mood, so
+		// their ratio cancels it, and the median over pairs sheds the stalls.
+		const pairs = 5
+		timed := func(workers int) float64 {
+			rt := filled(b, nil)
+			t0 := time.Now()
+			drain(b, rt, workers)
+			return time.Since(t0).Seconds()
+		}
+		var ratios []float64
+		for i := 0; i < b.N; i++ {
+			for p := 0; p < pairs; p++ {
+				var seq, par float64
+				if (i+p)%2 == 0 {
+					seq, par = timed(0), timed(1)
+				} else {
+					par, seq = timed(1), timed(0)
+				}
+				ratios = append(ratios, seq/par) // throughput of parallel-1 over sequential
+			}
+		}
+		sort.Float64s(ratios)
+		b.ReportMetric(100*ratios[len(ratios)/2], "parity-pct")
+	})
 }
 
 // encodeIngestStream frames the whole default-scale trace into one
@@ -487,6 +527,41 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMergeSpill is the merge barrier's line in the ledger: folding a
+// drain worker's private shard of one 256-flow batch into a warm aggregate
+// that already holds the full trace — what a contended batch costs on top of
+// its aggregation. It must cost about the shard's own entries, not the
+// tables' size (the dense pages' presence bitmaps are walked through their
+// summaries). ns/op and flows/sec are tracked in the `merge` section of
+// BENCH_runtime.json and gated by `make bench-compare`.
+func BenchmarkMergeSpill(b *testing.B) {
+	env := benchEnvironment(b)
+	newAgg := func() *core.Aggregator {
+		return core.NewAggregator(env.Scenario.Cfg.Start, env.Scenario.Cfg.Duration/168)
+	}
+	verdicts := make([]core.Verdict, len(env.Flows))
+	for i, f := range env.Flows {
+		verdicts[i] = env.Pipeline.Classify(f)
+	}
+	warm := newAgg()
+	warm.AddBatch(env.Flows, verdicts)
+	// Shards from batches spread over the trace, so successive merges touch
+	// different members, ports and destinations of the warm aggregate.
+	const batch = core.ClassifyBatchSize
+	shards := make([]*core.Aggregator, 16)
+	for i := range shards {
+		at := i * (len(env.Flows) - batch) / len(shards)
+		shards[i] = newAgg()
+		shards[i].AddBatch(env.Flows[at:at+batch], verdicts[at:at+batch])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm.Merge(shards[i%len(shards)])
+	}
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 }
 
 // BenchmarkDepthAblation exercises the bounded-cone extension sweep.

@@ -12,7 +12,8 @@
 // mistaken for one with real parallelism.
 //
 // BenchmarkCheckpointCodec/<op>/<shape> entries are lifted into a codec
-// section — the checkpoint stage's line of the per-stage ledger.
+// section — the checkpoint stage's line of the per-stage ledger — and
+// BenchmarkMergeSpill into a merge section, the merge barrier's.
 //
 // With -diff <baseline.json> the tool compares instead of emitting: the
 // classify hot-path entries parsed from stdin are checked against the
@@ -24,8 +25,12 @@
 // live-drain gate runs as well: every RuntimeThroughput variant and the
 // end-to-end IngestPath entry must reappear, lose no more than 15% flows/sec,
 // and the ingest entry must keep its effectively-zero allocs/op (cap 512 per
-// whole-trace replay). When it has a codec section, every checkpoint-codec
-// variant must reappear and lose no more than 15% MB/s. -smoke relaxes the comparisons to a
+// whole-trace replay); and the drain-parity gate: parallel-1 must allocate
+// within 1% of sequential and, by the interleaved parity-1 pairs, drain at no
+// less than 97% of its rate — they are one engine. When it has a codec
+// section, every checkpoint-codec variant must reappear and lose no more than
+// 15% MB/s; when it has a merge section, the same for the spill merge's
+// flows/sec. -smoke relaxes the comparisons to a
 // structural check — every baseline variant must still be produced by the
 // fresh run, but single-iteration numbers are reported without being judged
 // — which is what `make verify` and CI run.
@@ -37,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -147,6 +153,24 @@ type codecSummary struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
+// mergeSummary surfaces BenchmarkMergeSpill: one drain worker's 256-flow
+// private shard folded into a warm full-trace aggregate — the cost of a
+// contended batch beyond its aggregation. `benchjson -diff` gates flows/sec.
+type mergeSummary struct {
+	Benchmark   string  `json:"benchmark"`
+	NsPerOp     float64 `json:"nsPerOp"`
+	FlowsPerSec float64 `json:"flowsPerSec"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
+}
+
+// paritySummary surfaces BenchmarkRuntimeThroughput/parity-1: the median,
+// over interleaved pairs, of RunParallel(1)'s drain throughput as a
+// percentage of Run(nil)'s. `benchjson -diff` judges it within the fresh run.
+type paritySummary struct {
+	Benchmark string  `json:"benchmark"`
+	ParityPct float64 `json:"parityPct"`
+}
+
 type document struct {
 	GeneratedAt time.Time           `json:"generatedAt"`
 	GoVersion   string              `json:"goVersion"`
@@ -161,6 +185,8 @@ type document struct {
 	Classify    []classifySummary   `json:"classify,omitempty"`
 	Runtime     []runtimeSummary    `json:"runtime,omitempty"`
 	Codec       []codecSummary      `json:"codec,omitempty"`
+	Merge       []mergeSummary      `json:"merge,omitempty"`
+	DrainParity []paritySummary     `json:"drainParity,omitempty"`
 }
 
 func main() {
@@ -221,6 +247,15 @@ func main() {
 		if cs, ok := parseCodecEntry(b); ok {
 			doc.Codec = append(doc.Codec, cs)
 		}
+		if stripProcs(b.Name) == "BenchmarkMergeSpill" {
+			doc.Merge = append(doc.Merge, mergeSummary{
+				Benchmark: b.Name, NsPerOp: b.Metrics["ns/op"],
+				FlowsPerSec: b.Metrics["flows/sec"], AllocsPerOp: b.Metrics["allocs/op"],
+			})
+		}
+		if pct, ok := b.Metrics["parity-pct"]; ok {
+			doc.DrainParity = append(doc.DrainParity, paritySummary{Benchmark: b.Name, ParityPct: pct})
+		}
 	}
 	if *diffPath != "" {
 		if err := diffClassify(*diffPath, doc, *smoke); err != nil {
@@ -253,6 +288,15 @@ const clusterObsTolerancePct = 5.0
 // per-flow allocation.
 const ingestAllocTolerance = 512
 
+// Drain parity: Run(nil) and RunParallel(1) are one worker of one engine, so
+// within a fresh run parallel-1 must drain at no less than parityFloorPct of
+// sequential's rate (median of interleaved pairs) and allocate within
+// parityAllocTolerance of it.
+const (
+	parityFloorPct       = 97.0
+	parityAllocTolerance = 0.01
+)
+
 // diffClassify compares the classify entries of a fresh run (doc, parsed
 // from stdin) against the committed baseline at path. Every baseline
 // variant must reappear in the fresh run (a vanished benchmark is a broken
@@ -275,9 +319,14 @@ const ingestAllocTolerance = 512
 // replay — the committed proof that the decode→queue→drain path stays
 // allocation-free in steady state.
 //
+// With a drainParity section in the baseline the same gate also holds the
+// fresh run's parallel-1 to sequential's cost: parity-pct at or above
+// parityFloorPct, allocs/op within parityAllocTolerance.
+//
 // When the baseline carries a codec section, every checkpoint-codec variant
 // must reappear, and full mode fails one whose MB/s fell more than
-// regressionTolerance.
+// regressionTolerance; a merge section gates the spill merge's flows/sec the
+// same way.
 func diffClassify(path string, doc document, smoke bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -380,6 +429,48 @@ func diffClassify(path string, doc document, smoke bool) error {
 				b.Variant, b.FlowsPerSec, r.FlowsPerSec, 100*delta, status)
 		}
 	}
+	if len(base.DrainParity) > 0 {
+		seq, par := freshRuntime(doc, "sequential"), freshRuntime(doc, "parallel-1")
+		switch {
+		case len(doc.DrainParity) == 0 || seq == nil || par == nil:
+			failures = append(failures, "drain parity: parity-1, sequential or parallel-1 missing from this run")
+		default:
+			pct := doc.DrainParity[len(doc.DrainParity)-1].ParityPct
+			status := "ok"
+			if smoke {
+				status = "smoke"
+			} else {
+				if pct < parityFloorPct {
+					status = "PARITY"
+					failures = append(failures, fmt.Sprintf(
+						"drain parity: parallel-1 drains at %.1f%% of sequential's rate (floor %.0f%%) — one engine, one cost",
+						pct, parityFloorPct))
+				}
+				if math.Abs(par.AllocsPerOp-seq.AllocsPerOp) > parityAllocTolerance*seq.AllocsPerOp {
+					status = "ALLOCS"
+					failures = append(failures, fmt.Sprintf(
+						"drain parity: parallel-1 allocates %.0f/op against sequential's %.0f (tolerance %.0f%%)",
+						par.AllocsPerOp, seq.AllocsPerOp, 100*parityAllocTolerance))
+				}
+			}
+			fmt.Printf("parity   parallel-1 at %.1f%% of sequential (baseline %.1f%%, floor %.0f%%), %.0f vs %.0f allocs/op  %s\n",
+				pct, base.DrainParity[len(base.DrainParity)-1].ParityPct, parityFloorPct, par.AllocsPerOp, seq.AllocsPerOp, status)
+		}
+	}
+	if len(base.Merge) > 0 {
+		if len(doc.Merge) == 0 {
+			failures = append(failures, "merge: BenchmarkMergeSpill missing from this run")
+		} else {
+			b, m := base.Merge[len(base.Merge)-1], doc.Merge[len(doc.Merge)-1]
+			delta, status, regressed := judge(smoke, b.FlowsPerSec, m.FlowsPerSec)
+			if regressed {
+				failures = append(failures, fmt.Sprintf("merge spill: %.0f -> %.0f flows/sec (%.1f%%)",
+					b.FlowsPerSec, m.FlowsPerSec, 100*delta))
+			}
+			fmt.Printf("merge    %-20s %12.0f -> %12.0f flows/sec  %+6.1f%%  %6.0f allocs/op  %s\n",
+				"spill-256", b.FlowsPerSec, m.FlowsPerSec, 100*delta, m.AllocsPerOp, status)
+		}
+	}
 	if len(base.Codec) > 0 {
 		freshCodec := make(map[string]codecSummary, len(doc.Codec))
 		for _, c := range doc.Codec {
@@ -402,10 +493,32 @@ func diffClassify(path string, doc document, smoke bool) error {
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("benchmark gate failed (classify/runtime/codec tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d):\n  %s",
+		return fmt.Errorf("benchmark gate failed (classify/runtime/codec/merge tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d):\n  %s",
 			100*regressionTolerance, clusterObsTolerancePct, ingestAllocTolerance, strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// freshRuntime finds a runtime variant in the fresh run.
+func freshRuntime(doc document, variant string) *runtimeSummary {
+	for i := range doc.Runtime {
+		if doc.Runtime[i].Variant == variant {
+			return &doc.Runtime[i]
+		}
+	}
+	return nil
+}
+
+// stripProcs removes the -P GOMAXPROCS suffix Go appends to a benchmark's
+// name (none under GOMAXPROCS=1). Only for names that do not themselves end
+// in a number.
+func stripProcs(name string) string {
+	if i := strings.LastIndex(name, "-"); i >= 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
 }
 
 // judge compares one fresh throughput figure (flows/sec, MB/s) with its
@@ -492,15 +605,10 @@ func parseCodecEntry(b benchmark) (codecSummary, bool) {
 	if !ok || (op != "encode" && op != "decode") {
 		return codecSummary{}, false
 	}
-	if i := strings.LastIndex(shape, "-"); i >= 0 {
-		if _, err := strconv.Atoi(shape[i+1:]); err == nil {
-			shape = shape[:i]
-		}
-	}
 	return codecSummary{
 		Benchmark:   b.Name,
 		Op:          op,
-		Shape:       shape,
+		Shape:       stripProcs(shape),
 		NsPerOp:     b.Metrics["ns/op"],
 		MBPerSec:    b.Metrics["MB/s"],
 		AllocsPerOp: b.Metrics["allocs/op"],
@@ -554,15 +662,10 @@ func parseBuildEntry(b benchmark) (buildSummary, bool) {
 	if !ok {
 		return buildSummary{}, false
 	}
-	if i := strings.LastIndex(variant, "-"); i >= 0 {
-		if _, err := strconv.Atoi(variant[i+1:]); err == nil {
-			variant = variant[:i]
-		}
-	}
 	return buildSummary{
 		Benchmark: b.Name,
 		Scale:     scale,
-		Variant:   variant,
+		Variant:   stripProcs(variant),
 		Seconds:   b.Metrics["ns/op"] / 1e9,
 		ASes:      b.Metrics["ases"],
 	}, true

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,7 +440,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 	fm := flowsMsg{shard: 2, base: 41, flows: flows}
 	var scratch flowScratch // reused by the compressed frame below, as a read loop would
-	gf, err := scratch.decode(encodeFlows(fm))
+	gf, err := scratch.decode(appendFlows(nil, fm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +477,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	zm := flowsMsg{shard: 4, base: 17, flows: flows}
-	gz, err := scratch.decode(encodeFlowsZ(zm))
+	gz, err := scratch.decode(new(flowDeflater).appendFlowsZ(nil, zm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,6 +533,84 @@ func TestWireRoundTrip(t *testing.T) {
 	ack, err := decodeTelemetryAck(encodeTelemetryAck(91))
 	if err != nil || ack != 91 {
 		t.Fatalf("telemetry ack round trip: %d, %v", ack, err)
+	}
+}
+
+// sinkConn is a worker connection that swallows writes, counting them and
+// keeping the last.
+type sinkConn struct {
+	net.Conn
+	writes atomic.Int64
+	last   []byte
+}
+
+func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *sinkConn) Close() error                     { return nil }
+func (c *sinkConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	c.last = append(c.last[:0], b...)
+	return len(b), nil
+}
+
+// TestFlowFrameIsOneWriteAndNoAllocation pins the coordinator's per-frame
+// cost on the flow plane: flushToOwnerLocked builds each frame behind a
+// reserved length prefix in a buffer the link's writer handed back, so a
+// frame is exactly one Write and, once the buffers exist, no allocation —
+// and still reads back as the batch that went in.
+func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		c, err := NewCoordinator(Config{
+			Shards: 1, Members: testMembers, Start: tcStart, Bucket: time.Hour,
+			FlowBatch: 512, Compress: compress, HeartbeatInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &sinkConn{}
+		l := &link{
+			conn: sink, released: true,
+			out:  make(chan []byte, outboundDepth),
+			ctrl: make(chan []byte, outboundDepth),
+			free: make(chan []byte, freeFrames),
+			dead: make(chan struct{}),
+		}
+		go c.writeLoop(l)
+		s, flows := c.shards[0], testFlows(512)
+		var base uint64
+		send := func() {
+			c.mu.Lock()
+			base = s.cursor
+			s.replay = append(s.replay[:0], flows...)
+			s.owner, s.ackBase, s.sentCursor = l, base, base
+			s.cursor += uint64(len(flows))
+			frames := l.written.Load() + 1
+			c.flushToOwnerLocked(s)
+			c.mu.Unlock()
+			for l.written.Load() != frames {
+				runtime.Gosched()
+			}
+		}
+		send() // the first frame sizes the buffer (and the deflate scratch)
+		const runs = 50
+		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+			t.Errorf("compress=%v: %.1f allocations per flow frame, want 0", compress, allocs)
+		}
+		if got := sink.writes.Load(); got != runs+2 {
+			t.Errorf("compress=%v: %d writes for %d frames", compress, got, runs+2)
+		}
+		if n := binary.BigEndian.Uint32(sink.last); int(n) != len(sink.last)-frameHeadLen {
+			t.Fatalf("compress=%v: length prefix %d on a %d-byte body", compress, n, len(sink.last)-frameHeadLen)
+		}
+		var scratch flowScratch
+		m, err := scratch.decode(sink.last[frameHeadLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.shard != 0 || m.base != base || len(m.flows) != len(flows) || m.flows[511] != flows[511] {
+			t.Fatalf("compress=%v: frame decodes to shard %d base %d, %d flows", compress, m.shard, m.base, len(m.flows))
+		}
+		c.killLink(l, "test over")
+		c.Close()
 	}
 }
 

@@ -128,6 +128,9 @@ func (c *Config) ledgerEvery() int {
 // one, and is treated as such rather than stalling the whole cluster.
 const outboundDepth = 4096
 
+// freeFrames bounds a link's free list of flow-frame buffers (link.free).
+const freeFrames = 64
+
 // link is one connected worker from the coordinator's side.
 type link struct {
 	id    string // authenticated stable identity (empty until hello)
@@ -135,9 +138,10 @@ type link struct {
 	conn  net.Conn
 	nonce []byte // this connection's challenge nonce
 	// Two outbound planes. out carries flow batches plus the revoke frame
-	// (which must stay ordered behind its shard's flows); ctrl carries
-	// everything else — challenge, heartbeat, epoch, assign, report
-	// request — and the writer drains it first, so a queue full of
+	// (which must stay ordered behind its shard's flows), as wire-ready
+	// frames — length prefix in place, one Write each (see beginFrame); ctrl
+	// carries bare bodies of everything else — challenge, heartbeat, epoch,
+	// assign, report request — and the writer drains it first, so a queue full of
 	// in-flight flow batches can never starve the control plane into
 	// killing a healthy link. Control frames may therefore overtake flow
 	// frames; every control message is either flow-order-independent
@@ -146,6 +150,13 @@ type link struct {
 	// within ctrl preserves.
 	out  chan []byte
 	ctrl chan []byte
+	// free is where the writer hands flow-frame buffers back once they are on
+	// the wire, and where flushToOwnerLocked takes the next one from. Frames
+	// of one link are one size (the flow batch), so a returned buffer fits the
+	// next frame exactly. Sized to the frames in flight while the writer keeps
+	// up; a writer further behind than that drops the excess to the GC rather
+	// than pin a full outbound queue's worth (~100 MB at the default batch).
+	free chan []byte
 
 	// written counts frames the write loop has drained to the conn — the
 	// liveness signal that distinguishes an outbound queue full of in-flight
@@ -163,6 +174,14 @@ type link struct {
 	released  bool // conn-count slot returned (under Coordinator.mu)
 	closeOnce sync.Once
 	dead      chan struct{}
+}
+
+// recycle offers a flow-frame buffer for reuse; a full free list drops it.
+func (l *link) recycle(frame []byte) {
+	select {
+	case l.free <- frame:
+	default:
+	}
 }
 
 func (l *link) label() string {
@@ -220,6 +239,9 @@ type Coordinator struct {
 	epochFull []byte
 	closed    bool
 	degraded  bool
+	// deflater is the compressed flow frames' encode scratch (under mu, like
+	// every flush).
+	deflater flowDeflater
 
 	// conns counts every live connection, authenticated or not, against
 	// the MaxConns cap.
@@ -662,6 +684,7 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 		conn: conn, nonce: nonce,
 		out:  make(chan []byte, outboundDepth),
 		ctrl: make(chan []byte, outboundDepth),
+		free: make(chan []byte, freeFrames),
 		dead: make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -700,14 +723,25 @@ func (c *Coordinator) authFail(l *link, identity bool, reason string) {
 }
 
 func (c *Coordinator) writeLoop(l *link) {
-	write := func(frame []byte) bool {
-		if err := l.conn.SetWriteDeadline(time.Now().Add(c.cfg.deadline())); err != nil {
+	// write sends one frame: a bare body from ctrl, or a wire-ready frame
+	// from out, whose buffer goes back on the free list if it held flows.
+	write := func(frame []byte, sealed bool) bool {
+		err := l.conn.SetWriteDeadline(time.Now().Add(c.cfg.deadline()))
+		if err != nil {
 			c.killLink(l, "set write deadline: "+err.Error())
 			return false
 		}
-		if err := writeFrame(l.conn, frame); err != nil {
+		if sealed {
+			err = writeSealed(l.conn, frame)
+		} else {
+			err = writeFrame(l.conn, frame)
+		}
+		if err != nil {
 			c.killLink(l, "write: "+err.Error())
 			return false
+		}
+		if sealed && (frame[frameHeadLen] == msgFlows || frame[frameHeadLen] == msgFlowsZ) {
+			l.recycle(frame)
 		}
 		l.written.Add(1)
 		return true
@@ -717,7 +751,7 @@ func (c *Coordinator) writeLoop(l *link) {
 		// heartbeats, assigns, or report requests.
 		select {
 		case frame := <-l.ctrl:
-			if !write(frame) {
+			if !write(frame, false) {
 				return
 			}
 			continue
@@ -727,11 +761,11 @@ func (c *Coordinator) writeLoop(l *link) {
 		}
 		select {
 		case frame := <-l.ctrl:
-			if !write(frame) {
+			if !write(frame, false) {
 				return
 			}
 		case frame := <-l.out:
-			if !write(frame) {
+			if !write(frame, true) {
 				return
 			}
 		case <-l.dead:
@@ -975,7 +1009,7 @@ func (c *Coordinator) rebalanceLocked() {
 				c.startSpanLocked(s, "rebalance", time.Now())
 				c.cfg.Telemetry.Recordf(obs.EventShardRevoke,
 					"shard %d revoked from %s for rebalance", s.id, max.label())
-				if !c.trySendLocked(max, encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: s.span.trace})) {
+				if !c.trySendLocked(max, sealedFrame(encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: s.span.trace}))) {
 					// Queue full of flow batches the revoke must trail;
 					// the ticker retries once the writer drains room.
 					s.revokePending = true
@@ -1065,7 +1099,7 @@ func (c *Coordinator) flushShardLocked(s *shardState) {
 		if s.span != nil {
 			trace = s.span.trace
 		}
-		if c.trySendLocked(s.owner, encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: trace})) {
+		if c.trySendLocked(s.owner, sealedFrame(encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: trace}))) {
 			s.revokePending = false
 		}
 	}
@@ -1089,15 +1123,21 @@ func (c *Coordinator) flushToOwnerLocked(s *shardState) {
 			flows: s.replay[off : off+n],
 		}
 		var frame []byte
-		if c.cfg.Compress {
-			frame = encodeFlowsZ(m)
-		} else {
-			frame = encodeFlows(m)
+		select {
+		case frame = <-l.free:
+		default:
 		}
-		if !c.trySendLocked(l, frame) {
+		frame = beginFrame(frame)
+		if c.cfg.Compress {
+			frame = c.deflater.appendFlowsZ(frame, m)
+		} else {
+			frame = appendFlows(frame, m)
+		}
+		if !c.trySendLocked(l, sealFrame(frame)) {
 			// Outbound queue full: leave the suffix buffered; the ticker
 			// retries, and a persistently full queue kills the link at the
 			// next heartbeat.
+			l.recycle(frame)
 			return
 		}
 		s.sentCursor += n

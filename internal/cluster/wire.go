@@ -80,6 +80,37 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
+// frameHeadLen is the length prefix in front of every frame body.
+const frameHeadLen = 4
+
+// beginFrame starts a wire-ready frame in b's storage: room for the length
+// prefix, then whatever body the caller appends. sealFrame fills the prefix
+// in, and the frame goes out in one Write (writeSealed) — where writeFrame,
+// handed a bare body, pays a second Write and a segment of its own for the
+// four bytes. The coordinator builds every flow frame this way, in buffers
+// the link's writer hands back.
+func beginFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// sealFrame completes a frame started by beginFrame.
+func sealFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeadLen))
+	return frame
+}
+
+// sealedFrame copies a bare body into a wire-ready frame of its own.
+func sealedFrame(body []byte) []byte {
+	return sealFrame(append(beginFrame(make([]byte, 0, frameHeadLen+len(body))), body...))
+}
+
+// writeSealed sends one wire-ready frame: prefix and body in a single Write.
+func writeSealed(w io.Writer, frame []byte) error {
+	if len(frame)-frameHeadLen > maxFrame {
+		return errFrameTooLarge
+	}
+	_, err := w.Write(frame)
+	return err
+}
+
 // readFrame reads one frame body. The deadline (zero = none) bounds the
 // wait — the liveness detector for both sides of a link. The body lands in
 // buf's storage when that is large enough and in a fresh allocation
@@ -466,8 +497,9 @@ type flowsMsg struct {
 	flows []ipfix.Flow
 }
 
-func encodeFlows(m flowsMsg) []byte {
-	b := make([]byte, 0, 1+4+8+4+len(m.flows)*flowWireLen)
+// appendFlows appends m's frame body to b.
+func appendFlows(b []byte, m flowsMsg) []byte {
+	b = slices.Grow(b, 1+4+8+4+len(m.flows)*flowWireLen)
 	b = append(b, msgFlows)
 	b = appendU32(b, m.shard)
 	b = appendU64(b, m.base)
@@ -479,40 +511,47 @@ func encodeFlows(m flowsMsg) []byte {
 }
 
 // Deflate state is expensive to build (the writer alone is ~1MB of window
-// and hash tables), so both ends recycle it. At small frame batches the
-// per-frame constructor cost would otherwise dominate the transport.
-var flateWriters = sync.Pool{New: func() any {
-	zw, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
-	return zw
-}}
-
+// and hash tables), so both ends keep it: the coordinator's one deflater
+// owns its writer, the workers' read loops share readers through a pool. At
+// small frame batches the per-frame constructor cost would otherwise
+// dominate the transport.
 var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-// encodeFlowsZ is the compressed variant: the flow array is deflated in
-// one length-prefixed block. Flow records share most of their bytes
-// (timestamps, prefixes, zero padding), so batches compress well; the raw
-// length travels alongside so the decoder can preflight its allocation.
-func encodeFlowsZ(m flowsMsg) []byte {
-	raw := make([]byte, 0, len(m.flows)*flowWireLen)
+// flowDeflater is the compressed variant's encode state: the raw flow bytes,
+// their deflated form and the deflate writer, reused from frame to frame by
+// the one goroutine that owns it. The zero value is ready to use.
+type flowDeflater struct {
+	raw []byte
+	z   bytes.Buffer
+	zw  *flate.Writer
+}
+
+// appendFlowsZ appends m's compressed frame body to b: the flow array is
+// deflated in one length-prefixed block. Flow records share most of their
+// bytes (timestamps, prefixes, zero padding), so batches compress well; the
+// raw length travels alongside so the decoder can preflight its allocation.
+func (d *flowDeflater) appendFlowsZ(b []byte, m flowsMsg) []byte {
+	d.raw = d.raw[:0]
 	for _, f := range m.flows {
-		raw = appendFlow(raw, f)
+		d.raw = appendFlow(d.raw, f)
 	}
-	var z bytes.Buffer
-	zw := flateWriters.Get().(*flate.Writer)
-	zw.Reset(&z)
-	zw.Write(raw)
-	zw.Close()
-	flateWriters.Put(zw)
-	b := make([]byte, 0, 1+4+8+4+4+4+z.Len())
+	d.z.Reset()
+	if d.zw == nil {
+		d.zw, _ = flate.NewWriter(&d.z, flate.DefaultCompression) // the level is valid: no error
+	} else {
+		d.zw.Reset(&d.z)
+	}
+	d.zw.Write(d.raw)
+	d.zw.Close()
 	b = append(b, msgFlowsZ)
 	b = appendU32(b, m.shard)
 	b = appendU64(b, m.base)
 	b = appendU32(b, uint32(len(m.flows)))
-	b = appendU32(b, uint32(len(raw)))
-	b = appendU32(b, uint32(z.Len()))
-	return append(b, z.Bytes()...)
+	b = appendU32(b, uint32(len(d.raw)))
+	b = appendU32(b, uint32(d.z.Len()))
+	return append(b, d.z.Bytes()...)
 }
 
 // flowScratch is decode storage a read loop owns and lends to every flow

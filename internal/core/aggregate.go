@@ -215,6 +215,11 @@ type Aggregator struct {
 	// start and bucket are immutable, so this never needs invalidation.
 	biLo, biHi time.Duration
 	biIdx      int
+
+	// prefetchSink keeps AddBatch's prefetch loads observable so the compiler
+	// does not discard them. Per aggregator, because drain workers AddBatch
+	// into their private shards concurrently.
+	prefetchSink uint64
 }
 
 // invalidate drops the hot-path caches; the next Add refills them from the
@@ -267,10 +272,9 @@ func NewAggregator(start time.Time, bucket time.Duration) *Aggregator {
 }
 
 // Reset clears the aggregate back to empty while keeping its allocated
-// containers (maps, series backing arrays, /8 bins), so a parallel worker
-// can reuse one private Aggregator across merge barriers instead of
-// allocating a fresh one per epoch swap or idle edge. start and bucket are
-// preserved. Safe only on an aggregator the caller exclusively owns —
+// containers (maps, series backing arrays, /8 bins), so a drain worker can
+// reuse one private shard from fold to fold instead of allocating a fresh
+// one per contended stretch. start and bucket are preserved. Safe only on an aggregator the caller exclusively owns —
 // i.e. after Merge has folded it into the canonical aggregate (Merge never
 // retains references into its argument).
 func (a *Aggregator) Reset() {
@@ -519,12 +523,8 @@ func (a *Aggregator) AddBatch(flows []ipfix.Flow, verdicts []Verdict) {
 		}
 		a.Add(flows[i], verdicts[i])
 	}
-	prefetchSink = sink
+	a.prefetchSink = sink
 }
-
-// prefetchSink keeps AddBatch's prefetch loads observable so the compiler
-// does not discard them.
-var prefetchSink uint64
 
 func extendSeries(s []Counter, bi int, f *ipfix.Flow) []Counter {
 	if bi < 0 {

@@ -32,17 +32,28 @@ func (s *splitmix) next() uint64 {
 
 func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 
-// shapedAggregate feeds n synthesised flows with synthesised verdicts (no
-// pipeline) through Aggregator.Add. attack=false is the typical mix: mostly
+// shapedAggregate feeds shapedTrace's flows and verdicts through
+// Aggregator.Add.
+func shapedAggregate(attack bool, n int, seed uint64) *Aggregator {
+	a := NewAggregator(cpStart, time.Hour)
+	flows, verdicts := shapedTrace(attack, n, seed)
+	for i, f := range flows {
+		a.Add(f, verdicts[i])
+	}
+	return a
+}
+
+// shapedTrace synthesises n flows with synthesised verdicts (no pipeline).
+// attack=false is the typical mix: mostly
 // Valid, a few hundred members, warm counters. attack=true is the shape of
 // benchmark/gen.AttackTrace: three flows in four spoofed, random sources at a
 // few victims (large fan-in source sets), NTP trigger/response pairs, many
 // invalid origins. Both touch every section of the checkpoint, including
 // zero-packet flows (key presence without a count), jumbo sizes (the size
 // histogram's spill map), unknown members and portless protocols.
-func shapedAggregate(attack bool, n int, seed uint64) *Aggregator {
+func shapedTrace(attack bool, n int, seed uint64) ([]ipfix.Flow, []Verdict) {
 	rng := splitmix(seed)
-	a := NewAggregator(cpStart, time.Hour)
+	flows, verdicts := make([]ipfix.Flow, 0, n), make([]Verdict, 0, n)
 	invalid := func() Verdict {
 		v := Verdict{Class: ClassInvalid, KnownMember: true,
 			SrcOrigin: bgp.ASN(64500 + rng.intn(300)), RouterIP: rng.intn(20) == 0}
@@ -122,9 +133,9 @@ func shapedAggregate(attack bool, n int, seed uint64) *Aggregator {
 				f.Protocol, f.SrcPort = ipfix.ProtoUDP, 123
 			}
 		}
-		a.Add(f, v)
+		flows, verdicts = append(flows, f), append(verdicts, v)
 	}
-	return a
+	return flows, verdicts
 }
 
 var goldenShapes = []struct {

@@ -15,8 +15,8 @@ import (
 // Merge folds other into a. Both must have been created with the same
 // start and bucket length. Merge never adopts other's containers — every
 // map, slice, and bin array is deep-added — so the caller may Reset and
-// reuse other afterwards (the parallel consumers keep one private
-// aggregator per worker across merge barriers this way).
+// reuse other afterwards (a drain worker keeps one private shard across its
+// folds this way).
 func (a *Aggregator) Merge(other *Aggregator) {
 	// Merge reassigns the receiver's Series slices (and may create inner
 	// containers); the hot-path caches must not outlive those headers.

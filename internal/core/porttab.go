@@ -28,7 +28,11 @@ import (
 type portPage struct {
 	blk  [1 << 8]*[1 << 8]uint64
 	seen [1 << 10]uint64
-	n    int // set bits in seen
+	// sum summarizes seen: bit w is set iff seen[w] != 0. Every walk goes
+	// through it (eachWord), so folding or clearing a page that holds one
+	// drained batch costs about that batch's entries, not all 1024 words.
+	sum [1 << 4]uint64
+	n   int // set bits in seen
 }
 
 // slot returns the counter cell for port, allocating its block on first use.
@@ -54,6 +58,7 @@ func (p *portPage) add(port uint16, pkts uint64) {
 	w, b := uint32(port)>>6, uint64(1)<<(port&63)
 	if p.seen[w]&b == 0 {
 		p.seen[w] |= b
+		p.sum[w>>6] |= 1 << (w & 63)
 		p.n++
 	}
 }
@@ -64,6 +69,7 @@ func (p *portPage) set(port uint16, v uint64) {
 	w, b := uint32(port)>>6, uint64(1)<<(port&63)
 	if p.seen[w]&b == 0 {
 		p.seen[w] |= b
+		p.sum[w>>6] |= 1 << (w & 63)
 		p.n++
 	}
 }
@@ -72,23 +78,52 @@ func (p *portPage) has(port uint16) bool {
 	return p.seen[port>>6]&(1<<(port&63)) != 0
 }
 
-// reset zeroes only the touched counters (via the presence bitmap), so a
-// reused private aggregator pays O(touched), not O(65536), per barrier.
-// Blocks stay allocated for the next lap.
-func (p *portPage) reset() {
-	for w, bits := range p.seen {
-		for bits != 0 {
-			b := bits & (-bits)
-			port := uint16(w<<6 | trailingZeros(b))
-			p.blk[port>>8][port&0xff] = 0
-			bits &^= b
+// eachWord visits the non-empty words of the presence bitmap in ascending
+// order: w indexes seen, and word's set bits are ports w<<6 | bit, all inside
+// the 256-port block w>>2.
+func (p *portPage) eachWord(fn func(w int, word uint64)) {
+	for i, s := range p.sum {
+		for ; s != 0; s &= s - 1 {
+			w := i<<6 | bits.TrailingZeros64(s)
+			fn(w, p.seen[w])
 		}
-		p.seen[w] = 0
 	}
-	p.n = 0
 }
 
-func trailingZeros(b uint64) int { return bits.TrailingZeros64(b) }
+// mergeFrom adds every tally of op into p, a word of ports at a time.
+func (p *portPage) mergeFrom(op *portPage) {
+	op.eachWord(func(w int, word uint64) {
+		src, dst := op.blk[w>>2], p.blk[w>>2]
+		if dst == nil {
+			dst = new([1 << 8]uint64)
+			p.blk[w>>2] = dst
+		}
+		if fresh := word &^ p.seen[w]; fresh != 0 {
+			p.seen[w] |= fresh
+			p.sum[w>>6] |= 1 << (w & 63)
+			p.n += bits.OnesCount64(fresh)
+		}
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 | bits.TrailingZeros64(word)) & 0xff
+			dst[i] += src[i]
+		}
+	})
+}
+
+// reset zeroes only the touched counters (via the presence bitmap and its
+// summary), so a reused private shard pays O(touched), not O(65536), per
+// fold. Blocks stay allocated for the next lap.
+func (p *portPage) reset() {
+	p.eachWord(func(w int, word uint64) {
+		blk := p.blk[w>>2]
+		for ; word != 0; word &= word - 1 {
+			blk[(w<<6|bits.TrailingZeros64(word))&0xff] = 0
+		}
+		p.seen[w] = 0
+	})
+	p.sum = [1 << 4]uint64{}
+	p.n = 0
+}
 
 // portPageKey orders pages the way the checkpoint codec sorts PortKeys:
 // (class, proto, dir) ascending.
@@ -208,10 +243,7 @@ func (t *PortTab) encode(e *cpEnc) {
 	e.u32(uint32(t.Len()))
 	t.pages(func(k portPageKey, p *portPage) {
 		head := uint64(uint32(k.class))<<32 | uint64(k.proto)<<24 | uint64(k.dir)<<16
-		for w, word := range p.seen {
-			if word == 0 {
-				continue
-			}
+		p.eachWord(func(w int, word uint64) {
 			blk := p.blk[w>>2] // a word's 64 ports share one 256-port block
 			q := e.grow(16 * bits.OnesCount64(word))
 			for ; word != 0; word &= word - 1 {
@@ -220,7 +252,7 @@ func (t *PortTab) encode(e *cpEnc) {
 				be.PutUint64(q[8:], blk[port&0xff])
 				q = q[16:]
 			}
-		}
+		})
 	})
 }
 
@@ -245,14 +277,12 @@ func (t *PortTab) decode(d *cpDec) {
 // order. Safe to mutate other state during the walk; not safe to Add.
 func (t *PortTab) Range(fn func(PortKey, uint64)) {
 	t.pages(func(k portPageKey, p *portPage) {
-		for w, bits := range p.seen {
-			for bits != 0 {
-				b := bits & (-bits)
-				port := uint16(w<<6 | trailingZeros(b))
+		p.eachWord(func(w int, word uint64) {
+			for ; word != 0; word &= word - 1 {
+				port := uint16(w<<6 | bits.TrailingZeros64(word))
 				fn(PortKey{k.class, k.proto, k.dir, port}, p.at(port))
-				bits &^= b
 			}
-		}
+		})
 	})
 }
 
@@ -262,14 +292,8 @@ func (t *PortTab) MergeFrom(other *PortTab) {
 		return
 	}
 	other.pages(func(k portPageKey, op *portPage) {
-		p := t.page(k.class, k.proto, k.dir, true)
-		for w, bits := range op.seen {
-			for bits != 0 {
-				b := bits & (-bits)
-				port := uint16(w<<6 | trailingZeros(b))
-				p.add(port, op.at(port))
-				bits &^= b
-			}
+		if op.n > 0 { // a Reset page stays allocated, and has nothing to fold
+			t.page(k.class, k.proto, k.dir, true).mergeFrom(op)
 		}
 	})
 }
@@ -292,6 +316,7 @@ type sizePage struct {
 	present bool
 	cnt     [sizeDense]uint64
 	seen    [sizeDense / 64]uint64
+	sum     uint64 // bit w set iff seen[w] != 0, as in portPage
 	n       int
 	spill   map[int]uint64
 }
@@ -302,6 +327,7 @@ func (p *sizePage) add(size int, pkts uint64) {
 		w, b := uint32(size)>>6, uint64(1)<<(size&63)
 		if p.seen[w]&b == 0 {
 			p.seen[w] |= b
+			p.sum |= 1 << w
 			p.n++
 		}
 		return
@@ -319,6 +345,7 @@ func (p *sizePage) set(size int, v uint64) {
 		w, b := uint32(size)>>6, uint64(1)<<(size&63)
 		if p.seen[w]&b == 0 {
 			p.seen[w] |= b
+			p.sum |= 1 << w
 			p.n++
 		}
 		return
@@ -418,10 +445,9 @@ func (p *sizePage) walk(dense func(w int, word uint64), spilled func(size int, p
 	for ; i < len(spill) && spill[i] < 0; i++ {
 		spilled(spill[i], p.spill[spill[i]])
 	}
-	for w, word := range p.seen {
-		if word != 0 {
-			dense(w, word)
-		}
+	for s := p.sum; s != 0; s &= s - 1 {
+		w := bits.TrailingZeros64(s)
+		dense(w, p.seen[w])
 	}
 	for ; i < len(spill); i++ {
 		spilled(spill[i], p.spill[spill[i]])
@@ -489,19 +515,13 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 	}
 	var buf [numTrafficClasses]TrafficClass
 	for _, c := range other.classList(buf[:0]) {
-		op := other.page(c, false)
-		p := t.page(c, true)
-		for w, bits := range op.seen {
-			for bits != 0 {
-				b := bits & (-bits)
-				size := w<<6 | trailingZeros(b)
+		op, p := other.page(c, false), t.page(c, true)
+		op.walk(func(w int, word uint64) {
+			for ; word != 0; word &= word - 1 {
+				size := w<<6 | bits.TrailingZeros64(word)
 				p.add(size, op.cnt[size])
-				bits &^= b
 			}
-		}
-		for s, v := range op.spill {
-			p.add(s, v)
-		}
+		}, p.add)
 	}
 }
 
@@ -511,15 +531,14 @@ func (t *SizeTab) Reset() {
 	var buf [numTrafficClasses]TrafficClass
 	for _, c := range t.classList(buf[:0]) {
 		p := t.page(c, false)
-		for w, bits := range p.seen {
-			for bits != 0 {
-				b := bits & (-bits)
-				p.cnt[w<<6|trailingZeros(b)] = 0
-				bits &^= b
+		for s := p.sum; s != 0; s &= s - 1 {
+			w := bits.TrailingZeros64(s)
+			for word := p.seen[w]; word != 0; word &= word - 1 {
+				p.cnt[w<<6|bits.TrailingZeros64(word)] = 0
 			}
 			p.seen[w] = 0
 		}
-		p.n = 0
+		p.sum, p.n = 0, 0
 		clear(p.spill)
 		p.present = false
 	}

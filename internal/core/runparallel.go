@@ -7,33 +7,37 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/obs"
 )
 
-// consumeBatchSize is how many flows a parallel worker drains per queue
-// lock acquisition — the batch ClassifyBatch is tuned for. Large enough to
-// amortize the lock to noise, small enough that a batch finishes in well
-// under a millisecond — the window in which an in-flight batch can defer a
-// quiescent checkpoint.
+// consumeBatchSize is how many flows a drain worker claims per queue
+// operation — the batch ClassifyBatch is tuned for. Large enough to amortize
+// the claim and the aggregate lock to noise, small enough that a batch
+// finishes in well under a millisecond — the window in which an in-flight
+// batch can defer a quiescent checkpoint.
 const consumeBatchSize = ClassifyBatchSize
 
 // RunParallel consumes flows with `workers` concurrent consumers (default
-// and cap: GOMAXPROCS) until the context is cancelled or the runtime is closed and
-// drained. Each worker drains the ingest queue in batches (one lock
-// acquisition per batch), classifies every flow of a batch against one
-// epoch snapshot, and accumulates verdicts into a private aggregator — the
-// hot path takes no shared lock. Private state merges into the canonical
-// aggregate only at barriers: an epoch swap, the idle edge (queue found
-// empty), and exit. Because Aggregator.Merge is order-independent, a
-// drained parallel run's aggregate — and its canonical checkpoint encoding
-// — is byte-identical to the sequential Step loop's over the same flows.
+// and cap: GOMAXPROCS) until the context is cancelled or the runtime is
+// closed and drained. Every worker runs the one batch drain loop (see drain):
+// claim a batch, classify it against one epoch snapshot, and aggregate it in
+// place — straight into the canonical aggregate — when the runtime lock is
+// free. Only a worker that finds the lock held by another spills the batch
+// into a private shard; it then stays on that shard until its next barrier —
+// the idle edge (queue found empty) or exit — where the shard folds back
+// into the canonical aggregate. Because Aggregator.Merge is
+// order-independent, a drained run's aggregate — and its canonical
+// checkpoint encoding — is byte-identical to the sequential Step loop's over
+// the same flows, whatever the worker count and however many batches
+// spilled.
 //
-// Periodic checkpoints still require quiescence; in parallel mode they are
-// taken at the first idle edge at which they are due, once every worker
-// has merged (the checkpoint path refuses to run while any worker holds an
-// unmerged batch, so the cursor can never outrun the aggregate).
+// Periodic checkpoints still require quiescence; they are taken at the first
+// idle edge at which they are due, once every worker has folded (the
+// checkpoint path refuses to run while any worker holds an unmerged batch,
+// so the cursor can never outrun the aggregate).
 //
 // fn (optional) observes every flow and verdict; calls are serialized, but
 // arrive in worker-completion order, not arrival order. Returning false
@@ -42,9 +46,8 @@ const consumeBatchSize = ClassifyBatchSize
 // Run, or another RunParallel.
 func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.Flow, LiveVerdict) bool) error {
 	// Worker counts beyond GOMAXPROCS clamp: extra consumers cannot add CPU,
-	// only queue-lock contention and merge overhead (the committed 1-CPU
-	// benchmark baseline shows exactly this — unclamped parallel-2 measured
-	// 849K flows/sec against the sequential loop's 1.02M).
+	// only queue and lock contention (on a 1-CPU host an unclamped parallel-2
+	// measured 849K flows/sec against the sequential loop's 1.02M).
 	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
 		workers = max
 	}
@@ -74,12 +77,12 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		// Profiler labels distinguish the drain workers from the feed side
-		// in CPU/goroutine profiles (`stage=merge` overrides at barriers).
+		// in CPU/goroutine profiles (`stage=merge` overrides while folding).
 		labels := pprof.Labels("worker", strconv.Itoa(w), "stage", "drain")
 		go func() {
 			defer wg.Done()
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				rt.consumeShard(observe, &stopped)
+			pprof.Do(context.Background(), labels, func(ctx context.Context) {
+				rt.drain(ctx, workers == 1, observe, &stopped)
 			})
 		}()
 	}
@@ -90,23 +93,22 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 	return nil
 }
 
-// consumeShard is one parallel worker: batch pop, classify against the
-// batch's epoch snapshot into a private aggregator, merge at barriers.
-func (rt *Runtime) consumeShard(observe func(ipfix.Flow, LiveVerdict), stopped *atomic.Bool) {
-	// start/bucket are immutable after the aggregator is built, so shard
-	// aggregators can be created without rt.mu.
-	start, bucket := rt.agg.start, rt.agg.bucket
-	// buf and verdicts live for the whole worker and are reused every batch:
-	// the steady-state drain loop allocates nothing per flow.
+// drain is the batch drain loop, the only one: Run without an observer is
+// one worker of it, RunParallel is n, and the cluster worker's shard
+// runtimes and the root LiveRuntime are callers of those two. ctx carries the
+// worker's profiler labels. sole says no other worker exists, so a held lock
+// can only be a scrape or a snapshot about to let go: that worker waits for
+// it, and never owns a second aggregator.
+func (rt *Runtime) drain(ctx context.Context, sole bool, observe func(ipfix.Flow, LiveVerdict), stopped *atomic.Bool) {
+	// Reused every batch: the steady-state loop allocates nothing per flow.
 	buf := make([]ipfix.Flow, consumeBatchSize)
 	verdicts := make([]Verdict, consumeBatchSize)
 	var (
-		// priv lives for the whole worker: Merge never adopts its containers,
-		// so every barrier Resets it in place instead of allocating a fresh
-		// aggregator (a dozen maps per flush adds up at epoch-swap rates).
-		priv       = NewAggregator(start, bucket)
-		privCount  uint64
-		batchEpoch Epoch
+		// spill is the private shard, allocated by the first batch that finds
+		// the lock held; spilled counts the flows in it that the canonical
+		// aggregate does not hold yet. Every fold Resets it for reuse.
+		spill   *Aggregator
+		spilled uint64
 		// latShard buffers this worker's sampled classify latencies off the
 		// shared histogram; nil (telemetry off) makes Observe/Flush no-ops.
 		latShard *obs.Shard
@@ -114,47 +116,35 @@ func (rt *Runtime) consumeShard(observe func(ipfix.Flow, LiveVerdict), stopped *
 	if rt.classifyHist != nil {
 		latShard = rt.classifyHist.NewShard()
 	}
-	// flush merges the private shard into the canonical aggregate, then
-	// Resets it for reuse — Merge deep-adds, so nothing escapes the shard.
-	// Merges happen only at barriers (epoch swap, idle edge, exit), so the
-	// pprof relabel is off the per-flow hot path.
-	flush := func() {
+	// Labels are built once: relabelling at a fold then allocates nothing.
+	mergeCtx := pprof.WithLabels(ctx, pprof.Labels("stage", "merge"))
+	// settle is the barrier before parking and before exit: surface
+	// everything this worker buffered, so the canonical aggregate is current
+	// and a due checkpoint can find the run quiescent. With nothing spilled
+	// and no checkpoint due it touches no shared state.
+	settle := func() {
 		latShard.Flush()
-		if privCount == 0 {
-			return
-		}
-		pprof.Do(context.Background(), pprof.Labels("stage", "merge"), func(context.Context) {
+		if spilled > 0 {
+			pprof.SetGoroutineLabels(mergeCtx)
 			rt.mu.Lock()
-			rt.agg.Merge(priv)
-			rt.merged += privCount
+			t0 := time.Now()
+			rt.agg.Merge(spill)
+			rt.merged += spilled
+			rt.merges++
+			if rt.mergeHist != nil {
+				rt.mergeHist.Observe(time.Since(t0).Seconds())
+			}
 			rt.mu.Unlock()
-			priv.Reset()
-			privCount = 0
-		})
-	}
-	// tryCheckpoint attempts a due periodic snapshot. The fast atomic check
-	// keeps the common case (not due) off rt.mu; checkpointLocked itself
-	// re-verifies due-ness and quiescence, and defers while other workers
-	// still hold unmerged batches.
-	tryCheckpoint := func() {
-		if rt.cfg.CheckpointEvery == 0 || rt.cfg.CheckpointPath == "" ||
-			rt.processed.Load()-rt.ckptMark.Load() < rt.cfg.CheckpointEvery {
-			return
+			spill.Reset()
+			spilled = 0
+			pprof.SetGoroutineLabels(ctx)
 		}
-		rt.mu.Lock()
-		if rt.checkpointDueLocked() {
-			rt.checkpointLocked()
-		}
-		rt.mu.Unlock()
+		rt.tryCheckpoint()
 	}
 	for !stopped.Load() {
 		n := rt.queue.TryPopBatch(buf)
 		if n == 0 {
-			// Idle edge: surface everything buffered so the canonical
-			// aggregate is current and a due checkpoint can find the run
-			// quiescent, then park until more flows arrive.
-			flush()
-			tryCheckpoint()
+			settle() // idle edge
 			n = rt.queue.PopBatch(buf)
 			if n == 0 {
 				break // closed and drained
@@ -162,28 +152,59 @@ func (rt *Runtime) consumeShard(observe func(ipfix.Flow, LiveVerdict), stopped *
 		}
 		<-rt.firstEpoch
 		st := rt.state.Load()
-		if privCount > 0 && st.epoch != batchEpoch {
-			flush() // epoch barrier: pre-swap verdicts merge before new ones accumulate
-		}
-		batchEpoch = st.epoch
-		// The whole batch classifies against one snapshot before any verdict
-		// aggregates — degradation state is likewise read once per batch (it
+		// One epoch snapshot and one degradation reading per batch (the latter
 		// only tags verdicts as stale; the aggregate ignores it).
 		rt.classifyBatchTimed(st.pipeline, buf[:n], verdicts[:n], latShard.Observe)
 		stale := rt.degraded.Load()
-		for i := 0; i < n; i++ {
-			f := buf[i]
-			priv.Add(f, verdicts[i])
-			privCount++
-			if observe != nil {
-				observe(f, LiveVerdict{Verdict: verdicts[i], Epoch: st.epoch, Stale: stale})
-			}
-		}
 		if stale {
 			rt.stale.Add(uint64(n))
 		}
+		if rt.drainHook != nil {
+			rt.drainHook(buf[:n], verdicts[:n])
+		}
+		// A worker that has spilled stays on its shard until it settles:
+		// under saturation one worker then owns the canonical aggregate and
+		// the others their shards, instead of all of them taking turns on the
+		// same cache lines.
+		inPlace := sole
+		if sole {
+			rt.mu.Lock()
+		} else if spilled == 0 {
+			inPlace = rt.mu.TryLock()
+		}
+		if inPlace {
+			rt.agg.AddBatch(buf[:n], verdicts[:n])
+			rt.merged += uint64(n)
+			rt.inPlace++
+			rt.mu.Unlock()
+		} else {
+			if spill == nil {
+				// start/bucket are immutable after the aggregator is built,
+				// so the shard can be created without rt.mu.
+				spill = NewAggregator(rt.agg.start, rt.agg.bucket)
+			}
+			spill.AddBatch(buf[:n], verdicts[:n])
+			spilled += uint64(n)
+			rt.spilledBatches.Add(1)
+		}
 		rt.processed.Add(uint64(n))
+		for i := 0; observe != nil && i < n; i++ {
+			observe(buf[i], LiveVerdict{Verdict: verdicts[i], Epoch: st.epoch, Stale: stale})
+		}
 	}
-	flush()
-	tryCheckpoint()
+	settle()
+}
+
+// tryCheckpoint attempts a due periodic snapshot. The atomic check keeps the
+// common case (not due) off rt.mu; checkpointLocked re-verifies quiescence.
+func (rt *Runtime) tryCheckpoint() {
+	if rt.cfg.CheckpointEvery == 0 || rt.cfg.CheckpointPath == "" ||
+		rt.processed.Load()-rt.ckptMark.Load() < rt.cfg.CheckpointEvery {
+		return
+	}
+	rt.mu.Lock()
+	if rt.checkpointDueLocked() {
+		rt.checkpointLocked()
+	}
+	rt.mu.Unlock()
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,16 +76,25 @@ type RuntimeStats struct {
 	// silently disable crash-safety while the run kept going.
 	CheckpointErrors    uint64
 	LastCheckpointError string
+	// DrainInPlace and DrainSpilled count drained batches by where they were
+	// aggregated: straight into the canonical aggregate, or — the runtime
+	// lock being held by another worker — into the worker's private shard.
+	// DrainMerges counts the folds of such a shard back into the canonical
+	// aggregate. Spilled batches and merges are what lock contention costs; a
+	// run below capacity shows neither.
+	DrainInPlace uint64
+	DrainSpilled uint64
+	DrainMerges  uint64
 	// Queue is the ingest queue's accounting (shed, queued, high
 	// watermark).
 	Queue QueueStats
 }
 
 // Runtime is the live classification engine. Ingest may be called from any
-// number of producer goroutines (IPFIX collectors); Step/Run is the
-// sequential consumer and RunParallel the sharded one (use one or the
-// other, not both at once); Swap and MarkDegraded may be called from a
-// routing-feed goroutine at any time — promotion is an atomic pointer swap
+// number of producer goroutines (IPFIX collectors); Step is the per-flow
+// consumer, Run and RunParallel are one and n workers of the batch drain
+// loop (use one of the three, not several at once); Swap and MarkDegraded
+// may be called from a routing-feed goroutine at any time — promotion is an atomic pointer swap
 // between flows, never a pause.
 type Runtime struct {
 	cfg   RuntimeConfig
@@ -107,19 +115,32 @@ type Runtime struct {
 	processed atomic.Uint64
 	ckptMark  atomic.Uint64
 
-	mu          sync.Mutex // guards agg, merged, lastCkpt, checkpoints, ckptErrors, lastCkptErr
+	mu          sync.Mutex // guards agg, merged, inPlace, merges, lastCkpt, checkpoints, ckptErrors, lastCkptErr
 	agg         *Aggregator
-	merged      uint64 // flows represented in agg (== processed once workers flush)
+	merged      uint64 // flows represented in agg (== processed once workers fold)
+	inPlace     uint64 // batches aggregated straight into agg
+	merges      uint64 // private shards folded into agg
 	lastCkpt    uint64 // merged count at the last successful checkpoint
 	checkpoints uint64
 	ckptErrors  uint64
 	lastCkptErr error
 
+	// spilledBatches counts batches a worker aggregated into its private
+	// shard because it found mu held.
+	spilledBatches atomic.Uint64
+
+	// drainHook, set by tests only, runs on a drain worker between a batch's
+	// classification and its aggregation. It may rewrite the verdicts, and it
+	// may hold or release mu to decide where the batch lands.
+	drainHook func(flows []ipfix.Flow, verdicts []Verdict)
+
 	// Telemetry (all nil/no-op without cfg.Telemetry): journal for
-	// lifecycle events, classifyHist for sampled classify latency.
+	// lifecycle events, classifyHist for sampled classify latency, mergeHist
+	// for the duration of each private-shard fold.
 	tel          *obs.Telemetry
 	journal      *obs.Journal
 	classifyHist *obs.Histogram
+	mergeHist    *obs.Histogram
 
 	// Build bookkeeping (RecordBuild / RebuildAndSwap): duration of the
 	// most recent compilation, per-reuse-mode counts, and the histogram.
@@ -299,77 +320,34 @@ func (rt *Runtime) checkpointDueLocked() bool {
 // closed and drained. fn (optional) observes every flow and verdict;
 // returning false stops the loop. Cancelling the context closes intake.
 //
-// Without an observer, Run drains in batches — one queue claim, one epoch
-// snapshot, one classify pass, and one aggregate lock per 256 flows — which
-// is the single-core line-rate path (the per-flow Step loop pays a queue
-// claim and a lock acquisition per flow). The aggregate it produces is
-// byte-identical to the Step loop's over the same flows: batching changes
-// when work happens, never its order. With an observer, Run falls back to
-// the Step loop so fn keeps its exact per-flow semantics (a false return
-// stops before the next flow is aggregated).
+// Without an observer, Run is one worker of the batch drain loop
+// (RunParallel with workers = 1): one queue claim, one epoch snapshot, one
+// classify pass, and one aggregate lock per 256 flows, aggregated straight
+// into the canonical aggregate — the single-core line-rate path (the per-flow
+// Step loop pays a queue claim and a lock acquisition per flow). The
+// aggregate it produces is byte-identical to the Step loop's over the same
+// flows: batching changes when work happens, never its order. With an
+// observer, Run is the Step loop, so fn keeps its exact per-flow semantics
+// (a false return stops before the next flow is aggregated).
 func (rt *Runtime) Run(ctx context.Context, fn func(ipfix.Flow, LiveVerdict) bool) error {
+	if fn == nil {
+		return rt.RunParallel(ctx, 1, nil)
+	}
 	if ctx != nil {
 		stop := context.AfterFunc(ctx, rt.Close)
 		defer stop()
 	}
-	if fn == nil {
-		rt.runBatched()
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return nil
-	}
 	for {
 		f, v, ok := rt.Step()
-		if !ok {
+		// A cancelled context wins even when fn stops the loop in the same
+		// iteration: the caller asked to abort, and returning nil here would
+		// mask that.
+		if !ok || !fn(f, v) {
 			if ctx != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			return nil
 		}
-		if fn != nil && !fn(f, v) {
-			// A cancelled context wins even when fn stops the loop in the
-			// same iteration: the caller asked to abort, and returning nil
-			// here would mask that.
-			if ctx != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return nil
-		}
-	}
-}
-
-// runBatched is Run's observer-free drain: the sequential analogue of one
-// parallel worker, aggregating straight into the canonical aggregate (no
-// private shard, no merge barrier) under one lock acquisition per batch.
-func (rt *Runtime) runBatched() {
-	defer pprof.SetGoroutineLabels(context.Background())
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("worker", "0", "stage", "drain")))
-	buf := make([]ipfix.Flow, consumeBatchSize)
-	verdicts := make([]Verdict, consumeBatchSize)
-	for {
-		n := rt.queue.TryPopBatch(buf)
-		if n == 0 {
-			n = rt.queue.PopBatch(buf)
-			if n == 0 {
-				return // closed and drained
-			}
-		}
-		<-rt.firstEpoch
-		st := rt.state.Load()
-		rt.classifyBatchTimed(st.pipeline, buf[:n], verdicts[:n], rt.observeLatency)
-		if rt.degraded.Load() {
-			rt.stale.Add(uint64(n))
-		}
-		rt.mu.Lock()
-		rt.agg.AddBatch(buf[:n], verdicts[:n])
-		rt.merged += uint64(n)
-		rt.processed.Add(uint64(n))
-		if rt.checkpointDueLocked() {
-			rt.checkpointLocked()
-		}
-		rt.mu.Unlock()
 	}
 }
 
@@ -378,14 +356,12 @@ func (rt *Runtime) runBatched() {
 func (rt *Runtime) Close() { rt.queue.Close() }
 
 // ErrNotQuiescent reports a checkpoint attempt while flows are still in
-// flight — queued, or popped into a parallel worker's unmerged batch. The
+// flight — queued, or claimed by a drain worker and not yet in the canonical
+// aggregate (being classified, or spilled into its private shard). The
 // periodic path treats it as "retry at the next barrier", not a failure;
 // external callers (the cluster worker's shard reports) poll until the
 // drain settles.
 var ErrNotQuiescent = errors.New("core: checkpoint requires a drained queue")
-
-// errNotQuiescent is the historical internal alias.
-var errNotQuiescent = ErrNotQuiescent
 
 // Checkpoint forces a snapshot now. The queue must be empty (quiescent),
 // otherwise the replay cursor would not uniquely position a resume.
@@ -404,9 +380,9 @@ func (rt *Runtime) Checkpoint() error {
 // detected by Ingested != Queued+Shed — a producer claims its arrival index
 // before its queued/shed increment lands, making every mid-flight arrival
 // visible — while depth != 0 catches published-but-unconsumed flows and
-// merged != Queued catches flows a parallel worker popped into a private
-// aggregator but has not merged (rt.mu is held here, so no merge can land
-// mid-check). Writing while any of the three fails would let the replay
+// merged != Queued catches flows a drain worker has claimed but not yet
+// aggregated in place or folded back from its private shard (rt.mu is held
+// here, so neither can land mid-check). Writing while any of the three fails would let the replay
 // cursor outrun the aggregate and a resume would silently skip flows.
 // Write failures are accounted (CheckpointErrors, LastCheckpointError) so a
 // persistent one cannot silently disable crash-safety.
@@ -507,7 +483,7 @@ func (rt *Runtime) Aggregator() *Aggregator {
 // ClassTotals returns a copy of the canonical aggregate's per-class totals,
 // indexed by TrafficClass, taken under the runtime lock — unlike
 // Aggregator, it is safe to call while parallel drains are merging. During
-// a parallel run the tallies lag by at most the workers' unmerged batches
+// a parallel run the tallies lag by at most the workers' unfolded shards
 // (the same guarantee the per-class scrape metrics give).
 func (rt *Runtime) ClassTotals() []Counter {
 	rt.mu.Lock()
@@ -517,12 +493,12 @@ func (rt *Runtime) ClassTotals() []Counter {
 	return out
 }
 
-// Stats returns a snapshot of the runtime's health counters. Processed is
-// updated per classified flow even while parallel workers hold unmerged
-// batches, so an operator always sees live progress.
+// Stats returns a snapshot of the runtime's health counters. Processed
+// counts every aggregated flow, spilled or in place, so an operator always
+// sees live progress.
 func (rt *Runtime) Stats() RuntimeStats {
 	rt.mu.Lock()
-	checkpoints := rt.checkpoints
+	checkpoints, inPlace, merges := rt.checkpoints, rt.inPlace, rt.merges
 	ckptErrors, lastCkptErr := rt.ckptErrors, ""
 	if rt.lastCkptErr != nil {
 		lastCkptErr = rt.lastCkptErr.Error()
@@ -537,6 +513,9 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Checkpoints:         checkpoints,
 		CheckpointErrors:    ckptErrors,
 		LastCheckpointError: lastCkptErr,
+		DrainInPlace:        inPlace,
+		DrainSpilled:        rt.spilledBatches.Load(),
+		DrainMerges:         merges,
 		Queue:               rt.queue.Stats(),
 	}
 }

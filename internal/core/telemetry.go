@@ -12,6 +12,9 @@ import (
 const (
 	MetricFlowsClassified  = "spoofscope_flows_classified_total"
 	MetricClassifyDuration = "spoofscope_classify_duration_seconds"
+	MetricDrainBatches     = "spoofscope_drain_batches_total"
+	MetricDrainMerges      = "spoofscope_drain_merges_total"
+	MetricMergeDuration    = "spoofscope_merge_duration_seconds"
 )
 
 // latencySampleMask samples every 64th classification for the latency
@@ -26,7 +29,7 @@ const latencySampleMask = 63
 // func-backed over the same atomics and locks Stats() reads, so the scrape
 // endpoint and the Go-level snapshot can never disagree. Per-class flow
 // counters read the canonical Aggregator tallies under rt.mu — during a
-// parallel run they lag by at most the workers' unmerged batches and match
+// parallel run they lag by at most the workers' unfolded shards and match
 // exactly once drained.
 func (rt *Runtime) instrument(t *obs.Telemetry) {
 	rt.tel = t
@@ -83,6 +86,29 @@ func (rt *Runtime) instrument(t *obs.Telemetry) {
 			defer rt.mu.Unlock()
 			return rt.ckptErrors
 		})
+	// The merge-barrier stage: how often a drain worker found the aggregate
+	// lock held and spilled, and what folding those shards back cost. Below
+	// capacity all three stay flat — contention is visible, not inferred.
+	m.CounterFunc(MetricDrainBatches,
+		"Drained batches, by whether they were aggregated in place or spilled into a worker's private shard because the aggregate lock was held.",
+		func() uint64 {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			return rt.inPlace
+		}, obs.Label{Name: "path", Value: "inplace"})
+	m.CounterFunc(MetricDrainBatches,
+		"Drained batches, by whether they were aggregated in place or spilled into a worker's private shard because the aggregate lock was held.",
+		rt.spilledBatches.Load, obs.Label{Name: "path", Value: "spilled"})
+	m.CounterFunc(MetricDrainMerges,
+		"Private shards folded back into the canonical aggregate.",
+		func() uint64 {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			return rt.merges
+		})
+	rt.mergeHist = m.Histogram(MetricMergeDuration,
+		"Duration of each fold of a private shard into the canonical aggregate, under the aggregate lock (one sample per merge: merges happen only under contention, at most once per drained batch).",
+		obs.LatencyBuckets)
 	m.GaugeFunc("spoofscope_queue_depth",
 		"Current ingest queue occupancy.",
 		func() float64 { return float64(rt.queue.Stats().Depth) })

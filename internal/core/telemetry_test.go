@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -37,26 +38,56 @@ func TestRuntimeTelemetryMatchesAggregator(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := telemetryFlows(1000)
-	go func() {
-		for _, f := range flows {
-			rt.IngestWait(f)
-		}
-		rt.Close()
-	}()
-	if err := rt.RunParallel(nil, 4, nil); err != nil {
+	// The run starts with the aggregate lock held, so the first 600 flows
+	// spill into the workers' private shards and the merge-barrier metrics
+	// below have spills and folds to show; the rest arrive once those have
+	// folded, and aggregate in place.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
+	rt.mu.Lock()
+	rt.IngestBatch(flows[:600])
+	done := make(chan error, 1)
+	go func() { done <- rt.RunParallel(nil, 4, nil) }()
+	for rt.processed.Load() != 600 {
+		runtime.Gosched()
+	}
+	rt.mu.Unlock()
+	for rt.Snapshot(func(*Checkpoint) error { return nil }) != nil {
+		runtime.Gosched() // not quiescent until every shard has folded
+	}
+	for _, f := range flows[600:] {
+		rt.IngestWait(f)
+	}
+	rt.Close()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	agg := rt.Aggregator()
 	fams := tel.Metrics.Export()
-	got := map[string]uint64{}
+	got, drain := map[string]uint64{}, map[string]uint64{}
 	for _, f := range fams {
-		if f.Name != MetricFlowsClassified {
-			continue
-		}
 		for _, s := range f.Samples {
-			got[s.Labels["class"]] = uint64(*s.Value)
+			switch f.Name {
+			case MetricFlowsClassified:
+				got[s.Labels["class"]] = uint64(*s.Value)
+			case MetricDrainBatches:
+				drain[s.Labels["path"]] = uint64(*s.Value)
+			case MetricDrainMerges:
+				drain["merges"] = uint64(*s.Value)
+			}
 		}
+	}
+	// The merge-barrier stage is func-backed over the counters Stats reads,
+	// and the merge-duration histogram holds one sample per fold.
+	st := rt.Stats()
+	if st.DrainSpilled == 0 || st.DrainMerges == 0 || st.DrainInPlace == 0 {
+		t.Fatalf("want batches both ways: %d in place, %d spilled, %d merges", st.DrainInPlace, st.DrainSpilled, st.DrainMerges)
+	}
+	if drain["inplace"] != st.DrainInPlace || drain["spilled"] != st.DrainSpilled || drain["merges"] != st.DrainMerges {
+		t.Errorf("drain scrape %v, stats %d in place, %d spilled, %d merges", drain, st.DrainInPlace, st.DrainSpilled, st.DrainMerges)
+	}
+	if mh, ok := tel.Metrics.FindHistogram(MetricMergeDuration); !ok || mh.Count != st.DrainMerges {
+		t.Errorf("merge-duration histogram: %d samples (registered %v), %d merges", mh.Count, ok, st.DrainMerges)
 	}
 	// Per-class equality is the contract; classes overlap by design (the
 	// invalid-* ablations double-count), so they are not summed here.
