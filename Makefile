@@ -42,7 +42,7 @@ obs-smoke:
 # of the interleavings; twenty see enough that a fold or quiescence bug which
 # needs a particular one does not get through.
 stress-drain:
-	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge' ./internal/core
+	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-run (internal/cluster chaos suite) plus the end-to-end acceptance run
@@ -81,12 +81,13 @@ cluster-obs:
 # paper and ~50K-AS full-table scale), the cluster flow transport over TCP
 # loopback (frame batch 1/64/512 × deflate off/on, plus interleaved
 # plain/telemetry federation-overhead pairs at batch 64/512), the checkpoint
-# codec (encode/decode × typical/attack-shaped state), the spill merge (one
-# worker's 256-flow private shard into a warm aggregate), and the
-# single-core classify hot path (perflow/batch256 × trie/flat indexes, with
-# allocation counts), recording the machine-readable baseline in
-# BENCH_runtime.json. The document carries the recording host's CPU count,
-# so single-core baselines are self-describing.
+# codec (encode/decode × typical/attack-shaped state), the spill episode (one
+# worker's recycled private shard refilled with 256 flows, folded into a warm
+# aggregate and Reset), and the single-core classify hot path
+# (perflow/batch256 × trie/flat indexes, with allocation counts), recording
+# the machine-readable baseline in BENCH_runtime.json. The document carries
+# the recording host's CPU count, so single-core baselines are
+# self-describing.
 bench:
 	( $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=3x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem . ; \
@@ -109,10 +110,11 @@ bench-smoke:
 
 # bench-compare remeasures the classify hot path, the federation-overhead
 # transport pairs, the live-runtime drain/ingest benchmarks, the checkpoint
-# codec and the spill merge and gates them against the committed
-# BENCH_runtime.json: any classify or runtime variant, or the spill merge,
+# codec and the spill episode and gates them against the committed
+# BENCH_runtime.json: any classify or runtime variant, or the spill episode,
 # whose flows/sec — or codec variant whose MB/s — fell more than 15% below
-# the baseline fails, so does an overhead pair where telemetry federation
+# the baseline fails, so does a spill episode that allocates at all (a count,
+# gated at exactly 0), so does an overhead pair where telemetry federation
 # costs more than 5% throughput against the plain lifecycle interleaved with
 # it in the same run, so does an ingest replay that allocates (cap 512 allocs
 # per whole-trace op — a single per-message alloc would be ~6,900), and so
@@ -134,14 +136,17 @@ bench-compare:
 # bench-compare-smoke is the verify/CI variant: a single iteration proves
 # the benchmarks still run and every baseline classify, runtime, and
 # federation-overhead variant still exists, without judging single-shot
-# numbers.
+# timings. The one number it does judge is a count: the spill episode must
+# allocate exactly 0 times (one 16-episode lap over the benchmark's batches,
+# so a single reintroduced per-episode allocation reads as >= 1/op while a
+# stray runtime allocation rounds away).
 bench-compare-smoke:
 	( $(GO) test -run='^$$' -bench=BenchmarkClassifyHotPath -benchtime=1x -benchmem . ; \
 	  SPOOFSCOPE_OVERHEAD_ROUNDS=2 $(GO) test -run='^$$' -bench=BenchmarkClusterTransport/overhead -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkRuntimeThroughput -benchtime=1x . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=1x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=1x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=1x -benchmem . ) \
+	  $(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=16x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_runtime.json -smoke
 
 # fuzz gives the stream-framing paths a short adversarial workout beyond the

@@ -529,13 +529,16 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeSpill is the merge barrier's line in the ledger: folding a
-// drain worker's private shard of one 256-flow batch into a warm aggregate
-// that already holds the full trace — what a contended batch costs on top of
-// its aggregation. It must cost about the shard's own entries, not the
-// tables' size (the dense pages' presence bitmaps are walked through their
-// summaries). ns/op and flows/sec are tracked in the `merge` section of
-// BENCH_runtime.json and gated by `make bench-compare`.
+// BenchmarkMergeSpill is the spill episode's line in the ledger — everything
+// a contended batch costs a drain worker: refill its recycled private shard
+// with one 256-flow batch, fold the shard into a warm aggregate that already
+// holds the full trace, Reset it for the next. The fold must cost about the
+// shard's own entries, not the tables' size (the dense pages' presence
+// bitmaps are walked through their summaries), and the episode must allocate
+// nothing: the shard's node allocator takes every node back at Reset and
+// hands it out again. ns/op and flows/sec are tracked in the `merge` section
+// of BENCH_runtime.json and gated by `make bench-compare`; allocs/op is gated
+// at exactly 0, in the smoke gate too.
 func BenchmarkMergeSpill(b *testing.B) {
 	env := benchEnvironment(b)
 	newAgg := func() *core.Aggregator {
@@ -547,19 +550,27 @@ func BenchmarkMergeSpill(b *testing.B) {
 	}
 	warm := newAgg()
 	warm.AddBatch(env.Flows, verdicts)
-	// Shards from batches spread over the trace, so successive merges touch
-	// different members, ports and destinations of the warm aggregate.
-	const batch = core.ClassifyBatchSize
-	shards := make([]*core.Aggregator, 16)
-	for i := range shards {
-		at := i * (len(env.Flows) - batch) / len(shards)
-		shards[i] = newAgg()
-		shards[i].AddBatch(env.Flows[at:at+batch], verdicts[at:at+batch])
+	// Batches spread over the trace, so successive episodes touch different
+	// members, ports and destinations of the warm aggregate and hand the
+	// shard's recycled nodes to different keys.
+	const batch, spread = core.ClassifyBatchSize, 16
+	shard := newAgg()
+	episode := func(i int) {
+		at := (i % spread) * (len(env.Flows) - batch) / spread
+		shard.AddBatch(env.Flows[at:at+batch], verdicts[at:at+batch])
+		warm.Merge(shard)
+		shard.Reset()
+	}
+	// Two laps bring the shard's allocator to its peak and let the warm
+	// aggregate's maps finish growing (Go grows a full 8-entry map on its next
+	// assignment, even to a key it already holds).
+	for i := 0; i < 2*spread; i++ {
+		episode(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		warm.Merge(shards[i%len(shards)])
+		episode(i)
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 }

@@ -13,7 +13,7 @@
 //
 // BenchmarkCheckpointCodec/<op>/<shape> entries are lifted into a codec
 // section — the checkpoint stage's line of the per-stage ledger — and
-// BenchmarkMergeSpill into a merge section, the merge barrier's.
+// BenchmarkMergeSpill into a merge section, the spill episode's.
 //
 // With -diff <baseline.json> the tool compares instead of emitting: the
 // classify hot-path entries parsed from stdin are checked against the
@@ -29,11 +29,12 @@
 // within 1% of sequential and, by the interleaved parity-1 pairs, drain at no
 // less than 97% of its rate — they are one engine. When it has a codec
 // section, every checkpoint-codec variant must reappear and lose no more than
-// 15% MB/s; when it has a merge section, the same for the spill merge's
-// flows/sec. -smoke relaxes the comparisons to a
-// structural check — every baseline variant must still be produced by the
-// fresh run, but single-iteration numbers are reported without being judged
-// — which is what `make verify` and CI run.
+// 15% MB/s; when it has a merge section, the same for the spill episode's
+// flows/sec, and its allocs/op must be exactly 0. -smoke relaxes the
+// comparisons to a structural check — every baseline variant must still be
+// produced by the fresh run, but single-iteration timings are reported
+// without being judged — which is what `make verify` and CI run. The spill
+// episode's zero is a count, not a timing, so -smoke holds it too.
 package main
 
 import (
@@ -153,9 +154,10 @@ type codecSummary struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// mergeSummary surfaces BenchmarkMergeSpill: one drain worker's 256-flow
-// private shard folded into a warm full-trace aggregate — the cost of a
-// contended batch beyond its aggregation. `benchjson -diff` gates flows/sec.
+// mergeSummary surfaces BenchmarkMergeSpill: one drain worker's spill episode
+// — refill the recycled private shard with a 256-flow batch, fold it into a
+// warm full-trace aggregate, Reset it — which is what a contended batch
+// costs. `benchjson -diff` gates flows/sec, and allocs/op at exactly 0.
 type mergeSummary struct {
 	Benchmark   string  `json:"benchmark"`
 	NsPerOp     float64 `json:"nsPerOp"`
@@ -325,8 +327,9 @@ const (
 //
 // When the baseline carries a codec section, every checkpoint-codec variant
 // must reappear, and full mode fails one whose MB/s fell more than
-// regressionTolerance; a merge section gates the spill merge's flows/sec the
-// same way.
+// regressionTolerance; a merge section gates the spill episode's flows/sec the
+// same way, and fails — in smoke mode too, since it is a count — an episode
+// that allocates at all.
 func diffClassify(path string, doc document, smoke bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -467,6 +470,12 @@ func diffClassify(path string, doc document, smoke bool) error {
 				failures = append(failures, fmt.Sprintf("merge spill: %.0f -> %.0f flows/sec (%.1f%%)",
 					b.FlowsPerSec, m.FlowsPerSec, 100*delta))
 			}
+			if m.AllocsPerOp != 0 {
+				status = "ALLOCS"
+				failures = append(failures, fmt.Sprintf(
+					"merge spill: %.0f allocs per episode, want exactly 0 — a recycled shard must not allocate",
+					m.AllocsPerOp))
+			}
 			fmt.Printf("merge    %-20s %12.0f -> %12.0f flows/sec  %+6.1f%%  %6.0f allocs/op  %s\n",
 				"spill-256", b.FlowsPerSec, m.FlowsPerSec, 100*delta, m.AllocsPerOp, status)
 		}
@@ -493,7 +502,7 @@ func diffClassify(path string, doc document, smoke bool) error {
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("benchmark gate failed (classify/runtime/codec/merge tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d):\n  %s",
+		return fmt.Errorf("benchmark gate failed (classify/runtime/codec/merge tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d, spill episode allocs 0):\n  %s",
 			100*regressionTolerance, clusterObsTolerancePct, ingestAllocTolerance, strings.Join(failures, "\n  "))
 	}
 	return nil

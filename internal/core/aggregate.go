@@ -93,8 +93,9 @@ const fanInCap = 200000
 
 // addSrc records one source, enforcing the fanInCap exactly as the
 // map-only representation did (the cap dwarfs the inline slot, so the
-// inline stage can never interact with it).
-func (ds *DstStats) addSrc(a netx.Addr) {
+// inline stage can never interact with it). The set a second source needs
+// comes from the owning aggregator's allocator.
+func (ds *DstStats) addSrc(a netx.Addr, nodes *nodeAlloc) {
 	if ds.Srcs == nil {
 		if !ds.has1 {
 			ds.src1, ds.has1 = a, true
@@ -103,7 +104,7 @@ func (ds *DstStats) addSrc(a netx.Addr) {
 		if ds.src1 == a {
 			return
 		}
-		ds.Srcs = make(map[netx.Addr]struct{}, 2)
+		ds.Srcs = nodes.newSrcs()
 		ds.Srcs[ds.src1] = struct{}{}
 	}
 	if len(ds.Srcs) < fanInCap {
@@ -220,6 +221,9 @@ type Aggregator struct {
 	// does not discard them. Per aggregator, because drain workers AddBatch
 	// into their private shards concurrently.
 	prefetchSink uint64
+
+	// nodes hands out every inner node of the maps above (see nodes.go).
+	nodes nodeAlloc
 }
 
 // invalidate drops the hot-path caches; the next Add refills them from the
@@ -271,21 +275,33 @@ func NewAggregator(start time.Time, bucket time.Duration) *Aggregator {
 	return a
 }
 
-// Reset clears the aggregate back to empty while keeping its allocated
-// containers (maps, series backing arrays, /8 bins), so a drain worker can
-// reuse one private shard from fold to fold instead of allocating a fresh
-// one per contended stretch. start and bucket are preserved. Safe only on an aggregator the caller exclusively owns —
-// i.e. after Merge has folded it into the canonical aggregate (Merge never
-// retains references into its argument).
+// Reset clears the aggregate back to empty while keeping everything it has
+// allocated: the top-level maps keep their buckets, the port and size pages
+// stay in place, and every inner node — member records and their origin maps,
+// fan-in destinations and source sets, /8 bins, series backing arrays, NTP
+// pair maps — is emptied and kept by the node allocator, which hands it back
+// to the next Add or Merge that needs one. A drain worker reuses one
+// private shard from fold to fold this way, and a refill over keys the shard
+// has seen before allocates nothing. start and bucket are preserved.
+//
+// Safe only on an aggregator the caller exclusively owns — i.e. after Merge
+// has folded it into the canonical aggregate (Merge never retains references
+// into its argument). Reset invalidates every pointer and container taken
+// from the aggregate before it: *MemberStats from Members/Member, *DstStats
+// and inner maps read out of FanIn, TriggerPairs and ResponsePairs, Series
+// slices and /8 bins are recycled, so a holder would watch them turn into
+// some other key's state. The drain worker's spill shard, which never hands
+// any out, is the only production caller.
 func (a *Aggregator) Reset() {
 	a.GrandTotal = Counter{}
 	a.Total = [numTrafficClasses]Counter{}
 	a.UnknownPorts = 0
-	// Top-level keys are cleared, not emptied in place: key presence is
+	// The nodes are kept, the top-level keys are dropped: key presence is
 	// semantic in the canonical encoding (a sequential run never creates an
 	// empty Series/SizeHist/Slash8 entry), so a reused aggregator must not
 	// leak present-but-empty keys into the canonical aggregate via Merge.
-	// clear() keeps the map buckets, which is where the reuse win lives.
+	// clear() keeps the map buckets.
+	a.recycleNodes()
 	clear(a.members)
 	clear(a.Series)
 	a.SizeHist.Reset()
@@ -300,8 +316,8 @@ func (a *Aggregator) Reset() {
 	a.TriggerSeries = a.TriggerSeries[:0]
 	a.ResponseSeries = a.ResponseSeries[:0]
 	a.lastPort, a.lastMember = 0, nil
-	// The cleared maps dropped their inner containers; stale cache pointers
-	// would keep accumulating into orphans.
+	// The caches point at nodes that are now free; accumulating through them
+	// would write into whichever key is handed the node next.
 	a.invalidate()
 }
 
@@ -370,7 +386,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	if ms == nil || a.lastPort != f.Ingress {
 		ms = a.members[f.Ingress]
 		if ms == nil {
-			ms = &MemberStats{Port: f.Ingress, InvalidOrigins: make(map[bgp.ASN]uint64)}
+			ms = a.nodes.newMember(f.Ingress, 0)
 			a.members[f.Ingress] = ms
 		}
 		a.lastPort, a.lastMember = f.Ingress, ms
@@ -407,7 +423,9 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		s := a.seriesC[pc]
 		if s == nil || len(s) <= bi {
 			if s == nil {
-				s = a.Series[pc]
+				if s = a.Series[pc]; s == nil {
+					s = a.nodes.newSeries(pc)
+				}
 			}
 			for len(s) <= bi {
 				s = append(s, 0)
@@ -434,7 +452,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	if src8 == nil {
 		src8 = a.Slash8Src[pc]
 		if src8 == nil {
-			src8 = &[256]uint64{}
+			src8 = a.nodes.new8()
 			a.Slash8Src[pc] = src8
 		}
 		a.src8C[pc] = src8
@@ -444,7 +462,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	if dst8 == nil {
 		dst8 = a.Slash8Dst[pc]
 		if dst8 == nil {
-			dst8 = &[256]uint64{}
+			dst8 = a.nodes.new8()
 			a.Slash8Dst[pc] = dst8
 		}
 		a.dst8C[pc] = dst8
@@ -461,11 +479,11 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	if m != nil {
 		ds := m[f.DstAddr]
 		if ds == nil {
-			ds = &DstStats{}
+			ds = a.nodes.newDst()
 			m[f.DstAddr] = ds
 		}
 		ds.Packets += f.Packets
-		ds.addSrc(f.SrcAddr)
+		ds.addSrc(f.SrcAddr, &a.nodes)
 	}
 
 	// NTP amplification bookkeeping.
@@ -474,7 +492,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		case f.DstPort == 123 && pc == TCInvalidFull:
 			m := a.TriggerPairs[f.SrcAddr] // victim = spoofed source
 			if m == nil {
-				m = make(map[netx.Addr]uint64)
+				m = a.nodes.newPairs(0)
 				a.TriggerPairs[f.SrcAddr] = m
 			}
 			m[f.DstAddr] += f.Packets
@@ -482,7 +500,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		case f.SrcPort == 123 && pc == TCRegular:
 			m := a.ResponsePairs[f.SrcAddr] // amplifier responds
 			if m == nil {
-				m = make(map[netx.Addr]uint64)
+				m = a.nodes.newPairs(0)
 				a.ResponsePairs[f.SrcAddr] = m
 			}
 			m[f.DstAddr] += f.Packets

@@ -7,16 +7,16 @@ import (
 	"strconv"
 	"sync"
 
-	"spoofscope/internal/bgp"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 )
 
 // Merge folds other into a. Both must have been created with the same
 // start and bucket length. Merge never adopts other's containers — every
-// map, slice, and bin array is deep-added — so the caller may Reset and
-// reuse other afterwards (a drain worker keeps one private shard across its
-// folds this way).
+// map, slice, and bin array is deep-added, and the nodes the receiver lacks
+// come from its own allocator — so the caller may Reset and reuse other
+// afterwards (a drain worker keeps one private shard across its folds this
+// way).
 func (a *Aggregator) Merge(other *Aggregator) {
 	// Merge reassigns the receiver's Series slices (and may create inner
 	// containers); the hot-path caches must not outlive those headers.
@@ -33,10 +33,8 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	for port, om := range other.members {
 		ms := a.members[port]
 		if ms == nil {
-			ms = &MemberStats{
-				ASN: om.ASN, Port: om.Port,
-				InvalidOrigins: make(map[bgp.ASN]uint64, len(om.InvalidOrigins)),
-			}
+			ms = a.nodes.newMember(om.Port, len(om.InvalidOrigins))
+			ms.ASN = om.ASN
 			a.members[port] = ms
 		}
 		ms.Total.Flows += om.Total.Flows
@@ -54,6 +52,9 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	}
 	for c, os := range other.Series {
 		s := a.Series[c]
+		if s == nil {
+			s = a.nodes.newSeries(c)
+		}
 		for len(s) < len(os) {
 			s = append(s, 0)
 		}
@@ -68,7 +69,7 @@ func (a *Aggregator) Merge(other *Aggregator) {
 		for c, ob := range src {
 			b := dst[c]
 			if b == nil {
-				b = &[256]uint64{}
+				b = a.nodes.new8()
 				dst[c] = b
 			}
 			for i, v := range ob {
@@ -87,19 +88,19 @@ func (a *Aggregator) Merge(other *Aggregator) {
 		for dst, ods := range om {
 			ds := m[dst]
 			if ds == nil {
-				ds = &DstStats{}
+				ds = a.nodes.newDst()
 				m[dst] = ds
 			}
 			ds.Packets += ods.Packets
 			ds.SrcOverflow += ods.SrcOverflow
-			ods.EachSrc(ds.addSrc)
+			ods.EachSrc(func(src netx.Addr) { ds.addSrc(src, &a.nodes) })
 		}
 	}
 	mergePairs := func(dst, src map[netx.Addr]map[netx.Addr]uint64) {
 		for k, om := range src {
 			m := dst[k]
 			if m == nil {
-				m = make(map[netx.Addr]uint64, len(om))
+				m = a.nodes.newPairs(len(om))
 				dst[k] = m
 			}
 			for kk, v := range om {

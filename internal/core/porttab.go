@@ -516,12 +516,19 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 	var buf [numTrafficClasses]TrafficClass
 	for _, c := range other.classList(buf[:0]) {
 		op, p := other.page(c, false), t.page(c, true)
-		op.walk(func(w int, word uint64) {
-			for ; word != 0; word &= word - 1 {
+		// Addition commutes, so unlike the codec this walk need not be
+		// ordered — and must not pay walk's sorted copy of the spilled sizes:
+		// a fold allocates nothing.
+		for s := op.sum; s != 0; s &= s - 1 {
+			w := bits.TrailingZeros64(s)
+			for word := op.seen[w]; word != 0; word &= word - 1 {
 				size := w<<6 | bits.TrailingZeros64(word)
 				p.add(size, op.cnt[size])
 			}
-		}, p.add)
+		}
+		for size, pkts := range op.spill {
+			p.add(size, pkts)
+		}
 	}
 }
 

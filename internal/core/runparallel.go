@@ -39,11 +39,13 @@ const consumeBatchSize = ClassifyBatchSize
 // checkpoint path refuses to run while any worker holds an unmerged batch,
 // so the cursor can never outrun the aggregate).
 //
-// fn (optional) observes every flow and verdict; calls are serialized, but
-// arrive in worker-completion order, not arrival order. Returning false
-// stops consumption: intake is closed and workers exit after finishing
-// their in-flight batches. Do not run RunParallel concurrently with Step,
-// Run, or another RunParallel.
+// fn (optional) observes every flow and verdict; calls are serialized (a
+// worker holds the observer lock for one batch at a time), but arrive in
+// worker-completion order, not arrival order. Returning false stops
+// consumption: fn is not called again — not for the rest of that batch, not
+// for batches other workers have in flight — intake is closed, and workers
+// exit after aggregating their in-flight batches. Do not run RunParallel
+// concurrently with Step, Run, or another RunParallel.
 func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.Flow, LiveVerdict) bool) error {
 	// Worker counts beyond GOMAXPROCS clamp: extra consumers cannot add CPU,
 	// only queue and lock contention (on a 1-CPU host an unclamped parallel-2
@@ -57,19 +59,26 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 	}
 	var (
 		stopped atomic.Bool
-		observe func(ipfix.Flow, LiveVerdict)
+		observe func([]ipfix.Flow, []Verdict, Epoch, bool)
 	)
 	if fn != nil {
+		// One lock per drained batch, not per flow: serializing the calls is
+		// the contract, and at 256 flows a batch the lock is noise.
 		var fnMu sync.Mutex
-		observe = func(f ipfix.Flow, lv LiveVerdict) {
+		observe = func(flows []ipfix.Flow, verdicts []Verdict, epoch Epoch, stale bool) {
 			fnMu.Lock()
 			defer fnMu.Unlock()
-			if stopped.Load() {
-				return
-			}
-			if !fn(f, lv) {
-				stopped.Store(true)
-				rt.Close()
+			for i := range flows {
+				// Another worker's batch may have stopped the run while this
+				// one waited for the lock: nothing is observed after fn has
+				// returned false, the rest of its own batch included.
+				if stopped.Load() {
+					return
+				}
+				if !fn(flows[i], LiveVerdict{Verdict: verdicts[i], Epoch: epoch, Stale: stale}) {
+					stopped.Store(true)
+					rt.Close()
+				}
 			}
 		}
 	}
@@ -99,14 +108,17 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 // worker's profiler labels. sole says no other worker exists, so a held lock
 // can only be a scrape or a snapshot about to let go: that worker waits for
 // it, and never owns a second aggregator.
-func (rt *Runtime) drain(ctx context.Context, sole bool, observe func(ipfix.Flow, LiveVerdict), stopped *atomic.Bool) {
+func (rt *Runtime) drain(ctx context.Context, sole bool, observe func([]ipfix.Flow, []Verdict, Epoch, bool), stopped *atomic.Bool) {
 	// Reused every batch: the steady-state loop allocates nothing per flow.
 	buf := make([]ipfix.Flow, consumeBatchSize)
 	verdicts := make([]Verdict, consumeBatchSize)
 	var (
 		// spill is the private shard, allocated by the first batch that finds
 		// the lock held; spilled counts the flows in it that the canonical
-		// aggregate does not hold yet. Every fold Resets it for reuse.
+		// aggregate does not hold yet. Every fold Resets it for reuse: the
+		// shard's node allocator takes back everything the stretch handed
+		// out, so the next stretch allocates only what it needs beyond this
+		// worker's peak so far — nothing, in steady state.
 		spill   *Aggregator
 		spilled uint64
 		// latShard buffers this worker's sampled classify latencies off the
@@ -188,8 +200,8 @@ func (rt *Runtime) drain(ctx context.Context, sole bool, observe func(ipfix.Flow
 			rt.spilledBatches.Add(1)
 		}
 		rt.processed.Add(uint64(n))
-		for i := 0; observe != nil && i < n; i++ {
-			observe(buf[i], LiveVerdict{Verdict: verdicts[i], Epoch: st.epoch, Stale: stale})
+		if observe != nil {
+			observe(buf[:n], verdicts[:n], st.epoch, stale)
 		}
 	}
 	settle()

@@ -92,8 +92,10 @@ func TestRunParallelMatchesSequentialCheckpoint(t *testing.T) {
 }
 
 // TestRunParallelObserverSeesEveryFlow: the serialized fn callback observes
-// each flow exactly once, tagged with a live epoch.
+// each flow exactly once, tagged with a live epoch, and no two calls overlap
+// — workers take the observer lock a batch at a time.
 func TestRunParallelObserverSeesEveryFlow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
 	_, p, flows, _ := buildEndToEnd(t)
 	rt, err := NewRuntime(RuntimeConfig{
 		Pipeline: p,
@@ -108,7 +110,12 @@ func TestRunParallelObserverSeesEveryFlow(t *testing.T) {
 	}
 	rt.Close()
 	n := 0 // plain int: fn calls are serialized
+	var inFn atomic.Bool
 	if err := rt.RunParallel(nil, 4, func(f ipfix.Flow, v LiveVerdict) bool {
+		if !inFn.CompareAndSwap(false, true) {
+			t.Error("fn entered while another call was in progress")
+		}
+		defer inFn.Store(false)
 		if v.Epoch != 1 || v.Stale {
 			t.Errorf("verdict epoch/stale = %d/%v, want 1/false", v.Epoch, v.Stale)
 		}
@@ -125,10 +132,17 @@ func TestRunParallelObserverSeesEveryFlow(t *testing.T) {
 	}
 }
 
-// TestRunParallelFnFalseStops: an fn that returns false closes intake and
-// every worker exits after its in-flight batch.
+// TestRunParallelFnFalseStops: an fn that returns false closes intake, every
+// worker exits after its in-flight batch, and fn is never called again — not
+// for the rest of the batch it stopped in (the tenth flow sits inside the
+// first 256-flow batch), not by a worker that was waiting for the observer
+// lock with a classified batch in hand.
 func TestRunParallelFnFalseStops(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
 	_, p, flows, _ := buildEndToEnd(t)
+	if len(flows) < 4*consumeBatchSize {
+		t.Fatalf("trace of %d flows cannot keep four workers in flight", len(flows))
+	}
 	rt, err := NewRuntime(RuntimeConfig{
 		Pipeline: p,
 		Start:    cpStart, Bucket: time.Hour,
@@ -156,8 +170,8 @@ func TestRunParallelFnFalseStops(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("RunParallel did not stop after fn returned false")
 	}
-	if n < 10 {
-		t.Fatalf("observed %d flows, want >= 10", n)
+	if n != 10 {
+		t.Fatalf("fn was called %d times, want exactly 10: it returned false on the tenth", n)
 	}
 }
 
