@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs fuzz bench bench-smoke bench-compare bench-compare-smoke
+.PHONY: build test vet race verify loc closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs fuzz bench bench-smoke bench-compare bench-compare-smoke
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # race runs the whole suite under the race detector — the supervision code
-# (bgp.Reconnector, the multi-connection IPFIX Serve, faultnet) is
+# (bgp.Reconnector, the multi-connection IPFIX ServeBatch, faultnet) is
 # concurrent, so this is the tier the resilience layer is gated on.
 race:
 	$(GO) test -race ./...
@@ -22,6 +22,14 @@ race:
 # drain-engine stress run, the cluster chaos suite, the cluster
 # observability-plane gate, and the benchmark-baseline structural check.
 verify: vet race closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs bench-compare-smoke
+
+# loc prints the Go line counts ROADMAP quotes at every re-anchor: non-test
+# and test lines for the root module, and for the nested benchmark module.
+loc:
+	@printf 'root non-test  %6d\n' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
+	@printf 'root tests     %6d\n' $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
+	@printf 'bench non-test %6d\n' $$(find benchmark -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
+	@printf 'bench tests    %6d\n' $$(find benchmark -name '*_test.go' | xargs cat | wc -l)
 
 # closure-prop runs the parallel-closure property tests explicitly (random
 # cyclic topologies: ConeClosures at 1/2/4/8 workers must match the
@@ -73,9 +81,9 @@ cluster-tcp:
 cluster-obs:
 	$(GO) test -race -timeout 120s -run 'TestClusterTelemetryFederation|TestChaosScrapeConsistency' -count=1 ./internal/cluster
 
-# bench measures live-runtime consumption throughput (sequential Step loop
-# vs the batch-parallel consumer at 1/2/4/8 workers), the end-to-end ingest
-# path (wire-image IPFIX decode -> batched queue -> drain -> classify ->
+# bench measures live-runtime consumption throughput (the one batch drain
+# engine, through Run(nil) and RunParallel at 1/2/4/8 workers), the end-to-end
+# ingest path (wire-image IPFIX decode -> batched queue -> drain -> classify ->
 # aggregate, with the allocs/op that must stay effectively zero), pipeline
 # compilation latency (cold at 1/2/4/8 build workers and incremental, at
 # paper and ~50K-AS full-table scale), the cluster flow transport over TCP
@@ -84,7 +92,7 @@ cluster-obs:
 # codec (encode/decode × typical/attack-shaped state), the spill episode (one
 # worker's recycled private shard refilled with 256 flows, folded into a warm
 # aggregate and Reset), and the single-core classify hot path
-# (perflow/batch256 × trie/flat indexes, with allocation counts), recording
+# (per-flow and batch-256 API, with allocation counts), recording
 # the machine-readable baseline in BENCH_runtime.json. The document carries
 # the recording host's CPU count, so single-core baselines are
 # self-describing.

@@ -144,62 +144,46 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyHotPath is the classify-path ablation grid tracked in the
+// BenchmarkClassifyHotPath is the classify-path pair tracked in the
 // `classify` section of BENCH_runtime.json (`make bench`, regression-gated by
-// `make bench-compare`): per-flow vs batch-256 API × trie vs flat indexes
-// over the full default-scale trace. Every variant reports ns/flow and
-// flows/sec so the cells are directly comparable even though a batch
-// iteration covers 256 flows. perflow-trie is the pre-FlatLPM baseline;
-// batch256-flat is the production hot path (RunParallel's consumers and
-// ClassifyParallel both drain through it) and must stay at ~0 allocs/op —
-// classification itself touches only the pipeline's immutable slabs and the
-// caller's reused buffers.
+// `make bench-compare`): the per-flow and the batch-256 API over the full
+// default-scale trace. Both report ns/flow and flows/sec so the cells are
+// directly comparable even though a batch iteration covers 256 flows.
+// batch256-flat is the production hot path (every drain worker classifies
+// through it) and must stay at 0 allocs/op — classification itself touches
+// only the pipeline's immutable slabs and the caller's reused buffers. (The
+// -flat suffix is the baseline's row key; the trie rows it once set them
+// apart from are frozen in EXPERIMENTS.md, "Retired alternatives".)
 func BenchmarkClassifyHotPath(b *testing.B) {
 	env := benchEnvironment(b)
 	flows := env.Flows
-	var members []core.MemberInfo
-	for _, m := range env.Scenario.Members {
-		members = append(members, core.MemberInfo{ASN: m.ASN, Port: m.Port})
-	}
-	trie, err := core.NewPipeline(env.RIB, members, core.Options{
-		Orgs:        env.Scenario.Orgs().MultiASGroups(),
-		Routers:     env.Routers,
-		TrieIndexes: true,
+	p := env.Pipeline
+	b.Run("perflow-flat", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Classify(flows[i%len(flows)])
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N), "ns/flow")
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pl := range []struct {
-		name string
-		p    *core.Pipeline
-	}{{"trie", trie}, {"flat", env.Pipeline}} {
-		b.Run("perflow-"+pl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.p.Classify(flows[i%len(flows)])
+	b.Run("batch256-flat", func(b *testing.B) {
+		verdicts := make([]core.Verdict, core.ClassifyBatchSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		processed := 0
+		for i := 0; i < b.N; i++ {
+			lo := (i * core.ClassifyBatchSize) % len(flows)
+			hi := lo + core.ClassifyBatchSize
+			if hi > len(flows) {
+				hi = len(flows)
 			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N), "ns/flow")
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-		})
-		b.Run("batch256-"+pl.name, func(b *testing.B) {
-			verdicts := make([]core.Verdict, core.ClassifyBatchSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			processed := 0
-			for i := 0; i < b.N; i++ {
-				lo := (i * core.ClassifyBatchSize) % len(flows)
-				hi := lo + core.ClassifyBatchSize
-				if hi > len(flows) {
-					hi = len(flows)
-				}
-				pl.p.ClassifyBatch(flows[lo:hi], verdicts[:hi-lo])
-				processed += hi - lo
-			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(processed), "ns/flow")
-			b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "flows/sec")
-		})
-	}
+			p.ClassifyBatch(flows[lo:hi], verdicts[:hi-lo])
+			processed += hi - lo
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(processed), "ns/flow")
+		b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "flows/sec")
+	})
 }
 
 // BenchmarkClassifyAggregate includes the aggregation sink.
@@ -212,20 +196,6 @@ func BenchmarkClassifyAggregate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := flows[i%len(flows)]
 		agg.Add(f, env.Pipeline.Classify(f))
-	}
-}
-
-// BenchmarkClassifyParallel measures the sharded whole-trace classification
-// (classification is read-only, so it scales with cores until the merge).
-func BenchmarkClassifyParallel(b *testing.B) {
-	env := benchEnvironment(b)
-	newAgg := func() *core.Aggregator {
-		return core.NewAggregator(env.Scenario.Cfg.Start, env.Scenario.Cfg.Duration/168)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.Pipeline.ClassifyParallel(env.Flows, 0, newAgg)
 	}
 }
 
@@ -727,40 +697,12 @@ func BenchmarkMRTLoad(b *testing.B) {
 
 // --- ablation benchmarks (design choices called out in DESIGN.md §5) ---
 
-// BenchmarkLPMTrie vs BenchmarkLPMLinear: the longest-prefix-match data
-// structure on the hot path.
-func BenchmarkLPMTrie(b *testing.B) {
-	env := benchEnvironment(b)
-	lpm := env.RIB.OriginTable()
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]netx.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = netx.Addr(rng.Uint32())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lpm.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-func BenchmarkLPMSorted(b *testing.B) {
-	env := benchEnvironment(b)
-	prefixes := env.RIB.Prefixes()
-	values := make([]uint32, len(prefixes))
-	sorted := netx.NewSortedLPM(prefixes, values)
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]netx.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = netx.Addr(rng.Uint32())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sorted.Lookup(addrs[i%len(addrs)])
-	}
-}
-
+// BenchmarkLPMLinear: longest-prefix match by scanning every prefix — the
+// floor any index is measured against. The index on the hot path is
+// netx.FlatLPM, whose lookup the repository benchmark times
+// (netx.flatlpm_lookup_ns); the trie and sorted-array structures it replaced
+// are test-only oracles in internal/netx, their last figures frozen in
+// EXPERIMENTS.md ("Retired alternatives").
 func BenchmarkLPMLinear(b *testing.B) {
 	env := benchEnvironment(b)
 	prefixes := env.RIB.Prefixes()

@@ -108,16 +108,14 @@ type clusterObsSummary struct {
 }
 
 // classifySummary surfaces the single-core classify hot-path benchmark
-// (BenchmarkClassifyHotPath/<path>-<index>) as a first-class section: one
-// entry per API path (perflow/batch256) and index layout (trie/flat) with
-// its ns/flow, flows/sec, and steady-state allocations. This is the section
-// `benchjson -diff` guards: the flat batch path is the live runtime's
-// consumption loop, so a throughput regression here is a production
-// regression.
+// (BenchmarkClassifyHotPath/<path>-flat) as a first-class section: one entry
+// per API path (perflow/batch256) with its ns/flow, flows/sec, and
+// steady-state allocations. This is the section `benchjson -diff` guards:
+// the batch path is the live runtime's consumption loop, so a throughput
+// regression here is a production regression.
 type classifySummary struct {
 	Benchmark   string  `json:"benchmark"`
-	Path        string  `json:"path"`  // "perflow" or "batch256"
-	Index       string  `json:"index"` // "trie" or "flat"
+	Path        string  `json:"path"` // "perflow" or "batch256"
 	NsPerFlow   float64 `json:"nsPerFlow"`
 	FlowsPerSec float64 `json:"flowsPerSec"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
@@ -347,11 +345,11 @@ func diffClassify(path string, doc document, smoke bool) error {
 	}
 	fresh := make(map[string]classifySummary, len(doc.Classify))
 	for _, c := range doc.Classify {
-		fresh[c.Path+"-"+c.Index] = c
+		fresh[c.Path] = c
 	}
 	var failures []string
 	for _, b := range base.Classify {
-		key := b.Path + "-" + b.Index
+		key := b.Path
 		c, ok := fresh[key]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: missing from this run", key))
@@ -624,7 +622,7 @@ func parseCodecEntry(b benchmark) (codecSummary, bool) {
 	}, true
 }
 
-// parseClassifyEntry lifts one BenchmarkClassifyHotPath/<path>-<index> entry
+// parseClassifyEntry lifts one BenchmarkClassifyHotPath/<path>-flat entry
 // into a classifySummary. The variant is tried verbatim first and a trailing
 // numeric -P GOMAXPROCS suffix is stripped on failure, mirroring
 // parseClusterEntry.
@@ -645,14 +643,14 @@ func parseClassifyEntry(b benchmark) (classifySummary, bool) {
 }
 
 func parseClassifyVariant(b benchmark, variant string) (classifySummary, bool) {
-	path, index, ok := strings.Cut(variant, "-")
-	if !ok || (index != "trie" && index != "flat") {
+	// The suffix names the one index there is; the baseline's row keys keep it.
+	path, ok := strings.CutSuffix(variant, "-flat")
+	if !ok {
 		return classifySummary{}, false
 	}
 	return classifySummary{
 		Benchmark:   b.Name,
 		Path:        path,
-		Index:       index,
 		NsPerFlow:   b.Metrics["ns/flow"],
 		FlowsPerSec: b.Metrics["flows/sec"],
 		AllocsPerOp: b.Metrics["allocs/op"],

@@ -299,15 +299,11 @@ func main() {
 	}
 }
 
-// classifyRun drives the live runtime over the flow file — the one code
-// path for both worker counts. A reader goroutine feeds flows with
-// backpressure (IngestWait never sheds, so every flow is classified) while
-// the runtime consumes: sequentially with workers == 0, with N
-// batch-parallel consumers otherwise. Checkpoints are the runtime's
-// quiescent snapshots — one format, resumable by either mode — and the
-// final aggregate is identical across worker counts. A cancelled ctx
-// (SIGINT/SIGTERM) closes intake, drains the queue, and returns the partial
-// aggregate instead of failing.
+// classifyRun drives the live runtime over the flow file (see runFeed).
+// Checkpoints are the runtime's quiescent snapshots — one format, resumable
+// by either worker mode — and the final aggregate is identical across worker
+// counts. A cancelled ctx (SIGINT/SIGTERM) closes intake, drains the queue,
+// and returns the partial aggregate instead of failing.
 func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipeline, bstats core.BuildStats, workers int, aggTO time.Duration, ckptPath string, ckptN uint64, tel *obs.Telemetry) (*core.Aggregator, int) {
 	rtc := core.RuntimeConfig{
 		Pipeline: pipeline,
@@ -335,29 +331,8 @@ func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipel
 	// (journal event, duration histogram + last-build gauge, builds counter)
 	// so operators see it alongside any later epoch rebuilds.
 	rt.RecordBuild(bstats)
-	feedErr := make(chan error, 1)
-	go func() {
-		defer rt.Close() // drained consumers exit once the queue empties
-		seen := uint64(0)
-		sink := func(f ipfix.Flow) bool {
-			if seen++; seen <= skip {
-				return true // already accounted by the resumed checkpoint
-			}
-			// False after Close (interrupt): stop reading the file.
-			return rt.IngestWait(f)
-		}
-		feedErr <- feedFlows(fr, aggTO, sink)
-	}()
-	if workers > 0 {
-		err = rt.RunParallel(ctx, workers, nil)
-	} else {
-		err = rt.Run(ctx, nil)
-	}
-	interrupted := errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		log.Fatal(err)
-	}
-	if err := <-feedErr; err != nil {
+	interrupted, err := runFeed(ctx, fr, rt, skip, workers, aggTO)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if interrupted {
@@ -370,6 +345,34 @@ func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipel
 		log.Printf("checkpoint: %s", ckptPath)
 	}
 	return rt.Aggregator(), int(rt.Stats().Processed)
+}
+
+// runFeed replays the flow file through rt — the one code path for both
+// worker counts. A reader goroutine feeds decoded messages with backpressure
+// (IngestBatchWait never sheds, so every flow is classified), leaving out the
+// first skip flows — the ones a resumed checkpoint already accounts for —
+// while the runtime consumes: sequentially with workers == 0, with N
+// batch-parallel consumers otherwise. It returns once the file is exhausted
+// and the queue drained, or, with interrupted set, once a cancelled ctx has
+// closed intake and the queue drained.
+func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip uint64, workers int, aggTO time.Duration) (interrupted bool, err error) {
+	feedErr := make(chan error, 1)
+	go func() {
+		defer rt.Close() // drained consumers exit once the queue empties
+		// IngestBatchWait reports false after Close (interrupt), which stops
+		// the read.
+		feedErr <- feedFlows(fr, aggTO, skipFirst(skip, rt.IngestBatchWait))
+	}()
+	if workers > 0 {
+		err = rt.RunParallel(ctx, workers, nil)
+	} else {
+		err = rt.Run(ctx, nil)
+	}
+	interrupted = errors.Is(err, context.Canceled)
+	if err != nil && !interrupted {
+		return false, err
+	}
+	return interrupted, <-feedErr
 }
 
 // clusterRunConfig bundles the cluster-mode knobs.
@@ -505,18 +508,15 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 	if ccfg.Resume != nil {
 		skip += ccfg.Resume.Ingested
 	}
-	fed, seen := 0, uint64(0)
-	sink := func(f ipfix.Flow) bool {
-		if seen++; seen <= skip {
-			return true
-		}
+	fed := 0
+	sink := skipFirst(skip, ipfix.PerFlow(func(f ipfix.Flow) bool {
 		if ctx.Err() != nil {
 			return false // interrupt: stop reading the file
 		}
 		coord.Ingest(f)
 		fed++
 		return true
-	}
+	}))
 	if err := feedFlows(fr, rc.aggTO, sink); err != nil {
 		log.Fatal(err)
 	}
@@ -551,32 +551,47 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 	return cp.Agg, int(cp.Processed)
 }
 
-// feedFlows streams the flow file into sink, optionally running the
-// idle-timeout metering process (flow cache) first. A sink returning false
-// stops the feed early (graceful shutdown).
-func feedFlows(fr *ipfix.FileReader, aggTO time.Duration, sink func(ipfix.Flow) bool) error {
-	if aggTO > 0 {
-		// Run the metering process first: merge sampled packets of the
-		// same flow (idle-timeout based) before classification.
-		stop := false
-		cache := ipfix.NewFlowCache(aggTO, 0, func(f ipfix.Flow) {
-			if !stop {
-				stop = !sink(f)
-			}
-		})
-		if err := fr.ForEach(func(f ipfix.Flow) bool {
-			cache.Add(f)
-			return !stop
-		}); err != nil {
-			return err
+// skipFirst returns sink with the first n flows offered to it left out — the
+// flows a resumed checkpoint already accounts for. The cursor may fall inside
+// a message; that message is delivered as the tail past it.
+func skipFirst(n uint64, sink func([]ipfix.Flow) bool) func([]ipfix.Flow) bool {
+	return func(batch []ipfix.Flow) bool {
+		if n >= uint64(len(batch)) {
+			n -= uint64(len(batch))
+			return true
 		}
-		cache.Flush()
-		log.Printf("flow cache: %d merges, %d overflow evictions", cache.Merged, cache.Overflowed)
-		return nil
+		batch, n = batch[n:], 0
+		return sink(batch)
 	}
-	return fr.ForEach(func(f ipfix.Flow) bool {
-		return sink(f)
+}
+
+// feedFlows streams the flow file into sink one decoded message at a time,
+// or — with an idle timeout — through the metering process (flow cache)
+// first, which emits merged flows one by one. A sink returning false stops
+// the feed early (graceful shutdown).
+func feedFlows(fr *ipfix.FileReader, aggTO time.Duration, sink func([]ipfix.Flow) bool) error {
+	if aggTO <= 0 {
+		return fr.ForEachBatch(sink)
+	}
+	// Run the metering process first: merge sampled packets of the same
+	// flow (idle-timeout based) before classification.
+	stop := false
+	var one [1]ipfix.Flow
+	cache := ipfix.NewFlowCache(aggTO, 0, func(f ipfix.Flow) {
+		if !stop {
+			one[0] = f
+			stop = !sink(one[:])
+		}
 	})
+	if err := fr.ForEachBatch(ipfix.PerFlow(func(f ipfix.Flow) bool {
+		cache.Add(f)
+		return !stop
+	})); err != nil {
+		return err
+	}
+	cache.Flush()
+	log.Printf("flow cache: %d merges, %d overflow evictions", cache.Merged, cache.Overflowed)
+	return nil
 }
 
 func readMembers(path string) ([]core.MemberInfo, error) {

@@ -119,7 +119,10 @@ func run() error {
 	// runtime's bounded queue as one batch (one consumer wake per message,
 	// zero per-flow allocations); the consumer drains it concurrently.
 	deadline := time.Now().Add(5 * time.Second)
-	malformed, err := collector.ServeBatch(deadline, rt.IngestBatchFunc())
+	malformed, err := collector.ServeBatch(deadline, func(batch []spoofscope.Flow) bool {
+		rt.IngestBatch(batch) // shed flows are accounted in Stats; keep serving
+		return true
+	})
 	if err != nil {
 		return err
 	}

@@ -285,11 +285,6 @@ func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
 // NumPrefixes returns the number of distinct prefixes AS u is valid for.
 func (n *NaiveIndex) NumPrefixes(u int) int { return len(n.prefixes[u]) }
 
-// ValidLPM compiles AS u's valid space into an LPM for per-flow checks.
-func (n *NaiveIndex) ValidLPM(u int) *netx.LPM {
-	return netx.BuildLPM(n.prefixes[u], nil)
-}
-
 // ValidFlatLPM compiles AS u's valid space into the flat-slab form the
 // classification hot path uses (membership-only; values are irrelevant).
 func (n *NaiveIndex) ValidFlatLPM(u int) *netx.FlatLPM {

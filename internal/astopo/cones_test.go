@@ -223,9 +223,9 @@ func TestNaiveIndex(t *testing.T) {
 	if n := ni.NumPrefixes(g.Index(1001)); n != 1 {
 		t.Errorf("NumPrefixes(1001) = %d", n)
 	}
-	lpm := ni.ValidLPM(g.Index(1001))
+	lpm := ni.ValidFlatLPM(g.Index(1001))
 	if !lpm.Contains(netx.MustParseAddr("20.1.200.200")) {
-		t.Error("ValidLPM miss")
+		t.Error("ValidFlatLPM miss")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Pipeline compilation: the parallel cold-build path and the fingerprint-
 // gated incremental rebuild used by the live runtime's epoch swaps. The
-// classify hot path runs in ~200ns/flow, so at full-table scale the build —
-// graph, relationship inference, two cone closures, naive index, LPM tries
-// — is what keeps a runtime degraded after a routing flap. Compilation
+// classify hot path runs in ~60ns/flow, so at full-table scale the build —
+// graph, relationship inference, two cone closures, naive index, the origin
+// slab — is what keeps a runtime degraded after a routing flap. Compilation
 // here is staged: topology layers (graph + closures) depend only on the AS
 // path multiset; prefix layers (naive index, origin table, routed space)
 // depend on the full announcement set; member tables derive from both. The
@@ -33,7 +33,7 @@ const (
 	BuildCold BuildReuse = iota
 	// BuildReusedClosures reused the graph and both cone closures (the AS
 	// path multiset was unchanged) and rebuilt only the prefix-dependent
-	// layers: naive index, origin table, routed space, member LPMs.
+	// layers: naive index, origin table, routed space, member naive bitsets.
 	BuildReusedClosures
 	// BuildReusedPipeline reused every layer (the announcement set was
 	// unchanged); only the member tables were re-wrapped.
@@ -89,13 +89,7 @@ func (o Options) topologyKey() uint64 {
 	if o.DisableOrgMerge {
 		mix(1)
 	}
-	// Index mode is not topology-shaping, but reuse copies the compiled
-	// origin/naive indexes between epochs — a mode flip must force a cold
-	// build so a pipeline never mixes flat and trie indexes.
-	if o.TrieIndexes {
-		mix(2)
-	}
-	// The flat origin slab has the bogon prefixes merged in, so a bogon
+	// The origin slab has the bogon prefixes merged in, so a bogon
 	// override is part of the compiled index and must block reuse too. nil
 	// (the reference set, the universal default) hashes as absent; an
 	// explicit set never matches it, which at worst costs one cold build.
@@ -164,7 +158,6 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	}
 
 	p := &Pipeline{
-		bogons:  bogons,
 		anns:    anns,
 		fp:      fp,
 		optsKey: key,
@@ -174,7 +167,7 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	switch stats.Reuse {
 	case BuildReusedPipeline:
 		p.graph, p.full, p.cc, p.naive = prev.graph, prev.full, prev.cc, prev.naive
-		p.origins, p.originsLPM, p.originTab = prev.origins, prev.originsLPM, prev.originTab
+		p.origins, p.originTab = prev.origins, prev.originTab
 		p.bogonEntry = prev.bogonEntry
 		p.routedSpace = prev.routedSpace
 
@@ -182,9 +175,7 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		p.graph, p.full, p.cc = prev.graph, prev.full, prev.cc
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(p.graph, anns) },
-			func() {
-				p.origins, p.originsLPM, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph, bogons, opts.TrieIndexes)
-			},
+			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph, bogons) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 
@@ -220,9 +211,7 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 				}
 			},
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
-			func() {
-				p.origins, p.originsLPM, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph, bogons, opts.TrieIndexes)
-			},
+			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph, bogons) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 	}
@@ -266,20 +255,17 @@ func buildConcurrently(on bool, stages ...func()) {
 // 2^32 distinct origins).
 const bogonSlot = ^uint32(0)
 
-// buildOriginIndex is the bulk variant of the origin-table re-key: resolve
-// each distinct origin ASN to an originTab slot once, then compile the index
-// straight from the sorted (prefix → slot) assignment — no intermediate
-// ASN-keyed trie, no Transform pass. The flat slab is the default; the
-// pointer trie is kept behind Options.TrieIndexes as the ablation baseline.
-// Exactly one of the two returned indexes is non-nil.
+// buildOriginIndex compiles the origin slab: resolve each distinct origin
+// ASN to an originTab slot once, then build the index straight from the
+// sorted (prefix → slot) assignment.
 //
-// In flat mode the bogon prefixes are appended under the bogonSlot sentinel
-// — appended last, so a prefix that is both announced and bogon dedups to
+// The bogon prefixes are appended under the bogonSlot sentinel — appended
+// last, so a prefix that is both announced and bogon dedups to
 // bogon, exactly the precedence Figure 3's bogon-first check gives it. The
 // returned flags slice marks, per entry, whether the entry's ancestor chain
 // carries the sentinel: the hot path's entire bogon test is one indexed
 // load of that bit for the entry FindChain already resolved.
-func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set, trie bool) (*netx.FlatLPM, *netx.LPM, []originRef, []bool) {
+func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set) (*netx.FlatLPM, []originRef, []bool) {
 	prefixes, origins := rib.OriginAssignments()
 	slotOf := make(map[bgp.ASN]uint32)
 	vals := make([]uint32, len(prefixes))
@@ -292,9 +278,6 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set, trie
 			tab = append(tab, originRef{asn: o, idx: int32(graph.Index(o))})
 		}
 		vals[i] = s
-	}
-	if trie {
-		return nil, netx.BuildLPM(prefixes, vals), tab, nil
 	}
 	// Full-capacity slices force append to copy: OriginAssignments' result
 	// must not be scribbled on.
@@ -313,11 +296,11 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set, trie
 			}
 		}
 	}
-	return flat, nil, tab, flags
+	return flat, tab, flags
 }
 
 // naiveEntBits expresses AS asIdx's naive valid space as a bitset over the
-// flat origin slab's entry indexes. Every naive prefix is an announced
+// origin slab's entry indexes. Every naive prefix is an announced
 // prefix and therefore an origin-table entry, so the per-flow naive test
 // reduces to testing the entries on the chain FindChain already produced.
 // Returns nil if any prefix is (unexpectedly) absent from the slab; the
@@ -337,10 +320,10 @@ func (p *Pipeline) naiveEntBits(asIdx int) *netx.Bitset {
 // compileMembers builds the per-member validity tables. donor (non-nil only
 // when this build shares prev's graph and closures) lets a member re-wrap
 // its previous cone bitsets — and, when reuseNaive holds (unchanged
-// announcement set), its naive LPM — instead of rematerializing them. The
-// donor's §4.4 extra whitelists are never carried (fresh epoch, fresh
-// corrections). Members are compiled by a worker pool when workers > 1;
-// each slot is written by exactly one goroutine.
+// announcement set), its naive entry bitset — instead of rematerializing
+// them. The donor's §4.4 extra whitelists are never carried (fresh epoch,
+// fresh corrections). Members are compiled by a worker pool when
+// workers > 1; each slot is written by exactly one goroutine.
 func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, reuseNaive bool, workers int) {
 	p.byPort = make(map[uint32]*memberState, len(members))
 	p.byASN = make(map[bgp.ASN]*memberState, len(members))
@@ -366,14 +349,11 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 				}
 			}
 			if from != nil && reuseNaive {
-				// topologyKey mixes in TrieIndexes and the bogon list, so the
-				// donor's index is the same mode as this build's and — with
-				// the announcement set unchanged too — the reused origin
-				// slab's entry indexing is identical, keeping the donor's
-				// entry bitset valid.
-				ms.naiveEnts, ms.naive, ms.naiveLPM = from.naiveEnts, from.naive, from.naiveLPM
-			} else if opts.TrieIndexes {
-				ms.naiveLPM = p.naive.ValidLPM(ms.asIdx)
+				// topologyKey mixes in the bogon list, so with the
+				// announcement set unchanged too the reused origin slab's
+				// entry indexing is identical, keeping the donor's entry
+				// bitset valid.
+				ms.naiveEnts, ms.naive = from.naiveEnts, from.naive
 			} else {
 				ms.naiveEnts = p.naiveEntBits(ms.asIdx)
 				if ms.naiveEnts == nil {

@@ -2,32 +2,31 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 	"time"
 
+	"spoofscope/internal/bogon"
+	"spoofscope/internal/ipfix"
 	"spoofscope/internal/obs"
 )
 
 // TestClassifyBatchMatchesClassify: verdicts from the batch API must equal
-// the per-flow path's, flow for flow, for every chunking of the full
+// the per-flow references', flow for flow, for every chunking of the full
 // scenario — including the boundary batch sizes the consumers never produce
-// (1, a ragged tail, larger than ClassifyBatchSize) — and in both index
-// modes (the trie mode exercises the per-flow fallback).
+// (1, a ragged tail, larger than ClassifyBatchSize). Two references: the
+// pipeline's own per-flow Classify ("flat": same slab, no ingress memo), and
+// the index-free Figure 3 oracle.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		trie bool
-	}{{"flat", false}, {"trie", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, p, flows, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = mode.trie })
-			if (p.origins == nil) == !mode.trie {
-				t.Fatalf("TrieIndexes=%v compiled origins=%v originsLPM=%v",
-					mode.trie, p.origins != nil, p.originsLPM != nil)
-			}
+	_, rib, p, flows, _ := buildEndToEndRIB(t)
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	for _, ref := range []struct {
+		name     string
+		classify func(ipfix.Flow) Verdict
+	}{{"flat", p.Classify}, {"oracle", oracle.classify}} {
+		t.Run(ref.name, func(t *testing.T) {
 			want := make([]Verdict, len(flows))
 			for i, f := range flows {
-				want[i] = p.Classify(f)
+				want[i] = ref.classify(f)
 			}
 			got := make([]Verdict, len(flows))
 			for _, chunk := range []int{1, 7, ClassifyBatchSize, len(flows)} {
@@ -43,7 +42,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 				}
 				for i := range flows {
 					if got[i] != want[i] {
-						t.Fatalf("chunk=%d flow %d: batch %+v, per-flow %+v", chunk, i, got[i], want[i])
+						t.Fatalf("chunk=%d flow %d: batch %+v, %s %+v", chunk, i, got[i], ref.name, want[i])
 					}
 				}
 			}
@@ -64,34 +63,37 @@ func TestClassifyBatchShortBufferPanics(t *testing.T) {
 	p.ClassifyBatch(flows, make([]Verdict, len(flows)-1))
 }
 
-// TestTrieAndFlatPipelinesAgree is the index-mode ablation oracle: the same
-// RIB compiled with TrieIndexes on and off must classify every scenario flow
-// identically. With that established, the batch/flat rollout inherits the
-// per-flow trie path's correctness arguments wholesale.
-func TestTrieAndFlatPipelinesAgree(t *testing.T) {
-	_, flat, flows, _ := buildEndToEnd(t)
-	_, trie, _, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = true })
-	for i, f := range flows {
-		fv, tv := flat.Classify(f), trie.Classify(f)
-		if fv != tv {
-			t.Fatalf("flow %d: flat %+v, trie %+v", i, fv, tv)
-		}
+// TestBatchCheckpointMatchesOraclePerFlow closes the equivalence loop at the
+// checkpoint codec: an aggregate built flow by flow from the index-free
+// oracle's verdicts, and the one a four-worker parallel drain (ClassifyBatch
+// throughout) builds from the same flows, must have byte-identical canonical
+// encodings.
+func TestBatchCheckpointMatchesOraclePerFlow(t *testing.T) {
+	_, rib, p, flows, _ := buildEndToEndRIB(t)
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	ref := NewAggregator(cpStart, time.Hour)
+	for _, f := range flows {
+		ref.Add(f, oracle.classify(f))
 	}
-}
-
-// TestBatchCheckpointMatchesTriePerFlow closes the equivalence loop at the
-// checkpoint codec: a trie-mode sequential Step drain (the pre-batch,
-// pre-FlatLPM code path, per-flow Classify throughout) and a flat-mode
-// parallel drain (ClassifyBatch throughout) over the same flows must write
-// byte-identical checkpoints.
-func TestBatchCheckpointMatchesTriePerFlow(t *testing.T) {
-	_, flat, flows, _ := buildEndToEnd(t)
-	_, trie, _, _ := buildEndToEndOpts(t, func(o *Options) { o.TrieIndexes = true })
-	dir := t.TempDir()
-	ref := runSequential(t, trie, flows, filepath.Join(dir, "trie-seq.ckpt"))
-	got := runParallel(t, flat, flows, 4, filepath.Join(dir, "flat-par.ckpt"))
-	if !bytes.Equal(ref, got) {
-		t.Fatal("flat batched parallel checkpoint differs from trie per-flow sequential")
+	rt, err := NewRuntime(RuntimeConfig{
+		Pipeline: p,
+		Start:    cpStart, Bucket: time.Hour,
+		Queue: unboundedQueue(len(flows)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.IngestBatch(flows); n != len(flows) {
+		t.Fatalf("ingest queued %d of %d flows with shedding disabled", n, len(flows))
+	}
+	rt.Close()
+	if err := rt.RunParallel(nil, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeAgg(t, &Checkpoint{Agg: ref})
+	got := encodeAgg(t, &Checkpoint{Agg: rt.Aggregator()})
+	if !bytes.Equal(want, got) {
+		t.Fatal("batched parallel drain's aggregate differs from the per-flow oracle's")
 	}
 }
 

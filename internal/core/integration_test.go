@@ -15,12 +15,14 @@ import (
 // plus labeled traffic.
 func buildEndToEnd(t *testing.T) (*scenario.Scenario, *Pipeline, []ipfix.Flow, []flowgen.Label) {
 	t.Helper()
-	return buildEndToEndOpts(t, nil)
+	s, _, p, flows, labels := buildEndToEndRIB(t)
+	return s, p, flows, labels
 }
 
-// buildEndToEndOpts is buildEndToEnd with a hook to adjust the pipeline
-// Options before compilation (index-mode equivalence tests flip TrieIndexes).
-func buildEndToEndOpts(t *testing.T, mutate func(*Options)) (*scenario.Scenario, *Pipeline, []ipfix.Flow, []flowgen.Label) {
+// buildEndToEndRIB is buildEndToEnd that also hands back the RIB the pipeline
+// was compiled from: the oracle reads the routed table from it, not from any
+// compiled index.
+func buildEndToEndRIB(t *testing.T) (*scenario.Scenario, *bgp.RIB, *Pipeline, []ipfix.Flow, []flowgen.Label) {
 	t.Helper()
 	s, err := scenario.Build(scenario.SmallConfig())
 	if err != nil {
@@ -39,14 +41,10 @@ func buildEndToEndOpts(t *testing.T, mutate func(*Options)) (*scenario.Scenario,
 		members = append(members, MemberInfo{ASN: m.ASN, Port: m.Port})
 	}
 	routers := traceroute.Simulate(s, 8, 0.05, 3).ExtractRouters()
-	opts := Options{
+	p, err := NewPipeline(rib, members, Options{
 		Orgs:    s.Orgs().MultiASGroups(),
 		Routers: routers,
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	p, err := NewPipeline(rib, members, opts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +57,7 @@ func buildEndToEndOpts(t *testing.T, mutate func(*Options)) (*scenario.Scenario,
 		flows = append(flows, f)
 		labels = append(labels, l)
 	})
-	return s, p, flows, labels
+	return s, rib, p, flows, labels
 }
 
 func TestEndToEndClassification(t *testing.T) {

@@ -1,15 +1,6 @@
 package core
 
-import (
-	"context"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-
-	"spoofscope/internal/ipfix"
-	"spoofscope/internal/netx"
-)
+import "spoofscope/internal/netx"
 
 // Merge folds other into a. Both must have been created with the same
 // start and bucket length. Merge never adopts other's containers — every
@@ -124,66 +115,4 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	}
 	mergeCounterSeries(&a.TriggerSeries, other.TriggerSeries)
 	mergeCounterSeries(&a.ResponseSeries, other.ResponseSeries)
-}
-
-// ClassifyParallel classifies flows across workers goroutines (default and
-// cap: GOMAXPROCS) and returns the merged aggregate. Classification is
-// read-only on the pipeline, so sharding is embarrassingly parallel; only
-// the final merge is serialized. Worker counts beyond GOMAXPROCS clamp:
-// extra goroutines cannot add CPU, only scheduler churn and merge overhead
-// (on the committed 1-CPU benchmark baseline, unclamped parallel-2 measured
-// 849K flows/sec against 1.02M sequential).
-func (p *Pipeline) ClassifyParallel(flows []ipfix.Flow, workers int, newAgg func() *Aggregator) *Aggregator {
-	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
-		workers = max
-	}
-	if workers > len(flows) {
-		workers = len(flows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	aggs := make([]*Aggregator, workers)
-	var wg sync.WaitGroup
-	chunk := (len(flows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(flows) {
-			hi = len(flows)
-		}
-		if lo >= hi {
-			aggs[w] = newAgg()
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("worker", strconv.Itoa(w), "stage", "classify")))
-			agg := newAgg()
-			// One stack-resident verdict buffer per worker, reused across
-			// batches: the classification loop itself allocates nothing.
-			var verdicts [ClassifyBatchSize]Verdict
-			for lo < hi {
-				n := hi - lo
-				if n > ClassifyBatchSize {
-					n = ClassifyBatchSize
-				}
-				batch := flows[lo : lo+n]
-				p.ClassifyBatch(batch, verdicts[:n])
-				for i, f := range batch {
-					agg.Add(f, verdicts[i])
-				}
-				lo += n
-			}
-			aggs[w] = agg
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := aggs[0]
-	for _, agg := range aggs[1:] {
-		out.Merge(agg)
-	}
-	return out
 }

@@ -11,8 +11,8 @@ import (
 	"spoofscope/internal/netx"
 )
 
-// Merge's algebraic properties underpin both ClassifyParallel (shard merge
-// order is scheduler-dependent) and checkpoint resume (a resumed run is a
+// Merge's algebraic properties underpin both RunParallel (the order spilled
+// shards fold in is scheduler-dependent) and checkpoint resume (a resumed run is a
 // merge of restored state and replayed tail). The canonical checkpoint
 // encoding is the equality oracle: two aggregators are equal iff they
 // encode to identical bytes.

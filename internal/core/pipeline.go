@@ -134,33 +134,28 @@ type Options struct {
 	// GOMAXPROCS; explicit values clamp to GOMAXPROCS. 1 runs the original
 	// sequential build. The compiled pipeline is identical either way.
 	BuildWorkers int
-	// TrieIndexes compiles the prefix indexes (origin table, per-member
-	// naive spaces) as pointer-chasing radix tries instead of the default
-	// cache-dense netx.FlatLPM slabs. Classification results are identical;
-	// this is the ablation partner BenchmarkClassifyHotPath measures the
-	// flat layout against.
-	TrieIndexes bool
 }
 
-// memberState is the compiled per-member validity data. Flat mode (the
-// default) expresses the naive valid space as naiveEnts, a bitset over the
-// origin table's entry indexes: every naive prefix is an announced prefix,
-// so it IS an origin-table entry, and "some naive prefix covers src"
-// becomes "some entry on src's precomputed ancestor chain has its bit
-// set" — a few bit tests on data the classifier already holds, instead of
-// a second LPM probe per member. naive (a per-member FlatLPM) is the
-// defensive fallback should a naive prefix ever be missing from the origin
-// table; naiveLPM is the trie-mode (Options.TrieIndexes) variant.
+// memberState is the compiled per-member validity data. The naive valid
+// space is naiveEnts, a bitset over the origin table's entry indexes: every
+// naive prefix is an announced prefix, so it IS an origin-table entry, and
+// "some naive prefix covers src" becomes "some entry on src's precomputed
+// ancestor chain has its bit set" — a few bit tests on data the classifier
+// already holds, instead of a second LPM probe per member. naive (a
+// per-member FlatLPM) is the defensive fallback should a naive prefix ever
+// be missing from the origin table.
 type memberState struct {
 	info      MemberInfo
 	asIdx     int           // dense index in the AS graph, -1 if absent
-	naiveEnts *netx.Bitset  // naive valid space as origin-entry bits, flat mode
-	naive     *netx.FlatLPM // fallback per-member index, flat mode
-	naiveLPM  *netx.LPM     // naive valid space, trie mode
+	naiveEnts *netx.Bitset  // naive valid space as origin-entry bits
+	naive     *netx.FlatLPM // fallback per-member index (naiveEnts == nil)
 	validCC   *netx.Bitset
 	validFC   *netx.Bitset
-	// extra whitelists added by false-positive resolution (§4.4).
-	extra *netx.Trie
+	// extra is the §4.4 whitelist added by false-positive resolution, in
+	// AllowSource order; extraLPM is its index, rebuilt on each (rare)
+	// AllowSource. Both nil until the first correction.
+	extra    []netx.Prefix
+	extraLPM *netx.FlatLPM
 }
 
 // originRef is one distinct origin AS of the routed table, resolved at
@@ -180,32 +175,13 @@ const densePortCap = 1 << 16
 // Pipeline is the compiled classifier. Classification is read-only and
 // safe for concurrent use; AllowSource mutates and must not race Classify.
 type Pipeline struct {
-	// SortedProbe switches ClassifyBatch to the /16-sorted probe order:
-	// each batch is radix-sorted by source /16 so consecutive origin-slab
-	// probes share root16 and cut-span cache lines, with the next span
-	// prefetched one flow ahead. Verdicts are identical either way (written
-	// at arrival indexes). Off by default: on the canonical synthetic trace
-	// sources arrive pool-clustered and the slab spans stay cache-resident,
-	// so the two radix passes and the permuted walk measured ~35ns/flow
-	// slower than arrival order (BenchmarkClassifyHotPath 96ns vs 62ns);
-	// the win this trades for — sorted probes against a cold or very large
-	// table — needs scattered sources to show. Set before classification
-	// starts; must not be flipped while Classify/ClassifyBatch runs.
-	SortedProbe bool
-
-	bogons *bogon.Set
 	// origins maps routed prefixes to indices into originTab
-	// (MOAS-resolved). The flat slab is the default; originsLPM is the trie
-	// variant compiled under Options.TrieIndexes (exactly one is non-nil —
-	// the routed set the Figure 3 "unrouted" test consults is whichever
-	// index the mode compiled). In flat mode the bogon prefixes are merged
-	// into the same slab under the bogonSlot sentinel value, so one
-	// FindChain answers the bogon test, the unrouted test, and the
-	// covering-origin walk together; bogonEntry[e] precomputes "entry e's
-	// chain carries the sentinel", i.e. a bogon prefix covers every address
-	// that resolves to e.
+	// (MOAS-resolved). The bogon prefixes are merged into the same slab
+	// under the bogonSlot sentinel value, so one FindChain answers the bogon
+	// test, the unrouted test, and the covering-origin walk together;
+	// bogonEntry[e] precomputes "entry e's chain carries the sentinel", i.e.
+	// a bogon prefix covers every address that resolves to e.
 	origins    *netx.FlatLPM
-	originsLPM *netx.LPM
 	bogonEntry []bool
 	graph      *astopo.Graph
 	full       *astopo.Closure
@@ -291,113 +267,25 @@ func (p *Pipeline) AllowSource(member bgp.ASN, prefix netx.Prefix) error {
 	if !ok {
 		return fmt.Errorf("core: unknown member %s", member)
 	}
-	if ms.extra == nil {
-		ms.extra = netx.NewTrie()
-	}
-	ms.extra.Insert(prefix, 1)
+	ms.extra = append(ms.extra, prefix)
+	ms.extraLPM = netx.BuildFlatLPM(ms.extra, nil)
 	return nil
 }
 
 // Classify runs the Figure 3 pipeline on one flow.
 func (p *Pipeline) Classify(f ipfix.Flow) Verdict {
-	if p.origins != nil {
-		ms, known := p.member(f.Ingress)
-		return p.classifyFlat(f.SrcAddr, ms, known)
-	}
-	var v Verdict
-	src := f.SrcAddr
-
-	if p.bogons.Contains(src) {
-		v.Class = ClassBogon
-		_, v.KnownMember = p.member(f.Ingress)
-		return v
-	}
-
-	// Collect covering routed prefixes (shortest to longest); the most
-	// specific origin is the attributed source AS. The index values are
-	// compile-time slots into originTab (ASN + dense graph index already
-	// resolved). 17 slots suffice for every possible /8../24 nesting
-	// chain; deeper chains (custom RIB length bounds) collapse into the
-	// last slot so the most specific origin is never lost.
-	var origins [17]uint32
-	nOrigins := 0
-	p.originsLPM.Matches(src, func(bits uint8, slot uint32) bool {
-		if nOrigins < len(origins) {
-			origins[nOrigins] = slot
-			nOrigins++
-		} else {
-			origins[len(origins)-1] = slot
-		}
-		return true
-	})
-	if nOrigins == 0 {
-		v.Class = ClassUnrouted
-		_, v.KnownMember = p.member(f.Ingress)
-		return v
-	}
-	v.SrcOrigin = p.originTab[origins[nOrigins-1]].asn
-	if p.routers != nil && p.routers.Contains(src) {
-		v.RouterIP = true
-	}
-
-	ms, ok := p.member(f.Ingress)
-	if !ok {
-		v.Class = ClassValid
-		return v
-	}
-	v.KnownMember = true
-	if ms.asIdx < 0 {
-		// Member invisible in BGP: everything routed is (conservatively)
-		// valid for it.
-		v.Class = ClassValid
-		return v
-	}
-	if ms.extra != nil {
-		if _, whitelisted := ms.extra.Lookup(src); whitelisted {
-			v.Class = ClassValid
-			return v
-		}
-	}
-
-	// A source is valid under an approach when ANY covering routed prefix
-	// is attributable to the member: covering less-specifics matter when a
-	// customer's PA sub-prefix has a different origin than the provider
-	// block that actually makes the space legitimate.
-	naiveValid := ms.naiveLPM.Contains(src)
-	ccValid, fcValid := false, false
-	for i := 0; i < nOrigins; i++ {
-		oi := int(p.originTab[origins[i]].idx)
-		if oi < 0 {
-			continue
-		}
-		if ms.validCC.Test(oi) {
-			ccValid = true
-		}
-		if ms.validFC.Test(oi) {
-			fcValid = true
-		}
-		if ccValid && fcValid {
-			break
-		}
-	}
-	v.Invalid[ApproachNaive] = !naiveValid
-	v.Invalid[ApproachCC] = !ccValid
-	v.Invalid[ApproachFull] = !fcValid
-	if !naiveValid || !ccValid || !fcValid {
-		v.Class = ClassInvalid
-	}
-	return v
+	ms, known := p.member(f.Ingress)
+	return p.classify(f.SrcAddr, ms, known)
 }
 
-// classifyFlat is the Figure 3 sequence specialized to the flat indexes.
-// One FindChain against the merged origins+bogons slab yields, zero-copy,
-// everything the sequence consults: the bogon test (the hit entry's
-// precomputed bogonEntry flag), the unrouted test (no hit), the covering
-// origin slots (vals — untruncated, so nesting deeper than the per-flow
-// scratch's 17 slots is handled exactly), and the chain entry indexes
-// (ents) the naive bitset test reads. ms/known is the caller's resolved
-// ingress member (ClassifyBatch memoizes it across a batch).
-func (p *Pipeline) classifyFlat(src netx.Addr, ms *memberState, known bool) (v Verdict) {
+// classify is the Figure 3 sequence. One FindChain against the merged
+// origins+bogons slab yields, zero-copy, everything the sequence consults:
+// the bogon test (the hit entry's precomputed bogonEntry flag), the unrouted
+// test (no hit), the covering origin slots (vals — untruncated, so nesting
+// of any depth is handled exactly), and the chain entry indexes (ents) the
+// naive bitset test reads. ms/known is the caller's resolved ingress member
+// (ClassifyBatch memoizes it across a batch).
+func (p *Pipeline) classify(src netx.Addr, ms *memberState, known bool) (v Verdict) {
 	e, vals, ents := p.origins.FindChain(src)
 	if e < 0 {
 		v.Class = ClassUnrouted
@@ -427,12 +315,14 @@ func (p *Pipeline) classifyFlat(src netx.Addr, ms *memberState, known bool) (v V
 		v.Class = ClassValid
 		return v
 	}
-	if ms.extra != nil {
-		if _, whitelisted := ms.extra.Lookup(src); whitelisted {
-			v.Class = ClassValid
-			return v
-		}
+	if ms.extraLPM != nil && ms.extraLPM.Contains(src) {
+		v.Class = ClassValid
+		return v
 	}
+	// A source is valid under an approach when ANY covering routed prefix
+	// is attributable to the member: covering less-specifics matter when a
+	// customer's PA sub-prefix has a different origin than the provider
+	// block that actually makes the space legitimate.
 	naiveValid := false
 	if ms.naiveEnts != nil {
 		// Naive prefixes are announced prefixes, so they sit in the origin
@@ -482,24 +372,14 @@ const ClassifyBatchSize = 256
 // ClassifyBatchSize flows — with the per-flow overheads hoisted out of the
 // loop: the ingress-port → member resolution is memoized across
 // consecutive flows (flows arrive clustered by ingress), verdicts are
-// written in place instead of returned, and the flat path reads covering
-// chains zero-copy so no per-flow scratch exists at all. Verdicts are
-// exactly Classify's, flow for flow; the batch
-// equivalence test asserts byte-identical checkpoints between the two
-// paths. Like Classify it is read-only on the pipeline and safe for
-// concurrent use against one snapshot.
+// written in place instead of returned, and covering chains are read
+// zero-copy so no per-flow scratch exists at all. Verdicts are exactly
+// Classify's, flow for flow (TestClassifyBatchMatchesClassify). Like
+// Classify it is read-only on the pipeline and safe for concurrent use
+// against one snapshot.
 func (p *Pipeline) ClassifyBatch(flows []ipfix.Flow, out []Verdict) {
 	if len(out) < len(flows) {
 		panic("core: ClassifyBatch verdict buffer shorter than batch")
-	}
-	if p.origins == nil {
-		// Trie mode (Options.TrieIndexes): no specialized loop — the batch
-		// API stays available, priced at per-flow cost. This is the
-		// ablation baseline BenchmarkClassifyHotPath reports.
-		for i := range flows {
-			out[i] = p.Classify(flows[i])
-		}
-		return
 	}
 	var (
 		memoValid bool
@@ -507,87 +387,12 @@ func (p *Pipeline) ClassifyBatch(flows []ipfix.Flow, out []Verdict) {
 		memoMS    *memberState
 		memoOK    bool
 	)
-	if n := len(flows); p.SortedProbe && n >= sortProbeMin && n <= ClassifyBatchSize {
-		// Sorted-probe path: resolve members in arrival order (where the
-		// ingress clustering the memo exploits lives), then probe the origin
-		// slab in source-/16 order so consecutive lookups share root16 and
-		// cut-span cache lines, prefetching the next flow's span one probe
-		// ahead. Verdicts land at their arrival index, so the output is
-		// exactly the in-order loop's.
-		var ms [ClassifyBatchSize]*memberState
-		var ok [ClassifyBatchSize]bool
-		for i := range flows {
-			f := &flows[i]
-			if !memoValid || f.Ingress != memoPort {
-				memoMS, memoOK = p.member(f.Ingress)
-				memoValid, memoPort = true, f.Ingress
-			}
-			ms[i], ok[i] = memoMS, memoOK
-		}
-		var order, tmp [ClassifyBatchSize]uint8
-		sortBatchBySlash16(flows, order[:n], tmp[:n])
-		var sink uint32
-		for j := 0; j < n; j++ {
-			if j+1 < n {
-				sink += p.origins.TouchSpan(flows[order[j+1]].SrcAddr)
-			}
-			i := order[j]
-			out[i] = p.classifyFlat(flows[i].SrcAddr, ms[i], ok[i])
-		}
-		touchSpanSink = sink
-		return
-	}
 	for i := range flows {
 		f := &flows[i]
 		if !memoValid || f.Ingress != memoPort {
 			memoMS, memoOK = p.member(f.Ingress)
 			memoValid, memoPort = true, f.Ingress
 		}
-		out[i] = p.classifyFlat(f.SrcAddr, memoMS, memoOK)
-	}
-}
-
-// sortProbeMin is the batch size below which ClassifyBatch skips the
-// /16-sorted probe order: the two radix passes cost more than the locality
-// buys on tiny batches.
-const sortProbeMin = 16
-
-// touchSpanSink keeps ClassifyBatch's prefetch loads observable so the
-// compiler does not discard them.
-var touchSpanSink uint32
-
-// sortBatchBySlash16 writes into order the indexes of flows sorted by
-// source /16 (a stable two-pass byte radix over addr>>16), using tmp as
-// scratch. len(order) == len(tmp) == len(flows) <= 256 (indexes fit uint8).
-func sortBatchBySlash16(flows []ipfix.Flow, order, tmp []uint8) {
-	var count [256]uint16
-	for i := range flows {
-		count[(uint32(flows[i].SrcAddr)>>16)&0xff]++
-	}
-	pos := uint16(0)
-	for b := 0; b < 256; b++ {
-		c := count[b]
-		count[b] = pos
-		pos += c
-	}
-	for i := range flows {
-		b := (uint32(flows[i].SrcAddr) >> 16) & 0xff
-		tmp[count[b]] = uint8(i)
-		count[b]++
-	}
-	count = [256]uint16{}
-	for _, i := range tmp {
-		count[uint32(flows[i].SrcAddr)>>24]++
-	}
-	pos = 0
-	for b := 0; b < 256; b++ {
-		c := count[b]
-		count[b] = pos
-		pos += c
-	}
-	for _, i := range tmp {
-		b := uint32(flows[i].SrcAddr) >> 24
-		order[count[b]] = i
-		count[b]++
+		out[i] = p.classify(f.SrcAddr, memoMS, memoOK)
 	}
 }

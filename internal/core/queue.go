@@ -389,88 +389,29 @@ func (q *IngestQueue) wakeProducers() {
 	}
 }
 
-// Push offers one flow. It reports whether the flow was queued; false means
-// it was shed (watermark policy or full ring) or the queue is closed.
-// Lock-free: concurrent producers contend only on a CAS ticket (and on the
-// shared arrival counter that keys shed decisions).
+// Push offers one flow: PushBatch of a one-flow batch. It reports whether
+// the flow was queued; false means it was shed (watermark policy or full
+// ring) or the queue is closed.
 func (q *IngestQueue) Push(f ipfix.Flow) bool {
-	q.pushing.Add(1)
-	defer q.pushing.Add(-1)
-	if q.closed.Load() {
-		return false
-	}
-	r := q.ringFor(&f)
-	// The arrival index is claimed before the queue/shed decision lands, so
-	// a quiescence check that reads Ingested == Queued+Shed can never miss
-	// an in-flight push.
-	n := q.ingested.Add(1) - 1
-	d := r.depth()
-	if d >= r.hi {
-		q.shedStart(r)
-	}
-	if d >= r.cap ||
-		(r.shedding.Load() && shedKey(q.cfg.ShedSeed, n) < q.cfg.shedFraction()) {
-		q.shed.Add(1)
-		return false
-	}
-	if !r.offer(f) {
-		// Physically full (concurrent producers overshot the logical bound):
-		// same accounting as the depth check above.
-		q.shed.Add(1)
-		return false
-	}
-	q.queued.Add(1)
-	q.observeDepth()
-	if r.depth() >= r.hi {
-		q.shedStart(r)
-	}
-	q.wakeConsumers()
-	return true
+	one := [1]ipfix.Flow{f}
+	return q.PushBatch(one[:]) == 1
 }
 
-// PushWait queues f, blocking while its ring is full instead of shedding.
-// It is the backpressure variant for replayable sources (file readers, the
-// batch benchmark feeder) where dropping would lose data the source could
-// simply have held back; the watermark shed policy never applies. False
-// reports the queue was closed before the flow could be queued. The
-// Ingested/Queued cursor accounting is identical to Push.
+// PushWait queues f with backpressure: PushBatchWait of a one-flow batch.
+// False reports the queue was closed before the flow could be queued.
 func (q *IngestQueue) PushWait(f ipfix.Flow) bool {
-	q.pushing.Add(1)
-	defer q.pushing.Add(-1)
-	r := q.ringFor(&f)
-	for {
-		if q.closed.Load() {
-			return false
-		}
-		// Note the watermark is not consulted and shedding is not armed here:
-		// the shed policy belongs to non-blocking arrivals, which arm it
-		// themselves on entry (Push checks depth >= hi before deciding), so a
-		// backpressure producer saturating its ring journals no shed
-		// transitions — the steady-state fill/park/drain cycle stays
-		// allocation-free.
-		if r.depth() < r.cap && r.offer(f) {
-			q.ingested.Add(1)
-			q.queued.Add(1)
-			q.observeDepth()
-			q.wakeConsumers()
-			return true
-		}
-		// Full: park until a consumer makes room or the queue closes.
-		q.mu.Lock()
-		q.pushWait.Add(1)
-		for r.depth() >= r.cap && !q.closed.Load() {
-			q.notFull.Wait()
-		}
-		q.pushWait.Add(-1)
-		q.mu.Unlock()
-	}
+	one := [1]ipfix.Flow{f}
+	return q.PushBatchWait(one[:])
 }
 
-// PushBatchWait queues every flow of a batch with backpressure (PushWait's
-// never-shed contract), waking parked consumers once per batch instead of
-// once per flow — the cluster worker's flow-frame ingest path. False
+// PushBatchWait queues every flow of a batch, blocking while a flow's ring is
+// full instead of shedding, and wakes parked consumers once per batch. It is
+// the backpressure door for replayable sources (file readers, the cluster
+// worker's flow frames) where dropping would lose data the source could
+// simply have held back; the watermark shed policy never applies. False
 // reports the queue closed before the whole batch could be queued (a prefix
-// may already have been queued and remains consumable).
+// may already have been queued and remains consumable). The Ingested/Queued
+// cursor accounting is identical to PushBatch.
 func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 	q.pushing.Add(1)
 	defer q.pushing.Add(-1)
@@ -484,10 +425,11 @@ func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 				}
 				return false
 			}
-			// Like PushWait, never arms shedding: non-blocking arrivals do
-			// that themselves, and journaling shed transitions from a path
-			// that never sheds would put an allocation in the steady-state
-			// backpressure cycle.
+			// The watermark is not consulted and shedding is never armed
+			// here: non-blocking arrivals arm it themselves on entry
+			// (PushBatch checks depth >= hi before deciding), and journaling
+			// shed transitions from a path that never sheds would put an
+			// allocation in the steady-state fill/park/drain cycle.
 			if r.depth() < r.cap && r.offer(flows[i]) {
 				q.ingested.Add(1)
 				q.queued.Add(1)
@@ -514,10 +456,13 @@ func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 	return true
 }
 
-// PushBatch offers a batch of flows, shedding by the same per-arrival policy
-// as Push, and wakes parked consumers once for the whole batch instead of
-// per flow. It returns how many flows were queued. This is the collectors'
-// decode-into-batch ingest path: one wake per IPFIX message, not per record.
+// PushBatch offers a batch of flows without ever blocking: each arrival is
+// queued or shed (watermark policy, or a full ring) on its own (seed, arrival
+// index) key, and parked consumers are woken once for the whole batch. It
+// returns how many flows were queued. This is the collectors' ingest door:
+// one wake per IPFIX message, not per record. Lock-free: concurrent producers
+// contend only on a CAS ticket (and on the shared arrival counter that keys
+// shed decisions).
 func (q *IngestQueue) PushBatch(flows []ipfix.Flow) int {
 	if len(flows) == 0 {
 		return 0
@@ -530,11 +475,16 @@ func (q *IngestQueue) PushBatch(flows []ipfix.Flow) int {
 	queued := 0
 	for i := range flows {
 		r := q.ringFor(&flows[i])
+		// The arrival index is claimed before the queue/shed decision lands,
+		// so a quiescence check that reads Ingested == Queued+Shed can never
+		// miss an in-flight push.
 		n := q.ingested.Add(1) - 1
 		d := r.depth()
 		if d >= r.hi {
 			q.shedStart(r)
 		}
+		// A failed offer is a ring physically full (concurrent producers
+		// overshot the logical bound): same accounting as the depth check.
 		if d >= r.cap ||
 			(r.shedding.Load() && shedKey(q.cfg.ShedSeed, n) < q.cfg.shedFraction()) ||
 			!r.offer(flows[i]) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,26 +104,38 @@ func TestQueueFullAlwaysSheds(t *testing.T) {
 // with the same seed and asserts the identical flows are shed — the
 // property that makes a faulted replay reproducible.
 func TestQueueShedDeterministic(t *testing.T) {
-	run := func(seed int64) (accepted []uint16, st QueueStats) {
+	// offer is the door the schedule's arrivals come through: flow by flow
+	// through Push, or each burst as one PushBatch. There is one shed policy
+	// behind both, so the same trace must shed the same flows either way.
+	perFlow := func(q *IngestQueue, burst []ipfix.Flow) {
+		for _, f := range burst {
+			q.Push(f)
+		}
+	}
+	batch := func(q *IngestQueue, burst []ipfix.Flow) { q.PushBatch(burst) }
+	run := func(seed int64, offer func(*IngestQueue, []ipfix.Flow)) (accepted []uint16, st QueueStats) {
 		q := NewIngestQueue(QueueConfig{
 			Capacity: 16, HighWatermark: 8, LowWatermark: 4,
 			ShedSeed: seed, ShedFraction: 0.5,
 		})
 		i := 0
 		push := func(n int) {
-			for ; n > 0; n-- {
-				if q.Push(queueFlow(i)) {
-					accepted = append(accepted, uint16(i))
-				}
+			burst := make([]ipfix.Flow, n)
+			for k := range burst {
+				burst[k] = queueFlow(i)
 				i++
 			}
+			offer(q, burst)
 		}
+		// One ring, so the accepted flows are exactly the popped ones, in
+		// arrival order.
 		drain := func(n int) {
 			// Bounded by occupancy so the schedule never blocks; the
 			// realized drain count is itself deterministic because the
 			// accept decisions are.
 			for ; n > 0 && q.Depth() > 0; n-- {
-				q.Pop()
+				f, _ := q.Pop()
+				accepted = append(accepted, f.SrcPort)
 			}
 		}
 		// A fixed interleaving that crosses the watermark repeatedly.
@@ -131,36 +144,30 @@ func TestQueueShedDeterministic(t *testing.T) {
 		push(10)
 		drain(10)
 		push(20)
-		return accepted, q.Stats()
+		st = q.Stats()
+		drain(st.Depth)
+		return accepted, st
 	}
-	a1, s1 := run(42)
-	a2, s2 := run(42)
+	a1, s1 := run(42, perFlow)
+	a2, s2 := run(42, perFlow)
 	if s1 != s2 {
 		t.Fatalf("stats diverged across identical replays: %+v vs %+v", s1, s2)
 	}
-	if len(a1) != len(a2) {
-		t.Fatalf("accepted counts diverged: %d vs %d", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("accepted flow %d diverged: %d vs %d", i, a1[i], a2[i])
-		}
+	if !slices.Equal(a1, a2) {
+		t.Fatalf("accepted flows diverged across identical replays: %v vs %v", a1, a2)
 	}
 	if s1.Shed == 0 {
 		t.Fatal("schedule shed nothing; watermark never engaged")
 	}
-	// A different seed with a fractional policy sheds a different subset.
-	a3, _ := run(43)
-	same := len(a1) == len(a3)
-	if same {
-		for i := range a1 {
-			if a1[i] != a3[i] {
-				same = false
-				break
-			}
-		}
+	if uint64(len(a1)) != s1.Queued {
+		t.Fatalf("popped %d flows, counters say %d were queued", len(a1), s1.Queued)
 	}
-	if same {
+	if ab, sb := run(42, batch); sb != s1 || !slices.Equal(ab, a1) {
+		t.Fatalf("PushBatch shed differently from Push over the same trace:\n per-flow %+v %v\n batch    %+v %v",
+			s1, a1, sb, ab)
+	}
+	// A different seed with a fractional policy sheds a different subset.
+	if a3, _ := run(43, perFlow); slices.Equal(a1, a3) {
 		t.Fatal("seed change left the shed subset identical; decisions are not seed-keyed")
 	}
 }

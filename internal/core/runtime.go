@@ -210,12 +210,6 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 // runtime is closed.
 func (rt *Runtime) Ingest(f ipfix.Flow) bool { return rt.queue.Push(f) }
 
-// IngestFunc adapts Ingest to the ipfix collector callback signature — the
-// collector → queue handoff.
-func (rt *Runtime) IngestFunc() func(ipfix.Flow) {
-	return func(f ipfix.Flow) { rt.Ingest(f) }
-}
-
 // IngestBatch offers a decoded message's flows in one call — the zero-copy
 // hand-off from the collectors' batch callbacks (ServeBatch / ForEachBatch).
 // Flows are queued by value, so the caller may reuse the slice immediately.
@@ -225,13 +219,6 @@ func (rt *Runtime) IngestFunc() func(ipfix.Flow) {
 // closed).
 func (rt *Runtime) IngestBatch(flows []ipfix.Flow) int { return rt.queue.PushBatch(flows) }
 
-// IngestBatchFunc adapts IngestBatch to the collectors' batch callback
-// signature (always continue serving) — the collector → queue handoff for
-// the batch path.
-func (rt *Runtime) IngestBatchFunc() func([]ipfix.Flow) bool {
-	return func(flows []ipfix.Flow) bool { rt.queue.PushBatch(flows); return true }
-}
-
 // IngestWait offers one flow with backpressure: a full queue blocks the
 // caller instead of shedding. This is the feed path for replayable sources
 // (file readers) where every flow must be classified; live collectors keep
@@ -240,8 +227,10 @@ func (rt *Runtime) IngestBatchFunc() func([]ipfix.Flow) bool {
 func (rt *Runtime) IngestWait(f ipfix.Flow) bool { return rt.queue.PushWait(f) }
 
 // IngestBatchWait queues a whole decoded batch with IngestWait's never-shed
-// backpressure contract, waking consumers once per batch. False reports the
-// runtime closed before the whole batch could be queued.
+// backpressure contract, waking consumers once per batch. Its signature is
+// the collectors' batch callback, so a replay is
+// `fr.ForEachBatch(rt.IngestBatchWait)`. False reports the runtime closed
+// before the whole batch could be queued.
 func (rt *Runtime) IngestBatchWait(flows []ipfix.Flow) bool { return rt.queue.PushBatchWait(flows) }
 
 // Swap promotes a freshly-built pipeline as the next epoch and clears the

@@ -395,3 +395,35 @@ func TestRuntimeCheckpointRefusesPendingQueue(t *testing.T) {
 		t.Fatalf("a not-quiescent refusal was counted as a write error: %+v", st)
 	}
 }
+
+// TestPerFlowIngestAllocatesNothing: Ingest and IngestWait are the batch push
+// loops behind a one-flow array, and that array must stay on the caller's
+// stack — a heap allocation here would be one per record for every per-flow
+// producer.
+func TestPerFlowIngestAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const runs = 1000
+	rt, err := NewRuntime(RuntimeConfig{
+		Pipeline: testPipeline(t, Options{}),
+		Start:    cpStart, Bucket: time.Hour,
+		Queue: unboundedQueue(2 * (runs + 1)), // AllocsPerRun warms up once
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := flowFrom("50.1.2.3", 1)
+	for name, ingest := range map[string]func(ipfix.Flow) bool{"Ingest": rt.Ingest, "IngestWait": rt.IngestWait} {
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if !ingest(f) {
+				t.Fatal("flow refused below capacity")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per flow, want 0", name, allocs)
+		}
+	}
+	if st := rt.Stats().Queue; st.Ingested != 2*(runs+1) || st.Queued != st.Ingested || st.Shed != 0 {
+		t.Fatalf("queue counters after %d per-flow ingests: %+v", 2*(runs+1), st)
+	}
+}

@@ -112,7 +112,7 @@ type Generator struct {
 	peerPool   [][]netx.Prefix // peers'-cone prefixes per member (partial transit)
 	heldAll    []netx.Prefix
 	routed     []netx.Prefix // all announced prefixes
-	originLPM  *netx.LPM     // announced prefix -> AS index
+	originLPM  *netx.FlatLPM // announced prefix -> AS index
 	carrier    []int         // AS index -> member index carrying it (-1)
 	bigMembers []int         // fallback egress member indices
 	routerIPs  [][]netx.Addr // per member: its stray router addresses
@@ -151,14 +151,14 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 		g.routerIPs[i] = s.LinkRouterAddrs(m.ASIndex)
 	}
 	g.heldAll = s.AllHeldPrefixes()
-	originTrie := netx.NewTrie()
+	var originAS []uint32
 	for i := 0; i < s.NumASes(); i++ {
 		for _, p := range s.ASInfo(i).Announced {
 			g.routed = append(g.routed, p)
-			originTrie.Insert(p, uint32(i))
+			originAS = append(originAS, uint32(i))
 		}
 	}
-	g.originLPM = originTrie.Freeze()
+	g.originLPM = netx.BuildFlatLPM(g.routed, originAS)
 
 	// Per-prefix path membership (which ASes appear on the observed
 	// announcement paths of each prefix): drives the exact construction of

@@ -1,6 +1,8 @@
 package flowgen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,5 +285,42 @@ func TestDiurnalBounds(t *testing.T) {
 		if v < 0.44 || v > 1.01 {
 			t.Fatalf("diurnal(%d) = %v out of bounds", h, v)
 		}
+	}
+}
+
+// TestGenerateGolden pins the generated trace itself: the repository
+// benchmark builds every workload's input through this generator at run
+// time, so a refactor that changes one emitted flow silently changes what
+// every committed measurement was taken on. The constant is FNV-1a over each
+// flow's fields (big-endian, declaration order, Start as Unix nanoseconds)
+// followed by its label, for scenario.SmallConfig under DefaultConfig. It
+// was recorded at f054a21, when the generator's amplifier-origin index was
+// still a frozen trie; a deliberate change to the trace re-records it.
+func TestGenerateGolden(t *testing.T) {
+	const wantFlows, wantHash = 52099, uint64(0x8db32cfe78a16d48)
+	s, err := scenario.Build(scenario.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	n := 0
+	var rec [50]byte
+	New(s, DefaultConfig()).Generate(func(f ipfix.Flow, l Label) {
+		binary.BigEndian.PutUint64(rec[0:], uint64(f.Start.UnixNano()))
+		binary.BigEndian.PutUint32(rec[8:], uint32(f.SrcAddr))
+		binary.BigEndian.PutUint32(rec[12:], uint32(f.DstAddr))
+		binary.BigEndian.PutUint16(rec[16:], f.SrcPort)
+		binary.BigEndian.PutUint16(rec[18:], f.DstPort)
+		rec[20], rec[21] = f.Protocol, f.TCPFlags
+		binary.BigEndian.PutUint64(rec[22:], f.Packets)
+		binary.BigEndian.PutUint64(rec[30:], f.Bytes)
+		binary.BigEndian.PutUint32(rec[38:], f.Ingress)
+		binary.BigEndian.PutUint32(rec[42:], f.Egress)
+		binary.BigEndian.PutUint32(rec[46:], uint32(l))
+		h.Write(rec[:])
+		n++
+	})
+	if got := h.Sum64(); n != wantFlows || got != wantHash {
+		t.Fatalf("trace = %d flows, FNV-1a %#016x; want %d flows, %#016x", n, got, wantFlows, wantHash)
 	}
 }

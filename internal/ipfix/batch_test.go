@@ -194,7 +194,7 @@ func TestServeStreamZeroAllocSteadyState(t *testing.T) {
 	dec := NewDecoder()
 	run := func() {
 		n, malformed, err := serveStream(bytes.NewReader(data), dec, 0,
-			func(batch []Flow) (int, bool) { return len(batch), true })
+			func([]Flow) bool { return true })
 		if err != nil || malformed != 0 {
 			t.Fatalf("serveStream: n=%d malformed=%d err=%v", n, malformed, err)
 		}

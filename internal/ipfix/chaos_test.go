@@ -34,10 +34,10 @@ func TestServeStreamSkipsMalformedFramedMessages(t *testing.T) {
 	}
 
 	var got []Flow
-	n, malformed, err := serveStream(&stream, NewDecoder(), 0, perFlowDeliver(func(f Flow) bool {
-		got = append(got, f)
+	n, malformed, err := serveStream(&stream, NewDecoder(), 0, func(b []Flow) bool {
+		got = append(got, b...)
 		return true
-	}))
+	})
 	if err != nil {
 		t.Fatalf("serveStream: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestServeStreamFramingLossIsFatal(t *testing.T) {
 	b := make([]byte, msgHeaderLen)
 	binary.BigEndian.PutUint16(b[0:], version)
 	binary.BigEndian.PutUint16(b[2:], 3)
-	_, _, err := serveStream(bytes.NewReader(b), NewDecoder(), 0, perFlowDeliver(func(Flow) bool { return true }))
+	_, _, err := serveStream(bytes.NewReader(b), NewDecoder(), 0, func([]Flow) bool { return true })
 	if err == nil {
 		t.Fatal("framing loss not reported")
 	}
@@ -75,7 +75,7 @@ func TestServeManyConnectionsSurviveFaults(t *testing.T) {
 	seen := map[uint16]bool{} // key: SrcPort, unique per flow below
 	done := make(chan error, 1)
 	go func() {
-		done <- col.Serve(func(f Flow) bool { mu.Lock(); seen[f.SrcPort] = true; mu.Unlock(); return true })
+		done <- col.ServeBatch(PerFlow(func(f Flow) bool { mu.Lock(); seen[f.SrcPort] = true; mu.Unlock(); return true }))
 	}()
 
 	flowsFor := func(base, n int) []Flow {
@@ -181,7 +181,7 @@ func TestServeStreamIdleTimeoutTearsDownConnection(t *testing.T) {
 	defer conn.Close()
 	// Connect, then go silent: the collector must not wait forever.
 	start := time.Now()
-	_, err = col.AcceptOne(func(Flow) bool { return true })
+	_, err = col.AcceptOneBatch(func([]Flow) bool { return true })
 	if err == nil {
 		t.Fatal("silent exporter not torn down")
 	}
@@ -218,7 +218,7 @@ func TestUDPCollectorCountsCorruptDatagrams(t *testing.T) {
 	}
 
 	received := 0
-	malformed, err := col.Serve(time.Now().Add(time.Second), func(Flow) { received++ })
+	malformed, err := col.ServeBatch(time.Now().Add(time.Second), func(b []Flow) bool { received += len(b); return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestUDPCollectorShutdownVsClose(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() {
 		n := 0
-		_, err := col.Serve(time.Time{}, func(Flow) { n++ })
+		_, err := col.ServeBatch(time.Time{}, func(b []Flow) bool { n += len(b); return true })
 		got <- n
 		serveDone <- err
 	}()
@@ -290,7 +290,7 @@ func TestUDPCollectorShutdownVsClose(t *testing.T) {
 	}
 	serveDone2 := make(chan error, 1)
 	go func() {
-		_, err := col2.Serve(time.Time{}, func(Flow) {})
+		_, err := col2.ServeBatch(time.Time{}, func([]Flow) bool { return true })
 		serveDone2 <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -346,9 +346,10 @@ func TestUDPCollectorSurvivesDatagramFaults(t *testing.T) {
 	}
 
 	counts := map[uint16]int{}
-	malformed, err := col.Serve(time.Now().Add(time.Second), func(f Flow) {
+	malformed, err := col.ServeBatch(time.Now().Add(time.Second), PerFlow(func(f Flow) bool {
 		counts[f.SrcPort]++
-	})
+		return true
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,25 +103,6 @@ func (fr *FileReader) NextBatch() ([]Flow, error) {
 // many streams through one reader allocates nothing after the first.
 func (fr *FileReader) Reset(r io.Reader) { fr.r.Reset(r) }
 
-// ForEach streams every flow in the file through fn. It stops early if fn
-// returns false.
-func (fr *FileReader) ForEach(fn func(Flow) bool) error {
-	for {
-		batch, err := fr.NextBatch()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, f := range batch {
-			if !fn(f) {
-				return nil
-			}
-		}
-	}
-}
-
 // ForEachBatch streams the file one decoded message at a time: fn receives
 // each message's flows as a single batch — the zero-copy hand-off a runtime's
 // IngestBatch wants. The slice is the reader's reused scratch, valid only for

@@ -45,7 +45,7 @@ func TestServeStreamNeverHangsOrPanics(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			serveStream(bytes.NewReader(b), NewDecoder(), 0, perFlowDeliver(func(Flow) bool { return true })) //nolint:errcheck
+			serveStream(bytes.NewReader(b), NewDecoder(), 0, func([]Flow) bool { return true }) //nolint:errcheck
 		}()
 		select {
 		case <-done:
@@ -79,6 +79,6 @@ func FuzzServeStream(f *testing.F) {
 	f.Add(clean.Bytes())
 	f.Add(badFramedMessage())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		serveStream(bytes.NewReader(b), NewDecoder(), 0, perFlowDeliver(func(Flow) bool { return true })) //nolint:errcheck
+		serveStream(bytes.NewReader(b), NewDecoder(), 0, func([]Flow) bool { return true }) //nolint:errcheck
 	})
 }

@@ -84,6 +84,21 @@ type Flow struct {
 	Egress  uint32
 }
 
+// PerFlow adapts a per-flow callback to the batch contract every collector
+// and reader delivers through (ServeBatch, AcceptOneBatch, ForEachBatch): fn
+// sees the batch's flows one by one, and its first false stops the batch and
+// the stream.
+func PerFlow(fn func(Flow) bool) func([]Flow) bool {
+	return func(batch []Flow) bool {
+		for i := range batch {
+			if !fn(batch[i]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // Common protocol numbers.
 const (
 	ProtoICMP = 1

@@ -229,7 +229,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 	fr := NewFileReader(bytes.NewReader(buf.Bytes()))
 	var got []Flow
-	if err := fr.ForEach(func(f Flow) bool { got = append(got, f); return true }); err != nil {
+	if err := fr.ForEachBatch(func(b []Flow) bool { got = append(got, b...); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
@@ -244,7 +244,7 @@ func TestFileReaderEarlyStop(t *testing.T) {
 	fw.Flush()
 	n := 0
 	fr := NewFileReader(bytes.NewReader(buf.Bytes()))
-	if err := fr.ForEach(func(Flow) bool { n++; return n < 2 }); err != nil {
+	if err := fr.ForEachBatch(PerFlow(func(Flow) bool { n++; return n < 2 })); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -271,8 +271,9 @@ func TestUDPExportCollect(t *testing.T) {
 	}
 
 	var got []Flow
-	malformed, err := col.Serve(time.Now().Add(500*time.Millisecond), func(f Flow) {
-		got = append(got, f)
+	malformed, err := col.ServeBatch(time.Now().Add(500*time.Millisecond), func(b []Flow) bool {
+		got = append(got, b...)
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,8 @@ func (e *TCPExporter) Close() error {
 type CollectorStats struct {
 	// Connections counts accepted exporter connections (TCP only).
 	Connections int
-	// Flows counts flows delivered to the callback.
+	// Flows counts flows handed to the callback, whole batches: a batch the
+	// callback stops on still counts in full, since the callback saw all of it.
 	Flows int
 	// Malformed counts framed-but-undecodable messages (TCP) or datagrams
 	// (UDP) that were skipped rather than fatal.
@@ -119,24 +120,16 @@ func (c *TCPCollector) Stats() CollectorStats {
 	return c.stats
 }
 
-// AcceptOne accepts a single exporter connection and streams its flows
-// through fn until the exporter closes or fn returns false. It returns the
-// number of flows delivered. Malformed-but-framed messages are skipped and
-// counted, matching the UDP collector's semantics.
-func (c *TCPCollector) AcceptOne(fn func(Flow) bool) (int, error) {
-	return c.acceptOne(perFlowDeliver(fn))
-}
-
-// AcceptOneBatch is AcceptOne's batch-delivery form: fn receives every
-// decoded message's flows as one slice instead of a call per record. The
-// slice is the connection's reused scratch — valid only for the duration of
-// the call; copy (or queue by value, as IngestQueue does) to retain. fn
-// returning false closes the connection after counting that whole batch.
+// AcceptOneBatch accepts a single exporter connection and hands every
+// decoded message's flows to fn as one slice, until the exporter closes or fn
+// returns false. It returns the number of flows delivered and — the one call
+// that does — that connection's framing error, if it ended on one.
+// Malformed-but-framed messages are skipped and counted, matching the UDP
+// collector's semantics. The slice is the connection's reused scratch —
+// valid only for the duration of the call; copy (or queue by value, as
+// IngestQueue does) to retain. fn returning false closes the connection
+// after counting that whole batch.
 func (c *TCPCollector) AcceptOneBatch(fn func([]Flow) bool) (int, error) {
-	return c.acceptOne(batchDeliver(fn))
-}
-
-func (c *TCPCollector) acceptOne(deliver func([]Flow) (int, bool)) (int, error) {
 	conn, err := c.ln.Accept()
 	if err != nil {
 		return 0, err
@@ -146,7 +139,7 @@ func (c *TCPCollector) acceptOne(deliver func([]Flow) (int, bool)) (int, error) 
 	c.stats.Connections++
 	c.mu.Unlock()
 	dec := NewDecoder()
-	n, malformed, err := serveStream(conn, dec, c.IdleTimeout, deliver)
+	n, malformed, err := serveStream(conn, dec, c.IdleTimeout, fn)
 	c.finishStream(conn, dec, n, malformed, err)
 	return n, err
 }
@@ -173,41 +166,23 @@ func (c *TCPCollector) finishStream(conn net.Conn, dec *Decoder, n, malformed in
 	}
 }
 
-// Serve accepts exporter connections until Close or Shutdown, streaming
-// every decoded flow through fn. Connections are handled concurrently but fn
-// is invoked serially, so it needs no locking; fn returning false closes
-// that one connection. A connection that fails only bumps the Disconnects
-// counter — the collector keeps serving the rest. Serve returns nil after a
-// shutdown, once every in-flight connection handler has drained.
-func (c *TCPCollector) Serve(fn func(Flow) bool) error {
-	deliver := perFlowDeliver(fn)
-	return c.serveLoop(func(batch []Flow) (int, bool) {
-		c.fnMu.Lock()
-		defer c.fnMu.Unlock()
-		return deliver(batch)
-	})
-}
-
-// ServeBatch is Serve's batch-delivery form: fn receives every decoded
-// message's flows as one slice — the hand-off a LiveRuntime's IngestBatch
-// wants, one queue wake per IPFIX message instead of per record. Batches
-// from concurrent connections are delivered serially (no locking needed in
-// fn), but the slice is that connection's reused scratch — valid only for
-// the duration of the call; copy or queue by value to retain. fn returning
-// false closes that one connection.
+// ServeBatch accepts exporter connections until Close or Shutdown, handing
+// every decoded message's flows to fn as one slice — the hand-off a
+// LiveRuntime's IngestBatch wants, one queue wake per IPFIX message instead
+// of per record. Connections are handled concurrently (one goroutine each,
+// labelled stage=decode for profilers) but fn is invoked serially, so it
+// needs no locking; the slice is that connection's reused scratch — valid
+// only for the duration of the call; copy or queue by value to retain. fn
+// returning false closes that one connection. A connection that fails only
+// bumps the Disconnects counter — the collector keeps serving the rest.
+// ServeBatch returns nil after a shutdown, once every in-flight connection
+// handler has drained.
 func (c *TCPCollector) ServeBatch(fn func([]Flow) bool) error {
-	deliver := batchDeliver(fn)
-	return c.serveLoop(func(batch []Flow) (int, bool) {
+	deliver := func(batch []Flow) bool {
 		c.fnMu.Lock()
 		defer c.fnMu.Unlock()
-		return deliver(batch)
-	})
-}
-
-// serveLoop is the accept loop Serve and ServeBatch share: one goroutine per
-// connection (labelled stage=decode for profilers), outcomes folded into the
-// collector's stats as each stream ends.
-func (c *TCPCollector) serveLoop(deliver func([]Flow) (int, bool)) error {
+		return fn(batch)
+	}
 	defer c.wg.Wait()
 	for {
 		conn, err := c.ln.Accept()
@@ -237,7 +212,7 @@ func (c *TCPCollector) serveLoop(deliver func([]Flow) (int, bool)) error {
 	}
 }
 
-// Close stops accepting and aborts the active connections; Serve returns
+// Close stops accepting and aborts the active connections; ServeBatch returns
 // once their handlers drain. Use Shutdown to let exporters finish instead.
 func (c *TCPCollector) Close() error {
 	c.mu.Lock()
@@ -256,7 +231,7 @@ func (c *TCPCollector) Close() error {
 
 // Shutdown stops accepting new connections and waits for the active ones to
 // end naturally (exporter close or idle timeout) — the graceful counterpart
-// of Close. It must not be called from inside the Serve callback.
+// of Close. It must not be called from inside the ServeBatch callback.
 func (c *TCPCollector) Shutdown() error {
 	c.mu.Lock()
 	c.closed = true
@@ -270,28 +245,6 @@ func (c *TCPCollector) Shutdown() error {
 // timeouts; plain io.Readers (tests, files) simply run without deadlines.
 type readDeadliner interface {
 	SetReadDeadline(t time.Time) error
-}
-
-// perFlowDeliver adapts a per-flow callback to serveStream's batch contract,
-// reporting how many flows were consumed so a mid-batch stop keeps the exact
-// per-flow delivery count.
-func perFlowDeliver(fn func(Flow) bool) func([]Flow) (int, bool) {
-	return func(batch []Flow) (int, bool) {
-		for i := range batch {
-			if !fn(batch[i]) {
-				return i + 1, false
-			}
-		}
-		return len(batch), true
-	}
-}
-
-// batchDeliver adapts a whole-batch callback: the batch counts in full even
-// when fn stops the stream, since fn saw every flow in it.
-func batchDeliver(fn func([]Flow) bool) func([]Flow) (int, bool) {
-	return func(batch []Flow) (int, bool) {
-		return len(batch), fn(batch)
-	}
 }
 
 // streamScratch is one connection's reusable decode buffers: the framed
@@ -312,13 +265,13 @@ var scratchPool = sync.Pool{New: func() any {
 // dec (one decoder per connection: templates are per-stream state), handing
 // each message's flows to deliver as one batch. The batch slice is pooled
 // scratch reused for the next message — deliver must consume or copy it
-// before returning. A message that frames correctly but fails to decode is
-// skipped and counted in malformed — one bad export must not tear down the
-// feed. Only a framing failure (garbage length, short read, deadline) ends
+// before returning; a batch it stops the stream on still counts in n in
+// full. A message that frames correctly but fails to decode is skipped and
+// counted in malformed — one bad export must not tear down the feed. Only a framing failure (garbage length, short read, deadline) ends
 // the stream with an error, because message boundaries are lost at that
 // point. The caller owns dec and harvests its counters after the stream
 // ends.
-func serveStream(r io.Reader, dec *Decoder, idle time.Duration, deliver func([]Flow) (int, bool)) (n, malformed int, err error) {
+func serveStream(r io.Reader, dec *Decoder, idle time.Duration, deliver func([]Flow) bool) (n, malformed int, err error) {
 	rd, hasDeadline := r.(readDeadliner)
 	br := bufio.NewReaderSize(r, 1<<16)
 	sc := scratchPool.Get().(*streamScratch)
@@ -363,9 +316,8 @@ func serveStream(r io.Reader, dec *Decoder, idle time.Duration, deliver func([]F
 		if len(sc.flows) == 0 {
 			continue // template-only message
 		}
-		consumed, ok := deliver(sc.flows)
-		n += consumed
-		if !ok {
+		n += len(sc.flows)
+		if !deliver(sc.flows) {
 			return n, malformed, nil
 		}
 	}

@@ -34,8 +34,8 @@ func TestTCPExportCollect(t *testing.T) {
 	}()
 
 	var got []Flow
-	n, err := col.AcceptOne(func(f Flow) bool {
-		got = append(got, f)
+	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+		got = append(got, batch...)
 		return true
 	})
 	if err != nil {
@@ -67,11 +67,21 @@ func TestTCPCollectorEarlyStop(t *testing.T) {
 		}
 		exp.Export(t0, flows)
 	}()
-	n, err := col.AcceptOne(func(Flow) bool { return false })
+	// The per-flow callback stops on the first flow it sees; the collector
+	// stops the stream there, and counts the batch it had handed over whole.
+	seen, handed := 0, 0
+	perFlow := PerFlow(func(Flow) bool { seen++; return false })
+	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+		handed += len(batch)
+		return perFlow(batch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("early stop delivered %d flows", n)
+	if seen != 1 {
+		t.Fatalf("callback saw %d flows after returning false on the first", seen)
+	}
+	if n != handed || n == 0 {
+		t.Fatalf("early stop counted %d flows, the one batch handed over held %d", n, handed)
 	}
 }

@@ -35,7 +35,7 @@ func registerCollector(m *obs.Registry, name string, stats func() CollectorStats
 }
 
 // Instrument registers the collector's health counters with t's registry
-// under collector=name and journals connection failures. Call before Serve.
+// under collector=name and journals connection failures. Call before ServeBatch.
 func (c *TCPCollector) Instrument(t *obs.Telemetry, name string) {
 	if t == nil {
 		return
@@ -45,7 +45,7 @@ func (c *TCPCollector) Instrument(t *obs.Telemetry, name string) {
 }
 
 // Instrument registers the collector's health counters with t's registry
-// under collector=name. Call before Serve.
+// under collector=name. Call before ServeBatch.
 func (c *UDPCollector) Instrument(t *obs.Telemetry, name string) {
 	if t == nil {
 		return

@@ -92,29 +92,14 @@ func ListenUDP(addr string) (*UDPCollector, error) {
 // Addr returns the bound address.
 func (c *UDPCollector) Addr() net.Addr { return c.conn.LocalAddr() }
 
-// Serve reads datagrams until the socket is closed or the deadline passes,
-// invoking fn for every decoded flow. Malformed datagrams are counted and
-// skipped. It returns the number of malformed datagrams.
-func (c *UDPCollector) Serve(deadline time.Time, fn func(Flow)) (malformed int, err error) {
-	return c.serveDatagrams(deadline, func(batch []Flow) bool {
-		for i := range batch {
-			fn(batch[i])
-		}
-		return true
-	})
-}
-
-// ServeBatch is Serve's batch-delivery form: fn receives each datagram's
-// decoded flows as one slice — one runtime queue wake per IPFIX message
-// instead of per record. The slice is the collector's reused scratch, valid
-// only for the duration of the call; copy or queue by value to retain. fn
-// returning false stops serving (nil error), the batch-path counterpart of
-// closing the socket.
+// ServeBatch reads datagrams until the socket is closed or the deadline
+// passes, handing each datagram's decoded flows to fn as one slice — one
+// runtime queue wake per IPFIX message instead of per record. Malformed
+// datagrams are counted and skipped; it returns how many there were. The
+// slice is the collector's reused scratch, valid only for the duration of the
+// call; copy or queue by value to retain. fn returning false stops serving
+// (nil error), the callback's counterpart of closing the socket.
 func (c *UDPCollector) ServeBatch(deadline time.Time, fn func([]Flow) bool) (malformed int, err error) {
-	return c.serveDatagrams(deadline, fn)
-}
-
-func (c *UDPCollector) serveDatagrams(deadline time.Time, deliver func([]Flow) bool) (malformed int, err error) {
 	if !deadline.IsZero() {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return 0, err
@@ -151,18 +136,18 @@ func (c *UDPCollector) serveDatagrams(deadline time.Time, deliver func([]Flow) b
 		c.stats.Flows += len(batch)
 		c.syncDecoderLocked()
 		c.mu.Unlock()
-		if len(batch) > 0 && !deliver(batch) {
+		if len(batch) > 0 && !fn(batch) {
 			return malformed, nil
 		}
 	}
 }
 
-// Close closes the socket, unblocking Serve. Serve reports the closed
+// Close closes the socket, unblocking ServeBatch, which reports the closed
 // socket as an error; use Shutdown for an orderly stop.
 func (c *UDPCollector) Close() error { return c.conn.Close() }
 
 // Shutdown stops the collector cleanly: it closes the socket to unblock
-// Serve, which then returns nil instead of the socket-closed error —
+// ServeBatch, which then returns nil instead of the socket-closed error —
 // parity with TCPCollector, distinguishing an orderly stop from a socket
 // failure.
 func (c *UDPCollector) Shutdown() error {
@@ -173,8 +158,8 @@ func (c *UDPCollector) Shutdown() error {
 }
 
 // syncDecoderLocked mirrors the decoder's counters into the stats snapshot.
-// The decoder itself is touched only by the Serve goroutine; copying under
-// c.mu at the points Serve already locks lets Stats read them race-free.
+// The decoder itself is touched only by the ServeBatch goroutine; copying
+// under c.mu at the points it already locks lets Stats read them race-free.
 func (c *UDPCollector) syncDecoderLocked() {
 	c.stats.Messages = c.dec.Messages
 	c.stats.RecordsDecoded = c.dec.RecordsDecoded
@@ -183,7 +168,7 @@ func (c *UDPCollector) syncDecoderLocked() {
 
 // Stats returns the collector's health counters (Connections stays zero:
 // UDP has no connections to count). Decoder-level counters are current as
-// of the last datagram Serve finished with.
+// of the last datagram ServeBatch finished with.
 func (c *UDPCollector) Stats() CollectorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package netx provides compact IPv4 address and prefix types together with
-// the data structures the spoofing classifier is built on: a longest-prefix
-// match radix trie, immutable address interval sets with /24-equivalent
-// accounting, and dense bitsets.
+// the data structures the spoofing classifier is built on: a flat-array
+// longest-prefix-match table (FlatLPM), immutable address interval sets with
+// /24-equivalent accounting, and dense bitsets.
 //
 // Addresses are represented as host-order uint32 scalars (Addr) so that the
 // hot classification path never allocates. Conversions to and from the

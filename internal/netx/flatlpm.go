@@ -2,12 +2,13 @@ package netx
 
 import "sort"
 
-// FlatLPM is the cache-dense longest-prefix-match table used on the
-// classification hot path. Where LPM walks one pointer-indexed trie node
-// per address bit (up to 32 dependent loads) and SortedLPM binary-searches
-// one array per prefix length (up to 25 searches), FlatLPM spends its
-// memory once at build time to make every lookup a bounded number of
-// contiguous-array reads:
+// FlatLPM is the longest-prefix-match table — the only prefix index the
+// module compiles: the classifier's origin slab, the bogon list, the RIB's
+// origin table and the flow generator all build one. Where a radix trie
+// walks one pointer-indexed node per address bit (up to 32 dependent loads)
+// and a per-length sorted array binary-searches once per populated length
+// (up to 25 searches), FlatLPM spends its memory once at build time to make
+// every lookup a bounded number of contiguous-array reads:
 //
 //	root16[addr>>16]  -> slice of the cut array owned by that /16 chunk
 //	starts/cutEntry   -> disjoint address ranges, each mapped to the most
@@ -24,8 +25,10 @@ import "sort"
 //
 // All slabs are flat slices of scalars; the structure holds no per-node
 // pointers, so the GC never traverses it and lookups never chase one.
-// FlatLPM is immutable and safe for concurrent use. It is property- and
-// fuzz-tested against Trie/LPM and SortedLPM (flatlpm_test.go).
+// FlatLPM is immutable and safe for concurrent use. The trie and the sorted
+// arrays it replaced live on as test-only oracles (trie_oracle_test.go,
+// sortedlpm_oracle_test.go): TestFlatLPMProperty and FuzzFlatLPM hold it to
+// both.
 type FlatLPM struct {
 	// starts[i] is the first address of cut i; cutEntry[i] is the entry
 	// index of the most specific stored prefix covering that range, or -1.
@@ -61,8 +64,8 @@ type FlatLPM struct {
 }
 
 // BuildFlatLPM compiles (prefix, value) pairs into a FlatLPM. Duplicate
-// prefixes keep the value that appears last in the input, matching repeated
-// Trie.Insert and BuildLPM. values == nil stores 1 for every prefix
+// prefixes keep the value that appears last in the input (as repeated
+// inserts into a trie would). values == nil stores 1 for every prefix
 // (membership-only tables).
 func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 	if values != nil && len(prefixes) != len(values) {
@@ -70,9 +73,9 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 	}
 	f := &FlatLPM{}
 
-	// Mask host bits first: Trie.Insert walks only the first Bits address
-	// bits, so an unmasked input prefix behaves as its masked form there —
-	// FlatLPM must agree.
+	// Mask host bits first: only the first Bits address bits of a prefix
+	// mean anything, so an unmasked input behaves as its masked form (the
+	// trie oracle's bit walk gives the same answer).
 	ps := make([]Prefix, len(prefixes))
 	for i, p := range prefixes {
 		ps[i] = PrefixFrom(p.Addr, p.Bits)
@@ -270,25 +273,6 @@ func (f *FlatLPM) find(a Addr) int32 {
 	return f.cutEntry[lo-1]
 }
 
-// TouchSpan primes the cache for a subsequent find(a): it reads a's root16
-// chunk bounds and the middle of the chunk's cut span — the first probe the
-// binary search will issue. Callers running batched lookups call it one
-// address ahead so the span's miss latency overlaps the current lookup; the
-// returned value must be folded into a sink the compiler cannot discard.
-// A no-op (returns 0) on tables too small to carry the chunk index — their
-// whole cut array is cache-resident anyway.
-func (f *FlatLPM) TouchSpan(a Addr) uint32 {
-	if f.root16 == nil {
-		return 0
-	}
-	k := uint32(a) >> 16
-	lo, hi := f.root16[k], f.root16[k+1]
-	if lo >= hi {
-		return lo
-	}
-	return f.starts[lo+(hi-lo)>>1]
-}
-
 // Lookup returns the value of the longest stored prefix covering a.
 func (f *FlatLPM) Lookup(a Addr) (value uint32, ok bool) {
 	e := f.find(a)
@@ -302,10 +286,9 @@ func (f *FlatLPM) Lookup(a Addr) (value uint32, ok bool) {
 func (f *FlatLPM) Contains(a Addr) bool { return f.find(a) >= 0 }
 
 // Matches calls fn for every stored prefix covering a, shortest first, with
-// the prefix length and stored value — the closure-based walk, API-parity
-// with LPM.Matches. Returning false stops the walk. Hot paths use
-// MatchesAll instead, which copies the precomputed chain without a call per
-// level.
+// the prefix length and stored value. Returning false stops the walk. Hot
+// paths use FindChain instead, which hands out the precomputed chain without
+// a call per level.
 func (f *FlatLPM) Matches(a Addr, fn func(bits uint8, value uint32) bool) {
 	e := f.find(a)
 	if e < 0 {
@@ -318,37 +301,14 @@ func (f *FlatLPM) Matches(a Addr, fn func(bits uint8, value uint32) bool) {
 	}
 }
 
-// MatchesAll writes the values of every stored prefix covering a into out,
-// shortest first, and returns how many were written (0 when nothing
-// covers a). When the chain is longer than out, the first len(out)-1
-// values are kept and the final slot holds the most specific match — the
-// same truncation the classifier's fixed origin-slot scratch applies — so
-// out[n-1] is always the longest-prefix match.
-func (f *FlatLPM) MatchesAll(a Addr, out []uint32) int {
-	e := f.find(a)
-	if e < 0 || len(out) == 0 {
-		return 0
-	}
-	lo, hi := f.chainOff[e], f.chainOff[e+1]
-	n := int(hi - lo)
-	if n <= len(out) {
-		copy(out, f.chains[lo:hi])
-		return n
-	}
-	n = len(out)
-	copy(out[:n-1], f.chains[lo:])
-	out[n-1] = f.chains[hi-1]
-	return n
-}
-
 // FindChain returns the entry index of the most specific stored prefix
 // covering a plus zero-copy views of its full ancestor chain: vals[i] is
 // the stored value and ents[i] the entry index of the i-th covering
 // prefix, shortest first, ending with the hit entry itself. entry < 0 (and
 // nil slices) means nothing covers a. The returned slices alias internal
-// slabs and must not be modified; unlike MatchesAll nothing is truncated,
-// so callers that need every covering prefix (the classifier's per-member
-// validity scan) see the whole chain at no copy cost.
+// slabs and must not be modified; nothing is truncated, so callers that
+// need every covering prefix (the classifier's per-member validity scan)
+// see the whole chain, however deep, at no copy cost.
 func (f *FlatLPM) FindChain(a Addr) (entry int32, vals, ents []uint32) {
 	e := f.find(a)
 	if e < 0 {

@@ -33,14 +33,6 @@ func TestFlatLPMBasic(t *testing.T) {
 			t.Errorf("Lookup(%s) = %d,%v want %d,%v", c.addr, got, ok, c.want, c.ok)
 		}
 	}
-	var out [17]uint32
-	if n := f.MatchesAll(MustParseAddr("10.1.2.3"), out[:]); n != 3 ||
-		out[0] != 8 || out[1] != 16 || out[2] != 24 {
-		t.Fatalf("MatchesAll chain = %v (n=%d), want [8 16 24]", out[:3], n)
-	}
-	if n := f.MatchesAll(MustParseAddr("11.0.0.1"), out[:]); n != 0 {
-		t.Fatalf("MatchesAll on a miss = %d, want 0", n)
-	}
 }
 
 func TestFlatLPMEmptyAndEdges(t *testing.T) {
@@ -73,35 +65,6 @@ func TestFlatLPMDuplicateOverride(t *testing.T) {
 	}
 	if v, _ := f.Lookup(MustParseAddr("192.0.2.9")); v != 2 {
 		t.Fatalf("duplicate override broken: %d", v)
-	}
-}
-
-func TestFlatLPMTruncatedMatchesAll(t *testing.T) {
-	// A 20-deep nesting chain against a 17-slot scratch: the first 16 slots
-	// keep the shortest covers and the last slot must hold the most
-	// specific — the classifier's origin-slot contract.
-	var ps []Prefix
-	var vs []uint32
-	for bits := uint8(8); bits < 28; bits++ {
-		ps = append(ps, PrefixFrom(MustParseAddr("10.0.0.0"), bits))
-		vs = append(vs, uint32(bits))
-	}
-	f := BuildFlatLPM(ps, vs)
-	var out [17]uint32
-	n := f.MatchesAll(MustParseAddr("10.0.0.1"), out[:])
-	if n != 17 {
-		t.Fatalf("n = %d, want 17", n)
-	}
-	for i := 0; i < 16; i++ {
-		if out[i] != uint32(8+i) {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], 8+i)
-		}
-	}
-	if out[16] != 27 {
-		t.Fatalf("out[16] = %d, want most specific 27", out[16])
-	}
-	if n := f.MatchesAll(MustParseAddr("10.0.0.1"), nil); n != 0 {
-		t.Fatalf("zero-length scratch: n = %d", n)
 	}
 }
 
@@ -219,18 +182,6 @@ func assertSameMatches(t *testing.T, lpm *LPM, flat *FlatLPM, a Addr) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("Matches(%v)[%d]: trie %+v flat %+v", a, i, want[i], got[i])
-		}
-	}
-	// MatchesAll must list the same values in the same (shortest-first)
-	// order when the scratch is large enough.
-	var buf [33]uint32
-	n := flat.MatchesAll(a, buf[:])
-	if n != len(want) {
-		t.Fatalf("MatchesAll(%v) n = %d, want %d", a, n, len(want))
-	}
-	for i := range want {
-		if buf[i] != want[i].value {
-			t.Fatalf("MatchesAll(%v)[%d] = %d, want %d", a, i, buf[i], want[i].value)
 		}
 	}
 	// Early-terminating Matches parity: stopping after the first cover.

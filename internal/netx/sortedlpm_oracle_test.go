@@ -5,9 +5,9 @@ import "sort"
 // SortedLPM is an immutable longest-prefix-match table implemented as one
 // sorted array per prefix length, probed longest-first with binary search.
 // It is the classic alternative to a radix trie: denser memory, no pointer
-// chasing, but up to 25 binary searches per miss. The repository keeps it
-// as the ablation partner of LPM (see bench_test.go); both structures are
-// property-tested against each other.
+// chasing, but up to 25 binary searches per miss. It is test-only: the
+// second, structurally unrelated reference in TestFlatLPMProperty's
+// three-way comparison.
 type SortedLPM struct {
 	// byLen[bits] holds the network addresses of all /bits prefixes,
 	// sorted; values[bits] holds the corresponding payloads.
@@ -74,10 +74,7 @@ func (s *SortedLPM) Lookup(a Addr) (value uint32, ok bool) {
 	for _, bits := range s.lens {
 		net := addr & maskOf(bits)
 		table := s.byLen[bits]
-		// Manual lower-bound search: sort.Search would pay an indirect
-		// closure call per probe, and this structure is the ablation
-		// partner FlatLPM is benchmarked against — it should price the
-		// per-level binary searches, not call overhead.
+		// Manual lower-bound search: no closure call per probe.
 		lo, hi := 0, len(table)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)

@@ -1,13 +1,13 @@
 package netx
 
-// Trie is a binary radix trie over IPv4 prefixes supporting insert and
-// longest-prefix match. Values are 32-bit payloads (typically an AS number
-// or a table index). It is the mutable builder; Freeze it into an LPM for
-// the read-only, cache-friendly structure used on the classification path.
+// Trie and its frozen form LPM were the module's first prefix index. FlatLPM
+// replaced them everywhere; they are kept, test-only, as the independent
+// reference TestFlatLPMProperty and FuzzFlatLPM compare FlatLPM against —
+// one node per address bit is slow but hard to get wrong.
 //
-// The trie is path-compressed lazily: nodes exist only along inserted
-// prefixes, one level per bit. For Internet-scale tables (~700K prefixes)
-// this stays well under 100 MB and lookups touch at most 32 nodes.
+// Trie is a binary radix trie over IPv4 prefixes supporting insert and
+// longest-prefix match. Values are 32-bit payloads. Nodes exist only along
+// inserted prefixes, one level per bit, so lookups touch at most 32 nodes.
 type Trie struct {
 	nodes []trieNode // nodes[0] is the root
 	size  int
@@ -175,22 +175,6 @@ func (l *LPM) Lookup(a Addr) (value uint32, ok bool) {
 func (l *LPM) Contains(a Addr) bool {
 	_, ok := l.Lookup(a)
 	return ok
-}
-
-// Transform returns a copy of the table with every stored value replaced
-// by fn(value); prefixes and structure are untouched. fn is called once
-// per stored prefix. This is the compile-time hook for re-keying a table —
-// e.g. swapping AS numbers for dense graph indices — so the per-lookup
-// consumer pays an array index instead of a map hit.
-func (l *LPM) Transform(fn func(uint32) uint32) *LPM {
-	nodes := make([]trieNode, len(l.nodes))
-	copy(nodes, l.nodes)
-	for i := range nodes {
-		if nodes[i].set {
-			nodes[i].value = fn(nodes[i].value)
-		}
-	}
-	return &LPM{nodes: nodes, size: l.size}
 }
 
 // Matches calls fn for every stored prefix covering a, shortest first,

@@ -258,39 +258,3 @@ func TestLPMMatches(t *testing.T) {
 		t.Fatalf("Matches(10.2.0.1) = %v", got)
 	}
 }
-
-// TestLPMTransform: value re-keying copies the table, applies fn once per
-// stored prefix, and leaves the original untouched — the compile-time hook
-// for swapping AS numbers out for dense table indices.
-func TestLPMTransform(t *testing.T) {
-	tr := NewTrie()
-	tr.Insert(MustParsePrefix("10.0.0.0/8"), 100)
-	tr.Insert(MustParsePrefix("10.1.0.0/16"), 200)
-	tr.Insert(MustParsePrefix("192.168.0.0/16"), 100)
-	lpm := tr.Freeze()
-
-	calls := 0
-	mapped := lpm.Transform(func(v uint32) uint32 {
-		calls++
-		return v + 1
-	})
-	if calls != 3 {
-		t.Fatalf("fn called %d times, want once per stored prefix (3)", calls)
-	}
-	if mapped.Len() != lpm.Len() {
-		t.Fatalf("Len = %d, want %d", mapped.Len(), lpm.Len())
-	}
-	if v, ok := mapped.Lookup(MustParseAddr("10.1.2.3")); !ok || v != 201 {
-		t.Fatalf("mapped most-specific = (%d, %v), want 201", v, ok)
-	}
-	if v, ok := mapped.Lookup(MustParseAddr("10.2.0.1")); !ok || v != 101 {
-		t.Fatalf("mapped less-specific = (%d, %v), want 101", v, ok)
-	}
-	if _, ok := mapped.Lookup(MustParseAddr("11.0.0.1")); ok {
-		t.Fatal("Transform invented a prefix")
-	}
-	// The original is untouched.
-	if v, ok := lpm.Lookup(MustParseAddr("10.1.2.3")); !ok || v != 200 {
-		t.Fatalf("original mutated: (%d, %v), want 200", v, ok)
-	}
-}

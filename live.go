@@ -107,23 +107,16 @@ func NewLiveRuntime(cfg LiveRuntimeConfig) (*LiveRuntime, error) {
 func (lr *LiveRuntime) Telemetry() *Telemetry { return lr.tel }
 
 // Ingest offers one flow; false reports it was shed or the runtime closed.
-// Collectors plug in directly: `col.Serve(deadline, func(f Flow) { lr.Ingest(f) })`.
 func (lr *LiveRuntime) Ingest(f Flow) bool { return lr.rt.Ingest(f) }
-
-// IngestFunc adapts Ingest to the collector callback signature.
-func (lr *LiveRuntime) IngestFunc() func(Flow) { return lr.rt.IngestFunc() }
 
 // IngestBatch offers a decoded message's flows in one call — the zero-copy
 // hand-off from the collectors' batch callbacks (ServeBatch, ForEachBatch).
 // Flows are queued by value so the caller may reuse the slice immediately;
 // parked consumers are woken once per batch instead of per record. It
 // returns how many flows were queued (the rest were shed or the runtime is
-// closed).
+// closed). A live collector keeps serving whatever was shed:
+// `col.ServeBatch(func(b []Flow) bool { lr.IngestBatch(b); return true })`.
 func (lr *LiveRuntime) IngestBatch(flows []Flow) int { return lr.rt.IngestBatch(flows) }
-
-// IngestBatchFunc adapts IngestBatch to the collectors' batch callback
-// signature: `col.ServeBatch(lr.IngestBatchFunc())`.
-func (lr *LiveRuntime) IngestBatchFunc() func([]Flow) bool { return lr.rt.IngestBatchFunc() }
 
 // IngestWait offers one flow with backpressure: a full queue blocks the
 // caller instead of shedding. Use it for replayable sources (file readers)
@@ -131,6 +124,12 @@ func (lr *LiveRuntime) IngestBatchFunc() func([]Flow) bool { return lr.rt.Ingest
 // whose never-block contract bounds their latency. False reports the
 // runtime was closed before the flow could be queued.
 func (lr *LiveRuntime) IngestWait(f Flow) bool { return lr.rt.IngestWait(f) }
+
+// IngestBatchWait queues a whole decoded batch with IngestWait's never-shed
+// backpressure contract, waking consumers once per batch — a file replay is
+// `fr.ForEachBatch(lr.IngestBatchWait)`. False reports the runtime closed
+// before the whole batch could be queued.
+func (lr *LiveRuntime) IngestBatchWait(flows []Flow) bool { return lr.rt.IngestBatchWait(flows) }
 
 // Step consumes one flow: it blocks until a flow (and a promoted
 // classifier) is available and reports false once the runtime is closed
@@ -143,14 +142,25 @@ func (lr *LiveRuntime) Run(ctx context.Context, fn func(Flow, LiveVerdict) bool)
 	return lr.rt.Run(ctx, fn)
 }
 
-// RunParallel consumes flows with `workers` concurrent consumers (default:
-// GOMAXPROCS). Workers classify queue batches against one epoch snapshot
-// into private aggregates, merging into the canonical aggregate only at
-// epoch swaps and idle edges — the hot path takes no shared lock, and a
-// drained run's aggregate (and checkpoint bytes) is identical to the
-// sequential Run's over the same flows. fn (optional) observes every
-// verdict; calls are serialized but arrive in completion order, not arrival
-// order. Do not run concurrently with Step, Run, or another RunParallel.
+// RunParallel consumes flows with `workers` concurrent consumers (default
+// and cap: GOMAXPROCS) until ctx is cancelled or the runtime is closed and
+// drained. Every worker runs the one batch drain loop: claim a batch,
+// classify it against one epoch snapshot, and aggregate it in place —
+// straight into the canonical aggregate — when the runtime lock is free.
+// Only a worker that finds the lock held by another spills the batch into a
+// private shard, and stays on it until its next barrier (the idle edge, or
+// exit), where the shard folds back. Merging is order-independent, so a
+// drained run's aggregate — and its canonical checkpoint encoding — is
+// byte-identical to the sequential Run's over the same flows, whatever the
+// worker count and however many batches spilled. Periodic checkpoints are
+// taken at the first idle edge at which they are due, once every worker has
+// folded.
+//
+// fn (optional) observes every flow and verdict; calls are serialized (one
+// observer lock per batch) but arrive in worker-completion order, not
+// arrival order. Returning false stops consumption: fn is not called again,
+// intake is closed, and workers exit after aggregating their in-flight
+// batches. Do not run concurrently with Step, Run, or another RunParallel.
 func (lr *LiveRuntime) RunParallel(ctx context.Context, workers int, fn func(Flow, LiveVerdict) bool) error {
 	return lr.rt.RunParallel(ctx, workers, fn)
 }

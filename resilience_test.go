@@ -212,12 +212,12 @@ func TestResilientIPFIXFeedMatchesNoFaultRun(t *testing.T) {
 	collected := map[int64]Flow{}
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- col.Serve(func(f Flow) bool {
+		serveDone <- col.ServeBatch(ipfix.PerFlow(func(f Flow) bool {
 			mu.Lock()
 			collected[f.Start.UnixMilli()] = f
 			mu.Unlock()
 			return true
-		})
+		}))
 	}()
 
 	// A corrupt-but-framed IPFIX message: correct length field, version 0.

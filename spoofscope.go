@@ -176,9 +176,9 @@ func (c *Classifier) AllowSource(member ASN, p Prefix) error {
 // classifier. fn returning false stops early.
 func (c *Classifier) ClassifyIPFIX(r io.Reader, fn func(Flow, Verdict) bool) error {
 	fr := ipfix.NewFileReader(r)
-	return fr.ForEach(func(f ipfix.Flow) bool {
+	return fr.ForEachBatch(ipfix.PerFlow(func(f ipfix.Flow) bool {
 		return fn(f, c.pipeline.Classify(f))
-	})
+	}))
 }
 
 // Pipeline exposes the underlying pipeline for advanced analyses
