@@ -2,21 +2,16 @@ package spoofscope
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
-	"sort"
-	"strconv"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
-	"spoofscope/internal/cluster"
 	"spoofscope/internal/core"
 	"spoofscope/internal/experiments"
 	"spoofscope/internal/ipfix"
@@ -200,29 +195,24 @@ func BenchmarkClassifyAggregate(b *testing.B) {
 }
 
 // BenchmarkRuntimeThroughput measures the live runtime's consumption rate
-// over the full default-scale trace (≈440K flows): the observer-free Run
-// drain (the cmd/classify single-core path) against RunParallel at several
-// worker counts — one batch drain engine, entered with one worker or with n.
-// The queue is pre-filled outside the timer so only the drain is measured,
-// and flows/sec is the headline metric tracked in BENCH_runtime.json (`make
-// bench`), gated by the `runtime` section of `make bench-compare`. On a
-// multi-core host the parallel variants scale with workers; under
-// GOMAXPROCS=1 they measure the batching overheads alone.
+// over the full default-scale trace (≈440K flows): the one batch drain loop,
+// entered with one worker (parallel-1, which is also what Run is and the
+// cmd/classify single-core path) or with n. A worker count is registered only
+// when GOMAXPROCS can run it — RunParallel clamps beyond that, and a clamped
+// row would time a smaller count under a bigger name. The queue is pre-filled
+// outside the timer so only the drain is measured, and flows/sec is the
+// headline metric tracked in BENCH_runtime.json (`make bench`), gated by the
+// `runtime` section of `make bench-compare`.
 //
 // The *-telemetry variants run the same drain with a live obs.Telemetry
 // attached, so the baseline records what instrumentation costs (the budget is
 // <5% of the uninstrumented flows/sec) alongside the sampled classify-latency
 // quantiles (classify-p50-ns / classify-p99-ns).
-//
-// parity-1 holds "one worker costs what the sequential drain costs" to a
-// tolerance this host's back-to-back sub-benchmarks cannot: it alternates
-// Run(nil) and RunParallel(1) drains and reports the median per-pair
-// throughput ratio (parity-pct), which `make bench-compare` gates at 97.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	env := benchEnvironment(b)
 	flows := env.Flows
 	// filled returns a closed runtime whose queue holds the whole trace;
-	// drain empties it with Run (workers == 0) or RunParallel.
+	// drain empties it.
 	filled := func(b *testing.B, tel *obs.Telemetry) *core.Runtime {
 		rt, err := core.NewRuntime(core.RuntimeConfig{
 			Pipeline: env.Pipeline,
@@ -241,13 +231,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 		return rt
 	}
 	drain := func(b *testing.B, rt *core.Runtime, workers int) {
-		var err error
-		if workers == 0 {
-			err = rt.Run(nil, nil)
-		} else {
-			err = rt.RunParallel(nil, workers, nil)
-		}
-		if err != nil {
+		if err := rt.RunParallel(nil, workers, nil); err != nil {
 			b.Fatal(err)
 		}
 		if got := rt.Stats().Processed; got != uint64(len(flows)) {
@@ -270,44 +254,24 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 		b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 		if tel != nil {
 			// Quantiles from the last iteration's sampled histogram (one
-			// sample per 64 flows ≈ 6.9K observations over the full trace).
+			// sample per drained batch ≈ 1.7K observations over the full trace).
 			if snap, ok := tel.Metrics.FindHistogram(core.MetricClassifyDuration); ok && snap.Count > 0 {
 				b.ReportMetric(snap.Quantile(0.50)*1e9, "classify-p50-ns")
 				b.ReportMetric(snap.Quantile(0.99)*1e9, "classify-p99-ns")
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, 0, false) })
+	maxWorkers := runtime.GOMAXPROCS(0)
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) { run(b, workers, false) })
+		if workers <= maxWorkers {
+			b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) { run(b, workers, false) })
+		}
 	}
-	b.Run("sequential-telemetry", func(b *testing.B) { run(b, 0, true) })
-	b.Run("parallel-4-telemetry", func(b *testing.B) { run(b, 4, true) })
-	b.Run("parity-1", func(b *testing.B) {
-		// Pairs per iteration: adjacent drains share the machine's mood, so
-		// their ratio cancels it, and the median over pairs sheds the stalls.
-		const pairs = 5
-		timed := func(workers int) float64 {
-			rt := filled(b, nil)
-			t0 := time.Now()
-			drain(b, rt, workers)
-			return time.Since(t0).Seconds()
+	for _, workers := range []int{1, 4} {
+		if workers <= maxWorkers {
+			b.Run(fmt.Sprintf("parallel-%d-telemetry", workers), func(b *testing.B) { run(b, workers, true) })
 		}
-		var ratios []float64
-		for i := 0; i < b.N; i++ {
-			for p := 0; p < pairs; p++ {
-				var seq, par float64
-				if (i+p)%2 == 0 {
-					seq, par = timed(0), timed(1)
-				} else {
-					par, seq = timed(1), timed(0)
-				}
-				ratios = append(ratios, seq/par) // throughput of parallel-1 over sequential
-			}
-		}
-		sort.Float64s(ratios)
-		b.ReportMetric(100*ratios[len(ratios)/2], "parity-pct")
-	})
+	}
 }
 
 // encodeIngestStream frames the whole default-scale trace into one
@@ -334,7 +298,7 @@ func encodeIngestStream(tb testing.TB, env *experiments.Env) []byte {
 }
 
 // startIngestDrain builds a live runtime with a bounded queue and starts its
-// sequential batched drain in the background, returning the runtime and the
+// one-worker drain in the background, returning the runtime and the
 // drain's completion channel. The queue is small relative to the trace so
 // the producer genuinely exercises backpressure (IngestBatchWait parking)
 // rather than buffering the whole replay.
@@ -811,263 +775,6 @@ func BenchmarkIPFIXDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkClusterTransport measures the coordinator→worker flow transport
-// over real TCP loopback — the wire cmd/spoofscope-worker deploys on. One
-// external worker consumes the whole feed; the sweep crosses the flows-per-
-// frame batch size (1/64/512) with wire compression off and on, and the
-// headline flows/sec metric (feed through durable checkpoint) lands in the
-// `cluster` section of BENCH_runtime.json (`make bench`). Batch-1 prices a
-// syscall per flow, so the batch-64 delta is the one that justifies the
-// default; compression trades CPU for bytes and only pays off past loopback.
-// The overhead-batch-N variants interleave a plain and a telemetry-federated
-// lifecycle per iteration and report both throughputs, feeding the
-// clusterObs overhead gate (`make bench-compare`, cap 5%).
-func BenchmarkClusterTransport(b *testing.B) {
-	env := benchEnvironment(b)
-	flows := env.Flows
-	// Small enough that the per-flow-frame variant (batch-1 pays a syscall
-	// per flow, tick-paced when the outbound queue fills) finishes promptly;
-	// large enough to amortize setup across thousands of frames.
-	if len(flows) > 30_000 {
-		flows = flows[:30_000]
-	}
-	var members []core.MemberInfo
-	for _, m := range env.Scenario.Members {
-		members = append(members, core.MemberInfo{ASN: m.ASN, Port: m.Port})
-	}
-	start := env.Scenario.Cfg.Start
-
-	// startCluster brings up one coordinator + one external TCP worker and
-	// distributes the epoch; the returned cleanup tears the pair down in
-	// reverse order so a failed variant cannot leak a live coordinator or a
-	// redialing worker into the variants after it. misses widens both sides'
-	// liveness budget (deadline = 20ms beat × misses): variants that hold
-	// several clusters live on a loaded or small machine need ~1s of slack,
-	// or a scheduling stall reads as a dead link and tears the session into
-	// a replay storm that can wedge a round for minutes. The beat itself
-	// stays at 20ms everywhere — it paces report re-solicitation, so a slow
-	// beat quantizes checkpoint latency and drowns the throughput signal.
-	startCluster := func(b *testing.B, batch, misses int, compress, telemetry, federate bool) (*cluster.Coordinator, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ccfg := cluster.Config{
-			Shards: 4, Members: members,
-			Start: start, Bucket: env.Scenario.Cfg.Duration / 168,
-			HeartbeatInterval: 20 * time.Millisecond,
-			HeartbeatMisses:   misses,
-			FlowBatch:         batch,
-			Compress:          compress,
-		}
-		wcfg := cluster.WorkerConfig{
-			Name: "bench-worker",
-			Dial: func() (net.Conn, error) {
-				return net.Dial("tcp", ln.Addr().String())
-			},
-			HeartbeatInterval: 20 * time.Millisecond,
-			HeartbeatMisses:   misses,
-		}
-		if telemetry {
-			// Both ends instrumented — the overhead pair puts live
-			// registries on BOTH sides so the measured delta is federation
-			// alone (frame encode, ship, fold), not the hot-path sampling
-			// cost the runtime benchmarks already budget separately.
-			ccfg.Telemetry = obs.NewTelemetry()
-			wcfg.Telemetry = obs.NewTelemetry()
-		}
-		if federate {
-			// The federating side ships telemetry frames up the control
-			// plane. The pace is pinned rather than inherited from the
-			// bench's compressed heartbeat: the daemon's default is 2× its
-			// 2s heartbeat, and letting the bench's 20ms beat imply a 40ms
-			// pace would exercise federation at 100× any deployed cadence
-			// and measure that artifact, not the plane.
-			wcfg.Federate = true
-			wcfg.TelemetryInterval = 200 * time.Millisecond
-		}
-		coord, err := cluster.NewCoordinator(ccfg)
-		if err != nil {
-			ln.Close()
-			b.Fatal(err)
-		}
-		go coord.Serve(ln)
-		w, err := cluster.NewWorker(wcfg)
-		if err != nil {
-			coord.Close()
-			ln.Close()
-			b.Fatal(err)
-		}
-		wctx, stopWorker := context.WithCancel(context.Background())
-		workerDone := make(chan struct{})
-		go func() { defer close(workerDone); w.Run(wctx) }()
-		cleanup := func() {
-			stopWorker()
-			<-workerDone
-			coord.Close()
-			ln.Close()
-		}
-		for deadline := time.Now().Add(10 * time.Second); coord.Stats().Workers == 0; {
-			if time.Now().After(deadline) {
-				cleanup()
-				b.Fatal("bench worker never joined")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if _, err := coord.DistributeEpoch(env.RIB); err != nil {
-			cleanup()
-			b.Fatal(err)
-		}
-		return coord, cleanup
-	}
-
-	// feedRound pushes the trace through a live cluster passes times and
-	// waits for the merged checkpoint; expect is the cumulative flow count
-	// this coordinator must have durably processed afterwards.
-	feedRound := func(b *testing.B, coord *cluster.Coordinator, passes int, expect uint64) time.Duration {
-		feedStart := time.Now()
-		for n := 0; n < passes; n++ {
-			for _, f := range flows {
-				coord.Ingest(f)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		cp, err := coord.Checkpoint(ctx)
-		cancel()
-		if err != nil {
-			b.Fatalf("cluster checkpoint: %v (stats %+v)", err, coord.Stats())
-		}
-		elapsed := time.Since(feedStart)
-		if cp.Processed != expect {
-			b.Fatalf("processed %d flows, want %d", cp.Processed, expect)
-		}
-		return elapsed
-	}
-
-	run := func(b *testing.B, batch int, compress bool) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			coord, cleanup := startCluster(b, batch, 0, compress, false, false)
-			b.StartTimer()
-			feedRound(b, coord, 1, uint64(len(flows)))
-			b.StopTimer()
-			cleanup()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-	}
-
-	// pairedRounds is the number of plain/federated feed-round pairs one
-	// benchmark iteration contributes to the overhead estimate, and
-	// pairedPasses stretches each round to several passes of the trace —
-	// a round a few hundred milliseconds long keeps the 20ms flush/beat
-	// quantum a small fraction of what the floor estimator compares.
-	// SPOOFSCOPE_OVERHEAD_ROUNDS overrides the pair count: the smoke gate
-	// only proves the pairs still run and parse, so it dials the estimate
-	// down to a couple of rounds instead of paying for precision.
-	const pairedPasses = 3
-	pairedRounds := 32
-	if s := os.Getenv("SPOOFSCOPE_OVERHEAD_ROUNDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			pairedRounds = n
-		}
-	}
-
-	// floorOf is the mean of the smallest quartile of round durations: the
-	// side's noise-stripped cost. Scheduler stalls and GC only ever add
-	// time, so the fast tail estimates the true floor, and averaging a
-	// quartile of it converges far faster than the single minimum.
-	floorOf := func(rounds []time.Duration) float64 {
-		sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-		k := len(rounds) / 4
-		if k < 1 {
-			k = 1
-		}
-		var sum float64
-		for _, d := range rounds[:k] {
-			sum += d.Seconds()
-		}
-		return sum / float64(k)
-	}
-
-	// runPaired holds one plain and one federated cluster live side by side
-	// and alternates feed rounds between them, so both sides are measured in
-	// steady state under the same machine conditions — sequential variants
-	// measured minutes apart drift by more than the 5% overhead cap on a
-	// loaded box, and per-lifecycle setup (worker join, epoch compile, the
-	// garbage it leaves) swings individual measurements even more. The
-	// headline overhead-pct is the median of the per-pair duration
-	// differences (federated − plain) over the plain floor: the rounds of a
-	// pair are adjacent in time, so differencing cancels the machine's
-	// slow drift, and the median sheds the one-sided scheduling/GC spikes
-	// that make per-round ratios — and even per-side floors minutes apart —
-	// swing by tens of percent on a busy single-core box. The order within
-	// each pair alternates so queue-warmth never lands systematically on
-	// one side. Both clusters get a 50-miss liveness budget (1s at the
-	// 20ms beat) instead of the default 3: four live runtimes share the
-	// machine here, and with 60ms deadlines a scheduling stall reads as a
-	// dead link, tearing down sessions into replay storms that can wedge a
-	// round for minutes. benchjson lifts the metrics into the clusterObs
-	// section that `make bench-compare` gates.
-	runPaired := func(b *testing.B, batch int) {
-		b.ReportAllocs()
-		plainCoord, plainCleanup := startCluster(b, batch, 50, false, true, false)
-		defer plainCleanup()
-		fedCoord, fedCleanup := startCluster(b, batch, 50, false, true, true)
-		defer fedCleanup()
-		var plainRounds, fedRounds []time.Duration
-		var diffs []float64
-		rounds := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < pairedRounds; r++ {
-				rounds++
-				expect := uint64(rounds) * uint64(pairedPasses) * uint64(len(flows))
-				var p, f time.Duration
-				if (i+r)%2 == 0 {
-					p = feedRound(b, plainCoord, pairedPasses, expect)
-					f = feedRound(b, fedCoord, pairedPasses, expect)
-				} else {
-					f = feedRound(b, fedCoord, pairedPasses, expect)
-					p = feedRound(b, plainCoord, pairedPasses, expect)
-				}
-				plainRounds = append(plainRounds, p)
-				fedRounds = append(fedRounds, f)
-				diffs = append(diffs, (f - p).Seconds())
-			}
-		}
-		sort.Float64s(diffs)
-		medianDiff := diffs[len(diffs)/2]
-		if len(diffs)%2 == 0 {
-			medianDiff = (diffs[len(diffs)/2-1] + diffs[len(diffs)/2]) / 2
-		}
-		perRound := float64(len(flows)) * float64(pairedPasses)
-		plainFloor, fedFloor := floorOf(plainRounds), floorOf(fedRounds)
-		b.ReportMetric(perRound/plainFloor, "plain-flows/sec")
-		b.ReportMetric(perRound/fedFloor, "telemetry-flows/sec")
-		b.ReportMetric(medianDiff/plainFloor*100, "overhead-pct")
-	}
-
-	for _, batch := range []int{1, 64, 512} {
-		for _, compress := range []bool{false, true} {
-			batch, compress := batch, compress
-			name := fmt.Sprintf("batch-%d", batch)
-			if compress {
-				name += "-deflate"
-			}
-			b.Run(name, func(b *testing.B) { run(b, batch, compress) })
-		}
-	}
-	// Telemetry-federation overhead pairs at the deployable batch sizes.
-	for _, batch := range []int{64, 512} {
-		batch := batch
-		b.Run(fmt.Sprintf("overhead-batch-%d", batch),
-			func(b *testing.B) { runPaired(b, batch) })
 	}
 }
 

@@ -19,18 +19,13 @@
 // classify hot-path entries parsed from stdin are checked against the
 // committed baseline's classify section and the exit status is non-zero when
 // any variant's flows/sec regressed by more than 15% (`make bench-compare`).
-// When the baseline has a clusterObs section, the federation-overhead gate
-// runs too: the fresh run's plain-vs-telemetry transport variants must show
-// less than 5% throughput overhead. When it has a runtime section, the
-// live-drain gate runs as well: every RuntimeThroughput variant and the
-// end-to-end IngestPath entry must reappear, lose no more than 15% flows/sec,
-// and the ingest entry must keep its effectively-zero allocs/op (cap 512 per
-// whole-trace replay); and the drain-parity gate: parallel-1 must allocate
-// within 1% of sequential and, by the interleaved parity-1 pairs, drain at no
-// less than 97% of its rate — they are one engine. When it has a codec
-// section, every checkpoint-codec variant must reappear and lose no more than
-// 15% MB/s; when it has a merge section, the same for the spill episode's
-// flows/sec, and its allocs/op must be exactly 0. -smoke relaxes the
+// When the baseline has a runtime section, the live-drain gate runs as well:
+// every RuntimeThroughput variant and the end-to-end IngestPath entry must
+// reappear, lose no more than 15% flows/sec, and the ingest entry must keep
+// its effectively-zero allocs/op (cap 512 per whole-trace replay). When it
+// has a codec section, every checkpoint-codec variant must reappear and lose
+// no more than 15% MB/s; when it has a merge section, the same for the spill
+// episode's flows/sec, and its allocs/op must be exactly 0. -smoke relaxes the
 // comparisons to a structural check — every baseline variant must still be
 // produced by the fresh run, but single-iteration timings are reported
 // without being judged — which is what `make verify` and CI run. The spill
@@ -43,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -82,31 +76,6 @@ type buildSummary struct {
 	ASes      float64 `json:"ases,omitempty"`
 }
 
-// clusterSummary surfaces the TCP flow-transport benchmark
-// (BenchmarkClusterTransport/batch-N[-deflate]) as a first-class section:
-// one entry per batch-size/compression variant with its end-to-end
-// flows/sec, so the committed baseline records what frame batching and wire
-// compression are worth on the deployment transport.
-type clusterSummary struct {
-	Benchmark   string  `json:"benchmark"`
-	Batch       int     `json:"batch"`
-	Compressed  bool    `json:"compressed"`
-	FlowsPerSec float64 `json:"flowsPerSec"`
-}
-
-// clusterObsSummary surfaces one BenchmarkClusterTransport/overhead-batch-N
-// entry — an interleaved plain/telemetry-federation transport pair measured
-// under the same machine conditions — with the throughput overhead
-// federation costs. `benchjson -diff` gates this within the fresh run: past
-// clusterObsTolerancePct the observability plane is no longer an observer,
-// and the build fails.
-type clusterObsSummary struct {
-	Batch                int     `json:"batch"`
-	PlainFlowsPerSec     float64 `json:"plainFlowsPerSec"`
-	TelemetryFlowsPerSec float64 `json:"telemetryFlowsPerSec"`
-	OverheadPct          float64 `json:"overheadPct"`
-}
-
 // classifySummary surfaces the single-core classify hot-path benchmark
 // (BenchmarkClassifyHotPath/<path>-flat) as a first-class section: one entry
 // per API path (perflow/batch256) with its ns/flow, flows/sec, and
@@ -122,10 +91,10 @@ type classifySummary struct {
 }
 
 // runtimeSummary surfaces the live-runtime drain benchmarks as a first-class
-// section: one entry per BenchmarkRuntimeThroughput/<variant> (sequential,
-// parallel-N, and their -telemetry twins) plus the end-to-end ingest-path
-// entry (BenchmarkIngestPath: wire bytes -> decode-into-batch -> queue ->
-// drain -> classify -> aggregate, variant "ingest"). `benchjson -diff` gates
+// section: one entry per BenchmarkRuntimeThroughput/<variant> (parallel-N
+// and its -telemetry twin) plus the end-to-end ingest-path entry
+// (BenchmarkIngestPath: wire bytes -> decode-into-batch -> queue -> drain ->
+// classify -> aggregate, variant "ingest"). `benchjson -diff` gates
 // this section: a variant whose flows/sec fell more than 15% below baseline
 // fails, and the ingest variant's allocs/op must stay effectively zero — one
 // replay decodes thousands of messages, so even a single per-message
@@ -163,30 +132,19 @@ type mergeSummary struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// paritySummary surfaces BenchmarkRuntimeThroughput/parity-1: the median,
-// over interleaved pairs, of RunParallel(1)'s drain throughput as a
-// percentage of Run(nil)'s. `benchjson -diff` judges it within the fresh run.
-type paritySummary struct {
-	Benchmark string  `json:"benchmark"`
-	ParityPct float64 `json:"parityPct"`
-}
-
 type document struct {
-	GeneratedAt time.Time           `json:"generatedAt"`
-	GoVersion   string              `json:"goVersion"`
-	NumCPU      int                 `json:"numCPU"`
-	GoMaxProcs  int                 `json:"goMaxProcs"`
-	Env         map[string]string   `json:"env,omitempty"`
-	Benchmarks  []benchmark         `json:"benchmarks"`
-	Latency     []latencySummary    `json:"latency,omitempty"`
-	Build       []buildSummary      `json:"build,omitempty"`
-	Cluster     []clusterSummary    `json:"cluster,omitempty"`
-	ClusterObs  []clusterObsSummary `json:"clusterObs,omitempty"`
-	Classify    []classifySummary   `json:"classify,omitempty"`
-	Runtime     []runtimeSummary    `json:"runtime,omitempty"`
-	Codec       []codecSummary      `json:"codec,omitempty"`
-	Merge       []mergeSummary      `json:"merge,omitempty"`
-	DrainParity []paritySummary     `json:"drainParity,omitempty"`
+	GeneratedAt time.Time         `json:"generatedAt"`
+	GoVersion   string            `json:"goVersion"`
+	NumCPU      int               `json:"numCPU"`
+	GoMaxProcs  int               `json:"goMaxProcs"`
+	Env         map[string]string `json:"env,omitempty"`
+	Benchmarks  []benchmark       `json:"benchmarks"`
+	Latency     []latencySummary  `json:"latency,omitempty"`
+	Build       []buildSummary    `json:"build,omitempty"`
+	Classify    []classifySummary `json:"classify,omitempty"`
+	Runtime     []runtimeSummary  `json:"runtime,omitempty"`
+	Codec       []codecSummary    `json:"codec,omitempty"`
+	Merge       []mergeSummary    `json:"merge,omitempty"`
 }
 
 func main() {
@@ -232,12 +190,6 @@ func main() {
 		if bs, ok := parseBuildEntry(b); ok {
 			doc.Build = append(doc.Build, bs)
 		}
-		if cs, ok := parseClusterEntry(b); ok {
-			doc.Cluster = append(doc.Cluster, cs)
-		}
-		if co, ok := parseClusterObsEntry(b); ok {
-			doc.ClusterObs = append(doc.ClusterObs, co)
-		}
 		if cl, ok := parseClassifyEntry(b); ok {
 			doc.Classify = append(doc.Classify, cl)
 		}
@@ -252,9 +204,6 @@ func main() {
 				Benchmark: b.Name, NsPerOp: b.Metrics["ns/op"],
 				FlowsPerSec: b.Metrics["flows/sec"], AllocsPerOp: b.Metrics["allocs/op"],
 			})
-		}
-		if pct, ok := b.Metrics["parity-pct"]; ok {
-			doc.DrainParity = append(doc.DrainParity, paritySummary{Benchmark: b.Name, ParityPct: pct})
 		}
 	}
 	if *diffPath != "" {
@@ -274,12 +223,6 @@ func main() {
 // fresh measurement may lose before `benchjson -diff` fails the build.
 const regressionTolerance = 0.15
 
-// clusterObsTolerancePct caps how much transport throughput telemetry
-// federation may cost, in percent, measured plain-vs-telemetry within the
-// fresh run itself (not against the baseline — two fresh variants on the
-// same box cancel out machine noise that an absolute comparison would not).
-const clusterObsTolerancePct = 5.0
-
 // ingestAllocTolerance caps BenchmarkIngestPath's allocs/op. One op replays
 // the whole default-scale trace (~6,900 IPFIX messages, ~440K flows), so a
 // single per-message allocation anywhere on the ingest path would report
@@ -288,15 +231,6 @@ const clusterObsTolerancePct = 5.0
 // per-flow allocation.
 const ingestAllocTolerance = 512
 
-// Drain parity: Run(nil) and RunParallel(1) are one worker of one engine, so
-// within a fresh run parallel-1 must drain at no less than parityFloorPct of
-// sequential's rate (median of interleaved pairs) and allocate within
-// parityAllocTolerance of it.
-const (
-	parityFloorPct       = 97.0
-	parityAllocTolerance = 0.01
-)
-
 // diffClassify compares the classify entries of a fresh run (doc, parsed
 // from stdin) against the committed baseline at path. Every baseline
 // variant must reappear in the fresh run (a vanished benchmark is a broken
@@ -304,24 +238,12 @@ const (
 // regressionTolerance below baseline fails, in smoke mode the numbers are
 // printed but not judged — single-iteration CI runs measure nothing.
 //
-// When the baseline carries a clusterObs section, the federation-overhead
-// gate runs too: every baseline batch size must reappear as a fresh
-// plain/telemetry pair, and in full mode a fresh overhead — pooled across
-// the batch variants — beyond clusterObsTolerancePct fails. The overhead
-// is judged within the fresh run only; the baseline's own overhead is
-// printed for context.
-//
 // When the baseline carries a runtime section, the live-drain gate runs
-// last: every baseline variant (sequential/parallel-N drains and the
-// end-to-end ingest replay) must reappear, full mode fails a variant whose
-// flows/sec fell more than regressionTolerance, and the ingest variant
-// additionally fails past ingestAllocTolerance allocs per whole-trace
+// too: every baseline variant (parallel-N drains and the end-to-end ingest
+// replay) must reappear, full mode fails a variant whose flows/sec fell more
+// than regressionTolerance, and the ingest variant additionally fails past ingestAllocTolerance allocs per whole-trace
 // replay — the committed proof that the decode→queue→drain path stays
 // allocation-free in steady state.
-//
-// With a drainParity section in the baseline the same gate also holds the
-// fresh run's parallel-1 to sequential's cost: parity-pct at or above
-// parityFloorPct, allocs/op within parityAllocTolerance.
 //
 // When the baseline carries a codec section, every checkpoint-codec variant
 // must reappear, and full mode fails one whose MB/s fell more than
@@ -363,47 +285,6 @@ func diffClassify(path string, doc document, smoke bool) error {
 		fmt.Printf("classify %-14s %12.0f -> %12.0f flows/sec  %+6.1f%%  %s\n",
 			key, b.FlowsPerSec, c.FlowsPerSec, 100*delta, status)
 	}
-	if len(base.ClusterObs) > 0 {
-		freshObs := make(map[int]clusterObsSummary, len(doc.ClusterObs))
-		for _, o := range doc.ClusterObs {
-			freshObs[o.Batch] = o
-		}
-		pooled, pooledN := 0.0, 0
-		for _, b := range base.ClusterObs {
-			o, ok := freshObs[b.Batch]
-			if !ok {
-				failures = append(failures, fmt.Sprintf(
-					"cluster-obs batch-%d: plain/telemetry pair missing from this run", b.Batch))
-				continue
-			}
-			pooled += o.OverheadPct
-			pooledN++
-			status := "ok"
-			if smoke {
-				status = "smoke"
-			}
-			fmt.Printf("cluster-obs batch-%-4d plain %10.0f  telemetry %10.0f flows/sec  overhead %+5.1f%% (baseline %+5.1f%%)  %s\n",
-				o.Batch, o.PlainFlowsPerSec, o.TelemetryFlowsPerSec, o.OverheadPct, b.OverheadPct, status)
-		}
-		// The gate judges the batch variants pooled, not one by one: each
-		// variant measures the same federation cost at a different flow
-		// batch size, so averaging them halves the residual machine noise
-		// while a real regression moves every variant together.
-		if pooledN > 0 {
-			mean := pooled / float64(pooledN)
-			status := "ok"
-			if smoke {
-				status = "smoke"
-			} else if mean > clusterObsTolerancePct {
-				status = "OVERHEAD"
-				failures = append(failures, fmt.Sprintf(
-					"cluster-obs: telemetry federation costs %.1f%% transport throughput pooled over %d batch variants (cap %.0f%%)",
-					mean, pooledN, clusterObsTolerancePct))
-			}
-			fmt.Printf("cluster-obs pooled    federation overhead %+5.1f%% over %d variants (cap %.0f%%)  %s\n",
-				mean, pooledN, clusterObsTolerancePct, status)
-		}
-	}
 	if len(base.Runtime) > 0 {
 		freshRt := make(map[string]runtimeSummary, len(doc.Runtime))
 		for _, r := range doc.Runtime {
@@ -428,34 +309,6 @@ func diffClassify(path string, doc document, smoke bool) error {
 			}
 			fmt.Printf("runtime  %-20s %12.0f -> %12.0f flows/sec  %+6.1f%%  %s\n",
 				b.Variant, b.FlowsPerSec, r.FlowsPerSec, 100*delta, status)
-		}
-	}
-	if len(base.DrainParity) > 0 {
-		seq, par := freshRuntime(doc, "sequential"), freshRuntime(doc, "parallel-1")
-		switch {
-		case len(doc.DrainParity) == 0 || seq == nil || par == nil:
-			failures = append(failures, "drain parity: parity-1, sequential or parallel-1 missing from this run")
-		default:
-			pct := doc.DrainParity[len(doc.DrainParity)-1].ParityPct
-			status := "ok"
-			if smoke {
-				status = "smoke"
-			} else {
-				if pct < parityFloorPct {
-					status = "PARITY"
-					failures = append(failures, fmt.Sprintf(
-						"drain parity: parallel-1 drains at %.1f%% of sequential's rate (floor %.0f%%) — one engine, one cost",
-						pct, parityFloorPct))
-				}
-				if math.Abs(par.AllocsPerOp-seq.AllocsPerOp) > parityAllocTolerance*seq.AllocsPerOp {
-					status = "ALLOCS"
-					failures = append(failures, fmt.Sprintf(
-						"drain parity: parallel-1 allocates %.0f/op against sequential's %.0f (tolerance %.0f%%)",
-						par.AllocsPerOp, seq.AllocsPerOp, 100*parityAllocTolerance))
-				}
-			}
-			fmt.Printf("parity   parallel-1 at %.1f%% of sequential (baseline %.1f%%, floor %.0f%%), %.0f vs %.0f allocs/op  %s\n",
-				pct, base.DrainParity[len(base.DrainParity)-1].ParityPct, parityFloorPct, par.AllocsPerOp, seq.AllocsPerOp, status)
 		}
 	}
 	if len(base.Merge) > 0 {
@@ -500,18 +353,8 @@ func diffClassify(path string, doc document, smoke bool) error {
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("benchmark gate failed (classify/runtime/codec/merge tolerance %.0f%%, federation overhead cap %.0f%%, ingest alloc cap %d, spill episode allocs 0):\n  %s",
-			100*regressionTolerance, clusterObsTolerancePct, ingestAllocTolerance, strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// freshRuntime finds a runtime variant in the fresh run.
-func freshRuntime(doc document, variant string) *runtimeSummary {
-	for i := range doc.Runtime {
-		if doc.Runtime[i].Variant == variant {
-			return &doc.Runtime[i]
-		}
+		return fmt.Errorf("benchmark gate failed (classify/runtime/codec/merge tolerance %.0f%%, ingest alloc cap %d, spill episode allocs 0):\n  %s",
+			100*regressionTolerance, ingestAllocTolerance, strings.Join(failures, "\n  "))
 	}
 	return nil
 }
@@ -549,7 +392,7 @@ func judge(smoke bool, base, fresh float64) (delta float64, status string, regre
 // BenchmarkIngestPath entry into a runtimeSummary. Throughput variant names
 // end in digits themselves (parallel-4), so the name is tried verbatim first
 // and only on a match failure is one trailing numeric -P GOMAXPROCS suffix
-// stripped and the parse retried, mirroring parseClusterEntry.
+// stripped and the parse retried.
 func parseRuntimeEntry(b benchmark) (runtimeSummary, bool) {
 	name := b.Name
 	if name == "BenchmarkIngestPath" {
@@ -577,13 +420,9 @@ func parseRuntimeEntry(b benchmark) (runtimeSummary, bool) {
 }
 
 // runtimeVariantValid recognizes the throughput benchmark's variant grammar:
-// sequential | parallel-<workers>, optionally suffixed -telemetry.
+// parallel-<workers>, optionally suffixed -telemetry.
 func runtimeVariantValid(v string) bool {
-	v = strings.TrimSuffix(v, "-telemetry")
-	if v == "sequential" {
-		return true
-	}
-	w, ok := strings.CutPrefix(v, "parallel-")
+	w, ok := strings.CutPrefix(strings.TrimSuffix(v, "-telemetry"), "parallel-")
 	if !ok {
 		return false
 	}
@@ -624,8 +463,7 @@ func parseCodecEntry(b benchmark) (codecSummary, bool) {
 
 // parseClassifyEntry lifts one BenchmarkClassifyHotPath/<path>-flat entry
 // into a classifySummary. The variant is tried verbatim first and a trailing
-// numeric -P GOMAXPROCS suffix is stripped on failure, mirroring
-// parseClusterEntry.
+// numeric -P GOMAXPROCS suffix is stripped on failure.
 func parseClassifyEntry(b benchmark) (classifySummary, bool) {
 	variant, ok := strings.CutPrefix(b.Name, "BenchmarkClassifyHotPath/")
 	if !ok {
@@ -675,84 +513,6 @@ func parseBuildEntry(b benchmark) (buildSummary, bool) {
 		Variant:   stripProcs(variant),
 		Seconds:   b.Metrics["ns/op"] / 1e9,
 		ASes:      b.Metrics["ases"],
-	}, true
-}
-
-// parseClusterEntry lifts one BenchmarkClusterTransport/batch-N[-deflate]
-// entry into a clusterSummary. The variant is tried verbatim first — the
-// batch size itself is numeric, so blindly stripping a trailing -N would
-// eat it on a GOMAXPROCS=1 recorder (where Go appends no suffix) — and only
-// on a parse failure is one numeric -P suffix removed and the parse retried.
-func parseClusterEntry(b benchmark) (clusterSummary, bool) {
-	variant, ok := strings.CutPrefix(b.Name, "BenchmarkClusterTransport/")
-	if !ok {
-		return clusterSummary{}, false
-	}
-	if cs, ok := parseClusterVariant(b, variant); ok {
-		return cs, true
-	}
-	if i := strings.LastIndex(variant, "-"); i >= 0 {
-		if _, err := strconv.Atoi(variant[i+1:]); err == nil {
-			return parseClusterVariant(b, variant[:i])
-		}
-	}
-	return clusterSummary{}, false
-}
-
-func parseClusterVariant(b benchmark, variant string) (clusterSummary, bool) {
-	compressed := false
-	if v, ok := strings.CutSuffix(variant, "-deflate"); ok {
-		variant, compressed = v, true
-	}
-	batchStr, ok := strings.CutPrefix(variant, "batch-")
-	if !ok {
-		return clusterSummary{}, false
-	}
-	batch, err := strconv.Atoi(batchStr)
-	if err != nil {
-		return clusterSummary{}, false
-	}
-	return clusterSummary{
-		Benchmark:   b.Name,
-		Batch:       batch,
-		Compressed:  compressed,
-		FlowsPerSec: b.Metrics["flows/sec"],
-	}, true
-}
-
-// parseClusterObsEntry lifts one BenchmarkClusterTransport/overhead-batch-N
-// entry into a clusterObsSummary. The variant interleaves a plain and a
-// telemetry-federated lifecycle per iteration and reports both throughputs
-// plus the median per-pair overhead as custom metrics, so the overhead is a
-// same-conditions comparison rather than two variants measured minutes
-// apart. The batch number is tried verbatim first and a trailing numeric -P
-// GOMAXPROCS suffix is stripped on failure, mirroring parseClusterEntry.
-func parseClusterObsEntry(b benchmark) (clusterObsSummary, bool) {
-	batchStr, ok := strings.CutPrefix(b.Name, "BenchmarkClusterTransport/overhead-batch-")
-	if !ok {
-		return clusterObsSummary{}, false
-	}
-	batch, err := strconv.Atoi(batchStr)
-	if err != nil {
-		i := strings.LastIndex(batchStr, "-")
-		if i < 0 {
-			return clusterObsSummary{}, false
-		}
-		if batch, err = strconv.Atoi(batchStr[:i]); err != nil {
-			return clusterObsSummary{}, false
-		}
-	}
-	plain := b.Metrics["plain-flows/sec"]
-	tele := b.Metrics["telemetry-flows/sec"]
-	over, ok := b.Metrics["overhead-pct"]
-	if !ok || plain <= 0 || tele <= 0 {
-		return clusterObsSummary{}, false
-	}
-	return clusterObsSummary{
-		Batch:                batch,
-		PlainFlowsPerSec:     plain,
-		TelemetryFlowsPerSec: tele,
-		OverheadPct:          over,
 	}, true
 }
 

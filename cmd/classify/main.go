@@ -15,9 +15,9 @@
 // flows; re-running after a crash resumes from the snapshot and produces
 // the same final tallies as an uninterrupted run.
 //
-// Both passes drive the live runtime: -workers N (N >= 1) classifies with N
-// batch-parallel consumers whose private aggregates merge at barriers, 0
-// with the sequential consumer. A reader goroutine pushes flows with
+// Both passes drive the live runtime: -workers N classifies with N workers
+// of the batch drain loop (0 is 1), which aggregate in place and spill to a
+// private shard only under contention. A reader goroutine pushes flows with
 // backpressure (never shedding), so the final tallies — and any checkpoint
 // written — are identical across worker counts.
 //
@@ -92,7 +92,7 @@ func main() {
 		aggTO    = flag.Duration("aggregate", 0, "merge sampled packets into flow records with this idle timeout before classification (0 = off)")
 		ckptPath = flag.String("checkpoint", "", "crash-safe checkpoint file: resume from it if present, snapshot to it periodically")
 		ckptN    = flag.Uint64("checkpoint-every", 100000, "flows between checkpoint snapshots (with -checkpoint)")
-		workersN = flag.Int("workers", 0, "parallel classification workers (0 = single-threaded pass)")
+		workersN = flag.Int("workers", 0, "drain workers (0 = 1)")
 		clusterN = flag.Int("cluster", 0, "run the coordinator/worker cluster runtime with this many in-process workers (0 = off)")
 		shardsN  = flag.Int("shards", 0, "ingress-member shards in cluster mode (default 4 per worker)")
 		coordTCP = flag.String("coordinator-addr", "", "also listen on this TCP address for external spoofscope-worker daemons (enables cluster mode)")
@@ -347,12 +347,12 @@ func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipel
 	return rt.Aggregator(), int(rt.Stats().Processed)
 }
 
-// runFeed replays the flow file through rt — the one code path for both
-// worker counts. A reader goroutine feeds decoded messages with backpressure
-// (IngestBatchWait never sheds, so every flow is classified), leaving out the
-// first skip flows — the ones a resumed checkpoint already accounts for —
-// while the runtime consumes: sequentially with workers == 0, with N
-// batch-parallel consumers otherwise. It returns once the file is exhausted
+// runFeed replays the flow file through rt. A reader goroutine feeds decoded
+// messages with backpressure (IngestBatchWait never sheds, so every flow is
+// classified), leaving out the first skip flows — the ones a resumed
+// checkpoint already accounts for — while max(workers, 1) drain workers
+// consume (0 must not reach RunParallel, where it means GOMAXPROCS). It
+// returns once the file is exhausted
 // and the queue drained, or, with interrupted set, once a cancelled ctx has
 // closed intake and the queue drained.
 func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip uint64, workers int, aggTO time.Duration) (interrupted bool, err error) {
@@ -363,11 +363,7 @@ func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip u
 		// the read.
 		feedErr <- feedFlows(fr, aggTO, skipFirst(skip, rt.IngestBatchWait))
 	}()
-	if workers > 0 {
-		err = rt.RunParallel(ctx, workers, nil)
-	} else {
-		err = rt.Run(ctx, nil)
-	}
+	err = rt.RunParallel(ctx, max(workers, 1), nil)
 	interrupted = errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		return false, err

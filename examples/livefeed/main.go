@@ -70,7 +70,7 @@ func run() error {
 		Classifier: sim.Classifier(),
 		Members:    sim.Members(),
 		Start:      start, Bucket: time.Hour,
-		Queue:           spoofscope.QueueConfig{Capacity: 8192, ShedSeed: 5},
+		Queue:           spoofscope.QueueConfig{Capacity: 8192},
 		CheckpointPath:  ckpt,
 		CheckpointEvery: 2000,
 		Telemetry:       tel,

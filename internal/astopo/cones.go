@@ -285,12 +285,6 @@ func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
 // NumPrefixes returns the number of distinct prefixes AS u is valid for.
 func (n *NaiveIndex) NumPrefixes(u int) int { return len(n.prefixes[u]) }
 
-// ValidFlatLPM compiles AS u's valid space into the flat-slab form the
-// classification hot path uses (membership-only; values are irrelevant).
-func (n *NaiveIndex) ValidFlatLPM(u int) *netx.FlatLPM {
-	return netx.BuildFlatLPM(n.prefixes[u], nil)
-}
-
 // ValidPrefixes returns the distinct announced prefixes AS u is naively
 // valid for. The slice is owned by the index and must not be modified; the
 // classifier maps each prefix to its origins-table entry index to express

@@ -223,10 +223,6 @@ func TestNaiveIndex(t *testing.T) {
 	if n := ni.NumPrefixes(g.Index(1001)); n != 1 {
 		t.Errorf("NumPrefixes(1001) = %d", n)
 	}
-	lpm := ni.ValidFlatLPM(g.Index(1001))
-	if !lpm.Contains(netx.MustParseAddr("20.1.200.200")) {
-		t.Error("ValidFlatLPM miss")
-	}
 }
 
 // TestConeContainmentProperty verifies §3.4: per-AS valid space under Naive

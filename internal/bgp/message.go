@@ -155,8 +155,6 @@ func appendPrefix(b []byte, p netx.Prefix) []byte {
 	return b
 }
 
-func prefixWireLen(p netx.Prefix) int { return 1 + (int(p.Bits)+7)/8 }
-
 // decodePrefix decodes one NLRI prefix, returning the bytes consumed.
 func decodePrefix(b []byte) (netx.Prefix, int, error) {
 	if len(b) < 1 {

@@ -62,9 +62,6 @@ type Config struct {
 	// resumes from it: shards restart orphaned at their durable state and
 	// redialing workers reclaim them by identity.
 	LedgerPath string
-	// LedgerEvery is the number of heartbeat intervals between timed
-	// ledger syncs (default 8; report merges sync regardless).
-	LedgerEvery int
 	// Resume, when non-nil, is a baseline checkpoint folded into every
 	// Checkpoint produced by this coordinator — how a cluster run
 	// continues from a prior run's (cluster or single-process) checkpoint.
@@ -114,13 +111,6 @@ func (c *Config) helloTimeout() time.Duration {
 		return c.deadline()
 	}
 	return c.HelloTimeout
-}
-
-func (c *Config) ledgerEvery() int {
-	if c.LedgerEvery <= 0 {
-		return 8
-	}
-	return c.LedgerEvery
 }
 
 // outboundDepth bounds a link's outbound frame queue. A worker that stops
@@ -623,14 +613,12 @@ func (c *Coordinator) tick() {
 				go c.killLink(l, "outbound queue full with the writer stalled")
 			}
 		}
-		// Every few beats, solicit reports so replay buffers stay bounded
-		// between explicit checkpoints.
+		// Every eighth beat, solicit reports so replay buffers stay bounded
+		// between explicit checkpoints, and sync the ledger: the timed sync
+		// catches ingest-only progress (routed flows buffering for orphaned
+		// shards) between report merges, which sync regardless.
 		if n%8 == 0 {
 			c.requestReportsLocked()
-		}
-		// Timed ledger sync: catches ingest-only progress (routed flows
-		// buffering for orphaned shards) between report merges.
-		if n%c.cfg.ledgerEvery() == 0 {
 			c.saveLedgerLocked()
 		}
 		c.mu.Unlock()

@@ -220,7 +220,9 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	if stats.Reuse != BuildCold {
 		donor = prev
 	}
-	p.compileMembers(members, opts, donor, stats.Reuse == BuildReusedPipeline, workers)
+	if err := p.compileMembers(members, opts, donor, stats.Reuse == BuildReusedPipeline, workers); err != nil {
+		return nil, stats, err
+	}
 
 	stats.Duration = time.Since(t0)
 	stats.ASes = p.graph.NumASes()
@@ -303,18 +305,18 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set) (*ne
 // origin slab's entry indexes. Every naive prefix is an announced
 // prefix and therefore an origin-table entry, so the per-flow naive test
 // reduces to testing the entries on the chain FindChain already produced.
-// Returns nil if any prefix is (unexpectedly) absent from the slab; the
-// caller then falls back to a per-member index.
-func (p *Pipeline) naiveEntBits(asIdx int) *netx.Bitset {
+// Both derive from the same announcements; a prefix absent from the slab
+// means they did not, and the build fails rather than classify from it.
+func (p *Pipeline) naiveEntBits(mi MemberInfo, asIdx int) (*netx.Bitset, error) {
 	b := netx.NewBitset(p.origins.Len())
 	for _, pr := range p.naive.ValidPrefixes(asIdx) {
 		e := p.origins.EntryOf(pr)
 		if e < 0 {
-			return nil
+			return nil, fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", mi.ASN, mi.Port, pr)
 		}
 		b.Set(int(e))
 	}
-	return b
+	return b, nil
 }
 
 // compileMembers builds the per-member validity tables. donor (non-nil only
@@ -323,8 +325,9 @@ func (p *Pipeline) naiveEntBits(asIdx int) *netx.Bitset {
 // announcement set), its naive entry bitset — instead of rematerializing
 // them. The donor's §4.4 extra whitelists are never carried (fresh epoch,
 // fresh corrections). Members are compiled by a worker pool when
-// workers > 1; each slot is written by exactly one goroutine.
-func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, reuseNaive bool, workers int) {
+// workers > 1; each slot is written by exactly one goroutine. The error, if
+// any, is the first failing member's in input order.
+func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, reuseNaive bool, workers int) error {
 	p.byPort = make(map[uint32]*memberState, len(members))
 	p.byASN = make(map[bgp.ASN]*memberState, len(members))
 	maxPort := uint32(0)
@@ -338,6 +341,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	}
 
 	states := make([]*memberState, len(members))
+	errs := make([]error, len(members))
 	build := func(i int) {
 		mi := members[i]
 		ms := &memberState{info: mi, asIdx: p.graph.Index(mi.ASN)}
@@ -353,16 +357,9 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 				// announcement set unchanged too the reused origin slab's
 				// entry indexing is identical, keeping the donor's entry
 				// bitset valid.
-				ms.naiveEnts, ms.naive = from.naiveEnts, from.naive
+				ms.naiveEnts = from.naiveEnts
 			} else {
-				ms.naiveEnts = p.naiveEntBits(ms.asIdx)
-				if ms.naiveEnts == nil {
-					// A naive prefix missing from the origin table cannot
-					// happen (both derive from the same announcements), but
-					// if it ever does, a per-member flat index preserves
-					// correctness at the old per-member probe cost.
-					ms.naive = p.naive.ValidFlatLPM(ms.asIdx)
-				}
+				ms.naiveEnts, errs[i] = p.naiveEntBits(mi, ms.asIdx)
 			}
 			if from != nil {
 				ms.validCC, ms.validFC = from.validCC, from.validFC
@@ -399,6 +396,11 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 			build(i)
 		}
 	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 
 	// Registration stays sequential and in input order so duplicate ports
 	// or ASNs resolve exactly as the sequential build always has.
@@ -410,6 +412,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 		}
 		p.byASN[mi.ASN] = ms
 	}
+	return nil
 }
 
 // MetricBuildDuration is the pipeline-compilation histogram's name.

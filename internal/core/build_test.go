@@ -80,7 +80,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 	if st.Reuse != BuildCold {
 		t.Fatalf("initial build reuse = %s, want cold", st.Reuse)
 	}
-	refBytes := runSequential(t, cold, flows, filepath.Join(dir, "ref.ckpt"))
+	refBytes := runParallel(t, cold, flows, 0, filepath.Join(dir, "ref.ckpt"))
 
 	// Unchanged snapshot: full pipeline reuse, same behavior.
 	reused, st2, err := RebuildPipeline(cold, rib, members, opts)
@@ -91,7 +91,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 		t.Fatalf("unchanged-snapshot reuse = %s, want reused-pipeline", st2.Reuse)
 	}
 	requireSameVerdicts(t, "reused-pipeline", cold, reused, flows)
-	if got := runSequential(t, reused, flows, filepath.Join(dir, "reused.ckpt")); !bytes.Equal(refBytes, got) {
+	if got := runParallel(t, reused, flows, 0, filepath.Join(dir, "reused.ckpt")); !bytes.Equal(refBytes, got) {
 		t.Fatal("reused-pipeline checkpoint differs from cold build's")
 	}
 
@@ -118,8 +118,8 @@ func TestRebuildReuseTiers(t *testing.T) {
 		t.Fatalf("prefix-only change reuse = %s, want reused-closures", stInc.Reuse)
 	}
 	requireSameVerdicts(t, "reused-closures", cold2, inc2, flows)
-	a := runSequential(t, cold2, flows, filepath.Join(dir, "cold2.ckpt"))
-	b := runSequential(t, inc2, flows, filepath.Join(dir, "inc2.ckpt"))
+	a := runParallel(t, cold2, flows, 0, filepath.Join(dir, "cold2.ckpt"))
+	b := runParallel(t, inc2, flows, 0, filepath.Join(dir, "inc2.ckpt"))
 	if !bytes.Equal(a, b) {
 		t.Fatal("reused-closures checkpoint differs from cold build's")
 	}
@@ -167,7 +167,7 @@ func TestBuildWorkersEquivalence(t *testing.T) {
 	if stSeq.Workers != 1 {
 		t.Fatalf("sequential build ran %d workers", stSeq.Workers)
 	}
-	ref := runSequential(t, seq, flows, filepath.Join(dir, "w1.ckpt"))
+	ref := runParallel(t, seq, flows, 0, filepath.Join(dir, "w1.ckpt"))
 
 	for _, w := range []int{2, 4, 16} {
 		parOpts := opts
@@ -184,7 +184,7 @@ func TestBuildWorkersEquivalence(t *testing.T) {
 			t.Fatalf("BuildWorkers=%d ran %d workers, want %d", w, stPar.Workers, want)
 		}
 		requireSameVerdicts(t, "parallel-build", seq, par, flows)
-		got := runSequential(t, par, flows, filepath.Join(dir, "wN.ckpt"))
+		got := runParallel(t, par, flows, 0, filepath.Join(dir, "wN.ckpt"))
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("BuildWorkers=%d checkpoint differs from sequential build's", w)
 		}

@@ -19,23 +19,26 @@ import (
 // golden traces must aggregate to the committed testdata/*.ckpt byte for
 // byte. The golden verdicts are synthesised, so the drain hook substitutes
 // them for the pipeline's (each flow carries its index in Egress, which no
-// aggregate reads). The forced-spill row starts with the runtime lock held,
-// so both workers spill every batch into their private shards, and lets go
-// half way: the rest of the run folds those shards back on lock wins and
-// aggregates in place.
+// aggregate reads). The observed row passes Run a counting observer: same
+// loop, same bytes, one call per flow. The forced-spill row starts with the
+// runtime lock held, so both workers spill every batch into their private
+// shards, and lets go half way: the rest of the run folds those shards back
+// on lock wins and aggregates in place.
 func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
 	_, p, _, _ := buildEndToEnd(t)
 	modes := []struct {
-		name    string
-		workers int // 0 is Run(nil)
-		spill   bool
+		name     string
+		workers  int // 0 is Run
+		observed bool
+		spill    bool
 	}{
-		{"run", 0, false},
-		{"parallel-1", 1, false},
-		{"parallel-2", 2, false},
-		{"parallel-4", 4, false},
-		{"parallel-2-spilled", 2, true},
+		{"run", 0, false, false},
+		{"run-observed", 0, true, false},
+		{"parallel-1", 1, false, false},
+		{"parallel-2", 2, false, false},
+		{"parallel-4", 4, false, false},
+		{"parallel-2-spilled", 2, false, true},
 	}
 	for _, shape := range goldenShapes {
 		want, err := os.ReadFile(filepath.Join("testdata", shape.name+".ckpt"))
@@ -73,13 +76,16 @@ func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 				if mode.spill {
 					rt.mu.Lock()
 				}
-				if mode.workers == 0 {
-					err = rt.Run(nil, nil)
-				} else {
-					err = rt.RunParallel(nil, mode.workers, nil)
+				observedFlows := 0 // plain int: fn calls are serialized
+				var fn func(ipfix.Flow, LiveVerdict) bool
+				if mode.observed {
+					fn = func(ipfix.Flow, LiveVerdict) bool { observedFlows++; return true }
 				}
-				if err != nil {
+				if err := runWith(rt, mode.workers, fn); err != nil {
 					t.Fatal(err)
+				}
+				if mode.observed && observedFlows != len(flows) {
+					t.Fatalf("observer saw %d of %d flows", observedFlows, len(flows))
 				}
 				st := rt.Stats()
 				if st.Processed != uint64(len(flows)) {

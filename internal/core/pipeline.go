@@ -141,14 +141,11 @@ type Options struct {
 // naive prefix is an announced prefix, so it IS an origin-table entry, and
 // "some naive prefix covers src" becomes "some entry on src's precomputed
 // ancestor chain has its bit set" — a few bit tests on data the classifier
-// already holds, instead of a second LPM probe per member. naive (a
-// per-member FlatLPM) is the defensive fallback should a naive prefix ever
-// be missing from the origin table.
+// already holds, instead of a second LPM probe per member.
 type memberState struct {
 	info      MemberInfo
-	asIdx     int           // dense index in the AS graph, -1 if absent
-	naiveEnts *netx.Bitset  // naive valid space as origin-entry bits
-	naive     *netx.FlatLPM // fallback per-member index (naiveEnts == nil)
+	asIdx     int          // dense index in the AS graph, -1 if absent
+	naiveEnts *netx.Bitset // naive valid space as origin-entry bits
 	validCC   *netx.Bitset
 	validFC   *netx.Bitset
 	// extra is the §4.4 whitelist added by false-positive resolution, in
@@ -323,18 +320,14 @@ func (p *Pipeline) classify(src netx.Addr, ms *memberState, known bool) (v Verdi
 	// is attributable to the member: covering less-specifics matter when a
 	// customer's PA sub-prefix has a different origin than the provider
 	// block that actually makes the space legitimate.
+	// Naive prefixes are announced prefixes, so they sit in the origin
+	// table: src is naively valid iff some covering entry is marked.
 	naiveValid := false
-	if ms.naiveEnts != nil {
-		// Naive prefixes are announced prefixes, so they sit in the origin
-		// table: src is naively valid iff some covering entry is marked.
-		for i := 0; i < n; i++ {
-			if ms.naiveEnts.Test(int(ents[i])) {
-				naiveValid = true
-				break
-			}
+	for i := 0; i < n; i++ {
+		if ms.naiveEnts.Test(int(ents[i])) {
+			naiveValid = true
+			break
 		}
-	} else {
-		naiveValid = ms.naive.Contains(src)
 	}
 	ccValid, fcValid := false, false
 	for i := 0; i < n; i++ {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
@@ -223,6 +225,17 @@ func TestNewPipelineErrors(t *testing.T) {
 	}
 	if _, err := NewPipeline(bgp.NewRIB(), testMembers, Options{}); err == nil {
 		t.Fatal("empty RIB accepted")
+	}
+	// A naive index and an origin table that did not come from the same
+	// announcements (hand-built here: one more prefix on AS200's paths than
+	// the table holds) must fail the member compile, naming both.
+	p := testPipeline(t, Options{})
+	stray := netx.MustParsePrefix("99.9.0.0/16")
+	anns := append(testRIB().Announcements(), bgp.Announcement{Prefix: stray, Path: []bgp.ASN{20, 200}, Origin: 200})
+	p.naive = astopo.NewNaiveIndex(p.graph, anns)
+	err := p.compileMembers(testMembers, Options{}, nil, false, 1)
+	if err == nil || !strings.Contains(err.Error(), "AS200") || !strings.Contains(err.Error(), stray.String()) {
+		t.Fatalf("member compile over a naive prefix missing from the origin table: %v, want an error naming AS200 and %s", err, stray)
 	}
 }
 

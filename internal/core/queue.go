@@ -12,29 +12,13 @@ import (
 // QueueConfig tunes the bounded ingest queue in front of the live runtime.
 type QueueConfig struct {
 	// Capacity bounds the queue (default 4096). A full queue always sheds.
-	// With Rings > 1 the capacity is divided evenly across the rings.
 	Capacity int
-	// HighWatermark starts load-shedding when the depth reaches it
-	// (default 3/4 of Capacity); LowWatermark stops shedding once the
-	// consumer drains the depth back down to it (default 1/2 of Capacity).
-	// The hysteresis band keeps the queue from flapping in and out of
-	// shedding on every flow. With Rings > 1 the watermarks scale down to
-	// per-ring thresholds in the same proportion.
+	// HighWatermark starts load-shedding when the depth reaches it (default
+	// 3/4 of Capacity). Shedding stops once the consumer drains the depth
+	// back down to the low watermark, half of Capacity (or HighWatermark, if
+	// that is lower); the hysteresis band keeps the queue from flapping in
+	// and out of shedding on every flow.
 	HighWatermark int
-	LowWatermark  int
-	// ShedSeed keys the deterministic shed decisions. Like faultnet's fault
-	// schedules, a decision depends only on (seed, arrival index), so a
-	// replay with the same arrival/drain interleaving sheds the same flows.
-	ShedSeed int64
-	// ShedFraction is the fraction of arrivals shed while above the
-	// watermark (default 1 = shed everything until the queue drains).
-	ShedFraction float64
-	// Rings shards the queue into that many independent lock-free rings
-	// (default 1). A producer picks a ring by hashing the flow's ingress
-	// member, so one shard's flows stay FIFO within their ring while
-	// producers and consumers on different rings never contend. Rings = 1
-	// preserves the strict global FIFO of the original locked queue.
-	Rings int
 }
 
 func (c *QueueConfig) capacity() int {
@@ -53,32 +37,7 @@ func (c *QueueConfig) highWatermark() int {
 }
 
 func (c *QueueConfig) lowWatermark() int {
-	hi := c.highWatermark()
-	if c.LowWatermark <= 0 || c.LowWatermark > hi {
-		lo := c.capacity() / 2
-		if lo > hi {
-			lo = hi
-		}
-		return lo
-	}
-	return c.LowWatermark
-}
-
-func (c *QueueConfig) shedFraction() float64 {
-	if c.ShedFraction <= 0 || c.ShedFraction > 1 {
-		return 1
-	}
-	return c.ShedFraction
-}
-
-func (c *QueueConfig) rings() int {
-	if c.Rings <= 1 {
-		return 1
-	}
-	if c.Rings > 64 {
-		return 64
-	}
-	return c.Rings
+	return min(c.capacity()/2, c.highWatermark())
 }
 
 // QueueStats is a snapshot of the ingest queue's accounting. Every arrival
@@ -121,36 +80,35 @@ type flowRing struct {
 	slots []flowSlot
 	mask  uint64
 	cap   int // logical capacity
-	hi    int // per-ring high watermark
-	lo    int // per-ring low watermark
+	hi    int // high watermark
+	lo    int // low watermark
 
-	_    [64]byte // keep tail and head on separate cache lines
+	// shedding is the watermark hysteresis state: set by a producer that
+	// finds depth >= hi, cleared by a consumer that drains it to lo. It
+	// changes only at those transitions, so it shares the read-mostly line
+	// above rather than one of the two below.
+	shedding atomic.Bool
+
+	// tail and head each get a cache line of their own, and the trailing pad
+	// keeps whatever follows the ring in IngestQueue off head's.
+	_    [64]byte
 	tail atomic.Uint64
 	_    [64]byte
 	head atomic.Uint64
 	_    [64]byte
-
-	// shedding is this ring's watermark hysteresis state: set by a producer
-	// that finds depth >= hi, cleared by a consumer that drains it to lo.
-	shedding atomic.Bool
 }
 
-func newFlowRing(capacity, hi, lo int) *flowRing {
+func (r *flowRing) init(capacity, hi, lo int) {
 	phys := 1
 	for phys < capacity+1 {
 		phys <<= 1
 	}
-	r := &flowRing{
-		slots: make([]flowSlot, phys),
-		mask:  uint64(phys - 1),
-		cap:   capacity,
-		hi:    hi,
-		lo:    lo,
-	}
+	r.slots = make([]flowSlot, phys)
+	r.mask = uint64(phys - 1)
+	r.cap, r.hi, r.lo = capacity, hi, lo
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
-	return r
 }
 
 // depth is the reserved occupancy: claimed-but-unpublished slots count as
@@ -235,32 +193,29 @@ func (r *flowRing) take(dst []ipfix.Flow) int {
 	return total
 }
 
-// IngestQueue is a bounded FIFO with watermark-based deterministic load
-// shedding, sharded into QueueConfig.Rings independent lock-free rings.
-// Push never blocks and takes no lock on the hot path: past the high
-// watermark (until the ring drains to the low watermark) arrivals are shed
-// by a decision keyed to (seed, arrival index) — seeded and count-keyed like
-// faultnet's fault schedules — so a replay with the same interleaving is
-// reproducible, and every shed is accounted in QueueStats. Consumers drain
-// with Pop/PopBatch/TryPopBatch; parking happens on a slow-path condition
-// variable only when every ring is empty, and any publish or Close wakes
-// every parked consumer.
+// IngestQueue is a bounded FIFO — one lock-free ring — with watermark-based
+// load shedding. Push never blocks and takes no lock on the hot path: from
+// the high watermark until the consumer drains the ring to the low watermark
+// every non-blocking arrival is shed, so a replay with the same
+// arrival/drain interleaving sheds the same flows, and every shed is
+// accounted in QueueStats. Consumers drain with PopBatch/TryPopBatch; parking
+// happens on a slow-path condition variable only when the ring is empty, and
+// any publish or Close wakes every parked consumer.
 //
 // The ledger invariant Ingested == Queued + Shed holds for every completed
 // push; a push in flight is detectable because its arrival-index increment
 // lands before its queued/shed increment (see Runtime.snapshotLocked).
 type IngestQueue struct {
-	cfg QueueConfig
 	// journal (nil = silent) receives shed-start/shed-stop watermark
 	// transition events; Record only takes the journal's own lock.
 	journal *obs.Journal
 
-	rings []*flowRing
+	ring flowRing
 
 	ingested atomic.Uint64
 	queued   atomic.Uint64
 	shed     atomic.Uint64
-	hwmark   atomic.Int64 // HighWatermarkObserved (total occupancy)
+	hwmark   atomic.Int64 // HighWatermarkObserved
 	closed   atomic.Bool
 
 	// pushing counts producers between entry and completion of a push. The
@@ -269,12 +224,8 @@ type IngestQueue struct {
 	// consumer looks, so closed-and-drained is only final once pushing == 0.
 	pushing atomic.Int64
 
-	// rr rotates the ring a consumer scan starts from, so concurrent batch
-	// consumers spread across rings instead of contending on ring 0.
-	rr atomic.Uint32
-
-	// Parking slow path: consumers (popWaiters) park when every ring is
-	// empty; PushWait producers (pushWaiters) park when their ring is full.
+	// Parking slow path: consumers (popWaiters) park when the ring is empty;
+	// PushWait producers (pushWaiters) park when it is full.
 	// The waiter counts let the lock-free fast paths skip the mutex
 	// entirely unless someone is actually parked.
 	mu         sync.Mutex
@@ -286,86 +237,42 @@ type IngestQueue struct {
 
 // NewIngestQueue builds an empty queue.
 func NewIngestQueue(cfg QueueConfig) *IngestQueue {
-	n := cfg.rings()
-	capacity, hi, lo := cfg.capacity(), cfg.highWatermark(), cfg.lowWatermark()
-	perCap := (capacity + n - 1) / n
-	perHi := (hi + n - 1) / n
-	perLo := lo / n
-	if perHi > perCap {
-		perHi = perCap
-	}
-	if perLo > perHi {
-		perLo = perHi
-	}
-	q := &IngestQueue{cfg: cfg}
-	q.rings = make([]*flowRing, n)
-	for i := range q.rings {
-		q.rings[i] = newFlowRing(perCap, perHi, perLo)
-	}
+	q := &IngestQueue{}
+	q.ring.init(cfg.capacity(), cfg.highWatermark(), cfg.lowWatermark())
 	q.notEmpty = sync.NewCond(&q.mu)
 	q.notFull = sync.NewCond(&q.mu)
 	return q
 }
 
-// ringFor picks the ring for a flow by hashing its ingress member, so one
-// shard's flows keep FIFO order within their ring.
-func (q *IngestQueue) ringFor(f *ipfix.Flow) *flowRing {
-	if len(q.rings) == 1 {
-		return q.rings[0]
-	}
-	h := uint64(f.Ingress) * 0x9e3779b97f4a7c15
-	return q.rings[(h>>32)%uint64(len(q.rings))]
-}
-
-// shedStart flips a ring into shedding, journaling the first transition.
-func (q *IngestQueue) shedStart(r *flowRing) {
-	if r.shedding.CompareAndSwap(false, true) {
+// shedStart flips the queue into shedding, journaling the first transition.
+func (q *IngestQueue) shedStart() {
+	if q.ring.shedding.CompareAndSwap(false, true) {
 		q.journal.Recordf(obs.EventShedStart,
 			"queue depth %d reached high watermark %d; non-blocking arrivals shed until drained",
-			r.depth(), r.hi)
+			q.ring.depth(), q.ring.hi)
 	}
 }
 
-// shedStop clears a ring's shedding once a consumer drains it to the low
+// shedStop clears shedding once a consumer drains the ring to the low
 // watermark, journaling the transition.
-func (q *IngestQueue) shedStop(r *flowRing) {
-	if r.shedding.CompareAndSwap(true, false) {
+func (q *IngestQueue) shedStop() {
+	if q.ring.shedding.CompareAndSwap(true, false) {
 		q.journal.Recordf(obs.EventShedStop,
 			"queue drained to low watermark %d (%d shed in total); accepting all arrivals",
-			r.lo, q.shed.Load())
+			q.ring.lo, q.shed.Load())
 	}
 }
 
-// shedKey maps (seed, arrival index) to [0, 1) via a splitmix64-style
-// finalizer. Pure function: the same seed and index always agree.
-func shedKey(seed int64, n uint64) float64 {
-	x := uint64(seed) ^ (n+1)*0x9e3779b97f4a7c15
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return float64(x>>11) / (1 << 53)
-}
-
-// observeDepth folds the post-push total occupancy into the observed high
+// observeDepth folds the post-push occupancy into the observed high
 // watermark.
 func (q *IngestQueue) observeDepth() {
-	d := int64(q.totalDepth())
+	d := int64(q.ring.depth())
 	for {
 		cur := q.hwmark.Load()
 		if d <= cur || q.hwmark.CompareAndSwap(cur, d) {
 			return
 		}
 	}
-}
-
-func (q *IngestQueue) totalDepth() int {
-	d := 0
-	for _, r := range q.rings {
-		d += r.depth()
-	}
-	return d
 }
 
 // wakeConsumers broadcasts to every parked consumer. It runs only when
@@ -404,7 +311,7 @@ func (q *IngestQueue) PushWait(f ipfix.Flow) bool {
 	return q.PushBatchWait(one[:])
 }
 
-// PushBatchWait queues every flow of a batch, blocking while a flow's ring is
+// PushBatchWait queues every flow of a batch, blocking while the ring is
 // full instead of shedding, and wakes parked consumers once per batch. It is
 // the backpressure door for replayable sources (file readers, the cluster
 // worker's flow frames) where dropping would lose data the source could
@@ -415,9 +322,9 @@ func (q *IngestQueue) PushWait(f ipfix.Flow) bool {
 func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 	q.pushing.Add(1)
 	defer q.pushing.Add(-1)
+	r := &q.ring
 	queuedAny := false
 	for i := range flows {
-		r := q.ringFor(&flows[i])
 		for {
 			if q.closed.Load() {
 				if queuedAny {
@@ -457,12 +364,11 @@ func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 }
 
 // PushBatch offers a batch of flows without ever blocking: each arrival is
-// queued or shed (watermark policy, or a full ring) on its own (seed, arrival
-// index) key, and parked consumers are woken once for the whole batch. It
-// returns how many flows were queued. This is the collectors' ingest door:
-// one wake per IPFIX message, not per record. Lock-free: concurrent producers
-// contend only on a CAS ticket (and on the shared arrival counter that keys
-// shed decisions).
+// queued or shed (watermark policy, or a full ring) on its own, and parked
+// consumers are woken once for the whole batch. It returns how many flows
+// were queued. This is the collectors' ingest door: one wake per IPFIX
+// message, not per record. Lock-free: concurrent producers contend only on a
+// CAS ticket and on the shared arrival counter.
 func (q *IngestQueue) PushBatch(flows []ipfix.Flow) int {
 	if len(flows) == 0 {
 		return 0
@@ -472,29 +378,27 @@ func (q *IngestQueue) PushBatch(flows []ipfix.Flow) int {
 	if q.closed.Load() {
 		return 0
 	}
+	r := &q.ring
 	queued := 0
 	for i := range flows {
-		r := q.ringFor(&flows[i])
-		// The arrival index is claimed before the queue/shed decision lands,
-		// so a quiescence check that reads Ingested == Queued+Shed can never
-		// miss an in-flight push.
-		n := q.ingested.Add(1) - 1
+		// The arrival is counted before the queue/shed decision lands, so a
+		// quiescence check that reads Ingested == Queued+Shed can never miss
+		// an in-flight push.
+		q.ingested.Add(1)
 		d := r.depth()
 		if d >= r.hi {
-			q.shedStart(r)
+			q.shedStart()
 		}
 		// A failed offer is a ring physically full (concurrent producers
 		// overshot the logical bound): same accounting as the depth check.
-		if d >= r.cap ||
-			(r.shedding.Load() && shedKey(q.cfg.ShedSeed, n) < q.cfg.shedFraction()) ||
-			!r.offer(flows[i]) {
+		if d >= r.cap || r.shedding.Load() || !r.offer(flows[i]) {
 			q.shed.Add(1)
 			continue
 		}
 		q.queued.Add(1)
 		queued++
 		if r.depth() >= r.hi {
-			q.shedStart(r)
+			q.shedStart()
 		}
 	}
 	if queued > 0 {
@@ -504,51 +408,18 @@ func (q *IngestQueue) PushBatch(flows []ipfix.Flow) int {
 	return queued
 }
 
-// drained reports whether a consumer claimed anything, folding the post-pop
-// watermark hysteresis and producer wake in one place.
-func (q *IngestQueue) drained(r *flowRing, n int) {
-	if n == 0 {
-		return
-	}
-	if r.shedding.Load() && r.depth() <= r.lo {
-		q.shedStop(r)
-	}
-	q.wakeProducers()
-}
-
-// tryTake scans the rings from a rotating start and drains up to len(dst)
-// flows from the first non-empty ring — one ring per call, so a batch never
-// interleaves two rings and per-ring FIFO order is visible to the consumer.
+// tryTake drains up to len(dst) flows without blocking and, when it claimed
+// any, applies the post-pop watermark hysteresis and wakes blocked producers.
 func (q *IngestQueue) tryTake(dst []ipfix.Flow) int {
-	nr := len(q.rings)
-	start := 0
-	if nr > 1 {
-		start = int(q.rr.Add(1)-1) % nr
-	}
-	for i := 0; i < nr; i++ {
-		r := q.rings[(start+i)%nr]
-		if n := r.take(dst); n > 0 {
-			q.drained(r, n)
-			return n
+	r := &q.ring
+	n := r.take(dst)
+	if n > 0 {
+		if r.shedding.Load() && r.depth() <= r.lo {
+			q.shedStop()
 		}
+		q.wakeProducers()
 	}
-	return 0
-}
-
-// Pop removes the oldest flow, blocking until one arrives. After Close it
-// keeps returning the remaining flows, then reports false once drained.
-// With Rings > 1 "oldest" is per-ring: rings are scanned in rotating order
-// and each ring is FIFO.
-func (q *IngestQueue) Pop() (ipfix.Flow, bool) {
-	var one [1]ipfix.Flow
-	for {
-		if q.tryTake(one[:]) == 1 {
-			return one[0], true
-		}
-		if q.parkEmpty() {
-			return ipfix.Flow{}, false
-		}
-	}
+	return n
 }
 
 // parkEmpty blocks the consumer until a flow is published or the queue
@@ -558,14 +429,14 @@ func (q *IngestQueue) parkEmpty() bool {
 	q.mu.Lock()
 	q.popWaiters.Add(1)
 	for {
-		if q.totalDepth() > 0 {
+		if q.ring.depth() > 0 {
 			break
 		}
 		if q.closed.Load() {
 			// Closed: drained is only final once no producer is mid-push —
 			// a Push that read closed == false may still be publishing, and
 			// its flow must be consumed, not stranded.
-			if q.pushing.Load() == 0 && q.totalDepth() == 0 {
+			if q.pushing.Load() == 0 && q.ring.depth() == 0 {
 				q.popWaiters.Add(-1)
 				q.mu.Unlock()
 				return true
@@ -586,9 +457,9 @@ func (q *IngestQueue) parkEmpty() bool {
 
 // PopBatch drains up to len(dst) queued flows, blocking until at least one
 // flow is available. It returns 0 only once the queue is closed and drained
-// — the batch analogue of Pop's false. The shed and cursor accounting is
-// untouched: batch consumers observe exactly the flows Push accepted, in
-// per-ring arrival order within the batch.
+// — and keeps returning the remaining flows after Close until then. The shed
+// and cursor accounting is untouched: consumers observe exactly the flows
+// Push accepted, in arrival order.
 func (q *IngestQueue) PopBatch(dst []ipfix.Flow) int {
 	if len(dst) == 0 {
 		return 0
@@ -614,11 +485,11 @@ func (q *IngestQueue) TryPopBatch(dst []ipfix.Flow) int {
 	return q.tryTake(dst)
 }
 
-// Depth returns the current total occupancy across rings.
-func (q *IngestQueue) Depth() int { return q.totalDepth() }
+// Depth returns the current occupancy.
+func (q *IngestQueue) Depth() int { return q.ring.depth() }
 
 // Close stops intake: subsequent Pushes shed nothing and report false, and
-// Pop drains the remaining flows before reporting exhaustion. Every parked
+// PopBatch drains the remaining flows before reporting exhaustion. Every parked
 // consumer and producer is woken.
 func (q *IngestQueue) Close() {
 	q.closed.Store(true)
@@ -633,25 +504,18 @@ func (q *IngestQueue) Close() {
 // Shed) may be read mid-push, in which case Ingested > Queued+Shed — the
 // signature Runtime.snapshotLocked uses to detect in-flight arrivals.
 func (q *IngestQueue) Stats() QueueStats {
-	shedding := false
-	for _, r := range q.rings {
-		if r.shedding.Load() {
-			shedding = true
-			break
-		}
-	}
 	return QueueStats{
 		Ingested:              q.ingested.Load(),
 		Queued:                q.queued.Load(),
 		Shed:                  q.shed.Load(),
-		Depth:                 q.totalDepth(),
+		Depth:                 q.ring.depth(),
 		HighWatermarkObserved: int(q.hwmark.Load()),
-		Shedding:              shedding,
+		Shedding:              q.ring.shedding.Load(),
 	}
 }
 
-// restore seeds the arrival counters from a checkpoint so shed decisions
-// continue the same (seed, index) key sequence after a resume.
+// restore seeds the arrival counters from a checkpoint, so a resumed run's
+// cursor continues where the checkpointed one stood.
 func (q *IngestQueue) restore(ingested, queued, shed uint64) {
 	q.ingested.Store(ingested)
 	q.queued.Store(queued)

@@ -14,6 +14,16 @@ func queueFlow(i int) ipfix.Flow {
 	return ipfix.Flow{SrcPort: uint16(i), Packets: 1, Bytes: 60}
 }
 
+// pop takes the oldest flow through PopBatch, blocking until one arrives;
+// false once the queue is closed and drained.
+func pop(q *IngestQueue) (ipfix.Flow, bool) {
+	var one [1]ipfix.Flow
+	if q.PopBatch(one[:]) == 0 {
+		return ipfix.Flow{}, false
+	}
+	return one[0], true
+}
+
 func TestQueueFIFOAndClose(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 8})
 	for i := 0; i < 5; i++ {
@@ -26,12 +36,12 @@ func TestQueueFIFOAndClose(t *testing.T) {
 		t.Fatal("push accepted after Close")
 	}
 	for i := 0; i < 5; i++ {
-		f, ok := q.Pop()
+		f, ok := pop(q)
 		if !ok || f.SrcPort != uint16(i) {
 			t.Fatalf("pop %d: got (%d, %v), want FIFO order", i, f.SrcPort, ok)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop reported a flow after drain")
 	}
 	st := q.Stats()
@@ -41,7 +51,8 @@ func TestQueueFIFOAndClose(t *testing.T) {
 }
 
 func TestQueueWatermarkHysteresis(t *testing.T) {
-	q := NewIngestQueue(QueueConfig{Capacity: 8, HighWatermark: 6, LowWatermark: 3})
+	// The low watermark is half the capacity: 4.
+	q := NewIngestQueue(QueueConfig{Capacity: 8, HighWatermark: 6})
 	// Fill to the high watermark: 6 accepted.
 	for i := 0; i < 6; i++ {
 		if !q.Push(queueFlow(i)) {
@@ -51,16 +62,14 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 	if !q.Stats().Shedding {
 		t.Fatal("not shedding at high watermark")
 	}
-	// Above the watermark everything sheds (default fraction 1).
+	// Above the watermark everything sheds.
 	for i := 6; i < 10; i++ {
 		if q.Push(queueFlow(i)) {
 			t.Fatalf("push %d accepted while shedding", i)
 		}
 	}
 	// Drain to just above the low watermark: still shedding.
-	for i := 0; i < 2; i++ {
-		q.Pop()
-	}
+	pop(q)
 	if !q.Stats().Shedding {
 		t.Fatal("shedding cleared above low watermark")
 	}
@@ -68,7 +77,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 		t.Fatal("push accepted inside hysteresis band")
 	}
 	// Drain to the low watermark: shedding stops.
-	q.Pop()
+	pop(q)
 	if q.Stats().Shedding {
 		t.Fatal("still shedding at low watermark")
 	}
@@ -85,8 +94,9 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 }
 
 func TestQueueFullAlwaysSheds(t *testing.T) {
-	// Watermarks at capacity: shedding only by overflow.
-	q := NewIngestQueue(QueueConfig{Capacity: 4, HighWatermark: 4, LowWatermark: 4, ShedFraction: 0.000001})
+	// High watermark at capacity: nothing sheds before the ring is full, and
+	// a full ring sheds like any other crossing — until drained to half.
+	q := NewIngestQueue(QueueConfig{Capacity: 4, HighWatermark: 4})
 	for i := 0; i < 4; i++ {
 		if !q.Push(queueFlow(i)) {
 			t.Fatalf("push %d shed with room left", i)
@@ -95,29 +105,33 @@ func TestQueueFullAlwaysSheds(t *testing.T) {
 	if q.Push(queueFlow(4)) {
 		t.Fatal("push accepted into a full ring")
 	}
-	if got := q.Stats().Shed; got != 1 {
-		t.Fatalf("shed = %d, want 1", got)
+	pop(q)
+	if q.Push(queueFlow(5)) {
+		t.Fatal("push accepted at depth 3, above the low watermark of 2")
+	}
+	pop(q)
+	if !q.Push(queueFlow(6)) {
+		t.Fatal("push shed after draining to the low watermark")
+	}
+	if st := q.Stats(); st.Shed != 2 || st.Queued != 5 || st.Ingested != 7 {
+		t.Fatalf("stats = %+v, want 2 shed, 5 queued, 7 ingested", st)
 	}
 }
 
-// TestQueueShedDeterministic replays the same arrival/drain schedule twice
-// with the same seed and asserts the identical flows are shed — the
-// property that makes a faulted replay reproducible.
+// TestQueueShedDeterministic: which flows are shed is a function of the
+// arrival/drain interleaving alone — the property that makes a faulted replay
+// reproducible — and of nothing else: the same schedule offered flow by flow
+// through Push, or each burst as one PushBatch, sheds the same flows, because
+// there is one shed policy behind both doors.
 func TestQueueShedDeterministic(t *testing.T) {
-	// offer is the door the schedule's arrivals come through: flow by flow
-	// through Push, or each burst as one PushBatch. There is one shed policy
-	// behind both, so the same trace must shed the same flows either way.
 	perFlow := func(q *IngestQueue, burst []ipfix.Flow) {
 		for _, f := range burst {
 			q.Push(f)
 		}
 	}
 	batch := func(q *IngestQueue, burst []ipfix.Flow) { q.PushBatch(burst) }
-	run := func(seed int64, offer func(*IngestQueue, []ipfix.Flow)) (accepted []uint16, st QueueStats) {
-		q := NewIngestQueue(QueueConfig{
-			Capacity: 16, HighWatermark: 8, LowWatermark: 4,
-			ShedSeed: seed, ShedFraction: 0.5,
-		})
+	run := func(offer func(*IngestQueue, []ipfix.Flow)) (accepted []uint16, st QueueStats) {
+		q := NewIngestQueue(QueueConfig{Capacity: 16, HighWatermark: 12})
 		i := 0
 		push := func(n int) {
 			burst := make([]ipfix.Flow, n)
@@ -127,87 +141,39 @@ func TestQueueShedDeterministic(t *testing.T) {
 			}
 			offer(q, burst)
 		}
-		// One ring, so the accepted flows are exactly the popped ones, in
-		// arrival order.
 		drain := func(n int) {
-			// Bounded by occupancy so the schedule never blocks; the
-			// realized drain count is itself deterministic because the
-			// accept decisions are.
+			// Bounded by occupancy so the schedule never blocks.
 			for ; n > 0 && q.Depth() > 0; n-- {
-				f, _ := q.Pop()
+				f, _ := pop(q)
 				accepted = append(accepted, f.SrcPort)
 			}
 		}
-		// A fixed interleaving that crosses the watermark repeatedly.
-		push(12)
+		// A fixed interleaving that crosses the watermark mid-burst, drains
+		// into the hysteresis band (still shedding), then below it.
+		push(14)
+		drain(2)
+		push(3)
 		drain(6)
-		push(10)
-		drain(10)
 		push(20)
 		st = q.Stats()
 		drain(st.Depth)
 		return accepted, st
 	}
-	a1, s1 := run(42, perFlow)
-	a2, s2 := run(42, perFlow)
-	if s1 != s2 {
-		t.Fatalf("stats diverged across identical replays: %+v vs %+v", s1, s2)
-	}
-	if !slices.Equal(a1, a2) {
-		t.Fatalf("accepted flows diverged across identical replays: %v vs %v", a1, a2)
-	}
-	if s1.Shed == 0 {
-		t.Fatal("schedule shed nothing; watermark never engaged")
+	a1, s1 := run(perFlow)
+	// 12 of 14 queued; at depth 10 all 3 shed; at depth 4 shedding has
+	// stopped and 8 of 20 climb back to the watermark.
+	if s1.Queued != 20 || s1.Shed != 17 {
+		t.Fatalf("stats = %+v, want 20 queued and 17 shed", s1)
 	}
 	if uint64(len(a1)) != s1.Queued {
 		t.Fatalf("popped %d flows, counters say %d were queued", len(a1), s1.Queued)
 	}
-	if ab, sb := run(42, batch); sb != s1 || !slices.Equal(ab, a1) {
+	if a2, s2 := run(perFlow); s2 != s1 || !slices.Equal(a2, a1) {
+		t.Fatalf("identical replays diverged: %+v %v vs %+v %v", s1, a1, s2, a2)
+	}
+	if ab, sb := run(batch); sb != s1 || !slices.Equal(ab, a1) {
 		t.Fatalf("PushBatch shed differently from Push over the same trace:\n per-flow %+v %v\n batch    %+v %v",
 			s1, a1, sb, ab)
-	}
-	// A different seed with a fractional policy sheds a different subset.
-	if a3, _ := run(43, perFlow); slices.Equal(a1, a3) {
-		t.Fatal("seed change left the shed subset identical; decisions are not seed-keyed")
-	}
-}
-
-func TestShedKeyPureAndBounded(t *testing.T) {
-	for n := uint64(0); n < 1000; n++ {
-		k := shedKey(7, n)
-		if k < 0 || k >= 1 {
-			t.Fatalf("shedKey(7, %d) = %v out of [0,1)", n, k)
-		}
-		if k != shedKey(7, n) {
-			t.Fatalf("shedKey(7, %d) not pure", n)
-		}
-	}
-}
-
-func TestQueueRestoreContinuesKeySequence(t *testing.T) {
-	// Two queues, one fresh and one restored at arrival index 5, must make
-	// the same decisions for arrivals 5.. — the resume contract.
-	cfg := QueueConfig{Capacity: 64, HighWatermark: 2, LowWatermark: 1, ShedSeed: 9, ShedFraction: 0.5}
-	fresh := NewIngestQueue(cfg)
-	for i := 0; i < 5; i++ {
-		fresh.Push(queueFlow(i))
-		fresh.Pop()
-	}
-	st := fresh.Stats()
-
-	resumed := NewIngestQueue(cfg)
-	resumed.restore(st.Ingested, st.Queued, st.Shed)
-	for i := 5; i < 40; i++ {
-		// No draining: both queues climb past the watermark and every
-		// decision from here on is the seed-keyed coin alone.
-		a := fresh.Push(queueFlow(i))
-		b := resumed.Push(queueFlow(i))
-		if a != b {
-			t.Fatalf("arrival %d: fresh=%v resumed=%v", i, a, b)
-		}
-	}
-	if f, r := fresh.Stats(), resumed.Stats(); f.Ingested != r.Ingested || f.Shed != r.Shed || f.Queued != r.Queued {
-		t.Fatalf("counter divergence: fresh %+v resumed %+v", f, r)
 	}
 }
 
@@ -261,7 +227,7 @@ func TestQueueTryPopBatchNonBlocking(t *testing.T) {
 func TestQueueRingWraparound(t *testing.T) {
 	// Logical capacity 5 over 8 physical slots: the logical bound and the
 	// power-of-two mask disagree, so slot reuse crosses the seam every lap.
-	q := NewIngestQueue(QueueConfig{Capacity: 5, HighWatermark: 5, LowWatermark: 5})
+	q := NewIngestQueue(QueueConfig{Capacity: 5, HighWatermark: 5})
 	buf := make([]ipfix.Flow, 3)
 	next := 0
 	pushed := 0
@@ -299,7 +265,7 @@ func TestQueueRingWraparound(t *testing.T) {
 // release every parked consumer. With a Signal in either path, all but one
 // consumer would sleep forever and wg.Wait would hang.
 func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
-	q := NewIngestQueue(QueueConfig{Capacity: 256, Rings: 4})
+	q := NewIngestQueue(QueueConfig{Capacity: 256})
 	const consumers = 4
 	var drained atomic.Uint64
 	var wg sync.WaitGroup
@@ -322,7 +288,6 @@ func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 	batch := make([]ipfix.Flow, 64)
 	for i := range batch {
 		batch[i] = queueFlow(i)
-		batch[i].Ingress = uint32(i) // spread the burst across all rings
 	}
 	queued := q.PushBatch(batch)
 	if queued != len(batch) {
@@ -346,59 +311,11 @@ func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 	}
 }
 
-// TestQueuePerRingShedIsolation: with sharded rings, one hot ingress member
-// saturating its ring must not shed other members' traffic — shedding state
-// and its hysteresis are per ring.
-func TestQueuePerRingShedIsolation(t *testing.T) {
-	// 4 rings × capacity 8, per-ring watermarks hi=6, lo=4.
-	q := NewIngestQueue(QueueConfig{Capacity: 32, HighWatermark: 24, LowWatermark: 16, Rings: 4})
-	hot := ipfix.Flow{Ingress: 1, Packets: 1}
-	rHot := q.ringFor(&hot)
-	var cold ipfix.Flow
-	for ing := uint32(2); ; ing++ {
-		cold = ipfix.Flow{Ingress: ing, Packets: 1}
-		if q.ringFor(&cold) != rHot {
-			break
-		}
-	}
-	for i := 0; i < rHot.hi; i++ {
-		if !q.Push(hot) {
-			t.Fatalf("hot push %d shed below the ring watermark", i)
-		}
-	}
-	if !rHot.shedding.Load() {
-		t.Fatal("hot ring not shedding at its high watermark")
-	}
-	if q.Push(hot) {
-		t.Fatal("hot ring accepted a flow while shedding")
-	}
-	// The isolation property: the cold ring still accepts everything.
-	if q.ringFor(&cold).shedding.Load() {
-		t.Fatal("cold ring shedding without traffic")
-	}
-	if !q.Push(cold) {
-		t.Fatal("cold flow shed while only the hot ring is saturated")
-	}
-	// Drain until the hot ring's hysteresis clears (Pop rotates rings, so
-	// bound the loop by total occupancy).
-	for i := 0; rHot.shedding.Load(); i++ {
-		if _, ok := q.Pop(); !ok || i > 64 {
-			t.Fatal("hot ring never left shedding while draining")
-		}
-	}
-	if rHot.depth() > rHot.lo {
-		t.Fatalf("shedding cleared at depth %d, above low watermark %d", rHot.depth(), rHot.lo)
-	}
-	if !q.Push(hot) {
-		t.Fatal("hot ring still shedding after draining to the low watermark")
-	}
-}
-
 // TestQueuePushBatchWaitNeverSheds: the batch backpressure path queues every
 // flow of a batch far larger than the queue, in order, with zero shed — and
 // Close releases a blocked batch producer with false.
 func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
-	q := NewIngestQueue(QueueConfig{Capacity: 2, HighWatermark: 2, LowWatermark: 1})
+	q := NewIngestQueue(QueueConfig{Capacity: 2, HighWatermark: 2})
 	batch := make([]ipfix.Flow, 12)
 	for i := range batch {
 		batch[i] = queueFlow(i)
@@ -406,9 +323,9 @@ func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() { done <- q.PushBatchWait(batch) }()
 	for next := 0; next < len(batch); next++ {
-		f, ok := q.Pop()
+		f, ok := pop(q)
 		if !ok {
-			t.Fatalf("Pop refused at flow %d", next)
+			t.Fatalf("pop refused at flow %d", next)
 		}
 		if f.SrcPort != uint16(next) {
 			t.Fatalf("flow %d out of order: got %d", next, f.SrcPort)
@@ -444,7 +361,7 @@ func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
 // the producer until the consumer drains, and every offered flow is either
 // queued or refused by Close.
 func TestQueuePushWaitBackpressure(t *testing.T) {
-	q := NewIngestQueue(QueueConfig{Capacity: 2, HighWatermark: 2, LowWatermark: 1})
+	q := NewIngestQueue(QueueConfig{Capacity: 2, HighWatermark: 2})
 	if !q.PushWait(queueFlow(0)) || !q.PushWait(queueFlow(1)) {
 		t.Fatal("PushWait refused below capacity")
 	}
@@ -455,8 +372,8 @@ func TestQueuePushWaitBackpressure(t *testing.T) {
 		t.Fatal("PushWait returned with the queue full")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, ok := q.Pop(); !ok {
-		t.Fatal("Pop failed")
+	if _, ok := pop(q); !ok {
+		t.Fatal("pop failed")
 	}
 	select {
 	case ok := <-blocked:
@@ -464,7 +381,7 @@ func TestQueuePushWaitBackpressure(t *testing.T) {
 			t.Fatal("PushWait reported closed after space opened")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("PushWait still blocked after a Pop made room")
+		t.Fatal("PushWait still blocked after a pop made room")
 	}
 	st := q.Stats()
 	if st.Ingested != 3 || st.Queued != 3 || st.Shed != 0 {

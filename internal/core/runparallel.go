@@ -30,8 +30,8 @@ const consumeBatchSize = ClassifyBatchSize
 // the idle edge (queue found empty) or exit — where the shard folds back
 // into the canonical aggregate. Because Aggregator.Merge is
 // order-independent, a drained run's aggregate — and its canonical
-// checkpoint encoding — is byte-identical to the sequential Step loop's over
-// the same flows, whatever the worker count and however many batches
+// checkpoint encoding — is byte-identical to a flow-by-flow Aggregator.Add
+// over the same flows, whatever the worker count and however many batches
 // spilled.
 //
 // Periodic checkpoints still require quiescence; they are taken at the first
@@ -39,17 +39,18 @@ const consumeBatchSize = ClassifyBatchSize
 // checkpoint path refuses to run while any worker holds an unmerged batch,
 // so the cursor can never outrun the aggregate).
 //
-// fn (optional) observes every flow and verdict; calls are serialized (a
-// worker holds the observer lock for one batch at a time), but arrive in
-// worker-completion order, not arrival order. Returning false stops
-// consumption: fn is not called again — not for the rest of that batch, not
-// for batches other workers have in flight — intake is closed, and workers
-// exit after aggregating their in-flight batches. Do not run RunParallel
-// concurrently with Step, Run, or another RunParallel.
+// fn (optional) observes every flow and verdict, after the flow's batch has
+// been aggregated; calls are serialized (a worker holds the observer lock for
+// one batch at a time), but arrive in worker-completion order, not arrival
+// order. Returning false stops consumption: fn is not called again — not for
+// the rest of that batch, not for batches other workers have in flight —
+// intake is closed, and workers exit after aggregating their in-flight
+// batches; flows still queued stay queued. Do not run RunParallel
+// concurrently with Run or another RunParallel.
 func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.Flow, LiveVerdict) bool) error {
 	// Worker counts beyond GOMAXPROCS clamp: extra consumers cannot add CPU,
 	// only queue and lock contention (on a 1-CPU host an unclamped parallel-2
-	// measured 849K flows/sec against the sequential loop's 1.02M).
+	// measured 849K flows/sec against one worker's 1.02M).
 	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
 		workers = max
 	}
@@ -102,7 +103,7 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 	return nil
 }
 
-// drain is the batch drain loop, the only one: Run without an observer is
+// drain is the batch drain loop, the only way a flow leaves the queue: Run is
 // one worker of it, RunParallel is n, and the cluster worker's shard
 // runtimes and the root LiveRuntime are callers of those two. ctx carries the
 // worker's profiler labels. sole says no other worker exists, so a held lock

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
 )
 
@@ -18,37 +20,44 @@ func unboundedQueue(n int) QueueConfig {
 	return QueueConfig{Capacity: n + 1, HighWatermark: n + 1}
 }
 
-// runSequential feeds every flow and drains with the Step loop, then forces
-// a final checkpoint and returns its bytes.
-func runSequential(t *testing.T, p *Pipeline, flows []ipfix.Flow, path string) []byte {
+// perFlowReference is what every drain mode is held to, and it is not a mode
+// of the runtime: no queue, no batch, no index — one Aggregator.Add per flow
+// over the Figure 3 oracle's verdicts, written with the cursor a drained run
+// over the same flows reports. It returns the checkpoint file's bytes.
+func perFlowReference(t *testing.T, oracle *figure3Oracle, flows []ipfix.Flow, path string) []byte {
 	t.Helper()
-	rt, err := NewRuntime(RuntimeConfig{
-		Pipeline: p,
-		Start:    cpStart, Bucket: time.Hour,
-		Queue:          unboundedQueue(len(flows)),
-		CheckpointPath: path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := NewAggregator(cpStart, time.Hour)
 	for _, f := range flows {
-		if !rt.Ingest(f) {
-			t.Fatal("ingest shed with shedding disabled")
-		}
+		ref.Add(f, oracle.classify(f))
 	}
-	rt.Close()
-	for {
-		if _, _, ok := rt.Step(); !ok {
-			break
-		}
-	}
-	if err := rt.Checkpoint(); err != nil {
+	n := uint64(len(flows))
+	cp := &Checkpoint{Ingested: n, Queued: n, Processed: n, Epoch: 1, Swaps: 1, Agg: ref}
+	if err := WriteCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
 	return mustRead(t, path)
 }
 
-// runParallel does the same drain with the sharded consumer.
+// runWith enters the drain the way a mode table names it: Run for
+// workers == 0, RunParallel otherwise.
+func runWith(rt *Runtime, workers int, fn func(ipfix.Flow, LiveVerdict) bool) error {
+	if workers == 0 {
+		return rt.Run(nil, fn)
+	}
+	return rt.RunParallel(nil, workers, fn)
+}
+
+// drainWith runs rt's drain until it returns, which for a closed runtime is
+// exhaustion.
+func drainWith(t *testing.T, rt *Runtime, workers int) {
+	t.Helper()
+	if err := runWith(rt, workers, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runParallel feeds every flow, drains with the given worker count (0 is
+// Run), then forces a final checkpoint and returns its bytes.
 func runParallel(t *testing.T, p *Pipeline, flows []ipfix.Flow, workers int, path string) []byte {
 	t.Helper()
 	rt, err := NewRuntime(RuntimeConfig{
@@ -66,27 +75,26 @@ func runParallel(t *testing.T, p *Pipeline, flows []ipfix.Flow, workers int, pat
 		}
 	}
 	rt.Close()
-	if err := rt.RunParallel(nil, workers, nil); err != nil {
-		t.Fatal(err)
-	}
+	drainWith(t, rt, workers)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	return mustRead(t, path)
 }
 
-// TestRunParallelMatchesSequentialCheckpoint is the tentpole's determinism
-// oracle: the sharded consumer's aggregate, encoded with the canonical
-// checkpoint codec, must be byte-identical to the sequential Step loop's
-// over the same flows — for any worker count.
+// TestRunParallelMatchesSequentialCheckpoint is the drain's determinism
+// oracle: its checkpoint — cursor and aggregate, in the canonical encoding —
+// must be byte-identical to the per-flow reference's over the same flows, for
+// Run and for any worker count.
 func TestRunParallelMatchesSequentialCheckpoint(t *testing.T) {
-	_, p, flows, _ := buildEndToEnd(t)
+	_, rib, p, flows, _ := buildEndToEndRIB(t)
 	dir := t.TempDir()
-	ref := runSequential(t, p, flows, filepath.Join(dir, "seq.ckpt"))
-	for _, workers := range []int{1, 2, 4, 7} {
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	ref := perFlowReference(t, oracle, flows, filepath.Join(dir, "seq.ckpt"))
+	for _, workers := range []int{0, 1, 2, 4, 7} {
 		got := runParallel(t, p, flows, workers, filepath.Join(dir, "par.ckpt"))
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("workers=%d: parallel checkpoint differs from sequential", workers)
+			t.Fatalf("workers=%d: drained checkpoint differs from the per-flow reference's", workers)
 		}
 	}
 }
@@ -136,42 +144,62 @@ func TestRunParallelObserverSeesEveryFlow(t *testing.T) {
 // worker exits after its in-flight batch, and fn is never called again — not
 // for the rest of the batch it stopped in (the tenth flow sits inside the
 // first 256-flow batch), not by a worker that was waiting for the observer
-// lock with a classified batch in hand.
+// lock with a classified batch in hand. The Run row pins what "stop" means
+// for the one worker there is: the batch it had claimed is aggregated whole,
+// nothing else leaves the queue, and a checkpoint refuses until it does.
 func TestRunParallelFnFalseStops(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
 	_, p, flows, _ := buildEndToEnd(t)
 	if len(flows) < 4*consumeBatchSize {
 		t.Fatalf("trace of %d flows cannot keep four workers in flight", len(flows))
 	}
-	rt, err := NewRuntime(RuntimeConfig{
-		Pipeline: p,
-		Start:    cpStart, Bucket: time.Hour,
-		Queue: unboundedQueue(len(flows)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range flows {
-		rt.Ingest(f)
-	}
-	n := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.RunParallel(nil, 4, func(ipfix.Flow, LiveVerdict) bool {
-			n++
-			return n < 10
+	for _, mode := range []struct {
+		name    string
+		workers int // 0 is Run
+	}{{"parallel-4", 4}, {"run", 0}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rt, err := NewRuntime(RuntimeConfig{
+				Pipeline: p,
+				Start:    cpStart, Bucket: time.Hour,
+				Queue:          unboundedQueue(len(flows)),
+				CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range flows {
+				rt.Ingest(f)
+			}
+			n := 0
+			fn := func(ipfix.Flow, LiveVerdict) bool {
+				n++
+				return n < 10
+			}
+			done := make(chan error, 1)
+			go func() { done <- runWith(rt, mode.workers, fn) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("drain did not stop after fn returned false")
+			}
+			if n != 10 {
+				t.Fatalf("fn was called %d times, want exactly 10: it returned false on the tenth", n)
+			}
+			if mode.workers != 0 {
+				return
+			}
+			st := rt.Stats()
+			if st.Processed != consumeBatchSize || st.Queue.Depth != len(flows)-consumeBatchSize {
+				t.Fatalf("processed %d with %d still queued, want the one claimed batch (%d) and the other %d",
+					st.Processed, st.Queue.Depth, consumeBatchSize, len(flows)-consumeBatchSize)
+			}
+			if err := rt.Checkpoint(); !errors.Is(err, ErrNotQuiescent) {
+				t.Fatalf("Checkpoint with flows still queued: %v, want ErrNotQuiescent", err)
+			}
 		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunParallel did not stop after fn returned false")
-	}
-	if n != 10 {
-		t.Fatalf("fn was called %d times, want exactly 10: it returned false on the tenth", n)
 	}
 }
 
@@ -239,23 +267,20 @@ func TestRunParallelPeriodicCheckpoint(t *testing.T) {
 
 // TestRunParallelKillResumeSwitchWorkers is the full crash-recovery
 // equivalence: a run interrupted at a checkpoint resumes in a fresh runtime
-// with a DIFFERENT worker count — sequential to parallel, and parallel to a
-// narrower parallel — and the final checkpoint is byte-identical to an
-// uninterrupted run's.
+// with a DIFFERENT worker count — Run ("sequential", worker count 0) to
+// parallel, and parallel to a narrower parallel — and the final checkpoint is
+// byte-identical to the per-flow reference's over the whole trace.
 func TestRunParallelKillResumeSwitchWorkers(t *testing.T) {
-	_, p, flows, _ := buildEndToEnd(t)
+	_, rib, p, flows, _ := buildEndToEndRIB(t)
 	dir := t.TempDir()
-	ref := runSequential(t, p, flows, filepath.Join(dir, "ref.ckpt"))
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	ref := perFlowReference(t, oracle, flows, filepath.Join(dir, "ref.ckpt"))
 	cut := 2 * len(flows) / 5
 
 	resume := func(t *testing.T, path string, firstWorkers, secondWorkers int) {
 		t.Helper()
 		// Phase 1: classify the prefix, checkpoint, "crash".
-		if firstWorkers == 0 {
-			runSequential(t, p, flows[:cut], path)
-		} else {
-			runParallel(t, p, flows[:cut], firstWorkers, path)
-		}
+		runParallel(t, p, flows[:cut], firstWorkers, path)
 		cp, err := ReadCheckpointFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -280,15 +305,7 @@ func TestRunParallelKillResumeSwitchWorkers(t *testing.T) {
 			rt.Ingest(f)
 		}
 		rt.Close()
-		if secondWorkers == 0 {
-			for {
-				if _, _, ok := rt.Step(); !ok {
-					break
-				}
-			}
-		} else if err := rt.RunParallel(nil, secondWorkers, nil); err != nil {
-			t.Fatal(err)
-		}
+		drainWith(t, rt, secondWorkers)
 		if err := rt.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}

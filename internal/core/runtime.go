@@ -25,8 +25,8 @@ import (
 type RuntimeConfig struct {
 	// Pipeline is the initial compiled pipeline (promoted as epoch 1). Nil
 	// is allowed: the runtime starts with no routing state, ingested flows
-	// queue (shedding past the watermark), and Step blocks until the first
-	// Swap promotes a pipeline.
+	// queue (shedding past the watermark), and the drain blocks until the
+	// first Swap promotes a pipeline.
 	Pipeline *Pipeline
 	// Start and Bucket configure the aggregator's time series (ignored on
 	// resume: the checkpoint carries them).
@@ -91,11 +91,11 @@ type RuntimeStats struct {
 }
 
 // Runtime is the live classification engine. Ingest may be called from any
-// number of producer goroutines (IPFIX collectors); Step is the per-flow
-// consumer, Run and RunParallel are one and n workers of the batch drain
-// loop (use one of the three, not several at once); Swap and MarkDegraded
-// may be called from a routing-feed goroutine at any time — promotion is an atomic pointer swap
-// between flows, never a pause.
+// number of producer goroutines (IPFIX collectors); Run and RunParallel are
+// one and n workers of the batch drain loop, the only consumer (one call at
+// a time); Swap and MarkDegraded may be called from a routing-feed goroutine
+// at any time — promotion is an atomic pointer swap between batches, never a
+// pause.
 type Runtime struct {
 	cfg   RuntimeConfig
 	queue *IngestQueue
@@ -109,9 +109,9 @@ type Runtime struct {
 	lastEpoch  Epoch
 	promoted   bool // a pipeline has been promoted (firstEpoch closed); under swapMu
 
-	// processed counts flows classified (sequentially or by any parallel
-	// worker); ckptMark mirrors the merged count at the last successful
-	// checkpoint so workers can test checkpoint due-ness without rt.mu.
+	// processed counts flows classified by any drain worker; ckptMark
+	// mirrors the merged count at the last successful checkpoint so workers
+	// can test checkpoint due-ness without rt.mu.
 	processed atomic.Uint64
 	ckptMark  atomic.Uint64
 
@@ -265,39 +265,6 @@ func (rt *Runtime) MarkDegraded() {
 	}
 }
 
-// Step consumes one flow: pop, classify under the current epoch, aggregate,
-// and checkpoint when due. It blocks until a flow is available (and, before
-// the first Swap, until a pipeline exists) and reports false once the
-// runtime is closed and drained.
-func (rt *Runtime) Step() (ipfix.Flow, LiveVerdict, bool) {
-	f, ok := rt.queue.Pop()
-	if !ok {
-		return ipfix.Flow{}, LiveVerdict{}, false
-	}
-	<-rt.firstEpoch
-	st := rt.state.Load()
-	lv := LiveVerdict{
-		Verdict: rt.classifyTimed(st.pipeline, f, rt.processed.Load(), rt.observeLatency),
-		Epoch:   st.epoch,
-		Stale:   rt.degraded.Load(),
-	}
-	if lv.Stale {
-		rt.stale.Add(1)
-	}
-	rt.mu.Lock()
-	rt.agg.Add(f, lv.Verdict)
-	rt.merged++
-	rt.processed.Add(1)
-	if rt.checkpointDueLocked() {
-		// Not-quiescent just defers to the next Step (the due-ness test
-		// keeps the snapshot due); write failures are accounted in
-		// CheckpointErrors / LastCheckpointError by checkpointLocked itself.
-		rt.checkpointLocked()
-	}
-	rt.mu.Unlock()
-	return f, lv, true
-}
-
 // checkpointDueLocked reports whether periodic checkpointing is configured
 // and enough flows have merged since the last successful snapshot.
 func (rt *Runtime) checkpointDueLocked() bool {
@@ -305,43 +272,19 @@ func (rt *Runtime) checkpointDueLocked() bool {
 		rt.merged-rt.lastCkpt >= rt.cfg.CheckpointEvery
 }
 
-// Run consumes flows until the context is cancelled or the runtime is
-// closed and drained. fn (optional) observes every flow and verdict;
-// returning false stops the loop. Cancelling the context closes intake.
-//
-// Without an observer, Run is one worker of the batch drain loop
-// (RunParallel with workers = 1): one queue claim, one epoch snapshot, one
-// classify pass, and one aggregate lock per 256 flows, aggregated straight
-// into the canonical aggregate — the single-core line-rate path (the per-flow
-// Step loop pays a queue claim and a lock acquisition per flow). The
-// aggregate it produces is byte-identical to the Step loop's over the same
-// flows: batching changes when work happens, never its order. With an
-// observer, Run is the Step loop, so fn keeps its exact per-flow semantics
-// (a false return stops before the next flow is aggregated).
+// Run is RunParallel with one worker: the sole worker of the batch drain
+// loop waits for the runtime lock instead of spilling, so every batch is
+// aggregated straight into the canonical aggregate — the single-core
+// line-rate path. fn (optional) has RunParallel's contract: it sees a batch
+// at a time, after that batch is aggregated, and returning false stops
+// further calls and closes intake; the claimed batch it stopped in stays
+// aggregated.
 func (rt *Runtime) Run(ctx context.Context, fn func(ipfix.Flow, LiveVerdict) bool) error {
-	if fn == nil {
-		return rt.RunParallel(ctx, 1, nil)
-	}
-	if ctx != nil {
-		stop := context.AfterFunc(ctx, rt.Close)
-		defer stop()
-	}
-	for {
-		f, v, ok := rt.Step()
-		// A cancelled context wins even when fn stops the loop in the same
-		// iteration: the caller asked to abort, and returning nil here would
-		// mask that.
-		if !ok || !fn(f, v) {
-			if ctx != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return nil
-		}
-	}
+	return rt.RunParallel(ctx, 1, fn)
 }
 
-// Close stops intake. Pending flows remain consumable: Step keeps returning
-// them until the queue drains, then reports false.
+// Close stops intake. Pending flows remain consumable: Run and RunParallel
+// drain them, then return.
 func (rt *Runtime) Close() { rt.queue.Close() }
 
 // ErrNotQuiescent reports a checkpoint attempt while flows are still in
@@ -462,7 +405,7 @@ func (rt *Runtime) currentEpoch() Epoch {
 }
 
 // Aggregator exposes the aggregate state. The caller must not race it with
-// Step; read it after Close has drained or between synchronous Steps.
+// a running drain; read it after Run or RunParallel has returned.
 func (rt *Runtime) Aggregator() *Aggregator {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

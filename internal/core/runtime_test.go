@@ -20,6 +20,55 @@ func mustRead(t *testing.T, path string) []byte {
 	return b
 }
 
+// startStepper drives rt one flow at a time through the one consumer
+// contract: Run on its own goroutine, its observer handing each verdict to
+// the test over an unbuffered channel. When step returns the flow is already
+// aggregated (the observer runs after its batch lands); the worker's idle
+// edge — where a due periodic checkpoint is written — follows the observer's
+// return, so its effects are read after the next step, or after the drain
+// has returned. step reports false once the runtime is closed and drained.
+// The test's cleanup closes the runtime and waits for Run to return.
+func startStepper(t *testing.T, rt *Runtime) (step func() (LiveVerdict, bool)) {
+	t.Helper()
+	out := make(chan LiveVerdict)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := rt.Run(nil, func(_ ipfix.Flow, v LiveVerdict) bool {
+			out <- v
+			return true
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	t.Cleanup(func() {
+		rt.Close()
+		for {
+			select {
+			case <-out:
+			case <-done:
+				return
+			}
+		}
+	})
+	return func() (LiveVerdict, bool) {
+		select {
+		case v := <-out:
+			return v, true
+		case <-done:
+			return LiveVerdict{}, false
+		}
+	}
+}
+
+// drainAll closes rt and runs the drain to exhaustion: the "classify
+// everything ingested so far" step of a test that needs no verdicts.
+func drainAll(t *testing.T, rt *Runtime) {
+	t.Helper()
+	rt.Close()
+	drainWith(t, rt, 0)
+}
+
 func TestRuntimeClassifiesAndTagsEpoch(t *testing.T) {
 	p := testPipeline(t, Options{})
 	rt, err := NewRuntime(RuntimeConfig{Pipeline: p, Start: cpStart, Bucket: time.Hour})
@@ -33,21 +82,20 @@ func TestRuntimeClassifiesAndTagsEpoch(t *testing.T) {
 	}
 	rt.Close()
 	n := 0
-	for {
-		f, v, ok := rt.Step()
-		if !ok {
-			break
-		}
+	if err := rt.Run(nil, func(f ipfix.Flow, v LiveVerdict) bool {
 		if v.Epoch != 1 {
-			t.Fatalf("flow %d epoch = %d, want 1", n, v.Epoch)
+			t.Errorf("flow %d epoch = %d, want 1", n, v.Epoch)
 		}
 		if v.Stale {
-			t.Fatalf("flow %d marked stale with a healthy feed", n)
+			t.Errorf("flow %d marked stale with a healthy feed", n)
 		}
 		if v.Verdict != p.Classify(f) {
-			t.Fatalf("flow %d verdict diverged from direct classification", n)
+			t.Errorf("flow %d verdict diverged from direct classification", n)
 		}
 		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != len(checkpointFlows()) {
 		t.Fatalf("processed %d flows, want %d", n, len(checkpointFlows()))
@@ -65,16 +113,17 @@ func TestRuntimeSwapAndStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := checkpointFlows()
+	step := startStepper(t, rt)
 
 	rt.Ingest(flows[0])
-	if _, v, _ := rt.Step(); v.Epoch != 1 || v.Stale {
+	if v, _ := step(); v.Epoch != 1 || v.Stale {
 		t.Fatalf("healthy verdict = epoch %d stale %v", v.Epoch, v.Stale)
 	}
 
 	// Feed goes down: verdicts continue from the old state, marked Stale.
 	rt.MarkDegraded()
 	rt.Ingest(flows[1])
-	if _, v, _ := rt.Step(); v.Epoch != 1 || !v.Stale {
+	if v, _ := step(); v.Epoch != 1 || !v.Stale {
 		t.Fatalf("degraded verdict = epoch %d stale %v, want epoch 1 stale", v.Epoch, v.Stale)
 	}
 
@@ -83,7 +132,7 @@ func TestRuntimeSwapAndStale(t *testing.T) {
 		t.Fatalf("swap returned epoch %d, want 2", e)
 	}
 	rt.Ingest(flows[2])
-	if _, v, _ := rt.Step(); v.Epoch != 2 || v.Stale {
+	if v, _ := step(); v.Epoch != 2 || v.Stale {
 		t.Fatalf("post-swap verdict = epoch %d stale %v, want epoch 2 fresh", v.Epoch, v.Stale)
 	}
 
@@ -94,7 +143,7 @@ func TestRuntimeSwapAndStale(t *testing.T) {
 }
 
 // TestRuntimeBlocksUntilFirstSwap starts with no routing state at all:
-// flows queue, and Step waits for the first promoted pipeline instead of
+// flows queue, and the drain waits for the first promoted pipeline instead of
 // classifying against nothing.
 func TestRuntimeBlocksUntilFirstSwap(t *testing.T) {
 	rt, err := NewRuntime(RuntimeConfig{Start: cpStart, Bucket: time.Hour})
@@ -107,14 +156,15 @@ func TestRuntimeBlocksUntilFirstSwap(t *testing.T) {
 		v  LiveVerdict
 		ok bool
 	}
+	step := startStepper(t, rt)
 	done := make(chan result, 1)
 	go func() {
-		_, v, ok := rt.Step()
+		v, ok := step()
 		done <- result{v, ok}
 	}()
 	select {
 	case <-done:
-		t.Fatal("Step returned before any pipeline was promoted")
+		t.Fatal("a flow was classified before any pipeline was promoted")
 	case <-time.After(20 * time.Millisecond):
 	}
 	rt.Swap(testPipeline(t, Options{}))
@@ -124,7 +174,7 @@ func TestRuntimeBlocksUntilFirstSwap(t *testing.T) {
 			t.Fatalf("first verdict = %+v", r)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Step still blocked after the first Swap")
+		t.Fatal("drain still blocked after the first Swap")
 	}
 }
 
@@ -183,8 +233,8 @@ func TestRuntimeCheckpointResume(t *testing.T) {
 	feed := func(rt *Runtime, flows []ipfix.Flow) {
 		for _, f := range flows {
 			rt.Ingest(f)
-			rt.Step()
 		}
+		drainAll(t, rt)
 	}
 
 	// Uninterrupted reference run.
@@ -227,7 +277,7 @@ func TestRuntimeCheckpointResume(t *testing.T) {
 
 // TestRuntimeResumeAtLaterEpoch is the regression for the firstEpoch gate:
 // a checkpoint taken after a BGP-driven swap resumes at epoch >= 2, and the
-// re-promoting Swap must still unblock Step (the gate tracks "a pipeline
+// re-promoting Swap must still unblock the drain (the gate tracks "a pipeline
 // exists", not "the epoch number is 1").
 func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 	dir := t.TempDir()
@@ -243,7 +293,7 @@ func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 	rt.Swap(testPipeline(t, Options{})) // epoch 2, as after a BGP flap rebuild
 	flows := checkpointFlows()
 	rt.Ingest(flows[0])
-	rt.Step()
+	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +315,10 @@ func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Ingest(flows[1])
+	step := startStepper(t, res)
 	done := make(chan LiveVerdict, 1)
 	go func() {
-		_, v, ok := res.Step()
-		if ok {
+		if v, ok := step(); ok {
 			done <- v
 		}
 	}()
@@ -278,7 +328,7 @@ func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 			t.Fatalf("resumed verdict epoch = %d, want 2", v.Epoch)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Step deadlocked after resuming at epoch 2")
+		t.Fatal("drain deadlocked after resuming at epoch 2")
 	}
 	if st := res.Stats(); st.Epoch != 2 || st.Swaps != 2 {
 		t.Fatalf("resumed stats = %+v, want epoch 2 with 2 swaps", st)
@@ -302,7 +352,7 @@ func TestRuntimeResumeCarriesDegradation(t *testing.T) {
 	flows := checkpointFlows()
 	rt.MarkDegraded()
 	rt.Ingest(flows[0])
-	rt.Step()
+	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +375,14 @@ func TestRuntimeResumeCarriesDegradation(t *testing.T) {
 	if st := res.Stats(); !st.Degraded || st.StaleVerdicts != 1 {
 		t.Fatalf("resumed stats = %+v, want degraded with 1 stale verdict", st)
 	}
+	step := startStepper(t, res)
 	res.Ingest(flows[1])
-	if _, v, _ := res.Step(); !v.Stale {
+	if v, _ := step(); !v.Stale {
 		t.Fatal("post-resume verdict unmarked fresh while the feed gap is still open")
 	}
 	res.Swap(testPipeline(t, Options{})) // fresh state finally arrives
 	res.Ingest(flows[2])
-	if _, v, _ := res.Step(); v.Stale {
+	if v, _ := step(); v.Stale {
 		t.Fatal("verdict still stale after a fresh swap")
 	}
 	if st := res.Stats(); st.Degraded || st.StaleVerdicts != 2 {
@@ -352,19 +403,19 @@ func TestRuntimeCheckpointErrorSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := checkpointFlows()
-	for _, f := range flows[:2] {
+	for _, f := range checkpointFlows()[:2] {
 		rt.Ingest(f)
-		if _, _, ok := rt.Step(); !ok {
-			t.Fatal("Step stopped on a checkpoint write failure")
-		}
 	}
+	// The due snapshot is attempted at the worker's idle edge and again at
+	// its exit, after the flows are aggregated: read the outcome once the
+	// drain has returned.
+	drainAll(t, rt)
 	st := rt.Stats()
 	if st.Processed != 2 {
 		t.Fatalf("processed = %d, want 2 (classification must outlive checkpoint failures)", st.Processed)
 	}
-	if st.Checkpoints != 0 || st.CheckpointErrors != 2 || st.LastCheckpointError == "" {
-		t.Fatalf("stats = %+v, want 0 checkpoints, 2 errors, and a last-error message", st)
+	if st.Checkpoints != 0 || st.CheckpointErrors == 0 || st.LastCheckpointError == "" {
+		t.Fatalf("stats = %+v, want 0 checkpoints, errors counted, and a last-error message", st)
 	}
 	if err := rt.Checkpoint(); err == nil {
 		t.Fatal("forced Checkpoint succeeded against an unwritable path")
@@ -387,7 +438,7 @@ func TestRuntimeCheckpointRefusesPendingQueue(t *testing.T) {
 	if err := rt.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint succeeded with a flow still queued")
 	}
-	rt.Step()
+	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint after draining: %v", err)
 	}

@@ -17,12 +17,6 @@ const (
 	MetricMergeDuration    = "spoofscope_merge_duration_seconds"
 )
 
-// latencySampleMask samples every 64th classification for the latency
-// histogram: cheap enough to leave on permanently (two clock reads per 64
-// flows), frequent enough that a scrape sees thousands of samples per
-// million flows.
-const latencySampleMask = 63
-
 // instrument registers the runtime's health counters with t's registry,
 // installs the readiness source, and keeps journal references for
 // lifecycle events. Every metric that mirrors a Stats() field is
@@ -133,7 +127,7 @@ func (rt *Runtime) instrument(t *obs.Telemetry) {
 		"Flows dropped by the watermark policy or a full queue.",
 		func() uint64 { return rt.queue.Stats().Shed })
 	rt.classifyHist = m.Histogram(MetricClassifyDuration,
-		"Sampled per-flow classification latency (every 64th flow sequentially; batch mean per drained batch in parallel mode).",
+		"Sampled per-flow classification latency (one sample per drained batch: the batch's mean).",
 		obs.LatencyBuckets)
 	rt.buildHist = m.Histogram(MetricBuildDuration,
 		"Pipeline compilation duration per build (initial and rebuilds).",
@@ -166,31 +160,12 @@ func (rt *Runtime) health() obs.Health {
 	return obs.Health{Ready: true, Status: "ok"}
 }
 
-// classifyTimed classifies f against p, feeding the sampled latency
-// histogram: every 64th call (by the caller-maintained counter n) is
-// timed into sink. sink may be the shared histogram (sequential consumer)
-// or a per-worker shard (parallel consumers); a nil-histogram runtime
-// skips the clock entirely.
-func (rt *Runtime) classifyTimed(p *Pipeline, f ipfix.Flow, n uint64, observe func(float64)) Verdict {
-	if rt.classifyHist == nil || n&latencySampleMask != 0 {
-		return p.Classify(f)
-	}
-	t0 := time.Now()
-	v := p.Classify(f)
-	observe(time.Since(t0).Seconds())
-	return v
-}
-
-// observeLatency is the sequential consumer's histogram sink.
-func (rt *Runtime) observeLatency(seconds float64) { rt.classifyHist.Observe(seconds) }
-
-// classifyBatchTimed is the batch consumers' counterpart of classifyTimed:
-// it times the whole ClassifyBatch call and feeds one flow-weighted sample —
-// batch seconds divided by batch size, i.e. the batch's mean per-flow
-// latency — into sink per batch. The histogram keeps its per-flow-seconds
-// units (p50/p99 stay comparable with the sequential path's samples) at two
-// clock reads per batch, an even lower duty cycle than the every-64th-flow
-// stride. A nil-histogram runtime skips the clock entirely.
+// classifyBatchTimed times the whole ClassifyBatch call and feeds one
+// flow-weighted sample — batch seconds divided by batch size, i.e. the
+// batch's mean per-flow latency — into observe (the worker's histogram
+// shard) per batch: per-flow-seconds units at two clock reads per batch,
+// cheap enough to leave on permanently. A nil-histogram runtime skips the
+// clock entirely.
 func (rt *Runtime) classifyBatchTimed(p *Pipeline, flows []ipfix.Flow, out []Verdict, observe func(float64)) {
 	if rt.classifyHist == nil || len(flows) == 0 {
 		p.ClassifyBatch(flows, out)

@@ -177,7 +177,7 @@ func TestRuntimeHealthTransitions(t *testing.T) {
 // per edge, not once per shed flow.
 func TestQueueShedJournal(t *testing.T) {
 	j := obs.NewJournal(16)
-	q := NewIngestQueue(QueueConfig{Capacity: 8, HighWatermark: 4, LowWatermark: 2})
+	q := NewIngestQueue(QueueConfig{Capacity: 8, HighWatermark: 6}) // low watermark 4
 	q.journal = j
 	var f ipfix.Flow
 	for i := 0; i < 8; i++ {
@@ -187,8 +187,8 @@ func TestQueueShedJournal(t *testing.T) {
 	if !st.Shedding || st.Shed == 0 {
 		t.Fatalf("queue must be shedding: %+v", st)
 	}
-	for q.Depth() > 2 {
-		q.Pop()
+	for q.Depth() > 4 {
+		pop(q)
 	}
 	if q.Stats().Shedding {
 		t.Fatal("queue must have stopped shedding at the low watermark")
@@ -222,12 +222,7 @@ func TestRuntimeCheckpointJournal(t *testing.T) {
 	for _, f := range checkpointFlows() {
 		rt.Ingest(f)
 	}
-	rt.Close()
-	for {
-		if _, _, ok := rt.Step(); !ok {
-			break
-		}
-	}
+	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

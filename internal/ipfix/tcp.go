@@ -78,7 +78,7 @@ type CollectorStats struct {
 	// Messages, RecordsDecoded, and RecordsSkipped aggregate the decoder-
 	// level counters across the collector's decoders: messages decoded, data
 	// records delivered, and records dropped for unknown templates or short
-	// reads. (These were once exposed as bare tuples; see DecoderStats.)
+	// reads.
 	Messages       int
 	RecordsDecoded int
 	RecordsSkipped int

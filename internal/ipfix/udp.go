@@ -174,12 +174,3 @@ func (c *UDPCollector) Stats() CollectorStats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// DecoderStats exposes decoder-level statistics.
-//
-// Deprecated: use Stats, whose Messages, RecordsDecoded, and RecordsSkipped
-// fields carry the same counters on the shared CollectorStats struct.
-func (c *UDPCollector) DecoderStats() (messages, decoded, skipped int) {
-	st := c.Stats()
-	return st.Messages, st.RecordsDecoded, st.RecordsSkipped
-}

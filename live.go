@@ -23,8 +23,8 @@ type (
 	// LiveVerdict is a Verdict tagged with the producing epoch and a
 	// staleness marker.
 	LiveVerdict = core.LiveVerdict
-	// QueueConfig tunes the bounded ingest queue (capacity, watermarks,
-	// shed seed).
+	// QueueConfig tunes the bounded ingest queue (capacity and the high
+	// watermark at which shedding starts).
 	QueueConfig = core.QueueConfig
 	// QueueStats is the ingest queue's accounting snapshot.
 	QueueStats = core.QueueStats
@@ -55,7 +55,7 @@ type LiveRuntimeConfig struct {
 	// Start and Bucket configure the aggregate time series.
 	Start  time.Time
 	Bucket time.Duration
-	// Queue bounds ingest with deterministic watermark shedding.
+	// Queue bounds ingest with watermark shedding.
 	Queue QueueConfig
 	// CheckpointPath and CheckpointEvery enable periodic crash-safe
 	// snapshots (every N processed flows, written atomically).
@@ -72,9 +72,9 @@ type LiveRuntimeConfig struct {
 }
 
 // LiveRuntime is the continuous classification engine: collectors push
-// flows in via Ingest (never blocking — overload sheds deterministically),
-// a consumer drains verdicts via Step or Run, and a BGP feed promotes fresh
-// routing state between flows via SwapClassifier or ServeBGP.
+// flows in via Ingest (never blocking — overload sheds, fully accounted),
+// one Run or RunParallel call drains them, and a BGP feed promotes fresh
+// routing state between batches via SwapClassifier or ServeBGP.
 type LiveRuntime struct {
 	rt      *core.Runtime
 	members []Member
@@ -131,13 +131,7 @@ func (lr *LiveRuntime) IngestWait(f Flow) bool { return lr.rt.IngestWait(f) }
 // before the whole batch could be queued.
 func (lr *LiveRuntime) IngestBatchWait(flows []Flow) bool { return lr.rt.IngestBatchWait(flows) }
 
-// Step consumes one flow: it blocks until a flow (and a promoted
-// classifier) is available and reports false once the runtime is closed
-// and drained.
-func (lr *LiveRuntime) Step() (Flow, LiveVerdict, bool) { return lr.rt.Step() }
-
-// Run consumes flows until ctx is cancelled or the runtime is closed and
-// drained; fn (optional) observes every verdict and may stop the loop.
+// Run is RunParallel with one worker, which aggregates every batch in place.
 func (lr *LiveRuntime) Run(ctx context.Context, fn func(Flow, LiveVerdict) bool) error {
 	return lr.rt.Run(ctx, fn)
 }
@@ -151,16 +145,17 @@ func (lr *LiveRuntime) Run(ctx context.Context, fn func(Flow, LiveVerdict) bool)
 // private shard, and stays on it until its next barrier (the idle edge, or
 // exit), where the shard folds back. Merging is order-independent, so a
 // drained run's aggregate — and its canonical checkpoint encoding — is
-// byte-identical to the sequential Run's over the same flows, whatever the
-// worker count and however many batches spilled. Periodic checkpoints are
+// byte-identical to a flow-by-flow aggregation of the same flows, whatever
+// the worker count and however many batches spilled. Periodic checkpoints are
 // taken at the first idle edge at which they are due, once every worker has
 // folded.
 //
-// fn (optional) observes every flow and verdict; calls are serialized (one
-// observer lock per batch) but arrive in worker-completion order, not
-// arrival order. Returning false stops consumption: fn is not called again,
-// intake is closed, and workers exit after aggregating their in-flight
-// batches. Do not run concurrently with Step, Run, or another RunParallel.
+// fn (optional) observes every flow and verdict, after the flow's batch has
+// been aggregated; calls are serialized (one observer lock per batch) but
+// arrive in worker-completion order, not arrival order. Returning false stops
+// consumption: fn is not called again, intake is closed, and workers exit
+// after aggregating their in-flight batches. Do not run concurrently with Run
+// or another RunParallel.
 func (lr *LiveRuntime) RunParallel(ctx context.Context, workers int, fn func(Flow, LiveVerdict) bool) error {
 	return lr.rt.RunParallel(ctx, workers, fn)
 }
@@ -175,7 +170,8 @@ func (lr *LiveRuntime) SwapClassifier(c *Classifier) Epoch {
 // until the next swap.
 func (lr *LiveRuntime) MarkDegraded() { lr.rt.MarkDegraded() }
 
-// Close stops intake; queued flows drain through Step first.
+// Close stops intake; a running drain classifies what is queued, then
+// returns.
 func (lr *LiveRuntime) Close() { lr.rt.Close() }
 
 // Checkpoint forces a snapshot now (the queue must be drained).
@@ -184,7 +180,8 @@ func (lr *LiveRuntime) Checkpoint() error { return lr.rt.Checkpoint() }
 // Stats snapshots the runtime's health counters.
 func (lr *LiveRuntime) Stats() RuntimeStats { return lr.rt.Stats() }
 
-// Aggregator exposes the aggregate state; do not race it with Step.
+// Aggregator exposes the aggregate state; do not race it with a running
+// drain.
 func (lr *LiveRuntime) Aggregator() *Aggregator { return lr.rt.Aggregator() }
 
 // BGPFeedConfig wires a live route-server session into the runtime.

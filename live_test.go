@@ -3,7 +3,7 @@ package spoofscope
 // Acceptance tests for the degradation-aware live runtime: kill-and-resume
 // must reproduce an uninterrupted run's Table 1 tallies byte-for-byte, and
 // classification must ride across a BGP flap + rebuild with verdicts tagged
-// Stale during the gap and deterministic shed accounting across replays.
+// Stale during the gap and identical shed accounting across replays.
 
 import (
 	"bytes"
@@ -46,12 +46,19 @@ func TestKillAndResumeByteIdenticalTallies(t *testing.T) {
 		}
 		return rt
 	}
+	// feed classifies flows to the last one: a drain running behind a
+	// backpressured producer, closed and waited for.
 	feed := func(rt *LiveRuntime, flows []Flow) {
+		done := make(chan error, 1)
+		go func() { done <- rt.Run(nil, nil) }()
 		for _, f := range flows {
-			if !rt.Ingest(f) {
-				t.Fatal("flow shed in a lockstep feed")
+			if !rt.IngestWait(f) {
+				t.Fatal("runtime closed mid-feed")
 			}
-			rt.Step()
+		}
+		rt.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
 	finalBytes := func(rt *LiveRuntime, name string) []byte {
@@ -107,6 +114,12 @@ func TestKillAndResumeByteIdenticalTallies(t *testing.T) {
 // (stale), then classify a final batch under the rebuilt epoch 2. The
 // ingest schedule pushes each batch through a deliberately tiny queue to
 // engage the shed watermark identically on every replay.
+//
+// The consumer is Run with an observer that hands each verdict to the test
+// and then waits to be released, so between batches the drain worker sits
+// inside fn and claims nothing: every burst lands on a queue nobody is
+// draining, which is what makes the shed accounting a function of the
+// schedule alone. (Run starts after the first burst for the same reason.)
 type liveReplayResult struct {
 	epochs  [3]Epoch // per batch: observed epoch of first verdict
 	stale   [3]int   // per batch: stale verdict count
@@ -117,7 +130,7 @@ type liveReplayResult struct {
 	highWat int
 }
 
-func liveFeedReplay(t *testing.T, sim *Simulation, seed int64) liveReplayResult {
+func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 	t.Helper()
 	anns := sim.Env().Scenario.Anns
 	flows := sim.Flows()
@@ -145,21 +158,31 @@ func liveFeedReplay(t *testing.T, sim *Simulation, seed int64) liveReplayResult 
 		Classifier: sim.Classifier(), // epoch 1: the pre-flap state
 		Members:    sim.Members(),
 		Start:      start, Bucket: time.Hour,
-		Queue: QueueConfig{
-			Capacity: 256, HighWatermark: 192, LowWatermark: 128,
-			ShedSeed: seed, ShedFraction: 0.5, // seeded coin, not drop-all
-		},
+		Queue: QueueConfig{Capacity: 256, HighWatermark: 192},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 
 	res := liveReplayResult{counts: map[Class]int{}}
 
-	// batch ingests n flows at once (overrunning the watermark so the
-	// deterministic shed policy engages), then drains what was queued —
-	// the same arrival/drain interleaving on every replay.
+	var (
+		verdicts = make(chan LiveVerdict)
+		release  = make(chan struct{}) // lets the worker past the flow it last handed over
+		runDone  = make(chan error, 1)
+		held     bool
+	)
+	defer func() {
+		close(release)
+		rt.Close()
+		if err := <-runDone; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+
+	// batch ingests n flows at once (overrunning the watermark so the shed
+	// policy engages), then drains what was queued — the same arrival/drain
+	// interleaving on every replay.
 	off := 0
 	batch := func(bi, n int) {
 		queuedBefore := rt.Stats().Queue.Queued
@@ -168,11 +191,21 @@ func liveFeedReplay(t *testing.T, sim *Simulation, seed int64) liveReplayResult 
 		}
 		off += n
 		accepted := rt.Stats().Queue.Queued - queuedBefore
+		if bi == 0 {
+			go func() {
+				runDone <- rt.Run(nil, func(_ Flow, v LiveVerdict) bool {
+					verdicts <- v
+					<-release
+					return true
+				})
+			}()
+		}
 		for i := uint64(0); i < accepted; i++ {
-			_, v, ok := rt.Step()
-			if !ok {
-				t.Fatal("runtime closed mid-batch")
+			if held {
+				release <- struct{}{}
 			}
+			v := <-verdicts
+			held = true
 			if i == 0 {
 				res.epochs[bi] = v.Epoch
 			}
@@ -244,11 +277,11 @@ func liveFeedReplay(t *testing.T, sim *Simulation, seed int64) liveReplayResult 
 
 // TestEpochSwapAcrossFlap: classification proceeds uninterrupted across a
 // BGP flap + rebuild; verdicts during the gap are tagged Stale; shed
-// accounting is identical across two seeded replays.
+// accounting is identical across two replays of the same schedule.
 func TestEpochSwapAcrossFlap(t *testing.T) {
 	sim := newSmallSim(t)
 
-	r1 := liveFeedReplay(t, sim, 99)
+	r1 := liveFeedReplay(t, sim)
 	if r1.flaps == 0 {
 		t.Fatal("faulted replay produced no flap")
 	}
@@ -275,8 +308,8 @@ func TestEpochSwapAcrossFlap(t *testing.T) {
 		t.Fatalf("high watermark observed %d, want >= 192", r1.highWat)
 	}
 
-	// Second seeded replay: identical shed counts and tallies.
-	r2 := liveFeedReplay(t, sim, 99)
+	// Second replay: identical shed counts and tallies.
+	r2 := liveFeedReplay(t, sim)
 	if r1.shed != r2.shed || r1.queued != r2.queued {
 		t.Fatalf("shed accounting diverged across replays: %d/%d vs %d/%d",
 			r1.shed, r1.queued, r2.shed, r2.queued)
