@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"spoofscope/internal/experiments"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
-	"spoofscope/internal/obs"
 	"spoofscope/internal/scenario"
 )
 
@@ -126,34 +124,21 @@ func BenchmarkFPHunt(b *testing.B) {
 
 // --- end-to-end pipeline benchmarks ---
 
-// BenchmarkClassify measures single-flow classification throughput on the
-// shared pipeline (the paper's detector processed 1:10K-sampled traffic of
-// a 5 Tb/s IXP — per-flow cost is the budget that matters).
-func BenchmarkClassify(b *testing.B) {
-	env := benchEnvironment(b)
-	flows := env.Flows
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.Pipeline.Classify(flows[i%len(flows)])
-	}
-}
-
-// BenchmarkClassifyHotPath is the classify-path pair tracked in the
-// `classify` section of BENCH_runtime.json (`make bench`, regression-gated by
-// `make bench-compare`): the per-flow and the batch-256 API over the full
-// default-scale trace. Both report ns/flow and flows/sec so the cells are
-// directly comparable even though a batch iteration covers 256 flows.
-// batch256-flat is the production hot path (every drain worker classifies
-// through it) and must stay at 0 allocs/op — classification itself touches
-// only the pipeline's immutable slabs and the caller's reused buffers. (The
-// -flat suffix is the baseline's row key; the trie rows it once set them
-// apart from are frozen in EXPERIMENTS.md, "Retired alternatives".)
+// BenchmarkClassifyHotPath is the classify path alone, per-flow and batch-256
+// API over the full default-scale trace (the paper's detector processed
+// 1:10K-sampled traffic of a 5 Tb/s IXP — per-flow cost is the budget that
+// matters). Both rows report ns/flow and flows/sec so the cells are directly
+// comparable even though a batch iteration covers 256 flows. batch256 is the
+// production hot path (every drain worker classifies through it) and must
+// stay at 0 allocs/op — classification itself touches only the pipeline's
+// immutable slabs and the caller's reused buffers;
+// TestClassifyBatchMatchesClassify asserts the count. The number to claim is
+// the repository benchmark's classify.ns_per_flow.
 func BenchmarkClassifyHotPath(b *testing.B) {
 	env := benchEnvironment(b)
 	flows := env.Flows
 	p := env.Pipeline
-	b.Run("perflow-flat", func(b *testing.B) {
+	b.Run("perflow", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -162,7 +147,7 @@ func BenchmarkClassifyHotPath(b *testing.B) {
 		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N), "ns/flow")
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
 	})
-	b.Run("batch256-flat", func(b *testing.B) {
+	b.Run("batch256", func(b *testing.B) {
 		verdicts := make([]core.Verdict, core.ClassifyBatchSize)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -200,26 +185,20 @@ func BenchmarkClassifyAggregate(b *testing.B) {
 // cmd/classify single-core path) or with n. A worker count is registered only
 // when GOMAXPROCS can run it — RunParallel clamps beyond that, and a clamped
 // row would time a smaller count under a bigger name. The queue is pre-filled
-// outside the timer so only the drain is measured, and flows/sec is the
-// headline metric tracked in BENCH_runtime.json (`make bench`), gated by the
-// `runtime` section of `make bench-compare`.
-//
-// The *-telemetry variants run the same drain with a live obs.Telemetry
-// attached, so the baseline records what instrumentation costs (the budget is
-// <5% of the uninstrumented flows/sec) alongside the sampled classify-latency
-// quantiles (classify-p50-ns / classify-p99-ns).
+// outside the timer so only the drain is measured. The numbers to claim are
+// the repository benchmark's runtime.drain_ns_per_flow and
+// runtime.drain_parallel_ns_per_flow; what a live obs.Telemetry costs the
+// drain is its obs.telemetry_overhead_pct (alternating passes).
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	env := benchEnvironment(b)
 	flows := env.Flows
-	// filled returns a closed runtime whose queue holds the whole trace;
-	// drain empties it.
-	filled := func(b *testing.B, tel *obs.Telemetry) *core.Runtime {
+	// filled returns a closed runtime whose queue holds the whole trace.
+	filled := func(b *testing.B) *core.Runtime {
 		rt, err := core.NewRuntime(core.RuntimeConfig{
 			Pipeline: env.Pipeline,
 			Start:    env.Scenario.Cfg.Start, Bucket: env.Scenario.Cfg.Duration / 168,
 			// Hold the whole trace: benchmark the drain, not shedding.
-			Queue:     core.QueueConfig{Capacity: len(flows) + 1, HighWatermark: len(flows) + 1},
-			Telemetry: tel,
+			Queue: core.QueueConfig{Capacity: len(flows) + 1, HighWatermark: len(flows) + 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -230,46 +209,26 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 		rt.Close()
 		return rt
 	}
-	drain := func(b *testing.B, rt *core.Runtime, workers int) {
-		if err := rt.RunParallel(nil, workers, nil); err != nil {
-			b.Fatal(err)
-		}
-		if got := rt.Stats().Processed; got != uint64(len(flows)) {
-			b.Fatalf("processed %d flows, want %d", got, len(flows))
-		}
-	}
-	run := func(b *testing.B, workers int, withTelemetry bool) {
+	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
-		var tel *obs.Telemetry
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			if withTelemetry {
-				tel = obs.NewTelemetry()
-			}
-			rt := filled(b, tel)
+			rt := filled(b)
 			b.StartTimer()
-			drain(b, rt, workers)
+			if err := rt.RunParallel(nil, workers, nil); err != nil {
+				b.Fatal(err)
+			}
+			if got := rt.Stats().Processed; got != uint64(len(flows)) {
+				b.Fatalf("processed %d flows, want %d", got, len(flows))
+			}
 		}
 		b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-		if tel != nil {
-			// Quantiles from the last iteration's sampled histogram (one
-			// sample per drained batch ≈ 1.7K observations over the full trace).
-			if snap, ok := tel.Metrics.FindHistogram(core.MetricClassifyDuration); ok && snap.Count > 0 {
-				b.ReportMetric(snap.Quantile(0.50)*1e9, "classify-p50-ns")
-				b.ReportMetric(snap.Quantile(0.99)*1e9, "classify-p99-ns")
-			}
-		}
 	}
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for _, workers := range []int{1, 2, 4, 8} {
 		if workers <= maxWorkers {
-			b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) { run(b, workers, false) })
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		if workers <= maxWorkers {
-			b.Run(fmt.Sprintf("parallel-%d-telemetry", workers), func(b *testing.B) { run(b, workers, true) })
+			b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) { run(b, workers) })
 		}
 	}
 }
@@ -323,10 +282,12 @@ func startIngestDrain(tb testing.TB, env *experiments.Env) (*core.Runtime, chan 
 // shedding) → batched drain → classify → aggregate. One iteration replays
 // the whole default-scale trace (≈440K flows) from a pre-encoded in-memory
 // stream through a single live runtime whose drain runs concurrently.
-// flows/sec is the headline (tracked in the `runtime` section of
-// BENCH_runtime.json and gated by `make bench-compare`); allocs/op must stay
-// 0 — the proof that nothing between the wire image and the aggregate
-// allocates per message or per flow in steady state.
+// flows/sec is the headline; the number to claim is replay-mixed's end-to-end
+// flows_per_s in the repository benchmark, with ipfix.decode_ns_per_flow and
+// queue.roundtrip_ns_per_flow for the two stages in front of the drain.
+// allocs/op must stay 0 — nothing between the wire image and the aggregate
+// allocates per message or per flow in steady state — which
+// TestIngestPathZeroAlloc asserts.
 func BenchmarkIngestPath(b *testing.B) {
 	env := benchEnvironment(b)
 	stream := encodeIngestStream(b, env)
@@ -428,11 +389,12 @@ func attackAggregate(env *experiments.Env) *core.Aggregator {
 	return agg
 }
 
-// BenchmarkCheckpointCodec is the checkpoint stage's line in the ledger: the
-// canonical codec over one full trace's state, typical mix and attack-shaped,
-// each way. ns/op, MB/s and allocs/op are tracked in the `codec` section of
-// BENCH_runtime.json and gated by `make bench-compare`; allocs/op for encode
-// is a small constant whatever the state's size.
+// BenchmarkCheckpointCodec is the canonical codec over one full trace's
+// state, typical mix and attack-shaped, each way. The numbers to claim are the
+// repository benchmark's checkpoint.encode_ms, checkpoint.decode_ms and
+// checkpoint.bytes; allocs/op for encode is a small constant whatever the
+// state's size (core's TestEncodeCheckpointAllocsConstant), for decode it is
+// per container (TestDecodeCheckpointAllocsPerContainer).
 func BenchmarkCheckpointCodec(b *testing.B) {
 	env := benchEnvironment(b)
 	n := uint64(len(env.Flows))
@@ -463,16 +425,15 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeSpill is the spill episode's line in the ledger — everything
-// a contended batch costs a drain worker: refill its recycled private shard
+// BenchmarkMergeSpill is the spill episode — everything a contended batch
+// costs a drain worker: refill its recycled private shard
 // with one 256-flow batch, fold the shard into a warm aggregate that already
 // holds the full trace, Reset it for the next. The fold must cost about the
 // shard's own entries, not the tables' size (the dense pages' presence
 // bitmaps are walked through their summaries), and the episode must allocate
 // nothing: the shard's node allocator takes every node back at Reset and
-// hands it out again. ns/op and flows/sec are tracked in the `merge` section
-// of BENCH_runtime.json and gated by `make bench-compare`; allocs/op is gated
-// at exactly 0, in the smoke gate too.
+// hands it out again (core's TestSpillCycleAllocatesNothing asserts exactly 0).
+// The number to claim is the repository benchmark's aggregate.merge_ms.
 func BenchmarkMergeSpill(b *testing.B) {
 	env := benchEnvironment(b)
 	newAgg := func() *core.Aggregator {
@@ -545,15 +506,13 @@ type buildBenchScale struct {
 // buildBenchScales prepares the two compilation workloads: the paper-scale
 // simulation (~6.4K ASes with orgs and realistic policy structure) and the
 // synthetic full-table view (~50K ASes, a few hundred thousand
-// announcements — cmd/ixpgen -scale full50k). SPOOFSCOPE_BENCH_SMOKE=1
-// substitutes much smaller variants so CI smoke runs stay cheap.
+// announcements — cmd/ixpgen -scale full50k). -short substitutes much
+// smaller variants so `make bench-smoke` stays cheap.
 func buildBenchScales(b *testing.B) []buildBenchScale {
 	b.Helper()
-	smoke := os.Getenv("SPOOFSCOPE_BENCH_SMOKE") != ""
-
 	scfg := scenario.PaperScaleConfig()
 	synth := scenario.FullTableConfig()
-	if smoke {
+	if testing.Short() {
 		scfg = scenario.SmallConfig()
 		synth.NumTransit = 500
 		synth.NumStub = 7000
@@ -593,9 +552,11 @@ func buildBenchScales(b *testing.B) []buildBenchScale {
 // 1/2/4/8 compilation workers and the incremental rebuild against an
 // unchanged snapshot (the steady-state epoch promotion of a live feed).
 // Worker counts clamp to GOMAXPROCS, so a 1-CPU baseline reports every
-// cold-wN variant at sequential speed — the `cpu:` line in the benchmark
-// output (and the cpus field in BENCH_runtime.json) says which case a
-// recorded baseline describes. The ases metric self-describes the scale.
+// cold-wN variant at sequential speed — the `cpu:` line and the -N suffix in
+// the benchmark output say which case a run describes. The ases metric
+// self-describes the scale. The numbers to claim are the repository
+// benchmark's build.cold_ms, build.reused_closures_ms and
+// build.reused_pipeline_ms.
 func BenchmarkPipelineBuild(b *testing.B) {
 	for _, sc := range buildBenchScales(b) {
 		for _, workers := range []int{1, 2, 4, 8} {

@@ -91,7 +91,7 @@ func TestAuthRejectsWrongSecret(t *testing.T) {
 	conn, nonce := openConn(t, coord)
 	hello := helloMsg{identity: "intruder", name: "intruder"}
 	hello.mac = helloMAC([]byte("wrong"), nonce, hello.identity, hello.name)
-	if err := writeFrame(conn, encodeHello(hello)); err != nil {
+	if err := writeSealed(conn, encodeHello(hello)); err != nil {
 		t.Fatal(err)
 	}
 	expectDropped(t, conn)
@@ -110,7 +110,7 @@ func TestAuthRejectsTruncatedHello(t *testing.T) {
 	hello := helloMsg{identity: "w1", name: "w1"}
 	hello.mac = helloMAC([]byte("s3cret"), nonce, hello.identity, hello.name)
 	full := encodeHello(hello)
-	if err := writeFrame(conn, full[:len(full)/2]); err != nil {
+	if err := writeSealed(conn, sealFrame(full[:len(full)/2])); err != nil {
 		t.Fatal(err)
 	}
 	expectDropped(t, conn)
@@ -131,14 +131,14 @@ func TestAuthRejectsReplayedHello(t *testing.T) {
 	hello := helloMsg{identity: "w1", name: "w1"}
 	hello.mac = helloMAC([]byte("s3cret"), nonceA, hello.identity, hello.name)
 	captured := encodeHello(hello)
-	if err := writeFrame(connA, captured); err != nil {
+	if err := writeSealed(connA, captured); err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, coord, "legitimate join", func(st Stats) bool { return st.Workers == 1 })
 
 	// Replay the captured hello on a fresh connection.
 	connB, _ := openConn(t, coord)
-	if err := writeFrame(connB, captured); err != nil {
+	if err := writeSealed(connB, captured); err != nil {
 		t.Fatal(err)
 	}
 	expectDropped(t, connB)
@@ -161,7 +161,7 @@ func TestAuthRejectsZombieIdentity(t *testing.T) {
 	defer connA.Close()
 	helloA := helloMsg{identity: "node-1", name: "w1"}
 	helloA.mac = helloMAC([]byte("s3cret"), nonceA, helloA.identity, helloA.name)
-	if err := writeFrame(connA, encodeHello(helloA)); err != nil {
+	if err := writeSealed(connA, encodeHello(helloA)); err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, coord, "first join", func(st Stats) bool { return st.Workers == 1 })
@@ -169,7 +169,7 @@ func TestAuthRejectsZombieIdentity(t *testing.T) {
 	connB, nonceB := openConn(t, coord)
 	helloB := helloMsg{identity: "node-1", name: "w1-zombie"}
 	helloB.mac = helloMAC([]byte("s3cret"), nonceB, helloB.identity, helloB.name)
-	if err := writeFrame(connB, encodeHello(helloB)); err != nil {
+	if err := writeSealed(connB, encodeHello(helloB)); err != nil {
 		t.Fatal(err)
 	}
 	expectDropped(t, connB)

@@ -149,13 +149,7 @@ func TestClusterSurvivesCoordinatorKill(t *testing.T) {
 	}
 	// Give the ledger a chance to capture real progress: wait for at least
 	// one durable snapshot (report merges trigger them constantly).
-	deadline := time.Now().Add(5 * time.Second)
-	for tc.coordinator().Stats().LedgerWrites == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no ledger snapshot ever written")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	tc.await("a ledger snapshot written", func() bool { return tc.coordinator().Stats().LedgerWrites > 0 })
 
 	tc.killCoordinator()
 	restored := tc.restartCoordinator()
@@ -176,10 +170,9 @@ func TestClusterSurvivesCoordinatorKill(t *testing.T) {
 		t.Fatal("checkpoint diverged across a coordinator kill")
 	}
 	tc.assertCursorInvariant(len(flows))
-	st := tc.coordinator().Stats()
-	if st.Workers != 2 {
-		t.Fatalf("workers = %d after coordinator restart, want 2", st.Workers)
-	}
+	// Orphaned shards go to whoever is connected, so one worker can carry the
+	// whole checkpoint while the other is still inside its redial backoff.
+	tc.await("both workers back after coordinator restart", func() bool { return tc.coordinator().Stats().Workers == 2 })
 }
 
 // TestClusterRepeatedKillsConverge is the grinder: two kills at different

@@ -277,10 +277,18 @@ func (tc *testCluster) startWorker(i int) {
 	})
 	// Wait for the join: on one CPU the test goroutine can otherwise feed
 	// the whole run before the worker's Hello is ever scheduled.
-	joinDeadline := time.Now().Add(5 * time.Second)
-	for !tc.hasJoined(w.label()) {
-		if time.Now().After(joinDeadline) {
-			tc.t.Fatalf("worker %d never joined", i)
+	tc.await(w.label()+" joined", func() bool { return tc.hasJoined(w.label()) })
+}
+
+// await polls cond until it holds, and fails the test if that takes more
+// than five seconds — for state another goroutine is about to reach (a
+// redial landing, a ledger write), where asserting at once would race it.
+func (tc *testCluster) await(what string, cond func() bool) {
+	tc.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			tc.t.Fatalf("%s: still not so after 5s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -388,10 +396,20 @@ func TestShardOfStableAndBounded(t *testing.T) {
 	}
 }
 
+// frameBody is what readFrame hands a decoder: a wire-ready frame's body, its
+// length prefix checked on the way.
+func frameBody(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-frameHeadLen {
+		t.Fatalf("length prefix %d on a %d-byte body", n, len(frame)-frameHeadLen)
+	}
+	return frame[frameHeadLen:]
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	flows := testFlows(5)
 	em := epochMsg{seq: 9, trace: 0xDEAD, shipNanos: 12345, full: true, members: testMembers, anns: testRIB().Announcements()}
-	got, err := decodeEpoch(encodeEpoch(em))
+	got, err := decodeEpoch(frameBody(t, encodeEpoch(em)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +423,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	bump, err := decodeEpoch(encodeEpoch(epochMsg{seq: 10}))
+	bump, err := decodeEpoch(frameBody(t, encodeEpoch(epochMsg{seq: 10})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +432,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// Re-stamping a cached epoch frame must change only trace+ship.
-	stamped, err := decodeEpoch(stampEpochFrame(encodeEpoch(em), 0xBEEF, 777))
+	stamped, err := decodeEpoch(frameBody(t, stampEpochFrame(frameBody(t, encodeEpoch(em)), 0xBEEF, 777)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +442,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	am := assignMsg{shard: 3, trace: 0xF00D, cursor: 77, startNanos: tcStart.UnixNano(), bucket: int64(time.Hour), checkpoint: []byte("cpbytes")}
-	ga, err := decodeAssign(encodeAssign(am))
+	ga, err := decodeAssign(frameBody(t, encodeAssign(am)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +451,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	sc := shardCtrlMsg{shard: 6, trace: 0xABCD, nanos: 4242}
-	gsc, err := decodeShardCtrl(encodeShardCtrl(msgReportReq, sc))
+	gsc, err := decodeShardCtrl(frameBody(t, encodeShardCtrl(msgReportReq, sc)))
 	if err != nil || gsc != sc {
 		t.Fatalf("shard-ctrl round trip: %+v, %v", gsc, err)
 	}
@@ -455,7 +473,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	rm := reportMsg{shard: 1, final: true, trace: 0x1234, reqNanos: 999, cursor: 123, checkpoint: []byte("x")}
-	gr, err := decodeReport(encodeReport(rm))
+	gr, err := decodeReport(frameBody(t, encodeReport(rm)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,14 +482,14 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("report round trip mismatch: %+v", gr)
 	}
 
-	nonce, err := decodeChallenge(encodeChallenge(bytes.Repeat([]byte{0xAB}, challengeNonceLen)))
+	nonce, err := decodeChallenge(frameBody(t, encodeChallenge(bytes.Repeat([]byte{0xAB}, challengeNonceLen))))
 	if err != nil || len(nonce) != challengeNonceLen || nonce[0] != 0xAB {
 		t.Fatalf("challenge round trip: %x, %v", nonce, err)
 	}
 
 	hm := helloMsg{identity: "node-1", name: "w1"}
 	hm.mac = helloMAC([]byte("s3cret"), nonce, hm.identity, hm.name)
-	gh, err := decodeHello(encodeHello(hm))
+	gh, err := decodeHello(frameBody(t, encodeHello(hm)))
 	if err != nil || gh.identity != "node-1" || gh.name != "w1" || !bytes.Equal(gh.mac, hm.mac) {
 		t.Fatalf("hello round trip: %+v, %v", gh, err)
 	}
@@ -509,7 +527,7 @@ func TestWireRoundTrip(t *testing.T) {
 			{Seq: 6, Wall: tcStart.Add(time.Second), Kind: "span-epoch", Msg: "trace x"},
 		},
 	}
-	gt, err := decodeTelemetry(encodeTelemetry(tm))
+	gt, err := decodeTelemetry(frameBody(t, encodeTelemetry(tm)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +548,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("telemetry event mismatch: %+v", e)
 	}
 
-	ack, err := decodeTelemetryAck(encodeTelemetryAck(91))
+	ack, err := decodeTelemetryAck(frameBody(t, encodeTelemetryAck(91)))
 	if err != nil || ack != 91 {
 		t.Fatalf("telemetry ack round trip: %d, %v", ack, err)
 	}
@@ -723,16 +741,7 @@ func TestLateJoinerRebalances(t *testing.T) {
 	if st := tc.coord.Stats(); st.Rebalances == 0 {
 		t.Fatal("no rebalance happened for the late joiner")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := tc.coord.Stats(); st.Workers == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second worker never joined")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tc.await("two workers joined", func() bool { return tc.coord.Stats().Workers == 2 })
 }
 
 // TestWorkerReconnectResumes: a transport failure (link drop, worker
@@ -774,28 +783,16 @@ func TestClusterHealthTransitions(t *testing.T) {
 	}
 	tc.startWorker(0)
 	tc.distribute(testRIB())
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if h := tc.tel.Health(); h.Ready && h.Status == "ok" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health never ok: %+v", tc.tel.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tc.await("health ok once owned", func() bool {
+		h := tc.tel.Health()
+		return h.Ready && h.Status == "ok"
+	})
 	tc.killWorker(0)
 	for _, f := range testFlows(10) {
 		tc.coord.Ingest(f)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if h := tc.tel.Health(); h.Ready && h.Status == "degraded" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health never degraded after worker death: %+v", tc.tel.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tc.await("health degraded after worker death", func() bool {
+		h := tc.tel.Health()
+		return h.Ready && h.Status == "degraded"
+	})
 }

@@ -127,11 +127,11 @@ type link struct {
 	name  string
 	conn  net.Conn
 	nonce []byte // this connection's challenge nonce
-	// Two outbound planes. out carries flow batches plus the revoke frame
-	// (which must stay ordered behind its shard's flows), as wire-ready
-	// frames — length prefix in place, one Write each (see beginFrame); ctrl
-	// carries bare bodies of everything else — challenge, heartbeat, epoch,
-	// assign, report request — and the writer drains it first, so a queue full of
+	// Two outbound planes, both of wire-ready frames — length prefix in place,
+	// one Write each (see beginFrame). out carries flow batches plus the
+	// revoke frame (which must stay ordered behind its shard's flows); ctrl
+	// carries everything else — challenge, heartbeat, epoch, assign, report
+	// request — and the writer drains it first, so a queue full of
 	// in-flight flow batches can never starve the control plane into
 	// killing a healthy link. Control frames may therefore overtake flow
 	// frames; every control message is either flow-order-independent
@@ -225,7 +225,8 @@ type Coordinator struct {
 	epochSeq uint64
 	lastFP   bgp.Fingerprint
 	haveFP   bool
-	// epochFull is the latest full-epoch frame, replayed to late joiners.
+	// epochFull is the latest full epoch's frame body, re-stamped and
+	// replayed to late joiners and kept in the ledger.
 	epochFull []byte
 	closed    bool
 	degraded  bool
@@ -419,7 +420,8 @@ func (c *Coordinator) ledgerWriter() {
 	}
 }
 
-func (c *Coordinator) writeLedger(snap []byte) {
+// writeLedger persists one snapshot, counting and journaling the outcome.
+func (c *Coordinator) writeLedger(snap []byte) error {
 	c.ledgerWMu.Lock()
 	err := writeLedgerFile(c.cfg.LedgerPath, snap)
 	c.ledgerWMu.Unlock()
@@ -434,32 +436,20 @@ func (c *Coordinator) writeLedger(snap []byte) {
 	if err != nil {
 		c.cfg.Telemetry.Recordf(obs.EventLedgerError, "ledger write failed: %v", err)
 	}
+	return err
 }
 
 // SyncLedger writes the shard ledger synchronously — the durability point
 // a graceful shutdown (or a test simulating one) can wait on. Without a
 // LedgerPath it is a no-op.
 func (c *Coordinator) SyncLedger() error {
-	c.mu.Lock()
 	if c.cfg.LedgerPath == "" {
-		c.mu.Unlock()
 		return nil
 	}
+	c.mu.Lock()
 	snap := c.snapshotLedgerLocked()
 	c.mu.Unlock()
-	c.ledgerWMu.Lock()
-	err := writeLedgerFile(c.cfg.LedgerPath, snap)
-	c.ledgerWMu.Unlock()
-	c.mu.Lock()
-	if err != nil {
-		c.ledgerErrors++
-	} else {
-		c.ledgerWrites++
-		c.ledgerBytes = uint64(len(snap))
-	}
-	c.mu.Unlock()
-	if err != nil {
-		c.cfg.Telemetry.Recordf(obs.EventLedgerError, "ledger sync failed: %v", err)
+	if err := c.writeLedger(snap); err != nil {
 		return err
 	}
 	c.cfg.Telemetry.Recordf(obs.EventLedgerWrite, "ledger synced (%d bytes)", len(snap))
@@ -534,15 +524,7 @@ func (c *Coordinator) instrument(tel *obs.Telemetry) {
 		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.orphanedLocked()) })
 	m.GaugeFunc("spoofscope_cluster_replay_flows",
 		"Flows buffered awaiting a durable worker report.",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			n := 0
-			for _, s := range c.shards {
-				n += len(s.replay)
-			}
-			return float64(n)
-		})
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.replayLenLocked()) })
 	c.handoffReassign = m.Histogram(MetricHandoff,
 		"Shard handoff stage latency: revoke/death to the named stage.",
 		obs.WireBuckets, obs.Label{Name: "stage", Value: "reassign"})
@@ -711,24 +693,18 @@ func (c *Coordinator) authFail(l *link, identity bool, reason string) {
 }
 
 func (c *Coordinator) writeLoop(l *link) {
-	// write sends one frame: a bare body from ctrl, or a wire-ready frame
-	// from out, whose buffer goes back on the free list if it held flows.
-	write := func(frame []byte, sealed bool) bool {
+	// write sends one frame; a flow frame's buffer goes back on the free list.
+	write := func(frame []byte) bool {
 		err := l.conn.SetWriteDeadline(time.Now().Add(c.cfg.deadline()))
 		if err != nil {
 			c.killLink(l, "set write deadline: "+err.Error())
 			return false
 		}
-		if sealed {
-			err = writeSealed(l.conn, frame)
-		} else {
-			err = writeFrame(l.conn, frame)
-		}
-		if err != nil {
+		if err := writeSealed(l.conn, frame); err != nil {
 			c.killLink(l, "write: "+err.Error())
 			return false
 		}
-		if sealed && (frame[frameHeadLen] == msgFlows || frame[frameHeadLen] == msgFlowsZ) {
+		if typ := frame[frameHeadLen]; typ == msgFlows || typ == msgFlowsZ {
 			l.recycle(frame)
 		}
 		l.written.Add(1)
@@ -739,7 +715,7 @@ func (c *Coordinator) writeLoop(l *link) {
 		// heartbeats, assigns, or report requests.
 		select {
 		case frame := <-l.ctrl:
-			if !write(frame, false) {
+			if !write(frame) {
 				return
 			}
 			continue
@@ -749,11 +725,11 @@ func (c *Coordinator) writeLoop(l *link) {
 		}
 		select {
 		case frame := <-l.ctrl:
-			if !write(frame, false) {
+			if !write(frame) {
 				return
 			}
 		case frame := <-l.out:
-			if !write(frame, true) {
+			if !write(frame) {
 				return
 			}
 		case <-l.dead:
@@ -992,12 +968,15 @@ func (c *Coordinator) rebalanceLocked() {
 		for _, s := range c.shards {
 			if s.owner == max && !s.revoking {
 				s.revoking = true
-				c.flushRevokedLocked(s)
+				// Push any still-buffered flows ahead of the revoke frame, so
+				// the final report covers the whole stream prefix and the new
+				// owner starts with an empty replay.
+				c.flushToOwnerLocked(s)
 				c.rebalances++
 				c.startSpanLocked(s, "rebalance", time.Now())
 				c.cfg.Telemetry.Recordf(obs.EventShardRevoke,
 					"shard %d revoked from %s for rebalance", s.id, max.label())
-				if !c.trySendLocked(max, sealedFrame(encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: s.span.trace}))) {
+				if !c.trySendLocked(max, encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: s.span.trace})) {
 					// Queue full of flow batches the revoke must trail;
 					// the ticker retries once the writer drains room.
 					s.revokePending = true
@@ -1011,13 +990,6 @@ func (c *Coordinator) rebalanceLocked() {
 			return
 		}
 	}
-}
-
-// flushRevokedLocked pushes any still-buffered flows to the current owner
-// before the revoke frame, so the final report covers the whole stream
-// prefix and the new owner starts with an empty replay.
-func (c *Coordinator) flushRevokedLocked(s *shardState) {
-	c.flushToOwnerLocked(s)
 }
 
 func (c *Coordinator) assignLocked(s *shardState, l *link) {
@@ -1087,7 +1059,7 @@ func (c *Coordinator) flushShardLocked(s *shardState) {
 		if s.span != nil {
 			trace = s.span.trace
 		}
-		if c.trySendLocked(s.owner, sealedFrame(encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: trace}))) {
+		if c.trySendLocked(s.owner, encodeShardCtrl(msgRevoke, shardCtrlMsg{shard: s.id, trace: trace})) {
 			s.revokePending = false
 		}
 	}
@@ -1176,12 +1148,12 @@ func (c *Coordinator) DistributeEpoch(rib *bgp.RIB) (uint64, error) {
 	if full {
 		frame = encodeEpoch(epochMsg{seq: c.epochSeq, trace: trace, shipNanos: ship.UnixNano(),
 			full: true, members: c.cfg.Members, anns: anns})
-		c.epochFull = frame
+		c.epochFull = frame[frameHeadLen:]
 	} else {
 		frame = encodeEpoch(epochMsg{seq: c.epochSeq, trace: trace, shipNanos: ship.UnixNano()})
 		// Late joiners still need the state itself: keep the latest full
-		// frame, only its sequence number is stale — workers treat any
-		// full frame as authoritative.
+		// epoch, only its sequence number is stale — workers treat any
+		// full epoch as authoritative.
 	}
 	for l := range c.links {
 		if !c.sendCtrlLocked(l, frame) {
@@ -1403,10 +1375,11 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Workers:          len(c.links),
 		Conns:            c.conns,
 		Orphaned:         c.orphanedLocked(),
+		ReplayFlows:      c.replayLenLocked(),
 		FlowsRouted:      c.flowsRouted,
 		Handoffs:         c.handoffs,
 		Rebalances:       c.rebalances,
@@ -1421,10 +1394,6 @@ func (c *Coordinator) Stats() Stats {
 		LedgerWrites:     c.ledgerWrites,
 		LedgerErrors:     c.ledgerErrors,
 	}
-	for _, s := range c.shards {
-		st.ReplayFlows += len(s.replay)
-	}
-	return st
 }
 
 // Close tears down every link and stops the ticker. It does not force a

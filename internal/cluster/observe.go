@@ -372,6 +372,7 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 		EpochSeq:    c.epochSeq,
 		FlowsRouted: c.flowsRouted,
 		Orphaned:    c.orphanedLocked(),
+		ReplayFlows: c.replayLenLocked(),
 		Handoffs:    c.handoffs,
 		Rebalances:  c.rebalances,
 		Reclaims:    c.reclaims,
@@ -399,7 +400,6 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 			ownedBy[s.owner.id]++
 		}
 		st.Shards = append(st.Shards, row)
-		st.ReplayFlows += len(s.replay)
 	}
 	seen := make(map[string]bool)
 	for l := range c.links {

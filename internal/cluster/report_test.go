@@ -13,9 +13,7 @@ import (
 // encodeReport builds a whole report frame the way the worker does, head
 // then checkpoint then seal, from a message that already has both.
 func encodeReport(m reportMsg) []byte {
-	frame := append(appendReportHead(nil, m), m.checkpoint...)
-	sealReport(frame, m.cursor)
-	return frame
+	return sealReport(append(beginReport(nil, m), m.checkpoint...), m.cursor)
 }
 
 // TestReportClaimsTheSnapshotsPosition parks a flow frame on the worker's
@@ -50,13 +48,7 @@ func TestReportClaimsTheSnapshotsPosition(t *testing.T) {
 	}
 	tc.startWorker(0)
 	tc.distribute(testRIB())
-	deadline := time.Now().Add(5 * time.Second)
-	for !worker.health().Ready {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never compiled the epoch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	tc.await("worker compiled the epoch", func() bool { return worker.health().Ready })
 	for _, f := range flows {
 		tc.coord.Ingest(f)
 	}
@@ -67,7 +59,7 @@ func TestReportClaimsTheSnapshotsPosition(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no report came out of the parked frame")
 	}
-	m, err := decodeReport(frame)
+	m, err := decodeReport(frameBody(t, frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +98,7 @@ func TestCoordinatorRejectsReportAheadOfItsCheckpoint(t *testing.T) {
 	conn, nonce := openConn(t, coord)
 	hello := helloMsg{identity: "by-hand", name: "by-hand"}
 	hello.mac = helloMAC(nil, nonce, hello.identity, hello.name)
-	if err := writeFrame(conn, encodeHello(hello)); err != nil {
+	if err := writeSealed(conn, encodeHello(hello)); err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, coord, "join", func(st Stats) bool { return st.Workers == 1 })
@@ -150,12 +142,12 @@ func TestCoordinatorRejectsReportAheadOfItsCheckpoint(t *testing.T) {
 			Agg: core.NewAggregator(tcStart, time.Hour),
 		})
 	}
-	if err := writeFrame(conn, encodeReport(reportMsg{shard: 0, cursor: routed[0], checkpoint: checkpointAt(routed[0])})); err != nil {
+	if err := writeSealed(conn, encodeReport(reportMsg{shard: 0, cursor: routed[0], checkpoint: checkpointAt(routed[0])})); err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, coord, "the consistent report merged", func(st Stats) bool { return st.ReplayFlows == int(routed[1]) })
 
-	if err := writeFrame(conn, encodeReport(reportMsg{shard: 1, cursor: routed[1], checkpoint: checkpointAt(routed[1] - 1)})); err != nil {
+	if err := writeSealed(conn, encodeReport(reportMsg{shard: 1, cursor: routed[1], checkpoint: checkpointAt(routed[1] - 1)})); err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, coord, "the short report refused", func(st Stats) bool { return st.ReportMismatches == 1 && st.Workers == 0 })

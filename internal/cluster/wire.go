@@ -65,41 +65,22 @@ const flowWireLen = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 8 + 8 + 4 + 4
 
 var errFrameTooLarge = errors.New("cluster: frame exceeds size cap")
 
-// writeFrame sends one frame: 4-byte big-endian body length, then the body
-// (whose first byte is the message type).
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
-		return errFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// frameHeadLen is the length prefix in front of every frame body.
+// frameHeadLen is the length prefix in front of every frame body: 4 bytes,
+// big-endian. The body's first byte is the message type.
 const frameHeadLen = 4
 
 // beginFrame starts a wire-ready frame in b's storage: room for the length
 // prefix, then whatever body the caller appends. sealFrame fills the prefix
-// in, and the frame goes out in one Write (writeSealed) — where writeFrame,
-// handed a bare body, pays a second Write and a segment of its own for the
-// four bytes. The coordinator builds every flow frame this way, in buffers
-// the link's writer hands back.
+// in, and the frame goes out in one Write (writeSealed) — a prefix sent on its
+// own would cost a second Write and a segment for its four bytes. Every
+// encoder below returns a frame built this way; the coordinator builds flow
+// frames, and the worker its reports, in buffers their writers hand back.
 func beginFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
 
 // sealFrame completes a frame started by beginFrame.
 func sealFrame(frame []byte) []byte {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeadLen))
 	return frame
-}
-
-// sealedFrame copies a bare body into a wire-ready frame of its own.
-func sealedFrame(body []byte) []byte {
-	return sealFrame(append(beginFrame(make([]byte, 0, frameHeadLen+len(body))), body...))
 }
 
 // writeSealed sends one wire-ready frame: prefix and body in a single Write.
@@ -264,9 +245,9 @@ func (r *reader) flow() ipfix.Flow {
 const challengeNonceLen = 32
 
 func encodeChallenge(nonce []byte) []byte {
-	b := []byte{msgChallenge}
+	b := append(beginFrame(nil), msgChallenge)
 	b = appendU32(b, uint32(len(nonce)))
-	return append(b, nonce...)
+	return sealFrame(append(b, nonce...))
 }
 
 func decodeChallenge(body []byte) ([]byte, error) {
@@ -307,13 +288,13 @@ func helloMAC(secret, nonce []byte, identity, name string) []byte {
 }
 
 func encodeHello(m helloMsg) []byte {
-	b := []byte{msgHello}
+	b := append(beginFrame(nil), msgHello)
 	b = appendU32(b, uint32(len(m.identity)))
 	b = append(b, m.identity...)
 	b = appendU32(b, uint32(len(m.name)))
 	b = append(b, m.name...)
 	b = appendU32(b, uint32(len(m.mac)))
-	return append(b, m.mac...)
+	return sealFrame(append(b, m.mac...))
 }
 
 func decodeHello(body []byte) (helloMsg, error) {
@@ -343,26 +324,29 @@ type epochMsg struct {
 }
 
 // epochStampOffset is the byte offset of the trace+shipNanos pair in an
-// encoded epoch frame: [type][seq u64][trace u64][ship i64].... The
-// coordinator caches the encoded full-epoch frame for late joiners and
-// re-stamps these 16 bytes per send, so a joiner's propagation span
-// measures its own delivery, not the original distribution's.
+// encoded epoch body: [type][seq u64][trace u64][ship i64].... The
+// coordinator caches the latest full epoch's body for late joiners (and in
+// the ledger) and re-stamps these 16 bytes per send, so a joiner's
+// propagation span measures its own delivery, not the original
+// distribution's.
 const epochStampOffset = 1 + 8
 
-func stampEpochFrame(frame []byte, trace uint64, shipNanos int64) []byte {
-	out := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint64(out[epochStampOffset:], trace)
-	binary.BigEndian.PutUint64(out[epochStampOffset+8:], uint64(shipNanos))
-	return out
+// stampEpochFrame copies a cached epoch body into a wire-ready frame of its
+// own, re-stamped.
+func stampEpochFrame(body []byte, trace uint64, shipNanos int64) []byte {
+	out := append(beginFrame(make([]byte, 0, frameHeadLen+len(body))), body...)
+	binary.BigEndian.PutUint64(out[frameHeadLen+epochStampOffset:], trace)
+	binary.BigEndian.PutUint64(out[frameHeadLen+epochStampOffset+8:], uint64(shipNanos))
+	return sealFrame(out)
 }
 
 func encodeEpoch(m epochMsg) []byte {
-	b := []byte{msgEpoch}
+	b := append(beginFrame(nil), msgEpoch)
 	b = appendU64(b, m.seq)
 	b = appendU64(b, m.trace)
 	b = appendU64(b, uint64(m.shipNanos))
 	if !m.full {
-		return append(b, 0)
+		return sealFrame(append(b, 0))
 	}
 	b = append(b, 1)
 	b = appendU32(b, uint32(len(m.members)))
@@ -379,7 +363,7 @@ func encodeEpoch(m epochMsg) []byte {
 			b = appendU32(b, uint32(asn))
 		}
 	}
-	return b
+	return sealFrame(b)
 }
 
 func decodeEpoch(body []byte) (epochMsg, error) {
@@ -440,14 +424,14 @@ type assignMsg struct {
 }
 
 func encodeAssign(m assignMsg) []byte {
-	b := []byte{msgAssign}
+	b := append(beginFrame(nil), msgAssign)
 	b = appendU32(b, m.shard)
 	b = appendU64(b, m.trace)
 	b = appendU64(b, m.cursor)
 	b = appendU64(b, uint64(m.startNanos))
 	b = appendU64(b, uint64(m.bucket))
 	b = appendU32(b, uint32(len(m.checkpoint)))
-	return append(b, m.checkpoint...)
+	return sealFrame(append(b, m.checkpoint...))
 }
 
 func decodeAssign(body []byte) (assignMsg, error) {
@@ -473,9 +457,9 @@ type shardCtrlMsg struct {
 }
 
 func encodeShardCtrl(typ byte, m shardCtrlMsg) []byte {
-	b := appendU32([]byte{typ}, m.shard)
+	b := appendU32(append(beginFrame(nil), typ), m.shard)
 	b = appendU64(b, m.trace)
-	return appendU64(b, uint64(m.nanos))
+	return sealFrame(appendU64(b, uint64(m.nanos)))
 }
 
 func decodeShardCtrl(body []byte) (shardCtrlMsg, error) {
@@ -637,17 +621,17 @@ type reportMsg struct {
 	checkpoint []byte
 }
 
-// reportHeadLen is the fixed part of a report frame, everything before the
+// reportHeadLen is the fixed part of a report body, everything before the
 // checkpoint's bytes: type, shard, final, trace, reqNanos, cursor, length.
 const reportHeadLen = 1 + 4 + 1 + 8 + 8 + 8 + 4
 
-// appendReportHead starts a report frame in b: everything but the
-// checkpoint, with the cursor and the checkpoint's length left zero. The
-// worker appends the checkpoint's bytes straight after it — encoded where
-// they ship from — and sealReport fills in the two fields the snapshot only
-// then knows. m.cursor and m.checkpoint are not read.
-func appendReportHead(b []byte, m reportMsg) []byte {
-	b = append(b, msgReport)
+// beginReport starts a report frame in b's storage: the length prefix and
+// everything but the checkpoint, with the cursor and the checkpoint's length
+// left zero. The worker appends the checkpoint's bytes straight after it —
+// encoded where they ship from — and sealReport fills in what the snapshot
+// only then knows. m.cursor and m.checkpoint are not read.
+func beginReport(b []byte, m reportMsg) []byte {
+	b = append(beginFrame(b), msgReport)
 	b = appendU32(b, m.shard)
 	if m.final {
 		b = append(b, 1)
@@ -660,11 +644,13 @@ func appendReportHead(b []byte, m reportMsg) []byte {
 	return appendU32(b, 0) // checkpoint length
 }
 
-// sealReport completes a frame that is a report head followed by the
-// checkpoint's bytes. (A frame past maxFrame is refused by writeFrame.)
-func sealReport(frame []byte, cursor uint64) {
-	binary.BigEndian.PutUint64(frame[reportHeadLen-12:], cursor)
-	binary.BigEndian.PutUint32(frame[reportHeadLen-4:], uint32(len(frame)-reportHeadLen))
+// sealReport completes a frame that is beginReport's head followed by the
+// checkpoint's bytes. (A frame past maxFrame is refused by writeSealed.)
+func sealReport(frame []byte, cursor uint64) []byte {
+	const head = frameHeadLen + reportHeadLen
+	binary.BigEndian.PutUint64(frame[head-12:], cursor)
+	binary.BigEndian.PutUint32(frame[head-4:], uint32(len(frame)-head))
+	return sealFrame(frame)
 }
 
 // decodeReport decodes a report in place: m.checkpoint aliases body, which
@@ -681,7 +667,7 @@ func decodeReport(body []byte) (reportMsg, error) {
 	return m, r.done()
 }
 
-var heartbeatFrame = []byte{msgHeartbeat}
+var heartbeatFrame = sealFrame(append(beginFrame(nil), msgHeartbeat))
 
 // --- telemetry federation codec ---------------------------------------------
 
@@ -733,7 +719,7 @@ func encodeTelemetry(m telemetryMsg) []byte {
 	if len(m.events) > telemetryMaxEvents {
 		m.events = m.events[:telemetryMaxEvents]
 	}
-	b := []byte{msgTelemetry}
+	b := append(beginFrame(nil), msgTelemetry)
 	b = appendU64(b, uint64(m.journalStart))
 	b = appendU64(b, m.epochSeq)
 	b = appendU32(b, uint32(len(m.samples)))
@@ -783,7 +769,7 @@ func encodeTelemetry(m telemetryMsg) []byte {
 		b = appendU32(b, uint32(len(e.Msg)))
 		b = append(b, e.Msg...)
 	}
-	return b
+	return sealFrame(b)
 }
 
 func decodeTelemetry(body []byte) (telemetryMsg, error) {
@@ -852,7 +838,7 @@ func decodeTelemetry(body []byte) (telemetryMsg, error) {
 }
 
 func encodeTelemetryAck(seq uint64) []byte {
-	return appendU64([]byte{msgTelemetryAck}, seq)
+	return sealFrame(appendU64(append(beginFrame(nil), msgTelemetryAck), seq))
 }
 
 func decodeTelemetryAck(body []byte) (uint64, error) {

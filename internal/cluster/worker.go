@@ -317,11 +317,11 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 					writeErr <- err
 					return
 				}
-				if err := writeFrame(conn, frame); err != nil {
+				if err := writeSealed(conn, frame); err != nil {
 					writeErr <- err
 					return
 				}
-				if frame[0] == msgReport {
+				if frame[frameHeadLen] == msgReport {
 					reportBuf <- frame
 				}
 			case <-sctx.Done():
@@ -764,7 +764,7 @@ func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, s
 	deadline := time.Now().Add(w.cfg.deadline())
 	for sctx.Err() == nil {
 		var cursor uint64
-		frame = appendReportHead(frame[:0], req)
+		frame = beginReport(frame, req)
 		err := s.rt.Snapshot(func(cp *core.Checkpoint) error {
 			cursor = cp.Processed
 			if req.final || cursor != reportedAt {
@@ -772,15 +772,14 @@ func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, s
 			}
 			return nil
 		})
-		if err == nil && len(frame) == reportHeadLen {
+		if err == nil && len(frame) == frameHeadLen+reportHeadLen {
 			break // quiescent where the last report left the shard: nothing new to say
 		}
 		if err == nil {
 			// The report echoes the request's trace and send timestamp, so
 			// the coordinator ties it to the span that asked and measures
 			// the round-trip on its own clock.
-			sealReport(frame, cursor)
-			if !send(frame) {
+			if !send(sealReport(frame, cursor)) {
 				return
 			}
 			w.mu.Lock()

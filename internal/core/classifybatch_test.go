@@ -48,6 +48,14 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			}
 		})
 	}
+	// The hot path's allocation contract, by name: a batch into a reused
+	// verdict buffer touches the pipeline's immutable slabs and nothing else.
+	if !raceEnabled {
+		batch, verdicts := flows[:ClassifyBatchSize], make([]Verdict, ClassifyBatchSize)
+		if allocs := testing.AllocsPerRun(100, func() { p.ClassifyBatch(batch, verdicts) }); allocs != 0 {
+			t.Fatalf("ClassifyBatch allocates %.1f objects per %d-flow batch, want 0", allocs, ClassifyBatchSize)
+		}
+	}
 }
 
 // TestClassifyBatchShortBufferPanics: a verdict buffer shorter than the
