@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs bench-module docs-check fuzz bench bench-smoke
+.PHONY: build test vet race verify loc closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp bench-module docs-check fuzz bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -21,11 +21,10 @@ race:
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # parallel-compilation equivalence property, the observability smoke, the
-# drain-engine stress run, the cluster chaos suite, the cluster
-# observability-plane gate, every benchmark in the module run once, the
-# identifier check over the docs, and the nested benchmark module's own vet
-# and tests.
-verify: vet test race closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp cluster-obs bench-smoke docs-check bench-module
+# drain-engine stress run, the cluster chaos suite (with its observability
+# plane), every benchmark in the module run once, the identifier check over
+# the docs, and the nested benchmark module's own vet and tests.
+verify: vet test race closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp bench-smoke docs-check bench-module
 
 # bench-module vets and tests the repository benchmark where it lives:
 # benchmark/ is a nested module (its go.mod has only the replace, so no
@@ -38,11 +37,13 @@ bench-module:
 # docs-check resolves what the documents that describe the tree as it is name
 # in backticks against the tree: every `make <target>` is a target of this
 # file, every token ending .go/.json/.md/.sh/.yml is a tracked file (whole
-# path, or its tail from any /), and every Test*/Benchmark*/Fuzz* name is
-# declared in a tracked _test.go (by prefix when written with a trailing *).
+# path, or its tail from any /), every Test*/Benchmark*/Fuzz* name is
+# declared in a tracked _test.go (by prefix when written with a trailing *),
+# and every spoofscope_* metric name is a string literal in tracked non-test
+# Go (a _bucket/_count/_sum suffix stripped; by prefix with a trailing *).
 # EXPERIMENTS.md and CHANGES.md are history and name what is gone on purpose.
 docs-check:
-	@fail=0; files=$$(git ls-files); \
+	@set -f; fail=0; files=$$(git ls-files); \
 	spans=$$(grep -oh '`[^`]*`' README.md DESIGN.md .claude/skills/verify/SKILL.md); \
 	for t in $$(echo "$$spans" | grep -oE '^`make [a-z][a-z-]*' | cut -d' ' -f2 | sort -u); do \
 		grep -q "^$$t:" Makefile || { echo "docs-check: make $$t is not a Makefile target"; fail=1; }; \
@@ -53,6 +54,10 @@ docs-check:
 	for n in $$(echo "$$spans" | grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*\*?' | sort -u); do \
 		case $$n in *\*) pat="^func $${n%\*}";; *) pat="^func $$n\(";; esac; \
 		git grep -qE "$$pat" -- '*_test.go' || { echo "docs-check: $$n is not declared in a tracked _test.go"; fail=1; }; \
+	done; \
+	for m in $$(echo "$$spans" | grep -oP '\bspoofscope_[a-z0-9_]+(?![\w.])\*?' | sort -u); do \
+		case $$m in *\*) pat="\"$${m%\*}";; *) pat="\"$$(echo $$m | sed -E 's/_(bucket|count|sum)$$//')\"";; esac; \
+		git grep -qF "$$pat" -- '*.go' ':!*_test.go' || { echo "docs-check: $$m is not a metric name in tracked non-test Go"; fail=1; }; \
 	done; \
 	exit $$fail
 
@@ -89,10 +94,14 @@ stress-drain:
 # mid-run (internal/cluster chaos suite) plus the end-to-end acceptance run
 # over the simulated IXP — every scenario must produce a merged checkpoint
 # byte-identical to the fault-free single-process run. Raced, because the
-# whole layer is concurrent by construction. The cluster-tcp prerequisite
-# reruns the discipline over real loopback TCP.
+# whole layer is concurrent by construction. It carries the observability
+# plane too: two TCP worker daemons whose own /metrics sum to the merged
+# tallies and whose /cluster rows match the shard ledger, and a kill+partition
+# run whose concurrently read fleet status never moves a cursor backwards and
+# whose handoff spans all terminate. The cluster-tcp prerequisite reruns the
+# discipline over real loopback TCP.
 cluster-chaos: cluster-tcp
-	$(GO) test -race -run 'TestClusterSurvives|TestClusterRepeatedKillsConverge' -count=1 ./internal/cluster
+	$(GO) test -race -timeout 120s -run 'TestClusterSurvives|TestClusterRepeatedKillsConverge|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
 	$(GO) test -race -run TestResilientClusterMatchesSingleProcess -count=1 .
 
 # cluster-tcp is the deployment-transport gate: the chaos and failover
@@ -103,16 +112,6 @@ cluster-chaos: cluster-tcp
 # bar in every scenario.
 cluster-tcp:
 	$(GO) test -race -timeout 120s -run 'TestClusterTCPChaos|TestStandbyTakeover|TestClusterSurvivesCoordinatorKill' -count=1 ./internal/cluster
-
-# cluster-obs is the observability-plane gate: a two-TCP-worker run whose
-# federated per-class counters must converge to the merged checkpoint
-# tallies exactly (with populated epoch-propagation histograms and a fleet
-# status that matches the shard ledger), plus the chaos-scrape run — a
-# worker killed mid-flight while a concurrent scraper asserts the fleet-wide
-# sums never overshoot the final truth and every handoff span that opened
-# was closed. Raced, like every cluster tier.
-cluster-obs:
-	$(GO) test -race -timeout 120s -run 'TestClusterTelemetryFederation|TestChaosScrapeConsistency' -count=1 ./internal/cluster
 
 # bench is the quick way to look at one function while working: the drain at
 # every worker count of 1/2/4/8 the host's GOMAXPROCS can run, the ingest
@@ -139,10 +138,12 @@ bench:
 bench-smoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
-# fuzz gives the stream-framing paths a short adversarial workout beyond the
-# seeded corpus that runs in `make test`.
+# fuzz gives every fuzzer in the module a short adversarial workout beyond
+# the seeded corpus that runs in `make test`.
 fuzz:
+	$(GO) test -run=^$$ -fuzz=FuzzFlatLPM -fuzztime=20s ./internal/netx
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s ./internal/ipfix
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/cluster

@@ -40,13 +40,12 @@
 // With -metrics-addr the run serves /metrics (Prometheus text), /healthz,
 // /events (incremental with ?since= and ?kind=), and /debug/pprof while it
 // classifies. A cluster-mode run additionally serves /cluster — the fleet
-// status JSON (per-shard cursors and replay depth, per-worker liveness and
-// epoch, ledger state) — and folds federated telemetry from external
-// worker daemons into the same /metrics and /events, so one scrape covers
-// the whole fleet. SIGINT/SIGTERM stop the
-// run gracefully: intake closes, the queue drains, a final checkpoint is
-// written (with -checkpoint), and the summary plus the telemetry event
-// journal are printed for the flows classified so far.
+// status JSON (per-shard cursors and replay depth, the live workers and
+// their epochs, ledger state). In-process workers share this /metrics;
+// each external worker daemon serves its own on its -metrics-addr.
+// SIGINT/SIGTERM stop the run gracefully: intake closes, the queue drains,
+// a final checkpoint is written (with -checkpoint), and the summary plus
+// the telemetry event journal are printed for the flows classified so far.
 package main
 
 import (
@@ -89,7 +88,6 @@ func main() {
 		noOrgs   = flag.Bool("no-orgs", false, "disable multi-AS organisation merging (ablation)")
 		noRouter = flag.Bool("no-routers", false, "skip stray-router tagging")
 		aclFor   = flag.Uint("acl", 0, "print the FULL-cone ingress ACL for this member ASN and exit")
-		aggTO    = flag.Duration("aggregate", 0, "merge sampled packets into flow records with this idle timeout before classification (0 = off)")
 		ckptPath = flag.String("checkpoint", "", "crash-safe checkpoint file: resume from it if present, snapshot to it periodically")
 		ckptN    = flag.Uint64("checkpoint-every", 100000, "flows between checkpoint snapshots (with -checkpoint)")
 		workersN = flag.Int("workers", 0, "drain workers (0 = 1)")
@@ -107,11 +105,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	if *ckptPath != "" && *aggTO > 0 {
-		// The flow cache re-times and merges records, so a flow index no
-		// longer positions a replay; refuse the ambiguous combination.
-		log.Fatal("-checkpoint cannot be combined with -aggregate")
-	}
 	clusterMode := *clusterN > 0 || *coordTCP != ""
 	if *shardsN > 0 && !clusterMode {
 		log.Fatal("-shards requires -cluster or -coordinator-addr")
@@ -257,7 +250,6 @@ func main() {
 			workers:   *clusterN,
 			shards:    shards,
 			drain:     *workersN,
-			aggTO:     *aggTO,
 			ckptPath:  *ckptPath,
 			coordAddr: *coordTCP,
 			secret:    clusterSecret,
@@ -266,7 +258,7 @@ func main() {
 			compress:  *compress,
 		}, tel)
 	} else {
-		agg, n = classifyRun(ctx, fr, pipeline, bstats, *workersN, *aggTO, *ckptPath, *ckptN, tel)
+		agg, n = classifyRun(ctx, fr, pipeline, bstats, *workersN, *ckptPath, *ckptN, tel)
 	}
 	for _, m := range members {
 		agg.SetMemberASN(m.Port, m.ASN)
@@ -304,7 +296,7 @@ func main() {
 // by either worker mode — and the final aggregate is identical across worker
 // counts. A cancelled ctx (SIGINT/SIGTERM) closes intake, drains the queue,
 // and returns the partial aggregate instead of failing.
-func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipeline, bstats core.BuildStats, workers int, aggTO time.Duration, ckptPath string, ckptN uint64, tel *obs.Telemetry) (*core.Aggregator, int) {
+func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipeline, bstats core.BuildStats, workers int, ckptPath string, ckptN uint64, tel *obs.Telemetry) (*core.Aggregator, int) {
 	rtc := core.RuntimeConfig{
 		Pipeline: pipeline,
 		Start:    time.Unix(0, 0).UTC(), Bucket: 1 << 62, // single bucket
@@ -331,7 +323,7 @@ func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipel
 	// (journal event, duration histogram + last-build gauge, builds counter)
 	// so operators see it alongside any later epoch rebuilds.
 	rt.RecordBuild(bstats)
-	interrupted, err := runFeed(ctx, fr, rt, skip, workers, aggTO)
+	interrupted, err := runFeed(ctx, fr, rt, skip, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -355,13 +347,13 @@ func classifyRun(ctx context.Context, fr *ipfix.FileReader, pipeline *core.Pipel
 // returns once the file is exhausted
 // and the queue drained, or, with interrupted set, once a cancelled ctx has
 // closed intake and the queue drained.
-func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip uint64, workers int, aggTO time.Duration) (interrupted bool, err error) {
+func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip uint64, workers int) (interrupted bool, err error) {
 	feedErr := make(chan error, 1)
 	go func() {
 		defer rt.Close() // drained consumers exit once the queue empties
 		// IngestBatchWait reports false after Close (interrupt), which stops
 		// the read.
-		feedErr <- feedFlows(fr, aggTO, skipFirst(skip, rt.IngestBatchWait))
+		feedErr <- fr.ForEachBatch(skipFirst(skip, rt.IngestBatchWait))
 	}()
 	err = rt.RunParallel(ctx, max(workers, 1), nil)
 	interrupted = errors.Is(err, context.Canceled)
@@ -373,10 +365,9 @@ func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip u
 
 // clusterRunConfig bundles the cluster-mode knobs.
 type clusterRunConfig struct {
-	workers   int // in-process workers (0 allowed with a coordAddr)
-	shards    int // handoff granularity
-	drain     int // RunParallel consumers per shard runtime
-	aggTO     time.Duration
+	workers   int    // in-process workers (0 allowed with a coordAddr)
+	shards    int    // handoff granularity
+	drain     int    // RunParallel consumers per shard runtime
 	ckptPath  string // resume baseline in, merged checkpoint out
 	coordAddr string // TCP listen address for external worker daemons
 	secret    []byte // hello HMAC key
@@ -467,9 +458,8 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 			HeartbeatInterval: 2 * time.Second,
 			Seed:              int64(i),
 			// In-process workers share the coordinator's Telemetry, so
-			// their series are already on its /metrics; federating the
-			// shared registry would duplicate every one of them.
-			// External spoofscope-worker daemons federate instead.
+			// their series are on its /metrics; an external
+			// spoofscope-worker daemon serves its own.
 			Telemetry: tel,
 		})
 		if err != nil {
@@ -513,7 +503,7 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 		fed++
 		return true
 	}))
-	if err := feedFlows(fr, rc.aggTO, sink); err != nil {
+	if err := fr.ForEachBatch(sink); err != nil {
 		log.Fatal(err)
 	}
 	if ctx.Err() != nil {
@@ -559,35 +549,6 @@ func skipFirst(n uint64, sink func([]ipfix.Flow) bool) func([]ipfix.Flow) bool {
 		batch, n = batch[n:], 0
 		return sink(batch)
 	}
-}
-
-// feedFlows streams the flow file into sink one decoded message at a time,
-// or — with an idle timeout — through the metering process (flow cache)
-// first, which emits merged flows one by one. A sink returning false stops
-// the feed early (graceful shutdown).
-func feedFlows(fr *ipfix.FileReader, aggTO time.Duration, sink func([]ipfix.Flow) bool) error {
-	if aggTO <= 0 {
-		return fr.ForEachBatch(sink)
-	}
-	// Run the metering process first: merge sampled packets of the same
-	// flow (idle-timeout based) before classification.
-	stop := false
-	var one [1]ipfix.Flow
-	cache := ipfix.NewFlowCache(aggTO, 0, func(f ipfix.Flow) {
-		if !stop {
-			one[0] = f
-			stop = !sink(one[:])
-		}
-	})
-	if err := fr.ForEachBatch(ipfix.PerFlow(func(f ipfix.Flow) bool {
-		cache.Add(f)
-		return !stop
-	})); err != nil {
-		return err
-	}
-	cache.Flush()
-	log.Printf("flow cache: %d merges, %d overflow evictions", cache.Merged, cache.Overflowed)
-	return nil
 }
 
 func readMembers(path string) ([]core.MemberInfo, error) {

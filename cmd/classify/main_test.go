@@ -149,7 +149,7 @@ func TestFeedResumesMidMessage(t *testing.T) {
 	}
 	replay := func(rt *core.Runtime, skip uint64, workers int) []byte {
 		fr := ipfix.NewFileReader(bytes.NewReader(file.Bytes()))
-		if interrupted, err := runFeed(context.Background(), fr, rt, skip, workers, 0); err != nil || interrupted {
+		if interrupted, err := runFeed(context.Background(), fr, rt, skip, workers); err != nil || interrupted {
 			t.Fatalf("runFeed: interrupted=%v err=%v", interrupted, err)
 		}
 		var cp bytes.Buffer

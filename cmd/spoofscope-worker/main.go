@@ -30,9 +30,10 @@
 // -metrics-addr serves the worker's own observability plane — /metrics,
 // /healthz (ready = owns at least one shard with a promoted pipeline),
 // /events, and /debug/pprof — entirely from local state, so it keeps
-// answering while the coordinator is down. The same telemetry is also
-// federated to the coordinator over the control plane, where it appears
-// worker-labeled in a single fleet-wide scrape.
+// answering while the coordinator is down. Scrape every worker's
+// -metrics-addr for the fleet's series; the coordinator's /cluster is the
+// fleet's status. Coordinator and workers are upgraded together: the hello
+// carries no protocol version.
 package main
 
 import (
@@ -144,13 +145,10 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		MaxAttempts:       *maxTries,
 		Telemetry:         tel,
-		// The daemon federates its telemetry upstream — the coordinator's
-		// /metrics and /events show this worker's series and journal — and
-		// is the Telemetry's readiness source: /healthz (on -metrics-addr)
-		// reports ready once it owns a shard and classifies with a promoted
-		// pipeline, from local state alone, so the endpoint answers even
-		// while the coordinator is unreachable.
-		Federate:      true,
+		// The daemon is the Telemetry's readiness source: /healthz (on
+		// -metrics-addr) reports ready once it owns a shard and classifies
+		// with a promoted pipeline, from local state alone, so the endpoint
+		// answers even while the coordinator is unreachable.
 		PublishHealth: true,
 	})
 	if err != nil {

@@ -208,13 +208,13 @@ func run() error {
 	}
 
 	// The fleet status API is the same struct /cluster serves over HTTP in
-	// a real deployment: per-shard cursors and durability lag, per-worker
-	// liveness and epoch, survivors only after the crash.
+	// a real deployment: per-shard cursors and durability lag, and the live
+	// workers with their epochs — survivors only after the crash.
 	fs := coord.FleetStatus()
 	fmt.Printf("\nfleet status (role=%s, epoch %d, %d flows routed):\n",
 		fs.Role, fs.EpochSeq, fs.FlowsRouted)
 	for _, w := range fs.Workers {
-		fmt.Printf("  worker %-8s live=%-5v shards=%v\n", w.Identity, w.Live, w.Shards)
+		fmt.Printf("  worker %-8s epoch=%d shards=%v\n", w.Identity, w.EpochSeq, w.Shards)
 	}
 	lagged := 0
 	for _, s := range fs.Shards {

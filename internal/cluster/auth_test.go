@@ -64,16 +64,10 @@ func expectDropped(t *testing.T, conn net.Conn) {
 	}
 }
 
-// waitStats polls the coordinator until cond holds or the deadline passes.
+// waitStats awaits a condition on the coordinator's counters.
 func waitStats(t *testing.T, coord *Coordinator, what string, cond func(Stats) bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond(coord.Stats()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never observed: %+v", what, coord.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, what, func() bool { return cond(coord.Stats()) })
 }
 
 func countEvents(tel *obs.Telemetry, kind string) int {

@@ -149,7 +149,7 @@ func TestClusterSurvivesCoordinatorKill(t *testing.T) {
 	}
 	// Give the ledger a chance to capture real progress: wait for at least
 	// one durable snapshot (report merges trigger them constantly).
-	tc.await("a ledger snapshot written", func() bool { return tc.coordinator().Stats().LedgerWrites > 0 })
+	await(tc.t, "a ledger snapshot written", func() bool { return tc.coordinator().Stats().LedgerWrites > 0 })
 
 	tc.killCoordinator()
 	restored := tc.restartCoordinator()
@@ -172,7 +172,7 @@ func TestClusterSurvivesCoordinatorKill(t *testing.T) {
 	tc.assertCursorInvariant(len(flows))
 	// Orphaned shards go to whoever is connected, so one worker can carry the
 	// whole checkpoint while the other is still inside its redial backoff.
-	tc.await("both workers back after coordinator restart", func() bool { return tc.coordinator().Stats().Workers == 2 })
+	await(tc.t, "both workers back after coordinator restart", func() bool { return tc.coordinator().Stats().Workers == 2 })
 }
 
 // TestClusterRepeatedKillsConverge is the grinder: two kills at different

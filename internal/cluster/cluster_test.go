@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -124,15 +125,25 @@ func singleProcessCheckpoint(t *testing.T, flows []ipfix.Flow) []byte {
 
 func quiescentCheckpoint(t *testing.T, rt *core.Runtime) []byte {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var buf bytes.Buffer
-		err := rt.WriteCheckpoint(&buf)
-		if err == nil {
-			return buf.Bytes()
-		}
+	var buf bytes.Buffer
+	await(t, "reference runtime quiescent", func() bool {
+		buf.Reset()
+		return rt.WriteCheckpoint(&buf) == nil
+	})
+	return buf.Bytes()
+}
+
+// await polls cond until it holds, and fails the test if that takes more
+// than ten seconds — for state another goroutine is about to reach (a join,
+// a redial landing, a ledger write, a counter settling), where asserting at
+// once would race it. It is the cluster suite's one way to wait on a
+// condition.
+func await(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("runtime never quiescent: %v", err)
+			t.Fatalf("%s: still not so after 10s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -277,21 +288,7 @@ func (tc *testCluster) startWorker(i int) {
 	})
 	// Wait for the join: on one CPU the test goroutine can otherwise feed
 	// the whole run before the worker's Hello is ever scheduled.
-	tc.await(w.label()+" joined", func() bool { return tc.hasJoined(w.label()) })
-}
-
-// await polls cond until it holds, and fails the test if that takes more
-// than five seconds — for state another goroutine is about to reach (a
-// redial landing, a ledger write), where asserting at once would race it.
-func (tc *testCluster) await(what string, cond func() bool) {
-	tc.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			tc.t.Fatalf("%s: still not so after 5s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(tc.t, w.label()+" joined", func() bool { return tc.hasJoined(w.label()) })
 }
 
 func (tc *testCluster) hasJoined(name string) bool {
@@ -407,31 +404,15 @@ func frameBody(t *testing.T, frame []byte) []byte {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	flows := testFlows(5)
-	em := epochMsg{seq: 9, trace: 0xDEAD, shipNanos: 12345, full: true, members: testMembers, anns: testRIB().Announcements()}
-	got, err := decodeEpoch(frameBody(t, encodeEpoch(em)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.seq != 9 || got.trace != 0xDEAD || got.shipNanos != 12345 ||
-		!got.full || len(got.members) != len(testMembers) || len(got.anns) != len(em.anns) {
-		t.Fatalf("epoch round trip mismatch: %+v", got)
-	}
-	for i, a := range got.anns {
-		if a.Prefix != em.anns[i].Prefix || a.Origin != em.anns[i].Origin {
-			t.Fatalf("announcement %d mismatch", i)
+	for _, seed := range wireSeeds() {
+		got, err := decodeFrame(frameBody(t, seed.frame))
+		if err != nil || !reflect.DeepEqual(got, seed.want) {
+			t.Fatalf("type %d round trip: got %+v, %v\nwant %+v", seed.frame[frameHeadLen], got, err, seed.want)
 		}
 	}
 
-	bump, err := decodeEpoch(frameBody(t, encodeEpoch(epochMsg{seq: 10})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bump.full || bump.seq != 10 || bump.anns != nil {
-		t.Fatalf("bump round trip mismatch: %+v", bump)
-	}
-
 	// Re-stamping a cached epoch frame must change only trace+ship.
+	em := wireSeeds()[0].want.(epochMsg)
 	stamped, err := decodeEpoch(frameBody(t, stampEpochFrame(frameBody(t, encodeEpoch(em)), 0xBEEF, 777)))
 	if err != nil {
 		t.Fatal(err)
@@ -439,118 +420,6 @@ func TestWireRoundTrip(t *testing.T) {
 	if stamped.trace != 0xBEEF || stamped.shipNanos != 777 ||
 		stamped.seq != em.seq || len(stamped.anns) != len(em.anns) {
 		t.Fatalf("stamped epoch mismatch: %+v", stamped)
-	}
-
-	am := assignMsg{shard: 3, trace: 0xF00D, cursor: 77, startNanos: tcStart.UnixNano(), bucket: int64(time.Hour), checkpoint: []byte("cpbytes")}
-	ga, err := decodeAssign(frameBody(t, encodeAssign(am)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ga.shard != 3 || ga.trace != 0xF00D || ga.cursor != 77 || ga.startNanos != am.startNanos || string(ga.checkpoint) != "cpbytes" {
-		t.Fatalf("assign round trip mismatch: %+v", ga)
-	}
-
-	sc := shardCtrlMsg{shard: 6, trace: 0xABCD, nanos: 4242}
-	gsc, err := decodeShardCtrl(frameBody(t, encodeShardCtrl(msgReportReq, sc)))
-	if err != nil || gsc != sc {
-		t.Fatalf("shard-ctrl round trip: %+v, %v", gsc, err)
-	}
-
-	fm := flowsMsg{shard: 2, base: 41, flows: flows}
-	var scratch flowScratch // reused by the compressed frame below, as a read loop would
-	gf, err := scratch.decode(appendFlows(nil, fm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gf.shard != 2 || gf.base != 41 || len(gf.flows) != len(flows) {
-		t.Fatalf("flows round trip mismatch")
-	}
-	for i := range flows {
-		if !gf.flows[i].Start.Equal(flows[i].Start) || gf.flows[i].SrcAddr != flows[i].SrcAddr ||
-			gf.flows[i].Bytes != flows[i].Bytes || gf.flows[i].Ingress != flows[i].Ingress {
-			t.Fatalf("flow %d did not survive the wire", i)
-		}
-	}
-
-	rm := reportMsg{shard: 1, final: true, trace: 0x1234, reqNanos: 999, cursor: 123, checkpoint: []byte("x")}
-	gr, err := decodeReport(frameBody(t, encodeReport(rm)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.shard != 1 || !gr.final || gr.trace != 0x1234 || gr.reqNanos != 999 ||
-		gr.cursor != 123 || string(gr.checkpoint) != "x" {
-		t.Fatalf("report round trip mismatch: %+v", gr)
-	}
-
-	nonce, err := decodeChallenge(frameBody(t, encodeChallenge(bytes.Repeat([]byte{0xAB}, challengeNonceLen))))
-	if err != nil || len(nonce) != challengeNonceLen || nonce[0] != 0xAB {
-		t.Fatalf("challenge round trip: %x, %v", nonce, err)
-	}
-
-	hm := helloMsg{identity: "node-1", name: "w1"}
-	hm.mac = helloMAC([]byte("s3cret"), nonce, hm.identity, hm.name)
-	gh, err := decodeHello(frameBody(t, encodeHello(hm)))
-	if err != nil || gh.identity != "node-1" || gh.name != "w1" || !bytes.Equal(gh.mac, hm.mac) {
-		t.Fatalf("hello round trip: %+v, %v", gh, err)
-	}
-
-	zm := flowsMsg{shard: 4, base: 17, flows: flows}
-	gz, err := scratch.decode(new(flowDeflater).appendFlowsZ(nil, zm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gz.shard != 4 || gz.base != 17 || len(gz.flows) != len(flows) {
-		t.Fatalf("compressed flows round trip mismatch")
-	}
-	for i := range flows {
-		if !gz.flows[i].Start.Equal(flows[i].Start) || gz.flows[i].SrcAddr != flows[i].SrcAddr ||
-			gz.flows[i].Bytes != flows[i].Bytes || gz.flows[i].Ingress != flows[i].Ingress {
-			t.Fatalf("compressed flow %d did not survive the wire", i)
-		}
-	}
-
-	tm := telemetryMsg{
-		journalStart: 17171717,
-		epochSeq:     4,
-		samples: []wireSample{
-			{name: "c", help: "a counter", kind: 0,
-				labels: []obs.Label{{Name: "worker", Value: "w1"}}, value: 42},
-			{name: "g", help: "a gauge", kind: 1, value: -1.5},
-			{name: "h", help: "a histogram", kind: 2,
-				labels: []obs.Label{{Name: "worker", Value: "w1"}, {Name: "stage", Value: "compile"}},
-				hist: obs.HistogramSnapshot{
-					Bounds: []float64{0.1, 1}, Counts: []uint64{3, 2, 1}, Count: 6, Sum: 2.5,
-				}},
-		},
-		events: []obs.Event{
-			{Seq: 5, Wall: tcStart, Kind: "checkpoint", Msg: "wrote"},
-			{Seq: 6, Wall: tcStart.Add(time.Second), Kind: "span-epoch", Msg: "trace x"},
-		},
-	}
-	gt, err := decodeTelemetry(frameBody(t, encodeTelemetry(tm)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt.journalStart != tm.journalStart || gt.epochSeq != 4 ||
-		len(gt.samples) != 3 || len(gt.events) != 2 {
-		t.Fatalf("telemetry round trip mismatch: %+v", gt)
-	}
-	if s := gt.samples[0]; s.name != "c" || s.kind != 0 || s.value != 42 ||
-		len(s.labels) != 1 || s.labels[0] != (obs.Label{Name: "worker", Value: "w1"}) {
-		t.Fatalf("telemetry counter sample mismatch: %+v", s)
-	}
-	if s := gt.samples[2]; s.kind != 2 || s.hist.Count != 6 || s.hist.Sum != 2.5 ||
-		len(s.hist.Bounds) != 2 || len(s.hist.Counts) != 3 || s.hist.Counts[0] != 3 {
-		t.Fatalf("telemetry histogram sample mismatch: %+v", s)
-	}
-	if e := gt.events[0]; e.Seq != 5 || e.Kind != "checkpoint" || e.Msg != "wrote" ||
-		!e.Wall.Equal(tcStart) {
-		t.Fatalf("telemetry event mismatch: %+v", e)
-	}
-
-	ack, err := decodeTelemetryAck(frameBody(t, encodeTelemetryAck(91)))
-	if err != nil || ack != 91 {
-		t.Fatalf("telemetry ack round trip: %d, %v", ack, err)
 	}
 }
 
@@ -741,7 +610,7 @@ func TestLateJoinerRebalances(t *testing.T) {
 	if st := tc.coord.Stats(); st.Rebalances == 0 {
 		t.Fatal("no rebalance happened for the late joiner")
 	}
-	tc.await("two workers joined", func() bool { return tc.coord.Stats().Workers == 2 })
+	await(tc.t, "two workers joined", func() bool { return tc.coord.Stats().Workers == 2 })
 }
 
 // TestWorkerReconnectResumes: a transport failure (link drop, worker
@@ -783,7 +652,7 @@ func TestClusterHealthTransitions(t *testing.T) {
 	}
 	tc.startWorker(0)
 	tc.distribute(testRIB())
-	tc.await("health ok once owned", func() bool {
+	await(tc.t, "health ok once owned", func() bool {
 		h := tc.tel.Health()
 		return h.Ready && h.Status == "ok"
 	})
@@ -791,7 +660,7 @@ func TestClusterHealthTransitions(t *testing.T) {
 	for _, f := range testFlows(10) {
 		tc.coord.Ingest(f)
 	}
-	tc.await("health degraded after worker death", func() bool {
+	await(tc.t, "health degraded after worker death", func() bool {
 		h := tc.tel.Health()
 		return h.Ready && h.Status == "degraded"
 	})

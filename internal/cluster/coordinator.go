@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -160,6 +161,9 @@ type link struct {
 	// lastRead is the unix-nano timestamp of the last frame read from this
 	// link — the per-worker "last heartbeat" the fleet status API reports.
 	lastRead atomic.Int64
+	// epochSeq is the sequence of the last epoch frame enqueued on this link
+	// (under Coordinator.mu), the fleet status's per-worker epoch.
+	epochSeq uint64
 
 	released  bool // conn-count slot returned (under Coordinator.mu)
 	closeOnce sync.Once
@@ -238,10 +242,8 @@ type Coordinator struct {
 	// the MaxConns cap.
 	conns int
 
-	// Observability plane (observe.go): per-worker federated telemetry
-	// keyed by identity, trace-ID minting state, and the coordinator-side
-	// span histograms (nil without Telemetry).
-	fed             map[string]*fedWorker
+	// Observability plane (observe.go): trace-ID minting state and the
+	// coordinator-side span histograms (nil without Telemetry).
 	traceBase       uint64
 	traceSeq        uint64
 	handoffReassign *obs.Histogram
@@ -305,7 +307,6 @@ func newCoordinator(cfg Config, lg *ledger) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		links:     make(map[*link]struct{}),
-		fed:       make(map[string]*fedWorker),
 		traceBase: newTraceBase(),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -798,16 +799,6 @@ func (c *Coordinator) readLoop(l *link) {
 				return
 			}
 			c.handleReport(l, m)
-		case msgTelemetry:
-			m, err := decodeTelemetry(body)
-			if err != nil {
-				// Telemetry is advisory: a malformed frame is journaled and
-				// dropped, never fatal to a link that is moving flows.
-				c.cfg.Telemetry.Recordf(obs.EventTelemetryError,
-					"bad telemetry frame from %s: %v", l.label(), err)
-				continue
-			}
-			c.handleTelemetry(l, m)
 		default:
 			c.killLink(l, fmt.Sprintf("unexpected message type %d", body[0]))
 			return
@@ -840,7 +831,11 @@ func (c *Coordinator) join(l *link) bool {
 		// joiner's propagation span measures its own delivery, not the age
 		// of the original distribution.
 		trace := c.nextTraceLocked()
-		c.sendCtrlLocked(l, stampEpochFrame(c.epochFull, trace, time.Now().UnixNano()))
+		if c.sendCtrlLocked(l, stampEpochFrame(c.epochFull, trace, time.Now().UnixNano())) {
+			// After a bump the cached frame still carries the full epoch's
+			// sequence, and that is what the joiner compiles and classifies with.
+			l.epochSeq = binary.BigEndian.Uint64(c.epochFull[1:])
+		}
 		c.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
 			"trace %016x epoch stage=ship (replay to joiner %s)", trace, l.label())
 	}
@@ -863,7 +858,6 @@ func (c *Coordinator) killLink(l *link, reason string) {
 	delete(c.links, l)
 	if joined {
 		c.cfg.Telemetry.Recordf(obs.EventWorkerDead, "%s: %s", l.label(), reason)
-		c.pruneFederatedLocked(l)
 		now := time.Now()
 		for _, s := range c.shards {
 			if s.owner == l {
@@ -1158,7 +1152,9 @@ func (c *Coordinator) DistributeEpoch(rib *bgp.RIB) (uint64, error) {
 	for l := range c.links {
 		if !c.sendCtrlLocked(l, frame) {
 			go c.killLink(l, "control queue full at epoch")
+			continue
 		}
+		l.epochSeq = c.epochSeq
 	}
 	c.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
 		"trace %016x epoch %d stage=ship full=%v to %d workers", trace, c.epochSeq, full, len(c.links))

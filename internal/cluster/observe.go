@@ -1,20 +1,16 @@
-// Cluster observability plane (DESIGN.md §5g): telemetry federation, wire
-// trace spans, and the fleet status API.
-//
-// Federation folds each worker's periodic telemetry frame into the
-// coordinator's registry as func-backed series reading a per-worker store
-// under the coordinator lock, and interleaves forwarded journal events
-// (deduplicated by origin sequence) into the coordinator's journal — one
-// scrape of the coordinator shows the whole fleet. Spans stamp a trace ID
-// onto epoch, assign, revoke, and report-request frames; both ends record
-// stage timestamps into histograms, so handoff and rebuild latency are
-// measurements, not test-only assertions.
+// Cluster observability plane (DESIGN.md §5g): wire trace spans and the
+// fleet status API. Spans stamp a trace ID onto epoch, assign, revoke, and
+// report-request frames; both ends record stage timestamps into their own
+// process's histograms, so handoff and rebuild latency are measurements,
+// not test-only assertions. Every process — coordinator or worker daemon —
+// serves its own series on its own /metrics; /cluster is the fleet's one
+// status endpoint.
 package cluster
 
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,11 +35,11 @@ const (
 	// on the coordinator's clock via the echoed request timestamp.
 	MetricReportRTT = "spoofscope_cluster_report_rtt_seconds"
 	// MetricWorkerClassFlows is the per-worker, per-class flow tally a
-	// federating worker exports; the coordinator re-exposes it under the
-	// same name with the worker label intact.
+	// worker exports on its own registry; summing it over every worker's
+	// scrape gives the fleet's per-class totals.
 	MetricWorkerClassFlows = "spoofscope_cluster_worker_class_flows_total"
-	// MetricWorkerShardCursor is a federating worker's per-shard stream
-	// position.
+	// MetricWorkerShardCursor is a worker's per-shard stream position,
+	// registered while it owns the shard.
 	MetricWorkerShardCursor = "spoofscope_cluster_worker_shard_cursor"
 )
 
@@ -123,187 +119,6 @@ func (c *Coordinator) spanResumedLocked(s *shardState, l *link, now time.Time) {
 	s.span = nil
 }
 
-// fedSeries is the coordinator-side store behind one federated metric
-// sample: the registered func-backed series reads value/hist through this
-// struct under the coordinator lock. gone marks a pruned series (its worker
-// died); readers report zero so a racing scrape undercounts instead of
-// double-counting replayed flows.
-type fedSeries struct {
-	name   string
-	labels []obs.Label
-	value  float64
-	hist   obs.HistogramSnapshot
-	gone   bool
-}
-
-// fedWorker is everything the coordinator remembers about one worker's
-// telemetry stream, keyed by identity. It outlives the link: a dead
-// worker's liveness and last-seen time stay visible in /cluster, and its
-// event-dedup cursor survives a redial (a restart is detected by the
-// changed journalStart).
-type fedWorker struct {
-	identity     string
-	name         string
-	live         bool
-	lastSeen     time.Time
-	epochSeq     uint64
-	journalStart int64
-	lastEventSeq uint64
-	series       map[string]*fedSeries
-}
-
-// handleTelemetry folds one worker telemetry frame into the coordinator's
-// registry and journal, and acks the highest journal sequence folded in.
-func (c *Coordinator) handleTelemetry(l *link, m telemetryMsg) {
-	now := time.Now()
-	tel := c.cfg.Telemetry
-	c.mu.Lock()
-	if c.closed || l.id == "" {
-		c.mu.Unlock()
-		return
-	}
-	fw := c.fed[l.id]
-	if fw == nil {
-		fw = &fedWorker{identity: l.id, series: make(map[string]*fedSeries)}
-		c.fed[l.id] = fw
-		tel.Recordf(obs.EventTelemetryJoin, "federating telemetry from %s", l.label())
-	}
-	if fw.journalStart != m.journalStart {
-		// A fresh journal generation: the worker restarted and its sequence
-		// numbers restarted with it. Reset the dedup cursor.
-		fw.journalStart = m.journalStart
-		fw.lastEventSeq = 0
-	}
-	fw.name = l.label()
-	fw.live = true
-	fw.lastSeen = now
-	fw.epochSeq = m.epochSeq
-	if tel != nil {
-		for _, ws := range m.samples {
-			if !hasLabel(ws.labels, "worker") {
-				// Defensive: a federated sample without a worker label would
-				// collide with (and clobber) the coordinator's own series.
-				continue
-			}
-			c.foldSampleLocked(fw, ws)
-		}
-	}
-	var forward []obs.Event
-	for _, e := range m.events {
-		if e.Seq <= fw.lastEventSeq {
-			continue
-		}
-		fw.lastEventSeq = e.Seq
-		forward = append(forward, e)
-	}
-	ack := fw.lastEventSeq
-	c.sendCtrlLocked(l, encodeTelemetryAck(ack))
-	c.mu.Unlock()
-	if tel != nil {
-		for _, e := range forward {
-			tel.Journal.RecordForwarded(l.id, e)
-		}
-	}
-}
-
-// foldSampleLocked updates (or registers) the coordinator-side store for
-// one federated sample. Registration nests the registry lock inside the
-// coordinator lock; scrapes take them in the same order (registry snapshot
-// first, released before sampling), so there is no cycle.
-func (c *Coordinator) foldSampleLocked(fw *fedWorker, ws wireSample) {
-	key := ws.name + "\x00" + labelKeyOf(ws.labels)
-	fs := fw.series[key]
-	if fs == nil {
-		fs = &fedSeries{name: ws.name, labels: append([]obs.Label(nil), ws.labels...)}
-		fw.series[key] = fs
-		m := c.cfg.Telemetry.Metrics
-		switch ws.kind {
-		case 1:
-			m.GaugeFunc(ws.name, ws.help, func() float64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				if fs.gone {
-					return 0
-				}
-				return fs.value
-			}, fs.labels...)
-		case 2:
-			m.HistogramFunc(ws.name, ws.help, func() obs.HistogramSnapshot {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				if fs.gone {
-					return obs.HistogramSnapshot{}
-				}
-				return fs.hist
-			}, fs.labels...)
-		default:
-			m.CounterFunc(ws.name, ws.help, func() uint64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				if fs.gone {
-					return 0
-				}
-				return uint64(fs.value)
-			}, fs.labels...)
-		}
-	}
-	fs.value = ws.value
-	fs.hist = ws.hist
-}
-
-// pruneFederatedLocked retires a dead worker's federated series: the
-// registry entries are unregistered and the stores marked gone, so the next
-// scrape never sums a dead worker's stale counters on top of the replay its
-// successor is re-processing. The fedWorker itself stays (liveness history
-// and the event-dedup cursor survive a redial).
-func (c *Coordinator) pruneFederatedLocked(l *link) {
-	fw := c.fed[l.id]
-	if fw == nil {
-		return
-	}
-	fw.live = false
-	fw.lastSeen = time.Now()
-	if len(fw.series) == 0 {
-		return
-	}
-	if tel := c.cfg.Telemetry; tel != nil {
-		for _, fs := range fw.series {
-			fs.gone = true
-			tel.Metrics.Unregister(fs.name, fs.labels...)
-		}
-		tel.Recordf(obs.EventTelemetryLost,
-			"pruned %d federated series from %s", len(fw.series), l.label())
-	}
-	fw.series = make(map[string]*fedSeries)
-}
-
-func hasLabel(labels []obs.Label, name string) bool {
-	for _, l := range labels {
-		if l.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// labelKeyOf mirrors the registry's canonical label key (sorted
-// name=value pairs) for the federation store's map key.
-func labelKeyOf(labels []obs.Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]obs.Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-	var b strings.Builder
-	for _, l := range ls {
-		b.WriteString(l.Name)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
 // --- fleet status API -------------------------------------------------------
 
 // ShardStatus is one shard's row in the fleet status: who owns it, where
@@ -325,14 +140,15 @@ type ShardStatus struct {
 	Lag         uint64 `json:"lag"`
 }
 
-// WorkerStatus is one worker's row in the fleet status.
+// WorkerStatus is one live worker's row in the fleet status. A dead worker
+// drops out of this list; ShardStatus.LastOwner and the journal's
+// worker-dead event keep it visible.
 type WorkerStatus struct {
 	Identity string    `json:"identity"`
 	Name     string    `json:"name,omitempty"`
-	Live     bool      `json:"live"`
 	LastSeen time.Time `json:"lastSeen,omitempty"`
-	// EpochSeq is the routing epoch the worker last reported classifying
-	// with (0 until its first telemetry frame).
+	// EpochSeq is the sequence of the last epoch frame shipped on the
+	// worker's link — the epoch it classifies with once the frame lands.
 	EpochSeq uint64 `json:"epochSeq"`
 	Shards   int    `json:"shards"`
 }
@@ -401,49 +217,17 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 		}
 		st.Shards = append(st.Shards, row)
 	}
-	seen := make(map[string]bool)
 	for l := range c.links {
-		if l.id == "" {
-			continue // still in the challenge/hello exchange
-		}
-		seen[l.id] = true
-		w := WorkerStatus{
+		st.Workers = append(st.Workers, WorkerStatus{
 			Identity: l.id,
 			Name:     l.name,
-			Live:     true,
 			LastSeen: time.Unix(0, l.lastRead.Load()),
+			EpochSeq: l.epochSeq,
 			Shards:   ownedBy[l.id],
-		}
-		if fw := c.fed[l.id]; fw != nil {
-			w.EpochSeq = fw.epochSeq
-		}
-		st.Workers = append(st.Workers, w)
-	}
-	// Dead workers the federation plane remembers: still listed, marked not
-	// live, so a scrape after a crash shows who disappeared and when.
-	for id, fw := range c.fed {
-		if seen[id] {
-			continue
-		}
-		st.Workers = append(st.Workers, WorkerStatus{
-			Identity: id,
-			Name:     fw.name,
-			Live:     false,
-			LastSeen: fw.lastSeen,
-			EpochSeq: fw.epochSeq,
-			Shards:   ownedBy[id],
 		})
 	}
-	sortWorkers(st.Workers)
+	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.Identity, b.Identity) })
 	return st
-}
-
-func sortWorkers(ws []WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].Identity < ws[j-1].Identity; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }
 
 // fleetStatusFromLedger renders a standby's warm ledger copy as the same

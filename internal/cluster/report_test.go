@@ -48,7 +48,7 @@ func TestReportClaimsTheSnapshotsPosition(t *testing.T) {
 	}
 	tc.startWorker(0)
 	tc.distribute(testRIB())
-	tc.await("worker compiled the epoch", func() bool { return worker.health().Ready })
+	await(tc.t, "worker compiled the epoch", func() bool { return worker.health().Ready })
 	for _, f := range flows {
 		tc.coord.Ingest(f)
 	}
@@ -128,13 +128,9 @@ func TestCoordinatorRejectsReportAheadOfItsCheckpoint(t *testing.T) {
 	if routed[0] == 0 || routed[1] == 0 {
 		t.Fatalf("test flows must reach both shards: %v", routed)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for got[0].Load() != routed[0] || got[1].Load() != routed[1] {
-		if time.Now().After(deadline) {
-			t.Fatalf("flows received %d/%d, routed %v", got[0].Load(), got[1].Load(), routed)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "every routed flow received", func() bool {
+		return got[0].Load() == routed[0] && got[1].Load() == routed[1]
+	})
 
 	checkpointAt := func(n uint64) []byte {
 		return core.AppendCheckpoint(nil, &core.Checkpoint{

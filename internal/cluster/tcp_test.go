@@ -31,32 +31,33 @@ func joinCount(tel *obs.Telemetry) int {
 	return n
 }
 
-func startTCPWorker(t *testing.T, tel *obs.Telemetry, name, addr string, secret []byte) {
+// startTCPWorker runs a worker that dials addr over TCP, with the suite's
+// heartbeat and redial settings filled in around cfg. The returned kill
+// cancels it and waits for it to exit — process death; cleanup does the same.
+func startTCPWorker(t *testing.T, addr string, cfg WorkerConfig) (kill func()) {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{
-		Name:              name,
-		Secret:            secret,
-		Dial:              func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		HeartbeatInterval: 20 * time.Millisecond,
-		InitialBackoff:    5 * time.Millisecond,
-		MaxBackoff:        50 * time.Millisecond,
-		Seed:              int64(len(name)),
-		Telemetry:         tel,
-	})
+	cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	cfg.HeartbeatInterval = 20 * time.Millisecond
+	cfg.InitialBackoff = 5 * time.Millisecond
+	cfg.MaxBackoff = 50 * time.Millisecond
+	cfg.Seed = int64(len(cfg.Name))
+	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()
-	t.Cleanup(func() {
+	kill = func() {
 		cancel()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Error("TCP worker did not stop")
+			t.Errorf("TCP worker %s did not stop", cfg.Name)
 		}
-	})
+	}
+	t.Cleanup(kill)
+	return kill
 }
 
 // TestClusterTCPChaos: two authenticated workers over TCP loopback with
@@ -111,15 +112,9 @@ func TestClusterTCPChaos(t *testing.T) {
 	go coord.Serve(ln)
 	addr := inner.Addr().String()
 
-	startTCPWorker(t, tel, "w0", addr, secret)
-	startTCPWorker(t, tel, "w1", addr, secret)
-	deadline := time.Now().Add(5 * time.Second)
-	for joinCount(tel) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never joined over TCP")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	startTCPWorker(t, addr, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
+	startTCPWorker(t, addr, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
+	await(t, "both workers joined over TCP", func() bool { return joinCount(tel) >= 2 })
 
 	if _, err := coord.DistributeEpoch(testRIB()); err != nil {
 		t.Fatal(err)
@@ -211,28 +206,16 @@ func TestStandbyTakeover(t *testing.T) {
 		promoted <- promotion{coord, ln, err}
 	}()
 
-	startTCPWorker(t, tel, "w0", addr, secret)
-	startTCPWorker(t, tel, "w1", addr, secret)
-	deadline := time.Now().Add(5 * time.Second)
-	for joinCount(tel) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never joined the primary")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	startTCPWorker(t, addr, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
+	startTCPWorker(t, addr, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
+	await(t, "both workers joined the primary", func() bool { return joinCount(tel) >= 2 })
 	if _, err := primary.DistributeEpoch(testRIB()); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range flows[:800] {
 		primary.Ingest(f)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for primary.Stats().LedgerWrites == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("primary never persisted the ledger")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "primary persisted the ledger", func() bool { return primary.Stats().LedgerWrites > 0 })
 
 	// Primary death: close the coordinator first (its ledger writer drains
 	// and stops — no one writes the file after this), then release the
@@ -286,13 +269,7 @@ func TestStandbyTakeover(t *testing.T) {
 	// The checkpoint only needs the workers that own shards, so it can
 	// complete before the second worker's redial lands; registration is
 	// asynchronous and gets a bounded window.
-	workerDeadline := time.Now().Add(10 * time.Second)
-	for p.coord.Stats().Workers != 2 {
-		if time.Now().After(workerDeadline) {
-			t.Fatalf("workers = %d after takeover, want 2", p.coord.Stats().Workers)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "both workers back after takeover", func() bool { return p.coord.Stats().Workers == 2 })
 	takeovers := 0
 	reclaims := false
 	for _, e := range tel.Journal.Events() {

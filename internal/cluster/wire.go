@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -37,23 +36,22 @@ import (
 	"spoofscope/internal/core"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
-	"spoofscope/internal/obs"
 )
 
 // Message types. The one-byte tag leads every frame body.
 const (
-	msgHello        = 1  // worker → coordinator: authenticated identity
-	msgEpoch        = 2  // coordinator → worker: routing state (full or bump)
-	msgAssign       = 3  // coordinator → worker: shard ownership + resume state
-	msgRevoke       = 4  // coordinator → worker: drain shard, send final report
-	msgFlows        = 5  // coordinator → worker: a batch of shard flows
-	msgReportReq    = 6  // coordinator → worker: request a quiescent report
-	msgReport       = 7  // worker → coordinator: shard checkpoint
-	msgHeartbeat    = 8  // both directions: liveness
-	msgChallenge    = 9  // coordinator → worker: auth nonce, first frame on a conn
-	msgFlowsZ       = 10 // coordinator → worker: a flate-compressed flow batch
-	msgTelemetry    = 11 // worker → coordinator: metric samples + journal events
-	msgTelemetryAck = 12 // coordinator → worker: highest journal seq folded in
+	msgHello     = 1  // worker → coordinator: authenticated identity
+	msgEpoch     = 2  // coordinator → worker: routing state (full or bump)
+	msgAssign    = 3  // coordinator → worker: shard ownership + resume state
+	msgRevoke    = 4  // coordinator → worker: drain shard, send final report
+	msgFlows     = 5  // coordinator → worker: a batch of shard flows
+	msgReportReq = 6  // coordinator → worker: request a quiescent report
+	msgReport    = 7  // worker → coordinator: shard checkpoint
+	msgHeartbeat = 8  // both directions: liveness
+	msgChallenge = 9  // coordinator → worker: auth nonce, first frame on a conn
+	msgFlowsZ    = 10 // coordinator → worker: a flate-compressed flow batch
+	// 11 and 12 are retired (they carried worker telemetry up to the
+	// coordinator); do not reuse them.
 )
 
 // maxFrame bounds a frame body so a corrupted length prefix cannot force
@@ -668,181 +666,3 @@ func decodeReport(body []byte) (reportMsg, error) {
 }
 
 var heartbeatFrame = sealFrame(append(beginFrame(nil), msgHeartbeat))
-
-// --- telemetry federation codec ---------------------------------------------
-
-// Federation bounds: a snapshot is clamped to these limits at the sender, so
-// a worker with a pathological registry degrades to partial telemetry
-// instead of a giant control-plane frame. Journal events the cap pushes out
-// of one frame ride in the next (the ack cursor only advances to what was
-// actually sent).
-const (
-	telemetryMaxSamples = 1024
-	telemetryMaxEvents  = 256
-	telemetryMaxLabels  = 16
-	telemetryMaxBounds  = 256
-)
-
-// wireSample is one federated metric instance: enough of the sample to
-// re-register it on the coordinator (name, help, kind, labels) plus its
-// current value or histogram snapshot.
-type wireSample struct {
-	name   string
-	help   string
-	kind   uint8 // 0 counter, 1 gauge, 2 histogram
-	labels []obs.Label
-	value  float64
-	hist   obs.HistogramSnapshot
-}
-
-// telemetryMsg is a worker's periodic telemetry snapshot: metric samples
-// (worker-labeled series only) and journal events since the last ack.
-// journalStart identifies the journal generation — a restarted worker
-// restarts Seq at 1, and the receiver tells a restart from a replay by the
-// changed start timestamp. epochSeq reports which routing epoch the worker
-// is classifying with, for the fleet status API.
-type telemetryMsg struct {
-	journalStart int64
-	epochSeq     uint64
-	samples      []wireSample
-	events       []obs.Event
-}
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func encodeTelemetry(m telemetryMsg) []byte {
-	if len(m.samples) > telemetryMaxSamples {
-		m.samples = m.samples[:telemetryMaxSamples]
-	}
-	if len(m.events) > telemetryMaxEvents {
-		m.events = m.events[:telemetryMaxEvents]
-	}
-	b := append(beginFrame(nil), msgTelemetry)
-	b = appendU64(b, uint64(m.journalStart))
-	b = appendU64(b, m.epochSeq)
-	b = appendU32(b, uint32(len(m.samples)))
-	for _, s := range m.samples {
-		b = appendU32(b, uint32(len(s.name)))
-		b = append(b, s.name...)
-		b = appendU32(b, uint32(len(s.help)))
-		b = append(b, s.help...)
-		b = append(b, s.kind)
-		labels := s.labels
-		if len(labels) > telemetryMaxLabels {
-			labels = labels[:telemetryMaxLabels]
-		}
-		b = appendU16(b, uint16(len(labels)))
-		for _, l := range labels {
-			b = appendU32(b, uint32(len(l.Name)))
-			b = append(b, l.Name...)
-			b = appendU32(b, uint32(len(l.Value)))
-			b = append(b, l.Value...)
-		}
-		if s.kind == 2 {
-			bounds := s.hist.Bounds
-			counts := s.hist.Counts
-			if len(bounds) > telemetryMaxBounds {
-				bounds = bounds[:telemetryMaxBounds]
-				counts = counts[:telemetryMaxBounds+1]
-			}
-			b = appendU16(b, uint16(len(bounds)))
-			for _, v := range bounds {
-				b = appendF64(b, v)
-			}
-			for _, c := range counts {
-				b = appendU64(b, c)
-			}
-			b = appendU64(b, s.hist.Count)
-			b = appendF64(b, s.hist.Sum)
-		} else {
-			b = appendF64(b, s.value)
-		}
-	}
-	b = appendU32(b, uint32(len(m.events)))
-	for _, e := range m.events {
-		b = appendU64(b, e.Seq)
-		b = appendU64(b, uint64(e.Wall.UnixNano()))
-		b = appendU32(b, uint32(len(e.Kind)))
-		b = append(b, e.Kind...)
-		b = appendU32(b, uint32(len(e.Msg)))
-		b = append(b, e.Msg...)
-	}
-	return sealFrame(b)
-}
-
-func decodeTelemetry(body []byte) (telemetryMsg, error) {
-	r := &reader{b: body[1:]}
-	var m telemetryMsg
-	m.journalStart = int64(r.u64())
-	m.epochSeq = r.u64()
-	ns := int(r.u32())
-	if ns > telemetryMaxSamples {
-		return m, fmt.Errorf("cluster: telemetry frame claims %d samples", ns)
-	}
-	m.samples = make([]wireSample, 0, ns)
-	for i := 0; i < ns && r.err == nil; i++ {
-		var s wireSample
-		s.name = string(r.bytes())
-		s.help = string(r.bytes())
-		s.kind = r.u8()
-		nl := int(r.u16())
-		if nl > telemetryMaxLabels {
-			return m, fmt.Errorf("cluster: telemetry sample claims %d labels", nl)
-		}
-		s.labels = make([]obs.Label, 0, nl)
-		for j := 0; j < nl && r.err == nil; j++ {
-			var l obs.Label
-			l.Name = string(r.bytes())
-			l.Value = string(r.bytes())
-			s.labels = append(s.labels, l)
-		}
-		if s.kind == 2 {
-			nb := int(r.u16())
-			if nb > telemetryMaxBounds {
-				return m, fmt.Errorf("cluster: telemetry histogram claims %d bounds", nb)
-			}
-			if r.err == nil && (nb*8)*2+8 > len(r.b) {
-				return m, io.ErrUnexpectedEOF
-			}
-			s.hist.Bounds = make([]float64, 0, nb)
-			for j := 0; j < nb && r.err == nil; j++ {
-				s.hist.Bounds = append(s.hist.Bounds, r.f64())
-			}
-			s.hist.Counts = make([]uint64, 0, nb+1)
-			for j := 0; j < nb+1 && r.err == nil; j++ {
-				s.hist.Counts = append(s.hist.Counts, r.u64())
-			}
-			s.hist.Count = r.u64()
-			s.hist.Sum = r.f64()
-		} else {
-			s.value = r.f64()
-		}
-		m.samples = append(m.samples, s)
-	}
-	ne := int(r.u32())
-	if ne > telemetryMaxEvents {
-		return m, fmt.Errorf("cluster: telemetry frame claims %d events", ne)
-	}
-	m.events = make([]obs.Event, 0, ne)
-	for i := 0; i < ne && r.err == nil; i++ {
-		var e obs.Event
-		e.Seq = r.u64()
-		e.Wall = time.Unix(0, int64(r.u64())).UTC()
-		e.Kind = string(r.bytes())
-		e.Msg = string(r.bytes())
-		m.events = append(m.events, e)
-	}
-	return m, r.done()
-}
-
-func encodeTelemetryAck(seq uint64) []byte {
-	return sealFrame(appendU64(append(beginFrame(nil), msgTelemetryAck), seq))
-}
-
-func decodeTelemetryAck(body []byte) (uint64, error) {
-	r := &reader{b: body[1:]}
-	seq := r.u64()
-	return seq, r.done()
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -56,16 +55,6 @@ type WorkerConfig struct {
 	Seed           int64
 	// Telemetry, when non-nil, registers worker metrics and journal events.
 	Telemetry *obs.Telemetry
-	// Federate ships periodic telemetry frames (worker-labeled metric
-	// samples plus journal events since the last ack) to the coordinator
-	// over the control plane, so one scrape of the coordinator covers the
-	// fleet. Leave it off when worker and coordinator already share one
-	// Telemetry (the in-process cluster mode) — federating a shared
-	// registry would double every series.
-	Federate bool
-	// TelemetryInterval paces federation frames (default: twice the
-	// heartbeat interval).
-	TelemetryInterval time.Duration
 	// PublishHealth installs this worker as the Telemetry's readiness
 	// source: ready once it owns at least one shard and has a promoted
 	// pipeline. Only one component per Telemetry should publish health —
@@ -89,13 +78,6 @@ func (c *WorkerConfig) misses() int {
 
 func (c *WorkerConfig) deadline() time.Duration {
 	return c.interval() * time.Duration(c.misses())
-}
-
-func (c *WorkerConfig) telemetryEvery() time.Duration {
-	if c.TelemetryInterval > 0 {
-		return c.TelemetryInterval
-	}
-	return 2 * c.interval()
 }
 
 // workerShard is one owned shard: a full single-process runtime draining
@@ -135,13 +117,6 @@ type Worker struct {
 	giveUps    uint64
 	reports    uint64
 	flowsIn    uint64
-
-	// Federation cursors: telSent is the highest journal Seq shipped in a
-	// telemetry frame this session, telAcked the highest the coordinator
-	// acknowledged. A new session rewinds telSent to telAcked so unacked
-	// events are retransmitted (the receiver dedups by Seq).
-	telSent  uint64
-	telAcked uint64
 
 	// Epoch-propagation histograms (ship → local milestone), registered
 	// when Telemetry is set.
@@ -233,7 +208,7 @@ func (w *Worker) instrument(tel *obs.Telemetry) {
 		obs.WireBuckets, name, obs.Label{Name: "stage", Value: "first-verdict"})
 }
 
-// shardCursorLabels identifies one shard's federated cursor gauge.
+// shardCursorLabels identifies one shard's cursor gauge.
 func (w *Worker) shardCursorLabels(shard uint32) []obs.Label {
 	return []obs.Label{
 		{Name: "worker", Value: w.label()},
@@ -386,37 +361,6 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		}
 	}()
 
-	// The telemetry sender federates this worker's observability upstream.
-	// Frames are best-effort: a congested outbound queue drops the tick
-	// (metrics are snapshots, and the event cursor only advances on a
-	// successful enqueue, so unsent journal events ride the next frame).
-	if w.cfg.Federate && w.cfg.Telemetry != nil {
-		w.mu.Lock()
-		w.telSent = w.telAcked
-		w.mu.Unlock()
-		go func() {
-			t := time.NewTicker(w.cfg.telemetryEvery())
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					frame, top := w.telemetryFrame()
-					select {
-					case out <- frame:
-						w.mu.Lock()
-						if top > w.telSent {
-							w.telSent = top
-						}
-						w.mu.Unlock()
-					default:
-					}
-				case <-sctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
 	// Every frame is consumed before the next is read — decoders copy what
 	// they keep, and the shard runtime copies flows into its ring — so the
 	// loop reads into one frame buffer and decodes flows into one scratch.
@@ -481,85 +425,10 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 			case <-sctx.Done():
 				return errors.New("cluster: session cancelled")
 			}
-		case msgTelemetryAck:
-			seq, err := decodeTelemetryAck(body)
-			if err != nil {
-				return err
-			}
-			w.mu.Lock()
-			if seq > w.telAcked {
-				w.telAcked = seq
-			}
-			w.mu.Unlock()
 		default:
 			return fmt.Errorf("cluster: unexpected message type %d", body[0])
 		}
 	}
-}
-
-// telemetryFrame snapshots this worker's observability into one federation
-// frame: every metric sample labeled with this worker's name (the shared
-// registry may also hold other components' series — those stay local) and
-// the journal events past the last shipped cursor. top is the highest
-// event Seq included, which becomes telSent if the frame is enqueued.
-func (w *Worker) telemetryFrame() (frame []byte, top uint64) {
-	tel := w.cfg.Telemetry
-	label := w.label()
-	var samples []wireSample
-	for _, f := range tel.Metrics.Export() {
-		var kind uint8
-		switch f.Kind {
-		case "counter":
-			kind = 0
-		case "gauge":
-			kind = 1
-		case "histogram":
-			kind = 2
-		default:
-			continue
-		}
-		for _, s := range f.Samples {
-			if s.Labels["worker"] != label {
-				continue
-			}
-			ws := wireSample{name: f.Name, help: f.Help, kind: kind}
-			names := make([]string, 0, len(s.Labels))
-			for n := range s.Labels {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				ws.labels = append(ws.labels, obs.Label{Name: n, Value: s.Labels[n]})
-			}
-			if kind == 2 {
-				if s.Histogram != nil {
-					ws.hist = *s.Histogram
-				}
-			} else if s.Value != nil {
-				ws.value = *s.Value
-			}
-			samples = append(samples, ws)
-		}
-	}
-	w.mu.Lock()
-	since := w.telSent
-	epoch := w.epochSeq
-	w.mu.Unlock()
-	events, _ := tel.Journal.EventsSince(since, "")
-	if len(events) > telemetryMaxEvents {
-		events = events[:telemetryMaxEvents]
-	}
-	top = since
-	if len(events) > 0 {
-		top = events[len(events)-1].Seq
-	}
-	frame = encodeTelemetry(telemetryMsg{
-		journalStart: tel.Journal.StartNanos(),
-		epochSeq:     epoch,
-		samples:      samples,
-		events:       events,
-	})
-	return frame, top
 }
 
 // applyEpoch compiles a distributed routing snapshot. A bump (no payload)

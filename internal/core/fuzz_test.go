@@ -49,7 +49,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	seed := fuzzSeedCheckpoint()
 	f.Add(seed)
 	f.Add(seed[:8])                       // magic + version only
-	f.Add(seed[:len(seed)/2])             // truncated mid-aggregate
+	f.Add(seed[:len(seed)/2])             // truncated inside the aggregate
 	f.Add([]byte("SPCK"))                 // magic, no version
 	f.Add([]byte{})                       // empty
 	f.Add(bytes.Repeat([]byte{0xff}, 64)) // wrong magic, junk

@@ -38,7 +38,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func writeHistogram(w io.Writer, name string, s *sample) error {
-	snap := s.histSnapshot()
+	snap := s.hist.Snapshot()
 	var cum uint64
 	for i, bound := range snap.Bounds {
 		cum += snap.Counts[i]
@@ -124,7 +124,7 @@ func (r *Registry) Export() []JSONFamily {
 				}
 			}
 			if f.kind == KindHistogram {
-				snap := s.histSnapshot()
+				snap := s.hist.Snapshot()
 				js.Histogram = &snap
 			} else {
 				v := s.value()
@@ -165,7 +165,7 @@ func (r *Registry) FindHistogram(name string, labels ...Label) (HistogramSnapsho
 					continue next
 				}
 			}
-			return s.histSnapshot(), true
+			return s.hist.Snapshot(), true
 		}
 	}
 	return HistogramSnapshot{}, false

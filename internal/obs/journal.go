@@ -50,13 +50,9 @@ const (
 	EventTakeover     = "coordinator-takeover"
 	EventShardReclaim = "shard-reclaim"
 
-	// Cluster observability plane: wire-level trace spans and telemetry
-	// federation (DESIGN.md §5g).
-	EventSpanEpoch      = "span-epoch"
-	EventSpanHandoff    = "span-handoff"
-	EventTelemetryJoin  = "telemetry-join"
-	EventTelemetryLost  = "telemetry-lost"
-	EventTelemetryError = "telemetry-error"
+	// Cluster observability plane: wire-level trace spans (DESIGN.md §5g).
+	EventSpanEpoch   = "span-epoch"
+	EventSpanHandoff = "span-handoff"
 )
 
 // Event is one structured journal entry.
@@ -70,11 +66,6 @@ type Event struct {
 	Mono time.Duration `json:"mono"`
 	Kind string        `json:"kind"`
 	Msg  string        `json:"msg"`
-	// Origin and OriginSeq identify a forwarded event: the identity of the
-	// journal it was first recorded in and its Seq there. Both are empty for
-	// locally recorded events. The local Seq above stays gap-free either way.
-	Origin    string `json:"origin,omitempty"`
-	OriginSeq uint64 `json:"originSeq,omitempty"`
 }
 
 // Journal is a bounded in-memory ring of structured events: epoch swaps,
@@ -133,35 +124,6 @@ func (j *Journal) Recordf(kind, format string, args ...any) {
 	j.Record(kind, fmt.Sprintf(format, args...))
 }
 
-// RecordForwarded interleaves an event first recorded in another process's
-// journal: kind, message, and wall timestamp are preserved from the origin,
-// Origin/OriginSeq tag where it came from, and the event still gets a fresh
-// local Seq (keeping the gap-free-Seq invariant) and a local Mono offset.
-func (j *Journal) RecordForwarded(origin string, e Event) {
-	if j == nil {
-		return
-	}
-	now := time.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.seq++
-	fe := Event{
-		Seq: j.seq, Wall: e.Wall, Mono: now.Sub(j.start),
-		Kind: e.Kind, Msg: e.Msg, Origin: origin, OriginSeq: e.Seq,
-	}
-	if fe.Wall.IsZero() {
-		fe.Wall = now
-	}
-	if j.n == len(j.ring) {
-		j.ring[j.head] = fe
-		j.head = (j.head + 1) % len(j.ring)
-		j.dropped++
-		return
-	}
-	j.ring[(j.head+j.n)%len(j.ring)] = fe
-	j.n++
-}
-
 // Events returns a copy of the retained events, oldest first.
 func (j *Journal) Events() []Event {
 	if j == nil {
@@ -215,17 +177,6 @@ func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seq
-}
-
-// StartNanos returns the journal's creation wall time in unix nanoseconds.
-// A restarted process gets a fresh journal whose Seq restarts at 1; the
-// (origin, StartNanos) pair lets a federation receiver tell a restart from
-// a retransmission and reset its dedup cursor accordingly.
-func (j *Journal) StartNanos() int64 {
-	if j == nil {
-		return 0
-	}
-	return j.start.UnixNano()
 }
 
 // Len returns the number of retained events.

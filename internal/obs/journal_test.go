@@ -102,3 +102,46 @@ func TestTelemetryHealthDefaults(t *testing.T) {
 	}
 	nilTel.Record("kind", "msg") // must not panic
 }
+
+func TestEventsSinceAndGap(t *testing.T) {
+	j := NewJournal(4)
+	for i := 1; i <= 3; i++ {
+		j.Recordf("k", "event %d", i)
+	}
+	ev, gap := j.EventsSince(0, "")
+	if gap || len(ev) != 3 || ev[0].Seq != 1 {
+		t.Fatalf("since 0: %d events gap=%v", len(ev), gap)
+	}
+	ev, gap = j.EventsSince(2, "")
+	if gap || len(ev) != 1 || ev[0].Seq != 3 {
+		t.Fatalf("since 2: %+v gap=%v", ev, gap)
+	}
+	if ev, gap = j.EventsSince(3, ""); gap || len(ev) != 0 {
+		t.Fatalf("caught up: %d events gap=%v", len(ev), gap)
+	}
+
+	// Overflow the ring: seqs 1..3 are evicted (capacity 4, 7 recorded).
+	for i := 4; i <= 7; i++ {
+		j.Recordf("other", "event %d", i)
+	}
+	ev, gap = j.EventsSince(1, "")
+	if !gap || len(ev) != 4 || ev[0].Seq != 4 {
+		t.Fatalf("after eviction since 1: %d events gap=%v", len(ev), gap)
+	}
+	// A cursor at the eviction boundary has lost nothing.
+	if _, gap = j.EventsSince(3, ""); gap {
+		t.Fatal("since 3 flagged a gap; seqs 4..7 are all retained")
+	}
+	if j.Dropped() != 3 {
+		t.Fatalf("dropped = %d, want 3", j.Dropped())
+	}
+
+	// Kind filter composes with since.
+	ev, _ = j.EventsSince(0, "other")
+	if len(ev) != 4 {
+		t.Fatalf("kind filter: %d events, want 4", len(ev))
+	}
+	if ev, _ = j.EventsSince(0, "k"); len(ev) != 0 {
+		t.Fatalf("evicted kind still returned: %+v", ev)
+	}
+}

@@ -89,7 +89,6 @@ type sample struct {
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
-	histFn    func() HistogramSnapshot
 }
 
 // family groups every sample sharing a metric name (one HELP/TYPE block).
@@ -218,21 +217,10 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	f.samples[labelKey(labels)] = &sample{labels: sortedLabels(labels), gaugeFn: fn}
 }
 
-// HistogramFunc registers a histogram whose snapshot is sampled from fn at
-// scrape time — the histogram-shaped sibling of CounterFunc, used by the
-// cluster coordinator to expose federated worker histograms without
-// replaying every observation locally.
-func (r *Registry) HistogramFunc(name, help string, fn func() HistogramSnapshot, labels ...Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindHistogram)
-	f.samples[labelKey(labels)] = &sample{labels: sortedLabels(labels), histFn: fn}
-}
-
 // Unregister removes the sample registered under (name, labels), and the
 // whole family once its last sample is gone. It exists for series with a
-// bounded lifetime — a dead worker's federated metrics, a released shard's
-// cursor gauge — so a long-lived registry does not accumulate tombstones.
+// bounded lifetime — a released shard's cursor gauge — so a long-lived
+// registry does not accumulate tombstones.
 // Unregistering an unknown sample is a no-op.
 func (r *Registry) Unregister(name string, labels ...Label) {
 	r.mu.Lock()
@@ -294,16 +282,4 @@ func (s *sample) value() float64 {
 		return s.gaugeFn()
 	}
 	return 0
-}
-
-// histSnapshot reads a histogram sample's current snapshot, whether the
-// sample owns a live Histogram or is func-backed.
-func (s *sample) histSnapshot() HistogramSnapshot {
-	if s.hist != nil {
-		return s.hist.Snapshot()
-	}
-	if s.histFn != nil {
-		return s.histFn()
-	}
-	return HistogramSnapshot{}
 }

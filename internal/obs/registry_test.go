@@ -152,3 +152,33 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("empty histogram quantile: got %v, want 0", got)
 	}
 }
+
+func TestUnregisterDropsSample(t *testing.T) {
+	r := NewRegistry()
+	w1 := Label{Name: "worker", Value: "w1"}
+	w2 := Label{Name: "worker", Value: "w2"}
+	r.CounterFunc("fleet_total", "Fleet counter.", func() uint64 { return 1 }, w1)
+	r.CounterFunc("fleet_total", "Fleet counter.", func() uint64 { return 2 }, w2)
+
+	r.Unregister("fleet_total", w1)
+	var text strings.Builder
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), `worker="w1"`) || !strings.Contains(text.String(), `worker="w2"`) {
+		t.Fatalf("unregister left wrong samples:\n%s", text.String())
+	}
+
+	// Dropping the last sample removes the family entirely.
+	r.Unregister("fleet_total", w2)
+	text.Reset()
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), "fleet_total") {
+		t.Fatalf("empty family still exposed:\n%s", text.String())
+	}
+	// Unregistering what is already gone is a no-op, not a panic.
+	r.Unregister("fleet_total", w2)
+	r.Unregister("never_registered")
+}

@@ -74,3 +74,83 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/nope: code=%d, want 404", code)
 	}
 }
+
+func TestServerEventsSinceKindAndStatus(t *testing.T) {
+	tel := NewTelemetry()
+	small := NewJournal(4)
+	tel.Journal = small
+	for i := 1; i <= 3; i++ {
+		tel.Record(EventCheckpoint, "wrote")
+		tel.Record(EventEpochSwap, "promoted")
+	}
+	tel.PublishJSON("/cluster", func() any {
+		return map[string]any{"role": "coordinator"}
+	})
+	srv, err := Serve("127.0.0.1:0", tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	get := func(path string) (int, string) {
+		resp, err := http.Get(srv.URL() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	var page struct {
+		Dropped uint64  `json:"dropped"`
+		Gap     bool    `json:"gap"`
+		Head    uint64  `json:"head"`
+		Events  []Event `json:"events"`
+	}
+	// 6 events through a 4-slot ring: seqs 1..2 evicted. A poll from 0
+	// must flag the gap and report the evictions.
+	code, body := get("/events?since=0")
+	if code != 200 {
+		t.Fatalf("/events?since=0: code=%d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatal(err)
+	}
+	if !page.Gap || page.Dropped != 2 || page.Head != 6 || len(page.Events) != 4 {
+		t.Fatalf("gap poll: %+v", page)
+	}
+
+	// From the head cursor: caught up, no gap.
+	code, body = get("/events?since=6&kind=" + EventCheckpoint)
+	if code != 200 {
+		t.Fatalf("code=%d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatal(err)
+	}
+	if page.Gap || len(page.Events) != 0 || page.Head != 6 {
+		t.Fatalf("caught-up poll: %+v", page)
+	}
+
+	// Kind filter composes with a mid-stream cursor.
+	_, body = get("/events?since=4&kind=" + EventEpochSwap)
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Events) != 1 || page.Events[0].Kind != EventEpochSwap {
+		t.Fatalf("kind filter: %+v", page)
+	}
+
+	if code, _ := get("/events?since=notanumber"); code != http.StatusBadRequest {
+		t.Fatalf("bad since: code=%d, want 400", code)
+	}
+
+	// Published status pages serve live JSON and appear in the index.
+	code, body = get("/cluster")
+	if code != 200 || !strings.Contains(body, `"role": "coordinator"`) {
+		t.Fatalf("/cluster: code=%d body=%q", code, body)
+	}
+	if code, body := get("/"); code != 200 || !strings.Contains(body, "/cluster") {
+		t.Fatalf("index missing status page: code=%d body=%q", code, body)
+	}
+}
