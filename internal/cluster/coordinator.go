@@ -1250,7 +1250,7 @@ func (c *Coordinator) requestReportsLocked() {
 }
 
 // Checkpoint waits until every shard's durable report has caught up with
-// its cursor, then folds the shard aggregates — via the order-independent
+// its cursor, then folds the shard reports — decoded as an order-independent
 // merge — into one checkpoint whose canonical encoding is byte-identical
 // to a fault-free single-process run over the same flows. The caller must
 // have stopped feeding Ingest. Shards that are orphaned with unreported
@@ -1291,11 +1291,12 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		if s.lastReport == nil {
 			continue
 		}
-		cp, err := core.DecodeCheckpointBytes(s.lastReport)
+		// Each report folds straight into merged as it decodes: no shard
+		// aggregate is built only to be merged and dropped.
+		cp, err := core.MergeCheckpointBytes(merged, s.lastReport)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d report: %w", s.id, err)
 		}
-		merged.Merge(cp.Agg)
 		stale += cp.StaleVerdicts
 		degraded = degraded || cp.Degraded
 	}

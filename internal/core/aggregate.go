@@ -104,7 +104,7 @@ func (ds *DstStats) addSrc(a netx.Addr, nodes *nodeAlloc) {
 		if ds.src1 == a {
 			return
 		}
-		ds.Srcs = nodes.newSrcs()
+		ds.Srcs = nodes.newSrcs(2)
 		ds.Srcs[ds.src1] = struct{}{}
 	}
 	if len(ds.Srcs) < fanInCap {

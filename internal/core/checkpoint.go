@@ -397,10 +397,6 @@ func (d *cpDec) fits(what string, n uint32, elem int) int {
 
 func (d *cpDec) count(what string, elem int) int { return d.fits(what, d.u32(), elem) }
 
-func getCounter(p []byte) Counter {
-	return Counter{Flows: be.Uint64(p), Packets: be.Uint64(p[8:]), Bytes: be.Uint64(p[16:])}
-}
-
 // header reads the magic, the version and the cursor block.
 func (d *cpDec) header() (Checkpoint, error) {
 	p := d.take(cpHeaderLen)
@@ -459,147 +455,292 @@ func DecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	return DecodeCheckpointBytes(buf.Bytes())
 }
 
-// DecodeCheckpointBytes decodes a checkpoint from b in place. Nothing in the
-// result aliases b. Bytes after the checkpoint's end are ignored.
+// DecodeCheckpointBytes decodes a checkpoint from b in place: it is
+// MergeCheckpointBytes into a fresh aggregator with the encoded start and
+// bucket. Nothing in the result aliases b. Bytes after the checkpoint's end
+// are ignored.
 func DecodeCheckpointBytes(b []byte) (*Checkpoint, error) {
-	d := cpDec{b: b}
-	head, err := d.header()
+	var start, bucket int64
+	if len(b) >= cpHeaderLen+16 {
+		start, bucket = int64(be.Uint64(b[cpHeaderLen:])), int64(be.Uint64(b[cpHeaderLen+8:]))
+	}
+	a := NewAggregator(time.Unix(0, start).UTC(), time.Duration(bucket))
+	cp, err := MergeCheckpointBytes(a, b)
 	if err != nil {
 		return nil, err
 	}
-	cp := &head
-	if p := d.take(aggHeadLen); p != nil {
-		a := NewAggregator(time.Unix(0, int64(be.Uint64(p))).UTC(), time.Duration(be.Uint64(p[8:])))
-		cp.Agg = a
-		a.GrandTotal = getCounter(p[16:])
-		a.UnknownPorts = be.Uint64(p[16+counterLen:])
-		p = p[24+counterLen:]
-		for c := range a.Total {
-			a.Total[c] = getCounter(p[counterLen*c:])
-		}
-		d.members(a.members)
-		d.series(a.Series)
-		a.SizeHist.decode(&d)
-		a.Ports.decode(&d)
-		d.slash8(a.Slash8Src)
-		d.slash8(a.Slash8Dst)
-		d.fanIn(a.FanIn)
-		d.pairs(a.TriggerPairs)
-		d.pairs(a.ResponsePairs)
-		a.TriggerSeries = d.counters()
-		a.ResponseSeries = d.counters()
+	cp.Agg = a
+	return &cp, nil
+}
+
+// MergeCheckpointBytes folds the aggregate encoded in b into a and returns
+// the cursor block (Agg nil). The result is exactly a.Merge of the decoded
+// aggregate — counters add, keyed entries are looked up or created through
+// a's node allocator, fan-in sources go through the same cap — without
+// building the decoded aggregate first. The encoded start and bucket must be
+// a's, which is checked before anything is folded. Every section's keys must
+// strictly ascend, as the canonical encoding writes them, so no entry is
+// folded twice. On error a's state is unspecified. Nothing in a comes to
+// alias b.
+func MergeCheckpointBytes(a *Aggregator, b []byte) (Checkpoint, error) {
+	d := cpDec{b: b}
+	head, err := d.header()
+	if err != nil {
+		return Checkpoint{}, err
 	}
+	d.aggregate(a)
 	if d.err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", d.err)
+		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", d.err)
 	}
-	return cp, nil
+	return head, nil
 }
 
-// members decodes the member records into one slab: an allocation per
-// section and one per member's origin map, none per field.
-func (d *cpDec) members(members map[uint32]*MemberStats) {
-	slab := make([]MemberStats, d.count("member", memberLen+4))
-	for i := range slab {
+// follows reports whether key strictly follows *prev, the key before it in
+// its section (i is key's index there), and stores key in *prev. It is on
+// every entry's path, so it inlines; the caller latches the error through
+// disorder.
+func follows[K cmp.Ordered](i int, prev *K, key K) bool {
+	ok := i == 0 || key > *prev
+	*prev = key
+	return ok
+}
+
+// disorder latches the error for a section whose keys do not strictly
+// ascend, unless an earlier one is latched already.
+func (d *cpDec) disorder(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: checkpoint %s keys do not strictly ascend", what)
+	}
+}
+
+func addCounter(c *Counter, p []byte) {
+	c.Flows += be.Uint64(p)
+	c.Packets += be.Uint64(p[8:])
+	c.Bytes += be.Uint64(p[16:])
+}
+
+// aggregate folds the encoded aggregate into a, section by section.
+func (d *cpDec) aggregate(a *Aggregator) {
+	p := d.take(aggHeadLen)
+	if p == nil {
+		return
+	}
+	if start, bucket := int64(be.Uint64(p)), time.Duration(be.Uint64(p[8:])); start != a.start.UnixNano() || bucket != a.bucket {
+		d.err = fmt.Errorf("core: checkpoint series start at %v in %v buckets, the receiver's at %v in %v buckets",
+			time.Unix(0, start).UTC(), bucket, a.start.UTC(), a.bucket)
+		return
+	}
+	// Like Merge: series slices may be reassigned, so the hot-path caches go.
+	a.invalidate()
+	addCounter(&a.GrandTotal, p[16:])
+	a.UnknownPorts += be.Uint64(p[16+counterLen:])
+	p = p[24+counterLen:]
+	for c := range a.Total {
+		addCounter(&a.Total[c], p[counterLen*c:])
+	}
+	d.members(a)
+	d.series(a)
+	a.SizeHist.fold(d)
+	a.Ports.fold(d)
+	d.slash8(a.Slash8Src, &a.nodes)
+	d.slash8(a.Slash8Dst, &a.nodes)
+	d.fanIn(a)
+	d.pairs(&a.TriggerPairs, &a.nodes)
+	d.pairs(&a.ResponsePairs, &a.nodes)
+	a.TriggerSeries = d.counters(a.TriggerSeries)
+	a.ResponseSeries = d.counters(a.ResponseSeries)
+}
+
+// members folds the member records. A member new to a takes the encoded AS
+// number and an origin map sized to the encoded count; one a holds keeps its
+// own, as in Merge.
+func (d *cpDec) members(a *Aggregator) {
+	var port uint32
+	for i := range d.count("member", memberLen+4) {
 		p := d.take(memberLen + 4)
-		if p == nil {
+		if p == nil || !follows(i, &port, be.Uint32(p)) {
+			d.disorder("member port")
 			return
 		}
-		m := &slab[i]
-		m.Port, m.ASN = be.Uint32(p), bgp.ASN(be.Uint32(p[4:]))
-		m.Total = getCounter(p[8:])
+		n := d.fits("origin", be.Uint32(p[memberLen:]), 12)
+		ms := a.members[port]
+		if ms == nil {
+			ms = a.nodes.newMember(port, n)
+			ms.ASN = bgp.ASN(be.Uint32(p[4:]))
+			a.members[port] = ms
+		}
+		addCounter(&ms.Total, p[8:])
 		p = p[8+counterLen:]
-		for c := range m.ByClass {
-			m.ByClass[c] = getCounter(p[counterLen*c:])
+		for c := range ms.ByClass {
+			addCounter(&ms.ByClass[c], p[counterLen*c:])
 		}
-		p = p[len(m.ByClass)*counterLen:]
-		m.RouterIPInvalid = be.Uint64(p)
-		n := d.fits("origin", be.Uint32(p[8:]), 12)
-		m.InvalidOrigins = make(map[bgp.ASN]uint64, n)
-		p = d.take(12 * n)
-		for ; len(p) > 0; p = p[12:] {
-			m.InvalidOrigins[bgp.ASN(be.Uint32(p))] = be.Uint64(p[4:])
-		}
-		members[m.Port] = m
-	}
-}
-
-func (d *cpDec) series(series map[TrafficClass][]uint64) {
-	for i := d.count("series", 8); i > 0 && d.err == nil; i-- {
-		c := TrafficClass(d.u32())
-		s := make([]uint64, d.count("series bucket", 8))
-		p := d.take(8 * len(s))
-		for j := range s {
-			s[j] = be.Uint64(p[8*j:])
-		}
-		series[c] = s
-	}
-}
-
-func (d *cpDec) slash8(bins map[TrafficClass]*[256]uint64) {
-	for i := d.count("/8 class", slash8Len); i > 0; i-- {
-		p := d.take(slash8Len)
-		if p == nil {
-			return
-		}
-		b := new([256]uint64)
-		for j := range b {
-			b[j] = be.Uint64(p[4+8*j:])
-		}
-		bins[TrafficClass(be.Uint32(p))] = b
-	}
-}
-
-func (d *cpDec) fanIn(fan map[TrafficClass]map[netx.Addr]*DstStats) {
-	for i := d.count("fan-in class", 8); i > 0 && d.err == nil; i-- {
-		c := TrafficClass(d.u32())
-		slab := make([]DstStats, d.count("fan-in destination", dstLen))
-		m := make(map[netx.Addr]*DstStats, len(slab))
-		for j := range slab {
-			p := d.take(dstLen)
-			if p == nil {
+		ms.RouterIPInvalid += be.Uint64(p[len(ms.ByClass)*counterLen:])
+		var origin bgp.ASN
+		for j, q := 0, d.take(12*n); len(q) > 0; j, q = j+1, q[12:] {
+			if !follows(j, &origin, bgp.ASN(be.Uint32(q))) {
+				d.disorder("origin")
 				return
 			}
-			ds := &slab[j]
-			ds.Packets, ds.SrcOverflow = be.Uint64(p[4:]), be.Uint64(p[12:])
-			n := d.fits("fan-in source", be.Uint32(p[20:]), 4)
-			srcs := d.take(4 * n)
-			if n == 1 {
-				// Match the fresh-aggregator representation: a single
-				// source stays inline, no map.
-				ds.src1, ds.has1 = netx.Addr(be.Uint32(srcs)), true
-			} else if n > 0 {
-				ds.Srcs = make(map[netx.Addr]struct{}, n)
-				for ; len(srcs) > 0; srcs = srcs[4:] {
-					ds.Srcs[netx.Addr(be.Uint32(srcs))] = struct{}{}
+			ms.InvalidOrigins[origin] += be.Uint64(q[4:])
+		}
+	}
+}
+
+func (d *cpDec) series(a *Aggregator) {
+	var class uint32
+	for i := range d.count("series", 8) {
+		if !follows(i, &class, d.u32()) {
+			d.disorder("series class")
+			return
+		}
+		n := d.count("series bucket", 8)
+		p := d.take(8 * n)
+		c := TrafficClass(class)
+		s := a.Series[c]
+		if s == nil {
+			s = a.nodes.newSeries(c)
+		}
+		if len(s) < n {
+			s = append(s, make([]uint64, n-len(s))...)
+		}
+		for j := range n {
+			s[j] += be.Uint64(p[8*j:])
+		}
+		a.Series[c] = s
+	}
+}
+
+func (d *cpDec) slash8(bins map[TrafficClass]*[256]uint64, nodes *nodeAlloc) {
+	var class uint32
+	for i := range d.count("/8 class", slash8Len) {
+		p := d.take(slash8Len)
+		if p == nil || !follows(i, &class, be.Uint32(p)) {
+			d.disorder("/8 class")
+			return
+		}
+		b := bins[TrafficClass(class)]
+		if b == nil {
+			b = nodes.new8()
+			bins[TrafficClass(class)] = b
+		}
+		for j := range b {
+			b[j] += be.Uint64(p[4+8*j:])
+		}
+	}
+}
+
+// fanIn folds destination fan-in. Sources go through addSrc, so the inline
+// single source and fanInCap behave as in Merge; a destination new to a that
+// carries several gets a set sized to their count up front. A class a holds
+// no destination of — NewAggregator's empty maps included — gets a map sized
+// to the section, and since its keys strictly ascend, each one is new there:
+// none is looked up, and their records come in one run of the allocator's
+// slabs, as large as the section.
+func (d *cpDec) fanIn(a *Aggregator) {
+	var class uint32
+	for i := range d.count("fan-in class", 8) {
+		if !follows(i, &class, d.u32()) {
+			d.disorder("fan-in class")
+			return
+		}
+		n := d.count("fan-in destination", dstLen)
+		m := a.FanIn[TrafficClass(class)]
+		fresh := len(m) == 0
+		if m == nil || fresh && n > 0 {
+			m = make(map[netx.Addr]*DstStats, n)
+			a.FanIn[TrafficClass(class)] = m
+		}
+		var run []DstStats
+		if fresh {
+			run = a.nodes.newDsts(n)
+		}
+		var dst netx.Addr
+		for j := range n {
+			p := d.take(dstLen)
+			if p == nil || !follows(j, &dst, netx.Addr(be.Uint32(p))) {
+				d.disorder("fan-in destination")
+				return
+			}
+			k := d.fits("fan-in source", be.Uint32(p[20:]), 4)
+			var ds *DstStats
+			if !fresh {
+				ds = m[dst]
+			}
+			if ds == nil {
+				if fresh {
+					ds = &run[j]
+				} else {
+					ds = a.nodes.newDst()
+				}
+				if k > 1 {
+					ds.Srcs = a.nodes.newSrcs(k)
+				}
+				m[dst] = ds
+			}
+			ds.Packets += be.Uint64(p[4:])
+			ds.SrcOverflow += be.Uint64(p[12:])
+			// Into a set these k cannot take past fanInCap, addSrc is a
+			// plain insert; the call is skipped there.
+			set := ds.Srcs != nil && len(ds.Srcs)+k <= fanInCap
+			var src netx.Addr
+			for s, q := 0, d.take(4*k); len(q) > 0; s, q = s+1, q[4:] {
+				if !follows(s, &src, netx.Addr(be.Uint32(q))) {
+					d.disorder("fan-in source")
+					return
+				}
+				if set {
+					ds.Srcs[src] = struct{}{}
+				} else {
+					ds.addSrc(src, &a.nodes)
 				}
 			}
-			m[netx.Addr(be.Uint32(p))] = ds
 		}
-		fan[c] = m
 	}
 }
 
-func (d *cpDec) pairs(pairs map[netx.Addr]map[netx.Addr]uint64) {
-	for i := d.count("pair", 8); i > 0 && d.err == nil; i-- {
-		outer := netx.Addr(d.u32())
-		n := d.count("pair entry", 12)
-		inner := make(map[netx.Addr]uint64, n)
-		for p := d.take(12 * n); len(p) > 0; p = p[12:] {
-			inner[netx.Addr(be.Uint32(p))] = be.Uint64(p[4:])
+// pairs folds NTP pairs. Into an empty table — a fresh aggregator's — the
+// section goes as fanIn's does into an empty class: a table sized to it, and
+// no lookup of keys that strictly ascend and so are all new.
+func (d *cpDec) pairs(pairs *map[netx.Addr]map[netx.Addr]uint64, nodes *nodeAlloc) {
+	n := d.count("pair", 8)
+	fresh := len(*pairs) == 0
+	if fresh && n > 0 {
+		*pairs = make(map[netx.Addr]map[netx.Addr]uint64, n)
+	}
+	var outer netx.Addr
+	for i := range n {
+		if !follows(i, &outer, netx.Addr(d.u32())) {
+			d.disorder("pair")
+			return
 		}
-		pairs[outer] = inner
+		k := d.count("pair entry", 12)
+		var m map[netx.Addr]uint64
+		if !fresh {
+			m = (*pairs)[outer]
+		}
+		if m == nil {
+			m = nodes.newPairs(k)
+			(*pairs)[outer] = m
+		}
+		var inner netx.Addr
+		for j, p := 0, d.take(12*k); len(p) > 0; j, p = j+1, p[12:] {
+			if !follows(j, &inner, netx.Addr(be.Uint32(p))) {
+				d.disorder("pair entry")
+				return
+			}
+			m[inner] += be.Uint64(p[4:])
+		}
 	}
 }
 
-func (d *cpDec) counters() []Counter {
+func (d *cpDec) counters(s []Counter) []Counter {
 	n := d.count("NTP series bucket", counterLen)
 	p := d.take(counterLen * n)
-	if len(p) == 0 {
-		return nil
+	if len(s) < n {
+		s = append(s, make([]Counter, n-len(s))...)
 	}
-	s := make([]Counter, n)
-	for i := range s {
-		s[i] = getCounter(p[counterLen*i:])
+	for i := range n {
+		addCounter(&s[i], p[counterLen*i:])
 	}
 	return s
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -125,6 +126,17 @@ func oraclePreallocCap(n int) int {
 		return oracleMaxPrealloc
 	}
 	return n
+}
+
+// ascending latches an error unless key strictly follows prev, the key before
+// it in its section (i is key's index there), and stores key in prev. The
+// encoder writes every section sorted; a repeated key is refused rather than
+// folded twice.
+func oracleAscending[K cmp.Ordered](r *oracleReader, what string, i int, prev *K, key K) {
+	if r.err == nil && i > 0 && key <= *prev {
+		r.err = fmt.Errorf("core: checkpoint %s %v does not follow %v", what, key, *prev)
+	}
+	*prev = key
 }
 
 func oracleSortedClasses[V any](m map[TrafficClass]V) []TrafficClass {
@@ -345,8 +357,9 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	}
 
 	nMembers := r.count("member")
+	var port uint32
 	for i := 0; i < nMembers && r.err == nil; i++ {
-		port := r.u32()
+		oracleAscending(r, "member port", i, &port, r.u32())
 		m := &MemberStats{Port: port, ASN: bgp.ASN(r.u32())}
 		m.Total = r.counter()
 		for c := TrafficClass(0); c < numTrafficClasses; c++ {
@@ -355,16 +368,18 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		m.RouterIPInvalid = r.u64()
 		nOrigins := r.count("origin")
 		m.InvalidOrigins = make(map[bgp.ASN]uint64, oraclePreallocCap(nOrigins))
+		var o bgp.ASN
 		for j := 0; j < nOrigins && r.err == nil; j++ {
-			o := bgp.ASN(r.u32())
+			oracleAscending(r, "origin", j, &o, bgp.ASN(r.u32()))
 			m.InvalidOrigins[o] = r.u64()
 		}
 		a.members[port] = m
 	}
 
 	nSeries := r.count("series")
+	var c TrafficClass
 	for i := 0; i < nSeries && r.err == nil; i++ {
-		c := TrafficClass(r.u32())
+		oracleAscending(r, "series class", i, &c, TrafficClass(r.u32()))
 		n := r.count("series bucket")
 		s := make([]uint64, 0, oraclePreallocCap(n))
 		for j := 0; j < n && r.err == nil; j++ {
@@ -373,32 +388,44 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		a.Series[c] = s
 	}
 
+	// The tables' own Add stands in for assignment: with every key in a
+	// section distinct, adding into a fresh table is assigning — and where
+	// two encoded keys share a page slot (a TCP/UDP page keys dir by its low
+	// bit) both decoders sum them alike.
 	nHists := r.count("size histogram")
 	for i := 0; i < nHists && r.err == nil; i++ {
-		c := TrafficClass(r.u32())
+		oracleAscending(r, "size histogram class", i, &c, TrafficClass(r.u32()))
 		a.SizeHist.Touch(c)
 		n := r.count("size bin")
+		var size int
 		for j := 0; j < n && r.err == nil; j++ {
-			size := int(r.i64())
-			a.SizeHist.Set(c, size, r.u64())
+			oracleAscending(r, "size bin", j, &size, int(r.i64()))
+			a.SizeHist.Add(c, size, r.u64())
 		}
 	}
 
 	nPorts := r.count("port-mix entry")
+	var k PortKey
 	for i := 0; i < nPorts && r.err == nil; i++ {
-		k := PortKey{
+		next := PortKey{
 			Class: TrafficClass(r.u32()),
 			Proto: r.u8(),
 			Dir:   r.u8(),
 			Port:  r.u16(),
 		}
-		a.Ports.Set(k, r.u64())
+		if r.err == nil && i > 0 && cmp.Or(cmp.Compare(next.Class, k.Class), cmp.Compare(next.Proto, k.Proto),
+			cmp.Compare(next.Dir, k.Dir), cmp.Compare(next.Port, k.Port)) <= 0 {
+			r.err = fmt.Errorf("core: checkpoint port-mix key %v does not follow %v", next, k)
+		}
+		k = next
+		a.Ports.Add(k.Class, k.Proto, k.Dir, k.Port, r.u64())
 	}
 
 	readSlash8 := func(m map[TrafficClass]*[256]uint64) {
 		n := r.count("/8 class")
+		var c TrafficClass
 		for i := 0; i < n && r.err == nil; i++ {
-			c := TrafficClass(r.u32())
+			oracleAscending(r, "/8 class", i, &c, TrafficClass(r.u32()))
 			var bins [256]uint64
 			for j := range bins {
 				bins[j] = r.u64()
@@ -411,11 +438,12 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 
 	nFanIn := r.count("fan-in class")
 	for i := 0; i < nFanIn && r.err == nil; i++ {
-		c := TrafficClass(r.u32())
+		oracleAscending(r, "fan-in class", i, &c, TrafficClass(r.u32()))
 		nDst := r.count("fan-in destination")
 		m := make(map[netx.Addr]*DstStats, oraclePreallocCap(nDst))
+		var dst netx.Addr
 		for j := 0; j < nDst && r.err == nil; j++ {
-			dst := netx.Addr(r.u32())
+			oracleAscending(r, "fan-in destination", j, &dst, netx.Addr(r.u32()))
 			ds := &DstStats{Packets: r.u64(), SrcOverflow: r.u64()}
 			nSrc := r.count("fan-in source")
 			if nSrc == 1 {
@@ -424,8 +452,10 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 				ds.src1, ds.has1 = netx.Addr(r.u32()), true
 			} else if nSrc > 0 {
 				ds.Srcs = make(map[netx.Addr]struct{}, oraclePreallocCap(nSrc))
+				var src netx.Addr
 				for k := 0; k < nSrc && r.err == nil; k++ {
-					ds.Srcs[netx.Addr(r.u32())] = struct{}{}
+					oracleAscending(r, "fan-in source", k, &src, netx.Addr(r.u32()))
+					ds.Srcs[src] = struct{}{}
 				}
 			}
 			m[dst] = ds
@@ -435,12 +465,14 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 
 	readPairs := func(dst map[netx.Addr]map[netx.Addr]uint64) {
 		n := r.count("pair")
+		var outer netx.Addr
 		for i := 0; i < n && r.err == nil; i++ {
-			outer := netx.Addr(r.u32())
+			oracleAscending(r, "pair", i, &outer, netx.Addr(r.u32()))
 			nInner := r.count("pair entry")
 			inner := make(map[netx.Addr]uint64, oraclePreallocCap(nInner))
+			var in netx.Addr
 			for j := 0; j < nInner && r.err == nil; j++ {
-				in := netx.Addr(r.u32())
+				oracleAscending(r, "pair entry", j, &in, netx.Addr(r.u32()))
 				inner[in] = r.u64()
 			}
 			dst[outer] = inner
@@ -485,9 +517,3 @@ func (t *SizeTab) ClassLen(c TrafficClass) int {
 
 // Touch marks class c present without recording any size.
 func (t *SizeTab) Touch(c TrafficClass) { t.page(c, true) }
-
-// Set stores an exact tally for one class and size.
-func (t *SizeTab) Set(c TrafficClass, size int, v uint64) { t.page(c, true).set(size, v) }
-
-// Set stores an exact tally for k.
-func (t *PortTab) Set(k PortKey, v uint64) { t.page(k.Class, k.Proto, k.Dir, true).set(k.Port, v) }

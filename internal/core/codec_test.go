@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime/metrics"
 	"testing"
+	"time"
 
 	"spoofscope/internal/netx"
 )
@@ -19,12 +20,12 @@ func exoticAggregate(attack bool, n int, seed uint64) *Aggregator {
 	a.Series[TrafficClass(40+rng.intn(5))] = []uint64{}
 	a.Series[TrafficClass(90)] = []uint64{1, 0, uint64(rng.next())}
 	a.SizeHist.Touch(TrafficClass(7))
-	a.SizeHist.Set(TrafficClass(11), -3, 5)
-	a.SizeHist.Set(TCBogon, -1, rng.next())
-	a.SizeHist.Set(TCBogon, 1<<20, 9)
-	a.Ports.Set(PortKey{Class: TCRegular, Proto: 1, Dir: 0, Port: 7}, 1)
-	a.Ports.Set(PortKey{Class: TrafficClass(9), Proto: 17, Dir: 1, Port: uint16(rng.next())}, 0)
-	a.Ports.Set(PortKey{Class: TCBogon, Proto: 132, Dir: 1, Port: 65535}, rng.next())
+	a.SizeHist.Add(TrafficClass(11), -3, 5)
+	a.SizeHist.Add(TCBogon, -1, rng.next())
+	a.SizeHist.Add(TCBogon, 1<<20, 9)
+	a.Ports.Add(TCRegular, 1, 0, 7, 1)
+	a.Ports.Add(TrafficClass(9), 17, 1, uint16(rng.next()), 0)
+	a.Ports.Add(TCBogon, 132, 1, 65535, rng.next())
 	a.Slash8Dst[TrafficClass(8)] = &[256]uint64{255: 1}
 	a.FanIn[TCRegular] = map[netx.Addr]*DstStats{7: {Packets: 1}}
 	a.TriggerPairs[netx.Addr(rng.next())] = map[netx.Addr]uint64{}
@@ -189,6 +190,115 @@ func TestDecodeCheckpointAllocsPerContainer(t *testing.T) {
 				t.Fatalf("attack=%v n=%d: %.0f allocations decoding %d containers holding %d entries, want at most %.0f",
 					attack, n, got, cs, es, bound)
 			}
+		}
+	}
+}
+
+// TestMergeCheckpointBytesMatchesMerge: folding an encoded aggregate into a
+// receiver leaves exactly the state Merge of its fresh decoding does — on
+// shaped and exotic aggregates whose keys partly overlap the receiver's.
+func TestMergeCheckpointBytesMatchesMerge(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := splitmix(seed)
+		other := &Checkpoint{Ingested: rng.next(), Processed: rng.next(), Epoch: Epoch(rng.next()), Degraded: seed%2 == 0,
+			Agg: exoticAggregate(seed%3 == 0, rng.intn(4000), seed)}
+		raw := AppendCheckpoint(nil, other)
+		n := rng.intn(4000)
+		folded, merged := exoticAggregate(seed%2 == 0, n, seed+100), exoticAggregate(seed%2 == 0, n, seed+100)
+		head, err := MergeCheckpointBytes(folded, raw)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if head.Agg != nil || head.Ingested != other.Ingested || head.Processed != other.Processed ||
+			head.Epoch != other.Epoch || head.Degraded != other.Degraded {
+			t.Fatalf("seed %d: header %+v, want the encoded cursor block", seed, head)
+		}
+		fresh, err := DecodeCheckpointBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(fresh.Agg)
+		got, want := AppendCheckpoint(nil, &Checkpoint{Agg: folded}), AppendCheckpoint(nil, &Checkpoint{Agg: merged})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: the fold differs from Merge of the decoding at byte %d of %d", seed, firstDiff(got, want), len(want))
+		}
+		// Reset, the receiver decodes as a fresh one does, its now-empty
+		// fan-in classes taken in runs from slabs it has recycled.
+		folded.Reset()
+		if _, err := MergeCheckpointBytes(folded, raw); err != nil {
+			t.Fatal(err)
+		}
+		got, want = AppendCheckpoint(nil, &Checkpoint{Agg: folded}), AppendCheckpoint(nil, &Checkpoint{Agg: fresh.Agg})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: decoding into a Reset receiver differs from a fresh decoding at byte %d of %d", seed, firstDiff(got, want), len(want))
+		}
+	}
+}
+
+// TestMergeCheckpointBytesRefusesForeignSeries: an aggregate bucketed from
+// another start or in another bucket length would fold into the wrong series
+// buckets. It is refused before anything is folded.
+func TestMergeCheckpointBytesRefusesForeignSeries(t *testing.T) {
+	recv := shapedAggregate(false, 500, 3)
+	before := AppendCheckpoint(nil, &Checkpoint{Agg: recv})
+	for _, foreign := range []*Aggregator{
+		NewAggregator(cpStart, time.Minute),
+		NewAggregator(cpStart.Add(time.Nanosecond), time.Hour),
+	} {
+		foreign.Merge(shapedAggregate(false, 500, 4))
+		if _, err := MergeCheckpointBytes(recv, AppendCheckpoint(nil, &Checkpoint{Agg: foreign})); err == nil {
+			t.Fatalf("folded an aggregate starting %v in %v buckets into one starting %v in %v buckets",
+				foreign.start, foreign.bucket, recv.start, recv.bucket)
+		}
+		if after := AppendCheckpoint(nil, &Checkpoint{Agg: recv}); !bytes.Equal(after, before) {
+			t.Fatal("a refused fold changed the receiver")
+		}
+	}
+}
+
+// TestDecodeCheckpointRefusesRepeatedKeys: the canonical encoding writes
+// every section's keys ascending. A key repeated, or out of order, would be
+// summed into the entry it repeats, so the decoder refuses it.
+func TestDecodeCheckpointRefusesRepeatedKeys(t *testing.T) {
+	a := NewAggregator(cpStart, time.Hour)
+	for _, port := range []uint32{5, 9} {
+		a.members[port] = a.nodes.newMember(port, 0)
+	}
+	raw := AppendCheckpoint(nil, &Checkpoint{Agg: a})
+	if _, err := DecodeCheckpointBytes(raw); err != nil {
+		t.Fatal(err)
+	}
+	second := cpHeaderLen + aggHeadLen + 4 + memberLen + 4 // the second member's port
+	for _, port := range []uint32{5, 4} {
+		bad := bytes.Clone(raw)
+		be.PutUint32(bad[second:], port)
+		if _, err := DecodeCheckpointBytes(bad); err == nil {
+			t.Fatalf("decoded member port %d after port 5", port)
+		}
+	}
+}
+
+// TestMergeCheckpointBytesAllocatesNothingOverKnownKeys: folding a report
+// into an aggregate that already holds every key it carries — the
+// coordinator's steady state from the second checkpoint of a feed on —
+// allocates nothing: every entry is an add into a node the receiver has.
+func TestMergeCheckpointBytesAllocatesNothingOverKnownKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, attack := range []bool{false, true} {
+		raw := AppendCheckpoint(nil, &Checkpoint{Agg: shapedAggregate(attack, 50000, 7)})
+		recv, err := DecodeCheckpointBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := MergeCheckpointBytes(recv.Agg, raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Fatalf("attack=%v: %.0f allocations folding a %d-byte report over known keys, want 0", attack, got, len(raw))
 		}
 	}
 }

@@ -44,7 +44,9 @@ func fuzzSeedCheckpoint() []byte {
 // per-primitive oracle decoder must agree on what is a checkpoint at all, and
 // inputs that do decode must canonicalize: both decoders' results encode to
 // the same bytes, and that encoding is stable under a decode/encode round
-// trip, the property the byte-equality oracle rests on.
+// trip, the property the byte-equality oracle rests on. And since decoding
+// is a merge, folding an input into a receiver that already holds state must
+// match Merge of the input's fresh decoding.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	seed := fuzzSeedCheckpoint()
 	f.Add(seed)
@@ -90,6 +92,35 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatal("re-encoding is not canonical: encode(decode(encode(cp))) differs")
+		}
+		// Decoding is a merge: folding the input into a receiver that holds
+		// state already — the seed's, or the input's own — leaves what Merge
+		// of the fresh decoding does, and a receiver bucketed otherwise
+		// refuses it.
+		for _, base := range [][]byte{seed, data} {
+			recv, err := DecodeCheckpointBytes(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = MergeCheckpointBytes(recv.Agg, data)
+			if recv.Agg.start.UnixNano() != cp.Agg.start.UnixNano() || recv.Agg.bucket != cp.Agg.bucket {
+				if err == nil {
+					t.Fatal("folded an aggregate into a receiver with another start or bucket")
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("folding a decodable checkpoint failed: %v", err)
+			}
+			want, err := DecodeCheckpointBytes(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Agg.Merge(cp.Agg)
+			got, wantBytes := AppendCheckpoint(nil, recv), AppendCheckpoint(nil, want)
+			if !bytes.Equal(got, wantBytes) {
+				t.Fatalf("folding the input differs from Merge of its decoding at byte %d", firstDiff(got, wantBytes))
+			}
 		}
 	})
 }

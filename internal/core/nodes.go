@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/netx"
 )
@@ -8,22 +10,22 @@ import (
 // nodeAlloc is an Aggregator's private node allocator. Every inner node the
 // aggregate hangs off its top-level maps — member records with their origin
 // maps, fan-in destinations and their multi-source sets, /8 bins, series
-// backing arrays, NTP pair maps — is handed out here and nowhere else. First
-// use is carved from fixed-size slabs (the checkpoint decoder's idiom), so a
-// growing aggregate pays one allocation per slab rather than per key. Reset
-// empties every node handed out since the last one and rewinds, so refilling
-// a recycled aggregator — a drain worker's spill shard, fold after fold —
-// allocates nothing once it has reached the shard's own peak.
+// backing arrays, NTP pair maps — is handed out here and nowhere else, to
+// Add, Merge and the checkpoint decoder alike. First use is carved from
+// fixed-size slabs (a decoded section known to be all new keys takes one run,
+// in a slab as large as it needs), so a growing aggregate pays one allocation
+// per slab rather than per key. Reset empties every node handed out since the last one
+// and rewinds, so refilling a recycled aggregator — a drain worker's spill
+// shard, fold after fold — allocates nothing once it has reached the shard's
+// own peak.
 //
 // Nodes come back in the order they first went out. Flows arrive clustered,
 // so the key that asks n-th in one episode is usually the key that asked
 // n-th in the last, and gets the map that already grew to its size: recycled
 // capacity lands where it is needed instead of being regrown under a
-// different key. Slabs and maps are only ever the allocator's own — records
-// a checkpoint decode put in the top-level maps are simply dropped by Reset —
-// and the series arrays and bins it picks up from the maps are a dozen at
-// most, so retention is this aggregator's own high-water mark and dies with
-// it.
+// different key. Slabs and maps are only ever the allocator's own, and the
+// series arrays and bins it picks up from the maps are a dozen at most, so
+// retention is this aggregator's own high-water mark and dies with it.
 type nodeAlloc struct {
 	members slabs[MemberStats]
 	dsts    slabs[DstStats]
@@ -61,17 +63,22 @@ type slabs[T any] struct {
 	rest []T
 }
 
-func (s *slabs[T]) next(slabLen int) *T {
-	if len(s.rest) == 0 {
-		if s.open == len(s.all) {
-			s.all = append(s.all, make([]T, slabLen))
+func (s *slabs[T]) next(slabLen int) *T { return &s.run(1, slabLen)[0] }
+
+// run returns n consecutive nodes. A run the slab in hand cannot finish
+// starts the next slab, and where that one is missing or too short, a new
+// slab of max(n, slabLen) nodes is put in its place in the hand-out order.
+func (s *slabs[T]) run(n, slabLen int) []T {
+	if len(s.rest) < n {
+		if s.open == len(s.all) || len(s.all[s.open]) < n {
+			s.all = slices.Insert(s.all, s.open, make([]T, max(n, slabLen)))
 		}
 		s.rest = s.all[s.open]
 		s.open++
 	}
-	x := &s.rest[0]
-	s.rest = s.rest[1:]
-	return x
+	r := s.rest[:n:n]
+	s.rest = s.rest[n:]
+	return r
 }
 
 // rewind passes every node of every started slab to empty — the few the last
@@ -119,11 +126,16 @@ func (n *nodeAlloc) newMember(port uint32, origins int) *MemberStats {
 // newDst returns a zero DstStats.
 func (n *nodeAlloc) newDst() *DstStats { return n.dsts.next(dstSlabLen) }
 
-// newSrcs returns an empty source set for a destination's second source.
-func (n *nodeAlloc) newSrcs() map[netx.Addr]struct{} {
+// newDsts returns n zero DstStats in one run, for a decoded section whose
+// destinations are all new.
+func (n *nodeAlloc) newDsts(k int) []DstStats { return n.dsts.run(k, dstSlabLen) }
+
+// newSrcs returns an empty source set; size hints a fresh one (2 for a
+// destination's second source, the encoded count for a decoded one).
+func (n *nodeAlloc) newSrcs(size int) map[netx.Addr]struct{} {
 	m := n.srcs.next()
 	if *m == nil {
-		*m = make(map[netx.Addr]struct{}, 2)
+		*m = make(map[netx.Addr]struct{}, size)
 	}
 	return *m
 }

@@ -63,17 +63,6 @@ func (p *portPage) add(port uint16, pkts uint64) {
 	}
 }
 
-// set stores an exact tally (map-assign semantics; checkpoint decode).
-func (p *portPage) set(port uint16, v uint64) {
-	*p.slot(port) = v
-	w, b := uint32(port)>>6, uint64(1)<<(port&63)
-	if p.seen[w]&b == 0 {
-		p.seen[w] |= b
-		p.sum[w>>6] |= 1 << (w & 63)
-		p.n++
-	}
-}
-
 func (p *portPage) has(port uint16) bool {
 	return p.seen[port>>6]&(1<<(port&63)) != 0
 }
@@ -256,20 +245,23 @@ func (t *PortTab) encode(e *cpEnc) {
 	})
 }
 
-// decode reads the port mix. Entries arrive grouped by page, so the page
-// lookup is paid once per run of equal (class, proto, dir).
-func (t *PortTab) decode(d *cpDec) {
+// fold adds the encoded port mix into t. Entries arrive grouped by page, so
+// the page lookup is paid once per run of equal (class, proto, dir).
+func (t *PortTab) fold(d *cpDec) {
 	var (
-		last portPageKey
+		head uint64
 		pg   *portPage
 	)
-	for p := d.take(16 * d.count("port-mix entry", 16)); len(p) > 0; p = p[16:] {
-		head := be.Uint64(p)
-		k := portPageKey{TrafficClass(head >> 32), uint8(head >> 24), uint8(head >> 16)}
-		if pg == nil || k != last {
-			pg, last = t.page(k.class, k.proto, k.dir, true), k
+	for i, p := 0, d.take(16*d.count("port-mix entry", 16)); len(p) > 0; i, p = i+1, p[16:] {
+		last := head
+		if !follows(i, &head, be.Uint64(p)) {
+			d.disorder("port-mix key")
+			return
 		}
-		pg.set(uint16(head), be.Uint64(p[8:]))
+		if pg == nil || head>>16 != last>>16 {
+			pg = t.page(TrafficClass(head>>32), uint8(head>>24), uint8(head>>16), true)
+		}
+		pg.add(uint16(head), be.Uint64(p[8:]))
 	}
 }
 
@@ -336,24 +328,6 @@ func (p *sizePage) add(size int, pkts uint64) {
 		p.spill = make(map[int]uint64)
 	}
 	p.spill[size] += pkts
-}
-
-// set stores an exact tally (map-assign semantics; checkpoint decode).
-func (p *sizePage) set(size int, v uint64) {
-	if size >= 0 && size < sizeDense {
-		p.cnt[size] = v
-		w, b := uint32(size)>>6, uint64(1)<<(size&63)
-		if p.seen[w]&b == 0 {
-			p.seen[w] |= b
-			p.sum |= 1 << w
-			p.n++
-		}
-		return
-	}
-	if p.spill == nil {
-		p.spill = make(map[int]uint64)
-	}
-	p.spill[size] = v
 }
 
 func (p *sizePage) len() int { return p.n + len(p.spill) }
@@ -479,14 +453,24 @@ func (t *SizeTab) encode(e *cpEnc) {
 	}
 }
 
-// decode reads the size histograms. A class may carry zero bins, which the
-// map layout this table replaced kept as a present empty map: creating the
-// page marks it present either way.
-func (t *SizeTab) decode(d *cpDec) {
-	for i := d.count("size histogram", 8); i > 0 && d.err == nil; i-- {
-		pg := t.page(TrafficClass(d.u32()), true)
-		for p := d.take(16 * d.count("size bin", 16)); len(p) > 0; p = p[16:] {
-			pg.set(int(be.Uint64(p)), be.Uint64(p[8:]))
+// fold adds the encoded size histograms into t. A class may carry zero bins,
+// which the map layout this table replaced kept as a present empty map:
+// fetching the page marks it present either way.
+func (t *SizeTab) fold(d *cpDec) {
+	var class uint32
+	for i := range d.count("size histogram", 8) {
+		if !follows(i, &class, d.u32()) {
+			d.disorder("size histogram class")
+			return
+		}
+		pg := t.page(TrafficClass(class), true)
+		var size int
+		for j, p := 0, d.take(16*d.count("size bin", 16)); len(p) > 0; j, p = j+1, p[16:] {
+			if !follows(j, &size, int(be.Uint64(p))) {
+				d.disorder("size bin")
+				return
+			}
+			pg.add(size, be.Uint64(p[8:]))
 		}
 	}
 }
