@@ -85,15 +85,15 @@ const (
 // cpEnc encodes a checkpoint by appending to b. With a writer, b is a fixed
 // chunk handed to the writer whenever the next record does not fit; without
 // one, b grows and ends up holding the whole encoding. The key slices are
-// scratch for sorting map keys, reused from one map to the next.
+// scratch for sorting uint32-kinded map keys, reused from one map to the
+// next: outer holds a map's sorted keys, inner each of its containers' in
+// turn, and tmp is sortU32's other half.
 type cpEnc struct {
 	b   []byte
 	w   io.Writer
 	err error
 
-	ports        []uint32
-	asns         []bgp.ASN
-	outer, inner []netx.Addr
+	outer, inner, tmp []uint32
 }
 
 func (e *cpEnc) flush() {
@@ -145,10 +145,10 @@ func (e *cpEnc) u64s(vs []uint64) {
 	})
 }
 
-func (e *cpEnc) addrs(vs []netx.Addr) {
+func (e *cpEnc) u32s(vs []uint32) {
 	e.spans(len(vs), 4, func(p []byte, lo, hi int) {
 		for i, v := range vs[lo:hi] {
-			be.PutUint32(p[4*i:], uint32(v))
+			be.PutUint32(p[4*i:], v)
 		}
 	})
 }
@@ -164,11 +164,11 @@ func (e *cpEnc) counters(cs []Counter) {
 
 // keyed writes a map's (uint32-kinded key, uint64 value) entries in the order
 // of keys, which are its sorted keys.
-func keyed[K ~uint32](e *cpEnc, keys []K, m map[K]uint64) {
+func keyed[K ~uint32](e *cpEnc, keys []uint32, m map[K]uint64) {
 	e.spans(len(keys), 12, func(p []byte, lo, hi int) {
 		for i, k := range keys[lo:hi] {
-			be.PutUint32(p[12*i:], uint32(k))
-			be.PutUint64(p[12*i+4:], m[k])
+			be.PutUint32(p[12*i:], k)
+			be.PutUint64(p[12*i+4:], m[K(k)])
 		}
 	})
 }
@@ -180,7 +180,8 @@ func putCounter(p []byte, c Counter) {
 }
 
 // sortedKeys returns m's keys in ascending order, in buf's storage when it
-// is large enough.
+// is large enough. It is for the few keys of a class or spilled-size map;
+// uint32-kinded keys, which attack traffic makes many, go through sortU32.
 func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	buf = slices.Grow(buf[:0], len(m))
 	for k := range m {
@@ -190,19 +191,81 @@ func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	return buf
 }
 
-// sortedOuterKeys is sortedKeys for a map of containers: it also makes room
-// in inner for the widest container's keys, so that sorting each container in
-// turn never grows the scratch again — one allocation per map at most, not
-// one per record-setting container.
-func sortedOuterKeys[K, I cmp.Ordered, V any](outer []K, inner []I, m map[K]V, width func(V) int) ([]K, []I) {
-	outer = slices.Grow(outer[:0], len(m))
+// radixMin is the length from which sortU32 radix-sorts; below it, pdqsort's
+// smaller fixed cost wins. It was picked by sweeping 32, 64, 128 and 256 over
+// BenchmarkCheckpointCodec/encode (EXPERIMENTS.md, "radix-sorted encode").
+const radixMin = 128
+
+// sortU32 sorts keys ascending. From radixMin keys on it is an LSD radix sort:
+// one pass counts all four 8-bit digits, then every digit the keys do not all
+// share is a stable counting pass from keys to tmp or back. The result is in
+// keys either way. tmp must have the capacity for len(keys) keys.
+func sortU32(keys, tmp []uint32) {
+	n := len(keys)
+	if n < radixMin {
+		slices.Sort(keys)
+		return
+	}
+	var count [4][256]int
+	for _, k := range keys {
+		count[0][k&0xff]++
+		count[1][k>>8&0xff]++
+		count[2][k>>16&0xff]++
+		count[3][k>>24]++
+	}
+	src, dst := keys, tmp[:n]
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if c[src[0]>>shift&0xff] == n {
+			continue // every key has this digit: the pass would be a copy
+		}
+		at := 0
+		for b, m := range c {
+			c[b], at = at, at+m
+		}
+		for _, k := range src {
+			b := k >> shift & 0xff
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// sortedU32Keys returns m's keys in ascending order in buf's storage, which
+// must have room for len(m) keys for the collection not to allocate. tmp is
+// sortU32's other half and must have the same room.
+func sortedU32Keys[K ~uint32, V any](buf, tmp []uint32, m map[K]V) []uint32 {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, uint32(k))
+	}
+	sortU32(buf, tmp)
+	return buf
+}
+
+// sortedOuterKeys returns a map of containers' keys in ascending order in
+// e.outer. It also makes room in e.inner for the widest container's keys and
+// in e.tmp for the larger of that and the map's own, so that sorting each
+// container in turn never grows the scratch again — one allocation per map at
+// most for the keys and one for the containers, not one per record-setting
+// container. e.inner and e.tmp share that second allocation: a container's
+// keys fill at most its first widest slots, and e.tmp is the rest.
+func sortedOuterKeys[K ~uint32, V any](e *cpEnc, m map[K]V, width func(V) int) []uint32 {
+	e.outer = slices.Grow(e.outer[:0], len(m))
 	widest := 0
 	for k, v := range m {
-		outer = append(outer, k)
+		e.outer = append(e.outer, uint32(k))
 		widest = max(widest, width(v))
 	}
-	slices.Sort(outer)
-	return outer, slices.Grow(inner[:0], widest)
+	end := widest + max(len(m), widest)
+	e.inner = slices.Grow(e.inner[:0], end)
+	e.tmp = e.inner[widest:end]
+	sortU32(e.outer, e.tmp)
+	return e.outer
 }
 
 func (e *cpEnc) checkpoint(cp *Checkpoint) {
@@ -247,10 +310,9 @@ func (e *cpEnc) checkpoint(cp *Checkpoint) {
 // members writes the per-member stats sorted by port, each member's invalid
 // origins sorted by AS number.
 func (e *cpEnc) members(members map[uint32]*MemberStats) {
-	e.ports, e.asns = sortedOuterKeys(e.ports, e.asns, members,
-		func(m *MemberStats) int { return len(m.InvalidOrigins) })
+	ports := sortedOuterKeys(e, members, func(m *MemberStats) int { return len(m.InvalidOrigins) })
 	e.u32(uint32(len(members)))
-	for _, port := range e.ports {
+	for _, port := range ports {
 		m := members[port]
 		p := e.grow(memberLen + 4)
 		be.PutUint32(p, port)
@@ -263,7 +325,7 @@ func (e *cpEnc) members(members map[uint32]*MemberStats) {
 		p = p[len(m.ByClass)*counterLen:]
 		be.PutUint64(p, m.RouterIPInvalid)
 		be.PutUint32(p[8:], uint32(len(m.InvalidOrigins)))
-		keyed(e, sortedKeys(e.asns, m.InvalidOrigins), m.InvalidOrigins)
+		keyed(e, sortedU32Keys(e.inner, e.tmp, m.InvalidOrigins), m.InvalidOrigins)
 	}
 }
 
@@ -295,19 +357,18 @@ func (e *cpEnc) fanIn(fan map[TrafficClass]map[netx.Addr]*DstStats) {
 	e.u32(uint32(len(fan)))
 	for _, c := range sortedKeys(buf[:0], fan) {
 		m := fan[c]
-		e.outer, e.inner = sortedOuterKeys(e.outer, e.inner, m,
-			func(ds *DstStats) int { return len(ds.Srcs) })
+		dsts := sortedOuterKeys(e, m, func(ds *DstStats) int { return len(ds.Srcs) })
 		e.u32pair(uint32(c), uint32(len(m)))
-		for _, dst := range e.outer {
-			ds := m[dst]
+		for _, dst := range dsts {
+			ds := m[netx.Addr(dst)]
 			p := e.grow(dstLen)
-			be.PutUint32(p, uint32(dst))
+			be.PutUint32(p, dst)
 			be.PutUint64(p[4:], ds.Packets)
 			be.PutUint64(p[12:], ds.SrcOverflow)
 			be.PutUint32(p[20:], uint32(ds.SrcCount()))
 			switch {
 			case ds.Srcs != nil:
-				e.addrs(sortedKeys(e.inner, ds.Srcs))
+				e.u32s(sortedU32Keys(e.inner, e.tmp, ds.Srcs))
 			case ds.has1:
 				e.u32(uint32(ds.src1))
 			}
@@ -317,13 +378,12 @@ func (e *cpEnc) fanIn(fan map[TrafficClass]map[netx.Addr]*DstStats) {
 
 // pairs writes one NTP trigger/response pair map, both levels sorted.
 func (e *cpEnc) pairs(pairs map[netx.Addr]map[netx.Addr]uint64) {
-	e.outer, e.inner = sortedOuterKeys(e.outer, e.inner, pairs,
-		func(inner map[netx.Addr]uint64) int { return len(inner) })
+	outers := sortedOuterKeys(e, pairs, func(inner map[netx.Addr]uint64) int { return len(inner) })
 	e.u32(uint32(len(pairs)))
-	for _, outer := range e.outer {
-		inner := pairs[outer]
-		e.u32pair(uint32(outer), uint32(len(inner)))
-		keyed(e, sortedKeys(e.inner, inner), inner)
+	for _, outer := range outers {
+		inner := pairs[netx.Addr(outer)]
+		e.u32pair(outer, uint32(len(inner)))
+		keyed(e, sortedU32Keys(e.inner, e.tmp, inner), inner)
 	}
 }
 

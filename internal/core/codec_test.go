@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"runtime/metrics"
+	"slices"
 	"testing"
 	"time"
 
+	"spoofscope/internal/bgp"
+	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 )
 
@@ -32,16 +37,119 @@ func exoticAggregate(attack bool, n int, seed uint64) *Aggregator {
 	return a
 }
 
+// radixAggregate is a small attack-shaped exoticAggregate in which one
+// member's invalid origins, one fan-in class's destinations, one destination's
+// sources, and the NTP trigger pairs' victims and one victim's amplifiers each
+// number 3×radixMin, so that its encode sorts those sections on sortU32's
+// radix path while the rest stay below radixMin. The member ports (shapedTrace
+// draws them from 1 to 220) are radix-sorted in the one digit they do not
+// share, an odd number of passes, which leaves the result to be copied back.
+func radixAggregate(seed uint64) *Aggregator {
+	a := exoticAggregate(true, 500, seed)
+	rng := splitmix(seed ^ 0x5a)
+	target, spoofed := netx.Addr(rng.next()), netx.Addr(rng.next())
+	for i := range 3 * radixMin {
+		v := Verdict{Class: ClassInvalid, Invalid: [numApproaches]bool{true, true, true},
+			KnownMember: true, SrcOrigin: bgp.ASN(64000 + i)}
+		f := ipfix.Flow{Start: cpStart, Ingress: 220, Protocol: ipfix.ProtoUDP,
+			SrcPort: 40000, DstPort: 123, Packets: 1, Bytes: 76}
+		// A new spoofed source at one target: its fan-in sources, a
+		// trigger-pair victim, a member origin.
+		f.SrcAddr, f.DstAddr = netx.Addr(rng.next()), target
+		a.Add(f, v)
+		// One spoofed source at a new destination: the class's fan-in
+		// destinations, that victim's trigger-pair amplifiers.
+		f.SrcAddr, f.DstAddr = spoofed, netx.Addr(rng.next())
+		a.Add(f, v)
+	}
+	return a
+}
+
+// requireRadixSections fails t unless the member ports, a member's invalid
+// origins, a fan-in class's destinations, a destination's sources, the
+// trigger pairs' victims and a victim's amplifiers each reach radixMin keys.
+func requireRadixSections(t *testing.T, a *Aggregator) {
+	t.Helper()
+	widest := map[string]int{"member ports": len(a.members), "invalid origins": 0, "fan-in destinations": 0,
+		"fan-in sources": 0, "pair victims": len(a.TriggerPairs), "pair amplifiers": 0}
+	for _, m := range a.members {
+		widest["invalid origins"] = max(widest["invalid origins"], len(m.InvalidOrigins))
+	}
+	for _, m := range a.FanIn {
+		widest["fan-in destinations"] = max(widest["fan-in destinations"], len(m))
+		for _, ds := range m {
+			widest["fan-in sources"] = max(widest["fan-in sources"], len(ds.Srcs))
+		}
+	}
+	for _, inner := range a.TriggerPairs {
+		widest["pair amplifiers"] = max(widest["pair amplifiers"], len(inner))
+	}
+	for section, n := range widest {
+		if n < radixMin {
+			t.Fatalf("the widest %s hold %d keys, short of radixMin (%d): the radix path goes unchecked", section, n, radixMin)
+		}
+	}
+}
+
+// TestSortU32MatchesSlicesSort checks the encoder's key sort against
+// slices.Sort on both sides of radixMin and up to fanInCap keys: on random
+// keys, on keys that differ in one, two or three digits (the skipped passes,
+// leaving the result in either buffer), on 0 and MaxUint32, on repeats, and on
+// presorted and reversed input.
+func TestSortU32MatchesSlicesSort(t *testing.T) {
+	type shape struct {
+		name string
+		key  func(i, n int) uint32 // the i-th of n keys
+	}
+	rng := splitmix(28)
+	ramp := func(i, n int) uint32 { return uint32(uint64(i) * math.MaxUint32 / uint64(max(n-1, 1))) }
+	shapes := []shape{
+		{"random", func(int, int) uint32 { return uint32(rng.next()) }},
+		{"extremes", func(i, _ int) uint32 { return []uint32{0, math.MaxUint32, uint32(rng.next())}[i%3] }},
+		{"presorted", ramp},
+		{"reversed", func(i, n int) uint32 { return math.MaxUint32 - ramp(i, n) }},
+		{"repeats", func(int, int) uint32 { return uint32(rng.intn(5)) << 24 }},
+		{"AS numbers", func(int, int) uint32 { return uint32(64500 + rng.intn(300)) }},
+	}
+	for d := range 4 {
+		digit := uint32(0xff) << (8 * d)
+		shapes = append(shapes,
+			shape{fmt.Sprintf("only digit %d varies", d), func(int, int) uint32 { return 0xa5c3e10f&^digit | uint32(rng.next())&digit }},
+			shape{fmt.Sprintf("digit %d shared", d), func(int, int) uint32 { return uint32(rng.next())&^digit | 0x5a5a5a5a&digit }})
+	}
+	for _, n := range []int{0, 1, radixMin - 1, radixMin, radixMin + 1, 4096, fanInCap} {
+		for _, shape := range shapes {
+			keys := make([]uint32, n)
+			for i := range keys {
+				keys[i] = shape.key(i, n)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			sortU32(keys, make([]uint32, 0, n)) // as the encoder passes it: room, no length
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%s, %d keys: sortU32 differs from slices.Sort", shape.name, n)
+			}
+		}
+	}
+}
+
 // TestCodecMatchesOracle is the equivalence property: on random aggregates
 // the bulk codec writes the oracle's bytes, and each decoder reads them back
-// to a state that either encoder writes as the same bytes again.
+// to a state that either encoder writes as the same bytes again. The last row
+// is radixAggregate's, so the equality covers both of sortU32's branches.
 func TestCodecMatchesOracle(t *testing.T) {
-	for seed := uint64(1); seed <= 24; seed++ {
+	const radixRow = 25
+	for seed := uint64(1); seed <= radixRow; seed++ {
 		rng := splitmix(seed)
 		cp := &Checkpoint{
 			Ingested: rng.next(), Queued: rng.next(), Shed: rng.next(), Processed: rng.next(),
 			Epoch: Epoch(rng.next()), Swaps: rng.next(), StaleVerdicts: rng.next(), Degraded: seed%2 == 0,
-			Agg: exoticAggregate(seed%3 == 0, rng.intn(4000), seed),
+		}
+		if seed == radixRow {
+			cp.Agg = radixAggregate(seed)
+			requireRadixSections(t, cp.Agg)
+		} else {
+			cp.Agg = exoticAggregate(seed%3 == 0, rng.intn(4000), seed)
 		}
 		var want bytes.Buffer
 		if err := oracleEncodeCheckpoint(&want, cp); err != nil {
@@ -314,6 +422,20 @@ func allocatedBy(fn func()) uint64 {
 	return sample[0].Value.Uint64() - before
 }
 
+// allocatedWithin reports the bytes fn allocates, read by allocatedBy and,
+// when that exceeds budget, read again exactly. The runtime counts a small
+// allocation when its span leaves a P's cache, so a collection that lands
+// inside fn charges it with what earlier calls allocated; a forced collection
+// on each side of fn flushes the caches and makes the second reading exact,
+// at a cost paid only by a reading over budget.
+func allocatedWithin(budget uint64, fn func()) uint64 {
+	if used := allocatedBy(fn); used <= budget {
+		return used
+	}
+	runtime.GC()
+	return allocatedBy(func() { fn(); runtime.GC() })
+}
+
 // decodeBudget is the memory a decode of n input bytes may allocate: the
 // empty aggregator, plus a constant factor over the input (a 4-byte source
 // address becomes a map slot, a 16-byte port entry can open a 2 KB counter
@@ -327,7 +449,7 @@ func TestDecodeCheckpointTruncatedAnywhere(t *testing.T) {
 	raw := fuzzSeedCheckpoint()
 	for cut := 0; cut < len(raw); cut++ {
 		var err error
-		used := allocatedBy(func() { _, err = DecodeCheckpointBytes(raw[:cut]) })
+		used := allocatedWithin(decodeBudget(cut), func() { _, err = DecodeCheckpointBytes(raw[:cut]) })
 		if err == nil {
 			t.Fatalf("decoder accepted a checkpoint cut at byte %d of %d", cut, len(raw))
 		}
@@ -366,7 +488,7 @@ func TestDecodeCheckpointForgedCounts(t *testing.T) {
 		for at := cpHeaderLen; at+4 <= len(raw); at += step {
 			copy(forged, raw)
 			be.PutUint32(forged[at:], count)
-			if used := allocatedBy(func() { DecodeCheckpointBytes(forged) }); used > decodeBudget(len(raw)) {
+			if used := allocatedWithin(decodeBudget(len(raw)), func() { DecodeCheckpointBytes(forged) }); used > decodeBudget(len(raw)) {
 				t.Fatalf("count %#x forged at byte %d: decoder allocated %d bytes for a %d-byte input", count, at, used, len(raw))
 			}
 		}
