@@ -41,10 +41,19 @@ bench-module:
 # declared in a tracked _test.go (by prefix when written with a trailing *),
 # and every spoofscope_* metric name is a string literal in tracked non-test
 # Go (a _bucket/_count/_sum suffix stripped; by prefix with a trailing *).
+# Directories resolve too: every `go run ./<dir>`, in a span or a fenced
+# block (a dot-directory is a throwaway probe, not part of the tree), and
+# every backticked path under cmd, internal or examples, up to its last
+# component that is not a file name, is a tracked directory.
 # EXPERIMENTS.md and CHANGES.md are history and name what is gone on purpose.
 docs-check:
 	@set -f; fail=0; files=$$(git ls-files); \
-	spans=$$(grep -oh '`[^`]*`' README.md DESIGN.md .claude/skills/verify/SKILL.md); \
+	docs="README.md DESIGN.md .claude/skills/verify/SKILL.md"; \
+	spans=$$(grep -oh '`[^`]*`' $$docs); \
+	for d in $$( { grep -ohE 'go run \./[A-Za-z0-9][A-Za-z0-9_/-]*' $$docs | cut -c10- | sed 's:/*$$::'; \
+		echo "$$spans" | grep -oP '(?<![\w./-])(cmd|internal|examples)(/[\w-]+)+(?![\w.-])'; } | sort -u); do \
+		echo "$$files" | grep -q "^$$d/" || { echo "docs-check: $$d is not a tracked directory"; fail=1; }; \
+	done; \
 	for t in $$(echo "$$spans" | grep -oE '^`make [a-z][a-z-]*' | cut -d' ' -f2 | sort -u); do \
 		grep -q "^$$t:" Makefile || { echo "docs-check: make $$t is not a Makefile target"; fail=1; }; \
 	done; \
@@ -116,8 +125,8 @@ cluster-tcp:
 # bench is the quick way to look at one function while working: the drain at
 # every worker count of 1/2/4/8 the host's GOMAXPROCS can run, the ingest
 # path (wire-image IPFIX decode -> batched queue -> drain -> classify ->
-# aggregate), pipeline compilation (cold at 1/2/4/8 build workers and
-# incremental, at paper and ~50K-AS full-table scale), the checkpoint codec
+# aggregate), pipeline compilation (cold at GOMAXPROCS 1/2/4/8, up to the
+# host's CPU count, and incremental, at paper and ~50K-AS full-table scale), the checkpoint codec
 # (encode/decode × typical/attack-shaped state), the spill episode and the
 # single-core classify hot path, printed as `go test` prints them. It records
 # nothing and gates nothing: a mean from one process moves with the host, so

@@ -549,26 +549,26 @@ func buildBenchScales(b *testing.B) []buildBenchScale {
 
 // BenchmarkPipelineBuild measures compiling the classifier from the RIB
 // (graph + inference + cones + indexes + member sets): cold builds at
-// 1/2/4/8 compilation workers and the incremental rebuild against an
-// unchanged snapshot (the steady-state epoch promotion of a live feed).
-// Worker counts clamp to GOMAXPROCS, so a 1-CPU baseline reports every
-// cold-wN variant at sequential speed — the `cpu:` line and the -N suffix in
-// the benchmark output say which case a run describes. The ases metric
-// self-describes the scale. The numbers to claim are the repository
-// benchmark's build.cold_ms, build.reused_closures_ms and
-// build.reused_pipeline_ms.
+// GOMAXPROCS 1/2/4/8 — one compilation worker each — and the sequential
+// incremental rebuild against an unchanged snapshot (the steady-state epoch
+// promotion of a live feed). A cold-wN row exists only for N ≤ NumCPU, so a
+// 2-CPU host reports cold-w1 and cold-w2. The ases metric self-describes the
+// scale. The numbers to claim are the repository benchmark's build.cold_ms,
+// build.reused_closures_ms and build.reused_pipeline_ms.
 func BenchmarkPipelineBuild(b *testing.B) {
 	for _, sc := range buildBenchScales(b) {
 		for _, workers := range []int{1, 2, 4, 8} {
+			if workers > runtime.NumCPU() {
+				break
+			}
 			b.Run(fmt.Sprintf("%s/cold-w%d", sc.name, workers), func(b *testing.B) {
-				opts := sc.opts
-				opts.BuildWorkers = workers
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				b.ReportAllocs()
 				b.ResetTimer()
 				var stats core.BuildStats
 				for i := 0; i < b.N; i++ {
 					var err error
-					_, stats, err = core.RebuildPipeline(nil, sc.rib, sc.members, opts)
+					_, stats, err = core.RebuildPipeline(nil, sc.rib, sc.members, sc.opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -577,9 +577,8 @@ func BenchmarkPipelineBuild(b *testing.B) {
 			})
 		}
 		b.Run(sc.name+"/incremental", func(b *testing.B) {
-			opts := sc.opts
-			opts.BuildWorkers = 1
-			prev, _, err := core.RebuildPipeline(nil, sc.rib, sc.members, opts)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			prev, _, err := core.RebuildPipeline(nil, sc.rib, sc.members, sc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,7 +587,7 @@ func BenchmarkPipelineBuild(b *testing.B) {
 			var stats core.BuildStats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, stats, err = core.RebuildPipeline(prev, sc.rib, sc.members, opts)
+				_, stats, err = core.RebuildPipeline(prev, sc.rib, sc.members, sc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

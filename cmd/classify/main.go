@@ -99,7 +99,6 @@ func main() {
 		ledgerP  = flag.String("ledger", "", "persist the coordinator's shard ledger to this file; resume from it if present")
 		standby  = flag.Bool("standby", false, "run as a warm-standby coordinator: tail -ledger, take over -coordinator-addr when the primary dies")
 		compress = flag.Bool("compress", false, "deflate flow batches on the cluster wire (for real networks)")
-		buildW   = flag.Int("build-workers", 0, "pipeline compilation workers (0 = GOMAXPROCS, 1 = sequential build)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address during the run")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -171,20 +170,12 @@ func main() {
 		log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(orgGroups))
 	}
 
-	// Router addresses.
-	var routers core.RouterSet
+	opts := core.Options{Orgs: orgGroups, DisableOrgMerge: *noOrgs}
 	if !*noRouter {
-		if set, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
-			routers = set
-			log.Printf("router addresses: %d", len(set))
+		if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
+			opts.Routers = netx.NewAddrSet(addrs)
+			log.Printf("router addresses: %d", len(addrs))
 		}
-	}
-
-	opts := core.Options{
-		Orgs:            orgGroups,
-		Routers:         routers,
-		DisableOrgMerge: *noOrgs,
-		BuildWorkers:    *buildW,
 	}
 
 	// RebuildPipeline with a nil predecessor is a cold NewPipeline that also
@@ -580,22 +571,19 @@ func readMembers(path string) ([]core.MemberInfo, error) {
 	return out, nil
 }
 
-type routerSet map[netx.Addr]struct{}
-
-func (s routerSet) Contains(a netx.Addr) bool { _, ok := s[a]; return ok }
-
-func readRouters(path string) (routerSet, error) {
+// readRouters reads routers.txt: one router interface address per line.
+func readRouters(path string) ([]netx.Addr, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	set := make(routerSet)
+	var addrs []netx.Addr
 	var line string
 	for {
 		if _, err := fmt.Fscanln(f, &line); err != nil {
 			if err == io.EOF {
-				return set, nil
+				return addrs, nil
 			}
 			return nil, err
 		}
@@ -603,7 +591,7 @@ func readRouters(path string) (routerSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		set[a] = struct{}{}
+		addrs = append(addrs, a)
 	}
 }
 

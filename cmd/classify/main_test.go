@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,18 +60,13 @@ func TestReadMembersRejectsBadRows(t *testing.T) {
 func TestReadRouters(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "routers.txt", "192.0.2.1\n198.51.100.254\n")
-	set, err := readRouters(path)
+	addrs, err := readRouters(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set) != 2 {
-		t.Fatalf("routers = %d", len(set))
-	}
-	if !set.Contains(netx.MustParseAddr("192.0.2.1")) {
-		t.Fatal("router missing")
-	}
-	if set.Contains(netx.MustParseAddr("10.0.0.1")) {
-		t.Fatal("phantom router")
+	want := []netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.254")}
+	if !slices.Equal(addrs, want) {
+		t.Fatalf("routers = %v, want %v", addrs, want)
 	}
 }
 

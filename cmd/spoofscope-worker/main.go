@@ -116,9 +116,9 @@ func main() {
 			log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(opts.Orgs))
 		}
 		if !*noRouter {
-			if set, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
-				opts.Routers = set
-				log.Printf("router addresses: %d", len(set))
+			if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
+				opts.Routers = netx.NewAddrSet(addrs)
+				log.Printf("router addresses: %d", len(addrs))
 			}
 		}
 	}
@@ -198,22 +198,19 @@ func loadIdentity(path, name string) (string, error) {
 	return id, nil
 }
 
-type routerSet map[netx.Addr]struct{}
-
-func (s routerSet) Contains(a netx.Addr) bool { _, ok := s[a]; return ok }
-
-func readRouters(path string) (routerSet, error) {
+// readRouters reads routers.txt: one router interface address per line.
+func readRouters(path string) ([]netx.Addr, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	set := make(routerSet)
+	var addrs []netx.Addr
 	var line string
 	for {
 		if _, err := fmt.Fscanln(f, &line); err != nil {
 			if err == io.EOF {
-				return set, nil
+				return addrs, nil
 			}
 			return nil, err
 		}
@@ -221,6 +218,6 @@ func readRouters(path string) (routerSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		set[a] = struct{}{}
+		addrs = append(addrs, a)
 	}
 }

@@ -60,7 +60,7 @@ type ReconnectorConfig struct {
 	MaxAttempts int
 	// ReconnectOnEOF treats an orderly CEASE from the peer as a flap and
 	// re-dials. The default (false) passes io.EOF through to the caller —
-	// right for finite replays like the examples.
+	// right for finite replays, where the CEASE ends one table snapshot.
 	ReconnectOnEOF bool
 	// Context, when non-nil, bounds the supervisor's lifetime: backoff
 	// sleeps and in-flight dials abort promptly when it is cancelled, and

@@ -57,22 +57,11 @@ func (r BuildReuse) String() string {
 // BuildStats describes one pipeline compilation.
 type BuildStats struct {
 	Reuse    BuildReuse
-	Workers  int // effective worker count (after the GOMAXPROCS clamp)
+	Workers  int // compilation workers: GOMAXPROCS at build time
 	Duration time.Duration
 	ASes     int
 	Prefixes int
 	Members  int
-}
-
-// buildWorkers resolves Options.BuildWorkers: <= 0 means GOMAXPROCS, and
-// explicit requests clamp to GOMAXPROCS — more build goroutines than
-// schedulable threads only adds contention on the level barriers.
-func buildWorkers(requested int) int {
-	max := runtime.GOMAXPROCS(0)
-	if requested <= 0 || requested > max {
-		return max
-	}
-	return requested
 }
 
 // topologyKey digests every option that feeds the graph, the closures, or
@@ -133,7 +122,10 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 
 func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, BuildStats, error) {
 	t0 := time.Now()
-	stats := BuildStats{Reuse: BuildCold, Workers: buildWorkers(opts.BuildWorkers)}
+	// One compilation worker per schedulable thread: more only adds
+	// contention on the level barriers, and GOMAXPROCS=1 runs the sequential
+	// constructors the parallel build is proven against.
+	stats := BuildStats{Reuse: BuildCold, Workers: runtime.GOMAXPROCS(0)}
 	if len(members) == 0 {
 		return nil, stats, fmt.Errorf("core: no members")
 	}
@@ -158,11 +150,11 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	}
 
 	p := &Pipeline{
+		routers: opts.Routers,
 		anns:    anns,
 		fp:      fp,
 		optsKey: key,
 	}
-	p.SetRouters(opts.Routers)
 
 	switch stats.Reuse {
 	case BuildReusedPipeline:

@@ -150,43 +150,36 @@ func TestRebuildReuseTiers(t *testing.T) {
 
 // TestBuildWorkersEquivalence proves the parallel compilation path emits a
 // pipeline indistinguishable from the sequential one: same verdicts, same
-// checkpoint bytes. GOMAXPROCS is raised so the worker pool truly runs
-// multi-goroutine even on a 1-CPU host.
+// checkpoint bytes. The build runs one worker per GOMAXPROCS, so the sweep
+// sets GOMAXPROCS itself — past the host's CPU count too, so the worker pool
+// truly runs multi-goroutine even on a 1-CPU host.
 func TestBuildWorkersEquivalence(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rib, members, opts, flows := buildRebuildFixture(t)
 	dir := t.TempDir()
 
-	seqOpts := opts
-	seqOpts.BuildWorkers = 1
-	seq, stSeq, err := RebuildPipeline(nil, rib, members, seqOpts)
+	seq, stSeq, err := RebuildPipeline(nil, rib, members, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stSeq.Workers != 1 {
-		t.Fatalf("sequential build ran %d workers", stSeq.Workers)
+		t.Fatalf("GOMAXPROCS=1 build ran %d workers", stSeq.Workers)
 	}
 	ref := runParallel(t, seq, flows, 0, filepath.Join(dir, "w1.ckpt"))
 
-	for _, w := range []int{2, 4, 16} {
-		parOpts := opts
-		parOpts.BuildWorkers = w
-		par, stPar, err := RebuildPipeline(nil, rib, members, parOpts)
+	for _, n := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(n)
+		par, stPar, err := RebuildPipeline(nil, rib, members, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := w
-		if want > 4 {
-			want = 4 // clamped to GOMAXPROCS
-		}
-		if stPar.Workers != want {
-			t.Fatalf("BuildWorkers=%d ran %d workers, want %d", w, stPar.Workers, want)
+		if stPar.Workers != n {
+			t.Fatalf("GOMAXPROCS=%d build ran %d workers", n, stPar.Workers)
 		}
 		requireSameVerdicts(t, "parallel-build", seq, par, flows)
 		got := runParallel(t, par, flows, 0, filepath.Join(dir, "wN.ckpt"))
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("BuildWorkers=%d checkpoint differs from sequential build's", w)
+			t.Fatalf("GOMAXPROCS=%d checkpoint differs from sequential build's", n)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // pipeline's own per-flow Classify ("flat": same slab, no ingress memo), and
 // the index-free Figure 3 oracle.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
-	_, rib, p, flows, _ := buildEndToEndRIB(t)
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	s, rib, p, flows, _ := buildEndToEndRIB(t)
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
 	for _, ref := range []struct {
 		name     string
 		classify func(ipfix.Flow) Verdict
@@ -77,8 +77,8 @@ func TestClassifyBatchShortBufferPanics(t *testing.T) {
 // throughout) builds from the same flows, must have byte-identical canonical
 // encodings.
 func TestBatchCheckpointMatchesOraclePerFlow(t *testing.T) {
-	_, rib, p, flows, _ := buildEndToEndRIB(t)
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	s, rib, p, flows, _ := buildEndToEndRIB(t)
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
 	ref := NewAggregator(cpStart, time.Hour)
 	for _, f := range flows {
 		ref.Add(f, oracle.classify(f))

@@ -7,6 +7,7 @@ import (
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
 	"spoofscope/internal/traceroute"
 )
@@ -40,10 +41,9 @@ func buildEndToEndRIB(t *testing.T) (*scenario.Scenario, *bgp.RIB, *Pipeline, []
 	for _, m := range s.Members {
 		members = append(members, MemberInfo{ASN: m.ASN, Port: m.Port})
 	}
-	routers := traceroute.Simulate(s, 8, 0.05, 3).ExtractRouters()
 	p, err := NewPipeline(rib, members, Options{
 		Orgs:    s.Orgs().MultiASGroups(),
-		Routers: routers,
+		Routers: netx.NewAddrSet(endToEndRouters(s)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +58,12 @@ func buildEndToEndRIB(t *testing.T) (*scenario.Scenario, *bgp.RIB, *Pipeline, []
 		labels = append(labels, l)
 	})
 	return s, rib, p, flows, labels
+}
+
+// endToEndRouters is the router set the end-to-end pipeline tags with: the
+// intermediate hops of a simulated traceroute campaign over the scenario.
+func endToEndRouters(s *scenario.Scenario) []netx.Addr {
+	return traceroute.Simulate(s, 8, 0.05, 3).ExtractRouters().Addrs()
 }
 
 func TestEndToEndClassification(t *testing.T) {

@@ -17,20 +17,26 @@ import (
 // FlatLPM, of the merged bogon sentinel and its per-entry flags, of the
 // naive entry bitsets and of the precomputed chains. What it shares with the
 // pipeline is what no index is involved in: the AS graph's ASN → index map
-// and the per-member cone bitsets.
+// and the per-member cone bitsets. The router addresses are the ones the
+// pipeline was compiled with, held in a Go map of the oracle's own.
 type figure3Oracle struct {
-	p      *Pipeline
-	bogons netx.IntervalSet
-	routed map[netx.Prefix]bgp.ASN
-	naive  map[*memberState]map[netx.Prefix]struct{}
+	p       *Pipeline
+	bogons  netx.IntervalSet
+	routed  map[netx.Prefix]bgp.ASN
+	naive   map[*memberState]map[netx.Prefix]struct{}
+	routers map[netx.Addr]bool
 }
 
-func newFigure3Oracle(p *Pipeline, rib *bgp.RIB, bogons *bogon.Set) *figure3Oracle {
+func newFigure3Oracle(p *Pipeline, rib *bgp.RIB, bogons *bogon.Set, routers ...netx.Addr) *figure3Oracle {
 	o := &figure3Oracle{
-		p:      p,
-		bogons: bogons.Space(),
-		routed: make(map[netx.Prefix]bgp.ASN),
-		naive:  make(map[*memberState]map[netx.Prefix]struct{}),
+		p:       p,
+		bogons:  bogons.Space(),
+		routed:  make(map[netx.Prefix]bgp.ASN),
+		naive:   make(map[*memberState]map[netx.Prefix]struct{}),
+		routers: make(map[netx.Addr]bool),
+	}
+	for _, a := range routers {
+		o.routers[a] = true
 	}
 	prefixes, origins := rib.OriginAssignments()
 	for i, pr := range prefixes {
@@ -73,7 +79,7 @@ func (o *figure3Oracle) classify(f ipfix.Flow) (v Verdict) {
 		return v
 	}
 	v.SrcOrigin = o.routed[covering[len(covering)-1]]
-	v.RouterIP = o.p.routers != nil && o.p.routers.Contains(src)
+	v.RouterIP = o.routers[src]
 	// (3) The member's valid space under each approach.
 	if !known {
 		v.Class = ClassValid
@@ -112,8 +118,8 @@ func (o *figure3Oracle) classify(f ipfix.Flow) (v Verdict) {
 // TestPipelineMatchesOracle: the compiled pipeline must classify every flow
 // of the end-to-end scenario exactly as the plain Figure 3 sequence does.
 func TestPipelineMatchesOracle(t *testing.T) {
-	_, rib, p, flows, _ := buildEndToEndRIB(t)
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	s, rib, p, flows, _ := buildEndToEndRIB(t)
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
 	classes := map[Class]int{}
 	for i, f := range flows {
 		got, want := p.Classify(f), oracle.classify(f)

@@ -101,20 +101,15 @@ type MemberInfo struct {
 	Port uint32
 }
 
-// RouterSet is the minimal interface to a traceroute-derived router
-// address set.
-type RouterSet interface {
-	Contains(netx.Addr) bool
-}
-
 // Options tunes pipeline construction.
 type Options struct {
 	// Bogons overrides the bogon list (default: the reference set).
 	Bogons *bogon.Set
 	// Orgs lists multi-AS organisation groups to merge (may be nil).
 	Orgs [][]bgp.ASN
-	// Routers, when non-nil, tags router-sourced traffic.
-	Routers RouterSet
+	// Routers, when non-nil, tags router-sourced traffic: the traceroute-
+	// derived router interface addresses, built once by the caller.
+	Routers *netx.AddrSet
 	// PeerDegreeRatio tunes relationship inference (0 = default).
 	PeerDegreeRatio float64
 	// DisableOrgMerge computes the cones without organisation merging
@@ -128,12 +123,6 @@ type Options struct {
 	// import/export policies, looking glasses) into the graph before cone
 	// computation — the paper's future-work proactive enrichment.
 	ExtraLinks [][2]bgp.ASN
-	// BuildWorkers bounds the compilation worker pool: closure bitset
-	// propagation (level-parallel over the SCC condensation), the
-	// independent index stages, and the per-member table builds. <= 0 means
-	// GOMAXPROCS; explicit values clamp to GOMAXPROCS. 1 runs the original
-	// sequential build. The compiled pipeline is identical either way.
-	BuildWorkers int
 }
 
 // memberState is the compiled per-member validity data. The naive valid
@@ -184,11 +173,7 @@ type Pipeline struct {
 	full       *astopo.Closure
 	cc         *astopo.Closure
 	naive      *astopo.NaiveIndex
-	routers    RouterSet
-	// routersFlat is the router set rebuilt as an open-addressing scalar
-	// hash set when the attached RouterSet can enumerate itself — one or
-	// two cache lines per probe instead of a Go map walk.
-	routersFlat *netx.AddrSet
+	routers    *netx.AddrSet // Options.Routers; nil = no router tagging
 
 	originTab []originRef
 
@@ -212,7 +197,7 @@ type Pipeline struct {
 
 // NewPipeline compiles a classifier from a RIB and the member list. The
 // graph/closure/index stages and the origin-table re-key run on a worker
-// pool sized by opts.BuildWorkers (see build.go); RebuildPipeline is the
+// pool of GOMAXPROCS goroutines (see build.go); RebuildPipeline is the
 // incremental variant for epoch rebuilds against a previous pipeline.
 func NewPipeline(rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, error) {
 	p, _, err := compilePipeline(nil, rib, members, opts)
@@ -244,18 +229,6 @@ func (p *Pipeline) NaiveIndex() *astopo.NaiveIndex { return p.naive }
 
 // RoutedSpace returns the routed address space.
 func (p *Pipeline) RoutedSpace() netx.IntervalSet { return p.routedSpace }
-
-// SetRouters attaches (or replaces) the router address set. Sets that can
-// enumerate their addresses (traceroute.RouterSet can) are additionally
-// compiled into a flat hash set for the classify hot path; opaque sets are
-// consulted through the interface as before.
-func (p *Pipeline) SetRouters(rs RouterSet) {
-	p.routers = rs
-	p.routersFlat = nil
-	if lister, ok := rs.(interface{ Addrs() []netx.Addr }); ok {
-		p.routersFlat = netx.NewAddrSet(lister.Addrs())
-	}
-}
 
 // AllowSource whitelists an address range for one member — the §4.4
 // correction applied after WHOIS evidence confirms a missing relationship.
@@ -298,9 +271,7 @@ func (p *Pipeline) classify(src netx.Addr, ms *memberState, known bool) (v Verdi
 	// val is an originTab slot.
 	n := len(vals)
 	v.SrcOrigin = p.originTab[vals[n-1]].asn
-	if p.routersFlat != nil {
-		v.RouterIP = p.routersFlat.Contains(src)
-	} else if p.routers != nil {
+	if p.routers != nil {
 		v.RouterIP = p.routers.Contains(src)
 	}
 	if !known {

@@ -177,7 +177,7 @@ func TestAllowSourceWhitelists(t *testing.T) {
 }
 
 func TestRouterTagging(t *testing.T) {
-	routers := routerSetStub{netx.MustParseAddr("60.1.0.254"): true}
+	routers := netx.NewAddrSet([]netx.Addr{netx.MustParseAddr("60.1.0.254")})
 	p := testPipeline(t, Options{Routers: routers})
 	v := p.Classify(flowFrom("60.1.0.254", 3))
 	if !v.RouterIP {
@@ -187,10 +187,6 @@ func TestRouterTagging(t *testing.T) {
 		t.Fatal("non-router source tagged")
 	}
 }
-
-type routerSetStub map[netx.Addr]bool
-
-func (r routerSetStub) Contains(a netx.Addr) bool { return r[a] }
 
 func TestCoveringLessSpecificValidates(t *testing.T) {
 	// A PA sub-prefix: AS300 announces 50.1.128.0/24 (slice of AS100's

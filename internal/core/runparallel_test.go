@@ -87,9 +87,9 @@ func runParallel(t *testing.T, p *Pipeline, flows []ipfix.Flow, workers int, pat
 // must be byte-identical to the per-flow reference's over the same flows, for
 // Run and for any worker count.
 func TestRunParallelMatchesSequentialCheckpoint(t *testing.T) {
-	_, rib, p, flows, _ := buildEndToEndRIB(t)
+	s, rib, p, flows, _ := buildEndToEndRIB(t)
 	dir := t.TempDir()
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
 	ref := perFlowReference(t, oracle, flows, filepath.Join(dir, "seq.ckpt"))
 	for _, workers := range []int{0, 1, 2, 4, 7} {
 		got := runParallel(t, p, flows, workers, filepath.Join(dir, "par.ckpt"))
@@ -271,9 +271,9 @@ func TestRunParallelPeriodicCheckpoint(t *testing.T) {
 // parallel, and parallel to a narrower parallel — and the final checkpoint is
 // byte-identical to the per-flow reference's over the whole trace.
 func TestRunParallelKillResumeSwitchWorkers(t *testing.T) {
-	_, rib, p, flows, _ := buildEndToEndRIB(t)
+	s, rib, p, flows, _ := buildEndToEndRIB(t)
 	dir := t.TempDir()
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet())
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
 	ref := perFlowReference(t, oracle, flows, filepath.Join(dir, "ref.ckpt"))
 	cut := 2 * len(flows) / 5
 

@@ -15,6 +15,7 @@ import (
 	"spoofscope/internal/core"
 	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
 	"spoofscope/internal/spoofer"
 	"spoofscope/internal/traceroute"
@@ -96,7 +97,7 @@ func NewEnv(opts Options) (*Env, error) {
 	}
 	p, err := core.NewPipeline(rib, members, core.Options{
 		Orgs:    s.Orgs().MultiASGroups(),
-		Routers: routers,
+		Routers: netx.NewAddrSet(routers.Addrs()),
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"spoofscope/internal/core"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/stats"
 )
 
@@ -66,7 +67,7 @@ func Table1(env *Env) *Table1Result {
 	noOrg, err := core.NewPipeline(env.RIB, members, core.Options{
 		Orgs:            env.Scenario.Orgs().MultiASGroups(),
 		DisableOrgMerge: true,
-		Routers:         env.Routers,
+		Routers:         netx.NewAddrSet(env.Routers.Addrs()),
 	})
 	if err == nil {
 		var ccPkts, fullPkts uint64

@@ -135,12 +135,3 @@ func (fr *FileReader) CollectorStats() CollectorStats {
 		RecordsSkipped: fr.dec.RecordsSkipped,
 	}
 }
-
-// Stats exposes decoder statistics.
-//
-// Deprecated: use CollectorStats, which carries the same counters on the
-// struct shared with the live collectors.
-func (fr *FileReader) Stats() (messages, decoded, skipped int) {
-	st := fr.CollectorStats()
-	return st.Messages, st.RecordsDecoded, st.RecordsSkipped
-}

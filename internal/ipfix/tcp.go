@@ -10,8 +10,6 @@ import (
 	"runtime/pprof"
 	"sync"
 	"time"
-
-	"spoofscope/internal/obs"
 )
 
 // TCPExporter streams IPFIX messages over a TCP connection (RFC 7011 §10.4:
@@ -86,8 +84,7 @@ type CollectorStats struct {
 
 // TCPCollector accepts exporter connections and decodes their streams.
 type TCPCollector struct {
-	ln      net.Listener
-	journal *obs.Journal // set by Instrument; nil = silent
+	ln net.Listener
 	// IdleTimeout bounds per-message silence on a connection; a read that
 	// exceeds it tears down that connection (counted as a disconnect).
 	// Zero means no limit.
@@ -146,7 +143,7 @@ func (c *TCPCollector) AcceptOneBatch(fn func([]Flow) bool) (int, error) {
 
 // finishStream folds one connection's outcome — flow/malformed counts, the
 // per-connection decoder's counters, and the disconnect verdict — into the
-// collector's stats, and journals transport failures when instrumented.
+// collector's stats.
 func (c *TCPCollector) finishStream(conn net.Conn, dec *Decoder, n, malformed int, err error) {
 	c.mu.Lock()
 	delete(c.conns, conn)
@@ -155,15 +152,10 @@ func (c *TCPCollector) finishStream(conn net.Conn, dec *Decoder, n, malformed in
 	c.stats.Messages += dec.Messages
 	c.stats.RecordsDecoded += dec.RecordsDecoded
 	c.stats.RecordsSkipped += dec.RecordsSkipped
-	closed := c.closed
 	if err != nil {
 		c.stats.Disconnects++
 	}
 	c.mu.Unlock()
-	if err != nil && !closed {
-		c.journal.Recordf(obs.EventCollectorError,
-			"tcp connection from %s failed after %d flows: %v", conn.RemoteAddr(), n, err)
-	}
 }
 
 // ServeBatch accepts exporter connections until Close or Shutdown, handing

@@ -23,7 +23,6 @@ const (
 	EventBGPEstablish    = "bgp-establish"
 	EventBGPFlap         = "bgp-flap"
 	EventBGPGiveUp       = "bgp-giveup"
-	EventCollectorError  = "collector-error"
 
 	// Cluster-mode lifecycle: shard ownership and worker liveness.
 	EventShardAssign         = "shard-assign"
@@ -70,9 +69,8 @@ type Event struct {
 
 // Journal is a bounded in-memory ring of structured events: epoch swaps,
 // BGP flaps and reconnects, shedding watermark transitions, checkpoint
-// writes and failures, collector errors. When full, the oldest events are
-// overwritten (and counted), so a misbehaving feed cannot grow the journal
-// without bound. All methods are safe for concurrent use and safe on a nil
+// writes and failures. When full, the oldest events are overwritten (and
+// counted), so a misbehaving feed cannot grow the journal without bound. All methods are safe for concurrent use and safe on a nil
 // journal (no-ops), so instrumented code needs no telemetry guards.
 type Journal struct {
 	mu      sync.Mutex

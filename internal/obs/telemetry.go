@@ -21,8 +21,9 @@ type Health struct {
 
 // Telemetry bundles the three observability primitives a component is
 // wired with: the metric registry, the event journal, and a health source.
-// One Telemetry typically serves one process, shared by the runtime, its
-// BGP feed and its collectors, and exposed by one Server.
+// One Telemetry typically serves one process, shared by the runtime and its
+// BGP feed (or a cluster coordinator and its in-process workers), and
+// exposed by one Server.
 type Telemetry struct {
 	Metrics *Registry
 	Journal *Journal

@@ -78,7 +78,7 @@ type LiveRuntimeConfig struct {
 type LiveRuntime struct {
 	rt      *core.Runtime
 	members []Member
-	opts    ClassifierOptions
+	opts    core.Options // cfg.Options, lowered once for every rebuild
 	tel     *Telemetry
 }
 
@@ -100,7 +100,7 @@ func NewLiveRuntime(cfg LiveRuntimeConfig) (*LiveRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveRuntime{rt: rt, members: cfg.Members, opts: cfg.Options, tel: cfg.Telemetry}, nil
+	return &LiveRuntime{rt: rt, members: cfg.Members, opts: cfg.Options.coreOptions(), tel: cfg.Telemetry}, nil
 }
 
 // Telemetry returns the bundle the runtime was built with (nil if none).
@@ -222,7 +222,7 @@ func (lr *LiveRuntime) ServeBGP(cfg BGPFeedConfig) error {
 			// current pipeline and reuses the graph/closure/index layers an
 			// unchanged topology leaves valid, so steady-state replays
 			// promote in a fraction of a cold compile.
-			_, _, err := lr.rt.RebuildAndSwap(rib, lr.members, lr.opts.coreOptions())
+			_, _, err := lr.rt.RebuildAndSwap(rib, lr.members, lr.opts)
 			if err != nil {
 				rebuildErr = fmt.Errorf("spoofscope: rebuilding pipeline: %w", err)
 				return false

@@ -219,42 +219,40 @@ func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 	// Batch 0: healthy epoch 1.
 	batch(0, 300)
 
-	// Supervised feed: the flap marks the runtime degraded; one complete
-	// replay then promotes epoch 2 and clears the marker. The gap window
-	// is made deterministic by holding the snapshot back until batch 1 is
-	// classified.
+	// Supervised feed through ServeBGP: the flap marks the runtime degraded
+	// before the chained OnFlap below reports it, and one complete replay then
+	// promotes epoch 2 and clears the marker. The gap window is made
+	// deterministic by holding the second session's establishment — and so
+	// its replay and snapshot — until batch 1 is classified.
 	gapSeen := make(chan struct{})
 	holdSwap := make(chan struct{})
-	var flaps atomic.Int32
-	feed := bgp.NewFeed(bgp.FeedConfig{
-		Reconnector: bgp.ReconnectorConfig{
+	var flaps, establishes atomic.Int32
+	feedDone := make(chan error, 1)
+	go func() {
+		feedDone <- rt.ServeBGP(BGPFeedConfig{
 			Addr: ln.Addr().String(),
 			Session: bgp.SessionConfig{
 				LocalAS: 64999, LocalID: netx.MustParseAddr("198.51.100.2"),
 				HoldTime: 5 * time.Second,
 			},
-			InitialBackoff: 10 * time.Millisecond,
-			Seed:           13,
-		},
-		OnGap: func(error) {
-			rt.MarkDegraded()
-			if flaps.Add(1) == 1 {
-				close(gapSeen)
-			}
-		},
-		OnSnapshot: func(rib *bgp.RIB) bool {
-			<-holdSwap // keep the gap open until batch 1 is done
-			cls, err := NewClassifierFromRIB(rib, sim.Members(), ClassifierOptions{})
-			if err != nil {
-				t.Errorf("rebuild: %v", err)
-				return false
-			}
-			rt.SwapClassifier(cls)
-			return false // one rebuilt epoch is enough
-		},
-	})
-	feedDone := make(chan error, 1)
-	go func() { feedDone <- feed.Run() }()
+			Reconnect: bgp.ReconnectorConfig{
+				InitialBackoff: 10 * time.Millisecond,
+				Seed:           13,
+				OnEstablish: func(*bgp.Session) error {
+					if establishes.Add(1) == 2 {
+						<-holdSwap // keep the gap open until batch 1 is done
+					}
+					return nil
+				},
+				OnFlap: func(error) {
+					if flaps.Add(1) == 1 {
+						close(gapSeen)
+					}
+				},
+			},
+			MaxEpochs: 1, // one rebuilt epoch is enough
+		})
+	}()
 
 	// Batch 1: classified during the gap — old state, tagged Stale.
 	<-gapSeen

@@ -107,10 +107,6 @@ type ClassifierOptions struct {
 	RouterAddrs []Addr
 	// DisableOrgMerge computes cones without organisation merging.
 	DisableOrgMerge bool
-	// BuildWorkers bounds the compilation worker pool (closure propagation,
-	// index construction, per-member tables). <= 0 means GOMAXPROCS; 1 runs
-	// the sequential build. The compiled classifier is identical either way.
-	BuildWorkers int
 }
 
 // Classifier is the compiled passive spoofing detector.
@@ -137,29 +133,14 @@ func NewClassifierFromRIB(rib *bgp.RIB, members []Member, opts ClassifierOptions
 	return &Classifier{pipeline: p}, nil
 }
 
-// coreOptions lowers the facade options into the internal pipeline options.
+// coreOptions lowers the facade options into the internal pipeline options,
+// building the router set once.
 func (opts ClassifierOptions) coreOptions() core.Options {
-	var routers core.RouterSet
+	o := core.Options{Orgs: opts.Orgs, DisableOrgMerge: opts.DisableOrgMerge}
 	if len(opts.RouterAddrs) > 0 {
-		set := make(addrSet, len(opts.RouterAddrs))
-		for _, a := range opts.RouterAddrs {
-			set[a] = struct{}{}
-		}
-		routers = set
+		o.Routers = netx.NewAddrSet(opts.RouterAddrs)
 	}
-	return core.Options{
-		Orgs:            opts.Orgs,
-		Routers:         routers,
-		DisableOrgMerge: opts.DisableOrgMerge,
-		BuildWorkers:    opts.BuildWorkers,
-	}
-}
-
-type addrSet map[netx.Addr]struct{}
-
-func (s addrSet) Contains(a netx.Addr) bool {
-	_, ok := s[a]
-	return ok
+	return o
 }
 
 // Classify runs the Figure-3 pipeline on one flow. Safe for concurrent use.
@@ -235,8 +216,9 @@ const (
 )
 
 // Simulation bundles a synthetic IXP environment: topology, BGP view,
-// labeled traffic, and a compiled classifier. It powers the examples, the
-// benchmarks, and the experiment harness.
+// labeled traffic, and a compiled classifier: the experiment harness's
+// environment behind the public API, which the package's Example functions
+// run on.
 type Simulation struct {
 	env *experiments.Env
 }

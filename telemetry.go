@@ -3,8 +3,8 @@ package spoofscope
 // Telemetry facade: re-exports internal/obs in the package's public
 // vocabulary so deployments can scrape a live runtime without importing
 // internal packages. One Telemetry bundle serves a whole process — the
-// runtime, its BGP feed, and its collectors all register into the same
-// registry and journal.
+// runtime and its BGP feed both register into the same registry and
+// journal.
 
 import "spoofscope/internal/obs"
 
