@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp bench-module docs-check fuzz bench bench-smoke
+.PHONY: build test vet race verify loc closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-module docs-check fuzz bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,11 @@ race:
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # parallel-compilation equivalence property, the observability smoke, the
-# drain-engine stress run, the cluster chaos suite (with its observability
-# plane), every benchmark in the module run once, the identifier check over
-# the docs, and the nested benchmark module's own vet and tests.
-verify: vet test race closure-prop obs-smoke stress-drain cluster-chaos cluster-tcp bench-smoke docs-check bench-module
+# stress run (drain engine and shard book), the cluster chaos suite (with its
+# observability plane), every benchmark in the module run once, the
+# identifier check over the docs, and the nested benchmark module's own vet
+# and tests.
+verify: vet test race closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-smoke docs-check bench-module
 
 # bench-module vets and tests the repository benchmark where it lives:
 # benchmark/ is a nested module (its go.mod has only the replace, so no
@@ -91,23 +92,30 @@ closure-prop:
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -count=1 .
 
-# stress-drain repeats the drain engine's tests under the race detector:
-# where a batch lands — in place, or in a worker's private shard — depends on
-# who holds the aggregate lock at that instant, so one pass sees only a few
-# of the interleavings; twenty see enough that a fold or quiescence bug which
-# needs a particular one does not get through.
-stress-drain:
+# stress repeats the tests whose outcome depends on an interleaving under the
+# race detector, twenty times. The drain engine's: where a batch lands — in
+# place, or in a worker's private shard — depends on who holds the aggregate
+# lock at that instant, so one pass sees only a few of the interleavings;
+# twenty see enough that a fold or quiescence bug which needs a particular one
+# does not get through. The shard book's: its own tests and fuzz seeds, and
+# the cluster scenarios that fire a stall or partition at a chosen point of
+# the feed by moving the coordinator's virtual clock, where the workers'
+# goroutines still race the coordinator's.
+stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
+	$(GO) test -race -count=20 -run 'Book|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
-# mid-run (internal/cluster chaos suite) plus the end-to-end acceptance run
-# over the simulated IXP — every scenario must produce a merged checkpoint
-# byte-identical to the fault-free single-process run. Raced, because the
-# whole layer is concurrent by construction. It carries the observability
-# plane too: two TCP worker daemons whose own /metrics sum to the merged
-# tallies and whose /cluster rows match the shard ledger, and a kill+partition
-# run whose concurrently read fleet status never moves a cursor backwards and
-# whose handoff spans all terminate. The cluster-tcp prerequisite reruns the
+# mid-feed (internal/cluster chaos suite — the stall and the partition fire
+# where the test moves the coordinator's virtual clock past the liveness
+# deadline) plus the end-to-end acceptance run over the simulated IXP —
+# every scenario must produce a merged checkpoint byte-identical to the
+# fault-free single-process run. Raced, because the shell around the shard
+# book is concurrent by construction. It carries the observability plane too:
+# two TCP worker daemons whose own /metrics sum to the merged tallies and
+# whose /cluster rows match the shard ledger, and a kill+partition run whose
+# concurrently read fleet status never moves a cursor backwards and whose
+# handoff spans all terminate. The cluster-tcp prerequisite reruns the
 # discipline over real loopback TCP.
 cluster-chaos: cluster-tcp
 	$(GO) test -race -timeout 120s -run 'TestClusterSurvives|TestClusterRepeatedKillsConverge|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
@@ -115,10 +123,11 @@ cluster-chaos: cluster-tcp
 
 # cluster-tcp is the deployment-transport gate: the chaos and failover
 # scenarios again, but over real loopback TCP with authenticated hellos —
-# a stalled link, an injected accept failure, a SIGKILL-equivalent
-# coordinator death resumed from the shard ledger, and a warm-standby
-# takeover. Byte-identity against the fault-free single-process run is the
-# bar in every scenario.
+# a link silenced mid-feed and declared dead on the virtual clock, an
+# injected accept failure on its redial, a SIGKILL-equivalent coordinator
+# death resumed from the shard ledger, and a warm-standby takeover.
+# Byte-identity against the fault-free single-process run is the bar in
+# every scenario.
 cluster-tcp:
 	$(GO) test -race -timeout 120s -run 'TestClusterTCPChaos|TestStandbyTakeover|TestClusterSurvivesCoordinatorKill' -count=1 ./internal/cluster
 
@@ -156,3 +165,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeLedger -fuzztime=20s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzShardBook -fuzztime=20s ./internal/cluster

@@ -18,7 +18,7 @@
 //
 // The worker's identity is stable across restarts: -identity-file is read
 // if present, otherwise a fresh identity is generated and persisted there
-// (write-temp+rename). A restarted daemon presenting the same identity
+// (write-temp+sync+rename). A restarted daemon presenting the same identity
 // reclaims exactly the shards it held, instead of joining as a stranger.
 // Without -identity-file the name is the identity — fine as long as names
 // are unique and fixed per machine.
@@ -167,8 +167,9 @@ func main() {
 
 // loadIdentity returns the stable worker identity: the contents of path if
 // it exists, otherwise a freshly generated "<name>-<8 hex bytes>" persisted
-// to path via write-temp+rename. With no path, the name itself is the
-// identity.
+// to path via core.WriteFileAtomic, synced before the rename so a crash
+// cannot leave an empty file the next start refuses. With no path, the name
+// itself is the identity.
 func loadIdentity(path, name string) (string, error) {
 	if path == "" {
 		return name, nil
@@ -187,12 +188,11 @@ func loadIdentity(path, name string) (string, error) {
 		return "", err
 	}
 	id := name + "-" + hex.EncodeToString(suffix)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(id+"\n"), 0o600); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	err := core.WriteFileAtomic(path, 0o600, func(w io.Writer) error {
+		_, err := io.WriteString(w, id+"\n")
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
 	return id, nil

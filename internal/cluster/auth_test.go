@@ -15,25 +15,21 @@ import (
 // rejected, counted, and journaled — and must never disturb an
 // authenticated link.
 
-// authTestCoordinator builds a coordinator with a secret and a short hello
-// timeout, suitable for handshake probing.
+// authTestCoordinator builds a coordinator with a secret on a virtual
+// clock, suitable for handshake probing: no tick runs unless the test
+// advances the clock.
 func authTestCoordinator(t *testing.T, secret []byte) (*Coordinator, *obs.Telemetry) {
 	t.Helper()
 	tel := obs.NewTelemetry()
-	coord, err := NewCoordinator(Config{
+	coord, _ := newVirtualCoordinator(t, Config{
 		Shards:            2,
 		Members:           testMembers,
 		Start:             tcStart,
 		Bucket:            time.Hour,
 		HeartbeatInterval: 20 * time.Millisecond,
 		Secret:            secret,
-		HelloTimeout:      100 * time.Millisecond,
 		Telemetry:         tel,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
 	return coord, tel
 }
 
@@ -177,35 +173,33 @@ func TestAuthRejectsZombieIdentity(t *testing.T) {
 }
 
 // TestAuthDropsSilentConnection: a connection that never says hello is
-// dropped at the hello timeout, freeing its conn slot.
+// dropped by the liveness rule — silent for interval × misses — freeing its
+// conn slot, and not a tick sooner.
 func TestAuthDropsSilentConnection(t *testing.T) {
 	coord, _ := authTestCoordinator(t, nil)
+	clk := coord.clock.(*vclock)
 	conn, _ := openConn(t, coord)
+	clk.advance(2 * coord.cfg.interval())
+	if st := coord.Stats(); st.Conns != 1 || st.AuthFailures != 0 {
+		t.Fatalf("silent connection dropped before its deadline: %+v", st)
+	}
+	clk.advance(coord.cfg.interval())
 	expectDropped(t, conn)
 	waitStats(t, coord, "silent-connection drop", func(st Stats) bool {
 		return st.AuthFailures == 1 && st.Conns == 0
 	})
 }
 
-// TestConnCapRejectsExcess: connections beyond MaxConns are closed on the
-// spot and counted, before any handshake work is spent on them.
+// TestConnCapRejectsExcess: connections beyond the cap are closed on the
+// spot and counted, before any handshake work is spent on them. The clock
+// stands still, so no silent connection is dropped to make room.
 func TestConnCapRejectsExcess(t *testing.T) {
-	tel := obs.NewTelemetry()
-	coord, err := NewCoordinator(Config{
-		Shards:            2,
-		Start:             tcStart,
-		Bucket:            time.Hour,
-		HeartbeatInterval: 20 * time.Millisecond,
-		MaxConns:          1,
-		Telemetry:         tel,
-	})
-	if err != nil {
-		t.Fatal(err)
+	coord, tel := authTestCoordinator(t, nil)
+	for range maxConns {
+		coordSide, clientSide := net.Pipe()
+		t.Cleanup(func() { clientSide.Close() })
+		coord.AddConn(coordSide)
 	}
-	t.Cleanup(coord.Close)
-
-	first, _ := openConn(t, coord)
-	defer first.Close()
 	coordSide, clientSide := net.Pipe()
 	coord.AddConn(coordSide)
 	expectDropped(t, clientSide)

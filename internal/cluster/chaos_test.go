@@ -5,9 +5,6 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"spoofscope/internal/faultnet"
 )
 
 // The chaos suite's contract: whatever is done to the workers mid-run —
@@ -26,6 +23,9 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	tc.startWorker(1)
 	tc.startWorker(2)
 	tc.distribute(testRIB())
+	// The victim must own shards when it dies; a late joiner's arrive by
+	// graceful moves after its join.
+	awaitOwners(t, tc.coord, "w0", "w1", "w2")
 	for _, f := range flows[:900] {
 		tc.coord.Ingest(f)
 	}
@@ -47,84 +47,81 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestClusterSurvivesWorkerStall stalls one worker's link mid-run: from
-// the Nth read on, its connection goes silent without closing — the
-// failure mode heartbeat deadlines exist for. The coordinator must declare
-// it dead and hand its shards off; the stalled worker's session dies on
-// its own read deadline and redials a healthy link.
+// TestClusterSurvivesWorkerStall stalls one worker's link mid-feed: its
+// connection goes silent both ways without closing — the failure mode the
+// liveness deadline exists for. The coordinator's clock then moves on until
+// it declares the silent link dead and hands its shards off; closing the
+// link fails the stalled worker's session, and it redials a healthy one.
 func TestClusterSurvivesWorkerStall(t *testing.T) {
 	flows := testFlows(1600)
 	want := singleProcessCheckpoint(t, flows)
 
-	tc := newTestCluster(t, 4)
-	// Worker 1's first link stalls both directions after a few dozen
-	// frames; every later dial (and every other worker) is clean.
-	stalled := false
+	tc := newVirtualCluster(t, 4)
+	// Worker 1's first link can be silenced; every later dial (and every
+	// other worker) is clean.
+	cuts := make(chan *cut, 1)
 	tc.wrapDial = func(worker int, coordSide, workerSide net.Conn) (net.Conn, net.Conn) {
-		if worker != 1 || stalled {
+		if worker != 1 || len(cuts) > 0 {
 			return coordSide, workerSide
 		}
-		stalled = true
-		return faultnet.Wrap(coordSide, faultnet.Config{Seed: 3, StallAfterReads: 40}),
-			faultnet.Wrap(workerSide, faultnet.Config{Seed: 4, StallAfterReads: 40})
+		c := newCut()
+		cuts <- c
+		return c.wrap(coordSide), c.wrap(workerSide)
 	}
 	tc.startWorker(0)
 	tc.startWorker(1)
 	tc.distribute(testRIB())
-	for i, f := range flows {
+	awaitOwners(t, tc.coord, "w0", "w1")
+	for _, f := range flows[:800] {
 		tc.coord.Ingest(f)
-		if i%400 == 399 {
-			// Pace the feed across heartbeat intervals so the stall
-			// happens mid-run, not after everything already landed.
-			time.Sleep(25 * time.Millisecond)
-		}
+	}
+	(<-cuts).stall()
+	tc.elapse("stalled link declared dead", func() bool { return tc.coord.Stats().Handoffs > 0 }, "w0")
+	for _, f := range flows[800:] {
+		tc.coord.Ingest(f)
 	}
 	got := tc.checkpointBytes()
 	if !bytes.Equal(got, want) {
 		t.Fatal("checkpoint diverged across a stalled worker")
 	}
 	tc.assertCursorInvariant(len(flows))
-	if st := tc.coord.Stats(); st.Handoffs == 0 {
-		t.Fatalf("stall produced no handoffs: %+v", st)
-	}
 }
 
 // TestClusterSurvivesPartition partitions the only worker from the
-// coordinator mid-run (link silent both ways), so the cluster is fully
-// orphaned and degraded — then the worker's redial heals it. No flow may
-// be lost to the partition window.
+// coordinator mid-feed (link silent both ways), so once the deadline passes
+// the cluster is fully orphaned and degraded, buffering what it routes —
+// then the worker's redial heals it. No flow may be lost to the partition
+// window.
 func TestClusterSurvivesPartition(t *testing.T) {
 	flows := testFlows(1200)
 	want := singleProcessCheckpoint(t, flows)
 
-	tc := newTestCluster(t, 3)
-	partitioned := false
+	tc := newVirtualCluster(t, 3)
+	cuts := make(chan *cut, 1)
 	tc.wrapDial = func(worker int, coordSide, workerSide net.Conn) (net.Conn, net.Conn) {
-		if partitioned {
+		if len(cuts) > 0 {
 			return coordSide, workerSide
 		}
-		partitioned = true
-		return faultnet.Wrap(coordSide, faultnet.Config{Seed: 5, StallAfterReads: 60}),
-			faultnet.Wrap(workerSide, faultnet.Config{Seed: 6, StallAfterReads: 60})
+		c := newCut()
+		cuts <- c
+		return c.wrap(coordSide), c.wrap(workerSide)
 	}
 	tc.startWorker(0)
 	tc.distribute(testRIB())
-	for i, f := range flows {
+	for _, f := range flows[:600] {
 		tc.coord.Ingest(f)
-		if i%300 == 299 {
-			time.Sleep(30 * time.Millisecond)
-		}
+	}
+	(<-cuts).stall()
+	tc.elapse("partitioned link declared dead", func() bool { return tc.coord.Stats().Handoffs > 0 })
+	for _, f := range flows[600:] {
+		tc.coord.Ingest(f)
 	}
 	got := tc.checkpointBytes()
 	if !bytes.Equal(got, want) {
 		t.Fatal("checkpoint diverged across a partition")
 	}
 	tc.assertCursorInvariant(len(flows))
-	st := tc.coord.Stats()
-	if st.Handoffs == 0 {
-		t.Fatalf("partition produced no handoffs: %+v", st)
-	}
-	if st.Workers != 1 {
+	if st := tc.coord.Stats(); st.Workers != 1 {
 		t.Fatalf("workers = %d after heal, want 1", st.Workers)
 	}
 }
@@ -187,6 +184,7 @@ func TestClusterRepeatedKillsConverge(t *testing.T) {
 	tc.startWorker(1)
 	tc.startWorker(2)
 	tc.distribute(testRIB())
+	awaitOwners(t, tc.coord, "w0", "w1", "w2")
 	for _, f := range flows[:800] {
 		tc.coord.Ingest(f)
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,6 +150,179 @@ func await(t testing.TB, what string, cond func() bool) {
 	}
 }
 
+// vclock is the cluster tests' clock: time stands still until the test moves
+// it, and a move fires — synchronously and in order — every coordinator tick
+// it crosses. A fault therefore lands where the test puts it, not where a
+// pacing sleep happened to.
+type vclock struct {
+	mu      sync.Mutex
+	t, next time.Time
+	d       time.Duration
+	fn      func(time.Time)
+}
+
+func (c *vclock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *vclock) every(d time.Duration, _ <-chan struct{}, fn func(time.Time)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.d, c.fn, c.next = d, fn, c.t.Add(d)
+}
+
+// advance moves time on by d.
+func (c *vclock) advance(d time.Duration) {
+	c.mu.Lock()
+	end := c.t.Add(d)
+	for c.fn != nil && !c.next.After(end) {
+		c.t, c.next = c.next, c.next.Add(c.d)
+		fn, now := c.fn, c.t
+		c.mu.Unlock()
+		fn(now)
+		c.mu.Lock()
+	}
+	c.t = end
+	c.mu.Unlock()
+}
+
+// run keeps time moving at the wall clock's pace until the returned stop is
+// called — how a test lets a run converge once its faults have fired.
+func (c *vclock) run() (stop func()) {
+	c.mu.Lock()
+	d := c.d
+	c.mu.Unlock()
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				c.advance(d)
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() { close(done); <-exited }
+}
+
+// newVirtualCoordinator builds a coordinator on a virtual clock starting at
+// tcStart; cleanup closes it.
+func newVirtualCoordinator(t testing.TB, cfg Config) (*Coordinator, *vclock) {
+	t.Helper()
+	clk := &vclock{t: tcStart}
+	c, err := newCoordinator(cfg, nil, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, clk
+}
+
+// elapse moves a virtual coordinator's clock on one heartbeat interval at a
+// time until cond holds. Before each step it waits until every worker named
+// in live has been heard at the current time, so the step's tick finds those
+// links live and only the silent ones dead.
+func elapse(t testing.TB, c *Coordinator, clk *vclock, what string, cond func() bool, live ...string) {
+	t.Helper()
+	for step := 0; !cond(); step++ {
+		if step > 10*int(c.book.deadline/c.cfg.interval()) {
+			t.Fatalf("%s: still not so after %d heartbeat intervals", what, step)
+		}
+		now := clk.now()
+		await(t, "live workers heard", func() bool {
+			heard := 0
+			for _, w := range c.FleetStatus().Workers {
+				if slices.Contains(live, w.Identity) && !w.LastSeen.Before(now) {
+					heard++
+				}
+			}
+			return heard == len(live)
+		})
+		clk.advance(c.cfg.interval())
+	}
+}
+
+// awaitOwners waits until every named worker owns at least one shard — a
+// late joiner's shards arrive by graceful moves, after its join.
+func awaitOwners(t testing.TB, c *Coordinator, names ...string) {
+	t.Helper()
+	await(t, "every worker owns a shard", func() bool {
+		owners := 0
+		for _, w := range c.FleetStatus().Workers {
+			if slices.Contains(names, w.Identity) && w.Shards > 0 {
+				owners++
+			}
+		}
+		return owners == len(names)
+	})
+}
+
+// cut is a link that goes silent on demand: once stalled, reads on either of
+// its ends block — a peer that stops talking without closing — until either
+// end is closed, which fails both.
+type cut struct {
+	stalled, closed      chan struct{}
+	stallOnce, closeOnce sync.Once
+}
+
+func newCut() *cut { return &cut{stalled: make(chan struct{}), closed: make(chan struct{})} }
+
+func (c *cut) stall() { c.stallOnce.Do(func() { close(c.stalled) }) }
+
+func (c *cut) wrap(conn net.Conn) net.Conn { return &cutConn{Conn: conn, cut: c} }
+
+type cutConn struct {
+	net.Conn
+	cut *cut
+}
+
+func (c *cutConn) Read(b []byte) (int, error) {
+	select {
+	case <-c.cut.stalled:
+		<-c.cut.closed
+		return 0, net.ErrClosed
+	default:
+		return c.Conn.Read(b)
+	}
+}
+
+func (c *cutConn) Close() error {
+	c.cut.closeOnce.Do(func() { close(c.cut.closed) })
+	return c.Conn.Close()
+}
+
+// cutListener wraps every connection it accepts in a cut of its own and hands
+// the cuts out in accept order.
+type cutListener struct {
+	net.Listener
+	cuts chan *cut
+}
+
+func newCutListener(ln net.Listener) *cutListener {
+	// Room for every accept a test makes, redials included, so Accept never
+	// waits on a test that reads only the first few cuts.
+	return &cutListener{Listener: ln, cuts: make(chan *cut, 64)}
+}
+
+func (l *cutListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := newCut()
+	select {
+	case l.cuts <- c:
+	default:
+	}
+	return c.wrap(conn), nil
+}
+
 // testCluster wires an in-process coordinator and workers over net.Pipe.
 // wrapDial, when non-nil, intercepts each new connection pair (worker
 // index, coordinator side, worker side) and returns the conns actually
@@ -161,6 +335,10 @@ type testCluster struct {
 	// tuneWorker, when non-nil, sees each worker before it runs — where a
 	// test installs hooks.
 	tuneWorker func(*Worker)
+
+	// clk is the coordinator's virtual clock (newVirtualCluster), nil on the
+	// wall clock.
+	clk *vclock
 
 	mu      sync.Mutex
 	coord   *Coordinator // replaced by restartCoordinator; read under mu
@@ -185,35 +363,51 @@ func newTestCluster(t *testing.T, shards int) *testCluster {
 // a ledger path, a secret, compression) before construction.
 func newTestClusterWith(t *testing.T, shards int, mod func(*Config)) *testCluster {
 	t.Helper()
-	tel := obs.NewTelemetry()
-	cfg := Config{
-		Shards:            shards,
-		Members:           testMembers,
-		Start:             tcStart,
-		Bucket:            time.Hour,
-		HeartbeatInterval: 20 * time.Millisecond,
-		Telemetry:         tel,
-	}
+	tc := newTestClusterOf(t, shards)
 	if mod != nil {
-		mod(&cfg)
+		mod(&tc.cfg)
 	}
-	coord, err := NewCoordinator(cfg)
+	coord, err := NewCoordinator(tc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testCluster{
-		t: t, coord: coord, tel: tel, cfg: cfg,
+	tc.coord = coord
+	t.Cleanup(func() { tc.coordinator().Close() })
+	return tc
+}
+
+// newVirtualCluster is a test cluster whose coordinator runs on a virtual
+// clock: nothing ticks until the test calls elapse, and checkpointBytes lets
+// time run while it waits.
+func newVirtualCluster(t *testing.T, shards int) *testCluster {
+	t.Helper()
+	tc := newTestClusterOf(t, shards)
+	tc.coord, tc.clk = newVirtualCoordinator(t, tc.cfg)
+	return tc
+}
+
+func newTestClusterOf(t *testing.T, shards int) *testCluster {
+	tel := obs.NewTelemetry()
+	return &testCluster{
+		t: t, tel: tel,
+		cfg: Config{
+			Shards:            shards,
+			Members:           testMembers,
+			Start:             tcStart,
+			Bucket:            time.Hour,
+			HeartbeatInterval: 20 * time.Millisecond,
+			Telemetry:         tel,
+		},
 		cancels: make(map[int]context.CancelFunc),
 		runDone: make(map[int]chan struct{}),
 		conns:   make(map[int]net.Conn),
 	}
-	t.Cleanup(func() {
-		tc.mu.Lock()
-		coord := tc.coord
-		tc.mu.Unlock()
-		coord.Close()
-	})
-	return tc
+}
+
+// elapse moves the virtual cluster's clock until cond holds (see elapse).
+func (tc *testCluster) elapse(what string, cond func() bool, live ...string) {
+	tc.t.Helper()
+	elapse(tc.t, tc.coordinator(), tc.clk, what, cond, live...)
 }
 
 // killCoordinator simulates coordinator process death: the coordinator is
@@ -256,10 +450,18 @@ func (tc *testCluster) startWorker(i int) {
 		coord.AddConn(coordSide)
 		return workerSide, nil
 	}
+	misses := 0
+	if tc.clk != nil {
+		// A virtual coordinator's heartbeats stop while its clock stands
+		// still; a wide budget keeps that from reading as a dead coordinator
+		// on the worker's side.
+		misses = 1000
+	}
 	w, err := NewWorker(WorkerConfig{
 		Name:              "w" + string(rune('0'+i)),
 		Dial:              dial,
 		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatMisses:   misses,
 		InitialBackoff:    5 * time.Millisecond,
 		MaxBackoff:        50 * time.Millisecond,
 		Seed:              int64(i),
@@ -338,15 +540,26 @@ func (tc *testCluster) distribute(rib *bgp.RIB) uint64 {
 
 func (tc *testCluster) checkpointBytes() []byte {
 	tc.t.Helper()
+	return checkpointBytes(tc.t, tc.coordinator(), tc.clk)
+}
+
+// checkpointBytes takes a coordinator's merged checkpoint and encodes it. On
+// a virtual clock (clk non-nil) time runs meanwhile: the faults have fired,
+// and the run converges the way it would in production.
+func checkpointBytes(t testing.TB, c *Coordinator, clk *vclock) []byte {
+	t.Helper()
+	if clk != nil {
+		defer clk.run()()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cp, err := tc.coordinator().Checkpoint(ctx)
+	cp, err := c.Checkpoint(ctx)
 	if err != nil {
-		tc.t.Fatalf("cluster checkpoint: %v", err)
+		t.Fatalf("cluster checkpoint: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := core.EncodeCheckpoint(&buf, cp); err != nil {
-		tc.t.Fatal(err)
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -431,8 +644,7 @@ type sinkConn struct {
 	last   []byte
 }
 
-func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
-func (c *sinkConn) Close() error                     { return nil }
+func (c *sinkConn) Close() error { return nil }
 func (c *sinkConn) Write(b []byte) (int, error) {
 	c.writes.Add(1)
 	c.last = append(c.last[:0], b...)
@@ -440,38 +652,30 @@ func (c *sinkConn) Write(b []byte) (int, error) {
 }
 
 // TestFlowFrameIsOneWriteAndNoAllocation pins the coordinator's per-frame
-// cost on the flow plane: flushToOwnerLocked builds each frame behind a
+// cost on the flow plane: the book's flushToOwner builds each frame behind a
 // reserved length prefix in a buffer the link's writer handed back, so a
 // frame is exactly one Write and, once the buffers exist, no allocation —
 // and still reads back as the batch that went in.
 func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		c, err := NewCoordinator(Config{
+		c, _ := newVirtualCoordinator(t, Config{
 			Shards: 1, Members: testMembers, Start: tcStart, Bucket: time.Hour,
-			FlowBatch: 512, Compress: compress, HeartbeatInterval: time.Hour,
+			FlowBatch: 512, Compress: compress,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sink := &sinkConn{}
-		l := &link{
-			conn: sink, released: true,
-			out:  make(chan []byte, outboundDepth),
-			ctrl: make(chan []byte, outboundDepth),
-			free: make(chan []byte, freeFrames),
-			dead: make(chan struct{}),
-		}
+		l := newLink(sink)
+		l.peer = &peer{out: l, joined: true}
 		go c.writeLoop(l)
-		s, flows := c.shards[0], testFlows(512)
+		s, flows := &c.book.shards[0], testFlows(512)
 		var base uint64
 		send := func() {
 			c.mu.Lock()
 			base = s.cursor
 			s.replay = append(s.replay[:0], flows...)
-			s.owner, s.ackBase, s.sentCursor = l, base, base
+			s.owner, s.ackBase, s.sentCursor = l.peer, base, base
 			s.cursor += uint64(len(flows))
 			frames := l.written.Load() + 1
-			c.flushToOwnerLocked(s)
+			c.book.flushToOwner(s)
 			c.mu.Unlock()
 			for l.written.Load() != frames {
 				runtime.Gosched()
@@ -496,8 +700,7 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 		if m.shard != 0 || m.base != base || len(m.flows) != len(flows) || m.flows[511] != flows[511] {
 			t.Fatalf("compress=%v: frame decodes to shard %d base %d, %d flows", compress, m.shard, m.base, len(m.flows))
 		}
-		c.killLink(l, "test over")
-		c.Close()
+		l.close()
 	}
 }
 

@@ -6,50 +6,29 @@ import (
 	"os"
 
 	"spoofscope/internal/bgp"
+	"spoofscope/internal/core"
 	"spoofscope/internal/ipfix"
 )
 
-// The shard ledger is the coordinator's durable state: everything a
-// restarted (or standby) coordinator needs to resume a run exactly where
-// the dead one left off. Per shard it persists the cursor (flows routed),
-// the ackBase (flows durably reported), the identity of the last owner
-// (so a redialing worker reclaims its shards), the last durable worker
-// checkpoint, and the replay tail [ackBase, cursor). Cluster-wide it
-// persists the epoch sequence, the RIB fingerprint, the latest full epoch
-// frame (so a resumed coordinator re-admits workers without re-reading
-// the RIB), and the total flows routed — the feed position an upstream
-// replayer resumes from.
+// The shard ledger is the book's durable half: everything a restarted (or
+// standby) coordinator needs to resume a run exactly where the dead one left
+// off. Per shard it persists the cursor (flows routed), the ackBase (flows
+// durably reported), the identity of the last owner (so a redialing worker
+// reclaims its shards), the last durable worker checkpoint, and the replay
+// tail [ackBase, cursor). Cluster-wide it persists the time base, the epoch
+// sequence, the RIB fingerprint, the latest full epoch frame (so a resumed
+// coordinator re-admits workers without re-reading the RIB), and the total
+// flows routed — the feed position an upstream replayer resumes from.
 //
 // The codec follows the checkpoint discipline: fixed-width big-endian
 // scalars, a version byte behind a magic, latched-error decoding with
-// preflight size checks, and write-temp+rename persistence so a crash
-// mid-write leaves either the previous ledger or the new one, never a
-// torn file.
+// preflight size checks, and core.WriteFileAtomic persistence so a crash
+// mid-write leaves either the previous ledger or the new one, never a torn
+// file. testdata/v1.ledger pins the version-1 bytes.
 
 // ledgerMagic identifies a shard-ledger file; the trailing byte is the
 // format version.
 var ledgerMagic = []byte{'S', 'P', 'S', 'C', 'L', 'G', 1}
-
-// ledgerShard is one shard's durable state.
-type ledgerShard struct {
-	cursor     uint64
-	ackBase    uint64
-	lastOwner  string
-	lastReport []byte
-	replay     []ipfix.Flow
-}
-
-// ledger is the decoded durable coordinator state.
-type ledger struct {
-	startNanos  int64
-	bucket      int64
-	epochSeq    uint64
-	haveFP      bool
-	lastFP      bgp.Fingerprint
-	epochFull   []byte
-	flowsRouted uint64
-	shards      []ledgerShard
-}
 
 func appendDigest(b []byte, d bgp.Digest) []byte {
 	b = appendU64(b, d.Sum)
@@ -61,30 +40,31 @@ func (r *reader) digest() bgp.Digest {
 	return bgp.Digest{Sum: r.u64(), Xor: r.u64(), Count: r.u64()}
 }
 
-func encodeLedger(lg *ledger) []byte {
-	n := len(ledgerMagic) + 8*8 + len(lg.epochFull)
-	for i := range lg.shards {
-		s := &lg.shards[i]
+// encodeLedger encodes the book's durable state.
+func encodeLedger(bk *book) []byte {
+	n := len(ledgerMagic) + 8*8 + len(bk.epochFull)
+	for i := range bk.shards {
+		s := &bk.shards[i]
 		n += 8 + 8 + 4 + len(s.lastOwner) + 4 + len(s.lastReport) + 4 + len(s.replay)*flowWireLen
 	}
 	b := make([]byte, 0, n)
 	b = append(b, ledgerMagic...)
-	b = appendU64(b, uint64(lg.startNanos))
-	b = appendU64(b, uint64(lg.bucket))
-	b = appendU64(b, lg.epochSeq)
-	if lg.haveFP {
+	b = appendU64(b, uint64(bk.startNanos))
+	b = appendU64(b, uint64(bk.bucket))
+	b = appendU64(b, bk.epochSeq)
+	if bk.haveFP {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = appendDigest(b, lg.lastFP.Paths)
-	b = appendDigest(b, lg.lastFP.Anns)
-	b = appendU32(b, uint32(len(lg.epochFull)))
-	b = append(b, lg.epochFull...)
-	b = appendU64(b, lg.flowsRouted)
-	b = appendU32(b, uint32(len(lg.shards)))
-	for i := range lg.shards {
-		s := &lg.shards[i]
+	b = appendDigest(b, bk.lastFP.Paths)
+	b = appendDigest(b, bk.lastFP.Anns)
+	b = appendU32(b, uint32(len(bk.epochFull)))
+	b = append(b, bk.epochFull...)
+	b = appendU64(b, bk.flowsRouted)
+	b = appendU32(b, uint32(len(bk.shards)))
+	for i := range bk.shards {
+		s := &bk.shards[i]
 		b = appendU64(b, s.cursor)
 		b = appendU64(b, s.ackBase)
 		b = appendU32(b, uint32(len(s.lastOwner)))
@@ -99,7 +79,9 @@ func encodeLedger(lg *ledger) []byte {
 	return b
 }
 
-func decodeLedger(body []byte) (*ledger, error) {
+// decodeLedger decodes a ledger into a book holding its durable state, every
+// shard orphaned at its durable position; newBook configures it.
+func decodeLedger(body []byte) (*book, error) {
 	if len(body) < len(ledgerMagic) || string(body[:len(ledgerMagic)-1]) != string(ledgerMagic[:len(ledgerMagic)-1]) {
 		return nil, fmt.Errorf("cluster: not a shard ledger")
 	}
@@ -107,28 +89,29 @@ func decodeLedger(body []byte) (*ledger, error) {
 		return nil, fmt.Errorf("cluster: unsupported ledger version %d", body[len(ledgerMagic)-1])
 	}
 	r := &reader{b: body[len(ledgerMagic):]}
-	lg := &ledger{}
-	lg.startNanos = int64(r.u64())
-	lg.bucket = int64(r.u64())
-	lg.epochSeq = r.u64()
-	lg.haveFP = r.u8() == 1
-	lg.lastFP.Paths = r.digest()
-	lg.lastFP.Anns = r.digest()
-	lg.epochFull = append([]byte(nil), r.bytes()...)
-	if len(lg.epochFull) == 0 {
-		lg.epochFull = nil
+	bk := &book{}
+	bk.startNanos = int64(r.u64())
+	bk.bucket = int64(r.u64())
+	bk.epochSeq = r.u64()
+	bk.haveFP = r.u8() == 1
+	bk.lastFP.Paths = r.digest()
+	bk.lastFP.Anns = r.digest()
+	bk.epochFull = append([]byte(nil), r.bytes()...)
+	if len(bk.epochFull) == 0 {
+		bk.epochFull = nil
 	}
-	lg.flowsRouted = r.u64()
+	bk.flowsRouted = r.u64()
 	ns := int(r.u32())
 	if r.err == nil && ns*(8+8+4+4+4) > len(r.b) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	var total uint64
-	lg.shards = make([]ledgerShard, 0, ns)
+	bk.shards = make([]shard, 0, ns)
 	for i := 0; i < ns && r.err == nil; i++ {
-		var s ledgerShard
+		s := shard{id: uint32(i)}
 		s.cursor = r.u64()
 		s.ackBase = r.u64()
+		s.sentCursor = s.ackBase
 		s.lastOwner = string(r.bytes())
 		s.lastReport = append([]byte(nil), r.bytes()...)
 		if len(s.lastReport) == 0 {
@@ -147,44 +130,27 @@ func decodeLedger(body []byte) (*ledger, error) {
 			s.replay = append(s.replay, r.flow())
 		}
 		total += s.cursor
-		lg.shards = append(lg.shards, s)
+		bk.shards = append(bk.shards, s)
 	}
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("cluster: decoding ledger: %w", err)
 	}
-	if total != lg.flowsRouted {
-		return nil, fmt.Errorf("cluster: ledger cursors sum to %d, flowsRouted %d", total, lg.flowsRouted)
+	if total != bk.flowsRouted {
+		return nil, fmt.Errorf("cluster: ledger cursors sum to %d, flowsRouted %d", total, bk.flowsRouted)
 	}
-	return lg, nil
+	return bk, nil
 }
 
-// writeLedgerFile atomically persists encoded ledger bytes: temp sibling,
-// sync, rename — the same pattern as core.WriteCheckpointFile.
+// writeLedgerFile atomically persists encoded ledger bytes.
 func writeLedgerFile(path string, body []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return core.WriteFileAtomic(path, 0o666, func(w io.Writer) error {
+		_, err := w.Write(body)
 		return err
-	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // loadLedgerFile reads and decodes a ledger written by writeLedgerFile.
-func loadLedgerFile(path string) (*ledger, error) {
+func loadLedgerFile(path string) (*book, error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -192,16 +158,16 @@ func loadLedgerFile(path string) (*ledger, error) {
 	return decodeLedger(body)
 }
 
-// validate checks a loaded ledger against the coordinator configuration it
+// validate checks a decoded ledger against the coordinator configuration it
 // is about to resume: shard count and time base must match, or per-shard
 // state and merged aggregates would silently mean something different.
-func (lg *ledger) validate(cfg *Config) error {
-	if len(lg.shards) != cfg.Shards {
-		return fmt.Errorf("cluster: ledger has %d shards, config wants %d", len(lg.shards), cfg.Shards)
+func (b *book) validate(cfg *Config) error {
+	if len(b.shards) != cfg.Shards {
+		return fmt.Errorf("cluster: ledger has %d shards, config wants %d", len(b.shards), cfg.Shards)
 	}
-	if lg.startNanos != cfg.Start.UnixNano() || lg.bucket != int64(cfg.Bucket) {
+	if b.startNanos != cfg.Start.UnixNano() || b.bucket != int64(cfg.Bucket) {
 		return fmt.Errorf("cluster: ledger time base %d/%d disagrees with config %d/%d",
-			lg.startNanos, lg.bucket, cfg.Start.UnixNano(), int64(cfg.Bucket))
+			b.startNanos, b.bucket, cfg.Start.UnixNano(), int64(cfg.Bucket))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -9,9 +10,9 @@ import (
 	"spoofscope/internal/bgp"
 )
 
-func testLedger() *ledger {
+func testLedger() *book {
 	flows := testFlows(7)
-	return &ledger{
+	return &book{
 		startNanos: tcStart.UnixNano(),
 		bucket:     int64(time.Hour),
 		epochSeq:   5,
@@ -22,9 +23,9 @@ func testLedger() *ledger {
 		},
 		epochFull:   []byte("full-epoch-frame"),
 		flowsRouted: 100 + 40,
-		shards: []ledgerShard{
-			{cursor: 100, ackBase: 95, lastOwner: "node-1", lastReport: []byte("cp-1"), replay: flows[:5]},
-			{cursor: 40, ackBase: 38, lastOwner: "", lastReport: nil, replay: flows[5:]},
+		shards: []shard{
+			{id: 0, cursor: 100, sentCursor: 95, ackBase: 95, lastOwner: "node-1", lastReport: []byte("cp-1"), replay: flows[:5]},
+			{id: 1, cursor: 40, sentCursor: 38, ackBase: 38, lastOwner: "", lastReport: nil, replay: flows[5:]},
 		},
 	}
 }
@@ -145,4 +146,67 @@ func TestLedgerValidate(t *testing.T) {
 	if err := lg.validate(&Config{Shards: 2, Start: tcStart, Bucket: time.Minute}); err == nil {
 		t.Fatal("bucket mismatch accepted")
 	}
+}
+
+// goldenLedger is a version-1 ledger as the encoder before the shard book
+// wrote it: three shards — one with a durable report and a replay tail, one
+// never reported, one empty — behind a full epoch.
+const goldenLedger = "testdata/v1.ledger"
+
+// TestLedgerGoldenBytes: ledgers persisted by running deployments must still
+// resume. The book decodes the pinned file and re-encodes it byte for byte,
+// and a coordinator configured like the run that wrote it accepts it.
+func TestLedgerGoldenBytes(t *testing.T) {
+	body, err := os.ReadFile(goldenLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := decodeLedger(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeLedger(lg); !bytes.Equal(got, body) {
+		t.Fatalf("re-encoded ledger differs from %s (%d vs %d bytes)", goldenLedger, len(got), len(body))
+	}
+	if lg.epochSeq != 3 || lg.flowsRouted != 47 || lg.shards[0].lastOwner != "node-1" || len(lg.shards[1].replay) != 7 {
+		t.Fatalf("golden ledger decoded to epoch %d, %d flows routed, shards %+v", lg.epochSeq, lg.flowsRouted, lg.shards)
+	}
+	if _, err := newBook(&Config{Shards: 3, Start: tcStart, Bucket: time.Hour}, lg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzDecodeLedger feeds arbitrary bytes to the ledger decoder, which a
+// restarting coordinator and a standby run on whatever the disk holds. No
+// input may panic it; whatever it accepts re-encodes to exactly as many bytes
+// as it read — the decoded state is bounded by the input — and a second
+// round trip is exact; each seed round-trips byte for byte.
+func FuzzDecodeLedger(f *testing.F) {
+	golden, err := os.ReadFile(goldenLedger)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{golden, encodeLedger(testLedger())}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		lg, err := decodeLedger(body)
+		if err != nil {
+			return
+		}
+		enc := encodeLedger(lg)
+		if len(enc) != len(body) {
+			t.Fatalf("%d-byte ledger decoded to state that encodes to %d bytes", len(body), len(enc))
+		}
+		again, err := decodeLedger(enc)
+		if err != nil || !bytes.Equal(encodeLedger(again), enc) {
+			t.Fatalf("re-encoded ledger does not round-trip: %v", err)
+		}
+		for _, s := range seeds {
+			if bytes.Equal(body, s) && !bytes.Equal(enc, body) {
+				t.Fatal("seed ledger does not round-trip byte for byte")
+			}
+		}
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"spoofscope/internal/core"
-	"spoofscope/internal/faultnet"
 	"spoofscope/internal/obs"
 )
 
@@ -229,11 +228,11 @@ func handoffSpanStages(tel *obs.Telemetry) map[string]map[string]bool {
 	return spans
 }
 
-// TestChaosHandoffSpans runs the kill+partition chaos schedule with a reader
-// polling the coordinator's fleet status concurrently. Three invariants: no
-// shard's Cursor or AckBase ever decreases between two reads, AckBase never
-// passes Cursor, and every handoff span that started reached a terminal
-// stage (resumed, or abandoned by a superseding handoff) with its stage
+// TestChaosHandoffSpans runs a kill and a partition with a reader polling
+// the coordinator's fleet status concurrently. Three invariants: no shard's
+// Cursor or AckBase ever decreases between two reads, AckBase never passes
+// Cursor, and every handoff span that started reached a terminal stage
+// (resumed, or abandoned by a superseding handoff) with its stage
 // histograms populated.
 func TestChaosHandoffSpans(t *testing.T) {
 	flows := testFlows(2000)
@@ -243,7 +242,7 @@ func TestChaosHandoffSpans(t *testing.T) {
 	// Chaos runs journal heavily; a roomy ring keeps every span event for
 	// the completeness check.
 	ctel.Journal = obs.NewJournal(16384)
-	coord, err := NewCoordinator(Config{
+	coord, clk := newVirtualCoordinator(t, Config{
 		Shards:            6,
 		Members:           testMembers,
 		Start:             tcStart,
@@ -252,34 +251,29 @@ func TestChaosHandoffSpans(t *testing.T) {
 		Secret:            secret,
 		Telemetry:         ctel,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
 
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inner.Close() })
-	// Partition: the second accepted link goes silent mid-run without
-	// closing — the worker behind it redials and rejoins.
-	ln := faultnet.WrapListener(inner, func(i int) faultnet.Config {
-		if i == 1 {
-			return faultnet.Config{Seed: 11, StallAfterReads: 12}
-		}
-		return faultnet.Config{}
-	})
+	ln := newCutListener(inner)
 	go coord.Serve(ln)
 	addr := inner.Addr().String()
 
-	startTCPWorker(t, addr, WorkerConfig{Name: "wa", Secret: secret})
-	startTCPWorker(t, addr, WorkerConfig{Name: "wb", Secret: secret})
-	killVictim := startTCPWorker(t, addr, WorkerConfig{Name: "wc", Secret: secret})
-	await(t, "chaos workers joined", func() bool { return joinCount(ctel) >= 3 })
+	// One at a time, so the accepted links come in worker order.
+	var killVictim func()
+	for i, name := range []string{"wa", "wb", "wc"} {
+		kill := startTCPWorker(t, addr, WorkerConfig{Name: name, Secret: secret})
+		await(t, name+" joined", func() bool { return joinCount(ctel) == i+1 })
+		killVictim = kill
+	}
+	<-ln.cuts
+	partitioned := <-ln.cuts // wb's
 	if _, err := coord.DistributeEpoch(testRIB()); err != nil {
 		t.Fatal(err)
 	}
+	awaitOwners(t, coord, "wa", "wb", "wc")
 
 	// Concurrent fleet-status reader: every shard's cursors must move
 	// forward only, with the durable position never ahead of the routed one.
@@ -310,52 +304,44 @@ func TestChaosHandoffSpans(t *testing.T) {
 		}
 	}()
 
-	for i, f := range flows {
+	for _, f := range flows[:700] {
 		coord.Ingest(f)
-		switch i {
-		case 700:
-			// Kill: the victim dies without a final report.
-			killVictim()
-		case 1400:
-			// Let the partition stall fire mid-feed on a paced boundary.
-			time.Sleep(50 * time.Millisecond)
-		}
-		if i%250 == 249 {
-			time.Sleep(25 * time.Millisecond)
-		}
+	}
+	// Kill: the victim (wc) dies without a final report; its connection
+	// closes, and its shards hand off at once.
+	killVictim()
+	waitStats(t, coord, "the killed worker's shards handed off", func(st Stats) bool { return st.Handoffs > 0 })
+	for _, f := range flows[700:1400] {
+		coord.Ingest(f)
+	}
+	// Partition: wb's link goes silent without closing; the coordinator's
+	// clock moves on until the deadline drops it. wb redials and rejoins.
+	handed := coord.Stats().Handoffs
+	partitioned.stall()
+	elapse(t, coord, clk, "partitioned link declared dead", func() bool { return coord.Stats().Handoffs > handed }, "wa")
+	for _, f := range flows[1400:] {
+		coord.Ingest(f)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cp, err := coord.Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := checkpointBytes(t, coord, clk)
 	stopReader()
 	<-readerDone
 	if reads == 0 {
 		t.Fatal("fleet-status reader never ran")
 	}
-
-	var buf bytes.Buffer
-	if err := core.EncodeCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), singleProcessCheckpoint(t, flows)) {
+	if !bytes.Equal(got, singleProcessCheckpoint(t, flows)) {
 		t.Fatal("checkpoint diverged under chaos with a concurrent fleet-status reader")
-	}
-	if st := coord.Stats(); st.Handoffs == 0 {
-		t.Fatalf("chaos produced no handoffs: %+v", st)
 	}
 
 	// Every handoff span that started reached a terminal stage, and the
 	// trace walked the full grammar to get there. A handoff that starts near
 	// the end of the feed (the partitioned worker's rejoin triggers graceful
-	// moves) resolves on the next tick-driven report, so in-flight spans get
-	// a bounded window to land their terminal stage.
+	// moves) resolves on a later tick-driven report, so time keeps running
+	// while in-flight spans land their terminal stage.
 	terminal := func(stages map[string]bool) bool {
 		return stages["resumed"] || stages["abandoned"]
 	}
+	defer clk.run()()
 	var spans map[string]map[string]bool
 	await(t, "every handoff span terminated", func() bool {
 		spans = handoffSpanStages(ctel)

@@ -54,10 +54,10 @@ func newTraceBase() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// nextTraceLocked mints a trace ID: random incarnation bits plus a counter.
-func (c *Coordinator) nextTraceLocked() uint64 {
-	c.traceSeq++
-	return c.traceBase ^ c.traceSeq
+// nextTrace mints a trace ID: random incarnation bits plus a counter.
+func (b *book) nextTrace() uint64 {
+	b.traceSeq++
+	return b.traceBase ^ b.traceSeq
 }
 
 // handoffSpan tracks one shard ownership transfer from the moment the old
@@ -69,53 +69,53 @@ type handoffSpan struct {
 	assigned time.Time // zero until the reassign stage
 }
 
-// startSpanLocked opens a handoff span on s. An unresolved prior span — a
-// graceful revoke whose owner died before the final report — is journaled
-// as abandoned and replaced: its remaining stages can no longer happen.
-// Span stages journal in a fixed grammar ("trace %016x shard %d
-// stage=<stage> ...") so tests and log pipelines can pair them up.
-func (c *Coordinator) startSpanLocked(s *shardState, kind string, now time.Time) {
+// startSpan opens a handoff span on s. An unresolved prior span — a graceful
+// revoke whose owner died before the final report — is journaled as
+// abandoned and replaced: its remaining stages can no longer happen. Span
+// stages journal in a fixed grammar ("trace %016x shard %d stage=<stage>
+// ...") so tests and log pipelines can pair them up.
+func (b *book) startSpan(s *shard, kind string, now time.Time) {
 	if s.span != nil {
-		c.cfg.Telemetry.Recordf(obs.EventSpanHandoff,
+		b.tel.Recordf(obs.EventSpanHandoff,
 			"trace %016x shard %d stage=abandoned kind=%s after %v (superseded)",
 			s.span.trace, s.id, s.span.kind, now.Sub(s.span.start))
 	}
-	s.span = &handoffSpan{trace: c.nextTraceLocked(), kind: kind, start: now}
-	c.cfg.Telemetry.Recordf(obs.EventSpanHandoff,
+	s.span = &handoffSpan{trace: b.nextTrace(), kind: kind, start: now}
+	b.tel.Recordf(obs.EventSpanHandoff,
 		"trace %016x shard %d stage=start kind=%s", s.span.trace, s.id, kind)
 }
 
-// spanReassignedLocked records the reassign stage when a shard with an open
-// span gets a new owner; returns the trace for the assign frame.
-func (c *Coordinator) spanReassignedLocked(s *shardState, l *link, now time.Time) uint64 {
+// spanReassigned records the reassign stage when a shard with an open span
+// gets a new owner; returns the trace for the assign frame.
+func (b *book) spanReassigned(s *shard, p *peer, now time.Time) uint64 {
 	if s.span == nil {
 		return 0
 	}
 	s.span.assigned = now
 	elapsed := now.Sub(s.span.start)
-	if c.handoffReassign != nil {
-		c.handoffReassign.Observe(elapsed.Seconds())
+	if b.handoffReassign != nil {
+		b.handoffReassign.Observe(elapsed.Seconds())
 	}
-	c.cfg.Telemetry.Recordf(obs.EventSpanHandoff,
+	b.tel.Recordf(obs.EventSpanHandoff,
 		"trace %016x shard %d stage=reassign kind=%s to %s after %v",
-		s.span.trace, s.id, s.span.kind, l.label(), elapsed)
+		s.span.trace, s.id, s.span.kind, p.label(), elapsed)
 	return s.span.trace
 }
 
-// spanResumedLocked completes an open span on the first report from the new
-// owner. The guard on assigned keeps the old owner's final drain report (the
-// revoke path: span open, not yet reassigned) from closing the span early.
-func (c *Coordinator) spanResumedLocked(s *shardState, l *link, now time.Time) {
+// spanResumed completes an open span on the first report from the new owner.
+// The guard on assigned keeps the old owner's final drain report (the revoke
+// path: span open, not yet reassigned) from closing the span early.
+func (b *book) spanResumed(s *shard, p *peer, now time.Time) {
 	if s.span == nil || s.span.assigned.IsZero() {
 		return
 	}
 	elapsed := now.Sub(s.span.start)
-	if c.handoffResumed != nil {
-		c.handoffResumed.Observe(elapsed.Seconds())
+	if b.handoffResumed != nil {
+		b.handoffResumed.Observe(elapsed.Seconds())
 	}
-	c.cfg.Telemetry.Recordf(obs.EventSpanHandoff,
+	b.tel.Recordf(obs.EventSpanHandoff,
 		"trace %016x shard %d stage=resumed kind=%s by %s after %v",
-		s.span.trace, s.id, s.span.kind, l.label(), elapsed)
+		s.span.trace, s.id, s.span.kind, p.label(), elapsed)
 	s.span = nil
 }
 
@@ -179,28 +179,29 @@ type FleetStatus struct {
 	Ledger      LedgerStatus   `json:"ledger"`
 }
 
-// FleetStatus snapshots the coordinator's cluster view.
-func (c *Coordinator) FleetStatus() FleetStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// status renders the book as the /cluster payload. A standby renders its
+// decoded ledger copy: no workers, every shard with flows past its durable
+// report orphaned.
+func (b *book) status(role, ledgerPath string) FleetStatus {
 	st := FleetStatus{
-		Role:        "coordinator",
-		EpochSeq:    c.epochSeq,
-		FlowsRouted: c.flowsRouted,
-		Orphaned:    c.orphanedLocked(),
-		ReplayFlows: c.replayLenLocked(),
-		Handoffs:    c.handoffs,
-		Rebalances:  c.rebalances,
-		Reclaims:    c.reclaims,
+		Role:        role,
+		EpochSeq:    b.epochSeq,
+		FlowsRouted: b.flowsRouted,
+		Orphaned:    b.orphaned(),
+		ReplayFlows: b.replayLen(),
+		Handoffs:    b.n.Handoffs,
+		Rebalances:  b.n.Rebalances,
+		Reclaims:    b.n.Reclaims,
 		Ledger: LedgerStatus{
-			Path:      c.cfg.LedgerPath,
-			Writes:    c.ledgerWrites,
-			Errors:    c.ledgerErrors,
-			LastBytes: c.ledgerBytes,
+			Path:      ledgerPath,
+			Writes:    b.n.LedgerWrites,
+			Errors:    b.n.LedgerErrors,
+			LastBytes: b.ledgerBytes,
 		},
 	}
-	ownedBy := make(map[string]int)
-	for _, s := range c.shards {
+	ownedBy := make(map[*peer]int)
+	for i := range b.shards {
+		s := &b.shards[i]
 		row := ShardStatus{
 			ID:          s.id,
 			LastOwner:   s.lastOwner,
@@ -213,53 +214,22 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 		}
 		if s.owner != nil {
 			row.Owner = s.owner.id
-			ownedBy[s.owner.id]++
+			ownedBy[s.owner]++
 		}
 		st.Shards = append(st.Shards, row)
 	}
-	for l := range c.links {
+	for _, p := range b.peers {
+		if !p.joined || p.gone {
+			continue
+		}
 		st.Workers = append(st.Workers, WorkerStatus{
-			Identity: l.id,
-			Name:     l.name,
-			LastSeen: time.Unix(0, l.lastRead.Load()),
-			EpochSeq: l.epochSeq,
-			Shards:   ownedBy[l.id],
+			Identity: p.id,
+			Name:     p.name,
+			LastSeen: p.heard,
+			EpochSeq: p.epochSeq,
+			Shards:   ownedBy[p],
 		})
 	}
 	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.Identity, b.Identity) })
-	return st
-}
-
-// fleetStatusFromLedger renders a standby's warm ledger copy as the same
-// FleetStatus the live coordinator serves: every shard orphaned (the
-// standby owns nothing until promotion), cursors and replay depths from the
-// last durable snapshot.
-func fleetStatusFromLedger(path string, lg *ledger) FleetStatus {
-	st := FleetStatus{
-		Role:   "standby",
-		Ledger: LedgerStatus{Path: path},
-	}
-	if lg == nil {
-		return st
-	}
-	st.EpochSeq = lg.epochSeq
-	st.FlowsRouted = lg.flowsRouted
-	for i := range lg.shards {
-		ls := &lg.shards[i]
-		row := ShardStatus{
-			ID:          uint32(i),
-			LastOwner:   ls.lastOwner,
-			Cursor:      ls.cursor,
-			SentCursor:  ls.ackBase,
-			AckBase:     ls.ackBase,
-			ReplayDepth: len(ls.replay),
-			Lag:         ls.cursor - ls.ackBase,
-		}
-		st.Shards = append(st.Shards, row)
-		st.ReplayFlows += len(ls.replay)
-		if ls.cursor > ls.ackBase {
-			st.Orphaned++
-		}
-	}
 	return st
 }

@@ -15,7 +15,8 @@ type StandbyConfig struct {
 	// Coordinator is the configuration the standby promotes itself with. It
 	// must match the primary's (same Shards, Start, Bucket, Secret) and its
 	// LedgerPath must point at the ledger the primary persists — that file
-	// is the entire handoff channel between the two.
+	// is the entire handoff channel between the two. Its heartbeat interval
+	// paces the bind attempts and the ledger tailing.
 	Coordinator Config
 	// Listen attempts to bind the cluster's listen address. While the
 	// primary is alive the bind fails (address in use); the first success
@@ -23,15 +24,6 @@ type StandbyConfig struct {
 	// whole life. Using bind acquisition as the failover lock means at most
 	// one coordinator ever accepts workers.
 	Listen func() (net.Listener, error)
-	// Poll paces bind attempts and ledger tailing (default 250ms).
-	Poll time.Duration
-}
-
-func (c *StandbyConfig) poll() time.Duration {
-	if c.Poll <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.Poll
 }
 
 // RunStandby runs the warm-standby loop: it tails the persisted shard
@@ -49,28 +41,32 @@ func RunStandby(ctx context.Context, cfg StandbyConfig) (*Coordinator, net.Liste
 	if cfg.Listen == nil {
 		return nil, nil, fmt.Errorf("cluster: StandbyConfig.Listen is required")
 	}
-	if cfg.Coordinator.LedgerPath == "" {
+	path := cfg.Coordinator.LedgerPath
+	if path == "" {
 		return nil, nil, fmt.Errorf("cluster: standby requires a LedgerPath to tail")
 	}
 	tel := cfg.Coordinator.Telemetry
-	t := time.NewTicker(cfg.poll())
+	t := time.NewTicker(cfg.Coordinator.interval())
 	defer t.Stop()
-	// warm is the freshest ledger snapshot successfully read; promotion
-	// falls back to it if the final read races a primary write and fails.
-	// The standby serves its warm view on /cluster (Role "standby", every
-	// shard orphaned) so operators can inspect takeover readiness; on
-	// promotion the coordinator re-publishes the path with its live view.
+	// warm is the freshest ledger successfully read — a book with every
+	// shard orphaned; promotion falls back to it if the final read races a
+	// primary write and fails. The standby serves it on /cluster (Role
+	// "standby") so operators can inspect takeover readiness; on promotion
+	// the coordinator re-publishes the path with its live view.
 	var (
 		warmMu sync.Mutex
-		warm   *ledger
+		warm   *book
 	)
 	tel.PublishJSON("/cluster", func() any {
 		warmMu.Lock()
 		defer warmMu.Unlock()
-		return fleetStatusFromLedger(cfg.Coordinator.LedgerPath, warm)
+		if warm == nil {
+			return FleetStatus{Role: "standby", Ledger: LedgerStatus{Path: path}}
+		}
+		return warm.status("standby", path)
 	})
 	for {
-		if lg, err := loadLedgerFile(cfg.Coordinator.LedgerPath); err == nil {
+		if lg, err := loadLedgerFile(path); err == nil {
 			warmMu.Lock()
 			warm = lg
 			warmMu.Unlock()
@@ -78,24 +74,22 @@ func RunStandby(ctx context.Context, cfg StandbyConfig) (*Coordinator, net.Liste
 		ln, err := cfg.Listen()
 		if err == nil {
 			// Primary is dead. Prefer the ledger as it is on disk right
-			// now — the primary cannot write again — over the warm copy.
-			lg, lerr := loadLedgerFile(cfg.Coordinator.LedgerPath)
+			// now — the primary cannot write again — over the warm copy,
+			// which the promoted coordinator then owns alone.
+			lg, lerr := loadLedgerFile(path)
+			warmMu.Lock()
 			if lerr != nil {
-				warmMu.Lock()
 				lg = warm
-				warmMu.Unlock()
 			}
-			coord, cerr := newCoordinator(cfg.Coordinator, lg)
+			warm = nil
+			warmMu.Unlock()
+			coord, cerr := newCoordinator(cfg.Coordinator, lg, wallClock{})
 			if cerr != nil {
 				ln.Close()
 				return nil, nil, cerr
 			}
-			routed := uint64(0)
-			if lg != nil {
-				routed = lg.flowsRouted
-			}
 			tel.Recordf(obs.EventTakeover,
-				"standby promoted on %s: resuming at %d flows routed", ln.Addr(), routed)
+				"standby promoted on %s: resuming at %d flows routed", ln.Addr(), coord.Stats().FlowsRouted)
 			return coord, ln, nil
 		}
 		select {

@@ -34,10 +34,14 @@ func joinCount(tel *obs.Telemetry) int {
 // startTCPWorker runs a worker that dials addr over TCP, with the suite's
 // heartbeat and redial settings filled in around cfg. The returned kill
 // cancels it and waits for it to exit — process death; cleanup does the same.
+// The worker's own liveness budget is wide: a coordinator on a virtual clock
+// sends no heartbeats while its clock stands still, and every coordinator in
+// the suite that dies closes its connections.
 func startTCPWorker(t *testing.T, addr string, cfg WorkerConfig) (kill func()) {
 	t.Helper()
 	cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	cfg.HeartbeatInterval = 20 * time.Millisecond
+	cfg.HeartbeatMisses = 1000
 	cfg.InitialBackoff = 5 * time.Millisecond
 	cfg.MaxBackoff = 50 * time.Millisecond
 	cfg.Seed = int64(len(cfg.Name))
@@ -61,8 +65,8 @@ func startTCPWorker(t *testing.T, addr string, cfg WorkerConfig) (kill func()) {
 }
 
 // TestClusterTCPChaos: two authenticated workers over TCP loopback with
-// compression on, one link stalled silent by faultnet mid-run and one
-// accept failure injected into the serve loop. The merged checkpoint must
+// compression on, one link silenced mid-feed and one accept failure injected
+// into the serve loop when its worker redials. The merged checkpoint must
 // still be byte-identical to the fault-free single-process run.
 func TestClusterTCPChaos(t *testing.T) {
 	flows := testFlows(2000)
@@ -70,7 +74,7 @@ func TestClusterTCPChaos(t *testing.T) {
 
 	tel := obs.NewTelemetry()
 	secret := []byte("tcp-chaos-secret")
-	coord, err := NewCoordinator(Config{
+	coord, clk := newVirtualCoordinator(t, Config{
 		Shards:            4,
 		Members:           testMembers,
 		Start:             tcStart,
@@ -81,79 +85,59 @@ func TestClusterTCPChaos(t *testing.T) {
 		LedgerPath:        filepath.Join(t.TempDir(), "shards.ledger"),
 		Telemetry:         tel,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
 
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inner.Close() })
-	ln := faultnet.WrapListener(inner, func(i int) faultnet.Config {
-		if i == 1 {
-			// The second worker's first link goes silent mid-run; the
-			// coordinator must declare it dead and hand its shards off.
-			// The threshold is in coordinator-side reads, which accrue a
-			// few per heartbeat — keep it low enough to fire mid-feed.
-			return faultnet.Config{Seed: 9, StallAfterReads: 12}
-		}
-		return faultnet.Config{}
-	})
-	ln.SetAcceptPlan(func(i int) error {
+	faulty := faultnet.WrapListener(inner, nil)
+	faulty.SetAcceptPlan(func(i int) error {
 		if i == 2 {
-			// The stalled worker's first redial dies in accept: the serve
+			// The silenced worker's first redial dies in accept: the serve
 			// loop must survive it and the worker must dial again.
 			return errors.New("injected accept failure")
 		}
 		return nil
 	})
+	ln := newCutListener(faulty)
 	go coord.Serve(ln)
 	addr := inner.Addr().String()
 
+	// One at a time, so the first accepted link is w0's and the second w1's.
 	startTCPWorker(t, addr, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
+	await(t, "w0 joined over TCP", func() bool { return joinCount(tel) == 1 })
 	startTCPWorker(t, addr, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
-	await(t, "both workers joined over TCP", func() bool { return joinCount(tel) >= 2 })
+	await(t, "w1 joined over TCP", func() bool { return joinCount(tel) == 2 })
+	<-ln.cuts
+	w1 := <-ln.cuts
 
 	if _, err := coord.DistributeEpoch(testRIB()); err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range flows {
+	awaitOwners(t, coord, "w0", "w1")
+	for _, f := range flows[:1000] {
 		coord.Ingest(f)
-		if i%250 == 249 {
-			// Pace the feed across heartbeat intervals so the stall and the
-			// redial happen mid-run.
-			time.Sleep(30 * time.Millisecond)
-		}
+	}
+	// w1's link goes silent towards the coordinator; once the deadline has
+	// passed on the coordinator's clock its shards hand off to w0.
+	w1.stall()
+	elapse(t, coord, clk, "silent TCP link declared dead", func() bool { return coord.Stats().Handoffs > 0 }, "w0")
+	for _, f := range flows[1000:] {
+		coord.Ingest(f)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cp, err := coord.Checkpoint(ctx)
-	if err != nil {
-		t.Fatalf("TCP cluster checkpoint: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := core.EncodeCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(checkpointBytes(t, coord, clk), want) {
 		t.Fatal("checkpoint diverged over TCP with faults injected")
 	}
 	st := coord.Stats()
 	if st.FlowsRouted != uint64(len(flows)) || st.ReplayFlows != 0 || st.Orphaned != 0 || st.ReportMismatches != 0 {
 		t.Fatalf("cursor invariant broken over TCP: %+v", st)
 	}
-	if st.Handoffs == 0 {
-		t.Fatalf("stalled TCP link produced no handoffs: %+v", st)
-	}
-	if st.AcceptErrors == 0 {
-		t.Fatalf("injected accept failure never hit the serve loop: %+v", st)
-	}
-	if st.LedgerWrites == 0 {
-		t.Fatalf("no ledger snapshot written during the TCP run: %+v", st)
-	}
+	// The redial the accept failure hits can land after the checkpoint (w0
+	// carries every shard meanwhile), and ledger writes are asynchronous.
+	waitStats(t, coord, "the injected accept failure survived", func(st Stats) bool { return st.AcceptErrors > 0 })
+	waitStats(t, coord, "a ledger snapshot written", func(st Stats) bool { return st.LedgerWrites > 0 })
 }
 
 // TestStandbyTakeover: a warm standby tails the primary's ledger, takes
@@ -201,7 +185,6 @@ func TestStandbyTakeover(t *testing.T) {
 		coord, ln, err := RunStandby(sctx, StandbyConfig{
 			Coordinator: cfg,
 			Listen:      func() (net.Listener, error) { return net.Listen("tcp", addr) },
-			Poll:        20 * time.Millisecond,
 		})
 		promoted <- promotion{coord, ln, err}
 	}()

@@ -33,10 +33,6 @@ type WorkerConfig struct {
 	// single-process reference run) must use the same options, or shards
 	// would classify under different topologies.
 	Opts core.Options
-	// Queue bounds each shard runtime's ingest queue (default capacity
-	// applies; sheds never fire because the worker feeds with
-	// backpressure).
-	Queue core.QueueConfig
 	// DrainWorkers is the RunParallel consumer count per shard (default:
 	// GOMAXPROCS via the runtime's own clamp).
 	DrainWorkers int
@@ -47,11 +43,10 @@ type WorkerConfig struct {
 	// MaxAttempts caps consecutive failed dials before Run gives up
 	// (0 = retry forever). A successful session resets the budget.
 	MaxAttempts int
-	// InitialBackoff, MaxBackoff, Jitter, and Seed shape the redial
-	// schedule (see retry.New; zero values take the shared defaults).
+	// InitialBackoff, MaxBackoff, and Seed shape the redial schedule (see
+	// retry.New; zero values take the shared defaults, jitter included).
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	Jitter         float64
 	Seed           int64
 	// Telemetry, when non-nil, registers worker metrics and journal events.
 	Telemetry *obs.Telemetry
@@ -62,22 +57,9 @@ type WorkerConfig struct {
 	PublishHealth bool
 }
 
-func (c *WorkerConfig) interval() time.Duration {
-	if c.HeartbeatInterval <= 0 {
-		return 500 * time.Millisecond
-	}
-	return c.HeartbeatInterval
-}
-
-func (c *WorkerConfig) misses() int {
-	if c.HeartbeatMisses <= 0 {
-		return 3
-	}
-	return c.HeartbeatMisses
-}
-
+// deadline is how long a silent coordinator link lives: interval × misses.
 func (c *WorkerConfig) deadline() time.Duration {
-	return c.interval() * time.Duration(c.misses())
+	return c.HeartbeatInterval * time.Duration(c.HeartbeatMisses)
 }
 
 // workerShard is one owned shard: a full single-process runtime draining
@@ -134,9 +116,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Dial == nil {
 		return nil, errors.New("cluster: WorkerConfig.Dial is required")
 	}
+	cfg.HeartbeatInterval, cfg.HeartbeatMisses = heartbeat(cfg.HeartbeatInterval, cfg.HeartbeatMisses)
 	w := &Worker{
 		cfg:     cfg,
-		backoff: retry.New(cfg.InitialBackoff, cfg.MaxBackoff, cfg.Jitter, cfg.Seed),
+		backoff: retry.New(cfg.InitialBackoff, cfg.MaxBackoff, 0, cfg.Seed),
 		shards:  make(map[uint32]*workerShard),
 	}
 	if tel := cfg.Telemetry; tel != nil {
@@ -276,6 +259,10 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// A cancelled worker is a dead process: its connection closes at once,
+	// failing whatever read or write is pending instead of waiting out a
+	// deadline.
+	context.AfterFunc(sctx, func() { conn.Close() })
 
 	out := make(chan []byte, outboundDepth)
 	writeErr := make(chan error, 1)
@@ -332,7 +319,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 
 	// Heartbeats keep the coordinator's read deadline fed.
 	go func() {
-		t := time.NewTicker(w.cfg.interval())
+		t := time.NewTicker(w.cfg.HeartbeatInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -526,7 +513,6 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 		Pipeline: w.pipeline,
 		Start:    time.Unix(0, m.startNanos).UTC(),
 		Bucket:   time.Duration(m.bucket),
-		Queue:    w.cfg.Queue,
 	}
 	if len(m.checkpoint) > 0 {
 		cp, err := core.DecodeCheckpointBytes(m.checkpoint)

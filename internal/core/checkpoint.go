@@ -805,27 +805,30 @@ func (d *cpDec) counters(s []Counter) []Counter {
 	return s
 }
 
-// WriteCheckpointFile atomically persists cp to path: the snapshot is
-// written to a temporary sibling, synced, and renamed into place, so a
-// crash mid-write leaves either the previous checkpoint or the new one —
-// never a torn file.
+// WriteCheckpointFile atomically persists cp to path (see WriteFileAtomic).
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
+	return WriteFileAtomic(path, 0o666, func(w io.Writer) error { return EncodeCheckpoint(w, cp) })
+}
+
+// WriteFileAtomic is the one way durable state reaches disk — checkpoints,
+// the cluster's shard ledger, a worker's identity file. write fills a
+// temporary sibling of path, which is synced and then renamed into place, so
+// a crash mid-write leaves either the previous file or the new one, never a
+// torn or empty one.
+func WriteFileAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	if err := EncodeCheckpoint(f, cp); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
