@@ -46,6 +46,9 @@ bench-module:
 # block (a dot-directory is a throwaway probe, not part of the tree), and
 # every backticked path under cmd, internal or examples, up to its last
 # component that is not a file name, is a tracked directory.
+# Go names resolve too (TestDocSpansResolve, which parses the tree's non-test
+# Go): every backticked pkg.Func, pkg.Type.Method and Type.Method is declared,
+# a member on its type or on a type it embeds or aliases.
 # EXPERIMENTS.md and CHANGES.md are history and name what is gone on purpose.
 docs-check:
 	@set -f; fail=0; files=$$(git ls-files); \
@@ -70,6 +73,7 @@ docs-check:
 		git grep -qF "$$pat" -- '*.go' ':!*_test.go' || { echo "docs-check: $$m is not a metric name in tracked non-test Go"; fail=1; }; \
 	done; \
 	exit $$fail
+	$(GO) test -run '^TestDocSpansResolve$$' -count=1 .
 
 # loc prints the Go line counts ROADMAP quotes at every re-anchor: non-test
 # and test lines for the root module, and for the nested benchmark module.

@@ -204,7 +204,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, f := range flows {
-			rt.Ingest(f)
+			rt.IngestBatch([]Flow{f})
 		}
 		rt.Close()
 		return rt

@@ -15,11 +15,13 @@
 // flows; re-running after a crash resumes from the snapshot and produces
 // the same final tallies as an uninterrupted run.
 //
-// Both passes drive the live runtime: -workers N classifies with N workers
-// of the batch drain loop (0 is 1), which aggregate in place and spill to a
-// private shard only under contention. A reader goroutine pushes flows with
-// backpressure (never shedding), so the final tallies — and any checkpoint
-// written — are identical across worker counts.
+// A single-process run drives the live runtime: -workers N classifies with
+// N workers of the batch drain loop (0 is 1), which aggregate in place and
+// spill to a private shard only under contention. A reader goroutine pushes
+// each decoded message with backpressure (never shedding), so the final
+// tallies — and any checkpoint written — are identical across worker counts.
+// In cluster mode every shard runtime drains with one worker; -workers does
+// not apply.
 //
 // With -cluster N the run uses the fault-tolerant coordinator/worker
 // runtime in-process: flows shard by ingress member across N workers (each
@@ -90,7 +92,7 @@ func main() {
 		aclFor   = flag.Uint("acl", 0, "print the FULL-cone ingress ACL for this member ASN and exit")
 		ckptPath = flag.String("checkpoint", "", "crash-safe checkpoint file: resume from it if present, snapshot to it periodically")
 		ckptN    = flag.Uint64("checkpoint-every", 100000, "flows between checkpoint snapshots (with -checkpoint)")
-		workersN = flag.Int("workers", 0, "drain workers (0 = 1)")
+		workersN = flag.Int("workers", 0, "drain workers of a single-process run (0 = 1; cluster workers drain each shard with one)")
 		clusterN = flag.Int("cluster", 0, "run the coordinator/worker cluster runtime with this many in-process workers (0 = off)")
 		shardsN  = flag.Int("shards", 0, "ingress-member shards in cluster mode (default 4 per worker)")
 		coordTCP = flag.String("coordinator-addr", "", "also listen on this TCP address for external spoofscope-worker daemons (enables cluster mode)")
@@ -240,7 +242,6 @@ func main() {
 		agg, n = classifyCluster(ctx, fr, rib, members, opts, clusterRunConfig{
 			workers:   *clusterN,
 			shards:    shards,
-			drain:     *workersN,
 			ckptPath:  *ckptPath,
 			coordAddr: *coordTCP,
 			secret:    clusterSecret,
@@ -358,7 +359,6 @@ func runFeed(ctx context.Context, fr *ipfix.FileReader, rt *core.Runtime, skip u
 type clusterRunConfig struct {
 	workers   int    // in-process workers (0 allowed with a coordAddr)
 	shards    int    // handoff granularity
-	drain     int    // RunParallel consumers per shard runtime
 	ckptPath  string // resume baseline in, merged checkpoint out
 	coordAddr string // TCP listen address for external worker daemons
 	secret    []byte // hello HMAC key
@@ -445,7 +445,6 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 				return workerSide, nil
 			},
 			Opts:              opts,
-			DrainWorkers:      rc.drain,
 			HeartbeatInterval: 2 * time.Second,
 			Seed:              int64(i),
 			// In-process workers share the coordinator's Telemetry, so
@@ -486,14 +485,14 @@ func classifyCluster(ctx context.Context, fr *ipfix.FileReader, rib *bgp.RIB, me
 		skip += ccfg.Resume.Ingested
 	}
 	fed := 0
-	sink := skipFirst(skip, ipfix.PerFlow(func(f ipfix.Flow) bool {
+	sink := skipFirst(skip, func(batch []ipfix.Flow) bool {
 		if ctx.Err() != nil {
 			return false // interrupt: stop reading the file
 		}
-		coord.Ingest(f)
-		fed++
+		coord.Ingest(batch...)
+		fed += len(batch)
 		return true
-	}))
+	})
 	if err := fr.ForEachBatch(sink); err != nil {
 		log.Fatal(err)
 	}

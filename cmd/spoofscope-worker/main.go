@@ -13,7 +13,7 @@
 //	                  [-name w1] [-identity-file worker.id]
 //	                  [-secret s | -secret-file path]
 //	                  [-data ixp-data/ [-no-orgs] [-no-routers]]
-//	                  [-drain-workers N] [-heartbeat 500ms] [-max-attempts N]
+//	                  [-heartbeat 500ms] [-max-attempts N]
 //	                  [-metrics-addr host:port]
 //
 // The worker's identity is stable across restarts: -identity-file is read
@@ -71,7 +71,6 @@ func main() {
 		dataDir   = flag.String("data", "", "scenario directory for the org dataset and router addresses (optional)")
 		noOrgs    = flag.Bool("no-orgs", false, "disable multi-AS organisation merging (must match the coordinator run)")
 		noRouter  = flag.Bool("no-routers", false, "skip stray-router tagging (must match the coordinator run)")
-		drainN    = flag.Int("drain-workers", 0, "parallel consumers per shard runtime (0 = GOMAXPROCS)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval; must match the coordinator's (classify uses 2s)")
 		maxTries  = flag.Int("max-attempts", 0, "consecutive failed dials before giving up (0 = retry forever)")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address")
@@ -141,7 +140,6 @@ func main() {
 			return net.DialTimeout("tcp", *coordAddr, 10*time.Second)
 		},
 		Opts:              opts,
-		DrainWorkers:      *drainN,
 		HeartbeatInterval: *heartbeat,
 		MaxAttempts:       *maxTries,
 		Telemetry:         tel,

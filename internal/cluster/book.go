@@ -241,18 +241,20 @@ func (b *book) lost(p *peer, reason string, now time.Time) {
 	b.settle(now)
 }
 
-// ingest routes one flow to its shard. Flows for orphaned shards buffer in
-// the replay queue (degraded service) and are delivered on reassignment;
-// ingest never blocks, never drops and never allocates beyond the replay
-// buffer's growth.
-func (b *book) ingest(f ipfix.Flow) {
-	s := &b.shards[ShardOf(f.Ingress, len(b.shards))]
-	s.replay = append(s.replay, f)
-	s.cursor++
-	b.flowsRouted++
-	if s.owner != nil && !s.revoking && s.cursor-s.sentCursor >= b.flowBatch {
-		b.flushToOwner(s)
+// ingest routes each flow to its shard, in order. Flows for orphaned shards
+// buffer in the replay queue (degraded service) and are delivered on
+// reassignment; ingest never blocks, never drops and never allocates beyond
+// the replay buffer's growth.
+func (b *book) ingest(flows []ipfix.Flow) {
+	for i := range flows {
+		s := &b.shards[ShardOf(flows[i].Ingress, len(b.shards))]
+		s.replay = append(s.replay, flows[i])
+		s.cursor++
+		if s.owner != nil && !s.revoking && s.cursor-s.sentCursor >= b.flowBatch {
+			b.flushToOwner(s)
+		}
 	}
+	b.flowsRouted += uint64(len(flows))
 }
 
 // epoch distributes a routing snapshot: the full announcement and member

@@ -321,9 +321,7 @@ func TestBookHandoffReplaysExactlyTheUnreported(t *testing.T) {
 	a, b := r.connect(0), r.connect(0)
 	r.hello(a, "node-a", true)
 	r.deliver(a)
-	for _, f := range testFlows(10) {
-		r.b.ingest(f)
-	}
+	r.b.ingest(testFlows(10))
 	r.deliver(a)
 	r.report(a, 0, 0) // durable at 8: the last two flows are still batching
 	r.hello(b, "node-b", true)
@@ -358,9 +356,7 @@ func TestBookRefusesInconsistentReports(t *testing.T) {
 		w := r.connect(0)
 		r.hello(w, "node-1", true)
 		r.deliver(w)
-		for _, f := range testFlows(4) {
-			r.b.ingest(f)
-		}
+		r.b.ingest(testFlows(4))
 		r.deliver(w)
 		prev := r.cursors()
 		r.report(w, 0, skew)
@@ -381,14 +377,16 @@ func TestBookRefusesInconsistentReports(t *testing.T) {
 // frame a worker reads in order.
 func FuzzShardBook(f *testing.F) {
 	// Ops are a kind (low nibble) and an argument (high nibble).
-	f.Add([]byte{0x00, 0x01, 0x00, 0x11, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x03, 0x13,
+	f.Add([]byte{0x00, 0x01, 0x00, 0x11, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x03, 0x13,
 		0x05, 0x15, 0x25, 0x04, 0x0A, 0x03, 0x13, 0x05, 0x15, 0x0B}) // two workers, reports
-	f.Add([]byte{0x00, 0x01, 0x02, 0x02, 0x02, 0x03, 0x05, 0x00, 0x11, 0x03, 0x13,
+	f.Add([]byte{0x00, 0x01, 0x12, 0x12, 0x12, 0x03, 0x05, 0x00, 0x11, 0x03, 0x13,
 		0x07, 0x13, 0x15, 0x04, 0x04, 0x04, 0x0B}) // a late joiner, then a death
-	f.Add([]byte{0x00, 0x01, 0x00, 0x31, 0x02, 0x02, 0x03, 0x06, 0x04, 0x04, 0x04,
+	f.Add([]byte{0x00, 0x01, 0x00, 0x31, 0x12, 0x12, 0x03, 0x06, 0x04, 0x04, 0x04,
 		0x09, 0x08, 0x0B}) // an identity clash, a skewed report, silence
-	f.Add([]byte{0x10, 0x01, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02,
-		0x02, 0x02, 0x04, 0x04, 0x04, 0x03, 0x0B}) // a queue of four that fills
+	f.Add([]byte{0x10, 0x01, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12,
+		0x12, 0x12, 0x04, 0x04, 0x04, 0x03, 0x0B}) // a queue of four that fills
+	f.Add([]byte{0x00, 0x01, 0x00, 0x11, 0xF2, 0x72, 0x02, 0xF2, 0x03, 0x13, 0x05, 0x15,
+		0x25, 0x07, 0xF2, 0x03, 0x0A, 0x03, 0x05, 0x0B}) // whole messages, an empty one, a death
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r := newBookRig(t, 3, 2)
 		flows := testFlows(64)
@@ -417,8 +415,9 @@ func FuzzShardBook(f *testing.F) {
 				if w := pick(arg); w != nil && !w.p.joined {
 					r.hello(w, fmt.Sprintf("node-%d", arg%3), arg < 12)
 				}
-			case 2: // one flow
-				r.b.ingest(flows[(i+int(arg))%len(flows)])
+			case 2: // a message of arg flows (0 to 15)
+				lo := (i + int(arg)) % len(flows)
+				r.b.ingest(flows[lo:min(lo+int(arg), len(flows))])
 			case 3: // deliver everything queued to one worker
 				if w := pick(arg); w != nil {
 					r.deliver(w)
@@ -474,9 +473,7 @@ func TestLedgerIsTheBook(t *testing.T) {
 	w := r.connect(0)
 	r.hello(w, "node-1", true)
 	r.deliver(w)
-	for _, f := range testFlows(20) {
-		r.b.ingest(f)
-	}
+	r.b.ingest(testFlows(20))
 	r.deliver(w)
 	r.report(w, 0, 0)
 	lg, err := decodeLedger(encodeLedger(r.b))

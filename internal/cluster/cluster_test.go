@@ -114,7 +114,7 @@ func singleProcessCheckpoint(t *testing.T, flows []ipfix.Flow) []byte {
 	done := make(chan struct{})
 	go func() { defer close(done); rt.RunParallel(context.Background(), 0, nil) }()
 	for _, f := range flows {
-		if !rt.IngestWait(f) {
+		if !rt.IngestBatchWait([]ipfix.Flow{f}) {
 			t.Fatal("reference runtime closed mid-feed")
 		}
 	}
@@ -701,6 +701,42 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 			t.Fatalf("compress=%v: frame decodes to shard %d base %d, %d flows", compress, m.shard, m.base, len(m.flows))
 		}
 		l.close()
+	}
+}
+
+// TestCoordinatorIngestAllocatesNothing pins Ingest's own cost: one lock per
+// call, and each flow copied into its shard's replay buffer, with nothing
+// allocated once the buffers have grown — whether the call carries one flow
+// or a whole decoded message. The replay is compacted before every call, as
+// a durable report would, so the buffers stop growing.
+func TestCoordinatorIngestAllocatesNothing(t *testing.T) {
+	c, _ := newVirtualCoordinator(t, Config{
+		Shards: 4, Members: testMembers, Start: tcStart, Bucket: time.Hour,
+	})
+	flows := testFlows(64)
+	compact := func() {
+		c.mu.Lock()
+		for i := range c.book.shards {
+			s := &c.book.shards[i]
+			s.replay, s.ackBase, s.sentCursor = s.replay[:0], s.cursor, s.cursor
+		}
+		c.mu.Unlock()
+	}
+	for _, tc := range []struct {
+		name   string
+		ingest func()
+	}{
+		{"one flow", func() { c.Ingest(flows[0]) }},
+		{"one message", func() { c.Ingest(flows...) }},
+	} {
+		compact()
+		tc.ingest() // grow the buffers once
+		if allocs := testing.AllocsPerRun(50, func() { compact(); tc.ingest() }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per Ingest call, want 0", tc.name, allocs)
+		}
+	}
+	if st := c.Stats(); st.FlowsRouted != 52*65 {
+		t.Fatalf("%d flows routed, want %d", st.FlowsRouted, 52*65)
 	}
 }
 

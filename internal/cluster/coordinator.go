@@ -552,13 +552,14 @@ func (c *Coordinator) readLoop(l *link) {
 	}
 }
 
-// Ingest routes one flow to its shard. Flows for orphaned shards buffer in
-// the replay queue (degraded service) and are delivered on reassignment;
-// ingest never blocks and never drops.
-func (c *Coordinator) Ingest(f ipfix.Flow) {
+// Ingest routes flows to their shards, taking the coordinator's lock once
+// per call: a source hands over each decoded message whole. Flows for
+// orphaned shards buffer in the replay queue (degraded service) and are
+// delivered on reassignment; ingest never blocks and never drops.
+func (c *Coordinator) Ingest(flows ...ipfix.Flow) {
 	c.mu.Lock()
 	if !c.closed {
-		c.book.ingest(f)
+		c.book.ingest(flows)
 	}
 	c.mu.Unlock()
 }

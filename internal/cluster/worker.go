@@ -33,9 +33,6 @@ type WorkerConfig struct {
 	// single-process reference run) must use the same options, or shards
 	// would classify under different topologies.
 	Opts core.Options
-	// DrainWorkers is the RunParallel consumer count per shard (default:
-	// GOMAXPROCS via the runtime's own clamp).
-	DrainWorkers int
 	// HeartbeatInterval and HeartbeatMisses mirror the coordinator's
 	// liveness settings (defaults 500ms and 3).
 	HeartbeatInterval time.Duration
@@ -533,10 +530,12 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 	}
 	s := &workerShard{id: m.shard, rt: rt, cursor: m.cursor, drain: make(chan struct{}), reportedAt: noReport}
 	w.shards[m.shard] = s
-	workers := w.cfg.DrainWorkers
+	// One drain goroutine per shard runtime: shards outnumber workers, so
+	// the shard is already the unit of parallelism, and a sole drain worker
+	// aggregates every batch in place without a private spill shard.
 	go func() {
 		defer close(s.drain)
-		s.rt.RunParallel(sctx, workers, nil)
+		s.rt.Run(sctx, nil)
 	}()
 	if tel := w.cfg.Telemetry; tel != nil {
 		shard := m.shard

@@ -122,7 +122,7 @@ func TestBatchDrainLatencyHistogramNonEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	rt.Close()
 	if err := rt.RunParallel(nil, 4, nil); err != nil {

@@ -128,7 +128,7 @@ func TestIdleEdgeIsFree(t *testing.T) {
 	// once. (Stats takes that lock; the atomic count does not.)
 	var fed uint64
 	trickle := func() {
-		rt.Ingest(flows[fed%uint64(len(flows))])
+		rt.IngestBatch([]ipfix.Flow{flows[fed%uint64(len(flows))]})
 		fed++
 		for rt.processed.Load() != fed {
 			runtime.Gosched()

@@ -194,7 +194,7 @@ func (r *flowRing) take(dst []ipfix.Flow) int {
 }
 
 // IngestQueue is a bounded FIFO — one lock-free ring — with watermark-based
-// load shedding. Push never blocks and takes no lock on the hot path: from
+// load shedding. PushBatch never blocks and takes no lock on the hot path: from
 // the high watermark until the consumer drains the ring to the low watermark
 // every non-blocking arrival is shed, so a replay with the same
 // arrival/drain interleaving sheds the same flows, and every shed is
@@ -219,13 +219,13 @@ type IngestQueue struct {
 	closed   atomic.Bool
 
 	// pushing counts producers between entry and completion of a push. The
-	// locked queue linearized Push against Close; here a producer that
+	// locked queue linearized a push against Close; here a producer that
 	// passed the closed check can still be publishing when a drained
 	// consumer looks, so closed-and-drained is only final once pushing == 0.
 	pushing atomic.Int64
 
 	// Parking slow path: consumers (popWaiters) park when the ring is empty;
-	// PushWait producers (pushWaiters) park when it is full.
+	// PushBatchWait producers (pushWait) park when it is full.
 	// The waiter counts let the lock-free fast paths skip the mutex
 	// entirely unless someone is actually parked.
 	mu         sync.Mutex
@@ -294,21 +294,6 @@ func (q *IngestQueue) wakeProducers() {
 		q.notFull.Broadcast()
 		q.mu.Unlock()
 	}
-}
-
-// Push offers one flow: PushBatch of a one-flow batch. It reports whether
-// the flow was queued; false means it was shed (watermark policy or full
-// ring) or the queue is closed.
-func (q *IngestQueue) Push(f ipfix.Flow) bool {
-	one := [1]ipfix.Flow{f}
-	return q.PushBatch(one[:]) == 1
-}
-
-// PushWait queues f with backpressure: PushBatchWait of a one-flow batch.
-// False reports the queue was closed before the flow could be queued.
-func (q *IngestQueue) PushWait(f ipfix.Flow) bool {
-	one := [1]ipfix.Flow{f}
-	return q.PushBatchWait(one[:])
 }
 
 // PushBatchWait queues every flow of a batch, blocking while the ring is
@@ -434,7 +419,7 @@ func (q *IngestQueue) parkEmpty() bool {
 		}
 		if q.closed.Load() {
 			// Closed: drained is only final once no producer is mid-push —
-			// a Push that read closed == false may still be publishing, and
+			// a push that read closed == false may still be publishing, and
 			// its flow must be consumed, not stranded.
 			if q.pushing.Load() == 0 && q.ring.depth() == 0 {
 				q.popWaiters.Add(-1)
@@ -459,7 +444,7 @@ func (q *IngestQueue) parkEmpty() bool {
 // flow is available. It returns 0 only once the queue is closed and drained
 // — and keeps returning the remaining flows after Close until then. The shed
 // and cursor accounting is untouched: consumers observe exactly the flows
-// Push accepted, in arrival order.
+// the pushes accepted, in arrival order.
 func (q *IngestQueue) PopBatch(dst []ipfix.Flow) int {
 	if len(dst) == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,15 +25,28 @@ func pop(q *IngestQueue) (ipfix.Flow, bool) {
 	return one[0], true
 }
 
+// awaitParked yields until the waiter counter reads want: the goroutines
+// under test have announced themselves to the queue's parking slow path.
+func awaitParked(t *testing.T, waiters *atomic.Int32, want int32) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for waiters.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked, want %d", waiters.Load(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestQueueFIFOAndClose(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 8})
 	for i := 0; i < 5; i++ {
-		if !q.Push(queueFlow(i)) {
+		if q.PushBatch([]ipfix.Flow{queueFlow(i)}) != 1 {
 			t.Fatalf("push %d shed below watermark", i)
 		}
 	}
 	q.Close()
-	if q.Push(queueFlow(99)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(99)}) == 1 {
 		t.Fatal("push accepted after Close")
 	}
 	for i := 0; i < 5; i++ {
@@ -55,7 +69,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 8, HighWatermark: 6})
 	// Fill to the high watermark: 6 accepted.
 	for i := 0; i < 6; i++ {
-		if !q.Push(queueFlow(i)) {
+		if q.PushBatch([]ipfix.Flow{queueFlow(i)}) != 1 {
 			t.Fatalf("push %d shed below high watermark", i)
 		}
 	}
@@ -64,7 +78,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 	}
 	// Above the watermark everything sheds.
 	for i := 6; i < 10; i++ {
-		if q.Push(queueFlow(i)) {
+		if q.PushBatch([]ipfix.Flow{queueFlow(i)}) == 1 {
 			t.Fatalf("push %d accepted while shedding", i)
 		}
 	}
@@ -73,7 +87,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 	if !q.Stats().Shedding {
 		t.Fatal("shedding cleared above low watermark")
 	}
-	if q.Push(queueFlow(10)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(10)}) == 1 {
 		t.Fatal("push accepted inside hysteresis band")
 	}
 	// Drain to the low watermark: shedding stops.
@@ -81,7 +95,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 	if q.Stats().Shedding {
 		t.Fatal("still shedding at low watermark")
 	}
-	if !q.Push(queueFlow(11)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(11)}) != 1 {
 		t.Fatal("push shed after drain below low watermark")
 	}
 	st := q.Stats()
@@ -98,19 +112,19 @@ func TestQueueFullAlwaysSheds(t *testing.T) {
 	// a full ring sheds like any other crossing — until drained to half.
 	q := NewIngestQueue(QueueConfig{Capacity: 4, HighWatermark: 4})
 	for i := 0; i < 4; i++ {
-		if !q.Push(queueFlow(i)) {
+		if q.PushBatch([]ipfix.Flow{queueFlow(i)}) != 1 {
 			t.Fatalf("push %d shed with room left", i)
 		}
 	}
-	if q.Push(queueFlow(4)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(4)}) == 1 {
 		t.Fatal("push accepted into a full ring")
 	}
 	pop(q)
-	if q.Push(queueFlow(5)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(5)}) == 1 {
 		t.Fatal("push accepted at depth 3, above the low watermark of 2")
 	}
 	pop(q)
-	if !q.Push(queueFlow(6)) {
+	if q.PushBatch([]ipfix.Flow{queueFlow(6)}) != 1 {
 		t.Fatal("push shed after draining to the low watermark")
 	}
 	if st := q.Stats(); st.Shed != 2 || st.Queued != 5 || st.Ingested != 7 {
@@ -120,13 +134,13 @@ func TestQueueFullAlwaysSheds(t *testing.T) {
 
 // TestQueueShedDeterministic: which flows are shed is a function of the
 // arrival/drain interleaving alone — the property that makes a faulted replay
-// reproducible — and of nothing else: the same schedule offered flow by flow
-// through Push, or each burst as one PushBatch, sheds the same flows, because
-// there is one shed policy behind both doors.
+// reproducible — and of nothing else: the same schedule offered as one-flow
+// batches, or each burst as one batch, sheds the same flows, because the
+// policy is decided per arrival, not per call.
 func TestQueueShedDeterministic(t *testing.T) {
 	perFlow := func(q *IngestQueue, burst []ipfix.Flow) {
-		for _, f := range burst {
-			q.Push(f)
+		for i := range burst {
+			q.PushBatch(burst[i : i+1])
 		}
 	}
 	batch := func(q *IngestQueue, burst []ipfix.Flow) { q.PushBatch(burst) }
@@ -172,7 +186,7 @@ func TestQueueShedDeterministic(t *testing.T) {
 		t.Fatalf("identical replays diverged: %+v %v vs %+v %v", s1, a1, s2, a2)
 	}
 	if ab, sb := run(batch); sb != s1 || !slices.Equal(ab, a1) {
-		t.Fatalf("PushBatch shed differently from Push over the same trace:\n per-flow %+v %v\n batch    %+v %v",
+		t.Fatalf("a burst shed differently from its one-flow batches:\n one-flow %+v %v\n burst    %+v %v",
 			s1, a1, sb, ab)
 	}
 }
@@ -180,7 +194,7 @@ func TestQueueShedDeterministic(t *testing.T) {
 func TestQueuePopBatchFIFO(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 16})
 	for i := 0; i < 10; i++ {
-		q.Push(queueFlow(i))
+		q.PushBatch([]ipfix.Flow{queueFlow(i)})
 	}
 	q.Close()
 	buf := make([]ipfix.Flow, 4)
@@ -211,8 +225,8 @@ func TestQueueTryPopBatchNonBlocking(t *testing.T) {
 	if n := q.TryPopBatch(buf); n != 0 {
 		t.Fatalf("TryPopBatch on an empty open queue = %d, want 0", n)
 	}
-	q.Push(queueFlow(1))
-	q.Push(queueFlow(2))
+	q.PushBatch([]ipfix.Flow{queueFlow(1)})
+	q.PushBatch([]ipfix.Flow{queueFlow(2)})
 	if n := q.TryPopBatch(buf); n != 2 {
 		t.Fatalf("TryPopBatch = %d, want 2", n)
 	}
@@ -233,7 +247,7 @@ func TestQueueRingWraparound(t *testing.T) {
 	pushed := 0
 	for lap := 0; lap < 40; lap++ {
 		for i := 0; i < 5; i++ {
-			if !q.Push(queueFlow(pushed)) {
+			if q.PushBatch([]ipfix.Flow{queueFlow(pushed)}) != 1 {
 				t.Fatalf("lap %d: push %d refused with room left", lap, pushed)
 			}
 			pushed++
@@ -284,7 +298,7 @@ func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 		}()
 	}
 	// Let every consumer park on the empty queue, then land one burst.
-	time.Sleep(20 * time.Millisecond)
+	awaitParked(t, &q.popWaiters, consumers)
 	batch := make([]ipfix.Flow, 64)
 	for i := range batch {
 		batch[i] = queueFlow(i)
@@ -345,7 +359,7 @@ func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
 
 	// A blocked batch producer must observe Close.
 	go func() { done <- q.PushBatchWait(batch) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitParked(t, &q.pushWait, 1)
 	q.Close()
 	select {
 	case ok := <-done:
@@ -357,19 +371,19 @@ func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
 	}
 }
 
-// TestQueuePushWaitBackpressure: PushWait never sheds — a full queue blocks
-// the producer until the consumer drains, and every offered flow is either
-// queued or refused by Close.
+// TestQueuePushWaitBackpressure: a one-flow PushBatchWait never sheds — a
+// full queue blocks the producer until the consumer drains, and every offered
+// flow is either queued or refused by Close.
 func TestQueuePushWaitBackpressure(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 2, HighWatermark: 2})
-	if !q.PushWait(queueFlow(0)) || !q.PushWait(queueFlow(1)) {
-		t.Fatal("PushWait refused below capacity")
+	if !q.PushBatchWait([]ipfix.Flow{queueFlow(0)}) || !q.PushBatchWait([]ipfix.Flow{queueFlow(1)}) {
+		t.Fatal("PushBatchWait refused below capacity")
 	}
 	blocked := make(chan bool, 1)
-	go func() { blocked <- q.PushWait(queueFlow(2)) }()
+	go func() { blocked <- q.PushBatchWait([]ipfix.Flow{queueFlow(2)}) }()
 	select {
 	case <-blocked:
-		t.Fatal("PushWait returned with the queue full")
+		t.Fatal("PushBatchWait returned with the queue full")
 	case <-time.After(20 * time.Millisecond):
 	}
 	if _, ok := pop(q); !ok {
@@ -378,10 +392,10 @@ func TestQueuePushWaitBackpressure(t *testing.T) {
 	select {
 	case ok := <-blocked:
 		if !ok {
-			t.Fatal("PushWait reported closed after space opened")
+			t.Fatal("PushBatchWait reported closed after space opened")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("PushWait still blocked after a pop made room")
+		t.Fatal("PushBatchWait still blocked after a pop made room")
 	}
 	st := q.Stats()
 	if st.Ingested != 3 || st.Queued != 3 || st.Shed != 0 {
@@ -390,15 +404,15 @@ func TestQueuePushWaitBackpressure(t *testing.T) {
 
 	// Close unblocks a waiting producer with false.
 	waiting := make(chan bool, 1)
-	go func() { waiting <- q.PushWait(queueFlow(3)) }()
-	time.Sleep(10 * time.Millisecond)
+	go func() { waiting <- q.PushBatchWait([]ipfix.Flow{queueFlow(3)}) }()
+	awaitParked(t, &q.pushWait, 1)
 	q.Close()
 	select {
 	case ok := <-waiting:
 		if ok {
-			t.Fatal("PushWait reported queued after Close")
+			t.Fatal("PushBatchWait reported queued after Close")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("PushWait still blocked after Close")
+		t.Fatal("PushBatchWait still blocked after Close")
 	}
 }

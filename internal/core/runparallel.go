@@ -104,11 +104,11 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 }
 
 // drain is the batch drain loop, the only way a flow leaves the queue: Run is
-// one worker of it, RunParallel is n, and the cluster worker's shard
-// runtimes and the root LiveRuntime are callers of those two. ctx carries the
-// worker's profiler labels. sole says no other worker exists, so a held lock
-// can only be a scrape or a snapshot about to let go: that worker waits for
-// it, and never owns a second aggregator.
+// one worker of it, RunParallel is n; the cluster worker's shard runtimes
+// each run one, and the root LiveRuntime exposes both as they are. ctx
+// carries the worker's profiler labels. sole says no other worker exists, so
+// a held lock can only be a scrape or a snapshot about to let go: that worker
+// waits for it, and never owns a second aggregator.
 func (rt *Runtime) drain(ctx context.Context, sole bool, observe func([]ipfix.Flow, []Verdict, Epoch, bool), stopped *atomic.Bool) {
 	// Reused every batch: the steady-state loop allocates nothing per flow.
 	buf := make([]ipfix.Flow, consumeBatchSize)

@@ -15,7 +15,7 @@ import (
 )
 
 // unboundedQueue disables shedding for equivalence tests: the capacity holds
-// every flow and the watermark sits at capacity, so Push never drops.
+// every flow and the watermark sits at capacity, so a push never sheds.
 func unboundedQueue(n int) QueueConfig {
 	return QueueConfig{Capacity: n + 1, HighWatermark: n + 1}
 }
@@ -70,7 +70,7 @@ func runParallel(t *testing.T, p *Pipeline, flows []ipfix.Flow, workers int, pat
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		if !rt.Ingest(f) {
+		if rt.IngestBatch([]ipfix.Flow{f}) != 1 {
 			t.Fatal("ingest shed with shedding disabled")
 		}
 	}
@@ -114,7 +114,7 @@ func TestRunParallelObserverSeesEveryFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	rt.Close()
 	n := 0 // plain int: fn calls are serialized
@@ -168,7 +168,7 @@ func TestRunParallelFnFalseStops(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, f := range flows {
-				rt.Ingest(f)
+				rt.IngestBatch([]ipfix.Flow{f})
 			}
 			n := 0
 			fn := func(ipfix.Flow, LiveVerdict) bool {
@@ -216,7 +216,7 @@ func TestRunParallelContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -242,7 +242,7 @@ func TestRunParallelPeriodicCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	rt.Close()
 	if err := rt.RunParallel(nil, 4, nil); err != nil {
@@ -302,7 +302,7 @@ func TestRunParallelKillResumeSwitchWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range flows[cp.Ingested:] {
-			rt.Ingest(f)
+			rt.IngestBatch([]ipfix.Flow{f})
 		}
 		rt.Close()
 		drainWith(t, rt, secondWorkers)
@@ -335,7 +335,7 @@ func TestRunContextCancelWithFnFalse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Ingest(checkpointFlows()[0])
+	rt.IngestBatch([]ipfix.Flow{checkpointFlows()[0]})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {

@@ -90,12 +90,12 @@ type RuntimeStats struct {
 	Queue QueueStats
 }
 
-// Runtime is the live classification engine. Ingest may be called from any
-// number of producer goroutines (IPFIX collectors); Run and RunParallel are
-// one and n workers of the batch drain loop, the only consumer (one call at
-// a time); Swap and MarkDegraded may be called from a routing-feed goroutine
-// at any time — promotion is an atomic pointer swap between batches, never a
-// pause.
+// Runtime is the live classification engine. IngestBatch and IngestBatchWait
+// may be called from any number of producer goroutines (IPFIX collectors);
+// Run and RunParallel are one and n workers of the batch drain loop, the
+// only consumer (one call at a time); Swap and MarkDegraded may be called
+// from a routing-feed goroutine at any time — promotion is an atomic pointer
+// swap between batches, never a pause.
 type Runtime struct {
 	cfg   RuntimeConfig
 	queue *IngestQueue
@@ -205,32 +205,25 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	return rt, nil
 }
 
-// Ingest offers one flow to the bounded queue. It never blocks; false
-// reports the flow was shed (accounted in Stats().Queue.Shed) or the
-// runtime is closed.
-func (rt *Runtime) Ingest(f ipfix.Flow) bool { return rt.queue.Push(f) }
-
 // IngestBatch offers a decoded message's flows in one call — the zero-copy
 // hand-off from the collectors' batch callbacks (ServeBatch / ForEachBatch).
-// Flows are queued by value, so the caller may reuse the slice immediately.
-// Each flow sheds by the same per-arrival policy as Ingest, but parked
-// consumers are woken once for the whole batch instead of per record. It
-// returns how many flows were queued (the rest were shed or the runtime is
-// closed).
+// It never blocks: flows are queued by value, so the caller may reuse the
+// slice immediately; each flow sheds by the queue's per-arrival watermark
+// policy (accounted in Stats().Queue.Shed), and parked consumers are woken
+// once for the whole batch. It returns how many flows were queued (the rest
+// were shed or the runtime is closed). A live collector keeps serving
+// whatever was shed: `col.ServeBatch(func(b []ipfix.Flow) bool {
+// rt.IngestBatch(b); return true })`.
 func (rt *Runtime) IngestBatch(flows []ipfix.Flow) int { return rt.queue.PushBatch(flows) }
 
-// IngestWait offers one flow with backpressure: a full queue blocks the
-// caller instead of shedding. This is the feed path for replayable sources
-// (file readers) where every flow must be classified; live collectors keep
-// using Ingest, whose never-block contract is what bounds their latency.
-// False reports the runtime was closed before the flow could be queued.
-func (rt *Runtime) IngestWait(f ipfix.Flow) bool { return rt.queue.PushWait(f) }
-
-// IngestBatchWait queues a whole decoded batch with IngestWait's never-shed
-// backpressure contract, waking consumers once per batch. Its signature is
-// the collectors' batch callback, so a replay is
-// `fr.ForEachBatch(rt.IngestBatchWait)`. False reports the runtime closed
-// before the whole batch could be queued.
+// IngestBatchWait queues a whole decoded batch with backpressure: a full
+// queue blocks the caller instead of shedding, and consumers are woken once
+// per batch. This is the feed path for replayable sources (file readers, the
+// cluster worker's flow frames) where every flow must be classified; live
+// collectors keep using IngestBatch, whose never-block contract is what
+// bounds their latency. Its signature is the collectors' batch callback, so
+// a replay is `fr.ForEachBatch(rt.IngestBatchWait)`. False reports the
+// runtime closed before the whole batch could be queued.
 func (rt *Runtime) IngestBatchWait(flows []ipfix.Flow) bool { return rt.queue.PushBatchWait(flows) }
 
 // Swap promotes a freshly-built pipeline as the next epoch and clears the

@@ -76,7 +76,7 @@ func TestRuntimeClassifiesAndTagsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range checkpointFlows() {
-		if !rt.Ingest(f) {
+		if rt.IngestBatch([]ipfix.Flow{f}) != 1 {
 			t.Fatal("ingest shed with an empty queue")
 		}
 	}
@@ -115,14 +115,14 @@ func TestRuntimeSwapAndStale(t *testing.T) {
 	flows := checkpointFlows()
 	step := startStepper(t, rt)
 
-	rt.Ingest(flows[0])
+	rt.IngestBatch([]ipfix.Flow{flows[0]})
 	if v, _ := step(); v.Epoch != 1 || v.Stale {
 		t.Fatalf("healthy verdict = epoch %d stale %v", v.Epoch, v.Stale)
 	}
 
 	// Feed goes down: verdicts continue from the old state, marked Stale.
 	rt.MarkDegraded()
-	rt.Ingest(flows[1])
+	rt.IngestBatch([]ipfix.Flow{flows[1]})
 	if v, _ := step(); v.Epoch != 1 || !v.Stale {
 		t.Fatalf("degraded verdict = epoch %d stale %v, want epoch 1 stale", v.Epoch, v.Stale)
 	}
@@ -131,7 +131,7 @@ func TestRuntimeSwapAndStale(t *testing.T) {
 	if e := rt.Swap(testPipeline(t, Options{})); e != 2 {
 		t.Fatalf("swap returned epoch %d, want 2", e)
 	}
-	rt.Ingest(flows[2])
+	rt.IngestBatch([]ipfix.Flow{flows[2]})
 	if v, _ := step(); v.Epoch != 2 || v.Stale {
 		t.Fatalf("post-swap verdict = epoch %d stale %v, want epoch 2 fresh", v.Epoch, v.Stale)
 	}
@@ -150,7 +150,7 @@ func TestRuntimeBlocksUntilFirstSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Ingest(checkpointFlows()[0])
+	rt.IngestBatch([]ipfix.Flow{checkpointFlows()[0]})
 
 	type result struct {
 		v  LiveVerdict
@@ -185,7 +185,7 @@ func TestRuntimeRunWithContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range checkpointFlows() {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
@@ -232,7 +232,7 @@ func TestRuntimeCheckpointResume(t *testing.T) {
 	}
 	feed := func(rt *Runtime, flows []ipfix.Flow) {
 		for _, f := range flows {
-			rt.Ingest(f)
+			rt.IngestBatch([]ipfix.Flow{f})
 		}
 		drainAll(t, rt)
 	}
@@ -292,7 +292,7 @@ func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 	}
 	rt.Swap(testPipeline(t, Options{})) // epoch 2, as after a BGP flap rebuild
 	flows := checkpointFlows()
-	rt.Ingest(flows[0])
+	rt.IngestBatch([]ipfix.Flow{flows[0]})
 	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestRuntimeResumeAtLaterEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Ingest(flows[1])
+	res.IngestBatch([]ipfix.Flow{flows[1]})
 	step := startStepper(t, res)
 	done := make(chan LiveVerdict, 1)
 	go func() {
@@ -351,7 +351,7 @@ func TestRuntimeResumeCarriesDegradation(t *testing.T) {
 	}
 	flows := checkpointFlows()
 	rt.MarkDegraded()
-	rt.Ingest(flows[0])
+	rt.IngestBatch([]ipfix.Flow{flows[0]})
 	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -376,12 +376,12 @@ func TestRuntimeResumeCarriesDegradation(t *testing.T) {
 		t.Fatalf("resumed stats = %+v, want degraded with 1 stale verdict", st)
 	}
 	step := startStepper(t, res)
-	res.Ingest(flows[1])
+	res.IngestBatch([]ipfix.Flow{flows[1]})
 	if v, _ := step(); !v.Stale {
 		t.Fatal("post-resume verdict unmarked fresh while the feed gap is still open")
 	}
 	res.Swap(testPipeline(t, Options{})) // fresh state finally arrives
-	res.Ingest(flows[2])
+	res.IngestBatch([]ipfix.Flow{flows[2]})
 	if v, _ := step(); v.Stale {
 		t.Fatal("verdict still stale after a fresh swap")
 	}
@@ -404,7 +404,7 @@ func TestRuntimeCheckpointErrorSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range checkpointFlows()[:2] {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	// The due snapshot is attempted at the worker's idle edge and again at
 	// its exit, after the flows are aggregated: read the outcome once the
@@ -434,7 +434,7 @@ func TestRuntimeCheckpointRefusesPendingQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Ingest(checkpointFlows()[0])
+	rt.IngestBatch([]ipfix.Flow{checkpointFlows()[0]})
 	if err := rt.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint succeeded with a flow still queued")
 	}
@@ -447,34 +447,51 @@ func TestRuntimeCheckpointRefusesPendingQueue(t *testing.T) {
 	}
 }
 
-// TestPerFlowIngestAllocatesNothing: Ingest and IngestWait are the batch push
-// loops behind a one-flow array, and that array must stay on the caller's
-// stack — a heap allocation here would be one per record for every per-flow
-// producer.
-func TestPerFlowIngestAllocatesNothing(t *testing.T) {
+// TestBatchIngestAllocatesNothing: IngestBatch and IngestBatchWait copy a
+// message's flows into the ring by value and allocate nothing, whether the
+// message holds one flow or a full 64 — an allocation here would be one per
+// message for every collector and file replay.
+func TestBatchIngestAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const runs = 1000
+	const runs = 200
+	sizes := []int{1, 64}
+	total := 0
+	for _, n := range sizes {
+		total += 2 * n * (runs + 1) // both doors; AllocsPerRun warms up once
+	}
 	rt, err := NewRuntime(RuntimeConfig{
 		Pipeline: testPipeline(t, Options{}),
 		Start:    cpStart, Bucket: time.Hour,
-		Queue: unboundedQueue(2 * (runs + 1)), // AllocsPerRun warms up once
+		Queue: unboundedQueue(total),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := flowFrom("50.1.2.3", 1)
-	for name, ingest := range map[string]func(ipfix.Flow) bool{"Ingest": rt.Ingest, "IngestWait": rt.IngestWait} {
-		if allocs := testing.AllocsPerRun(runs, func() {
-			if !ingest(f) {
-				t.Fatal("flow refused below capacity")
+	doors := []struct {
+		name   string
+		ingest func([]ipfix.Flow) bool
+	}{
+		{"IngestBatch", func(b []ipfix.Flow) bool { return rt.IngestBatch(b) == len(b) }},
+		{"IngestBatchWait", rt.IngestBatchWait},
+	}
+	for _, n := range sizes {
+		batch := make([]ipfix.Flow, n)
+		for i := range batch {
+			batch[i] = flowFrom("50.1.2.3", uint32(i%3+1))
+		}
+		for _, d := range doors {
+			if allocs := testing.AllocsPerRun(runs, func() {
+				if !d.ingest(batch) {
+					t.Fatal("batch refused below capacity")
+				}
+			}); allocs != 0 {
+				t.Errorf("%s of %d flows allocates %.1f objects per call, want 0", d.name, n, allocs)
 			}
-		}); allocs != 0 {
-			t.Errorf("%s allocates %.1f objects per flow, want 0", name, allocs)
 		}
 	}
-	if st := rt.Stats().Queue; st.Ingested != 2*(runs+1) || st.Queued != st.Ingested || st.Shed != 0 {
-		t.Fatalf("queue counters after %d per-flow ingests: %+v", 2*(runs+1), st)
+	if st := rt.Stats().Queue; st.Ingested != uint64(total) || st.Queued != st.Ingested || st.Shed != 0 {
+		t.Fatalf("queue counters after %d flows ingested: %+v", total, st)
 	}
 }

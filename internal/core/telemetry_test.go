@@ -55,7 +55,7 @@ func TestRuntimeTelemetryMatchesAggregator(t *testing.T) {
 		runtime.Gosched() // not quiescent until every shard has folded
 	}
 	for _, f := range flows[600:] {
-		rt.IngestWait(f)
+		rt.IngestBatchWait([]ipfix.Flow{f})
 	}
 	rt.Close()
 	if err := <-done; err != nil {
@@ -181,7 +181,7 @@ func TestQueueShedJournal(t *testing.T) {
 	q.journal = j
 	var f ipfix.Flow
 	for i := 0; i < 8; i++ {
-		q.Push(f)
+		q.PushBatch([]ipfix.Flow{f})
 	}
 	st := q.Stats()
 	if !st.Shedding || st.Shed == 0 {
@@ -220,7 +220,7 @@ func TestRuntimeCheckpointJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range checkpointFlows() {
-		rt.Ingest(f)
+		rt.IngestBatch([]ipfix.Flow{f})
 	}
 	drainAll(t, rt)
 	if err := rt.Checkpoint(); err != nil {

@@ -75,7 +75,14 @@ func TestServeManyConnectionsSurviveFaults(t *testing.T) {
 	seen := map[uint16]bool{} // key: SrcPort, unique per flow below
 	done := make(chan error, 1)
 	go func() {
-		done <- col.ServeBatch(PerFlow(func(f Flow) bool { mu.Lock(); seen[f.SrcPort] = true; mu.Unlock(); return true }))
+		done <- col.ServeBatch(func(batch []Flow) bool {
+			mu.Lock()
+			for _, f := range batch {
+				seen[f.SrcPort] = true
+			}
+			mu.Unlock()
+			return true
+		})
 	}()
 
 	flowsFor := func(base, n int) []Flow {
@@ -346,10 +353,12 @@ func TestUDPCollectorSurvivesDatagramFaults(t *testing.T) {
 	}
 
 	counts := map[uint16]int{}
-	malformed, err := col.ServeBatch(time.Now().Add(time.Second), PerFlow(func(f Flow) bool {
-		counts[f.SrcPort]++
+	malformed, err := col.ServeBatch(time.Now().Add(time.Second), func(batch []Flow) bool {
+		for _, f := range batch {
+			counts[f.SrcPort]++
+		}
 		return true
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

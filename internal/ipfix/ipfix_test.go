@@ -240,15 +240,17 @@ func TestFileRoundTrip(t *testing.T) {
 func TestFileReaderEarlyStop(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFileWriter(&buf, 1)
-	fw.Write(t0, []Flow{sampleFlow(0), sampleFlow(1), sampleFlow(2)})
+	for i := 0; i < 3; i++ {
+		fw.Write(t0, []Flow{sampleFlow(i)}) // one message each
+	}
 	fw.Flush()
 	n := 0
 	fr := NewFileReader(bytes.NewReader(buf.Bytes()))
-	if err := fr.ForEachBatch(PerFlow(func(Flow) bool { n++; return n < 2 })); err != nil {
+	if err := fr.ForEachBatch(func([]Flow) bool { n++; return n < 2 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("visited %d flows", n)
+		t.Fatalf("visited %d messages", n)
 	}
 }
 

@@ -67,19 +67,19 @@ func TestTCPCollectorEarlyStop(t *testing.T) {
 		}
 		exp.Export(t0, flows)
 	}()
-	// The per-flow callback stops on the first flow it sees; the collector
-	// stops the stream there, and counts the batch it had handed over whole.
-	seen, handed := 0, 0
-	perFlow := PerFlow(func(Flow) bool { seen++; return false })
+	// The callback stops on the first batch it sees; the collector stops the
+	// stream there, and counts the batch it had handed over whole.
+	calls, handed := 0, 0
 	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+		calls++
 		handed += len(batch)
-		return perFlow(batch)
+		return false
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 1 {
-		t.Fatalf("callback saw %d flows after returning false on the first", seen)
+	if calls != 1 {
+		t.Fatalf("callback called %d times after returning false on the first batch", calls)
 	}
 	if n != handed || n == 0 {
 		t.Fatalf("early stop counted %d flows, the one batch handed over held %d", n, handed)

@@ -8,7 +8,6 @@ package spoofscope
 // checkpoints its aggregate state so a crash mid-run resumes exactly.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -71,12 +70,14 @@ type LiveRuntimeConfig struct {
 	Telemetry *Telemetry
 }
 
-// LiveRuntime is the continuous classification engine: collectors push
-// flows in via Ingest (never blocking — overload sheds, fully accounted),
-// one Run or RunParallel call drains them, and a BGP feed promotes fresh
-// routing state between batches via SwapClassifier or ServeBGP.
+// LiveRuntime is the continuous classification engine. It is the internal
+// runtime itself, so its ingest and drain are core.Runtime's: collectors
+// hand over each decoded message with IngestBatch (never blocking — overload
+// sheds, fully accounted) or IngestBatchWait (backpressure, for replayable
+// sources), one Run or RunParallel call drains them, and a BGP feed promotes
+// fresh routing state between batches via SwapClassifier or ServeBGP.
 type LiveRuntime struct {
-	rt      *core.Runtime
+	*core.Runtime
 	members []Member
 	opts    core.Options // cfg.Options, lowered once for every rebuild
 	tel     *Telemetry
@@ -100,89 +101,17 @@ func NewLiveRuntime(cfg LiveRuntimeConfig) (*LiveRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveRuntime{rt: rt, members: cfg.Members, opts: cfg.Options.coreOptions(), tel: cfg.Telemetry}, nil
+	return &LiveRuntime{Runtime: rt, members: cfg.Members, opts: cfg.Options.coreOptions(), tel: cfg.Telemetry}, nil
 }
 
 // Telemetry returns the bundle the runtime was built with (nil if none).
 func (lr *LiveRuntime) Telemetry() *Telemetry { return lr.tel }
 
-// Ingest offers one flow; false reports it was shed or the runtime closed.
-func (lr *LiveRuntime) Ingest(f Flow) bool { return lr.rt.Ingest(f) }
-
-// IngestBatch offers a decoded message's flows in one call — the zero-copy
-// hand-off from the collectors' batch callbacks (ServeBatch, ForEachBatch).
-// Flows are queued by value so the caller may reuse the slice immediately;
-// parked consumers are woken once per batch instead of per record. It
-// returns how many flows were queued (the rest were shed or the runtime is
-// closed). A live collector keeps serving whatever was shed:
-// `col.ServeBatch(func(b []Flow) bool { lr.IngestBatch(b); return true })`.
-func (lr *LiveRuntime) IngestBatch(flows []Flow) int { return lr.rt.IngestBatch(flows) }
-
-// IngestWait offers one flow with backpressure: a full queue blocks the
-// caller instead of shedding. Use it for replayable sources (file readers)
-// where every flow must be classified; live collectors keep using Ingest,
-// whose never-block contract bounds their latency. False reports the
-// runtime was closed before the flow could be queued.
-func (lr *LiveRuntime) IngestWait(f Flow) bool { return lr.rt.IngestWait(f) }
-
-// IngestBatchWait queues a whole decoded batch with IngestWait's never-shed
-// backpressure contract, waking consumers once per batch — a file replay is
-// `fr.ForEachBatch(lr.IngestBatchWait)`. False reports the runtime closed
-// before the whole batch could be queued.
-func (lr *LiveRuntime) IngestBatchWait(flows []Flow) bool { return lr.rt.IngestBatchWait(flows) }
-
-// Run is RunParallel with one worker, which aggregates every batch in place.
-func (lr *LiveRuntime) Run(ctx context.Context, fn func(Flow, LiveVerdict) bool) error {
-	return lr.rt.Run(ctx, fn)
-}
-
-// RunParallel consumes flows with `workers` concurrent consumers (default
-// and cap: GOMAXPROCS) until ctx is cancelled or the runtime is closed and
-// drained. Every worker runs the one batch drain loop: claim a batch,
-// classify it against one epoch snapshot, and aggregate it in place —
-// straight into the canonical aggregate — when the runtime lock is free.
-// Only a worker that finds the lock held by another spills the batch into a
-// private shard, and stays on it until its next barrier (the idle edge, or
-// exit), where the shard folds back. Merging is order-independent, so a
-// drained run's aggregate — and its canonical checkpoint encoding — is
-// byte-identical to a flow-by-flow aggregation of the same flows, whatever
-// the worker count and however many batches spilled. Periodic checkpoints are
-// taken at the first idle edge at which they are due, once every worker has
-// folded.
-//
-// fn (optional) observes every flow and verdict, after the flow's batch has
-// been aggregated; calls are serialized (one observer lock per batch) but
-// arrive in worker-completion order, not arrival order. Returning false stops
-// consumption: fn is not called again, intake is closed, and workers exit
-// after aggregating their in-flight batches. Do not run concurrently with Run
-// or another RunParallel.
-func (lr *LiveRuntime) RunParallel(ctx context.Context, workers int, fn func(Flow, LiveVerdict) bool) error {
-	return lr.rt.RunParallel(ctx, workers, fn)
-}
-
 // SwapClassifier promotes a rebuilt classifier as the next epoch and clears
 // the degraded marker.
 func (lr *LiveRuntime) SwapClassifier(c *Classifier) Epoch {
-	return lr.rt.Swap(c.Pipeline())
+	return lr.Swap(c.Pipeline())
 }
-
-// MarkDegraded flags the routing feed as stale; verdicts carry Stale=true
-// until the next swap.
-func (lr *LiveRuntime) MarkDegraded() { lr.rt.MarkDegraded() }
-
-// Close stops intake; a running drain classifies what is queued, then
-// returns.
-func (lr *LiveRuntime) Close() { lr.rt.Close() }
-
-// Checkpoint forces a snapshot now (the queue must be drained).
-func (lr *LiveRuntime) Checkpoint() error { return lr.rt.Checkpoint() }
-
-// Stats snapshots the runtime's health counters.
-func (lr *LiveRuntime) Stats() RuntimeStats { return lr.rt.Stats() }
-
-// Aggregator exposes the aggregate state; do not race it with a running
-// drain.
-func (lr *LiveRuntime) Aggregator() *Aggregator { return lr.rt.Aggregator() }
 
 // BGPFeedConfig wires a live route-server session into the runtime.
 type BGPFeedConfig struct {
@@ -214,7 +143,7 @@ func (lr *LiveRuntime) ServeBGP(cfg BGPFeedConfig) error {
 	var rebuildErr error
 	feed := bgp.NewFeed(bgp.FeedConfig{
 		Reconnector: rcfg,
-		OnGap:       func(error) { lr.rt.MarkDegraded() },
+		OnGap:       func(error) { lr.MarkDegraded() },
 		OnSnapshot: func(rib *bgp.RIB) bool {
 			// Off the hot path: classification continues on the old epoch
 			// (possibly marked stale) while the new pipeline compiles.
@@ -222,7 +151,7 @@ func (lr *LiveRuntime) ServeBGP(cfg BGPFeedConfig) error {
 			// current pipeline and reuses the graph/closure/index layers an
 			// unchanged topology leaves valid, so steady-state replays
 			// promote in a fraction of a cold compile.
-			_, _, err := lr.rt.RebuildAndSwap(rib, lr.members, lr.opts)
+			_, _, err := lr.RebuildAndSwap(rib, lr.members, lr.opts)
 			if err != nil {
 				rebuildErr = fmt.Errorf("spoofscope: rebuilding pipeline: %w", err)
 				return false

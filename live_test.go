@@ -52,7 +52,7 @@ func TestKillAndResumeByteIdenticalTallies(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- rt.Run(nil, nil) }()
 		for _, f := range flows {
-			if !rt.IngestWait(f) {
+			if !rt.IngestBatchWait([]Flow{f}) {
 				t.Fatal("runtime closed mid-feed")
 			}
 		}
@@ -187,7 +187,7 @@ func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 	batch := func(bi, n int) {
 		queuedBefore := rt.Stats().Queue.Queued
 		for _, f := range flows[off : off+n] {
-			rt.Ingest(f)
+			rt.IngestBatch([]Flow{f})
 		}
 		off += n
 		accepted := rt.Stats().Queue.Queued - queuedBefore

@@ -62,7 +62,7 @@ func TestObsSmoke(t *testing.T) {
 	go func() { done <- rt.RunParallel(nil, 4, nil) }()
 	go func() {
 		for _, f := range flows {
-			rt.IngestWait(f)
+			rt.IngestBatchWait([]Flow{f})
 		}
 		rt.Close()
 	}()

@@ -212,12 +212,14 @@ func TestResilientIPFIXFeedMatchesNoFaultRun(t *testing.T) {
 	collected := map[int64]Flow{}
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- col.ServeBatch(ipfix.PerFlow(func(f Flow) bool {
+		serveDone <- col.ServeBatch(func(batch []Flow) bool {
 			mu.Lock()
-			collected[f.Start.UnixMilli()] = f
+			for _, f := range batch {
+				collected[f.Start.UnixMilli()] = f
+			}
 			mu.Unlock()
 			return true
-		}))
+		})
 	}()
 
 	// A corrupt-but-framed IPFIX message: correct length field, version 0.
@@ -342,7 +344,7 @@ func TestResilientClusterMatchesSingleProcess(t *testing.T) {
 	drained := make(chan struct{})
 	go func() { defer close(drained); rt.RunParallel(context.Background(), 0, nil) }()
 	for _, f := range flows {
-		if !rt.IngestWait(f) {
+		if !rt.IngestBatchWait([]Flow{f}) {
 			t.Fatal("reference runtime closed mid-feed")
 		}
 	}

@@ -157,9 +157,14 @@ func (c *Classifier) AllowSource(member ASN, p Prefix) error {
 // classifier. fn returning false stops early.
 func (c *Classifier) ClassifyIPFIX(r io.Reader, fn func(Flow, Verdict) bool) error {
 	fr := ipfix.NewFileReader(r)
-	return fr.ForEachBatch(ipfix.PerFlow(func(f ipfix.Flow) bool {
-		return fn(f, c.pipeline.Classify(f))
-	}))
+	return fr.ForEachBatch(func(batch []ipfix.Flow) bool {
+		for _, f := range batch {
+			if !fn(f, c.pipeline.Classify(f)) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Pipeline exposes the underlying pipeline for advanced analyses
