@@ -101,13 +101,13 @@ obs-smoke:
 # place, or in a worker's private shard — depends on who holds the aggregate
 # lock at that instant, so one pass sees only a few of the interleavings;
 # twenty see enough that a fold or quiescence bug which needs a particular one
-# does not get through. The shard book's: its own tests and fuzz seeds, and
-# the cluster scenarios that fire a stall or partition at a chosen point of
-# the feed by moving the coordinator's virtual clock, where the workers'
-# goroutines still race the coordinator's.
+# does not get through. The shard book's: its own tests and fuzz seeds, the
+# worker's end of the liveness rule, and the cluster scenarios that fire a
+# stall or partition at a chosen point of the feed by moving the cluster's
+# virtual clock, where the link goroutines still race the ticks.
 stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
-	$(GO) test -race -count=20 -run 'Book|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
+	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-feed (internal/cluster chaos suite — the stall and the partition fire

@@ -13,7 +13,7 @@
 //	                  [-name w1] [-identity-file worker.id]
 //	                  [-secret s | -secret-file path]
 //	                  [-data ixp-data/ [-no-orgs] [-no-routers]]
-//	                  [-heartbeat 500ms] [-max-attempts N]
+//	                  [-heartbeat 2s] [-max-attempts N]
 //	                  [-metrics-addr host:port]
 //
 // The worker's identity is stable across restarts: -identity-file is read

@@ -9,11 +9,10 @@ import (
 // FeedConfig wires a supervised live session to an epoch builder.
 type FeedConfig struct {
 	// Reconnector supplies the supervised update stream. The Feed installs
-	// its own OnEstablish and OnFlap hooks (chaining any the caller set) and
-	// forces ReconnectOnEOF off: in this repo's route-server model an
-	// orderly CEASE marks the end of a full table replay — a snapshot
-	// boundary the Feed must observe itself, after which it re-dials for
-	// the next replay.
+	// its own OnEstablish and OnFlap hooks (chaining any the caller set). In
+	// this repo's route-server model an orderly CEASE marks the end of a full
+	// table replay — a snapshot boundary the Feed observes itself (Recv
+	// returns io.EOF), after which it re-dials for the next replay.
 	Reconnector ReconnectorConfig
 	// OnSnapshot receives each complete routing table (ownership transfers:
 	// the Feed never touches the RIB again) once the peer's replay finishes.
@@ -42,7 +41,6 @@ type Feed struct {
 func NewFeed(cfg FeedConfig) *Feed {
 	f := &Feed{cfg: cfg}
 	rcfg := cfg.Reconnector
-	rcfg.ReconnectOnEOF = false
 	chainEstablish := rcfg.OnEstablish
 	rcfg.OnEstablish = func(s *Session) error {
 		// A new session means a replay from scratch: anything accumulated

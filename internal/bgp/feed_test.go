@@ -175,7 +175,13 @@ func TestReconnectorContextCancelAbortsBackoff(t *testing.T) {
 		_, err := rec.Recv()
 		errc <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let Recv reach the backoff sleep
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.Now().Add(5 * time.Second); rec.Stats().State != StateBackoff; <-tick.C {
+		if time.Now().After(deadline) {
+			t.Fatal("Recv never reached the backoff sleep")
+		}
+	}
 	start := time.Now()
 	cancel()
 	select {

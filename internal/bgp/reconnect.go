@@ -58,19 +58,13 @@ type ReconnectorConfig struct {
 	// MaxAttempts caps consecutive failed connection attempts before Recv
 	// gives up (0 = retry forever).
 	MaxAttempts int
-	// ReconnectOnEOF treats an orderly CEASE from the peer as a flap and
-	// re-dials. The default (false) passes io.EOF through to the caller —
-	// right for finite replays, where the CEASE ends one table snapshot.
-	ReconnectOnEOF bool
 	// Context, when non-nil, bounds the supervisor's lifetime: backoff
 	// sleeps and in-flight dials abort promptly when it is cancelled, and
 	// Recv returns the context's error instead of running timers out.
 	Context context.Context
-	// Dial overrides the transport dialer (tests wrap it in faultnet).
+	// Dial overrides the transport dialer (tests wrap it in faultnet). The
+	// default dialer honors Context.
 	Dial func(addr string) (net.Conn, error)
-	// DialContext overrides the dialer with a cancellable variant; it wins
-	// over Dial when both are set. The default dialer honors Context.
-	DialContext func(ctx context.Context, addr string) (net.Conn, error)
 	// OnEstablish runs after every successful handshake, before any Recv on
 	// the new session — the hook where a collector resets its RIB so the
 	// peer's full replay rebuilds it from scratch. A non-nil error tears the
@@ -138,14 +132,10 @@ type Reconnector struct {
 
 // NewReconnector builds a supervisor; no connection is made until Recv.
 func NewReconnector(cfg ReconnectorConfig) *Reconnector {
-	if cfg.DialContext == nil {
-		if dial := cfg.Dial; dial != nil {
-			cfg.DialContext = func(_ context.Context, addr string) (net.Conn, error) { return dial(addr) }
-		} else {
+	if cfg.Dial == nil {
+		cfg.Dial = func(addr string) (net.Conn, error) {
 			var d net.Dialer
-			cfg.DialContext = func(ctx context.Context, addr string) (net.Conn, error) {
-				return d.DialContext(ctx, "tcp", addr)
-			}
+			return d.DialContext(cfg.ctx(), "tcp", addr)
 		}
 	}
 	r := &Reconnector{
@@ -196,8 +186,9 @@ func (r *Reconnector) register(m *obs.Registry) {
 
 // Recv returns the next UPDATE from the supervised session, transparently
 // re-establishing it after failures. It returns io.EOF on the peer's orderly
-// CEASE (unless ReconnectOnEOF), net.ErrClosed after Close, and a terminal
-// error once MaxAttempts consecutive connection attempts fail.
+// CEASE — the end of a finite replay, one table snapshot — net.ErrClosed
+// after Close, and a terminal error once MaxAttempts consecutive connection
+// attempts fail.
 func (r *Reconnector) Recv() (*Update, error) {
 	for {
 		sess, err := r.ensure()
@@ -211,7 +202,7 @@ func (r *Reconnector) Recv() (*Update, error) {
 		if r.isClosed() {
 			return nil, net.ErrClosed
 		}
-		if errors.Is(err, io.EOF) && !r.cfg.ReconnectOnEOF {
+		if errors.Is(err, io.EOF) {
 			r.teardown(StateIdle)
 			return nil, io.EOF
 		}
@@ -228,13 +219,6 @@ func (r *Reconnector) Recv() (*Update, error) {
 		}
 		r.teardown(StateConnecting)
 	}
-}
-
-// Session returns the currently-established session, or nil.
-func (r *Reconnector) Session() *Session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sess
 }
 
 // Stats returns a snapshot of the supervision counters.
@@ -343,7 +327,7 @@ func (r *Reconnector) ensure() (*Session, error) {
 }
 
 func (r *Reconnector) establish() (*Session, error) {
-	conn, err := r.cfg.DialContext(r.cfg.ctx(), r.cfg.Addr)
+	conn, err := r.cfg.Dial(r.cfg.Addr)
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,12 @@ func TestSessionRecvSkipsKeepalives(t *testing.T) {
 	defer server.Close()
 
 	go func() {
-		time.Sleep(700 * time.Millisecond) // let at least one keepalive pass
+		// Send once the client's Recv has absorbed a keepalive.
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for deadline := time.Now().Add(10 * time.Second); client.Stats().KeepalivesIn == 0 && time.Now().Before(deadline); {
+			<-tick.C
+		}
 		server.Send(sampleUpdate())
 	}()
 	got, err := client.Recv()
@@ -130,6 +135,9 @@ func TestSessionRecvSkipsKeepalives(t *testing.T) {
 	}
 	if len(got.NLRI) == 0 {
 		t.Fatal("update lost")
+	}
+	if client.Stats().KeepalivesIn == 0 {
+		t.Fatal("the update arrived before any keepalive")
 	}
 }
 

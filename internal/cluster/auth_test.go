@@ -39,10 +39,12 @@ func openConn(t *testing.T, coord *Coordinator) (net.Conn, []byte) {
 	t.Helper()
 	coordSide, clientSide := net.Pipe()
 	coord.AddConn(coordSide)
-	body, err := readFrame(clientSide, time.Now().Add(5*time.Second), nil)
+	clientSide.SetReadDeadline(time.Now().Add(5 * time.Second))
+	body, err := readFrame(clientSide, nil)
 	if err != nil {
 		t.Fatalf("reading challenge: %v", err)
 	}
+	clientSide.SetReadDeadline(time.Time{})
 	nonce, err := decodeChallenge(body)
 	if err != nil {
 		t.Fatalf("decoding challenge: %v", err)

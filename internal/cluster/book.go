@@ -62,12 +62,7 @@ type peer struct {
 
 	joined bool
 	gone   bool // dropped: queued for closing, owns nothing, gets no frame
-	// heard is when a frame was last read from the peer (its accept time
-	// before the first); written and moved track the writer, moved being
-	// when its count last advanced or its queues were last seen empty.
-	heard   time.Time
-	written uint64
-	moved   time.Time
+	liveness
 	// epochSeq is the sequence of the last epoch frame queued to the peer.
 	epochSeq uint64
 }
@@ -201,7 +196,7 @@ func (b *book) accept(out outbox, nonce []byte, now time.Time) *peer {
 		b.tel.Recordf(obs.EventConnRejected, "connection closed at the %d-conn cap", maxConns)
 		return nil
 	}
-	p := &peer{out: out, nonce: nonce, heard: now, moved: now}
+	p := &peer{out: out, nonce: nonce, liveness: liveness{heard: now, moved: now}}
 	b.peers = append(b.peers, p)
 	out.ctrl(encodeChallenge(nonce)) // a fresh queue has room
 	return p
@@ -319,29 +314,21 @@ func (b *book) tick(now time.Time) {
 	b.settle(now)
 }
 
-// live applies the one liveness rule and drops p if it fails: a peer is dead
-// when nothing has been read from it for the deadline — before its hello
-// too — or when frames have waited in its outbound queues for the deadline
-// without the writer finishing one. A draining queue is backpressure, not
-// death.
+// live applies the liveness rule (see liveness) and drops p if it fails.
 func (b *book) live(p *peer, now time.Time) bool {
-	if now.Sub(p.heard) >= b.deadline {
-		if !p.joined {
-			b.refuse(p, false, "no hello before deadline", now)
-			return false
-		}
+	switch silent, stalled := p.judge(now, b.deadline, p.out); {
+	case silent && !p.joined:
+		b.refuse(p, false, "no hello before deadline", now)
+	case silent:
 		b.hbMisses++
 		b.tel.Recordf(obs.EventHeartbeatMiss, "%s silent for %v; declaring dead", p.label(), b.deadline)
 		b.lose(p, "heartbeat deadline", now)
-		return false
-	}
-	if written, backlog := p.out.progress(); backlog == 0 || written != p.written {
-		p.written, p.moved = written, now
-	} else if now.Sub(p.moved) >= b.deadline {
+	case stalled:
 		b.lose(p, "outbound queue stalled behind its writer", now)
-		return false
+	default:
+		return true
 	}
-	return true
+	return false
 }
 
 // requestReports asks the owner of every owned, in-sync shard that is

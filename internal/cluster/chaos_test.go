@@ -49,9 +49,9 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 
 // TestClusterSurvivesWorkerStall stalls one worker's link mid-feed: its
 // connection goes silent both ways without closing — the failure mode the
-// liveness deadline exists for. The coordinator's clock then moves on until
-// it declares the silent link dead and hands its shards off; closing the
-// link fails the stalled worker's session, and it redials a healthy one.
+// liveness deadline exists for. The cluster's clock then moves on until the
+// coordinator declares the silent link dead and hands its shards off; the
+// stalled worker drops the link at its own tick, and it redials a healthy one.
 func TestClusterSurvivesWorkerStall(t *testing.T) {
 	flows := testFlows(1600)
 	want := singleProcessCheckpoint(t, flows)
@@ -76,7 +76,7 @@ func TestClusterSurvivesWorkerStall(t *testing.T) {
 		tc.coord.Ingest(f)
 	}
 	(<-cuts).stall()
-	tc.elapse("stalled link declared dead", func() bool { return tc.coord.Stats().Handoffs > 0 }, "w0")
+	tc.elapse("stalled link declared dead", func() bool { return tc.coord.Stats().Handoffs > 0 }, 0)
 	for _, f := range flows[800:] {
 		tc.coord.Ingest(f)
 	}

@@ -151,14 +151,21 @@ func await(t testing.TB, what string, cond func() bool) {
 }
 
 // vclock is the cluster tests' clock: time stands still until the test moves
-// it, and a move fires — synchronously and in order — every coordinator tick
-// it crosses. A fault therefore lands where the test puts it, not where a
-// pacing sleep happened to.
+// it, and a move fires — synchronously and in time order — every tick it
+// crosses: the coordinator's and each worker session's. A fault therefore
+// lands where the test puts it, not where a pacing sleep happened to.
 type vclock struct {
-	mu      sync.Mutex
-	t, next time.Time
-	d       time.Duration
-	fn      func(time.Time)
+	mu   sync.Mutex
+	t    time.Time
+	subs []*vtick
+}
+
+// vtick is one subscriber to a vclock.
+type vtick struct {
+	next time.Time
+	d    time.Duration
+	stop <-chan struct{}
+	fn   func(time.Time)
 }
 
 func (c *vclock) now() time.Time {
@@ -167,33 +174,63 @@ func (c *vclock) now() time.Time {
 	return c.t
 }
 
-func (c *vclock) every(d time.Duration, _ <-chan struct{}, fn func(time.Time)) {
+func (c *vclock) every(d time.Duration, stop <-chan struct{}, fn func(time.Time)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.d, c.fn, c.next = d, fn, c.t.Add(d)
+	c.subs = append(c.subs, &vtick{next: c.t.Add(d), d: d, stop: stop, fn: fn})
 }
 
-// advance moves time on by d.
+// ticking counts the subscribers whose stop has not closed.
+func (c *vclock) ticking() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.prune()
+	return len(c.subs)
+}
+
+// prune drops the subscribers whose stop has closed: each worker session
+// subscribes anew, and a redial must not leave its old session ticking.
+func (c *vclock) prune() {
+	c.subs = slices.DeleteFunc(c.subs, func(s *vtick) bool {
+		select {
+		case <-s.stop:
+			return true
+		default:
+			return false
+		}
+	})
+}
+
+// advance moves time on by d, firing the due ticks earliest first (ties in
+// the order they subscribed).
 func (c *vclock) advance(d time.Duration) {
 	c.mu.Lock()
 	end := c.t.Add(d)
-	for c.fn != nil && !c.next.After(end) {
-		c.t, c.next = c.next, c.next.Add(c.d)
-		fn, now := c.fn, c.t
+	for {
+		c.prune()
+		var due *vtick
+		for _, s := range c.subs {
+			if !s.next.After(end) && (due == nil || s.next.Before(due.next)) {
+				due = s
+			}
+		}
+		if due == nil {
+			break
+		}
+		c.t, due.next = due.next, due.next.Add(due.d)
+		now := c.t
 		c.mu.Unlock()
-		fn(now)
+		due.fn(now)
 		c.mu.Lock()
 	}
 	c.t = end
 	c.mu.Unlock()
 }
 
-// run keeps time moving at the wall clock's pace until the returned stop is
-// called — how a test lets a run converge once its faults have fired.
-func (c *vclock) run() (stop func()) {
-	c.mu.Lock()
-	d := c.d
-	c.mu.Unlock()
+// run keeps time moving at the wall clock's pace, d at a time, until the
+// returned stop is called — how a test lets a run converge once its faults
+// have fired.
+func (c *vclock) run(d time.Duration) (stop func()) {
 	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -224,28 +261,39 @@ func newVirtualCoordinator(t testing.TB, cfg Config) (*Coordinator, *vclock) {
 	return c, clk
 }
 
-// elapse moves a virtual coordinator's clock on one heartbeat interval at a
-// time until cond holds. Before each step it waits until every worker named
-// in live has been heard at the current time, so the step's tick finds those
-// links live and only the silent ones dead.
-func elapse(t testing.TB, c *Coordinator, clk *vclock, what string, cond func() bool, live ...string) {
+// elapse moves a virtual cluster's clock on one heartbeat interval at a time
+// until cond holds. Before each step it waits until the coordinator and every
+// worker in live have heard each other within the last interval, so the
+// step's ticks find those links live at both ends and only the silent ones
+// dead.
+func elapse(t testing.TB, c *Coordinator, clk *vclock, what string, cond func() bool, live ...*Worker) {
 	t.Helper()
+	interval := c.cfg.interval()
 	for step := 0; !cond(); step++ {
-		if step > 10*int(c.book.deadline/c.cfg.interval()) {
+		if step > 10*int(c.book.deadline/interval) {
 			t.Fatalf("%s: still not so after %d heartbeat intervals", what, step)
 		}
-		now := clk.now()
-		await(t, "live workers heard", func() bool {
+		since := clk.now().Add(-interval)
+		await(t, "live links heard at both ends", func() bool {
 			heard := 0
-			for _, w := range c.FleetStatus().Workers {
-				if slices.Contains(live, w.Identity) && !w.LastSeen.Before(now) {
-					heard++
+			for _, st := range c.FleetStatus().Workers {
+				for _, w := range live {
+					if st.Identity == w.identity() && !st.LastSeen.Before(since) && !w.heard().Before(since) {
+						heard++
+					}
 				}
 			}
 			return heard == len(live)
 		})
-		clk.advance(c.cfg.interval())
+		clk.advance(interval)
 	}
+}
+
+// heard is when the worker's current link last read a frame.
+func (w *Worker) heard() time.Time {
+	w.lmu.Lock()
+	defer w.lmu.Unlock()
+	return w.link.heard
 }
 
 // awaitOwners waits until every named worker owns at least one shard — a
@@ -336,12 +384,13 @@ type testCluster struct {
 	// test installs hooks.
 	tuneWorker func(*Worker)
 
-	// clk is the coordinator's virtual clock (newVirtualCluster), nil on the
+	// clk is the cluster's virtual clock (newVirtualCluster), nil on the
 	// wall clock.
 	clk *vclock
 
 	mu      sync.Mutex
 	coord   *Coordinator // replaced by restartCoordinator; read under mu
+	workers map[int]*Worker
 	cancels map[int]context.CancelFunc
 	runDone map[int]chan struct{}
 	conns   map[int]net.Conn // latest worker-side conn per worker
@@ -398,16 +447,24 @@ func newTestClusterOf(t *testing.T, shards int) *testCluster {
 			HeartbeatInterval: 20 * time.Millisecond,
 			Telemetry:         tel,
 		},
+		workers: make(map[int]*Worker),
 		cancels: make(map[int]context.CancelFunc),
 		runDone: make(map[int]chan struct{}),
 		conns:   make(map[int]net.Conn),
 	}
 }
 
-// elapse moves the virtual cluster's clock until cond holds (see elapse).
-func (tc *testCluster) elapse(what string, cond func() bool, live ...string) {
+// elapse moves the virtual cluster's clock until cond holds, with the
+// workers of the indices in live kept heard (see elapse).
+func (tc *testCluster) elapse(what string, cond func() bool, live ...int) {
 	tc.t.Helper()
-	elapse(tc.t, tc.coordinator(), tc.clk, what, cond, live...)
+	var workers []*Worker
+	tc.mu.Lock()
+	for _, i := range live {
+		workers = append(workers, tc.workers[i])
+	}
+	tc.mu.Unlock()
+	elapse(tc.t, tc.coordinator(), tc.clk, what, cond, workers...)
 }
 
 // killCoordinator simulates coordinator process death: the coordinator is
@@ -450,23 +507,19 @@ func (tc *testCluster) startWorker(i int) {
 		coord.AddConn(coordSide)
 		return workerSide, nil
 	}
-	misses := 0
+	var clk clock = wallClock{}
 	if tc.clk != nil {
-		// A virtual coordinator's heartbeats stop while its clock stands
-		// still; a wide budget keeps that from reading as a dead coordinator
-		// on the worker's side.
-		misses = 1000
+		clk = tc.clk
 	}
-	w, err := NewWorker(WorkerConfig{
+	w, err := newWorker(WorkerConfig{
 		Name:              "w" + string(rune('0'+i)),
 		Dial:              dial,
 		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMisses:   misses,
 		InitialBackoff:    5 * time.Millisecond,
 		MaxBackoff:        50 * time.Millisecond,
 		Seed:              int64(i),
 		Telemetry:         tc.tel,
-	})
+	}, clk)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
@@ -477,6 +530,7 @@ func (tc *testCluster) startWorker(i int) {
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()
 	tc.mu.Lock()
+	tc.workers[i] = w
 	tc.cancels[i] = cancel
 	tc.runDone[i] = done
 	tc.mu.Unlock()
@@ -549,7 +603,7 @@ func (tc *testCluster) checkpointBytes() []byte {
 func checkpointBytes(t testing.TB, c *Coordinator, clk *vclock) []byte {
 	t.Helper()
 	if clk != nil {
-		defer clk.run()()
+		defer clk.run(c.cfg.interval())()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -665,7 +719,7 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 		sink := &sinkConn{}
 		l := newLink(sink)
 		l.peer = &peer{out: l, joined: true}
-		go c.writeLoop(l)
+		go l.writeLoop(func(error) {})
 		s, flows := &c.book.shards[0], testFlows(512)
 		var base uint64
 		send := func() {

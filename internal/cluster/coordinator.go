@@ -82,10 +82,31 @@ func (c *Config) interval() time.Duration {
 	return interval
 }
 
-// clock is the shell's one time source: now stamps every input it hands the
-// book, and every paces the book's tick until stop closes. Production runs on
-// the wall clock; the cluster tests drive a virtual one, so a fault lands at
-// a chosen point of the feed instead of wherever a pacing sleep put it.
+// liveness is one end's view of a link under the rule both ends judge at
+// every tick: silent when nothing has been read from it for the deadline
+// (before the hello or the challenge too), stalled when frames have waited in
+// its outbound queue that long without the writer finishing one. A draining
+// queue is backpressure, not death. It reads no clock.
+type liveness struct {
+	heard   time.Time // last frame read (the link's start before the first)
+	written uint64    // the writer's finished frames at the last judgement
+	moved   time.Time // when written last advanced or the queue was last seen empty
+}
+
+func (l *liveness) judge(now time.Time, deadline time.Duration, out outbox) (silent, stalled bool) {
+	if now.Sub(l.heard) >= deadline {
+		return true, false
+	}
+	if written, backlog := out.progress(); backlog == 0 || written != l.written {
+		l.written, l.moved = written, now
+	}
+	return false, now.Sub(l.moved) >= deadline
+}
+
+// clock is the cluster's one time source: now stamps every input, and every
+// paces the book's tick and each worker session's until stop closes.
+// Production runs on the wall clock; the cluster tests drive a virtual one, so
+// a fault lands at a chosen point of the feed, not where a pacing sleep put it.
 type clock interface {
 	now() time.Time
 	every(d time.Duration, stop <-chan struct{}, fn func(now time.Time))
@@ -119,8 +140,8 @@ const outboundDepth = 4096
 // freeFrames bounds a link's free list of flow-frame buffers (link.free).
 const freeFrames = 64
 
-// link is one connection's socket side: the outbox the book queues on, and
-// the writer that drains it.
+// link is one connection's socket side: the outbox the book (or a worker
+// session) queues on, and the writer that drains it.
 type link struct {
 	conn net.Conn
 	peer *peer // the connection in the book (set before the loops start)
@@ -134,7 +155,7 @@ type link struct {
 	// on the wire. Frames of one link are one size (the flow batch), so a
 	// returned buffer fits the next frame exactly. A writer further behind
 	// than the list drops the excess to the GC rather than pin a full
-	// queue's worth.
+	// queue's worth. A worker's link holds its one report buffer here.
 	free      chan []byte
 	written   atomic.Uint64 // frames the writer finished
 	closeOnce sync.Once
@@ -477,7 +498,7 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	go c.writeLoop(l)
+	go l.writeLoop(func(err error) { c.lost(l, "write: "+err.Error()) })
 	go c.readLoop(l)
 }
 
@@ -488,17 +509,19 @@ func (c *Coordinator) lost(l *link, reason string) {
 	c.unlock()
 }
 
-// writeLoop drains a link's planes, control first. It sets no write
+// writeLoop drains the link's planes, control first, until the link is
+// closed or a write fails, which it hands to failed. It sets no write
 // deadline: a writer stuck on a peer that stopped reading backs its queues
-// up, the book's liveness rule drops the link, and the close fails the write.
-func (c *Coordinator) writeLoop(l *link) {
-	// write sends one frame; a flow frame's buffer goes back on the free list.
+// up, the liveness rule drops the link, and the close fails the write.
+func (l *link) writeLoop(failed func(error)) {
+	// write sends one frame; a flow frame's or a report's buffer goes back on
+	// the free list.
 	write := func(frame []byte) bool {
 		if err := writeSealed(l.conn, frame); err != nil {
-			c.lost(l, "write: "+err.Error())
+			failed(err)
 			return false
 		}
-		if typ := frame[frameHeadLen]; typ == msgFlows || typ == msgFlowsZ {
+		if typ := frame[frameHeadLen]; typ == msgFlows || typ == msgFlowsZ || typ == msgReport {
 			l.recycle(frame)
 		}
 		l.written.Add(1)
@@ -537,7 +560,7 @@ func (c *Coordinator) readLoop(l *link) {
 	for {
 		// Each body is a fresh allocation: a report's checkpoint is kept, in
 		// place, as the shard's durable state.
-		body, err := readFrame(l.conn, time.Time{}, nil)
+		body, err := readFrame(l.conn, nil)
 		c.mu.Lock()
 		if err != nil {
 			c.book.lost(l.peer, "read: "+err.Error(), c.clock.now())

@@ -31,7 +31,7 @@ import (
 func startWorkerDaemon(t *testing.T, name, addr string, secret []byte) string {
 	t.Helper()
 	tel := obs.NewTelemetry()
-	startTCPWorker(t, addr, WorkerConfig{Name: name, Secret: secret, Telemetry: tel, PublishHealth: true})
+	startTCPWorker(t, addr, wallClock{}, WorkerConfig{Name: name, Secret: secret, Telemetry: tel, PublishHealth: true})
 	srv, err := obs.Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
@@ -262,9 +262,13 @@ func TestChaosHandoffSpans(t *testing.T) {
 	addr := inner.Addr().String()
 
 	// One at a time, so the accepted links come in worker order.
+	var wa *Worker
 	var killVictim func()
 	for i, name := range []string{"wa", "wb", "wc"} {
-		kill := startTCPWorker(t, addr, WorkerConfig{Name: name, Secret: secret})
+		w, kill := startTCPWorker(t, addr, clk, WorkerConfig{Name: name, Secret: secret})
+		if i == 0 {
+			wa = w
+		}
 		await(t, name+" joined", func() bool { return joinCount(ctel) == i+1 })
 		killVictim = kill
 	}
@@ -318,7 +322,7 @@ func TestChaosHandoffSpans(t *testing.T) {
 	// clock moves on until the deadline drops it. wb redials and rejoins.
 	handed := coord.Stats().Handoffs
 	partitioned.stall()
-	elapse(t, coord, clk, "partitioned link declared dead", func() bool { return coord.Stats().Handoffs > handed }, "wa")
+	elapse(t, coord, clk, "partitioned link declared dead", func() bool { return coord.Stats().Handoffs > handed }, wa)
 	for _, f := range flows[1400:] {
 		coord.Ingest(f)
 	}
@@ -341,7 +345,7 @@ func TestChaosHandoffSpans(t *testing.T) {
 	terminal := func(stages map[string]bool) bool {
 		return stages["resumed"] || stages["abandoned"]
 	}
-	defer clk.run()()
+	defer clk.run(coord.cfg.interval())()
 	var spans map[string]map[string]bool
 	await(t, "every handoff span terminated", func() bool {
 		spans = handoffSpanStages(ctel)

@@ -88,16 +88,13 @@ func TestReportClaimsTheSnapshotsPosition(t *testing.T) {
 // arrive. It returns the link and the flows routed to each shard.
 func handPlayedWorker(t *testing.T) (*Coordinator, net.Conn, [2]uint64) {
 	t.Helper()
-	// The hand-played worker sends no heartbeats; the miss budget is wide
-	// enough that only a refused report can cost it the link.
-	coord, err := NewCoordinator(Config{
+	// The hand-played worker sends no heartbeats; the coordinator's clock
+	// moves one tick only, to flush the flows, so only a refused report can
+	// cost it the link.
+	coord, clk := newVirtualCoordinator(t, Config{
 		Shards: 2, Members: testMembers, Start: tcStart, Bucket: time.Hour,
-		HeartbeatInterval: 20 * time.Millisecond, HeartbeatMisses: 1000,
+		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
 	conn, nonce := openConn(t, coord)
 	hello := helloMsg{identity: "by-hand", name: "by-hand"}
 	hello.mac = helloMAC(nil, nonce, hello.identity, hello.name)
@@ -111,7 +108,7 @@ func handPlayedWorker(t *testing.T) (*Coordinator, net.Conn, [2]uint64) {
 	go func() {
 		var sc flowScratch
 		for {
-			body, err := readFrame(conn, time.Time{}, nil)
+			body, err := readFrame(conn, nil)
 			if err != nil {
 				return
 			}
@@ -131,6 +128,7 @@ func handPlayedWorker(t *testing.T) (*Coordinator, net.Conn, [2]uint64) {
 	if routed[0] == 0 || routed[1] == 0 {
 		t.Fatalf("test flows must reach both shards: %v", routed)
 	}
+	clk.advance(coord.cfg.interval())
 	await(t, "every routed flow received", func() bool {
 		return got[0].Load() == routed[0] && got[1].Load() == routed[1]
 	})

@@ -17,9 +17,9 @@ import (
 )
 
 // The TCP suite runs the cluster over a real loopback transport — kernel
-// sockets, real deadlines, faultnet on the accepted conns — instead of
-// net.Pipe. It is the deployment shape cmd/spoofscope-worker uses, so the
-// byte-identity contract is proven on the wire it ships on.
+// sockets, faultnet on the accepted conns — instead of net.Pipe. It is the
+// deployment shape cmd/spoofscope-worker uses, so the byte-identity contract
+// is proven on the wire it ships on.
 
 func joinCount(tel *obs.Telemetry) int {
 	n := 0
@@ -31,21 +31,18 @@ func joinCount(tel *obs.Telemetry) int {
 	return n
 }
 
-// startTCPWorker runs a worker that dials addr over TCP, with the suite's
-// heartbeat and redial settings filled in around cfg. The returned kill
-// cancels it and waits for it to exit — process death; cleanup does the same.
-// The worker's own liveness budget is wide: a coordinator on a virtual clock
-// sends no heartbeats while its clock stands still, and every coordinator in
-// the suite that dies closes its connections.
-func startTCPWorker(t *testing.T, addr string, cfg WorkerConfig) (kill func()) {
+// startTCPWorker runs a worker on clk — its coordinator's — that dials addr
+// over TCP, with the suite's heartbeat and redial settings filled in around
+// cfg. The returned kill cancels it and waits for it to exit — process death;
+// cleanup does the same.
+func startTCPWorker(t *testing.T, addr string, clk clock, cfg WorkerConfig) (w *Worker, kill func()) {
 	t.Helper()
 	cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	cfg.HeartbeatInterval = 20 * time.Millisecond
-	cfg.HeartbeatMisses = 1000
 	cfg.InitialBackoff = 5 * time.Millisecond
 	cfg.MaxBackoff = 50 * time.Millisecond
 	cfg.Seed = int64(len(cfg.Name))
-	w, err := NewWorker(cfg)
+	w, err := newWorker(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +58,7 @@ func startTCPWorker(t *testing.T, addr string, cfg WorkerConfig) (kill func()) {
 		}
 	}
 	t.Cleanup(kill)
-	return kill
+	return w, kill
 }
 
 // TestClusterTCPChaos: two authenticated workers over TCP loopback with
@@ -105,9 +102,9 @@ func TestClusterTCPChaos(t *testing.T) {
 	addr := inner.Addr().String()
 
 	// One at a time, so the first accepted link is w0's and the second w1's.
-	startTCPWorker(t, addr, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
+	w0, _ := startTCPWorker(t, addr, clk, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
 	await(t, "w0 joined over TCP", func() bool { return joinCount(tel) == 1 })
-	startTCPWorker(t, addr, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
+	startTCPWorker(t, addr, clk, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
 	await(t, "w1 joined over TCP", func() bool { return joinCount(tel) == 2 })
 	<-ln.cuts
 	w1 := <-ln.cuts
@@ -122,7 +119,7 @@ func TestClusterTCPChaos(t *testing.T) {
 	// w1's link goes silent towards the coordinator; once the deadline has
 	// passed on the coordinator's clock its shards hand off to w0.
 	w1.stall()
-	elapse(t, coord, clk, "silent TCP link declared dead", func() bool { return coord.Stats().Handoffs > 0 }, "w0")
+	elapse(t, coord, clk, "silent TCP link declared dead", func() bool { return coord.Stats().Handoffs > 0 }, w0)
 	for _, f := range flows[1000:] {
 		coord.Ingest(f)
 	}
@@ -189,8 +186,8 @@ func TestStandbyTakeover(t *testing.T) {
 		promoted <- promotion{coord, ln, err}
 	}()
 
-	startTCPWorker(t, addr, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
-	startTCPWorker(t, addr, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
+	startTCPWorker(t, addr, wallClock{}, WorkerConfig{Name: "w0", Secret: secret, Telemetry: tel})
+	startTCPWorker(t, addr, wallClock{}, WorkerConfig{Name: "w1", Secret: secret, Telemetry: tel})
 	await(t, "both workers joined the primary", func() bool { return joinCount(tel) >= 2 })
 	if _, err := primary.DistributeEpoch(testRIB()); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"slices"
 	"sync"
 	"time"
@@ -90,17 +89,12 @@ func writeSealed(w io.Writer, frame []byte) error {
 	return err
 }
 
-// readFrame reads one frame body. The deadline (zero = none) bounds the
-// wait — the liveness detector for both sides of a link. The body lands in
-// buf's storage when that is large enough and in a fresh allocation
-// otherwise; a read loop that is done with each body before the next read
-// passes the last body back (a stack header would escape through
-// io.ReadFull, so the length prefix is read into the same storage), and one
-// that keeps bodies passes nil.
-func readFrame(c net.Conn, deadline time.Time, buf []byte) ([]byte, error) {
-	if err := c.SetReadDeadline(deadline); err != nil {
-		return nil, err
-	}
+// readFrame reads one frame body. The body lands in buf's storage when that
+// is large enough and in a fresh allocation otherwise; a read loop that is
+// done with each body before the next read passes the last body back (a
+// stack header would escape through io.ReadFull, so the length prefix is read
+// into the same storage), and one that keeps bodies passes nil.
+func readFrame(c io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 4)
 	}

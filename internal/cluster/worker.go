@@ -54,11 +54,6 @@ type WorkerConfig struct {
 	PublishHealth bool
 }
 
-// deadline is how long a silent coordinator link lives: interval × misses.
-func (c *WorkerConfig) deadline() time.Duration {
-	return c.HeartbeatInterval * time.Duration(c.HeartbeatMisses)
-}
-
 // workerShard is one owned shard: a full single-process runtime draining
 // its slice of the traffic.
 type workerShard struct {
@@ -84,8 +79,12 @@ const noReport = ^uint64(0)
 // durable report — local progress past it was never acknowledged and must
 // not survive, or a handoff could double-count) and redials.
 type Worker struct {
-	cfg     WorkerConfig
-	backoff *retry.Backoff
+	cfg      WorkerConfig
+	clock    clock         // times liveness, the report give-up and the propagation spans
+	deadline time.Duration // heartbeat interval × misses: the liveness budget
+	backoff  *retry.Backoff
+	lmu      sync.Mutex // guards link: the read loop stamps it heard, the tick judges it
+	link     liveness   // the current session's
 
 	mu       sync.Mutex
 	shards   map[uint32]*workerShard
@@ -109,15 +108,19 @@ type Worker struct {
 }
 
 // NewWorker validates the configuration and registers telemetry.
-func NewWorker(cfg WorkerConfig) (*Worker, error) {
+func NewWorker(cfg WorkerConfig) (*Worker, error) { return newWorker(cfg, wallClock{}) }
+
+func newWorker(cfg WorkerConfig, clk clock) (*Worker, error) {
 	if cfg.Dial == nil {
 		return nil, errors.New("cluster: WorkerConfig.Dial is required")
 	}
 	cfg.HeartbeatInterval, cfg.HeartbeatMisses = heartbeat(cfg.HeartbeatInterval, cfg.HeartbeatMisses)
 	w := &Worker{
-		cfg:     cfg,
-		backoff: retry.New(cfg.InitialBackoff, cfg.MaxBackoff, 0, cfg.Seed),
-		shards:  make(map[uint32]*workerShard),
+		cfg:      cfg,
+		clock:    clk,
+		deadline: cfg.HeartbeatInterval * time.Duration(cfg.HeartbeatMisses),
+		backoff:  retry.New(cfg.InitialBackoff, cfg.MaxBackoff, 0, cfg.Seed),
+		shards:   make(map[uint32]*workerShard),
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		w.instrument(tel)
@@ -251,85 +254,48 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// session serves one coordinator link until it fails.
+// session serves one coordinator link until it fails. It sets no socket
+// deadline: the liveness tick or a failed write ends it with a reason, as a
+// cancelled worker (a dead process) does, by closing the link at once.
 func (w *Worker) session(ctx context.Context, conn net.Conn) error {
-	defer conn.Close()
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// A cancelled worker is a dead process: its connection closes at once,
-	// failing whatever read or write is pending instead of waiting out a
-	// deadline.
-	context.AfterFunc(sctx, func() { conn.Close() })
-
-	out := make(chan []byte, outboundDepth)
-	writeErr := make(chan error, 1)
+	sctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	l := newLink(conn)
+	context.AfterFunc(sctx, l.close)
+	end := func(err error) { cancel(err); l.close() }
+	go l.writeLoop(end)
 	// One report buffer per session, not per shard or per report: the
 	// reporter encodes each report straight into it, the writer hands it back
 	// once the frame is on the wire. It grows to the largest report and stays.
-	reportBuf := make(chan []byte, 1)
-	reportBuf <- nil
-	go func() {
-		for {
-			select {
-			case frame := <-out:
-				if err := conn.SetWriteDeadline(time.Now().Add(w.cfg.deadline())); err != nil {
-					writeErr <- err
-					return
-				}
-				if err := writeSealed(conn, frame); err != nil {
-					writeErr <- err
-					return
-				}
-				if frame[frameHeadLen] == msgReport {
-					reportBuf <- frame
-				}
-			case <-sctx.Done():
-				return
-			}
-		}
-	}()
+	l.free <- nil
 	send := func(frame []byte) bool {
 		select {
-		case out <- frame:
+		case l.ctrlQ <- frame:
 			return true
 		case <-sctx.Done():
 			return false
 		}
 	}
 
-	// The coordinator challenges first; the hello answers it with an HMAC
-	// binding this connection's nonce to our identity, so a captured hello
-	// cannot be replayed on another connection.
-	body, err := readFrame(conn, time.Now().Add(w.cfg.deadline()), nil)
-	if err != nil {
-		return fmt.Errorf("cluster: reading challenge: %w", err)
-	}
-	nonce, err := decodeChallenge(body)
-	if err != nil {
-		return err
-	}
-	hello := helloMsg{identity: w.identity(), name: w.label()}
-	hello.mac = helloMAC(w.cfg.Secret, nonce, hello.identity, hello.name)
-	if !send(encodeHello(hello)) {
-		return errors.New("cluster: session cancelled")
-	}
-
-	// Heartbeats keep the coordinator's read deadline fed.
-	go func() {
-		t := time.NewTicker(w.cfg.HeartbeatInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				select {
-				case out <- heartbeatFrame:
-				default:
-				}
-			case <-sctx.Done():
-				return
-			}
+	// Every tick applies the liveness rule and, once the hello is queued,
+	// heartbeats behind it (helloed is under w.lmu). It never blocks.
+	var helloed bool
+	now := w.clock.now()
+	w.lmu.Lock()
+	w.link = liveness{heard: now, moved: now}
+	w.lmu.Unlock()
+	w.clock.every(w.cfg.HeartbeatInterval, sctx.Done(), func(now time.Time) {
+		w.lmu.Lock()
+		defer w.lmu.Unlock()
+		switch silent, stalled := w.link.judge(now, w.deadline, l); {
+		case silent:
+			end(fmt.Errorf("cluster: coordinator silent for %v", w.deadline))
+		case stalled:
+			end(errors.New("cluster: outbound queue stalled behind its writer"))
+		case helloed:
+			l.ctrl(heartbeatFrame)
 		}
-	}()
+	})
 
 	// The reporter serializes quiescent checkpoint reports off the read
 	// loop, so a slow drain never starves heartbeat reads.
@@ -338,7 +304,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		for {
 			select {
 			case r := <-reportc:
-				w.report(sctx, r, reportBuf, send)
+				w.report(sctx, r, l.free, send)
 			case <-sctx.Done():
 				return
 			}
@@ -348,16 +314,36 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	// Every frame is consumed before the next is read — decoders copy what
 	// they keep, and the shard runtime copies flows into its ring — so the
 	// loop reads into one frame buffer and decodes flows into one scratch.
+	var body []byte
 	var flows flowScratch
 	for {
-		select {
-		case err := <-writeErr:
+		var err error
+		if body, err = readFrame(conn, body); err != nil {
+			if cause := context.Cause(sctx); cause != nil {
+				return cause // the tick or the writer ended the session
+			}
 			return err
-		default:
 		}
-		body, err = readFrame(conn, time.Now().Add(w.cfg.deadline()), body)
-		if err != nil {
-			return err
+		w.lmu.Lock()
+		w.link.heard = w.clock.now()
+		w.lmu.Unlock()
+		if !helloed {
+			// The coordinator challenges first; the hello answers it with an
+			// HMAC binding this connection's nonce to our identity, so a
+			// captured hello cannot be replayed on another connection.
+			nonce, err := decodeChallenge(body)
+			if err != nil {
+				return err
+			}
+			hello := helloMsg{identity: w.identity(), name: w.label()}
+			hello.mac = helloMAC(w.cfg.Secret, nonce, hello.identity, hello.name)
+			w.lmu.Lock()
+			helloed = send(encodeHello(hello))
+			w.lmu.Unlock()
+			if !helloed {
+				return errors.New("cluster: session cancelled")
+			}
+			continue
 		}
 		switch body[0] {
 		case msgHeartbeat:
@@ -447,7 +433,7 @@ func (w *Worker) applyEpoch(sctx context.Context, m epochMsg) error {
 	// a shard classifies its first flow under the new pipeline.
 	if m.shipNanos > 0 && w.epochCompile != nil {
 		ship := time.Unix(0, m.shipNanos)
-		if d := time.Since(ship); d > 0 {
+		if d := w.clock.now().Sub(ship); d >= 0 {
 			w.epochCompile.Observe(d.Seconds())
 		}
 		w.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
@@ -490,7 +476,7 @@ func (w *Worker) watchFirstVerdict(sctx context.Context, trace, seq uint64, ship
 		}
 		w.mu.Unlock()
 		if total > baseline {
-			if d := time.Since(ship); d > 0 && w.epochVerdict != nil {
+			if d := w.clock.now().Sub(ship); d >= 0 && w.epochVerdict != nil {
 				w.epochVerdict.Observe(d.Seconds())
 			}
 			w.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
@@ -615,7 +601,7 @@ func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, s
 	case <-sctx.Done():
 		return
 	}
-	deadline := time.Now().Add(w.cfg.deadline())
+	deadline := w.clock.now().Add(w.deadline)
 	for sctx.Err() == nil {
 		var cursor uint64
 		frame = beginReport(frame, req)
@@ -652,7 +638,7 @@ func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, s
 			}
 			return // the writer hands the buffer back
 		}
-		if !req.final && time.Now().After(deadline) {
+		if !req.final && w.clock.now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -81,7 +81,7 @@ type DstStats struct {
 	// SrcOverflow counts sources dropped beyond the cap. Srcs stays nil
 	// until a second distinct source arrives — the first is inlined in
 	// src1 — so the common single-source destination allocates nothing.
-	// Read the set through SrcCount/HasSrc/EachSrc, not len/range on Srcs.
+	// Read the set through SrcCount/EachSrc, not len/range on Srcs.
 	Srcs        map[netx.Addr]struct{}
 	SrcOverflow uint64
 
@@ -123,15 +123,6 @@ func (ds *DstStats) SrcCount() int {
 		return 1
 	}
 	return 0
-}
-
-// HasSrc reports whether a is a recorded source.
-func (ds *DstStats) HasSrc(a netx.Addr) bool {
-	if ds.Srcs != nil {
-		_, ok := ds.Srcs[a]
-		return ok
-	}
-	return ds.has1 && ds.src1 == a
 }
 
 // EachSrc calls fn for every recorded source, in no particular order.

@@ -201,7 +201,7 @@ func TestMergeResetReuse(t *testing.T) {
 		t.Fatal("merging a Reset shard changed the state")
 	}
 	// Recycled nodes come back zero: a destination's inline source and source
-	// set in particular, which SrcCount/HasSrc/EachSrc branch on; a member
+	// set in particular, which SrcCount/EachSrc branch on; a member
 	// keeps only its emptied origin map.
 	for _, slab := range shard.nodes.dsts.all {
 		for i := range slab {
