@@ -83,12 +83,16 @@ loc:
 	@printf 'bench non-test %6d\n' $$(find benchmark -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 	@printf 'bench tests    %6d\n' $$(find benchmark -name '*_test.go' | xargs cat | wc -l)
 
-# closure-prop runs the parallel-closure property tests explicitly (random
-# cyclic topologies: ConeClosures at 1/2/4/8 workers must match the
-# sequential constructors element-for-element). They are in the race suite
-# too; the dedicated target keeps the equivalence gate visible in CI logs.
+# closure-prop runs the topology property tests explicitly: on random
+# cyclic topologies ConeClosures at 1/2/4/8 workers must match the
+# sequential constructors element-for-element, and the sort-and-dedupe naive
+# index and relationship inference must match their map-based oracles
+# (per-AS prefix sets, per-link origin counts, every annotated link), with
+# the packed sort keys' width check at its boundary. They are in the race
+# suite too; the dedicated target keeps the equivalence gate visible in CI
+# logs.
 closure-prop:
-	$(GO) test -race -run 'TestConeClosures' -count=1 ./internal/astopo
+	$(GO) test -race -run 'TestConeClosures|TestNaiveIndexMatchesOracle|TestInferRelationshipsMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
 
 # obs-smoke drives a live parallel run with telemetry enabled and asserts the
 # /metrics scrape matches the Aggregator exactly and /healthz walks
@@ -138,8 +142,9 @@ cluster-tcp:
 # bench is the quick way to look at one function while working: the drain at
 # every worker count of 1/2/4/8 the host's GOMAXPROCS can run, the ingest
 # path (wire-image IPFIX decode -> batched queue -> drain -> classify ->
-# aggregate), pipeline compilation (cold at GOMAXPROCS 1/2/4/8, up to the
-# host's CPU count, and incremental, at paper and ~50K-AS full-table scale), the checkpoint codec
+# aggregate), pipeline compilation in each reuse tier (cold at GOMAXPROCS
+# 1/2/4/8, up to the host's CPU count, then reused-closures and
+# reused-pipeline, at paper and ~50K-AS full-table scale), the checkpoint codec
 # (encode/decode × typical/attack-shaped state), the spill episode and the
 # single-core classify hot path, printed as `go test` prints them. It records
 # nothing and gates nothing: a mean from one process moves with the host, so

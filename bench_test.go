@@ -499,8 +499,38 @@ func BenchmarkEnrichment(b *testing.B) {
 type buildBenchScale struct {
 	name    string
 	rib     *bgp.RIB
+	delta   *bgp.RIB // rib, renumbered: an announcement-only delta
 	members []core.MemberInfo
 	opts    core.Options
+}
+
+// renumbered returns rib with every hundredth of its prefixes moved to an
+// unrouted /24, each announcement keeping its path: the AS-path multiset is
+// unchanged, so RebuildPipeline compiles it against rib's pipeline as
+// reused-closures.
+func renumbered(rib *bgp.RIB) *bgp.RIB {
+	prefixes := rib.Prefixes()
+	routed := make(map[netx.Prefix]bool, len(prefixes))
+	for _, p := range prefixes {
+		routed[p] = true
+	}
+	to := make(map[netx.Prefix]netx.Prefix)
+	next := netx.MustParseAddr("1.0.0.0")
+	for i := 0; i < len(prefixes); i += 100 {
+		for routed[netx.PrefixFrom(next, 24)] {
+			next += 256
+		}
+		to[prefixes[i]] = netx.PrefixFrom(next, 24)
+		next += 256
+	}
+	out := bgp.NewRIB()
+	for _, a := range rib.Announcements() {
+		if p, ok := to[a.Prefix]; ok {
+			a.Prefix = p
+		}
+		out.AddAnnouncement(a.Prefix, a.Path)
+	}
+	return out
 }
 
 // buildBenchScales prepares the two compilation workloads: the paper-scale
@@ -540,20 +570,24 @@ func buildBenchScales(b *testing.B) []buildBenchScale {
 	for i, asn := range st.MemberASNs {
 		synthMembers[i] = core.MemberInfo{ASN: asn, Port: uint32(i + 1)}
 	}
+	synthRIB := st.RIB()
 	return []buildBenchScale{
-		{name: "paper", rib: paperRIB, members: paperMembers,
+		{name: "paper", rib: paperRIB, delta: renumbered(paperRIB), members: paperMembers,
 			opts: core.Options{Orgs: s.Orgs().MultiASGroups()}},
-		{name: "full50k", rib: st.RIB(), members: synthMembers, opts: core.Options{}},
+		{name: "full50k", rib: synthRIB, delta: renumbered(synthRIB), members: synthMembers, opts: core.Options{}},
 	}
 }
 
 // BenchmarkPipelineBuild measures compiling the classifier from the RIB
-// (graph + inference + cones + indexes + member sets): cold builds at
-// GOMAXPROCS 1/2/4/8 — one compilation worker each — and the sequential
-// incremental rebuild against an unchanged snapshot (the steady-state epoch
-// promotion of a live feed). A cold-wN row exists only for N ≤ NumCPU, so a
-// 2-CPU host reports cold-w1 and cold-w2. The ases metric self-describes the
-// scale. The numbers to claim are the repository benchmark's build.cold_ms,
+// (graph + inference + cones + indexes + member sets) in each of the three
+// reuse tiers, rows named by core.BuildReuse: cold builds at GOMAXPROCS
+// 1/2/4/8 — one compilation worker each — then, sequentially against the
+// cold pipeline, an announcement-only delta (reused-closures: every
+// hundredth prefix renumbered, every path kept) and an unchanged snapshot
+// (reused-pipeline: the steady-state epoch promotion of a live feed). A
+// cold-wN row exists only for N ≤ NumCPU, so a 2-CPU host reports cold-w1
+// and cold-w2. The ases metric self-describes the scale. The numbers to
+// claim are the repository benchmark's build.cold_ms,
 // build.reused_closures_ms and build.reused_pipeline_ms.
 func BenchmarkPipelineBuild(b *testing.B) {
 	for _, sc := range buildBenchScales(b) {
@@ -576,27 +610,32 @@ func BenchmarkPipelineBuild(b *testing.B) {
 				b.ReportMetric(float64(stats.ASes), "ases")
 			})
 		}
-		b.Run(sc.name+"/incremental", func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			prev, _, err := core.RebuildPipeline(nil, sc.rib, sc.members, sc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var stats core.BuildStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, stats, err = core.RebuildPipeline(prev, sc.rib, sc.members, sc.opts)
+		for _, tier := range []struct {
+			reuse core.BuildReuse
+			rib   *bgp.RIB
+		}{{core.BuildReusedClosures, sc.delta}, {core.BuildReusedPipeline, sc.rib}} {
+			b.Run(sc.name+"/"+tier.reuse.String(), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				prev, _, err := core.RebuildPipeline(nil, sc.rib, sc.members, sc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			if stats.Reuse != core.BuildReusedPipeline {
-				b.Fatalf("incremental rebuild reuse = %s, want reused-pipeline", stats.Reuse)
-			}
-			b.ReportMetric(float64(stats.ASes), "ases")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				var stats core.BuildStats
+				for i := 0; i < b.N; i++ {
+					var err error
+					_, stats, err = core.RebuildPipeline(prev, tier.rib, sc.members, sc.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if stats.Reuse != tier.reuse {
+					b.Fatalf("rebuild reuse = %s, want %s", stats.Reuse, tier.reuse)
+				}
+				b.ReportMetric(float64(stats.ASes), "ases")
+			})
+		}
 	}
 }
 

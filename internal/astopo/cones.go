@@ -1,6 +1,7 @@
 package astopo
 
 import (
+	"slices"
 	"sort"
 
 	"spoofscope/internal/bgp"
@@ -246,57 +247,88 @@ func (c *Closure) ExactValidSpace(u int, spaces []netx.IntervalSet) netx.Interva
 }
 
 // NaiveIndex implements the Naive approach: per AS, the set of prefixes on
-// whose announcement paths the AS appears.
+// whose announcement paths the AS appears. The sets are one CSR layout: AS u's
+// prefixes are flat[off[u]:off[u+1]], distinct and in prefix order.
 type NaiveIndex struct {
-	g        *Graph
-	prefixes [][]netx.Prefix // per AS index, deduped
+	off  []int32
+	flat []netx.Prefix
 }
 
-// NewNaiveIndex builds the per-AS naive prefix sets from announcements.
+// Naive sort keys pack one (AS, prefix) hop into a uint64: the AS index in
+// bits 38–58 (asIndexBits wide), the prefix address in bits 6–37 and its
+// length (0–32) in bits 0–5, so that keys sort by AS and then in prefix order.
+const (
+	naiveBitsWidth = 6
+	naiveASShift   = 32 + naiveBitsWidth
+)
+
+// NewNaiveIndex builds the per-AS naive prefix sets from announcements: one
+// key per (AS, prefix) hop of an indexed AS, radix-sorted, adjacent
+// duplicates dropped, and each AS's run laid out in flat. Path ASes the graph
+// does not index are skipped.
+//
+// The announcements of one prefix usually arrive together (a table dump
+// record lists every path of its prefix), and their paths share most ASes.
+// So each AS is stamped with the number of the run of equal prefixes it last
+// made a key in, which drops a hop repeated within a run before it becomes a
+// key; the sort drops the rest, so the result does not depend on the order.
 func NewNaiveIndex(g *Graph, anns []bgp.Announcement) *NaiveIndex {
-	type seenKey struct {
-		as int32
-		p  netx.Prefix
-	}
-	seen := make(map[seenKey]struct{})
-	n := &NaiveIndex{g: g, prefixes: make([][]netx.Prefix, g.NumASes())}
+	nAS := g.NumASes()
+	checkPackable(nAS)
+	hops := 0
 	for _, a := range anns {
-		for _, as := range a.Path {
-			i := g.Index(as)
-			if i < 0 {
-				continue
-			}
-			k := seenKey{int32(i), a.Prefix}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			n.prefixes[i] = append(n.prefixes[i], a.Prefix)
+		hops += len(a.Path)
+	}
+	keys := make([]uint64, 0, hops)
+	stamp := make([]int32, nAS) // run number of the AS's last key; runs count from 1
+	run := int32(0)
+	for j, a := range anns {
+		if j == 0 || a.Prefix != anns[j-1].Prefix {
+			run++
 		}
+		p := uint64(a.Prefix.Addr)<<naiveBitsWidth | uint64(a.Prefix.Bits)
+		for _, as := range a.Path {
+			if i := g.Index(as); i >= 0 && stamp[i] != run {
+				stamp[i] = run
+				keys = append(keys, uint64(i)<<naiveASShift|p)
+			}
+		}
+	}
+	netx.RadixSort(keys, make([]uint64, len(keys)))
+	keys = slices.Compact(keys)
+	n := &NaiveIndex{off: make([]int32, nAS+1), flat: make([]netx.Prefix, len(keys))}
+	for j, k := range keys {
+		n.off[k>>naiveASShift+1]++
+		n.flat[j] = netx.Prefix{Addr: netx.Addr(k >> naiveBitsWidth), Bits: uint8(k & (1<<naiveBitsWidth - 1))}
+	}
+	for u := range nAS {
+		n.off[u+1] += n.off[u]
 	}
 	return n
 }
 
 // ValidSpace returns the exact valid address space of the AS at index u.
 func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
-	return netx.IntervalSetOfPrefixes(n.prefixes[u]...)
+	return netx.IntervalSetOfPrefixes(n.ValidPrefixes(u)...)
 }
 
 // NumPrefixes returns the number of distinct prefixes AS u is valid for.
-func (n *NaiveIndex) NumPrefixes(u int) int { return len(n.prefixes[u]) }
+func (n *NaiveIndex) NumPrefixes(u int) int { return int(n.off[u+1] - n.off[u]) }
 
 // ValidPrefixes returns the distinct announced prefixes AS u is naively
-// valid for. The slice is owned by the index and must not be modified; the
-// classifier maps each prefix to its origins-table entry index to express
-// per-member validity as a bitset rather than a per-member LPM.
-func (n *NaiveIndex) ValidPrefixes(u int) []netx.Prefix { return n.prefixes[u] }
+// valid for, in prefix order. The slice is owned by the index and must not be
+// modified; the classifier maps each prefix to its origins-table entry index
+// to express per-member validity as a bitset rather than a per-member LPM.
+func (n *NaiveIndex) ValidPrefixes(u int) []netx.Prefix {
+	return n.flat[n.off[u]:n.off[u+1]:n.off[u+1]]
+}
 
 // Sizes returns, indexed by AS index, the /24-equivalent size of each AS's
 // naive valid space (exact; total work is bounded by the sum of AS path
 // lengths over all announcements).
 func (n *NaiveIndex) Sizes() []uint64 {
-	out := make([]uint64, len(n.prefixes))
-	for i := range n.prefixes {
+	out := make([]uint64, len(n.off)-1)
+	for i := range out {
 		out[i] = n.ValidSpace(i).Slash24Equivalents()
 	}
 	return out

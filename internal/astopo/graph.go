@@ -17,6 +17,7 @@
 package astopo
 
 import (
+	"fmt"
 	"sort"
 
 	"spoofscope/internal/bgp"
@@ -32,6 +33,36 @@ type Graph struct {
 	up   [][]int32        // reverse adjacency
 	deg  []int            // undirected degree (distinct neighbours)
 	rels map[[2]int32]Rel // inferred relationship per directed pair (u<v key)
+}
+
+// asIndexBits is the width of one AS index in a packed sort key. Three of them
+// fill a uint64 (packASes; InferRelationships' (u, v, origin) words), so a
+// graph may index at most MaxASes ASes.
+const asIndexBits = 21
+
+// MaxASes is the largest AS count a graph's packed sort keys can index.
+const MaxASes = 1 << asIndexBits
+
+// packASes packs three AS indexes into one sort key: a in bits 42–62, b in
+// bits 21–41 and c in bits 0–20, so that keys sort by a, then b, then c.
+func packASes(a, b, c int) uint64 {
+	return uint64(a)<<(2*asIndexBits) | uint64(b)<<asIndexBits | uint64(c)
+}
+
+// unpackASes is packASes' inverse.
+func unpackASes(w uint64) (a, b, c int) {
+	const mask = MaxASes - 1
+	return int(w >> (2 * asIndexBits)), int(w >> asIndexBits & mask), int(w & mask)
+}
+
+// checkPackable panics when n ASes would overflow a packed key's AS index
+// field: past MaxASes the build fails loudly rather than aliasing two ASes.
+// A caller whose graph comes from outside input checks NumASes against
+// MaxASes first and reports an error, as core's pipeline build does.
+func checkPackable(n int) {
+	if n > MaxASes {
+		panic(fmt.Sprintf("astopo: %d ASes exceed the %d a packed sort key can index", n, MaxASes))
+	}
 }
 
 // Rel is the business relationship of an undirected AS link.

@@ -1,29 +1,36 @@
 package astopo
 
 import (
+	"slices"
 	"sort"
 
 	"spoofscope/internal/bgp"
+	"spoofscope/internal/netx"
 )
 
 // transitDegrees returns, per AS index, the number of distinct neighbours
 // the AS has when it appears in the middle of a path (i.e. when it provides
-// transit). Stubs have transit degree 0.
-func (g *Graph) transitDegrees(anns []bgp.Announcement) []int {
-	sets := make([]map[int32]struct{}, len(g.asns))
+// transit). Stubs have transit degree 0. Each such adjacency is one packed
+// word (packASes: 0, middle AS, neighbour; widths checked by the caller);
+// sorted and deduplicated, an AS's words are its distinct transit neighbours. tmp is the sort's other half and
+// must have room for two words per interior path hop.
+func (g *Graph) transitDegrees(anns []bgp.Announcement, tmp []uint64) []int {
+	n := 0
+	for _, a := range anns {
+		n += 2 * max(len(a.Path)-2, 0)
+	}
+	words := make([]uint64, 0, n)
 	for _, a := range anns {
 		for i := 1; i+1 < len(a.Path); i++ {
 			m := g.idx[a.Path[i]]
-			if sets[m] == nil {
-				sets[m] = make(map[int32]struct{})
-			}
-			sets[m][int32(g.idx[a.Path[i-1]])] = struct{}{}
-			sets[m][int32(g.idx[a.Path[i+1]])] = struct{}{}
+			words = append(words, packASes(0, m, g.idx[a.Path[i-1]]), packASes(0, m, g.idx[a.Path[i+1]]))
 		}
 	}
+	netx.RadixSort(words, tmp)
 	out := make([]int, len(g.asns))
-	for i, s := range sets {
-		out[i] = len(s)
+	for _, w := range slices.Compact(words) {
+		_, m, _ := unpackASes(w)
+		out[m]++
 	}
 	return out
 }
@@ -49,10 +56,19 @@ func (g *Graph) transitDegrees(anns []bgp.Announcement) []int {
 // Existing annotations (e.g. sibling links injected by AddOrgMesh) are
 // preserved. peerDegreeRatio defaults to 0.1 when 0 is passed.
 func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio float64) {
+	checkPackable(len(g.asns))
 	if peerDegreeRatio == 0 {
 		peerDegreeRatio = 0.1
 	}
-	td := g.transitDegrees(anns)
+	// tmp is the other half of every radix sort below: it has room for the
+	// largest word set, two per interior path hop or one per path link.
+	hops, interior := 0, 0
+	for _, a := range anns {
+		hops += max(len(a.Path)-1, 0)
+		interior += max(len(a.Path)-2, 0)
+	}
+	tmp := make([]uint64, 0, max(hops, 2*interior))
+	td := g.transitDegrees(anns, tmp)
 
 	type votes struct {
 		c2p, p2c int // from the key's lower-index perspective
@@ -105,19 +121,17 @@ func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio floa
 	// per-directed-pair origin diversity (how many distinct origins were
 	// reached via u→v): a neighbour that hands over routes toward a large
 	// share of all origins is handing over a full table, which only
-	// providers do.
-	type triple struct{ x, u, v int32 }
-	var triples []triple
-	tripleSeen := make(map[triple]struct{})
-	originsVia := make(map[[2]int32]map[int32]struct{})
-	allOrigins := make(map[int32]struct{})
+	// providers do. Triples and (u, v, origin) observations are packed
+	// words (packASes), deduplicated by sorting.
+	triples, via := make([]uint64, 0, hops), make([]uint64, 0, hops)
+	origins := netx.NewBitset(len(g.asns))
 	for _, a := range anns {
 		p := a.Path
 		if len(p) < 2 {
 			continue
 		}
-		origin := int32(g.idx[p[len(p)-1]])
-		allOrigins[origin] = struct{}{}
+		origin := g.idx[p[len(p)-1]]
+		origins.Set(origin)
 		top := 0
 		for i := 1; i < len(p); i++ {
 			if better(p, i, top) {
@@ -143,42 +157,31 @@ func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio floa
 			if i > 0 {
 				x := g.idx[p[i-1]]
 				if x != u && x != v {
-					tr := triple{int32(x), int32(u), int32(v)}
-					if _, dup := tripleSeen[tr]; !dup {
-						tripleSeen[tr] = struct{}{}
-						triples = append(triples, tr)
-					}
+					triples = append(triples, packASes(x, u, v))
 				}
 			}
-			dk := [2]int32{int32(u), int32(v)}
-			set := originsVia[dk]
-			if set == nil {
-				set = make(map[int32]struct{})
-				originsVia[dk] = set
-			}
-			set[origin] = struct{}{}
+			via = append(via, packASes(u, v, origin))
 		}
 	}
+	netx.RadixSort(triples, tmp)
+	triples = slices.Compact(triples)
+	netx.RadixSort(via, tmp)
 
 	// Full-table evidence: for link (u,v), if the origins reached via u→v
 	// cover a large share of all origins AND strongly dominate the reverse
 	// direction, v handed u a (near-)full table, so u is v's customer.
 	// ftEvidence is keyed like rels: 1 = lower-index AS is the customer,
 	// 2 = higher-index AS is the customer, 3 = both look full (ignore).
-	totalOrigins := len(allOrigins)
+	reached := countOrigins(via)
 	ftEvidence := make(map[[2]int32]uint8)
-	ftThreshold := totalOrigins / 5
-	if ftThreshold < 8 {
-		ftThreshold = 8
-	}
-	for dk, set := range originsVia {
-		u, v := dk[0], dk[1]
+	ftThreshold := max(origins.Count()/5, 8)
+	for i, l := range reached.links {
+		_, u, v := unpackASes(l)
 		if u > v {
 			continue // handle each undirected link once, from the low side
 		}
-		ruv := len(set)
-		rvu := len(originsVia[[2]int32{v, u}])
-		k := relKey(int(u), int(v))
+		ruv, rvu := int(reached.counts[i]), reached.count(v, u)
+		k := relKey(u, v)
 		switch {
 		case ruv >= ftThreshold && ruv >= 4*rvu:
 			ftEvidence[k] = 1 // v handed u the table: u (lower) is customer
@@ -233,13 +236,14 @@ func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio floa
 		// (higher is lower's customer); bit 1 = the reverse.
 		downEvidence := make(map[[2]int32]uint8)
 		for _, tr := range triples {
+			x, u, v := unpackASes(tr)
 			// x customer of u? Then the export is permitted regardless of
 			// the u-v relationship and proves nothing.
-			if relOf(tr.x, tr.u) == RelC2P {
+			if relOf(int32(x), int32(u)) == RelC2P {
 				continue
 			}
-			k := relKey(int(tr.u), int(tr.v))
-			if int(tr.u) < int(tr.v) {
+			k := relKey(u, v)
+			if u < v {
 				downEvidence[k] |= 1
 			} else {
 				downEvidence[k] |= 2
@@ -297,6 +301,45 @@ func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio floa
 	for k, r := range work {
 		g.rels[k] = r
 	}
+}
+
+// linkOrigins counts, per directed link u→v seen on a path, the distinct
+// origins whose announcements crossed it.
+type linkOrigins struct {
+	links  []uint64 // packASes(0, u, v), ascending
+	counts []int32  // distinct origins per link
+}
+
+// count returns the distinct origins reached via u→v, 0 for a link no path
+// crossed in that direction.
+func (lo linkOrigins) count(u, v int) int {
+	if i, ok := slices.BinarySearch(lo.links, packASes(0, u, v)); ok {
+		return int(lo.counts[i])
+	}
+	return 0
+}
+
+// countOrigins counts distinct origins per directed link from packed
+// (u, v, origin) words in ascending order: deduplicated, each link's words
+// are one run, as long as its distinct origins. The link keys are written
+// over via.
+func countOrigins(via []uint64) linkOrigins {
+	via = slices.Compact(via)
+	runs := 0
+	for i, w := range via {
+		if i == 0 || w>>asIndexBits != via[i-1]>>asIndexBits {
+			runs++
+		}
+	}
+	lo := linkOrigins{links: via[:0], counts: make([]int32, 0, runs)}
+	for _, w := range via {
+		if l := w >> asIndexBits; len(lo.links) == 0 || lo.links[len(lo.links)-1] != l {
+			lo.links = append(lo.links, l)
+			lo.counts = append(lo.counts, 0)
+		}
+		lo.counts[len(lo.counts)-1]++
+	}
+	return lo
 }
 
 func minInt(a, b int) int {

@@ -173,6 +173,9 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 
 	default:
 		graph := astopo.NewGraph(anns)
+		if n := graph.NumASes(); n > astopo.MaxASes {
+			return nil, stats, fmt.Errorf("core: %d ASes exceed the %d the topology's packed sort keys can index", n, astopo.MaxASes)
+		}
 		orgMerge := !opts.DisableOrgMerge && len(opts.Orgs) > 0
 		if orgMerge {
 			graph.AddOrgMesh(opts.Orgs)

@@ -183,3 +183,44 @@ func TestBuildWorkersEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestReusedClosuresRebuildAllocs holds an announcement-only rebuild (one
+// prefix renumbered, every path kept) to an allocation ceiling: the prefix
+// layers it recompiles allocate per table, not per AS or per hop. The count
+// is taken sequentially (GOMAXPROCS=1), where it does not depend on
+// scheduling. The small scenario's rebuild (249 ASes, 387 prefixes) measured
+// 325 allocations; the ceiling leaves room for map growth to vary, and sits
+// far below the 951 of the naive index that kept a slice per AS and hashed
+// every hop.
+func TestReusedClosuresRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const ceiling = 400
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rib, members, opts, _ := buildRebuildFixture(t)
+	prev, _, err := RebuildPipeline(nil, rib, members, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := netx.MustParsePrefix("223.255.250.0/24")
+	delta := rebuiltRIB(rib, func(i int, a bgp.Announcement) bgp.Announcement {
+		if i == 0 {
+			a.Prefix = moved
+		}
+		return a
+	})
+	var stats BuildStats
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, stats, err = RebuildPipeline(prev, delta, members, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats.Reuse != BuildReusedClosures {
+		t.Fatalf("announcement-only delta rebuilt as %s, want reused-closures", stats.Reuse)
+	}
+	t.Logf("reused-closures rebuild of %d ASes, %d prefixes: %.0f allocations", stats.ASes, stats.Prefixes, allocs)
+	if allocs > ceiling {
+		t.Fatalf("reused-closures rebuild allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}

@@ -87,7 +87,7 @@ const (
 // one, b grows and ends up holding the whole encoding. The key slices are
 // scratch for sorting uint32-kinded map keys, reused from one map to the
 // next: outer holds a map's sorted keys, inner each of its containers' in
-// turn, and tmp is sortU32's other half.
+// turn, and tmp is netx.RadixSort's other half.
 type cpEnc struct {
 	b   []byte
 	w   io.Writer
@@ -181,7 +181,8 @@ func putCounter(p []byte, c Counter) {
 
 // sortedKeys returns m's keys in ascending order, in buf's storage when it
 // is large enough. It is for the few keys of a class or spilled-size map;
-// uint32-kinded keys, which attack traffic makes many, go through sortU32.
+// uint32-kinded keys, which attack traffic makes many, go through
+// netx.RadixSort.
 func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	buf = slices.Grow(buf[:0], len(m))
 	for k := range m {
@@ -191,59 +192,15 @@ func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	return buf
 }
 
-// radixMin is the length from which sortU32 radix-sorts; below it, pdqsort's
-// smaller fixed cost wins. It was picked by sweeping 32, 64, 128 and 256 over
-// BenchmarkCheckpointCodec/encode (EXPERIMENTS.md, "radix-sorted encode").
-const radixMin = 128
-
-// sortU32 sorts keys ascending. From radixMin keys on it is an LSD radix sort:
-// one pass counts all four 8-bit digits, then every digit the keys do not all
-// share is a stable counting pass from keys to tmp or back. The result is in
-// keys either way. tmp must have the capacity for len(keys) keys.
-func sortU32(keys, tmp []uint32) {
-	n := len(keys)
-	if n < radixMin {
-		slices.Sort(keys)
-		return
-	}
-	var count [4][256]int
-	for _, k := range keys {
-		count[0][k&0xff]++
-		count[1][k>>8&0xff]++
-		count[2][k>>16&0xff]++
-		count[3][k>>24]++
-	}
-	src, dst := keys, tmp[:n]
-	for d := range count {
-		c, shift := &count[d], 8*d
-		if c[src[0]>>shift&0xff] == n {
-			continue // every key has this digit: the pass would be a copy
-		}
-		at := 0
-		for b, m := range c {
-			c[b], at = at, at+m
-		}
-		for _, k := range src {
-			b := k >> shift & 0xff
-			dst[c[b]] = k
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
 // sortedU32Keys returns m's keys in ascending order in buf's storage, which
 // must have room for len(m) keys for the collection not to allocate. tmp is
-// sortU32's other half and must have the same room.
+// netx.RadixSort's other half and must have the same room.
 func sortedU32Keys[K ~uint32, V any](buf, tmp []uint32, m map[K]V) []uint32 {
 	buf = buf[:0]
 	for k := range m {
 		buf = append(buf, uint32(k))
 	}
-	sortU32(buf, tmp)
+	netx.RadixSort(buf, tmp)
 	return buf
 }
 
@@ -264,7 +221,7 @@ func sortedOuterKeys[K ~uint32, V any](e *cpEnc, m map[K]V, width func(V) int) [
 	end := widest + max(len(m), widest)
 	e.inner = slices.Grow(e.inner[:0], end)
 	e.tmp = e.inner[widest:end]
-	sortU32(e.outer, e.tmp)
+	netx.RadixSort(e.outer, e.tmp)
 	return e.outer
 }
 

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"runtime/metrics"
-	"slices"
 	"testing"
 	"time"
 
@@ -40,15 +38,16 @@ func exoticAggregate(attack bool, n int, seed uint64) *Aggregator {
 // radixAggregate is a small attack-shaped exoticAggregate in which one
 // member's invalid origins, one fan-in class's destinations, one destination's
 // sources, and the NTP trigger pairs' victims and one victim's amplifiers each
-// number 3×radixMin, so that its encode sorts those sections on sortU32's
-// radix path while the rest stay below radixMin. The member ports (shapedTrace
-// draws them from 1 to 220) are radix-sorted in the one digit they do not
-// share, an odd number of passes, which leaves the result to be copied back.
+// number 3×netx.RadixMin, so that its encode sorts those sections on
+// netx.RadixSort's radix path while the rest stay below netx.RadixMin. The
+// member ports (shapedTrace draws them from 1 to 220) are radix-sorted in the
+// one digit they do not share, an odd number of passes, which leaves the
+// result to be copied back.
 func radixAggregate(seed uint64) *Aggregator {
 	a := exoticAggregate(true, 500, seed)
 	rng := splitmix(seed ^ 0x5a)
 	target, spoofed := netx.Addr(rng.next()), netx.Addr(rng.next())
-	for i := range 3 * radixMin {
+	for i := range 3 * netx.RadixMin {
 		v := Verdict{Class: ClassInvalid, Invalid: [numApproaches]bool{true, true, true},
 			KnownMember: true, SrcOrigin: bgp.ASN(64000 + i)}
 		f := ipfix.Flow{Start: cpStart, Ingress: 220, Protocol: ipfix.ProtoUDP,
@@ -67,7 +66,8 @@ func radixAggregate(seed uint64) *Aggregator {
 
 // requireRadixSections fails t unless the member ports, a member's invalid
 // origins, a fan-in class's destinations, a destination's sources, the
-// trigger pairs' victims and a victim's amplifiers each reach radixMin keys.
+// trigger pairs' victims and a victim's amplifiers each reach netx.RadixMin
+// keys.
 func requireRadixSections(t *testing.T, a *Aggregator) {
 	t.Helper()
 	widest := map[string]int{"member ports": len(a.members), "invalid origins": 0, "fan-in destinations": 0,
@@ -85,50 +85,8 @@ func requireRadixSections(t *testing.T, a *Aggregator) {
 		widest["pair amplifiers"] = max(widest["pair amplifiers"], len(inner))
 	}
 	for section, n := range widest {
-		if n < radixMin {
-			t.Fatalf("the widest %s hold %d keys, short of radixMin (%d): the radix path goes unchecked", section, n, radixMin)
-		}
-	}
-}
-
-// TestSortU32MatchesSlicesSort checks the encoder's key sort against
-// slices.Sort on both sides of radixMin and up to fanInCap keys: on random
-// keys, on keys that differ in one, two or three digits (the skipped passes,
-// leaving the result in either buffer), on 0 and MaxUint32, on repeats, and on
-// presorted and reversed input.
-func TestSortU32MatchesSlicesSort(t *testing.T) {
-	type shape struct {
-		name string
-		key  func(i, n int) uint32 // the i-th of n keys
-	}
-	rng := splitmix(28)
-	ramp := func(i, n int) uint32 { return uint32(uint64(i) * math.MaxUint32 / uint64(max(n-1, 1))) }
-	shapes := []shape{
-		{"random", func(int, int) uint32 { return uint32(rng.next()) }},
-		{"extremes", func(i, _ int) uint32 { return []uint32{0, math.MaxUint32, uint32(rng.next())}[i%3] }},
-		{"presorted", ramp},
-		{"reversed", func(i, n int) uint32 { return math.MaxUint32 - ramp(i, n) }},
-		{"repeats", func(int, int) uint32 { return uint32(rng.intn(5)) << 24 }},
-		{"AS numbers", func(int, int) uint32 { return uint32(64500 + rng.intn(300)) }},
-	}
-	for d := range 4 {
-		digit := uint32(0xff) << (8 * d)
-		shapes = append(shapes,
-			shape{fmt.Sprintf("only digit %d varies", d), func(int, int) uint32 { return 0xa5c3e10f&^digit | uint32(rng.next())&digit }},
-			shape{fmt.Sprintf("digit %d shared", d), func(int, int) uint32 { return uint32(rng.next())&^digit | 0x5a5a5a5a&digit }})
-	}
-	for _, n := range []int{0, 1, radixMin - 1, radixMin, radixMin + 1, 4096, fanInCap} {
-		for _, shape := range shapes {
-			keys := make([]uint32, n)
-			for i := range keys {
-				keys[i] = shape.key(i, n)
-			}
-			want := slices.Clone(keys)
-			slices.Sort(want)
-			sortU32(keys, make([]uint32, 0, n)) // as the encoder passes it: room, no length
-			if !slices.Equal(keys, want) {
-				t.Fatalf("%s, %d keys: sortU32 differs from slices.Sort", shape.name, n)
-			}
+		if n < netx.RadixMin {
+			t.Fatalf("the widest %s hold %d keys, short of netx.RadixMin (%d): the radix path goes unchecked", section, n, netx.RadixMin)
 		}
 	}
 }
@@ -136,7 +94,8 @@ func TestSortU32MatchesSlicesSort(t *testing.T) {
 // TestCodecMatchesOracle is the equivalence property: on random aggregates
 // the bulk codec writes the oracle's bytes, and each decoder reads them back
 // to a state that either encoder writes as the same bytes again. The last row
-// is radixAggregate's, so the equality covers both of sortU32's branches.
+// is radixAggregate's, so the equality covers both of netx.RadixSort's
+// branches.
 func TestCodecMatchesOracle(t *testing.T) {
 	const radixRow = 25
 	for seed := uint64(1); seed <= radixRow; seed++ {

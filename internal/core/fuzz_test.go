@@ -61,9 +61,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	forged := append([]byte(nil), seed[:67]...) // magic..degraded + agg header (4+2+8*7+1 + 8+8+24+8 + 6*24)
 	f.Add(forged)
 
-	// Every uint32-keyed section kind at radixMin keys or more, so that the
-	// re-encodes sort on both of sortU32's branches. The oracle writes it, so
-	// a production sort gone wrong shows as a re-encode that does not decode.
+	// Every uint32-keyed section kind at netx.RadixMin keys or more, so that
+	// the re-encodes sort on both of netx.RadixSort's branches. The oracle
+	// writes it, so a production sort gone wrong shows as a re-encode that
+	// does not decode.
 	var radix bytes.Buffer
 	if err := oracleEncodeCheckpoint(&radix, &Checkpoint{Agg: radixAggregate(1)}); err != nil {
 		f.Fatal(err)
