@@ -138,41 +138,19 @@ func (g *Graph) BoundedCone(u, depth int) *netx.Bitset {
 // CustomerConeClosure computes the Customer Cone: reachability over
 // inferred provider→customer links only. InferRelationships (or AddOrgMesh
 // for sibling links, which are treated like peering and excluded) must run
-// first. Sibling/org links can optionally be traversed by passing
-// includeSiblings=true, which models the paper's org-merged customer cone.
+// first. CustomerConeWithOrgs is the paper's org-merged variant.
 //
 // A provider→customer edge is traversed only if it was also observed in
 // that direction on some AS path (it exists in the directed graph); this
 // makes the Customer Cone structurally contained in the Full Cone, the
 // §3.4 property the paper verified empirically.
-func (g *Graph) CustomerConeClosure(includeSiblings bool) *Closure {
-	adj := make([][]int32, len(g.asns))
-	addP2C := func(prov, cust int32) {
-		if g.HasEdge(int(prov), int(cust)) {
-			adj[prov] = append(adj[prov], cust)
-		}
-	}
-	for k, r := range g.rels {
-		u, v := k[0], k[1]
-		switch r {
-		case RelP2C:
-			addP2C(u, v)
-		case RelC2P:
-			addP2C(v, u)
-		case RelPeer:
-			if includeSiblings {
-				addP2C(u, v)
-				addP2C(v, u)
-			}
-		}
-	}
-	return newClosure(g, adj)
-}
+func (g *Graph) CustomerConeClosure() *Closure { return g.CustomerConeWithOrgs(nil) }
 
 // CustomerConeWithOrgs computes the customer cone where only the given
 // organizations' internal links are traversable in both directions, in
-// addition to p2c links. This matches the paper's "Customer Cone
-// (multi-AS orgs)" variant: orgs share their joint cone, but unrelated
+// addition to p2c links (as in CustomerConeClosure, a p2c link must also
+// have been observed in that direction). This matches the paper's "Customer
+// Cone (multi-AS orgs)" variant: orgs share their joint cone, but unrelated
 // peering links stay excluded.
 func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
 	adj := make([][]int32, len(g.asns))

@@ -162,7 +162,7 @@ func TestCustomerConeExcludesPeering(t *testing.T) {
 	anns := hierarchyAnns()
 	g := NewGraph(anns)
 	g.InferRelationships(anns, 0)
-	cc := g.CustomerConeClosure(false)
+	cc := g.CustomerConeClosure()
 
 	i100, i2001 := g.Index(100), g.Index(2001)
 	if cc.Contains(i100, i2001) {
@@ -192,7 +192,7 @@ func TestCustomerConeWithOrgs(t *testing.T) {
 	if !cc.Contains(g.Index(100), g.Index(2001)) {
 		t.Error("org-merged customer cone must reach sibling's customers")
 	}
-	plain := g.CustomerConeClosure(false)
+	plain := g.CustomerConeClosure()
 	// Org merging only grows cones.
 	for u := 0; u < g.NumASes(); u++ {
 		if cc.ConeSize(u) < plain.ConeSize(u) {
@@ -234,7 +234,7 @@ func TestConeContainmentProperty(t *testing.T) {
 		g := NewGraph(anns)
 		g.InferRelationships(anns, 0)
 		ni := NewNaiveIndex(g, anns)
-		cc := g.CustomerConeClosure(false)
+		cc := g.CustomerConeClosure()
 		fc := g.FullConeClosure()
 		spaces := OriginSpaces(g, anns)
 

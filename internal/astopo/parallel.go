@@ -146,7 +146,7 @@ func (g *Graph) customerAdjacency(orgs [][]bgp.ASN) [][]int32 {
 
 // ConeClosures computes the Full Cone and the Customer Cone closures in one
 // pass, sharing the node-level SCC work between them. orgs == nil matches
-// CustomerConeClosure(false); non-nil matches CustomerConeWithOrgs(orgs)
+// CustomerConeClosure(); non-nil matches CustomerConeWithOrgs(orgs)
 // provided AddOrgMesh(orgs) ran first. workers bounds the per-level worker
 // pool of the bitset propagation (<= 1 means sequential).
 //

@@ -106,7 +106,7 @@ func TestConeClosuresMatchSequential(t *testing.T) {
 		if orgs != nil {
 			ccRef = g.CustomerConeWithOrgs(orgs)
 		} else {
-			ccRef = g.CustomerConeClosure(false)
+			ccRef = g.CustomerConeClosure()
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			full, cc := g.ConeClosures(orgs, workers)
@@ -135,7 +135,7 @@ func TestConeClosuresLargeLevel(t *testing.T) {
 	g := NewGraph(anns)
 	g.InferRelationships(anns, 0)
 	fullRef := g.FullConeClosure()
-	ccRef := g.CustomerConeClosure(false)
+	ccRef := g.CustomerConeClosure()
 	for _, workers := range []int{2, 4} {
 		full, cc := g.ConeClosures(nil, workers)
 		requireClosureEqual(t, fmt.Sprintf("w=%d full", workers), g.NumASes(), fullRef, full)

@@ -156,8 +156,9 @@ type Aggregator struct {
 	GrandTotal   Counter
 	UnknownPorts uint64
 
-	// Series is the per-bucket packet time series per class.
-	Series map[TrafficClass][]uint64
+	// Series is the per-bucket packet time series per class, nil for a
+	// class with no traffic.
+	Series [numTrafficClasses][]uint64
 
 	// SizeHist counts packets by packet-size bin (Bytes/Packets) per class,
 	// in dense per-class pages (see porttab.go).
@@ -167,12 +168,14 @@ type Aggregator struct {
 	// dense per-(class,proto,dir) pages (see porttab.go).
 	Ports *PortTab
 
-	// Slash8Src / Slash8Dst are the Figure 10 address-structure bins.
-	Slash8Src map[TrafficClass]*[256]uint64
-	Slash8Dst map[TrafficClass]*[256]uint64
+	// Slash8Src / Slash8Dst are the Figure 10 address-structure bins, nil
+	// for a class with no traffic.
+	Slash8Src [numTrafficClasses]*[256]uint64
+	Slash8Dst [numTrafficClasses]*[256]uint64
 
-	// FanIn tracks destinations of Bogon/Unrouted/Invalid-FULL traffic.
-	FanIn map[TrafficClass]map[netx.Addr]*DstStats
+	// FanIn tracks destinations of Bogon/Unrouted/Invalid-FULL traffic: the
+	// map is non-nil for exactly those three classes.
+	FanIn [numTrafficClasses]map[netx.Addr]*DstStats
 
 	// NTP amplification bookkeeping (dst port 123 Invalid-FULL UDP):
 	// TriggerPairs[victim][amplifier] = packets.
@@ -191,17 +194,6 @@ type Aggregator struct {
 	lastPort   uint32
 	lastMember *MemberStats
 
-	// Per-class container caches for the Add hot path: each turns a
-	// map-by-class lookup per flow into an array index. They mirror the
-	// exported maps exactly and carry no state of their own — invalidate()
-	// drops them whenever a container may be replaced (Reset clears the
-	// top-level maps; Merge reassigns the receiver's Series slices).
-	seriesC  [numTrafficClasses][]uint64
-	src8C    [numTrafficClasses]*[256]uint64
-	dst8C    [numTrafficClasses]*[256]uint64
-	fanC     [numTrafficClasses]map[netx.Addr]*DstStats
-	fanKnown [numTrafficClasses]bool
-
 	// Bucket-index memo: flows arrive roughly time-ordered, so consecutive
 	// Adds usually land in the same series bucket and skip the division.
 	// start and bucket are immutable, so this never needs invalidation.
@@ -215,16 +207,6 @@ type Aggregator struct {
 
 	// nodes hands out every inner node of the maps above (see nodes.go).
 	nodes nodeAlloc
-}
-
-// invalidate drops the hot-path caches; the next Add refills them from the
-// maps. Called whenever a top-level container may have been replaced.
-func (a *Aggregator) invalidate() {
-	a.seriesC = [numTrafficClasses][]uint64{}
-	a.src8C = [numTrafficClasses]*[256]uint64{}
-	a.dst8C = [numTrafficClasses]*[256]uint64{}
-	a.fanC = [numTrafficClasses]map[netx.Addr]*DstStats{}
-	a.fanKnown = [numTrafficClasses]bool{}
 }
 
 // bucketIndex maps a flow start to its series bucket, memoizing the bucket
@@ -251,12 +233,8 @@ func NewAggregator(start time.Time, bucket time.Duration) *Aggregator {
 		start:         start,
 		bucket:        bucket,
 		members:       make(map[uint32]*MemberStats),
-		Series:        make(map[TrafficClass][]uint64),
 		SizeHist:      NewSizeTab(),
 		Ports:         NewPortTab(),
-		Slash8Src:     make(map[TrafficClass]*[256]uint64),
-		Slash8Dst:     make(map[TrafficClass]*[256]uint64),
-		FanIn:         make(map[TrafficClass]map[netx.Addr]*DstStats),
 		TriggerPairs:  make(map[netx.Addr]map[netx.Addr]uint64),
 		ResponsePairs: make(map[netx.Addr]map[netx.Addr]uint64),
 	}
@@ -287,18 +265,18 @@ func (a *Aggregator) Reset() {
 	a.GrandTotal = Counter{}
 	a.Total = [numTrafficClasses]Counter{}
 	a.UnknownPorts = 0
-	// The nodes are kept, the top-level keys are dropped: key presence is
-	// semantic in the canonical encoding (a sequential run never creates an
-	// empty Series/SizeHist/Slash8 entry), so a reused aggregator must not
-	// leak present-but-empty keys into the canonical aggregate via Merge.
-	// clear() keeps the map buckets.
+	// The nodes are kept, the per-class slots and map keys are dropped: a
+	// class's presence is semantic in the canonical encoding (a sequential
+	// run never creates an empty Series, SizeHist or Slash8 entry), so a
+	// reused aggregator must not leak present-but-empty classes into the
+	// canonical aggregate via Merge. clear() keeps the map buckets.
 	a.recycleNodes()
 	clear(a.members)
-	clear(a.Series)
+	a.Series = [numTrafficClasses][]uint64{}
 	a.SizeHist.Reset()
 	a.Ports.Reset()
-	clear(a.Slash8Src)
-	clear(a.Slash8Dst)
+	a.Slash8Src = [numTrafficClasses]*[256]uint64{}
+	a.Slash8Dst = [numTrafficClasses]*[256]uint64{}
 	for _, m := range a.FanIn {
 		clear(m)
 	}
@@ -307,14 +285,11 @@ func (a *Aggregator) Reset() {
 	a.TriggerSeries = a.TriggerSeries[:0]
 	a.ResponseSeries = a.ResponseSeries[:0]
 	a.lastPort, a.lastMember = 0, nil
-	// The caches point at nodes that are now free; accumulating through them
-	// would write into whichever key is handed the node next.
-	a.invalidate()
 }
 
 // classesInto writes the aggregate classes a verdict contributes to into
 // out and returns how many. The fixed-size buffer keeps the per-flow hot
-// path free of the slice allocation classesOf paid for invalid verdicts.
+// path free of a slice allocation for invalid verdicts.
 func classesInto(v Verdict, out *[3]TrafficClass) int {
 	switch v.Class {
 	case ClassBogon:
@@ -341,13 +316,6 @@ func classesInto(v Verdict, out *[3]TrafficClass) int {
 		n++
 	}
 	return n
-}
-
-// classesOf maps a verdict to the aggregate classes it contributes to.
-func classesOf(v Verdict) []TrafficClass {
-	var buf [3]TrafficClass
-	n := classesInto(v, &buf)
-	return append([]TrafficClass(nil), buf[:n]...)
 }
 
 // primaryClass is the class used for the single-class breakdowns (size
@@ -391,7 +359,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	}
 	pc := primaryClass(v)
 	// Flows invalid only under NAIVE/CC (not FULL) count as regular in the
-	// FULL-based view; valid flows were already added via classesOf.
+	// FULL-based view; valid flows were already added via classesInto.
 	if pc == TCRegular && v.Class == ClassInvalid {
 		a.Total[TCRegular].add(&f)
 		ms.ByClass[TCRegular].add(&f)
@@ -406,23 +374,18 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		}
 	}
 
-	// Time series. The per-class slice cache mirrors a.Series[pc] exactly:
-	// the map entry is rewritten only when the slice header changes (growth
-	// or first touch), so the exported map stays correct at every flow.
+	// Time series.
 	bi := a.bucketIndex(f.Start)
 	if bi >= 0 {
-		s := a.seriesC[pc]
-		if s == nil || len(s) <= bi {
+		s := a.Series[pc]
+		if len(s) <= bi {
 			if s == nil {
-				if s = a.Series[pc]; s == nil {
-					s = a.nodes.newSeries(pc)
-				}
+				s = a.nodes.newSeries(pc)
 			}
 			for len(s) <= bi {
 				s = append(s, 0)
 			}
 			a.Series[pc] = s
-			a.seriesC[pc] = s
 		}
 		s[bi] += f.Packets
 	}
@@ -439,35 +402,21 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	}
 
 	// Address structure.
-	src8 := a.src8C[pc]
+	src8 := a.Slash8Src[pc]
 	if src8 == nil {
-		src8 = a.Slash8Src[pc]
-		if src8 == nil {
-			src8 = a.nodes.new8()
-			a.Slash8Src[pc] = src8
-		}
-		a.src8C[pc] = src8
+		src8 = a.nodes.new8()
+		a.Slash8Src[pc] = src8
 	}
 	src8[f.SrcAddr.Slash8()] += f.Packets
-	dst8 := a.dst8C[pc]
+	dst8 := a.Slash8Dst[pc]
 	if dst8 == nil {
-		dst8 = a.Slash8Dst[pc]
-		if dst8 == nil {
-			dst8 = a.nodes.new8()
-			a.Slash8Dst[pc] = dst8
-		}
-		a.dst8C[pc] = dst8
+		dst8 = a.nodes.new8()
+		a.Slash8Dst[pc] = dst8
 	}
 	dst8[f.DstAddr.Slash8()] += f.Packets
 
 	// Destination fan-in for spoofed classes.
-	m := a.fanC[pc]
-	if m == nil && !a.fanKnown[pc] {
-		m = a.FanIn[pc]
-		a.fanC[pc] = m
-		a.fanKnown[pc] = true
-	}
-	if m != nil {
+	if m := a.FanIn[pc]; m != nil {
 		ds := m[f.DstAddr]
 		if ds == nil {
 			ds = a.nodes.newDst()
@@ -504,8 +453,8 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 // in-order loop over Add — arrival order is preserved so the cap-sensitive
 // structures (fan-in source sets, invalid-origin maps) and the canonical
 // checkpoint encoding match the per-flow path byte for byte — and exists so
-// batch consumers amortize the call overhead and keep the per-class caches
-// hot across a batch.
+// batch consumers amortize the call overhead and prefetch the next flow's
+// port counters.
 func (a *Aggregator) AddBatch(flows []ipfix.Flow, verdicts []Verdict) {
 	if len(flows) != len(verdicts) {
 		panic("core: AddBatch flows/verdicts length mismatch")

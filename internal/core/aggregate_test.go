@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -43,14 +44,10 @@ func TestClassesOf(t *testing.T) {
 		{verdictOf(ClassInvalid, true, false, false), []TrafficClass{TCInvalidNaive}},
 	}
 	for i, c := range cases {
-		got := classesOf(c.v)
-		if len(got) != len(c.want) {
-			t.Fatalf("case %d: classesOf = %v want %v", i, got, c.want)
-		}
-		for j := range got {
-			if got[j] != c.want[j] {
-				t.Fatalf("case %d: classesOf = %v want %v", i, got, c.want)
-			}
+		var buf [3]TrafficClass
+		got := buf[:classesInto(c.v, &buf)]
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("case %d: classesInto = %v want %v", i, got, c.want)
 		}
 	}
 }

@@ -123,8 +123,8 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, BuildStats, error) {
 	t0 := time.Now()
 	// One compilation worker per schedulable thread: more only adds
-	// contention on the level barriers, and GOMAXPROCS=1 runs the sequential
-	// constructors the parallel build is proven against.
+	// contention on the level barriers, and GOMAXPROCS=1 runs every stage on
+	// one goroutine.
 	stats := BuildStats{Reuse: BuildCold, Workers: runtime.GOMAXPROCS(0)}
 	if len(members) == 0 {
 		return nil, stats, fmt.Errorf("core: no members")
@@ -187,23 +187,11 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		p.graph = graph
 		buildConcurrently(workers > 1,
 			func() {
-				if workers > 1 {
-					var orgs [][]bgp.ASN
-					if orgMerge {
-						orgs = opts.Orgs
-					}
-					p.full, p.cc = graph.ConeClosures(orgs, workers)
-					return
-				}
-				// Sequential baseline: the original single-threaded closure
-				// path, byte-for-byte the behavior the parallel one is
-				// property-tested against.
-				p.full = graph.FullConeClosure()
+				var orgs [][]bgp.ASN
 				if orgMerge {
-					p.cc = graph.CustomerConeWithOrgs(opts.Orgs)
-				} else {
-					p.cc = graph.CustomerConeClosure(false)
+					orgs = opts.Orgs
 				}
+				p.full, p.cc = graph.ConeClosures(orgs, workers)
 			},
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
 			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph, bogons) },

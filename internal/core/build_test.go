@@ -149,7 +149,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 }
 
 // TestBuildWorkersEquivalence proves the parallel compilation path emits a
-// pipeline indistinguishable from the sequential one: same verdicts, same
+// pipeline indistinguishable from the one-worker build's: same verdicts, same
 // checkpoint bytes. The build runs one worker per GOMAXPROCS, so the sweep
 // sets GOMAXPROCS itself — past the host's CPU count too, so the worker pool
 // truly runs multi-goroutine even on a 1-CPU host.

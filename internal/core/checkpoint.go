@@ -180,7 +180,7 @@ func putCounter(p []byte, c Counter) {
 }
 
 // sortedKeys returns m's keys in ascending order, in buf's storage when it
-// is large enough. It is for the few keys of a class or spilled-size map;
+// is large enough. It is for the few spilled sizes of a histogram page;
 // uint32-kinded keys, which attack traffic makes many, go through
 // netx.RadixSort.
 func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
@@ -252,12 +252,12 @@ func (e *cpEnc) checkpoint(cp *Checkpoint) {
 	}
 
 	e.members(a.members)
-	e.series(a.Series)
+	e.series(&a.Series)
 	a.SizeHist.encode(e)
 	a.Ports.encode(e)
-	e.slash8(a.Slash8Src)
-	e.slash8(a.Slash8Dst)
-	e.fanIn(a.FanIn)
+	e.slash8(&a.Slash8Src)
+	e.slash8(&a.Slash8Dst)
+	e.fanIn(&a.FanIn)
 	e.pairs(a.TriggerPairs)
 	e.pairs(a.ResponsePairs)
 	e.counters(a.TriggerSeries)
@@ -286,22 +286,38 @@ func (e *cpEnc) members(members map[uint32]*MemberStats) {
 	}
 }
 
-func (e *cpEnc) series(series map[TrafficClass][]uint64) {
-	var buf [numTrafficClasses]TrafficClass
-	e.u32(uint32(len(series)))
-	for _, c := range sortedKeys(buf[:0], series) {
-		e.u32pair(uint32(c), uint32(len(series[c])))
-		e.u64s(series[c])
+// classCount counts the classes has reports an entry for: the count that
+// opens a per-class section, whose entries are then written in class order by
+// walking the array.
+func classCount(has func(c int) bool) uint32 {
+	n := uint32(0)
+	for c := range NumTrafficClasses {
+		if has(c) {
+			n++
+		}
+	}
+	return n
+}
+
+func (e *cpEnc) series(series *[numTrafficClasses][]uint64) {
+	e.u32(classCount(func(c int) bool { return len(series[c]) > 0 }))
+	for c, s := range series {
+		if len(s) > 0 {
+			e.u32pair(uint32(c), uint32(len(s)))
+			e.u64s(s)
+		}
 	}
 }
 
-func (e *cpEnc) slash8(bins map[TrafficClass]*[256]uint64) {
-	var buf [numTrafficClasses]TrafficClass
-	e.u32(uint32(len(bins)))
-	for _, c := range sortedKeys(buf[:0], bins) {
+func (e *cpEnc) slash8(bins *[numTrafficClasses]*[256]uint64) {
+	e.u32(classCount(func(c int) bool { return bins[c] != nil }))
+	for c, b := range bins {
+		if b == nil {
+			continue
+		}
 		p := e.grow(slash8Len)
 		be.PutUint32(p, uint32(c))
-		for i, v := range bins[c] {
+		for i, v := range b {
 			be.PutUint64(p[4+8*i:], v)
 		}
 	}
@@ -309,11 +325,12 @@ func (e *cpEnc) slash8(bins map[TrafficClass]*[256]uint64) {
 
 // fanIn writes destination fan-in per tracked class: destinations sorted,
 // each destination's source set sorted.
-func (e *cpEnc) fanIn(fan map[TrafficClass]map[netx.Addr]*DstStats) {
-	var buf [numTrafficClasses]TrafficClass
-	e.u32(uint32(len(fan)))
-	for _, c := range sortedKeys(buf[:0], fan) {
-		m := fan[c]
+func (e *cpEnc) fanIn(fan *[numTrafficClasses]map[netx.Addr]*DstStats) {
+	e.u32(classCount(func(c int) bool { return fan[c] != nil }))
+	for c, m := range fan {
+		if m == nil {
+			continue
+		}
 		dsts := sortedOuterKeys(e, m, func(ds *DstStats) int { return len(ds.Srcs) })
 		e.u32pair(uint32(c), uint32(len(m)))
 		for _, dst := range dsts {
@@ -530,6 +547,36 @@ func (d *cpDec) disorder(what string) {
 	}
 }
 
+// The decoder's domain is the range of Aggregator.Add: a checkpoint carrying
+// state no run of Add can produce is refused, not kept somewhere the
+// aggregate has no place for. refuse latches that error, unless an earlier
+// one is latched already; trafficClass and some are its two common checks.
+func (d *cpDec) refuse(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: checkpoint "+format, args...)
+	}
+}
+
+// trafficClass reports whether a section's class key is a traffic class,
+// refusing it if not.
+func (d *cpDec) trafficClass(section string, class uint32) bool {
+	if class < uint32(numTrafficClasses) {
+		return true
+	}
+	d.refuse("%s class %d is not a traffic class", section, class)
+	return false
+}
+
+// some reports whether a class's entry holds at least one element, refusing
+// it if not: Add creates a series with its first bucket and a histogram with
+// its first bin.
+func (d *cpDec) some(section string, class uint32, n int) bool {
+	if n == 0 {
+		d.refuse("%s of class %d is empty", section, class)
+	}
+	return d.err == nil
+}
+
 func addCounter(c *Counter, p []byte) {
 	c.Flows += be.Uint64(p)
 	c.Packets += be.Uint64(p[8:])
@@ -547,8 +594,6 @@ func (d *cpDec) aggregate(a *Aggregator) {
 			time.Unix(0, start).UTC(), bucket, a.start.UTC(), a.bucket)
 		return
 	}
-	// Like Merge: series slices may be reassigned, so the hot-path caches go.
-	a.invalidate()
 	addCounter(&a.GrandTotal, p[16:])
 	a.UnknownPorts += be.Uint64(p[16+counterLen:])
 	p = p[24+counterLen:]
@@ -559,8 +604,8 @@ func (d *cpDec) aggregate(a *Aggregator) {
 	d.series(a)
 	a.SizeHist.fold(d)
 	a.Ports.fold(d)
-	d.slash8(a.Slash8Src, &a.nodes)
-	d.slash8(a.Slash8Dst, &a.nodes)
+	d.slash8(&a.Slash8Src, &a.nodes)
+	d.slash8(&a.Slash8Dst, &a.nodes)
 	d.fanIn(a)
 	d.pairs(&a.TriggerPairs, &a.nodes)
 	d.pairs(&a.ResponsePairs, &a.nodes)
@@ -611,11 +656,13 @@ func (d *cpDec) series(a *Aggregator) {
 			return
 		}
 		n := d.count("series bucket", 8)
+		if !d.trafficClass("series", class) || !d.some("series", class, n) {
+			return
+		}
 		p := d.take(8 * n)
-		c := TrafficClass(class)
-		s := a.Series[c]
+		s := a.Series[class]
 		if s == nil {
-			s = a.nodes.newSeries(c)
+			s = a.nodes.newSeries(TrafficClass(class))
 		}
 		if len(s) < n {
 			s = append(s, make([]uint64, n-len(s))...)
@@ -623,11 +670,11 @@ func (d *cpDec) series(a *Aggregator) {
 		for j := range n {
 			s[j] += be.Uint64(p[8*j:])
 		}
-		a.Series[c] = s
+		a.Series[class] = s
 	}
 }
 
-func (d *cpDec) slash8(bins map[TrafficClass]*[256]uint64, nodes *nodeAlloc) {
+func (d *cpDec) slash8(bins *[numTrafficClasses]*[256]uint64, nodes *nodeAlloc) {
 	var class uint32
 	for i := range d.count("/8 class", slash8Len) {
 		p := d.take(slash8Len)
@@ -635,10 +682,13 @@ func (d *cpDec) slash8(bins map[TrafficClass]*[256]uint64, nodes *nodeAlloc) {
 			d.disorder("/8 class")
 			return
 		}
-		b := bins[TrafficClass(class)]
+		if !d.trafficClass("/8", class) {
+			return
+		}
+		b := bins[class]
 		if b == nil {
 			b = nodes.new8()
-			bins[TrafficClass(class)] = b
+			bins[class] = b
 		}
 		for j := range b {
 			b[j] += be.Uint64(p[4+8*j:])
@@ -661,11 +711,15 @@ func (d *cpDec) fanIn(a *Aggregator) {
 			return
 		}
 		n := d.count("fan-in destination", dstLen)
-		m := a.FanIn[TrafficClass(class)]
+		if class >= uint32(numTrafficClasses) || a.FanIn[class] == nil {
+			d.refuse("fan-in class %d is not one whose destinations are tracked", class)
+			return
+		}
+		m := a.FanIn[class]
 		fresh := len(m) == 0
-		if m == nil || fresh && n > 0 {
+		if fresh && n > 0 {
 			m = make(map[netx.Addr]*DstStats, n)
-			a.FanIn[TrafficClass(class)] = m
+			a.FanIn[class] = m
 		}
 		var run []DstStats
 		if fresh {

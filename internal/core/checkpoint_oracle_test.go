@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spoofscope/internal/bgp"
+	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 )
 
@@ -139,15 +140,6 @@ func oracleAscending[K cmp.Ordered](r *oracleReader, what string, i int, prev *K
 	*prev = key
 }
 
-func oracleSortedClasses[V any](m map[TrafficClass]V) []TrafficClass {
-	out := make([]TrafficClass, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 func oracleSortedAddrs[V any](m map[netx.Addr]V) []netx.Addr {
 	out := make([]netx.Addr, 0, len(m))
 	for a := range m {
@@ -214,9 +206,15 @@ func oracleEncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
 		}
 	}
 
-	// Time series per class.
-	w.u32(uint32(len(a.Series)))
-	for _, c := range oracleSortedClasses(a.Series) {
+	// Time series per class, in class order.
+	var series []TrafficClass
+	for c, s := range a.Series {
+		if len(s) > 0 {
+			series = append(series, TrafficClass(c))
+		}
+	}
+	w.u32(uint32(len(series)))
+	for _, c := range series {
 		s := a.Series[c]
 		w.u32(uint32(c))
 		w.u32(uint32(len(s)))
@@ -250,11 +248,20 @@ func oracleEncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
 	})
 
 	// /8 address-structure bins.
-	writeSlash8 := func(m map[TrafficClass]*[256]uint64) {
-		w.u32(uint32(len(m)))
-		for _, c := range oracleSortedClasses(m) {
+	writeSlash8 := func(bins [numTrafficClasses]*[256]uint64) {
+		n := 0
+		for _, b := range bins {
+			if b != nil {
+				n++
+			}
+		}
+		w.u32(uint32(n))
+		for c, b := range bins {
+			if b == nil {
+				continue
+			}
 			w.u32(uint32(c))
-			for _, v := range m[c] {
+			for _, v := range b {
 				w.u64(v)
 			}
 		}
@@ -263,8 +270,14 @@ func oracleEncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
 	writeSlash8(a.Slash8Dst)
 
 	// Destination fan-in per tracked class.
-	w.u32(uint32(len(a.FanIn)))
-	for _, c := range oracleSortedClasses(a.FanIn) {
+	var tracked []TrafficClass
+	for c, m := range a.FanIn {
+		if m != nil {
+			tracked = append(tracked, TrafficClass(c))
+		}
+	}
+	w.u32(uint32(len(tracked)))
+	for _, c := range tracked {
 		m := a.FanIn[c]
 		w.u32(uint32(c))
 		w.u32(uint32(len(m)))
@@ -313,6 +326,22 @@ func oracleEncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
 		return fmt.Errorf("core: encoding checkpoint: %w", w.err)
 	}
 	return w.w.Flush()
+}
+
+// oracleClass latches an error unless c, a class key read in section, is a
+// traffic class. It and oracleSome refuse what Aggregator.Add cannot produce.
+func oracleClass(r *oracleReader, section string, c TrafficClass) {
+	if r.err == nil && (c < 0 || c >= numTrafficClasses) {
+		r.err = fmt.Errorf("core: checkpoint %s class %d is out of range", section, c)
+	}
+}
+
+// oracleSome latches an error unless class c's entry in section holds n > 0
+// elements.
+func oracleSome(r *oracleReader, section string, c TrafficClass, n int) {
+	if r.err == nil && n == 0 {
+		r.err = fmt.Errorf("core: checkpoint %s of class %d has no elements", section, c)
+	}
 }
 
 // oracleDecodeCheckpoint reads a checkpoint previously written by
@@ -381,6 +410,11 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	for i := 0; i < nSeries && r.err == nil; i++ {
 		oracleAscending(r, "series class", i, &c, TrafficClass(r.u32()))
 		n := r.count("series bucket")
+		oracleClass(r, "series", c)
+		oracleSome(r, "series", c, n)
+		if r.err != nil {
+			break
+		}
 		s := make([]uint64, 0, oraclePreallocCap(n))
 		for j := 0; j < n && r.err == nil; j++ {
 			s = append(s, r.u64())
@@ -389,18 +423,19 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	}
 
 	// The tables' own Add stands in for assignment: with every key in a
-	// section distinct, adding into a fresh table is assigning — and where
-	// two encoded keys share a page slot (a TCP/UDP page keys dir by its low
-	// bit) both decoders sum them alike.
+	// section distinct, adding into a fresh table is assigning.
 	nHists := r.count("size histogram")
 	for i := 0; i < nHists && r.err == nil; i++ {
 		oracleAscending(r, "size histogram class", i, &c, TrafficClass(r.u32()))
-		a.SizeHist.Touch(c)
 		n := r.count("size bin")
+		oracleClass(r, "size histogram", c)
+		oracleSome(r, "size histogram", c, n)
 		var size int
 		for j := 0; j < n && r.err == nil; j++ {
 			oracleAscending(r, "size bin", j, &size, int(r.i64()))
-			a.SizeHist.Add(c, size, r.u64())
+			if pkts := r.u64(); r.err == nil {
+				a.SizeHist.Add(c, size, pkts)
+			}
 		}
 	}
 
@@ -418,10 +453,16 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			r.err = fmt.Errorf("core: checkpoint port-mix key %v does not follow %v", next, k)
 		}
 		k = next
-		a.Ports.Add(k.Class, k.Proto, k.Dir, k.Port, r.u64())
+		oracleClass(r, "port-mix", k.Class)
+		if r.err == nil && (k.Proto != ipfix.ProtoTCP && k.Proto != ipfix.ProtoUDP || k.Dir > 1) {
+			r.err = fmt.Errorf("core: checkpoint port-mix key %v is not a TCP or UDP destination or source port", k)
+		}
+		if pkts := r.u64(); r.err == nil {
+			a.Ports.Add(k.Class, k.Proto, k.Dir, k.Port, pkts)
+		}
 	}
 
-	readSlash8 := func(m map[TrafficClass]*[256]uint64) {
+	readSlash8 := func(m *[numTrafficClasses]*[256]uint64) {
 		n := r.count("/8 class")
 		var c TrafficClass
 		for i := 0; i < n && r.err == nil; i++ {
@@ -430,16 +471,21 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			for j := range bins {
 				bins[j] = r.u64()
 			}
-			m[c] = &bins
+			if oracleClass(r, "/8", c); r.err == nil {
+				m[c] = &bins
+			}
 		}
 	}
-	readSlash8(a.Slash8Src)
-	readSlash8(a.Slash8Dst)
+	readSlash8(&a.Slash8Src)
+	readSlash8(&a.Slash8Dst)
 
 	nFanIn := r.count("fan-in class")
 	for i := 0; i < nFanIn && r.err == nil; i++ {
 		oracleAscending(r, "fan-in class", i, &c, TrafficClass(r.u32()))
 		nDst := r.count("fan-in destination")
+		if r.err == nil && c != TCBogon && c != TCUnrouted && c != TCInvalidFull {
+			r.err = fmt.Errorf("core: checkpoint fan-in class %d is not Bogon, Unrouted or Invalid-FULL", c)
+		}
 		m := make(map[netx.Addr]*DstStats, oraclePreallocCap(nDst))
 		var dst netx.Addr
 		for j := 0; j < nDst && r.err == nil; j++ {
@@ -460,7 +506,9 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			}
 			m[dst] = ds
 		}
-		a.FanIn[c] = m
+		if r.err == nil {
+			a.FanIn[c] = m
+		}
 	}
 
 	readPairs := func(dst map[netx.Addr]map[netx.Addr]uint64) {
@@ -508,12 +556,9 @@ func (t *SizeTab) Classes() int { return len(t.classList(nil)) }
 
 // ClassLen counts recorded sizes for one class.
 func (t *SizeTab) ClassLen(c TrafficClass) int {
-	p := t.page(c, false)
+	p := t.pages[c]
 	if p == nil {
 		return 0
 	}
 	return p.len()
 }
-
-// Touch marks class c present without recording any size.
-func (t *SizeTab) Touch(c TrafficClass) { t.page(c, true) }

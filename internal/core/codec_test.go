@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime"
 	"runtime/metrics"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,23 +16,18 @@ import (
 	"spoofscope/internal/netx"
 )
 
-// exoticAggregate is a shaped aggregate plus the state only a decoded
-// checkpoint can carry: classes outside the enum, port pages of protocols Add
-// never records, a histogram with no bins, an empty series, negative sizes.
+// exoticAggregate is a shaped aggregate plus state the shaped traces do not
+// reach: negative and jumbo sizes, zero-packet port entries, an empty NTP
+// pair map. State no run of Add can produce is refused by the decoder
+// instead (TestDecodeCheckpointRefusesWhatAddCannotProduce).
 func exoticAggregate(attack bool, n int, seed uint64) *Aggregator {
 	a := shapedAggregate(attack, n, seed)
 	rng := splitmix(seed ^ 0xe0)
-	a.Series[TrafficClass(40+rng.intn(5))] = []uint64{}
-	a.Series[TrafficClass(90)] = []uint64{1, 0, uint64(rng.next())}
-	a.SizeHist.Touch(TrafficClass(7))
-	a.SizeHist.Add(TrafficClass(11), -3, 5)
+	a.SizeHist.Add(TCUnrouted, -3, 5)
 	a.SizeHist.Add(TCBogon, -1, rng.next())
 	a.SizeHist.Add(TCBogon, 1<<20, 9)
-	a.Ports.Add(TCRegular, 1, 0, 7, 1)
-	a.Ports.Add(TrafficClass(9), 17, 1, uint16(rng.next()), 0)
-	a.Ports.Add(TCBogon, 132, 1, 65535, rng.next())
-	a.Slash8Dst[TrafficClass(8)] = &[256]uint64{255: 1}
-	a.FanIn[TCRegular] = map[netx.Addr]*DstStats{7: {Packets: 1}}
+	a.Ports.Add(TCRegular, ipfix.ProtoTCP, 0, 7, 0)
+	a.Ports.Add(TCInvalidFull, ipfix.ProtoUDP, 1, uint16(rng.next()), 0)
 	a.TriggerPairs[netx.Addr(rng.next())] = map[netx.Addr]uint64{}
 	return a
 }
@@ -195,13 +192,24 @@ func TestEncodeCheckpointAllocsConstant(t *testing.T) {
 // containers counts what the decoder must allocate one by one: maps, pages,
 // counter blocks, series — not their entries.
 func containers(a *Aggregator) (containers, entries int) {
-	containers = 2*len(a.members) + len(a.Series) + len(a.Slash8Src) + len(a.Slash8Dst) + 2*len(a.FanIn) +
-		len(a.TriggerPairs) + len(a.ResponsePairs)
+	containers = 2*len(a.members) + len(a.TriggerPairs) + len(a.ResponsePairs)
 	for _, m := range a.members {
 		entries += len(m.InvalidOrigins)
 	}
-	for _, s := range a.Series {
-		entries += len(s)
+	for c := range numTrafficClasses {
+		if a.Series[c] != nil {
+			containers++
+			entries += len(a.Series[c])
+		}
+		if a.Slash8Src[c] != nil {
+			containers++
+		}
+		if a.Slash8Dst[c] != nil {
+			containers++
+		}
+		if a.FanIn[c] != nil {
+			containers += 2
+		}
 	}
 	a.Ports.pages(func(_ portPageKey, p *portPage) {
 		containers++
@@ -341,6 +349,137 @@ func TestDecodeCheckpointRefusesRepeatedKeys(t *testing.T) {
 		be.PutUint32(bad[second:], port)
 		if _, err := DecodeCheckpointBytes(bad); err == nil {
 			t.Fatalf("decoded member port %d after port 5", port)
+		}
+	}
+}
+
+// packBE concatenates vals big-endian, each at its own width.
+func packBE(vals ...any) []byte {
+	var b []byte
+	for _, v := range vals {
+		switch v := v.(type) {
+		case uint8:
+			b = append(b, v)
+		case uint16:
+			b = be.AppendUint16(b, v)
+		case uint32:
+			b = be.AppendUint32(b, v)
+		case uint64:
+			b = be.AppendUint64(b, v)
+		case []byte:
+			b = append(b, v...)
+		default:
+			panic(fmt.Sprintf("packBE: %T", v))
+		}
+	}
+	return b
+}
+
+// withSection returns an empty aggregate's checkpoint with one per-class
+// section — "series", "size histogram", "port-mix", "/8 src", "/8 dst" or
+// "fan-in" — replaced by body, its count included.
+func withSection(section string, body []byte) []byte {
+	raw := AppendCheckpoint(nil, &Checkpoint{Agg: NewAggregator(cpStart, time.Hour)})
+	// An empty aggregate's sections after the member count: five zero
+	// counts, then three tracked fan-in classes of no destinations.
+	at, n := cpHeaderLen+aggHeadLen+4, 4
+	switch section {
+	case "series":
+	case "size histogram":
+		at += 4
+	case "port-mix":
+		at += 8
+	case "/8 src":
+		at += 12
+	case "/8 dst":
+		at += 16
+	case "fan-in":
+		at, n = at+20, 4+3*8
+	default:
+		panic("withSection: " + section)
+	}
+	return slices.Concat(raw[:at], body, raw[at+n:])
+}
+
+// checkpointShape is one per-class section's bytes spliced into an empty
+// aggregate's checkpoint.
+type checkpointShape struct {
+	name, section string
+	body          []byte
+}
+
+func (s checkpointShape) raw() []byte { return withSection(s.section, s.body) }
+
+// portEntry is one encoded port-mix entry.
+func portEntry(class uint32, proto, dir uint8, port uint16, pkts uint64) []byte {
+	return packBE(class, proto, dir, port, pkts)
+}
+
+// fanInDst is one encoded fan-in destination with a single source.
+func fanInDst(dst, src uint32, pkts uint64) []byte {
+	return packBE(dst, pkts, uint64(0), uint32(1), src)
+}
+
+var noBins = make([]byte, 256*8)
+
+// acceptedShapes are states Add produces, one per per-class section, written
+// by hand as refusedShapes are: the control that the splice is well formed.
+var acceptedShapes = []checkpointShape{
+	{"series", "series", packBE(uint32(1), uint32(TCInvalidFull), uint32(2), uint64(7), uint64(0))},
+	{"size histogram", "size histogram", packBE(uint32(1), uint32(TCInvalidFull), uint32(1), uint64(60), uint64(3))},
+	{"port-mix", "port-mix", packBE(uint32(2), portEntry(uint32(TCInvalidFull), 6, 0, 80, 1), portEntry(uint32(TCInvalidFull), 17, 1, 80, 0))},
+	{"/8 src", "/8 src", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
+	{"/8 dst", "/8 dst", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
+	{"fan-in", "fan-in", packBE(uint32(1), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},
+}
+
+// refusedShapes are states no run of Add can produce: a class outside the
+// enum in every per-class section, fan-in for an untracked class, a port-mix
+// protocol other than TCP or UDP or a direction other than 0 or 1, a series
+// with no buckets and a histogram with no bins.
+var refusedShapes = []checkpointShape{
+	{"series class NumTrafficClasses", "series", packBE(uint32(1), uint32(NumTrafficClasses), uint32(1), uint64(1))},
+	{"series class 90", "series", packBE(uint32(1), uint32(90), uint32(3), uint64(1), uint64(0), uint64(5))},
+	{"series of no buckets", "series", packBE(uint32(1), uint32(TCRegular), uint32(0))},
+	{"size class NumTrafficClasses", "size histogram", packBE(uint32(1), uint32(NumTrafficClasses), uint32(1), uint64(60), uint64(3))},
+	{"size class 11", "size histogram", packBE(uint32(1), uint32(11), uint32(1), ^uint64(2), uint64(5))},
+	{"size class of no bins", "size histogram", packBE(uint32(1), uint32(TCBogon), uint32(0))},
+	{"port-mix class 9", "port-mix", packBE(uint32(1), portEntry(9, 17, 1, 7, 0))},
+	{"port-mix protocol 1", "port-mix", packBE(uint32(1), portEntry(uint32(TCRegular), 1, 0, 7, 1))},
+	{"port-mix protocol 132", "port-mix", packBE(uint32(1), portEntry(uint32(TCBogon), 132, 1, 65535, 4))},
+	// dir 2 is a distinct key after dir 0: summed into the dir-0 cell, it
+	// would fold two encoded keys into one.
+	{"port-mix direction 2", "port-mix", packBE(uint32(2), portEntry(uint32(TCRegular), 6, 0, 80, 1), portEntry(uint32(TCRegular), 6, 2, 80, 1))},
+	{"/8 src class NumTrafficClasses", "/8 src", packBE(uint32(1), uint32(NumTrafficClasses), noBins)},
+	{"/8 dst class 8", "/8 dst", packBE(uint32(1), uint32(8), noBins)},
+	{"fan-in class 90", "fan-in", packBE(uint32(1), uint32(90), uint32(1), fanInDst(9, 7, 1))},
+	{"fan-in class regular", "fan-in", packBE(uint32(1), uint32(TCRegular), uint32(1), fanInDst(9, 7, 1))},
+	{"fan-in class invalid-cc, empty", "fan-in", packBE(uint32(2), uint32(TCUnrouted), uint32(0), uint32(TCInvalidCC), uint32(0))},
+}
+
+// TestDecodeCheckpointRefusesWhatAddCannotProduce: a checkpoint's domain is
+// the range of Aggregator.Add. Each refused shape is refused by both decoders
+// with an error naming its section, while the same section carrying a state
+// Add produces decodes.
+func TestDecodeCheckpointRefusesWhatAddCannotProduce(t *testing.T) {
+	for _, shape := range acceptedShapes {
+		if _, err := DecodeCheckpointBytes(shape.raw()); err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		if _, err := oracleDecodeCheckpoint(bytes.NewReader(shape.raw())); err != nil {
+			t.Fatalf("%s: oracle: %v", shape.name, err)
+		}
+	}
+	for _, shape := range refusedShapes {
+		named, _, _ := strings.Cut(shape.section, " ")
+		_, err := DecodeCheckpointBytes(shape.raw())
+		_, oracleErr := oracleDecodeCheckpoint(bytes.NewReader(shape.raw()))
+		for decoder, err := range map[string]error{"decoder": err, "oracle decoder": oracleErr} {
+			if err == nil {
+				t.Errorf("%s: the %s accepted it", shape.name, decoder)
+			} else if !strings.Contains(err.Error(), named) {
+				t.Errorf("%s: the %s's error %q does not name the %s section", shape.name, decoder, err, named)
+			}
 		}
 	}
 }

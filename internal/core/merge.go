@@ -9,9 +9,6 @@ import "spoofscope/internal/netx"
 // afterwards (a drain worker keeps one private shard across its folds this
 // way).
 func (a *Aggregator) Merge(other *Aggregator) {
-	// Merge reassigns the receiver's Series slices (and may create inner
-	// containers); the hot-path caches must not outlive those headers.
-	a.invalidate()
 	a.GrandTotal.Flows += other.GrandTotal.Flows
 	a.GrandTotal.Packets += other.GrandTotal.Packets
 	a.GrandTotal.Bytes += other.GrandTotal.Bytes
@@ -42,9 +39,12 @@ func (a *Aggregator) Merge(other *Aggregator) {
 		}
 	}
 	for c, os := range other.Series {
+		if len(os) == 0 {
+			continue
+		}
 		s := a.Series[c]
 		if s == nil {
-			s = a.nodes.newSeries(c)
+			s = a.nodes.newSeries(TrafficClass(c))
 		}
 		for len(s) < len(os) {
 			s = append(s, 0)
@@ -56,8 +56,11 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	}
 	a.SizeHist.MergeFrom(other.SizeHist)
 	a.Ports.MergeFrom(other.Ports)
-	mergeSlash8 := func(dst map[TrafficClass]*[256]uint64, src map[TrafficClass]*[256]uint64) {
+	mergeSlash8 := func(dst, src *[numTrafficClasses]*[256]uint64) {
 		for c, ob := range src {
+			if ob == nil {
+				continue
+			}
 			b := dst[c]
 			if b == nil {
 				b = a.nodes.new8()
@@ -68,14 +71,12 @@ func (a *Aggregator) Merge(other *Aggregator) {
 			}
 		}
 	}
-	mergeSlash8(a.Slash8Src, other.Slash8Src)
-	mergeSlash8(a.Slash8Dst, other.Slash8Dst)
+	mergeSlash8(&a.Slash8Src, &other.Slash8Src)
+	mergeSlash8(&a.Slash8Dst, &other.Slash8Dst)
+	// Both sides track fan-in for the same three classes, so a class other
+	// holds destinations of has a map here.
 	for c, om := range other.FanIn {
 		m := a.FanIn[c]
-		if m == nil {
-			m = make(map[netx.Addr]*DstStats, len(om))
-			a.FanIn[c] = m
-		}
 		for dst, ods := range om {
 			ds := m[dst]
 			if ds == nil {

@@ -162,17 +162,15 @@ func (n *nodeAlloc) new8() *[256]uint64 {
 // newSeries returns an empty series for class c to append to: the backing
 // array Reset parked for it, or nil.
 func (n *nodeAlloc) newSeries(c TrafficClass) []uint64 {
-	if c < 0 || c >= numTrafficClasses {
-		return nil
-	}
 	s := n.series[c]
 	n.series[c] = nil
 	return s
 }
 
 // recycleNodes empties every inner node for reuse. Reset calls it before
-// clearing the top-level maps: only the values are kept, so which keys are
-// present stays exactly what the flows since the Reset make it.
+// clearing the per-class slots and top-level maps: only the values are kept,
+// so which keys are present stays exactly what the flows since the Reset
+// make it.
 func (a *Aggregator) recycleNodes() {
 	n := &a.nodes
 	n.members.rewind(func(ms *MemberStats) {
@@ -196,14 +194,16 @@ func (a *Aggregator) recycleNodes() {
 	}
 	n.pairs.used = 0
 	for c, s := range a.Series {
-		if c >= 0 && c < numTrafficClasses {
+		if s != nil {
 			n.series[c] = s[:0]
 		}
 	}
-	for _, bins := range [2]map[TrafficClass]*[256]uint64{a.Slash8Src, a.Slash8Dst} {
+	for _, bins := range [2]*[numTrafficClasses]*[256]uint64{&a.Slash8Src, &a.Slash8Dst} {
 		for _, b := range bins {
-			*b = [256]uint64{}
-			n.bins = append(n.bins, b)
+			if b != nil {
+				*b = [256]uint64{}
+				n.bins = append(n.bins, b)
+			}
 		}
 	}
 }

@@ -1,21 +1,21 @@
 package core
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // This file holds the dense tally containers behind the Aggregator's port
 // mix and packet-size histograms. Both used to be Go maps keyed per flow on
 // the Add hot path; with ~uniform ephemeral ports the port map grows to
 // hundreds of thousands of entries and every flow pays two hashed,
 // cache-missing map operations. A dense page — block-allocated counter
-// arrays plus a presence bitmap — turns each into L2-resident indexing while
-// preserving the map's exact semantics: key presence is tracked separately
-// from the count (a zero-packet add still records the key, as a map `+=`
-// would), so the canonical checkpoint encoding is byte-identical to the
-// map-backed layout's.
+// arrays plus a presence bitmap — turns each into L2-resident indexing. Key
+// presence is tracked separately from the count (a zero-packet add still
+// records the key), so the canonical checkpoint encoding is byte-identical
+// to the map-backed layout's.
+//
+// The tables hold exactly what Aggregator.Add records: pages are indexed by
+// traffic class, and port pages by TCP or UDP and by direction, with no
+// second layout for anything else. The checkpoint decoder refuses a class,
+// protocol or direction outside that range, rather than keep a place for it.
 
 // portPage is the dense tally for one (class, proto, dir): 65536 counters
 // plus a 65536-bit presence bitmap. The counters live in 256-port blocks
@@ -61,10 +61,6 @@ func (p *portPage) add(port uint16, pkts uint64) {
 		p.sum[w>>6] |= 1 << (w & 63)
 		p.n++
 	}
-}
-
-func (p *portPage) has(port uint16) bool {
-	return p.seen[port>>6]&(1<<(port&63)) != 0
 }
 
 // eachWord visits the non-empty words of the presence bitmap in ascending
@@ -114,73 +110,53 @@ func (p *portPage) reset() {
 	p.n = 0
 }
 
-// portPageKey orders pages the way the checkpoint codec sorts PortKeys:
-// (class, proto, dir) ascending.
+// portPageKey names a page: (class, proto, dir), the order the checkpoint
+// codec writes pages in.
 type portPageKey struct {
 	class TrafficClass
 	proto uint8
 	dir   uint8
 }
 
-// PortTab is the port-mix tally: one dense page per (class, proto, dir).
-// The TCP/UDP pages — the only protocols Add records — sit in a
-// direct-indexed array; pages for any other protocol (reachable only by
-// decoding a checkpoint that carries them) live in a spill map.
+// PortTab is the port-mix tally: one dense page per (class, proto, dir), for
+// the two protocols Add records.
 type PortTab struct {
-	fast  [numTrafficClasses][2][2]*portPage
-	spill map[portPageKey]*portPage
+	fast [numTrafficClasses][2][2]*portPage
 }
 
 // NewPortTab builds an empty table.
 func NewPortTab() *PortTab { return &PortTab{} }
 
-// protoIdx maps the two hot protocols onto the fast array; -1 spills.
+// portProtos are the protocols with pages, in page-index (and codec) order.
+var portProtos = [2]uint8{6, 17} // ipfix.ProtoTCP, ipfix.ProtoUDP
+
+// protoIdx maps TCP and UDP onto the page array's protocol index; any other
+// protocol is -1, which indexes no page.
 func protoIdx(proto uint8) int {
 	switch proto {
-	case 6: // ipfix.ProtoTCP
+	case portProtos[0]:
 		return 0
-	case 17: // ipfix.ProtoUDP
+	case portProtos[1]:
 		return 1
 	}
 	return -1
 }
 
-// page returns the page for (class, proto, dir), creating it if asked.
+// page returns the page for (class, proto, dir), creating it if asked. The
+// key must be in the table's range: proto TCP or UDP, dir 0 or 1.
 func (t *PortTab) page(c TrafficClass, proto, dir uint8, create bool) *portPage {
-	if pi := protoIdx(proto); pi >= 0 && c >= 0 && c < numTrafficClasses {
-		p := t.fast[c][pi][dir&1]
-		if p == nil && create {
-			p = &portPage{}
-			t.fast[c][pi][dir&1] = p
-		}
-		return p
+	slot := &t.fast[c][protoIdx(proto)][dir]
+	if *slot == nil && create {
+		*slot = &portPage{}
 	}
-	k := portPageKey{c, proto, dir}
-	p := t.spill[k]
-	if p == nil && create {
-		if t.spill == nil {
-			t.spill = make(map[portPageKey]*portPage)
-		}
-		p = &portPage{}
-		t.spill[k] = p
-	}
-	return p
+	return *slot
 }
 
-// Add accumulates pkts for one key. This is the hot path: two array
-// indexes and a bitmap update, no hashing.
+// Add accumulates pkts for one key, which must be in the table's range
+// (proto TCP or UDP, dir 0 or 1; anything else panics). This is the hot
+// path: array indexes and a bitmap update, no hashing.
 func (t *PortTab) Add(c TrafficClass, proto, dir uint8, port uint16, pkts uint64) {
 	t.page(c, proto, dir, true).add(port, pkts)
-}
-
-// Get returns the tally for k and whether the key was ever recorded —
-// the comma-ok contract of the map this table replaced.
-func (t *PortTab) Get(k PortKey) (uint64, bool) {
-	p := t.page(k.Class, k.Proto, k.Dir, false)
-	if p == nil || !p.has(k.Port) {
-		return 0, false
-	}
-	return p.at(k.Port), true
 }
 
 // Len counts recorded keys.
@@ -190,39 +166,16 @@ func (t *PortTab) Len() int {
 	return n
 }
 
-// maxFastPages is how many pages the direct-indexed array can hold.
-const maxFastPages = int(numTrafficClasses) * 2 * 2
-
-// pageKeys appends every page's key to buf in (class, proto, dir) order —
-// the checkpoint codec's key order. The fast array is walked in that order
-// already; only a table that carries spilled protocols has to sort.
-func (t *PortTab) pageKeys(buf []portPageKey) []portPageKey {
-	for c := TrafficClass(0); c < numTrafficClasses; c++ {
-		for pi, proto := range [2]uint8{6, 17} {
-			for dir := uint8(0); dir < 2; dir++ {
-				if t.fast[c][pi][dir] != nil {
-					buf = append(buf, portPageKey{c, proto, dir})
+// pages visits every page in (class, proto, dir) order.
+func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
+	for c := range t.fast {
+		for pi, proto := range portProtos {
+			for dir, p := range t.fast[c][pi] {
+				if p != nil {
+					fn(portPageKey{TrafficClass(c), proto, uint8(dir)}, p)
 				}
 			}
 		}
-	}
-	if len(t.spill) == 0 {
-		return buf
-	}
-	for k := range t.spill {
-		buf = append(buf, k)
-	}
-	slices.SortFunc(buf, func(a, b portPageKey) int {
-		return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.proto, b.proto), cmp.Compare(a.dir, b.dir))
-	})
-	return buf
-}
-
-// pages visits every page in (class, proto, dir) order.
-func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
-	var buf [maxFastPages]portPageKey
-	for _, k := range t.pageKeys(buf[:0]) {
-		fn(k, t.page(k.class, k.proto, k.dir, false))
 	}
 }
 
@@ -246,7 +199,8 @@ func (t *PortTab) encode(e *cpEnc) {
 }
 
 // fold adds the encoded port mix into t. Entries arrive grouped by page, so
-// the page lookup is paid once per run of equal (class, proto, dir).
+// the page lookup — and the check that its key is one Add records — is paid
+// once per run of equal (class, proto, dir).
 func (t *PortTab) fold(d *cpDec) {
 	var (
 		head uint64
@@ -259,7 +213,15 @@ func (t *PortTab) fold(d *cpDec) {
 			return
 		}
 		if pg == nil || head>>16 != last>>16 {
-			pg = t.page(TrafficClass(head>>32), uint8(head>>24), uint8(head>>16), true)
+			class, proto, dir := uint32(head>>32), uint8(head>>24), uint8(head>>16)
+			if !d.trafficClass("port-mix", class) {
+				return
+			}
+			if protoIdx(proto) < 0 || dir > 1 {
+				d.refuse("port-mix key of protocol %d, direction %d: only TCP and UDP destination (0) and source (1) ports are recorded", proto, dir)
+				return
+			}
+			pg = t.page(TrafficClass(class), proto, dir, true)
 		}
 		pg.add(uint16(head), be.Uint64(p[8:]))
 	}
@@ -302,15 +264,11 @@ func (t *PortTab) Reset() {
 const sizeDense = 1 << 12
 
 type sizePage struct {
-	// present mirrors map key-presence: the class existed in the old
-	// map[TrafficClass] iff present. Reset keeps the page allocated for
-	// reuse but marks it absent, exactly like clear() on the map did.
-	present bool
-	cnt     [sizeDense]uint64
-	seen    [sizeDense / 64]uint64
-	sum     uint64 // bit w set iff seen[w] != 0, as in portPage
-	n       int
-	spill   map[int]uint64
+	cnt   [sizeDense]uint64
+	seen  [sizeDense / 64]uint64
+	sum   uint64 // bit w set iff seen[w] != 0, as in portPage
+	n     int
+	spill map[int]uint64
 }
 
 func (p *sizePage) add(size int, pkts uint64) {
@@ -333,73 +291,44 @@ func (p *sizePage) add(size int, pkts uint64) {
 func (p *sizePage) len() int { return p.n + len(p.spill) }
 
 // SizeTab is the per-class packet-size histogram, replacing
-// map[TrafficClass]map[int]uint64.
+// map[TrafficClass]map[int]uint64. A class is present exactly when it has at
+// least one bin: Reset keeps a page allocated for reuse, emptied.
 type SizeTab struct {
 	pages [numTrafficClasses]*sizePage
-	// spill holds classes outside the enum range (reachable only from a
-	// hand-crafted checkpoint; Add never produces them).
-	spill map[TrafficClass]*sizePage
 }
 
 // NewSizeTab builds an empty histogram set.
 func NewSizeTab() *SizeTab { return &SizeTab{} }
 
-func (t *SizeTab) page(c TrafficClass, create bool) *sizePage {
-	var p *sizePage
-	if c >= 0 && c < numTrafficClasses {
-		p = t.pages[c]
-		if p == nil && create {
-			p = &sizePage{}
-			t.pages[c] = p
-		}
-	} else {
-		p = t.spill[c]
-		if p == nil && create {
-			if t.spill == nil {
-				t.spill = make(map[TrafficClass]*sizePage)
-			}
-			p = &sizePage{}
-			t.spill[c] = p
-		}
-	}
-	if p != nil {
-		if create {
-			p.present = true
-		} else if !p.present {
-			return nil
-		}
+// page returns class c's page, creating it.
+func (t *SizeTab) page(c TrafficClass) *sizePage {
+	p := t.pages[c]
+	if p == nil {
+		p = &sizePage{}
+		t.pages[c] = p
 	}
 	return p
 }
 
 // Add accumulates pkts into class c's histogram at size.
 func (t *SizeTab) Add(c TrafficClass, size int, pkts uint64) {
-	t.page(c, true).add(size, pkts)
+	t.page(c).add(size, pkts)
 }
 
-// classList appends the recorded classes to buf in ascending order.
+// classList appends the present classes to buf in ascending order.
 func (t *SizeTab) classList(buf []TrafficClass) []TrafficClass {
-	for c := TrafficClass(0); c < numTrafficClasses; c++ {
-		if p := t.pages[c]; p != nil && p.present {
-			buf = append(buf, c)
+	for c, p := range t.pages {
+		if p != nil && p.len() > 0 {
+			buf = append(buf, TrafficClass(c))
 		}
 	}
-	if len(t.spill) == 0 {
-		return buf
-	}
-	for c, p := range t.spill {
-		if p.present {
-			buf = append(buf, c)
-		}
-	}
-	slices.Sort(buf)
 	return buf
 }
 
 // RangeClass visits one class's (size, packets) entries in ascending size
 // order — the checkpoint codec's order.
 func (t *SizeTab) RangeClass(c TrafficClass, fn func(int, uint64)) {
-	if p := t.page(c, false); p != nil {
+	if p := t.pages[c]; p != nil {
 		p.walk(func(w int, word uint64) {
 			for ; word != 0; word &= word - 1 {
 				size := w<<6 | bits.TrailingZeros64(word)
@@ -435,7 +364,7 @@ func (t *SizeTab) encode(e *cpEnc) {
 	classes := t.classList(buf[:0])
 	e.u32(uint32(len(classes)))
 	for _, c := range classes {
-		p := t.page(c, false)
+		p := t.pages[c]
 		e.u32pair(uint32(c), uint32(p.len()))
 		p.walk(func(w int, word uint64) {
 			q := e.grow(16 * bits.OnesCount64(word))
@@ -453,9 +382,7 @@ func (t *SizeTab) encode(e *cpEnc) {
 	}
 }
 
-// fold adds the encoded size histograms into t. A class may carry zero bins,
-// which the map layout this table replaced kept as a present empty map:
-// fetching the page marks it present either way.
+// fold adds the encoded size histograms into t.
 func (t *SizeTab) fold(d *cpDec) {
 	var class uint32
 	for i := range d.count("size histogram", 8) {
@@ -463,9 +390,13 @@ func (t *SizeTab) fold(d *cpDec) {
 			d.disorder("size histogram class")
 			return
 		}
-		pg := t.page(TrafficClass(class), true)
+		n := d.count("size bin", 16)
+		if !d.trafficClass("size histogram", class) || !d.some("size histogram", class, n) {
+			return
+		}
+		pg := t.page(TrafficClass(class))
 		var size int
-		for j, p := 0, d.take(16*d.count("size bin", 16)); len(p) > 0; j, p = j+1, p[16:] {
+		for j, p := 0, d.take(16*n); len(p) > 0; j, p = j+1, p[16:] {
 			if !follows(j, &size, int(be.Uint64(p))) {
 				d.disorder("size bin")
 				return
@@ -475,31 +406,16 @@ func (t *SizeTab) fold(d *cpDec) {
 	}
 }
 
-func (p *sizePage) has(size int) bool {
-	return size >= 0 && size < sizeDense && p.seen[size>>6]&(1<<(uint(size)&63)) != 0
-}
-
-// Get returns class c's tally at size with map comma-ok semantics.
-func (t *SizeTab) Get(c TrafficClass, size int) (uint64, bool) {
-	p := t.page(c, false)
-	if p == nil {
-		return 0, false
-	}
-	if p.has(size) {
-		return p.cnt[size], true
-	}
-	v, ok := p.spill[size]
-	return v, ok
-}
-
 // MergeFrom folds other into t without adopting its pages.
 func (t *SizeTab) MergeFrom(other *SizeTab) {
 	if other == nil {
 		return
 	}
-	var buf [numTrafficClasses]TrafficClass
-	for _, c := range other.classList(buf[:0]) {
-		op, p := other.page(c, false), t.page(c, true)
+	for c, op := range other.pages {
+		if op == nil || op.len() == 0 {
+			continue // a Reset page stays allocated, and has nothing to fold
+		}
+		p := t.page(TrafficClass(c))
 		// Addition commutes, so unlike the codec this walk need not be
 		// ordered — and must not pay walk's sorted copy of the spilled sizes:
 		// a fold allocates nothing.
@@ -516,12 +432,13 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 	}
 }
 
-// Reset zeroes every recorded tally in place and marks every class absent,
-// keeping pages allocated for reuse.
+// Reset zeroes every recorded tally in place, which leaves every class
+// absent, keeping pages allocated for reuse.
 func (t *SizeTab) Reset() {
-	var buf [numTrafficClasses]TrafficClass
-	for _, c := range t.classList(buf[:0]) {
-		p := t.page(c, false)
+	for _, p := range t.pages {
+		if p == nil {
+			continue
+		}
 		for s := p.sum; s != 0; s &= s - 1 {
 			w := bits.TrailingZeros64(s)
 			for word := p.seen[w]; word != 0; word &= word - 1 {
@@ -531,6 +448,5 @@ func (t *SizeTab) Reset() {
 		}
 		p.sum, p.n = 0, 0
 		clear(p.spill)
-		p.present = false
 	}
 }

@@ -53,7 +53,7 @@ func Figure2(env *Env) *Figure2Result {
 		res.Curves[name] = s
 	}
 	put("naive", naive.Sizes())
-	put("customer-cone", gPlain.CustomerConeClosure(false).WeightedSizes(wPlain))
+	put("customer-cone", gPlain.CustomerConeClosure().WeightedSizes(wPlain))
 	put("customer-cone+orgs", gPlain.CustomerConeWithOrgs(orgs).WeightedSizes(wPlain))
 	put("full-cone", gPlain.FullConeClosure().WeightedSizes(wPlain))
 	fullOrg := gOrg.FullConeClosure().WeightedSizes(wOrg)
@@ -117,7 +117,7 @@ func ConeContainment(env *Env) *ConeContainmentResult {
 	g := astopo.NewGraph(anns)
 	g.InferRelationships(anns, 0)
 	naive := astopo.NewNaiveIndex(g, anns)
-	cc := g.CustomerConeClosure(false)
+	cc := g.CustomerConeClosure()
 	ccOrg := g.CustomerConeWithOrgs(orgs)
 	fc := g.FullConeClosure()
 	spaces := astopo.OriginSpaces(g, anns)
