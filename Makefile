@@ -20,7 +20,7 @@ race:
 # verify is the CI entry point: static checks, the plain suite (tier-1's
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
-# parallel-compilation equivalence property, the observability smoke, the
+# topology property tests, the observability smoke, the
 # stress run (drain engine and shard book), the cluster chaos suite (with its
 # observability plane), every benchmark in the module run once, the
 # identifier check over the docs, and the nested benchmark module's own vet
@@ -84,15 +84,16 @@ loc:
 	@printf 'bench tests    %6d\n' $$(find benchmark -name '*_test.go' | xargs cat | wc -l)
 
 # closure-prop runs the topology property tests explicitly: on random
-# cyclic topologies ConeClosures at 1/2/4/8 workers must match the
-# sequential constructors element-for-element, and the sort-and-dedupe naive
+# cyclic topologies, with and without an org mesh, every AS's cone walks
+# (Full Cone and Customer Cone, unbounded and cut at depths 0/1/2) must match
+# the sequential closures and the frontier BFS, and the sort-and-dedupe naive
 # index and relationship inference must match their map-based oracles
 # (per-AS prefix sets, per-link origin counts, every annotated link), with
 # the packed sort keys' width check at its boundary. They are in the race
 # suite too; the dedicated target keeps the equivalence gate visible in CI
 # logs.
 closure-prop:
-	$(GO) test -race -run 'TestConeClosures|TestNaiveIndexMatchesOracle|TestInferRelationshipsMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
+	$(GO) test -race -run 'TestConeWalksMatchClosures|TestNaiveIndexMatchesOracle|TestInferRelationshipsMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
 
 # obs-smoke drives a live parallel run with telemetry enabled and asserts the
 # /metrics scrape matches the Aggregator exactly and /healthz walks
@@ -166,13 +167,15 @@ bench-smoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
 # fuzz gives every fuzzer in the module a short adversarial workout beyond
-# the seeded corpus that runs in `make test`.
+# the seeded corpus that runs in `make test`. Minimizing a new input is
+# capped at 2s: at the default 60s one slow minimization can eat most of a
+# fuzzer's budget.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzFlatLPM -fuzztime=20s ./internal/netx
-	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s ./internal/ipfix
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s ./internal/bgp
-	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s ./internal/bgp
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/cluster
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeLedger -fuzztime=20s ./internal/cluster
-	$(GO) test -run=^$$ -fuzz=FuzzShardBook -fuzztime=20s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzFlatLPM -fuzztime=20s -fuzzminimizetime=2s ./internal/netx
+	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s -fuzzminimizetime=2s ./internal/ipfix
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
+	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeLedger -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzShardBook -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -687,8 +688,9 @@ func BenchmarkLPMLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkConeBuildBitset vs BenchmarkConeBuildBFS: full-cone closure via
-// SCC condensation + bitsets against naive per-node BFS.
+// BenchmarkConeBuildBitset vs BenchmarkConeBuildBFS: the all-pairs
+// full-cone closure (SCC condensation + bitsets, what Figure 2 builds)
+// against the per-member walks the pipeline compiles its cone rows with.
 func BenchmarkConeBuildBitset(b *testing.B) {
 	env := benchEnvironment(b)
 	anns := env.RIB.Announcements()
@@ -700,27 +702,29 @@ func BenchmarkConeBuildBitset(b *testing.B) {
 	}
 }
 
+// BenchmarkConeBuildBFS walks every member's Full Cone and Customer Cone,
+// as core's member compilation does (one goroutine here), on the same graph
+// the pipeline builds: org mesh added, relationships inferred.
 func BenchmarkConeBuildBFS(b *testing.B) {
 	env := benchEnvironment(b)
 	anns := env.RIB.Announcements()
+	orgs := env.Scenario.Orgs().MultiASGroups()
 	g := astopo.NewGraph(anns)
-	// Per-member bounded-free BFS (what the classifier would do without
-	// the shared closure). 25 members keep a single iteration measurable;
-	// scale the reported ns/op by members/25 for the full member set.
+	g.AddOrgMesh(orgs)
+	g.InferRelationships(anns, 0)
 	var members []int
 	for _, m := range env.Scenario.Members {
 		if idx := g.Index(m.ASN); idx >= 0 {
 			members = append(members, idx)
 		}
-		if len(members) == 25 {
-			break
-		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cc := g.CustomerAdjacency(orgs)
 		for _, m := range members {
-			g.BoundedCone(m, g.NumASes())
+			cc.Cone(m, math.MaxInt)
+			g.BoundedCone(m, math.MaxInt)
 		}
 	}
 }

@@ -34,9 +34,11 @@ func (m Method) String() string {
 
 // Closure holds per-AS reachability over a directed AS graph, computed over
 // the SCC condensation with shared bitsets. It answers "is origin inside
-// the cone of AS u" in O(1).
+// the cone of AS u" in O(1) for every pair of ASes, so it costs components²
+// bits: Figure 2 and the §3.4 containment check, which size every AS's cone,
+// build one; the classifier, which reads only its members' cones, walks them
+// (Adjacency.Cone).
 type Closure struct {
-	g     *Graph
 	comp  []int // AS index -> component id
 	nComp int
 	reach []*netx.Bitset // per component, bits are component ids
@@ -44,12 +46,28 @@ type Closure struct {
 	cmemb []int          // per component: number of member ASes
 }
 
-// newClosure computes the transitive closure of adj (indexed like g).
-// Component ids are in reverse topological order: every edge goes from a
-// higher id to a lower id, so processing 0..n-1 sees successors first.
-func newClosure(g *Graph, adj [][]int32) *Closure {
+// newClosure computes the transitive closure of adj (indexed like the
+// graph). Component ids are in reverse topological order: every edge goes
+// from a higher id to a lower id, so processing 0..n-1 sees successors first.
+func newClosure(adj [][]int32) *Closure {
 	comp, n := tarjanSCC(adj)
-	return closureFrom(g, comp, n, condense(adj, comp, n), 1)
+	cond := condense(adj, comp, n)
+	c := &Closure{comp: comp, nComp: n, reach: make([]*netx.Bitset, n), size: make([]int, n), cmemb: make([]int, n)}
+	for _, ci := range comp {
+		c.cmemb[ci]++
+	}
+	for ci := 0; ci < n; ci++ {
+		b := netx.NewBitset(n)
+		b.Set(ci)
+		for _, sc := range cond[ci] {
+			b.Or(c.reach[sc])
+		}
+		c.reach[ci] = b
+		total := 0
+		b.ForEach(func(i int) { total += c.cmemb[i] })
+		c.size[ci] = total
+	}
+	return c
 }
 
 // Contains reports whether the AS at dense index origin is inside the cone
@@ -95,8 +113,7 @@ func (c *Closure) ConeMembers(u int) []int {
 	return out
 }
 
-// ValidOriginSet materializes u's cone as a bitset over AS indices, used by
-// the classifier for O(1) per-flow validity checks.
+// ValidOriginSet materializes u's cone as a bitset over AS indices.
 func (c *Closure) ValidOriginSet(u int) *netx.Bitset {
 	b := netx.NewBitset(len(c.comp))
 	target := c.reach[c.comp[u]]
@@ -108,64 +125,57 @@ func (c *Closure) ValidOriginSet(u int) *netx.Bitset {
 	return b
 }
 
-// FullConeClosure computes the Full Cone: transitive closure over the raw
-// directed AS graph (including any org-mesh or WHOIS links added).
-func (g *Graph) FullConeClosure() *Closure { return newClosure(g, g.down) }
+// Adjacency is a directed AS adjacency over a graph's dense indices: a[u]
+// lists the ASes one hop below u. A cone is what a walk down it reaches.
+type Adjacency [][]int32
 
-// BoundedCone returns the ASes reachable from u (dense index) within at
-// most depth directed hops, u included — the paper's future-work idea of
-// trading the full transitive closure's false-negative rate for tighter
-// per-AS valid spaces. Depth <= 0 yields {u}.
-func (g *Graph) BoundedCone(u, depth int) *netx.Bitset {
-	out := netx.NewBitset(len(g.asns))
+// Cone returns the ASes reachable from u (dense index) within at most depth
+// hops down a, u included, as a bitset over AS indices: one breadth-first
+// walk. Depth <= 0 yields {u}; math.MaxInt walks the whole cone.
+func (a Adjacency) Cone(u, depth int) *netx.Bitset {
+	out := netx.NewBitset(len(a))
 	out.Set(u)
-	frontier := []int32{int32(u)}
-	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []int32
-		for _, x := range frontier {
-			for _, v := range g.down[x] {
+	queue := []int32{int32(u)}
+	for head, d := 0, 0; d < depth && head < len(queue); d++ {
+		for end := len(queue); head < end; head++ {
+			for _, v := range a[queue[head]] {
 				if !out.Test(int(v)) {
 					out.Set(int(v))
-					next = append(next, v)
+					queue = append(queue, v)
 				}
 			}
 		}
-		frontier = next
 	}
 	return out
 }
 
-// CustomerConeClosure computes the Customer Cone: reachability over
-// inferred provider→customer links only. InferRelationships (or AddOrgMesh
-// for sibling links, which are treated like peering and excluded) must run
-// first. CustomerConeWithOrgs is the paper's org-merged variant.
-//
-// A provider→customer edge is traversed only if it was also observed in
-// that direction on some AS path (it exists in the directed graph); this
-// makes the Customer Cone structurally contained in the Full Cone, the
-// §3.4 property the paper verified empirically.
-func (g *Graph) CustomerConeClosure() *Closure { return g.CustomerConeWithOrgs(nil) }
+// FullConeClosure computes the Full Cone: transitive closure over the raw
+// directed AS graph (including any org-mesh or WHOIS links added).
+func (g *Graph) FullConeClosure() *Closure { return newClosure(g.down) }
 
-// CustomerConeWithOrgs computes the customer cone where only the given
-// organizations' internal links are traversable in both directions, in
-// addition to p2c links (as in CustomerConeClosure, a p2c link must also
-// have been observed in that direction). This matches the paper's "Customer
-// Cone (multi-AS orgs)" variant: orgs share their joint cone, but unrelated
-// peering links stay excluded.
-func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
-	adj := make([][]int32, len(g.asns))
-	addP2C := func(prov, cust int32) {
-		if g.HasEdge(int(prov), int(cust)) {
-			adj[prov] = append(adj[prov], cust)
-		}
-	}
-	for k, r := range g.rels {
-		u, v := k[0], k[1]
-		switch r {
-		case RelP2C:
-			addP2C(u, v)
-		case RelC2P:
-			addP2C(v, u)
+// BoundedCone returns u's Full Cone cut at depth directed hops: the paper's
+// future-work idea of trading the full transitive closure's false-negative
+// rate for tighter per-AS valid spaces. It is Adjacency.Cone over the
+// graph's own edges, so depth <= 0 yields {u} and math.MaxInt the whole Full
+// Cone.
+func (g *Graph) BoundedCone(u, depth int) *netx.Bitset { return Adjacency(g.down).Cone(u, depth) }
+
+// CustomerAdjacency returns the adjacency the Customer Cone walks: every
+// directed edge u→v of the graph whose inferred relationship makes u v's
+// provider, plus, when orgs is non-nil, each organization's internal links
+// in both directions. A provider→customer edge counts only if it was also
+// observed in that direction on some AS path (it exists in the directed
+// graph); this makes the Customer Cone structurally contained in the Full
+// Cone, the §3.4 property the paper verified empirically. The org links are
+// not checked against the graph: once AddOrgMesh(orgs) has run they are its
+// edges anyway, and Figure 2 walks them on a graph without the mesh.
+func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
+	adj := make(Adjacency, len(g.asns))
+	for u, vs := range g.down {
+		for _, v := range vs {
+			if g.Relationship(u, int(v)) == RelP2C {
+				adj[u] = append(adj[u], v)
+			}
 		}
 	}
 	for _, members := range orgs {
@@ -180,7 +190,31 @@ func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
 			}
 		}
 	}
-	return newClosure(g, adj)
+	return adj
+}
+
+// CustomerConeClosure computes the Customer Cone: reachability over
+// inferred provider→customer links only. InferRelationships (or AddOrgMesh
+// for sibling links, which are treated like peering and excluded) must run
+// first. CustomerConeWithOrgs is the paper's org-merged variant.
+func (g *Graph) CustomerConeClosure() *Closure { return g.CustomerConeWithOrgs(nil) }
+
+// CustomerConeWithOrgs computes the customer cone where only the given
+// organizations' internal links are traversable in both directions, in
+// addition to p2c links (CustomerAdjacency). This matches the paper's
+// "Customer Cone (multi-AS orgs)" variant: orgs share their joint cone, but
+// unrelated peering links stay excluded.
+func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
+	return newClosure(g.CustomerAdjacency(orgs))
+}
+
+// ConeClosures returns FullConeClosure and CustomerConeWithOrgs(orgs). The
+// pipeline builds no closure: it walks its members' cones. The function and
+// its signature stay for the repository benchmark, whose
+// astopo.cone_closures_ms line calls it (benchmark/layers.go) until that
+// line is retargeted at the member walk; workers is unused.
+func (g *Graph) ConeClosures(orgs [][]bgp.ASN, workers int) (full, cc *Closure) {
+	return g.FullConeClosure(), g.CustomerConeWithOrgs(orgs)
 }
 
 // OriginSpaces returns, indexed by dense AS index, each AS's own announced

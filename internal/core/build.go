@@ -1,13 +1,13 @@
 // Pipeline compilation: the parallel cold-build path and the fingerprint-
 // gated incremental rebuild used by the live runtime's epoch swaps. The
 // classify hot path runs in ~60ns/flow, so at full-table scale the build —
-// graph, relationship inference, two cone closures, naive index, the origin
-// slab — is what keeps a runtime degraded after a routing flap. Compilation
-// here is staged: topology layers (graph + closures) depend only on the AS
-// path multiset; prefix layers (naive index, origin table, routed space)
-// depend on the full announcement set; member tables derive from both. The
-// RIB fingerprint (bgp.Fingerprint) tells which stages a fresh snapshot
-// actually invalidates.
+// graph, relationship inference, naive index, the origin slab, the members'
+// cone walks — is what keeps a runtime degraded after a routing flap.
+// Compilation here is staged: topology layers (the graph and the members'
+// cone rows) depend only on the AS path multiset; prefix layers (naive index,
+// origin table, routed space) depend on the full announcement set; member
+// naive bitsets derive from both. The RIB fingerprint (bgp.Fingerprint)
+// tells which stages a fresh snapshot actually invalidates.
 package core
 
 import (
@@ -31,9 +31,11 @@ type BuildReuse int
 const (
 	// BuildCold compiled every layer from the RIB.
 	BuildCold BuildReuse = iota
-	// BuildReusedClosures reused the graph and both cone closures (the AS
-	// path multiset was unchanged) and rebuilt only the prefix-dependent
-	// layers: naive index, origin table, routed space, member naive bitsets.
+	// BuildReusedClosures reused the graph and the members' cone rows (the
+	// AS path multiset was unchanged; a member new to this build walks its
+	// cones) and rebuilt only the prefix-dependent layers: naive index,
+	// origin table, routed space, member naive bitsets. Its string is kept
+	// as it was: the build counters and the repository benchmark use it.
 	BuildReusedClosures
 	// BuildReusedPipeline reused every layer (the announcement set was
 	// unchanged); only the member tables were re-wrapped.
@@ -64,9 +66,9 @@ type BuildStats struct {
 	Members  int
 }
 
-// topologyKey digests every option that feeds the graph, the closures, or
-// the per-member cone bitsets. Two compilations may share those layers only
-// when their keys match (the RIB fingerprint gates the rest).
+// topologyKey digests every option that feeds the graph or the per-member
+// cone bitsets. Two compilations may share those layers only when their keys
+// match (the RIB fingerprint gates the rest).
 func (o Options) topologyKey() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -106,8 +108,8 @@ func (o Options) topologyKey() uint64 {
 // fingerprint proves unchanged:
 //
 //   - unchanged announcement set  → reuse everything; re-wrap member tables
-//   - unchanged AS path multiset  → reuse graph + closures; rebuild the
-//     prefix-dependent layers (naive index, origin table, routed space)
+//   - unchanged AS path multiset  → reuse graph + member cone rows; rebuild
+//     the prefix-dependent layers (naive index, origin table, routed space)
 //   - otherwise                   → cold build
 //
 // Reuse is forbidden whenever the topology-shaping options differ (org
@@ -123,8 +125,7 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, BuildStats, error) {
 	t0 := time.Now()
 	// One compilation worker per schedulable thread: more only adds
-	// contention on the level barriers, and GOMAXPROCS=1 runs every stage on
-	// one goroutine.
+	// contention, and GOMAXPROCS=1 runs every stage on one goroutine.
 	stats := BuildStats{Reuse: BuildCold, Workers: runtime.GOMAXPROCS(0)}
 	if len(members) == 0 {
 		return nil, stats, fmt.Errorf("core: no members")
@@ -158,13 +159,13 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 
 	switch stats.Reuse {
 	case BuildReusedPipeline:
-		p.graph, p.full, p.cc, p.naive = prev.graph, prev.full, prev.cc, prev.naive
+		p.graph, p.naive = prev.graph, prev.naive
 		p.origins, p.originTab = prev.origins, prev.originTab
 		p.bogonEntry = prev.bogonEntry
 		p.routedSpace = prev.routedSpace
 
 	case BuildReusedClosures:
-		p.graph, p.full, p.cc = prev.graph, prev.full, prev.cc
+		p.graph = prev.graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(p.graph, anns) },
 			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph, bogons) },
@@ -176,23 +177,13 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		if n := graph.NumASes(); n > astopo.MaxASes {
 			return nil, stats, fmt.Errorf("core: %d ASes exceed the %d the topology's packed sort keys can index", n, astopo.MaxASes)
 		}
-		orgMerge := !opts.DisableOrgMerge && len(opts.Orgs) > 0
-		if orgMerge {
-			graph.AddOrgMesh(opts.Orgs)
-		}
+		graph.AddOrgMesh(opts.mergedOrgs())
 		for _, l := range opts.ExtraLinks {
 			graph.AddLinkASN(l[0], l[1])
 		}
 		graph.InferRelationships(anns, opts.PeerDegreeRatio)
 		p.graph = graph
 		buildConcurrently(workers > 1,
-			func() {
-				var orgs [][]bgp.ASN
-				if orgMerge {
-					orgs = opts.Orgs
-				}
-				p.full, p.cc = graph.ConeClosures(orgs, workers)
-			},
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
 			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph, bogons) },
 			func() { p.routedSpace = rib.RoutedSpace() },
@@ -302,9 +293,20 @@ func (p *Pipeline) naiveEntBits(mi MemberInfo, asIdx int) (*netx.Bitset, error) 
 	return b, nil
 }
 
-// compileMembers builds the per-member validity tables. donor (non-nil only
-// when this build shares prev's graph and closures) lets a member re-wrap
-// its previous cone bitsets — and, when reuseNaive holds (unchanged
+// mergedOrgs is the org groups the cones merge: none under DisableOrgMerge.
+func (o Options) mergedOrgs() [][]bgp.ASN {
+	if o.DisableOrgMerge {
+		return nil
+	}
+	return o.Orgs
+}
+
+// compileMembers builds the per-member validity tables. A member's cone
+// bitsets are two breadth-first walks from it: the Full Cone down the graph,
+// cut at FullConeDepth hops when that is set, and the Customer Cone down the
+// graph's customer adjacency, built once and only when some member walks.
+// donor (non-nil only when this build shares prev's graph) lets a member
+// re-wrap its previous cone bitsets — and, when reuseNaive holds (unchanged
 // announcement set), its naive entry bitset — instead of rematerializing
 // them. The donor's §4.4 extra whitelists are never carried (fresh epoch,
 // fresh corrections). Members are compiled by a worker pool when
@@ -323,39 +325,44 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 		p.byPortDense = make([]*memberState, maxPort+1)
 	}
 
+	fcDepth := opts.FullConeDepth
+	if fcDepth <= 0 {
+		fcDepth = math.MaxInt
+	}
+	var ccAdj astopo.Adjacency
 	states := make([]*memberState, len(members))
-	errs := make([]error, len(members))
-	build := func(i int) {
-		mi := members[i]
+	for i, mi := range members {
 		ms := &memberState{info: mi, asIdx: p.graph.Index(mi.ASN)}
-		if ms.asIdx >= 0 {
-			var from *memberState
-			if donor != nil {
-				if d := donor.byASN[mi.ASN]; d != nil && d.asIdx == ms.asIdx {
-					from = d
-				}
-			}
-			if from != nil && reuseNaive {
-				// topologyKey mixes in the bogon list, so with the
-				// announcement set unchanged too the reused origin slab's
-				// entry indexing is identical, keeping the donor's entry
-				// bitset valid.
-				ms.naiveEnts = from.naiveEnts
-			} else {
-				ms.naiveEnts, errs[i] = p.naiveEntBits(mi, ms.asIdx)
-			}
-			if from != nil {
-				ms.validCC, ms.validFC = from.validCC, from.validFC
-			} else {
-				ms.validCC = p.cc.ValidOriginSet(ms.asIdx)
-				if opts.FullConeDepth > 0 {
-					ms.validFC = p.graph.BoundedCone(ms.asIdx, opts.FullConeDepth)
-				} else {
-					ms.validFC = p.full.ValidOriginSet(ms.asIdx)
+		if ms.asIdx >= 0 && donor != nil {
+			if d := donor.byASN[mi.ASN]; d != nil && d.asIdx == ms.asIdx {
+				ms.validCC, ms.validFC = d.validCC, d.validFC
+				if reuseNaive {
+					// topologyKey mixes in the bogon list, so with the
+					// announcement set unchanged too the reused origin
+					// slab's entry indexing is identical, keeping the
+					// donor's entry bitset valid.
+					ms.naiveEnts = d.naiveEnts
 				}
 			}
 		}
+		if ms.asIdx >= 0 && ms.validCC == nil && ccAdj == nil {
+			ccAdj = p.graph.CustomerAdjacency(opts.mergedOrgs())
+		}
 		states[i] = ms
+	}
+	errs := make([]error, len(members))
+	build := func(i int) {
+		ms := states[i]
+		if ms.asIdx < 0 {
+			return
+		}
+		if ms.naiveEnts == nil {
+			ms.naiveEnts, errs[i] = p.naiveEntBits(ms.info, ms.asIdx)
+		}
+		if ms.validCC == nil {
+			ms.validCC = ccAdj.Cone(ms.asIdx, math.MaxInt)
+			ms.validFC = p.graph.BoundedCone(ms.asIdx, fcDepth)
+		}
 	}
 	if workers > 1 && len(states) > 1 {
 		var wg sync.WaitGroup

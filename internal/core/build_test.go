@@ -68,7 +68,8 @@ func rebuiltRIB(rib *bgp.RIB, remap func(i int, a bgp.Announcement) bgp.Announce
 
 // TestRebuildReuseTiers walks the three reuse tiers and proves each is
 // behavior-identical to a cold build of the same snapshot: identical
-// verdicts per flow and byte-identical canonical checkpoints.
+// verdicts per flow and byte-identical canonical checkpoints, with the same
+// member list and, in both reuse tiers, with one member added and one moved.
 func TestRebuildReuseTiers(t *testing.T) {
 	rib, members, opts, flows := buildRebuildFixture(t)
 	dir := t.TempDir()
@@ -124,6 +125,38 @@ func TestRebuildReuseTiers(t *testing.T) {
 		t.Fatal("reused-closures checkpoint differs from cold build's")
 	}
 
+	// Member changes under both reuse tiers: one AS joins (it has no donor
+	// row, so its cones are walked on the shared graph) and one member moves
+	// port (its rows are re-wrapped under the new port). Each rebuild must
+	// equal a cold build of the same snapshot and member list.
+	members2, flows2 := memberChange(t, cold, members, flows)
+	for _, tc := range []struct {
+		name string
+		rib  *bgp.RIB
+		want BuildReuse
+	}{
+		{"members reused-pipeline", rib, BuildReusedPipeline},
+		{"members reused-closures", rib2, BuildReusedClosures},
+	} {
+		ref, _, err := RebuildPipeline(nil, tc.rib, members2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := RebuildPipeline(cold, tc.rib, members2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reuse != tc.want {
+			t.Fatalf("%s: reuse = %s, want %s", tc.name, st.Reuse, tc.want)
+		}
+		requireSameVerdicts(t, tc.name, ref, got, flows2)
+		a := runParallel(t, ref, flows2, 0, filepath.Join(dir, "mref.ckpt"))
+		b := runParallel(t, got, flows2, 0, filepath.Join(dir, "mgot.ckpt"))
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: checkpoint differs from cold build's", tc.name)
+		}
+	}
+
 	// A new AS path changes the topology: no reuse allowed.
 	extra := rebuiltRIB(rib, nil)
 	extra.AddAnnouncement(netx.MustParsePrefix("223.255.249.0/24"),
@@ -146,6 +179,52 @@ func TestRebuildReuseTiers(t *testing.T) {
 	if stOpt.Reuse != BuildCold {
 		t.Fatalf("option-change rebuild reuse = %s, want cold", stOpt.Reuse)
 	}
+}
+
+// memberChange returns members with one AS added — the non-member with the
+// most neighbours, on a fresh port — and the first member moved to another
+// fresh port, plus flows re-aimed to match: the moved member's flows arrive
+// on its new port, and every fifth flow is repeated on the added member's.
+func memberChange(t *testing.T, p *Pipeline, members []MemberInfo, flows []ipfix.Flow) ([]MemberInfo, []ipfix.Flow) {
+	t.Helper()
+	isMember := make(map[bgp.ASN]bool, len(members))
+	var maxPort uint32
+	for _, m := range members {
+		isMember[m.ASN] = true
+		maxPort = max(maxPort, m.Port)
+	}
+	g := p.Graph()
+	added := -1
+	for i := range g.NumASes() {
+		if !isMember[g.ASN(i)] && (added < 0 || g.Degree(i) > g.Degree(added)) {
+			added = i
+		}
+	}
+	if added < 0 {
+		t.Fatal("every AS is a member")
+	}
+	oldPort, movedPort, addedPort := members[0].Port, maxPort+1, maxPort+2
+	out := append([]MemberInfo(nil), members...)
+	out[0].Port = movedPort
+	out = append(out, MemberInfo{ASN: g.ASN(added), Port: addedPort})
+
+	var moved int
+	var outFlows []ipfix.Flow
+	for i, f := range flows {
+		if f.Ingress == oldPort {
+			f.Ingress = movedPort
+			moved++
+		}
+		outFlows = append(outFlows, f)
+		if i%5 == 0 {
+			f.Ingress = addedPort
+			outFlows = append(outFlows, f)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no flow enters on the moved member's port")
+	}
+	return out, outFlows
 }
 
 // TestBuildWorkersEquivalence proves the parallel compilation path emits a
@@ -222,5 +301,49 @@ func TestReusedClosuresRebuildAllocs(t *testing.T) {
 	t.Logf("reused-closures rebuild of %d ASes, %d prefixes: %.0f allocations", stats.ASes, stats.Prefixes, allocs)
 	if allocs > ceiling {
 		t.Fatalf("reused-closures rebuild allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestColdBuildAllocLinear holds a cold build on a ≈20K-AS synthetic table
+// (no scenario: the table is synthesized directly, one vantage per origin so
+// the paths stay few next to the ASes) to an allocation budget linear in the
+// table and in ASes × members: 128 bytes per path hop and 1 KiB per AS for
+// the graph and the prefix layers, and one byte per AS per member for the
+// two cone rows (a bit each) and their walks' queues. Two all-pairs closures
+// would need 2·ASes²/8 bytes, 100 MB here, above the whole budget; the build
+// measured 41 MB.
+func TestColdBuildAllocLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cfg := scenario.FullTableConfig()
+	cfg.NumTransit, cfg.NumStub, cfg.NumMembers, cfg.VantagesPerOrigin = 1200, 18800, 400, 1
+	st, err := scenario.SynthesizeTable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rib := st.RIB()
+	var members []MemberInfo
+	for i, as := range st.MemberASNs {
+		members = append(members, MemberInfo{ASN: as, Port: uint32(i + 1)})
+	}
+	hops := 0
+	for _, a := range rib.Announcements() {
+		hops += len(a.Path)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, stats, err := RebuildPipeline(nil, rib, members, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(128*hops + 1024*stats.ASes + stats.ASes*stats.Members)
+	t.Logf("cold build of %d ASes, %d members, %d hops: %.1f MB allocated, budget %.1f MB",
+		stats.ASes, stats.Members, hops, float64(alloc)/1e6, float64(budget)/1e6)
+	if alloc > budget {
+		t.Fatalf("cold build allocates %d bytes, budget %d", alloc, budget)
 	}
 }

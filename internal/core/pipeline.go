@@ -170,8 +170,6 @@ type Pipeline struct {
 	origins    *netx.FlatLPM
 	bogonEntry []bool
 	graph      *astopo.Graph
-	full       *astopo.Closure
-	cc         *astopo.Closure
 	naive      *astopo.NaiveIndex
 	routers    *netx.AddrSet // Options.Routers; nil = no router tagging
 
@@ -196,7 +194,7 @@ type Pipeline struct {
 }
 
 // NewPipeline compiles a classifier from a RIB and the member list. The
-// graph/closure/index stages and the origin-table re-key run on a worker
+// index stages and the member tables with their cone walks run on a worker
 // pool of GOMAXPROCS goroutines (see build.go); RebuildPipeline is the
 // incremental variant for epoch rebuilds against a previous pipeline.
 func NewPipeline(rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, error) {
@@ -217,12 +215,6 @@ func (p *Pipeline) member(port uint32) (*memberState, bool) {
 
 // Graph exposes the AS graph (read-only) for analyses.
 func (p *Pipeline) Graph() *astopo.Graph { return p.graph }
-
-// FullCone exposes the Full Cone closure.
-func (p *Pipeline) FullCone() *astopo.Closure { return p.full }
-
-// CustomerCone exposes the Customer Cone closure.
-func (p *Pipeline) CustomerCone() *astopo.Closure { return p.cc }
 
 // NaiveIndex exposes the naive per-AS prefix index.
 func (p *Pipeline) NaiveIndex() *astopo.NaiveIndex { return p.naive }

@@ -106,6 +106,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: NumTier1 = %d, need >= 2", c.NumTier1)
 	case c.NumTransit < 2:
 		return fmt.Errorf("scenario: NumTransit = %d, need >= 2", c.NumTransit)
+	case 10*c.NumTier1 >= 1000:
+		// Tier-1 ASNs are 10, 20, 30, …: the last one must stay below
+		// the transit range at 1000.
+		return fmt.Errorf("scenario: NumTier1 = %d, need <= 99 (tier-1 ASNs would reach the transit range)", c.NumTier1)
+	case 1000+c.NumTransit > 10000:
+		return fmt.Errorf("scenario: NumTransit = %d, need <= 9000 (transit ASNs would reach the stub range)", c.NumTransit)
 	case c.NumStub < c.NumMembers/2:
 		return fmt.Errorf("scenario: NumStub = %d too small for %d members", c.NumStub, c.NumMembers)
 	case c.NumMembers < 4:

@@ -36,6 +36,41 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateASNRanges checks both generators' tier sizes against
+// their ASN ranges, at each boundary: tier-1 ASNs must stay below the transit
+// range at 1000 and transit ASNs below the stub range at 10000, or two ASes
+// would share an ASN.
+func TestConfigValidateASNRanges(t *testing.T) {
+	scen := func(edit func(*Config)) func() error {
+		c := SmallConfig()
+		edit(&c)
+		return c.Validate
+	}
+	synth := func(edit func(*SynthTableConfig)) func() error {
+		c := FullTableConfig()
+		edit(&c)
+		return c.Validate
+	}
+	for _, tc := range []struct {
+		name     string
+		validate func() error
+		ok       bool
+	}{
+		{"tier1 99: last ASN 990", scen(func(c *Config) { c.NumTier1 = 99 }), true},
+		{"tier1 100: last ASN 1000", scen(func(c *Config) { c.NumTier1 = 100 }), false},
+		{"transit 9000: last ASN 9999", scen(func(c *Config) { c.NumTransit = 9000 }), true},
+		{"transit 9001: last ASN 10000", scen(func(c *Config) { c.NumTransit = 9001 }), false},
+		{"synth tier1 990: last ASN 999", synth(func(c *SynthTableConfig) { c.NumTier1 = 990 }), true},
+		{"synth tier1 991: last ASN 1000", synth(func(c *SynthTableConfig) { c.NumTier1 = 991 }), false},
+		{"synth transit 9000: last ASN 9999", synth(func(c *SynthTableConfig) { c.NumTransit = 9000 }), true},
+		{"synth transit 9001: last ASN 10000", synth(func(c *SynthTableConfig) { c.NumTransit = 9001 }), false},
+	} {
+		if err := tc.validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestTopologyInvariants(t *testing.T) {
 	s := buildSmall(t)
 	bogons := bogon.NewReferenceSet()

@@ -63,6 +63,10 @@ func (c SynthTableConfig) Validate() error {
 		return fmt.Errorf("scenario: synth NumTier1 = %d, need >= 2", c.NumTier1)
 	case c.NumTransit < 2:
 		return fmt.Errorf("scenario: synth NumTransit = %d, need >= 2", c.NumTransit)
+	case 10+c.NumTier1 > 1000:
+		return fmt.Errorf("scenario: synth NumTier1 = %d, need <= 990 (tier-1 ASNs would reach the transit range)", c.NumTier1)
+	case 1000+c.NumTransit > 10000:
+		return fmt.Errorf("scenario: synth NumTransit = %d, need <= 9000 (transit ASNs would reach the stub range)", c.NumTransit)
 	case c.NumStub < 1:
 		return fmt.Errorf("scenario: synth NumStub = %d, need >= 1", c.NumStub)
 	case c.VantagesPerOrigin < 1:
