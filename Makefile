@@ -175,6 +175,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s -fuzzminimizetime=2s ./internal/ipfix
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
+	$(GO) test -run=^$$ -fuzz=FuzzSession -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s -fuzzminimizetime=2s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeLedger -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster

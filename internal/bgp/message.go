@@ -4,8 +4,11 @@
 // BGP4MP update streams, and a RIB that digests both into the
 // (prefix, AS path) pairs the cone-inference algorithms consume.
 //
-// Everything is encoded and decoded from scratch with encoding/binary; the
-// encoder and decoder are exact inverses and are property-tested as such.
+// Everything is encoded from scratch with encoding/binary and decoded
+// through netx.Cursor, the repository's one first-error-latching decode
+// cursor, so no decoder bounds-checks by hand; the encoder and decoder are
+// exact inverses and are property-tested as such. Reader.Next and the
+// session's readMessage read their frames from a stream with io.ReadFull.
 package bgp
 
 import (
@@ -155,24 +158,30 @@ func appendPrefix(b []byte, p netx.Prefix) []byte {
 	return b
 }
 
-// decodePrefix decodes one NLRI prefix, returning the bytes consumed.
-func decodePrefix(b []byte) (netx.Prefix, int, error) {
-	if len(b) < 1 {
-		return netx.Prefix{}, 0, errors.New("bgp: truncated prefix")
-	}
-	bits := b[0]
+// decodePrefix reads one NLRI prefix: a length byte, then the minimal number
+// of address octets.
+func decodePrefix(c *netx.Cursor) netx.Prefix {
+	bits := c.U8()
 	if bits > 32 {
-		return netx.Prefix{}, 0, fmt.Errorf("bgp: invalid prefix length %d", bits)
-	}
-	n := (int(bits) + 7) / 8
-	if len(b) < 1+n {
-		return netx.Prefix{}, 0, errors.New("bgp: truncated prefix body")
+		c.Fail(fmt.Errorf("invalid prefix length %d", bits))
+		return netx.Prefix{}
 	}
 	var addr uint32
-	for i := 0; i < n; i++ {
-		addr |= uint32(b[1+i]) << (24 - 8*i)
+	for i, o := range c.Take((int(bits) + 7) / 8) {
+		addr |= uint32(o) << (24 - 8*i)
 	}
-	return netx.PrefixFrom(netx.Addr(addr), bits), 1 + n, nil
+	return netx.PrefixFrom(netx.Addr(addr), bits)
+}
+
+// decodePrefixes reads NLRI prefixes to the end of c.
+func decodePrefixes(c netx.Cursor) ([]netx.Prefix, error) {
+	var out []netx.Prefix
+	for c.Err() == nil && c.Len() > 0 {
+		if p := decodePrefix(&c); c.Err() == nil {
+			out = append(out, p)
+		}
+	}
+	return out, c.Err()
 }
 
 // encodeAttrs serializes the path attributes.
@@ -228,84 +237,90 @@ func encodeAttrs(a *Attributes) []byte {
 	return b
 }
 
-// decodeAttrs parses a path attribute block.
-func decodeAttrs(b []byte) (Attributes, error) {
+// decodeAttrs parses a path attribute block. Each attribute's header and
+// body are taken from c whole, and its fields are read from the body at
+// offsets its checked length makes safe.
+func decodeAttrs(c netx.Cursor) (Attributes, error) {
 	var a Attributes
-	for len(b) > 0 {
-		if len(b) < 3 {
-			return a, errors.New("bgp: truncated attribute header")
+	for c.Err() == nil && c.Len() > 0 {
+		h := c.Take(3) // flags, type, length (its high byte if extended)
+		if h == nil {
+			break
 		}
-		flags, typ := b[0], b[1]
-		var alen, hdr int
-		if flags&0x10 != 0 { // extended length
-			if len(b) < 4 {
-				return a, errors.New("bgp: truncated extended attribute")
-			}
-			alen, hdr = int(binary.BigEndian.Uint16(b[2:4])), 4
-		} else {
-			alen, hdr = int(b[2]), 3
+		typ, alen := h[1], int(h[2])
+		if h[0]&0x10 != 0 { // extended length
+			alen = alen<<8 | int(c.U8())
 		}
-		if len(b) < hdr+alen {
-			return a, errors.New("bgp: truncated attribute body")
+		body := c.Take(alen)
+		if c.Err() != nil {
+			break
 		}
-		body := b[hdr : hdr+alen]
 		switch typ {
 		case attrOrigin:
 			if alen != 1 {
-				return a, errors.New("bgp: bad ORIGIN length")
+				c.Fail(errors.New("bad ORIGIN length"))
+				break
 			}
 			a.Origin = Origin(body[0])
 		case attrASPath:
-			for len(body) > 0 {
-				if len(body) < 2 {
-					return a, errors.New("bgp: truncated AS_PATH segment")
+			segs := netx.NewCursor(body)
+			for segs.Err() == nil && segs.Len() > 0 {
+				h := segs.Take(2) // segment type, ASN count
+				if h == nil {
+					break
 				}
-				segType, n := body[0], int(body[1])
-				if segType != SegmentSet && segType != SegmentSequence {
-					return a, fmt.Errorf("bgp: bad AS_PATH segment type %d", segType)
+				if h[0] != SegmentSet && h[0] != SegmentSequence {
+					segs.Fail(fmt.Errorf("bad AS_PATH segment type %d", h[0]))
+					break
 				}
-				if len(body) < 2+4*n {
-					return a, errors.New("bgp: truncated AS_PATH ASNs")
+				asns := segs.Take(4 * int(h[1]))
+				if segs.Err() != nil {
+					break
 				}
-				seg := PathSegment{Type: segType, ASNs: make([]ASN, n)}
-				for i := 0; i < n; i++ {
-					seg.ASNs[i] = ASN(binary.BigEndian.Uint32(body[2+4*i:]))
+				seg := PathSegment{Type: h[0], ASNs: make([]ASN, h[1])}
+				for i := range seg.ASNs {
+					seg.ASNs[i] = ASN(binary.BigEndian.Uint32(asns[4*i:]))
 				}
 				a.ASPath = append(a.ASPath, seg)
-				body = body[2+4*n:]
 			}
+			c.Fail(segs.Err())
 		case attrNextHop:
 			if alen != 4 {
-				return a, errors.New("bgp: bad NEXT_HOP length")
+				c.Fail(errors.New("bad NEXT_HOP length"))
+				break
 			}
 			a.NextHop = netx.Addr(binary.BigEndian.Uint32(body))
 		case attrMED:
 			if alen != 4 {
-				return a, errors.New("bgp: bad MED length")
+				c.Fail(errors.New("bad MED length"))
+				break
 			}
-			a.MED = binary.BigEndian.Uint32(body)
-			a.HasMED = true
+			a.MED, a.HasMED = binary.BigEndian.Uint32(body), true
 		case attrAtomicAggregate:
 			if alen != 0 {
-				return a, errors.New("bgp: bad ATOMIC_AGGREGATE length")
+				c.Fail(errors.New("bad ATOMIC_AGGREGATE length"))
+				break
 			}
 			a.AtomicAggregate = true
 		case attrAggregator:
 			if alen != 8 {
-				return a, errors.New("bgp: bad AGGREGATOR length (want AS4 form)")
+				c.Fail(errors.New("bad AGGREGATOR length (want AS4 form)"))
+				break
 			}
 			a.AggregatorAS = ASN(binary.BigEndian.Uint32(body))
 			a.AggregatorAddr = netx.Addr(binary.BigEndian.Uint32(body[4:]))
 		case attrCommunities:
 			if alen%4 != 0 {
-				return a, errors.New("bgp: bad COMMUNITIES length")
+				c.Fail(errors.New("bad COMMUNITIES length"))
+				break
 			}
 			for i := 0; i < alen; i += 4 {
 				a.Communities = append(a.Communities, binary.BigEndian.Uint32(body[i:]))
 			}
 		case attrLargeCommunities:
 			if alen%12 != 0 {
-				return a, errors.New("bgp: bad LARGE_COMMUNITY length")
+				c.Fail(errors.New("bad LARGE_COMMUNITY length"))
+				break
 			}
 			for i := 0; i < alen; i += 12 {
 				a.LargeCommunities = append(a.LargeCommunities, LargeCommunity{
@@ -318,9 +333,8 @@ func decodeAttrs(b []byte) (Attributes, error) {
 			// Unknown attributes are skipped (transitive bit preserved by
 			// real routers; a measurement parser just ignores them).
 		}
-		b = b[hdr+alen:]
 	}
-	return a, nil
+	return a, c.Err()
 }
 
 // Marshal serializes the UPDATE as a full BGP message (header included).
@@ -357,64 +371,37 @@ func (u *Update) Marshal() ([]byte, error) {
 
 // UnmarshalUpdate parses a full BGP message, which must be an UPDATE.
 func UnmarshalUpdate(b []byte) (*Update, error) {
-	if len(b) < headerLen {
+	c := netx.NewCursor(b)
+	marker, total, typ := c.Take(16), int(c.U16()), c.U8()
+	switch {
+	case c.Err() != nil:
 		return nil, errors.New("bgp: truncated header")
-	}
-	for i := 0; i < 16; i++ {
-		if b[i] != 0xff {
-			return nil, errors.New("bgp: bad marker")
-		}
-	}
-	total := int(binary.BigEndian.Uint16(b[16:18]))
-	if total != len(b) {
+	case !isMarker(marker):
+		return nil, errors.New("bgp: bad marker")
+	case total != len(b):
 		return nil, fmt.Errorf("bgp: length mismatch: header says %d, have %d", total, len(b))
-	}
-	if b[18] != msgTypeUpdate {
-		return nil, fmt.Errorf("bgp: not an UPDATE (type %d)", b[18])
-	}
-	body := b[headerLen:]
-	if len(body) < 2 {
-		return nil, errors.New("bgp: truncated withdrawn length")
-	}
-	wlen := int(binary.BigEndian.Uint16(body))
-	body = body[2:]
-	if len(body) < wlen {
-		return nil, errors.New("bgp: truncated withdrawn routes")
+	case typ != msgTypeUpdate:
+		return nil, fmt.Errorf("bgp: not an UPDATE (type %d)", typ)
 	}
 	u := &Update{}
-	w := body[:wlen]
-	for len(w) > 0 {
-		p, n, err := decodePrefix(w)
-		if err != nil {
-			return nil, err
+	var err error
+	if u.Withdrawn, err = decodePrefixes(c.Sub(int(c.U16()))); err == nil {
+		if u.Attrs, err = decodeAttrs(c.Sub(int(c.U16()))); err == nil {
+			u.NLRI, err = decodePrefixes(c)
 		}
-		u.Withdrawn = append(u.Withdrawn, p)
-		w = w[n:]
 	}
-	body = body[wlen:]
-	if len(body) < 2 {
-		return nil, errors.New("bgp: truncated attribute length")
-	}
-	alen := int(binary.BigEndian.Uint16(body))
-	body = body[2:]
-	if len(body) < alen {
-		return nil, errors.New("bgp: truncated attributes")
-	}
-	if alen > 0 {
-		attrs, err := decodeAttrs(body[:alen])
-		if err != nil {
-			return nil, err
-		}
-		u.Attrs = attrs
-	}
-	body = body[alen:]
-	for len(body) > 0 {
-		p, n, err := decodePrefix(body)
-		if err != nil {
-			return nil, err
-		}
-		u.NLRI = append(u.NLRI, p)
-		body = body[n:]
+	if err != nil {
+		return nil, fmt.Errorf("bgp: UPDATE: %w", err)
 	}
 	return u, nil
+}
+
+// isMarker reports whether p is the all-ones marker a BGP message opens with.
+func isMarker(p []byte) bool {
+	for _, b := range p {
+		if b != 0xff {
+			return false
+		}
+	}
+	return len(p) == 16
 }

@@ -229,106 +229,65 @@ func (r *Reader) Next() (*Record, error) {
 }
 
 func decodePeerIndexTable(b []byte) (*PeerIndexTable, error) {
-	if len(b) < 8 {
-		return nil, errors.New("bgp: truncated PEER_INDEX_TABLE")
-	}
-	t := &PeerIndexTable{CollectorID: netx.Addr(binary.BigEndian.Uint32(b))}
-	nameLen := int(binary.BigEndian.Uint16(b[4:]))
-	b = b[6:]
-	if len(b) < nameLen+2 {
-		return nil, errors.New("bgp: truncated view name")
-	}
-	t.ViewName = string(b[:nameLen])
-	b = b[nameLen:]
-	count := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	for i := 0; i < count; i++ {
-		if len(b) < 1 {
-			return nil, errors.New("bgp: truncated peer entry")
-		}
-		pt := b[0]
+	c := netx.NewCursor(b)
+	t := &PeerIndexTable{CollectorID: netx.Addr(c.U32())}
+	t.ViewName = string(c.Take(int(c.U16())))
+	for range c.U16() {
+		pt := c.U8()
 		if pt&0x01 != 0 {
-			return nil, errors.New("bgp: IPv6 peers unsupported")
+			c.Fail(errors.New("IPv6 peers unsupported"))
 		}
-		asLen := 2
-		if pt&0x02 != 0 {
-			asLen = 4
-		}
-		need := 1 + 4 + 4 + asLen
-		if len(b) < need {
-			return nil, errors.New("bgp: truncated peer entry body")
-		}
-		p := Peer{
-			BGPID: netx.Addr(binary.BigEndian.Uint32(b[1:])),
-			Addr:  netx.Addr(binary.BigEndian.Uint32(b[5:])),
-		}
-		if asLen == 4 {
-			p.AS = ASN(binary.BigEndian.Uint32(b[9:]))
+		p := Peer{BGPID: netx.Addr(c.U32()), Addr: netx.Addr(c.U32())}
+		if pt&0x02 != 0 { // 4-byte AS
+			p.AS = ASN(c.U32())
 		} else {
-			p.AS = ASN(binary.BigEndian.Uint16(b[9:]))
+			p.AS = ASN(c.U16())
+		}
+		if c.Err() != nil {
+			break
 		}
 		t.Peers = append(t.Peers, p)
-		b = b[need:]
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("bgp: PEER_INDEX_TABLE: %w", err)
 	}
 	return t, nil
 }
 
 func decodeRIBRecord(b []byte) (*RIBRecord, error) {
-	if len(b) < 5 {
-		return nil, errors.New("bgp: truncated RIB record")
-	}
-	r := &RIBRecord{Sequence: binary.BigEndian.Uint32(b)}
-	b = b[4:]
-	p, n, err := decodePrefix(b)
-	if err != nil {
-		return nil, err
-	}
-	r.Prefix = p
-	b = b[n:]
-	if len(b) < 2 {
-		return nil, errors.New("bgp: truncated RIB entry count")
-	}
-	count := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	for i := 0; i < count; i++ {
-		if len(b) < 8 {
-			return nil, errors.New("bgp: truncated RIB entry")
+	c := netx.NewCursor(b)
+	r := &RIBRecord{Sequence: c.U32()}
+	r.Prefix = decodePrefix(&c)
+	for range c.U16() {
+		h := c.Take(8) // peer index, originated time, attribute length
+		if h == nil {
+			break
 		}
-		e := RIBEntry{
-			PeerIndex:      binary.BigEndian.Uint16(b),
-			OriginatedTime: time.Unix(int64(binary.BigEndian.Uint32(b[2:])), 0).UTC(),
+		e := RIBEntry{PeerIndex: binary.BigEndian.Uint16(h), OriginatedTime: time.Unix(int64(binary.BigEndian.Uint32(h[2:])), 0).UTC()}
+		var err error
+		if e.Attrs, err = decodeAttrs(c.Sub(int(binary.BigEndian.Uint16(h[6:])))); err != nil {
+			c.Fail(err)
+			break
 		}
-		alen := int(binary.BigEndian.Uint16(b[6:]))
-		b = b[8:]
-		if len(b) < alen {
-			return nil, errors.New("bgp: truncated RIB entry attributes")
-		}
-		attrs, err := decodeAttrs(b[:alen])
-		if err != nil {
-			return nil, err
-		}
-		e.Attrs = attrs
 		r.Entries = append(r.Entries, e)
-		b = b[alen:]
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("bgp: RIB record: %w", err)
 	}
 	return r, nil
 }
 
 func decodeBGP4MP(b []byte) (*BGP4MPMessage, error) {
-	if len(b) < 20 {
-		return nil, errors.New("bgp: truncated BGP4MP record")
+	c := netx.NewCursor(b)
+	m := &BGP4MPMessage{PeerAS: ASN(c.U32()), LocalAS: ASN(c.U32()), InterfaceIndex: c.U16()}
+	afi := c.U16()
+	m.PeerIP, m.LocalIP = netx.Addr(c.U32()), netx.Addr(c.U32())
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("bgp: BGP4MP record: %w", err)
 	}
-	afi := binary.BigEndian.Uint16(b[10:])
 	if afi != 1 {
 		return nil, fmt.Errorf("bgp: BGP4MP AFI %d unsupported", afi)
 	}
-	m := &BGP4MPMessage{
-		PeerAS:         ASN(binary.BigEndian.Uint32(b)),
-		LocalAS:        ASN(binary.BigEndian.Uint32(b[4:])),
-		InterfaceIndex: binary.BigEndian.Uint16(b[8:]),
-		PeerIP:         netx.Addr(binary.BigEndian.Uint32(b[12:])),
-		LocalIP:        netx.Addr(binary.BigEndian.Uint32(b[16:])),
-		Message:        append([]byte(nil), b[20:]...),
-	}
+	m.Message = append([]byte(nil), c.Take(c.Len())...)
 	return m, nil
 }

@@ -206,42 +206,34 @@ func (s *Session) openBody() []byte {
 }
 
 func (s *Session) parseOpen(b []byte) error {
-	if len(b) < 10 {
-		return errors.New("bgp: truncated OPEN")
+	c := netx.NewCursor(b)
+	version, as2, hold, id := c.U8(), c.U16(), c.U16(), c.U32()
+	params := c.Sub(int(c.U8()))
+	switch {
+	case c.Err() != nil:
+		return fmt.Errorf("bgp: OPEN: %w", c.Err())
+	case version != 4:
+		return fmt.Errorf("bgp: unsupported BGP version %d", version)
 	}
-	if b[0] != 4 {
-		return fmt.Errorf("bgp: unsupported BGP version %d", b[0])
-	}
-	s.peerAS = ASN(binary.BigEndian.Uint16(b[1:3]))
+	s.peerAS = ASN(as2)
 	// RFC 4271 §4.2: the session's hold time is the smaller of the two
 	// proposals; compare on the wire values so both sides agree exactly.
-	peerHold := time.Duration(binary.BigEndian.Uint16(b[3:5])) * time.Second
-	s.holdTime = min(time.Duration(s.cfg.wireHoldTime())*time.Second, peerHold)
-	s.peerID = netx.Addr(binary.BigEndian.Uint32(b[5:9]))
-	optLen := int(b[9])
-	if len(b) < 10+optLen {
-		return errors.New("bgp: truncated OPEN optional parameters")
-	}
-	params := b[10 : 10+optLen]
-	for len(params) >= 2 {
-		ptype, plen := params[0], int(params[1])
-		if len(params) < 2+plen {
-			return errors.New("bgp: truncated OPEN parameter")
-		}
-		if ptype == 2 { // capabilities
-			caps := params[2 : 2+plen]
-			for len(caps) >= 2 {
-				code, clen := caps[0], int(caps[1])
-				if len(caps) < 2+clen {
-					return errors.New("bgp: truncated capability")
-				}
-				if code == 65 && clen == 4 {
-					s.peerAS = ASN(binary.BigEndian.Uint32(caps[2:6]))
-				}
-				caps = caps[2+clen:]
+	s.holdTime = min(time.Duration(s.cfg.wireHoldTime()), time.Duration(hold)) * time.Second
+	s.peerID = netx.Addr(id)
+	// A trailing byte too short for a parameter or capability header is
+	// ignored.
+	for params.Err() == nil && params.Len() >= 2 {
+		ptype, caps := params.U8(), params.Sub(int(params.U8()))
+		for ptype == 2 && caps.Err() == nil && caps.Len() >= 2 { // capabilities
+			code, val := caps.U8(), caps.Sub(int(caps.U8()))
+			if code == 65 && val.Len() == 4 { // 4-octet AS
+				s.peerAS = ASN(val.U32())
 			}
 		}
-		params = params[2+plen:]
+		params.Fail(caps.Err())
+	}
+	if err := params.Err(); err != nil {
+		return fmt.Errorf("bgp: OPEN: %w", err)
 	}
 	return nil
 }
@@ -372,10 +364,8 @@ func readMessage(r io.Reader) (typ byte, body []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	for i := 0; i < 16; i++ {
-		if hdr[i] != 0xff {
-			return 0, nil, errors.New("bgp: bad message marker")
-		}
+	if !isMarker(hdr[:16]) {
+		return 0, nil, errors.New("bgp: bad message marker")
 	}
 	total := int(binary.BigEndian.Uint16(hdr[16:18]))
 	if total < headerLen || total > maxMsgLen {

@@ -688,6 +688,18 @@ func TestWireRoundTrip(t *testing.T) {
 		stamped.seq != em.seq || len(stamped.anns) != len(em.anns) {
 		t.Fatalf("stamped epoch mismatch: %+v", stamped)
 	}
+
+	// A flag byte other than 0 or 1 is refused: it would decode to a message
+	// that encodes to other bytes.
+	bump := frameBody(t, encodeEpoch(epochMsg{seq: 10}))
+	bump[1+3*8] = 2 // full, after seq, trace and ship time
+	report := frameBody(t, encodeReport(reportMsg{shard: 1, checkpoint: []byte("x")}))
+	report[1+4] = 2 // final, after the shard
+	for _, body := range [][]byte{bump, report} {
+		if m, err := decodeFrame(body); err == nil {
+			t.Fatalf("type %d frame with flag byte 2 decoded to %+v", body[0], m)
+		}
+	}
 }
 
 // sinkConn is a worker connection that swallows writes, counting them and

@@ -21,10 +21,10 @@ import (
 // flows routed — the feed position an upstream replayer resumes from.
 //
 // The codec follows the checkpoint discipline: fixed-width big-endian
-// scalars, a version byte behind a magic, latched-error decoding with
-// preflight size checks, and core.WriteFileAtomic persistence so a crash
-// mid-write leaves either the previous ledger or the new one, never a torn
-// file. testdata/v1.ledger pins the version-1 bytes.
+// scalars, a version byte behind a magic, netx.Cursor decoding with every
+// count checked before its allocation, and core.WriteFileAtomic persistence
+// so a crash mid-write leaves either the previous ledger or the new one,
+// never a torn file. testdata/v1.ledger pins the version-1 bytes.
 
 // ledgerMagic identifies a shard-ledger file; the trailing byte is the
 // format version.
@@ -37,7 +37,7 @@ func appendDigest(b []byte, d bgp.Digest) []byte {
 }
 
 func (r *reader) digest() bgp.Digest {
-	return bgp.Digest{Sum: r.u64(), Xor: r.u64(), Count: r.u64()}
+	return bgp.Digest{Sum: r.U64(), Xor: r.U64(), Count: r.U64()}
 }
 
 // encodeLedger encodes the book's durable state.
@@ -82,51 +82,49 @@ func encodeLedger(bk *book) []byte {
 // decodeLedger decodes a ledger into a book holding its durable state, every
 // shard orphaned at its durable position; newBook configures it.
 func decodeLedger(body []byte) (*book, error) {
-	if len(body) < len(ledgerMagic) || string(body[:len(ledgerMagic)-1]) != string(ledgerMagic[:len(ledgerMagic)-1]) {
+	r := newReader(body)
+	magic, version := r.Take(len(ledgerMagic)-1), r.U8()
+	if r.Err() != nil || string(magic) != string(ledgerMagic[:len(ledgerMagic)-1]) {
 		return nil, fmt.Errorf("cluster: not a shard ledger")
 	}
-	if body[len(ledgerMagic)-1] != ledgerMagic[len(ledgerMagic)-1] {
-		return nil, fmt.Errorf("cluster: unsupported ledger version %d", body[len(ledgerMagic)-1])
+	if version != ledgerMagic[len(ledgerMagic)-1] {
+		return nil, fmt.Errorf("cluster: unsupported ledger version %d", version)
 	}
-	r := &reader{b: body[len(ledgerMagic):]}
 	bk := &book{}
-	bk.startNanos = int64(r.u64())
-	bk.bucket = int64(r.u64())
-	bk.epochSeq = r.u64()
-	bk.haveFP = r.u8() == 1
+	bk.startNanos = int64(r.U64())
+	bk.bucket = int64(r.U64())
+	bk.epochSeq = r.U64()
+	bk.haveFP = r.Bool("ledger fingerprint")
 	bk.lastFP.Paths = r.digest()
 	bk.lastFP.Anns = r.digest()
 	bk.epochFull = append([]byte(nil), r.bytes()...)
 	if len(bk.epochFull) == 0 {
 		bk.epochFull = nil
 	}
-	bk.flowsRouted = r.u64()
-	ns := int(r.u32())
-	if r.err == nil && ns*(8+8+4+4+4) > len(r.b) {
-		return nil, io.ErrUnexpectedEOF
-	}
+	bk.flowsRouted = r.U64()
+	ns := r.Fits("ledger shard", r.U32(), 8+8+4+4+4)
 	var total uint64
 	bk.shards = make([]shard, 0, ns)
-	for i := 0; i < ns && r.err == nil; i++ {
+	for i := 0; i < ns && r.Err() == nil; i++ {
 		s := shard{id: uint32(i)}
-		s.cursor = r.u64()
-		s.ackBase = r.u64()
+		s.cursor = r.U64()
+		s.ackBase = r.U64()
 		s.sentCursor = s.ackBase
 		s.lastOwner = string(r.bytes())
 		s.lastReport = append([]byte(nil), r.bytes()...)
 		if len(s.lastReport) == 0 {
 			s.lastReport = nil
 		}
-		nf := int(r.u32())
-		if r.err == nil && nf*flowWireLen > len(r.b) {
-			return nil, io.ErrUnexpectedEOF
+		nf := r.Fits("ledger replay flow", r.U32(), flowWireLen)
+		if r.Err() != nil {
+			break
 		}
 		if s.ackBase > s.cursor || uint64(nf) != s.cursor-s.ackBase {
 			return nil, fmt.Errorf("cluster: ledger shard %d replay %d flows, cursor span [%d,%d)",
 				i, nf, s.ackBase, s.cursor)
 		}
 		s.replay = make([]ipfix.Flow, 0, nf)
-		for j := 0; j < nf && r.err == nil; j++ {
+		for range nf {
 			s.replay = append(s.replay, r.flow())
 		}
 		total += s.cursor

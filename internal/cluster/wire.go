@@ -13,9 +13,9 @@
 //
 // The wire protocol in this file is deliberately minimal: length-prefixed
 // frames over any net.Conn, so tests can run it over net.Pipe and wrap it
-// in faultnet schedules. Frames carry fixed-width big-endian scalars — the
-// same discipline as the checkpoint codec — so every encoding is canonical
-// and replayable.
+// in faultnet schedules. Frames carry fixed-width big-endian scalars, read
+// back through the netx.Cursor the checkpoint codec reads with, so every
+// encoding is canonical and replayable.
 package cluster
 
 import (
@@ -125,73 +125,21 @@ func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
-// reader consumes scalars from a frame body, latching the first error —
-// the decoding discipline shared with the checkpoint codec.
-type reader struct {
-	b   []byte
-	err error
-}
+// reader consumes a frame body or a ledger through the one decode cursor the
+// checkpoint codec reads with.
+type reader struct{ netx.Cursor }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
+func newReader(b []byte) *reader { return &reader{netx.NewCursor(b)} }
 
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) bytes() []byte {
-	n := r.u32()
-	if r.err == nil && int(n) > len(r.b) {
-		r.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	return r.take(int(n))
-}
+// bytes reads a u32-length-prefixed field, aliasing the input.
+func (r *reader) bytes() []byte { return r.Take(int(r.U32())) }
 
 func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes in frame", len(r.b))
+	if r.Len() != 0 {
+		return fmt.Errorf("cluster: %d trailing bytes in frame", r.Len())
 	}
 	return nil
 }
@@ -214,17 +162,17 @@ func appendFlow(b []byte, f ipfix.Flow) []byte {
 
 func (r *reader) flow() ipfix.Flow {
 	var f ipfix.Flow
-	f.Start = time.Unix(0, int64(r.u64())).UTC()
-	f.SrcAddr = netx.Addr(r.u32())
-	f.DstAddr = netx.Addr(r.u32())
-	f.SrcPort = r.u16()
-	f.DstPort = r.u16()
-	f.Protocol = r.u8()
-	f.TCPFlags = r.u8()
-	f.Packets = r.u64()
-	f.Bytes = r.u64()
-	f.Ingress = r.u32()
-	f.Egress = r.u32()
+	f.Start = time.Unix(0, int64(r.U64())).UTC()
+	f.SrcAddr = netx.Addr(r.U32())
+	f.DstAddr = netx.Addr(r.U32())
+	f.SrcPort = r.U16()
+	f.DstPort = r.U16()
+	f.Protocol = r.U8()
+	f.TCPFlags = r.U8()
+	f.Packets = r.U64()
+	f.Bytes = r.U64()
+	f.Ingress = r.U32()
+	f.Egress = r.U32()
 	return f
 }
 
@@ -243,7 +191,7 @@ func encodeChallenge(nonce []byte) []byte {
 }
 
 func decodeChallenge(body []byte) ([]byte, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	nonce := append([]byte(nil), r.bytes()...)
 	if err := r.done(); err != nil {
 		return nil, err
@@ -290,7 +238,7 @@ func encodeHello(m helloMsg) []byte {
 }
 
 func decodeHello(body []byte) (helloMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m helloMsg
 	m.identity = string(r.bytes())
 	m.name = string(r.bytes())
@@ -359,38 +307,29 @@ func encodeEpoch(m epochMsg) []byte {
 }
 
 func decodeEpoch(body []byte) (epochMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m epochMsg
-	m.seq = r.u64()
-	m.trace = r.u64()
-	m.shipNanos = int64(r.u64())
-	m.full = r.u8() == 1
+	m.seq = r.U64()
+	m.trace = r.U64()
+	m.shipNanos = int64(r.U64())
+	m.full = r.Bool("epoch full")
 	if !m.full {
 		return m, r.done()
 	}
-	nm := int(r.u32())
-	if r.err == nil && nm*8 > len(r.b) {
-		return m, io.ErrUnexpectedEOF
-	}
+	nm := r.Fits("epoch member", r.U32(), 8)
 	m.members = make([]core.MemberInfo, 0, nm)
-	for i := 0; i < nm && r.err == nil; i++ {
-		m.members = append(m.members, core.MemberInfo{ASN: bgp.ASN(r.u32()), Port: r.u32()})
+	for range nm {
+		m.members = append(m.members, core.MemberInfo{ASN: bgp.ASN(r.U32()), Port: r.U32()})
 	}
-	na := int(r.u32())
-	if r.err == nil && na*7 > len(r.b) {
-		return m, io.ErrUnexpectedEOF
-	}
+	na := r.Fits("epoch announcement", r.U32(), 7)
 	m.anns = make([]bgp.Announcement, 0, na)
-	for i := 0; i < na && r.err == nil; i++ {
+	for i := 0; i < na && r.Err() == nil; i++ {
 		var a bgp.Announcement
-		a.Prefix = netx.Prefix{Addr: netx.Addr(r.u32()), Bits: r.u8()}
-		np := int(r.u16())
-		if r.err == nil && np*4 > len(r.b) {
-			return m, io.ErrUnexpectedEOF
-		}
+		a.Prefix = netx.Prefix{Addr: netx.Addr(r.U32()), Bits: r.U8()}
+		np := r.Fits("AS path", uint32(r.U16()), 4)
 		a.Path = make([]bgp.ASN, 0, np)
-		for j := 0; j < np && r.err == nil; j++ {
-			a.Path = append(a.Path, bgp.ASN(r.u32()))
+		for range np {
+			a.Path = append(a.Path, bgp.ASN(r.U32()))
 		}
 		if len(a.Path) > 0 {
 			a.Origin = a.Path[len(a.Path)-1]
@@ -427,13 +366,13 @@ func encodeAssign(m assignMsg) []byte {
 }
 
 func decodeAssign(body []byte) (assignMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m assignMsg
-	m.shard = r.u32()
-	m.trace = r.u64()
-	m.cursor = r.u64()
-	m.startNanos = int64(r.u64())
-	m.bucket = int64(r.u64())
+	m.shard = r.U32()
+	m.trace = r.U64()
+	m.cursor = r.U64()
+	m.startNanos = int64(r.U64())
+	m.bucket = int64(r.U64())
 	m.checkpoint = r.bytes()
 	return m, r.done()
 }
@@ -455,11 +394,11 @@ func encodeShardCtrl(typ byte, m shardCtrlMsg) []byte {
 }
 
 func decodeShardCtrl(body []byte) (shardCtrlMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m shardCtrlMsg
-	m.shard = r.u32()
-	m.trace = r.u64()
-	m.nanos = int64(r.u64())
+	m.shard = r.U32()
+	m.trace = r.U64()
+	m.nanos = int64(r.U64())
 	return m, r.done()
 }
 
@@ -544,13 +483,13 @@ func (sc *flowScratch) decode(body []byte) (flowsMsg, error) {
 	if body[0] == msgFlowsZ {
 		return sc.decodeZ(body)
 	}
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m flowsMsg
-	m.shard = r.u32()
-	m.base = r.u64()
-	n := int(r.u32())
-	if r.err == nil && n*flowWireLen != len(r.b) {
-		return m, fmt.Errorf("cluster: flow batch length mismatch: %d flows, %d bytes", n, len(r.b))
+	m.shard = r.U32()
+	m.base = r.U64()
+	n := int(r.U32())
+	if r.Err() == nil && n*flowWireLen != r.Len() {
+		return m, fmt.Errorf("cluster: flow batch length mismatch: %d flows, %d bytes", n, r.Len())
 	}
 	m.flows = sc.readFlows(r, n)
 	return m, r.done()
@@ -559,19 +498,19 @@ func (sc *flowScratch) decode(body []byte) (flowsMsg, error) {
 // readFlows decodes n flows whose bytes r is known to hold.
 func (sc *flowScratch) readFlows(r *reader, n int) []ipfix.Flow {
 	sc.flows = slices.Grow(sc.flows[:0], n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		sc.flows = append(sc.flows, r.flow())
 	}
 	return sc.flows
 }
 
 func (sc *flowScratch) decodeZ(body []byte) (flowsMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m flowsMsg
-	m.shard = r.u32()
-	m.base = r.u64()
-	n := int(r.u32())
-	rawLen := int(r.u32())
+	m.shard = r.U32()
+	m.base = r.U64()
+	n := int(r.U32())
+	rawLen := int(r.U32())
 	comp := r.bytes()
 	if err := r.done(); err != nil {
 		return m, err
@@ -594,7 +533,7 @@ func (sc *flowScratch) decodeZ(body []byte) (flowsMsg, error) {
 	if sc.raw.Len() != rawLen {
 		return m, fmt.Errorf("cluster: compressed flow batch inflated to %d bytes, want %d", sc.raw.Len(), rawLen)
 	}
-	fr := &reader{b: sc.raw.Bytes()}
+	fr := newReader(sc.raw.Bytes())
 	m.flows = sc.readFlows(fr, n)
 	return m, fr.done()
 }
@@ -648,13 +587,13 @@ func sealReport(frame []byte, cursor uint64) []byte {
 // decodeReport decodes a report in place: m.checkpoint aliases body, which
 // the caller must therefore own for as long as it keeps the checkpoint.
 func decodeReport(body []byte) (reportMsg, error) {
-	r := &reader{b: body[1:]}
+	r := newReader(body[1:])
 	var m reportMsg
-	m.shard = r.u32()
-	m.final = r.u8() == 1
-	m.trace = r.u64()
-	m.reqNanos = int64(r.u64())
-	m.cursor = r.u64()
+	m.shard = r.U32()
+	m.final = r.Bool("report final")
+	m.trace = r.U64()
+	m.reqNanos = int64(r.U64())
+	m.cursor = r.U64()
 	m.checkpoint = r.bytes()
 	return m, r.done()
 }

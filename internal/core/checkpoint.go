@@ -55,10 +55,10 @@ const (
 
 // The codec idiom, shared with internal/cluster/wire.go: big-endian
 // fixed-width scalars, written by appending into bytes already reserved and
-// read through a cursor over a slice already in memory. Room is reserved and
-// length is checked once per record or per page of entries, never per field,
-// so no primitive has an error branch and none hands a stack array to an
-// interface (which would make every field a heap object).
+// read through a netx.Cursor over a slice already in memory. Room is reserved
+// and length is checked once per record or per page of entries, never per
+// field, so no primitive has an error branch and none hands a stack array to
+// an interface (which would make every field a heap object).
 
 var be = binary.BigEndian
 
@@ -384,58 +384,19 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint) []byte {
 	return e.b
 }
 
-// cpDec reads a checkpoint through a cursor over bytes already in memory,
-// latching the first error. Every declared element count is checked against
-// the bytes that are left before anything is allocated for it, so decoder
-// memory is bounded by the input's length, never by a forged count.
-type cpDec struct {
-	b   []byte
-	err error
-}
+// cpDec reads a checkpoint through a netx.Cursor over bytes already in
+// memory. Every declared element count goes through Fits before anything is
+// allocated for it, so decoder memory is bounded by the input's length,
+// never by a forged count.
+type cpDec struct{ netx.Cursor }
 
-// take consumes n bytes, or latches an error and returns nil.
-func (d *cpDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *cpDec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return be.Uint32(p)
-}
-
-// fits validates a declared count of elements of at least elem bytes each
-// against the input that is left; it returns 0 once an error is latched, so
-// loops over a count need no test of their own.
-func (d *cpDec) fits(what string, n uint32, elem int) int {
-	if d.err != nil {
-		return 0
-	}
-	if uint64(n)*uint64(elem) > uint64(len(d.b)) {
-		d.err = fmt.Errorf("core: checkpoint %s count %d exceeds the %d bytes left", what, n, len(d.b))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *cpDec) count(what string, elem int) int { return d.fits(what, d.u32(), elem) }
+func (d *cpDec) count(what string, elem int) int { return d.Fits(what, d.U32(), elem) }
 
 // header reads the magic, the version and the cursor block.
 func (d *cpDec) header() (Checkpoint, error) {
-	p := d.take(cpHeaderLen)
+	p := d.Take(cpHeaderLen - 1)
 	if p == nil {
-		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", d.err)
+		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", d.Err())
 	}
 	if magic := p[:len(checkpointMagic)]; string(magic) != checkpointMagic {
 		return Checkpoint{}, fmt.Errorf("core: not a checkpoint (magic %q)", magic)
@@ -453,13 +414,10 @@ func (d *cpDec) header() (Checkpoint, error) {
 		Epoch:         Epoch(be.Uint64(p[32:])),
 		Swaps:         be.Uint64(p[40:]),
 		StaleVerdicts: be.Uint64(p[48:]),
+		Degraded:      d.Bool("degraded"),
 	}
-	switch flag := p[56]; flag {
-	case 0:
-	case 1:
-		cp.Degraded = true
-	default:
-		return Checkpoint{}, fmt.Errorf("core: checkpoint degraded flag %d is not a bool", flag)
+	if err := d.Err(); err != nil {
+		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
 	return cp, nil
 }
@@ -468,7 +426,7 @@ func (d *cpDec) header() (Checkpoint, error) {
 // checkpoint (Agg stays nil) — what a receiver needs to check a checkpoint
 // against the position it was shipped with, without paying for the decode.
 func CheckpointHeader(b []byte) (Checkpoint, error) {
-	d := cpDec{b: b}
+	d := cpDec{netx.NewCursor(b)}
 	return d.header()
 }
 
@@ -517,14 +475,14 @@ func DecodeCheckpointBytes(b []byte) (*Checkpoint, error) {
 // folded twice. On error a's state is unspecified. Nothing in a comes to
 // alias b.
 func MergeCheckpointBytes(a *Aggregator, b []byte) (Checkpoint, error) {
-	d := cpDec{b: b}
+	d := cpDec{netx.NewCursor(b)}
 	head, err := d.header()
 	if err != nil {
 		return Checkpoint{}, err
 	}
 	d.aggregate(a)
-	if d.err != nil {
-		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", d.err)
+	if err := d.Err(); err != nil {
+		return Checkpoint{}, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
 	return head, nil
 }
@@ -542,28 +500,26 @@ func follows[K cmp.Ordered](i int, prev *K, key K) bool {
 // disorder latches the error for a section whose keys do not strictly
 // ascend, unless an earlier one is latched already.
 func (d *cpDec) disorder(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: checkpoint %s keys do not strictly ascend", what)
-	}
+	d.refuse("%s keys do not strictly ascend", what)
 }
 
 // The decoder's domain is the range of Aggregator.Add: a checkpoint carrying
 // state no run of Add can produce is refused, not kept somewhere the
 // aggregate has no place for. refuse latches that error, unless an earlier
-// one is latched already; trafficClass and some are its two common checks.
+// one is latched already; primary and some are its two common checks.
 func (d *cpDec) refuse(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: checkpoint "+format, args...)
-	}
+	d.Fail(fmt.Errorf("core: checkpoint "+format, args...))
 }
 
-// trafficClass reports whether a section's class key is a traffic class,
-// refusing it if not.
-func (d *cpDec) trafficClass(section string, class uint32) bool {
-	if class < uint32(numTrafficClasses) {
+// primary reports whether a single-class section's class key is one
+// primaryClass yields (Regular, Bogon, Unrouted or Invalid-FULL), refusing
+// it if not.
+func (d *cpDec) primary(section string, class uint32) bool {
+	switch class {
+	case uint32(TCRegular), uint32(TCBogon), uint32(TCUnrouted), uint32(TCInvalidFull):
 		return true
 	}
-	d.refuse("%s class %d is not a traffic class", section, class)
+	d.refuse("%s class %d is not Regular, Bogon, Unrouted or Invalid-FULL", section, class)
 	return false
 }
 
@@ -574,7 +530,7 @@ func (d *cpDec) some(section string, class uint32, n int) bool {
 	if n == 0 {
 		d.refuse("%s of class %d is empty", section, class)
 	}
-	return d.err == nil
+	return d.Err() == nil
 }
 
 func addCounter(c *Counter, p []byte) {
@@ -585,12 +541,12 @@ func addCounter(c *Counter, p []byte) {
 
 // aggregate folds the encoded aggregate into a, section by section.
 func (d *cpDec) aggregate(a *Aggregator) {
-	p := d.take(aggHeadLen)
+	p := d.Take(aggHeadLen)
 	if p == nil {
 		return
 	}
 	if start, bucket := int64(be.Uint64(p)), time.Duration(be.Uint64(p[8:])); start != a.start.UnixNano() || bucket != a.bucket {
-		d.err = fmt.Errorf("core: checkpoint series start at %v in %v buckets, the receiver's at %v in %v buckets",
+		d.refuse("series start at %v in %v buckets, the receiver's at %v in %v buckets",
 			time.Unix(0, start).UTC(), bucket, a.start.UTC(), a.bucket)
 		return
 	}
@@ -619,12 +575,12 @@ func (d *cpDec) aggregate(a *Aggregator) {
 func (d *cpDec) members(a *Aggregator) {
 	var port uint32
 	for i := range d.count("member", memberLen+4) {
-		p := d.take(memberLen + 4)
+		p := d.Take(memberLen + 4)
 		if p == nil || !follows(i, &port, be.Uint32(p)) {
 			d.disorder("member port")
 			return
 		}
-		n := d.fits("origin", be.Uint32(p[memberLen:]), 12)
+		n := d.Fits("origin", be.Uint32(p[memberLen:]), 12)
 		ms := a.members[port]
 		if ms == nil {
 			ms = a.nodes.newMember(port, n)
@@ -638,7 +594,7 @@ func (d *cpDec) members(a *Aggregator) {
 		}
 		ms.RouterIPInvalid += be.Uint64(p[len(ms.ByClass)*counterLen:])
 		var origin bgp.ASN
-		for j, q := 0, d.take(12*n); len(q) > 0; j, q = j+1, q[12:] {
+		for j, q := 0, d.Take(12*n); len(q) > 0; j, q = j+1, q[12:] {
 			if !follows(j, &origin, bgp.ASN(be.Uint32(q))) {
 				d.disorder("origin")
 				return
@@ -651,15 +607,15 @@ func (d *cpDec) members(a *Aggregator) {
 func (d *cpDec) series(a *Aggregator) {
 	var class uint32
 	for i := range d.count("series", 8) {
-		if !follows(i, &class, d.u32()) {
+		if !follows(i, &class, d.U32()) {
 			d.disorder("series class")
 			return
 		}
 		n := d.count("series bucket", 8)
-		if !d.trafficClass("series", class) || !d.some("series", class, n) {
+		if !d.primary("series", class) || !d.some("series", class, n) {
 			return
 		}
-		p := d.take(8 * n)
+		p := d.Take(8 * n)
 		s := a.Series[class]
 		if s == nil {
 			s = a.nodes.newSeries(TrafficClass(class))
@@ -677,12 +633,12 @@ func (d *cpDec) series(a *Aggregator) {
 func (d *cpDec) slash8(bins *[numTrafficClasses]*[256]uint64, nodes *nodeAlloc) {
 	var class uint32
 	for i := range d.count("/8 class", slash8Len) {
-		p := d.take(slash8Len)
+		p := d.Take(slash8Len)
 		if p == nil || !follows(i, &class, be.Uint32(p)) {
 			d.disorder("/8 class")
 			return
 		}
-		if !d.trafficClass("/8", class) {
+		if !d.primary("/8", class) {
 			return
 		}
 		b := bins[class]
@@ -706,7 +662,7 @@ func (d *cpDec) slash8(bins *[numTrafficClasses]*[256]uint64, nodes *nodeAlloc) 
 func (d *cpDec) fanIn(a *Aggregator) {
 	var class uint32
 	for i := range d.count("fan-in class", 8) {
-		if !follows(i, &class, d.u32()) {
+		if !follows(i, &class, d.U32()) {
 			d.disorder("fan-in class")
 			return
 		}
@@ -727,12 +683,12 @@ func (d *cpDec) fanIn(a *Aggregator) {
 		}
 		var dst netx.Addr
 		for j := range n {
-			p := d.take(dstLen)
+			p := d.Take(dstLen)
 			if p == nil || !follows(j, &dst, netx.Addr(be.Uint32(p))) {
 				d.disorder("fan-in destination")
 				return
 			}
-			k := d.fits("fan-in source", be.Uint32(p[20:]), 4)
+			k := d.Fits("fan-in source", be.Uint32(p[20:]), 4)
 			var ds *DstStats
 			if !fresh {
 				ds = m[dst]
@@ -754,7 +710,7 @@ func (d *cpDec) fanIn(a *Aggregator) {
 			// plain insert; the call is skipped there.
 			set := ds.Srcs != nil && len(ds.Srcs)+k <= fanInCap
 			var src netx.Addr
-			for s, q := 0, d.take(4*k); len(q) > 0; s, q = s+1, q[4:] {
+			for s, q := 0, d.Take(4*k); len(q) > 0; s, q = s+1, q[4:] {
 				if !follows(s, &src, netx.Addr(be.Uint32(q))) {
 					d.disorder("fan-in source")
 					return
@@ -780,7 +736,7 @@ func (d *cpDec) pairs(pairs *map[netx.Addr]map[netx.Addr]uint64, nodes *nodeAllo
 	}
 	var outer netx.Addr
 	for i := range n {
-		if !follows(i, &outer, netx.Addr(d.u32())) {
+		if !follows(i, &outer, netx.Addr(d.U32())) {
 			d.disorder("pair")
 			return
 		}
@@ -794,7 +750,7 @@ func (d *cpDec) pairs(pairs *map[netx.Addr]map[netx.Addr]uint64, nodes *nodeAllo
 			(*pairs)[outer] = m
 		}
 		var inner netx.Addr
-		for j, p := 0, d.take(12*k); len(p) > 0; j, p = j+1, p[12:] {
+		for j, p := 0, d.Take(12*k); len(p) > 0; j, p = j+1, p[12:] {
 			if !follows(j, &inner, netx.Addr(be.Uint32(p))) {
 				d.disorder("pair entry")
 				return
@@ -806,7 +762,7 @@ func (d *cpDec) pairs(pairs *map[netx.Addr]map[netx.Addr]uint64, nodes *nodeAllo
 
 func (d *cpDec) counters(s []Counter) []Counter {
 	n := d.count("NTP series bucket", counterLen)
-	p := d.take(counterLen * n)
+	p := d.Take(counterLen * n)
 	if len(s) < n {
 		s = append(s, make([]Counter, n-len(s))...)
 	}

@@ -328,11 +328,12 @@ func oracleEncodeCheckpoint(out io.Writer, cp *Checkpoint) error {
 	return w.w.Flush()
 }
 
-// oracleClass latches an error unless c, a class key read in section, is a
-// traffic class. It and oracleSome refuse what Aggregator.Add cannot produce.
+// oracleClass latches an error unless c, a class key read in a single-class
+// section, is one primaryClass yields. It and oracleSome refuse what
+// Aggregator.Add cannot produce.
 func oracleClass(r *oracleReader, section string, c TrafficClass) {
-	if r.err == nil && (c < 0 || c >= numTrafficClasses) {
-		r.err = fmt.Errorf("core: checkpoint %s class %d is out of range", section, c)
+	if r.err == nil && c != TCRegular && c != TCBogon && c != TCUnrouted && c != TCInvalidFull {
+		r.err = fmt.Errorf("core: checkpoint %s class %d is not a primary class", section, c)
 	}
 }
 

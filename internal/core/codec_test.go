@@ -434,9 +434,10 @@ var acceptedShapes = []checkpointShape{
 }
 
 // refusedShapes are states no run of Add can produce: a class outside the
-// enum in every per-class section, fan-in for an untracked class, a port-mix
-// protocol other than TCP or UDP or a direction other than 0 or 1, a series
-// with no buckets and a histogram with no bins.
+// enum in every per-class section, an Invalid-NAIVE or Invalid-CC entry in a
+// single-class section (primaryClass yields neither), fan-in for an
+// untracked class, a port-mix protocol other than TCP or UDP or a direction
+// other than 0 or 1, a series with no buckets and a histogram with no bins.
 var refusedShapes = []checkpointShape{
 	{"series class NumTrafficClasses", "series", packBE(uint32(1), uint32(NumTrafficClasses), uint32(1), uint64(1))},
 	{"series class 90", "series", packBE(uint32(1), uint32(90), uint32(3), uint64(1), uint64(0), uint64(5))},
@@ -455,6 +456,11 @@ var refusedShapes = []checkpointShape{
 	{"fan-in class 90", "fan-in", packBE(uint32(1), uint32(90), uint32(1), fanInDst(9, 7, 1))},
 	{"fan-in class regular", "fan-in", packBE(uint32(1), uint32(TCRegular), uint32(1), fanInDst(9, 7, 1))},
 	{"fan-in class invalid-cc, empty", "fan-in", packBE(uint32(2), uint32(TCUnrouted), uint32(0), uint32(TCInvalidCC), uint32(0))},
+	{"series class invalid-naive", "series", packBE(uint32(1), uint32(TCInvalidNaive), uint32(1), uint64(1))},
+	{"size class invalid-cc", "size histogram", packBE(uint32(1), uint32(TCInvalidCC), uint32(1), uint64(60), uint64(3))},
+	{"port-mix class invalid-naive", "port-mix", packBE(uint32(1), portEntry(uint32(TCInvalidNaive), 6, 0, 80, 1))},
+	{"/8 src class invalid-cc", "/8 src", packBE(uint32(1), uint32(TCInvalidCC), noBins)},
+	{"/8 dst class invalid-naive", "/8 dst", packBE(uint32(1), uint32(TCInvalidNaive), noBins)},
 }
 
 // TestDecodeCheckpointRefusesWhatAddCannotProduce: a checkpoint's domain is

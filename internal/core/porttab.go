@@ -206,7 +206,7 @@ func (t *PortTab) fold(d *cpDec) {
 		head uint64
 		pg   *portPage
 	)
-	for i, p := 0, d.take(16*d.count("port-mix entry", 16)); len(p) > 0; i, p = i+1, p[16:] {
+	for i, p := 0, d.Take(16*d.count("port-mix entry", 16)); len(p) > 0; i, p = i+1, p[16:] {
 		last := head
 		if !follows(i, &head, be.Uint64(p)) {
 			d.disorder("port-mix key")
@@ -214,7 +214,7 @@ func (t *PortTab) fold(d *cpDec) {
 		}
 		if pg == nil || head>>16 != last>>16 {
 			class, proto, dir := uint32(head>>32), uint8(head>>24), uint8(head>>16)
-			if !d.trafficClass("port-mix", class) {
+			if !d.primary("port-mix", class) {
 				return
 			}
 			if protoIdx(proto) < 0 || dir > 1 {
@@ -386,17 +386,17 @@ func (t *SizeTab) encode(e *cpEnc) {
 func (t *SizeTab) fold(d *cpDec) {
 	var class uint32
 	for i := range d.count("size histogram", 8) {
-		if !follows(i, &class, d.u32()) {
+		if !follows(i, &class, d.U32()) {
 			d.disorder("size histogram class")
 			return
 		}
 		n := d.count("size bin", 16)
-		if !d.trafficClass("size histogram", class) || !d.some("size histogram", class, n) {
+		if !d.primary("size histogram", class) || !d.some("size histogram", class, n) {
 			return
 		}
 		pg := t.page(TrafficClass(class))
 		var size int
-		for j, p := 0, d.take(16*n); len(p) > 0; j, p = j+1, p[16:] {
+		for j, p := 0, d.Take(16*n); len(p) > 0; j, p = j+1, p[16:] {
 			if !follows(j, &size, int(be.Uint64(p))) {
 				d.disorder("size bin")
 				return
