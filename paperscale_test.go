@@ -1,6 +1,8 @@
 package spoofscope
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"spoofscope/internal/experiments"
@@ -26,6 +28,15 @@ func TestPaperScaleSmoke(t *testing.T) {
 	}
 	if len(env.Flows) < 1_000_000 {
 		t.Fatalf("only %d flows at paper scale", len(env.Flows))
+	}
+	// The generator's BGP view at paper scale is pinned byte for byte, as
+	// internal/scenario pins it at the small and default scales.
+	h := sha256.New()
+	if err := env.Scenario.WriteMRT(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "fa8111ab4c695e0cd9bf588f3c69c598b08fedccbbb33bd9463828c99030336b"; got != want {
+		t.Errorf("paper-scale sha256(WriteMRT) = %s, want %s", got, want)
 	}
 
 	r := experiments.Table1(env)
