@@ -169,14 +169,26 @@ bench-smoke:
 # fuzz gives every fuzzer in the module a short adversarial workout beyond
 # the seeded corpus that runs in `make test`. Minimizing a new input is
 # capped at 2s: at the default 60s one slow minimization can eat most of a
-# fuzzer's budget.
+# fuzzer's budget. A fuzzer whose final status line reads fewer than
+# FUZZ_MIN_EXECS execs fails the target: a run that stalls (one slow input,
+# a hung worker) would otherwise pass having tested next to nothing.
+FUZZ_MIN_EXECS ?= 1000
+
+# fuzz-run runs fuzzer $(1) in package $(2) for 20s and checks its exec floor.
+define fuzz-run
+	@out=$$($(GO) test -run=^$$ -fuzz=$(1) -fuzztime=20s -fuzzminimizetime=2s $(2) 2>&1); st=$$?; echo "$$out"; \
+	[ $$st -eq 0 ] || exit $$st; \
+	n=$$(echo "$$out" | grep -o 'execs: [0-9]*' | tail -1 | cut -d' ' -f2); \
+	[ "$${n:-0}" -ge $(FUZZ_MIN_EXECS) ] || { echo "fuzz: $(1) ran $${n:-0} execs, under the floor of $(FUZZ_MIN_EXECS)"; exit 1; }
+endef
+
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzFlatLPM -fuzztime=20s -fuzzminimizetime=2s ./internal/netx
-	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=20s -fuzzminimizetime=2s ./internal/ipfix
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalUpdate -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
-	$(GO) test -run=^$$ -fuzz=FuzzMRT -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
-	$(GO) test -run=^$$ -fuzz=FuzzSession -fuzztime=20s -fuzzminimizetime=2s ./internal/bgp
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=20s -fuzzminimizetime=2s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeLedger -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
-	$(GO) test -run=^$$ -fuzz=FuzzShardBook -fuzztime=20s -fuzzminimizetime=2s ./internal/cluster
+	$(call fuzz-run,FuzzFlatLPM,./internal/netx)
+	$(call fuzz-run,FuzzServeStream,./internal/ipfix)
+	$(call fuzz-run,FuzzUnmarshalUpdate,./internal/bgp)
+	$(call fuzz-run,FuzzMRT,./internal/bgp)
+	$(call fuzz-run,FuzzSession,./internal/bgp)
+	$(call fuzz-run,FuzzDecodeCheckpoint,./internal/core)
+	$(call fuzz-run,FuzzDecodeFrame,./internal/cluster)
+	$(call fuzz-run,FuzzDecodeLedger,./internal/cluster)
+	$(call fuzz-run,FuzzShardBook,./internal/cluster)

@@ -711,7 +711,7 @@ func BenchmarkConeBuildBFS(b *testing.B) {
 	orgs := env.Scenario.Orgs().MultiASGroups()
 	g := astopo.NewGraph(anns)
 	g.AddOrgMesh(orgs)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	var members []int
 	for _, m := range env.Scenario.Members {
 		if idx := g.Index(m.ASN); idx >= 0 {
@@ -738,7 +738,7 @@ func BenchmarkRelationshipInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := astopo.NewGraph(anns)
-		g.InferRelationships(anns, 0)
+		g.InferRelationships(anns)
 	}
 }
 

@@ -160,19 +160,19 @@ func main() {
 	}
 	log.Printf("members: %d", len(members))
 
-	// Organisations.
-	var orgGroups [][]bgp.ASN
-	if f, err := os.Open(filepath.Join(*dataDir, "orgs.json")); err == nil {
-		ds, err := org.Read(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
+	// Organisations, unless the org-merge ablation leaves them out.
+	var opts core.Options
+	if !*noOrgs {
+		if f, err := os.Open(filepath.Join(*dataDir, "orgs.json")); err == nil {
+			ds, err := org.Read(f)
+			f.Close()
+			if err != nil {
+				log.Fatal(err)
+			}
+			opts.Orgs = ds.MultiASGroups()
+			log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(opts.Orgs))
 		}
-		orgGroups = ds.MultiASGroups()
-		log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(orgGroups))
 	}
-
-	opts := core.Options{Orgs: orgGroups, DisableOrgMerge: *noOrgs}
 	if !*noRouter {
 		if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
 			opts.Routers = netx.NewAddrSet(addrs)

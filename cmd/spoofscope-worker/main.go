@@ -103,16 +103,18 @@ func main() {
 	}
 	log.Printf("worker %s, identity %s, coordinator %s", *name, identity, *coordAddr)
 
-	opts := core.Options{DisableOrgMerge: *noOrgs}
+	var opts core.Options
 	if *dataDir != "" {
-		if f, err := os.Open(filepath.Join(*dataDir, "orgs.json")); err == nil {
-			ds, err := org.Read(f)
-			f.Close()
-			if err != nil {
-				log.Fatal(err)
+		if !*noOrgs {
+			if f, err := os.Open(filepath.Join(*dataDir, "orgs.json")); err == nil {
+				ds, err := org.Read(f)
+				f.Close()
+				if err != nil {
+					log.Fatal(err)
+				}
+				opts.Orgs = ds.MultiASGroups()
+				log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(opts.Orgs))
 			}
-			opts.Orgs = ds.MultiASGroups()
-			log.Printf("organisations: %d (%d multi-AS)", ds.Len(), len(opts.Orgs))
 		}
 		if !*noRouter {
 			if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {

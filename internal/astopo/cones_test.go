@@ -161,7 +161,7 @@ func TestFullConeHierarchy(t *testing.T) {
 func TestCustomerConeExcludesPeering(t *testing.T) {
 	anns := hierarchyAnns()
 	g := NewGraph(anns)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	cc := g.CustomerConeClosure()
 
 	i100, i2001 := g.Index(100), g.Index(2001)
@@ -186,7 +186,7 @@ func TestCustomerConeExcludesPeering(t *testing.T) {
 func TestCustomerConeWithOrgs(t *testing.T) {
 	anns := hierarchyAnns()
 	g := NewGraph(anns)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	// Put 100 and 200 in one organization: their joint cones merge.
 	cc := g.CustomerConeWithOrgs([][]bgp.ASN{{100, 200}})
 	if !cc.Contains(g.Index(100), g.Index(2001)) {
@@ -232,7 +232,7 @@ func TestConeContainmentProperty(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		anns := randomValleyFreeAnns(rng)
 		g := NewGraph(anns)
-		g.InferRelationships(anns, 0)
+		g.InferRelationships(anns)
 		ni := NewNaiveIndex(g, anns)
 		cc := g.CustomerConeClosure()
 		fc := g.FullConeClosure()

@@ -116,7 +116,7 @@ func TestRelationshipOrientation(t *testing.T) {
 
 func TestInferRelationshipsFigure1b(t *testing.T) {
 	g := NewGraph(figure1bAnns())
-	g.InferRelationships(figure1bAnns(), 0)
+	g.InferRelationships(figure1bAnns())
 	i1, i2, i3, i4 := g.Index(1), g.Index(2), g.Index(3), g.Index(4)
 	if got := g.Relationship(i1, i2); got != RelC2P {
 		t.Errorf("AS1-AS2 = %v, want c2p", got)
@@ -208,7 +208,7 @@ func hierarchyAnns() []bgp.Announcement {
 func TestInferRelationshipsHierarchy(t *testing.T) {
 	anns := hierarchyAnns()
 	g := NewGraph(anns)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 
 	check := func(a, b bgp.ASN, want Rel) {
 		t.Helper()
@@ -231,7 +231,7 @@ func TestInferRelationshipsHierarchy(t *testing.T) {
 func TestRelationshipStatsAndLinks(t *testing.T) {
 	anns := hierarchyAnns()
 	g := NewGraph(anns)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	s := g.RelationshipStats()
 	if s.C2P == 0 || s.Peer == 0 {
 		t.Fatalf("stats = %+v", s)

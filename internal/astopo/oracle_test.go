@@ -63,10 +63,7 @@ func transitDegreesOracle(g *Graph, anns []bgp.Announcement) []int {
 // were found by sorting: transit neighbours, export triples and the origins
 // reached via each directed link are deduplicated by hashing into maps — one
 // map of origin sets per link, read only for its length.
-func inferRelationshipsOracle(g *Graph, anns []bgp.Announcement, peerDegreeRatio float64) {
-	if peerDegreeRatio == 0 {
-		peerDegreeRatio = 0.1
-	}
+func inferRelationshipsOracle(g *Graph, anns []bgp.Announcement) {
 	td := transitDegreesOracle(g, anns)
 
 	type votes struct {
@@ -383,8 +380,8 @@ func TestInferRelationshipsMatchesOracle(t *testing.T) {
 		got, want := NewGraph(anns), NewGraph(anns)
 		got.AddOrgMesh(orgs)
 		want.AddOrgMesh(orgs)
-		got.InferRelationships(anns, 0)
-		inferRelationshipsOracle(want, anns, 0)
+		got.InferRelationships(anns)
+		inferRelationshipsOracle(want, anns)
 		if !maps.Equal(got.rels, want.rels) {
 			t.Fatalf("iter %d: relationships differ from the oracle's:\n got %v\nwant %v", iter, got.Links(), want.Links())
 		}

@@ -35,6 +35,10 @@ func (g *Graph) transitDegrees(anns []bgp.Announcement, tmp []uint64) []int {
 	return out
 }
 
+// peerDegreeRatio is the smaller-to-larger transit-degree ratio at which a
+// summit link with no export evidence is tagged peering.
+const peerDegreeRatio = 0.1
+
 // InferRelationships annotates every link seen on AS paths with a business
 // relationship using a Gao-style iterative heuristic:
 //
@@ -54,12 +58,9 @@ func (g *Graph) transitDegrees(anns []bgp.Announcement, tmp []uint64) []int {
 // bigger AS, so majority voting cannot detect them.
 //
 // Existing annotations (e.g. sibling links injected by AddOrgMesh) are
-// preserved. peerDegreeRatio defaults to 0.1 when 0 is passed.
-func (g *Graph) InferRelationships(anns []bgp.Announcement, peerDegreeRatio float64) {
+// preserved.
+func (g *Graph) InferRelationships(anns []bgp.Announcement) {
 	checkPackable(len(g.asns))
-	if peerDegreeRatio == 0 {
-		peerDegreeRatio = 0.1
-	}
 	// tmp is the other half of every radix sort below: it has room for the
 	// largest word set, two per interior path hop or one per path link.
 	hops, interior := 0, 0

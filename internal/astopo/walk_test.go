@@ -55,7 +55,7 @@ func randomTopology(rng *rand.Rand) (*Graph, []bgp.Announcement, [][]bgp.ASN) {
 	}
 	g := NewGraph(anns)
 	g.AddOrgMesh(orgs)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	return g, anns, orgs
 }
 

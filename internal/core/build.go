@@ -77,19 +77,6 @@ func (o Options) topologyKey() uint64 {
 			h = (h ^ (v >> s & 0xff)) * prime
 		}
 	}
-	if o.DisableOrgMerge {
-		mix(1)
-	}
-	// The origin slab has the bogon prefixes merged in, so a bogon
-	// override is part of the compiled index and must block reuse too. nil
-	// (the reference set, the universal default) hashes as absent; an
-	// explicit set never matches it, which at worst costs one cold build.
-	if o.Bogons != nil {
-		for _, bp := range o.Bogons.Prefixes() {
-			mix(uint64(bp.Addr)<<8 | uint64(bp.Bits))
-		}
-	}
-	mix(math.Float64bits(o.PeerDegreeRatio))
 	mix(uint64(o.FullConeDepth))
 	for _, org := range o.Orgs {
 		mix(uint64(len(org)))
@@ -113,16 +100,11 @@ func (o Options) topologyKey() uint64 {
 //   - otherwise                   → cold build
 //
 // Reuse is forbidden whenever the topology-shaping options differ (org
-// groups, extra links, peer-degree ratio, full-cone depth, org-merge
-// toggle): the fingerprint only covers the RIB, so an option change
-// invalidates the shared layers regardless of the snapshot. §4.4 AllowSource
-// whitelists are never carried over — they are manual per-epoch corrections,
-// exactly as a cold rebuild would drop them.
+// groups, extra links, full-cone depth): the fingerprint only covers the
+// RIB, so an option change invalidates the shared layers regardless of the
+// snapshot. §4.4 AllowSource whitelists are never carried over — they are
+// manual per-epoch corrections, exactly as a cold rebuild would drop them.
 func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, BuildStats, error) {
-	return compilePipeline(prev, rib, members, opts)
-}
-
-func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, BuildStats, error) {
 	t0 := time.Now()
 	// One compilation worker per schedulable thread: more only adds
 	// contention, and GOMAXPROCS=1 runs every stage on one goroutine.
@@ -133,10 +115,6 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	anns := rib.Announcements()
 	if len(anns) == 0 {
 		return nil, stats, fmt.Errorf("core: RIB is empty")
-	}
-	bogons := opts.Bogons
-	if bogons == nil {
-		bogons = bogon.NewReferenceSet()
 	}
 	workers := stats.Workers
 
@@ -168,7 +146,7 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		p.graph = prev.graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(p.graph, anns) },
-			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph, bogons) },
+			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 
@@ -177,15 +155,15 @@ func compilePipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		if n := graph.NumASes(); n > astopo.MaxASes {
 			return nil, stats, fmt.Errorf("core: %d ASes exceed the %d the topology's packed sort keys can index", n, astopo.MaxASes)
 		}
-		graph.AddOrgMesh(opts.mergedOrgs())
+		graph.AddOrgMesh(opts.Orgs)
 		for _, l := range opts.ExtraLinks {
 			graph.AddLinkASN(l[0], l[1])
 		}
-		graph.InferRelationships(anns, opts.PeerDegreeRatio)
+		graph.InferRelationships(anns)
 		p.graph = graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
-			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph, bogons) },
+			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 	}
@@ -241,7 +219,7 @@ const bogonSlot = ^uint32(0)
 // returned flags slice marks, per entry, whether the entry's ancestor chain
 // carries the sentinel: the hot path's entire bogon test is one indexed
 // load of that bit for the entry FindChain already resolved.
-func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set) (*netx.FlatLPM, []originRef, []bool) {
+func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph) (*netx.FlatLPM, []originRef, []bool) {
 	prefixes, origins := rib.OriginAssignments()
 	slotOf := make(map[bgp.ASN]uint32)
 	vals := make([]uint32, len(prefixes))
@@ -257,7 +235,7 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph, bogons *bogon.Set) (*ne
 	}
 	// Full-capacity slices force append to copy: OriginAssignments' result
 	// must not be scribbled on.
-	merged := append(prefixes[:len(prefixes):len(prefixes)], bogons.Prefixes()...)
+	merged := append(prefixes[:len(prefixes):len(prefixes)], bogon.NewReferenceSet().Prefixes()...)
 	for range merged[len(prefixes):] {
 		vals = append(vals, bogonSlot)
 	}
@@ -291,14 +269,6 @@ func (p *Pipeline) naiveEntBits(mi MemberInfo, asIdx int) (*netx.Bitset, error) 
 		b.Set(int(e))
 	}
 	return b, nil
-}
-
-// mergedOrgs is the org groups the cones merge: none under DisableOrgMerge.
-func (o Options) mergedOrgs() [][]bgp.ASN {
-	if o.DisableOrgMerge {
-		return nil
-	}
-	return o.Orgs
 }
 
 // compileMembers builds the per-member validity tables. A member's cone
@@ -337,16 +307,15 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 			if d := donor.byASN[mi.ASN]; d != nil && d.asIdx == ms.asIdx {
 				ms.validCC, ms.validFC = d.validCC, d.validFC
 				if reuseNaive {
-					// topologyKey mixes in the bogon list, so with the
-					// announcement set unchanged too the reused origin
-					// slab's entry indexing is identical, keeping the
-					// donor's entry bitset valid.
+					// With the announcement set unchanged too, the
+					// reused origin slab's entry indexing is identical,
+					// keeping the donor's entry bitset valid.
 					ms.naiveEnts = d.naiveEnts
 				}
 			}
 		}
 		if ms.asIdx >= 0 && ms.validCC == nil && ccAdj == nil {
-			ccAdj = p.graph.CustomerAdjacency(opts.mergedOrgs())
+			ccAdj = p.graph.CustomerAdjacency(opts.Orgs)
 		}
 		states[i] = ms
 	}

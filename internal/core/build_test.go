@@ -171,7 +171,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 
 	// Topology-shaping option changes also forbid reuse.
 	ablated := opts
-	ablated.DisableOrgMerge = true
+	ablated.Orgs = nil
 	_, stOpt, err := RebuildPipeline(cold, rib, members, ablated)
 	if err != nil {
 		t.Fatal(err)

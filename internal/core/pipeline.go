@@ -15,7 +15,6 @@ import (
 
 	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
-	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 )
@@ -103,18 +102,11 @@ type MemberInfo struct {
 
 // Options tunes pipeline construction.
 type Options struct {
-	// Bogons overrides the bogon list (default: the reference set).
-	Bogons *bogon.Set
 	// Orgs lists multi-AS organisation groups to merge (may be nil).
 	Orgs [][]bgp.ASN
 	// Routers, when non-nil, tags router-sourced traffic: the traceroute-
 	// derived router interface addresses, built once by the caller.
 	Routers *netx.AddrSet
-	// PeerDegreeRatio tunes relationship inference (0 = default).
-	PeerDegreeRatio float64
-	// DisableOrgMerge computes the cones without organisation merging
-	// (the ablation of §4.3's "Impact of Multi-AS Organizations").
-	DisableOrgMerge bool
 	// FullConeDepth, when > 0, bounds the Full Cone to that many directed
 	// hops per member instead of the full transitive closure — the
 	// paper's future-work "tighter bounds" knob. 0 means unlimited.
@@ -198,7 +190,7 @@ type Pipeline struct {
 // pool of GOMAXPROCS goroutines (see build.go); RebuildPipeline is the
 // incremental variant for epoch rebuilds against a previous pipeline.
 func NewPipeline(rib *bgp.RIB, members []MemberInfo, opts Options) (*Pipeline, error) {
-	p, _, err := compilePipeline(nil, rib, members, opts)
+	p, _, err := RebuildPipeline(nil, rib, members, opts)
 	return p, err
 }
 

@@ -244,8 +244,8 @@ func TestOrgMergeValidatesSiblings(t *testing.T) {
 	if v.Invalid[ApproachFull] || v.Invalid[ApproachCC] {
 		t.Fatalf("org sibling still invalid: %+v", v.Invalid)
 	}
-	// Ablation: with org merge disabled it must be invalid again.
-	p2 := testPipeline(t, Options{Orgs: orgs, DisableOrgMerge: true})
+	// Ablation: without the org groups it must be invalid again.
+	p2 := testPipeline(t, Options{Orgs: nil})
 	if v2 := p2.Classify(flowFrom("60.1.2.3", 3)); v2.Class != ClassInvalid {
 		t.Fatalf("org-merge ablation broken: %v", v2.Class)
 	}

@@ -29,11 +29,11 @@ func Figure2(env *Env) *Figure2Result {
 
 	// Plain graph (no org mesh).
 	gPlain := astopo.NewGraph(anns)
-	gPlain.InferRelationships(anns, 0)
+	gPlain.InferRelationships(anns)
 	// Org-merged graph.
 	gOrg := astopo.NewGraph(anns)
 	gOrg.AddOrgMesh(orgs)
-	gOrg.InferRelationships(anns, 0)
+	gOrg.InferRelationships(anns)
 
 	spacesPlain := astopo.OriginSpaces(gPlain, anns)
 	wPlain := astopo.OriginSpaceWeights(spacesPlain)
@@ -115,7 +115,7 @@ func ConeContainment(env *Env) *ConeContainmentResult {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
 	g := astopo.NewGraph(anns)
-	g.InferRelationships(anns, 0)
+	g.InferRelationships(anns)
 	naive := astopo.NewNaiveIndex(g, anns)
 	cc := g.CustomerConeClosure()
 	ccOrg := g.CustomerConeWithOrgs(orgs)

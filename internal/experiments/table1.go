@@ -65,9 +65,7 @@ func Table1(env *Env) *Table1Result {
 		members = append(members, core.MemberInfo{ASN: m.ASN, Port: m.Port})
 	}
 	noOrg, err := core.NewPipeline(env.RIB, members, core.Options{
-		Orgs:            env.Scenario.Orgs().MultiASGroups(),
-		DisableOrgMerge: true,
-		Routers:         netx.NewAddrSet(env.Routers.Addrs()),
+		Routers: netx.NewAddrSet(env.Routers.Addrs()),
 	})
 	if err == nil {
 		var ccPkts, fullPkts uint64

@@ -1,6 +1,6 @@
 // Package faultnet wraps net.Conn / net.Listener with seeded, deterministic
 // fault injection: fragmented (partial) writes, read stalls, mid-message
-// resets, added latency, and header-byte corruption. It exists so every
+// resets, and header-byte corruption. It exists so every
 // resilience claim in the live-ingestion layer (internal/bgp sessions,
 // internal/ipfix collectors) can be proven offline with a reproducible fault
 // schedule — the same philosophy as the seeded scenario generators.
@@ -31,21 +31,15 @@ type Config struct {
 	Seed int64
 
 	// WriteChunk > 0 fragments every write into chunks of at most this many
-	// bytes, each sent as a separate inner write with FragmentDelay between
-	// them — exercises reader-side message reassembly.
-	WriteChunk    int
-	FragmentDelay time.Duration
+	// bytes, each sent as a separate inner write — exercises reader-side
+	// message reassembly.
+	WriteChunk int
 
-	// Latency is added before every read and write.
-	Latency time.Duration
-
-	// CorruptWriteEvery / CorruptReadEvery N > 0 corrupt every Nth write
-	// (resp. read) by XOR-flipping one seeded-random byte among the first
-	// four — the header region where both BGP (marker) and IPFIX
-	// (version/length) detect damage. The caller's buffer is never mutated
-	// on the write path.
+	// CorruptWriteEvery N > 0 corrupts every Nth write by XOR-flipping one
+	// seeded-random byte among the first four — the header region where
+	// both BGP (marker) and IPFIX (version/length) detect damage. The
+	// caller's buffer is never mutated.
 	CorruptWriteEvery int
-	CorruptReadEvery  int
 
 	// ResetAfterWrites N > 0 makes the Nth write deliver just over half its
 	// bytes — one past the midpoint, so a buffer of equal-sized framed
@@ -67,7 +61,6 @@ type Config struct {
 type Stats struct {
 	Reads, Writes   int
 	Fragments       int
-	CorruptedReads  int
 	CorruptedWrites int
 	Resets          int
 	Stalls          int
@@ -113,15 +106,11 @@ func (c *Conn) corruptPos(n int) int {
 }
 
 func (c *Conn) Read(b []byte) (int, error) {
-	if c.cfg.Latency > 0 {
-		time.Sleep(c.cfg.Latency)
-	}
 	c.mu.Lock()
 	c.stats.Reads++
 	nth := c.stats.Reads
 	stall := c.cfg.StallAfterReads > 0 && nth >= c.cfg.StallAfterReads
 	reset := c.cfg.ResetAfterReads > 0 && nth == c.cfg.ResetAfterReads
-	corrupt := c.cfg.CorruptReadEvery > 0 && nth%c.cfg.CorruptReadEvery == 0
 	if stall {
 		c.stats.Stalls++
 	}
@@ -156,20 +145,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 			// Transient stall over; perform the read normally.
 		}
 	}
-	n, err := c.inner.Read(b)
-	if corrupt && n > 0 {
-		c.mu.Lock()
-		b[c.corruptPos(n)] ^= 0xff
-		c.stats.CorruptedReads++
-		c.mu.Unlock()
-	}
-	return n, err
+	return c.inner.Read(b)
 }
 
 func (c *Conn) Write(b []byte) (int, error) {
-	if c.cfg.Latency > 0 {
-		time.Sleep(c.cfg.Latency)
-	}
 	c.mu.Lock()
 	c.stats.Writes++
 	nth := c.stats.Writes
@@ -202,9 +181,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 			chunk := len(b)
 			if chunk > c.cfg.WriteChunk {
 				chunk = c.cfg.WriteChunk
-			}
-			if total > 0 && c.cfg.FragmentDelay > 0 {
-				time.Sleep(c.cfg.FragmentDelay)
 			}
 			n, err := c.inner.Write(b[:chunk])
 			total += n

@@ -33,9 +33,6 @@ type PacketConfig struct {
 	// XOR-flipping one seeded-random byte among the first four — the IPFIX
 	// version/length header region, where the decoder detects damage.
 	CorruptEvery int
-
-	// Latency is added before every receive.
-	Latency time.Duration
 }
 
 // PacketStats counts the faults a wrapped socket actually injected.
@@ -86,9 +83,6 @@ func (p *PacketConn) Stats() PacketStats {
 // duplicates first, then inner datagrams with drops consumed silently and
 // corruption applied in place.
 func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	if p.cfg.Latency > 0 {
-		time.Sleep(p.cfg.Latency)
-	}
 	p.mu.Lock()
 	if p.replay != nil {
 		n := copy(b, p.replay)

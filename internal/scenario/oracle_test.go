@@ -172,16 +172,6 @@ func TestPropagateMatchesOracle(t *testing.T) {
 	}
 }
 
-// mrtDigest is sha256 of the scenario's MRT export, hex-encoded.
-func mrtDigest(t testing.TB, s *Scenario) string {
-	t.Helper()
-	h := sha256.New()
-	if err := s.WriteMRT(h); err != nil {
-		t.Fatal(err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // TestMRTPinned pins the generator's whole BGP view — topology, routing
 // trees, vantage selection and the MRT encoding — at the small and default
 // scales. A change to any of them moves the digest; the paper-scale digest
@@ -200,7 +190,11 @@ func TestMRTPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mrtDigest(t, s); got != tc.want {
+			h := sha256.New()
+			if err := s.WriteMRT(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 				t.Errorf("sha256(WriteMRT) = %s, want %s", got, tc.want)
 			}
 		})

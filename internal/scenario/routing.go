@@ -39,9 +39,10 @@ func (f exportFilter) allows(neighbor int) bool {
 	return f[neighbor]
 }
 
-// propagate computes the valley-free routing tree for origin. Neighbour
-// orderings are deterministic, so the tree (and therefore every AS path)
-// is reproducible.
+// propagate computes the valley-free routing tree for origin. Neighbours
+// are visited in index order and the descent takes one distance level at a
+// time, each in index order, so the tree (and therefore every AS path) is
+// reproducible.
 func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 	n := len(t.ases)
 	rt := &routeTree{
@@ -56,95 +57,65 @@ func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 	}
 	rt.class[origin] = classSelf
 	rt.dist[origin] = 0
-
-	// Phase 1 — customer routes climb provider chains (BFS, unit weights).
-	// Visible org-sibling links provide mutual transit: a sibling adopts
-	// the route as if learned from a customer and re-exports it upward,
-	// making these internal links broadly visible on AS paths.
-	queue := []int{origin}
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		for _, p := range sortedCopy(t.ases[x].Providers) {
-			if x == origin && !filter.allows(p) {
-				continue
-			}
-			if rt.class[p] >= classCustomer {
-				continue
-			}
-			rt.class[p] = classCustomer
-			rt.dist[p] = rt.dist[x] + 1
-			rt.next[p] = int32(x)
-			queue = append(queue, p)
+	// relax offers y the route x holds, as class c: y takes it unless the
+	// origin's filter keeps it from y or y already holds a route as good.
+	relax := func(x, y int, c int8) bool {
+		if x == origin && !filter.allows(y) || rt.class[y] >= c {
+			return false
 		}
-		for _, sib := range sortedCopy(t.ases[x].VisibleSiblings) {
-			if x == origin && !filter.allows(sib) {
-				continue
+		rt.class[y], rt.dist[y], rt.next[y] = c, rt.dist[x]+1, int32(x)
+		return true
+	}
+
+	// Customer routes climb provider chains, breadth first. Visible
+	// org-sibling links provide mutual transit: a sibling adopts the route
+	// as if learned from a customer and re-exports it upward, making these
+	// internal links broadly visible on AS paths.
+	climbed := []int{origin}
+	for head := 0; head < len(climbed); head++ {
+		x := climbed[head]
+		for _, y := range t.adj[x].up {
+			if relax(x, y, classCustomer) {
+				climbed = append(climbed, y)
 			}
-			if rt.class[sib] >= classCustomer {
-				continue
+		}
+	}
+	// One peering hop from any customer-route holder (or the origin).
+	var peered []int
+	for _, x := range climbed {
+		for _, y := range t.adj[x].peers {
+			if relax(x, y, classPeer) {
+				peered = append(peered, y)
 			}
-			rt.class[sib] = classCustomer
-			rt.dist[sib] = rt.dist[x] + 1
-			rt.next[sib] = int32(x)
-			queue = append(queue, sib)
 		}
 	}
 
-	// Phase 2 — one peering hop from any customer-route holder (or the
-	// origin itself).
-	holders := append([]int(nil), queue...)
-	for _, x := range holders {
-		for _, q := range sortedCopy(t.ases[x].Peers) {
-			if x == origin && !filter.allows(q) {
-				continue
-			}
-			if rt.class[q] >= classPeer {
-				continue
-			}
-			rt.class[q] = classPeer
-			rt.dist[q] = rt.dist[x] + 1
-			rt.next[q] = int32(x)
+	// Provider routes descend customer links from every route holder, one
+	// distance level at a time. A level is a bitmap, read in index order:
+	// the holders at that distance (climbed and peered are each in
+	// distance order) plus what the level above relaxed into it. Every
+	// holder's next hop is one level closer, so the first empty level ends
+	// the walk.
+	level, below := netx.NewBitset(n), netx.NewBitset(n)
+	i, j := 0, 0
+	for d, more := int32(0), true; more; d++ {
+		for ; i < len(climbed) && rt.dist[climbed[i]] == d; i++ {
+			level.Set(climbed[i])
 		}
-	}
-
-	// Phase 3 — provider routes descend customer links from every route
-	// holder, in distance order (bucket queue; all edges weigh 1).
-	maxDist := int32(n + 1)
-	buckets := make([][]int, maxDist+2)
-	for i := 0; i < n; i++ {
-		if rt.class[i] != classNone {
-			d := rt.dist[i]
-			if d > maxDist {
-				d = maxDist
-			}
-			buckets[d] = append(buckets[d], i)
+		for ; j < len(peered) && rt.dist[peered[j]] == d; j++ {
+			level.Set(peered[j])
 		}
-	}
-	for d := int32(0); d <= maxDist; d++ {
-		// Deterministic processing order within a distance level.
-		sort.Slice(buckets[d], func(i, j int) bool {
-			return t.ases[buckets[d][i]].ASN < t.ases[buckets[d][j]].ASN
+		more = false
+		level.ForEach(func(x int) {
+			level.Clear(x)
+			more = true
+			for _, y := range t.adj[x].down {
+				if relax(x, y, classProvider) {
+					below.Set(y)
+				}
+			}
 		})
-		for _, x := range buckets[d] {
-			if rt.dist[x] != d {
-				continue // superseded (only possible for stale entries)
-			}
-			down := append(sortedCopy(t.ases[x].Customers), sortedCopy(t.ases[x].VisibleSiblings)...)
-			for _, c := range down {
-				if x == origin && !filter.allows(c) {
-					continue
-				}
-				if rt.class[c] != classNone {
-					continue
-				}
-				rt.class[c] = classProvider
-				rt.dist[c] = d + 1
-				rt.next[c] = int32(x)
-				if d+1 <= maxDist {
-					buckets[d+1] = append(buckets[d+1], c)
-				}
-			}
-		}
+		level, below = below, level
 	}
 	return rt
 }

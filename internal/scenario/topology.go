@@ -64,6 +64,8 @@ type AS struct {
 // topology is the ground-truth AS graph plus address plan.
 type topology struct {
 	ases []AS
+	// adj is each AS's neighbours as propagate walks them.
+	adj []neighbours
 	// byASN maps ASN to dense index.
 	byASN map[bgp.ASN]int
 	orgs  *org.Dataset
@@ -71,6 +73,12 @@ type topology struct {
 	// everything outside it (minus bogons) is never-allocated space.
 	routable netx.IntervalSet
 }
+
+// neighbours is one AS's routing adjacency, each list sorted once in
+// index order (which is ASN order). up is the climb (providers, then
+// visible siblings), down the descent (customers, then visible siblings).
+// AS keeps its lists in link order, which the traffic generator reads.
+type neighbours struct{ up, peers, down []int }
 
 // buildTopology synthesizes the AS graph, organizations and address plan.
 func buildTopology(cfg Config, rng *rand.Rand) *topology {
@@ -162,6 +170,15 @@ func buildTopology(cfg Config, rng *rand.Rand) *topology {
 	t.buildOrgs(cfg, rng)
 	t.allocateAddresses(cfg, rng)
 	t.pickSelectiveAnnouncers(cfg, rng)
+	t.adj = make([]neighbours, total)
+	for i, a := range t.ases {
+		sibs := sortedCopy(a.VisibleSiblings)
+		t.adj[i] = neighbours{
+			up:    append(sortedCopy(a.Providers), sibs...),
+			peers: sortedCopy(a.Peers),
+			down:  append(sortedCopy(a.Customers), sibs...),
+		}
+	}
 	return t
 }
 
@@ -415,7 +432,7 @@ func (t *topology) Index(asn bgp.ASN) int {
 	return -1
 }
 
-// sortedNeighbours returns a deterministic neighbour ordering for routing.
+// sortedCopy returns xs sorted, leaving xs as it is.
 func sortedCopy(xs []int) []int {
 	out := append([]int(nil), xs...)
 	sort.Ints(out)

@@ -11,11 +11,11 @@ import (
 
 // TestPaperScaleSmoke builds the full paper-scale environment (≈6.4K ASes,
 // 700 members, four weeks of traffic) and checks the headline Table 1
-// member-participation numbers against the paper's. ~30s; skipped with
+// member-participation numbers against the paper's. ~12s; skipped with
 // -short.
 func TestPaperScaleSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-scale build takes ~30s; run without -short")
+		t.Skip("paper-scale environment takes ~12s; run without -short")
 	}
 	opts := experiments.DefaultOptions()
 	opts.Scenario = scenario.PaperScaleConfig()

@@ -105,8 +105,6 @@ type ClassifierOptions struct {
 	Orgs [][]ASN
 	// RouterAddrs, when non-empty, tags stray router-sourced traffic.
 	RouterAddrs []Addr
-	// DisableOrgMerge computes cones without organisation merging.
-	DisableOrgMerge bool
 }
 
 // Classifier is the compiled passive spoofing detector.
@@ -136,7 +134,7 @@ func NewClassifierFromRIB(rib *bgp.RIB, members []Member, opts ClassifierOptions
 // coreOptions lowers the facade options into the internal pipeline options,
 // building the router set once.
 func (opts ClassifierOptions) coreOptions() core.Options {
-	o := core.Options{Orgs: opts.Orgs, DisableOrgMerge: opts.DisableOrgMerge}
+	o := core.Options{Orgs: opts.Orgs}
 	if len(opts.RouterAddrs) > 0 {
 		o.Routers = netx.NewAddrSet(opts.RouterAddrs)
 	}
