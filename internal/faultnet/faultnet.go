@@ -1,9 +1,9 @@
 // Package faultnet wraps net.Conn / net.Listener with seeded, deterministic
 // fault injection: fragmented (partial) writes, read stalls, mid-message
-// resets, and header-byte corruption. It exists so every
-// resilience claim in the live-ingestion layer (internal/bgp sessions,
-// internal/ipfix collectors) can be proven offline with a reproducible fault
-// schedule — the same philosophy as the seeded scenario generators.
+// resets, and header-byte corruption. It exists so every resilience claim
+// in the live-ingestion layer (internal/bgp sessions, internal/ipfix
+// collectors) can be proven offline with a reproducible fault schedule —
+// the same philosophy as the seeded scenario generators.
 //
 // A zero Config is a transparent passthrough. Faults are keyed to operation
 // counts (the Nth read / Nth write), not wall-clock time, so a given schedule
