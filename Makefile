@@ -169,17 +169,16 @@ bench-smoke:
 # fuzz gives every fuzzer in the module a short adversarial workout beyond
 # the seeded corpus that runs in `make test`. Minimizing a new input is
 # capped at 2s: at the default 60s one slow minimization can eat most of a
-# fuzzer's budget. A fuzzer whose final status line reads fewer than
-# FUZZ_MIN_EXECS execs fails the target: a run that stalls (one slow input,
-# a hung worker) would otherwise pass having tested next to nothing.
-FUZZ_MIN_EXECS ?= 1000
+# fuzzer's budget. A fuzzer whose final status line reads fewer than 1,000
+# execs fails the target: a run that stalls (one slow input, a hung worker)
+# would otherwise pass having tested next to nothing.
 
 # fuzz-run runs fuzzer $(1) in package $(2) for 20s and checks its exec floor.
 define fuzz-run
 	@out=$$($(GO) test -run=^$$ -fuzz=$(1) -fuzztime=20s -fuzzminimizetime=2s $(2) 2>&1); st=$$?; echo "$$out"; \
 	[ $$st -eq 0 ] || exit $$st; \
 	n=$$(echo "$$out" | grep -o 'execs: [0-9]*' | tail -1 | cut -d' ' -f2); \
-	[ "$${n:-0}" -ge $(FUZZ_MIN_EXECS) ] || { echo "fuzz: $(1) ran $${n:-0} execs, under the floor of $(FUZZ_MIN_EXECS)"; exit 1; }
+	[ "$${n:-0}" -ge 1000 ] || { echo "fuzz: $(1) ran $${n:-0} execs, under the floor of 1000"; exit 1; }
 endef
 
 fuzz:
