@@ -693,8 +693,10 @@ func BenchmarkLPMLinear(b *testing.B) {
 // against the per-member walks the pipeline compiles its cone rows with.
 func BenchmarkConeBuildBitset(b *testing.B) {
 	env := benchEnvironment(b)
-	anns := env.RIB.Announcements()
-	g := astopo.NewGraph(anns)
+	g, err := astopo.NewGraph(env.RIB.Announcements(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -707,11 +709,11 @@ func BenchmarkConeBuildBitset(b *testing.B) {
 // the pipeline builds: org mesh added, relationships inferred.
 func BenchmarkConeBuildBFS(b *testing.B) {
 	env := benchEnvironment(b)
-	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
-	g := astopo.NewGraph(anns)
-	g.AddOrgMesh(orgs)
-	g.InferRelationships(anns)
+	g, err := astopo.NewGraph(env.RIB.Announcements(), orgs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var members []int
 	for _, m := range env.Scenario.Members {
 		if idx := g.Index(m.ASN); idx >= 0 {
@@ -729,16 +731,19 @@ func BenchmarkConeBuildBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkRelationshipInference measures the Gao-style iterative
-// inference over the full announcement set.
-func BenchmarkRelationshipInference(b *testing.B) {
+// BenchmarkNewGraph measures building the AS graph end to end over the full
+// announcement set, with the org mesh: indexing, edges, link table and the
+// Gao-style iterative relationship inference.
+func BenchmarkNewGraph(b *testing.B) {
 	env := benchEnvironment(b)
 	anns := env.RIB.Announcements()
+	orgs := env.Scenario.Orgs().MultiASGroups()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := astopo.NewGraph(anns)
-		g.InferRelationships(anns)
+		if _, err := astopo.NewGraph(anns, orgs, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

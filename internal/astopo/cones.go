@@ -150,7 +150,7 @@ func (a Adjacency) Cone(u, depth int) *netx.Bitset {
 }
 
 // FullConeClosure computes the Full Cone: transitive closure over the raw
-// directed AS graph (including any org-mesh or WHOIS links added).
+// directed AS graph (including its organization and extra links).
 func (g *Graph) FullConeClosure() *Closure { return newClosure(g.down) }
 
 // BoundedCone returns u's Full Cone cut at depth directed hops: the paper's
@@ -167,8 +167,8 @@ func (g *Graph) BoundedCone(u, depth int) *netx.Bitset { return Adjacency(g.down
 // observed in that direction on some AS path (it exists in the directed
 // graph); this makes the Customer Cone structurally contained in the Full
 // Cone, the §3.4 property the paper verified empirically. The org links are
-// not checked against the graph: once AddOrgMesh(orgs) has run they are its
-// edges anyway, and Figure 2 walks them on a graph without the mesh.
+// not checked against the graph: on a graph built with orgs they are its
+// edges anyway, and Figure 2 walks them on a graph built without.
 func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
 	adj := make(Adjacency, len(g.asns))
 	for u, vs := range g.down {
@@ -194,9 +194,9 @@ func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
 }
 
 // CustomerConeClosure computes the Customer Cone: reachability over
-// inferred provider→customer links only. InferRelationships (or AddOrgMesh
-// for sibling links, which are treated like peering and excluded) must run
-// first. CustomerConeWithOrgs is the paper's org-merged variant.
+// inferred provider→customer links only (sibling links are treated like
+// peering and excluded). CustomerConeWithOrgs is the paper's org-merged
+// variant.
 func (g *Graph) CustomerConeClosure() *Closure { return g.CustomerConeWithOrgs(nil) }
 
 // CustomerConeWithOrgs computes the customer cone where only the given
@@ -286,7 +286,6 @@ const (
 // key; the sort drops the rest, so the result does not depend on the order.
 func NewNaiveIndex(g *Graph, anns []bgp.Announcement) *NaiveIndex {
 	nAS := g.NumASes()
-	checkPackable(nAS)
 	hops := 0
 	for _, a := range anns {
 		hops += len(a.Path)

@@ -104,7 +104,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 			}
 			anns = append(anns, ann("10.0.0.0/8", path...))
 		}
-		g := NewGraph(anns)
+		g := mustGraph(t, anns, nil, nil)
 		c := g.FullConeClosure()
 		reach := bruteReach(g.down)
 		for u := 0; u < g.NumASes(); u++ {
@@ -126,7 +126,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 
 func TestFullConeHierarchy(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	c := g.FullConeClosure()
 
 	coneOf := func(as bgp.ASN) map[bgp.ASN]bool {
@@ -160,8 +160,7 @@ func TestFullConeHierarchy(t *testing.T) {
 
 func TestCustomerConeExcludesPeering(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
-	g.InferRelationships(anns)
+	g := mustGraph(t, anns, nil, nil)
 	cc := g.CustomerConeClosure()
 
 	i100, i2001 := g.Index(100), g.Index(2001)
@@ -185,8 +184,7 @@ func TestCustomerConeExcludesPeering(t *testing.T) {
 
 func TestCustomerConeWithOrgs(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
-	g.InferRelationships(anns)
+	g := mustGraph(t, anns, nil, nil)
 	// Put 100 and 200 in one organization: their joint cones merge.
 	cc := g.CustomerConeWithOrgs([][]bgp.ASN{{100, 200}})
 	if !cc.Contains(g.Index(100), g.Index(2001)) {
@@ -203,7 +201,7 @@ func TestCustomerConeWithOrgs(t *testing.T) {
 
 func TestNaiveIndex(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	ni := NewNaiveIndex(g, anns)
 
 	// AS10 appears on paths for stub prefixes and tier prefixes.
@@ -231,8 +229,7 @@ func TestConeContainmentProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 20; iter++ {
 		anns := randomValleyFreeAnns(rng)
-		g := NewGraph(anns)
-		g.InferRelationships(anns)
+		g := mustGraph(t, anns, nil, nil)
 		ni := NewNaiveIndex(g, anns)
 		cc := g.CustomerConeClosure()
 		fc := g.FullConeClosure()
@@ -301,7 +298,7 @@ func randomValleyFreeAnns(rng *rand.Rand) []bgp.Announcement {
 
 func TestWeightedSizesMatchesExactWhenDisjoint(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	fc := g.FullConeClosure()
 	spaces := OriginSpaces(g, anns)
 	w := OriginSpaceWeights(spaces)
@@ -316,7 +313,7 @@ func TestWeightedSizesMatchesExactWhenDisjoint(t *testing.T) {
 
 func TestValidOriginSet(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	fc := g.FullConeClosure()
 	u := g.Index(10)
 	set := fc.ValidOriginSet(u)
@@ -329,7 +326,7 @@ func TestValidOriginSet(t *testing.T) {
 
 func TestBoundedCone(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	fc := g.FullConeClosure()
 	u := g.Index(10)
 
@@ -360,7 +357,7 @@ func TestBoundedCone(t *testing.T) {
 
 func TestBoundedConeDepthOne(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
+	g := mustGraph(t, anns, nil, nil)
 	u := g.Index(10)
 	b1 := g.BoundedCone(u, 1)
 	// Depth 1 = self + direct downstream neighbours.

@@ -18,26 +18,34 @@ package astopo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spoofscope/internal/bgp"
+	"spoofscope/internal/netx"
 )
 
-// Graph is the directed AS-level graph. Nodes are dense indices; use Index
-// and ASN to translate. An edge u→v means u was observed immediately left of
-// v on an AS path (u upstream of v).
+// Graph is the directed AS-level graph with its inferred link
+// relationships. Nodes are dense indices in ASN order; use Index and ASN to
+// translate. An edge u→v means u was observed immediately left of v on an AS
+// path (u upstream of v), or u and v are linked by an organization or an
+// extra link. A Graph is built whole by NewGraph and never changes.
 type Graph struct {
-	asns []bgp.ASN        // dense index -> ASN, sorted ascending
-	idx  map[bgp.ASN]int  // ASN -> dense index
-	down [][]int32        // adjacency: downstream neighbours (u -> v)
-	up   [][]int32        // reverse adjacency
-	deg  []int            // undirected degree (distinct neighbours)
-	rels map[[2]int32]Rel // inferred relationship per directed pair (u<v key)
+	asns []bgp.ASN       // dense index -> ASN, sorted ascending
+	idx  map[bgp.ASN]int // ASN -> dense index
+	down [][]int32       // downstream neighbours (u -> v), ascending; one backing array
+	deg  []int           // distinct path links per AS
+
+	// The link table: every undirected link once, by (lower, higher) index.
+	// The links of lower index u are linkOff[u]..linkOff[u+1]; linkHi holds
+	// their higher ends, ascending, and rels their relationships from the
+	// lower end's perspective.
+	linkOff []int32
+	linkHi  []int32
+	rels    []Rel
 }
 
 // asIndexBits is the width of one AS index in a packed sort key. Three of them
-// fill a uint64 (packASes; InferRelationships' (u, v, origin) words), so a
-// graph may index at most MaxASes ASes.
+// fill a uint64 (packASes), so a graph may index at most MaxASes ASes.
 const asIndexBits = 21
 
 // MaxASes is the largest AS count a graph's packed sort keys can index.
@@ -45,7 +53,7 @@ const MaxASes = 1 << asIndexBits
 
 // packASes packs three AS indexes into one sort key: a in bits 42–62, b in
 // bits 21–41 and c in bits 0–20, so that keys sort by a, then b, then c.
-func packASes(a, b, c int) uint64 {
+func packASes[I int | int32](a, b, c I) uint64 {
 	return uint64(a)<<(2*asIndexBits) | uint64(b)<<asIndexBits | uint64(c)
 }
 
@@ -55,26 +63,25 @@ func unpackASes(w uint64) (a, b, c int) {
 	return int(w >> (2 * asIndexBits)), int(w >> asIndexBits & mask), int(w & mask)
 }
 
-// checkPackable panics when n ASes would overflow a packed key's AS index
-// field: past MaxASes the build fails loudly rather than aliasing two ASes.
-// A caller whose graph comes from outside input checks NumASes against
-// MaxASes first and reports an error, as core's pipeline build does.
-func checkPackable(n int) {
+// packable refuses an AS count past MaxASes: beyond it two ASes would alias
+// in a packed key.
+func packable(n int) error {
 	if n > MaxASes {
-		panic(fmt.Sprintf("astopo: %d ASes exceed the %d a packed sort key can index", n, MaxASes))
+		return fmt.Errorf("astopo: %d ASes exceed the %d a packed sort key can index", n, MaxASes)
 	}
+	return nil
 }
 
 // Rel is the business relationship of an undirected AS link.
 type Rel int8
 
-// Link relationships. RelC2P{A,B} semantics are expressed from the
-// perspective of the key's lower-index AS; see Relationship.
+// Link relationships, from the perspective of the link's first AS; see
+// Relationship.
 const (
 	RelUnknown Rel = iota
 	RelPeer        // settlement-free peering or sibling
-	RelC2P         // first AS of the key is a customer of the second
-	RelP2C         // first AS of the key is a provider of the second
+	RelC2P         // first AS is a customer of the second
+	RelP2C         // first AS is a provider of the second
 )
 
 func (r Rel) String() string {
@@ -90,55 +97,187 @@ func (r Rel) String() string {
 	}
 }
 
-// NewGraph builds the directed AS graph from announcements. Adjacent
-// AS-path pairs inside AS_SEQUENCEs produce edges; AS_SETs are skipped by
-// the RIB digestion already.
-func NewGraph(anns []bgp.Announcement) *Graph {
-	set := make(map[bgp.ASN]struct{})
+// reversed is r seen from the link's other end.
+func (r Rel) reversed() Rel {
+	switch r {
+	case RelC2P:
+		return RelP2C
+	case RelP2C:
+		return RelC2P
+	}
+	return r
+}
+
+// Where a pair was seen, in the low bits of its edge and link words
+// (packASes' fields shifted up by srcBits); an extra link's words carry
+// neither bit.
+const (
+	fromPath = 1 << iota
+	fromOrg
+	srcBits = 2
+)
+
+// NewGraph builds the AS graph and annotates its links in one pass over the
+// announcements:
+//
+//   - Adjacent AS-path pairs inside AS_SEQUENCEs produce edges (AS_SETs are
+//     skipped by the RIB digestion already); Degree counts these path links.
+//   - Every pair of ASes of one organization is linked both ways and is a
+//     sibling (RelPeer) link, whatever the paths say.
+//   - Every extra link (e.g. WHOIS-discovered) is linked both ways; one no
+//     path shows keeps RelUnknown.
+//   - Every other path link gets the relationship inferRelationships finds.
+//
+// Organization members and extra-link ends that no path names are ignored.
+// More than MaxASes ASes is an error.
+func NewGraph(anns []bgp.Announcement, orgs [][]bgp.ASN, extraLinks [][2]bgp.ASN) (*Graph, error) {
+	g, hops, err := indexASes(anns)
+	if err != nil {
+		return nil, err
+	}
+	// buf and tmp hold every packed word set below and are each sort's two
+	// halves: the directed edges, two words per interior hop (transit
+	// neighbours), one per hop (export triples, origins per link).
+	edgeWords, interior := len(hops)+2*len(extraLinks), 0
+	for _, members := range orgs {
+		edgeWords += len(members) * (len(members) - 1)
+	}
+	for _, a := range anns {
+		interior += max(len(a.Path)-2, 0)
+	}
+	buf := make([]uint64, 0, max(edgeWords, 2*interior))
+	tmp := make([]uint64, cap(buf))
+
+	eachPath(anns, hops, func(p []int32) {
+		for i := 1; i < len(p); i++ {
+			if p[i-1] != p[i] {
+				buf = append(buf, packASes(0, p[i-1], p[i])<<srcBits|fromPath)
+			}
+		}
+	})
+	both := func(a, b bgp.ASN, src uint64) {
+		if u, v := g.Index(a), g.Index(b); u >= 0 && v >= 0 && u != v {
+			buf = append(buf, packASes(0, u, v)<<srcBits|src, packASes(0, v, u)<<srcBits|src)
+		}
+	}
+	for _, members := range orgs {
+		for i := range members {
+			for _, b := range members[i+1:] {
+				both(members[i], b, fromOrg)
+			}
+		}
+	}
+	for _, l := range extraLinks {
+		both(l[0], l[1], 0)
+	}
+	g.buildEdges(buf, tmp)
+	g.inferRelationships(anns, hops, buf, tmp)
+	return g, nil
+}
+
+// indexASes numbers every AS on a path in ASN order and resolves each path
+// hop to its index once, into one slab read by eachPath.
+func indexASes(anns []bgp.Announcement) (*Graph, []int32, error) {
+	n := 0
+	for _, a := range anns {
+		n += len(a.Path)
+	}
+	g := &Graph{idx: make(map[bgp.ASN]int)}
+	hops := make([]int32, 0, n)
 	for _, a := range anns {
 		for _, as := range a.Path {
-			set[as] = struct{}{}
+			i, ok := g.idx[as]
+			if !ok {
+				i = len(g.idx)
+				g.idx[as] = i
+			}
+			hops = append(hops, int32(i))
 		}
 	}
-	asns := make([]bgp.ASN, 0, len(set))
-	for as := range set {
-		asns = append(asns, as)
+	if err := packable(len(g.idx)); err != nil {
+		return nil, nil, err
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	g := &Graph{
-		asns: asns,
-		idx:  make(map[bgp.ASN]int, len(asns)),
-		down: make([][]int32, len(asns)),
-		up:   make([][]int32, len(asns)),
-		deg:  make([]int, len(asns)),
-		rels: make(map[[2]int32]Rel),
+	// The loop numbered ASes in first-seen order; rank renumbers them.
+	g.asns = make([]bgp.ASN, 0, len(g.idx))
+	for as := range g.idx {
+		g.asns = append(g.asns, as)
 	}
-	for i, as := range asns {
+	slices.Sort(g.asns)
+	rank := make([]int32, len(g.asns))
+	for i, as := range g.asns {
+		rank[g.idx[as]] = int32(i)
 		g.idx[as] = i
 	}
-	type pair struct{ u, v int32 }
-	seen := make(map[pair]struct{})
+	for j, i := range hops {
+		hops[j] = rank[i]
+	}
+	return g, hops, nil
+}
+
+// eachPath calls fn with each announcement's path as dense AS indexes,
+// sliced from hops.
+func eachPath(anns []bgp.Announcement, hops []int32, fn func(p []int32)) {
+	at := 0
 	for _, a := range anns {
-		for i := 1; i < len(a.Path); i++ {
-			u := int32(g.idx[a.Path[i-1]])
-			v := int32(g.idx[a.Path[i]])
-			if u == v {
-				continue
-			}
-			if _, dup := seen[pair{u, v}]; dup {
-				continue
-			}
-			seen[pair{u, v}] = struct{}{}
-			g.down[u] = append(g.down[u], v)
-			g.up[v] = append(g.up[v], u)
-			if _, rev := seen[pair{v, u}]; !rev {
-				// First time this undirected link is seen: count degree.
-				g.deg[u]++
-				g.deg[v]++
-			}
+		n := len(a.Path)
+		fn(hops[at : at+n : at+n])
+		at += n
+	}
+}
+
+// mergeRuns sorts words and folds each run of equal pairs (the word above its
+// source bits) into one word carrying every source the run saw.
+func mergeRuns(words, tmp []uint64) []uint64 {
+	netx.RadixSort(words, tmp)
+	out := words[:0]
+	for _, w := range words {
+		if k := len(out) - 1; k >= 0 && out[k]>>srcBits == w>>srcBits {
+			out[k] |= w
+		} else {
+			out = append(out, w)
 		}
 	}
-	return g
+	return out
+}
+
+// buildEdges lays out the directed edge words as down and the link table,
+// and counts each AS's path links.
+func (g *Graph) buildEdges(words, tmp []uint64) {
+	n := len(g.asns)
+	words = mergeRuns(words, tmp)
+	flat := make([]int32, len(words))
+	g.down = make([][]int32, n)
+	start := 0
+	for e, w := range words {
+		_, u, v := unpackASes(w >> srcBits)
+		flat[e] = int32(v)
+		if len(g.down[u]) == 0 {
+			start = e // u's run of edges begins
+		}
+		g.down[u] = flat[start : e+1 : e+1]
+		// The edge is now its undirected link's word, lower index first.
+		words[e] = packASes(0, min(u, v), max(u, v))<<srcBits | w&(1<<srcBits-1)
+	}
+	words = mergeRuns(words, tmp)
+	g.deg = make([]int, n)
+	g.linkOff = make([]int32, n+1)
+	g.linkHi = make([]int32, len(words))
+	g.rels = make([]Rel, len(words))
+	for l, w := range words {
+		_, u, v := unpackASes(w >> srcBits)
+		g.linkOff[u+1]++
+		g.linkHi[l] = int32(v)
+		if w&fromPath != 0 {
+			g.deg[u]++
+			g.deg[v]++
+		}
+		if w&fromOrg != 0 {
+			g.rels[l] = RelPeer
+		}
+	}
+	for u := range n {
+		g.linkOff[u+1] += g.linkOff[u]
+	}
 }
 
 // NumASes returns the number of distinct ASes in the graph.
@@ -158,144 +297,39 @@ func (g *Graph) Index(as bgp.ASN) int {
 // ASN returns the ASN at dense index i.
 func (g *Graph) ASN(i int) bgp.ASN { return g.asns[i] }
 
-// Degree returns the undirected degree of the AS at index i.
+// Degree returns the number of distinct ASes the AS at index i neighbours on
+// some path; organization and extra links do not count.
 func (g *Graph) Degree(i int) int { return g.deg[i] }
 
 // HasEdge reports whether the directed edge u→v exists (dense indices).
 func (g *Graph) HasEdge(u, v int) bool {
-	for _, w := range g.down[u] {
-		if w == int32(v) {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(g.down[u], int32(v))
+	return ok
 }
 
-// AddLink inserts a bidirectional link between two ASes (dense indices),
-// used for multi-AS organization meshes and WHOIS-discovered links. Both
-// directions are added; missing nodes are ignored (returns false).
-func (g *Graph) AddLink(u, v int) bool {
-	if u < 0 || v < 0 || u >= len(g.asns) || v >= len(g.asns) || u == v {
-		return false
-	}
-	added := false
-	if !g.HasEdge(u, v) {
-		g.down[u] = append(g.down[u], int32(v))
-		g.up[v] = append(g.up[v], int32(u))
-		added = true
-	}
-	if !g.HasEdge(v, u) {
-		g.down[v] = append(g.down[v], int32(u))
-		g.up[u] = append(g.up[u], int32(v))
-		added = true
-	}
-	return added
-}
-
-// AddLinkASN is AddLink keyed by ASN; unknown ASNs are ignored.
-func (g *Graph) AddLinkASN(a, b bgp.ASN) bool {
-	return g.AddLink(g.Index(a), g.Index(b))
-}
-
-// AddOrgMesh adds a full mesh of bidirectional links between the ASes of
-// each organization, and records them as sibling (peer) relationships.
-// It returns the number of links added.
-func (g *Graph) AddOrgMesh(orgs [][]bgp.ASN) int {
-	added := 0
-	for _, members := range orgs {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				u, v := g.Index(members[i]), g.Index(members[j])
-				if u < 0 || v < 0 {
-					continue
-				}
-				if g.AddLink(u, v) {
-					added++
-				}
-				g.setRel(u, v, RelPeer)
-			}
-		}
-	}
-	return added
-}
-
-func relKey(u, v int) [2]int32 {
+// link returns the link table position of the link between u and v, or -1
+// when they are not linked.
+func (g *Graph) link(u, v int) int {
 	if u > v {
 		u, v = v, u
 	}
-	return [2]int32{int32(u), int32(v)}
-}
-
-func (g *Graph) setRel(u, v int, r Rel) {
-	if u > v {
-		// Normalize: the relationship is stored from the perspective of the
-		// lower index.
-		switch r {
-		case RelC2P:
-			r = RelP2C
-		case RelP2C:
-			r = RelC2P
-		}
+	lo := int(g.linkOff[u])
+	if i, ok := slices.BinarySearch(g.linkHi[lo:g.linkOff[u+1]], int32(v)); ok {
+		return lo + i
 	}
-	g.rels[relKey(u, v)] = r
+	return -1
 }
 
-// Relationship returns the inferred relationship of the link between dense
-// indices u and v, from u's perspective: RelC2P means u is a customer of v.
+// Relationship returns the relationship of the link between dense indices u
+// and v, from u's perspective: RelC2P means u is a customer of v. Unlinked
+// ASes have RelUnknown.
 func (g *Graph) Relationship(u, v int) Rel {
-	r, ok := g.rels[relKey(u, v)]
-	if !ok {
+	l := g.link(u, v)
+	if l < 0 {
 		return RelUnknown
 	}
 	if u > v {
-		switch r {
-		case RelC2P:
-			return RelP2C
-		case RelP2C:
-			return RelC2P
-		}
+		return g.rels[l].reversed()
 	}
-	return r
-}
-
-// Providers returns the dense indices of u's inferred providers.
-func (g *Graph) Providers(u int) []int {
-	var out []int
-	for _, v := range g.neighbours(u) {
-		if g.Relationship(u, v) == RelC2P {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Customers returns the dense indices of u's inferred customers.
-func (g *Graph) Customers(u int) []int {
-	var out []int
-	for _, v := range g.neighbours(u) {
-		if g.Relationship(u, v) == RelP2C {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// neighbours returns the distinct undirected neighbours of u.
-func (g *Graph) neighbours(u int) []int {
-	seen := make(map[int32]struct{}, len(g.down[u])+len(g.up[u]))
-	var out []int
-	for _, v := range g.down[u] {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, int(v))
-		}
-	}
-	for _, v := range g.up[u] {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, int(v))
-		}
-	}
-	sort.Ints(out)
-	return out
+	return g.rels[l]
 }

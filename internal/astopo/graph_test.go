@@ -16,6 +16,28 @@ func ann(prefix string, path ...bgp.ASN) bgp.Announcement {
 	}
 }
 
+// mustGraph is NewGraph for a test's inputs, which stay far below MaxASes.
+func mustGraph(t testing.TB, anns []bgp.Announcement, orgs [][]bgp.ASN, extra [][2]bgp.ASN) *Graph {
+	t.Helper()
+	g, err := NewGraph(anns, orgs, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// related returns the dense indices of the ASes linked to u by r, from u's
+// perspective: its providers for RelC2P, its customers for RelP2C.
+func related(g *Graph, u int, r Rel) []int {
+	var out []int
+	for v := range g.NumASes() {
+		if g.Relationship(u, v) == r {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // figure1bAnns models the paper's Figure 1b: provider AS2 with customer
 // AS1, peering with AS3, which in turn has customer AS4. Announcements
 // propagate valley-free from every origin and are observed from collectors
@@ -42,7 +64,7 @@ func figure1bAnns() []bgp.Announcement {
 }
 
 func TestGraphBuild(t *testing.T) {
-	g := NewGraph(figure1bAnns())
+	g := mustGraph(t, figure1bAnns(), nil, nil)
 	if g.NumASes() != 4 {
 		t.Fatalf("NumASes = %d", g.NumASes())
 	}
@@ -64,59 +86,75 @@ func TestGraphBuild(t *testing.T) {
 }
 
 func TestGraphIndexMiss(t *testing.T) {
-	g := NewGraph(figure1bAnns())
+	g := mustGraph(t, figure1bAnns(), nil, nil)
 	if g.Index(999) != -1 {
 		t.Fatal("Index must return -1 for unknown AS")
 	}
 }
 
-func TestAddLink(t *testing.T) {
-	g := NewGraph(figure1bAnns())
-	i1, i3 := g.Index(1), g.Index(3)
-	if !g.AddLink(i1, i3) {
-		t.Fatal("AddLink returned false for new link")
-	}
+// TestNewGraphExtraLinks: an extra link is an edge both ways whether or not a
+// path shows it, once however often it is named; a self-link and an AS no
+// path names are ignored. It adds no Degree, and one no path shows has no
+// relationship.
+func TestNewGraphExtraLinks(t *testing.T) {
+	g := mustGraph(t, figure1bAnns(), nil, [][2]bgp.ASN{{1, 3}, {3, 1}, {1, 1}, {3, 999}, {2, 3}})
+	i1, i2, i3 := g.Index(1), g.Index(2), g.Index(3)
 	if !g.HasEdge(i1, i3) || !g.HasEdge(i3, i1) {
-		t.Fatal("AddLink did not add both directions")
+		t.Fatal("the extra link 1-3 is not an edge both ways")
 	}
-	if g.AddLink(i1, i3) {
-		t.Fatal("AddLink reported adding an existing link")
+	if g.HasEdge(i1, i1) || len(g.down[i3]) != 3 {
+		t.Fatalf("AS3's edges lead to %v, want AS2, AS1 and AS4 once each", g.down[i3])
 	}
-	if g.AddLink(i1, i1) {
-		t.Fatal("AddLink accepted a self-loop")
+	if g.Degree(i1) != 1 || g.Degree(i3) != 2 {
+		t.Fatalf("degrees = %d %d, want the path links' 1 2", g.Degree(i1), g.Degree(i3))
 	}
-	if g.AddLink(-1, i3) || g.AddLink(i3, 99) {
-		t.Fatal("AddLink accepted out-of-range index")
+	if r := g.Relationship(i1, i3); r != RelUnknown {
+		t.Fatalf("rel(AS1, AS3) = %v, want unknown", r)
 	}
-}
-
-func TestAddOrgMesh(t *testing.T) {
-	g := NewGraph(figure1bAnns())
-	added := g.AddOrgMesh([][]bgp.ASN{{1, 4}, {2, 777}}) // 777 unknown
-	if added != 1 {
-		t.Fatalf("AddOrgMesh added %d links", added)
-	}
-	i1, i4 := g.Index(1), g.Index(4)
-	if g.Relationship(i1, i4) != RelPeer {
-		t.Fatalf("org link relationship = %v", g.Relationship(i1, i4))
+	if r := g.Relationship(i2, i3); r != RelPeer {
+		t.Fatalf("rel(AS2, AS3) = %v: naming a path link again must not change its inference", r)
 	}
 }
 
+// TestNewGraphOrgMesh: an organization's members are linked both ways and
+// their links are sibling (peer) links, also where the paths show a
+// customer link; a member no path names is ignored, and the mesh adds no
+// Degree.
+func TestNewGraphOrgMesh(t *testing.T) {
+	g := mustGraph(t, figure1bAnns(), [][]bgp.ASN{{1, 4}, {2, 777}, {1, 2}}, nil)
+	i1, i2, i4 := g.Index(1), g.Index(2), g.Index(4)
+	if !g.HasEdge(i1, i4) || !g.HasEdge(i4, i1) {
+		t.Fatal("the org link 1-4 is not an edge both ways")
+	}
+	if r := g.Relationship(i1, i4); r != RelPeer {
+		t.Fatalf("org link relationship = %v", r)
+	}
+	if r := g.Relationship(i1, i2); r != RelPeer {
+		t.Fatalf("rel(AS1, AS2) = %v: an org link stays peer over the paths' c2p", r)
+	}
+	if g.Index(777) != -1 || g.Degree(i1) != 1 || g.Degree(i4) != 1 {
+		t.Fatalf("the mesh added AS777 or degrees: %d %d", g.Degree(i1), g.Degree(i4))
+	}
+}
+
+// TestRelationshipOrientation: a link's relationship reads from either end,
+// and ASes with no link between them have none.
 func TestRelationshipOrientation(t *testing.T) {
-	g := NewGraph(figure1bAnns())
-	i1, i2 := g.Index(1), g.Index(2)
-	g.setRel(i1, i2, RelC2P) // AS1 is customer of AS2
+	g := mustGraph(t, figure1bAnns(), nil, nil)
+	i1, i2, i3 := g.Index(1), g.Index(2), g.Index(3)
 	if g.Relationship(i1, i2) != RelC2P {
 		t.Fatalf("rel(1,2) = %v", g.Relationship(i1, i2))
 	}
 	if g.Relationship(i2, i1) != RelP2C {
 		t.Fatalf("rel(2,1) = %v", g.Relationship(i2, i1))
 	}
+	if g.Relationship(i1, i3) != RelUnknown || g.Relationship(i3, i1) != RelUnknown || g.Relationship(i1, i1) != RelUnknown {
+		t.Fatal("unlinked ASes have a relationship")
+	}
 }
 
 func TestInferRelationshipsFigure1b(t *testing.T) {
-	g := NewGraph(figure1bAnns())
-	g.InferRelationships(figure1bAnns())
+	g := mustGraph(t, figure1bAnns(), nil, nil)
 	i1, i2, i3, i4 := g.Index(1), g.Index(2), g.Index(3), g.Index(4)
 	if got := g.Relationship(i1, i2); got != RelC2P {
 		t.Errorf("AS1-AS2 = %v, want c2p", got)
@@ -127,11 +165,11 @@ func TestInferRelationshipsFigure1b(t *testing.T) {
 	if got := g.Relationship(i2, i3); got != RelPeer {
 		t.Errorf("AS2-AS3 = %v, want peer", got)
 	}
-	if provs := g.Providers(i1); len(provs) != 1 || provs[0] != i2 {
-		t.Errorf("Providers(AS1) = %v", provs)
+	if provs := related(g, i1, RelC2P); len(provs) != 1 || provs[0] != i2 {
+		t.Errorf("providers of AS1 = %v", provs)
 	}
-	if custs := g.Customers(i2); len(custs) != 1 || custs[0] != i1 {
-		t.Errorf("Customers(AS2) = %v", custs)
+	if custs := related(g, i2, RelP2C); len(custs) != 1 || custs[0] != i1 {
+		t.Errorf("customers of AS2 = %v", custs)
 	}
 }
 
@@ -207,8 +245,7 @@ func hierarchyAnns() []bgp.Announcement {
 
 func TestInferRelationshipsHierarchy(t *testing.T) {
 	anns := hierarchyAnns()
-	g := NewGraph(anns)
-	g.InferRelationships(anns)
+	g := mustGraph(t, anns, nil, nil)
 
 	check := func(a, b bgp.ASN, want Rel) {
 		t.Helper()
@@ -226,24 +263,4 @@ func TestInferRelationshipsHierarchy(t *testing.T) {
 	check(6001, 20, RelC2P)
 	check(10, 20, RelPeer)
 	check(100, 200, RelPeer)
-}
-
-func TestRelationshipStatsAndLinks(t *testing.T) {
-	anns := hierarchyAnns()
-	g := NewGraph(anns)
-	g.InferRelationships(anns)
-	s := g.RelationshipStats()
-	if s.C2P == 0 || s.Peer == 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	links := g.Links()
-	if len(links) != s.C2P+s.Peer+s.Unknown {
-		t.Fatalf("Links() count %d != stats sum", len(links))
-	}
-	for i := 1; i < len(links); i++ {
-		if links[i-1][0] > links[i][0] ||
-			(links[i-1][0] == links[i][0] && links[i-1][1] >= links[i][1]) {
-			t.Fatal("Links() not sorted")
-		}
-	}
 }

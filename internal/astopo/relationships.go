@@ -2,7 +2,6 @@ package astopo
 
 import (
 	"slices"
-	"sort"
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/netx"
@@ -11,23 +10,18 @@ import (
 // transitDegrees returns, per AS index, the number of distinct neighbours
 // the AS has when it appears in the middle of a path (i.e. when it provides
 // transit). Stubs have transit degree 0. Each such adjacency is one packed
-// word (packASes: 0, middle AS, neighbour; widths checked by the caller);
-// sorted and deduplicated, an AS's words are its distinct transit neighbours. tmp is the sort's other half and
-// must have room for two words per interior path hop.
-func (g *Graph) transitDegrees(anns []bgp.Announcement, tmp []uint64) []int {
-	n := 0
-	for _, a := range anns {
-		n += 2 * max(len(a.Path)-2, 0)
-	}
-	words := make([]uint64, 0, n)
-	for _, a := range anns {
-		for i := 1; i+1 < len(a.Path); i++ {
-			m := g.idx[a.Path[i]]
-			words = append(words, packASes(0, m, g.idx[a.Path[i-1]]), packASes(0, m, g.idx[a.Path[i+1]]))
+// word (packASes: 0, middle AS, neighbour); sorted and deduplicated, an AS's
+// words are its distinct transit neighbours. buf and tmp are the sort's two
+// halves and must have room for two words per interior path hop.
+func transitDegrees(anns []bgp.Announcement, hops []int32, n int, buf, tmp []uint64) []int {
+	words := buf[:0]
+	eachPath(anns, hops, func(p []int32) {
+		for i := 1; i+1 < len(p); i++ {
+			words = append(words, packASes(0, p[i], p[i-1]), packASes(0, p[i], p[i+1]))
 		}
-	}
+	})
 	netx.RadixSort(words, tmp)
-	out := make([]int, len(g.asns))
+	out := make([]int, n)
 	for _, w := range slices.Compact(words) {
 		_, m, _ := unpackASes(w)
 		out[m]++
@@ -39,8 +33,28 @@ func (g *Graph) transitDegrees(anns []bgp.Announcement, tmp []uint64) []int {
 // summit link with no export evidence is tagged peering.
 const peerDegreeRatio = 0.1
 
-// InferRelationships annotates every link seen on AS paths with a business
-// relationship using a Gao-style iterative heuristic:
+// linkEvidence is what the paths say about one link, from the perspective of
+// its lower-index AS.
+type linkEvidence struct {
+	c2p, p2c int32    // positional votes
+	top      int32    // occurrences adjacent to the path top
+	nonFirst int32    // occurrences not in the leftmost path position
+	total    int32    // occurrences; 0 for a link no path shows
+	reached  [2]int32 // distinct origins reached via lower→higher, higher→lower
+	ft       uint8    // full-table evidence: 1 lower is the customer, 2 higher is, 3 both look full
+	judged   bool     // a path link that is not an organization link: inference annotates it
+}
+
+// export is one distinct export triple [x, u, v] of a path, as its two
+// links.
+type export struct {
+	xu, uv  int32 // link table positions of x–u and u–v
+	xHigher bool  // x is the higher-index end of x–u
+	uLower  bool  // u is the lower-index end of u–v
+}
+
+// inferRelationships annotates every path link that is not an organization
+// link with a business relationship using a Gao-style iterative heuristic:
 //
 // Bootstrap (positional votes): each path votes on its links. The AS with
 // the highest transit degree (ties broken by degree, then lower ASN) is the
@@ -55,342 +69,214 @@ const peerDegreeRatio = 0.1
 // link between two transit-providing ASes with comparable transit degrees
 // (ratio ≥ peerDegreeRatio) and no export evidence in either direction is
 // tagged peering — positional votes on such summit links always favour the
-// bigger AS, so majority voting cannot detect them.
+// bigger AS, so majority voting cannot detect them. Each round reads only the
+// previous round's assignment.
 //
-// Existing annotations (e.g. sibling links injected by AddOrgMesh) are
-// preserved.
-func (g *Graph) InferRelationships(anns []bgp.Announcement) {
-	checkPackable(len(g.asns))
-	// tmp is the other half of every radix sort below: it has room for the
-	// largest word set, two per interior path hop or one per path link.
-	hops, interior := 0, 0
-	for _, a := range anns {
-		hops += max(len(a.Path)-1, 0)
-		interior += max(len(a.Path)-2, 0)
-	}
-	tmp := make([]uint64, 0, max(hops, 2*interior))
-	td := g.transitDegrees(anns, tmp)
+// Organization links keep the RelPeer buildEdges gave them. buf and tmp are
+// scratch with room for two words per interior hop and one per hop.
+func (g *Graph) inferRelationships(anns []bgp.Announcement, hops []int32, buf, tmp []uint64) {
+	n := len(g.asns)
+	td := transitDegrees(anns, hops, n, buf, tmp)
+	ev := make([]linkEvidence, len(g.rels))
 
-	type votes struct {
-		c2p, p2c int // from the key's lower-index perspective
-		top      int // occurrences adjacent to the path top
-		nonFirst int // occurrences not in the leftmost path position
-		total    int
-	}
-	tally := make(map[[2]int32]*votes)
-	vote := func(u, v int, r Rel, atTop, nonFirst bool) {
-		k := relKey(u, v)
-		t := tally[k]
-		if t == nil {
-			t = &votes{}
-			tally[k] = t
-		}
-		if u > v {
-			if r == RelC2P {
-				r = RelP2C
-			} else {
-				r = RelC2P
-			}
-		}
-		if r == RelC2P {
-			t.c2p++
-		} else {
-			t.p2c++
-		}
-		if atTop {
-			t.top++
-		}
-		if nonFirst {
-			t.nonFirst++
-		}
-		t.total++
-	}
-
-	// better reports whether path position i beats position j as the top.
-	better := func(p []bgp.ASN, i, j int) bool {
-		a, b := g.idx[p[i]], g.idx[p[j]]
+	// better reports whether AS a beats AS b as a path's top. Indexes are in
+	// ASN order, so the lower index is the lower ASN.
+	better := func(a, b int32) bool {
 		if td[a] != td[b] {
 			return td[a] > td[b]
 		}
 		if g.deg[a] != g.deg[b] {
 			return g.deg[a] > g.deg[b]
 		}
-		return g.asns[a] < g.asns[b]
+		return a < b
 	}
 
-	// Collect positional votes, all export triples [x, u, v], and the
-	// per-directed-pair origin diversity (how many distinct origins were
-	// reached via u→v): a neighbour that hands over routes toward a large
-	// share of all origins is handing over a full table, which only
-	// providers do. Triples and (u, v, origin) observations are packed
-	// words (packASes), deduplicated by sorting.
-	triples, via := make([]uint64, 0, hops), make([]uint64, 0, hops)
-	origins := netx.NewBitset(len(g.asns))
-	for _, a := range anns {
-		p := a.Path
+	// Positional votes. The path reads collector-peer ... origin and the
+	// announcement propagated right-to-left. Valley-freeness: right of the
+	// top the announcement climbed customer→provider hops, so there p[i] is
+	// a provider of p[i+1]; left of the top it descended provider→customer
+	// hops, so there p[i] is a customer of p[i+1].
+	origins := netx.NewBitset(n)
+	eachPath(anns, hops, func(p []int32) {
 		if len(p) < 2 {
-			continue
+			return
 		}
-		origin := g.idx[p[len(p)-1]]
-		origins.Set(origin)
+		origins.Set(int(p[len(p)-1]))
 		top := 0
 		for i := 1; i < len(p); i++ {
-			if better(p, i, top) {
+			if better(p[i], p[top]) {
 				top = i
 			}
 		}
-		// The path reads collector-peer ... origin and the announcement
-		// propagated right-to-left. Valley-freeness: right of the top the
-		// announcement climbed customer→provider hops, so there p[i] is a
-		// provider of p[i+1]; left of the top it descended
-		// provider→customer hops, so there p[i] is a customer of p[i+1].
 		for i := 0; i+1 < len(p); i++ {
-			u, v := g.idx[p[i]], g.idx[p[i+1]]
+			u, v := p[i], p[i+1]
 			if u == v {
 				continue
 			}
-			atTop := i == top || i+1 == top
-			if i+1 <= top {
-				vote(u, v, RelC2P, atTop, i > 0)
+			e := &ev[g.link(int(u), int(v))]
+			if c2p := i+1 <= top; c2p == (u < v) {
+				e.c2p++
 			} else {
-				vote(u, v, RelP2C, atTop, i > 0)
+				e.p2c++
+			}
+			if i == top || i+1 == top {
+				e.top++
 			}
 			if i > 0 {
-				x := g.idx[p[i-1]]
-				if x != u && x != v {
-					triples = append(triples, packASes(x, u, v))
-				}
+				e.nonFirst++
 			}
-			via = append(via, packASes(u, v, origin))
+			e.total++
+		}
+	})
+
+	// Full-table evidence: the distinct origins reached via each directed
+	// link, counted as runs of sorted (u, v, origin) words. A neighbour that
+	// hands over routes toward a large share of all origins is handing over a
+	// full table, which only providers do: if the origins reached via u→v
+	// cover that share AND strongly dominate the reverse direction, u is v's
+	// customer. Only links crossed lower→higher are judged.
+	via := buf[:0]
+	eachPath(anns, hops, func(p []int32) {
+		for i := 0; i+1 < len(p); i++ {
+			if p[i] != p[i+1] {
+				via = append(via, packASes(p[i], p[i+1], p[len(p)-1]))
+			}
+		}
+	})
+	netx.RadixSort(via, tmp)
+	via = slices.Compact(via)
+	for i := 0; i < len(via); {
+		j := i + 1
+		for j < len(via) && via[j]>>asIndexBits == via[i]>>asIndexBits {
+			j++
+		}
+		u, v, _ := unpackASes(via[i])
+		e := &ev[g.link(u, v)]
+		if u < v {
+			e.reached[0] = int32(j - i)
+		} else {
+			e.reached[1] = int32(j - i)
+		}
+		i = j
+	}
+	ftThreshold := int32(max(origins.Count()/5, 8))
+	for l := range ev {
+		switch ruv, rvu := ev[l].reached[0], ev[l].reached[1]; {
+		case ruv == 0:
+		case ruv >= ftThreshold && ruv >= 4*rvu:
+			ev[l].ft = 1 // higher handed lower the table: lower is the customer
+		case rvu >= ftThreshold && rvu >= 4*ruv:
+			ev[l].ft = 2
+		case ruv >= ftThreshold && rvu >= ftThreshold:
+			ev[l].ft = 3
 		}
 	}
+
+	// Distinct export triples, deduplicated by sorting packed words.
+	triples := buf[:0]
+	eachPath(anns, hops, func(p []int32) {
+		for i := 1; i+1 < len(p); i++ {
+			if x, u, v := p[i-1], p[i], p[i+1]; u != v && x != u && x != v {
+				triples = append(triples, packASes(x, u, v))
+			}
+		}
+	})
 	netx.RadixSort(triples, tmp)
 	triples = slices.Compact(triples)
-	netx.RadixSort(via, tmp)
+	exports := make([]export, len(triples))
+	for i, w := range triples {
+		x, u, v := unpackASes(w)
+		exports[i] = export{xu: int32(g.link(x, u)), uv: int32(g.link(u, v)), xHigher: x > u, uLower: u < v}
+	}
 
-	// Full-table evidence: for link (u,v), if the origins reached via u→v
-	// cover a large share of all origins AND strongly dominate the reverse
-	// direction, v handed u a (near-)full table, so u is v's customer.
-	// ftEvidence is keyed like rels: 1 = lower-index AS is the customer,
-	// 2 = higher-index AS is the customer, 3 = both look full (ignore).
-	reached := countOrigins(via)
-	ftEvidence := make(map[[2]int32]uint8)
-	ftThreshold := max(origins.Count()/5, 8)
-	for i, l := range reached.links {
-		_, u, v := unpackASes(l)
-		if u > v {
-			continue // handle each undirected link once, from the low side
-		}
-		ruv, rvu := int(reached.counts[i]), reached.count(v, u)
-		k := relKey(u, v)
-		switch {
-		case ruv >= ftThreshold && ruv >= 4*rvu:
-			ftEvidence[k] = 1 // v handed u the table: u (lower) is customer
-		case rvu >= ftThreshold && rvu >= 4*ruv:
-			ftEvidence[k] = 2
-		case ruv >= ftThreshold && rvu >= ftThreshold:
-			ftEvidence[k] = 3
+	// Bootstrap from votes. Organization links are the only ones annotated
+	// so far; every other path link is judged.
+	for l := range ev {
+		e := &ev[l]
+		e.judged = e.total > 0 && g.rels[l] == RelUnknown
+		if e.judged {
+			g.rels[l] = e.majority()
 		}
 	}
 
-	// rel holds the working assignment for links not annotated yet.
-	work := make(map[[2]int32]Rel, len(tally))
-	injected := func(k [2]int32) bool {
-		_, done := g.rels[k]
-		return done
-	}
-	relOf := func(u, v int32) Rel {
-		k := relKey(int(u), int(v))
-		r, ok := g.rels[k]
-		if !ok {
-			r = work[k]
-		}
-		if int(u) > int(v) {
-			switch r {
-			case RelC2P:
-				return RelP2C
-			case RelP2C:
-				return RelC2P
-			}
-		}
-		return r
-	}
-
-	// Bootstrap from votes.
-	for k, t := range tally {
-		if injected(k) {
-			continue
-		}
-		switch {
-		case t.c2p > t.p2c:
-			work[k] = RelC2P
-		case t.p2c > t.c2p:
-			work[k] = RelP2C
-		default:
-			work[k] = RelPeer
-		}
-	}
-
-	// Iterate export-evidence refinement to a fixpoint.
-	for iter := 0; iter < 10; iter++ {
-		// downEvidence[k]: bit 0 = lower AS exports higher's routes
-		// (higher is lower's customer); bit 1 = the reverse.
-		downEvidence := make(map[[2]int32]uint8)
-		for _, tr := range triples {
-			x, u, v := unpackASes(tr)
+	// Iterate export-evidence refinement to a fixpoint. down[l]: bit 0 = the
+	// lower AS exports the higher's routes (higher is lower's customer); bit
+	// 1 = the reverse.
+	down := make([]uint8, len(ev))
+	for range 10 {
+		clear(down)
+		for _, x := range exports {
 			// x customer of u? Then the export is permitted regardless of
 			// the u-v relationship and proves nothing.
-			if relOf(int32(x), int32(u)) == RelC2P {
+			r := g.rels[x.xu]
+			if x.xHigher {
+				r = r.reversed()
+			}
+			if r == RelC2P {
 				continue
 			}
-			k := relKey(u, v)
-			if u < v {
-				downEvidence[k] |= 1
+			if x.uLower {
+				down[x.uv] |= 1
 			} else {
-				downEvidence[k] |= 2
+				down[x.uv] |= 2
 			}
 		}
 		changed := false
-		for k, t := range tally {
-			if injected(k) {
-				continue
-			}
-			u, v := int(k[0]), int(k[1])
-			tdu, tdv := td[u], td[v]
-			ratio := 0.0
-			if tdu > 0 && tdv > 0 {
-				ratio = float64(minInt(tdu, tdv)) / float64(maxInt(tdu, tdv))
-			}
-			var next Rel
-			switch ev, ft := downEvidence[k], ftEvidence[k]; {
-			case ev == 1:
-				next = RelP2C
-			case ev == 2:
-				next = RelC2P
-			case ev == 3:
-				next = RelPeer
-			case ft == 1:
-				next = RelC2P // lower-index AS received the full table
-			case ft == 2:
-				next = RelP2C
-			case t.top == t.total && t.nonFirst > 0 && tdu > 0 && tdv > 0 && ratio >= peerDegreeRatio:
-				// Only ever seen straddling path tops, between two transit
-				// providers, with no export evidence, and observed from a
-				// vantage deeper than the link itself: the peering
-				// signature. Links seen exclusively leftmost (a collector
-				// peer's direct view) stay with their positional votes —
-				// misreading such a backup customer link as peering would
-				// cut whole subtrees out of the customer cone.
-				next = RelPeer
-			case t.c2p > t.p2c:
-				next = RelC2P
-			case t.p2c > t.c2p:
-				next = RelP2C
-			default:
-				next = RelPeer
-			}
-			if work[k] != next {
-				work[k] = next
-				changed = true
+		for u := range n {
+			for l := g.linkOff[u]; l < g.linkOff[u+1]; l++ {
+				e := &ev[l]
+				if !e.judged {
+					continue
+				}
+				tdu, tdv := td[u], td[g.linkHi[l]]
+				ratio := 0.0
+				if tdu > 0 && tdv > 0 {
+					ratio = float64(min(tdu, tdv)) / float64(max(tdu, tdv))
+				}
+				var next Rel
+				switch {
+				case down[l] == 1:
+					next = RelP2C
+				case down[l] == 2:
+					next = RelC2P
+				case down[l] == 3:
+					next = RelPeer
+				case e.ft == 1:
+					next = RelC2P // lower-index AS received the full table
+				case e.ft == 2:
+					next = RelP2C
+				case e.top == e.total && e.nonFirst > 0 && tdu > 0 && tdv > 0 && ratio >= peerDegreeRatio:
+					// Only ever seen straddling path tops, between two
+					// transit providers, with no export evidence, and
+					// observed from a vantage deeper than the link itself:
+					// the peering signature. Links seen exclusively leftmost
+					// (a collector peer's direct view) stay with their
+					// positional votes — misreading such a backup customer
+					// link as peering would cut whole subtrees out of the
+					// customer cone.
+					next = RelPeer
+				default:
+					next = e.majority()
+				}
+				if g.rels[l] != next {
+					g.rels[l] = next
+					changed = true
+				}
 			}
 		}
 		if !changed {
 			break
 		}
 	}
-
-	for k, r := range work {
-		g.rels[k] = r
-	}
 }
 
-// linkOrigins counts, per directed link u→v seen on a path, the distinct
-// origins whose announcements crossed it.
-type linkOrigins struct {
-	links  []uint64 // packASes(0, u, v), ascending
-	counts []int32  // distinct origins per link
-}
-
-// count returns the distinct origins reached via u→v, 0 for a link no path
-// crossed in that direction.
-func (lo linkOrigins) count(u, v int) int {
-	if i, ok := slices.BinarySearch(lo.links, packASes(0, u, v)); ok {
-		return int(lo.counts[i])
+// majority is the link's relationship by positional votes alone.
+func (e *linkEvidence) majority() Rel {
+	switch {
+	case e.c2p > e.p2c:
+		return RelC2P
+	case e.p2c > e.c2p:
+		return RelP2C
 	}
-	return 0
-}
-
-// countOrigins counts distinct origins per directed link from packed
-// (u, v, origin) words in ascending order: deduplicated, each link's words
-// are one run, as long as its distinct origins. The link keys are written
-// over via.
-func countOrigins(via []uint64) linkOrigins {
-	via = slices.Compact(via)
-	runs := 0
-	for i, w := range via {
-		if i == 0 || w>>asIndexBits != via[i-1]>>asIndexBits {
-			runs++
-		}
-	}
-	lo := linkOrigins{links: via[:0], counts: make([]int32, 0, runs)}
-	for _, w := range via {
-		if l := w >> asIndexBits; len(lo.links) == 0 || lo.links[len(lo.links)-1] != l {
-			lo.links = append(lo.links, l)
-			lo.counts = append(lo.counts, 0)
-		}
-		lo.counts[len(lo.counts)-1]++
-	}
-	return lo
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// RelStats summarizes the inferred link mix.
-type RelStats struct {
-	C2P, Peer, Unknown int
-}
-
-// RelationshipStats counts links per relationship class (C2P counts
-// customer-provider links in either orientation).
-func (g *Graph) RelationshipStats() RelStats {
-	var s RelStats
-	for _, r := range g.rels {
-		switch r {
-		case RelC2P, RelP2C:
-			s.C2P++
-		case RelPeer:
-			s.Peer++
-		default:
-			s.Unknown++
-		}
-	}
-	return s
-}
-
-// Links returns all annotated undirected links as (lowIdx, highIdx, rel)
-// triples sorted for determinism.
-func (g *Graph) Links() [][3]int {
-	out := make([][3]int, 0, len(g.rels))
-	for k, r := range g.rels {
-		out = append(out, [3]int{int(k[0]), int(k[1]), int(r)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	return RelPeer
 }

@@ -14,7 +14,7 @@ import (
 // paths (deliberately including reversed paths, so the directed graph has
 // real cycles and non-trivial SCCs), an org mesh, and inferred
 // relationships. Returns the graph, the announcements, and the org groups.
-func randomTopology(rng *rand.Rand) (*Graph, []bgp.Announcement, [][]bgp.ASN) {
+func randomTopology(t testing.TB, rng *rand.Rand) (*Graph, []bgp.Announcement, [][]bgp.ASN) {
 	nASN := 20 + rng.Intn(40)
 	pathOf := func() []bgp.ASN {
 		l := 2 + rng.Intn(4)
@@ -53,21 +53,18 @@ func randomTopology(rng *rand.Rand) (*Graph, []bgp.Announcement, [][]bgp.ASN) {
 		}
 		orgs = append(orgs, g)
 	}
-	g := NewGraph(anns)
-	g.AddOrgMesh(orgs)
-	g.InferRelationships(anns)
-	return g, anns, orgs
+	return mustGraph(t, anns, orgs, nil), anns, orgs
 }
 
 // oracleCustomerAdjacency is the customer adjacency built another way: each
-// AS's inferred customers, kept when the edge toward them was observed, and
-// the org links kept only where the graph has them, as the pipeline's cones
-// once gated them.
+// AS's inferred customers (every AS it is a provider of), kept when the edge
+// toward them was observed, and the org links kept only where the graph has
+// them, as the pipeline's cones once gated them.
 func oracleCustomerAdjacency(g *Graph, orgs [][]bgp.ASN) [][]int32 {
 	adj := make([][]int32, g.NumASes())
 	for u := range adj {
-		for _, v := range g.Customers(u) {
-			if g.HasEdge(u, v) {
+		for v := range adj {
+			if g.Relationship(u, v) == RelP2C && g.HasEdge(u, v) {
 				adj[u] = append(adj[u], int32(v))
 			}
 		}
@@ -125,7 +122,7 @@ func requireSameSet(t *testing.T, label string, n int, want, got *netx.Bitset) {
 func TestConeWalksMatchClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 25; iter++ {
-		g, _, orgs := randomTopology(rng)
+		g, _, orgs := randomTopology(t, rng)
 		if iter%2 == 0 {
 			orgs = nil // exercise the org-free customer cone too
 		}

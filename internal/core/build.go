@@ -151,15 +151,10 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		)
 
 	default:
-		graph := astopo.NewGraph(anns)
-		if n := graph.NumASes(); n > astopo.MaxASes {
-			return nil, stats, fmt.Errorf("core: %d ASes exceed the %d the topology's packed sort keys can index", n, astopo.MaxASes)
+		graph, err := astopo.NewGraph(anns, opts.Orgs, opts.ExtraLinks)
+		if err != nil {
+			return nil, stats, fmt.Errorf("core: %w", err)
 		}
-		graph.AddOrgMesh(opts.Orgs)
-		for _, l := range opts.ExtraLinks {
-			graph.AddLinkASN(l[0], l[1])
-		}
-		graph.InferRelationships(anns)
 		p.graph = graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },

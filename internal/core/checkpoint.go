@@ -658,10 +658,16 @@ func (d *cpDec) slash8(bins *[numTrafficClasses]*[256]uint64, nodes *nodeAlloc) 
 // no destination of — NewAggregator's empty maps included — gets a map sized
 // to the section, and since its keys strictly ascend, each one is new there:
 // none is looked up, and their records come in one run of the allocator's
-// slabs, as large as the section.
+// slabs, as large as the section. The encoder writes every tracked class,
+// with or without destinations, so a section that names fewer is refused.
 func (d *cpDec) fanIn(a *Aggregator) {
+	classes := d.count("fan-in class", 8)
+	if tracked := int(classCount(func(c int) bool { return a.FanIn[c] != nil })); classes != tracked {
+		d.refuse("fan-in section names %d classes, not the %d whose destinations are tracked", classes, tracked)
+		return
+	}
 	var class uint32
-	for i := range d.count("fan-in class", 8) {
+	for i := range classes {
 		if !follows(i, &class, d.U32()) {
 			d.disorder("fan-in class")
 			return

@@ -481,6 +481,9 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	readSlash8(&a.Slash8Dst)
 
 	nFanIn := r.count("fan-in class")
+	if r.err == nil && nFanIn != 3 {
+		r.err = fmt.Errorf("core: checkpoint fan-in section names %d classes, not Bogon, Unrouted and Invalid-FULL", nFanIn)
+	}
 	for i := 0; i < nFanIn && r.err == nil; i++ {
 		oracleAscending(r, "fan-in class", i, &c, TrafficClass(r.u32()))
 		nDst := r.count("fan-in destination")

@@ -430,14 +430,15 @@ var acceptedShapes = []checkpointShape{
 	{"port-mix", "port-mix", packBE(uint32(2), portEntry(uint32(TCInvalidFull), 6, 0, 80, 1), portEntry(uint32(TCInvalidFull), 17, 1, 80, 0))},
 	{"/8 src", "/8 src", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
 	{"/8 dst", "/8 dst", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
-	{"fan-in", "fan-in", packBE(uint32(1), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},
+	{"fan-in", "fan-in", packBE(uint32(3), uint32(TCBogon), uint32(0), uint32(TCUnrouted), uint32(0), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},
 }
 
 // refusedShapes are states no run of Add can produce: a class outside the
 // enum in every per-class section, an Invalid-NAIVE or Invalid-CC entry in a
 // single-class section (primaryClass yields neither), fan-in for an
-// untracked class, a port-mix protocol other than TCP or UDP or a direction
-// other than 0 or 1, a series with no buckets and a histogram with no bins.
+// untracked class or not for every tracked one, a port-mix protocol other
+// than TCP or UDP or a direction other than 0 or 1, a series with no buckets
+// and a histogram with no bins.
 var refusedShapes = []checkpointShape{
 	{"series class NumTrafficClasses", "series", packBE(uint32(1), uint32(NumTrafficClasses), uint32(1), uint64(1))},
 	{"series class 90", "series", packBE(uint32(1), uint32(90), uint32(3), uint64(1), uint64(0), uint64(5))},
@@ -461,6 +462,9 @@ var refusedShapes = []checkpointShape{
 	{"port-mix class invalid-naive", "port-mix", packBE(uint32(1), portEntry(uint32(TCInvalidNaive), 6, 0, 80, 1))},
 	{"/8 src class invalid-cc", "/8 src", packBE(uint32(1), uint32(TCInvalidCC), noBins)},
 	{"/8 dst class invalid-naive", "/8 dst", packBE(uint32(1), uint32(TCInvalidNaive), noBins)},
+	// The encoder writes every tracked class: a section naming one of the
+	// three would re-encode with all three.
+	{"fan-in of one tracked class", "fan-in", packBE(uint32(1), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},
 }
 
 // TestDecodeCheckpointRefusesWhatAddCannotProduce: a checkpoint's domain is

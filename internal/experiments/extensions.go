@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"spoofscope/internal/astopo"
-
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/core"
 	"spoofscope/internal/flowgen"
@@ -135,7 +133,7 @@ func ProactiveEnrichment(env *Env) (*EnrichmentResult, error) {
 	// links already shape the cones with the correct direction, and
 	// re-adding them bidirectionally would grant members their providers'
 	// address space wholesale.
-	probe := astopo.NewGraph(env.RIB.Announcements())
+	probe := envGraph(env, nil)
 	var links [][2]bgp.ASN
 	seen := make(map[[2]bgp.ASN]bool)
 	for _, m := range env.Scenario.Members {

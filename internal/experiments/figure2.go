@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"spoofscope/internal/astopo"
+	"spoofscope/internal/bgp"
 	"spoofscope/internal/stats"
 )
 
@@ -21,19 +22,25 @@ type Figure2Result struct {
 	RoutedSlash24 uint64
 }
 
+// envGraph builds the AS graph of env's table merged with orgs. NewGraph's
+// only error is a table of more than astopo.MaxASes ASes, and env's pipeline
+// was built from the same table, so it cannot occur here.
+func envGraph(env *Env, orgs [][]bgp.ASN) *astopo.Graph {
+	g, err := astopo.NewGraph(env.RIB.Announcements(), orgs, nil)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // Figure2 computes, for every routed AS, the size of its valid address
 // space under Naive, Customer Cone (±orgs) and Full Cone (±orgs).
 func Figure2(env *Env) *Figure2Result {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
 
-	// Plain graph (no org mesh).
-	gPlain := astopo.NewGraph(anns)
-	gPlain.InferRelationships(anns)
-	// Org-merged graph.
-	gOrg := astopo.NewGraph(anns)
-	gOrg.AddOrgMesh(orgs)
-	gOrg.InferRelationships(anns)
+	gPlain := envGraph(env, nil)
+	gOrg := envGraph(env, orgs)
 
 	spacesPlain := astopo.OriginSpaces(gPlain, anns)
 	wPlain := astopo.OriginSpaceWeights(spacesPlain)
@@ -114,8 +121,7 @@ type ConeContainmentResult struct {
 func ConeContainment(env *Env) *ConeContainmentResult {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
-	g := astopo.NewGraph(anns)
-	g.InferRelationships(anns)
+	g := envGraph(env, nil)
 	naive := astopo.NewNaiveIndex(g, anns)
 	cc := g.CustomerConeClosure()
 	ccOrg := g.CustomerConeWithOrgs(orgs)
