@@ -117,8 +117,8 @@ const (
 	srcBits = 2
 )
 
-// NewGraph builds the AS graph and annotates its links in one pass over the
-// announcements:
+// NewGraph builds the AS graph from the announcements and annotates its links
+// in one call:
 //
 //   - Adjacent AS-path pairs inside AS_SEQUENCEs produce edges (AS_SETs are
 //     skipped by the RIB digestion already); Degree counts these path links.
@@ -126,7 +126,7 @@ const (
 //     sibling (RelPeer) link, whatever the paths say.
 //   - Every extra link (e.g. WHOIS-discovered) is linked both ways; one no
 //     path shows keeps RelUnknown.
-//   - Every other path link gets the relationship inferRelationships finds.
+//   - Every other path link gets the relationship annotate infers.
 //
 // Organization members and extra-link ends that no path names are ignored.
 // More than MaxASes ASes is an error.
@@ -171,7 +171,7 @@ func NewGraph(anns []bgp.Announcement, orgs [][]bgp.ASN, extraLinks [][2]bgp.ASN
 		both(l[0], l[1], 0)
 	}
 	g.buildEdges(buf, tmp)
-	g.inferRelationships(anns, hops, buf, tmp)
+	g.annotate(anns, hops, buf, tmp)
 	return g, nil
 }
 

@@ -53,8 +53,8 @@ type export struct {
 	uLower  bool  // u is the lower-index end of u–v
 }
 
-// inferRelationships annotates every path link that is not an organization
-// link with a business relationship using a Gao-style iterative heuristic:
+// annotate annotates every path link that is not an organization link with
+// a business relationship using a Gao-style iterative heuristic:
 //
 // Bootstrap (positional votes): each path votes on its links. The AS with
 // the highest transit degree (ties broken by degree, then lower ASN) is the
@@ -74,7 +74,7 @@ type export struct {
 //
 // Organization links keep the RelPeer buildEdges gave them. buf and tmp are
 // scratch with room for two words per interior hop and one per hop.
-func (g *Graph) inferRelationships(anns []bgp.Announcement, hops []int32, buf, tmp []uint64) {
+func (g *Graph) annotate(anns []bgp.Announcement, hops []int32, buf, tmp []uint64) {
 	n := len(g.asns)
 	td := transitDegrees(anns, hops, n, buf, tmp)
 	ev := make([]linkEvidence, len(g.rels))
@@ -199,12 +199,12 @@ func (g *Graph) inferRelationships(anns []bgp.Announcement, hops []int32, buf, t
 		}
 	}
 
-	// Iterate export-evidence refinement to a fixpoint. down[l]: bit 0 = the
-	// lower AS exports the higher's routes (higher is lower's customer); bit
-	// 1 = the reverse.
-	down := make([]uint8, len(ev))
+	// Iterate export-evidence refinement to a fixpoint. exported[l]: bit 0
+	// = the lower AS exports the higher's routes (higher is lower's
+	// customer); bit 1 = the reverse.
+	exported := make([]uint8, len(ev))
 	for range 10 {
-		clear(down)
+		clear(exported)
 		for _, x := range exports {
 			// x customer of u? Then the export is permitted regardless of
 			// the u-v relationship and proves nothing.
@@ -216,9 +216,9 @@ func (g *Graph) inferRelationships(anns []bgp.Announcement, hops []int32, buf, t
 				continue
 			}
 			if x.uLower {
-				down[x.uv] |= 1
+				exported[x.uv] |= 1
 			} else {
-				down[x.uv] |= 2
+				exported[x.uv] |= 2
 			}
 		}
 		changed := false
@@ -235,11 +235,11 @@ func (g *Graph) inferRelationships(anns []bgp.Announcement, hops []int32, buf, t
 				}
 				var next Rel
 				switch {
-				case down[l] == 1:
+				case exported[l] == 1:
 					next = RelP2C
-				case down[l] == 2:
+				case exported[l] == 2:
 					next = RelC2P
-				case down[l] == 3:
+				case exported[l] == 3:
 					next = RelPeer
 				case e.ft == 1:
 					next = RelC2P // lower-index AS received the full table
