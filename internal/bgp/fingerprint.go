@@ -45,8 +45,9 @@ func fnvU32(h uint64, v uint32) uint64 {
 // announcements. O(total path length); called once per rebuild.
 func (r *RIB) Fingerprint() Fingerprint {
 	var f Fingerprint
-	for i := range r.anns {
-		a := &r.anns[i]
+	anns := r.table()
+	for i := range anns {
+		a := &anns[i]
 		hp := uint64(fnvOffset)
 		for _, as := range a.Path {
 			hp = fnvU32(hp, uint32(as))

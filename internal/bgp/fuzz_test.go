@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -32,13 +33,15 @@ func requireUpdateAgrees(t *testing.T, b []byte) *Update {
 
 // requireMRTAgrees fails t unless the MRT reader and the oracle read the
 // same records from b and stop at the same one, and every BGP4MP message in
-// them decodes as the oracle decodes it. The records' consumers run too.
+// them decodes as the oracle decodes it. Each record is then fed to a RIB
+// and to the oracle RIB, which must read alike after every record.
 func requireMRTAgrees(t *testing.T, b []byte) {
 	t.Helper()
 	// Bound body lengths: a flipped length field may demand gigabytes,
 	// which ReadFull from a bounded reader just refuses.
 	r := NewReader(io.LimitReader(bytes.NewReader(b), int64(len(b))))
 	or := NewReader(io.LimitReader(bytes.NewReader(b), int64(len(b))))
+	rib, orib := NewRIB(), newOracleRIB()
 	for i := 0; ; i++ {
 		rec, err := r.Next()
 		want, oerr := oracleNext(or)
@@ -48,15 +51,17 @@ func requireMRTAgrees(t *testing.T, b []byte) {
 		if err != nil {
 			return
 		}
-		rib := NewRIB()
 		switch {
 		case rec.BGP4MP != nil:
 			if u := requireUpdateAgrees(t, rec.BGP4MP.Message); u != nil {
 				rib.ApplyUpdate(u)
+				orib.ApplyUpdate(u)
 			}
 		case rec.RIB != nil:
 			rib.ApplyRIBRecord(rec.RIB)
+			orib.ApplyRIBRecord(rec.RIB)
 		}
+		requireRIBAgrees(t, fmt.Sprintf("MRT record %d of %x", i, b), rib, orib)
 	}
 }
 

@@ -93,50 +93,6 @@ type Attributes struct {
 	LargeCommunities []LargeCommunity
 }
 
-// Path flattens the AS_PATH into a plain AS sequence. AS_SET members are
-// appended in order but callers that derive adjacency (the AS graph) should
-// use SequencePairs, which skips pairs involving sets, matching common
-// measurement practice.
-func (a *Attributes) Path() []ASN {
-	var out []ASN
-	for _, seg := range a.ASPath {
-		out = append(out, seg.ASNs...)
-	}
-	return out
-}
-
-// OriginAS returns the rightmost AS of the path (the announcing origin).
-// ok is false for empty paths or paths ending in an AS_SET of length != 1.
-func (a *Attributes) OriginAS() (ASN, bool) {
-	if len(a.ASPath) == 0 {
-		return 0, false
-	}
-	last := a.ASPath[len(a.ASPath)-1]
-	if len(last.ASNs) == 0 {
-		return 0, false
-	}
-	if last.Type == SegmentSet && len(last.ASNs) != 1 {
-		return 0, false
-	}
-	return last.ASNs[len(last.ASNs)-1], true
-}
-
-// SequencePairs calls fn for every adjacent (left, right) AS pair that occurs
-// inside AS_SEQUENCE segments, with prepending collapsed (identical
-// neighbours are skipped). Pairs spanning or inside AS_SETs are not emitted.
-func (a *Attributes) SequencePairs(fn func(left, right ASN)) {
-	for _, seg := range a.ASPath {
-		if seg.Type != SegmentSequence {
-			continue
-		}
-		for i := 1; i < len(seg.ASNs); i++ {
-			if seg.ASNs[i-1] != seg.ASNs[i] {
-				fn(seg.ASNs[i-1], seg.ASNs[i])
-			}
-		}
-	}
-}
-
 // Update is a BGP UPDATE message (4-byte-AS encoding).
 type Update struct {
 	Withdrawn []netx.Prefix

@@ -162,31 +162,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAttributesPathHelpers(t *testing.T) {
-	a := Attributes{ASPath: []PathSegment{
-		{Type: SegmentSequence, ASNs: []ASN{1, 2, 2, 3}},
-		{Type: SegmentSet, ASNs: []ASN{7, 8}},
-	}}
-	if got := a.Path(); len(got) != 6 {
-		t.Fatalf("Path = %v", got)
-	}
-	if _, ok := a.OriginAS(); ok {
-		t.Fatal("OriginAS must fail for trailing multi-AS set")
-	}
-
-	var pairs [][2]ASN
-	a.SequencePairs(func(l, r ASN) { pairs = append(pairs, [2]ASN{l, r}) })
-	want := [][2]ASN{{1, 2}, {2, 3}} // prepend collapsed, set skipped
-	if !reflect.DeepEqual(pairs, want) {
-		t.Fatalf("SequencePairs = %v want %v", pairs, want)
-	}
-
-	b := Attributes{ASPath: []PathSegment{{Type: SegmentSequence, ASNs: []ASN{10, 20}}}}
-	if o, ok := b.OriginAS(); !ok || o != 20 {
-		t.Fatalf("OriginAS = %v %v", o, ok)
-	}
-}
-
 func TestEmptyUpdateIsWithdrawOnly(t *testing.T) {
 	u := &Update{Withdrawn: []netx.Prefix{netx.MustParsePrefix("10.0.0.0/8")}}
 	b, err := u.Marshal()

@@ -1,10 +1,16 @@
 package bgp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
 	"time"
 
 	"spoofscope/internal/netx"
@@ -394,4 +400,238 @@ func oracleParseOpen(s *Session, b []byte) error {
 		params = params[2+plen:]
 	}
 	return nil
+}
+
+// oracleRIB is RIB as it was before it became one sorted table: a seen map
+// keyed by a string built per announcement, a prefix map, and the distinct
+// announcements in arrival order. AddAnnouncement, announcementKey,
+// Prefixes, OriginAssignments and Fingerprint are kept verbatim as the
+// oracle TestRIBMatchesOracle and FuzzMRT hold the RIB to, with one edit:
+// OriginAssignments no longer takes best[k.p] == 0 to mean "no origin yet".
+// That sentinel let map order decide a tie between AS 0 and another origin,
+// against the rule that a tie goes to the lower ASN.
+type oracleRIB struct {
+	MinBits, MaxBits uint8
+
+	seen     map[string]struct{}
+	anns     []Announcement
+	prefixes map[netx.Prefix]ASN
+	dropped  int
+}
+
+func newOracleRIB() *oracleRIB {
+	return &oracleRIB{
+		MinBits:  8,
+		MaxBits:  24,
+		seen:     make(map[string]struct{}),
+		prefixes: make(map[netx.Prefix]ASN),
+	}
+}
+
+func (r *oracleRIB) AddAnnouncement(p netx.Prefix, path []ASN) {
+	if p.Bits < r.MinBits || p.Bits > r.MaxBits {
+		r.dropped++
+		return
+	}
+	if len(path) == 0 {
+		return
+	}
+	key := announcementKey(p, path)
+	origin := path[len(path)-1]
+	r.prefixes[p] = origin
+	if _, dup := r.seen[key]; dup {
+		return
+	}
+	r.seen[key] = struct{}{}
+	r.anns = append(r.anns, Announcement{
+		Prefix: p,
+		Path:   append([]ASN(nil), path...),
+		Origin: origin,
+	})
+}
+
+func announcementKey(p netx.Prefix, path []ASN) string {
+	b := make([]byte, 0, 5+4*len(path))
+	b = append(b, byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Bits)
+	for _, as := range path {
+		b = append(b, byte(as>>24), byte(as>>16), byte(as>>8), byte(as))
+	}
+	return string(b)
+}
+
+// ApplyUpdate and ApplyRIBRecord are copies of RIB's, which read paths
+// through dedupSequencePath.
+func (r *oracleRIB) ApplyUpdate(u *Update) {
+	path := dedupSequencePath(&u.Attrs)
+	for _, p := range u.NLRI {
+		r.AddAnnouncement(p, path)
+	}
+}
+
+func (r *oracleRIB) ApplyRIBRecord(rec *RIBRecord) {
+	for _, e := range rec.Entries {
+		r.AddAnnouncement(rec.Prefix, dedupSequencePath(&e.Attrs))
+	}
+}
+
+func (r *oracleRIB) Prefixes() []netx.Prefix {
+	out := make([]netx.Prefix, 0, len(r.prefixes))
+	for p := range r.prefixes {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
+}
+
+func (r *oracleRIB) OriginAssignments() ([]netx.Prefix, []ASN) {
+	// Count per-prefix origin popularity over distinct announcements.
+	type key struct {
+		p netx.Prefix
+		o ASN
+	}
+	counts := make(map[key]int)
+	for _, a := range r.anns {
+		counts[key{a.Prefix, a.Origin}]++
+	}
+	best := make(map[netx.Prefix]ASN, len(r.prefixes))
+	bestCount := make(map[netx.Prefix]int, len(r.prefixes))
+	for k, c := range counts {
+		// Break popularity ties toward the lower ASN for determinism.
+		if c > bestCount[k.p] || (c == bestCount[k.p] && k.o < best[k.p]) {
+			bestCount[k.p] = c
+			best[k.p] = k.o
+		}
+	}
+	ps := make([]netx.Prefix, 0, len(best))
+	for p := range best {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
+	origins := make([]ASN, len(ps))
+	for i, p := range ps {
+		origins[i] = best[p]
+	}
+	return ps, origins
+}
+
+func (r *oracleRIB) Fingerprint() Fingerprint {
+	var f Fingerprint
+	for i := range r.anns {
+		a := &r.anns[i]
+		hp := uint64(fnvOffset)
+		for _, as := range a.Path {
+			hp = fnvU32(hp, uint32(as))
+		}
+		f.Paths.add(hp)
+		ha := fnvU32(hp, uint32(a.Prefix.Addr))
+		ha = (ha ^ uint64(a.Prefix.Bits)) * fnvPrime
+		f.Anns.add(ha)
+	}
+	return f
+}
+
+// requireRIBAgrees fails t unless r reads as the oracle o does: the same
+// Dropped, NumPrefixes, Prefixes, OriginAssignments and Fingerprint, and
+// the oracle's announcements as a set, strictly increasing in (prefix,
+// origin, path).
+func requireRIBAgrees(t *testing.T, label string, r *RIB, o *oracleRIB) {
+	t.Helper()
+	if r.Dropped() != o.dropped || r.NumPrefixes() != len(o.prefixes) {
+		t.Fatalf("%s: Dropped %d, NumPrefixes %d; the oracle's %d, %d", label, r.Dropped(), r.NumPrefixes(), o.dropped, len(o.prefixes))
+	}
+	if got, want := r.Prefixes(), o.Prefixes(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Prefixes %v; the oracle's %v", label, got, want)
+	}
+	ps, origins := r.OriginAssignments()
+	ops, oorigins := o.OriginAssignments()
+	if !slices.Equal(ps, ops) || !slices.Equal(origins, oorigins) {
+		t.Fatalf("%s: OriginAssignments %v %v; the oracle's %v %v", label, ps, origins, ops, oorigins)
+	}
+	if got, want := r.Fingerprint(), o.Fingerprint(); got != want {
+		t.Fatalf("%s: Fingerprint %+v; the oracle's %+v", label, got, want)
+	}
+	anns := r.Announcements()
+	if len(anns) != len(o.anns) {
+		t.Fatalf("%s: %d announcements; the oracle has %d", label, len(anns), len(o.anns))
+	}
+	for i, a := range anns {
+		if _, ok := o.seen[announcementKey(a.Prefix, a.Path)]; !ok || a.Origin != a.Path[len(a.Path)-1] {
+			t.Fatalf("%s: announcement %+v is not the oracle's", label, a)
+		}
+		if i > 0 && !annLess(anns[i-1], a) {
+			t.Fatalf("%s: announcements %d and %d out of (prefix, origin, path) order: %+v, %+v", label, i-1, i, anns[i-1], a)
+		}
+	}
+}
+
+func annLess(a, b Announcement) bool {
+	if a.Prefix != b.Prefix {
+		return a.Prefix.Compare(b.Prefix) < 0
+	}
+	if a.Origin != b.Origin {
+		return a.Origin < b.Origin
+	}
+	return slices.Compare(a.Path, b.Path) < 0
+}
+
+// RequireRIBMatchesOracle fails t unless a RIB fed the observations obs
+// (their Prefix and Path; Origin is ignored) reads as the oracle fed them
+// does, and a RIB fed them shuffled, with a read at a random point, returns
+// identical Announcements. It is exported for the external test package,
+// which can build a scenario: scenario imports bgp, so bgp's own tests
+// cannot.
+func RequireRIBMatchesOracle(t *testing.T, label string, obs []Announcement, rng *rand.Rand) {
+	t.Helper()
+	r, o := NewRIB(), newOracleRIB()
+	for _, a := range obs {
+		r.AddAnnouncement(a.Prefix, a.Path)
+		o.AddAnnouncement(a.Prefix, a.Path)
+	}
+	requireRIBAgrees(t, label, r, o)
+
+	shuffled := slices.Clone(obs)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	s, mid := NewRIB(), rng.Intn(len(obs)+1)
+	for i, a := range shuffled {
+		if i == mid {
+			s.Announcements()
+		}
+		s.AddAnnouncement(a.Prefix, a.Path)
+	}
+	if !reflect.DeepEqual(s.Announcements(), r.Announcements()) {
+		t.Fatalf("%s: shuffling the arrival order changed Announcements", label)
+	}
+}
+
+// RequireMRTMatchesOracle fails t unless LoadMRT's RIB reads as the oracle
+// fed mrt's records does, and RequireRIBMatchesOracle holds for the
+// oracle's announcements. Exported for the same reason.
+func RequireMRTMatchesOracle(t *testing.T, label string, mrt []byte, rng *rand.Rand) {
+	t.Helper()
+	r, o := NewRIB(), newOracleRIB()
+	if err := r.LoadMRT(bytes.NewReader(mrt)); err != nil {
+		t.Fatal(err)
+	}
+	rd := NewReader(bytes.NewReader(mrt))
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.RIB != nil:
+			o.ApplyRIBRecord(rec.RIB)
+		case rec.BGP4MP != nil:
+			u, err := UnmarshalUpdate(rec.BGP4MP.Message)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.ApplyUpdate(u)
+		}
+	}
+	requireRIBAgrees(t, label, r, o)
+	RequireRIBMatchesOracle(t, label, o.anns, rng)
 }

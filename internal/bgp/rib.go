@@ -1,9 +1,10 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"spoofscope/internal/netx"
 )
@@ -24,17 +25,23 @@ type Announcement struct {
 //
 // Announcements for prefixes more specific than MaxBits or less specific
 // than MinBits are disregarded, matching the paper's /8../24 sanity filter.
+//
+// The RIB is one table of announcements. AddAnnouncement appends; the
+// first read after an add sorts what was added by (prefix, origin, path),
+// merges it into the table and drops repeats, and every read is a scan over
+// that order. So the first read after an add writes, and a RIB that has
+// been read once since its last add may be read from any number of
+// goroutines at once.
 type RIB struct {
 	// MinBits and MaxBits bound accepted prefix lengths, inclusive.
 	// NewRIB sets the paper's defaults of 8 and 24.
 	MinBits, MaxBits uint8
 
-	// seen de-duplicates (prefix, path) pairs.
-	seen map[string]struct{}
-
-	anns     []Announcement
-	prefixes map[netx.Prefix]ASN // prefix -> origin of most recent announcement
-	dropped  int
+	// anns[:sorted] is distinct and sorted by compareAnnouncements;
+	// anns[sorted:] is the tail added since, in arrival order.
+	anns    []Announcement
+	sorted  int
+	dropped int
 	// withdrawn counts withdrawal messages digested. The paper's method
 	// keeps every announcement of the window ("we consider all table dumps
 	// and update messages within our time period"), so withdrawals never
@@ -42,14 +49,16 @@ type RIB struct {
 	withdrawn int
 }
 
+// foldMin is the shortest unsorted tail AddAnnouncement folds into the
+// sorted table. A tail is folded once it is also longer than the table, so
+// a feed that repeats itself holds at most about foldMin more
+// announcements than it has distinct ones, and folding costs O(log n)
+// sorts of geometrically growing tails.
+const foldMin = 1 << 12
+
 // NewRIB returns an empty RIB with the paper's /8../24 prefix-length filter.
 func NewRIB() *RIB {
-	return &RIB{
-		MinBits:  8,
-		MaxBits:  24,
-		seen:     make(map[string]struct{}),
-		prefixes: make(map[netx.Prefix]ASN),
-	}
+	return &RIB{MinBits: 8, MaxBits: 24}
 }
 
 // Dropped returns the number of announcements rejected by the length filter.
@@ -59,7 +68,8 @@ func (r *RIB) Dropped() int { return r.dropped }
 // are counted but never erase window history; see the type comment).
 func (r *RIB) Withdrawn() int { return r.withdrawn }
 
-// AddAnnouncement records one (prefix, path) observation.
+// AddAnnouncement records one (prefix, path) observation. Paths are copied;
+// an empty path is ignored.
 func (r *RIB) AddAnnouncement(p netx.Prefix, path []ASN) {
 	if p.Bits < r.MinBits || p.Bits > r.MaxBits {
 		r.dropped++
@@ -68,27 +78,55 @@ func (r *RIB) AddAnnouncement(p netx.Prefix, path []ASN) {
 	if len(path) == 0 {
 		return
 	}
-	key := announcementKey(p, path)
-	origin := path[len(path)-1]
-	r.prefixes[p] = origin
-	if _, dup := r.seen[key]; dup {
-		return
-	}
-	r.seen[key] = struct{}{}
 	r.anns = append(r.anns, Announcement{
 		Prefix: p,
 		Path:   append([]ASN(nil), path...),
-		Origin: origin,
+		Origin: path[len(path)-1],
 	})
+	if tail := len(r.anns) - r.sorted; tail > foldMin && tail > r.sorted {
+		r.fold()
+	}
 }
 
-func announcementKey(p netx.Prefix, path []ASN) string {
-	b := make([]byte, 0, 5+4*len(path))
-	b = append(b, byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Bits)
-	for _, as := range path {
-		b = append(b, byte(as>>24), byte(as>>16), byte(as>>8), byte(as))
+// compareAnnouncements orders the table: by prefix, then origin, then path.
+func compareAnnouncements(a, b Announcement) int {
+	if c := a.Prefix.Compare(b.Prefix); c != 0 {
+		return c
 	}
-	return string(b)
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Path, b.Path)
+}
+
+// fold sorts the unsorted tail and merges it into the sorted table,
+// dropping repeats. The merge writes a fresh backing array, so a slice an
+// earlier read returned never changes.
+func (r *RIB) fold() {
+	old, tail := r.anns[:r.sorted], r.anns[r.sorted:]
+	slices.SortFunc(tail, compareAnnouncements)
+	out := make([]Announcement, 0, len(r.anns))
+	for len(old) > 0 || len(tail) > 0 {
+		var a Announcement
+		if len(tail) == 0 || len(old) > 0 && compareAnnouncements(old[0], tail[0]) <= 0 {
+			a, old = old[0], old[1:]
+		} else {
+			a, tail = tail[0], tail[1:]
+		}
+		if n := len(out); n == 0 || compareAnnouncements(out[n-1], a) != 0 {
+			out = append(out, a)
+		}
+	}
+	r.anns, r.sorted = out, len(out)
+}
+
+// table returns the distinct announcements in table order, folding the
+// tail in first if there is one.
+func (r *RIB) table() []Announcement {
+	if len(r.anns) > r.sorted {
+		r.fold()
+	}
+	return r.anns[:r.sorted:r.sorted]
 }
 
 // ApplyUpdate digests a BGP UPDATE: NLRI become announcements; withdrawals
@@ -149,20 +187,36 @@ func (r *RIB) LoadMRT(rd io.Reader) error {
 	}
 }
 
-// Announcements returns all distinct (prefix, path) observations in
-// insertion order. The slice must not be modified.
-func (r *RIB) Announcements() []Announcement { return r.anns }
+// Announcements returns the distinct (prefix, path) observations sorted by
+// prefix, then origin, then path, whatever order they arrived in. The slice
+// must not be modified.
+func (r *RIB) Announcements() []Announcement { return r.table() }
+
+// prefixRuns calls fn for each run of announcements of one prefix, in
+// prefix order.
+func (r *RIB) prefixRuns(fn func(run []Announcement)) {
+	anns := r.table()
+	for i := 0; i < len(anns); {
+		j := i + 1
+		for j < len(anns) && anns[j].Prefix == anns[i].Prefix {
+			j++
+		}
+		fn(anns[i:j])
+		i = j
+	}
+}
 
 // NumPrefixes returns the number of distinct routed prefixes.
-func (r *RIB) NumPrefixes() int { return len(r.prefixes) }
+func (r *RIB) NumPrefixes() int {
+	n := 0
+	r.prefixRuns(func([]Announcement) { n++ })
+	return n
+}
 
 // Prefixes returns the distinct routed prefixes, sorted.
 func (r *RIB) Prefixes() []netx.Prefix {
-	out := make([]netx.Prefix, 0, len(r.prefixes))
-	for p := range r.prefixes {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := make([]netx.Prefix, 0, r.NumPrefixes())
+	r.prefixRuns(func(run []Announcement) { out = append(out, run[0].Prefix) })
 	return out
 }
 
@@ -171,49 +225,30 @@ func (r *RIB) RoutedSpace() netx.IntervalSet {
 	return netx.IntervalSetOfPrefixes(r.Prefixes()...)
 }
 
-// OriginAssignments returns the MOAS-resolved prefix→origin assignment of
-// OriginTable as parallel slices sorted by prefix — the shape
-// netx.BuildFlatLPM consumes directly.
+// OriginAssignments resolves each routed prefix to one origin, as parallel
+// slices sorted by prefix — the shape netx.BuildFlatLPM consumes directly.
+// When a prefix was announced by several origins over the window (MOAS),
+// the origin seen on the most distinct paths wins, and a tie goes to the
+// lower ASN, AS 0 included.
 func (r *RIB) OriginAssignments() ([]netx.Prefix, []ASN) {
-	// Count per-prefix origin popularity over distinct announcements.
-	type key struct {
-		p netx.Prefix
-		o ASN
-	}
-	counts := make(map[key]int)
-	for _, a := range r.anns {
-		counts[key{a.Prefix, a.Origin}]++
-	}
-	best := make(map[netx.Prefix]ASN, len(r.prefixes))
-	bestCount := make(map[netx.Prefix]int, len(r.prefixes))
-	for k, c := range counts {
-		// Break popularity ties toward the lower ASN for determinism.
-		if c > bestCount[k.p] || (c == bestCount[k.p] && (best[k.p] == 0 || k.o < best[k.p])) {
-			bestCount[k.p] = c
-			best[k.p] = k.o
+	n := r.NumPrefixes()
+	ps, origins := make([]netx.Prefix, 0, n), make([]ASN, 0, n)
+	r.prefixRuns(func(run []Announcement) {
+		// The run is sorted by origin, so each origin is a sub-run whose
+		// length is its number of distinct paths.
+		best, bestLen := run[0].Origin, 0
+		for i := 0; i < len(run); {
+			j := i + 1
+			for j < len(run) && run[j].Origin == run[i].Origin {
+				j++
+			}
+			if j-i > bestLen {
+				best, bestLen = run[i].Origin, j-i
+			}
+			i = j
 		}
-	}
-	ps := make([]netx.Prefix, 0, len(best))
-	for p := range best {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
-	origins := make([]ASN, len(ps))
-	for i, p := range ps {
-		origins[i] = best[p]
-	}
+		ps = append(ps, run[0].Prefix)
+		origins = append(origins, best)
+	})
 	return ps, origins
-}
-
-// OriginTable builds a longest-prefix-match table mapping addresses to the
-// origin AS of the most specific covering routed prefix. When a prefix was
-// announced by several origins over the window (MOAS), the origin seen most
-// often across distinct paths wins.
-func (r *RIB) OriginTable() *netx.FlatLPM {
-	ps, origins := r.OriginAssignments()
-	vals := make([]uint32, len(origins))
-	for i, o := range origins {
-		vals[i] = uint32(o)
-	}
-	return netx.BuildFlatLPM(ps, vals)
 }

@@ -2,6 +2,10 @@ package bgp
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"spoofscope/internal/netx"
@@ -53,6 +57,21 @@ func TestRIBApplyUpdateCollapsesPrepend(t *testing.T) {
 	}
 }
 
+// requireOrigins fails t unless r's OriginAssignments are exactly want, in
+// prefix order.
+func requireOrigins(t *testing.T, r *RIB, want map[string]ASN) {
+	t.Helper()
+	ps, origins := r.OriginAssignments()
+	if len(ps) != len(want) {
+		t.Fatalf("OriginAssignments = %v %v, want %v", ps, origins, want)
+	}
+	for i, p := range ps {
+		if o, ok := want[p.String()]; !ok || origins[i] != o || i > 0 && ps[i-1].Compare(p) >= 0 {
+			t.Fatalf("OriginAssignments = %v %v, want %v", ps, origins, want)
+		}
+	}
+}
+
 func TestRIBOriginTableMOAS(t *testing.T) {
 	r := NewRIB()
 	p := netx.MustParsePrefix("203.0.113.0/24")
@@ -60,23 +79,33 @@ func TestRIBOriginTableMOAS(t *testing.T) {
 	r.AddAnnouncement(p, []ASN{1, 9})
 	r.AddAnnouncement(p, []ASN{2, 9})
 	r.AddAnnouncement(p, []ASN{3, 8})
-	lpm := r.OriginTable()
-	v, ok := lpm.Lookup(netx.MustParseAddr("203.0.113.7"))
-	if !ok || ASN(v) != 9 {
-		t.Fatalf("origin = %d %v", v, ok)
-	}
+	requireOrigins(t, r, map[string]ASN{"203.0.113.0/24": 9})
 }
 
+// TestRIBOriginTableMostSpecificWins: nested prefixes keep their own
+// origins; picking the most specific one per address is netx.FlatLPM's
+// part (TestFlatLPMProperty).
 func TestRIBOriginTableMostSpecificWins(t *testing.T) {
 	r := NewRIB()
-	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []ASN{1, 100})
 	r.AddAnnouncement(netx.MustParsePrefix("10.1.0.0/16"), []ASN{1, 200})
-	lpm := r.OriginTable()
-	if v, _ := lpm.Lookup(netx.MustParseAddr("10.1.2.3")); ASN(v) != 200 {
-		t.Fatalf("more specific origin = %d", v)
-	}
-	if v, _ := lpm.Lookup(netx.MustParseAddr("10.2.0.1")); ASN(v) != 100 {
-		t.Fatalf("covering origin = %d", v)
+	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []ASN{1, 100})
+	requireOrigins(t, r, map[string]ASN{"10.0.0.0/8": 100, "10.1.0.0/16": 200})
+}
+
+// TestOriginAssignmentsTieToLowerASN: a prefix whose origins AS 0 and AS 5
+// each have one distinct path goes to AS 0, whatever the arrival order.
+func TestOriginAssignmentsTieToLowerASN(t *testing.T) {
+	p := netx.MustParsePrefix("203.0.113.0/24")
+	for i := 0; i < 64; i++ {
+		r := NewRIB()
+		if i%2 == 0 {
+			r.AddAnnouncement(p, []ASN{1, 0})
+			r.AddAnnouncement(p, []ASN{2, 5})
+		} else {
+			r.AddAnnouncement(p, []ASN{2, 5})
+			r.AddAnnouncement(p, []ASN{1, 0})
+		}
+		requireOrigins(t, r, map[string]ASN{"203.0.113.0/24": 0})
 	}
 }
 
@@ -128,13 +157,7 @@ func TestRIBLoadMRTEndToEnd(t *testing.T) {
 	if r.NumPrefixes() != 2 {
 		t.Fatalf("NumPrefixes = %d", r.NumPrefixes())
 	}
-	lpm := r.OriginTable()
-	if v, _ := lpm.Lookup(netx.MustParseAddr("203.0.113.1")); ASN(v) != 20 {
-		t.Fatalf("dump origin = %d", v)
-	}
-	if v, _ := lpm.Lookup(netx.MustParseAddr("198.51.100.1")); ASN(v) != 40 {
-		t.Fatalf("update origin = %d", v)
-	}
+	requireOrigins(t, r, map[string]ASN{"203.0.113.0/24": 20, "198.51.100.0/24": 40})
 }
 
 func TestRIBWithdrawalsCountedNotErased(t *testing.T) {
@@ -154,5 +177,77 @@ func TestRIBWithdrawalsCountedNotErased(t *testing.T) {
 	}
 	if !r.RoutedSpace().Contains(netx.MustParseAddr("203.0.113.9")) {
 		t.Fatal("routed space lost the withdrawn prefix")
+	}
+}
+
+// TestRIBRepeatsStayBounded: a feed that repeats two announcements 2^20
+// times with no read in between holds a folded table, not 2^20 copies
+// (≈50 MB unfolded; ≈0.2 MB folded).
+func TestRIBRepeatsStayBounded(t *testing.T) {
+	const bound = 2 << 20
+	p, q := netx.MustParsePrefix("203.0.113.0/24"), netx.MustParsePrefix("198.51.100.0/24")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewRIB()
+	for i := 0; i < 1<<20; i++ {
+		if i%2 == 0 {
+			r.AddAnnouncement(p, []ASN{1, 2})
+		} else {
+			r.AddAnnouncement(q, []ASN{3, 4})
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > bound {
+		t.Fatalf("the RIB retains %d bytes after 2^20 repeats; bound %d", held, bound)
+	}
+	if n := len(r.Announcements()); n != 2 {
+		t.Fatalf("Announcements = %d, want 2", n)
+	}
+}
+
+// TestRIBConcurrentReads: once read, a RIB may be read from several
+// goroutines at once (the test matters under -race).
+func TestRIBConcurrentReads(t *testing.T) {
+	r := NewRIB()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 3*foldMin; i++ {
+		p := netx.PrefixFrom(netx.Addr(rng.Uint32()&0xffff00), uint8(16+rng.Intn(9)))
+		r.AddAnnouncement(p, []ASN{ASN(rng.Intn(50)), ASN(rng.Intn(50))})
+	}
+	r.Announcements()
+	type reading struct {
+		anns     []Announcement
+		n        int
+		ps, ops  []netx.Prefix
+		origins  []ASN
+		space    netx.IntervalSet
+		fp       Fingerprint
+		dropped  int
+		withdraw int
+	}
+	read := func() reading {
+		var x reading
+		x.anns, x.n, x.ps = r.Announcements(), r.NumPrefixes(), r.Prefixes()
+		x.ops, x.origins = r.OriginAssignments()
+		x.space, x.fp, x.dropped, x.withdraw = r.RoutedSpace(), r.Fingerprint(), r.Dropped(), r.Withdrawn()
+		return x
+	}
+	want := read()
+	got := make([]reading, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = read()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("goroutine %d read a different RIB", g)
+		}
 	}
 }

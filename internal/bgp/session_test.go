@@ -188,10 +188,7 @@ func TestSessionStreamIntoRIB(t *testing.T) {
 	if rib.NumPrefixes() != 2 {
 		t.Fatalf("RIB has %d prefixes", rib.NumPrefixes())
 	}
-	lpm := rib.OriginTable()
-	if v, _ := lpm.Lookup(netx.MustParseAddr("203.0.113.9")); ASN(v) != 70 {
-		t.Fatalf("origin = %d", v)
-	}
+	requireOrigins(t, rib, map[string]ASN{"203.0.113.0/24": 70, "198.51.100.0/24": 71})
 }
 
 func TestNewSessionRejectsGarbage(t *testing.T) {

@@ -54,10 +54,8 @@ func (p *Pipeline) FilterList(member bgp.ASN, a Approach) ([]netx.Prefix, error)
 	return space.Prefixes(), nil
 }
 
-// originSpaces lazily computes each AS's announced space (cached).
+// originSpaces computes each AS's announced space on first use.
 func (p *Pipeline) originSpaces() []netx.IntervalSet {
-	if p.spacesOnce == nil {
-		p.spacesOnce = astopo.OriginSpaces(p.graph, p.anns)
-	}
-	return p.spacesOnce
+	p.spacesOnce.Do(func() { p.spaces = astopo.OriginSpaces(p.graph, p.anns) })
+	return p.spaces
 }

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
@@ -174,10 +175,11 @@ type Pipeline struct {
 	// RoutedSlash24 is the routed space size, for reporting.
 	routedSpace netx.IntervalSet
 
-	// anns and spacesOnce back the lazy per-origin space computation used
-	// by FilterList.
+	// anns backs FilterList's per-origin spaces, computed once on first
+	// use; FilterList may be called from several goroutines.
 	anns       []bgp.Announcement
-	spacesOnce []netx.IntervalSet
+	spacesOnce sync.Once
+	spaces     []netx.IntervalSet
 
 	// fp and optsKey record what this pipeline was compiled from, so
 	// RebuildPipeline can prove which layers a fresh snapshot leaves valid.

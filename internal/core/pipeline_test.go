@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"spoofscope/internal/astopo"
@@ -330,4 +332,44 @@ func TestFilterListApproachOrdering(t *testing.T) {
 			t.Fatalf("CC ACL of %s escapes the FULL ACL", m.ASN)
 		}
 	}
+}
+
+// TestFilterListConcurrent: FilterList computes its per-origin spaces on
+// first use, so concurrent first calls must agree with sequential ones (the
+// test matters under -race).
+func TestFilterListConcurrent(t *testing.T) {
+	type call struct {
+		asn bgp.ASN
+		a   Approach
+	}
+	var calls []call
+	for _, m := range testMembers {
+		for a := ApproachNaive; a < numApproaches; a++ {
+			calls = append(calls, call{m.ASN, a})
+		}
+	}
+	want := make([][]netx.Prefix, len(calls))
+	seq := testPipeline(t, Options{})
+	for i, c := range calls {
+		acl, err := seq.FilterList(c.asn, c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = acl
+	}
+	p := testPipeline(t, Options{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range calls {
+				acl, err := p.FilterList(c.asn, c.a)
+				if err != nil || !reflect.DeepEqual(acl, want[i]) {
+					t.Errorf("FilterList(%s, %s) = %v, %v; sequentially %v", c.asn, c.a, acl, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
