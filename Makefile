@@ -49,6 +49,10 @@ bench-module:
 # Go names resolve too (TestDocSpansResolve, which parses the tree's non-test
 # Go): every backticked pkg.Func, pkg.Type.Method and Type.Method is declared,
 # a member on its type or on a type it embeds or aliases.
+# The second tree guard, TestNoTestOnlyAPI (docs_test.go, run by test and
+# race), type-checks both modules' non-test Go and fails on an exported
+# internal/ function or method that only tests call, unless it implements
+# an interface or is on its allowlist with a reason.
 # EXPERIMENTS.md and CHANGES.md are history and name what is gone on purpose.
 docs-check:
 	@set -f; fail=0; files=$$(git ls-files); \

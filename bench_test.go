@@ -571,7 +571,10 @@ func buildBenchScales(b *testing.B) []buildBenchScale {
 	for i, asn := range st.MemberASNs {
 		synthMembers[i] = core.MemberInfo{ASN: asn, Port: uint32(i + 1)}
 	}
-	synthRIB := st.RIB()
+	synthRIB := bgp.NewRIB()
+	for _, a := range st.Anns {
+		synthRIB.AddAnnouncement(a.Prefix, a.Path)
+	}
 	return []buildBenchScale{
 		{name: "paper", rib: paperRIB, delta: renumbered(paperRIB), members: paperMembers,
 			opts: core.Options{Orgs: s.Orgs().MultiASGroups()}},

@@ -2,7 +2,6 @@ package astopo
 
 import (
 	"slices"
-	"sort"
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/netx"
@@ -70,12 +69,6 @@ func newClosure(adj [][]int32) *Closure {
 	return c
 }
 
-// Contains reports whether the AS at dense index origin is inside the cone
-// of the AS at dense index u (every AS is inside its own cone).
-func (c *Closure) Contains(u, origin int) bool {
-	return c.reach[c.comp[u]].Test(c.comp[origin])
-}
-
 // ConeSize returns the number of ASes in u's cone, including u itself.
 func (c *Closure) ConeSize(u int) int { return c.size[c.comp[u]] }
 
@@ -98,31 +91,6 @@ func (c *Closure) WeightedSizes(w []uint64) []uint64 {
 		out[as] = compTotal[ci]
 	}
 	return out
-}
-
-// ConeMembers returns the dense indices of all ASes in u's cone, sorted.
-func (c *Closure) ConeMembers(u int) []int {
-	var out []int
-	target := c.reach[c.comp[u]]
-	for as, ci := range c.comp {
-		if target.Test(ci) {
-			out = append(out, as)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ValidOriginSet materializes u's cone as a bitset over AS indices.
-func (c *Closure) ValidOriginSet(u int) *netx.Bitset {
-	b := netx.NewBitset(len(c.comp))
-	target := c.reach[c.comp[u]]
-	for as, ci := range c.comp {
-		if target.Test(ci) {
-			b.Set(as)
-		}
-	}
-	return b
 }
 
 // Adjacency is a directed AS adjacency over a graph's dense indices: a[u]
@@ -322,9 +290,6 @@ func NewNaiveIndex(g *Graph, anns []bgp.Announcement) *NaiveIndex {
 func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
 	return netx.IntervalSetOfPrefixes(n.ValidPrefixes(u)...)
 }
-
-// NumPrefixes returns the number of distinct prefixes AS u is valid for.
-func (n *NaiveIndex) NumPrefixes(u int) int { return int(n.off[u+1] - n.off[u]) }
 
 // ValidPrefixes returns the distinct announced prefixes AS u is naively
 // valid for, in prefix order. The slice is owned by the index and must not be

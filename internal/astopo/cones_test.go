@@ -2,6 +2,7 @@ package astopo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spoofscope/internal/bgp"
@@ -113,7 +114,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 				if reach[u][v] {
 					want++
 				}
-				if c.Contains(u, v) != reach[u][v] {
+				if inCone(c, u, v) != reach[u][v] {
 					t.Fatalf("Contains(%d,%d) mismatch", u, v)
 				}
 			}
@@ -131,8 +132,10 @@ func TestFullConeHierarchy(t *testing.T) {
 
 	coneOf := func(as bgp.ASN) map[bgp.ASN]bool {
 		out := map[bgp.ASN]bool{}
-		for _, i := range c.ConeMembers(g.Index(as)) {
-			out[g.ASN(i)] = true
+		for v := 0; v < g.NumASes(); v++ {
+			if inCone(c, g.Index(as), v) {
+				out[g.asns[v]] = true
+			}
 		}
 		return out
 	}
@@ -164,19 +167,19 @@ func TestCustomerConeExcludesPeering(t *testing.T) {
 	cc := g.CustomerConeClosure()
 
 	i100, i2001 := g.Index(100), g.Index(2001)
-	if cc.Contains(i100, i2001) {
+	if inCone(cc, i100, i2001) {
 		t.Error("customer cone must NOT cross the 100-200 peering (Figure 1c)")
 	}
 	// But 100's own customers are inside.
-	if !cc.Contains(i100, g.Index(1001)) || !cc.Contains(i100, g.Index(1002)) {
+	if !inCone(cc, i100, g.Index(1001)) || !inCone(cc, i100, g.Index(1002)) {
 		t.Error("customer cone missing direct customers")
 	}
 	// Full cone contains the customer cone (§3.4).
 	fc := g.FullConeClosure()
 	for u := 0; u < g.NumASes(); u++ {
 		for v := 0; v < g.NumASes(); v++ {
-			if cc.Contains(u, v) && !fc.Contains(u, v) {
-				t.Fatalf("CC ⊄ FullCone at (%s,%s)", g.ASN(u), g.ASN(v))
+			if inCone(cc, u, v) && !inCone(fc, u, v) {
+				t.Fatalf("CC ⊄ FullCone at (%s,%s)", g.asns[u], g.asns[v])
 			}
 		}
 	}
@@ -187,14 +190,14 @@ func TestCustomerConeWithOrgs(t *testing.T) {
 	g := mustGraph(t, anns, nil, nil)
 	// Put 100 and 200 in one organization: their joint cones merge.
 	cc := g.CustomerConeWithOrgs([][]bgp.ASN{{100, 200}})
-	if !cc.Contains(g.Index(100), g.Index(2001)) {
+	if !inCone(cc, g.Index(100), g.Index(2001)) {
 		t.Error("org-merged customer cone must reach sibling's customers")
 	}
 	plain := g.CustomerConeClosure()
 	// Org merging only grows cones.
 	for u := 0; u < g.NumASes(); u++ {
 		if cc.ConeSize(u) < plain.ConeSize(u) {
-			t.Fatalf("org merge shrank cone of %s", g.ASN(u))
+			t.Fatalf("org merge shrank cone of %s", g.asns[u])
 		}
 	}
 }
@@ -218,8 +221,8 @@ func TestNaiveIndex(t *testing.T) {
 		t.Error("naive space of AS1001 must not contain AS2001's prefix")
 	}
 	// Dedup: repeated paths must not duplicate.
-	if n := ni.NumPrefixes(g.Index(1001)); n != 1 {
-		t.Errorf("NumPrefixes(1001) = %d", n)
+	if n := len(ni.ValidPrefixes(g.Index(1001))); n != 1 {
+		t.Errorf("AS1001 holds %d prefixes", n)
 	}
 }
 
@@ -238,10 +241,10 @@ func TestConeContainmentProperty(t *testing.T) {
 		for u := 0; u < g.NumASes(); u++ {
 			full := fc.ExactValidSpace(u, spaces)
 			if !full.ContainsSet(ni.ValidSpace(u)) {
-				t.Fatalf("iter %d: naive space of %s not inside full cone", iter, g.ASN(u))
+				t.Fatalf("iter %d: naive space of %s not inside full cone", iter, g.asns[u])
 			}
 			if !full.ContainsSet(cc.ExactValidSpace(u, spaces)) {
-				t.Fatalf("iter %d: CC space of %s not inside full cone", iter, g.ASN(u))
+				t.Fatalf("iter %d: CC space of %s not inside full cone", iter, g.asns[u])
 			}
 		}
 	}
@@ -306,20 +309,28 @@ func TestWeightedSizesMatchesExactWhenDisjoint(t *testing.T) {
 	for u := 0; u < g.NumASes(); u++ {
 		exact := fc.ExactValidSpace(u, spaces).Slash24Equivalents()
 		if sizes[u] != exact {
-			t.Fatalf("WeightedSizes(%s) = %d, exact = %d", g.ASN(u), sizes[u], exact)
+			t.Fatalf("WeightedSizes(%s) = %d, exact = %d", g.asns[u], sizes[u], exact)
 		}
 	}
 }
 
+// TestValidOriginSet checks which origins a cone grants: with every AS
+// announcing its own block, the full cone's exact valid space of AS u is
+// the union of the blocks of exactly the ASes a walk down from u reaches.
 func TestValidOriginSet(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
 	fc := g.FullConeClosure()
-	u := g.Index(10)
-	set := fc.ValidOriginSet(u)
-	for v := 0; v < g.NumASes(); v++ {
-		if set.Test(v) != fc.Contains(u, v) {
-			t.Fatalf("ValidOriginSet mismatch at %s", g.ASN(v))
+	spaces := make([]netx.IntervalSet, g.NumASes())
+	for v := range spaces {
+		spaces[v] = netx.IntervalSetOfPrefixes(netx.PrefixFrom(netx.Addr(v+1)<<24, 8))
+	}
+	for u := 0; u < g.NumASes(); u++ {
+		var want []netx.Prefix
+		g.BoundedCone(u, g.NumASes()).ForEach(func(v int) { want = append(want, spaces[v].Prefixes()...) })
+		got := fc.ExactValidSpace(u, spaces)
+		if !slices.Equal(got.Intervals(), netx.IntervalSetOfPrefixes(want...).Intervals()) {
+			t.Fatalf("valid space of %s = %v, want the blocks of %v", g.asns[u], got, want)
 		}
 	}
 }
@@ -337,21 +348,26 @@ func TestBoundedCone(t *testing.T) {
 	}
 	// Monotone growth with depth, bounded by the full closure.
 	prev := b0
-	full := fc.ValidOriginSet(u)
 	for d := 1; d <= 6; d++ {
 		b := g.BoundedCone(u, d)
-		if !b.ContainsAll(prev) {
-			t.Fatalf("depth %d cone lost members", d)
-		}
-		if !full.ContainsAll(b) {
-			t.Fatalf("depth %d cone escapes the full closure", d)
-		}
+		prev.ForEach(func(v int) {
+			if !b.Test(v) {
+				t.Fatalf("depth %d cone lost %s", d, g.asns[v])
+			}
+		})
+		b.ForEach(func(v int) {
+			if !inCone(fc, u, v) {
+				t.Fatalf("depth %d cone escapes the full closure at %s", d, g.asns[v])
+			}
+		})
 		prev = b
 	}
 	// Large depth converges to the full closure.
 	deep := g.BoundedCone(u, g.NumASes())
-	if !deep.ContainsAll(full) || !full.ContainsAll(deep) {
-		t.Fatal("deep bounded cone != full closure")
+	for v := 0; v < g.NumASes(); v++ {
+		if deep.Test(v) != inCone(fc, u, v) {
+			t.Fatalf("deep bounded cone != full closure at %s", g.asns[v])
+		}
 	}
 }
 
@@ -363,7 +379,22 @@ func TestBoundedConeDepthOne(t *testing.T) {
 	// Depth 1 = self + direct downstream neighbours.
 	b1.ForEach(func(i int) {
 		if i != u && !g.HasEdge(u, i) {
-			t.Fatalf("depth-1 cone contains non-neighbour %s", g.ASN(i))
+			t.Fatalf("depth-1 cone contains non-neighbour %s", g.asns[i])
 		}
 	})
+}
+
+// inCone reports whether the AS at dense index v is inside the cone of the
+// AS at dense index u (every AS is inside its own cone).
+func inCone(c *Closure, u, v int) bool { return c.reach[c.comp[u]].Test(c.comp[v]) }
+
+// coneSet materializes u's cone in c as a bitset over AS indices.
+func coneSet(c *Closure, u int) *netx.Bitset {
+	b := netx.NewBitset(len(c.comp))
+	for v := range c.comp {
+		if inCone(c, u, v) {
+			b.Set(v)
+		}
+	}
+	return b
 }

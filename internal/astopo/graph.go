@@ -283,9 +283,6 @@ func (g *Graph) buildEdges(words, tmp []uint64) {
 // NumASes returns the number of distinct ASes in the graph.
 func (g *Graph) NumASes() int { return len(g.asns) }
 
-// ASNs returns all ASes, sorted ascending. The slice must not be modified.
-func (g *Graph) ASNs() []bgp.ASN { return g.asns }
-
 // Index returns the dense index of as, or -1 if absent.
 func (g *Graph) Index(as bgp.ASN) int {
 	if i, ok := g.idx[as]; ok {
@@ -293,13 +290,6 @@ func (g *Graph) Index(as bgp.ASN) int {
 	}
 	return -1
 }
-
-// ASN returns the ASN at dense index i.
-func (g *Graph) ASN(i int) bgp.ASN { return g.asns[i] }
-
-// Degree returns the number of distinct ASes the AS at index i neighbours on
-// some path; organization and extra links do not count.
-func (g *Graph) Degree(i int) int { return g.deg[i] }
 
 // HasEdge reports whether the directed edge u→v exists (dense indices).
 func (g *Graph) HasEdge(u, v int) bool {

@@ -80,8 +80,8 @@ func TestGraphBuild(t *testing.T) {
 	if g.HasEdge(i3, i1) || g.HasEdge(i1, i3) {
 		t.Fatal("unexpected direct edge between AS1 and AS3")
 	}
-	if g.Degree(i2) != 2 || g.Degree(i1) != 1 || g.Degree(i3) != 2 {
-		t.Fatalf("degrees = %d %d %d", g.Degree(i1), g.Degree(i2), g.Degree(i3))
+	if g.deg[i2] != 2 || g.deg[i1] != 1 || g.deg[i3] != 2 {
+		t.Fatalf("degrees = %d %d %d", g.deg[i1], g.deg[i2], g.deg[i3])
 	}
 }
 
@@ -105,8 +105,8 @@ func TestNewGraphExtraLinks(t *testing.T) {
 	if g.HasEdge(i1, i1) || len(g.down[i3]) != 3 {
 		t.Fatalf("AS3's edges lead to %v, want AS2, AS1 and AS4 once each", g.down[i3])
 	}
-	if g.Degree(i1) != 1 || g.Degree(i3) != 2 {
-		t.Fatalf("degrees = %d %d, want the path links' 1 2", g.Degree(i1), g.Degree(i3))
+	if g.deg[i1] != 1 || g.deg[i3] != 2 {
+		t.Fatalf("degrees = %d %d, want the path links' 1 2", g.deg[i1], g.deg[i3])
 	}
 	if r := g.Relationship(i1, i3); r != RelUnknown {
 		t.Fatalf("rel(AS1, AS3) = %v, want unknown", r)
@@ -132,8 +132,8 @@ func TestNewGraphOrgMesh(t *testing.T) {
 	if r := g.Relationship(i1, i2); r != RelPeer {
 		t.Fatalf("rel(AS1, AS2) = %v: an org link stays peer over the paths' c2p", r)
 	}
-	if g.Index(777) != -1 || g.Degree(i1) != 1 || g.Degree(i4) != 1 {
-		t.Fatalf("the mesh added AS777 or degrees: %d %d", g.Degree(i1), g.Degree(i4))
+	if g.Index(777) != -1 || g.deg[i1] != 1 || g.deg[i4] != 1 {
+		t.Fatalf("the mesh added AS777 or degrees: %d %d", g.deg[i1], g.deg[i4])
 	}
 }
 

@@ -115,7 +115,7 @@ func requireSameSet(t *testing.T, label string, n int, want, got *netx.Bitset) {
 // TestConeWalksMatchClosures is the property test for the member cone walk:
 // over random cyclic topologies, with and without an org mesh, every AS's
 // unbounded walk down the graph and down CustomerAdjacency must equal the
-// sequential closures' ValidOriginSet (the customer one built from the
+// sequential closures' cones (the customer one built from the
 // walk's adjacency and from an independently built, HasEdge-gated one),
 // and the walk cut at depths 0, 1 and 2 must equal the frontier BFS
 // BoundedCone used to be.
@@ -133,10 +133,10 @@ func TestConeWalksMatchClosures(t *testing.T) {
 		ccAdj := g.CustomerAdjacency(orgs)
 		for u := 0; u < n; u++ {
 			label := fmt.Sprintf("iter=%d u=%d", iter, u)
-			requireSameSet(t, label+" full", n, fullRef.ValidOriginSet(u), g.BoundedCone(u, math.MaxInt))
+			requireSameSet(t, label+" full", n, coneSet(fullRef, u), g.BoundedCone(u, math.MaxInt))
 			cc := ccAdj.Cone(u, math.MaxInt)
-			requireSameSet(t, label+" cc", n, ccRef.ValidOriginSet(u), cc)
-			requireSameSet(t, label+" cc gated", n, ccGated.ValidOriginSet(u), cc)
+			requireSameSet(t, label+" cc", n, coneSet(ccRef, u), cc)
+			requireSameSet(t, label+" cc gated", n, coneSet(ccGated, u), cc)
 			if got := cc.Count(); got != ccRef.ConeSize(u) {
 				t.Fatalf("%s: cc walk reaches %d ASes, closure cone size %d", label, got, ccRef.ConeSize(u))
 			}

@@ -160,7 +160,7 @@ func FuzzSession(f *testing.F) {
 		if typ, body, err := readMessage(bytes.NewReader(stream)); err == nil && typ == msgTypeOpen {
 			got, want := &Session{cfg: local}, &Session{cfg: local}
 			err, oerr := got.parseOpen(body), oracleParseOpen(want, body)
-			if (err == nil) != (oerr == nil) || err == nil && (got.peerAS != want.peerAS || got.peerID != want.peerID || got.holdTime != want.holdTime) {
+			if (err == nil) != (oerr == nil) || err == nil && (got.peerAS != want.peerAS || got.holdTime != want.holdTime) {
 				t.Fatalf("parseOpen(%x): %v, %v; the oracle's %v, %v", body, got, err, want, oerr)
 			}
 		}

@@ -373,7 +373,6 @@ func oracleParseOpen(s *Session, b []byte) error {
 	// proposals; compare on the wire values so both sides agree exactly.
 	peerHold := time.Duration(binary.BigEndian.Uint16(b[3:5])) * time.Second
 	s.holdTime = min(time.Duration(s.cfg.wireHoldTime())*time.Second, peerHold)
-	s.peerID = netx.Addr(binary.BigEndian.Uint32(b[5:9]))
 	optLen := int(b[9])
 	if len(b) < 10+optLen {
 		return errors.New("bgp: truncated OPEN optional parameters")
@@ -416,7 +415,6 @@ type oracleRIB struct {
 	seen     map[string]struct{}
 	anns     []Announcement
 	prefixes map[netx.Prefix]ASN
-	dropped  int
 }
 
 func newOracleRIB() *oracleRIB {
@@ -429,11 +427,7 @@ func newOracleRIB() *oracleRIB {
 }
 
 func (r *oracleRIB) AddAnnouncement(p netx.Prefix, path []ASN) {
-	if p.Bits < r.MinBits || p.Bits > r.MaxBits {
-		r.dropped++
-		return
-	}
-	if len(path) == 0 {
+	if p.Bits < r.MinBits || p.Bits > r.MaxBits || len(path) == 0 {
 		return
 	}
 	key := announcementKey(p, path)
@@ -531,13 +525,13 @@ func (r *oracleRIB) Fingerprint() Fingerprint {
 }
 
 // requireRIBAgrees fails t unless r reads as the oracle o does: the same
-// Dropped, NumPrefixes, Prefixes, OriginAssignments and Fingerprint, and
+// NumPrefixes, Prefixes, OriginAssignments and Fingerprint, and
 // the oracle's announcements as a set, strictly increasing in (prefix,
 // origin, path).
 func requireRIBAgrees(t *testing.T, label string, r *RIB, o *oracleRIB) {
 	t.Helper()
-	if r.Dropped() != o.dropped || r.NumPrefixes() != len(o.prefixes) {
-		t.Fatalf("%s: Dropped %d, NumPrefixes %d; the oracle's %d, %d", label, r.Dropped(), r.NumPrefixes(), o.dropped, len(o.prefixes))
+	if r.NumPrefixes() != len(o.prefixes) {
+		t.Fatalf("%s: NumPrefixes %d; the oracle's %d", label, r.NumPrefixes(), len(o.prefixes))
 	}
 	if got, want := r.Prefixes(), o.Prefixes(); !slices.Equal(got, want) {
 		t.Fatalf("%s: Prefixes %v; the oracle's %v", label, got, want)

@@ -39,14 +39,8 @@ type RIB struct {
 
 	// anns[:sorted] is distinct and sorted by compareAnnouncements;
 	// anns[sorted:] is the tail added since, in arrival order.
-	anns    []Announcement
-	sorted  int
-	dropped int
-	// withdrawn counts withdrawal messages digested. The paper's method
-	// keeps every announcement of the window ("we consider all table dumps
-	// and update messages within our time period"), so withdrawals never
-	// remove history — but operators watching a live feed want the count.
-	withdrawn int
+	anns   []Announcement
+	sorted int
 }
 
 // foldMin is the shortest unsorted tail AddAnnouncement folds into the
@@ -61,21 +55,10 @@ func NewRIB() *RIB {
 	return &RIB{MinBits: 8, MaxBits: 24}
 }
 
-// Dropped returns the number of announcements rejected by the length filter.
-func (r *RIB) Dropped() int { return r.dropped }
-
-// Withdrawn returns the number of withdrawal entries digested (withdrawals
-// are counted but never erase window history; see the type comment).
-func (r *RIB) Withdrawn() int { return r.withdrawn }
-
 // AddAnnouncement records one (prefix, path) observation. Paths are copied;
 // an empty path is ignored.
 func (r *RIB) AddAnnouncement(p netx.Prefix, path []ASN) {
-	if p.Bits < r.MinBits || p.Bits > r.MaxBits {
-		r.dropped++
-		return
-	}
-	if len(path) == 0 {
+	if p.Bits < r.MinBits || p.Bits > r.MaxBits || len(path) == 0 {
 		return
 	}
 	r.anns = append(r.anns, Announcement{
@@ -129,10 +112,11 @@ func (r *RIB) table() []Announcement {
 	return r.anns[:r.sorted:r.sorted]
 }
 
-// ApplyUpdate digests a BGP UPDATE: NLRI become announcements; withdrawals
-// are counted but do not remove history.
+// ApplyUpdate digests a BGP UPDATE: NLRI become announcements, and
+// withdrawals are ignored. The paper's method keeps every announcement of
+// the window ("we consider all table dumps and update messages within our
+// time period"), so a withdrawal never removes history.
 func (r *RIB) ApplyUpdate(u *Update) {
-	r.withdrawn += len(u.Withdrawn)
 	path := dedupSequencePath(&u.Attrs)
 	for _, p := range u.NLRI {
 		r.AddAnnouncement(p, path)

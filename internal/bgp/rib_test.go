@@ -17,11 +17,8 @@ func TestRIBLengthFilter(t *testing.T) {
 	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/25"), []ASN{1})  // too long
 	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []ASN{1})   // ok
 	r.AddAnnouncement(netx.MustParsePrefix("192.0.2.0/24"), []ASN{2}) // ok
-	if r.NumPrefixes() != 2 {
-		t.Fatalf("NumPrefixes = %d", r.NumPrefixes())
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d", r.Dropped())
+	if got := r.Prefixes(); len(got) != 2 || got[0].Bits != 8 || got[1].Bits != 24 {
+		t.Fatalf("Prefixes = %v, want the /8 and the /24", got)
 	}
 }
 
@@ -168,9 +165,6 @@ func TestRIBWithdrawalsCountedNotErased(t *testing.T) {
 		NLRI:  []netx.Prefix{p},
 	})
 	r.ApplyUpdate(&Update{Withdrawn: []netx.Prefix{p}})
-	if r.Withdrawn() != 1 {
-		t.Fatalf("Withdrawn = %d", r.Withdrawn())
-	}
 	// The paper's window semantics: the prefix stays routed.
 	if r.NumPrefixes() != 1 {
 		t.Fatalf("withdrawal erased window history: %d prefixes", r.NumPrefixes())
@@ -218,20 +212,18 @@ func TestRIBConcurrentReads(t *testing.T) {
 	}
 	r.Announcements()
 	type reading struct {
-		anns     []Announcement
-		n        int
-		ps, ops  []netx.Prefix
-		origins  []ASN
-		space    netx.IntervalSet
-		fp       Fingerprint
-		dropped  int
-		withdraw int
+		anns    []Announcement
+		n       int
+		ps, ops []netx.Prefix
+		origins []ASN
+		space   netx.IntervalSet
+		fp      Fingerprint
 	}
 	read := func() reading {
 		var x reading
 		x.anns, x.n, x.ps = r.Announcements(), r.NumPrefixes(), r.Prefixes()
 		x.ops, x.origins = r.OriginAssignments()
-		x.space, x.fp, x.dropped, x.withdraw = r.RoutedSpace(), r.Fingerprint(), r.Dropped(), r.Withdrawn()
+		x.space, x.fp = r.RoutedSpace(), r.Fingerprint()
 		return x
 	}
 	want := read()

@@ -85,7 +85,6 @@ type Session struct {
 	conn     net.Conn
 	cfg      SessionConfig
 	peerAS   ASN
-	peerID   netx.Addr
 	holdTime time.Duration // negotiated; 0 disables keepalives and deadlines
 
 	updatesIn, updatesOut       atomic.Int64
@@ -165,9 +164,6 @@ func Dial(addr string, cfg SessionConfig) (*Session, error) {
 // PeerAS returns the negotiated peer AS number.
 func (s *Session) PeerAS() ASN { return s.peerAS }
 
-// PeerID returns the peer's BGP identifier.
-func (s *Session) PeerID() netx.Addr { return s.peerID }
-
 // HoldTime returns the negotiated hold time: min(ours, peer's), in whole
 // seconds. Zero means the peers agreed to run without keepalives, and Recv
 // never times out.
@@ -207,7 +203,8 @@ func (s *Session) openBody() []byte {
 
 func (s *Session) parseOpen(b []byte) error {
 	c := netx.NewCursor(b)
-	version, as2, hold, id := c.U8(), c.U16(), c.U16(), c.U32()
+	version, as2, hold := c.U8(), c.U16(), c.U16()
+	c.U32() // the peer's BGP identifier, which nothing reads
 	params := c.Sub(int(c.U8()))
 	switch {
 	case c.Err() != nil:
@@ -219,7 +216,6 @@ func (s *Session) parseOpen(b []byte) error {
 	// RFC 4271 §4.2: the session's hold time is the smaller of the two
 	// proposals; compare on the wire values so both sides agree exactly.
 	s.holdTime = min(time.Duration(s.cfg.wireHoldTime()), time.Duration(hold)) * time.Second
-	s.peerID = netx.Addr(id)
 	// A trailing byte too short for a parameter or capability header is
 	// ignored.
 	for params.Err() == nil && params.Len() >= 2 {

@@ -63,9 +63,6 @@ func TestSessionHandshake(t *testing.T) {
 	if b.PeerAS() != 65001 {
 		t.Errorf("server peer AS = %v", b.PeerAS())
 	}
-	if a.PeerID() != netx.MustParseAddr("10.0.0.2") {
-		t.Errorf("client peer ID = %v", a.PeerID())
-	}
 }
 
 func TestSessionFourOctetAS(t *testing.T) {

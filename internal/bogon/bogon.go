@@ -45,23 +45,21 @@ func Reference() []Entry {
 // Set is a compiled bogon matcher. It is immutable and safe for concurrent
 // use. The zero value matches nothing; build one with NewSet.
 type Set struct {
-	lpm     *netx.FlatLPM // value = index into entries
-	entries []Entry
-	space   netx.IntervalSet
+	lpm      *netx.FlatLPM
+	prefixes []netx.Prefix
+	space    netx.IntervalSet
 }
 
 // NewSet compiles the given entries. Pass Reference() for the standard list.
 func NewSet(entries []Entry) *Set {
 	ps := make([]netx.Prefix, len(entries))
-	idx := make([]uint32, len(entries))
 	for i, e := range entries {
 		ps[i] = e.Prefix
-		idx[i] = uint32(i)
 	}
 	return &Set{
-		lpm:     netx.BuildFlatLPM(ps, idx),
-		entries: append([]Entry(nil), entries...),
-		space:   netx.IntervalSetOfPrefixes(ps...),
+		lpm:      netx.BuildFlatLPM(ps, nil),
+		prefixes: ps,
+		space:    netx.IntervalSetOfPrefixes(ps...),
 	}
 }
 
@@ -80,31 +78,8 @@ func (s *Set) Contains(a netx.Addr) bool {
 // set into another matcher shape (the classifier compiles it into a flat
 // slab for its hot path).
 func (s *Set) Prefixes() []netx.Prefix {
-	ps := make([]netx.Prefix, len(s.entries))
-	for i, e := range s.entries {
-		ps[i] = e.Prefix
-	}
-	return ps
+	return append([]netx.Prefix(nil), s.prefixes...)
 }
-
-// Match returns the bogon entry covering a, if any.
-func (s *Set) Match(a netx.Addr) (Entry, bool) {
-	if s.lpm == nil {
-		return Entry{}, false
-	}
-	idx, ok := s.lpm.Lookup(a)
-	if !ok {
-		return Entry{}, false
-	}
-	return s.entries[idx], true
-}
-
-// Entries returns the compiled entries. The slice must not be modified.
-func (s *Set) Entries() []Entry { return s.entries }
 
 // Space returns the address space covered by the set.
 func (s *Set) Space() netx.IntervalSet { return s.space }
-
-// Slash24Equivalents returns the covered space in /24 equivalents
-// (the paper reports 218K for its list).
-func (s *Set) Slash24Equivalents() uint64 { return s.space.Slash24Equivalents() }

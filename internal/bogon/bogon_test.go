@@ -12,13 +12,12 @@ func TestReferenceShape(t *testing.T) {
 		t.Fatalf("reference list has %d prefixes, want 14", len(entries))
 	}
 	for i, e := range entries {
-		if !e.Prefix.IsValid() {
-			t.Errorf("entry %d invalid: %v", i, e.Prefix)
+		if e.Prefix != netx.PrefixFrom(e.Prefix.Addr, e.Prefix.Bits) {
+			t.Errorf("entry %d has host bits set: %v", i, e.Prefix)
 		}
-		for j := i + 1; j < len(entries); j++ {
-			if e.Prefix.Overlaps(entries[j].Prefix) {
-				t.Errorf("entries overlap: %v %v", e.Prefix, entries[j].Prefix)
-			}
+		// Sorted by address and disjoint: each range ends before the next.
+		if i > 0 && entries[i-1].Prefix.Last() >= e.Prefix.First() {
+			t.Errorf("entries overlap or are out of order: %v %v", entries[i-1].Prefix, e.Prefix)
 		}
 	}
 }
@@ -30,7 +29,7 @@ func TestReferenceSlash24Equivalents(t *testing.T) {
 	// is the list size *excluding* multicast and class E). Figure 10 shows
 	// multicast/future-use sources classified as Bogon, so the full list is
 	// authoritative: 14 prefixes covering 13.8% of the address space.
-	got := s.Slash24Equivalents()
+	got := s.Space().Slash24Equivalents()
 	if got != 2_315_269 && got != 2_315_268 {
 		t.Fatalf("bogon space = %d /24s, want ~2.315M (13.8%% of IPv4)", got)
 	}
@@ -67,13 +66,22 @@ func TestContains(t *testing.T) {
 }
 
 func TestMatchProvenance(t *testing.T) {
-	s := NewReferenceSet()
-	e, ok := s.Match(netx.MustParseAddr("10.9.8.7"))
-	if !ok || e.Origin != "RFC1918 (private)" {
-		t.Fatalf("Match = %+v %v", e, ok)
-	}
-	if _, ok := s.Match(netx.MustParseAddr("8.8.8.8")); ok {
-		t.Fatal("Match hit non-bogon")
+	for _, c := range []struct{ addr, origin string }{
+		{"10.9.8.7", "RFC1918 (private)"},
+		{"100.100.0.1", "RFC6598 (shared/CGN)"},
+		{"203.0.113.9", "RFC5737 (TEST-NET-3)"},
+		{"8.8.8.8", ""},
+	} {
+		a := netx.MustParseAddr(c.addr)
+		var got string
+		for _, e := range Reference() {
+			if e.Prefix.Contains(a) {
+				got = e.Origin
+			}
+		}
+		if got != c.origin || NewReferenceSet().Contains(a) != (c.origin != "") {
+			t.Errorf("%s: covered by %q, want %q", c.addr, got, c.origin)
+		}
 	}
 }
 
@@ -82,8 +90,8 @@ func TestZeroValueSet(t *testing.T) {
 	if s.Contains(netx.MustParseAddr("10.0.0.1")) {
 		t.Fatal("zero Set must match nothing")
 	}
-	if _, ok := s.Match(netx.MustParseAddr("10.0.0.1")); ok {
-		t.Fatal("zero Set must match nothing")
+	if len(s.Prefixes()) != 0 || !s.Space().IsEmpty() {
+		t.Fatal("zero Set must hold nothing")
 	}
 }
 
@@ -95,7 +103,7 @@ func TestCustomSet(t *testing.T) {
 	if s.Contains(netx.MustParseAddr("10.0.0.1")) {
 		t.Fatal("custom set matched reference range")
 	}
-	if s.Slash24Equivalents() != 1 {
-		t.Fatalf("size = %d", s.Slash24Equivalents())
+	if n := s.Space().Slash24Equivalents(); n != 1 {
+		t.Fatalf("size = %d", n)
 	}
 }

@@ -506,9 +506,6 @@ func (a *Aggregator) Members() []*MemberStats {
 	return out
 }
 
-// Member returns one member's stats (nil if it sent nothing).
-func (a *Aggregator) Member(port uint32) *MemberStats { return a.members[port] }
-
 // SetMemberASN back-fills the ASN on member stats (ports arrive from
 // flows; ASNs from the member table).
 func (a *Aggregator) SetMemberASN(port uint32, asn bgp.ASN) {

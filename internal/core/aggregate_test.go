@@ -117,7 +117,7 @@ func TestAggregatorRouterAndOrigins(t *testing.T) {
 	v.RouterIP = true
 	v.SrcOrigin = 65001
 	a.Add(aggFlow("10.0.0.1", "10.0.0.2", 4, 400), v)
-	m := a.Member(1)
+	m := a.members[1]
 	if m == nil || m.RouterIPInvalid != 4 {
 		t.Fatalf("router invalid = %+v", m)
 	}
@@ -153,7 +153,7 @@ func TestContributingMembers(t *testing.T) {
 		t.Fatalf("unrouted members = %d", got)
 	}
 	a.SetMemberASN(1, 65001)
-	if a.Member(1).ASN != 65001 {
+	if a.members[1].ASN != 65001 {
 		t.Fatal("SetMemberASN lost")
 	}
 	a.SetMemberASN(99, 1) // unknown port: no-op, no panic

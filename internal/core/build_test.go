@@ -129,7 +129,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 	// row, so its cones are walked on the shared graph) and one member moves
 	// port (its rows are re-wrapped under the new port). Each rebuild must
 	// equal a cold build of the same snapshot and member list.
-	members2, flows2 := memberChange(t, cold, members, flows)
+	members2, flows2 := memberChange(t, rib, members, flows)
 	for _, tc := range []struct {
 		name string
 		rib  *bgp.RIB
@@ -185,7 +185,7 @@ func TestRebuildReuseTiers(t *testing.T) {
 // most neighbours, on a fresh port — and the first member moved to another
 // fresh port, plus flows re-aimed to match: the moved member's flows arrive
 // on its new port, and every fifth flow is repeated on the added member's.
-func memberChange(t *testing.T, p *Pipeline, members []MemberInfo, flows []ipfix.Flow) ([]MemberInfo, []ipfix.Flow) {
+func memberChange(t *testing.T, rib *bgp.RIB, members []MemberInfo, flows []ipfix.Flow) ([]MemberInfo, []ipfix.Flow) {
 	t.Helper()
 	isMember := make(map[bgp.ASN]bool, len(members))
 	var maxPort uint32
@@ -193,20 +193,35 @@ func memberChange(t *testing.T, p *Pipeline, members []MemberInfo, flows []ipfix
 		isMember[m.ASN] = true
 		maxPort = max(maxPort, m.Port)
 	}
-	g := p.Graph()
-	added := -1
-	for i := range g.NumASes() {
-		if !isMember[g.ASN(i)] && (added < 0 || g.Degree(i) > g.Degree(added)) {
-			added = i
+	// An AS's degree: the distinct ASes it neighbours on some path.
+	neighbours := map[bgp.ASN]map[bgp.ASN]bool{}
+	link := func(u, v bgp.ASN) {
+		if neighbours[u] == nil {
+			neighbours[u] = map[bgp.ASN]bool{}
+		}
+		neighbours[u][v] = true
+	}
+	for _, a := range rib.Announcements() {
+		for i := 1; i < len(a.Path); i++ {
+			if u, v := a.Path[i-1], a.Path[i]; u != v {
+				link(u, v)
+				link(v, u)
+			}
 		}
 	}
-	if added < 0 {
+	var added bgp.ASN
+	for as, ns := range neighbours {
+		if !isMember[as] && (added == 0 || len(ns) > len(neighbours[added]) || len(ns) == len(neighbours[added]) && as < added) {
+			added = as
+		}
+	}
+	if added == 0 {
 		t.Fatal("every AS is a member")
 	}
 	oldPort, movedPort, addedPort := members[0].Port, maxPort+1, maxPort+2
 	out := append([]MemberInfo(nil), members...)
 	out[0].Port = movedPort
-	out = append(out, MemberInfo{ASN: g.ASN(added), Port: addedPort})
+	out = append(out, MemberInfo{ASN: added, Port: addedPort})
 
 	var moved int
 	var outFlows []ipfix.Flow
@@ -322,7 +337,10 @@ func TestColdBuildAllocLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rib := st.RIB()
+	rib := bgp.NewRIB()
+	for _, a := range st.Anns {
+		rib.AddAnnouncement(a.Prefix, a.Path)
+	}
 	var members []MemberInfo
 	for i, as := range st.MemberASNs {
 		members = append(members, MemberInfo{ASN: as, Port: uint32(i + 1)})

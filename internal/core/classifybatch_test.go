@@ -128,7 +128,7 @@ func TestBatchDrainLatencyHistogramNonEmpty(t *testing.T) {
 	if err := rt.RunParallel(nil, 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := tel.Metrics.FindHistogram(MetricClassifyDuration)
+	snap, ok := exportedHistogram(tel.Metrics, MetricClassifyDuration)
 	if !ok {
 		t.Fatal("classify-duration histogram not registered")
 	}

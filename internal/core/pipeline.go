@@ -210,9 +210,6 @@ func (p *Pipeline) member(port uint32) (*memberState, bool) {
 // Graph exposes the AS graph (read-only) for analyses.
 func (p *Pipeline) Graph() *astopo.Graph { return p.graph }
 
-// NaiveIndex exposes the naive per-AS prefix index.
-func (p *Pipeline) NaiveIndex() *astopo.NaiveIndex { return p.naive }
-
 // RoutedSpace returns the routed address space.
 func (p *Pipeline) RoutedSpace() netx.IntervalSet { return p.routedSpace }
 

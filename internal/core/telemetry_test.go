@@ -86,7 +86,7 @@ func TestRuntimeTelemetryMatchesAggregator(t *testing.T) {
 	if drain["inplace"] != st.DrainInPlace || drain["spilled"] != st.DrainSpilled || drain["merges"] != st.DrainMerges {
 		t.Errorf("drain scrape %v, stats %d in place, %d spilled, %d merges", drain, st.DrainInPlace, st.DrainSpilled, st.DrainMerges)
 	}
-	if mh, ok := tel.Metrics.FindHistogram(MetricMergeDuration); !ok || mh.Count != st.DrainMerges {
+	if mh, ok := exportedHistogram(tel.Metrics, MetricMergeDuration); !ok || mh.Count != st.DrainMerges {
 		t.Errorf("merge-duration histogram: %d samples (registered %v), %d merges", mh.Count, ok, st.DrainMerges)
 	}
 	// Per-class equality is the contract; classes overlap by design (the
@@ -121,7 +121,7 @@ func TestRuntimeTelemetryMatchesAggregator(t *testing.T) {
 	// The latency sampler observes one flow-weighted sample per drained
 	// batch: a 1000-flow run must have observed some, and no more than one
 	// per flow (batches hold at least one flow each).
-	snap, ok := tel.Metrics.FindHistogram(MetricClassifyDuration)
+	snap, ok := exportedHistogram(tel.Metrics, MetricClassifyDuration)
 	if !ok {
 		t.Fatal("classify-duration histogram not registered")
 	}
@@ -235,4 +235,15 @@ func TestRuntimeCheckpointJournal(t *testing.T) {
 	if !found {
 		t.Fatalf("journal missing checkpoint event: %+v", tel.Journal.Events())
 	}
+}
+
+// exportedHistogram reads the unlabelled histogram registered under name
+// from the registry's JSON exposition.
+func exportedHistogram(r *obs.Registry, name string) (obs.HistogramSnapshot, bool) {
+	for _, f := range r.Export() {
+		if f.Name == name && len(f.Samples) == 1 && f.Samples[0].Histogram != nil {
+			return *f.Samples[0].Histogram, true
+		}
+	}
+	return obs.HistogramSnapshot{}, false
 }

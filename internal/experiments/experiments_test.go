@@ -96,13 +96,7 @@ func TestConeContainmentHolds(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	r := Table1(testEnv(t))
-	get := func(name string) *Table1Row {
-		row := r.Row(name)
-		if row == nil {
-			t.Fatalf("missing row %s", name)
-		}
-		return row
-	}
+	get := func(name string) *Table1Row { return table1Row(t, r, name) }
 	bogon, unrouted := get("bogon"), get("unrouted")
 	full, naive, cc := get("invalid-full"), get("invalid-naive"), get("invalid-cc")
 
@@ -423,4 +417,16 @@ func TestRunAll(t *testing.T) {
 			t.Errorf("RunAll output missing %q", want)
 		}
 	}
+}
+
+// table1Row returns r's row for a class name, failing t if there is none.
+func table1Row(t *testing.T, r *Table1Result, class string) *Table1Row {
+	t.Helper()
+	for i := range r.Rows {
+		if r.Rows[i].Class == class {
+			return &r.Rows[i]
+		}
+	}
+	t.Fatalf("missing row %s", class)
+	return nil
 }

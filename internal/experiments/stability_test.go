@@ -23,13 +23,10 @@ func TestShapeStabilityAcrossSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := Table1(env)
-			naive := r.Row("invalid-naive")
-			cc := r.Row("invalid-cc")
-			full := r.Row("invalid-full")
-			bogon := r.Row("bogon")
-			if naive == nil || cc == nil || full == nil || bogon == nil {
-				t.Fatal("missing rows")
-			}
+			naive := table1Row(t, r, "invalid-naive")
+			cc := table1Row(t, r, "invalid-cc")
+			full := table1Row(t, r, "invalid-full")
+			bogon := table1Row(t, r, "bogon")
 			if !(naive.Packets >= cc.Packets && cc.Packets >= full.Packets) {
 				t.Errorf("seed %d: volume ordering violated: %d/%d/%d",
 					seed, naive.Packets, cc.Packets, full.Packets)

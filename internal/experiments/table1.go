@@ -88,16 +88,6 @@ func Table1(env *Env) *Table1Result {
 	return res
 }
 
-// Row returns the row for a class name, or nil.
-func (r *Table1Result) Row(class string) *Table1Row {
-	for i := range r.Rows {
-		if r.Rows[i].Class == class {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render prints Table 1.
 func (r *Table1Result) Render() string {
 	var b strings.Builder

@@ -117,22 +117,19 @@ func TestTCPServeBatch(t *testing.T) {
 	}()
 	var got []Flow
 	batches := 0
-	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+	st := serveOne(t, col, func(batch []Flow) bool {
 		batches++
 		got = append(got, batch...)
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || len(got) != 3 || batches != 2 {
-		t.Fatalf("n=%d flows=%d batches=%d, want 3/3/2", n, len(got), batches)
+	if len(got) != 3 || batches != 2 {
+		t.Fatalf("flows=%d batches=%d, want 3/2", len(got), batches)
 	}
 	want := []Flow{sampleFlow(0), sampleFlow(1), sampleFlow(2)}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("batch content mismatch")
 	}
-	if st := col.Stats(); st.Flows != 3 || st.Connections != 1 {
+	if st.Flows != 3 || st.Connections != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

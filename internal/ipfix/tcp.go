@@ -117,30 +117,6 @@ func (c *TCPCollector) Stats() CollectorStats {
 	return c.stats
 }
 
-// AcceptOneBatch accepts a single exporter connection and hands every
-// decoded message's flows to fn as one slice, until the exporter closes or fn
-// returns false. It returns the number of flows delivered and — the one call
-// that does — that connection's framing error, if it ended on one.
-// Malformed-but-framed messages are skipped and counted, matching the UDP
-// collector's semantics. The slice is the connection's reused scratch —
-// valid only for the duration of the call; copy (or queue by value, as
-// IngestQueue does) to retain. fn returning false closes the connection
-// after counting that whole batch.
-func (c *TCPCollector) AcceptOneBatch(fn func([]Flow) bool) (int, error) {
-	conn, err := c.ln.Accept()
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	c.mu.Lock()
-	c.stats.Connections++
-	c.mu.Unlock()
-	dec := NewDecoder()
-	n, malformed, err := serveStream(conn, dec, c.IdleTimeout, fn)
-	c.finishStream(conn, dec, n, malformed, err)
-	return n, err
-}
-
 // finishStream folds one connection's outcome — flow/malformed counts, the
 // per-connection decoder's counters, and the disconnect verdict — into the
 // collector's stats.

@@ -3,6 +3,7 @@ package ipfix
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestTCPExportCollect(t *testing.T) {
@@ -34,15 +35,12 @@ func TestTCPExportCollect(t *testing.T) {
 	}()
 
 	var got []Flow
-	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+	st := serveOne(t, col, func(batch []Flow) bool {
 		got = append(got, batch...)
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(want) {
-		t.Fatalf("delivered %d of %d flows", n, len(want))
+	if st.Flows != len(want) || st.Disconnects != 0 {
+		t.Fatalf("delivered %d of %d flows, %d disconnects", st.Flows, len(want), st.Disconnects)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("TCP round trip mismatch")
@@ -70,18 +68,34 @@ func TestTCPCollectorEarlyStop(t *testing.T) {
 	// The callback stops on the first batch it sees; the collector stops the
 	// stream there, and counts the batch it had handed over whole.
 	calls, handed := 0, 0
-	n, err := col.AcceptOneBatch(func(batch []Flow) bool {
+	st := serveOne(t, col, func(batch []Flow) bool {
 		calls++
 		handed += len(batch)
 		return false
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if calls != 1 {
 		t.Fatalf("callback called %d times after returning false on the first batch", calls)
 	}
-	if n != handed || n == 0 {
-		t.Fatalf("early stop counted %d flows, the one batch handed over held %d", n, handed)
+	if st.Flows != handed || handed == 0 || st.Disconnects != 0 {
+		t.Fatalf("early stop counted %d flows (%d disconnects), the one batch handed over held %d", st.Flows, st.Disconnects, handed)
 	}
+}
+
+// serveOne runs col.ServeBatch until its first exporter connection has
+// ended: once that connection is accepted, Shutdown stops accepting and
+// waits for it. It returns the collector's stats.
+func serveOne(t *testing.T, col *TCPCollector, fn func([]Flow) bool) CollectorStats {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- col.ServeBatch(fn) }()
+	for col.Stats().Connections == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := col.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return col.Stats()
 }

@@ -55,21 +55,8 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
-// Netip converts back to a netip.Addr.
-func (a Addr) Netip() netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
-}
-
-// Octets returns the four dotted-quad octets.
-func (a Addr) Octets() (o0, o1, o2, o3 byte) {
-	return byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)
-}
-
 // Slash8 returns the address's /8 bin index (its first octet).
 func (a Addr) Slash8() int { return int(a >> 24) }
-
-// Slash24 returns the index of the /24 block containing a.
-func (a Addr) Slash24() uint32 { return uint32(a) >> 8 }
 
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
@@ -131,14 +118,6 @@ func (p Prefix) Contains(a Addr) bool {
 	return uint32(a)&p.Mask() == uint32(p.Addr)
 }
 
-// Overlaps reports whether two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.Bits <= q.Bits {
-		return p.Contains(q.Addr)
-	}
-	return q.Contains(p.Addr)
-}
-
 // First returns the lowest address in the prefix (the network address).
 func (p Prefix) First() Addr { return p.Addr }
 
@@ -147,22 +126,6 @@ func (p Prefix) Last() Addr { return Addr(uint32(p.Addr) | ^p.Mask()) }
 
 // NumAddrs returns the number of addresses covered by the prefix.
 func (p Prefix) NumAddrs() uint64 { return 1 << (32 - p.Bits) }
-
-// Slash24Equivalents returns the prefix's size in /24 equivalents.
-// Prefixes longer than /24 count fractionally toward zero and are reported
-// as 0 here; use NumAddrs for exact accounting.
-func (p Prefix) Slash24Equivalents() uint64 {
-	if p.Bits > 24 {
-		return 0
-	}
-	return 1 << (24 - p.Bits)
-}
-
-// IsValid reports whether the prefix is well formed (host bits zero,
-// length in range).
-func (p Prefix) IsValid() bool {
-	return p.Bits <= 32 && uint32(p.Addr)&^p.Mask() == 0
-}
 
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.Addr, p.Bits)

@@ -10,7 +10,6 @@ type AddrSet struct {
 	slots   []uint32 // open-addressed; 0 is the empty sentinel
 	mask    uint32
 	hasZero bool // address 0 stored out of band (0 marks empty slots)
-	size    int
 }
 
 // NewAddrSet builds a set holding exactly the given addresses.
@@ -27,24 +26,14 @@ func NewAddrSet(addrs []Addr) *AddrSet {
 	for _, a := range addrs {
 		v := uint32(a)
 		if v == 0 {
-			if !s.hasZero {
-				s.hasZero = true
-				s.size++
-			}
+			s.hasZero = true
 			continue
 		}
 		i := hashAddr(v) & s.mask
-		for s.slots[i] != 0 {
-			if s.slots[i] == v {
-				i = ^uint32(0)
-				break
-			}
+		for s.slots[i] != 0 && s.slots[i] != v {
 			i = (i + 1) & s.mask
 		}
-		if i != ^uint32(0) {
-			s.slots[i] = v
-			s.size++
-		}
+		s.slots[i] = v
 	}
 	return s
 }
@@ -78,6 +67,3 @@ func (s *AddrSet) Contains(a Addr) bool {
 		i = (i + 1) & s.mask
 	}
 }
-
-// Len returns the number of distinct addresses stored.
-func (s *AddrSet) Len() int { return s.size }

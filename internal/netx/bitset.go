@@ -6,16 +6,12 @@ import "math/bits"
 // over AS graphs (node indices are small dense integers).
 type Bitset struct {
 	words []uint64
-	n     int
 }
 
 // NewBitset returns a bitset able to hold n bits, all clear.
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Cap returns the bit capacity.
-func (b *Bitset) Cap() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -42,13 +38,6 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Clone returns a deep copy.
-func (b *Bitset) Clone() *Bitset {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitset{words: w, n: b.n}
-}
-
 // ForEach calls fn for every set bit index in ascending order.
 func (b *Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b.words {
@@ -58,14 +47,4 @@ func (b *Bitset) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// ContainsAll reports whether every bit set in other is also set in b.
-func (b *Bitset) ContainsAll(other *Bitset) bool {
-	for i, w := range other.words {
-		if b.words[i]&w != w {
-			return false
-		}
-	}
-	return true
 }

@@ -13,15 +13,15 @@ import "sort"
 //	root16[addr>>16]  -> slice of the cut array owned by that /16 chunk
 //	starts/cutEntry   -> disjoint address ranges, each mapped to the most
 //	                     specific stored prefix covering it (or none)
-//	chains/chainBits  -> per stored prefix, its full ancestor chain
+//	chains/chainEnts  -> per stored prefix, its full ancestor chain
 //	                     (shortest first, itself last), precomputed
 //
 // A lookup is: one root16 load, a short binary search inside the chunk's
 // cut span (the cuts of one /16 share a handful of cache lines), and an
-// entry-array read. Matches — the covering-prefix walk the classifier's
-// Figure 3 sequence needs — becomes a copy of the hit entry's precomputed
-// chain instead of a closure call per trie level: the level-compression
-// work moves entirely to build time.
+// entry-array read. FindChain — the covering-prefix walk the classifier's
+// Figure 3 sequence needs — hands out the hit entry's precomputed chain
+// instead of a closure call per trie level: the level-compression work
+// moves entirely to build time.
 //
 // All slabs are flat slices of scalars; the structure holds no per-node
 // pointers, so the GC never traverses it and lookups never chase one.
@@ -48,14 +48,13 @@ type FlatLPM struct {
 
 	// Per-entry slabs, indexed by the entry order (sorted by address, then
 	// length). chainOff[e]..chainOff[e+1] bounds entry e's ancestor chain in
-	// chains/chainBits/chainEnts: the values, prefix lengths, and entry
-	// indices of every stored prefix covering e's own, shortest first,
-	// ending with e itself. entAddr/entBits record each entry's own prefix,
-	// so EntryOf can map a prefix back to its index.
+	// chains/chainEnts: the values and entry indices of every stored prefix
+	// covering e's own, shortest first, ending with e itself.
+	// entAddr/entBits record each entry's own prefix, so EntryOf can map a
+	// prefix back to its index.
 	values    []uint32
 	chainOff  []uint32
 	chains    []uint32
-	chainBits []uint8
 	chainEnts []uint32
 	entAddr   []uint32
 	entBits   []uint8
@@ -142,7 +141,6 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 		f.entBits[e] = p.Bits
 	}
 	f.chains = make([]uint32, total)
-	f.chainBits = make([]uint8, total)
 	f.chainEnts = make([]uint32, total)
 	off := uint32(0)
 	stack = stack[:0]
@@ -156,12 +154,10 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 			parent := stack[len(stack)-1]
 			po, pd := f.chainOff[parent], depth[parent]
 			copy(f.chains[off:off+pd], f.chains[po:po+pd])
-			copy(f.chainBits[off:off+pd], f.chainBits[po:po+pd])
 			copy(f.chainEnts[off:off+pd], f.chainEnts[po:po+pd])
 		}
 		last := off + depth[e] - 1
 		f.chains[last] = f.values[e]
-		f.chainBits[last] = p.Bits
 		f.chainEnts[last] = uint32(e)
 		off += depth[e]
 		stack = append(stack, int32(e))
@@ -285,22 +281,6 @@ func (f *FlatLPM) Lookup(a Addr) (value uint32, ok bool) {
 // Contains reports whether any stored prefix covers a.
 func (f *FlatLPM) Contains(a Addr) bool { return f.find(a) >= 0 }
 
-// Matches calls fn for every stored prefix covering a, shortest first, with
-// the prefix length and stored value. Returning false stops the walk. Hot
-// paths use FindChain instead, which hands out the precomputed chain without
-// a call per level.
-func (f *FlatLPM) Matches(a Addr, fn func(bits uint8, value uint32) bool) {
-	e := f.find(a)
-	if e < 0 {
-		return
-	}
-	for i := f.chainOff[e]; i < f.chainOff[e+1]; i++ {
-		if !fn(f.chainBits[i], f.chains[i]) {
-			return
-		}
-	}
-}
-
 // FindChain returns the entry index of the most specific stored prefix
 // covering a plus zero-copy views of its full ancestor chain: vals[i] is
 // the stored value and ents[i] the entry index of the i-th covering
@@ -351,7 +331,3 @@ func (f *FlatLPM) EntryOf(p Prefix) int32 {
 	}
 	return -1
 }
-
-// Value returns the stored value of entry e (an index returned by
-// FindChain or EntryOf).
-func (f *FlatLPM) Value(e int32) uint32 { return f.values[e] }

@@ -161,43 +161,23 @@ type matchPair struct {
 	value uint32
 }
 
-func collectMatches(m interface {
-	Matches(Addr, func(uint8, uint32) bool)
-}, a Addr) []matchPair {
+// collectMatches lists the trie's covers of a, shortest first.
+func collectMatches(lpm *LPM, a Addr) []matchPair {
 	var out []matchPair
-	m.Matches(a, func(bits uint8, value uint32) bool {
+	lpm.Matches(a, func(bits uint8, value uint32) bool {
 		out = append(out, matchPair{bits, value})
 		return true
 	})
 	return out
 }
 
+// assertSameMatches checks FindChain against the trie's covers of a: the
+// zero-copy view carries the same lengths and values untruncated, its entry
+// indexes are self-consistent (each entry stores its chain value), and it
+// ends at the hit entry itself.
 func assertSameMatches(t *testing.T, lpm *LPM, flat *FlatLPM, a Addr) {
 	t.Helper()
 	want := collectMatches(lpm, a)
-	got := collectMatches(flat, a)
-	if len(want) != len(got) {
-		t.Fatalf("Matches(%v): trie saw %d covers, flat %d", a, len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Matches(%v)[%d]: trie %+v flat %+v", a, i, want[i], got[i])
-		}
-	}
-	// Early-terminating Matches parity: stopping after the first cover.
-	if len(want) > 0 {
-		var first []matchPair
-		flat.Matches(a, func(bits uint8, value uint32) bool {
-			first = append(first, matchPair{bits, value})
-			return false
-		})
-		if len(first) != 1 || first[0] != want[0] {
-			t.Fatalf("Matches(%v) early stop saw %v, want [%+v]", a, first, want[0])
-		}
-	}
-	// FindChain: the zero-copy view must carry the same values untruncated,
-	// self-consistent entry indexes (Value(ents[i]) == vals[i]), and end at
-	// the hit entry itself.
 	e, vals, ents := flat.FindChain(a)
 	if (e >= 0) != (len(want) > 0) {
 		t.Fatalf("FindChain(%v) entry = %d with %d covers", a, e, len(want))
@@ -206,12 +186,13 @@ func assertSameMatches(t *testing.T, lpm *LPM, flat *FlatLPM, a Addr) {
 		t.Fatalf("FindChain(%v) chain lengths %d/%d, want %d", a, len(vals), len(ents), len(want))
 	}
 	for i := range want {
-		if vals[i] != want[i].value {
-			t.Fatalf("FindChain(%v) vals[%d] = %d, want %d", a, i, vals[i], want[i].value)
+		got := matchPair{flat.entBits[ents[i]], vals[i]}
+		if got != want[i] {
+			t.Fatalf("FindChain(%v)[%d]: trie %+v flat %+v", a, i, want[i], got)
 		}
-		if flat.Value(int32(ents[i])) != vals[i] {
+		if flat.values[ents[i]] != vals[i] {
 			t.Fatalf("FindChain(%v) ents[%d]=%d has value %d, want %d",
-				a, i, ents[i], flat.Value(int32(ents[i])), vals[i])
+				a, i, ents[i], flat.values[ents[i]], vals[i])
 		}
 	}
 	if e >= 0 && ents[len(ents)-1] != uint32(e) {

@@ -19,9 +19,6 @@ func IntervalOf(p Prefix) Interval {
 // Len returns the number of addresses in the interval.
 func (iv Interval) Len() uint64 { return uint64(iv.Hi) - uint64(iv.Lo) + 1 }
 
-// Contains reports whether the interval covers a.
-func (iv Interval) Contains(a Addr) bool { return iv.Lo <= a && a <= iv.Hi }
-
 func (iv Interval) String() string { return fmt.Sprintf("[%s, %s]", iv.Lo, iv.Hi) }
 
 // IntervalSet is an immutable set of IPv4 addresses held as sorted,
@@ -112,25 +109,6 @@ func (s IntervalSet) Union(t IntervalSet) IntervalSet {
 	return NewIntervalSet(all...)
 }
 
-// Intersect returns the set intersection.
-func (s IntervalSet) Intersect(t IntervalSet) IntervalSet {
-	var out []Interval
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(t.ivs) {
-		a, b := s.ivs[i], t.ivs[j]
-		lo, hi := maxAddr(a.Lo, b.Lo), minAddr(a.Hi, b.Hi)
-		if lo <= hi {
-			out = append(out, Interval{lo, hi})
-		}
-		if a.Hi < b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return IntervalSet{ivs: out}
-}
-
 // Subtract returns the addresses in s but not in t.
 func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 	if s.IsEmpty() || t.IsEmpty() {
@@ -162,19 +140,6 @@ func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 	return IntervalSet{ivs: out}
 }
 
-// Equal reports whether two sets contain exactly the same addresses.
-func (s IntervalSet) Equal(t IntervalSet) bool {
-	if len(s.ivs) != len(t.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if s.ivs[i] != t.ivs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsSet reports whether every address of t is also in s.
 func (s IntervalSet) ContainsSet(t IntervalSet) bool {
 	return t.Subtract(s).IsEmpty()
@@ -189,18 +154,4 @@ func (s IntervalSet) String() string {
 		parts[i] = iv.String()
 	}
 	return "{" + strings.Join(parts, " ") + "}"
-}
-
-func minAddr(a, b Addr) Addr {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxAddr(a, b Addr) Addr {
-	if a > b {
-		return a
-	}
-	return b
 }

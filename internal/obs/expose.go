@@ -143,30 +143,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Export())
 }
-
-// FindHistogram returns a snapshot of the first histogram sample under
-// name whose labels include every given label, or false if none exists.
-func (r *Registry) FindHistogram(name string, labels ...Label) (HistogramSnapshot, bool) {
-	for _, f := range r.snapshotFamilies() {
-		if f.name != name || f.kind != KindHistogram {
-			continue
-		}
-	next:
-		for _, s := range f.samples {
-			for _, want := range labels {
-				found := false
-				for _, have := range s.labels {
-					if have == want {
-						found = true
-						break
-					}
-				}
-				if !found {
-					continue next
-				}
-			}
-			return s.hist.Snapshot(), true
-		}
-	}
-	return HistogramSnapshot{}, false
-}

@@ -11,10 +11,10 @@ import (
 // buckets with an explicit +Inf, integer values without a decimal point.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_last_total", "Sorted last.").Add(2)
-	r.Counter("aa_flows_total", "Flows by class.", Label{Name: "class", Value: "valid"}).Add(10)
-	r.Counter("aa_flows_total", "Flows by class.", Label{Name: "class", Value: "bogon"}).Add(3)
-	r.Gauge("mm_depth", "Queue depth.").Set(1.5)
+	r.CounterFunc("zz_last_total", "Sorted last.", func() uint64 { return 2 })
+	r.CounterFunc("aa_flows_total", "Flows by class.", func() uint64 { return 10 }, Label{Name: "class", Value: "valid"})
+	r.CounterFunc("aa_flows_total", "Flows by class.", func() uint64 { return 3 }, Label{Name: "class", Value: "bogon"})
+	r.GaugeFunc("mm_depth", "Queue depth.", func() float64 { return 1.5 })
 	h := r.Histogram("hh_lat_seconds", "Latency.", []float64{0.1, 0.2})
 	h.Observe(0.05)
 	h.Observe(0.15)
@@ -50,19 +50,33 @@ zz_last_total 2
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "E.", Label{Name: "path", Value: "a\"b\\c\nd"}).Inc()
+	value := "a\"b\\c\nd"
+	r.CounterFunc("esc_total", "E \\ and\nmore.", func() uint64 { return 1 }, Label{Name: "path", Value: value})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `esc_total{path="a\"b\\c\nd"} 1`) {
-		t.Fatalf("label escaping:\n%s", sb.String())
+	if !strings.Contains(sb.String(), `esc_total{path="a\"b\\c\nd"} 1`) ||
+		!strings.Contains(sb.String(), `# HELP esc_total E \\ and\nmore.`) {
+		t.Fatalf("label and help escaping:\n%s", sb.String())
+	}
+	// The JSON exposition round-trips the raw strings.
+	sb.Reset()
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var fams []JSONFamily
+	if err := json.Unmarshal([]byte(sb.String()), &fams); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
+	}
+	if len(fams) != 1 || fams[0].Help != "E \\ and\nmore." || fams[0].Samples[0].Labels["path"] != value {
+		t.Fatalf("JSON exposition: %+v", fams)
 	}
 }
 
 func TestExportJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "C.", Label{Name: "k", Value: "v"}).Add(5)
+	r.CounterFunc("c_total", "C.", func() uint64 { return 5 }, Label{Name: "k", Value: "v"})
 	r.Histogram("h_seconds", "H.", []float64{1}).Observe(0.5)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
@@ -81,20 +95,5 @@ func TestExportJSON(t *testing.T) {
 	}
 	if fams[1].Samples[0].Histogram.Count != 1 {
 		t.Fatalf("histogram family: %+v", fams[1])
-	}
-}
-
-func TestFindHistogram(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("lat", "L.", []float64{1}, Label{Name: "w", Value: "0"}).Observe(0.5)
-	r.Histogram("lat", "L.", []float64{1}, Label{Name: "w", Value: "1"})
-	if snap, ok := r.FindHistogram("lat", Label{Name: "w", Value: "0"}); !ok || snap.Count != 1 {
-		t.Fatalf("labeled lookup: ok=%v snap=%+v", ok, snap)
-	}
-	if _, ok := r.FindHistogram("lat", Label{Name: "w", Value: "9"}); ok {
-		t.Fatal("lookup with unknown label must miss")
-	}
-	if _, ok := r.FindHistogram("nope"); ok {
-		t.Fatal("unknown name must miss")
 	}
 }

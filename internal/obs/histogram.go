@@ -149,37 +149,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-quantile (0..1) by linear interpolation within
-// the containing bucket, the standard Prometheus histogram_quantile
-// estimate. It returns 0 for an empty histogram; values in the +Inf bucket
-// clamp to the highest finite bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		next := cum + float64(c)
-		if rank <= next && c > 0 {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + (s.Bounds[i]-lo)*frac
-		}
-		cum = next
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

@@ -31,7 +31,6 @@ const (
 	EventWorkerJoin          = "worker-join"
 	EventWorkerDead          = "worker-dead"
 	EventHeartbeatMiss       = "heartbeat-miss"
-	EventClusterRebalance    = "cluster-rebalance"
 	EventClusterEpoch        = "cluster-epoch"
 	EventClusterDegraded     = "cluster-degraded"
 	EventClusterRecovered    = "cluster-recovered"
@@ -175,16 +174,6 @@ func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seq
-}
-
-// Len returns the number of retained events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
 }
 
 // Dropped returns how many events were evicted to make room.

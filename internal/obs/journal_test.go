@@ -11,8 +11,8 @@ func TestJournalRingOverwrite(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		j.Recordf("tick", "event %d", i)
 	}
-	if j.Len() != 4 {
-		t.Fatalf("len: got %d, want 4", j.Len())
+	if n := len(j.Events()); n != 4 {
+		t.Fatalf("len: got %d, want 4", n)
 	}
 	if j.Dropped() != 2 {
 		t.Fatalf("dropped: got %d, want 2", j.Dropped())
@@ -36,7 +36,7 @@ func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Record("kind", "msg") // must not panic
 	j.Recordf("kind", "%d", 1)
-	if j.Len() != 0 || j.Dropped() != 0 || j.Events() != nil {
+	if j.Dropped() != 0 || j.Events() != nil {
 		t.Fatal("nil journal must report empty")
 	}
 	if got := j.Summary(5); got != "journal: disabled" {
@@ -80,7 +80,7 @@ func TestJournalConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := j.Dropped() + uint64(j.Len()); got != 800 {
+	if got := j.Dropped() + uint64(len(j.Events())); got != 800 {
 		t.Fatalf("retained+dropped: got %d, want 800", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the dependency-free telemetry layer: a concurrent metric
-// registry (atomic counters, gauges, fixed-bucket histograms, plus
-// func-backed metrics sampled at scrape time), Prometheus-text and JSON
+// registry (counters and gauges sampled from a function at scrape time,
+// plus atomic fixed-bucket histograms), Prometheus-text and JSON
 // exposition, a bounded structured event journal, and an embedded HTTP
 // server exposing /metrics, /healthz, /events and /debug/pprof.
 //
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one name="value" metric dimension (e.g. class="bogon").
@@ -50,42 +49,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic float64 that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Add adds delta (CAS loop; gauges are not hot-path metrics here).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
 // sample is one (labels → value source) instance within a family.
 type sample struct {
 	labels    []Label
-	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -99,13 +65,13 @@ type family struct {
 	samples map[string]*sample // keyed by serialized labels
 }
 
-// Registry is a concurrent metric registry. Registration is get-or-create:
-// asking for an existing (name, labels) pair returns the same instance, so
-// independent components can share a family; func-backed registrations
-// replace an earlier function under the same key (the newest owner wins,
-// which lets tests and restarted components re-instrument). Registering a
-// name under a different kind panics — that is a programming error, not a
-// runtime condition.
+// Registry is a concurrent metric registry. Histogram registration is
+// get-or-create: asking for an existing (name, labels) pair returns the
+// same instance, so independent components can share a family; func-backed
+// registrations replace an earlier function under the same key (the newest
+// owner wins, which lets tests and restarted components re-instrument).
+// Registering a name under a different kind panics — that is a programming
+// error, not a runtime condition.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -152,35 +118,6 @@ func sortedLabels(labels []Label) []Label {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
 	return ls
-}
-
-// Counter returns the counter registered under (name, labels), creating it
-// on first use.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindCounter)
-	key := labelKey(labels)
-	if s, ok := f.samples[key]; ok && s.counter != nil {
-		return s.counter
-	}
-	c := &Counter{}
-	f.samples[key] = &sample{labels: sortedLabels(labels), counter: c}
-	return c
-}
-
-// Gauge returns the gauge registered under (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindGauge)
-	key := labelKey(labels)
-	if s, ok := f.samples[key]; ok && s.gauge != nil {
-		return s.gauge
-	}
-	g := &Gauge{}
-	f.samples[key] = &sample{labels: sortedLabels(labels), gauge: g}
-	return g
 }
 
 // Histogram returns the fixed-bucket histogram registered under
@@ -236,10 +173,10 @@ func (r *Registry) Unregister(name string, labels ...Label) {
 }
 
 // famView is an immutable scrape-time view of one family: the structure is
-// copied under the registry lock, but the value reads (atomics and func
-// calls) happen outside it so a slow func-backed metric cannot wedge
-// registration. The sample structs themselves are write-once, so sharing
-// their pointers is safe.
+// copied under the registry lock, but the value reads (func calls and
+// histogram snapshots) happen outside it so a slow func-backed metric
+// cannot wedge registration. The sample structs themselves are write-once,
+// so sharing their pointers is safe.
 type famView struct {
 	name    string
 	help    string
@@ -269,15 +206,11 @@ func (r *Registry) snapshotFamilies() []famView {
 	return views
 }
 
-// value reads a counter/gauge sample's current value.
+// value samples a counter/gauge's function.
 func (s *sample) value() float64 {
 	switch {
-	case s.counter != nil:
-		return float64(s.counter.Value())
 	case s.counterFn != nil:
 		return float64(s.counterFn())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	case s.gaugeFn != nil:
 		return s.gaugeFn()
 	}

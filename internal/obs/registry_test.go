@@ -5,65 +5,63 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("flows_total", "Flows.", Label{Name: "class", Value: "bogon"})
-	b := r.Counter("flows_total", "Flows.", Label{Name: "class", Value: "bogon"})
+	bogon := Label{Name: "class", Value: "bogon"}
+	a := r.Histogram("lat_seconds", "Latency.", LatencyBuckets, bogon)
+	b := r.Histogram("lat_seconds", "Latency.", LatencyBuckets, bogon)
 	if a != b {
-		t.Fatal("same name+labels must return the same counter")
+		t.Fatal("same name+labels must return the same histogram")
 	}
-	c := r.Counter("flows_total", "Flows.", Label{Name: "class", Value: "valid"})
+	c := r.Histogram("lat_seconds", "Latency.", LatencyBuckets, Label{Name: "class", Value: "valid"})
 	if a == c {
-		t.Fatal("different labels must return distinct counters")
+		t.Fatal("different labels must return distinct histograms")
 	}
-	a.Add(3)
-	if b.Value() != 3 {
-		t.Fatalf("shared counter: got %d, want 3", b.Value())
+	a.Observe(1e-3)
+	if n := b.Snapshot().Count; n != 1 {
+		t.Fatalf("shared histogram: got %d observations, want 1", n)
 	}
-	if c.Value() != 0 {
-		t.Fatalf("sibling counter: got %d, want 0", c.Value())
+	if n := c.Snapshot().Count; n != 0 {
+		t.Fatalf("sibling histogram: got %d observations, want 0", n)
 	}
 }
 
 func TestRegistryLabelOrderIrrelevant(t *testing.T) {
 	r := NewRegistry()
-	a := r.Gauge("depth", "Depth.", Label{Name: "a", Value: "1"}, Label{Name: "b", Value: "2"})
-	b := r.Gauge("depth", "Depth.", Label{Name: "b", Value: "2"}, Label{Name: "a", Value: "1"})
-	if a != b {
-		t.Fatal("label order must not distinguish series")
+	ab := []Label{{Name: "a", Value: "1"}, {Name: "b", Value: "2"}}
+	ba := []Label{{Name: "b", Value: "2"}, {Name: "a", Value: "1"}}
+	if r.Histogram("lat", "L.", LatencyBuckets, ab...) != r.Histogram("lat", "L.", LatencyBuckets, ba...) {
+		t.Fatal("label order must not distinguish histogram series")
+	}
+	r.GaugeFunc("depth", "Depth.", func() float64 { return 1 }, ab...)
+	r.GaugeFunc("depth", "Depth.", func() float64 { return 2 }, ba...)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "depth{a=\"1\",b=\"2\"} 2\n") || strings.Count(sb.String(), "depth{") != 1 {
+		t.Fatalf("label order must not distinguish func-backed series:\n%s", sb.String())
 	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "X.")
+	r.CounterFunc("x_total", "X.", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic registering x_total as a gauge")
 		}
 	}()
-	r.Gauge("x_total", "X.")
+	r.GaugeFunc("x_total", "X.", func() float64 { return 0 })
 }
 
-func TestGaugeAdd(t *testing.T) {
-	var g Gauge
-	g.Set(1.5)
-	g.Add(2.5)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge: got %v, want 4", got)
-	}
-	g.Add(-4)
-	if got := g.Value(); got != 0 {
-		t.Fatalf("gauge: got %v, want 0", got)
-	}
-}
-
-// TestRegistryConcurrent is the race-detector stress: writers bump counters,
-// gauges, and histograms (direct and via shards) while scrapers serialize
-// the registry in both formats and new series register concurrently.
+// TestRegistryConcurrent is the race-detector stress: writers register and
+// bump func-backed counters and gauges and observe histograms (direct and
+// via shards) while scrapers serialize the registry in both formats.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "Latency.", LatencyBuckets)
@@ -73,12 +71,13 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("ops_total", "Ops.", Label{Name: "worker", Value: fmt.Sprint(w)})
-			g := r.Gauge("depth", "Depth.")
+			var ops, depth atomic.Uint64
+			r.CounterFunc("ops_total", "Ops.", ops.Load, Label{Name: "worker", Value: fmt.Sprint(w)})
 			sh := h.NewShard()
 			for i := 0; i < 2000; i++ {
-				c.Inc()
-				g.Set(float64(i))
+				ops.Add(1)
+				depth.Store(uint64(i))
+				r.GaugeFunc("depth", "Depth.", func() float64 { return float64(depth.Load()) })
 				h.Observe(float64(i) * 1e-9)
 				sh.Observe(float64(i) * 1e-9)
 				if i%500 == 0 {
@@ -103,19 +102,23 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var total uint64
-	for w := 0; w < 4; w++ {
-		total += r.Counter("ops_total", "Ops.", Label{Name: "worker", Value: fmt.Sprint(w)}).Value()
+	var total float64
+	var count uint64
+	for _, f := range r.Export() {
+		for _, s := range f.Samples {
+			switch f.Name {
+			case "ops_total":
+				total += *s.Value
+			case "lat_seconds":
+				count = s.Histogram.Count
+			}
+		}
 	}
 	if total != 8000 {
-		t.Fatalf("ops_total sum: got %d, want 8000", total)
+		t.Fatalf("ops_total sum: got %v, want 8000", total)
 	}
-	snap, ok := r.FindHistogram("lat_seconds")
-	if !ok {
-		t.Fatal("lat_seconds not found")
-	}
-	if snap.Count != 16000 { // 8000 direct + 8000 via shards
-		t.Fatalf("histogram count: got %d, want 16000", snap.Count)
+	if count != 16000 { // 8000 direct + 8000 via shards
+		t.Fatalf("histogram count: got %d, want 16000", count)
 	}
 }
 
@@ -129,27 +132,6 @@ func TestCounterFuncReplaces(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "view_total 7") {
 		t.Fatalf("re-registered func must win:\n%s", sb.String())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count: got %d, want 5", s.Count)
-	}
-	if got := s.Quantile(0.5); got <= 1 || got > 2 {
-		t.Fatalf("p50: got %v, want in (1, 2]", got)
-	}
-	// The +Inf bucket clamps to the highest finite bound.
-	if got := s.Quantile(1); got != 4 {
-		t.Fatalf("p100: got %v, want 4", got)
-	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile: got %v, want 0", got)
 	}
 }
 

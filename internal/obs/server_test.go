@@ -10,7 +10,7 @@ import (
 
 func TestServerEndpoints(t *testing.T) {
 	tel := NewTelemetry()
-	tel.Metrics.Counter("smoke_total", "Smoke.").Add(9)
+	tel.Metrics.CounterFunc("smoke_total", "Smoke.", func() uint64 { return 9 })
 	tel.Record(EventEpochSwap, "promoted epoch 1")
 	tel.SetHealth(func() Health {
 		return Health{Ready: false, Status: "unready", Detail: "no epoch yet"}

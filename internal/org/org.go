@@ -60,13 +60,6 @@ func (d *Dataset) OrgOf(as bgp.ASN) (Org, bool) {
 	return d.orgs[i], true
 }
 
-// SameOrg reports whether two ASes belong to the same organization.
-func (d *Dataset) SameOrg(a, b bgp.ASN) bool {
-	ia, oka := d.byAS[a]
-	ib, okb := d.byAS[b]
-	return oka && okb && ia == ib
-}
-
 // MultiASGroups returns the AS sets of every organization owning more than
 // one AS — the groups that get full-mesh links in the cone computations.
 func (d *Dataset) MultiASGroups() [][]bgp.ASN {

@@ -30,15 +30,22 @@ func TestOrgOf(t *testing.T) {
 	}
 }
 
+// sameOrg reports whether OrgOf attributes both ASes to one organization.
+func sameOrg(d *Dataset, a, b bgp.ASN) bool {
+	oa, oka := d.OrgOf(a)
+	ob, okb := d.OrgOf(b)
+	return oka && okb && oa.ID == ob.ID
+}
+
 func TestSameOrg(t *testing.T) {
 	d := testDataset()
-	if !d.SameOrg(65001, 65002) {
+	if !sameOrg(d, 65001, 65002) {
 		t.Error("65001 and 65002 share ORG-A")
 	}
-	if d.SameOrg(65001, 65010) {
+	if sameOrg(d, 65001, 65010) {
 		t.Error("different orgs reported as same")
 	}
-	if d.SameOrg(65001, 99999) {
+	if sameOrg(d, 65001, 99999) {
 		t.Error("unknown AS reported as same org")
 	}
 }
@@ -80,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 	if got.Len() != d.Len() {
 		t.Fatalf("Len = %d want %d", got.Len(), d.Len())
 	}
-	if !got.SameOrg(65020, 65022) {
+	if !sameOrg(got, 65020, 65022) {
 		t.Fatal("round trip lost org membership")
 	}
 }

@@ -105,7 +105,6 @@ type Scenario struct {
 	TransitFilters map[int]bool
 
 	byPort map[uint32]int // port -> member index
-	byASN  map[bgp.ASN]int
 
 	treeCache map[int]*routeTree // full-export routing trees by origin
 }
@@ -116,14 +115,16 @@ func Build(cfg Config) (*Scenario, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	topo := buildTopology(cfg, rng)
+	topo, err := buildTopology(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &Scenario{
 		Cfg:            cfg,
 		topo:           topo,
 		TransitFilters: make(map[int]bool),
 		byPort:         make(map[uint32]int),
-		byASN:          make(map[bgp.ASN]int),
 	}
 	s.pickCollectors(rng)
 	s.pickMembers(rng)
@@ -153,14 +154,6 @@ func (s *Scenario) RoutableSpace() netx.IntervalSet { return s.topo.routable }
 // MemberByPort resolves an IXP port to a member, or nil.
 func (s *Scenario) MemberByPort(port uint32) *Member {
 	if i, ok := s.byPort[port]; ok {
-		return &s.Members[i]
-	}
-	return nil
-}
-
-// MemberByASN resolves a member ASN, or nil.
-func (s *Scenario) MemberByASN(asn bgp.ASN) *Member {
-	if i, ok := s.byASN[asn]; ok {
 		return &s.Members[i]
 	}
 	return nil
@@ -301,7 +294,6 @@ func (s *Scenario) pickMembers(rng *rand.Rand) {
 	}
 	for i := range s.Members {
 		s.byPort[s.Members[i].Port] = i
-		s.byASN[s.Members[i].ASN] = i
 	}
 
 	// Hidden peerings: ~2% of members (at least two) legitimately source

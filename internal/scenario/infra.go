@@ -34,19 +34,3 @@ func (s *Scenario) LinkRouterAddrs(asIdx int) []netx.Addr {
 	}
 	return out
 }
-
-// AllRouterAddrs returns every link router address in the topology,
-// deduplicated — the ground-truth pool the traceroute substrate samples.
-func (s *Scenario) AllRouterAddrs() []netx.Addr {
-	seen := make(map[netx.Addr]bool)
-	var out []netx.Addr
-	for i := range s.topo.ases {
-		for _, a := range s.LinkRouterAddrs(i) {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}

@@ -84,18 +84,3 @@ func TestLinkRouterAddrs(t *testing.T) {
 		}
 	}
 }
-
-func TestAllRouterAddrsDeduped(t *testing.T) {
-	s := buildSmall(t)
-	all := s.AllRouterAddrs()
-	if len(all) == 0 {
-		t.Fatal("no router addrs")
-	}
-	seen := map[uint32]bool{}
-	for _, a := range all {
-		if seen[uint32(a)] {
-			t.Fatalf("duplicate router addr %v", a)
-		}
-		seen[uint32(a)] = true
-	}
-}

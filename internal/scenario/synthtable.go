@@ -73,8 +73,33 @@ func (c SynthTableConfig) Validate() error {
 		return fmt.Errorf("scenario: synth VantagesPerOrigin = %d, need >= 1", c.VantagesPerOrigin)
 	case c.NumMembers < 1:
 		return fmt.Errorf("scenario: synth NumMembers = %d, need >= 1", c.NumMembers)
+	case c.addressEnd() > unicastEnd:
+		return fmt.Errorf("scenario: synth NumTransit = %d and NumStub = %d: the address plan does not fit below 224.0.0.0", c.NumTransit, c.NumStub)
 	}
 	return nil
+}
+
+// addressEnd is where SynthesizeTable's address cursor ends in the worst
+// case: every prefix at its largest size (a /19 per transit, a /20 per
+// stub, and the /24 every eighth stub adds), each aligned, in allocation
+// order from 1.0.0.0. Smaller blocks never end later, so a config whose
+// worst case fits always does. Counting stops once past unicastEnd.
+func (c SynthTableConfig) addressEnd() uint64 {
+	cur := uint64(1) << 24
+	alloc := func(bits uint) {
+		size := uint64(1) << (32 - bits)
+		cur = (cur+size-1)&^(size-1) + size
+	}
+	for i := 0; i < c.NumTransit && cur <= unicastEnd; i++ {
+		alloc(19)
+	}
+	for s := 0; s < c.NumStub && cur <= unicastEnd; s++ {
+		alloc(20)
+		if s%8 == 0 {
+			alloc(24)
+		}
+	}
+	return cur
 }
 
 // SynthTable is the synthesized routing view.
@@ -144,6 +169,7 @@ func SynthesizeTable(cfg SynthTableConfig) (*SynthTable, error) {
 	}
 
 	// Address allocation: a cursor over unicast space, aligned per prefix.
+	// Validate bounded its worst case below unicastEnd.
 	cur := uint32(0x01000000)
 	alloc := func(bits uint8) netx.Prefix {
 		size := uint32(1) << (32 - bits)
@@ -230,16 +256,6 @@ func SynthesizeTable(cfg SynthTableConfig) (*SynthTable, error) {
 		st.MemberASNs = append(st.MemberASNs, transit[i])
 	}
 	return st, nil
-}
-
-// RIB digests the announcement set into a fresh RIB (the same entry point
-// MRT ingestion uses, minus the serialization round trip).
-func (st *SynthTable) RIB() *bgp.RIB {
-	rib := bgp.NewRIB()
-	for _, a := range st.Anns {
-		rib.AddAnnouncement(a.Prefix, a.Path)
-	}
-	return rib
 }
 
 // WriteMRT serializes the table as an MRT stream (peer index table plus

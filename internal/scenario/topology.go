@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -9,6 +10,10 @@ import (
 	"spoofscope/internal/netx"
 	"spoofscope/internal/org"
 )
+
+// unicastEnd is where unicast IPv4 space ends (224.0.0.0, multicast
+// above): both address plans allocate below it.
+const unicastEnd = 224 << 24
 
 // Tier is an AS's position in the synthetic hierarchy.
 type Tier int
@@ -81,7 +86,7 @@ type topology struct {
 type neighbours struct{ up, peers, down []int }
 
 // buildTopology synthesizes the AS graph, organizations and address plan.
-func buildTopology(cfg Config, rng *rand.Rand) *topology {
+func buildTopology(cfg Config, rng *rand.Rand) (*topology, error) {
 	nT1, nTr, nSt := cfg.NumTier1, cfg.NumTransit, cfg.NumStub
 	total := nT1 + nTr + nSt
 	t := &topology{
@@ -168,7 +173,9 @@ func buildTopology(cfg Config, rng *rand.Rand) *topology {
 	}
 
 	t.buildOrgs(cfg, rng)
-	t.allocateAddresses(cfg, rng)
+	if err := t.allocateAddresses(cfg, rng); err != nil {
+		return nil, err
+	}
 	t.pickSelectiveAnnouncers(cfg, rng)
 	t.adj = make([]neighbours, total)
 	for i, a := range t.ases {
@@ -179,7 +186,7 @@ func buildTopology(cfg Config, rng *rand.Rand) *topology {
 			down:  append(sortedCopy(a.Customers), sibs...),
 		}
 	}
-	return t
+	return t, nil
 }
 
 func contains(xs []int, v int) bool {
@@ -293,28 +300,30 @@ func itoa(i int) string {
 // Figure 1a). Bogon-overlapping space is skipped; gaps stay unallocated
 // (never-routed). A fraction of ASes additionally hold unannounced space,
 // and some stubs get a provider-assigned (PA) sub-prefix of their
-// provider's block.
-func (t *topology) allocateAddresses(cfg Config, rng *rand.Rand) {
+// provider's block. A plan that does not fit below 224.0.0.0 is an error
+// naming the first AS left without a block: an AS with no space would
+// silently drop out of every experiment.
+func (t *topology) allocateAddresses(cfg Config, rng *rand.Rand) error {
 	bogons := bogon.NewReferenceSet()
 	cursor := uint32(netx.AddrFrom4(1, 0, 0, 0))
 	var routable []netx.Interval
 
-	alloc := func(bits uint8) (netx.Prefix, bool) {
+	alloc := func(a *AS, bits uint8, kind string) (netx.Prefix, error) {
 		size := uint32(1) << (32 - bits)
 		for {
 			// Align the cursor.
 			if cursor%size != 0 {
 				cursor = (cursor/size + 1) * size
 			}
-			if cursor >= uint32(netx.AddrFrom4(224, 0, 0, 0)) {
-				return netx.Prefix{}, false // out of unicast space
+			if cursor >= unicastEnd {
+				return netx.Prefix{}, fmt.Errorf("scenario: the address plan does not fit below 224.0.0.0: %s %s gets no /%d %s", a.Tier, a.ASN, bits, kind)
 			}
 			p := netx.PrefixFrom(netx.Addr(cursor), bits)
 			cursor += size
 			if bogons.Contains(p.First()) || bogons.Contains(p.Last()) {
 				continue // skip bogon-overlapping blocks
 			}
-			return p, true
+			return p, nil
 		}
 	}
 	skipGap := func(frac float64, bits uint8) {
@@ -341,37 +350,31 @@ func (t *topology) allocateAddresses(cfg Config, rng *rand.Rand) {
 				extra = 1 // many edge networks announce a second block
 			}
 		}
-		p, ok := alloc(bits)
-		if !ok {
-			break
+		p, err := alloc(a, bits, "block")
+		if err != nil {
+			return err
 		}
 		a.Announced = append(a.Announced, p)
 		routable = append(routable, netx.IntervalOf(p))
 		// Secondary blocks stay within the global /8../24 announcement
 		// sanity window (§3.3) or they would count as unrouted.
-		extraBits := bits + 2
-		if extraBits > 24 {
-			extraBits = 24
-		}
+		extraBits := min(bits+2, 24)
 		for e := 0; e < extra; e++ {
-			q, ok := alloc(extraBits)
-			if !ok {
-				break
+			q, err := alloc(a, extraBits, "second block")
+			if err != nil {
+				return err
 			}
 			a.Announced = append(a.Announced, q)
 			routable = append(routable, netx.IntervalOf(q))
 		}
 		// Held (allocated, never announced) space.
-		heldBits := bits + 1
-		if heldBits > 24 {
-			heldBits = 24
-		}
 		if rng.Float64() < cfg.HeldSpaceFraction {
-			h, ok := alloc(heldBits)
-			if ok {
-				a.Held = append(a.Held, h)
-				routable = append(routable, netx.IntervalOf(h))
+			h, err := alloc(a, min(bits+1, 24), "held block")
+			if err != nil {
+				return err
 			}
+			a.Held = append(a.Held, h)
+			routable = append(routable, netx.IntervalOf(h))
 		}
 		skipGap(0.3, bits+2)
 	}
@@ -398,6 +401,7 @@ func (t *topology) allocateAddresses(cfg Config, rng *rand.Rand) {
 	}
 
 	t.routable = netx.NewIntervalSet(routable...)
+	return nil
 }
 
 // pickSelectiveAnnouncers marks multihomed ASes that announce a prefix to

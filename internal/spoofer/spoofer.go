@@ -33,15 +33,6 @@ type Dataset struct {
 	byASN   map[bgp.ASN]*Result
 }
 
-// Lookup returns the result for an AS.
-func (d *Dataset) Lookup(asn bgp.ASN) (Result, bool) {
-	r, ok := d.byASN[asn]
-	if !ok {
-		return Result{}, false
-	}
-	return *r, true
-}
-
 // Simulate runs probes from a sample of ASes: memberFraction of the IXP
 // members (the paper found direct measurements for 8% of members) plus
 // extra non-member stubs. A probe escapes its own AS when the AS's

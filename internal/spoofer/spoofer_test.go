@@ -21,15 +21,19 @@ func TestSimulateBasics(t *testing.T) {
 	if len(d.Results) == 0 {
 		t.Fatal("no results")
 	}
+	isMember := map[bgp.ASN]bool{}
+	for _, m := range s.Members {
+		isMember[m.ASN] = true
+	}
 	memberProbes, spoofable := 0, 0
 	for _, r := range d.Results {
 		if r.Sessions < 1 {
 			t.Fatalf("result without sessions: %+v", r)
 		}
-		if got, ok := d.Lookup(r.ASN); !ok || got.ASN != r.ASN {
-			t.Fatal("Lookup broken")
+		if got := d.byASN[r.ASN]; got == nil || got.ASN != r.ASN {
+			t.Fatal("result index broken")
 		}
-		if s.MemberByASN(r.ASN) != nil {
+		if isMember[r.ASN] {
 			memberProbes++
 		}
 		if r.CouldSpoof {
@@ -52,8 +56,8 @@ func TestSimulateBasics(t *testing.T) {
 func TestFilteringMembersNeverSpoofable(t *testing.T) {
 	s, d := dataset(t)
 	for _, m := range s.Members {
-		r, ok := d.Lookup(m.ASN)
-		if !ok {
+		r := d.byASN[m.ASN]
+		if r == nil {
 			continue
 		}
 		if !m.EmitsUnrouted && !m.EmitsInvalid && r.CouldSpoof {

@@ -36,9 +36,6 @@ func (d *Distribution) AddN(x float64) { d.Add(x, 1) }
 // Len returns the number of samples.
 func (d *Distribution) Len() int { return len(d.xs) }
 
-// TotalWeight returns the sum of weights.
-func (d *Distribution) TotalWeight() float64 { return d.sumW }
-
 func (d *Distribution) sort() {
 	if d.sorted {
 		return
@@ -96,18 +93,6 @@ func (d *Distribution) Quantile(q float64) float64 {
 	return d.xs[len(d.xs)-1]
 }
 
-// Mean returns the weighted mean.
-func (d *Distribution) Mean() float64 {
-	if d.sumW == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i, x := range d.xs {
-		s += x * d.ws[i]
-	}
-	return s / d.sumW
-}
-
 // Max returns the largest sample.
 func (d *Distribution) Max() float64 {
 	if len(d.xs) == 0 {
@@ -155,14 +140,6 @@ func (v *Venn3) Fraction(a, b, c bool) float64 {
 		i |= 4
 	}
 	return float64(v.Counts[i]) / float64(v.Total)
-}
-
-// InAnyFraction returns the share of elements in at least one set.
-func (v *Venn3) InAnyFraction() float64 {
-	if v.Total == 0 {
-		return 0
-	}
-	return 1 - float64(v.Counts[0])/float64(v.Total)
 }
 
 // Table renders aligned plain-text tables.

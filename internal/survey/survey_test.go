@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spoofscope/internal/bgp"
 	"spoofscope/internal/scenario"
 )
 
@@ -23,7 +24,7 @@ func TestConductBasics(t *testing.T) {
 	}
 	seen := map[uint32]bool{}
 	for _, r := range d.Responses {
-		m := s.MemberByASN(r.ASN)
+		m := memberByASN(s, r.ASN)
 		if m == nil {
 			t.Fatalf("respondent %v is not a member", r.ASN)
 		}
@@ -115,7 +116,7 @@ func TestSurveyBias(t *testing.T) {
 	}
 	filteringRespondents := 0
 	for _, r := range d.Responses {
-		m := s.MemberByASN(r.ASN)
+		m := memberByASN(s, r.ASN)
 		if !m.EmitsUnrouted && !m.EmitsInvalid {
 			filteringRespondents++
 		}
@@ -125,4 +126,14 @@ func TestSurveyBias(t *testing.T) {
 	if respFrac <= popFrac {
 		t.Errorf("no response bias: population %.2f vs respondents %.2f", popFrac, respFrac)
 	}
+}
+
+// memberByASN returns the scenario's member with that ASN, or nil.
+func memberByASN(s *scenario.Scenario, asn bgp.ASN) *scenario.Member {
+	for i := range s.Members {
+		if s.Members[i].ASN == asn {
+			return &s.Members[i]
+		}
+	}
+	return nil
 }

@@ -133,12 +133,6 @@ func (c *Campaign) ExtractRouters() *RouterSet {
 	return rs
 }
 
-// Contains reports whether addr was observed as a router interface.
-func (rs *RouterSet) Contains(a netx.Addr) bool { return rs.addrs[a] }
-
-// Len returns the number of distinct router addresses.
-func (rs *RouterSet) Len() int { return len(rs.addrs) }
-
 // Addrs returns the addresses (unordered).
 func (rs *RouterSet) Addrs() []netx.Addr {
 	out := make([]netx.Addr, 0, len(rs.addrs))

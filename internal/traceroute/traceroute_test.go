@@ -40,7 +40,7 @@ func TestSimulateProducesRuns(t *testing.T) {
 func TestExtractRoutersCoversStraySources(t *testing.T) {
 	s, c := campaign(t)
 	rs := c.ExtractRouters()
-	if rs.Len() == 0 {
+	if len(rs.addrs) == 0 {
 		t.Fatal("no routers extracted")
 	}
 	// The stray router addresses flowgen uses for member ASes must be
@@ -49,7 +49,7 @@ func TestExtractRoutersCoversStraySources(t *testing.T) {
 	for i := range s.Members {
 		for _, a := range s.LinkRouterAddrs(s.Members[i].ASIndex) {
 			total++
-			if rs.Contains(a) {
+			if rs.addrs[a] {
 				covered++
 			}
 		}
@@ -70,12 +70,12 @@ func TestExtractRoutersExcludesDestinations(t *testing.T) {
 		// (It may legitimately appear if another trace crossed it.)
 		_ = r
 	}
-	if rs.Len() == 0 {
+	if len(rs.addrs) == 0 {
 		t.Fatal("empty router set")
 	}
 	// Sanity: Addrs() round trip.
 	for _, a := range rs.Addrs() {
-		if !rs.Contains(a) {
+		if !rs.addrs[a] {
 			t.Fatal("Addrs/Contains disagree")
 		}
 	}
@@ -91,7 +91,7 @@ func TestSimulateDeterministic(t *testing.T) {
 	if len(a.Runs) != len(b.Runs) {
 		t.Fatalf("run counts differ")
 	}
-	if a.ExtractRouters().Len() != b.ExtractRouters().Len() {
+	if len(a.ExtractRouters().addrs) != len(b.ExtractRouters().addrs) {
 		t.Fatal("router sets differ")
 	}
 }

@@ -75,15 +75,6 @@ func (r *Registry) AutNum(asn bgp.ASN) (AutNum, bool) {
 	return *a, true
 }
 
-// Organisation looks up an organisation.
-func (r *Registry) Organisation(id string) (Organisation, bool) {
-	o, ok := r.orgs[id]
-	if !ok {
-		return Organisation{}, false
-	}
-	return *o, true
-}
-
 // RoutesByOrigin returns the route objects of an origin AS.
 func (r *Registry) RoutesByOrigin(asn bgp.ASN) []Route {
 	var out []Route

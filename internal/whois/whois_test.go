@@ -67,7 +67,7 @@ func TestSaveParseRoundTrip(t *testing.T) {
 	if !ok || a.OrgID != "ORG-X" || len(a.Imports) != 1 || a.Imports[0] != 65010 {
 		t.Fatalf("aut-num lost in round trip: %+v %v", a, ok)
 	}
-	o, ok := got.Organisation("ORG-Y")
+	o, ok := got.orgs["ORG-Y"]
 	if !ok || o.Contact != "AC-1" {
 		t.Fatalf("organisation lost: %+v %v", o, ok)
 	}
