@@ -90,16 +90,19 @@ loc:
 # closure-prop runs the topology property tests explicitly: on random
 # cyclic topologies, with and without an org mesh, every AS's cone walks
 # (Full Cone and Customer Cone, unbounded and cut at depths 0/1/2) must match
-# the sequential closures and the frontier BFS; the sort-and-dedupe naive
-# index must match its map-based oracle (per-AS prefix sets); NewGraph must
-# build the graph the old mutable graph's constructor, org mesh, extra links
-# and inference built, kept as the oracle (each AS's directed edges, Degree,
-# and the relationship of every linked pair, on random topologies with orgs
-# and extra links and on the default-scale scenario); and the packed sort
-# keys' width check holds at its boundary. They are in the race suite too;
-# the dedicated target keeps the equivalence gate visible in CI logs.
+# the sequential closures and the frontier BFS; the counting-scatter naive
+# index must match its map-based oracle (per-AS prefix sets, announcements
+# shuffled and in prefix order); NewGraph must build the graph the old
+# mutable graph's constructor, org mesh, extra links and inference built,
+# kept as the oracle (each AS's directed edges, Degree, and the relationship
+# of every linked pair, on random topologies with orgs and extra links and
+# on the default-scale scenario); the graph's flat ASN dictionary must answer
+# Index with each AS's position in the sorted ASN list and -1 for absent
+# ASNs (4-byte ASNs, AS 0 and colliding hashes included); and the packed
+# sort keys' width check holds at its boundary. They are in the race suite
+# too; the dedicated target keeps the equivalence gate visible in CI logs.
 closure-prop:
-	$(GO) test -race -run 'TestConeWalksMatchClosures|TestNaiveIndexMatchesOracle|TestNewGraphMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
+	$(GO) test -race -run 'TestConeWalksMatchClosures|TestNaiveIndexMatchesOracle|TestNewGraphMatchesOracle|TestGraphIndexMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
 
 # obs-smoke drives a live parallel run with telemetry enabled and asserts the
 # /metrics scrape matches the Aggregator exactly and /healthz walks

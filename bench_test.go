@@ -729,9 +729,11 @@ func BenchmarkConeBuildBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cc := g.CustomerAdjacency(orgs)
-		for _, m := range members {
-			cc.Cone(m, math.MaxInt)
-			g.BoundedCone(m, math.MaxInt)
+		rows := netx.NewBitsets(2*len(members), g.NumASes())
+		queue := make([]int32, 0, g.NumASes())
+		for j, m := range members {
+			queue = cc.Cone(&rows[2*j], queue, m, math.MaxInt)
+			queue = g.BoundedCone(&rows[2*j+1], queue, m, math.MaxInt)
 		}
 	}
 }

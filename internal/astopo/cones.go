@@ -97,13 +97,15 @@ func (c *Closure) WeightedSizes(w []uint64) []uint64 {
 // lists the ASes one hop below u. A cone is what a walk down it reaches.
 type Adjacency [][]int32
 
-// Cone returns the ASes reachable from u (dense index) within at most depth
-// hops down a, u included, as a bitset over AS indices: one breadth-first
-// walk. Depth <= 0 yields {u}; math.MaxInt walks the whole cone.
-func (a Adjacency) Cone(u, depth int) *netx.Bitset {
-	out := netx.NewBitset(len(a))
+// Cone sets in out, which must be clear and hold len(a) bits, the ASes
+// reachable from u (dense index) within at most depth hops down a, u
+// included: one breadth-first walk. Depth <= 0 yields {u}; math.MaxInt walks
+// the whole cone. The walk queues on queue's backing array and returns it,
+// so one queue of capacity len(a) serves every walk of a caller and never
+// grows.
+func (a Adjacency) Cone(out *netx.Bitset, queue []int32, u, depth int) []int32 {
 	out.Set(u)
-	queue := []int32{int32(u)}
+	queue = append(queue[:0], int32(u))
 	for head, d := 0, 0; d < depth && head < len(queue); d++ {
 		for end := len(queue); head < end; head++ {
 			for _, v := range a[queue[head]] {
@@ -114,19 +116,21 @@ func (a Adjacency) Cone(u, depth int) *netx.Bitset {
 			}
 		}
 	}
-	return out
+	return queue
 }
 
 // FullConeClosure computes the Full Cone: transitive closure over the raw
 // directed AS graph (including its organization and extra links).
 func (g *Graph) FullConeClosure() *Closure { return newClosure(g.down) }
 
-// BoundedCone returns u's Full Cone cut at depth directed hops: the paper's
-// future-work idea of trading the full transitive closure's false-negative
-// rate for tighter per-AS valid spaces. It is Adjacency.Cone over the
-// graph's own edges, so depth <= 0 yields {u} and math.MaxInt the whole Full
-// Cone.
-func (g *Graph) BoundedCone(u, depth int) *netx.Bitset { return Adjacency(g.down).Cone(u, depth) }
+// BoundedCone walks u's Full Cone cut at depth directed hops into out: the
+// paper's future-work idea of trading the full transitive closure's
+// false-negative rate for tighter per-AS valid spaces. It is Adjacency.Cone
+// over the graph's own edges, so depth <= 0 yields {u} and math.MaxInt the
+// whole Full Cone.
+func (g *Graph) BoundedCone(out *netx.Bitset, queue []int32, u, depth int) []int32 {
+	return Adjacency(g.down).Cone(out, queue, u, depth)
+}
 
 // CustomerAdjacency returns the adjacency the Customer Cone walks: every
 // directed edge u→v of the graph whose inferred relationship makes u v's
@@ -136,27 +140,46 @@ func (g *Graph) BoundedCone(u, depth int) *netx.Bitset { return Adjacency(g.down
 // graph); this makes the Customer Cone structurally contained in the Full
 // Cone, the §3.4 property the paper verified empirically. The org links are
 // not checked against the graph: on a graph built with orgs they are its
-// edges anyway, and Figure 2 walks them on a graph built without.
+// edges anyway, and Figure 2 walks them on a graph built without. Like the
+// graph's own edges, the lists are sub-slices of one array: one pass counts
+// each AS's links and a second lays them out.
 func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
-	adj := make(Adjacency, len(g.asns))
-	for u, vs := range g.down {
-		for _, v := range vs {
-			if g.Relationship(u, int(v)) == RelP2C {
-				adj[u] = append(adj[u], v)
+	eachLink := func(fn func(u, v int32)) {
+		for u, vs := range g.down {
+			for _, v := range vs {
+				if g.Relationship(u, int(v)) == RelP2C {
+					fn(int32(u), v)
+				}
+			}
+		}
+		for _, members := range orgs {
+			for i := range members {
+				for _, b := range members[i+1:] {
+					if u, v := g.dict.get(members[i]), g.dict.get(b); u >= 0 && v >= 0 {
+						fn(u, v)
+						fn(v, u)
+					}
+				}
 			}
 		}
 	}
-	for _, members := range orgs {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				u, v := g.Index(members[i]), g.Index(members[j])
-				if u < 0 || v < 0 {
-					continue
-				}
-				adj[u] = append(adj[u], int32(v))
-				adj[v] = append(adj[v], int32(u))
-			}
-		}
+	n := len(g.asns)
+	off := make([]int32, n+1)
+	eachLink(func(u, _ int32) { off[u+1]++ })
+	for u := range n {
+		off[u+1] += off[u]
+	}
+	flat := make([]int32, off[n])
+	// The fill advances off[u] from the start of u's list to its end.
+	eachLink(func(u, v int32) {
+		flat[off[u]] = v
+		off[u]++
+	})
+	adj := make(Adjacency, n)
+	start := int32(0)
+	for u := range n {
+		adj[u] = flat[start:off[u]:off[u]]
+		start = off[u]
 	}
 	return adj
 }
@@ -234,54 +257,65 @@ type NaiveIndex struct {
 	flat []netx.Prefix
 }
 
-// Naive sort keys pack one (AS, prefix) hop into a uint64: the AS index in
-// bits 38–58 (asIndexBits wide), the prefix address in bits 6–37 and its
-// length (0–32) in bits 0–5, so that keys sort by AS and then in prefix order.
-const (
-	naiveBitsWidth = 6
-	naiveASShift   = 32 + naiveBitsWidth
-)
-
-// NewNaiveIndex builds the per-AS naive prefix sets from announcements: one
-// key per (AS, prefix) hop of an indexed AS, radix-sorted, adjacent
-// duplicates dropped, and each AS's run laid out in flat. Path ASes the graph
-// does not index are skipped.
+// NewNaiveIndex builds the per-AS naive prefix sets from announcements in
+// prefix order, the order bgp.RIB.Announcements returns them in; any other
+// order is first stable-sorted into a copy. Path ASes the graph does not
+// index are skipped, and the graph's dictionary resolves every other hop.
 //
-// The announcements of one prefix usually arrive together (a table dump
-// record lists every path of its prefix), and their paths share most ASes.
-// So each AS is stamped with the number of the run of equal prefixes it last
-// made a key in, which drops a hop repeated within a run before it becomes a
-// key; the sort drops the rest, so the result does not depend on the order.
+// In prefix order the announcements of one prefix form a run, and the runs
+// ascend. Each AS is stamped with the number of the run it was last seen in,
+// so an AS is emitted once per run: the (AS, prefix) pairs it emits are
+// distinct and already in prefix order. One pass logs them — each run's head
+// as the complement of its first announcement's index, then the indexes of
+// the ASes it emits — and counts them per AS; the prefix sums of the counts
+// are the offsets, and a second pass over the log scatters each run's prefix
+// to its ASes' next slots. Nothing is sorted, and the allocations are the
+// same few slices whatever the table's size.
 func NewNaiveIndex(g *Graph, anns []bgp.Announcement) *NaiveIndex {
-	nAS := g.NumASes()
-	hops := 0
-	for _, a := range anns {
-		hops += len(a.Path)
+	byPrefix := func(a, b bgp.Announcement) int { return a.Prefix.Compare(b.Prefix) }
+	if !slices.IsSortedFunc(anns, byPrefix) {
+		anns = slices.Clone(anns)
+		slices.SortStableFunc(anns, byPrefix)
 	}
-	keys := make([]uint64, 0, hops)
-	stamp := make([]int32, nAS) // run number of the AS's last key; runs count from 1
+	nAS := g.NumASes()
+	logLen := 0
+	for j, a := range anns {
+		logLen += len(a.Path)
+		if j == 0 || a.Prefix != anns[j-1].Prefix {
+			logLen++
+		}
+	}
+	runLog := make([]int32, 0, logLen)
+	stamp := make([]int32, nAS) // run number of the AS's last emission; runs count from 1
+	n := &NaiveIndex{off: make([]int32, nAS+1)}
 	run := int32(0)
 	for j, a := range anns {
 		if j == 0 || a.Prefix != anns[j-1].Prefix {
 			run++
+			runLog = append(runLog, ^int32(j))
 		}
-		p := uint64(a.Prefix.Addr)<<naiveBitsWidth | uint64(a.Prefix.Bits)
 		for _, as := range a.Path {
-			if i := g.Index(as); i >= 0 && stamp[i] != run {
+			if i := g.dict.get(as); i >= 0 && stamp[i] != run {
 				stamp[i] = run
-				keys = append(keys, uint64(i)<<naiveASShift|p)
+				n.off[i+1]++
+				runLog = append(runLog, i)
 			}
 		}
 	}
-	netx.RadixSort(keys, make([]uint64, len(keys)))
-	keys = slices.Compact(keys)
-	n := &NaiveIndex{off: make([]int32, nAS+1), flat: make([]netx.Prefix, len(keys))}
-	for j, k := range keys {
-		n.off[k>>naiveASShift+1]++
-		n.flat[j] = netx.Prefix{Addr: netx.Addr(k >> naiveBitsWidth), Bits: uint8(k & (1<<naiveBitsWidth - 1))}
-	}
 	for u := range nAS {
 		n.off[u+1] += n.off[u]
+	}
+	n.flat = make([]netx.Prefix, n.off[nAS])
+	next := stamp // each AS's next free slot in flat
+	copy(next, n.off[:nAS])
+	var p netx.Prefix
+	for _, e := range runLog {
+		if e < 0 {
+			p = anns[^e].Prefix
+			continue
+		}
+		n.flat[next[e]] = p
+		next[e]++
 	}
 	return n
 }

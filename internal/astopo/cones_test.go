@@ -327,7 +327,7 @@ func TestValidOriginSet(t *testing.T) {
 	}
 	for u := 0; u < g.NumASes(); u++ {
 		var want []netx.Prefix
-		g.BoundedCone(u, g.NumASes()).ForEach(func(v int) { want = append(want, spaces[v].Prefixes()...) })
+		boundedCone(g, u, g.NumASes()).ForEach(func(v int) { want = append(want, spaces[v].Prefixes()...) })
 		got := fc.ExactValidSpace(u, spaces)
 		if !slices.Equal(got.Intervals(), netx.IntervalSetOfPrefixes(want...).Intervals()) {
 			t.Fatalf("valid space of %s = %v, want the blocks of %v", g.asns[u], got, want)
@@ -342,14 +342,14 @@ func TestBoundedCone(t *testing.T) {
 	u := g.Index(10)
 
 	// Depth 0: only self.
-	b0 := g.BoundedCone(u, 0)
+	b0 := boundedCone(g, u, 0)
 	if b0.Count() != 1 || !b0.Test(u) {
 		t.Fatalf("depth 0 cone = %d bits", b0.Count())
 	}
 	// Monotone growth with depth, bounded by the full closure.
 	prev := b0
 	for d := 1; d <= 6; d++ {
-		b := g.BoundedCone(u, d)
+		b := boundedCone(g, u, d)
 		prev.ForEach(func(v int) {
 			if !b.Test(v) {
 				t.Fatalf("depth %d cone lost %s", d, g.asns[v])
@@ -363,7 +363,7 @@ func TestBoundedCone(t *testing.T) {
 		prev = b
 	}
 	// Large depth converges to the full closure.
-	deep := g.BoundedCone(u, g.NumASes())
+	deep := boundedCone(g, u, g.NumASes())
 	for v := 0; v < g.NumASes(); v++ {
 		if deep.Test(v) != inCone(fc, u, v) {
 			t.Fatalf("deep bounded cone != full closure at %s", g.asns[v])
@@ -375,7 +375,7 @@ func TestBoundedConeDepthOne(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
 	u := g.Index(10)
-	b1 := g.BoundedCone(u, 1)
+	b1 := boundedCone(g, u, 1)
 	// Depth 1 = self + direct downstream neighbours.
 	b1.ForEach(func(i int) {
 		if i != u && !g.HasEdge(u, i) {

@@ -30,10 +30,10 @@ import (
 // path (u upstream of v), or u and v are linked by an organization or an
 // extra link. A Graph is built whole by NewGraph and never changes.
 type Graph struct {
-	asns []bgp.ASN       // dense index -> ASN, sorted ascending
-	idx  map[bgp.ASN]int // ASN -> dense index
-	down [][]int32       // downstream neighbours (u -> v), ascending; one backing array
-	deg  []int           // distinct path links per AS
+	asns []bgp.ASN // dense index -> ASN, sorted ascending
+	dict asDict    // ASN -> dense index
+	down [][]int32 // downstream neighbours (u -> v), ascending; one backing array
+	deg  []int     // distinct path links per AS
 
 	// The link table: every undirected link once, by (lower, higher) index.
 	// The links of lower index u are linkOff[u]..linkOff[u+1]; linkHi holds
@@ -176,37 +176,37 @@ func NewGraph(anns []bgp.Announcement, orgs [][]bgp.ASN, extraLinks [][2]bgp.ASN
 }
 
 // indexASes numbers every AS on a path in ASN order and resolves each path
-// hop to its index once, into one slab read by eachPath.
+// hop to its index once, into one slab read by eachPath. The graph's
+// dictionary numbers the ASes as the paths name them; ranking them in ASN
+// order then rewrites its slots and the hops in place.
 func indexASes(anns []bgp.Announcement) (*Graph, []int32, error) {
 	n := 0
 	for _, a := range anns {
 		n += len(a.Path)
 	}
-	g := &Graph{idx: make(map[bgp.ASN]int)}
+	g := &Graph{dict: newASDict(minDictBits)}
 	hops := make([]int32, 0, n)
 	for _, a := range anns {
 		for _, as := range a.Path {
-			i, ok := g.idx[as]
-			if !ok {
-				i = len(g.idx)
-				g.idx[as] = i
-			}
-			hops = append(hops, int32(i))
+			hops = append(hops, g.dict.intern(as))
 		}
 	}
-	if err := packable(len(g.idx)); err != nil {
+	if err := packable(g.dict.n); err != nil {
 		return nil, nil, err
 	}
 	// The loop numbered ASes in first-seen order; rank renumbers them.
-	g.asns = make([]bgp.ASN, 0, len(g.idx))
-	for as := range g.idx {
-		g.asns = append(g.asns, as)
+	g.asns = make([]bgp.ASN, g.dict.n)
+	for _, e := range g.dict.slots {
+		if e.idx >= 0 {
+			g.asns[e.idx] = e.as
+		}
 	}
 	slices.Sort(g.asns)
 	rank := make([]int32, len(g.asns))
 	for i, as := range g.asns {
-		rank[g.idx[as]] = int32(i)
-		g.idx[as] = i
+		s := g.dict.slot(as)
+		rank[g.dict.slots[s].idx] = int32(i)
+		g.dict.slots[s].idx = int32(i)
 	}
 	for j, i := range hops {
 		hops[j] = rank[i]
@@ -284,12 +284,7 @@ func (g *Graph) buildEdges(words, tmp []uint64) {
 func (g *Graph) NumASes() int { return len(g.asns) }
 
 // Index returns the dense index of as, or -1 if absent.
-func (g *Graph) Index(as bgp.ASN) int {
-	if i, ok := g.idx[as]; ok {
-		return i
-	}
-	return -1
-}
+func (g *Graph) Index(as bgp.ASN) int { return int(g.dict.get(as)) }
 
 // HasEdge reports whether the directed edge u→v exists (dense indices).
 func (g *Graph) HasEdge(u, v int) bool {

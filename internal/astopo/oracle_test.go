@@ -3,6 +3,7 @@ package astopo
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -532,10 +533,14 @@ func naiveIndexOracle(g *Graph, anns []bgp.Announcement) [][]netx.Prefix {
 	}
 	seen := make(map[seenKey]struct{})
 	prefixes := make([][]netx.Prefix, g.NumASes())
+	idx := make(map[bgp.ASN]int, len(g.asns))
+	for i, as := range g.asns {
+		idx[as] = i
+	}
 	for _, a := range anns {
 		for _, as := range a.Path {
-			i := g.Index(as)
-			if i < 0 {
+			i, ok := idx[as]
+			if !ok {
 				continue
 			}
 			k := seenKey{int32(i), a.Prefix}
@@ -556,6 +561,9 @@ func naiveIndexOracle(g *Graph, anns []bgp.Announcement) [][]netx.Prefix {
 // unknown to it.
 func oracleAnns(t testing.TB, rng *rand.Rand) (*Graph, []bgp.Announcement) {
 	base := randomValleyFreeAnns(rng)
+	// A 4-byte ASN upstream of one announcement, which the graph indexes.
+	a := base[rng.Intn(len(base))]
+	base = append(base, bgp.Announcement{Prefix: a.Prefix, Path: append([]bgp.ASN{4_200_000_000}, a.Path...), Origin: a.Origin})
 	g := mustGraph(t, base, nil, nil)
 	anns := slices.Clone(base)
 	shared := base[rng.Intn(len(base))].Prefix
@@ -575,7 +583,7 @@ func oracleAnns(t testing.TB, rng *rand.Rand) (*Graph, []bgp.Announcement) {
 	return g, anns
 }
 
-// TestNaiveIndexMatchesOracle: the sort-and-dedupe naive index holds exactly
+// TestNaiveIndexMatchesOracle: the counting-scatter naive index holds exactly
 // the map-based oracle's per-AS prefix sets, each in prefix order, whether the
 // announcements come shuffled or grouped by prefix.
 func TestNaiveIndexMatchesOracle(t *testing.T) {
@@ -584,7 +592,7 @@ func TestNaiveIndexMatchesOracle(t *testing.T) {
 		g, anns := oracleAnns(t, rng)
 		if iter%2 == 1 {
 			// Grouped by prefix, as a table dump delivers them: runs of
-			// equal prefixes, which the stamps dedupe before the sort.
+			// equal prefixes, within which the stamps dedupe.
 			slices.SortStableFunc(anns, func(a, b bgp.Announcement) int { return a.Prefix.Compare(b.Prefix) })
 		}
 		ni := NewNaiveIndex(g, anns)
@@ -699,6 +707,88 @@ func TestNewGraphMatchesOracle(t *testing.T) {
 	requireGraphMatchesOracle(t, "default scale", anns, s.Orgs().MultiASGroups(), randomExtraLinks(rng, anns))
 }
 
+// collidingASN returns an ASN other than as whose hash has the same top 16
+// bits, so that the two share a home slot in every dictionary of up to 2^16
+// slots.
+func collidingASN(rng *rand.Rand, as bgp.ASN) bgp.ASN {
+	for {
+		if c := bgp.ASN(rng.Uint32()); c != as && dictHash(c)>>48 == dictHash(as)>>48 {
+			return c
+		}
+	}
+}
+
+// TestGraphIndexMatchesOracle: the graph's flat dictionary answers Index with
+// each AS's position in the sorted ASN list and -1 for an absent ASN — on
+// random topologies extended with 4-byte ASNs, AS 0 on a path (in half of
+// them), the largest ASN, and ASNs that share a home slot with a path AS and
+// so are found by probing. The absent ASNs asked for are AS 0 when no path
+// names it, the largest ASN when none does, and both neighbours of every
+// present ASN.
+func TestGraphIndexMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for iter := range 50 {
+		_, anns, orgs := randomTopology(t, rng)
+		home := anns[rng.Intn(len(anns))].Path[0]
+		extra := []bgp.ASN{collidingASN(rng, home), collidingASN(rng, home), 4_200_000_000 + bgp.ASN(rng.Intn(1000)), 65_536}
+		if iter%2 == 0 {
+			extra = append(extra, 0)
+		}
+		if iter%4 == 0 {
+			extra = append(extra, math.MaxUint32)
+		}
+		rng.Shuffle(len(extra), func(i, j int) { extra[i], extra[j] = extra[j], extra[i] })
+		for i, as := range extra {
+			// Each extra AS upstream of a path, and half of them also in
+			// the middle of one.
+			a := anns[rng.Intn(len(anns))]
+			anns = append(anns, bgp.Announcement{Prefix: a.Prefix, Path: append([]bgp.ASN{as}, a.Path...), Origin: a.Origin})
+			if i%2 == 0 {
+				a = anns[rng.Intn(len(anns))]
+				path := slices.Concat([]bgp.ASN{home}, []bgp.ASN{as}, a.Path)
+				anns = append(anns, bgp.Announcement{Prefix: a.Prefix, Path: path, Origin: a.Origin})
+			}
+		}
+		g := mustGraph(t, anns, orgs, nil)
+
+		present := map[bgp.ASN]bool{}
+		for _, a := range anns {
+			for _, as := range a.Path {
+				present[as] = true
+			}
+		}
+		var want []bgp.ASN
+		for as := range present {
+			want = append(want, as)
+		}
+		slices.Sort(want)
+		if !slices.Equal(g.asns, want) {
+			t.Fatalf("iter %d: ASes %v, want %v", iter, g.asns, want)
+		}
+		absent := []bgp.ASN{0, math.MaxUint32}
+		for i, as := range want {
+			if got := g.Index(as); got != i {
+				t.Fatalf("iter %d: Index(%d) = %d, want %d", iter, as, got, i)
+			}
+			absent = append(absent, as-1, as+1)
+		}
+		for _, as := range absent {
+			if got := g.Index(as); !present[as] && got != -1 {
+				t.Fatalf("iter %d: Index(%d) = %d for an absent ASN, want -1", iter, as, got)
+			}
+		}
+		probed := 0
+		for s, e := range g.dict.slots {
+			if e.idx >= 0 && int(dictHash(e.as)>>g.dict.shift) != s {
+				probed++
+			}
+		}
+		if probed < 2 {
+			t.Fatalf("iter %d: %d ASes sit away from their home slot; the colliding ASNs should put at least 2 there", iter, probed)
+		}
+	}
+}
+
 // TestPackedKeyWidthBoundary: MaxASes ASes fit the packed sort keys' AS index
 // fields and one more does not, so NewGraph refuses a table that large
 // instead of aliasing two ASes in one key.
@@ -718,8 +808,8 @@ func TestPackedKeyWidthBoundary(t *testing.T) {
 }
 
 // TestNaiveIndexAllocsConstant: NewNaiveIndex allocates the same few slices
-// whatever the table size (keys, sort scratch, stamps, offsets, prefixes and
-// the index itself) — no per-AS slice, no map.
+// whatever the table size (run log, stamps, offsets, prefixes and the index
+// itself) — no per-AS slice, no map, no sort scratch.
 func TestNaiveIndexAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -746,9 +836,10 @@ func TestNaiveIndexAllocsConstant(t *testing.T) {
 
 // TestNewGraphAllocsConstant: NewGraph allocates the same slices whatever the
 // topology's size — no allocation per link or per AS — beyond its ASN→index
-// map. The map's own growth is measured by filling the same map alone, as
-// indexASes does, and subtracted; what is left must be one count of at most
-// bound at 1× and at 8 ASN-disjoint copies of a random topology.
+// dictionary. The dictionary's own doublings are measured by filling an
+// identical one alone, as indexASes does, and subtracted; what is left must be
+// one count of at most bound at 1× and at 8 ASN-disjoint copies of a random
+// topology.
 func TestNewGraphAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -787,19 +878,17 @@ func TestNewGraphAllocsConstant(t *testing.T) {
 			}
 		})
 		index := testing.AllocsPerRun(5, func() {
-			idx := make(map[bgp.ASN]int)
+			d := newASDict(minDictBits)
 			for _, a := range anns {
 				for _, as := range a.Path {
-					if _, ok := idx[as]; !ok {
-						idx[as] = len(idx)
-					}
+					d.intern(as)
 				}
 			}
 		})
 		counts = append(counts, graph-index)
 	}
-	t.Logf("NewGraph allocations beyond its index map at 1× and 8× the topology: %v", counts)
+	t.Logf("NewGraph allocations beyond its dictionary at 1× and 8× the topology: %v", counts)
 	if counts[0] != counts[1] || counts[0] > bound {
-		t.Fatalf("NewGraph allocates %v times beyond its index map at 1× and 8× the topology, want one count of at most %d", counts, bound)
+		t.Fatalf("NewGraph allocates %v times beyond its dictionary at 1× and 8× the topology, want one count of at most %d", counts, bound)
 	}
 }

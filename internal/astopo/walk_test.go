@@ -102,6 +102,13 @@ func boundedOracle(adj [][]int32, u, depth int) *netx.Bitset {
 	return out
 }
 
+// boundedCone walks u's Full Cone cut at depth into a fresh bitset.
+func boundedCone(g *Graph, u, depth int) *netx.Bitset {
+	out := netx.NewBitset(g.NumASes())
+	g.BoundedCone(out, nil, u, depth)
+	return out
+}
+
 // requireSameSet asserts two bitsets over n ASes hold the same bits.
 func requireSameSet(t *testing.T, label string, n int, want, got *netx.Bitset) {
 	t.Helper()
@@ -131,10 +138,22 @@ func TestConeWalksMatchClosures(t *testing.T) {
 		ccRef := g.CustomerConeWithOrgs(orgs)
 		ccGated := newClosure(oracleCustomerAdjacency(g, orgs))
 		ccAdj := g.CustomerAdjacency(orgs)
+		// Every walk below queues on one array, as a compile worker's do.
+		var queue []int32
+		full := func(u, depth int) *netx.Bitset {
+			out := netx.NewBitset(n)
+			queue = g.BoundedCone(out, queue, u, depth)
+			return out
+		}
+		cone := func(u, depth int) *netx.Bitset {
+			out := netx.NewBitset(n)
+			queue = ccAdj.Cone(out, queue, u, depth)
+			return out
+		}
 		for u := 0; u < n; u++ {
 			label := fmt.Sprintf("iter=%d u=%d", iter, u)
-			requireSameSet(t, label+" full", n, coneSet(fullRef, u), g.BoundedCone(u, math.MaxInt))
-			cc := ccAdj.Cone(u, math.MaxInt)
+			requireSameSet(t, label+" full", n, coneSet(fullRef, u), full(u, math.MaxInt))
+			cc := cone(u, math.MaxInt)
 			requireSameSet(t, label+" cc", n, coneSet(ccRef, u), cc)
 			requireSameSet(t, label+" cc gated", n, coneSet(ccGated, u), cc)
 			if got := cc.Count(); got != ccRef.ConeSize(u) {
@@ -142,8 +161,8 @@ func TestConeWalksMatchClosures(t *testing.T) {
 			}
 			for depth := 0; depth <= 2; depth++ {
 				dl := fmt.Sprintf("%s depth=%d", label, depth)
-				requireSameSet(t, dl+" full", n, boundedOracle(g.down, u, depth), g.BoundedCone(u, depth))
-				requireSameSet(t, dl+" cc", n, boundedOracle(ccAdj, u, depth), ccAdj.Cone(u, depth))
+				requireSameSet(t, dl+" full", n, boundedOracle(g.down, u, depth), full(u, depth))
+				requireSameSet(t, dl+" cc", n, boundedOracle(ccAdj, u, depth), cone(u, depth))
 			}
 		}
 	}

@@ -139,14 +139,14 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	case BuildReusedPipeline:
 		p.graph, p.naive = prev.graph, prev.naive
 		p.origins, p.originTab = prev.origins, prev.originTab
-		p.bogonEntry = prev.bogonEntry
+		p.bogonEntry, p.prefixes = prev.bogonEntry, prev.prefixes
 		p.routedSpace = prev.routedSpace
 
 	case BuildReusedClosures:
 		p.graph = prev.graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(p.graph, anns) },
-			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, p.graph) },
+			func() { p.buildOriginIndex(rib) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 
@@ -158,7 +158,7 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		p.graph = graph
 		buildConcurrently(workers > 1,
 			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
-			func() { p.origins, p.originTab, p.bogonEntry = buildOriginIndex(rib, graph) },
+			func() { p.buildOriginIndex(rib) },
 			func() { p.routedSpace = rib.RoutedSpace() },
 		)
 	}
@@ -173,7 +173,7 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 
 	stats.Duration = time.Since(t0)
 	stats.ASes = p.graph.NumASes()
-	stats.Prefixes = rib.NumPrefixes()
+	stats.Prefixes = p.prefixes
 	stats.Members = len(members)
 	return p, stats, nil
 }
@@ -204,9 +204,11 @@ func buildConcurrently(on bool, stages ...func()) {
 // 2^32 distinct origins).
 const bogonSlot = ^uint32(0)
 
-// buildOriginIndex compiles the origin slab: resolve each distinct origin
-// ASN to an originTab slot once, then build the index straight from the
-// sorted (prefix → slot) assignment.
+// buildOriginIndex compiles the origin slab into p.origins, p.originTab and
+// p.bogonEntry: resolve each distinct origin ASN to an originTab slot once,
+// then build the index straight from the sorted (prefix → slot) assignment,
+// which has one row per routed prefix, so it also counts them (p.prefixes).
+// p.graph must be set.
 //
 // The bogon prefixes are appended under the bogonSlot sentinel — appended
 // last, so a prefix that is both announced and bogon dedups to
@@ -214,8 +216,9 @@ const bogonSlot = ^uint32(0)
 // returned flags slice marks, per entry, whether the entry's ancestor chain
 // carries the sentinel: the hot path's entire bogon test is one indexed
 // load of that bit for the entry FindChain already resolved.
-func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph) (*netx.FlatLPM, []originRef, []bool) {
+func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) {
 	prefixes, origins := rib.OriginAssignments()
+	p.prefixes = len(prefixes)
 	slotOf := make(map[bgp.ASN]uint32)
 	vals := make([]uint32, len(prefixes))
 	var tab []originRef
@@ -224,7 +227,7 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph) (*netx.FlatLPM, []origi
 		if !ok {
 			s = uint32(len(tab))
 			slotOf[o] = s
-			tab = append(tab, originRef{asn: o, idx: int32(graph.Index(o))})
+			tab = append(tab, originRef{asn: o, idx: int32(p.graph.Index(o))})
 		}
 		vals[i] = s
 	}
@@ -245,25 +248,21 @@ func buildOriginIndex(rib *bgp.RIB, graph *astopo.Graph) (*netx.FlatLPM, []origi
 			}
 		}
 	}
-	return flat, tab, flags
+	p.origins, p.originTab, p.bogonEntry = flat, tab, flags
 }
 
-// naiveEntBits expresses AS asIdx's naive valid space as a bitset over the
+// naiveEntBits sets in b AS asIdx's naive valid space as bits over the
 // origin slab's entry indexes. Every naive prefix is an announced
 // prefix and therefore an origin-table entry, so the per-flow naive test
 // reduces to testing the entries on the chain FindChain already produced.
 // Both derive from the same announcements; a prefix absent from the slab
 // means they did not, and the build fails rather than classify from it.
-func (p *Pipeline) naiveEntBits(mi MemberInfo, asIdx int) (*netx.Bitset, error) {
-	b := netx.NewBitset(p.origins.Len())
-	for _, pr := range p.naive.ValidPrefixes(asIdx) {
-		e := p.origins.EntryOf(pr)
-		if e < 0 {
-			return nil, fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", mi.ASN, mi.Port, pr)
-		}
-		b.Set(int(e))
+func (p *Pipeline) naiveEntBits(b *netx.Bitset, mi MemberInfo, asIdx int) error {
+	ps := p.naive.ValidPrefixes(asIdx)
+	if i := p.origins.EntriesOf(ps, func(e int32) { b.Set(int(e)) }); i >= 0 {
+		return fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", mi.ASN, mi.Port, ps[i])
 	}
-	return b, nil
+	return nil
 }
 
 // compileMembers builds the per-member validity tables. A member's cone
@@ -274,9 +273,15 @@ func (p *Pipeline) naiveEntBits(mi MemberInfo, asIdx int) (*netx.Bitset, error) 
 // re-wrap its previous cone bitsets — and, when reuseNaive holds (unchanged
 // announcement set), its naive entry bitset — instead of rematerializing
 // them. The donor's §4.4 extra whitelists are never carried (fresh epoch,
-// fresh corrections). Members are compiled by a worker pool when
-// workers > 1; each slot is written by exactly one goroutine. The error, if
-// any, is the first failing member's in input order.
+// fresh corrections).
+//
+// The member states are one slice, and every bitset a member fills is a row
+// of one of two slabs, the naive rows and the cone rows, sized for the
+// members that fill them; so the tables cost the same few allocations
+// however many members there are. Members are compiled by a worker pool
+// when workers > 1, each worker walking on one queue; each state is written
+// by exactly one goroutine. The error, if any, is the first failing
+// member's in input order.
 func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, reuseNaive bool, workers int) error {
 	p.byPort = make(map[uint32]*memberState, len(members))
 	p.byASN = make(map[bgp.ASN]*memberState, len(members))
@@ -294,11 +299,22 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	if fcDepth <= 0 {
 		fcDepth = math.MaxInt
 	}
-	var ccAdj astopo.Adjacency
-	states := make([]*memberState, len(members))
+	// What each member still has to compute, once the donor has lent it
+	// what it can.
+	const (
+		fillNaive = 1 << iota
+		walkCones
+	)
+	states := make([]memberState, len(members))
+	todo := make([]uint8, len(members))
+	nNaive, nWalk := 0, 0
 	for i, mi := range members {
-		ms := &memberState{info: mi, asIdx: p.graph.Index(mi.ASN)}
-		if ms.asIdx >= 0 && donor != nil {
+		ms := &states[i]
+		ms.info, ms.asIdx = mi, p.graph.Index(mi.ASN)
+		if ms.asIdx < 0 {
+			continue
+		}
+		if donor != nil {
 			if d := donor.byASN[mi.ASN]; d != nil && d.asIdx == ms.asIdx {
 				ms.validCC, ms.validFC = d.validCC, d.validFC
 				if reuseNaive {
@@ -309,24 +325,44 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 				}
 			}
 		}
-		if ms.asIdx >= 0 && ms.validCC == nil && ccAdj == nil {
-			ccAdj = p.graph.CustomerAdjacency(opts.Orgs)
-		}
-		states[i] = ms
-	}
-	errs := make([]error, len(members))
-	build := func(i int) {
-		ms := states[i]
-		if ms.asIdx < 0 {
-			return
-		}
 		if ms.naiveEnts == nil {
-			ms.naiveEnts, errs[i] = p.naiveEntBits(ms.info, ms.asIdx)
+			todo[i] |= fillNaive
+			nNaive++
 		}
 		if ms.validCC == nil {
-			ms.validCC = ccAdj.Cone(ms.asIdx, math.MaxInt)
-			ms.validFC = p.graph.BoundedCone(ms.asIdx, fcDepth)
+			todo[i] |= walkCones
+			nWalk++
 		}
+	}
+	naiveRows := netx.NewBitsets(nNaive, p.origins.Len())
+	coneRows := netx.NewBitsets(2*nWalk, p.graph.NumASes())
+	var ccAdj astopo.Adjacency
+	if nWalk > 0 {
+		ccAdj = p.graph.CustomerAdjacency(opts.Orgs)
+	}
+	for i := range states {
+		ms := &states[i]
+		if todo[i]&fillNaive != 0 {
+			ms.naiveEnts, naiveRows = &naiveRows[0], naiveRows[1:]
+		}
+		if todo[i]&walkCones != 0 {
+			ms.validCC, ms.validFC, coneRows = &coneRows[0], &coneRows[1], coneRows[2:]
+		}
+	}
+	errs := make([]error, len(members))
+	build := func(i int, queue []int32) []int32 {
+		ms := &states[i]
+		if todo[i]&fillNaive != 0 {
+			errs[i] = p.naiveEntBits(ms.naiveEnts, ms.info, ms.asIdx)
+		}
+		if todo[i]&walkCones != 0 {
+			if queue == nil {
+				queue = make([]int32, 0, p.graph.NumASes())
+			}
+			queue = ccAdj.Cone(ms.validCC, queue, ms.asIdx, math.MaxInt)
+			queue = p.graph.BoundedCone(ms.validFC, queue, ms.asIdx, fcDepth)
+		}
+		return queue
 	}
 	if workers > 1 && len(states) > 1 {
 		var wg sync.WaitGroup
@@ -335,19 +371,23 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var queue []int32
 				for i := range next {
-					build(i)
+					queue = build(i, queue)
 				}
 			}()
 		}
 		for i := range states {
-			next <- i
+			if todo[i] != 0 {
+				next <- i
+			}
 		}
 		close(next)
 		wg.Wait()
 	} else {
+		var queue []int32
 		for i := range states {
-			build(i)
+			queue = build(i, queue)
 		}
 	}
 	for _, err := range errs {
@@ -359,7 +399,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	// Registration stays sequential and in input order so duplicate ports
 	// or ASNs resolve exactly as the sequential build always has.
 	for i, mi := range members {
-		ms := states[i]
+		ms := &states[i]
 		p.byPort[mi.Port] = ms
 		if int(mi.Port) < len(p.byPortDense) {
 			p.byPortDense[mi.Port] = ms

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
+	"spoofscope/internal/obs"
 	"spoofscope/internal/scenario"
 )
 
@@ -278,19 +281,56 @@ func TestBuildWorkersEquivalence(t *testing.T) {
 	}
 }
 
+// TestBuildStatsPrefixes: every reuse tier reports the RIB's routed prefix
+// count, which a build takes from its origin assignments and a reused
+// pipeline carries, and the journal line of each build says the same.
+func TestBuildStatsPrefixes(t *testing.T) {
+	rib, members, opts, _ := buildRebuildFixture(t)
+	delta := rebuiltRIB(rib, func(i int, a bgp.Announcement) bgp.Announcement {
+		if i == 0 {
+			a.Prefix = netx.MustParsePrefix("223.255.250.0/24")
+		}
+		return a
+	})
+	tel := obs.NewTelemetry()
+	rt, err := NewRuntime(RuntimeConfig{Queue: unboundedQueue(16), Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, step := range []struct {
+		rib  *bgp.RIB
+		want BuildReuse
+	}{{rib, BuildCold}, {rib, BuildReusedPipeline}, {delta, BuildReusedClosures}} {
+		_, st, err := rt.RebuildAndSwap(step.rib, members, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := step.rib.NumPrefixes()
+		if st.Reuse != step.want || st.Prefixes != n {
+			t.Fatalf("%s build reports %d prefixes, want a %s build of %d", st.Reuse, st.Prefixes, step.want, n)
+		}
+		events := tel.Journal.Events()
+		if msg := events[len(events)-1].Msg; !strings.Contains(msg, fmt.Sprintf(" %d prefixes,", n)) {
+			t.Fatalf("%s build's journal line %q does not say %d prefixes", st.Reuse, msg, n)
+		}
+	}
+}
+
 // TestReusedClosuresRebuildAllocs holds an announcement-only rebuild (one
 // prefix renumbered, every path kept) to an allocation ceiling: the prefix
-// layers it recompiles allocate per table, not per AS or per hop. The count
-// is taken sequentially (GOMAXPROCS=1), where it does not depend on
-// scheduling. The small scenario's rebuild (249 ASes, 387 prefixes) measured
-// 325 allocations; the ceiling leaves room for map growth to vary, and sits
-// far below the 951 of the naive index that kept a slice per AS and hashed
-// every hop.
+// layers it recompiles allocate per table, not per AS or per hop, and the
+// member tables per build, not per member. The count is taken sequentially
+// (GOMAXPROCS=1), where it does not depend on scheduling. The small
+// scenario's rebuild (249 ASes, 387 prefixes, 60 members) measured 120
+// allocations; the ceiling leaves 75 for map growth to vary. Rebuilding
+// with four times the members, each copy on its own ports, may cost only
+// what the member maps sized by that hint cost more.
 func TestReusedClosuresRebuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const ceiling = 400
+	const ceiling = 195
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rib, members, opts, _ := buildRebuildFixture(t)
 	prev, _, err := RebuildPipeline(nil, rib, members, opts)
@@ -304,18 +344,42 @@ func TestReusedClosuresRebuildAllocs(t *testing.T) {
 		}
 		return a
 	})
-	var stats BuildStats
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, stats, err = RebuildPipeline(prev, delta, members, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if stats.Reuse != BuildReusedClosures {
-		t.Fatalf("announcement-only delta rebuilt as %s, want reused-closures", stats.Reuse)
+	maxPort := uint32(0)
+	for _, mi := range members {
+		maxPort = max(maxPort, mi.Port)
 	}
-	t.Logf("reused-closures rebuild of %d ASes, %d prefixes: %.0f allocations", stats.ASes, stats.Prefixes, allocs)
-	if allocs > ceiling {
-		t.Fatalf("reused-closures rebuild allocates %.0f times, ceiling %d", allocs, ceiling)
+	var members4 []MemberInfo
+	for c := range uint32(4) {
+		for _, mi := range members {
+			members4 = append(members4, MemberInfo{ASN: mi.ASN, Port: mi.Port + c*(maxPort+1)})
+		}
+	}
+	var counts []float64
+	for _, ms := range [][]MemberInfo{members, members4} {
+		var stats BuildStats
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, stats, err = RebuildPipeline(prev, delta, ms, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stats.Reuse != BuildReusedClosures {
+			t.Fatalf("announcement-only delta rebuilt as %s, want reused-closures", stats.Reuse)
+		}
+		t.Logf("reused-closures rebuild of %d ASes, %d prefixes, %d members: %.0f allocations", stats.ASes, stats.Prefixes, stats.Members, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] > ceiling {
+		t.Fatalf("reused-closures rebuild allocates %.0f times, ceiling %d", counts[0], ceiling)
+	}
+	hinted := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			_ = make(map[uint32]*memberState, n)
+			_ = make(map[bgp.ASN]*memberState, n)
+		})
+	}
+	if slack := hinted(len(members4)) - hinted(len(members)); counts[1]-counts[0] > slack {
+		t.Fatalf("reused-closures rebuild allocates %v times with %d and %d members; the member maps account for %.0f more, not %.0f",
+			counts, len(members), len(members4), slack, counts[1]-counts[0])
 	}
 }
 

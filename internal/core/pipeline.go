@@ -174,6 +174,7 @@ type Pipeline struct {
 
 	// RoutedSlash24 is the routed space size, for reporting.
 	routedSpace netx.IntervalSet
+	prefixes    int // routed prefixes: one origin assignment each
 
 	// anns backs FilterList's per-origin spaces, computed once on first
 	// use; FilterList may be called from several goroutines.

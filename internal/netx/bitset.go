@@ -13,6 +13,18 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
 
+// NewBitsets returns count bitsets able to hold n bits each, all clear,
+// carved from one backing array: two allocations however many there are.
+func NewBitsets(count, n int) []Bitset {
+	w := (n + 63) / 64
+	words := make([]uint64, count*w)
+	out := make([]Bitset, count)
+	for i := range out {
+		out[i].words = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out
+}
+
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 

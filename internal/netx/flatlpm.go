@@ -308,26 +308,43 @@ func (f *FlatLPM) EntryChain(e int32) (vals, ents []uint32) {
 	return f.chains[lo:hi:hi], f.chainEnts[lo:hi:hi]
 }
 
-// EntryOf returns the entry index of the stored prefix equal to p (after
-// masking host bits, as BuildFlatLPM does), or -1 when p is not stored.
-// Entry indexes are dense in [0, Len()) and order entries by (address,
-// length), so callers can build per-entry side tables — the classifier
-// marks each member's naively-valid entries in a bitset keyed by these
-// indexes.
-func (f *FlatLPM) EntryOf(p Prefix) int32 {
-	p = PrefixFrom(p.Addr, p.Bits)
-	addr := uint32(p.Addr)
-	lo, hi := 0, len(f.entAddr)
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if f.entAddr[mid] < addr || (f.entAddr[mid] == addr && f.entBits[mid] < p.Bits) {
-			lo = mid + 1
-		} else {
-			hi = mid
+// EntriesOf calls fn with the entry index of each prefix of ps in turn
+// (host bits masked, as BuildFlatLPM does) and returns -1, or stops at the
+// first prefix that is not stored and returns its position in ps. ps must
+// be distinct and in prefix order (Prefix.Compare), the order of the
+// entries: each search gallops forward from the previous hit, so a long
+// list costs about one step per prefix instead of a binary search. Entry
+// indexes are dense in [0, Len()), so callers can build per-entry side
+// tables — the classifier marks each member's naively-valid entries in a
+// bitset keyed by these indexes.
+func (f *FlatLPM) EntriesOf(ps []Prefix, fn func(e int32)) int {
+	n := len(f.entAddr)
+	lo := 0 // every entry below lo orders before the prefix searched for
+	for j, p := range ps {
+		p = PrefixFrom(p.Addr, p.Bits)
+		addr := uint32(p.Addr)
+		below := func(i int) bool {
+			return f.entAddr[i] < addr || (f.entAddr[i] == addr && f.entBits[i] < p.Bits)
 		}
-	}
-	if lo < len(f.entAddr) && f.entAddr[lo] == addr && f.entBits[lo] == p.Bits {
-		return int32(lo)
+		// Gallop until hi is past the end or does not order before p, then
+		// search [lo, hi) for the first entry that does not.
+		hi := lo
+		for step := 1; hi < n && below(hi); step *= 2 {
+			lo, hi = hi+1, hi+step
+		}
+		hi = min(hi, n)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); below(mid) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == n || f.entAddr[lo] != addr || f.entBits[lo] != p.Bits {
+			return j
+		}
+		fn(int32(lo))
+		lo++
 	}
 	return -1
 }

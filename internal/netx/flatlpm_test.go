@@ -3,6 +3,7 @@ package netx
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -151,7 +152,7 @@ func TestFlatLPMProperty(t *testing.T) {
 				}
 				assertSameMatches(t, lpm, flat, a)
 			}
-			assertEntryOfRoundtrip(t, flat, ps)
+			assertEntriesOfRoundtrip(t, flat, ps)
 		}
 	}
 }
@@ -200,42 +201,60 @@ func assertSameMatches(t *testing.T, lpm *LPM, flat *FlatLPM, a Addr) {
 	}
 }
 
-// assertEntryOfRoundtrip checks the prefix → entry index mapping: every
-// stored (masked) prefix resolves to an entry holding its own address,
-// length, and winning value, and chains reported for its first address pass
-// through it.
-func assertEntryOfRoundtrip(t *testing.T, flat *FlatLPM, ps []Prefix) {
+// assertEntriesOfRoundtrip checks the prefix → entry index mapping: the
+// stored (masked) prefixes, in prefix order, resolve one by one to entries
+// holding their own address and length, and chains reported for each one's
+// first address pass through its entry. A prefix that is not stored stops
+// the walk at its position.
+func assertEntriesOfRoundtrip(t *testing.T, flat *FlatLPM, ps []Prefix) {
 	t.Helper()
+	var stored []Prefix
 	for _, p := range ps {
-		m := PrefixFrom(p.Addr, p.Bits)
-		e := flat.EntryOf(p)
-		if e < 0 {
-			t.Fatalf("EntryOf(%v): stored prefix not found", m)
-		}
+		stored = append(stored, PrefixFrom(p.Addr, p.Bits))
+	}
+	slices.SortFunc(stored, Prefix.Compare)
+	stored = slices.Compact(stored)
+	var ents []int32
+	if miss := flat.EntriesOf(stored, func(e int32) { ents = append(ents, e) }); miss >= 0 {
+		t.Fatalf("EntriesOf: stored prefix %v not found", stored[miss])
+	}
+	if len(ents) != len(stored) {
+		t.Fatalf("EntriesOf resolved %d of %d stored prefixes", len(ents), len(stored))
+	}
+	for i, m := range stored {
+		e := ents[i]
 		if flat.entAddr[e] != uint32(m.Addr) || flat.entBits[e] != m.Bits {
-			t.Fatalf("EntryOf(%v) = %d holds %x/%d", m, e, flat.entAddr[e], flat.entBits[e])
+			t.Fatalf("EntriesOf: %v resolves to entry %d, which holds %x/%d", m, e, flat.entAddr[e], flat.entBits[e])
 		}
 		if want, ok := flat.Lookup(m.First()); ok {
-			_, _, ents := flat.FindChain(m.First())
-			onChain := false
-			for _, ce := range ents {
-				if ce == uint32(e) {
-					onChain = true
-				}
-			}
-			if !onChain {
-				t.Fatalf("EntryOf(%v) = %d not on its first address's chain (lpm=%d)", m, e, want)
+			_, _, chain := flat.FindChain(m.First())
+			if !slices.Contains(chain, uint32(e)) {
+				t.Fatalf("EntriesOf: %v resolves to entry %d, not on its first address's chain (lpm=%d)", m, e, want)
 			}
 		}
 	}
-	// Unstored prefixes must miss.
-	if e := flat.EntryOf(Prefix{Addr: 0x01020304, Bits: 32}); e >= 0 {
-		for _, p := range ps {
-			if PrefixFrom(p.Addr, p.Bits) == (Prefix{Addr: 0x01020304, Bits: 32}) {
-				return
-			}
+	// A sparse subset gallops over the entries between its prefixes.
+	for _, stride := range []int{2, 5, 17} {
+		var sub []Prefix
+		var want []int32
+		for i := 0; i < len(stored); i += stride {
+			sub, want = append(sub, stored[i]), append(want, ents[i])
 		}
-		t.Fatalf("EntryOf(unstored /32) = %d", e)
+		var got []int32
+		if miss := flat.EntriesOf(sub, func(e int32) { got = append(got, e) }); miss >= 0 || !slices.Equal(got, want) {
+			t.Fatalf("EntriesOf of every %dth stored prefix: entries %v (stopped at %d), want %v", stride, got, miss, want)
+		}
+	}
+	// An unstored prefix stops the walk where it stands.
+	missing := Prefix{Addr: 0x01020304, Bits: 32}
+	at, found := slices.BinarySearchFunc(stored, missing, Prefix.Compare)
+	if found {
+		return
+	}
+	probe := slices.Insert(slices.Clone(stored), at, missing)
+	ents = ents[:0]
+	if miss := flat.EntriesOf(probe, func(e int32) { ents = append(ents, e) }); miss != at || len(ents) != at {
+		t.Fatalf("EntriesOf with unstored %v at %d stopped at %d after %d entries", missing, at, miss, len(ents))
 	}
 }
 
