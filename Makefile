@@ -99,10 +99,16 @@ loc:
 # on the default-scale scenario); the graph's flat ASN dictionary must answer
 # Index with each AS's position in the sorted ASN list and -1 for absent
 # ASNs (4-byte ASNs, AS 0 and colliding hashes included); and the packed
-# sort keys' width check holds at its boundary. They are in the race suite
-# too; the dedicated target keeps the equivalence gate visible in CI logs.
+# sort keys' width check holds at its boundary. In the classifier, every
+# member's naive row, filled by one walk of the table, must hold exactly the
+# origin-slab entries of the naive index's prefixes for its AS, in all three
+# reuse tiers (TestMemberNaiveRows: two ports of one AS, an AS absent from
+# BGP, AS 0 on a path, an AS new to a reused build). They are in the race
+# suite too; the dedicated target keeps the equivalence gate visible in CI
+# logs.
 closure-prop:
 	$(GO) test -race -run 'TestConeWalksMatchClosures|TestNaiveIndexMatchesOracle|TestNewGraphMatchesOracle|TestGraphIndexMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
+	$(GO) test -race -run 'TestMemberNaiveRows' -count=1 ./internal/core
 
 # obs-smoke drives a live parallel run with telemetry enabled and asserts the
 # /metrics scrape matches the Aggregator exactly and /healthz walks

@@ -510,7 +510,7 @@ type buildBenchScale struct {
 // unchanged, so RebuildPipeline compiles it against rib's pipeline as
 // reused-closures.
 func renumbered(rib *bgp.RIB) *bgp.RIB {
-	prefixes := rib.Prefixes()
+	prefixes, _ := rib.OriginAssignments()
 	routed := make(map[netx.Prefix]bool, len(prefixes))
 	for _, p := range prefixes {
 		routed[p] = true
@@ -674,7 +674,7 @@ func BenchmarkMRTLoad(b *testing.B) {
 // EXPERIMENTS.md ("Retired alternatives").
 func BenchmarkLPMLinear(b *testing.B) {
 	env := benchEnvironment(b)
-	prefixes := env.RIB.Prefixes()
+	prefixes, _ := env.RIB.OriginAssignments()
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]netx.Addr, 4096)
 	for i := range addrs {

@@ -21,8 +21,8 @@ func (d *Digest) add(h uint64) {
 // everything the AS graph, the relationship inference, and both cone
 // closures depend on (inference votes are tallied per announcement, so path
 // multiplicity matters, not just the link set). Anns digests the distinct
-// (prefix, path) set, which the prefix-dependent layers (naive index,
-// origin table, routed space) additionally depend on. Equal Anns licenses
+// (prefix, path) set, which the prefix-dependent layers (origin table,
+// routed space, the members' naive rows) additionally depend on. Equal Anns licenses
 // reusing every layer of a compiled pipeline; equal Paths alone licenses
 // reusing only the graph and the closures.
 type Fingerprint struct {
@@ -41,21 +41,24 @@ func fnvU32(h uint64, v uint32) uint64 {
 	return (h ^ uint64(v&0xff)) * fnvPrime
 }
 
-// Fingerprint computes the snapshot fingerprint over the RIB's distinct
-// announcements. O(total path length); called once per rebuild.
-func (r *RIB) Fingerprint() Fingerprint {
-	var f Fingerprint
-	anns := r.table()
-	for i := range anns {
-		a := &anns[i]
-		hp := uint64(fnvOffset)
-		for _, as := range a.Path {
-			hp = fnvU32(hp, uint32(as))
-		}
-		f.Paths.add(hp)
-		ha := fnvU32(hp, uint32(a.Prefix.Addr))
-		ha = (ha ^ uint64(a.Prefix.Bits)) * fnvPrime
-		f.Anns.add(ha)
+// add digests one more distinct announcement.
+func (f *Fingerprint) add(a *Announcement) {
+	hp := uint64(fnvOffset)
+	for _, as := range a.Path {
+		hp = fnvU32(hp, uint32(as))
 	}
-	return f
+	f.Paths.add(hp)
+	ha := fnvU32(hp, uint32(a.Prefix.Addr))
+	ha = (ha ^ uint64(a.Prefix.Bits)) * fnvPrime
+	f.Anns.add(ha)
+}
+
+// Fingerprint returns the snapshot fingerprint over the RIB's distinct
+// announcements. The fold that merges added announcements into the table
+// digests each new one as it merges it, so once the table is folded this is
+// a field read: O(1) on a RIB read since its last add, and otherwise the
+// cost of that first read, which hashes only the announcements it adds.
+func (r *RIB) Fingerprint() Fingerprint {
+	r.table()
+	return r.fp
 }

@@ -29,9 +29,10 @@ type Announcement struct {
 // The RIB is one table of announcements. AddAnnouncement appends; the
 // first read after an add sorts what was added by (prefix, origin, path),
 // merges it into the table and drops repeats, and every read is a scan over
-// that order. So the first read after an add writes, and a RIB that has
-// been read once since its last add may be read from any number of
-// goroutines at once.
+// that order. The merge also keeps the table's fingerprint and its count of
+// distinct prefixes, hashing only the announcements it adds. So the first
+// read after an add writes, and a RIB that has been read once since its
+// last add may be read from any number of goroutines at once.
 type RIB struct {
 	// MinBits and MaxBits bound accepted prefix lengths, inclusive.
 	// NewRIB sets the paper's defaults of 8 and 24.
@@ -41,6 +42,11 @@ type RIB struct {
 	// anns[sorted:] is the tail added since, in arrival order.
 	anns   []Announcement
 	sorted int
+
+	// fp and prefixes describe anns[:sorted]: its fingerprint and its
+	// number of distinct prefixes.
+	fp       Fingerprint
+	prefixes int
 }
 
 // foldMin is the shortest unsorted tail AddAnnouncement folds into the
@@ -84,23 +90,37 @@ func compareAnnouncements(a, b Announcement) int {
 
 // fold sorts the unsorted tail and merges it into the sorted table,
 // dropping repeats. The merge writes a fresh backing array, so a slice an
-// earlier read returned never changes.
+// earlier read returned never changes. A table announcement goes out before
+// an equal tail one, so the tail announcements the merge keeps are exactly
+// the new ones: adding their hashes to the table's digests gives the merged
+// table's (Digest's folds commute), and no table announcement is hashed
+// again.
 func (r *RIB) fold() {
 	old, tail := r.anns[:r.sorted], r.anns[r.sorted:]
 	slices.SortFunc(tail, compareAnnouncements)
 	out := make([]Announcement, 0, len(r.anns))
+	prefixes := 0
 	for len(old) > 0 || len(tail) > 0 {
 		var a Announcement
-		if len(tail) == 0 || len(old) > 0 && compareAnnouncements(old[0], tail[0]) <= 0 {
-			a, old = old[0], old[1:]
-		} else {
+		fromTail := len(tail) > 0 && (len(old) == 0 || compareAnnouncements(old[0], tail[0]) > 0)
+		if fromTail {
 			a, tail = tail[0], tail[1:]
+		} else {
+			a, old = old[0], old[1:]
 		}
-		if n := len(out); n == 0 || compareAnnouncements(out[n-1], a) != 0 {
-			out = append(out, a)
+		if n := len(out); n > 0 && out[n-1].Prefix == a.Prefix {
+			if compareAnnouncements(out[n-1], a) == 0 {
+				continue
+			}
+		} else {
+			prefixes++
+		}
+		out = append(out, a)
+		if fromTail {
+			r.fp.add(&a)
 		}
 	}
-	r.anns, r.sorted = out, len(out)
+	r.anns, r.sorted, r.prefixes = out, len(out), prefixes
 }
 
 // table returns the distinct announcements in table order, folding the
@@ -176,63 +196,38 @@ func (r *RIB) LoadMRT(rd io.Reader) error {
 // must not be modified.
 func (r *RIB) Announcements() []Announcement { return r.table() }
 
-// prefixRuns calls fn for each run of announcements of one prefix, in
-// prefix order.
-func (r *RIB) prefixRuns(fn func(run []Announcement)) {
-	anns := r.table()
-	for i := 0; i < len(anns); {
-		j := i + 1
-		for j < len(anns) && anns[j].Prefix == anns[i].Prefix {
-			j++
-		}
-		fn(anns[i:j])
-		i = j
-	}
-}
-
 // NumPrefixes returns the number of distinct routed prefixes.
 func (r *RIB) NumPrefixes() int {
-	n := 0
-	r.prefixRuns(func([]Announcement) { n++ })
-	return n
-}
-
-// Prefixes returns the distinct routed prefixes, sorted.
-func (r *RIB) Prefixes() []netx.Prefix {
-	out := make([]netx.Prefix, 0, r.NumPrefixes())
-	r.prefixRuns(func(run []Announcement) { out = append(out, run[0].Prefix) })
-	return out
-}
-
-// RoutedSpace returns the union of all routed prefixes as an interval set.
-func (r *RIB) RoutedSpace() netx.IntervalSet {
-	return netx.IntervalSetOfPrefixes(r.Prefixes()...)
+	r.table()
+	return r.prefixes
 }
 
 // OriginAssignments resolves each routed prefix to one origin, as parallel
 // slices sorted by prefix — the shape netx.BuildFlatLPM consumes directly.
 // When a prefix was announced by several origins over the window (MOAS),
 // the origin seen on the most distinct paths wins, and a tie goes to the
-// lower ASN, AS 0 included.
+// lower ASN, AS 0 included. The prefixes are the table's runs: prefix i is
+// the i-th run of Announcements.
 func (r *RIB) OriginAssignments() ([]netx.Prefix, []ASN) {
-	n := r.NumPrefixes()
-	ps, origins := make([]netx.Prefix, 0, n), make([]ASN, 0, n)
-	r.prefixRuns(func(run []Announcement) {
+	anns := r.table()
+	ps, origins := make([]netx.Prefix, 0, r.prefixes), make([]ASN, 0, r.prefixes)
+	for i := 0; i < len(anns); {
 		// The run is sorted by origin, so each origin is a sub-run whose
 		// length is its number of distinct paths.
-		best, bestLen := run[0].Origin, 0
-		for i := 0; i < len(run); {
+		p := anns[i].Prefix
+		best, bestLen := anns[i].Origin, 0
+		for i < len(anns) && anns[i].Prefix == p {
 			j := i + 1
-			for j < len(run) && run[j].Origin == run[i].Origin {
+			for j < len(anns) && anns[j].Prefix == p && anns[j].Origin == anns[i].Origin {
 				j++
 			}
 			if j-i > bestLen {
-				best, bestLen = run[i].Origin, j-i
+				best, bestLen = anns[i].Origin, j-i
 			}
 			i = j
 		}
-		ps = append(ps, run[0].Prefix)
+		ps = append(ps, p)
 		origins = append(origins, best)
-	})
+	}
 	return ps, origins
 }

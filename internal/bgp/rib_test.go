@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -17,8 +18,8 @@ func TestRIBLengthFilter(t *testing.T) {
 	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/25"), []ASN{1})  // too long
 	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []ASN{1})   // ok
 	r.AddAnnouncement(netx.MustParsePrefix("192.0.2.0/24"), []ASN{2}) // ok
-	if got := r.Prefixes(); len(got) != 2 || got[0].Bits != 8 || got[1].Bits != 24 {
-		t.Fatalf("Prefixes = %v, want the /8 and the /24", got)
+	if got, _ := r.OriginAssignments(); len(got) != 2 || got[0].Bits != 8 || got[1].Bits != 24 {
+		t.Fatalf("OriginAssignments' prefixes = %v, want the /8 and the /24", got)
 	}
 }
 
@@ -106,12 +107,19 @@ func TestOriginAssignmentsTieToLowerASN(t *testing.T) {
 	}
 }
 
+// routedSpace is the union of r's routed prefixes, as the classifier's
+// origin stage builds it from OriginAssignments' prefix list.
+func routedSpace(r *RIB) netx.IntervalSet {
+	ps, _ := r.OriginAssignments()
+	return netx.IntervalSetOfPrefixes(ps...)
+}
+
 func TestRIBRoutedSpace(t *testing.T) {
 	r := NewRIB()
 	r.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []ASN{1})
 	r.AddAnnouncement(netx.MustParsePrefix("10.1.0.0/16"), []ASN{2}) // nested
 	r.AddAnnouncement(netx.MustParsePrefix("192.0.2.0/24"), []ASN{3})
-	space := r.RoutedSpace()
+	space := routedSpace(r)
 	if space.NumAddrs() != 1<<24+256 {
 		t.Fatalf("routed space = %d addrs", space.NumAddrs())
 	}
@@ -169,7 +177,7 @@ func TestRIBWithdrawalsCountedNotErased(t *testing.T) {
 	if r.NumPrefixes() != 1 {
 		t.Fatalf("withdrawal erased window history: %d prefixes", r.NumPrefixes())
 	}
-	if !r.RoutedSpace().Contains(netx.MustParseAddr("203.0.113.9")) {
+	if !routedSpace(r).Contains(netx.MustParseAddr("203.0.113.9")) {
 		t.Fatal("routed space lost the withdrawn prefix")
 	}
 }
@@ -201,6 +209,39 @@ func TestRIBRepeatsStayBounded(t *testing.T) {
 	}
 }
 
+// TestRIBIncrementalFolds: a read after adds folds the tail into the table,
+// and the fold keeps the table's Fingerprint and NumPrefixes from the
+// announcements it merges in, so after every read the RIB must read as an
+// oracle fed the same stream does. Each tail repeats announcements of its
+// own and of the table, adds paths to known prefixes and new prefixes (AS 0
+// among the path ASes); one tail is long enough that AddAnnouncement folds
+// it before the read, and one read follows no add.
+func TestRIBIncrementalFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r, o := NewRIB(), newOracleRIB()
+	var fed []Announcement
+	add := func(a Announcement) {
+		r.AddAnnouncement(a.Prefix, a.Path)
+		o.AddAnnouncement(a.Prefix, a.Path)
+		fed = append(fed, a)
+	}
+	for step, n := range []int{40, 1, 25, 3 * foldMin, 60, 0, 200} {
+		table := len(fed) // fed[:table] is in the table
+		for i := 0; i < n; i++ {
+			switch k := rng.Intn(4); {
+			case k == 0 && table > 0:
+				add(fed[rng.Intn(table)])
+			case k == 1 && len(fed) > table:
+				add(fed[table+rng.Intn(len(fed)-table)])
+			default:
+				p := netx.PrefixFrom(netx.Addr(uint32(rng.Intn(512))<<12), uint8(12+rng.Intn(13)))
+				add(Announcement{Prefix: p, Path: []ASN{ASN(rng.Intn(8)), ASN(rng.Intn(8))}})
+			}
+		}
+		requireRIBAgrees(t, fmt.Sprintf("read %d, after %d adds", step, n), r, o)
+	}
+}
+
 // TestRIBConcurrentReads: once read, a RIB may be read from several
 // goroutines at once (the test matters under -race).
 func TestRIBConcurrentReads(t *testing.T) {
@@ -221,9 +262,9 @@ func TestRIBConcurrentReads(t *testing.T) {
 	}
 	read := func() reading {
 		var x reading
-		x.anns, x.n, x.ps = r.Announcements(), r.NumPrefixes(), r.Prefixes()
+		x.anns, x.n = r.Announcements(), r.NumPrefixes()
 		x.ops, x.origins = r.OriginAssignments()
-		x.space, x.fp = r.RoutedSpace(), r.Fingerprint()
+		x.space, x.fp = routedSpace(r), r.Fingerprint()
 		return x
 	}
 	want := read()

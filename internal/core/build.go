@@ -1,13 +1,16 @@
 // Pipeline compilation: the parallel cold-build path and the fingerprint-
 // gated incremental rebuild used by the live runtime's epoch swaps. The
 // classify hot path runs in ~60ns/flow, so at full-table scale the build —
-// graph, relationship inference, naive index, the origin slab, the members'
-// cone walks — is what keeps a runtime degraded after a routing flap.
+// graph, relationship inference, the origin slab, the members' naive rows
+// and cone walks — is what keeps a runtime degraded after a routing flap.
 // Compilation here is staged: topology layers (the graph and the members'
-// cone rows) depend only on the AS path multiset; prefix layers (naive index,
-// origin table, routed space) depend on the full announcement set; member
-// naive bitsets derive from both. The RIB fingerprint (bgp.Fingerprint)
-// tells which stages a fresh snapshot actually invalidates.
+// cone rows) depend only on the AS path multiset; the origin stage (origin
+// slab, routed space) depends on the full announcement set; the members'
+// naive rows derive from both, in one walk of the table that sets each
+// member's bit for each prefix it is on a path of. No all-AS naive index is
+// built: only members are asked the Naive question. The RIB fingerprint
+// (bgp.Fingerprint), which the RIB keeps as it folds announcements in, tells
+// which stages a fresh snapshot actually invalidates.
 package core
 
 import (
@@ -33,9 +36,9 @@ const (
 	BuildCold BuildReuse = iota
 	// BuildReusedClosures reused the graph and the members' cone rows (the
 	// AS path multiset was unchanged; a member new to this build walks its
-	// cones) and rebuilt only the prefix-dependent layers: naive index,
-	// origin table, routed space, member naive bitsets. Its string is kept
-	// as it was: the build counters and the repository benchmark use it.
+	// cones) and rebuilt only the prefix-dependent layers: the origin slab,
+	// the routed space and the members' naive rows. Its string is kept as
+	// it was: the build counters and the repository benchmark use it.
 	BuildReusedClosures
 	// BuildReusedPipeline reused every layer (the announcement set was
 	// unchanged); only the member tables were re-wrapped.
@@ -96,8 +99,15 @@ func (o Options) topologyKey() uint64 {
 //
 //   - unchanged announcement set  → reuse everything; re-wrap member tables
 //   - unchanged AS path multiset  → reuse graph + member cone rows; rebuild
-//     the prefix-dependent layers (naive index, origin table, routed space)
+//     the origin stage (origin slab, routed space from its prefix list) and
+//     the members' naive rows, in one walk of the table
 //   - otherwise                   → cold build
+//
+// The stages run in order: the origin stage needs the graph's index, and the
+// naive rows the origin slab's entries. With GOMAXPROCS > 1 the table walk
+// runs beside the members' cone walks. The fingerprint is a field of a RIB
+// read since its last add; otherwise the read here folds the RIB's tail,
+// hashing the announcements the fold adds.
 //
 // Reuse is forbidden whenever the topology-shaping options differ (org
 // groups, extra links, full-cone depth): the fingerprint only covers the
@@ -135,20 +145,20 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		optsKey: key,
 	}
 
+	// prefixes is the origin stage's prefix list, one per run of anns; a
+	// reused pipeline has none, and compileMembers derives it from anns
+	// only for a member new to the build.
+	var prefixes []netx.Prefix
 	switch stats.Reuse {
 	case BuildReusedPipeline:
-		p.graph, p.naive = prev.graph, prev.naive
+		p.graph = prev.graph
 		p.origins, p.originTab = prev.origins, prev.originTab
 		p.bogonEntry, p.prefixes = prev.bogonEntry, prev.prefixes
 		p.routedSpace = prev.routedSpace
 
 	case BuildReusedClosures:
 		p.graph = prev.graph
-		buildConcurrently(workers > 1,
-			func() { p.naive = astopo.NewNaiveIndex(p.graph, anns) },
-			func() { p.buildOriginIndex(rib) },
-			func() { p.routedSpace = rib.RoutedSpace() },
-		)
+		prefixes = p.buildOriginIndex(rib)
 
 	default:
 		graph, err := astopo.NewGraph(anns, opts.Orgs, opts.ExtraLinks)
@@ -156,18 +166,14 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 			return nil, stats, fmt.Errorf("core: %w", err)
 		}
 		p.graph = graph
-		buildConcurrently(workers > 1,
-			func() { p.naive = astopo.NewNaiveIndex(graph, anns) },
-			func() { p.buildOriginIndex(rib) },
-			func() { p.routedSpace = rib.RoutedSpace() },
-		)
+		prefixes = p.buildOriginIndex(rib)
 	}
 
 	var donor *Pipeline
 	if stats.Reuse != BuildCold {
 		donor = prev
 	}
-	if err := p.compileMembers(members, opts, donor, stats.Reuse == BuildReusedPipeline, workers); err != nil {
+	if err := p.compileMembers(members, opts, donor, prefixes, workers); err != nil {
 		return nil, stats, err
 	}
 
@@ -178,37 +184,22 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 	return p, stats, nil
 }
 
-// buildConcurrently runs the stage functions in parallel when on, otherwise
-// sequentially in order. Each stage writes a distinct pipeline field, so the
-// WaitGroup is the only synchronization needed.
-func buildConcurrently(on bool, stages ...func()) {
-	if !on {
-		for _, fn := range stages {
-			fn()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, fn := range stages {
-		wg.Add(1)
-		go func(fn func()) {
-			defer wg.Done()
-			fn()
-		}(fn)
-	}
-	wg.Wait()
-}
-
 // bogonSlot is the sentinel value bogon prefixes carry in the merged flat
 // origin slab; it is never a valid originTab index (the table would need
 // 2^32 distinct origins).
 const bogonSlot = ^uint32(0)
 
+// bogonPrefixes is the reference bogon list the origin slab merges in,
+// compiled once rather than on every rebuild.
+var bogonPrefixes = bogon.NewReferenceSet().Prefixes()
+
 // buildOriginIndex compiles the origin slab into p.origins, p.originTab and
-// p.bogonEntry: resolve each distinct origin ASN to an originTab slot once,
-// then build the index straight from the sorted (prefix → slot) assignment,
-// which has one row per routed prefix, so it also counts them (p.prefixes).
-// p.graph must be set.
+// p.bogonEntry, and the routed space into p.routedSpace: resolve each
+// distinct origin ASN to an originTab slot once, through a table indexed by
+// the graph's AS index, then build the index straight from the sorted
+// (prefix → slot) assignment, which has one row per routed prefix, so it
+// also counts them (p.prefixes). It returns the routed prefixes, in the
+// order of the RIB's prefix runs. p.graph must be set.
 //
 // The bogon prefixes are appended under the bogonSlot sentinel — appended
 // last, so a prefix that is both announced and bogon dedups to
@@ -216,25 +207,28 @@ const bogonSlot = ^uint32(0)
 // returned flags slice marks, per entry, whether the entry's ancestor chain
 // carries the sentinel: the hot path's entire bogon test is one indexed
 // load of that bit for the entry FindChain already resolved.
-func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) {
+func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) []netx.Prefix {
 	prefixes, origins := rib.OriginAssignments()
 	p.prefixes = len(prefixes)
-	slotOf := make(map[bgp.ASN]uint32)
-	vals := make([]uint32, len(prefixes))
-	var tab []originRef
+	p.routedSpace = netx.IntervalSetOfPrefixes(prefixes...)
+	nAS := p.graph.NumASes()
+	slotOf := make([]uint32, nAS) // per graph AS: 1 + its originTab slot, 0 if none yet
+	tab := make([]originRef, 0, min(nAS, len(prefixes)))
+	vals := make([]uint32, len(prefixes), len(prefixes)+len(bogonPrefixes))
 	for i, o := range origins {
-		s, ok := slotOf[o]
-		if !ok {
-			s = uint32(len(tab))
-			slotOf[o] = s
-			tab = append(tab, originRef{asn: o, idx: int32(p.graph.Index(o))})
+		// An origin ends a path of the table, and the graph indexes every
+		// path AS: it was built from these paths or from the same multiset.
+		u := p.graph.Index(o)
+		if slotOf[u] == 0 {
+			tab = append(tab, originRef{asn: o, idx: int32(u)})
+			slotOf[u] = uint32(len(tab))
 		}
-		vals[i] = s
+		vals[i] = slotOf[u] - 1
 	}
-	// Full-capacity slices force append to copy: OriginAssignments' result
-	// must not be scribbled on.
-	merged := append(prefixes[:len(prefixes):len(prefixes)], bogon.NewReferenceSet().Prefixes()...)
-	for range merged[len(prefixes):] {
+	// Full-capacity slices force append to copy: the prefix list is
+	// returned, and must not be scribbled on.
+	merged := append(prefixes[:len(prefixes):len(prefixes)], bogonPrefixes...)
+	for range bogonPrefixes {
 		vals = append(vals, bogonSlot)
 	}
 	flat := netx.BuildFlatLPM(merged, vals)
@@ -249,40 +243,93 @@ func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) {
 		}
 	}
 	p.origins, p.originTab, p.bogonEntry = flat, tab, flags
+	return prefixes
 }
 
-// naiveEntBits sets in b AS asIdx's naive valid space as bits over the
-// origin slab's entry indexes. Every naive prefix is an announced
-// prefix and therefore an origin-table entry, so the per-flow naive test
-// reduces to testing the entries on the chain FindChain already produced.
-// Both derive from the same announcements; a prefix absent from the slab
-// means they did not, and the build fails rather than classify from it.
-func (p *Pipeline) naiveEntBits(b *netx.Bitset, mi MemberInfo, asIdx int) error {
-	ps := p.naive.ValidPrefixes(asIdx)
-	if i := p.origins.EntriesOf(ps, func(e int32) { b.Set(int(e)) }); i >= 0 {
-		return fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", mi.ASN, mi.Port, ps[i])
+// fillNaiveRows sets every member's naive valid space, as bits over the
+// origin slab's entry indexes, in one walk of the table: in the Naive
+// approach an AS is valid for a prefix when it is on one of the prefix's
+// AS paths, and every such prefix is an announced prefix, so an
+// origin-table entry. The announcements of one prefix form a run, and
+// prefixes[r] is run r's prefix; FlatLPM.EntriesOf resolves each run's entry
+// once, and each hop resolves through the graph's dictionary (which indexes
+// every path AS) to rowOf, which holds 1 + the naive row of each member AS
+// to fill and 0 for every other AS. So a hop costs two loads, and a member
+// hop one bit set.
+//
+// Both the runs and the slab derive from the same announcements; a run whose
+// prefix the slab does not hold means they did not. The first such prefix
+// with a member on its paths is returned with that member's row, for the
+// build to fail on rather than classify from; failRow is -1 when there is
+// none.
+func (p *Pipeline) fillNaiveRows(rows []netx.Bitset, rowOf []int32, prefixes []netx.Prefix) (failRow int32, missing netx.Prefix) {
+	failRow = -1
+	if len(rows) == 0 {
+		return failRow, missing
 	}
-	return nil
+	anns, g := p.anns, p.graph
+	j := 0 // first announcement of the next run
+	walk := func(e int32) {
+		pr := anns[j].Prefix
+		for ; j < len(anns) && anns[j].Prefix == pr; j++ {
+			for _, as := range anns[j].Path {
+				r := rowOf[g.Index(as)] - 1
+				if r < 0 {
+					continue
+				}
+				if e >= 0 {
+					rows[r].Set(int(e))
+				} else if failRow < 0 {
+					failRow, missing = r, pr
+				}
+			}
+		}
+	}
+	for rest := prefixes; len(rest) > 0; {
+		i := p.origins.EntriesOf(rest, walk)
+		if i < 0 {
+			break
+		}
+		walk(-1)
+		rest = rest[i+1:]
+	}
+	return failRow, missing
 }
 
-// compileMembers builds the per-member validity tables. A member's cone
-// bitsets are two breadth-first walks from it: the Full Cone down the graph,
-// cut at FullConeDepth hops when that is set, and the Customer Cone down the
-// graph's customer adjacency, built once and only when some member walks.
-// donor (non-nil only when this build shares prev's graph) lets a member
-// re-wrap its previous cone bitsets — and, when reuseNaive holds (unchanged
-// announcement set), its naive entry bitset — instead of rematerializing
-// them. The donor's §4.4 extra whitelists are never carried (fresh epoch,
-// fresh corrections).
+// runPrefixes lists the prefix of each run of anns, in order: the origin
+// stage's prefix list, for a build that reused the origin stage.
+func runPrefixes(anns []bgp.Announcement, n int) []netx.Prefix {
+	out := make([]netx.Prefix, 0, n)
+	for j, a := range anns {
+		if j == 0 || a.Prefix != anns[j-1].Prefix {
+			out = append(out, a.Prefix)
+		}
+	}
+	return out
+}
+
+// compileMembers builds the per-member validity tables. A member's naive
+// row comes from fillNaiveRows' one walk of the table, shared by the
+// members of one AS. A member's cone bitsets are two breadth-first walks
+// from it: the Full Cone down the graph, cut at FullConeDepth hops when that
+// is set, and the Customer Cone down the graph's customer adjacency, built
+// once and only when some member walks. donor (non-nil only when this build
+// shares prev's graph) lets a member re-wrap its previous cone bitsets —
+// and, when prefixes is nil, its naive entry bitset — instead of
+// rematerializing them. prefixes is the origin stage's prefix list, nil
+// when the build reused the origin stage (unchanged announcement set), and
+// with it the entry indexing the donor's naive rows are over. The donor's
+// §4.4 extra whitelists are never carried (fresh epoch, fresh corrections).
 //
 // The member states are one slice, and every bitset a member fills is a row
 // of one of two slabs, the naive rows and the cone rows, sized for the
 // members that fill them; so the tables cost the same few allocations
-// however many members there are. Members are compiled by a worker pool
-// when workers > 1, each worker walking on one queue; each state is written
-// by exactly one goroutine. The error, if any, is the first failing
-// member's in input order.
-func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, reuseNaive bool, workers int) error {
+// however many members there are. When workers > 1 the table walk runs
+// beside a worker pool that walks the cones, each worker on one queue; each
+// row is written by exactly one goroutine. The error, if any, names the
+// first prefix, in table order, that the origin slab lacks and a member is
+// on a path of, and the first such member in input order.
+func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pipeline, prefixes []netx.Prefix, workers int) error {
 	p.byPort = make(map[uint32]*memberState, len(members))
 	p.byASN = make(map[bgp.ASN]*memberState, len(members))
 	maxPort := uint32(0)
@@ -308,6 +355,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	states := make([]memberState, len(members))
 	todo := make([]uint8, len(members))
 	nNaive, nWalk := 0, 0
+	var rowOf []int32 // per graph AS: 1 + its naive row, 0 if it fills none
 	for i, mi := range members {
 		ms := &states[i]
 		ms.info, ms.asIdx = mi, p.graph.Index(mi.ASN)
@@ -317,7 +365,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 		if donor != nil {
 			if d := donor.byASN[mi.ASN]; d != nil && d.asIdx == ms.asIdx {
 				ms.validCC, ms.validFC = d.validCC, d.validFC
-				if reuseNaive {
+				if prefixes == nil {
 					// With the announcement set unchanged too, the
 					// reused origin slab's entry indexing is identical,
 					// keeping the donor's entry bitset valid.
@@ -327,7 +375,13 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 		}
 		if ms.naiveEnts == nil {
 			todo[i] |= fillNaive
-			nNaive++
+			if rowOf == nil {
+				rowOf = make([]int32, p.graph.NumASes())
+			}
+			if rowOf[ms.asIdx] == 0 {
+				nNaive++
+				rowOf[ms.asIdx] = int32(nNaive)
+			}
 		}
 		if ms.validCC == nil {
 			todo[i] |= walkCones
@@ -343,28 +397,30 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	for i := range states {
 		ms := &states[i]
 		if todo[i]&fillNaive != 0 {
-			ms.naiveEnts, naiveRows = &naiveRows[0], naiveRows[1:]
+			ms.naiveEnts = &naiveRows[rowOf[ms.asIdx]-1]
 		}
 		if todo[i]&walkCones != 0 {
 			ms.validCC, ms.validFC, coneRows = &coneRows[0], &coneRows[1], coneRows[2:]
 		}
 	}
-	errs := make([]error, len(members))
-	build := func(i int, queue []int32) []int32 {
-		ms := &states[i]
-		if todo[i]&fillNaive != 0 {
-			errs[i] = p.naiveEntBits(ms.naiveEnts, ms.info, ms.asIdx)
-		}
-		if todo[i]&walkCones != 0 {
-			if queue == nil {
-				queue = make([]int32, 0, p.graph.NumASes())
-			}
-			queue = ccAdj.Cone(ms.validCC, queue, ms.asIdx, math.MaxInt)
-			queue = p.graph.BoundedCone(ms.validFC, queue, ms.asIdx, fcDepth)
-		}
-		return queue
+
+	if nNaive > 0 && prefixes == nil {
+		// A member new to a reused pipeline.
+		prefixes = runPrefixes(p.anns, p.prefixes)
 	}
-	if workers > 1 && len(states) > 1 {
+	walk := func(i int, queue []int32) []int32 {
+		ms := &states[i]
+		if queue == nil {
+			queue = make([]int32, 0, p.graph.NumASes())
+		}
+		queue = ccAdj.Cone(ms.validCC, queue, ms.asIdx, math.MaxInt)
+		return p.graph.BoundedCone(ms.validFC, queue, ms.asIdx, fcDepth)
+	}
+	var failRow int32
+	var missing netx.Prefix
+	if workers > 1 && nWalk > 0 {
+		// The cone workers are fed from a goroutine of their own, so
+		// that this one walks the table beside them.
 		var wg sync.WaitGroup
 		next := make(chan int)
 		for w := 0; w < workers; w++ {
@@ -373,26 +429,32 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 				defer wg.Done()
 				var queue []int32
 				for i := range next {
-					queue = build(i, queue)
+					queue = walk(i, queue)
 				}
 			}()
 		}
-		for i := range states {
-			if todo[i] != 0 {
-				next <- i
+		go func() {
+			for i := range states {
+				if todo[i]&walkCones != 0 {
+					next <- i
+				}
 			}
-		}
-		close(next)
+			close(next)
+		}()
+		failRow, missing = p.fillNaiveRows(naiveRows, rowOf, prefixes)
 		wg.Wait()
 	} else {
+		failRow, missing = p.fillNaiveRows(naiveRows, rowOf, prefixes)
 		var queue []int32
 		for i := range states {
-			queue = build(i, queue)
+			if todo[i]&walkCones != 0 {
+				queue = walk(i, queue)
+			}
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for i := 0; failRow >= 0 && i < len(states); i++ {
+		if ms := &states[i]; todo[i]&fillNaive != 0 && rowOf[ms.asIdx]-1 == failRow {
+			return fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", ms.info.ASN, ms.info.Port, missing)
 		}
 	}
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
@@ -317,20 +319,30 @@ func TestBuildStatsPrefixes(t *testing.T) {
 	}
 }
 
+// rebuildAllocRuns is how many rebuilds an allocation count averages over.
+// AllocsPerRun counts every malloc in the process and rounds the mean down.
+// About one small-scenario rebuild in thirty measured four mallocs more,
+// made outside the build while it ran (a memory profile of 3,000 rebuilds
+// gives every call site of the build the same count each time). Over 3
+// runs one such rebuild reads as the build allocating once more; over 20
+// it rounds away.
+const rebuildAllocRuns = 20
+
 // TestReusedClosuresRebuildAllocs holds an announcement-only rebuild (one
 // prefix renumbered, every path kept) to an allocation ceiling: the prefix
 // layers it recompiles allocate per table, not per AS or per hop, and the
 // member tables per build, not per member. The count is taken sequentially
 // (GOMAXPROCS=1), where it does not depend on scheduling. The small
-// scenario's rebuild (249 ASes, 387 prefixes, 60 members) measured 120
-// allocations; the ceiling leaves 75 for map growth to vary. Rebuilding
-// with four times the members, each copy on its own ports, may cost only
-// what the member maps sized by that hint cost more.
+// scenario's rebuild (249 ASes, 387 prefixes, 60 members) measured 37
+// allocations, as many as at paper scale; the ceiling leaves 13 for map
+// growth to vary. Rebuilding with four times the members, each copy on its
+// own ports, may cost only what the member maps sized by that hint cost
+// more.
 func TestReusedClosuresRebuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const ceiling = 195
+	const ceiling = 50
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rib, members, opts, _ := buildRebuildFixture(t)
 	prev, _, err := RebuildPipeline(nil, rib, members, opts)
@@ -357,7 +369,7 @@ func TestReusedClosuresRebuildAllocs(t *testing.T) {
 	var counts []float64
 	for _, ms := range [][]MemberInfo{members, members4} {
 		var stats BuildStats
-		allocs := testing.AllocsPerRun(3, func() {
+		allocs := testing.AllocsPerRun(rebuildAllocRuns, func() {
 			if _, stats, err = RebuildPipeline(prev, delta, ms, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +384,7 @@ func TestReusedClosuresRebuildAllocs(t *testing.T) {
 		t.Fatalf("reused-closures rebuild allocates %.0f times, ceiling %d", counts[0], ceiling)
 	}
 	hinted := func(n int) float64 {
-		return testing.AllocsPerRun(3, func() {
+		return testing.AllocsPerRun(rebuildAllocRuns, func() {
 			_ = make(map[uint32]*memberState, n)
 			_ = make(map[bgp.ASN]*memberState, n)
 		})
@@ -380,6 +392,38 @@ func TestReusedClosuresRebuildAllocs(t *testing.T) {
 	if slack := hinted(len(members4)) - hinted(len(members)); counts[1]-counts[0] > slack {
 		t.Fatalf("reused-closures rebuild allocates %v times with %d and %d members; the member maps account for %.0f more, not %.0f",
 			counts, len(members), len(members4), slack, counts[1]-counts[0])
+	}
+}
+
+// TestReusedPipelineRebuildAllocs holds a rebuild of an unchanged snapshot
+// to an allocation ceiling: it reuses every layer and re-wraps the member
+// tables, so it allocates the member states and maps and nothing per table.
+// Counted sequentially, as TestReusedClosuresRebuildAllocs counts; the small
+// scenario's rebuild measured 13 allocations, as many as at paper scale,
+// and the ceiling leaves 7 for map growth to vary.
+func TestReusedPipelineRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const ceiling = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rib, members, opts, _ := buildRebuildFixture(t)
+	prev, _, err := RebuildPipeline(nil, rib, members, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats BuildStats
+	allocs := testing.AllocsPerRun(rebuildAllocRuns, func() {
+		if _, stats, err = RebuildPipeline(prev, rib, members, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats.Reuse != BuildReusedPipeline {
+		t.Fatalf("unchanged snapshot rebuilt as %s, want reused-pipeline", stats.Reuse)
+	}
+	t.Logf("reused-pipeline rebuild of %d ASes, %d prefixes, %d members: %.0f allocations", stats.ASes, stats.Prefixes, stats.Members, allocs)
+	if allocs > ceiling {
+		t.Fatalf("reused-pipeline rebuild allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -427,5 +471,95 @@ func TestColdBuildAllocLinear(t *testing.T) {
 		stats.ASes, stats.Members, hops, float64(alloc)/1e6, float64(budget)/1e6)
 	if alloc > budget {
 		t.Fatalf("cold build allocates %d bytes, budget %d", alloc, budget)
+	}
+}
+
+// TestMemberNaiveRows holds every member's naive row, filled by the one walk
+// of the table, to the all-AS naive index: the row's entries must be exactly
+// what FlatLPM.EntriesOf gives for the member AS's astopo.NewNaiveIndex
+// prefixes, in all three reuse tiers. The members include two ports of one
+// AS, an AS absent from BGP (no row), AS 0 (on a path of the table) and, in
+// both reuse tiers, an AS new to the build, which fills its row by the walk
+// while the others re-wrap theirs or fill them too.
+func TestMemberNaiveRows(t *testing.T) {
+	rib, members, opts, _ := buildRebuildFixture(t)
+	anns := rib.Announcements()
+	isMember := make(map[bgp.ASN]bool)
+	maxPort := uint32(0)
+	for _, mi := range members {
+		isMember[mi.ASN] = true
+		maxPort = max(maxPort, mi.Port)
+	}
+	// AS 0 sits between a member and an origin on one more path.
+	withZero := rebuiltRIB(rib, nil)
+	withZero.AddAnnouncement(netx.MustParsePrefix("223.255.240.0/24"), []bgp.ASN{members[0].ASN, 0, anns[0].Origin})
+	var joiner bgp.ASN
+	for _, a := range anns {
+		if !isMember[a.Origin] {
+			joiner = a.Origin
+			break
+		}
+	}
+	base := append(slices.Clone(members),
+		MemberInfo{ASN: members[0].ASN, Port: maxPort + 1},
+		MemberInfo{ASN: 4200000000, Port: maxPort + 2},
+		MemberInfo{ASN: 0, Port: maxPort + 3})
+	grown := append(slices.Clone(base), MemberInfo{ASN: joiner, Port: maxPort + 4})
+	delta := rebuiltRIB(withZero, func(i int, a bgp.Announcement) bgp.Announcement {
+		if i == 0 {
+			a.Prefix = netx.MustParsePrefix("223.255.250.0/24")
+		}
+		return a
+	})
+
+	cold, _, err := RebuildPipeline(nil, withZero, base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		prev    *Pipeline
+		rib     *bgp.RIB
+		members []MemberInfo
+		want    BuildReuse
+	}{
+		{nil, withZero, base, BuildCold},
+		{cold, withZero, grown, BuildReusedPipeline},
+		{cold, delta, grown, BuildReusedClosures},
+	} {
+		p, st, err := RebuildPipeline(tc.prev, tc.rib, tc.members, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reuse != tc.want {
+			t.Fatalf("build reuse = %s, want %s", st.Reuse, tc.want)
+		}
+		naive := astopo.NewNaiveIndex(p.graph, tc.rib.Announcements())
+		for _, mi := range tc.members {
+			ms := p.byPort[mi.Port]
+			if ms.asIdx < 0 {
+				if ms.naiveEnts != nil {
+					t.Fatalf("%s: AS%d is absent from BGP but has a naive row", st.Reuse, mi.ASN)
+				}
+				continue
+			}
+			var want, got []int
+			ps := naive.ValidPrefixes(ms.asIdx)
+			if i := p.origins.EntriesOf(ps, func(e int32) { want = append(want, int(e)) }); i >= 0 {
+				t.Fatalf("%s: AS%d's naive prefix %s is not in the origin table", st.Reuse, mi.ASN, ps[i])
+			}
+			ms.naiveEnts.ForEach(func(e int) { got = append(got, e) })
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("%s: AS%d (port %d) has naive row %v, want the entries %v of its %d naive prefixes",
+					st.Reuse, mi.ASN, mi.Port, got, want, len(ps))
+			}
+			// FilterList reads the row back as prefixes.
+			acl, err := p.FilterList(mi.ASN, ApproachNaive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naive.ValidSpace(ms.asIdx).Prefixes(); !slices.Equal(acl, want) {
+				t.Fatalf("%s: AS%d's naive ACL %v, want %v", st.Reuse, mi.ASN, acl, want)
+			}
+		}
 	}
 }

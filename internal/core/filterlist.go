@@ -31,7 +31,9 @@ func (p *Pipeline) FilterList(member bgp.ASN, a Approach) ([]netx.Prefix, error)
 	var space netx.IntervalSet
 	switch a {
 	case ApproachNaive:
-		space = p.naive.ValidSpace(ms.asIdx)
+		var ps []netx.Prefix
+		ms.naiveEnts.ForEach(func(e int) { ps = append(ps, p.origins.EntryPrefix(int32(e))) })
+		space = netx.IntervalSetOfPrefixes(ps...)
 	case ApproachCC, ApproachFull:
 		set := ms.validCC
 		if a == ApproachFull {

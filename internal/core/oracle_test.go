@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
@@ -13,11 +14,12 @@ import (
 // figure3Oracle is the paper's Figure 3 sequence written plainly over data
 // no prefix index touches: the bogon list as an interval set, the routed
 // table and each member's naive space as Go maps probed once per prefix
-// length. It is the reference Pipeline.Classify is held to — independent of
-// FlatLPM, of the merged bogon sentinel and its per-entry flags, of the
-// naive entry bitsets and of the precomputed chains. What it shares with the
-// pipeline is what no index is involved in: the AS graph's ASN → index map
-// and the per-member cone bitsets. The router addresses are the ones the
+// length, the naive spaces built by astopo.NewNaiveIndex. It is the
+// reference Pipeline.Classify is held to — independent of FlatLPM, of the
+// merged bogon sentinel and its per-entry flags, of the naive entry bitsets
+// and the table walk that fills them, and of the precomputed chains. What it
+// shares with the pipeline is what no index is involved in: the AS graph's
+// ASN → index map and the per-member cone bitsets. The router addresses are the ones the
 // pipeline was compiled with, held in a Go map of the oracle's own.
 type figure3Oracle struct {
 	p       *Pipeline
@@ -42,12 +44,13 @@ func newFigure3Oracle(p *Pipeline, rib *bgp.RIB, bogons *bogon.Set, routers ...n
 	for i, pr := range prefixes {
 		o.routed[pr] = origins[i]
 	}
+	naive := astopo.NewNaiveIndex(p.graph, rib.Announcements())
 	for _, ms := range p.byPort {
 		if ms.asIdx < 0 {
 			continue
 		}
 		set := make(map[netx.Prefix]struct{})
-		for _, pr := range p.naive.ValidPrefixes(ms.asIdx) {
+		for _, pr := range naive.ValidPrefixes(ms.asIdx) {
 			set[pr] = struct{}{}
 		}
 		o.naive[ms] = set
@@ -206,7 +209,8 @@ func TestPipelineMatchesOracleOnHostileTable(t *testing.T) {
 	edges := func(pr netx.Prefix) {
 		probes = append(probes, pr.First(), pr.Last(), pr.First()-1, pr.Last()+1)
 	}
-	for _, pr := range rib.Prefixes() {
+	routed, _ := rib.OriginAssignments()
+	for _, pr := range routed {
 		edges(pr)
 	}
 	for _, pr := range bogon.NewReferenceSet().Prefixes() {

@@ -163,7 +163,6 @@ type Pipeline struct {
 	origins    *netx.FlatLPM
 	bogonEntry []bool
 	graph      *astopo.Graph
-	naive      *astopo.NaiveIndex
 	routers    *netx.AddrSet // Options.Routers; nil = no router tagging
 
 	originTab []originRef
@@ -176,8 +175,9 @@ type Pipeline struct {
 	routedSpace netx.IntervalSet
 	prefixes    int // routed prefixes: one origin assignment each
 
-	// anns backs FilterList's per-origin spaces, computed once on first
-	// use; FilterList may be called from several goroutines.
+	// anns is the table the build walked for the members' naive rows. It
+	// backs FilterList's per-origin spaces, computed once on first use;
+	// FilterList may be called from several goroutines.
 	anns       []bgp.Announcement
 	spacesOnce sync.Once
 	spaces     []netx.IntervalSet

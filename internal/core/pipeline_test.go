@@ -2,11 +2,11 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"spoofscope/internal/astopo"
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
@@ -224,14 +224,16 @@ func TestNewPipelineErrors(t *testing.T) {
 	if _, err := NewPipeline(bgp.NewRIB(), testMembers, Options{}); err == nil {
 		t.Fatal("empty RIB accepted")
 	}
-	// A naive index and an origin table that did not come from the same
+	// A table and an origin slab that did not come from the same
 	// announcements (hand-built here: one more prefix on AS200's paths than
-	// the table holds) must fail the member compile, naming both.
+	// the slab holds) must fail the member compile, naming both.
 	p := testPipeline(t, Options{})
 	stray := netx.MustParsePrefix("99.9.0.0/16")
-	anns := append(testRIB().Announcements(), bgp.Announcement{Prefix: stray, Path: []bgp.ASN{20, 200}, Origin: 200})
-	p.naive = astopo.NewNaiveIndex(p.graph, anns)
-	err := p.compileMembers(testMembers, Options{}, nil, false, 1)
+	r := testRIB()
+	r.AddAnnouncement(stray, []bgp.ASN{20, 200})
+	p.anns = r.Announcements()
+	prefixes, _ := r.OriginAssignments()
+	err := p.compileMembers(testMembers, Options{}, nil, prefixes, 1)
 	if err == nil || !strings.Contains(err.Error(), "AS200") || !strings.Contains(err.Error(), stray.String()) {
 		t.Fatalf("member compile over a naive prefix missing from the origin table: %v, want an error naming AS200 and %s", err, stray)
 	}
@@ -292,6 +294,16 @@ func TestFilterList(t *testing.T) {
 			t.Errorf("ACL and classifier disagree on %s (inACL=%v invalid=%v)",
 				src, set.Contains(a), v.Invalid[ApproachFull])
 		}
+	}
+
+	// The naive ACL is the prefixes on whose paths the member appears:
+	// AS100 is on 50.1/16's and on 70.1/16's.
+	acl, err = p.FilterList(100, ApproachNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []netx.Prefix{netx.MustParsePrefix("50.1.0.0/16"), netx.MustParsePrefix("70.1.0.0/16")}; !slices.Equal(acl, want) {
+		t.Fatalf("ACL(100, naive) = %v, want %v", acl, want)
 	}
 
 	// §4.4 whitelists surface in the ACL.

@@ -1,6 +1,6 @@
 package netx
 
-import "sort"
+import "slices"
 
 // FlatLPM is the longest-prefix-match table — the only prefix index the
 // module compiles: the classifier's origin slab, the bogon list, the RIB's
@@ -88,13 +88,7 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := ps[order[a]], ps[order[b]]
-		if pa.Addr != pb.Addr {
-			return pa.Addr < pb.Addr
-		}
-		return pa.Bits < pb.Bits
-	})
+	slices.SortStableFunc(order, func(a, b int32) int { return ps[a].Compare(ps[b]) })
 	ents := order[:0]
 	for _, oi := range order {
 		p := ps[oi]
@@ -169,9 +163,11 @@ func BuildFlatLPM(prefixes []Prefix, values []uint32) *FlatLPM {
 	// whenever the covering entry changes: at every prefix start and after
 	// every prefix end. Equal-start emissions overwrite (the deeper prefix
 	// starts exactly where its ancestor did, or several nested prefixes end
-	// at the same address).
-	f.starts = append(f.starts, 0)
-	f.cutEntry = append(f.cutEntry, -1)
+	// at the same address). Each prefix adds at most those two cuts to the
+	// first, so 2n+1 slots never grow.
+	f.starts = make([]uint32, 1, 2*n+1)
+	f.cutEntry = make([]int32, 1, 2*n+1)
+	f.cutEntry[0] = -1
 	cut := func(start uint32, entry int32) {
 		if last := len(f.starts) - 1; f.starts[last] == start {
 			f.cutEntry[last] = entry
@@ -306,6 +302,13 @@ func (f *FlatLPM) FindChain(a Addr) (entry int32, vals, ents []uint32) {
 func (f *FlatLPM) EntryChain(e int32) (vals, ents []uint32) {
 	lo, hi := f.chainOff[e], f.chainOff[e+1]
 	return f.chains[lo:hi:hi], f.chainEnts[lo:hi:hi]
+}
+
+// EntryPrefix returns entry e's own prefix (host bits masked): EntriesOf's
+// inverse, for callers that keep per-entry side tables and need the
+// prefixes back.
+func (f *FlatLPM) EntryPrefix(e int32) Prefix {
+	return Prefix{Addr: Addr(f.entAddr[e]), Bits: f.entBits[e]}
 }
 
 // EntriesOf calls fn with the entry index of each prefix of ps in turn

@@ -1,7 +1,9 @@
 package netx
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -41,9 +43,15 @@ func NewIntervalSet(ivs ...Interval) IntervalSet {
 		}
 		sorted = append(sorted, iv)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
-	out := sorted[:1]
-	for _, iv := range sorted[1:] {
+	return normalize(sorted)
+}
+
+// normalize sorts ivs (each Lo ≤ Hi) in place and merges it into a
+// canonical set, which keeps ivs' backing array.
+func normalize(ivs []Interval) IntervalSet {
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+	out := ivs[:1]
+	for _, iv := range ivs[1:] {
 		last := &out[len(out)-1]
 		// Merge overlapping or adjacent intervals; guard Hi+1 overflow at
 		// 255.255.255.255.
@@ -60,11 +68,14 @@ func NewIntervalSet(ivs ...Interval) IntervalSet {
 
 // IntervalSetOfPrefixes builds a set from prefixes.
 func IntervalSetOfPrefixes(ps ...Prefix) IntervalSet {
+	if len(ps) == 0 {
+		return IntervalSet{}
+	}
 	ivs := make([]Interval, len(ps))
 	for i, p := range ps {
 		ivs[i] = IntervalOf(p)
 	}
-	return NewIntervalSet(ivs...)
+	return normalize(ivs)
 }
 
 // IsEmpty reports whether the set contains no addresses.
