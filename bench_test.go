@@ -693,22 +693,6 @@ func BenchmarkLPMLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkConeBuildBitset vs BenchmarkConeBuildBFS: the all-pairs
-// full-cone closure (SCC condensation + bitsets, what Figure 2 builds)
-// against the per-member walks the pipeline compiles its cone rows with.
-func BenchmarkConeBuildBitset(b *testing.B) {
-	env := benchEnvironment(b)
-	g, err := astopo.NewGraph(env.RIB.Announcements(), nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FullConeClosure()
-	}
-}
-
 // BenchmarkConeBuildBFS walks every member's Full Cone and Customer Cone,
 // as core's member compilation does (one goroutine here), on the same graph
 // the pipeline builds: org mesh added, relationships inferred.

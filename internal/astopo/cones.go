@@ -1,6 +1,7 @@
 package astopo
 
 import (
+	"math"
 	"slices"
 
 	"spoofscope/internal/bgp"
@@ -31,64 +32,59 @@ func (m Method) String() string {
 	}
 }
 
-// Closure holds per-AS reachability over a directed AS graph, computed over
-// the SCC condensation with shared bitsets. It answers "is origin inside
-// the cone of AS u" in O(1) for every pair of ASes, so it costs components²
-// bits: Figure 2 and the §3.4 containment check, which size every AS's cone,
-// build one; the classifier, which reads only its members' cones, walks them
-// (Adjacency.Cone).
+// Closure holds every AS's cone over a directed AS adjacency, as found by
+// one walk per AS (Adjacency.Cone, the walk the classifier runs for its
+// members): AS u's cone is flat[off[u]:off[u+1]], the dense indices the walk
+// from u reaches, u first. Figure 2 and the §3.4 containment check, which
+// size every AS's cone, build one.
 type Closure struct {
-	comp  []int // AS index -> component id
-	nComp int
-	reach []*netx.Bitset // per component, bits are component ids
-	size  []int          // per component: number of ASes in all reachable comps
-	cmemb []int          // per component: number of member ASes
+	off  []int // int, not int32: the lists' total grows as ASes × cone size
+	flat []int32
 }
 
-// newClosure computes the transitive closure of adj (indexed like the
-// graph). Component ids are in reverse topological order: every edge goes
-// from a higher id to a lower id, so processing 0..n-1 sees successors first.
-func newClosure(adj [][]int32) *Closure {
-	comp, n := tarjanSCC(adj)
-	cond := condense(adj, comp, n)
-	c := &Closure{comp: comp, nComp: n, reach: make([]*netx.Bitset, n), size: make([]int, n), cmemb: make([]int, n)}
-	for _, ci := range comp {
-		c.cmemb[ci]++
-	}
-	for ci := 0; ci < n; ci++ {
-		b := netx.NewBitset(n)
-		b.Set(ci)
-		for _, sc := range cond[ci] {
-			b.Or(c.reach[sc])
+// newClosure walks every AS's cone down adj twice, on one queue and one
+// scratch bitset cleared through the queue after each walk. The first pass
+// sizes the cones; the second walks each AS with its own span of flat as the
+// queue, so the lists land in place in one exactly sized array.
+func newClosure(adj Adjacency) *Closure {
+	n := len(adj)
+	seen := netx.NewBitset(n)
+	walk := func(queue []int32, u int) []int32 {
+		queue = adj.Cone(seen, queue, u, math.MaxInt)
+		for _, v := range queue {
+			seen.Clear(int(v))
 		}
-		c.reach[ci] = b
-		total := 0
-		b.ForEach(func(i int) { total += c.cmemb[i] })
-		c.size[ci] = total
+		return queue
+	}
+	c := &Closure{off: make([]int, n+1)}
+	queue := make([]int32, 0, n)
+	for u := range n {
+		c.off[u+1] = c.off[u] + len(walk(queue, u))
+	}
+	c.flat = make([]int32, c.off[n])
+	for u := range n {
+		walk(c.flat[c.off[u]:c.off[u]:c.off[u+1]], u)
 	}
 	return c
 }
 
+// cone lists the dense indices of the ASes in u's cone, u first.
+func (c *Closure) cone(u int) []int32 { return c.flat[c.off[u]:c.off[u+1]] }
+
 // ConeSize returns the number of ASes in u's cone, including u itself.
-func (c *Closure) ConeSize(u int) int { return c.size[c.comp[u]] }
+func (c *Closure) ConeSize(u int) int { return c.off[u+1] - c.off[u] }
 
 // WeightedSizes returns, for every AS index, the sum of w over the ASes in
-// its cone. w is indexed by AS index. This is how per-AS valid address
-// space is sized when per-origin spaces are disjoint (see ValidSpaceSizer).
+// its cone. w is indexed by AS index. This is how Figure 2 sizes per-AS valid
+// address space: with w the origin spaces' /24 equivalents
+// (OriginSpaceWeights) the sum is the exact size when the origin spaces are
+// disjoint, and an upper bound otherwise (ExactValidSpace is the union).
 func (c *Closure) WeightedSizes(w []uint64) []uint64 {
-	compW := make([]uint64, c.nComp)
-	for as, ci := range c.comp {
-		compW[ci] += w[as]
-	}
-	compTotal := make([]uint64, c.nComp)
-	for ci := 0; ci < c.nComp; ci++ {
-		var total uint64
-		c.reach[ci].ForEach(func(i int) { total += compW[i] })
-		compTotal[ci] = total
-	}
-	out := make([]uint64, len(c.comp))
-	for as, ci := range c.comp {
-		out[as] = compTotal[ci]
+	out := make([]uint64, len(c.off)-1)
+	for u := range out {
+		for _, v := range c.cone(u) {
+			out[u] += w[v]
+		}
 	}
 	return out
 }
@@ -184,26 +180,21 @@ func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
 	return adj
 }
 
-// CustomerConeClosure computes the Customer Cone: reachability over
+// CustomerConeWithOrgs computes the Customer Cone: reachability over
 // inferred provider→customer links only (sibling links are treated like
-// peering and excluded). CustomerConeWithOrgs is the paper's org-merged
-// variant.
-func (g *Graph) CustomerConeClosure() *Closure { return g.CustomerConeWithOrgs(nil) }
-
-// CustomerConeWithOrgs computes the customer cone where only the given
-// organizations' internal links are traversable in both directions, in
-// addition to p2c links (CustomerAdjacency). This matches the paper's
-// "Customer Cone (multi-AS orgs)" variant: orgs share their joint cone, but
-// unrelated peering links stay excluded.
+// peering and excluded), plus, when orgs is non-nil, the given
+// organizations' internal links in both directions (CustomerAdjacency). With
+// orgs it is the paper's "Customer Cone (multi-AS orgs)" variant: orgs share
+// their joint cone, but unrelated peering links stay excluded.
 func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
 	return newClosure(g.CustomerAdjacency(orgs))
 }
 
 // ConeClosures returns FullConeClosure and CustomerConeWithOrgs(orgs). The
-// pipeline builds no closure: it walks its members' cones. The function and
-// its signature stay for the repository benchmark, whose
-// astopo.cone_closures_ms line calls it (benchmark/layers.go) until that
-// line is retargeted at the member walk; workers is unused.
+// pipeline builds no closure: it walks only its members' cones. The function
+// and its signature stay for the repository benchmark, whose
+// astopo.cone_closures_ms line calls it (benchmark/layers.go); workers is
+// unused.
 func (g *Graph) ConeClosures(orgs [][]bgp.ASN, workers int) (full, cc *Closure) {
 	return g.FullConeClosure(), g.CustomerConeWithOrgs(orgs)
 }
@@ -236,15 +227,11 @@ func OriginSpaceWeights(spaces []netx.IntervalSet) []uint64 {
 }
 
 // ExactValidSpace computes the exact union of the origin spaces of the ASes
-// in u's cone. Linear in the cone size; intended for members and for
-// validating the weighted approximation, not for all-AS sweeps.
+// in u's cone, in one pass over its list.
 func (c *Closure) ExactValidSpace(u int, spaces []netx.IntervalSet) netx.IntervalSet {
 	var ivs []netx.Interval
-	target := c.reach[c.comp[u]]
-	for as, ci := range c.comp {
-		if target.Test(ci) {
-			ivs = append(ivs, spaces[as].Intervals()...)
-		}
+	for _, v := range c.cone(u) {
+		ivs = append(ivs, spaces[v].Intervals()...)
 	}
 	return netx.NewIntervalSet(ivs...)
 }

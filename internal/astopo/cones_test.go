@@ -92,6 +92,8 @@ func bruteReach(adj [][]int32) [][]bool {
 	return r
 }
 
+// TestClosureAgainstBruteForce holds the SCC oracle and the walk closure to
+// brute-force reachability on random small graphs.
 func TestClosureAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 30; iter++ {
@@ -106,7 +108,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 			anns = append(anns, ann("10.0.0.0/8", path...))
 		}
 		g := mustGraph(t, anns, nil, nil)
-		c := g.FullConeClosure()
+		oracle, c := newSCCClosure(g.down), g.FullConeClosure()
 		reach := bruteReach(g.down)
 		for u := 0; u < g.NumASes(); u++ {
 			want := 0
@@ -114,12 +116,15 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 				if reach[u][v] {
 					want++
 				}
+				if oracle.contains(u, v) != reach[u][v] {
+					t.Fatalf("oracle contains(%d,%d) mismatch", u, v)
+				}
 				if inCone(c, u, v) != reach[u][v] {
-					t.Fatalf("Contains(%d,%d) mismatch", u, v)
+					t.Fatalf("walk cone of %d holding %d mismatch", u, v)
 				}
 			}
-			if c.ConeSize(u) != want {
-				t.Fatalf("ConeSize(%d) = %d want %d", u, c.ConeSize(u), want)
+			if oracle.ConeSize(u) != want || c.ConeSize(u) != want {
+				t.Fatalf("ConeSize(%d) = %d (oracle %d) want %d", u, c.ConeSize(u), oracle.ConeSize(u), want)
 			}
 		}
 	}
@@ -164,7 +169,7 @@ func TestFullConeHierarchy(t *testing.T) {
 func TestCustomerConeExcludesPeering(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	cc := g.CustomerConeClosure()
+	cc := g.CustomerConeWithOrgs(nil)
 
 	i100, i2001 := g.Index(100), g.Index(2001)
 	if inCone(cc, i100, i2001) {
@@ -193,7 +198,7 @@ func TestCustomerConeWithOrgs(t *testing.T) {
 	if !inCone(cc, g.Index(100), g.Index(2001)) {
 		t.Error("org-merged customer cone must reach sibling's customers")
 	}
-	plain := g.CustomerConeClosure()
+	plain := g.CustomerConeWithOrgs(nil)
 	// Org merging only grows cones.
 	for u := 0; u < g.NumASes(); u++ {
 		if cc.ConeSize(u) < plain.ConeSize(u) {
@@ -234,7 +239,7 @@ func TestConeContainmentProperty(t *testing.T) {
 		anns := randomValleyFreeAnns(rng)
 		g := mustGraph(t, anns, nil, nil)
 		ni := NewNaiveIndex(g, anns)
-		cc := g.CustomerConeClosure()
+		cc := g.CustomerConeWithOrgs(nil)
 		fc := g.FullConeClosure()
 		spaces := OriginSpaces(g, anns)
 
@@ -386,15 +391,4 @@ func TestBoundedConeDepthOne(t *testing.T) {
 
 // inCone reports whether the AS at dense index v is inside the cone of the
 // AS at dense index u (every AS is inside its own cone).
-func inCone(c *Closure, u, v int) bool { return c.reach[c.comp[u]].Test(c.comp[v]) }
-
-// coneSet materializes u's cone in c as a bitset over AS indices.
-func coneSet(c *Closure, u int) *netx.Bitset {
-	b := netx.NewBitset(len(c.comp))
-	for v := range c.comp {
-		if inCone(c, u, v) {
-			b.Set(v)
-		}
-	}
-	return b
-}
+func inCone(c *Closure, u, v int) bool { return slices.Contains(c.cone(u), int32(v)) }

@@ -9,8 +9,8 @@
 //   - Full Cone: valid iff the origin lies in the AS's transitive closure on
 //     the directed AS graph in which every adjacent AS-path pair (L, R)
 //     contributes an edge L→R ("the left AS is upstream of the right AS").
-//     The graph may contain cycles; the closure is computed over the SCC
-//     condensation.
+//     The graph may contain cycles; a cone is what a breadth-first walk
+//     down the edges reaches (Adjacency.Cone).
 //
 // Both cone methods optionally merge multi-AS organizations by adding a full
 // mesh of bidirectional links between ASes of the same organization.

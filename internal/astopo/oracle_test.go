@@ -691,6 +691,15 @@ func TestNewGraphMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		return
 	}
+	anns, orgs := defaultScaleTable(t)
+	requireGraphMatchesOracle(t, "default scale", anns, orgs, randomExtraLinks(rng, anns))
+}
+
+// defaultScaleTable returns the default-scale scenario's table, as the
+// pipeline reads it from the scenario's MRT dump, and its multi-AS
+// organizations.
+func defaultScaleTable(t testing.TB) ([]bgp.Announcement, [][]bgp.ASN) {
+	t.Helper()
 	s, err := scenario.Build(scenario.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -703,8 +712,7 @@ func TestNewGraphMatchesOracle(t *testing.T) {
 	if err := rib.LoadMRT(&mrt); err != nil {
 		t.Fatal(err)
 	}
-	anns := rib.Announcements()
-	requireGraphMatchesOracle(t, "default scale", anns, s.Orgs().MultiASGroups(), randomExtraLinks(rng, anns))
+	return rib.Announcements(), s.Orgs().MultiASGroups()
 }
 
 // collidingASN returns an ASN other than as whose hash has the same top 16
@@ -849,27 +857,11 @@ func TestNewGraphAllocsConstant(t *testing.T) {
 	baseExtra := randomExtraLinks(rand.New(rand.NewSource(40)), base)
 	var counts []float64
 	for _, copies := range []int{1, 8} {
-		var anns []bgp.Announcement
-		var orgs [][]bgp.ASN
+		anns, orgs := disjointCopies(base, baseOrgs, copies)
 		var extra [][2]bgp.ASN
 		for c := range copies {
-			shift := func(as bgp.ASN) bgp.ASN { return as + bgp.ASN(c)*100_000 }
-			for _, a := range base {
-				path := make([]bgp.ASN, len(a.Path))
-				for i, as := range a.Path {
-					path[i] = shift(as)
-				}
-				anns = append(anns, bgp.Announcement{Prefix: a.Prefix, Path: path, Origin: shift(a.Origin)})
-			}
-			for _, members := range baseOrgs {
-				org := make([]bgp.ASN, len(members))
-				for i, as := range members {
-					org[i] = shift(as)
-				}
-				orgs = append(orgs, org)
-			}
 			for _, l := range baseExtra {
-				extra = append(extra, [2]bgp.ASN{shift(l[0]), shift(l[1])})
+				extra = append(extra, [2]bgp.ASN{shiftASN(l[0], c), shiftASN(l[1], c)})
 			}
 		}
 		graph := testing.AllocsPerRun(5, func() {
@@ -891,4 +883,256 @@ func TestNewGraphAllocsConstant(t *testing.T) {
 	if counts[0] != counts[1] || counts[0] > bound {
 		t.Fatalf("NewGraph allocates %v times beyond its dictionary at 1× and 8× the topology, want one count of at most %d", counts, bound)
 	}
+}
+
+// shiftASN moves as into ASN-disjoint copy c of a topology whose ASNs are
+// below 100,000.
+func shiftASN(as bgp.ASN, c int) bgp.ASN { return as + bgp.ASN(c)*100_000 }
+
+// disjointCopies returns copies ASN-disjoint copies of a topology's
+// announcements and organizations (shiftASN), side by side.
+func disjointCopies(base []bgp.Announcement, baseOrgs [][]bgp.ASN, copies int) ([]bgp.Announcement, [][]bgp.ASN) {
+	var anns []bgp.Announcement
+	var orgs [][]bgp.ASN
+	for c := range copies {
+		for _, a := range base {
+			path := make([]bgp.ASN, len(a.Path))
+			for i, as := range a.Path {
+				path[i] = shiftASN(as, c)
+			}
+			anns = append(anns, bgp.Announcement{Prefix: a.Prefix, Path: path, Origin: shiftASN(a.Origin, c)})
+		}
+		for _, members := range baseOrgs {
+			org := make([]bgp.ASN, len(members))
+			for i, as := range members {
+				org[i] = shiftASN(as, c)
+			}
+			orgs = append(orgs, org)
+		}
+	}
+	return anns, orgs
+}
+
+// TestClosureAllocsConstant: building a closure allocates the same few
+// objects whatever the AS count — the Closure, its list offsets and lists,
+// one queue and one scratch bitset, none per AS or per cone. The Customer
+// Cone's count also holds CustomerAdjacency's three slices. Each must be one
+// count, within its bound, at 1× and at 8 ASN-disjoint copies of a random
+// topology.
+func TestClosureAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const fullBound, ccBound = 5, 5 + 3
+	_, base, baseOrgs := randomTopology(t, rand.New(rand.NewSource(44)))
+	var full, cc []float64
+	for _, copies := range []int{1, 8} {
+		anns, orgs := disjointCopies(base, baseOrgs, copies)
+		g := mustGraph(t, anns, orgs, nil)
+		full = append(full, testing.AllocsPerRun(5, func() { g.FullConeClosure() }))
+		cc = append(cc, testing.AllocsPerRun(5, func() { g.CustomerConeWithOrgs(orgs) }))
+	}
+	t.Logf("closure allocations at 1× and 8× the topology: full %v, customer %v", full, cc)
+	if full[0] != full[1] || full[0] > fullBound {
+		t.Fatalf("FullConeClosure allocates %v times at 1× and 8× the topology, want one count of at most %d", full, fullBound)
+	}
+	if cc[0] != cc[1] || cc[0] > ccBound {
+		t.Fatalf("CustomerConeWithOrgs allocates %v times at 1× and 8× the topology, want one count of at most %d", cc, ccBound)
+	}
+}
+
+// sccClosure is Closure as it was before it became one walk per AS: the
+// transitive closure over a Tarjan SCC condensation of the adjacency, with
+// one bitset per component over component ids. It answers "is v inside u's
+// cone" in O(1) for every pair of ASes at components² bits. Kept as the
+// oracle the walks are held to (TestClosureMatchesOracle,
+// TestConeWalksMatchClosures); its one change is that a component's bitset
+// takes its successors' bits through ForEach, not the deleted Bitset.Or.
+type sccClosure struct {
+	comp  []int // AS index -> component id
+	nComp int
+	reach []*netx.Bitset // per component, bits are component ids
+	size  []int          // per component: number of ASes in all reachable comps
+	cmemb []int          // per component: number of member ASes
+}
+
+// newSCCClosure computes the transitive closure of adj (indexed like the
+// graph). Component ids are in reverse topological order: every edge goes
+// from a higher id to a lower id, so processing 0..n-1 sees successors first.
+func newSCCClosure(adj [][]int32) *sccClosure {
+	comp, n := tarjanSCC(adj)
+	cond := condense(adj, comp, n)
+	c := &sccClosure{comp: comp, nComp: n, reach: make([]*netx.Bitset, n), size: make([]int, n), cmemb: make([]int, n)}
+	for _, ci := range comp {
+		c.cmemb[ci]++
+	}
+	for ci := 0; ci < n; ci++ {
+		b := netx.NewBitset(n)
+		b.Set(ci)
+		for _, sc := range cond[ci] {
+			c.reach[sc].ForEach(b.Set)
+		}
+		c.reach[ci] = b
+		total := 0
+		b.ForEach(func(i int) { total += c.cmemb[i] })
+		c.size[ci] = total
+	}
+	return c
+}
+
+// ConeSize returns the number of ASes in u's cone, including u itself.
+func (c *sccClosure) ConeSize(u int) int { return c.size[c.comp[u]] }
+
+// WeightedSizes returns, for every AS index, the sum of w over the ASes in
+// its cone. w is indexed by AS index.
+func (c *sccClosure) WeightedSizes(w []uint64) []uint64 {
+	compW := make([]uint64, c.nComp)
+	for as, ci := range c.comp {
+		compW[ci] += w[as]
+	}
+	compTotal := make([]uint64, c.nComp)
+	for ci := 0; ci < c.nComp; ci++ {
+		var total uint64
+		c.reach[ci].ForEach(func(i int) { total += compW[i] })
+		compTotal[ci] = total
+	}
+	out := make([]uint64, len(c.comp))
+	for as, ci := range c.comp {
+		out[as] = compTotal[ci]
+	}
+	return out
+}
+
+// ExactValidSpace computes the exact union of the origin spaces of the ASes
+// in u's cone, scanning every AS.
+func (c *sccClosure) ExactValidSpace(u int, spaces []netx.IntervalSet) netx.IntervalSet {
+	var ivs []netx.Interval
+	target := c.reach[c.comp[u]]
+	for as, ci := range c.comp {
+		if target.Test(ci) {
+			ivs = append(ivs, spaces[as].Intervals()...)
+		}
+	}
+	return netx.NewIntervalSet(ivs...)
+}
+
+// contains reports whether the AS at dense index v is inside u's cone.
+func (c *sccClosure) contains(u, v int) bool { return c.reach[c.comp[u]].Test(c.comp[v]) }
+
+// coneSet materializes u's cone as a bitset over AS indices.
+func (c *sccClosure) coneSet(u int) *netx.Bitset {
+	b := netx.NewBitset(len(c.comp))
+	for v := range c.comp {
+		if c.contains(u, v) {
+			b.Set(v)
+		}
+	}
+	return b
+}
+
+// tarjanSCC computes strongly connected components of a directed graph
+// given as adjacency lists. It returns comp (node -> component id) and the
+// number of components. Component ids are assigned in the order Tarjan
+// completes them, which is a reverse topological order of the condensation:
+// every edge of the condensed DAG goes from a higher component id to a
+// lower one.
+//
+// The implementation is iterative; AS graphs contain provider chains long
+// enough to overflow the goroutine stack with a recursive version.
+func tarjanSCC(adj [][]int32) (comp []int, n int) {
+	nNodes := len(adj)
+	const unvisited = -1
+	index := make([]int32, nNodes)
+	low := make([]int32, nNodes)
+	onStack := make([]bool, nNodes)
+	comp = make([]int, nNodes)
+	for i := range index {
+		index[i] = unvisited
+		comp[i] = unvisited
+	}
+	var stack []int32
+	var next int32 = 0
+
+	// Explicit DFS frames: node plus position in its adjacency list.
+	type frame struct {
+		node int32
+		ei   int
+	}
+	var frames []frame
+
+	for start := 0; start < nNodes; start++ {
+		if index[start] != unvisited {
+			continue
+		}
+		frames = append(frames[:0], frame{node: int32(start)})
+		index[start] = next
+		low[start] = next
+		next++
+		stack = append(stack, int32(start))
+		onStack[start] = true
+
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			v := f.node
+			if f.ei < len(adj[v]) {
+				w := adj[v][f.ei]
+				f.ei++
+				if index[w] == unvisited {
+					index[w] = next
+					low[w] = next
+					next++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{node: w})
+				} else if onStack[w] && low[v] > index[w] {
+					low[v] = index[w]
+				}
+				continue
+			}
+			// v is finished.
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp[w] = n
+					if w == v {
+						break
+					}
+				}
+				n++
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				parent := frames[len(frames)-1].node
+				if low[parent] > low[v] {
+					low[parent] = low[v]
+				}
+			}
+		}
+	}
+	return comp, n
+}
+
+// condense builds the condensed DAG adjacency (by component id, deduped)
+// from the node-level adjacency and the component assignment.
+func condense(adj [][]int32, comp []int, n int) [][]int32 {
+	out := make([][]int32, n)
+	seen := make(map[[2]int32]struct{})
+	for u := range adj {
+		cu := int32(comp[u])
+		for _, v := range adj[u] {
+			cv := int32(comp[v])
+			if cu == cv {
+				continue
+			}
+			k := [2]int32{cu, cv}
+			if _, dup := seen[k]; dup {
+				continue
+			}
+			seen[k] = struct{}{}
+			out[cu] = append(out[cu], cv)
+		}
+	}
+	return out
 }

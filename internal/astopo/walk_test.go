@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spoofscope/internal/bgp"
@@ -122,10 +123,9 @@ func requireSameSet(t *testing.T, label string, n int, want, got *netx.Bitset) {
 // TestConeWalksMatchClosures is the property test for the member cone walk:
 // over random cyclic topologies, with and without an org mesh, every AS's
 // unbounded walk down the graph and down CustomerAdjacency must equal the
-// sequential closures' cones (the customer one built from the
-// walk's adjacency and from an independently built, HasEdge-gated one),
-// and the walk cut at depths 0, 1 and 2 must equal the frontier BFS
-// BoundedCone used to be.
+// SCC oracle's cones (the customer one built from the walk's adjacency and
+// from an independently built, HasEdge-gated one), and the walk cut at
+// depths 0, 1 and 2 must equal the frontier BFS BoundedCone used to be.
 func TestConeWalksMatchClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 25; iter++ {
@@ -134,9 +134,9 @@ func TestConeWalksMatchClosures(t *testing.T) {
 			orgs = nil // exercise the org-free customer cone too
 		}
 		n := g.NumASes()
-		fullRef := g.FullConeClosure()
-		ccRef := g.CustomerConeWithOrgs(orgs)
-		ccGated := newClosure(oracleCustomerAdjacency(g, orgs))
+		fullRef := newSCCClosure(g.down)
+		ccRef := newSCCClosure(g.CustomerAdjacency(orgs))
+		ccGated := newSCCClosure(oracleCustomerAdjacency(g, orgs))
 		ccAdj := g.CustomerAdjacency(orgs)
 		// Every walk below queues on one array, as a compile worker's do.
 		var queue []int32
@@ -152,10 +152,10 @@ func TestConeWalksMatchClosures(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			label := fmt.Sprintf("iter=%d u=%d", iter, u)
-			requireSameSet(t, label+" full", n, coneSet(fullRef, u), full(u, math.MaxInt))
+			requireSameSet(t, label+" full", n, fullRef.coneSet(u), full(u, math.MaxInt))
 			cc := cone(u, math.MaxInt)
-			requireSameSet(t, label+" cc", n, coneSet(ccRef, u), cc)
-			requireSameSet(t, label+" cc gated", n, coneSet(ccGated, u), cc)
+			requireSameSet(t, label+" cc", n, ccRef.coneSet(u), cc)
+			requireSameSet(t, label+" cc gated", n, ccGated.coneSet(u), cc)
 			if got := cc.Count(); got != ccRef.ConeSize(u) {
 				t.Fatalf("%s: cc walk reaches %d ASes, closure cone size %d", label, got, ccRef.ConeSize(u))
 			}
@@ -166,4 +166,66 @@ func TestConeWalksMatchClosures(t *testing.T) {
 			}
 		}
 	}
+}
+
+// requireClosureMatchesOracle asserts that the walk closure c and the SCC
+// oracle over the same adjacency hold the same cone for every AS, and give
+// the same ConeSize, WeightedSizes and ExactValidSpace.
+func requireClosureMatchesOracle(t *testing.T, label string, c *Closure, oracle *sccClosure, spaces []netx.IntervalSet) {
+	t.Helper()
+	n := len(oracle.comp)
+	if got := len(c.off) - 1; got != n {
+		t.Fatalf("%s: closure over %d ASes, oracle over %d", label, got, n)
+	}
+	w := OriginSpaceWeights(spaces)
+	sizes, wantSizes := c.WeightedSizes(w), oracle.WeightedSizes(w)
+	for u := 0; u < n; u++ {
+		cone := netx.NewBitset(n)
+		for _, v := range c.cone(u) {
+			cone.Set(int(v))
+		}
+		requireSameSet(t, fmt.Sprintf("%s u=%d", label, u), n, oracle.coneSet(u), cone)
+		if got, want := c.ConeSize(u), oracle.ConeSize(u); got != want {
+			t.Fatalf("%s: ConeSize(%d) = %d, oracle %d", label, u, got, want)
+		}
+		if sizes[u] != wantSizes[u] {
+			t.Fatalf("%s: WeightedSizes[%d] = %d, oracle %d", label, u, sizes[u], wantSizes[u])
+		}
+		got, want := c.ExactValidSpace(u, spaces), oracle.ExactValidSpace(u, spaces)
+		if !slices.Equal(got.Intervals(), want.Intervals()) {
+			t.Fatalf("%s: ExactValidSpace(%d) = %v, oracle %v", label, u, got, want)
+		}
+	}
+}
+
+// TestClosureMatchesOracle holds the walk closure to the SCC closure it
+// replaced: on random cyclic topologies, with and without an org mesh, and
+// on the default-scale scenario (unless -short), every AS's Full Cone and
+// Customer Cone (plain and org-merged) must have the oracle's members,
+// ConeSize, WeightedSizes and ExactValidSpace. Figure 2 and the §3.4 check
+// read these three.
+func TestClosureMatchesOracle(t *testing.T) {
+	check := func(label string, anns []bgp.Announcement, orgs [][]bgp.ASN) {
+		t.Helper()
+		for _, graphOrgs := range [][][]bgp.ASN{nil, orgs} {
+			g := mustGraph(t, anns, graphOrgs, nil)
+			spaces := OriginSpaces(g, anns)
+			gl := fmt.Sprintf("%s orgs-in-graph=%v", label, graphOrgs != nil)
+			requireClosureMatchesOracle(t, gl+" full", g.FullConeClosure(), newSCCClosure(g.down), spaces)
+			for _, ccOrgs := range [][][]bgp.ASN{nil, orgs} {
+				requireClosureMatchesOracle(t, fmt.Sprintf("%s cc orgs=%v", gl, ccOrgs != nil),
+					g.CustomerConeWithOrgs(ccOrgs), newSCCClosure(g.CustomerAdjacency(ccOrgs)), spaces)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(44))
+	for iter := 0; iter < 25; iter++ {
+		_, anns, orgs := randomTopology(t, rng)
+		check(fmt.Sprintf("iter=%d", iter), anns, orgs)
+	}
+	if testing.Short() {
+		return
+	}
+	anns, orgs := defaultScaleTable(t)
+	check("default scale", anns, orgs)
 }

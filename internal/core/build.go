@@ -4,8 +4,8 @@
 // graph, relationship inference, the origin slab, the members' naive rows
 // and cone walks — is what keeps a runtime degraded after a routing flap.
 // Compilation here is staged: topology layers (the graph and the members'
-// cone rows) depend only on the AS path multiset; the origin stage (origin
-// slab, routed space) depends on the full announcement set; the members'
+// cone rows) depend only on the AS path multiset; the origin stage (the
+// origin slab) depends on the full announcement set; the members'
 // naive rows derive from both, in one walk of the table that sets each
 // member's bit for each prefix it is on a path of. No all-AS naive index is
 // built: only members are asked the Naive question. The RIB fingerprint
@@ -36,9 +36,9 @@ const (
 	BuildCold BuildReuse = iota
 	// BuildReusedClosures reused the graph and the members' cone rows (the
 	// AS path multiset was unchanged; a member new to this build walks its
-	// cones) and rebuilt only the prefix-dependent layers: the origin slab,
-	// the routed space and the members' naive rows. Its string is kept as
-	// it was: the build counters and the repository benchmark use it.
+	// cones) and rebuilt only the prefix-dependent layers: the origin slab
+	// and the members' naive rows. Its string is kept as it was: the build
+	// counters and the repository benchmark use it.
 	BuildReusedClosures
 	// BuildReusedPipeline reused every layer (the announcement set was
 	// unchanged); only the member tables were re-wrapped.
@@ -99,8 +99,8 @@ func (o Options) topologyKey() uint64 {
 //
 //   - unchanged announcement set  → reuse everything; re-wrap member tables
 //   - unchanged AS path multiset  → reuse graph + member cone rows; rebuild
-//     the origin stage (origin slab, routed space from its prefix list) and
-//     the members' naive rows, in one walk of the table
+//     the origin stage (the origin slab) and the members' naive rows, in
+//     one walk of the table
 //   - otherwise                   → cold build
 //
 // The stages run in order: the origin stage needs the graph's index, and the
@@ -154,7 +154,6 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		p.graph = prev.graph
 		p.origins, p.originTab = prev.origins, prev.originTab
 		p.bogonEntry, p.prefixes = prev.bogonEntry, prev.prefixes
-		p.routedSpace = prev.routedSpace
 
 	case BuildReusedClosures:
 		p.graph = prev.graph
@@ -194,11 +193,10 @@ const bogonSlot = ^uint32(0)
 var bogonPrefixes = bogon.NewReferenceSet().Prefixes()
 
 // buildOriginIndex compiles the origin slab into p.origins, p.originTab and
-// p.bogonEntry, and the routed space into p.routedSpace: resolve each
-// distinct origin ASN to an originTab slot once, through a table indexed by
-// the graph's AS index, then build the index straight from the sorted
-// (prefix → slot) assignment, which has one row per routed prefix, so it
-// also counts them (p.prefixes). It returns the routed prefixes, in the
+// p.bogonEntry: resolve each distinct origin ASN to an originTab slot once,
+// through a table indexed by the graph's AS index, then build the index
+// straight from the sorted (prefix → slot) assignment, which has one row per
+// routed prefix, so it also counts them (p.prefixes). It returns the routed prefixes, in the
 // order of the RIB's prefix runs. p.graph must be set.
 //
 // The bogon prefixes are appended under the bogonSlot sentinel — appended
@@ -210,7 +208,6 @@ var bogonPrefixes = bogon.NewReferenceSet().Prefixes()
 func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) []netx.Prefix {
 	prefixes, origins := rib.OriginAssignments()
 	p.prefixes = len(prefixes)
-	p.routedSpace = netx.IntervalSetOfPrefixes(prefixes...)
 	nAS := p.graph.NumASes()
 	slotOf := make([]uint32, nAS) // per graph AS: 1 + its originTab slot, 0 if none yet
 	tab := make([]originRef, 0, min(nAS, len(prefixes)))

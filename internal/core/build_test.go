@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"spoofscope/internal/astopo"
@@ -316,6 +317,52 @@ func TestBuildStatsPrefixes(t *testing.T) {
 		if msg := events[len(events)-1].Msg; !strings.Contains(msg, fmt.Sprintf(" %d prefixes,", n)) {
 			t.Fatalf("%s build's journal line %q does not say %d prefixes", st.Reuse, msg, n)
 		}
+	}
+}
+
+// TestRoutedSpaceOnFirstUse: no build computes the routed space; every reuse
+// tier's pipeline derives it from its own table on the first RoutedSpace
+// call, which several goroutines make at once, and it is the union of the
+// RIB's routed prefixes — after an announcement-only delta too, where a
+// space carried over from the previous epoch would be stale.
+func TestRoutedSpaceOnFirstUse(t *testing.T) {
+	rib, members, opts, _ := buildRebuildFixture(t)
+	delta := rebuiltRIB(rib, func(i int, a bgp.Announcement) bgp.Announcement {
+		if i == 0 {
+			a.Prefix = netx.MustParsePrefix("223.255.250.0/24")
+		}
+		return a
+	})
+	var prev *Pipeline
+	for _, step := range []struct {
+		rib  *bgp.RIB
+		want BuildReuse
+	}{{rib, BuildCold}, {rib, BuildReusedPipeline}, {delta, BuildReusedClosures}} {
+		p, st, err := RebuildPipeline(prev, step.rib, members, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reuse != step.want {
+			t.Fatalf("build reused %s, want %s", st.Reuse, step.want)
+		}
+		prefixes, _ := step.rib.OriginAssignments()
+		want := netx.IntervalSetOfPrefixes(prefixes...).Intervals()
+		got := make([]netx.IntervalSet, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = p.RoutedSpace()
+			}()
+		}
+		wg.Wait()
+		for _, g := range got {
+			if !slices.Equal(g.Intervals(), want) {
+				t.Fatalf("%s build's routed space has %d intervals, want the %d of its RIB's prefixes", st.Reuse, len(g.Intervals()), len(want))
+			}
+		}
+		prev = p
 	}
 }
 

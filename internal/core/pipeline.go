@@ -171,16 +171,17 @@ type Pipeline struct {
 	byPortDense []*memberState // ports < densePortCap, compiled with the members
 	byASN       map[bgp.ASN]*memberState
 
-	// RoutedSlash24 is the routed space size, for reporting.
-	routedSpace netx.IntervalSet
-	prefixes    int // routed prefixes: one origin assignment each
+	prefixes int // routed prefixes: one origin assignment each
 
 	// anns is the table the build walked for the members' naive rows. It
-	// backs FilterList's per-origin spaces, computed once on first use;
-	// FilterList may be called from several goroutines.
-	anns       []bgp.Announcement
-	spacesOnce sync.Once
-	spaces     []netx.IntervalSet
+	// backs FilterList's per-origin spaces and RoutedSpace's routed space,
+	// each computed once on first use; both may be called from several
+	// goroutines.
+	anns        []bgp.Announcement
+	spacesOnce  sync.Once
+	spaces      []netx.IntervalSet
+	routedOnce  sync.Once
+	routedSpace netx.IntervalSet
 
 	// fp and optsKey record what this pipeline was compiled from, so
 	// RebuildPipeline can prove which layers a fresh snapshot leaves valid.
@@ -211,8 +212,21 @@ func (p *Pipeline) member(port uint32) (*memberState, bool) {
 // Graph exposes the AS graph (read-only) for analyses.
 func (p *Pipeline) Graph() *astopo.Graph { return p.graph }
 
-// RoutedSpace returns the routed address space.
-func (p *Pipeline) RoutedSpace() netx.IntervalSet { return p.routedSpace }
+// RoutedSpace returns the routed address space, the union of the table's
+// prefixes, computed on first use from the table's prefix runs. Only the
+// reports that size the routed space ask for it, so a build does not.
+func (p *Pipeline) RoutedSpace() netx.IntervalSet {
+	p.routedOnce.Do(func() {
+		var prefixes []netx.Prefix
+		for j, a := range p.anns {
+			if j == 0 || a.Prefix != p.anns[j-1].Prefix {
+				prefixes = append(prefixes, a.Prefix)
+			}
+		}
+		p.routedSpace = netx.IntervalSetOfPrefixes(prefixes...)
+	})
+	return p.routedSpace
+}
 
 // AllowSource whitelists an address range for one member — the §4.4
 // correction applied after WHOIS evidence confirms a missing relationship.

@@ -60,7 +60,7 @@ func Figure2(env *Env) *Figure2Result {
 		res.Curves[name] = s
 	}
 	put("naive", naive.Sizes())
-	put("customer-cone", gPlain.CustomerConeClosure().WeightedSizes(wPlain))
+	put("customer-cone", gPlain.CustomerConeWithOrgs(nil).WeightedSizes(wPlain))
 	put("customer-cone+orgs", gPlain.CustomerConeWithOrgs(orgs).WeightedSizes(wPlain))
 	put("full-cone", gPlain.FullConeClosure().WeightedSizes(wPlain))
 	fullOrg := gOrg.FullConeClosure().WeightedSizes(wOrg)
@@ -123,7 +123,7 @@ func ConeContainment(env *Env) *ConeContainmentResult {
 	orgs := env.Scenario.Orgs().MultiASGroups()
 	g := envGraph(env, nil)
 	naive := astopo.NewNaiveIndex(g, anns)
-	cc := g.CustomerConeClosure()
+	cc := g.CustomerConeWithOrgs(nil)
 	ccOrg := g.CustomerConeWithOrgs(orgs)
 	fc := g.FullConeClosure()
 	spaces := astopo.OriginSpaces(g, anns)

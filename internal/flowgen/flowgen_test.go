@@ -10,6 +10,7 @@ import (
 
 	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
 )
 
@@ -105,6 +106,34 @@ func TestLabelClassAgreement(t *testing.T) {
 				t.Fatalf("NTP trigger with wrong transport: %+v", f)
 			}
 		}
+	}
+}
+
+// TestUnroutedRejectsEveryBogon: random floods draw their sources by
+// rejection against unrouted, so the first and last address of every
+// reference bogon prefix inside the draw range [1.0.0.0, 224.0.0.0) must be
+// rejected — the classifier calls such a source Bogon, not Unrouted.
+func TestUnroutedRejectsEveryBogon(t *testing.T) {
+	s, err := scenario.Build(scenario.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(s, DefaultConfig())
+	checked := 0
+	for _, e := range bogon.Reference() {
+		p := e.Prefix
+		if p.First() < netx.AddrFrom4(1, 0, 0, 0) || p.Last() >= netx.AddrFrom4(224, 0, 0, 0) {
+			continue
+		}
+		checked++
+		for _, a := range []netx.Addr{p.First(), p.Last()} {
+			if g.unrouted(a) {
+				t.Errorf("%v (%s, %s) accepted as an unrouted source", a, p, e.Origin)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no reference bogon prefix inside the draw range")
 	}
 }
 

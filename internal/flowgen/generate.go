@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 )
@@ -338,17 +339,9 @@ func (g *Generator) randomUnroutedAddr() netx.Addr {
 		return g.hostIn(g.heldAll[g.rng.Intn(len(g.heldAll))])
 	}
 	for tries := 0; tries < 64; tries++ {
-		a := netx.Addr(g.rng.Uint32())
-		if a >= netx.AddrFrom4(224, 0, 0, 0) || a < netx.AddrFrom4(1, 0, 0, 0) {
-			continue
+		if a := netx.Addr(g.rng.Uint32()); g.unrouted(a) {
+			return a
 		}
-		if g.s.RoutableSpace().Contains(a) {
-			continue
-		}
-		if isBogonQuick(a) {
-			continue
-		}
-		return a
 	}
 	if len(g.heldAll) > 0 {
 		return g.hostIn(g.heldAll[0])
@@ -356,23 +349,16 @@ func (g *Generator) randomUnroutedAddr() netx.Addr {
 	return netx.AddrFrom4(100, 200, 0, 1)
 }
 
-// isBogonQuick covers the unicast-range bogons cheaply.
-func isBogonQuick(a netx.Addr) bool {
-	for _, p := range bogonLeakSources {
-		if p.Contains(a) {
-			return true
-		}
-	}
-	switch {
-	case netx.MustParsePrefix("127.0.0.0/8").Contains(a),
-		netx.MustParsePrefix("192.0.0.0/24").Contains(a),
-		netx.MustParsePrefix("192.0.2.0/24").Contains(a),
-		netx.MustParsePrefix("198.18.0.0/15").Contains(a),
-		netx.MustParsePrefix("198.51.100.0/24").Contains(a),
-		netx.MustParsePrefix("203.0.113.0/24").Contains(a):
-		return true
-	}
-	return false
+// bogons is the bogon reference the classifier tests sources against,
+// compiled once.
+var bogons = bogon.NewReferenceSet()
+
+// unrouted reports whether a is a unicast address (1.0.0.0 up to
+// 224.0.0.0) outside the scenario's routable space and outside every bogon
+// range: a source the classifier calls Unrouted.
+func (g *Generator) unrouted(a netx.Addr) bool {
+	return a >= netx.AddrFrom4(1, 0, 0, 0) && a < netx.AddrFrom4(224, 0, 0, 0) &&
+		!g.s.RoutableSpace().Contains(a) && !bogons.Contains(a)
 }
 
 // emitRandomFlood is a SYN/UDP flood with per-packet random spoofed

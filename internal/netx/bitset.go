@@ -34,13 +34,6 @@ func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Test reports whether bit i is set.
 func (b *Bitset) Test(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// Or merges other into b (b |= other). The sets must have equal capacity.
-func (b *Bitset) Or(other *Bitset) {
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-}
-
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	c := 0

@@ -25,29 +25,6 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetOrAndContainsAll(t *testing.T) {
-	a, b := NewBitset(200), NewBitset(200)
-	a.Set(1)
-	a.Set(100)
-	b.Set(100)
-	b.Set(199)
-	a.Or(b)
-	for _, i := range []int{1, 100, 199} {
-		if !a.Test(i) {
-			t.Fatalf("bit %d lost after Or", i)
-		}
-	}
-	// a |= b leaves a containing all of b, and b unchanged.
-	b.ForEach(func(i int) {
-		if !a.Test(i) {
-			t.Fatalf("a lacks b's bit %d after a |= b", i)
-		}
-	})
-	if a.Count() != 3 || b.Count() != 2 || b.Test(1) {
-		t.Fatal("Or must change only its receiver")
-	}
-}
-
 func TestBitsetForEachOrder(t *testing.T) {
 	b := NewBitset(300)
 	want := []int{3, 64, 65, 128, 299}
