@@ -21,7 +21,7 @@ race:
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # topology property tests, the observability smoke, the
-# stress run (drain engine and shard book), the cluster chaos suite (with its
+# stress run (drain engine, shard book, IPFIX transports), the cluster chaos suite (with its
 # observability plane), every benchmark in the module run once, the
 # identifier check over the docs, and the nested benchmark module's own vet
 # and tests.
@@ -127,10 +127,14 @@ obs-smoke:
 # does not get through. The shard book's: its own tests and fuzz seeds, the
 # worker's end of the liveness rule, and the cluster scenarios that fire a
 # stall or partition at a chosen point of the feed by moving the cluster's
-# virtual clock, where the link goroutines still race the ticks.
+# virtual clock, where the link goroutines still race the ticks. The IPFIX
+# transports': the stream framing loop that file replays and TCP connections
+# share, the file reader, and the TCP and UDP collectors, whose connection
+# handlers, Shutdown/Close and stats readers race one another.
 stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
 	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
+	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-feed (internal/cluster chaos suite — the stall and the partition fire

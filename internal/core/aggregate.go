@@ -70,7 +70,9 @@ type MemberStats struct {
 	ByClass [numTrafficClasses]Counter
 	// RouterIPInvalid counts Invalid-FULL packets with router sources.
 	RouterIPInvalid uint64
-	// InvalidOrigins maps origin AS -> Invalid-FULL packets (capped).
+	// InvalidOrigins maps origin AS -> Invalid-FULL packets, every origin
+	// counted: at most one entry per origin AS of the table, and exact, so
+	// Add, Merge and the checkpoint decoder agree on any partition.
 	InvalidOrigins map[bgp.ASN]uint64
 }
 
@@ -369,9 +371,7 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		if v.RouterIP {
 			ms.RouterIPInvalid += f.Packets
 		}
-		if len(ms.InvalidOrigins) < 4096 || ms.InvalidOrigins[v.SrcOrigin] > 0 {
-			ms.InvalidOrigins[v.SrcOrigin] += f.Packets
-		}
+		ms.InvalidOrigins[v.SrcOrigin] += f.Packets
 	}
 
 	// Time series.

@@ -19,8 +19,8 @@ import (
 //
 // Merge deep-adds and never adopts its argument's containers, so a merged
 // shard can be Reset and refilled (the parallel consumers reuse one shard
-// per worker this way); the caps (fanInCap, InvalidOrigins) stay unreached,
-// as order-independence only holds below them.
+// per worker this way); fanInCap stays unreached, as order-independence only
+// holds below it.
 
 // mergeShards builds per-shard aggregators over a fixed partition of the
 // checkpoint flow set, classifies with p, and merges them in the given
@@ -66,6 +66,44 @@ func TestMergeMatchesSequential(t *testing.T) {
 	got := encodeAgg(t, &Checkpoint{Agg: mergeShards(t, p, []int{0, 1, 2})})
 	if !bytes.Equal(want, got) {
 		t.Fatal("sharded merge diverged from sequential aggregation")
+	}
+}
+
+// TestInvalidOriginsPartitionIndependent: a member's Invalid-FULL origins
+// count exactly however many there are, so past the 4096 distinct origins
+// that Add alone used to stop at, one sequential Add run still encodes the
+// same bytes as the same flows split over two aggregators and merged —
+// directly, or with one half restored from its checkpoint first.
+func TestInvalidOriginsPartitionIndependent(t *testing.T) {
+	const origins = 6000
+	seq := NewAggregator(cpStart, time.Hour)
+	halves := [2]*Aggregator{NewAggregator(cpStart, time.Hour), NewAggregator(cpStart, time.Hour)}
+	for i := 0; i < origins; i++ {
+		f := ipfix.Flow{Start: cpStart, SrcAddr: netx.Addr(i), DstAddr: 1 << 24,
+			Protocol: ipfix.ProtoTCP, Packets: 1, Bytes: 100, Ingress: 1}
+		v := Verdict{Class: ClassInvalid, KnownMember: true, SrcOrigin: bgp.ASN(origins - i),
+			Invalid: [numApproaches]bool{true, true, true}}
+		seq.Add(f, v)
+		halves[i%2].Add(f, v)
+	}
+	if n := len(seq.members[1].InvalidOrigins); n != origins {
+		t.Fatalf("sequential run kept %d of %d origins", n, origins)
+	}
+	want := encodeAgg(t, &Checkpoint{Agg: seq})
+
+	merged := NewAggregator(cpStart, time.Hour)
+	merged.Merge(halves[1])
+	merged.Merge(halves[0])
+	if got := encodeAgg(t, &Checkpoint{Agg: merged}); !bytes.Equal(want, got) {
+		t.Fatal("merged halves encode differently from the sequential run")
+	}
+	cp, err := DecodeCheckpointBytes(encodeAgg(t, &Checkpoint{Agg: halves[0]}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Agg.Merge(halves[1])
+	if got := encodeAgg(t, &Checkpoint{Agg: cp.Agg}); !bytes.Equal(want, got) {
+		t.Fatal("a restored half merged with the other encodes differently from the sequential run")
 	}
 }
 

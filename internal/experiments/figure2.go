@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"spoofscope/internal/astopo"
-	"spoofscope/internal/bgp"
 	"spoofscope/internal/stats"
 )
 
@@ -22,11 +21,12 @@ type Figure2Result struct {
 	RoutedSlash24 uint64
 }
 
-// envGraph builds the AS graph of env's table merged with orgs. NewGraph's
-// only error is a table of more than astopo.MaxASes ASes, and env's pipeline
-// was built from the same table, so it cannot occur here.
-func envGraph(env *Env, orgs [][]bgp.ASN) *astopo.Graph {
-	g, err := astopo.NewGraph(env.RIB.Announcements(), orgs, nil)
+// envGraph builds the plain AS graph of env's table, without the org merge
+// env's pipeline graph has. NewGraph's only error is a table of more than
+// astopo.MaxASes ASes, and env's pipeline was built from the same table, so
+// it cannot occur here.
+func envGraph(env *Env) *astopo.Graph {
+	g, err := astopo.NewGraph(env.RIB.Announcements(), nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -39,8 +39,10 @@ func Figure2(env *Env) *Figure2Result {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
 
-	gPlain := envGraph(env, nil)
-	gOrg := envGraph(env, orgs)
+	gPlain := envGraph(env)
+	// NewEnv compiled the pipeline over this table with the scenario's orgs
+	// and no extra links: its graph is the org-merged one.
+	gOrg := env.Pipeline.Graph()
 
 	spacesPlain := astopo.OriginSpaces(gPlain, anns)
 	wPlain := astopo.OriginSpaceWeights(spacesPlain)
@@ -121,7 +123,7 @@ type ConeContainmentResult struct {
 func ConeContainment(env *Env) *ConeContainmentResult {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
-	g := envGraph(env, nil)
+	g := envGraph(env)
 	naive := astopo.NewNaiveIndex(g, anns)
 	cc := g.CustomerConeWithOrgs(nil)
 	ccOrg := g.CustomerConeWithOrgs(orgs)

@@ -198,8 +198,8 @@ func TestServeStreamZeroAllocSteadyState(t *testing.T) {
 	}
 	run() // warm: template state, pool population, buffer growth
 	avg := testing.AllocsPerRun(3, run)
-	// One bufio.Reader (64 KiB) and a bytes.Reader per run are the harness's
-	// own per-connection setup; amortized over the stream's messages the
+	// A bytes.Reader per run is the harness's own per-connection setup (the
+	// stream itself comes from the pool); amortized over the messages the
 	// per-message budget must be < 0.1 allocations — a per-message alloc
 	// anywhere in the loop would show up as >= 1 per message here.
 	perMessage := avg / float64(messages)

@@ -297,7 +297,6 @@ func TestUDPCollectorShutdownVsClose(t *testing.T) {
 		_, err := col2.ServeBatch(time.Time{}, func([]Flow) bool { return true })
 		serveDone2 <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
 	col2.Close()
 	select {
 	case err := <-serveDone2:

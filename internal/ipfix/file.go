@@ -2,14 +2,12 @@ package ipfix
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 	"time"
 )
 
-// FileWriter streams flows into an IPFIX file (concatenated messages).
+// FileWriter streams flows as concatenated IPFIX messages: into a file, or
+// onto a TCPExporter's connection.
 type FileWriter struct {
 	w   *bufio.Writer
 	enc *Encoder
@@ -45,54 +43,26 @@ func (fw *FileWriter) Flush() error {
 
 // FileReader reads an IPFIX file written by FileWriter (or any stream of
 // concatenated IPFIX messages).
-type FileReader struct {
-	r   *bufio.Reader
-	dec *Decoder
-	buf []Flow
-	msg []byte // grow-only message scratch: zero allocations per message in steady state
-}
+type FileReader struct{ s *stream }
 
 // NewFileReader returns a reader over r.
 func NewFileReader(r io.Reader) *FileReader {
-	return &FileReader{r: bufio.NewReaderSize(r, 1<<16), dec: NewDecoder(),
-		msg: make([]byte, 4096)}
+	return &FileReader{s: newStream(r, NewDecoder())}
 }
 
 // NextBatch returns the flows of the next message containing data records.
-// It returns io.EOF at end of stream. The returned slice is reused across
-// calls; copy it to retain.
+// It returns io.EOF at end of stream, and a message that does not decode as
+// an error: a replay reports a corrupt file rather than classify part of it.
+// The returned slice is reused across calls; copy it to retain.
 func (fr *FileReader) NextBatch() ([]Flow, error) {
 	for {
-		// The header reads into the scratch buffer's prefix (a stack array
-		// would escape through io.ReadFull and cost one heap allocation per
-		// message); the body then lands right behind it.
-		hdr := fr.msg[:msgHeaderLen]
-		if _, err := io.ReadFull(fr.r, hdr); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, fmt.Errorf("ipfix: truncated message: %w", err)
-			}
+		switch bad, err := fr.s.next(); {
+		case err != nil:
 			return nil, err
-		}
-		total := int(binary.BigEndian.Uint16(hdr[2:]))
-		if total < msgHeaderLen {
-			return nil, fmt.Errorf("ipfix: bad message length %d", total)
-		}
-		if cap(fr.msg) < total {
-			grown := make([]byte, total)
-			copy(grown, hdr)
-			fr.msg = grown
-		}
-		msg := fr.msg[:total]
-		if _, err := io.ReadFull(fr.r, msg[msgHeaderLen:]); err != nil {
-			return nil, fmt.Errorf("ipfix: truncated message body: %w", err)
-		}
-		var err error
-		fr.buf, err = fr.dec.AppendFlows(msg, fr.buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		if len(fr.buf) > 0 {
-			return fr.buf, nil
+		case bad != nil:
+			return nil, bad
+		case len(fr.s.flows) > 0:
+			return fr.s.flows, nil
 		}
 		// Template-only message: keep reading.
 	}
@@ -101,7 +71,7 @@ func (fr *FileReader) NextBatch() ([]Flow, error) {
 // Reset repoints the reader at a new stream while keeping the decoder's
 // template state and every grow-only decode scratch buffer, so replaying
 // many streams through one reader allocates nothing after the first.
-func (fr *FileReader) Reset(r io.Reader) { fr.r.Reset(r) }
+func (fr *FileReader) Reset(r io.Reader) { fr.s.r.Reset(r) }
 
 // ForEachBatch streams the file one decoded message at a time: fn receives
 // each message's flows as a single batch — the zero-copy hand-off a runtime's
@@ -128,10 +98,7 @@ func (fr *FileReader) ForEachBatch(fn func([]Flow) bool) error {
 // health-reporting path. Transport-level fields (Connections, Disconnects)
 // stay zero: a file has no transport.
 func (fr *FileReader) CollectorStats() CollectorStats {
-	return CollectorStats{
-		Flows:          fr.dec.RecordsDecoded,
-		Messages:       fr.dec.Messages,
-		RecordsDecoded: fr.dec.RecordsDecoded,
-		RecordsSkipped: fr.dec.RecordsSkipped,
-	}
+	st := CollectorStats{Flows: fr.s.dec.RecordsDecoded}
+	st.addDecoder(fr.s.dec)
+	return st
 }

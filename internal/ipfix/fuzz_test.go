@@ -2,7 +2,10 @@ package ipfix
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -30,10 +33,43 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 }
 
+// replayBoth feeds b to a FileReader and to the TCP collector's connection
+// loop, which share one framing loop and differ only in their policy for a
+// message that frames but does not decode: the file stops on it with an
+// error, the socket counts it and skips it. It returns an error unless they
+// agree — the file's batches are the socket's up to the first such message,
+// and with none in b both deliver the same batches and reach the same
+// verdict on the framing: a clean end, or lost message boundaries.
+func replayBoth(b []byte) error {
+	var file, sock [][]Flow
+	collect := func(into *[][]Flow) func([]Flow) bool {
+		return func(batch []Flow) bool {
+			*into = append(*into, append([]Flow(nil), batch...))
+			return true
+		}
+	}
+	fileErr := NewFileReader(bytes.NewReader(b)).ForEachBatch(collect(&file))
+	_, malformed, sockErr := serveStream(bytes.NewReader(b), NewDecoder(), 0, collect(&sock))
+	same := func(a, b [][]Flow) bool {
+		return slices.EqualFunc(a, b, func(x, y []Flow) bool { return reflect.DeepEqual(x, y) })
+	}
+	switch {
+	case malformed == 0 && !same(file, sock):
+		return fmt.Errorf("file delivered %d batches, socket %d", len(file), len(sock))
+	case malformed == 0 && (fileErr == nil) != (sockErr == nil):
+		return fmt.Errorf("framing verdicts differ: file %v, socket %v", fileErr, sockErr)
+	case malformed > 0 && fileErr == nil:
+		return fmt.Errorf("socket skipped %d undecodable messages, file read them cleanly", malformed)
+	case malformed > 0 && (len(file) > len(sock) || !same(file, sock[:len(file)])):
+		return fmt.Errorf("file's %d batches are not the head of the socket's %d", len(file), len(sock))
+	}
+	return nil
+}
+
 // TestServeStreamNeverHangsOrPanics replays mutated and random byte streams
-// through the TCP framing path. Every input must terminate promptly — by
-// delivering flows, counting malformed messages, or failing on lost framing —
-// and never panic or spin.
+// through the file and socket framing paths. Every input must terminate
+// promptly — by delivering flows, counting malformed messages, or failing on
+// lost framing — never panic or spin, and read the same on both paths.
 func TestServeStreamNeverHangsOrPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	enc := NewEncoder(3)
@@ -42,15 +78,15 @@ func TestServeStreamNeverHangsOrPanics(t *testing.T) {
 		clean.Write(msg)
 	}
 	run := func(b []byte) {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			serveStream(bytes.NewReader(b), NewDecoder(), 0, func([]Flow) bool { return true }) //nolint:errcheck
-		}()
+		done := make(chan error, 1)
+		go func() { done <- replayBoth(b) }()
 		select {
-		case <-done:
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%d-byte input: %v", len(b), err)
+			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("serveStream hung on %d-byte input", len(b))
+			t.Fatalf("stream framing hung on %d-byte input", len(b))
 		}
 	}
 	for i := 0; i < 3000; i++ {
@@ -68,8 +104,9 @@ func TestServeStreamNeverHangsOrPanics(t *testing.T) {
 }
 
 // FuzzServeStream lets `go test -fuzz=FuzzServeStream ./internal/ipfix`
-// explore the stream-framing path; the corpus seeds a clean stream and a
-// framed-but-corrupt message.
+// explore the stream-framing path, differentially: each input goes to the
+// file reader and to the socket loop, which must agree (replayBoth). The
+// corpus seeds a clean stream and a framed-but-corrupt message.
 func FuzzServeStream(f *testing.F) {
 	enc := NewEncoder(3)
 	var clean bytes.Buffer
@@ -79,6 +116,8 @@ func FuzzServeStream(f *testing.F) {
 	f.Add(clean.Bytes())
 	f.Add(badFramedMessage())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		serveStream(bytes.NewReader(b), NewDecoder(), 0, func([]Flow) bool { return true }) //nolint:errcheck
+		if err := replayBoth(b); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

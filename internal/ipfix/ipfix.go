@@ -228,10 +228,9 @@ type templateField struct {
 type Decoder struct {
 	templates map[uint64]*template // (domain << 16 | templateID)
 	// Stats
-	Messages        int
-	RecordsDecoded  int
-	RecordsSkipped  int // data sets with unknown template
-	UnknownSetsSeen int
+	Messages       int
+	RecordsDecoded int
+	RecordsSkipped int // data sets with unknown template
 }
 
 // NewDecoder returns an empty decoder.
@@ -267,6 +266,8 @@ func (d *Decoder) Decode(msg []byte, dst []Flow) ([]Flow, error) {
 			return dst, fmt.Errorf("ipfix: bad set length %d", setLen)
 		}
 		body := p[setHeaderLen:setLen]
+		// Sets other than templates and data (options templates, reserved
+		// IDs) are skipped by their length.
 		switch {
 		case setID == 2:
 			if err := d.parseTemplates(domain, body); err != nil {
@@ -278,8 +279,6 @@ func (d *Decoder) Decode(msg []byte, dst []Flow) ([]Flow, error) {
 			if err != nil {
 				return dst, err
 			}
-		default:
-			d.UnknownSetsSeen++
 		}
 		p = p[setLen:]
 	}

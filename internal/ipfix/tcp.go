@@ -1,9 +1,7 @@
 package ipfix
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -17,18 +15,13 @@ import (
 // them). Unlike UDP, templates need to be sent only once.
 type TCPExporter struct {
 	conn net.Conn
-	w    *bufio.Writer
-	enc  *Encoder
+	w    *FileWriter
 }
 
 // NewTCPExporter wraps an established connection — the hook for fault
 // injection and custom transports. DialTCP is the common path.
 func NewTCPExporter(conn net.Conn, domain uint32) *TCPExporter {
-	return &TCPExporter{
-		conn: conn,
-		w:    bufio.NewWriterSize(conn, 1<<16),
-		enc:  NewEncoder(domain),
-	}
+	return &TCPExporter{conn: conn, w: NewFileWriter(conn, domain)}
 }
 
 // DialTCP connects an exporter to a TCP collector.
@@ -42,10 +35,8 @@ func DialTCP(addr string, domain uint32) (*TCPExporter, error) {
 
 // Export appends flows to the stream.
 func (e *TCPExporter) Export(exportTime time.Time, flows []Flow) error {
-	for _, msg := range e.enc.Encode(exportTime, flows) {
-		if _, err := e.w.Write(msg); err != nil {
-			return err
-		}
+	if err := e.w.Write(exportTime, flows); err != nil {
+		return err
 	}
 	return e.w.Flush()
 }
@@ -80,6 +71,14 @@ type CollectorStats struct {
 	Messages       int
 	RecordsDecoded int
 	RecordsSkipped int
+}
+
+// addDecoder adds a decoder's counters to the decoder-level fields: the one
+// way file, TCP and UDP stats take them.
+func (st *CollectorStats) addDecoder(d *Decoder) {
+	st.Messages += d.Messages
+	st.RecordsDecoded += d.RecordsDecoded
+	st.RecordsSkipped += d.RecordsSkipped
 }
 
 // TCPCollector accepts exporter connections and decodes their streams.
@@ -125,9 +124,7 @@ func (c *TCPCollector) finishStream(conn net.Conn, dec *Decoder, n, malformed in
 	delete(c.conns, conn)
 	c.stats.Flows += n
 	c.stats.Malformed += malformed
-	c.stats.Messages += dec.Messages
-	c.stats.RecordsDecoded += dec.RecordsDecoded
-	c.stats.RecordsSkipped += dec.RecordsSkipped
+	c.stats.addDecoder(dec)
 	if err != nil {
 		c.stats.Disconnects++
 	}
@@ -215,78 +212,52 @@ type readDeadliner interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// streamScratch is one connection's reusable decode buffers: the framed
-// message bytes and the flow batch the decoder appends into. Pooled across
-// connections so a collector serving short-lived exporter sessions reaches
-// steady state with zero per-message allocations — the buffers grow to the
-// feed's message size once and then recirculate.
-type streamScratch struct {
-	msg   []byte
-	flows []Flow
-}
+// streamPool recirculates connection streams, so a collector serving
+// short-lived exporter sessions allocates no reader or scratch per
+// connection once the pool is warm.
+var streamPool = sync.Pool{New: func() any { return newStream(nil, nil) }}
 
-var scratchPool = sync.Pool{New: func() any {
-	return &streamScratch{msg: make([]byte, 1<<16), flows: make([]Flow, 0, 256)}
-}}
-
-// serveStream decodes back-to-back IPFIX messages from a byte stream into
+// serveStream is a connection's loop: it reads the IPFIX messages of r into
 // dec (one decoder per connection: templates are per-stream state), handing
 // each message's flows to deliver as one batch. The batch slice is pooled
 // scratch reused for the next message — deliver must consume or copy it
 // before returning; a batch it stops the stream on still counts in n in
 // full. A message that frames correctly but fails to decode is skipped and
-// counted in malformed — one bad export must not tear down the feed. Only a framing failure (garbage length, short read, deadline) ends
-// the stream with an error, because message boundaries are lost at that
-// point. The caller owns dec and harvests its counters after the stream
-// ends.
+// counted in malformed — one bad export must not tear down the feed. Only a
+// framing failure (garbage length, short read, deadline) ends the stream
+// with an error, because message boundaries are lost at that point. When r
+// has read deadlines and idle is positive, each message must arrive within
+// idle. The caller owns dec and harvests its counters after the stream ends.
 func serveStream(r io.Reader, dec *Decoder, idle time.Duration, deliver func([]Flow) bool) (n, malformed int, err error) {
 	rd, hasDeadline := r.(readDeadliner)
-	br := bufio.NewReaderSize(r, 1<<16)
-	sc := scratchPool.Get().(*streamScratch)
-	defer scratchPool.Put(sc)
+	s := streamPool.Get().(*stream)
+	s.r.Reset(r)
+	s.dec = dec
+	defer func() {
+		s.r.Reset(nil) // hold no connection or decoder while pooled
+		s.dec = nil
+		streamPool.Put(s)
+	}()
 	for {
 		if hasDeadline && idle > 0 {
 			if err := rd.SetReadDeadline(time.Now().Add(idle)); err != nil {
 				return n, malformed, err
 			}
 		}
-		// The header reads into the scratch buffer's prefix (a stack array
-		// would escape through io.ReadFull and cost one heap allocation per
-		// message); the body then lands right behind it.
-		hdr := sc.msg[:msgHeaderLen]
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			if err == io.EOF {
-				return n, malformed, nil
-			}
+		switch bad, err := s.next(); {
+		case err == io.EOF:
+			return n, malformed, nil
+		case err != nil:
 			return n, malformed, err
-		}
-		total := int(binary.BigEndian.Uint16(hdr[2:]))
-		if total < msgHeaderLen {
-			return n, malformed, fmt.Errorf("ipfix: bad stream message length %d", total)
-		}
-		if cap(sc.msg) < total {
-			grown := make([]byte, total)
-			copy(grown, hdr)
-			sc.msg = grown
-		}
-		msg := sc.msg[:total]
-		if _, err := io.ReadFull(br, msg[msgHeaderLen:]); err != nil {
-			return n, malformed, err
-		}
-		var derr error
-		sc.flows, derr = dec.AppendFlows(msg, sc.flows[:0])
-		if derr != nil {
+		case bad != nil:
 			// The length field framed the message, so the stream is still
 			// in sync: skip it and keep serving.
 			malformed++
-			continue
-		}
-		if len(sc.flows) == 0 {
-			continue // template-only message
-		}
-		n += len(sc.flows)
-		if !deliver(sc.flows) {
-			return n, malformed, nil
+		case len(s.flows) > 0:
+			n += len(s.flows)
+			if !deliver(s.flows) {
+				return n, malformed, nil
+			}
 		}
 	}
 }

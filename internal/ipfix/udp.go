@@ -61,9 +61,9 @@ func (e *UDPExporter) Close() error { return e.conn.Close() }
 // decoded flows to a callback.
 type UDPCollector struct {
 	conn net.PacketConn
-	dec  *Decoder
 
 	mu     sync.Mutex
+	dec    *Decoder // decodes under mu, so Stats reads its counters race-free
 	closed bool
 	stats  CollectorStats
 }
@@ -122,21 +122,17 @@ func (c *UDPCollector) ServeBatch(deadline time.Time, fn func([]Flow) bool) (mal
 			}
 			return malformed, err
 		}
-		batch, derr := c.dec.AppendFlows(buf[:n], flows[:0])
-		if derr != nil {
-			malformed++
-			c.mu.Lock()
-			c.stats.Malformed++
-			c.syncDecoderLocked()
-			c.mu.Unlock()
-			continue
-		}
-		flows = batch // reuse the grown buffer across datagrams
 		c.mu.Lock()
-		c.stats.Flows += len(batch)
-		c.syncDecoderLocked()
+		var derr error
+		flows, derr = c.dec.AppendFlows(buf[:n], flows[:0])
+		if derr != nil {
+			c.stats.Malformed++
+			malformed++
+		} else {
+			c.stats.Flows += len(flows)
+		}
 		c.mu.Unlock()
-		if len(batch) > 0 && !fn(batch) {
+		if derr == nil && len(flows) > 0 && !fn(flows) {
 			return malformed, nil
 		}
 	}
@@ -157,20 +153,13 @@ func (c *UDPCollector) Shutdown() error {
 	return c.conn.Close()
 }
 
-// syncDecoderLocked mirrors the decoder's counters into the stats snapshot.
-// The decoder itself is touched only by the ServeBatch goroutine; copying
-// under c.mu at the points it already locks lets Stats read them race-free.
-func (c *UDPCollector) syncDecoderLocked() {
-	c.stats.Messages = c.dec.Messages
-	c.stats.RecordsDecoded = c.dec.RecordsDecoded
-	c.stats.RecordsSkipped = c.dec.RecordsSkipped
-}
-
 // Stats returns the collector's health counters (Connections stays zero:
 // UDP has no connections to count). Decoder-level counters are current as
 // of the last datagram ServeBatch finished with.
 func (c *UDPCollector) Stats() CollectorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	st.addDecoder(c.dec)
+	return st
 }
