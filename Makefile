@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # race runs the whole suite under the race detector — the supervision code
-# (bgp.Reconnector, the multi-connection IPFIX ServeBatch, faultnet) is
+# (bgp.Feed, the multi-connection IPFIX ServeBatch, faultnet) is
 # concurrent, so this is the tier the resilience layer is gated on.
 race:
 	$(GO) test -race ./...
@@ -21,7 +21,7 @@ race:
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # topology property tests, the observability smoke, the
-# stress run (drain engine, shard book, IPFIX transports), the cluster chaos suite (with its
+# stress run (drain engine, shard book, IPFIX transports, BGP feed), the cluster chaos suite (with its
 # observability plane), every benchmark in the module run once, the
 # identifier check over the docs, and the nested benchmark module's own vet
 # and tests.
@@ -130,11 +130,14 @@ obs-smoke:
 # virtual clock, where the link goroutines still race the ticks. The IPFIX
 # transports': the stream framing loop that file replays and TCP connections
 # share, the file reader, and the TCP and UDP collectors, whose connection
-# handlers, Shutdown/Close and stats readers race one another.
+# handlers, Shutdown/Close and stats readers race one another. The BGP
+# feed's: its supervision loop against the peer's resets, a cancelled
+# backoff and the stats and metric readers.
 stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
 	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
+	$(GO) test -race -count=20 -run 'Feed' ./internal/bgp
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-feed (internal/cluster chaos suite — the stall and the partition fire

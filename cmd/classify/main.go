@@ -57,7 +57,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -79,6 +78,7 @@ import (
 	"spoofscope/internal/obs"
 	"spoofscope/internal/org"
 	"spoofscope/internal/stats"
+	"spoofscope/internal/traceroute"
 )
 
 func main() {
@@ -174,7 +174,7 @@ func main() {
 		}
 	}
 	if !*noRouter {
-		if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
+		if addrs, err := traceroute.ReadRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
 			opts.Routers = netx.NewAddrSet(addrs)
 			log.Printf("router addresses: %d", len(addrs))
 		}
@@ -568,30 +568,6 @@ func readMembers(path string) ([]core.MemberInfo, error) {
 		out = append(out, core.MemberInfo{ASN: bgp.ASN(asn), Port: uint32(port)})
 	}
 	return out, nil
-}
-
-// readRouters reads routers.txt: one router interface address per line.
-func readRouters(path string) ([]netx.Addr, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var addrs []netx.Addr
-	var line string
-	for {
-		if _, err := fmt.Fscanln(f, &line); err != nil {
-			if err == io.EOF {
-				return addrs, nil
-			}
-			return nil, err
-		}
-		a, err := netx.ParseAddr(line)
-		if err != nil {
-			return nil, err
-		}
-		addrs = append(addrs, a)
-	}
 }
 
 func printSummary(agg *core.Aggregator, totalMembers int) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"spoofscope/internal/core"
 	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
-	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
 )
 
@@ -54,27 +52,6 @@ func TestReadMembersRejectsBadRows(t *testing.T) {
 	}
 	if _, err := readMembers(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestReadRouters(t *testing.T) {
-	dir := t.TempDir()
-	path := writeFile(t, dir, "routers.txt", "192.0.2.1\n198.51.100.254\n")
-	addrs, err := readRouters(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.254")}
-	if !slices.Equal(addrs, want) {
-		t.Fatalf("routers = %v, want %v", addrs, want)
-	}
-}
-
-func TestReadRoutersRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := writeFile(t, dir, "routers.txt", "not-an-ip\n")
-	if _, err := readRouters(path); err == nil {
-		t.Fatal("garbage router accepted")
 	}
 }
 

@@ -57,6 +57,7 @@ import (
 	"spoofscope/internal/netx"
 	"spoofscope/internal/obs"
 	"spoofscope/internal/org"
+	"spoofscope/internal/traceroute"
 )
 
 func main() {
@@ -117,7 +118,7 @@ func main() {
 			}
 		}
 		if !*noRouter {
-			if addrs, err := readRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
+			if addrs, err := traceroute.ReadRouters(filepath.Join(*dataDir, "routers.txt")); err == nil {
 				opts.Routers = netx.NewAddrSet(addrs)
 				log.Printf("router addresses: %d", len(addrs))
 			}
@@ -196,28 +197,4 @@ func loadIdentity(path, name string) (string, error) {
 		return "", err
 	}
 	return id, nil
-}
-
-// readRouters reads routers.txt: one router interface address per line.
-func readRouters(path string) ([]netx.Addr, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var addrs []netx.Addr
-	var line string
-	for {
-		if _, err := fmt.Fscanln(f, &line); err != nil {
-			if err == io.EOF {
-				return addrs, nil
-			}
-			return nil, err
-		}
-		a, err := netx.ParseAddr(line)
-		if err != nil {
-			return nil, err
-		}
-		addrs = append(addrs, a)
-	}
 }

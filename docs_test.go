@@ -270,8 +270,6 @@ var testOnlyAllowlist = map[string]string{
 	"bgp.Session.PeerAS":            "live deployment: the BGP peer that tests drive the feed with",
 	"bgp.Session.HoldTime":          "live deployment: the BGP peer that tests drive the feed with",
 	"bgp.Session.Stats":             "live deployment: the BGP peer that tests drive the feed with",
-	"bgp.Feed.Reconnector":          "live deployment: the supervised BGP feed's status",
-	"bgp.Reconnector.Stats":         "live deployment: the supervised BGP feed's status",
 	"netx.MustParseAddr":            "the twin of MustParsePrefix; tests in a dozen packages use it",
 	"whois.Parse":                   "reads the whois.txt that cmd/ixpgen writes",
 }

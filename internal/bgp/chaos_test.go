@@ -1,17 +1,12 @@
 package bgp
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"spoofscope/internal/faultnet"
-	"spoofscope/internal/netx"
-	"spoofscope/internal/obs"
 )
 
 // acceptSession runs a one-shot BGP responder on ln, pushing the established
@@ -101,216 +96,5 @@ func TestRecvFailsWithinHoldTime(t *testing.T) {
 	}
 	if st := conn.Stats(); st.Stalls == 0 {
 		t.Fatal("fault schedule never stalled")
-	}
-}
-
-// TestReconnectorRecoversFromMidFeedReset kills the server-side transport
-// mid-replay on the first connection; the Reconnector must flap, re-dial,
-// and deliver the complete replay from the second connection.
-func TestReconnectorRecoversFromMidFeedReset(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Connection 0 resets after the handshake (2 writes) plus 3 updates;
-	// connection 1 runs clean.
-	ln := faultnet.WrapListener(inner, func(i int) faultnet.Config {
-		if i == 0 {
-			return faultnet.Config{Seed: 1, ResetAfterWrites: 5}
-		}
-		return faultnet.Config{}
-	})
-	defer ln.Close()
-
-	updates := make([]*Update, 8)
-	for i := range updates {
-		updates[i] = &Update{
-			Attrs: Attributes{
-				ASPath:  []PathSegment{{Type: SegmentSequence, ASNs: []ASN{65001, ASN(100 + i)}}},
-				NextHop: 1,
-			},
-			NLRI: []netx.Prefix{netx.MustParsePrefix("203.0.113.0/24")},
-		}
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				sess, err := NewSession(conn, SessionConfig{LocalAS: 65001, LocalID: 9, HoldTime: 5 * time.Second})
-				if err != nil {
-					return
-				}
-				defer sess.Close() // orderly CEASE after a full replay
-				for _, u := range updates {
-					if err := sess.Send(u); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	var replays int
-	rec := NewReconnector(ReconnectorConfig{
-		Addr:           ln.Addr().String(),
-		Session:        SessionConfig{LocalAS: 64999, LocalID: 8, HoldTime: 5 * time.Second},
-		InitialBackoff: 10 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-		Seed:           2,
-		OnEstablish: func(*Session) error {
-			replays++
-			return nil
-		},
-	})
-	defer rec.Close()
-
-	var got []*Update
-	lastEstablish := 0
-	for {
-		u, err := rec.Recv()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Recv: %v", err)
-		}
-		if replays > lastEstablish {
-			// The peer replays from scratch on each session.
-			lastEstablish = replays
-			got = got[:0]
-		}
-		got = append(got, u)
-	}
-	if len(got) != len(updates) {
-		t.Fatalf("final replay delivered %d/%d updates", len(got), len(updates))
-	}
-	st := rec.Stats()
-	if st.Flaps != 1 {
-		t.Errorf("flaps = %d", st.Flaps)
-	}
-	if st.Dials != 2 {
-		t.Errorf("dials = %d", st.Dials)
-	}
-	if replays != 2 {
-		t.Errorf("OnEstablish ran %d times", replays)
-	}
-	if ln.Accepts() != 2 {
-		t.Errorf("server saw %d connections", ln.Accepts())
-	}
-}
-
-func TestReconnectorGivesUpAfterMaxAttempts(t *testing.T) {
-	dials := 0
-	rec := NewReconnector(ReconnectorConfig{
-		Addr:           "unreachable:179",
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     2 * time.Millisecond,
-		MaxAttempts:    3,
-		Dial: func(string) (net.Conn, error) {
-			dials++
-			return nil, errors.New("connection refused")
-		},
-	})
-	defer rec.Close()
-	if _, err := rec.Recv(); err == nil {
-		t.Fatal("Recv succeeded with a failing dialer")
-	}
-	if dials != 3 {
-		t.Fatalf("dialed %d times", dials)
-	}
-	st := rec.Stats()
-	if st.Dials != 3 || st.LastError == "" {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.GiveUps != 1 {
-		t.Fatalf("give-ups = %d, want 1", st.GiveUps)
-	}
-}
-
-// TestReconnectorGiveUpIsObservable proves a terminal exit is visible
-// without polling Stats: the journal records the give-up event and the
-// spoofscope_bgp_giveups_total counter reads 1 from a metric scrape.
-func TestReconnectorGiveUpIsObservable(t *testing.T) {
-	tel := obs.NewTelemetry()
-	rec := NewReconnector(ReconnectorConfig{
-		Addr:           "unreachable:179",
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     2 * time.Millisecond,
-		MaxAttempts:    2,
-		Dial: func(string) (net.Conn, error) {
-			return nil, errors.New("connection refused")
-		},
-		Telemetry: tel,
-	})
-	defer rec.Close()
-	if _, err := rec.Recv(); err == nil {
-		t.Fatal("Recv succeeded with a failing dialer")
-	}
-	var gaveUp bool
-	for _, e := range tel.Journal.Events() {
-		if e.Kind == obs.EventBGPGiveUp {
-			gaveUp = true
-		}
-	}
-	if !gaveUp {
-		t.Fatalf("no %s event in journal: %v", obs.EventBGPGiveUp, tel.Journal.Events())
-	}
-	var buf bytes.Buffer
-	if err := tel.Metrics.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `spoofscope_bgp_giveups_total{peer="unreachable:179"} 1`) {
-		t.Fatalf("give-up counter missing from scrape:\n%s", buf.String())
-	}
-}
-
-func TestReconnectorBackoffCappedWithJitter(t *testing.T) {
-	rec := NewReconnector(ReconnectorConfig{
-		InitialBackoff: 100 * time.Millisecond,
-		MaxBackoff:     time.Second,
-		Jitter:         0.2,
-		Seed:           5,
-	})
-	prevCeiling := time.Duration(0)
-	sawJitter := false
-	for attempt := 1; attempt <= 12; attempt++ {
-		base := 100 * time.Millisecond << (attempt - 1)
-		if base > time.Second || base <= 0 {
-			base = time.Second
-		}
-		lo := time.Duration(float64(base) * 0.8)
-		hi := time.Duration(float64(base) * 1.2)
-		for i := 0; i < 8; i++ {
-			d := rec.nextBackoff(attempt)
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
-			}
-			if d != base {
-				sawJitter = true
-			}
-		}
-		if hi < prevCeiling {
-			t.Fatalf("backoff ceiling shrank at attempt %d", attempt)
-		}
-		prevCeiling = hi
-	}
-	if !sawJitter {
-		t.Fatal("jitter never perturbed the backoff")
-	}
-	// The cap: far-out attempts never exceed MaxBackoff*(1+Jitter).
-	if d := rec.nextBackoff(40); d > 1200*time.Millisecond {
-		t.Fatalf("attempt 40 backoff %v above cap", d)
-	}
-
-	none := NewReconnector(ReconnectorConfig{
-		InitialBackoff: 100 * time.Millisecond,
-		MaxBackoff:     time.Second,
-		Jitter:         -1,
-	})
-	if d := none.nextBackoff(3); d != 400*time.Millisecond {
-		t.Fatalf("jitterless attempt 3 backoff = %v", d)
 	}
 }

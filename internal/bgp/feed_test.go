@@ -1,15 +1,18 @@
 package bgp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spoofscope/internal/faultnet"
 	"spoofscope/internal/netx"
+	"spoofscope/internal/obs"
 )
 
 // feedServer replays nPrefixes announcements to every peer, closing each
@@ -69,19 +72,16 @@ func TestFeedDeliversSnapshotsAcrossReplays(t *testing.T) {
 	var snapshots []*RIB
 	var gaps atomic.Int32
 	feed := NewFeed(FeedConfig{
-		Reconnector: ReconnectorConfig{
-			Addr:           ln.Addr().String(),
-			Session:        feedSessionConfig(),
-			InitialBackoff: 10 * time.Millisecond,
-			Seed:           7,
-		},
-		OnSnapshot: func(rib *RIB) bool {
-			snapshots = append(snapshots, rib)
-			return len(snapshots) < 2
-		},
-		OnGap: func(error) { gaps.Add(1) },
-	})
-	if err := feed.Run(); err != nil {
+		Addr:           ln.Addr().String(),
+		Session:        feedSessionConfig(),
+		InitialBackoff: 10 * time.Millisecond,
+		Seed:           7,
+	}, nil)
+	err = feed.Run(context.Background(), func(rib *RIB) bool {
+		snapshots = append(snapshots, rib)
+		return len(snapshots) < 2
+	}, func(error) { gaps.Add(1) })
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(snapshots) != 2 {
@@ -95,14 +95,14 @@ func TestFeedDeliversSnapshotsAcrossReplays(t *testing.T) {
 	if gaps.Load() != 0 {
 		t.Fatalf("clean replays reported %d gaps", gaps.Load())
 	}
-	if st := feed.Reconnector().Stats(); st.Dials != 2 || st.Flaps != 0 {
-		t.Fatalf("stats = %+v, want 2 dials, 0 flaps", st)
+	if st := feed.Stats(); st.Dials != 2 || st.Flaps != 0 || st.State != StateClosed {
+		t.Fatalf("stats = %+v, want 2 dials, 0 flaps, closed", st)
 	}
 }
 
 // TestFeedSignalsGapOnFlap resets the first connection mid-replay: the feed
-// must report the gap, discard the partial table, and still deliver a
-// complete snapshot from the retried replay.
+// must report the gap, discard the partial table, re-dial once and deliver
+// the complete snapshot of the fresh replay.
 func TestFeedSignalsGapOnFlap(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,36 +121,84 @@ func TestFeedSignalsGapOnFlap(t *testing.T) {
 	var gaps atomic.Int32
 	var snapshot *RIB
 	feed := NewFeed(FeedConfig{
-		Reconnector: ReconnectorConfig{
-			Addr:           ln.Addr().String(),
-			Session:        feedSessionConfig(),
-			InitialBackoff: 10 * time.Millisecond,
-			Seed:           8,
-		},
-		OnSnapshot: func(rib *RIB) bool {
-			snapshot = rib
-			return false
-		},
-		OnGap: func(error) { gaps.Add(1) },
-	})
-	if err := feed.Run(); err != nil {
+		Addr:           ln.Addr().String(),
+		Session:        feedSessionConfig(),
+		InitialBackoff: 10 * time.Millisecond,
+		MaxBackoff:     50 * time.Millisecond,
+		Seed:           8,
+	}, nil)
+	err = feed.Run(context.Background(), func(rib *RIB) bool {
+		snapshot = rib
+		return false
+	}, func(error) { gaps.Add(1) })
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if gaps.Load() == 0 {
-		t.Fatal("mid-replay reset reported no gap")
+	if gaps.Load() != 1 {
+		t.Fatalf("mid-replay reset reported %d gaps, want 1", gaps.Load())
 	}
 	if snapshot == nil || snapshot.NumPrefixes() != nPrefixes {
 		t.Fatalf("snapshot incomplete after recovery: %v", snapshot)
 	}
-	if st := feed.Reconnector().Stats(); st.Flaps == 0 {
-		t.Fatalf("stats = %+v, want at least one flap", st)
+	if st := feed.Stats(); st.Flaps != 1 || st.Dials != 2 || st.LastError == "" {
+		t.Fatalf("stats = %+v, want 1 flap, 2 dials and its error", st)
+	}
+	if ln.Accepts() != 2 {
+		t.Errorf("server saw %d connections", ln.Accepts())
 	}
 }
 
-// TestReconnectorContextCancelAbortsBackoff parks a reconnector in a long
-// backoff against a dead address; cancelling the context must abort the
-// sleep promptly instead of running the timer out.
-func TestReconnectorContextCancelAbortsBackoff(t *testing.T) {
+// TestFeedGivesUpAfterMaxAttempts proves a terminal exit is counted and
+// visible without polling Stats: the journal records the give-up event and
+// the spoofscope_bgp_giveups_total counter reads 1 from a metric scrape.
+func TestFeedGivesUpAfterMaxAttempts(t *testing.T) {
+	tel := obs.NewTelemetry()
+	dials := 0
+	feed := NewFeed(FeedConfig{
+		Addr:           "unreachable:179",
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     2 * time.Millisecond,
+		MaxAttempts:    3,
+		Dial: func(context.Context, string) (net.Conn, error) {
+			dials++
+			return nil, errors.New("connection refused")
+		},
+	}, tel)
+	if err := feed.Run(context.Background(), func(*RIB) bool { return true }, nil); err == nil {
+		t.Fatal("Run succeeded with a failing dialer")
+	}
+	if dials != 3 {
+		t.Fatalf("dialed %d times", dials)
+	}
+	st := feed.Stats()
+	if st.Dials != 3 || st.LastError == "" {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.GiveUps != 1 {
+		t.Fatalf("give-ups = %d, want 1", st.GiveUps)
+	}
+	var gaveUp bool
+	for _, e := range tel.Journal.Events() {
+		if e.Kind == obs.EventBGPGiveUp {
+			gaveUp = true
+		}
+	}
+	if !gaveUp {
+		t.Fatalf("no %s event in journal: %v", obs.EventBGPGiveUp, tel.Journal.Events())
+	}
+	var buf bytes.Buffer
+	if err := tel.Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `spoofscope_bgp_giveups_total{peer="unreachable:179"} 1`) {
+		t.Fatalf("give-up counter missing from scrape:\n%s", buf.String())
+	}
+}
+
+// TestFeedCancelAbortsBackoff parks a feed in a long backoff against a dead
+// address; cancelling the context must end Run promptly instead of running
+// the timer out.
+func TestFeedCancelAbortsBackoff(t *testing.T) {
 	// A listener that never accepts a handshake: grab a port, then close it
 	// so every dial is refused.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -161,38 +209,37 @@ func TestReconnectorContextCancelAbortsBackoff(t *testing.T) {
 	ln.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rec := NewReconnector(ReconnectorConfig{
+	defer cancel()
+	feed := NewFeed(FeedConfig{
 		Addr:           addr,
 		Session:        feedSessionConfig(),
-		Context:        ctx,
 		InitialBackoff: time.Hour, // without cancellation this would hang
 		Seed:           9,
-	})
-	defer rec.Close()
+	}, nil)
 
 	errc := make(chan error, 1)
-	go func() {
-		_, err := rec.Recv()
-		errc <- err
-	}()
+	go func() { errc <- feed.Run(ctx, func(*RIB) bool { return true }, nil) }()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for deadline := time.Now().Add(5 * time.Second); rec.Stats().State != StateBackoff; <-tick.C {
+	for deadline := time.Now().Add(5 * time.Second); feed.Stats().State != StateBackoff; <-tick.C {
 		if time.Now().After(deadline) {
-			t.Fatal("Recv never reached the backoff sleep")
+			t.Fatal("Run never reached the backoff sleep")
 		}
 	}
 	start := time.Now()
 	cancel()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Recv returned %v, want context.Canceled", err)
+		if err != nil {
+			t.Fatalf("Run returned %v, want nil after cancellation", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Recv still blocked in backoff after cancel")
+		t.Fatal("Run still blocked in backoff after cancel")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("cancel took %v to unblock Recv", elapsed)
+		t.Fatalf("cancel took %v to end Run", elapsed)
+	}
+	if st := feed.Stats(); st.State != StateClosed {
+		t.Fatalf("state after cancel = %v, want closed", st.State)
 	}
 }

@@ -174,12 +174,9 @@ type Pipeline struct {
 	prefixes int // routed prefixes: one origin assignment each
 
 	// anns is the table the build walked for the members' naive rows. It
-	// backs FilterList's per-origin spaces and RoutedSpace's routed space,
-	// each computed once on first use; both may be called from several
-	// goroutines.
+	// backs RoutedSpace's routed space, computed once on first use, which
+	// may be called from several goroutines.
 	anns        []bgp.Announcement
-	spacesOnce  sync.Once
-	spaces      []netx.IntervalSet
 	routedOnce  sync.Once
 	routedSpace netx.IntervalSet
 

@@ -324,6 +324,47 @@ func TestFilterList(t *testing.T) {
 	if _, err := p.FilterList(100, Approach(99)); err == nil {
 		t.Fatal("unknown approach accepted")
 	}
+
+	// A MOAS prefix lists under the origin Classify resolves it to, and
+	// bogon space is never listed, not even whitelisted. AS300 announces
+	// 90.1/16 once and AS200 twice, so AS200 wins it; AS300 also announces
+	// the bogon 10/8, and a §4.4 correction whitelists part of it.
+	rib := testRIB()
+	rib.AddAnnouncement(netx.MustParsePrefix("90.1.0.0/16"), []bgp.ASN{100, 300})
+	rib.AddAnnouncement(netx.MustParsePrefix("90.1.0.0/16"), []bgp.ASN{20, 200})
+	rib.AddAnnouncement(netx.MustParsePrefix("90.1.0.0/16"), []bgp.ASN{10, 20, 200})
+	rib.AddAnnouncement(netx.MustParsePrefix("10.0.0.0/8"), []bgp.ASN{100, 300})
+	p, err = NewPipeline(rib, testMembers, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AllowSource(300, netx.MustParsePrefix("10.1.0.0/16")); err != nil {
+		t.Fatal(err)
+	}
+	// Sources in every prefix of the table, the bogon included: for each
+	// member and approach, no bogon is listed, and a routed source is
+	// listed exactly when Classify calls it valid.
+	srcs := []string{"10.1.2.3", "50.1.9.9", "60.1.9.9", "70.1.9.9", "80.1.1.1", "81.1.1.1", "90.1.2.3", "9.9.9.9"}
+	for _, m := range testMembers {
+		for a := ApproachNaive; a < numApproaches; a++ {
+			acl, err := p.FilterList(m.ASN, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := netx.IntervalSetOfPrefixes(acl...)
+			for _, src := range srcs {
+				v := p.Classify(flowFrom(src, m.Port))
+				listed := set.Contains(netx.MustParseAddr(src))
+				switch {
+				case v.Class == ClassBogon && listed:
+					t.Errorf("FilterList(%s, %s) lists bogon %s", m.ASN, a, src)
+				case v.Class == ClassBogon || v.Class == ClassUnrouted:
+				case listed == v.Invalid[a]:
+					t.Errorf("FilterList(%s, %s): %s listed=%v, Classify invalid=%v", m.ASN, a, src, listed, v.Invalid[a])
+				}
+			}
+		}
+	}
 }
 
 func TestFilterListApproachOrdering(t *testing.T) {
@@ -346,9 +387,9 @@ func TestFilterListApproachOrdering(t *testing.T) {
 	}
 }
 
-// TestFilterListConcurrent: FilterList computes its per-origin spaces on
-// first use, so concurrent first calls must agree with sequential ones (the
-// test matters under -race).
+// TestFilterListConcurrent: FilterList only reads the compiled pipeline,
+// so concurrent calls must agree with sequential ones (the test matters
+// under -race).
 func TestFilterListConcurrent(t *testing.T) {
 	type call struct {
 		asn bgp.ASN

@@ -221,10 +221,24 @@ func TestUDPCollectorCountsCorruptDatagrams(t *testing.T) {
 		sent++
 	}
 
-	received := 0
-	malformed, err := col.ServeBatch(time.Now().Add(time.Second), func(b []Flow) bool { received += len(b); return true })
+	// The template rides write 1 and flow i write i+2, so the last flow's
+	// write escapes the schedule: it is the sentinel that ends the serve,
+	// and the deadline only bounds a failure.
+	if (sent+1)%3 == 0 {
+		t.Fatal("schedule must leave the last datagram, the sentinel, intact")
+	}
+	last := sampleFlow(sent - 1).SrcPort
+	received, sawLast := 0, false
+	malformed, err := col.ServeBatch(time.Now().Add(5*time.Second), func(b []Flow) bool {
+		received += len(b)
+		sawLast = b[len(b)-1].SrcPort == last
+		return !sawLast
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sawLast {
+		t.Fatal("the last flow never arrived")
 	}
 	injected := fc.Stats().CorruptedWrites
 	if injected == 0 {
@@ -348,22 +362,30 @@ func TestUDPCollectorSurvivesDatagramFaults(t *testing.T) {
 		}
 	}
 
-	counts := map[uint16]int{}
-	malformed, err := col.ServeBatch(time.Now().Add(time.Second), func(batch []Flow) bool {
-		for _, f := range batch {
-			counts[f.SrcPort]++
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Mirror the wrapper's schedule: drop wins, then corruption, then
 	// duplication (a duplicated corrupt datagram would be malformed twice).
 	const total = nFlows + 1 // datagram 1 is the template
 	if 1%dropN == 0 || 1%corrupt == 0 {
 		t.Fatal("schedule must leave the template datagram intact")
+	}
+	// The last flow's datagram arrives once and intact: it is the sentinel
+	// that ends the serve, and the deadline only bounds a failure.
+	if total%dropN == 0 || total%corrupt == 0 || total%dupN == 0 {
+		t.Fatal("schedule must leave the last datagram, the sentinel, intact")
+	}
+	last := sampleFlow(nFlows - 1).SrcPort
+	counts := map[uint16]int{}
+	malformed, err := col.ServeBatch(time.Now().Add(5*time.Second), func(batch []Flow) bool {
+		for _, f := range batch {
+			counts[f.SrcPort]++
+		}
+		return counts[last] == 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[last] == 0 {
+		t.Fatal("the last flow never arrived")
 	}
 	wantCounts := map[uint16]int{}
 	wantMalformed := 0

@@ -106,20 +106,6 @@ func (s IntervalSet) Contains(a Addr) bool {
 	return i < len(s.ivs) && s.ivs[i].Lo <= a
 }
 
-// Union returns the set union.
-func (s IntervalSet) Union(t IntervalSet) IntervalSet {
-	if s.IsEmpty() {
-		return t
-	}
-	if t.IsEmpty() {
-		return s
-	}
-	all := make([]Interval, 0, len(s.ivs)+len(t.ivs))
-	all = append(all, s.ivs...)
-	all = append(all, t.ivs...)
-	return NewIntervalSet(all...)
-}
-
 // Subtract returns the addresses in s but not in t.
 func (s IntervalSet) Subtract(t IntervalSet) IntervalSet {
 	if s.IsEmpty() || t.IsEmpty() {

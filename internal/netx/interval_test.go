@@ -13,6 +13,21 @@ func iv(lo, hi string) Interval {
 
 // sameSet reports whether two sets hold the same addresses: their canonical
 // interval lists are equal.
+// Union returns the set union: the algebra the properties below check
+// Subtract against, which no production code needs.
+func (s IntervalSet) Union(t IntervalSet) IntervalSet {
+	if s.IsEmpty() {
+		return t
+	}
+	if t.IsEmpty() {
+		return s
+	}
+	all := make([]Interval, 0, len(s.ivs)+len(t.ivs))
+	all = append(all, s.ivs...)
+	all = append(all, t.ivs...)
+	return NewIntervalSet(all...)
+}
+
 func sameSet(a, b IntervalSet) bool { return slices.Equal(a.Intervals(), b.Intervals()) }
 
 func TestIntervalSetNormalize(t *testing.T) {

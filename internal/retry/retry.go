@@ -1,6 +1,6 @@
 // Package retry provides the capped, jittered exponential backoff shared by
-// every supervised link in the system: the BGP session Reconnector and the
-// cluster worker's coordinator link. Keeping one implementation means one
+// every supervised link in the system: the BGP feed and the cluster
+// worker's coordinator link. Keeping one implementation means one
 // set of properties to test — deterministic schedules under a seed, a hard
 // cap, and jitter that spreads a fleet's re-dials so a recovering peer is
 // not hit in lockstep.

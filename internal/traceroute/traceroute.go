@@ -6,7 +6,10 @@
 package traceroute
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/netx"
@@ -140,4 +143,29 @@ func (rs *RouterSet) Addrs() []netx.Addr {
 		out = append(out, a)
 	}
 	return out
+}
+
+// ReadRouters reads the routers.txt that cmd/ixpgen writes from Addrs: one
+// router interface address per line.
+func ReadRouters(path string) ([]netx.Addr, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var addrs []netx.Addr
+	var line string
+	for {
+		if _, err := fmt.Fscanln(f, &line); err != nil {
+			if err == io.EOF {
+				return addrs, nil
+			}
+			return nil, err
+		}
+		a, err := netx.ParseAddr(line)
+		if err != nil {
+			return nil, err
+		}
+		addrs = append(addrs, a)
+	}
 }

@@ -1,8 +1,12 @@
 package traceroute
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
+	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
 )
 
@@ -93,5 +97,33 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 	if len(a.ExtractRouters().addrs) != len(b.ExtractRouters().addrs) {
 		t.Fatal("router sets differ")
+	}
+}
+
+func writeRouters(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "routers.txt")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestReadRouters(t *testing.T) {
+	path := writeRouters(t, "192.0.2.1\n198.51.100.254\n")
+	addrs, err := ReadRouters(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.254")}
+	if !slices.Equal(addrs, want) {
+		t.Fatalf("routers = %v, want %v", addrs, want)
+	}
+}
+
+func TestReadRoutersRejectsGarbage(t *testing.T) {
+	path := writeRouters(t, "not-an-ip\n")
+	if _, err := ReadRouters(path); err == nil {
+		t.Fatal("garbage router accepted")
 	}
 }

@@ -8,6 +8,7 @@ package spoofscope
 // checkpoints its aggregate state so a crash mid-run resumes exactly.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -115,52 +116,37 @@ func (lr *LiveRuntime) SwapClassifier(c *Classifier) Epoch {
 
 // BGPFeedConfig wires a live route-server session into the runtime.
 type BGPFeedConfig struct {
-	// Addr is the route server to dial.
-	Addr string
-	// Session configures the BGP handshake.
-	Session bgp.SessionConfig
-	// Reconnect tunes supervision (backoff, attempts, context, dialer);
-	// Addr and Session above override the corresponding fields.
-	Reconnect bgp.ReconnectorConfig
+	// FeedConfig names the route server and tunes supervision (backoff,
+	// attempts, dialer).
+	bgp.FeedConfig
 	// MaxEpochs, when > 0, stops the feed after that many promoted
-	// snapshots (tests and finite replays; 0 = run until closed).
+	// snapshots (tests and finite replays; 0 = run until ctx is cancelled).
 	MaxEpochs int
 }
 
 // ServeBGP runs a supervised BGP feed that rebuilds and promotes the
 // classifier on every complete table replay: session flaps mark the runtime
 // degraded, each full replay compiles a fresh pipeline off the hot path and
-// swaps it in. Blocks until the feed stops; run it in its own goroutine
-// alongside Run.
-func (lr *LiveRuntime) ServeBGP(cfg BGPFeedConfig) error {
-	rcfg := cfg.Reconnect
-	rcfg.Addr = cfg.Addr
-	rcfg.Session = cfg.Session
-	if rcfg.Telemetry == nil {
-		rcfg.Telemetry = lr.tel
-	}
+// swaps it in. The feed's metrics and journal events go to the runtime's
+// Telemetry. Blocks until ctx is cancelled or the feed stops; run it in its
+// own goroutine alongside Run.
+func (lr *LiveRuntime) ServeBGP(ctx context.Context, cfg BGPFeedConfig) error {
 	epochs := 0
 	var rebuildErr error
-	feed := bgp.NewFeed(bgp.FeedConfig{
-		Reconnector: rcfg,
-		OnGap:       func(error) { lr.MarkDegraded() },
-		OnSnapshot: func(rib *bgp.RIB) bool {
-			// Off the hot path: classification continues on the old epoch
-			// (possibly marked stale) while the new pipeline compiles.
-			// RebuildAndSwap diffs the snapshot's fingerprint against the
-			// current pipeline and reuses the graph/closure/index layers an
-			// unchanged topology leaves valid, so steady-state replays
-			// promote in a fraction of a cold compile.
-			_, _, err := lr.RebuildAndSwap(rib, lr.members, lr.opts)
-			if err != nil {
-				rebuildErr = fmt.Errorf("spoofscope: rebuilding pipeline: %w", err)
-				return false
-			}
-			epochs++
-			return cfg.MaxEpochs <= 0 || epochs < cfg.MaxEpochs
-		},
-	})
-	err := feed.Run()
+	err := bgp.NewFeed(cfg.FeedConfig, lr.tel).Run(ctx, func(rib *bgp.RIB) bool {
+		// Off the hot path: classification continues on the old epoch
+		// (possibly marked stale) while the new pipeline compiles.
+		// RebuildAndSwap diffs the snapshot's fingerprint against the
+		// current pipeline and reuses the graph/closure/index layers an
+		// unchanged topology leaves valid, so steady-state replays promote
+		// in a fraction of a cold compile.
+		if _, _, err := lr.RebuildAndSwap(rib, lr.members, lr.opts); err != nil {
+			rebuildErr = fmt.Errorf("spoofscope: rebuilding pipeline: %w", err)
+			return false
+		}
+		epochs++
+		return cfg.MaxEpochs <= 0 || epochs < cfg.MaxEpochs
+	}, func(error) { lr.MarkDegraded() })
 	if rebuildErr != nil {
 		return rebuildErr
 	}

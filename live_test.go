@@ -7,16 +7,17 @@ package spoofscope
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/faultnet"
 	"spoofscope/internal/netx"
+	"spoofscope/internal/obs"
 )
 
 // TestKillAndResumeByteIdenticalTallies checkpoints a live run mid-trace,
@@ -152,13 +153,26 @@ func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 		return faultnet.Config{}
 	})
 	defer ln.Close()
-	go serveAnnouncements(ln, anns)
+	// The second accept follows the feed's flap, and so the gap signal
+	// that marked the runtime degraded. Holding that connection's replay —
+	// and so the snapshot and swap — until batch 1 is classified makes the
+	// gap window deterministic.
+	gapSeen := make(chan struct{})
+	holdSwap := make(chan struct{})
+	go serveAnnouncements(ln, anns, func(i int) {
+		if i == 1 {
+			close(gapSeen)
+			<-holdSwap
+		}
+	})
 
+	tel := NewTelemetry()
 	rt, err := NewLiveRuntime(LiveRuntimeConfig{
 		Classifier: sim.Classifier(), // epoch 1: the pre-flap state
 		Members:    sim.Members(),
 		Start:      start, Bucket: time.Hour,
-		Queue: QueueConfig{Capacity: 256, HighWatermark: 192},
+		Queue:     QueueConfig{Capacity: 256, HighWatermark: 192},
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,36 +233,19 @@ func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 	// Batch 0: healthy epoch 1.
 	batch(0, 300)
 
-	// Supervised feed through ServeBGP: the flap marks the runtime degraded
-	// before the chained OnFlap below reports it, and one complete replay then
-	// promotes epoch 2 and clears the marker. The gap window is made
-	// deterministic by holding the second session's establishment — and so
-	// its replay and snapshot — until batch 1 is classified.
-	gapSeen := make(chan struct{})
-	holdSwap := make(chan struct{})
-	var flaps, establishes atomic.Int32
+	// Supervised feed through ServeBGP: the flap marks the runtime degraded,
+	// and one complete replay then promotes epoch 2 and clears the marker.
 	feedDone := make(chan error, 1)
 	go func() {
-		feedDone <- rt.ServeBGP(BGPFeedConfig{
-			Addr: ln.Addr().String(),
-			Session: bgp.SessionConfig{
-				LocalAS: 64999, LocalID: netx.MustParseAddr("198.51.100.2"),
-				HoldTime: 5 * time.Second,
-			},
-			Reconnect: bgp.ReconnectorConfig{
+		feedDone <- rt.ServeBGP(context.Background(), BGPFeedConfig{
+			FeedConfig: bgp.FeedConfig{
+				Addr: ln.Addr().String(),
+				Session: bgp.SessionConfig{
+					LocalAS: 64999, LocalID: netx.MustParseAddr("198.51.100.2"),
+					HoldTime: 5 * time.Second,
+				},
 				InitialBackoff: 10 * time.Millisecond,
 				Seed:           13,
-				OnEstablish: func(*bgp.Session) error {
-					if establishes.Add(1) == 2 {
-						<-holdSwap // keep the gap open until batch 1 is done
-					}
-					return nil
-				},
-				OnFlap: func(error) {
-					if flaps.Add(1) == 1 {
-						close(gapSeen)
-					}
-				},
 			},
 			MaxEpochs: 1, // one rebuilt epoch is enough
 		})
@@ -268,7 +265,11 @@ func liveFeedReplay(t *testing.T, sim *Simulation) liveReplayResult {
 	st := rt.Stats()
 	res.shed = st.Queue.Shed
 	res.queued = st.Queue.Queued
-	res.flaps = int(flaps.Load())
+	for _, e := range tel.Journal.Events() {
+		if e.Kind == obs.EventBGPFlap {
+			res.flaps++
+		}
+	}
 	res.highWat = st.Queue.HighWatermarkObserved
 	return res
 }

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -27,14 +26,16 @@ import (
 
 // serveAnnouncements replays the announcement table to every peer that
 // connects to ln, closing each session with an orderly CEASE after a
-// complete replay.
-func serveAnnouncements(ln net.Listener, anns []bgp.Announcement) {
-	for {
+// complete replay. hold (optional) runs on each connection after the
+// handshake, before the replay, with the connection's accept index: a test
+// that must order its own steps against a replay holds the peer there.
+func serveAnnouncements(ln net.Listener, anns []bgp.Announcement, hold func(i int)) {
+	for i := 0; ; i++ {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		go func(conn net.Conn) {
+		go func(conn net.Conn, i int) {
 			sess, err := bgp.NewSession(conn, bgp.SessionConfig{
 				LocalAS: 65000, LocalID: netx.MustParseAddr("198.51.100.1"),
 				HoldTime: 10 * time.Second,
@@ -43,6 +44,9 @@ func serveAnnouncements(ln net.Listener, anns []bgp.Announcement) {
 				return
 			}
 			defer sess.Close()
+			if hold != nil {
+				hold(i)
+			}
 			for _, a := range anns {
 				if err := sess.Send(&bgp.Update{
 					Attrs: bgp.Attributes{
@@ -54,16 +58,16 @@ func serveAnnouncements(ln net.Listener, anns []bgp.Announcement) {
 					return
 				}
 			}
-		}(conn)
+		}(conn, i)
 	}
 }
 
-// ribViaLiveFeed streams the announcements through a supervised BGP session.
+// ribViaLiveFeed streams the announcements through a supervised BGP feed.
 // serverPlan schedules faults on the route server's accepted connections,
 // dialPlan on the collector's outbound ones (both indexed per connection;
-// nil = clean). It returns the RIB the collector ends up with plus the
+// nil = clean). It returns the first complete snapshot plus the
 // supervision stats.
-func ribViaLiveFeed(t *testing.T, anns []bgp.Announcement, serverPlan, dialPlan func(i int) faultnet.Config) (*bgp.RIB, bgp.ReconnectorStats) {
+func ribViaLiveFeed(t *testing.T, anns []bgp.Announcement, serverPlan, dialPlan func(i int) faultnet.Config) (*bgp.RIB, bgp.FeedStats) {
 	t.Helper()
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -71,11 +75,10 @@ func ribViaLiveFeed(t *testing.T, anns []bgp.Announcement, serverPlan, dialPlan 
 	}
 	ln := faultnet.WrapListener(inner, serverPlan)
 	defer ln.Close()
-	go serveAnnouncements(ln, anns)
+	go serveAnnouncements(ln, anns, nil)
 
-	rib := bgp.NewRIB()
 	dials := 0
-	rec := bgp.NewReconnector(bgp.ReconnectorConfig{
+	feed := bgp.NewFeed(bgp.FeedConfig{
 		Addr: ln.Addr().String(),
 		Session: bgp.SessionConfig{
 			LocalAS: 64999, LocalID: netx.MustParseAddr("198.51.100.2"),
@@ -84,8 +87,8 @@ func ribViaLiveFeed(t *testing.T, anns []bgp.Announcement, serverPlan, dialPlan 
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     100 * time.Millisecond,
 		Seed:           13,
-		Dial: func(addr string) (net.Conn, error) {
-			conn, err := net.Dial("tcp", addr)
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			conn, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
 			if err != nil {
 				return nil, err
 			}
@@ -96,23 +99,12 @@ func ribViaLiveFeed(t *testing.T, anns []bgp.Announcement, serverPlan, dialPlan 
 			}
 			return faultnet.Wrap(conn, dialPlan(i)), nil
 		},
-		OnEstablish: func(*bgp.Session) error {
-			rib = bgp.NewRIB() // the peer replays from scratch
-			return nil
-		},
-	})
-	defer rec.Close()
-	for {
-		u, err := rec.Recv()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Recv: %v", err)
-		}
-		rib.ApplyUpdate(u)
+	}, nil)
+	var rib *bgp.RIB
+	if err := feed.Run(context.Background(), func(r *bgp.RIB) bool { rib = r; return false }, nil); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	return rib, rec.Stats()
+	return rib, feed.Stats()
 }
 
 func classTally(cls *Classifier, flows []Flow) map[Class]int {

@@ -61,23 +61,6 @@ type (
 	Prefix = netx.Prefix
 )
 
-// Live-ingestion health types. The deployment surfaces (bgp.Session /
-// bgp.Reconnector, the IPFIX collectors) expose these counters so an
-// operator can tell a quiet feed from a degraded one: negotiated hold time
-// and message counts per BGP session, flap/retry totals per supervised
-// session, and drop/malformed/disconnect tallies per collector.
-type (
-	// SessionStats snapshots one BGP session's negotiated hold time and
-	// message counters (bgp.Session.Stats).
-	SessionStats = bgp.SessionStats
-	// ReconnectorStats snapshots a supervised BGP session's state and
-	// flap/retry counters (bgp.Reconnector.Stats).
-	ReconnectorStats = bgp.ReconnectorStats
-	// CollectorStats snapshots an IPFIX collector's transport health
-	// (ipfix.TCPCollector.Stats / ipfix.UDPCollector.Stats).
-	CollectorStats = ipfix.CollectorStats
-)
-
 // Classification classes.
 const (
 	ClassValid    = core.ClassValid
