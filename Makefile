@@ -137,7 +137,7 @@ stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
 	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
-	$(GO) test -race -count=20 -run 'Feed' ./internal/bgp
+	$(GO) test -race -count=20 -run 'Feed|Reconnector' ./internal/bgp
 
 # cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
 # mid-feed (internal/cluster chaos suite — the stall and the partition fire

