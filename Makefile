@@ -127,7 +127,10 @@ obs-smoke:
 # does not get through. The shard book's: its own tests and fuzz seeds, the
 # worker's end of the liveness rule, and the cluster scenarios that fire a
 # stall or partition at a chosen point of the feed by moving the cluster's
-# virtual clock, where the link goroutines still race the ticks. The IPFIX
+# virtual clock, where the link goroutines still race the ticks. The
+# worker's: its lock decides whether a report lands before or after a flow
+# frame, so the report tests, the kill and reconnect scenarios and flows
+# held for the first epoch run here too. The IPFIX
 # transports': the stream framing loop that file replays and TCP connections
 # share, the file reader, and the TCP and UDP collectors, whose connection
 # handlers, Shutdown/Close and stats readers race one another. The BGP
@@ -135,7 +138,7 @@ obs-smoke:
 # backoff and the stats and metric readers.
 stress:
 	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
-	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent' ./internal/cluster
+	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|WorkerKill|RepeatedKills|Reconnect|FirstEpoch' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
 	$(GO) test -race -count=20 -run 'Feed|Reconnector' ./internal/bgp
 

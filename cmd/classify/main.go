@@ -20,8 +20,8 @@
 // spill to a private shard only under contention. A reader goroutine pushes
 // each decoded message with backpressure (never shedding), so the final
 // tallies — and any checkpoint written — are identical across worker counts.
-// In cluster mode every shard runtime drains with one worker; -workers does
-// not apply.
+// In cluster mode each worker classifies its shards' flow frames on its
+// link's read loop; -workers does not apply.
 //
 // With -cluster N the run uses the fault-tolerant coordinator/worker
 // runtime in-process: flows shard by ingress member across N workers (each
@@ -92,7 +92,7 @@ func main() {
 		aclFor   = flag.Uint("acl", 0, "print the FULL-cone ingress ACL for this member ASN and exit")
 		ckptPath = flag.String("checkpoint", "", "crash-safe checkpoint file: resume from it if present, snapshot to it periodically")
 		ckptN    = flag.Uint64("checkpoint-every", 100000, "flows between checkpoint snapshots (with -checkpoint)")
-		workersN = flag.Int("workers", 0, "drain workers of a single-process run (0 = 1; cluster workers drain each shard with one)")
+		workersN = flag.Int("workers", 0, "drain workers of a single-process run (0 = 1; not used in cluster mode)")
 		clusterN = flag.Int("cluster", 0, "run the coordinator/worker cluster runtime with this many in-process workers (0 = off)")
 		shardsN  = flag.Int("shards", 0, "ingress-member shards in cluster mode (default 4 per worker)")
 		coordTCP = flag.String("coordinator-addr", "", "also listen on this TCP address for external spoofscope-worker daemons (enables cluster mode)")

@@ -397,11 +397,14 @@ func (b *book) hello(p *peer, body []byte, now time.Time) {
 		// joiner's propagation span measures its own delivery, not the age
 		// of the original distribution.
 		trace := b.nextTrace()
-		if p.out.ctrl(stampEpochFrame(b.epochFull, trace, now.UnixNano())) {
-			// After a bump the cached frame still carries the full epoch's
-			// sequence, and that is what the joiner compiles and classifies with.
-			p.epochSeq = binary.BigEndian.Uint64(b.epochFull[1:])
+		if !p.out.ctrl(stampEpochFrame(b.epochFull, trace, now.UnixNano())) {
+			// The joiner would be sent flows it has no epoch for.
+			b.lose(p, "control queue full at hello", now)
+			return
 		}
+		// After a bump the cached frame still carries the full epoch's
+		// sequence, and that is what the joiner compiles and classifies with.
+		p.epochSeq = binary.BigEndian.Uint64(b.epochFull[1:])
 		b.tel.Recordf(obs.EventSpanEpoch,
 			"trace %016x epoch stage=ship (replay to joiner %s)", trace, p.label())
 	}
@@ -659,10 +662,14 @@ func (b *book) revoke(s *shard) {
 // flushToOwner frames the flows [sentCursor, cursor) to the owner's data
 // plane in batches, each built behind its length prefix in a buffer the
 // writer handed back. A full plane leaves the suffix buffered for the next
-// flush; a plane that stays full is the liveness rule's business.
+// flush; a plane that stays full is the liveness rule's business. Until a
+// full epoch exists the flows stay in the replay buffer: a worker has
+// nothing to classify them under, and refuses them. Every owner has been
+// sent the full epoch on its control plane, which the writer empties ahead
+// of the data plane, so it reads the epoch before any flow.
 func (b *book) flushToOwner(s *shard) {
 	p := s.owner
-	if p == nil {
+	if p == nil || b.epochFull == nil {
 		return
 	}
 	for s.sentCursor < s.cursor {

@@ -50,6 +50,8 @@ type modelWorker struct {
 	id   string
 	held map[uint32]*modelShard
 	dead bool // the book dropped it; its connection is closed
+	// routed: a full epoch has been read, so flows can be classified.
+	routed bool
 }
 
 type modelShard struct {
@@ -106,6 +108,14 @@ func (r *bookRig) hello(w *modelWorker, id string, signed bool) {
 	r.apply()
 }
 
+// epoch distributes the test routing table in full: until then the book
+// holds every shard's flows.
+func (r *bookRig) epoch() {
+	rib := testRIB()
+	r.b.epoch(rib.Announcements(), rib.Fingerprint(), r.now)
+	r.apply()
+}
+
 func (r *bookRig) heartbeat(w *modelWorker) {
 	r.b.frame(w.p, heartbeatFrame[frameHeadLen:], r.now)
 	r.apply()
@@ -152,6 +162,12 @@ func (r *bookRig) deliver(w *modelWorker) {
 		w.out.written++
 		body := frame[frameHeadLen:]
 		switch body[0] {
+		case msgEpoch:
+			m, err := decodeEpoch(body)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			w.routed = w.routed || m.full
 		case msgAssign:
 			m, err := decodeAssign(body)
 			if err != nil {
@@ -178,6 +194,8 @@ func (r *bookRig) deliver(w *modelWorker) {
 			switch {
 			case ms == nil:
 				r.t.Fatalf("flows for shard %d, which %s does not hold", m.shard, w.id)
+			case !w.routed:
+				r.t.Fatalf("flows for shard %d before %s read a full epoch", m.shard, w.id)
 			case ms.revoked:
 				r.t.Fatalf("flows for shard %d after its revoke", m.shard)
 			case ms.cursor != m.base:
@@ -320,6 +338,7 @@ func TestBookHandoffReplaysExactlyTheUnreported(t *testing.T) {
 	r := newBookRig(t, 1, 4)
 	a, b := r.connect(0), r.connect(0)
 	r.hello(a, "node-a", true)
+	r.epoch()
 	r.deliver(a)
 	r.b.ingest(testFlows(10))
 	r.deliver(a)
@@ -355,6 +374,7 @@ func TestBookRefusesInconsistentReports(t *testing.T) {
 		r := newBookRig(t, 1, 2)
 		w := r.connect(0)
 		r.hello(w, "node-1", true)
+		r.epoch()
 		r.deliver(w)
 		r.b.ingest(testFlows(4))
 		r.deliver(w)
@@ -376,16 +396,18 @@ func TestBookRefusesInconsistentReports(t *testing.T) {
 // disagrees with its checkpoint header, flowsRouted == Σ cursor, and every
 // frame a worker reads in order.
 func FuzzShardBook(f *testing.F) {
-	// Ops are a kind (low nibble) and an argument (high nibble).
-	f.Add([]byte{0x00, 0x01, 0x00, 0x11, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x03, 0x13,
+	// Ops are a kind (low nibble) and an argument (high nibble). Each seed
+	// distributes an epoch before its first flows: the book ships no flow
+	// before one.
+	f.Add([]byte{0x08, 0x00, 0x01, 0x00, 0x11, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x03, 0x13,
 		0x05, 0x15, 0x25, 0x04, 0x0A, 0x03, 0x13, 0x05, 0x15, 0x0B}) // two workers, reports
-	f.Add([]byte{0x00, 0x01, 0x12, 0x12, 0x12, 0x03, 0x05, 0x00, 0x11, 0x03, 0x13,
+	f.Add([]byte{0x08, 0x00, 0x01, 0x12, 0x12, 0x12, 0x03, 0x05, 0x00, 0x11, 0x03, 0x13,
 		0x07, 0x13, 0x15, 0x04, 0x04, 0x04, 0x0B}) // a late joiner, then a death
-	f.Add([]byte{0x00, 0x01, 0x00, 0x31, 0x12, 0x12, 0x03, 0x06, 0x04, 0x04, 0x04,
+	f.Add([]byte{0x08, 0x00, 0x01, 0x00, 0x31, 0x12, 0x12, 0x03, 0x06, 0x04, 0x04, 0x04,
 		0x09, 0x08, 0x0B}) // an identity clash, a skewed report, silence
-	f.Add([]byte{0x10, 0x01, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12,
+	f.Add([]byte{0x10, 0x01, 0x03, 0x08, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12, 0x12,
 		0x12, 0x12, 0x04, 0x04, 0x04, 0x03, 0x0B}) // a queue of four that fills
-	f.Add([]byte{0x00, 0x01, 0x00, 0x11, 0xF2, 0x72, 0x02, 0xF2, 0x03, 0x13, 0x05, 0x15,
+	f.Add([]byte{0x08, 0x00, 0x01, 0x00, 0x11, 0xF2, 0x72, 0x02, 0xF2, 0x03, 0x13, 0x05, 0x15,
 		0x25, 0x07, 0xF2, 0x03, 0x0A, 0x03, 0x05, 0x0B}) // whole messages, an empty one, a death
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r := newBookRig(t, 3, 2)
@@ -472,6 +494,7 @@ func TestLedgerIsTheBook(t *testing.T) {
 	r := newBookRig(t, 3, 2)
 	w := r.connect(0)
 	r.hello(w, "node-1", true)
+	r.epoch()
 	r.deliver(w)
 	r.b.ingest(testFlows(20))
 	r.deliver(w)

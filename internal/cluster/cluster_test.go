@@ -728,6 +728,9 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 			Shards: 1, Members: testMembers, Start: tcStart, Bucket: time.Hour,
 			FlowBatch: 512, Compress: compress,
 		})
+		if _, err := c.DistributeEpoch(testRIB()); err != nil { // flows ship once an epoch exists
+			t.Fatal(err)
+		}
 		sink := &sinkConn{}
 		l := newLink(sink)
 		l.peer = &peer{out: l, joined: true}
@@ -825,6 +828,43 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("cluster checkpoint differs from single-process run (%d vs %d bytes)", len(got), len(want))
 	}
 	tc.assertCursorInvariant(len(flows))
+}
+
+// TestFlowsBeforeTheFirstEpoch: flows ingested before any routing epoch
+// stay in the coordinator's replay buffers, because a worker has nothing to
+// classify them under, and ship once an epoch is distributed. More flows
+// than a shard queue ever held arrive first; the worker keeps its link
+// throughout, and the merged checkpoint is the single-process run's.
+func TestFlowsBeforeTheFirstEpoch(t *testing.T) {
+	flows := testFlows(12000)
+	want := singleProcessCheckpoint(t, flows)
+
+	tc := newVirtualCluster(t, 2)
+	tc.startWorker(0)
+	awaitOwners(t, tc.coord, "w0")
+	const early = 10000
+	tc.coord.Ingest(flows[:early]...)
+	ticks := 0
+	tc.elapse("three ticks without an epoch", func() bool { ticks++; return ticks > 3 }, 0)
+	for _, row := range tc.coord.FleetStatus().Shards {
+		if row.SentCursor != 0 {
+			t.Fatalf("shard %d shipped %d flows before any epoch", row.ID, row.SentCursor)
+		}
+	}
+	tc.distribute(testRIB())
+	tc.coord.Ingest(flows[early:]...)
+	if got := tc.checkpointBytes(); !bytes.Equal(got, want) {
+		t.Fatal("checkpoint diverged with flows ingested before the first epoch")
+	}
+	tc.assertCursorInvariant(len(flows))
+	for _, e := range tc.tel.Journal.Events() {
+		if e.Kind == obs.EventWorkerReconnect {
+			t.Fatalf("the worker lost its link: %s", e.Msg)
+		}
+	}
+	if st := tc.coord.Stats(); st.Handoffs != 0 {
+		t.Fatalf("%d handoffs; the one worker should have kept every shard", st.Handoffs)
+	}
 }
 
 // TestClusterResumeFromCheckpoint: a cluster run constructed with a prior

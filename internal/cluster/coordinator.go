@@ -146,10 +146,12 @@ type link struct {
 	conn net.Conn
 	peer *peer // the connection in the book (set before the loops start)
 	// The two planes of wire-ready frames (see outbox); the writer drains
-	// ctrlQ first, so control frames may overtake flow frames — every
-	// control message is either flow-order-independent (heartbeat, report
-	// request) or ordered only against other control frames (epoch before
-	// assign), which FIFO within ctrlQ preserves.
+	// ctrlQ first, so control frames may overtake flow frames but never
+	// fall behind one queued after them — a shard's flows depend on the
+	// epoch and the assign queued before them. Every control message is
+	// either flow-order-independent (heartbeat, report request) or ordered
+	// only against other control frames (epoch before assign), which FIFO
+	// within ctrlQ preserves.
 	ctrlQ, dataQ chan []byte
 	// free is where the writer hands flow-frame buffers back once they are
 	// on the wire. Frames of one link are one size (the flow batch), so a
@@ -448,7 +450,7 @@ func (c *Coordinator) instrument(tel *obs.Telemetry) {
 // coordinator shuts down. Transient accept failures (including injected
 // ones — the loop is faultnet-Listener compatible) are counted, journaled,
 // and retried with capped backoff; only a closed listener or coordinator
-// ends the loop.
+// ends the loop, a backoff wait included.
 func (c *Coordinator) Serve(ln net.Listener) error {
 	bo := retry.New(10*time.Millisecond, time.Second, 0, 0)
 	fails := 0
@@ -468,7 +470,11 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 			fails++
 			c.cfg.Telemetry.Recordf(obs.EventAcceptError,
 				"accept failed (attempt %d): %v", fails, err)
-			time.Sleep(bo.Next(fails))
+			select {
+			case <-time.After(bo.Next(fails)):
+			case <-c.stop:
+				return nil
+			}
 			continue
 		}
 		fails = 0
@@ -527,24 +533,30 @@ func (l *link) writeLoop(failed func(error)) {
 		l.written.Add(1)
 		return true
 	}
+	// writeCtrl writes every control frame queued so far.
+	writeCtrl := func() bool {
+		for {
+			select {
+			case frame := <-l.ctrlQ:
+				if !write(frame) {
+					return false
+				}
+			default:
+				return true
+			}
+		}
+	}
 	for {
 		select {
 		case frame := <-l.ctrlQ:
 			if !write(frame) {
 				return
 			}
-			continue
-		case <-l.dead:
-			return
-		default:
-		}
-		select {
-		case frame := <-l.ctrlQ:
-			if !write(frame) {
-				return
-			}
 		case frame := <-l.dataQ:
-			if !write(frame) {
+			// select picks at random among ready planes: the control
+			// frames queued by now, the ones this frame may depend on among
+			// them, still go first.
+			if !writeCtrl() || !write(frame) {
 				return
 			}
 		case <-l.dead:

@@ -27,8 +27,9 @@ import (
 
 // startWorkerDaemon runs the spoofscope-worker shape: a TCP worker with its
 // own Telemetry, publishing its own health, served on its own address (the
-// daemon's -metrics-addr). It returns that endpoint's base URL.
-func startWorkerDaemon(t *testing.T, name, addr string, secret []byte) string {
+// daemon's -metrics-addr). It returns that endpoint's base URL and the
+// daemon's Telemetry, whose journal no endpoint serves.
+func startWorkerDaemon(t *testing.T, name, addr string, secret []byte) (string, *obs.Telemetry) {
 	t.Helper()
 	tel := obs.NewTelemetry()
 	startTCPWorker(t, addr, wallClock{}, WorkerConfig{Name: name, Secret: secret, Telemetry: tel, PublishHealth: true})
@@ -37,7 +38,7 @@ func startWorkerDaemon(t *testing.T, name, addr string, secret []byte) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv.URL()
+	return srv.URL(), tel
 }
 
 // getJSON fetches url, decodes its JSON body into v, and returns the HTTP
@@ -62,8 +63,10 @@ func getJSON(t *testing.T, url string, v any) int {
 // each daemon's /healthz must report ready; summing the per-class counters
 // scraped from the two daemons' own /metrics — how a Prometheus deployment
 // reads a fleet — must give exactly the merged checkpoint's tallies; each
-// daemon's compile-stage epoch-propagation histogram must be populated; and
-// the checkpoint must stay byte-identical to the single-process run.
+// daemon's compile-stage epoch-propagation histogram must be populated, and
+// each full epoch a daemon classified under must have closed its
+// first-verdict stage exactly once; and the checkpoint must stay
+// byte-identical to the single-process run.
 func TestFleetStatusMatchesLedger(t *testing.T) {
 	flows := testFlows(2000)
 	secret := []byte("fleet-status-secret")
@@ -96,9 +99,11 @@ func TestFleetStatusMatchesLedger(t *testing.T) {
 	}
 	t.Cleanup(func() { csrv.Close() })
 
-	daemons := []string{
-		startWorkerDaemon(t, "w0", ln.Addr().String(), secret),
-		startWorkerDaemon(t, "w1", ln.Addr().String(), secret),
+	var daemons []string
+	var daemonTels []*obs.Telemetry
+	for _, name := range []string{"w0", "w1"} {
+		url, tel := startWorkerDaemon(t, name, ln.Addr().String(), secret)
+		daemons, daemonTels = append(daemons, url), append(daemonTels, tel)
 	}
 	await(t, "both worker daemons joined", func() bool { return joinCount(ctel) >= 2 })
 
@@ -182,20 +187,61 @@ func TestFleetStatusMatchesLedger(t *testing.T) {
 	})
 
 	// Each daemon's own registry holds its epoch-propagation compile stage.
-	for _, url := range daemons {
+	// A full epoch's first classified frame closes its first-verdict stage:
+	// one journal event under the trace its compile stage journaled, and one
+	// sample. A daemon whose link drops compiles the epoch again, under a new
+	// trace, when it rejoins; each compile closes at most once.
+	classifiers := 0
+	for i, url := range daemons {
 		var fams []obs.JSONFamily
 		getJSON(t, url+"/metrics?format=json", &fams)
-		compiled := uint64(0)
+		stages := make(map[string]uint64)
+		classified := uint64(0)
 		for _, f := range fams {
 			for _, s := range f.Samples {
-				if f.Name == MetricEpochPropagation && s.Labels["stage"] == "compile" {
-					compiled += s.Histogram.Count
+				switch f.Name {
+				case MetricEpochPropagation:
+					stages[s.Labels["stage"]] += s.Histogram.Count
+				case MetricWorkerClassFlows:
+					classified += uint64(*s.Value)
 				}
 			}
 		}
-		if compiled == 0 {
+		if stages["compile"] == 0 {
 			t.Fatalf("%s: compile-stage epoch propagation histogram empty", url)
 		}
+		compiled := make(map[string]bool)
+		verdicts := make(map[string]int)
+		events, _ := daemonTels[i].Journal.EventsSince(0, obs.EventSpanEpoch)
+		for _, e := range events {
+			switch m := epochSpanRE.FindStringSubmatch(e.Msg); {
+			case m == nil:
+			case m[2] == "compile":
+				compiled[m[1]] = true
+			case !compiled[m[1]]:
+				t.Fatalf("%s: first verdict under trace %s, which compiled nothing", url, m[1])
+			default:
+				verdicts[m[1]]++
+			}
+		}
+		for trace, n := range verdicts {
+			if n != 1 {
+				t.Fatalf("%s: %d first verdicts under trace %s", url, n, trace)
+			}
+		}
+		if stages["first-verdict"] != uint64(len(verdicts)) {
+			t.Fatalf("%s: %d first-verdict samples for %d journaled first verdicts",
+				url, stages["first-verdict"], len(verdicts))
+		}
+		if classified > 0 {
+			classifiers++
+			if len(verdicts) == 0 {
+				t.Fatalf("%s classified %d flows and closed no first-verdict stage", url, classified)
+			}
+		}
+	}
+	if classifiers == 0 {
+		t.Fatal("no daemon classified a flow")
 	}
 
 	var buf bytes.Buffer
@@ -206,6 +252,8 @@ func TestFleetStatusMatchesLedger(t *testing.T) {
 		t.Fatal("checkpoint diverged from the single-process run")
 	}
 }
+
+var epochSpanRE = regexp.MustCompile(`^trace ([0-9a-f]{16}) epoch \d+ stage=(compile|first-verdict)`)
 
 var spanRE = regexp.MustCompile(`^trace ([0-9a-f]{16}) shard (\d+) stage=(\w+)`)
 

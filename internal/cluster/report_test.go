@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"net"
 	"strings"
@@ -16,71 +15,6 @@ import (
 // then checkpoint then seal, from a message that already has both.
 func encodeReport(m reportMsg) []byte {
 	return sealReport(append(beginReport(nil, m), m.checkpoint...), m.cursor)
-}
-
-// TestReportClaimsTheSnapshotsPosition parks a flow frame on the worker's
-// read loop between the moment it is counted into the shard's cursor and the
-// moment it is queued on the shard's runtime, and takes a report right there.
-// The runtime is quiescent at the flows queued before; the report must claim
-// that position, the one its checkpoint carries, not the read loop's count. A
-// report that claimed the count (the worker used to double-read it around the
-// snapshot) would be merged a frame short, with nothing left to ask for.
-func TestReportClaimsTheSnapshotsPosition(t *testing.T) {
-	const batch = 100
-	flows := testFlows(3 * batch)
-	want := singleProcessCheckpoint(t, flows)
-
-	tc := newTestClusterWith(t, 1, func(c *Config) { c.FlowBatch = batch })
-	var worker *Worker
-	var frames atomic.Int32
-	parked := make(chan []byte, 1)
-	tc.tuneWorker = func(w *Worker) {
-		worker = w
-		w.enqueueHook = func(shard uint32) {
-			if frames.Add(1) != 3 {
-				return
-			}
-			bufs := make(chan []byte, 1)
-			bufs <- nil
-			w.report(context.Background(), reportMsg{shard: shard}, bufs, func(frame []byte) bool {
-				parked <- bytes.Clone(frame)
-				return true
-			})
-		}
-	}
-	tc.startWorker(0)
-	tc.distribute(testRIB())
-	await(tc.t, "worker compiled the epoch", func() bool { return worker.health().Ready })
-	for _, f := range flows {
-		tc.coord.Ingest(f)
-	}
-
-	var frame []byte
-	select {
-	case frame = <-parked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no report came out of the parked frame")
-	}
-	m, err := decodeReport(frameBody(t, frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := core.CheckpointHeader(m.checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.cursor != head.Processed {
-		t.Fatalf("report claims cursor %d, its checkpoint incorporates %d flows", m.cursor, head.Processed)
-	}
-	if m.cursor != 2*batch {
-		t.Fatalf("report taken with the third frame parked claims %d flows, want the %d queued before it", m.cursor, 2*batch)
-	}
-
-	// The parked frame was late, not lost: the merged checkpoint is whole.
-	if got := tc.checkpointBytes(); !bytes.Equal(got, want) {
-		t.Fatal("merged checkpoint differs from the single-process run")
-	}
-	tc.assertCursorInvariant(len(flows))
 }
 
 // handPlayedWorker joins one worker played by hand to a two-shard coordinator
@@ -119,6 +53,10 @@ func handPlayedWorker(t *testing.T) (*Coordinator, net.Conn, [2]uint64) {
 			}
 		}
 	}()
+	// Flows ship only once a full epoch exists; the reader skips its frame.
+	if _, err := coord.DistributeEpoch(testRIB()); err != nil {
+		t.Fatal(err)
+	}
 	flows := testFlows(400)
 	var routed [2]uint64
 	for _, f := range flows {

@@ -472,8 +472,8 @@ func (d *flowDeflater) appendFlowsZ(b []byte, m flowsMsg) []byte {
 // flowScratch is decode storage a read loop owns and lends to every flow
 // frame: the decoded flows — and, for a compressed frame, the inflated bytes —
 // land in it, so the returned message is valid only until the next decode.
-// The shard runtime copies flows into its ring on ingest, which is all the
-// lifetime the worker needs. The zero value is ready to use.
+// The worker classifies and aggregates a frame's flows before it reads the
+// next, which is all the lifetime it needs. The zero value is ready to use.
 type flowScratch struct {
 	flows []ipfix.Flow
 	raw   bytes.Buffer

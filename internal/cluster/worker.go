@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -54,18 +55,19 @@ type WorkerConfig struct {
 	PublishHealth bool
 }
 
-// workerShard is one owned shard: a full single-process runtime draining
-// its slice of the traffic.
+// workerShard is one owned shard: the aggregate of its stream and the stream
+// position that aggregate incorporates. Both change only under Worker.mu, in
+// the one critical section that classifies a flow frame, so a report that
+// encodes the aggregate and claims the cursor states one instant.
 type workerShard struct {
 	id     uint32
-	rt     *core.Runtime
-	cursor uint64 // absolute shard-stream position received so far (under Worker.mu)
-	drain  chan struct{}
+	agg    *core.Aggregator
+	cursor uint64 // absolute shard-stream position aggregated so far
 
 	// reportedAt is the stream position of the last report sent for this
 	// shard on this session (noReport before the first), so a request that
 	// finds the shard still there answers nothing instead of encoding the
-	// same state again (under Worker.mu).
+	// same state again.
 	reportedAt uint64
 }
 
@@ -80,7 +82,7 @@ const noReport = ^uint64(0)
 // not survive, or a handoff could double-count) and redials.
 type Worker struct {
 	cfg      WorkerConfig
-	clock    clock         // times liveness, the report give-up and the propagation spans
+	clock    clock         // times liveness and the propagation spans
 	deadline time.Duration // heartbeat interval × misses: the liveness budget
 	backoff  *retry.Backoff
 	lmu      sync.Mutex // guards link: the read loop stamps it heard, the tick judges it
@@ -90,6 +92,13 @@ type Worker struct {
 	shards   map[uint32]*workerShard
 	pipeline *core.Pipeline
 	epochSeq uint64
+	// verdicts is the verdict buffer every flow frame classifies into; the
+	// read loop is its only user.
+	verdicts []core.Verdict
+	// verdictSpan is the full epoch whose ship → first-verdict stage is
+	// still open: set when the epoch compiles, closed by the first flow
+	// frame classified under it (nil without one).
+	verdictSpan *epochSpan
 
 	reconnects uint64
 	giveUps    uint64
@@ -100,11 +109,13 @@ type Worker struct {
 	// when Telemetry is set.
 	epochCompile *obs.Histogram
 	epochVerdict *obs.Histogram
+}
 
-	// enqueueHook, set by tests only, runs on the read loop between a flow
-	// frame being counted into its shard's cursor and being queued on the
-	// shard's runtime — the window a report must not misread.
-	enqueueHook func(shard uint32)
+// epochSpan identifies one epoch-propagation span: the epoch, the trace its
+// frame carried and the coordinator's ship time.
+type epochSpan struct {
+	trace, seq uint64
+	ship       time.Time
 }
 
 // NewWorker validates the configuration and registers telemetry.
@@ -163,10 +174,10 @@ func (w *Worker) instrument(tel *obs.Telemetry) {
 		"Terminal exits: the redial budget was exhausted.",
 		locked(func() uint64 { return w.giveUps }), name)
 	m.CounterFunc("spoofscope_cluster_worker_reports_total",
-		"Quiescent shard checkpoints sent to the coordinator.",
+		"Shard checkpoints sent to the coordinator.",
 		locked(func() uint64 { return w.reports }), name)
 	m.CounterFunc("spoofscope_cluster_worker_flows_total",
-		"Flows ingested into local shard runtimes.",
+		"Flows classified and aggregated into local shards.",
 		locked(func() uint64 { return w.flowsIn }), name)
 	m.GaugeFunc("spoofscope_cluster_worker_shards",
 		"Shards currently owned.",
@@ -178,7 +189,7 @@ func (w *Worker) instrument(tel *obs.Telemetry) {
 			locked(func() uint64 {
 				var total uint64
 				for _, s := range w.shards {
-					total += s.rt.ClassTotals()[class].Flows
+					total += s.agg.Total[class].Flows
 				}
 				return total
 			}), name, obs.Label{Name: "class", Value: class.String()})
@@ -297,8 +308,9 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		}
 	})
 
-	// The reporter serializes quiescent checkpoint reports off the read
-	// loop, so a slow drain never starves heartbeat reads.
+	// The reporter encodes and sends shard reports off the read loop, so a
+	// report waiting for the writer to hand the buffer back never holds up
+	// the frames behind it.
 	reportc := make(chan reportMsg, 64) // requests: cursor and checkpoint unset
 	go func() {
 		for {
@@ -312,8 +324,9 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	}()
 
 	// Every frame is consumed before the next is read — decoders copy what
-	// they keep, and the shard runtime copies flows into its ring — so the
-	// loop reads into one frame buffer and decodes flows into one scratch.
+	// they keep, and a flow frame is classified and aggregated before
+	// applyFlows returns — so the loop reads into one frame buffer and
+	// decodes flows into one scratch.
 	var body []byte
 	var flows flowScratch
 	for {
@@ -352,7 +365,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := w.applyEpoch(sctx, m); err != nil {
+			if err := w.applyEpoch(m); err != nil {
 				return err
 			}
 		case msgAssign:
@@ -360,7 +373,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := w.applyAssign(sctx, m); err != nil {
+			if err := w.applyAssign(m); err != nil {
 				return err
 			}
 		case msgFlows, msgFlowsZ:
@@ -404,8 +417,8 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 // applyEpoch compiles a distributed routing snapshot. A bump (no payload)
 // just advances the sequence; a full epoch rebuilds the RIB and recompiles
 // the pipeline, reusing layers the previous pipeline's fingerprint still
-// covers, then swaps it into every owned shard runtime.
-func (w *Worker) applyEpoch(sctx context.Context, m epochMsg) error {
+// covers. Every flow frame read after it classifies under the new pipeline.
+func (w *Worker) applyEpoch(m epochMsg) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.epochSeq = m.seq
@@ -421,82 +434,41 @@ func (w *Worker) applyEpoch(sctx context.Context, m epochMsg) error {
 		return fmt.Errorf("cluster: compiling epoch %d: %w", m.seq, err)
 	}
 	w.pipeline = p
-	for _, s := range w.shards {
-		s.rt.Swap(p)
-	}
 	w.cfg.Telemetry.Recordf(obs.EventClusterEpoch,
 		"%s compiled epoch %d (%d announcements)", w.label(), m.seq, len(m.anns))
 	// Epoch-propagation span: the frame carries the coordinator's ship
 	// time, so the compile stage is ship → pipeline promoted (assumes
 	// same-host or synchronized clocks; skew shows up as outliers, not
-	// corruption). The first-verdict stage completes asynchronously when
-	// a shard classifies its first flow under the new pipeline.
+	// corruption). The first-verdict stage closes in applyFlows, on the
+	// first frame classified under the new pipeline.
 	if m.shipNanos > 0 && w.epochCompile != nil {
-		ship := time.Unix(0, m.shipNanos)
-		if d := w.clock.now().Sub(ship); d >= 0 {
-			w.epochCompile.Observe(d.Seconds())
-		}
+		span := &epochSpan{trace: m.trace, seq: m.seq, ship: time.Unix(0, m.shipNanos)}
+		w.observeSpan(w.epochCompile, span)
 		w.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
 			"trace %016x epoch %d stage=compile worker=%s (%d announcements)",
 			m.trace, m.seq, w.label(), len(m.anns))
-		var baseline uint64
-		for _, s := range w.shards {
-			for _, c := range s.rt.ClassTotals() {
-				baseline += c.Flows
-			}
-		}
-		go w.watchFirstVerdict(sctx, m.trace, m.seq, ship, baseline)
+		w.verdictSpan = span
 	}
 	return nil
 }
 
-// watchFirstVerdict polls until some shard's classified-flow total moves
-// past the count at epoch promotion — the first verdict rendered under the
-// new pipeline — then observes the ship→first-verdict stage and exits. A
-// newer epoch or session loss abandons the watch.
-func (w *Worker) watchFirstVerdict(sctx context.Context, trace, seq uint64, ship time.Time, baseline uint64) {
-	t := time.NewTicker(5 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-		case <-sctx.Done():
-			return
-		}
-		w.mu.Lock()
-		if w.epochSeq != seq {
-			w.mu.Unlock()
-			return
-		}
-		var total uint64
-		for _, s := range w.shards {
-			for _, c := range s.rt.ClassTotals() {
-				total += c.Flows
-			}
-		}
-		w.mu.Unlock()
-		if total > baseline {
-			if d := w.clock.now().Sub(ship); d >= 0 && w.epochVerdict != nil {
-				w.epochVerdict.Observe(d.Seconds())
-			}
-			w.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
-				"trace %016x epoch %d stage=first-verdict worker=%s", trace, seq, w.label())
-			return
-		}
+// observeSpan records the time from span's ship to now in h.
+func (w *Worker) observeSpan(h *obs.Histogram, span *epochSpan) {
+	if d := w.clock.now().Sub(span.ship); d >= 0 {
+		h.Observe(d.Seconds())
 	}
 }
 
-func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
+func (w *Worker) applyAssign(m assignMsg) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.shards[m.shard]; ok {
 		return fmt.Errorf("cluster: shard %d assigned twice", m.shard)
 	}
-	rcfg := core.RuntimeConfig{
-		Pipeline: w.pipeline,
-		Start:    time.Unix(0, m.startNanos).UTC(),
-		Bucket:   time.Duration(m.bucket),
+	if m.bucket <= 0 {
+		return fmt.Errorf("cluster: shard %d assigned with series bucket %d", m.shard, m.bucket)
 	}
+	agg := core.NewAggregator(time.Unix(0, m.startNanos).UTC(), time.Duration(m.bucket))
 	if len(m.checkpoint) > 0 {
 		cp, err := core.DecodeCheckpointBytes(m.checkpoint)
 		if err != nil {
@@ -506,23 +478,11 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 			return fmt.Errorf("cluster: shard %d cursor %d disagrees with checkpoint %d",
 				m.shard, m.cursor, cp.Processed)
 		}
-		rcfg.Resume = cp
+		agg = cp.Agg
 	} else if m.cursor != 0 {
 		return fmt.Errorf("cluster: shard %d fresh assign at nonzero cursor %d", m.shard, m.cursor)
 	}
-	rt, err := core.NewRuntime(rcfg)
-	if err != nil {
-		return fmt.Errorf("cluster: shard %d runtime: %w", m.shard, err)
-	}
-	s := &workerShard{id: m.shard, rt: rt, cursor: m.cursor, drain: make(chan struct{}), reportedAt: noReport}
-	w.shards[m.shard] = s
-	// One drain goroutine per shard runtime: shards outnumber workers, so
-	// the shard is already the unit of parallelism, and a sole drain worker
-	// aggregates every batch in place without a private spill shard.
-	go func() {
-		defer close(s.drain)
-		s.rt.Run(sctx, nil)
-	}()
+	w.shards[m.shard] = &workerShard{id: m.shard, agg: agg, cursor: m.cursor, reportedAt: noReport}
 	if tel := w.cfg.Telemetry; tel != nil {
 		shard := m.shard
 		tel.Metrics.GaugeFunc(MetricWorkerShardCursor,
@@ -541,109 +501,88 @@ func (w *Worker) applyAssign(sctx context.Context, m assignMsg) error {
 	return nil
 }
 
+// applyFlows classifies one flow frame under the current pipeline, folds it
+// into its shard's aggregate and advances the shard's cursor, all in one
+// critical section. The coordinator ships flows only once a full epoch
+// exists, and ships that epoch ahead of them, so a frame with no pipeline to
+// classify under is a protocol violation.
 func (w *Worker) applyFlows(m flowsMsg) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	s, ok := w.shards[m.shard]
-	if !ok {
-		w.mu.Unlock()
+	switch {
+	case !ok:
 		return fmt.Errorf("cluster: flows for unowned shard %d", m.shard)
-	}
-	if s.cursor != m.base {
-		w.mu.Unlock()
+	case w.pipeline == nil:
+		return fmt.Errorf("cluster: flows for shard %d before any routing epoch", m.shard)
+	case s.cursor != m.base:
 		return fmt.Errorf("cluster: shard %d stream position %d, batch base %d",
 			m.shard, s.cursor, m.base)
 	}
+	w.verdicts = slices.Grow(w.verdicts[:0], len(m.flows))[:len(m.flows)]
+	w.pipeline.ClassifyBatch(m.flows, w.verdicts)
+	s.agg.AddBatch(m.flows, w.verdicts)
 	s.cursor += uint64(len(m.flows))
 	w.flowsIn += uint64(len(m.flows))
-	w.mu.Unlock()
-	if w.enqueueHook != nil {
-		w.enqueueHook(m.shard)
-	}
-	// IngestBatchWait applies backpressure outside the lock: a full queue
-	// slows the link read loop, which slows the coordinator — never drops.
-	// The whole frame queues in one call (one consumer wake per frame).
-	if !s.rt.IngestBatchWait(m.flows) {
-		return fmt.Errorf("cluster: shard %d runtime closed mid-ingest", m.shard)
+	if span := w.verdictSpan; span != nil {
+		w.verdictSpan = nil
+		w.observeSpan(w.epochVerdict, span)
+		w.cfg.Telemetry.Recordf(obs.EventSpanEpoch,
+			"trace %016x epoch %d stage=first-verdict worker=%s", span.trace, span.seq, w.label())
 	}
 	return nil
 }
 
-// report sends a quiescent checkpoint for one shard, retrying until the
-// drain catches up. Non-final reports give up quietly after a bounded wait
-// (the coordinator re-asks); a final report — the revoke drain — keeps
-// trying until the session dies, because the coordinator has stopped the
-// shard's stream and is waiting on it.
-//
-// The position a report claims is the snapshot's own Processed count, read
-// under the runtime's lock together with the state it encodes. The shard
-// runtime is fed only by this shard's stream, never sheds and is resumed at
-// Processed == cursor, so Processed is the stream position the aggregate
-// incorporates. The read loop's count of frames received (workerShard.cursor)
-// runs ahead of it while a frame is between the socket and the queue, and a
-// report that claimed that count would ship a checkpoint short of it.
+// report sends one shard's checkpoint, unless the request is not final and
+// the shard is still where this session's last report left it. The
+// checkpoint and the position it claims are read under w.mu, which every
+// flow frame holds from classification to the cursor's advance, so the
+// report's cursor is exactly the stream prefix its aggregate incorporates.
+// A final report — the revoke drain — also gives the shard up.
 //
 // The checkpoint is encoded straight into the session's report buffer,
 // behind the frame head: the bytes are written once, where they ship from.
 func (w *Worker) report(sctx context.Context, req reportMsg, bufs chan []byte, send func([]byte) bool) {
-	w.mu.Lock()
-	s, ok := w.shards[req.shard]
-	reportedAt := noReport
-	if ok {
-		reportedAt = s.reportedAt
-	}
-	w.mu.Unlock()
-	if !ok {
-		return
-	}
 	var frame []byte
 	select {
 	case frame = <-bufs:
 	case <-sctx.Done():
 		return
 	}
-	deadline := w.clock.now().Add(w.deadline)
-	for sctx.Err() == nil {
-		var cursor uint64
-		frame = beginReport(frame, req)
-		err := s.rt.Snapshot(func(cp *core.Checkpoint) error {
-			cursor = cp.Processed
-			if req.final || cursor != reportedAt {
-				frame = core.AppendCheckpoint(frame, cp)
-			}
-			return nil
-		})
-		if err == nil && len(frame) == frameHeadLen+reportHeadLen {
-			break // quiescent where the last report left the shard: nothing new to say
-		}
-		if err == nil {
-			// The report echoes the request's trace and send timestamp, so
-			// the coordinator ties it to the span that asked and measures
-			// the round-trip on its own clock.
-			if !send(sealReport(frame, cursor)) {
-				return
-			}
-			w.mu.Lock()
-			s.reportedAt = cursor
-			w.reports++
-			if req.final {
-				delete(w.shards, req.shard)
-			}
-			w.mu.Unlock()
-			if req.final {
-				if tel := w.cfg.Telemetry; tel != nil {
-					tel.Metrics.Unregister(MetricWorkerShardCursor, w.shardCursorLabels(req.shard)...)
-				}
-				s.rt.Close()
-				<-s.drain
-			}
-			return // the writer hands the buffer back
-		}
-		if !req.final && w.clock.now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	w.mu.Lock()
+	s, ok := w.shards[req.shard]
+	// A cancelled session's reporter may run past its teardown; the shards
+	// it would find belong to the next session.
+	if sctx.Err() != nil || !ok || !req.final && s.cursor == s.reportedAt {
+		w.mu.Unlock()
+		bufs <- frame
+		return
 	}
-	bufs <- frame
+	// The report echoes the request's trace and send timestamp, so the
+	// coordinator ties it to the span that asked and measures the round-trip
+	// on its own clock. The epoch fields state what the merged checkpoint
+	// does; a shard's resume reads only the aggregate and the cursor.
+	cursor := s.cursor
+	frame = core.AppendCheckpoint(beginReport(frame, req), &core.Checkpoint{
+		Ingested:  cursor,
+		Queued:    cursor,
+		Processed: cursor,
+		Epoch:     core.Epoch(w.epochSeq),
+		Swaps:     w.epochSeq,
+		Agg:       s.agg,
+	})
+	s.reportedAt = cursor
+	w.reports++
+	if req.final {
+		delete(w.shards, req.shard)
+	}
+	w.mu.Unlock()
+	if req.final {
+		if tel := w.cfg.Telemetry; tel != nil {
+			tel.Metrics.Unregister(MetricWorkerShardCursor, w.shardCursorLabels(req.shard)...)
+		}
+	}
+	send(sealReport(frame, cursor)) // the writer hands the buffer back
 }
 
 // teardown discards every shard after a session loss. Unreported progress
@@ -654,11 +593,9 @@ func (w *Worker) teardown() {
 	shards := w.shards
 	w.shards = make(map[uint32]*workerShard)
 	w.mu.Unlock()
-	for _, s := range shards {
-		if tel := w.cfg.Telemetry; tel != nil {
+	if tel := w.cfg.Telemetry; tel != nil {
+		for _, s := range shards {
 			tel.Metrics.Unregister(MetricWorkerShardCursor, w.shardCursorLabels(s.id)...)
 		}
-		s.rt.Close()
-		<-s.drain
 	}
 }

@@ -150,3 +150,75 @@ func TestWorkerLiveness(t *testing.T) {
 		})
 	}
 }
+
+// TestWorkerRefusesProtocolViolations plays the coordinator by hand and
+// sends the worker a frame the coordinator never sends: flows for an owned
+// shard before any routing epoch, which the worker has nothing to classify
+// under, or an assign with no series bucket to aggregate into. The worker
+// ends the session with the reason journaled and redials.
+func TestWorkerRefusesProtocolViolations(t *testing.T) {
+	assign := assignMsg{shard: 0, startNanos: tcStart.UnixNano(), bucket: int64(time.Hour)}
+	flows := sealFrame(appendFlows(beginFrame(nil), flowsMsg{shard: 0, flows: testFlows(3)}))
+	noBucket := assign
+	noBucket.bucket = 0
+	for _, row := range []struct {
+		name   string
+		frames [][]byte
+		reason string
+	}{
+		{"flows before any epoch", [][]byte{encodeAssign(assign), flows}, "flows for shard 0 before any routing epoch"},
+		{"assign with no bucket", [][]byte{encodeAssign(noBucket)}, "shard 0 assigned with series bucket 0"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tel := obs.NewTelemetry()
+			coords := make(chan net.Conn, 4)
+			w, err := NewWorker(WorkerConfig{
+				Name: "w0",
+				Dial: func() (net.Conn, error) {
+					coordSide, workerSide := net.Pipe()
+					coords <- coordSide
+					return workerSide, nil
+				},
+				InitialBackoff: time.Millisecond,
+				MaxBackoff:     time.Millisecond,
+				Telemetry:      tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); w.Run(ctx) }()
+			coord := <-coords
+			t.Cleanup(func() { cancel(); <-done; coord.Close() })
+
+			// net.Pipe is unbuffered: a reader takes the worker's hello and
+			// heartbeats while the frames go the other way.
+			go func() {
+				for {
+					if _, err := readFrame(coord, nil); err != nil {
+						return
+					}
+				}
+			}()
+			for _, frame := range append([][]byte{encodeChallenge(make([]byte, challengeNonceLen))}, row.frames...) {
+				if err := writeSealed(coord, frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			await(t, "the session's end journaled with its reason", func() bool {
+				for _, e := range tel.Journal.Events() {
+					if e.Kind == obs.EventWorkerReconnect && strings.Contains(e.Msg, row.reason) {
+						return true
+					}
+				}
+				return false
+			})
+			select {
+			case <-coords:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the worker did not redial")
+			}
+		})
+	}
+}

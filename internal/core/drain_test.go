@@ -181,7 +181,7 @@ func TestSnapshotRefusesUnmergedSpill(t *testing.T) {
 	}
 	var processed uint64
 	for {
-		err := rt.Snapshot(func(cp *Checkpoint) error { processed = cp.Processed; return nil })
+		err := rt.snapshot(func(cp *Checkpoint) error { processed = cp.Processed; return nil })
 		if err == nil {
 			break
 		}

@@ -298,12 +298,12 @@ func (q *IngestQueue) wakeProducers() {
 
 // PushBatchWait queues every flow of a batch, blocking while the ring is
 // full instead of shedding, and wakes parked consumers once per batch. It is
-// the backpressure door for replayable sources (file readers, the cluster
-// worker's flow frames) where dropping would lose data the source could
-// simply have held back; the watermark shed policy never applies. False
-// reports the queue closed before the whole batch could be queued (a prefix
-// may already have been queued and remains consumable). The Ingested/Queued
-// cursor accounting is identical to PushBatch.
+// the backpressure door for replayable sources (file readers) where
+// dropping would lose data the source could simply have held back; the
+// watermark shed policy never applies. False reports the queue closed
+// before the whole batch could be queued (a prefix may already have been
+// queued and remains consumable). The Ingested/Queued cursor accounting is
+// identical to PushBatch.
 func (q *IngestQueue) PushBatchWait(flows []ipfix.Flow) bool {
 	q.pushing.Add(1)
 	defer q.pushing.Add(-1)

@@ -104,8 +104,8 @@ func (rt *Runtime) RunParallel(ctx context.Context, workers int, fn func(ipfix.F
 }
 
 // drain is the batch drain loop, the only way a flow leaves the queue: Run is
-// one worker of it, RunParallel is n; the cluster worker's shard runtimes
-// each run one, and the root LiveRuntime exposes both as they are. ctx
+// one worker of it, RunParallel is n, and the root LiveRuntime exposes both
+// as they are. ctx
 // carries the worker's profiler labels. sole says no other worker exists, so
 // a held lock can only be a scrape or a snapshot about to let go: that worker
 // waits for it, and never owns a second aggregator.

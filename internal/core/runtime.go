@@ -218,8 +218,8 @@ func (rt *Runtime) IngestBatch(flows []ipfix.Flow) int { return rt.queue.PushBat
 
 // IngestBatchWait queues a whole decoded batch with backpressure: a full
 // queue blocks the caller instead of shedding, and consumers are woken once
-// per batch. This is the feed path for replayable sources (file readers, the
-// cluster worker's flow frames) where every flow must be classified; live
+// per batch. This is the feed path for replayable sources (file readers)
+// where every flow must be classified; live
 // collectors keep using IngestBatch, whose never-block contract is what
 // bounds their latency. Its signature is the collectors' batch callback, so
 // a replay is `fr.ForEachBatch(rt.IngestBatchWait)`. False reports the
@@ -283,9 +283,9 @@ func (rt *Runtime) Close() { rt.queue.Close() }
 // ErrNotQuiescent reports a checkpoint attempt while flows are still in
 // flight — queued, or claimed by a drain worker and not yet in the canonical
 // aggregate (being classified, or spilled into its private shard). The
-// periodic path treats it as "retry at the next barrier", not a failure;
-// external callers (the cluster worker's shard reports) poll until the
-// drain settles.
+// periodic path treats it as "retry at the next barrier", not a failure; a
+// caller of Checkpoint or WriteCheckpoint closes intake and lets the drain
+// finish first.
 var ErrNotQuiescent = errors.New("core: checkpoint requires a drained queue")
 
 // Checkpoint forces a snapshot now. The queue must be empty (quiescent),
@@ -366,21 +366,21 @@ func (rt *Runtime) snapshotLocked() (*Checkpoint, error) {
 
 // WriteCheckpoint encodes a quiescent snapshot of the runtime to w using
 // the versioned checkpoint codec, without requiring a configured checkpoint
-// path — the cluster worker's shard-report path, where snapshots ship over
-// a link instead of landing on disk. The encode happens under the runtime
-// lock, so parallel workers cannot merge mid-encode; it fails with
-// ErrNotQuiescent while any flow is still in flight.
+// path — for a caller that keeps the bytes itself, as a replay that drains
+// and then checkpoints does. The encode happens under the runtime lock, so
+// parallel workers cannot merge mid-encode; it fails with ErrNotQuiescent
+// while any flow is still in flight.
 func (rt *Runtime) WriteCheckpoint(w io.Writer) error {
-	return rt.Snapshot(func(cp *Checkpoint) error { return EncodeCheckpoint(w, cp) })
+	return rt.snapshot(func(cp *Checkpoint) error { return EncodeCheckpoint(w, cp) })
 }
 
-// Snapshot calls fn with a quiescent snapshot of the runtime while the
+// snapshot calls fn with a quiescent snapshot of the runtime while the
 // runtime lock is held, so the cursor block and the aggregate fn sees belong
 // to one instant: cp.Processed is exactly the number of ingested flows cp.Agg
 // incorporates. It fails with ErrNotQuiescent, without calling fn, while any
 // flow is in flight. cp aliases live state and is valid only until fn
 // returns; fn must not call back into the runtime.
-func (rt *Runtime) Snapshot(fn func(cp *Checkpoint) error) error {
+func (rt *Runtime) snapshot(fn func(cp *Checkpoint) error) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	cp, err := rt.snapshotLocked()

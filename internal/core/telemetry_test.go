@@ -51,7 +51,7 @@ func TestRuntimeTelemetryMatchesAggregator(t *testing.T) {
 		runtime.Gosched()
 	}
 	rt.mu.Unlock()
-	for rt.Snapshot(func(*Checkpoint) error { return nil }) != nil {
+	for rt.snapshot(func(*Checkpoint) error { return nil }) != nil {
 		runtime.Gosched() // not quiescent until every shard has folded
 	}
 	for _, f := range flows[600:] {
