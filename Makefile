@@ -173,7 +173,8 @@ cluster-tcp:
 # path (wire-image IPFIX decode -> batched queue -> drain -> classify ->
 # aggregate), pipeline compilation in each reuse tier (cold at GOMAXPROCS
 # 1/2/4/8, up to the host's CPU count, then reused-closures and
-# reused-pipeline, at paper and ~50K-AS full-table scale), the checkpoint codec
+# reused-pipeline, at paper and ~50K-AS full-table scale) beside an MRT load
+# into a RIB, both with their allocation counts, the checkpoint codec
 # (encode/decode × typical/attack-shaped state), the spill episode and the
 # single-core classify hot path, printed as `go test` prints them. It records
 # nothing and gates nothing: a mean from one process moves with the host, so
@@ -185,7 +186,7 @@ bench:
 	$(GO) test -run='^$$' -bench=BenchmarkIngestPath -benchtime=10x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkCheckpointCodec -benchtime=50x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkMergeSpill -benchtime=20000x -benchmem .
-	$(GO) test -run='^$$' -bench=BenchmarkPipelineBuild -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^(BenchmarkPipelineBuild|BenchmarkMRTLoad)$$' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkClassifyHotPath -benchtime=2s -benchmem .
 
 # bench-smoke is the row-existence check: every benchmark in the module runs

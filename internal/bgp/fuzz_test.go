@@ -34,7 +34,8 @@ func requireUpdateAgrees(t *testing.T, b []byte) *Update {
 // requireMRTAgrees fails t unless the MRT reader and the oracle read the
 // same records from b and stop at the same one, and every BGP4MP message in
 // them decodes as the oracle decodes it. Each record is then fed to a RIB
-// and to the oracle RIB, which must read alike after every record.
+// and to the oracle RIB, which must read alike after every record, and the
+// table read after one record must keep its paths once the next is folded.
 func requireMRTAgrees(t *testing.T, b []byte) {
 	t.Helper()
 	// Bound body lengths: a flipped length field may demand gigabytes,
@@ -42,6 +43,8 @@ func requireMRTAgrees(t *testing.T, b []byte) {
 	r := NewReader(io.LimitReader(bytes.NewReader(b), int64(len(b))))
 	or := NewReader(io.LimitReader(bytes.NewReader(b), int64(len(b))))
 	rib, orib := NewRIB(), newOracleRIB()
+	var prev []Announcement
+	var prevPaths [][]ASN
 	for i := 0; ; i++ {
 		rec, err := r.Next()
 		want, oerr := oracleNext(or)
@@ -61,7 +64,11 @@ func requireMRTAgrees(t *testing.T, b []byte) {
 			rib.ApplyRIBRecord(rec.RIB)
 			orib.ApplyRIBRecord(rec.RIB)
 		}
-		requireRIBAgrees(t, fmt.Sprintf("MRT record %d of %x", i, b), rib, orib)
+		label := fmt.Sprintf("MRT record %d of %x", i, b)
+		requireRIBAgrees(t, label, rib, orib)
+		requireKept(t, label, prev, prevPaths)
+		prev = rib.Announcements()
+		prevPaths = clonePaths(prev)
 	}
 }
 

@@ -454,9 +454,9 @@ func announcementKey(p netx.Prefix, path []ASN) string {
 }
 
 // ApplyUpdate and ApplyRIBRecord are copies of RIB's, which read paths
-// through dedupSequencePath.
+// through appendSequencePath.
 func (r *oracleRIB) ApplyUpdate(u *Update) {
-	path := dedupSequencePath(&u.Attrs)
+	path := appendSequencePath(nil, &u.Attrs)
 	for _, p := range u.NLRI {
 		r.AddAnnouncement(p, path)
 	}
@@ -464,7 +464,7 @@ func (r *oracleRIB) ApplyUpdate(u *Update) {
 
 func (r *oracleRIB) ApplyRIBRecord(rec *RIBRecord) {
 	for _, e := range rec.Entries {
-		r.AddAnnouncement(rec.Prefix, dedupSequencePath(&e.Attrs))
+		r.AddAnnouncement(rec.Prefix, appendSequencePath(nil, &e.Attrs))
 	}
 }
 
@@ -528,7 +528,7 @@ func (r *oracleRIB) Fingerprint() Fingerprint {
 // NumPrefixes, OriginAssignments (its prefixes the oracle's Prefixes) and
 // Fingerprint, and
 // the oracle's announcements as a set, strictly increasing in (prefix,
-// origin, path).
+// origin, path), laid out as requireLayout checks.
 func requireRIBAgrees(t *testing.T, label string, r *RIB, o *oracleRIB) {
 	t.Helper()
 	if r.NumPrefixes() != len(o.prefixes) {
@@ -557,6 +557,55 @@ func requireRIBAgrees(t *testing.T, label string, r *RIB, o *oracleRIB) {
 			t.Fatalf("%s: announcements %d and %d out of (prefix, origin, path) order: %+v, %+v", label, i-1, i, anns[i-1], a)
 		}
 	}
+	requireLayout(t, label, r)
+}
+
+// requireLayout fails t unless r's hop slab is its table's paths end to
+// end, in table order, the run ends fall exactly where the prefix changes,
+// and appending to any returned Path leaves every path as it was.
+func requireLayout(t *testing.T, label string, r *RIB) {
+	t.Helper()
+	anns := r.Announcements()
+	hops, ends := r.Hops()
+	var want []ASN
+	var wantEnds []int
+	for i, a := range anns {
+		want = append(want, a.Path...)
+		if i+1 == len(anns) || anns[i+1].Prefix != a.Prefix {
+			wantEnds = append(wantEnds, len(want))
+		}
+	}
+	if !slices.Equal(hops, want) {
+		t.Fatalf("%s: hop slab %v; the table's paths end to end are %v", label, hops, want)
+	}
+	if !slices.Equal(ends, wantEnds) {
+		t.Fatalf("%s: run ends %v; the prefix changes at %v", label, ends, wantEnds)
+	}
+	paths := clonePaths(anns)
+	for _, a := range anns {
+		_ = append(a.Path, ^ASN(0))
+	}
+	if !slices.EqualFunc(clonePaths(anns), paths, slices.Equal) {
+		t.Fatalf("%s: appending to a returned path changed the table's paths", label)
+	}
+}
+
+// clonePaths copies each announcement's path.
+func clonePaths(anns []Announcement) [][]ASN {
+	out := make([][]ASN, len(anns))
+	for i, a := range anns {
+		out[i] = slices.Clone(a.Path)
+	}
+	return out
+}
+
+// requireKept fails t unless the table an earlier read returned still holds
+// the paths copied from it then.
+func requireKept(t *testing.T, label string, table []Announcement, paths [][]ASN) {
+	t.Helper()
+	if !slices.EqualFunc(clonePaths(table), paths, slices.Equal) {
+		t.Fatalf("%s: a table read before a later add and fold changed its paths", label)
+	}
 }
 
 func annLess(a, b Announcement) bool {
@@ -574,9 +623,10 @@ func annLess(a, b Announcement) bool {
 // does, and so does a RIB fed them shuffled, with a read at a random point,
 // which also returns identical Announcements. The read folds what came
 // before it into the table, so the shuffled RIB's Fingerprint and
-// NumPrefixes are what its folds kept. It is exported for the external test
-// package, which can build a scenario: scenario imports bgp, so bgp's own
-// tests cannot.
+// NumPrefixes are what its folds kept, and the table it returned must keep
+// its paths through the adds and folds that follow. It is exported for the
+// external test package, which can build a scenario: scenario imports bgp,
+// so bgp's own tests cannot.
 func RequireRIBMatchesOracle(t *testing.T, label string, obs []Announcement, rng *rand.Rand) {
 	t.Helper()
 	r, o := NewRIB(), newOracleRIB()
@@ -589,15 +639,19 @@ func RequireRIBMatchesOracle(t *testing.T, label string, obs []Announcement, rng
 	shuffled := slices.Clone(obs)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	s, mid := NewRIB(), rng.Intn(len(obs)+1)
+	var early []Announcement
+	var earlyPaths [][]ASN
 	for i, a := range shuffled {
 		if i == mid {
-			s.Announcements()
+			early = s.Announcements()
+			earlyPaths = clonePaths(early)
 		}
 		s.AddAnnouncement(a.Prefix, a.Path)
 	}
 	if !reflect.DeepEqual(s.Announcements(), r.Announcements()) {
 		t.Fatalf("%s: shuffling the arrival order changed Announcements", label)
 	}
+	requireKept(t, label+", shuffled", early, earlyPaths)
 	requireRIBAgrees(t, label+", shuffled", s, o)
 }
 

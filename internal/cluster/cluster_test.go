@@ -896,23 +896,49 @@ func TestClusterResumeFromCheckpoint(t *testing.T) {
 }
 
 // TestEpochFingerprintGating: an unchanged RIB ships a sequence bump, not
-// the table; a changed one ships in full. Verified through the journal,
-// and through the merged checkpoint's epoch count still matching a
-// reference runtime that swapped as many times.
+// the table; a changed one ships in full. Verified through the journal, and
+// through the checkpoints: after the bump every shard's report and the
+// merged checkpoint state epoch 2 (Epoch and Swaps), and after the third
+// distribute the merged checkpoint states 3.
 func TestEpochFingerprintGating(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	tc.startWorker(0)
 	rib := testRIB()
+	flows := testFlows(400)
 	if seq := tc.distribute(rib); seq != 1 {
 		t.Fatalf("first epoch seq = %d", seq)
 	}
+	for _, f := range flows[:200] {
+		tc.coordinator().Ingest(f)
+	}
 	if seq := tc.distribute(rib); seq != 2 {
 		t.Fatalf("second epoch seq = %d", seq)
+	}
+	for _, f := range flows[200:] {
+		tc.coordinator().Ingest(f)
+	}
+	tc.requireEpoch(2)
+	c := tc.coordinator()
+	c.mu.Lock()
+	reports := make([][]byte, len(c.book.shards))
+	for i := range c.book.shards {
+		reports[i] = c.book.shards[i].lastReport
+	}
+	c.mu.Unlock()
+	for i, report := range reports {
+		cp, err := core.DecodeCheckpointBytes(report)
+		if err != nil {
+			t.Fatalf("shard %d report: %v", i, err)
+		}
+		if cp.Epoch != 2 || cp.Swaps != 2 {
+			t.Fatalf("shard %d reported epoch %d after %d swaps, want 2 and 2", i, cp.Epoch, cp.Swaps)
+		}
 	}
 	rib.AddAnnouncement(netx.MustParsePrefix("91.0.0.0/16"), []bgp.ASN{10, 20})
 	if seq := tc.distribute(rib); seq != 3 {
 		t.Fatalf("third epoch seq = %d", seq)
 	}
+	tc.requireEpoch(3)
 	var full, bump int
 	for _, e := range tc.tel.Journal.Events() {
 		if e.Kind != obs.EventClusterEpoch || !strings.HasPrefix(e.Msg, "epoch ") {
@@ -927,6 +953,19 @@ func TestEpochFingerprintGating(t *testing.T) {
 	}
 	if full != 2 || bump != 1 {
 		t.Fatalf("full=%d bump=%d epochs journaled, want 2 full + 1 bump", full, bump)
+	}
+}
+
+// requireEpoch fails the test unless the merged checkpoint states epoch seq
+// after seq swaps.
+func (tc *testCluster) requireEpoch(seq uint64) {
+	tc.t.Helper()
+	cp, err := core.DecodeCheckpointBytes(tc.checkpointBytes())
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	if uint64(cp.Epoch) != seq || cp.Swaps != seq {
+		tc.t.Fatalf("merged checkpoint states epoch %d after %d swaps, want %d and %d", cp.Epoch, cp.Swaps, seq, seq)
 	}
 }
 

@@ -144,6 +144,7 @@ func RebuildPipeline(prev *Pipeline, rib *bgp.RIB, members []MemberInfo, opts Op
 		fp:      fp,
 		optsKey: key,
 	}
+	p.hops, p.runEnds = rib.Hops()
 
 	// prefixes is the origin stage's prefix list, one per run of anns; a
 	// reused pipeline has none, and compileMembers derives it from anns
@@ -247,47 +248,45 @@ func (p *Pipeline) buildOriginIndex(rib *bgp.RIB) []netx.Prefix {
 // origin slab's entry indexes, in one walk of the table: in the Naive
 // approach an AS is valid for a prefix when it is on one of the prefix's
 // AS paths, and every such prefix is an announced prefix, so an
-// origin-table entry. The announcements of one prefix form a run, and
-// prefixes[r] is run r's prefix; FlatLPM.EntriesOf resolves each run's entry
-// once, and each hop resolves through the graph's dictionary (which indexes
-// every path AS) to rowOf, which holds 1 + the naive row of each member AS
-// to fill and 0 for every other AS. So a hop costs two loads, and a member
-// hop one bit set.
+// origin-table entry. The RIB lays the table's paths end to end (p.hops),
+// each prefix run's hops one stretch of it ending at p.runEnds[r], and
+// prefixes[r] is run r's prefix; FlatLPM.EntriesOf resolves each run's
+// entry once, and the run's hops are then one flat loop: each hop resolves
+// through the graph's dictionary (which indexes every path AS) to rowOf,
+// which holds the naive row of each member AS to fill and 0 for every
+// other AS, and sets that row's bit. Row 0 is a sink that no member reads,
+// so a hop costs two loads and one bit set, with no branch on membership.
 //
 // Both the runs and the slab derive from the same announcements; a run whose
 // prefix the slab does not hold means they did not. The first such prefix
 // with a member on its paths is returned with that member's row, for the
-// build to fail on rather than classify from; failRow is -1 when there is
+// build to fail on rather than classify from; failRow is 0 when there is
 // none.
 func (p *Pipeline) fillNaiveRows(rows []netx.Bitset, rowOf []int32, prefixes []netx.Prefix) (failRow int32, missing netx.Prefix) {
-	failRow = -1
 	if len(rows) == 0 {
-		return failRow, missing
+		return 0, missing
 	}
-	anns, g := p.anns, p.graph
-	j := 0 // first announcement of the next run
-	walk := func(e int32) {
-		pr := anns[j].Prefix
-		for ; j < len(anns) && anns[j].Prefix == pr; j++ {
-			for _, as := range anns[j].Path {
-				r := rowOf[g.Index(as)] - 1
-				if r < 0 {
-					continue
-				}
-				if e >= 0 {
-					rows[r].Set(int(e))
-				} else if failRow < 0 {
-					failRow, missing = r, pr
-				}
-			}
+	hops, ends, g := p.hops, p.runEnds, p.graph
+	run, from := 0, 0 // the next run, and where its hops start
+	fill := func(e int32) {
+		to := ends[run]
+		for _, as := range hops[from:to] {
+			rows[rowOf[g.Index(as)]].Set(int(e))
 		}
+		run, from = run+1, to
 	}
 	for rest := prefixes; len(rest) > 0; {
-		i := p.origins.EntriesOf(rest, walk)
+		i := p.origins.EntriesOf(rest, fill)
 		if i < 0 {
 			break
 		}
-		walk(-1)
+		to := ends[run]
+		for _, as := range hops[from:to] {
+			if r := rowOf[g.Index(as)]; r != 0 && failRow == 0 {
+				failRow, missing = r, rest[i]
+			}
+		}
+		run, from = run+1, to
 		rest = rest[i+1:]
 	}
 	return failRow, missing
@@ -320,8 +319,9 @@ func runPrefixes(anns []bgp.Announcement, n int) []netx.Prefix {
 //
 // The member states are one slice, and every bitset a member fills is a row
 // of one of two slabs, the naive rows and the cone rows, sized for the
-// members that fill them; so the tables cost the same few allocations
-// however many members there are. When workers > 1 the table walk runs
+// members that fill them (the naive slab, when there is one, also holds the
+// fill's sink row); so the tables cost the same few allocations however
+// many members there are. When workers > 1 the table walk runs
 // beside a worker pool that walks the cones, each worker on one queue; each
 // row is written by exactly one goroutine. The error, if any, names the
 // first prefix, in table order, that the origin slab lacks and a member is
@@ -352,7 +352,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	states := make([]memberState, len(members))
 	todo := make([]uint8, len(members))
 	nNaive, nWalk := 0, 0
-	var rowOf []int32 // per graph AS: 1 + its naive row, 0 if it fills none
+	var rowOf []int32 // per graph AS: its naive row, 0 (the sink) if it fills none
 	for i, mi := range members {
 		ms := &states[i]
 		ms.info, ms.asIdx = mi, p.graph.Index(mi.ASN)
@@ -385,7 +385,11 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 			nWalk++
 		}
 	}
-	naiveRows := netx.NewBitsets(nNaive, p.origins.Len())
+	var naiveRows []netx.Bitset
+	if nNaive > 0 {
+		// Row 0 is the sink the other ASes' hops set.
+		naiveRows = netx.NewBitsets(1+nNaive, p.origins.Len())
+	}
 	coneRows := netx.NewBitsets(2*nWalk, p.graph.NumASes())
 	var ccAdj astopo.Adjacency
 	if nWalk > 0 {
@@ -394,7 +398,7 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 	for i := range states {
 		ms := &states[i]
 		if todo[i]&fillNaive != 0 {
-			ms.naiveEnts = &naiveRows[rowOf[ms.asIdx]-1]
+			ms.naiveEnts = &naiveRows[rowOf[ms.asIdx]]
 		}
 		if todo[i]&walkCones != 0 {
 			ms.validCC, ms.validFC, coneRows = &coneRows[0], &coneRows[1], coneRows[2:]
@@ -449,8 +453,8 @@ func (p *Pipeline) compileMembers(members []MemberInfo, opts Options, donor *Pip
 			}
 		}
 	}
-	for i := 0; failRow >= 0 && i < len(states); i++ {
-		if ms := &states[i]; todo[i]&fillNaive != 0 && rowOf[ms.asIdx]-1 == failRow {
+	for i := 0; failRow != 0 && i < len(states); i++ {
+		if ms := &states[i]; todo[i]&fillNaive != 0 && rowOf[ms.asIdx] == failRow {
 			return fmt.Errorf("core: member AS%d (port %d): naive prefix %s is not in the origin table", ms.info.ASN, ms.info.Port, missing)
 		}
 	}

@@ -380,8 +380,8 @@ const rebuildAllocRuns = 20
 // layers it recompiles allocate per table, not per AS or per hop, and the
 // member tables per build, not per member. The count is taken sequentially
 // (GOMAXPROCS=1), where it does not depend on scheduling. The small
-// scenario's rebuild (249 ASes, 387 prefixes, 60 members) measured 37
-// allocations, as many as at paper scale; the ceiling leaves 13 for map
+// scenario's rebuild (249 ASes, 387 prefixes, 60 members) measured 36
+// allocations, as many as at paper scale; the ceiling leaves 14 for map
 // growth to vary. Rebuilding with four times the members, each copy on its
 // own ports, may cost only what the member maps sized by that hint cost
 // more.

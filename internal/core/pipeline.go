@@ -173,10 +173,14 @@ type Pipeline struct {
 
 	prefixes int // routed prefixes: one origin assignment each
 
-	// anns is the table the build walked for the members' naive rows. It
-	// backs RoutedSpace's routed space, computed once on first use, which
-	// may be called from several goroutines.
+	// anns is the table the build compiled, and hops and runEnds its hop
+	// slab and prefix-run ends (bgp.RIB.Hops), which the members' naive
+	// rows are filled from. anns backs RoutedSpace's routed space,
+	// computed once on first use, which may be called from several
+	// goroutines.
 	anns        []bgp.Announcement
+	hops        []bgp.ASN
+	runEnds     []int
 	routedOnce  sync.Once
 	routedSpace netx.IntervalSet
 

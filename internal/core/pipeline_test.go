@@ -232,6 +232,7 @@ func TestNewPipelineErrors(t *testing.T) {
 	r := testRIB()
 	r.AddAnnouncement(stray, []bgp.ASN{20, 200})
 	p.anns = r.Announcements()
+	p.hops, p.runEnds = r.Hops()
 	prefixes, _ := r.OriginAssignments()
 	err := p.compileMembers(testMembers, Options{}, nil, prefixes, 1)
 	if err == nil || !strings.Contains(err.Error(), "AS200") || !strings.Contains(err.Error(), stray.String()) {
