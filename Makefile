@@ -21,7 +21,7 @@ race:
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # topology property tests, the observability smoke, the
-# stress run (drain engine, shard book, IPFIX transports, BGP feed), the cluster chaos suite (with its
+# stress run (ingest queue, drain engine, shard book, IPFIX transports, BGP feed), the cluster chaos suite (with its
 # observability plane), every benchmark in the module run once, the
 # identifier check over the docs, and the nested benchmark module's own vet
 # and tests.
@@ -124,7 +124,9 @@ obs-smoke:
 # place, or in a worker's private shard — depends on who holds the aggregate
 # lock at that instant, so one pass sees only a few of the interleavings;
 # twenty see enough that a fold or quiescence bug which needs a particular one
-# does not get through. The shard book's: its own tests and fuzz seeds, the
+# does not get through. The ingest queue's: its burst wake, backpressure,
+# close and concurrent-stats tests, where producer, consumers and readers
+# race for the queue lock. The shard book's: its own tests and fuzz seeds, the
 # worker's end of the liveness rule, and the cluster scenarios that fire a
 # stall or partition at a chosen point of the feed by moving the cluster's
 # virtual clock, where the link goroutines still race the ticks. The
@@ -137,7 +139,7 @@ obs-smoke:
 # feed's: its supervision loop against the peer's resets, a cancelled
 # backoff and the stats and metric readers.
 stress:
-	$(GO) test -race -count=20 -run 'RunParallel|Drain|Spill|Merge|Reset' ./internal/core
+	$(GO) test -race -count=20 -run 'Queue|RunParallel|Drain|Spill|Merge|Reset' ./internal/core
 	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|WorkerKill|RepeatedKills|Reconnect|FirstEpoch' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
 	$(GO) test -race -count=20 -run 'Feed|Reconnector' ./internal/bgp

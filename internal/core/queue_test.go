@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,14 +24,20 @@ func pop(q *IngestQueue) (ipfix.Flow, bool) {
 	return one[0], true
 }
 
-// awaitParked yields until the waiter counter reads want: the goroutines
-// under test have announced themselves to the queue's parking slow path.
-func awaitParked(t *testing.T, waiters *atomic.Int32, want int32) {
+// awaitParked yields until the waiter count reads want: the goroutines under
+// test have parked on the queue's condition variable.
+func awaitParked(t *testing.T, q *IngestQueue, waiters *int, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for waiters.Load() != want {
+	for {
+		q.mu.Lock()
+		got := *waiters
+		q.mu.Unlock()
+		if got == want {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines parked, want %d", waiters.Load(), want)
+			t.Fatalf("%d goroutines parked, want %d", got, want)
 		}
 		runtime.Gosched()
 	}
@@ -235,12 +240,10 @@ func TestQueueTryPopBatchNonBlocking(t *testing.T) {
 	}
 }
 
-// TestQueueRingWraparound laps a tiny ring many times so every slot is
-// reused across several sequence generations — the Vyukov seq protocol must
-// keep FIFO order and never lose or duplicate a flow across the wrap.
+// TestQueueRingWraparound laps a 5-slot ring forty times with 3-flow pops,
+// so pushes and pops split across the ring's end at every offset: the
+// two-copy wrap must keep FIFO order and never lose or duplicate a flow.
 func TestQueueRingWraparound(t *testing.T) {
-	// Logical capacity 5 over 8 physical slots: the logical bound and the
-	// power-of-two mask disagree, so slot reuse crosses the seam every lap.
 	q := NewIngestQueue(QueueConfig{Capacity: 5, HighWatermark: 5})
 	buf := make([]ipfix.Flow, 3)
 	next := 0
@@ -281,7 +284,9 @@ func TestQueueRingWraparound(t *testing.T) {
 func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 	q := NewIngestQueue(QueueConfig{Capacity: 256})
 	const consumers = 4
-	var drained atomic.Uint64
+	const burst = 64
+	// Every batch a consumer drains is reported here; at most one per flow.
+	drained := make(chan int, burst)
 	var wg sync.WaitGroup
 	for c := 0; c < consumers; c++ {
 		wg.Add(1)
@@ -293,26 +298,27 @@ func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 				if n == 0 {
 					return
 				}
-				drained.Add(uint64(n))
+				drained <- n
 			}
 		}()
 	}
 	// Let every consumer park on the empty queue, then land one burst.
-	awaitParked(t, &q.popWaiters, consumers)
-	batch := make([]ipfix.Flow, 64)
+	awaitParked(t, q, &q.popWaiters, consumers)
+	batch := make([]ipfix.Flow, burst)
 	for i := range batch {
 		batch[i] = queueFlow(i)
 	}
-	queued := q.PushBatch(batch)
-	if queued != len(batch) {
-		t.Fatalf("burst queued %d of %d below watermark", queued, len(batch))
+	if queued := q.PushBatch(batch); queued != burst {
+		t.Fatalf("burst queued %d of %d below watermark", queued, burst)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for drained.Load() != uint64(queued) {
-		if time.Now().After(deadline) {
-			t.Fatalf("drained %d of %d: parked consumers never woke", drained.Load(), queued)
+	deadline := time.After(5 * time.Second)
+	for got := 0; got != burst; {
+		select {
+		case n := <-drained:
+			got += n
+		case <-deadline:
+			t.Fatalf("drained %d of %d: parked consumers never woke", got, burst)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	// All consumers are parked empty again; Close must release every one.
 	q.Close()
@@ -322,6 +328,56 @@ func TestQueueWakeAllOnBurstAndClose(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close left consumers parked")
+	}
+}
+
+// TestQueueStatsConsistentUnderPushes: a Stats snapshot is taken at one
+// instant, so a reader running beside a producer and a consumer never sees
+// an arrival counted as ingested but not yet as queued or shed, nor a depth
+// beyond the capacity. The producer alternates shedding pushes that cross
+// the watermark with backpressured pushes that fill the ring.
+func TestQueueStatsConsistentUnderPushes(t *testing.T) {
+	const capacity = 64
+	q := NewIngestQueue(QueueConfig{Capacity: capacity, HighWatermark: 48})
+	batch := make([]ipfix.Flow, 40)
+	for i := range batch {
+		batch[i] = queueFlow(i)
+	}
+	go func() {
+		defer q.Close()
+		for i := 0; i < 2000; i++ {
+			q.PushBatch(batch)
+			q.PushBatchWait(batch)
+		}
+	}()
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		buf := make([]ipfix.Flow, 16)
+		for q.PopBatch(buf) > 0 {
+		}
+	}()
+	var reads, bad int
+	var first QueueStats
+	for open := true; open; reads++ {
+		select {
+		case <-consumed:
+			open = false
+		default:
+		}
+		st := q.Stats()
+		if st.Ingested != st.Queued+st.Shed || st.Depth > capacity {
+			if bad == 0 {
+				first = st
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d snapshots inconsistent, first %+v", bad, reads, first)
+	}
+	if st := q.Stats(); st.Ingested != 2000*2*uint64(len(batch)) || st.Depth != 0 {
+		t.Fatalf("final stats = %+v, want %d ingested and an empty ring", st, 2000*2*len(batch))
 	}
 }
 
@@ -359,7 +415,7 @@ func TestQueuePushBatchWaitNeverSheds(t *testing.T) {
 
 	// A blocked batch producer must observe Close.
 	go func() { done <- q.PushBatchWait(batch) }()
-	awaitParked(t, &q.pushWait, 1)
+	awaitParked(t, q, &q.pushWaiters, 1)
 	q.Close()
 	select {
 	case ok := <-done:
@@ -405,7 +461,7 @@ func TestQueuePushWaitBackpressure(t *testing.T) {
 	// Close unblocks a waiting producer with false.
 	waiting := make(chan bool, 1)
 	go func() { waiting <- q.PushBatchWait([]ipfix.Flow{queueFlow(3)}) }()
-	awaitParked(t, &q.pushWait, 1)
+	awaitParked(t, q, &q.pushWaiters, 1)
 	q.Close()
 	select {
 	case ok := <-waiting:

@@ -205,9 +205,10 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	return rt, nil
 }
 
-// IngestBatch offers a decoded message's flows in one call — the zero-copy
-// hand-off from the collectors' batch callbacks (ServeBatch / ForEachBatch).
-// It never blocks: flows are queued by value, so the caller may reuse the
+// IngestBatch offers a decoded message's flows in one call — the hand-off
+// from the collectors' batch callbacks (ServeBatch / ForEachBatch). It never
+// waits for room, only for the queue lock, which another call holds for at
+// most one batch copy: flows are queued by value, so the caller may reuse the
 // slice immediately; each flow sheds by the queue's per-arrival watermark
 // policy (accounted in Stats().Queue.Shed), and parked consumers are woken
 // once for the whole batch. It returns how many flows were queued (the rest
@@ -299,18 +300,15 @@ func (rt *Runtime) Checkpoint() error {
 	return rt.checkpointLocked()
 }
 
-// checkpointLocked snapshots under rt.mu. The quiescence test is a triple
-// check over the queue's atomic ledger (see snapshotLocked): the counters
-// are no longer read under one queue lock, so an in-flight push is instead
-// detected by Ingested != Queued+Shed — a producer claims its arrival index
-// before its queued/shed increment lands, making every mid-flight arrival
-// visible — while depth != 0 catches published-but-unconsumed flows and
-// merged != Queued catches flows a drain worker has claimed but not yet
-// aggregated in place or folded back from its private shard (rt.mu is held
-// here, so neither can land mid-check). Writing while any of the three fails would let the replay
-// cursor outrun the aggregate and a resume would silently skip flows.
-// Write failures are accounted (CheckpointErrors, LastCheckpointError) so a
-// persistent one cannot silently disable crash-safety.
+// checkpointLocked snapshots under rt.mu. The quiescence test is two checks
+// over one consistent queue snapshot (see snapshotLocked): depth != 0 catches
+// queued but unconsumed flows, and merged != Queued catches flows a drain
+// worker has claimed but not yet aggregated in place or folded back from its
+// private shard (rt.mu is held here, so neither can land mid-check). Writing
+// while either fails would let the replay cursor outrun the aggregate and a
+// resume would silently skip flows. Write failures are accounted
+// (CheckpointErrors, LastCheckpointError) so a persistent one cannot silently
+// disable crash-safety.
 func (rt *Runtime) checkpointLocked() error {
 	cp, err := rt.snapshotLocked()
 	if err != nil {
@@ -335,16 +333,9 @@ func (rt *Runtime) checkpointLocked() error {
 // with ErrNotQuiescent. The returned checkpoint aliases the live aggregate;
 // it is only safe to read while rt.mu is held (or while no consumer runs).
 func (rt *Runtime) snapshotLocked() (*Checkpoint, error) {
-	// Stats reads the ledger counters before the depth, which is the order
-	// the triple check needs: a push whose queued/shed increment landed
-	// after the counter reads published its flow before the depth read, so
-	// it either trips Ingested != Queued+Shed, shows up in Depth, or — when
-	// its arrival index is past the Ingested read — lands wholly after the
-	// cursor, where a resume re-feeds it.
+	// A push that lands after this snapshot lands wholly after the cursor,
+	// where a resume re-feeds it.
 	qs := rt.queue.Stats()
-	if qs.Ingested != qs.Queued+qs.Shed {
-		return nil, fmt.Errorf("%w (%d arrivals in flight)", ErrNotQuiescent, qs.Ingested-qs.Queued-qs.Shed)
-	}
 	if qs.Depth != 0 {
 		return nil, fmt.Errorf("%w (%d flows pending)", ErrNotQuiescent, qs.Depth)
 	}

@@ -160,11 +160,19 @@ func (c *TCPCollector) ServeBatch(fn func([]Flow) bool) error {
 			}
 			return err
 		}
+		// A connection accepted as Close or Shutdown runs is refused here:
+		// registered after Close's sweep, or counted after Shutdown's wait,
+		// its handler would keep ServeBatch waiting until the exporter hung up.
 		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		c.stats.Connections++
 		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
 		c.wg.Add(1)
+		c.mu.Unlock()
 		go func(conn net.Conn) {
 			defer c.wg.Done()
 			defer conn.Close()

@@ -1,7 +1,9 @@
 package ipfix
 
 import (
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -78,6 +80,67 @@ func TestTCPCollectorEarlyStop(t *testing.T) {
 	}
 	if st.Flows != handed || handed == 0 || st.Disconnects != 0 {
 		t.Fatalf("early stop counted %d flows (%d disconnects), the one batch handed over held %d", st.Flows, st.Disconnects, handed)
+	}
+}
+
+// closingListener's Accept returns its one connection only once Close has
+// begun, so the connection reaches ServeBatch after the collector's Close or
+// Shutdown has already looked at the live connections.
+type closingListener struct {
+	conn    net.Conn
+	handed  bool // read and written only by the accepting goroutine
+	closing chan struct{}
+	once    sync.Once
+}
+
+func (l *closingListener) Accept() (net.Conn, error) {
+	<-l.closing
+	if !l.handed {
+		l.handed = true
+		return l.conn, nil
+	}
+	return nil, net.ErrClosed
+}
+
+func (l *closingListener) Close() error {
+	l.once.Do(func() { close(l.closing) })
+	return nil
+}
+
+func (l *closingListener) Addr() net.Addr { return l.conn.LocalAddr() }
+
+// TestTCPCollectorRefusesConnAcceptedDuringClose: a connection that Accept
+// returns while Close or Shutdown runs is closed, not served, so ServeBatch
+// returns instead of waiting for an exporter that never hangs up.
+func TestTCPCollectorRefusesConnAcceptedDuringClose(t *testing.T) {
+	for name, stop := range map[string]func(*TCPCollector) error{
+		"Close":    (*TCPCollector).Close,
+		"Shutdown": (*TCPCollector).Shutdown,
+	} {
+		t.Run(name, func(t *testing.T) {
+			server, client := net.Pipe()
+			defer client.Close()
+			col := &TCPCollector{
+				ln:    &closingListener{conn: server, closing: make(chan struct{})},
+				conns: make(map[net.Conn]struct{}),
+			}
+			done := make(chan error, 1)
+			go func() { done <- col.ServeBatch(func([]Flow) bool { return true }) }()
+			if err := stop(col); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("ServeBatch still serving a connection accepted during %s", name)
+			}
+			if st := col.Stats(); st.Connections != 0 {
+				t.Fatalf("%d connections served after %s", st.Connections, name)
+			}
+		})
 	}
 }
 

@@ -73,8 +73,9 @@ type LiveRuntimeConfig struct {
 
 // LiveRuntime is the continuous classification engine. It is the internal
 // runtime itself, so its ingest and drain are core.Runtime's: collectors
-// hand over each decoded message with IngestBatch (never blocking — overload
-// sheds, fully accounted) or IngestBatchWait (backpressure, for replayable
+// hand over each decoded message with IngestBatch (never waiting for room,
+// only for the queue lock's one batch copy — overload sheds, fully
+// accounted) or IngestBatchWait (backpressure, for replayable
 // sources), one Run or RunParallel call drains them, and a BGP feed promotes
 // fresh routing state between batches via SwapClassifier or ServeBGP.
 type LiveRuntime struct {
