@@ -202,11 +202,6 @@ type Aggregator struct {
 	biLo, biHi time.Duration
 	biIdx      int
 
-	// prefetchSink keeps AddBatch's prefetch loads observable so the compiler
-	// does not discard them. Per aggregator, because drain workers AddBatch
-	// into their private shards concurrently.
-	prefetchSink uint64
-
 	// nodes hands out every inner node of the maps above (see nodes.go).
 	nodes nodeAlloc
 }
@@ -453,35 +448,14 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 // in-order loop over Add — arrival order is preserved so the cap-sensitive
 // structures (fan-in source sets, invalid-origin maps) and the canonical
 // checkpoint encoding match the per-flow path byte for byte — and exists so
-// batch consumers amortize the call overhead and prefetch the next flow's
-// port counters.
+// batch consumers amortize the call overhead.
 func (a *Aggregator) AddBatch(flows []ipfix.Flow, verdicts []Verdict) {
 	if len(flows) != len(verdicts) {
 		panic("core: AddBatch flows/verdicts length mismatch")
 	}
-	var sink uint64
 	for i := range flows {
-		// Software prefetch: touch the next flow's two port counters before
-		// processing this one. The dense port pages span ~512KB of counter
-		// blocks each, so the counter loads are the dominant cache misses in
-		// Add; issuing them a flow ahead overlaps the miss latency with
-		// useful work. The loads are plain reads folded into a sink the
-		// compiler cannot eliminate.
-		if i+1 < len(flows) {
-			nf := &flows[i+1]
-			if nf.Protocol == ipfix.ProtoTCP || nf.Protocol == ipfix.ProtoUDP {
-				pc := primaryClass(verdicts[i+1])
-				if p := a.Ports.page(pc, nf.Protocol, 0, false); p != nil {
-					sink += p.at(nf.DstPort)
-				}
-				if p := a.Ports.page(pc, nf.Protocol, 1, false); p != nil {
-					sink += p.at(nf.SrcPort)
-				}
-			}
-		}
 		a.Add(flows[i], verdicts[i])
 	}
-	a.prefetchSink = sink
 }
 
 func extendSeries(s []Counter, bi int, f *ipfix.Flow) []Counter {

@@ -190,7 +190,8 @@ func TestEncodeCheckpointAllocsConstant(t *testing.T) {
 }
 
 // containers counts what the decoder must allocate one by one: maps, pages,
-// counter blocks, series — not their entries.
+// cell and carry blocks, series — not their entries. Carry blocks come eight
+// to a slab, so counting each one is an upper bound.
 func containers(a *Aggregator) (containers, entries int) {
 	containers = 2*len(a.members) + len(a.TriggerPairs) + len(a.ResponsePairs)
 	for _, m := range a.members {
@@ -213,8 +214,11 @@ func containers(a *Aggregator) (containers, entries int) {
 	}
 	a.Ports.pages(func(_ portPageKey, p *portPage) {
 		containers++
-		for _, blk := range p.blk {
+		for b, blk := range p.blk {
 			if blk != nil {
+				containers++
+			}
+			if p.carry[b] != nil {
 				containers++
 			}
 		}
@@ -428,6 +432,10 @@ var acceptedShapes = []checkpointShape{
 	{"series", "series", packBE(uint32(1), uint32(TCInvalidFull), uint32(2), uint64(7), uint64(0))},
 	{"size histogram", "size histogram", packBE(uint32(1), uint32(TCInvalidFull), uint32(1), uint64(60), uint64(3))},
 	{"port-mix", "port-mix", packBE(uint32(2), portEntry(uint32(TCInvalidFull), 6, 0, 80, 1), portEntry(uint32(TCInvalidFull), 17, 1, 80, 0))},
+	// Tallies past a 16-bit cell: carried, one past 1<<32, and one that a
+	// uint64 counter reaches only by wrapping.
+	{"port-mix past the carry", "port-mix", packBE(uint32(3), portEntry(uint32(TCRegular), 6, 0, 80, 0x10000),
+		portEntry(uint32(TCRegular), 6, 0, 443, 1<<32+0xFFFF), portEntry(uint32(TCRegular), 17, 1, 65535, ^uint64(0)))},
 	{"/8 src", "/8 src", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
 	{"/8 dst", "/8 dst", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
 	{"fan-in", "fan-in", packBE(uint32(3), uint32(TCBogon), uint32(0), uint32(TCUnrouted), uint32(0), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},
@@ -546,8 +554,8 @@ func allocatedWithin(budget uint64, fn func()) uint64 {
 
 // decodeBudget is the memory a decode of n input bytes may allocate: the
 // empty aggregator, plus a constant factor over the input (a 4-byte source
-// address becomes a map slot, a 16-byte port entry can open a 2 KB counter
-// block and a 10 KB page).
+// address becomes a map slot, a 16-byte port entry can open a 512-byte cell
+// block, a 16 KB carry slab and a 13 KB page).
 func decodeBudget(n int) uint64 { return 64<<10 + 1024*uint64(n) }
 
 // TestDecodeCheckpointTruncatedAnywhere cuts a valid checkpoint at every

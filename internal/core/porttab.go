@@ -6,28 +6,37 @@ import "math/bits"
 // mix and packet-size histograms. Both used to be Go maps keyed per flow on
 // the Add hot path; with ~uniform ephemeral ports the port map grows to
 // hundreds of thousands of entries and every flow pays two hashed,
-// cache-missing map operations. A dense page — block-allocated counter
-// arrays plus a presence bitmap — turns each into L2-resident indexing. Key
-// presence is tracked separately from the count (a zero-packet add still
-// records the key), so the canonical checkpoint encoding is byte-identical
-// to the map-backed layout's.
+// cache-missing map operations. A dense page — block-allocated 16-bit
+// cells with an exact carry, plus a presence bitmap — turns each into
+// L2-resident indexing. Key presence is tracked separately from the count (a
+// zero-packet add still records the key), so the canonical checkpoint
+// encoding is byte-identical to the map-backed layout's.
 //
 // The tables hold exactly what Aggregator.Add records: pages are indexed by
 // traffic class, and port pages by TCP or UDP and by direction, with no
 // second layout for anything else. The checkpoint decoder refuses a class,
 // protocol or direction outside that range, rather than keep a place for it.
 
-// portPage is the dense tally for one (class, proto, dir): 65536 counters
-// plus a 65536-bit presence bitmap. The counters live in 256-port blocks
-// allocated on first touch rather than one flat [1<<16]uint64: a fresh page
-// is ~10KB instead of 512KB, so the cluster paths that decode checkpoints
-// into fresh tables (shard assign, coordinator merge) allocate in
-// proportion to the ports actually recorded. That also keeps the race
-// detector's shadow-memory cost per allocation small — a flat half-MB
-// zeroed array per page made `-race` cluster runs pathologically slow.
+// portPage is the dense tally for one (class, proto, dir): a 16-bit cell per
+// port plus a 65536-bit presence bitmap. The tallies are 1:10K-sampled
+// packet counts, almost always tiny, so a cell is 16 bits wide with an exact
+// carry: an add that would take a cell past 0xFFFF moves the cell's whole
+// sum into the port's uint64 carry, and a port's tally is always cell +
+// carry (mod 2^64, as a uint64 counter wraps). Cells live in 256-port
+// blocks of 512 B allocated on first touch; a block's carries live in a
+// 256-port uint64 block taken on that block's first carry from the table's
+// carry slab. A fresh page is ~13KB, and a page whose every block is touched
+// holds 128KB of cells where uint64 counters held 512KB, so the cluster
+// paths that decode checkpoints into fresh tables (shard assign, coordinator
+// merge) allocate in proportion to the ports actually recorded, and a
+// worker's shard aggregates stay cache-sized. That also keeps the race
+// detector's shadow-memory cost per allocation small — a flat half-MB zeroed
+// array per page made `-race` cluster runs pathologically slow.
 type portPage struct {
-	blk  [1 << 8]*[1 << 8]uint64
-	seen [1 << 10]uint64
+	tab   *PortTab // the table whose slabs the carry blocks come from
+	blk   [1 << 8]*[1 << 8]uint16
+	carry [1 << 8]*[1 << 8]uint64 // nil until the block's first carry
+	seen  [1 << 10]uint64
 	// sum summarizes seen: bit w is set iff seen[w] != 0. Every walk goes
 	// through it (eachWord), so folding or clearing a page that holds one
 	// drained batch costs about that batch's entries, not all 1024 words.
@@ -35,29 +44,47 @@ type portPage struct {
 	n   int // set bits in seen
 }
 
-// slot returns the counter cell for port, allocating its block on first use.
-func (p *portPage) slot(port uint16) *uint64 {
-	blk := p.blk[port>>8]
+// cells returns block b's cells, allocating the block on first use.
+func (p *portPage) cells(b int) *[1 << 8]uint16 {
+	blk := p.blk[b]
 	if blk == nil {
-		blk = new([1 << 8]uint64)
-		p.blk[port>>8] = blk
+		blk = new([1 << 8]uint16)
+		p.blk[b] = blk
 	}
-	return &blk[port&0xff]
+	return blk
 }
 
-// at reads the counter for port; unrecorded ports read zero.
-func (p *portPage) at(port uint16) uint64 {
-	if blk := p.blk[port>>8]; blk != nil {
-		return blk[port&0xff]
+// addCell adds s to cell c and returns what the cell cannot hold: 0, or,
+// when the sum would pass 0xFFFF, the whole sum, which leaves the cell 0 and
+// goes to the port's carry.
+func addCell(c *uint16, s uint64) (carry uint64) {
+	if s += uint64(*c); s <= 0xffff {
+		*c = uint16(s)
+		return 0
 	}
-	return 0
+	*c = 0
+	return s
+}
+
+// addCarry adds s to port b<<8|i's carry, taking block b's carries from
+// the table on their first use.
+func (p *portPage) addCarry(b, i int, s uint64) {
+	cb := p.carry[b]
+	if cb == nil {
+		cb = p.tab.carryBlock()
+		p.carry[b] = cb
+	}
+	cb[i] += s
 }
 
 func (p *portPage) add(port uint16, pkts uint64) {
-	*p.slot(port) += pkts
-	w, b := uint32(port)>>6, uint64(1)<<(port&63)
-	if p.seen[w]&b == 0 {
-		p.seen[w] |= b
+	b, i := int(port>>8), int(port&0xff)
+	if c := addCell(&p.cells(b)[i], pkts); c != 0 {
+		p.addCarry(b, i, c)
+	}
+	w, bit := uint32(port)>>6, uint64(1)<<(port&63)
+	if p.seen[w]&bit == 0 {
+		p.seen[w] |= bit
 		p.sum[w>>6] |= 1 << (w & 63)
 		p.n++
 	}
@@ -75,34 +102,45 @@ func (p *portPage) eachWord(fn func(w int, word uint64)) {
 	}
 }
 
-// mergeFrom adds every tally of op into p, a word of ports at a time.
+// mergeFrom adds every tally of op into p, a word of ports at a time: cells
+// into cells, and op's carries, where its block has any, into p's.
 func (p *portPage) mergeFrom(op *portPage) {
 	op.eachWord(func(w int, word uint64) {
-		src, dst := op.blk[w>>2], p.blk[w>>2]
-		if dst == nil {
-			dst = new([1 << 8]uint64)
-			p.blk[w>>2] = dst
-		}
+		b := w >> 2
+		src, dst := op.blk[b], p.cells(b)
 		if fresh := word &^ p.seen[w]; fresh != 0 {
 			p.seen[w] |= fresh
 			p.sum[w>>6] |= 1 << (w & 63)
 			p.n += bits.OnesCount64(fresh)
 		}
+		if oc := op.carry[b]; oc != nil {
+			for x := word; x != 0; x &= x - 1 {
+				if i := (w<<6 | bits.TrailingZeros64(x)) & 0xff; oc[i] != 0 {
+					p.addCarry(b, i, oc[i])
+				}
+			}
+		}
 		for ; word != 0; word &= word - 1 {
 			i := (w<<6 | bits.TrailingZeros64(word)) & 0xff
-			dst[i] += src[i]
+			if c := addCell(&dst[i], uint64(src[i])); c != 0 {
+				p.addCarry(b, i, c)
+			}
 		}
 	})
 }
 
-// reset zeroes only the touched counters (via the presence bitmap and its
-// summary), so a reused private shard pays O(touched), not O(65536), per
-// fold. Blocks stay allocated for the next lap.
+// reset zeroes only the touched cells and carries (via the presence bitmap
+// and its summary), so a reused private shard pays O(touched), not
+// O(65536), per fold. Cell and carry blocks stay allocated for the next lap.
 func (p *portPage) reset() {
 	p.eachWord(func(w int, word uint64) {
-		blk := p.blk[w>>2]
+		blk, cb := p.blk[w>>2], p.carry[w>>2]
 		for ; word != 0; word &= word - 1 {
-			blk[(w<<6|bits.TrailingZeros64(word))&0xff] = 0
+			i := (w<<6 | bits.TrailingZeros64(word)) & 0xff
+			blk[i] = 0
+			if cb != nil {
+				cb[i] = 0
+			}
 		}
 		p.seen[w] = 0
 	})
@@ -122,6 +160,24 @@ type portPageKey struct {
 // the two protocols Add records.
 type PortTab struct {
 	fast [numTrafficClasses][2][2]*portPage
+	// spare is what the last carry slab has not handed out yet.
+	spare [][1 << 8]uint64
+}
+
+// carrySlabLen is how many carry blocks one allocation holds: 16 KB. A
+// receiver that folds report after report sees its tallies pass 0xFFFF a
+// few blocks at a time, and one slab takes such a run without an allocation
+// per block.
+const carrySlabLen = 8
+
+// carryBlock hands out a zeroed carry block from the table's current slab.
+func (t *PortTab) carryBlock() *[1 << 8]uint64 {
+	if len(t.spare) == 0 {
+		t.spare = make([][1 << 8]uint64, carrySlabLen)
+	}
+	cb := &t.spare[0]
+	t.spare = t.spare[1:]
+	return cb
 }
 
 // NewPortTab builds an empty table.
@@ -147,7 +203,7 @@ func protoIdx(proto uint8) int {
 func (t *PortTab) page(c TrafficClass, proto, dir uint8, create bool) *portPage {
 	slot := &t.fast[c][protoIdx(proto)][dir]
 	if *slot == nil && create {
-		*slot = &portPage{}
+		*slot = &portPage{tab: t}
 	}
 	return *slot
 }
@@ -180,18 +236,28 @@ func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
 }
 
 // encode writes the port mix sorted by (class, proto, dir, port), a bitmap
-// word — up to 64 entries — per reservation.
+// word — up to 64 entries — per reservation. A word's 64 ports share one
+// 256-port block, so whether their carries exist is asked once per word.
 func (t *PortTab) encode(e *cpEnc) {
 	e.u32(uint32(t.Len()))
 	t.pages(func(k portPageKey, p *portPage) {
 		head := uint64(uint32(k.class))<<32 | uint64(k.proto)<<24 | uint64(k.dir)<<16
 		p.eachWord(func(w int, word uint64) {
-			blk := p.blk[w>>2] // a word's 64 ports share one 256-port block
+			blk, cb := p.blk[w>>2], p.carry[w>>2]
 			q := e.grow(16 * bits.OnesCount64(word))
+			if cb == nil {
+				for ; word != 0; word &= word - 1 {
+					port := w<<6 | bits.TrailingZeros64(word)
+					be.PutUint64(q, head|uint64(port))
+					be.PutUint64(q[8:], uint64(blk[port&0xff]))
+					q = q[16:]
+				}
+				return
+			}
 			for ; word != 0; word &= word - 1 {
 				port := w<<6 | bits.TrailingZeros64(word)
 				be.PutUint64(q, head|uint64(port))
-				be.PutUint64(q[8:], blk[port&0xff])
+				be.PutUint64(q[8:], uint64(blk[port&0xff])+cb[port&0xff])
 				q = q[16:]
 			}
 		})
@@ -232,9 +298,14 @@ func (t *PortTab) fold(d *cpDec) {
 func (t *PortTab) Range(fn func(PortKey, uint64)) {
 	t.pages(func(k portPageKey, p *portPage) {
 		p.eachWord(func(w int, word uint64) {
+			blk, cb := p.blk[w>>2], p.carry[w>>2]
 			for ; word != 0; word &= word - 1 {
-				port := uint16(w<<6 | bits.TrailingZeros64(word))
-				fn(PortKey{k.class, k.proto, k.dir, port}, p.at(port))
+				port := w<<6 | bits.TrailingZeros64(word)
+				n := uint64(blk[port&0xff])
+				if cb != nil {
+					n += cb[port&0xff]
+				}
+				fn(PortKey{k.class, k.proto, k.dir, uint16(port)}, n)
 			}
 		})
 	})
