@@ -238,7 +238,11 @@ func (c *Closure) ExactValidSpace(u int, spaces []netx.IntervalSet) netx.Interva
 
 // NaiveIndex implements the Naive approach: per AS, the set of prefixes on
 // whose announcement paths the AS appears. The sets are one CSR layout: AS u's
-// prefixes are flat[off[u]:off[u+1]], distinct and in prefix order.
+// prefixes are flat[off[u]:off[u+1]], distinct and in prefix order. It serves
+// the analyses over every AS — Figure 2's valid-space sizes and §3.4's cone
+// containment (experiments.Figure2, experiments.ConeContainment). The
+// classifier does not use it: core fills its members' naive rows from the
+// RIB's own hop runs, and its tests keep this index as their oracle.
 type NaiveIndex struct {
 	off  []int32
 	flat []netx.Prefix
@@ -313,9 +317,8 @@ func (n *NaiveIndex) ValidSpace(u int) netx.IntervalSet {
 }
 
 // ValidPrefixes returns the distinct announced prefixes AS u is naively
-// valid for, in prefix order. The slice is owned by the index and must not be
-// modified; the classifier maps each prefix to its origins-table entry index
-// to express per-member validity as a bitset rather than a per-member LPM.
+// valid for, in prefix order: the prefixes ValidSpace covers. The slice is
+// owned by the index and must not be modified.
 func (n *NaiveIndex) ValidPrefixes(u int) []netx.Prefix {
 	return n.flat[n.off[u]:n.off[u+1]:n.off[u+1]]
 }

@@ -656,8 +656,7 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 	}
 
 	merged := core.NewAggregator(c.cfg.Start, c.cfg.Bucket)
-	var total, stale uint64
-	degraded := false
+	var total uint64
 	for i := range b.shards {
 		s := &b.shards[i]
 		total += s.cursor
@@ -666,39 +665,24 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		}
 		// Each report folds straight into merged as it decodes: no shard
 		// aggregate is built only to be merged and dropped.
-		cp, err := core.MergeCheckpointBytes(merged, s.lastReport)
-		if err != nil {
+		if _, err := core.MergeCheckpointBytes(merged, s.lastReport); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d report: %w", s.id, err)
 		}
-		stale += cp.StaleVerdicts
-		degraded = degraded || cp.Degraded
 	}
-	epoch, swaps := b.epochSeq, b.epochSeq
+	cp := &core.Checkpoint{Epoch: core.Epoch(b.epochSeq), Swaps: b.epochSeq, Agg: merged}
 	if base := c.cfg.Resume; base != nil {
 		// Fold the baseline a resumed run continues from. Epoch and Swaps
 		// take the max — matching single-process resume, which restores the
-		// saved counters and does not count re-promotion as a new swap.
+		// saved counters and does not count re-promotion as a new swap. A
+		// worker's report carries no stale verdicts and is never degraded,
+		// so only the baseline sets either.
 		merged.Merge(base.Agg)
 		total += base.Processed
-		stale += base.StaleVerdicts
-		degraded = degraded || base.Degraded
-		if uint64(base.Epoch) > epoch {
-			epoch = uint64(base.Epoch)
-		}
-		if base.Swaps > swaps {
-			swaps = base.Swaps
-		}
+		cp.StaleVerdicts, cp.Degraded = base.StaleVerdicts, base.Degraded
+		cp.Epoch, cp.Swaps = max(cp.Epoch, base.Epoch), max(cp.Swaps, base.Swaps)
 	}
-	return &core.Checkpoint{
-		Ingested:      total,
-		Queued:        total,
-		Processed:     total,
-		Epoch:         core.Epoch(epoch),
-		Swaps:         swaps,
-		StaleVerdicts: stale,
-		Degraded:      degraded,
-		Agg:           merged,
-	}, nil
+	cp.Ingested, cp.Queued, cp.Processed = total, total, total
+	return cp, nil
 }
 
 // Stats is a point-in-time cluster summary for tests and operators.

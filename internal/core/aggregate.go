@@ -162,8 +162,9 @@ type Aggregator struct {
 	// class with no traffic.
 	Series [numTrafficClasses][]uint64
 
-	// SizeHist counts packets by packet-size bin (Bytes/Packets) per class,
-	// in dense per-class pages (see porttab.go).
+	// SizeHist counts packets by packet-size bin (Bytes/Packets) per class:
+	// a port-mix page per class over sizes in [0, 65536), and an exact map
+	// for the quotients outside it (see porttab.go).
 	SizeHist *SizeTab
 
 	// Ports is the port mix (top-N extraction happens at render time), in

@@ -189,6 +189,30 @@ func TestEncodeCheckpointAllocsConstant(t *testing.T) {
 	}
 }
 
+// densePages visits a's dense pages: its port pages, then its size pages.
+func densePages(a *Aggregator, fn func(*portPage)) {
+	a.Ports.pages(func(_ portPageKey, p *portPage) { fn(p) })
+	for _, p := range a.SizeHist.pages {
+		if p != nil {
+			fn(&p.portPage)
+		}
+	}
+}
+
+// pageContainers counts a dense page and its cell and carry blocks.
+func pageContainers(p *portPage) int {
+	n := 1
+	for b, blk := range p.blk {
+		if blk != nil {
+			n++
+		}
+		if p.carry[b] != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // containers counts what the decoder must allocate one by one: maps, pages,
 // cell and carry blocks, series — not their entries. Carry blocks come eight
 // to a slab, so counting each one is an upper bound.
@@ -212,21 +236,15 @@ func containers(a *Aggregator) (containers, entries int) {
 			containers += 2
 		}
 	}
-	a.Ports.pages(func(_ portPageKey, p *portPage) {
-		containers++
-		for b, blk := range p.blk {
-			if blk != nil {
-				containers++
-			}
-			if p.carry[b] != nil {
-				containers++
-			}
-		}
+	densePages(a, func(p *portPage) {
+		containers += pageContainers(p)
 		entries += p.n
 	})
-	for _, c := range a.SizeHist.classList(nil) {
-		containers++
-		entries += a.SizeHist.ClassLen(c)
+	for _, p := range a.SizeHist.pages {
+		if p != nil {
+			containers++ // the spill map
+			entries += len(p.spill)
+		}
 	}
 	for _, m := range a.FanIn {
 		entries += len(m)
@@ -436,6 +454,10 @@ var acceptedShapes = []checkpointShape{
 	// uint64 counter reaches only by wrapping.
 	{"port-mix past the carry", "port-mix", packBE(uint32(3), portEntry(uint32(TCRegular), 6, 0, 80, 0x10000),
 		portEntry(uint32(TCRegular), 6, 0, 443, 1<<32+0xFFFF), portEntry(uint32(TCRegular), 17, 1, 65535, ^uint64(0)))},
+	// The same tallies on sizes: a spilled negative quotient (-1), the dense
+	// page's last size, and the first spilled one above it.
+	{"size histogram past the carry", "size histogram", packBE(uint32(1), uint32(TCRegular), uint32(3),
+		^uint64(0), uint64(0x10000), uint64(65535), uint64(1<<32+0xFFFF), uint64(65536), ^uint64(0))},
 	{"/8 src", "/8 src", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
 	{"/8 dst", "/8 dst", packBE(uint32(1), uint32(TCInvalidFull), noBins)},
 	{"fan-in", "fan-in", packBE(uint32(3), uint32(TCBogon), uint32(0), uint32(TCUnrouted), uint32(0), uint32(TCInvalidFull), uint32(1), fanInDst(9, 7, 1))},

@@ -2,38 +2,40 @@ package core
 
 import "math/bits"
 
-// This file holds the dense tally containers behind the Aggregator's port
-// mix and packet-size histograms. Both used to be Go maps keyed per flow on
-// the Add hot path; with ~uniform ephemeral ports the port map grows to
-// hundreds of thousands of entries and every flow pays two hashed,
-// cache-missing map operations. A dense page — block-allocated 16-bit
+// This file holds the dense tally behind the Aggregator's port mix and
+// packet-size histograms. Both count packets per class over a 16-bit key —
+// a port, or an IPv4 total length — so both are built from one page type. A
+// Go map keyed per flow would put hashed, cache-missing map operations on
+// the Add hot path, and with ~uniform ephemeral ports a port map grows to
+// hundreds of thousands of entries. A dense page — block-allocated 16-bit
 // cells with an exact carry, plus a presence bitmap — turns each into
 // L2-resident indexing. Key presence is tracked separately from the count (a
 // zero-packet add still records the key), so the canonical checkpoint
-// encoding is byte-identical to the map-backed layout's.
+// encoding is byte-identical to a map-backed layout's.
 //
 // The tables hold exactly what Aggregator.Add records: pages are indexed by
 // traffic class, and port pages by TCP or UDP and by direction, with no
 // second layout for anything else. The checkpoint decoder refuses a class,
 // protocol or direction outside that range, rather than keep a place for it.
 
-// portPage is the dense tally for one (class, proto, dir): a 16-bit cell per
-// port plus a 65536-bit presence bitmap. The tallies are 1:10K-sampled
-// packet counts, almost always tiny, so a cell is 16 bits wide with an exact
-// carry: an add that would take a cell past 0xFFFF moves the cell's whole
-// sum into the port's uint64 carry, and a port's tally is always cell +
-// carry (mod 2^64, as a uint64 counter wraps). Cells live in 256-port
-// blocks of 512 B allocated on first touch; a block's carries live in a
-// 256-port uint64 block taken on that block's first carry from the table's
-// carry slab. A fresh page is ~13KB, and a page whose every block is touched
-// holds 128KB of cells where uint64 counters held 512KB, so the cluster
-// paths that decode checkpoints into fresh tables (shard assign, coordinator
-// merge) allocate in proportion to the ports actually recorded, and a
-// worker's shard aggregates stay cache-sized. That also keeps the race
-// detector's shadow-memory cost per allocation small — a flat half-MB zeroed
-// array per page made `-race` cluster runs pathologically slow.
+// portPage is the dense tally over one 16-bit key space — a (class, proto,
+// dir)'s ports, or a class's packet sizes: a 16-bit cell per key plus a
+// 65536-bit presence bitmap. The tallies are 1:10K-sampled packet counts,
+// almost always tiny, so a cell is 16 bits wide with an exact carry: an add
+// that would take a cell past 0xFFFF moves the cell's whole sum into the
+// key's uint64 carry, and a key's tally is always cell + carry (mod 2^64, as
+// a uint64 counter wraps). Cells live in 256-key blocks of 512 B allocated
+// on first touch; a block's carries live in a 256-key uint64 block taken on
+// that block's first carry from the table's carry slab. A fresh page is
+// ~13KB, and a page whose every block is touched holds 128KB of cells where
+// uint64 counters held 512KB, so the cluster paths that decode checkpoints
+// into fresh tables (shard assign, coordinator merge) allocate in proportion
+// to the keys actually recorded, and a worker's shard aggregates stay
+// cache-sized. That also keeps the race detector's shadow-memory cost per
+// allocation small — a flat half-MB zeroed array per page made `-race`
+// cluster runs pathologically slow.
 type portPage struct {
-	tab   *PortTab // the table whose slabs the carry blocks come from
+	slab  *carrySlab // the owning table's, which the carry blocks come from
 	blk   [1 << 8]*[1 << 8]uint16
 	carry [1 << 8]*[1 << 8]uint64 // nil until the block's first carry
 	seen  [1 << 10]uint64
@@ -42,6 +44,26 @@ type portPage struct {
 	// drained batch costs about that batch's entries, not all 1024 words.
 	sum [1 << 4]uint64
 	n   int // set bits in seen
+}
+
+// carrySlab hands out the carry blocks of one table's pages, carrySlabLen
+// to an allocation: 16 KB. A receiver that folds report after report sees
+// its tallies pass 0xFFFF a few blocks at a time, and one slab takes such a
+// run without an allocation per block.
+type carrySlab struct {
+	spare [][1 << 8]uint64 // what the last allocation has not handed out yet
+}
+
+const carrySlabLen = 8
+
+// block hands out a zeroed carry block.
+func (s *carrySlab) block() *[1 << 8]uint64 {
+	if len(s.spare) == 0 {
+		s.spare = make([][1 << 8]uint64, carrySlabLen)
+	}
+	cb := &s.spare[0]
+	s.spare = s.spare[1:]
+	return cb
 }
 
 // cells returns block b's cells, allocating the block on first use.
@@ -56,7 +78,7 @@ func (p *portPage) cells(b int) *[1 << 8]uint16 {
 
 // addCell adds s to cell c and returns what the cell cannot hold: 0, or,
 // when the sum would pass 0xFFFF, the whole sum, which leaves the cell 0 and
-// goes to the port's carry.
+// goes to the key's carry.
 func addCell(c *uint16, s uint64) (carry uint64) {
 	if s += uint64(*c); s <= 0xffff {
 		*c = uint16(s)
@@ -66,23 +88,28 @@ func addCell(c *uint16, s uint64) (carry uint64) {
 	return s
 }
 
-// addCarry adds s to port b<<8|i's carry, taking block b's carries from
-// the table on their first use.
+// addCarry adds s to key b<<8|i's carry, taking block b's carries from the
+// slab on their first use.
 func (p *portPage) addCarry(b, i int, s uint64) {
 	cb := p.carry[b]
 	if cb == nil {
-		cb = p.tab.carryBlock()
+		cb = p.slab.block()
 		p.carry[b] = cb
 	}
 	cb[i] += s
 }
 
-func (p *portPage) add(port uint16, pkts uint64) {
-	b, i := int(port>>8), int(port&0xff)
-	if c := addCell(&p.cells(b)[i], pkts); c != 0 {
-		p.addCarry(b, i, c)
+// add records key and adds pkts to its tally. The common case — the block
+// exists and the sum fits the cell — makes no call; a block's first touch
+// and a carry go to addSlow.
+func (p *portPage) add(key uint16, pkts uint64) {
+	b, i := int(key>>8), int(key&0xff)
+	if blk := p.blk[b]; blk != nil && uint64(blk[i])+pkts <= 0xffff {
+		blk[i] += uint16(pkts) // a sum that wraps mod 2^64 fits too, as in addCell
+	} else {
+		p.addSlow(b, i, pkts)
 	}
-	w, bit := uint32(port)>>6, uint64(1)<<(port&63)
+	w, bit := key>>6, uint64(1)<<(key&63)
 	if p.seen[w]&bit == 0 {
 		p.seen[w] |= bit
 		p.sum[w>>6] |= 1 << (w & 63)
@@ -90,9 +117,15 @@ func (p *portPage) add(port uint16, pkts uint64) {
 	}
 }
 
+func (p *portPage) addSlow(b, i int, pkts uint64) {
+	if c := addCell(&p.cells(b)[i], pkts); c != 0 {
+		p.addCarry(b, i, c)
+	}
+}
+
 // eachWord visits the non-empty words of the presence bitmap in ascending
-// order: w indexes seen, and word's set bits are ports w<<6 | bit, all inside
-// the 256-port block w>>2.
+// order: w indexes seen, and word's set bits are keys w<<6 | bit, all inside
+// the 256-key block w>>2.
 func (p *portPage) eachWord(fn func(w int, word uint64)) {
 	for i, s := range p.sum {
 		for ; s != 0; s &= s - 1 {
@@ -102,7 +135,43 @@ func (p *portPage) eachWord(fn func(w int, word uint64)) {
 	}
 }
 
-// mergeFrom adds every tally of op into p, a word of ports at a time: cells
+// each visits every recorded key and its tally in ascending key order.
+func (p *portPage) each(fn func(key int, n uint64)) {
+	p.eachWord(func(w int, word uint64) {
+		blk, cb := p.blk[w>>2], p.carry[w>>2]
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			n := uint64(blk[key&0xff])
+			if cb != nil {
+				n += cb[key&0xff]
+			}
+			fn(key, n)
+		}
+	})
+}
+
+// encode writes an entry per recorded key in ascending key order — head|key,
+// then the tally — a bitmap word, up to 64 entries, per reservation. A
+// word's keys share one 256-key block, so whether their carries exist is
+// asked once per word.
+func (p *portPage) encode(e *cpEnc, head uint64) {
+	p.eachWord(func(w int, word uint64) {
+		blk, cb := p.blk[w>>2], p.carry[w>>2]
+		q := e.grow(16 * bits.OnesCount64(word))
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			n := uint64(blk[key&0xff])
+			if cb != nil {
+				n += cb[key&0xff]
+			}
+			be.PutUint64(q, head|uint64(key))
+			be.PutUint64(q[8:], n)
+			q = q[16:]
+		}
+	})
+}
+
+// mergeFrom adds every tally of op into p, a word of keys at a time: cells
 // into cells, and op's carries, where its block has any, into p's.
 func (p *portPage) mergeFrom(op *portPage) {
 	op.eachWord(func(w int, word uint64) {
@@ -160,24 +229,7 @@ type portPageKey struct {
 // the two protocols Add records.
 type PortTab struct {
 	fast [numTrafficClasses][2][2]*portPage
-	// spare is what the last carry slab has not handed out yet.
-	spare [][1 << 8]uint64
-}
-
-// carrySlabLen is how many carry blocks one allocation holds: 16 KB. A
-// receiver that folds report after report sees its tallies pass 0xFFFF a
-// few blocks at a time, and one slab takes such a run without an allocation
-// per block.
-const carrySlabLen = 8
-
-// carryBlock hands out a zeroed carry block from the table's current slab.
-func (t *PortTab) carryBlock() *[1 << 8]uint64 {
-	if len(t.spare) == 0 {
-		t.spare = make([][1 << 8]uint64, carrySlabLen)
-	}
-	cb := &t.spare[0]
-	t.spare = t.spare[1:]
-	return cb
+	slab carrySlab
 }
 
 // NewPortTab builds an empty table.
@@ -203,7 +255,7 @@ func protoIdx(proto uint8) int {
 func (t *PortTab) page(c TrafficClass, proto, dir uint8, create bool) *portPage {
 	slot := &t.fast[c][protoIdx(proto)][dir]
 	if *slot == nil && create {
-		*slot = &portPage{tab: t}
+		*slot = &portPage{slab: &t.slab}
 	}
 	return *slot
 }
@@ -235,32 +287,11 @@ func (t *PortTab) pages(fn func(portPageKey, *portPage)) {
 	}
 }
 
-// encode writes the port mix sorted by (class, proto, dir, port), a bitmap
-// word — up to 64 entries — per reservation. A word's 64 ports share one
-// 256-port block, so whether their carries exist is asked once per word.
+// encode writes the port mix sorted by (class, proto, dir, port).
 func (t *PortTab) encode(e *cpEnc) {
 	e.u32(uint32(t.Len()))
 	t.pages(func(k portPageKey, p *portPage) {
-		head := uint64(uint32(k.class))<<32 | uint64(k.proto)<<24 | uint64(k.dir)<<16
-		p.eachWord(func(w int, word uint64) {
-			blk, cb := p.blk[w>>2], p.carry[w>>2]
-			q := e.grow(16 * bits.OnesCount64(word))
-			if cb == nil {
-				for ; word != 0; word &= word - 1 {
-					port := w<<6 | bits.TrailingZeros64(word)
-					be.PutUint64(q, head|uint64(port))
-					be.PutUint64(q[8:], uint64(blk[port&0xff]))
-					q = q[16:]
-				}
-				return
-			}
-			for ; word != 0; word &= word - 1 {
-				port := w<<6 | bits.TrailingZeros64(word)
-				be.PutUint64(q, head|uint64(port))
-				be.PutUint64(q[8:], uint64(blk[port&0xff])+cb[port&0xff])
-				q = q[16:]
-			}
-		})
+		p.encode(e, uint64(uint32(k.class))<<32|uint64(k.proto)<<24|uint64(k.dir)<<16)
 	})
 }
 
@@ -297,17 +328,7 @@ func (t *PortTab) fold(d *cpDec) {
 // order. Safe to mutate other state during the walk; not safe to Add.
 func (t *PortTab) Range(fn func(PortKey, uint64)) {
 	t.pages(func(k portPageKey, p *portPage) {
-		p.eachWord(func(w int, word uint64) {
-			blk, cb := p.blk[w>>2], p.carry[w>>2]
-			for ; word != 0; word &= word - 1 {
-				port := w<<6 | bits.TrailingZeros64(word)
-				n := uint64(blk[port&0xff])
-				if cb != nil {
-					n += cb[port&0xff]
-				}
-				fn(PortKey{k.class, k.proto, k.dir, uint16(port)}, n)
-			}
-		})
+		p.each(func(port int, n uint64) { fn(PortKey{k.class, k.proto, k.dir, uint16(port)}, n) })
 	})
 }
 
@@ -329,43 +350,48 @@ func (t *PortTab) Reset() {
 	t.pages(func(_ portPageKey, p *portPage) { p.reset() })
 }
 
-// sizePage is the dense packet-size histogram for one class: sizes below
-// sizeDense live in the flat array, anything else (jumbo or degenerate
-// Bytes/Packets quotients) spills to an exact map.
-const sizeDense = 1 << 12
-
+// sizePage is one class's packet-size histogram: a dense page over sizes in
+// [0, 65536) — every IPv4 total length — and an exact map, spill, for the
+// rest: the negative or huge Bytes/Packets quotients of degenerate records.
+// spill is made with the page and never nil, which keeps add small enough
+// for the compiler to inline: SizeTab.Add then calls the page's add itself.
 type sizePage struct {
-	cnt   [sizeDense]uint64
-	seen  [sizeDense / 64]uint64
-	sum   uint64 // bit w set iff seen[w] != 0, as in portPage
-	n     int
+	portPage
 	spill map[int]uint64
 }
 
 func (p *sizePage) add(size int, pkts uint64) {
-	if size >= 0 && size < sizeDense {
-		p.cnt[size] += pkts
-		w, b := uint32(size)>>6, uint64(1)<<(size&63)
-		if p.seen[w]&b == 0 {
-			p.seen[w] |= b
-			p.sum |= 1 << w
-			p.n++
-		}
+	if uint(size) < 1<<16 {
+		p.portPage.add(uint16(size), pkts)
 		return
-	}
-	if p.spill == nil {
-		p.spill = make(map[int]uint64)
 	}
 	p.spill[size] += pkts
 }
 
 func (p *sizePage) len() int { return p.n + len(p.spill) }
 
+// walk visits the page in ascending size order: the spilled sizes below the
+// dense range (negative quotients), the dense page (through dense), then the
+// spilled sizes above it. Spilled sizes never fall inside the dense range,
+// so the three runs need no merge.
+func (p *sizePage) walk(dense func(), spilled func(size int, pkts uint64)) {
+	spill := sortedKeys(nil, p.spill)
+	i := 0
+	for ; i < len(spill) && spill[i] < 0; i++ {
+		spilled(spill[i], p.spill[spill[i]])
+	}
+	dense()
+	for ; i < len(spill); i++ {
+		spilled(spill[i], p.spill[spill[i]])
+	}
+}
+
 // SizeTab is the per-class packet-size histogram, replacing
 // map[TrafficClass]map[int]uint64. A class is present exactly when it has at
 // least one bin: Reset keeps a page allocated for reuse, emptied.
 type SizeTab struct {
 	pages [numTrafficClasses]*sizePage
+	slab  carrySlab
 }
 
 // NewSizeTab builds an empty histogram set.
@@ -375,7 +401,7 @@ func NewSizeTab() *SizeTab { return &SizeTab{} }
 func (t *SizeTab) page(c TrafficClass) *sizePage {
 	p := t.pages[c]
 	if p == nil {
-		p = &sizePage{}
+		p = &sizePage{portPage: portPage{slab: &t.slab}, spill: map[int]uint64{}}
 		t.pages[c] = p
 	}
 	return p
@@ -400,36 +426,11 @@ func (t *SizeTab) classList(buf []TrafficClass) []TrafficClass {
 // order — the checkpoint codec's order.
 func (t *SizeTab) RangeClass(c TrafficClass, fn func(int, uint64)) {
 	if p := t.pages[c]; p != nil {
-		p.walk(func(w int, word uint64) {
-			for ; word != 0; word &= word - 1 {
-				size := w<<6 | bits.TrailingZeros64(word)
-				fn(size, p.cnt[size])
-			}
-		}, fn)
+		p.walk(func() { p.each(fn) }, fn)
 	}
 }
 
-// walk visits the page in ascending size order: the spilled sizes below the
-// dense range (negative quotients), the non-empty words of the dense bitmap,
-// then the spilled sizes above it. Spilled sizes never fall inside the dense
-// range, so the three runs need no merge.
-func (p *sizePage) walk(dense func(w int, word uint64), spilled func(size int, pkts uint64)) {
-	spill := sortedKeys(nil, p.spill)
-	i := 0
-	for ; i < len(spill) && spill[i] < 0; i++ {
-		spilled(spill[i], p.spill[spill[i]])
-	}
-	for s := p.sum; s != 0; s &= s - 1 {
-		w := bits.TrailingZeros64(s)
-		dense(w, p.seen[w])
-	}
-	for ; i < len(spill); i++ {
-		spilled(spill[i], p.spill[spill[i]])
-	}
-}
-
-// encode writes the size histograms per class, sizes sorted, a bitmap word —
-// up to 64 bins — per reservation.
+// encode writes the size histograms per class, sizes sorted.
 func (t *SizeTab) encode(e *cpEnc) {
 	var buf [numTrafficClasses]TrafficClass
 	classes := t.classList(buf[:0])
@@ -437,15 +438,7 @@ func (t *SizeTab) encode(e *cpEnc) {
 	for _, c := range classes {
 		p := t.pages[c]
 		e.u32pair(uint32(c), uint32(p.len()))
-		p.walk(func(w int, word uint64) {
-			q := e.grow(16 * bits.OnesCount64(word))
-			for ; word != 0; word &= word - 1 {
-				size := w<<6 | bits.TrailingZeros64(word)
-				be.PutUint64(q, uint64(size))
-				be.PutUint64(q[8:], p.cnt[size])
-				q = q[16:]
-			}
-		}, func(size int, pkts uint64) {
+		p.walk(func() { p.encode(e, 0) }, func(size int, pkts uint64) {
 			q := e.grow(16)
 			be.PutUint64(q, uint64(size))
 			be.PutUint64(q[8:], pkts)
@@ -487,16 +480,10 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 			continue // a Reset page stays allocated, and has nothing to fold
 		}
 		p := t.page(TrafficClass(c))
-		// Addition commutes, so unlike the codec this walk need not be
+		p.mergeFrom(&op.portPage)
+		// Addition commutes, so unlike the codec this fold need not be
 		// ordered — and must not pay walk's sorted copy of the spilled sizes:
 		// a fold allocates nothing.
-		for s := op.sum; s != 0; s &= s - 1 {
-			w := bits.TrailingZeros64(s)
-			for word := op.seen[w]; word != 0; word &= word - 1 {
-				size := w<<6 | bits.TrailingZeros64(word)
-				p.add(size, op.cnt[size])
-			}
-		}
 		for size, pkts := range op.spill {
 			p.add(size, pkts)
 		}
@@ -507,17 +494,9 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 // absent, keeping pages allocated for reuse.
 func (t *SizeTab) Reset() {
 	for _, p := range t.pages {
-		if p == nil {
-			continue
+		if p != nil {
+			p.reset()
+			clear(p.spill)
 		}
-		for s := p.sum; s != 0; s &= s - 1 {
-			w := bits.TrailingZeros64(s)
-			for word := p.seen[w]; word != 0; word &= word - 1 {
-				p.cnt[w<<6|bits.TrailingZeros64(word)] = 0
-			}
-			p.seen[w] = 0
-		}
-		p.sum, p.n = 0, 0
-		clear(p.spill)
 	}
 }

@@ -137,6 +137,145 @@ func TestPortTabMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// sizeOp is one packet-size histogram add.
+type sizeOp struct {
+	class TrafficClass
+	size  int
+	pkts  uint64
+}
+
+// sizeOps draws about n adds the way portOps does, over sizes at the edges
+// of the dense page and its blocks — negative, 0, 255, 256, 4095, 4096,
+// 9000 (a jumbo frame), 65535, and the spilled 65536 and 1<<20 — and over
+// typical packet sizes, with portOps' tallies.
+func sizeOps(rng *splitmix, n int) []sizeOp {
+	classes := [...]TrafficClass{TCRegular, TCBogon, TCUnrouted, TCInvalidFull}
+	edges := [...]uint64{0, 1, 0xFFFF, 0x10000, 1 << 32, ^uint64(0)}
+	sizes := [...]int{-1, 0, 255, 256, 4095, 4096, 9000, 65535, 65536, 1 << 20}
+	ops := make([]sizeOp, 0, n+8)
+	for len(ops) < n {
+		op := sizeOp{class: classes[rng.intn(len(classes))], size: 40 + rng.intn(1461)}
+		if rng.intn(4) == 0 {
+			op.size = sizes[rng.intn(len(sizes))]
+		}
+		switch rng.intn(4) {
+		case 0:
+			op.pkts = edges[rng.intn(len(edges))]
+			ops = append(ops, op)
+		case 1:
+			for range 2 + rng.intn(4) {
+				op.pkts = uint64(0x5000 + rng.intn(0x1000))
+				ops = append(ops, op)
+			}
+		default:
+			op.pkts = uint64(1 + rng.intn(20))
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+// addSizeOps adds ops to a's size histogram and to the map oracle want.
+func addSizeOps(a *Aggregator, want map[TrafficClass]map[int]uint64, ops []sizeOp) {
+	for _, op := range ops {
+		a.SizeHist.Add(op.class, op.size, op.pkts)
+		if want[op.class] == nil {
+			want[op.class] = map[int]uint64{}
+		}
+		want[op.class][op.size] += op.pkts
+	}
+}
+
+// mergeSizeOracle adds src's tallies into dst.
+func mergeSizeOracle(dst, src map[TrafficClass]map[int]uint64) {
+	for c, hist := range src {
+		if dst[c] == nil {
+			dst[c] = map[int]uint64{}
+		}
+		for size, v := range hist {
+			dst[c][size] += v
+		}
+	}
+}
+
+// requireSizeHist fails t unless a's size histogram holds exactly want: the
+// classes present, each class's length, RangeClass's sizes in ascending
+// order with want's tallies, and checkpoint bytes equal to the oracle
+// encoder's.
+func requireSizeHist(t *testing.T, stage string, a *Aggregator, want map[TrafficClass]map[int]uint64) {
+	t.Helper()
+	for c := range numTrafficClasses {
+		if a.SizeHist.ClassLen(c) != len(want[c]) {
+			t.Fatalf("%s: class %d has %d sizes, want %d", stage, c, a.SizeHist.ClassLen(c), len(want[c]))
+		}
+		seen, last := 0, 0
+		a.SizeHist.RangeClass(c, func(size int, v uint64) {
+			if seen > 0 && last >= size {
+				t.Fatalf("%s: class %d: RangeClass visits size %d after %d", stage, c, size, last)
+			}
+			if w, ok := want[c][size]; !ok || v != w {
+				t.Fatalf("%s: class %d size %d tallies %d, want %d (recorded: %v)", stage, c, size, v, w, ok)
+			}
+			seen, last = seen+1, size
+		})
+		if seen != len(want[c]) {
+			t.Fatalf("%s: class %d: RangeClass visits %d sizes, want %d", stage, c, seen, len(want[c]))
+		}
+	}
+	cp := &Checkpoint{Agg: a}
+	var oracle bytes.Buffer
+	if err := oracleEncodeCheckpoint(&oracle, cp); err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendCheckpoint(nil, cp); !bytes.Equal(got, oracle.Bytes()) {
+		t.Fatalf("%s: checkpoint differs from the oracle encoder's at byte %d of %d", stage, firstDiff(got, oracle.Bytes()), oracle.Len())
+	}
+}
+
+// TestSizeTabMatchesMapOracle is TestPortTabMatchesMapOracle for the
+// packet-size histogram: its dense page's cells and carries, and the spill
+// map beside them, through Add, MergeFrom, MergeCheckpointBytes, a decode
+// and Reset, each held to a map[TrafficClass]map[int]uint64 fed the same
+// adds.
+func TestSizeTabMatchesMapOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := splitmix(seed)
+		a, b := NewAggregator(cpStart, time.Hour), NewAggregator(cpStart, time.Hour)
+		wantA, wantB := map[TrafficClass]map[int]uint64{}, map[TrafficClass]map[int]uint64{}
+		addSizeOps(a, wantA, sizeOps(&rng, 1500))
+		requireSizeHist(t, "Add", a, wantA)
+		addSizeOps(b, wantB, sizeOps(&rng, 1500))
+
+		a.SizeHist.MergeFrom(b.SizeHist)
+		mergeSizeOracle(wantA, wantB)
+		requireSizeHist(t, "MergeFrom", a, wantA)
+		fresh := NewAggregator(cpStart, time.Hour)
+		fresh.SizeHist.MergeFrom(a.SizeHist)
+		requireSizeHist(t, "MergeFrom into a fresh table", fresh, wantA)
+
+		raw := AppendCheckpoint(nil, &Checkpoint{Agg: b})
+		if _, err := MergeCheckpointBytes(a, raw); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		mergeSizeOracle(wantA, wantB)
+		requireSizeHist(t, "MergeCheckpointBytes", a, wantA)
+		decoded, err := DecodeCheckpointBytes(raw)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		requireSizeHist(t, "DecodeCheckpointBytes", decoded.Agg, wantB)
+
+		a.SizeHist.Reset()
+		requireSizeHist(t, "Reset", a, nil)
+		refill := map[TrafficClass]map[int]uint64{}
+		addSizeOps(a, refill, sizeOps(&rng, 1500))
+		requireSizeHist(t, "Reset and refill", a, refill)
+		fresh.SizeHist.Reset()
+		fresh.SizeHist.MergeFrom(a.SizeHist)
+		requireSizeHist(t, "MergeFrom after Reset", fresh, refill)
+	}
+}
+
 // retainedBy reports the heap bytes still in use, after a collection, by
 // what build returns, against a collection before it.
 func retainedBy[T any](build func() T) (T, uint64) {
@@ -150,10 +289,11 @@ func retainedBy[T any](build func() T) (T, uint64) {
 }
 
 // TestMixedAggregateRetainsLinear holds what a typical-mix aggregate keeps
-// on the heap to a budget linear in what it records: 16 KiB per port page
-// (its presence bitmaps and block tables), 768 B per touched 256-port block
-// (512 B of 16-bit cells, and room for the carries), 96 B per recorded entry
-// outside the port mix and 256 B per container outside it. uint64 counters
+// on the heap to a budget linear in what it records: 16 KiB per dense page,
+// port or size (its presence bitmaps and block tables), 768 B per touched
+// 256-key block (512 B of 16-bit cells, and room for the carries), 96 B per
+// recorded entry outside the dense pages and 256 B per container outside
+// them. uint64 counters
 // take 2 KiB per touched block on their own, and the mix's ephemeral source
 // ports touch most blocks of every busy page: with them this aggregate
 // retained 4.3 MB at 50,000 flows, against a 2.7 MB budget.
@@ -165,26 +305,18 @@ func TestMixedAggregateRetainsLinear(t *testing.T) {
 		a, retained := retainedBy(func() *Aggregator { return shapedAggregate(false, n, 7) })
 		cs, es := containers(a)
 		pages, blocks := 0, 0
-		a.Ports.pages(func(_ portPageKey, p *portPage) {
+		densePages(a, func(p *portPage) {
 			pages++
-			for b := range p.blk {
-				if p.blk[b] != nil {
-					cs-- // the block's cells, counted below as a touched block
-				}
-				if p.carry[b] != nil {
-					cs-- // its carries, inside the block's 768 B
-				}
-			}
+			cs -= pageContainers(p) // the page and its blocks, budgeted below
+			es -= p.n
 			for w := 0; w < len(p.seen); w += 4 {
 				if p.seen[w]|p.seen[w+1]|p.seen[w+2]|p.seen[w+3] != 0 {
 					blocks++
 				}
 			}
 		})
-		cs -= pages
-		es -= a.Ports.Len()
 		budget := uint64(64<<10 + 16<<10*pages + 768*blocks + 96*es + 256*cs)
-		t.Logf("n=%d: %.2f MB retained, budget %.2f MB (%d port pages, %d touched blocks, %d other entries, %d other containers)",
+		t.Logf("n=%d: %.2f MB retained, budget %.2f MB (%d dense pages, %d touched blocks, %d other entries, %d other containers)",
 			n, float64(retained)/1e6, float64(budget)/1e6, pages, blocks, es, cs)
 		if retained > budget {
 			t.Fatalf("n=%d: a mixed aggregate retains %d bytes, budget %d", n, retained, budget)
