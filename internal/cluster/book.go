@@ -78,7 +78,7 @@ func (p *peer) label() string {
 // handoff exactly-once:
 //
 //	ackBase <= sentCursor <= cursor
-//	replay == the flows [ackBase, cursor)
+//	replay == the wire records of the flows [ackBase, cursor)
 //
 // lastReport is the checkpoint that incorporates exactly the first ackBase
 // flows of the shard stream. Reassignment sends lastReport plus the replay
@@ -99,7 +99,9 @@ type shard struct {
 	sentCursor    uint64
 	ackBase       uint64
 	lastReport    []byte
-	replay        []ipfix.Flow
+	// replay holds the flows [ackBase, cursor) as flowWireLen-byte wire
+	// records: what a flow frame carries and the ledger embeds, verbatim.
+	replay []byte
 	// span tracks an in-flight ownership transfer (revoke/death → reassign
 	// → first report from the new owner); nil when ownership is settled.
 	span *handoffSpan
@@ -236,14 +238,15 @@ func (b *book) lost(p *peer, reason string, now time.Time) {
 	b.settle(now)
 }
 
-// ingest routes each flow to its shard, in order. Flows for orphaned shards
-// buffer in the replay queue (degraded service) and are delivered on
-// reassignment; ingest never blocks, never drops and never allocates beyond
-// the replay buffer's growth.
+// ingest routes each flow to its shard, in order, encoding it once into the
+// shard's replay buffer as the wire record every later frame and ledger
+// copies. Flows for orphaned shards buffer in the replay queue (degraded
+// service) and are delivered on reassignment; ingest never blocks, never
+// drops and never allocates beyond the replay buffer's growth.
 func (b *book) ingest(flows []ipfix.Flow) {
 	for i := range flows {
 		s := &b.shards[ShardOf(flows[i].Ingress, len(b.shards))]
-		s.replay = append(s.replay, flows[i])
+		s.replay = appendFlow(s.replay, &flows[i])
 		s.cursor++
 		if s.owner != nil && !s.revoking && s.cursor-s.sentCursor >= b.flowBatch {
 			b.flushToOwner(s)
@@ -519,7 +522,7 @@ func (b *book) report(p *peer, m reportMsg, now time.Time) {
 	// Compact in place: reslicing from the front would shed the capacity in
 	// front of the tail, and ingest's appends would regrow the buffer for as
 	// long as the feed runs.
-	s.replay = s.replay[:copy(s.replay, s.replay[m.cursor-s.ackBase:])]
+	s.replay = s.replay[:copy(s.replay, s.replay[(m.cursor-s.ackBase)*flowWireLen:])]
 	s.ackBase = m.cursor
 	s.lastReport = m.checkpoint
 	if m.final && s.revoking {
@@ -661,7 +664,8 @@ func (b *book) revoke(s *shard) {
 
 // flushToOwner frames the flows [sentCursor, cursor) to the owner's data
 // plane in batches, each built behind its length prefix in a buffer the
-// writer handed back. A full plane leaves the suffix buffered for the next
+// writer handed back: the replay buffer's records are copied (or deflated)
+// into it as they are. A full plane leaves the suffix buffered for the next
 // flush; a plane that stays full is the liveness rule's business. Until a
 // full epoch exists the flows stay in the replay buffer: a worker has
 // nothing to classify them under, and refuses them. Every owner has been
@@ -674,13 +678,13 @@ func (b *book) flushToOwner(s *shard) {
 	}
 	for s.sentCursor < s.cursor {
 		n := min(s.cursor-s.sentCursor, b.flowBatch)
-		off := s.sentCursor - s.ackBase
-		m := flowsMsg{shard: s.id, base: s.sentCursor, flows: s.replay[off : off+n]}
+		off := (s.sentCursor - s.ackBase) * flowWireLen
+		recs := s.replay[off : off+n*flowWireLen]
 		frame := beginFrame(p.out.buffer())
 		if b.compress {
-			frame = b.deflater.appendFlowsZ(frame, m)
+			frame = b.deflater.appendFlowsZ(frame, s.id, s.sentCursor, recs)
 		} else {
-			frame = appendFlows(frame, m)
+			frame = appendFlows(frame, s.id, s.sentCursor, recs)
 		}
 		if !p.out.data(sealFrame(frame)) {
 			p.out.recycle(frame)
@@ -735,10 +739,13 @@ func (b *book) count(f func(*shard) bool) int {
 func (b *book) replayLen() int {
 	n := 0
 	for i := range b.shards {
-		n += len(b.shards[i].replay)
+		n += b.shards[i].replayFlows()
 	}
 	return n
 }
+
+// replayFlows counts the flows in s's replay buffer.
+func (s *shard) replayFlows() int { return len(s.replay) / flowWireLen }
 
 // stats renders the book's counters.
 func (b *book) stats() Stats {

@@ -238,8 +238,9 @@ func (r *bookRig) check(prev []shard) {
 	for i := range b.shards {
 		s := &b.shards[i]
 		routed += s.cursor
-		if !(s.ackBase <= s.sentCursor && s.sentCursor <= s.cursor) || uint64(len(s.replay)) != s.cursor-s.ackBase {
-			r.t.Fatalf("shard %d: ackBase %d sentCursor %d cursor %d, %d flows in replay",
+		if !(s.ackBase <= s.sentCursor && s.sentCursor <= s.cursor) ||
+			len(s.replay)%flowWireLen != 0 || uint64(s.replayFlows()) != s.cursor-s.ackBase {
+			r.t.Fatalf("shard %d: ackBase %d sentCursor %d cursor %d, %d replay bytes",
 				i, s.ackBase, s.sentCursor, s.cursor, len(s.replay))
 		}
 		if prev != nil && (s.cursor < prev[i].cursor || s.ackBase < prev[i].ackBase) {

@@ -690,14 +690,15 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// A flag byte other than 0 or 1 is refused: it would decode to a message
-	// that encodes to other bytes.
+	// that encodes to other bytes. So is a flow frame whose record count
+	// disagrees with its length.
 	bump := frameBody(t, encodeEpoch(epochMsg{seq: 10}))
 	bump[1+3*8] = 2 // full, after seq, trace and ship time
 	report := frameBody(t, encodeReport(reportMsg{shard: 1, checkpoint: []byte("x")}))
 	report[1+4] = 2 // final, after the shard
-	for _, body := range [][]byte{bump, report} {
+	for _, body := range append([][]byte{bump, report}, miscountedFlowFrames()...) {
 		if m, err := decodeFrame(body); err == nil {
-			t.Fatalf("type %d frame with flag byte 2 decoded to %+v", body[0], m)
+			t.Fatalf("malformed type %d frame decoded to %+v", body[0], m)
 		}
 	}
 }
@@ -736,11 +737,12 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 		l.peer = &peer{out: l, joined: true}
 		go l.writeLoop(func(error) {})
 		s, flows := &c.book.shards[0], testFlows(512)
+		recs := records(flows)
 		var base uint64
 		send := func() {
 			c.mu.Lock()
 			base = s.cursor
-			s.replay = append(s.replay[:0], flows...)
+			s.replay = append(s.replay[:0], recs...)
 			s.owner, s.ackBase, s.sentCursor = l.peer, base, base
 			s.cursor += uint64(len(flows))
 			frames := l.written.Load() + 1
@@ -774,7 +776,7 @@ func TestFlowFrameIsOneWriteAndNoAllocation(t *testing.T) {
 }
 
 // TestCoordinatorIngestAllocatesNothing pins Ingest's own cost: one lock per
-// call, and each flow copied into its shard's replay buffer, with nothing
+// call, and each flow encoded into its shard's replay buffer, with nothing
 // allocated once the buffers have grown — whether the call carries one flow
 // or a whole decoded message. The replay is compacted before every call, as
 // a durable report would, so the buffers stop growing.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -37,10 +38,27 @@ func wireSeeds() []wireSeed {
 		{encodeAssign(assign), assign},
 		{encodeShardCtrl(msgRevoke, revoke), revoke},
 		{encodeShardCtrl(msgReportReq, reportReq), reportReq},
-		{sealFrame(appendFlows(beginFrame(nil), plain)), plain},
-		{sealFrame(new(flowDeflater).appendFlowsZ(beginFrame(nil), deflated)), deflated},
+		{oracleFrame(plain, false), plain},
+		{oracleFrame(deflated, true), deflated},
 		{encodeReport(report), report},
 	}
+}
+
+// miscountedFlowFrames returns plain flow frame bodies whose record count
+// disagrees with their length, each way: by one byte (the last record cut
+// short, or a byte past it) and by one whole record (a count one past, or
+// one short of, the records carried). The decoder must refuse every one
+// rather than decode the records that fit.
+func miscountedFlowFrames() [][]byte {
+	flows := testFlows(3)
+	body := func() []byte { return oracleFrame(flowsMsg{shard: 2, base: 41, flows: flows}, false)[frameHeadLen:] }
+	recount := func(n int) []byte {
+		b := body()
+		binary.BigEndian.PutUint32(b[1+4+8:], uint32(n))
+		return b
+	}
+	short := body()
+	return [][]byte{short[:len(short)-1], append(body(), 0), recount(len(flows) + 1), recount(len(flows) - 1)}
 }
 
 // decodeFrame runs a non-empty frame body through the decoder its type byte
@@ -69,12 +87,18 @@ func decodeFrame(body []byte) (any, error) {
 // FuzzDecodeFrame feeds arbitrary frame bodies to the cluster decoders. The
 // challenge and hello are parsed before the peer has authenticated, and the
 // deflate path's raw-length check is its only bound on inflation, so no body
-// may panic them; each seed must decode back to the message it came from.
+// may panic them; each seed must decode back to the message it came from,
+// and each miscounted flow frame must be refused.
 func FuzzDecodeFrame(f *testing.F) {
 	seeds := make(map[string]any)
 	for _, s := range wireSeeds() {
 		body := s.frame[frameHeadLen:]
 		seeds[string(body)] = s.want
+		f.Add(body)
+	}
+	refused := make(map[string]bool)
+	for _, body := range miscountedFlowFrames() {
+		refused[string(body)] = true
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -84,6 +108,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		got, err := decodeFrame(body)
 		if want, ok := seeds[string(body)]; ok && (err != nil || !reflect.DeepEqual(got, want)) {
 			t.Fatalf("seed of type %d decoded to %+v, %v; want %+v", body[0], got, err, want)
+		}
+		if refused[string(body)] && err == nil {
+			t.Fatalf("miscounted flow frame decoded to %+v", got)
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/core"
-	"spoofscope/internal/ipfix"
 )
 
 // The shard ledger is the book's durable half: everything a restarted (or
@@ -15,10 +14,11 @@ import (
 // off. Per shard it persists the cursor (flows routed), the ackBase (flows
 // durably reported), the identity of the last owner (so a redialing worker
 // reclaims its shards), the last durable worker checkpoint, and the replay
-// tail [ackBase, cursor). Cluster-wide it persists the time base, the epoch
-// sequence, the RIB fingerprint, the latest full epoch frame (so a resumed
-// coordinator re-admits workers without re-reading the RIB), and the total
-// flows routed — the feed position an upstream replayer resumes from.
+// tail [ackBase, cursor) — the replay buffer's wire records, verbatim.
+// Cluster-wide it persists the time base, the epoch sequence, the RIB
+// fingerprint, the latest full epoch frame (so a resumed coordinator
+// re-admits workers without re-reading the RIB), and the total flows routed
+// — the feed position an upstream replayer resumes from.
 //
 // The codec follows the checkpoint discipline: fixed-width big-endian
 // scalars, a version byte behind a magic, netx.Cursor decoding with every
@@ -45,7 +45,7 @@ func encodeLedger(bk *book) []byte {
 	n := len(ledgerMagic) + 8*8 + len(bk.epochFull)
 	for i := range bk.shards {
 		s := &bk.shards[i]
-		n += 8 + 8 + 4 + len(s.lastOwner) + 4 + len(s.lastReport) + 4 + len(s.replay)*flowWireLen
+		n += 8 + 8 + 4 + len(s.lastOwner) + 4 + len(s.lastReport) + 4 + len(s.replay)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, ledgerMagic...)
@@ -71,10 +71,8 @@ func encodeLedger(bk *book) []byte {
 		b = append(b, s.lastOwner...)
 		b = appendU32(b, uint32(len(s.lastReport)))
 		b = append(b, s.lastReport...)
-		b = appendU32(b, uint32(len(s.replay)))
-		for _, f := range s.replay {
-			b = appendFlow(b, f)
-		}
+		b = appendU32(b, uint32(s.replayFlows()))
+		b = append(b, s.replay...)
 	}
 	return b
 }
@@ -123,10 +121,7 @@ func decodeLedger(body []byte) (*book, error) {
 			return nil, fmt.Errorf("cluster: ledger shard %d replay %d flows, cursor span [%d,%d)",
 				i, nf, s.ackBase, s.cursor)
 		}
-		s.replay = make([]ipfix.Flow, 0, nf)
-		for range nf {
-			s.replay = append(s.replay, r.flow())
-		}
+		s.replay = append([]byte(nil), r.Take(nf*flowWireLen)...)
 		total += s.cursor
 		bk.shards = append(bk.shards, s)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func testLedger() *book {
-	flows := testFlows(7)
+	recs := records(testFlows(7))
 	return &book{
 		startNanos: tcStart.UnixNano(),
 		bucket:     int64(time.Hour),
@@ -24,8 +24,8 @@ func testLedger() *book {
 		epochFull:   []byte("full-epoch-frame"),
 		flowsRouted: 100 + 40,
 		shards: []shard{
-			{id: 0, cursor: 100, sentCursor: 95, ackBase: 95, lastOwner: "node-1", lastReport: []byte("cp-1"), replay: flows[:5]},
-			{id: 1, cursor: 40, sentCursor: 38, ackBase: 38, lastOwner: "", lastReport: nil, replay: flows[5:]},
+			{id: 0, cursor: 100, sentCursor: 95, ackBase: 95, lastOwner: "node-1", lastReport: []byte("cp-1"), replay: recs[:5*flowWireLen]},
+			{id: 1, cursor: 40, sentCursor: 38, ackBase: 38, lastOwner: "", lastReport: nil, replay: recs[5*flowWireLen:]},
 		},
 	}
 }
@@ -50,14 +50,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 	for i := range lg.shards {
 		w, g := &lg.shards[i], &got.shards[i]
 		if g.cursor != w.cursor || g.ackBase != w.ackBase || g.lastOwner != w.lastOwner ||
-			!bytes.Equal(g.lastReport, w.lastReport) || len(g.replay) != len(w.replay) {
+			!bytes.Equal(g.lastReport, w.lastReport) || !bytes.Equal(g.replay, w.replay) {
 			t.Fatalf("shard %d round trip mismatch: %+v", i, g)
-		}
-		for j := range w.replay {
-			if !g.replay[j].Start.Equal(w.replay[j].Start) || g.replay[j].SrcAddr != w.replay[j].SrcAddr ||
-				g.replay[j].Bytes != w.replay[j].Bytes || g.replay[j].Ingress != w.replay[j].Ingress {
-				t.Fatalf("shard %d replay flow %d did not survive", i, j)
-			}
 		}
 	}
 }
@@ -98,6 +92,31 @@ func TestLedgerRejectsDamage(t *testing.T) {
 	lg.shards[0].ackBase--
 	if _, err := decodeLedger(encodeLedger(lg)); err == nil {
 		t.Fatal("replay shorter than the cursor span accepted")
+	}
+}
+
+// TestLedgerRefusesTruncatedReplay cuts the golden ledger inside a shard's
+// replay records — mid-record and on a record boundary — and the decoder
+// refuses both: the shard's flow count is checked against the bytes left
+// before any record is read.
+func TestLedgerRefusesTruncatedReplay(t *testing.T) {
+	body, err := os.ReadFile(goldenLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := decodeLedger(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := lg.shards[1].replay
+	at := bytes.Index(body, tail)
+	if len(tail) == 0 || at < 0 {
+		t.Fatal("golden ledger's shard 1 has no replay records")
+	}
+	for _, cut := range []int{at + flowWireLen + 3, at + 2*flowWireLen, at + len(tail) - 1} {
+		if _, err := decodeLedger(body[:cut]); err == nil {
+			t.Fatalf("ledger cut %d bytes into shard 1's replay accepted", cut-at)
+		}
 	}
 }
 
@@ -168,7 +187,7 @@ func TestLedgerGoldenBytes(t *testing.T) {
 	if got := encodeLedger(lg); !bytes.Equal(got, body) {
 		t.Fatalf("re-encoded ledger differs from %s (%d vs %d bytes)", goldenLedger, len(got), len(body))
 	}
-	if lg.epochSeq != 3 || lg.flowsRouted != 47 || lg.shards[0].lastOwner != "node-1" || len(lg.shards[1].replay) != 7 {
+	if lg.epochSeq != 3 || lg.flowsRouted != 47 || lg.shards[0].lastOwner != "node-1" || lg.shards[1].replayFlows() != 7 {
 		t.Fatalf("golden ledger decoded to epoch %d, %d flows routed, shards %+v", lg.epochSeq, lg.flowsRouted, lg.shards)
 	}
 	if _, err := newBook(&Config{Shards: 3, Start: tcStart, Bucket: time.Hour}, lg); err != nil {

@@ -133,7 +133,7 @@ func TestFleetStatusMatchesLedger(t *testing.T) {
 		for _, row := range fs.Shards {
 			ls := lg.shards[row.ID]
 			if row.Cursor != ls.cursor || row.AckBase != ls.ackBase ||
-				row.LastOwner != ls.lastOwner || row.ReplayDepth != len(ls.replay) {
+				row.LastOwner != ls.lastOwner || row.ReplayDepth != ls.replayFlows() {
 				return false
 			}
 		}

@@ -209,7 +209,7 @@ func (b *book) status(role, ledgerPath string) FleetStatus {
 			Cursor:      s.cursor,
 			SentCursor:  s.sentCursor,
 			AckBase:     s.ackBase,
-			ReplayDepth: len(s.replay),
+			ReplayDepth: s.replayFlows(),
 			Lag:         s.cursor - s.ackBase,
 		}
 		if s.owner != nil {

@@ -14,8 +14,9 @@
 // The wire protocol in this file is deliberately minimal: length-prefixed
 // frames over any net.Conn, so tests can run it over net.Pipe and wrap it
 // in faultnet schedules. Frames carry fixed-width big-endian scalars, read
-// back through the netx.Cursor the checkpoint codec reads with, so every
-// encoding is canonical and replayable.
+// back through the netx.Cursor the checkpoint codec reads with (a flow
+// frame's fixed-size records from fixed offsets), so every encoding is
+// canonical and replayable.
 package cluster
 
 import (
@@ -146,34 +147,43 @@ func (r *reader) done() error {
 
 // --- flow codec ------------------------------------------------------------
 
-func appendFlow(b []byte, f ipfix.Flow) []byte {
-	b = appendU64(b, uint64(f.Start.UnixNano()))
-	b = appendU32(b, uint32(f.SrcAddr))
-	b = appendU32(b, uint32(f.DstAddr))
-	b = appendU16(b, f.SrcPort)
-	b = appendU16(b, f.DstPort)
-	b = append(b, f.Protocol, f.TCPFlags)
-	b = appendU64(b, f.Packets)
-	b = appendU64(b, f.Bytes)
-	b = appendU32(b, f.Ingress)
-	b = appendU32(b, f.Egress)
-	return b
+// A flow travels, and waits in the coordinator's replay buffer, as one
+// flowWireLen-byte record: fixed offsets, big-endian. appendFlow writes the
+// record and flowAt reads it back; the ledger embeds the records verbatim.
+
+// appendFlow appends f's wire record to b.
+func appendFlow(b []byte, f *ipfix.Flow) []byte {
+	b = slices.Grow(b, flowWireLen)
+	r := b[len(b) : len(b)+flowWireLen]
+	binary.BigEndian.PutUint64(r[0:], uint64(f.Start.UnixNano()))
+	binary.BigEndian.PutUint32(r[8:], uint32(f.SrcAddr))
+	binary.BigEndian.PutUint32(r[12:], uint32(f.DstAddr))
+	binary.BigEndian.PutUint16(r[16:], f.SrcPort)
+	binary.BigEndian.PutUint16(r[18:], f.DstPort)
+	r[20], r[21] = f.Protocol, f.TCPFlags
+	binary.BigEndian.PutUint64(r[22:], f.Packets)
+	binary.BigEndian.PutUint64(r[30:], f.Bytes)
+	binary.BigEndian.PutUint32(r[38:], f.Ingress)
+	binary.BigEndian.PutUint32(r[42:], f.Egress)
+	return b[:len(b)+flowWireLen]
 }
 
-func (r *reader) flow() ipfix.Flow {
-	var f ipfix.Flow
-	f.Start = time.Unix(0, int64(r.U64())).UTC()
-	f.SrcAddr = netx.Addr(r.U32())
-	f.DstAddr = netx.Addr(r.U32())
-	f.SrcPort = r.U16()
-	f.DstPort = r.U16()
-	f.Protocol = r.U8()
-	f.TCPFlags = r.U8()
-	f.Packets = r.U64()
-	f.Bytes = r.U64()
-	f.Ingress = r.U32()
-	f.Egress = r.U32()
-	return f
+// flowAt decodes the record at the front of r, which holds at least one.
+func flowAt(r []byte) ipfix.Flow {
+	r = r[:flowWireLen]
+	return ipfix.Flow{
+		Start:    time.Unix(0, int64(binary.BigEndian.Uint64(r[0:]))).UTC(),
+		SrcAddr:  netx.Addr(binary.BigEndian.Uint32(r[8:])),
+		DstAddr:  netx.Addr(binary.BigEndian.Uint32(r[12:])),
+		SrcPort:  binary.BigEndian.Uint16(r[16:]),
+		DstPort:  binary.BigEndian.Uint16(r[18:]),
+		Protocol: r[20],
+		TCPFlags: r[21],
+		Packets:  binary.BigEndian.Uint64(r[22:]),
+		Bytes:    binary.BigEndian.Uint64(r[30:]),
+		Ingress:  binary.BigEndian.Uint32(r[38:]),
+		Egress:   binary.BigEndian.Uint32(r[42:]),
+	}
 }
 
 // --- message codecs --------------------------------------------------------
@@ -402,7 +412,7 @@ func decodeShardCtrl(body []byte) (shardCtrlMsg, error) {
 	return m, r.done()
 }
 
-// flowsMsg carries a batch of flows for one shard. Base is the stream
+// flowsMsg is a decoded batch of flows for one shard. Base is the stream
 // position of the first flow — the worker checks it against its own cursor,
 // so a dropped or replayed batch is detected immediately instead of
 // corrupting the count.
@@ -412,17 +422,15 @@ type flowsMsg struct {
 	flows []ipfix.Flow
 }
 
-// appendFlows appends m's frame body to b.
-func appendFlows(b []byte, m flowsMsg) []byte {
-	b = slices.Grow(b, 1+4+8+4+len(m.flows)*flowWireLen)
+// appendFlows appends the frame body carrying recs — whole flow records, the
+// first at stream position base — for shard to b.
+func appendFlows(b []byte, shard uint32, base uint64, recs []byte) []byte {
+	b = slices.Grow(b, 1+4+8+4+len(recs))
 	b = append(b, msgFlows)
-	b = appendU32(b, m.shard)
-	b = appendU64(b, m.base)
-	b = appendU32(b, uint32(len(m.flows)))
-	for _, f := range m.flows {
-		b = appendFlow(b, f)
-	}
-	return b
+	b = appendU32(b, shard)
+	b = appendU64(b, base)
+	b = appendU32(b, uint32(len(recs)/flowWireLen))
+	return append(b, recs...)
 }
 
 // Deflate state is expensive to build (the writer alone is ~1MB of window
@@ -434,37 +442,32 @@ var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-// flowDeflater is the compressed variant's encode state: the raw flow bytes,
-// their deflated form and the deflate writer, reused from frame to frame by
-// the one goroutine that owns it. The zero value is ready to use.
+// flowDeflater is the compressed variant's encode state: the deflated bytes
+// and the deflate writer, reused from frame to frame by the one goroutine
+// that owns it. The zero value is ready to use.
 type flowDeflater struct {
-	raw []byte
-	z   bytes.Buffer
-	zw  *flate.Writer
+	z  bytes.Buffer
+	zw *flate.Writer
 }
 
-// appendFlowsZ appends m's compressed frame body to b: the flow array is
-// deflated in one length-prefixed block. Flow records share most of their
-// bytes (timestamps, prefixes, zero padding), so batches compress well; the
-// raw length travels alongside so the decoder can preflight its allocation.
-func (d *flowDeflater) appendFlowsZ(b []byte, m flowsMsg) []byte {
-	d.raw = d.raw[:0]
-	for _, f := range m.flows {
-		d.raw = appendFlow(d.raw, f)
-	}
+// appendFlowsZ is appendFlows with the records deflated in one
+// length-prefixed block. Flow records share most of their bytes (timestamps,
+// prefixes, zero padding), so batches compress well; the raw length travels
+// alongside so the decoder can preflight its allocation.
+func (d *flowDeflater) appendFlowsZ(b []byte, shard uint32, base uint64, recs []byte) []byte {
 	d.z.Reset()
 	if d.zw == nil {
 		d.zw, _ = flate.NewWriter(&d.z, flate.DefaultCompression) // the level is valid: no error
 	} else {
 		d.zw.Reset(&d.z)
 	}
-	d.zw.Write(d.raw)
+	d.zw.Write(recs)
 	d.zw.Close()
 	b = append(b, msgFlowsZ)
-	b = appendU32(b, m.shard)
-	b = appendU64(b, m.base)
-	b = appendU32(b, uint32(len(m.flows)))
-	b = appendU32(b, uint32(len(d.raw)))
+	b = appendU32(b, shard)
+	b = appendU64(b, base)
+	b = appendU32(b, uint32(len(recs)/flowWireLen))
+	b = appendU32(b, uint32(len(recs)))
 	b = appendU32(b, uint32(d.z.Len()))
 	return append(b, d.z.Bytes()...)
 }
@@ -488,18 +491,22 @@ func (sc *flowScratch) decode(body []byte) (flowsMsg, error) {
 	m.shard = r.U32()
 	m.base = r.U64()
 	n := int(r.U32())
-	if r.Err() == nil && n*flowWireLen != r.Len() {
+	if err := r.Err(); err != nil {
+		return m, err
+	}
+	if n*flowWireLen != r.Len() {
 		return m, fmt.Errorf("cluster: flow batch length mismatch: %d flows, %d bytes", n, r.Len())
 	}
-	m.flows = sc.readFlows(r, n)
-	return m, r.done()
+	m.flows = sc.readFlows(r.Take(r.Len()))
+	return m, nil
 }
 
-// readFlows decodes n flows whose bytes r is known to hold.
-func (sc *flowScratch) readFlows(r *reader, n int) []ipfix.Flow {
-	sc.flows = slices.Grow(sc.flows[:0], n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		sc.flows = append(sc.flows, r.flow())
+// readFlows decodes recs, a whole number of flow records, in one pass.
+func (sc *flowScratch) readFlows(recs []byte) []ipfix.Flow {
+	sc.flows = slices.Grow(sc.flows[:0], len(recs)/flowWireLen)
+	for len(recs) >= flowWireLen {
+		sc.flows = append(sc.flows, flowAt(recs))
+		recs = recs[flowWireLen:]
 	}
 	return sc.flows
 }
@@ -533,9 +540,8 @@ func (sc *flowScratch) decodeZ(body []byte) (flowsMsg, error) {
 	if sc.raw.Len() != rawLen {
 		return m, fmt.Errorf("cluster: compressed flow batch inflated to %d bytes, want %d", sc.raw.Len(), rawLen)
 	}
-	fr := newReader(sc.raw.Bytes())
-	m.flows = sc.readFlows(fr, n)
-	return m, fr.done()
+	m.flows = sc.readFlows(sc.raw.Bytes())
+	return m, nil
 }
 
 // reportMsg is a worker's quiescent shard checkpoint. Cursor is the shard

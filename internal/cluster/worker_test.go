@@ -158,7 +158,7 @@ func TestWorkerLiveness(t *testing.T) {
 // ends the session with the reason journaled and redials.
 func TestWorkerRefusesProtocolViolations(t *testing.T) {
 	assign := assignMsg{shard: 0, startNanos: tcStart.UnixNano(), bucket: int64(time.Hour)}
-	flows := sealFrame(appendFlows(beginFrame(nil), flowsMsg{shard: 0, flows: testFlows(3)}))
+	flows := sealFrame(appendFlows(beginFrame(nil), 0, 0, records(testFlows(3))))
 	noBucket := assign
 	noBucket.bucket = 0
 	for _, row := range []struct {

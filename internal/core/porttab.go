@@ -483,9 +483,12 @@ func (t *SizeTab) MergeFrom(other *SizeTab) {
 		p.mergeFrom(&op.portPage)
 		// Addition commutes, so unlike the codec this fold need not be
 		// ordered — and must not pay walk's sorted copy of the spilled sizes:
-		// a fold allocates nothing.
-		for size, pkts := range op.spill {
-			p.add(size, pkts)
+		// a fold allocates nothing. The spill is empty in the common trace,
+		// and ranging over an empty map still costs an iterator's set-up.
+		if len(op.spill) > 0 {
+			for size, pkts := range op.spill {
+				p.add(size, pkts)
+			}
 		}
 	}
 }
