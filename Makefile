@@ -127,12 +127,11 @@ obs-smoke:
 # does not get through. The ingest queue's: its burst wake, backpressure,
 # close and concurrent-stats tests, where producer, consumers and readers
 # race for the queue lock. The shard book's: its own tests and fuzz seeds, the
-# worker's end of the liveness rule, and the cluster scenarios that fire a
-# stall or partition at a chosen point of the feed by moving the cluster's
-# virtual clock, where the link goroutines still race the ticks. The
-# worker's: its lock decides whether a report lands before or after a flow
-# frame, so the report tests, the kill and reconnect scenarios and flows
-# held for the first epoch run here too. The IPFIX
+# worker's end of the liveness rule, and the cluster equivalence table, whose
+# rows fire a kill, stall, partition or restart at a chosen point of the feed
+# on the cluster's virtual clock, where the link goroutines still race the
+# ticks. The worker's: its lock decides whether a report lands before or
+# after a flow frame, so the report tests run here too. The IPFIX
 # transports': the stream framing loop that file replays and TCP connections
 # share, the file reader, and the TCP and UDP collectors, whose connection
 # handlers, Shutdown/Close and stats readers race one another. The BGP
@@ -140,16 +139,17 @@ obs-smoke:
 # backoff and the stats and metric readers.
 stress:
 	$(GO) test -race -count=20 -run 'Queue|RunParallel|Drain|Spill|Merge|Reset' ./internal/core
-	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|WorkerStall|Partition|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|WorkerKill|RepeatedKills|Reconnect|FirstEpoch' ./internal/cluster
+	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|ClusterMatchesSingleProcess' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
 	$(GO) test -race -count=20 -run 'Feed|Reconnector' ./internal/bgp
 
-# cluster-chaos is the fault-tolerance gate: kill/stall/partition workers
-# mid-feed (internal/cluster chaos suite — the stall and the partition fire
-# where the test moves the coordinator's virtual clock past the liveness
-# deadline) plus the end-to-end acceptance run over the simulated IXP —
-# every scenario must produce a merged checkpoint byte-identical to the
-# fault-free single-process run. Raced, because the shell around the shard
+# cluster-chaos is the fault-tolerance gate: the equivalence table
+# (TestClusterMatchesSingleProcess) kills, stalls, partitions and drops
+# workers mid-feed, restarts the coordinator from its ledger, joins a worker
+# late, bumps the epoch and resumes a prior run, on the test flows and on
+# the simulated IXP's traffic, all on the virtual clock — every row must
+# produce a merged checkpoint byte-identical to the fault-free
+# single-process run. Raced, because the shell around the shard
 # book is concurrent by construction. It carries the observability plane too:
 # two TCP worker daemons whose own /metrics sum to the merged tallies and
 # whose /cluster rows match the shard ledger, and a kill+partition run whose
@@ -157,18 +157,17 @@ stress:
 # handoff spans all terminate. The cluster-tcp prerequisite reruns the
 # discipline over real loopback TCP.
 cluster-chaos: cluster-tcp
-	$(GO) test -race -timeout 120s -run 'TestClusterSurvives|TestClusterRepeatedKillsConverge|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
-	$(GO) test -race -run TestResilientClusterMatchesSingleProcess -count=1 .
+	$(GO) test -race -timeout 120s -run 'TestClusterMatchesSingleProcess|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
 
 # cluster-tcp is the deployment-transport gate: the chaos and failover
 # scenarios again, but over real loopback TCP with authenticated hellos —
 # a link silenced mid-feed and declared dead on the virtual clock, an
-# injected accept failure on its redial, a SIGKILL-equivalent coordinator
-# death resumed from the shard ledger, and a warm-standby takeover.
-# Byte-identity against the fault-free single-process run is the bar in
-# every scenario.
+# injected accept failure on its redial, and a warm-standby takeover — beside
+# the equivalence table's coordinator-kill row, a SIGKILL-equivalent
+# coordinator death resumed from the shard ledger. Byte-identity against the
+# fault-free single-process run is the bar in every scenario.
 cluster-tcp:
-	$(GO) test -race -timeout 120s -run 'TestClusterTCPChaos|TestStandbyTakeover|TestClusterSurvivesCoordinatorKill' -count=1 ./internal/cluster
+	$(GO) test -race -timeout 120s -run 'TestClusterTCPChaos|TestStandbyTakeover|TestClusterMatchesSingleProcess/^coordinator-kill$$' -count=1 ./internal/cluster
 
 # bench is the quick way to look at one function while working: the drain at
 # every worker count of 1/2/4/8 the host's GOMAXPROCS can run, the ingest

@@ -44,27 +44,20 @@ type AmplificationCampaign struct {
 	Members            []uint32
 }
 
-// Config tunes the detector thresholds.
-type Config struct {
-	// MinFloodPackets is the per-victim sampled-packet threshold (the
-	// paper used destinations with > 50 sampled packets).
-	MinFloodPackets uint64
-	// MinSourceRatio is the unique-source/packet ratio above which a
+// The paper's §7 thresholds.
+const (
+	// minFloodPackets is the per-victim sampled-packet threshold (the paper
+	// used destinations with > 50 sampled packets).
+	minFloodPackets = 50
+	// minSourceRatio is the unique-source/packet ratio above which a
 	// destination's traffic counts as randomly spoofed.
-	MinSourceRatio float64
-	// MinTriggerPackets is the per-victim NTP trigger threshold.
-	MinTriggerPackets uint64
-}
-
-// DefaultConfig mirrors the paper's §7 thresholds.
-func DefaultConfig() Config {
-	return Config{MinFloodPackets: 50, MinSourceRatio: 0.9, MinTriggerPackets: 20}
-}
+	minSourceRatio = 0.9
+	// minTriggerPackets is the per-victim NTP trigger threshold.
+	minTriggerPackets = 20
+)
 
 // Detector accumulates classified flows and extracts events at Finish.
 type Detector struct {
-	cfg Config
-
 	floods map[floodKey]*floodState
 	ntp    map[netx.Addr]*ntpState
 }
@@ -92,20 +85,9 @@ type ntpState struct {
 	pairedTrigger map[netx.Addr]uint64 // per amplifier
 }
 
-// NewDetector builds a detector; zero-valued config fields use defaults.
-func NewDetector(cfg Config) *Detector {
-	def := DefaultConfig()
-	if cfg.MinFloodPackets == 0 {
-		cfg.MinFloodPackets = def.MinFloodPackets
-	}
-	if cfg.MinSourceRatio == 0 {
-		cfg.MinSourceRatio = def.MinSourceRatio
-	}
-	if cfg.MinTriggerPackets == 0 {
-		cfg.MinTriggerPackets = def.MinTriggerPackets
-	}
+// NewDetector builds a detector with the paper's thresholds.
+func NewDetector() *Detector {
 	return &Detector{
-		cfg:    cfg,
 		floods: make(map[floodKey]*floodState),
 		ntp:    make(map[netx.Addr]*ntpState),
 	}
@@ -200,11 +182,11 @@ func (s *ntpState) touch(t time.Time) {
 func (d *Detector) Floods() []FloodEvent {
 	var out []FloodEvent
 	for k, s := range d.floods {
-		if s.packets <= d.cfg.MinFloodPackets {
+		if s.packets <= minFloodPackets {
 			continue
 		}
 		ratio := float64(len(s.srcs)) / float64(s.packets)
-		if ratio < d.cfg.MinSourceRatio {
+		if ratio < minSourceRatio {
 			continue
 		}
 		out = append(out, FloodEvent{
@@ -231,7 +213,7 @@ func (d *Detector) Floods() []FloodEvent {
 func (d *Detector) Campaigns() []AmplificationCampaign {
 	var out []AmplificationCampaign
 	for victim, s := range d.ntp {
-		if s.trigPkts <= d.cfg.MinTriggerPackets {
+		if s.trigPkts <= minTriggerPackets {
 			continue
 		}
 		c := AmplificationCampaign{

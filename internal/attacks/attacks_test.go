@@ -28,7 +28,7 @@ func invalidVerdict() core.Verdict {
 }
 
 func TestDetectorFlood(t *testing.T) {
-	d := NewDetector(Config{MinFloodPackets: 10, MinSourceRatio: 0.9})
+	d := NewDetector()
 	victim := netx.MustParseAddr("198.51.100.9")
 	for i := 0; i < 100; i++ {
 		d.Add(ipfix.Flow{
@@ -64,7 +64,7 @@ func TestDetectorFlood(t *testing.T) {
 }
 
 func TestDetectorIgnoresLowRatioAndSmall(t *testing.T) {
-	d := NewDetector(Config{MinFloodPackets: 10, MinSourceRatio: 0.9})
+	d := NewDetector()
 	victim := netx.MustParseAddr("198.51.100.9")
 	// 100 packets from ONE source: selective, not a random flood.
 	for i := 0; i < 100; i++ {
@@ -73,9 +73,9 @@ func TestDetectorIgnoresLowRatioAndSmall(t *testing.T) {
 			Protocol: ipfix.ProtoTCP, Packets: 1, Bytes: 50, Ingress: 1,
 		}, unroutedVerdict())
 	}
-	// 5 packets with unique sources: below the volume threshold.
+	// 50 packets with unique sources: not above the volume threshold.
 	other := netx.MustParseAddr("198.51.100.10")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < minFloodPackets; i++ {
 		d.Add(ipfix.Flow{
 			Start: at0, SrcAddr: netx.Addr(uint32(i)), DstAddr: other,
 			Protocol: ipfix.ProtoTCP, Packets: 1, Bytes: 50, Ingress: 1,
@@ -87,7 +87,7 @@ func TestDetectorIgnoresLowRatioAndSmall(t *testing.T) {
 }
 
 func TestDetectorValidTrafficIgnored(t *testing.T) {
-	d := NewDetector(Config{MinFloodPackets: 1, MinSourceRatio: 0.1})
+	d := NewDetector()
 	for i := 0; i < 100; i++ {
 		d.Add(ipfix.Flow{
 			Start: at0, SrcAddr: netx.Addr(uint32(i)), DstAddr: 9,
@@ -100,7 +100,7 @@ func TestDetectorValidTrafficIgnored(t *testing.T) {
 }
 
 func TestDetectorAmplification(t *testing.T) {
-	d := NewDetector(Config{MinTriggerPackets: 5})
+	d := NewDetector()
 	victim := netx.MustParseAddr("203.0.113.1")
 	for i := 0; i < 30; i++ {
 		amp := netx.Addr(uint32(0x0a000000 + i%3)) // 3 amplifiers
@@ -140,7 +140,7 @@ func TestDetectorAmplification(t *testing.T) {
 }
 
 func TestDetectorResponsesWithoutTriggersIgnored(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	d.Add(ipfix.Flow{
 		Start: at0, SrcAddr: 1, DstAddr: 2,
 		Protocol: ipfix.ProtoUDP, SrcPort: 123, DstPort: 999,
@@ -178,7 +178,7 @@ func TestDetectorEndToEnd(t *testing.T) {
 	fcfg := flowgen.DefaultConfig()
 	fcfg.RegularPerBucket = 150
 	g := flowgen.New(s, fcfg)
-	d := NewDetector(Config{MinFloodPackets: 30})
+	d := NewDetector()
 	g.Generate(func(f ipfix.Flow, _ flowgen.Label) {
 		d.Add(f, p.Classify(f))
 	})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"crypto/hmac"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -99,6 +98,7 @@ type shard struct {
 	sentCursor    uint64
 	ackBase       uint64
 	lastReport    []byte
+	reportEpoch   uint64 // the epoch lastReport states
 	// replay holds the flows [ackBase, cursor) as flowWireLen-byte wire
 	// records: what a flow frame carries and the ledger embeds, verbatim.
 	replay []byte
@@ -108,9 +108,11 @@ type shard struct {
 }
 
 // behind reports whether the shard's durable report is short of the flows
-// routed to it.
-func (s *shard) behind() bool {
-	return s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil)
+// routed to it, or states an epoch other than the book's: the merged
+// checkpoint states the book's.
+func (b *book) behind(s *shard) bool {
+	return s.ackBase < s.cursor || (s.cursor > 0 && s.lastReport == nil) ||
+		s.lastReport != nil && s.reportEpoch != b.epochSeq
 }
 
 type book struct {
@@ -271,8 +273,7 @@ func (b *book) epoch(anns []bgp.Announcement, fp bgp.Fingerprint, now time.Time)
 		b.epochFull = frame[frameHeadLen:]
 	}
 	// A bump leaves the latest full epoch cached for late joiners: only its
-	// sequence number is stale, and workers treat any full epoch as
-	// authoritative.
+	// sequence number is stale, and hello re-stamps it.
 	workers := 0
 	for _, p := range b.peers {
 		if !p.joined || p.gone {
@@ -337,14 +338,15 @@ func (b *book) live(p *peer, now time.Time) bool {
 // requestReports asks the owner of every owned, in-sync shard that is
 // behind — or whose handoff still waits for the new owner's first report —
 // for a fresh quiescent report, flushing its buffered flows first. A shard
-// whose durable report covers its cursor has nothing to add. Each request
+// whose durable report covers its cursor under the book's epoch has nothing
+// to add; one that covers it under another epoch is asked again. Each request
 // carries a trace ID and the send time; the report echoes both, closing the
 // round-trip histogram. Requests recur, so a full control queue just skips
 // a round.
 func (b *book) requestReports(now time.Time) {
 	for i := range b.shards {
 		s := &b.shards[i]
-		if s.owner == nil || s.revoking || !(s.behind() || s.span != nil) {
+		if s.owner == nil || s.revoking || !(b.behind(s) || s.span != nil) {
 			continue
 		}
 		b.flushToOwner(s)
@@ -396,18 +398,19 @@ func (b *book) hello(p *peer, body []byte, now time.Time) {
 	p.id, p.name, p.joined = m.identity, m.name, true
 	b.tel.Recordf(obs.EventWorkerJoin, "%s joined (%d links)", p.label(), b.workers())
 	if b.epochFull != nil {
-		// Re-stamp the cached frame with a fresh trace and ship time: the
-		// joiner's propagation span measures its own delivery, not the age
-		// of the original distribution.
+		// Re-stamp the cached frame with the book's sequence, a fresh trace
+		// and ship time. A bump leaves the tables as they were, so the full
+		// frame is current under the newer sequence, and the joiner's reports
+		// state the epoch the merged checkpoint does. The joiner's
+		// propagation span measures its own delivery, not the age of the
+		// original distribution.
 		trace := b.nextTrace()
-		if !p.out.ctrl(stampEpochFrame(b.epochFull, trace, now.UnixNano())) {
+		if !p.out.ctrl(stampEpochFrame(b.epochFull, b.epochSeq, trace, now.UnixNano())) {
 			// The joiner would be sent flows it has no epoch for.
 			b.lose(p, "control queue full at hello", now)
 			return
 		}
-		// After a bump the cached frame still carries the full epoch's
-		// sequence, and that is what the joiner compiles and classifies with.
-		p.epochSeq = binary.BigEndian.Uint64(b.epochFull[1:])
+		p.epochSeq = b.epochSeq
 		b.tel.Recordf(obs.EventSpanEpoch,
 			"trace %016x epoch stage=ship (replay to joiner %s)", trace, p.label())
 	}
@@ -505,7 +508,8 @@ func (b *book) report(p *peer, m reportMsg, now time.Time) {
 	// A report that claims another position than its checkpoint holds would
 	// be merged short (or long) of the flows it acknowledges, and — since a
 	// shard that looks caught up is not asked again — stay that way.
-	if head, err := core.CheckpointHeader(m.checkpoint); err != nil || head.Processed != m.cursor {
+	head, err := core.CheckpointHeader(m.checkpoint)
+	if err != nil || head.Processed != m.cursor {
 		b.n.ReportMismatches++
 		b.lose(p, fmt.Sprintf("shard %d report claims cursor %d, its checkpoint says %d (%v)",
 			m.shard, m.cursor, head.Processed, err), now)
@@ -524,7 +528,7 @@ func (b *book) report(p *peer, m reportMsg, now time.Time) {
 	// long as the feed runs.
 	s.replay = s.replay[:copy(s.replay, s.replay[(m.cursor-s.ackBase)*flowWireLen:])]
 	s.ackBase = m.cursor
-	s.lastReport = m.checkpoint
+	s.lastReport, s.reportEpoch = m.checkpoint, uint64(head.Epoch)
 	if m.final && s.revoking {
 		s.owner = nil
 		// A graceful move must stick: the revoked owner stays connected, so
@@ -722,8 +726,8 @@ func (b *book) orphaned() int {
 	return b.count(func(s *shard) bool { return s.owner == nil && s.cursor > s.ackBase })
 }
 
-// behindShards counts shards whose durable report is short of their cursor.
-func (b *book) behindShards() int { return b.count((*shard).behind) }
+// behindShards counts the shards that are behind.
+func (b *book) behindShards() int { return b.count(func(s *shard) bool { return b.behind(s) }) }
 
 func (b *book) count(f func(*shard) bool) int {
 	n := 0

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -17,9 +19,11 @@ import (
 
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/core"
+	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 	"spoofscope/internal/obs"
+	"spoofscope/internal/scenario"
 )
 
 var tcStart = time.Unix(1486252800, 0).UTC() // 2017-02-05, the paper's window
@@ -99,11 +103,24 @@ func testFlows(n int) []ipfix.Flow {
 	return flows
 }
 
+// trace is what a run is fed: the routing table every epoch distributes, the
+// member table and the flows.
+type trace struct {
+	rib     *bgp.RIB
+	members []core.MemberInfo
+	flows   []ipfix.Flow
+}
+
+// testTrace is flows over the hand-built routing view.
+func testTrace(flows []ipfix.Flow) trace { return trace{testRIB(), testMembers, flows} }
+
 // singleProcessCheckpoint is the fault-free oracle: one runtime, one
-// compiled pipeline, a full drain, one canonical checkpoint encoding.
-func singleProcessCheckpoint(t *testing.T, flows []ipfix.Flow) []byte {
+// compiled pipeline, a full drain, one canonical checkpoint encoding. Once
+// swapsAt[i] flows have gone in, the runtime promotes the pipeline again, as
+// a cluster that distributes another epoch there does.
+func singleProcessCheckpoint(t *testing.T, tr trace, swapsAt ...int) []byte {
 	t.Helper()
-	p, _, err := core.RebuildPipeline(nil, testRIB(), testMembers, core.Options{})
+	p, _, err := core.RebuildPipeline(nil, tr.rib, tr.members, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +130,20 @@ func singleProcessCheckpoint(t *testing.T, flows []ipfix.Flow) []byte {
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); rt.RunParallel(context.Background(), 0, nil) }()
-	for _, f := range flows {
+	for i, f := range tr.flows {
+		for ; len(swapsAt) > 0 && swapsAt[0] == i; swapsAt = swapsAt[1:] {
+			rt.Swap(p)
+		}
 		if !rt.IngestBatchWait([]ipfix.Flow{f}) {
 			t.Fatal("reference runtime closed mid-feed")
 		}
 	}
-	buf := quiescentCheckpoint(t, rt)
-	rt.Close()
+	rt.Close() // the drain exits once the queue is empty
 	<-done
-	return buf
-}
-
-func quiescentCheckpoint(t *testing.T, rt *core.Runtime) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	await(t, "reference runtime quiescent", func() bool {
-		buf.Reset()
-		return rt.WriteCheckpoint(&buf) == nil
-	})
+	if err := rt.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
 	return buf.Bytes()
 }
 
@@ -371,29 +384,23 @@ func (l *cutListener) Accept() (net.Conn, error) {
 	return c.wrap(conn), nil
 }
 
-// testCluster wires an in-process coordinator and workers over net.Pipe.
-// wrapDial, when non-nil, intercepts each new connection pair (worker
-// index, coordinator side, worker side) and returns the conns actually
-// used — the hook chaos tests use to inject faults on specific links.
+// testCluster wires an in-process coordinator and workers over net.Pipe, all
+// on one virtual clock: nothing ticks until the test calls elapse, and
+// checkpointBytes lets time run while it waits. Every link is a cut, so any
+// worker's current link can be silenced.
 type testCluster struct {
-	t        *testing.T
-	tel      *obs.Telemetry
-	cfg      Config
-	wrapDial func(worker int, coordSide, workerSide net.Conn) (net.Conn, net.Conn)
-	// tuneWorker, when non-nil, sees each worker before it runs — where a
-	// test installs hooks.
-	tuneWorker func(*Worker)
-
-	// clk is the cluster's virtual clock (newVirtualCluster), nil on the
-	// wall clock.
+	t   *testing.T
+	tel *obs.Telemetry
+	cfg Config
 	clk *vclock
 
 	mu      sync.Mutex
-	coord   *Coordinator // replaced by restartCoordinator; read under mu
-	workers map[int]*Worker
+	coord   *Coordinator    // replaced by restart; read under mu
+	workers map[int]*Worker // the running ones: started and not killed
 	cancels map[int]context.CancelFunc
 	runDone map[int]chan struct{}
 	conns   map[int]net.Conn // latest worker-side conn per worker
+	cuts    map[int]*cut     // latest link's cut per worker
 }
 
 // coordinator returns the current coordinator (it changes across a
@@ -404,40 +411,13 @@ func (tc *testCluster) coordinator() *Coordinator {
 	return tc.coord
 }
 
-func newTestCluster(t *testing.T, shards int) *testCluster {
-	return newTestClusterWith(t, shards, nil)
-}
-
-// newTestClusterWith lets a test adjust the coordinator configuration (set
-// a ledger path, a secret, compression) before construction.
-func newTestClusterWith(t *testing.T, shards int, mod func(*Config)) *testCluster {
+// newVirtualCluster is a test cluster of the given shards over the test
+// members; tweak, when non-nil, adjusts the coordinator's configuration
+// before construction (members, a ledger path, a resume baseline).
+func newVirtualCluster(t *testing.T, shards int, tweak func(*Config)) *testCluster {
 	t.Helper()
-	tc := newTestClusterOf(t, shards)
-	if mod != nil {
-		mod(&tc.cfg)
-	}
-	coord, err := NewCoordinator(tc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.coord = coord
-	t.Cleanup(func() { tc.coordinator().Close() })
-	return tc
-}
-
-// newVirtualCluster is a test cluster whose coordinator runs on a virtual
-// clock: nothing ticks until the test calls elapse, and checkpointBytes lets
-// time run while it waits.
-func newVirtualCluster(t *testing.T, shards int) *testCluster {
-	t.Helper()
-	tc := newTestClusterOf(t, shards)
-	tc.coord, tc.clk = newVirtualCoordinator(t, tc.cfg)
-	return tc
-}
-
-func newTestClusterOf(t *testing.T, shards int) *testCluster {
 	tel := obs.NewTelemetry()
-	return &testCluster{
+	tc := &testCluster{
 		t: t, tel: tel,
 		cfg: Config{
 			Shards:            shards,
@@ -451,11 +431,17 @@ func newTestClusterOf(t *testing.T, shards int) *testCluster {
 		cancels: make(map[int]context.CancelFunc),
 		runDone: make(map[int]chan struct{}),
 		conns:   make(map[int]net.Conn),
+		cuts:    make(map[int]*cut),
 	}
+	if tweak != nil {
+		tweak(&tc.cfg)
+	}
+	tc.coord, tc.clk = newVirtualCoordinator(t, tc.cfg)
+	return tc
 }
 
-// elapse moves the virtual cluster's clock until cond holds, with the
-// workers of the indices in live kept heard (see elapse).
+// elapse moves the cluster's clock until cond holds, with the workers of the
+// indices in live kept heard (see elapse).
 func (tc *testCluster) elapse(what string, cond func() bool, live ...int) {
 	tc.t.Helper()
 	var workers []*Worker
@@ -467,49 +453,30 @@ func (tc *testCluster) elapse(what string, cond func() bool, live ...int) {
 	elapse(tc.t, tc.coordinator(), tc.clk, what, cond, workers...)
 }
 
-// killCoordinator simulates coordinator process death: the coordinator is
-// closed without a ledger sync (Close is crash-equivalent), every worker
-// link collapses, and workers begin redialing into the void.
-func (tc *testCluster) killCoordinator() {
+// running lists the indices of the workers started and not killed, in order.
+func (tc *testCluster) running() []int {
 	tc.mu.Lock()
-	coord := tc.coord
-	tc.mu.Unlock()
-	coord.Close()
-}
-
-// restartCoordinator builds a replacement coordinator from the same
-// configuration — with a LedgerPath set it resumes from the persisted
-// ledger. Redialing workers reach it because the dial closure re-reads
-// tc.coord on every attempt. Returns the restored feed position.
-func (tc *testCluster) restartCoordinator() uint64 {
-	tc.t.Helper()
-	coord, err := NewCoordinator(tc.cfg)
-	if err != nil {
-		tc.t.Fatal(err)
+	defer tc.mu.Unlock()
+	var idx []int
+	for i := range tc.workers {
+		idx = append(idx, i)
 	}
-	tc.mu.Lock()
-	tc.coord = coord
-	tc.mu.Unlock()
-	return coord.Stats().FlowsRouted
+	slices.Sort(idx)
+	return idx
 }
 
 func (tc *testCluster) startWorker(i int) {
 	tc.t.Helper()
 	dial := func() (net.Conn, error) {
 		coordSide, workerSide := net.Pipe()
-		if tc.wrapDial != nil {
-			coordSide, workerSide = tc.wrapDial(i, coordSide, workerSide)
-		}
+		c := newCut()
+		coordSide, workerSide = c.wrap(coordSide), c.wrap(workerSide)
 		tc.mu.Lock()
-		tc.conns[i] = workerSide
+		tc.conns[i], tc.cuts[i] = workerSide, c
 		coord := tc.coord // re-read: a restarted coordinator replaces it
 		tc.mu.Unlock()
 		coord.AddConn(coordSide)
 		return workerSide, nil
-	}
-	var clk clock = wallClock{}
-	if tc.clk != nil {
-		clk = tc.clk
 	}
 	w, err := newWorker(WorkerConfig{
 		Name:              "w" + string(rune('0'+i)),
@@ -519,12 +486,9 @@ func (tc *testCluster) startWorker(i int) {
 		MaxBackoff:        50 * time.Millisecond,
 		Seed:              int64(i),
 		Telemetry:         tc.tel,
-	}, clk)
+	}, tc.clk)
 	if err != nil {
 		tc.t.Fatal(err)
-	}
-	if tc.tuneWorker != nil {
-		tc.tuneWorker(w)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -561,8 +525,8 @@ func (tc *testCluster) hasJoined(name string) bool {
 func (tc *testCluster) killWorker(i int) {
 	tc.t.Helper()
 	tc.mu.Lock()
-	cancel := tc.cancels[i]
-	done := tc.runDone[i]
+	cancel, done := tc.cancels[i], tc.runDone[i]
+	delete(tc.workers, i)
 	tc.mu.Unlock()
 	cancel()
 	select {
@@ -583,6 +547,16 @@ func (tc *testCluster) dropLink(i int) {
 	}
 }
 
+// silence stalls the current link of each worker named: it goes silent both
+// ways without closing. A redial gets a link of its own.
+func (tc *testCluster) silence(workers ...int) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for _, i := range workers {
+		tc.cuts[i].stall()
+	}
+}
+
 func (tc *testCluster) distribute(rib *bgp.RIB) uint64 {
 	tc.t.Helper()
 	seq, err := tc.coordinator().DistributeEpoch(rib)
@@ -597,14 +571,12 @@ func (tc *testCluster) checkpointBytes() []byte {
 	return checkpointBytes(tc.t, tc.coordinator(), tc.clk)
 }
 
-// checkpointBytes takes a coordinator's merged checkpoint and encodes it. On
-// a virtual clock (clk non-nil) time runs meanwhile: the faults have fired,
-// and the run converges the way it would in production.
+// checkpointBytes takes a coordinator's merged checkpoint and encodes it.
+// Time runs on clk meanwhile: the faults have fired, and the run converges
+// the way it would in production.
 func checkpointBytes(t testing.TB, c *Coordinator, clk *vclock) []byte {
 	t.Helper()
-	if clk != nil {
-		defer clk.run(c.cfg.interval())()
-	}
+	defer clk.run(c.cfg.interval())()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cp, err := c.Checkpoint(ctx)
@@ -678,14 +650,15 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Re-stamping a cached epoch frame must change only trace+ship.
+	// Re-stamping a cached epoch frame must change only seq+trace+ship.
 	em := wireSeeds()[0].want.(epochMsg)
-	stamped, err := decodeEpoch(frameBody(t, stampEpochFrame(frameBody(t, encodeEpoch(em)), 0xBEEF, 777)))
+	stamped, err := decodeEpoch(frameBody(t, stampEpochFrame(frameBody(t, encodeEpoch(em)), em.seq+3, 0xBEEF, 777)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stamped.trace != 0xBEEF || stamped.shipNanos != 777 ||
-		stamped.seq != em.seq || len(stamped.anns) != len(em.anns) {
+		stamped.seq != em.seq+3 || !reflect.DeepEqual(stamped.anns, em.anns) ||
+		!reflect.DeepEqual(stamped.members, em.members) {
 		t.Fatalf("stamped epoch mismatch: %+v", stamped)
 	}
 
@@ -811,90 +784,326 @@ func TestCoordinatorIngestAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestClusterMatchesSingleProcess is the core contract: a multi-worker
-// cluster's merged checkpoint is byte-identical to the single-process
-// run's over the same flows.
+// op is what a step of a cluster row's schedule does.
+type op int
+
+const (
+	opEpoch     op = iota // distribute the trace's routing table
+	opJoin                // start worker arg
+	opOwned               // wait until every running worker owns a shard
+	opKill                // kill worker arg outright: process death
+	opDrop                // close worker arg's link; the worker redials
+	opStall               // silence worker arg's link until the coordinator declares it dead
+	opPartition           // silence every link until the coordinator declares one dead
+	opIdle                // three heartbeats pass, and nothing ships: no epoch exists yet
+	opDurable             // time passes until the ledger on disk holds reported progress
+	opRestart             // kill the coordinator; resume a new one from its ledger
+)
+
+// step is op, on worker arg where it names one, once the first at flows of
+// the trace have been fed.
+type step struct {
+	at  int
+	op  op
+	arg int
+}
+
+// rowCheck is a row's predicate on how its run got there.
+type rowCheck func(t *testing.T, tc *testCluster)
+
+type clusterRow struct {
+	name    string
+	trace   func(t *testing.T) trace // built when the row runs
+	shards  int
+	workers int // w0, w1, … start before the schedule
+	// config tweaks the coordinator's configuration: a ledger path, or a
+	// resume baseline, whose cursor the feed then starts at.
+	config func(t *testing.T, tr trace, cfg *Config)
+	steps  []step
+	checks []rowCheck
+}
+
+// TestClusterMatchesSingleProcess is the cluster's contract as one table:
+// whatever a row's schedule does to the workers, their links and the
+// coordinator, the merged checkpoint is byte-identical to one fault-free
+// process's over the same trace (so it states as many epochs as the
+// schedule distributed), the cursor invariant holds, and so do the row's
+// predicates. It all runs on the virtual clock, so a fault lands at its
+// offset; a failing row reruns alone by its subtest name.
 func TestClusterMatchesSingleProcess(t *testing.T) {
-	flows := testFlows(2000)
-	want := singleProcessCheckpoint(t, flows)
-
-	tc := newTestCluster(t, 4)
-	tc.startWorker(0)
-	tc.startWorker(1)
-	tc.distribute(testRIB())
-	for _, f := range flows {
-		tc.coord.Ingest(f)
+	handedOff := statsAre("a handoff", false, func(st Stats) bool { return st.Handoffs > 0 })
+	workers := func(n int) rowCheck {
+		return statsAre(fmt.Sprintf("%d workers", n), false, func(st Stats) bool { return st.Workers == n })
 	}
-	got := tc.checkpointBytes()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cluster checkpoint differs from single-process run (%d vs %d bytes)", len(got), len(want))
+	// A redial or a join may still be under way when the checkpoint is in.
+	bothBack := statsAre("both workers back", true, func(st Stats) bool { return st.Workers == 2 })
+	withLedger := func(t *testing.T, _ trace, cfg *Config) { cfg.LedgerPath = filepath.Join(t.TempDir(), "shards.ledger") }
+	rows := []clusterRow{
+		{name: "two-workers", trace: flowsTrace(2000), shards: 4, workers: 2,
+			steps: []step{{0, opEpoch, 0}}},
+		// A joiner's shards arrive by graceful moves: a victim owns some when
+		// it dies. A second kill lands while replay from the first may still
+		// be in flight; ownership checks must discard every zombie report.
+		{name: "worker-kill", trace: flowsTrace(2000), shards: 6, workers: 3,
+			steps:  []step{{0, opEpoch, 0}, {0, opOwned, 0}, {900, opKill, 1}},
+			checks: []rowCheck{handedOff, workers(2)}},
+		{name: "repeated-kills", trace: flowsTrace(2400), shards: 6, workers: 3,
+			steps:  []step{{0, opEpoch, 0}, {0, opOwned, 0}, {800, opKill, 0}, {1600, opKill, 2}},
+			checks: []rowCheck{workers(1)}},
+		// A stalled link goes silent both ways without closing, the failure the
+		// liveness deadline exists for; its worker drops it and redials. A
+		// partition orphans every shard, which buffers until the redial heals.
+		{name: "worker-stall", trace: flowsTrace(1600), shards: 4, workers: 2,
+			steps:  []step{{0, opEpoch, 0}, {0, opOwned, 0}, {800, opStall, 1}},
+			checks: []rowCheck{handedOff}},
+		{name: "partition", trace: flowsTrace(1200), shards: 3, workers: 1,
+			steps:  []step{{0, opEpoch, 0}, {600, opPartition, 0}},
+			checks: []rowCheck{workers(1)}},
+		{name: "link-drop", trace: flowsTrace(1500), shards: 3, workers: 1,
+			steps:  []step{{0, opEpoch, 0}, {700, opDrop, 0}},
+			checks: []rowCheck{handedOff}},
+		// The ledger trails the feed, so the flows it had not incorporated are
+		// fed again. Workers reclaim their shards by identity; one can carry
+		// the checkpoint while the other is still in its redial backoff.
+		{name: "coordinator-kill", trace: flowsTrace(2400), shards: 6, workers: 2,
+			config: withLedger,
+			steps:  []step{{0, opEpoch, 0}, {1300, opDurable, 0}, {1800, opRestart, 0}},
+			checks: []rowCheck{bothBack}},
+		{name: "late-join", trace: flowsTrace(1500), shards: 4, workers: 1,
+			steps: []step{{0, opEpoch, 0}, {750, opJoin, 1}},
+			checks: []rowCheck{statsAre("a rebalance for the late joiner", false,
+				func(st Stats) bool { return st.Rebalances > 0 }), bothBack}},
+		// More flows than a shard queue ever holds wait for the first epoch.
+		{name: "before-first-epoch", trace: flowsTrace(12000), shards: 2, workers: 1,
+			steps:  []step{{0, opOwned, 0}, {10000, opIdle, 0}, {10000, opEpoch, 0}},
+			checks: []rowCheck{keptItsLinks}},
+		// The unchanged table ships as a bump, which every shard must report
+		// under before the merged checkpoint may state epoch 2.
+		{name: "epoch-bump", trace: flowsTrace(400), shards: 2, workers: 1,
+			steps: []step{{0, opEpoch, 0}, {200, opEpoch, 0}}},
+		// A worker that says hello after a bump is sent the cached full epoch
+		// under the bumped sequence: its reports must state epoch 2 as well,
+		// or its shards stay behind and the checkpoint never completes.
+		{name: "bump-then-late-join", trace: flowsTrace(1500), shards: 4, workers: 1,
+			steps:  []step{{0, opEpoch, 0}, {500, opEpoch, 0}, {750, opJoin, 1}},
+			checks: []rowCheck{bothBack}},
+		{name: "bump-then-link-drop", trace: flowsTrace(1500), shards: 3, workers: 1,
+			steps:  []step{{0, opEpoch, 0}, {400, opEpoch, 0}, {700, opDrop, 0}},
+			checks: []rowCheck{handedOff}},
+		// The ledger restores the bumped sequence beside the first epoch's frame.
+		{name: "bump-then-coordinator-kill", trace: flowsTrace(2400), shards: 6, workers: 2,
+			config: withLedger,
+			steps:  []step{{0, opEpoch, 0}, {600, opEpoch, 0}, {1300, opDurable, 0}, {1800, opRestart, 0}},
+			checks: []rowCheck{bothBack}},
+		{name: "resume", trace: flowsTrace(2000), shards: 4, workers: 2,
+			config: func(t *testing.T, tr trace, cfg *Config) {
+				tr.flows = tr.flows[:1000]
+				base, err := core.DecodeCheckpointBytes(singleProcessCheckpoint(t, tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Resume = base
+			},
+			steps: []step{{0, opEpoch, 0}}},
+		{name: "simulated-ixp", trace: ixpTrace, shards: 4, workers: 2,
+			steps:  []step{{0, opEpoch, 0}, {2000, opOwned, 0}, {2000, opKill, 1}},
+			checks: []rowCheck{handedOff}},
 	}
-	tc.assertCursorInvariant(len(flows))
+	for _, row := range rows {
+		t.Run(row.name, row.run)
+	}
 }
 
-// TestFlowsBeforeTheFirstEpoch: flows ingested before any routing epoch
-// stay in the coordinator's replay buffers, because a worker has nothing to
-// classify them under, and ship once an epoch is distributed. More flows
-// than a shard queue ever held arrive first; the worker keeps its link
-// throughout, and the merged checkpoint is the single-process run's.
-func TestFlowsBeforeTheFirstEpoch(t *testing.T) {
-	flows := testFlows(12000)
-	want := singleProcessCheckpoint(t, flows)
-
-	tc := newVirtualCluster(t, 2)
-	tc.startWorker(0)
-	awaitOwners(t, tc.coord, "w0")
-	const early = 10000
-	tc.coord.Ingest(flows[:early]...)
-	ticks := 0
-	tc.elapse("three ticks without an epoch", func() bool { ticks++; return ticks > 3 }, 0)
-	for _, row := range tc.coord.FleetStatus().Shards {
-		if row.SentCursor != 0 {
-			t.Fatalf("shard %d shipped %d flows before any epoch", row.ID, row.SentCursor)
+// run plays the row: the single-process reference first, then the cluster
+// fed the same trace with the schedule's steps at their offsets.
+func (row clusterRow) run(t *testing.T) {
+	tr := row.trace(t)
+	var swapsAt []int // every epoch after the first is a swap
+	epochs := 0
+	for _, s := range row.steps {
+		if s.op == opEpoch {
+			if epochs++; epochs > 1 {
+				swapsAt = append(swapsAt, s.at)
+			}
 		}
 	}
-	tc.distribute(testRIB())
-	tc.coord.Ingest(flows[early:]...)
-	if got := tc.checkpointBytes(); !bytes.Equal(got, want) {
-		t.Fatal("checkpoint diverged with flows ingested before the first epoch")
-	}
-	tc.assertCursorInvariant(len(flows))
-	for _, e := range tc.tel.Journal.Events() {
-		if e.Kind == obs.EventWorkerReconnect {
-			t.Fatalf("the worker lost its link: %s", e.Msg)
-		}
-	}
-	if st := tc.coord.Stats(); st.Handoffs != 0 {
-		t.Fatalf("%d handoffs; the one worker should have kept every shard", st.Handoffs)
-	}
-}
-
-// TestClusterResumeFromCheckpoint: a cluster run constructed with a prior
-// run's checkpoint as its Resume baseline produces, after feeding the
-// remaining flows, a checkpoint byte-identical to one uninterrupted
-// single-process run over everything — the contract `classify -cluster`
-// resume relies on.
-func TestClusterResumeFromCheckpoint(t *testing.T) {
-	flows := testFlows(2000)
-	want := singleProcessCheckpoint(t, flows)
-
-	baseBytes := singleProcessCheckpoint(t, flows[:1000])
-	base, err := core.DecodeCheckpoint(bytes.NewReader(baseBytes))
+	want := singleProcessCheckpoint(t, tr, swapsAt...)
+	ref, err := core.DecodeCheckpointBytes(want)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ref.Epoch != core.Epoch(epochs) || ref.Swaps != uint64(epochs) || ref.Agg.GrandTotal.Packets == 0 {
+		t.Fatalf("reference states epoch %d after %d swaps over %d packets, want %d epochs and traffic",
+			ref.Epoch, ref.Swaps, ref.Agg.GrandTotal.Packets, epochs)
+	}
 
-	tc := newTestClusterWith(t, 4, func(cfg *Config) { cfg.Resume = base })
-	tc.startWorker(0)
-	tc.startWorker(1)
-	tc.distribute(testRIB())
-	for _, f := range flows[1000:] {
-		tc.coordinator().Ingest(f)
+	tc := newVirtualCluster(t, row.shards, func(cfg *Config) {
+		cfg.Members = tr.members
+		if row.config != nil {
+			row.config(t, tr, cfg)
+		}
+	})
+	for i := 0; i < row.workers; i++ {
+		tc.startWorker(i)
 	}
-	got := tc.checkpointBytes()
-	if !bytes.Equal(got, want) {
-		t.Fatal("resumed cluster checkpoint diverged from the uninterrupted run")
+	first := 0
+	if base := tc.cfg.Resume; base != nil {
+		first = int(base.Processed)
 	}
+	next := first
+	feed := func(to int) {
+		for ; next < to; next++ {
+			tc.coordinator().Ingest(tr.flows[next])
+		}
+	}
+	for _, s := range row.steps {
+		feed(s.at)
+		if s.op == opRestart {
+			next = tc.restart(s.at, tr.rib)
+		} else {
+			tc.play(s, tr.rib)
+		}
+	}
+	feed(len(tr.flows))
+	if got := tc.checkpointBytes(); !bytes.Equal(got, want) {
+		t.Fatalf("merged checkpoint differs from the single-process run's (%d vs %d bytes)", len(got), len(want))
+	}
+	tc.assertCursorInvariant(len(tr.flows) - first)
+	for _, check := range row.checks {
+		check(t, tc)
+	}
+}
+
+// play does one step of a schedule.
+func (tc *testCluster) play(s step, rib *bgp.RIB) {
+	tc.t.Helper()
+	switch s.op {
+	case opEpoch:
+		tc.distribute(rib)
+	case opJoin:
+		tc.startWorker(s.arg)
+	case opOwned:
+		var names []string
+		for _, i := range tc.running() {
+			names = append(names, "w"+string(rune('0'+i)))
+		}
+		awaitOwners(tc.t, tc.coordinator(), names...)
+	case opKill:
+		tc.killWorker(s.arg)
+	case opDrop:
+		tc.dropLink(s.arg)
+	case opStall, opPartition:
+		silent, live := []int{s.arg}, slices.DeleteFunc(tc.running(), func(i int) bool { return i == s.arg })
+		if s.op == opPartition {
+			silent, live = tc.running(), nil
+		}
+		handed := tc.coordinator().Stats().Handoffs
+		tc.silence(silent...)
+		tc.elapse("silenced link declared dead", func() bool { return tc.coordinator().Stats().Handoffs > handed }, live...)
+	case opIdle:
+		ticks := 0
+		tc.elapse("three heartbeats", func() bool { ticks++; return ticks > 3 }, tc.running()...)
+		for _, row := range tc.coordinator().FleetStatus().Shards {
+			if row.SentCursor != 0 {
+				tc.t.Fatalf("shard %d shipped %d flows before any epoch", row.ID, row.SentCursor)
+			}
+		}
+	case opDurable:
+		tc.elapse("the ledger holds reported progress", func() bool {
+			lg, err := loadLedgerFile(tc.cfg.LedgerPath)
+			return err == nil && slices.ContainsFunc(lg.shards, func(s shard) bool { return s.ackBase > 0 })
+		}, tc.running()...)
+	default:
+		tc.t.Fatalf("step %+v: no such op", s)
+	}
+}
+
+// restart kills the coordinator outright (Close is crash-equivalent: no
+// ledger sync) and resumes a replacement from its ledger, on the same
+// configuration and clock; redialing workers reach it because the dial
+// closure re-reads tc.coord. It returns the restored feed position, which
+// the feed resumes from.
+func (tc *testCluster) restart(fed int, rib *bgp.RIB) int {
+	tc.t.Helper()
+	tc.coordinator().Close()
+	lg, err := loadLedgerFile(tc.cfg.LedgerPath)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	coord, err := newCoordinator(tc.cfg, lg, tc.clk)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	tc.t.Cleanup(coord.Close)
+	tc.mu.Lock()
+	tc.coord = coord
+	tc.mu.Unlock()
+	restored := coord.Stats().FlowsRouted
+	if restored > uint64(fed) {
+		tc.t.Fatalf("ledger restored %d flows routed, only %d were fed", restored, fed)
+	}
+	if coord.EpochSeq() == 0 {
+		tc.distribute(rib)
+	}
+	return int(restored)
+}
+
+// statsAre is a row predicate on the coordinator's Stats once the checkpoint
+// is in; soon waits for it, for state a redial still under way settles.
+func statsAre(what string, soon bool, ok func(Stats) bool) rowCheck {
+	return func(t *testing.T, tc *testCluster) {
+		t.Helper()
+		if soon {
+			await(t, what, func() bool { return ok(tc.coordinator().Stats()) })
+		} else if st := tc.coordinator().Stats(); !ok(st) {
+			t.Fatalf("want %s: %+v", what, st)
+		}
+	}
+}
+
+// keptItsLinks: no worker ever lost its link, so no shard changed hands.
+func keptItsLinks(t *testing.T, tc *testCluster) {
+	t.Helper()
+	for _, e := range tc.tel.Journal.Events() {
+		if e.Kind == obs.EventWorkerReconnect {
+			t.Fatalf("a worker lost its link: %s", e.Msg)
+		}
+	}
+	if st := tc.coordinator().Stats(); st.Handoffs != 0 {
+		t.Fatalf("%d handoffs; every worker should have kept its shards", st.Handoffs)
+	}
+}
+
+// flowsTrace is a row's trace of n test flows over the hand-built view.
+func flowsTrace(n int) func(*testing.T) trace {
+	return func(*testing.T) trace { return testTrace(testFlows(n)) }
+}
+
+// ixpTrace is the simulated IXP's first 4,000 flows over its table and
+// members: the small scenario and its generated traffic.
+func ixpTrace(t *testing.T) trace {
+	cfg := scenario.SmallConfig()
+	cfg.Seed = 1
+	s, err := scenario.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace{rib: bgp.NewRIB()}
+	for _, a := range s.Anns {
+		tr.rib.AddAnnouncement(a.Prefix, a.Path)
+	}
+	tr.rib.Announcements() // the first read sorts the table: not under a race
+	for _, m := range s.Members {
+		tr.members = append(tr.members, core.MemberInfo{ASN: m.ASN, Port: m.Port})
+	}
+	gen := flowgen.DefaultConfig()
+	gen.RegularPerBucket = 150
+	flowgen.New(s, gen).Generate(func(f ipfix.Flow, _ flowgen.Label) {
+		if len(tr.flows) < 4000 {
+			tr.flows = append(tr.flows, f)
+		}
+	})
+	return tr
 }
 
 // TestEpochFingerprintGating: an unchanged RIB ships a sequence bump, not
@@ -903,7 +1112,7 @@ func TestClusterResumeFromCheckpoint(t *testing.T) {
 // merged checkpoint state epoch 2 (Epoch and Swaps), and after the third
 // distribute the merged checkpoint states 3.
 func TestEpochFingerprintGating(t *testing.T) {
-	tc := newTestCluster(t, 2)
+	tc := newVirtualCluster(t, 2, nil)
 	tc.startWorker(0)
 	rib := testRIB()
 	flows := testFlows(400)
@@ -971,68 +1180,10 @@ func (tc *testCluster) requireEpoch(seq uint64) {
 	}
 }
 
-// TestLateJoinerRebalances: a second worker joining a loaded cluster takes
-// over shards via graceful revokes, and the merged checkpoint still
-// matches the single-process run.
-func TestLateJoinerRebalances(t *testing.T) {
-	flows := testFlows(1500)
-	want := singleProcessCheckpoint(t, flows)
-
-	tc := newTestCluster(t, 4)
-	tc.startWorker(0)
-	tc.distribute(testRIB())
-	for _, f := range flows[:750] {
-		tc.coord.Ingest(f)
-	}
-	tc.startWorker(1)
-	for _, f := range flows[750:] {
-		tc.coord.Ingest(f)
-	}
-	got := tc.checkpointBytes()
-	if !bytes.Equal(got, want) {
-		t.Fatal("checkpoint diverged across a graceful rebalance")
-	}
-	tc.assertCursorInvariant(len(flows))
-	if st := tc.coord.Stats(); st.Rebalances == 0 {
-		t.Fatal("no rebalance happened for the late joiner")
-	}
-	await(tc.t, "two workers joined", func() bool { return tc.coord.Stats().Workers == 2 })
-}
-
-// TestWorkerReconnectResumes: a transport failure (link drop, worker
-// alive) redials with backoff, the coordinator reassigns from the last
-// durable report, and the final checkpoint is still byte-identical.
-func TestWorkerReconnectResumes(t *testing.T) {
-	flows := testFlows(1500)
-	want := singleProcessCheckpoint(t, flows)
-
-	tc := newTestCluster(t, 3)
-	tc.startWorker(0)
-	tc.distribute(testRIB())
-	for _, f := range flows[:700] {
-		tc.coord.Ingest(f)
-	}
-	tc.dropLink(0)
-	for _, f := range flows[700:] {
-		tc.coord.Ingest(f)
-	}
-	got := tc.checkpointBytes()
-	if !bytes.Equal(got, want) {
-		t.Fatal("checkpoint diverged across a link drop and reconnect")
-	}
-	tc.assertCursorInvariant(len(flows))
-	if st := tc.coord.Stats(); st.Handoffs == 0 {
-		for _, e := range tc.tel.Journal.Events() {
-			t.Logf("journal: %s %s", e.Kind, e.Msg)
-		}
-		t.Fatalf("link drop did not hand shards off: %+v", st)
-	}
-}
-
 // TestClusterHealthTransitions: unready before the first epoch, ok while
 // owned, degraded while a shard is orphaned with buffered flows.
 func TestClusterHealthTransitions(t *testing.T) {
-	tc := newTestCluster(t, 2)
+	tc := newVirtualCluster(t, 2, nil)
 	if h := tc.tel.Health(); h.Ready || h.Status != "unready" {
 		t.Fatalf("health before epoch = %+v", h)
 	}

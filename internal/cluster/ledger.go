@@ -112,6 +112,8 @@ func decodeLedger(body []byte) (*book, error) {
 		s.lastReport = append([]byte(nil), r.bytes()...)
 		if len(s.lastReport) == 0 {
 			s.lastReport = nil
+		} else if head, err := core.CheckpointHeader(s.lastReport); err == nil {
+			s.reportEpoch = uint64(head.Epoch)
 		}
 		nf := r.Fits("ledger replay flow", r.U32(), flowWireLen)
 		if r.Err() != nil {

@@ -248,7 +248,7 @@ func TestFleetStatusMatchesLedger(t *testing.T) {
 	if err := core.EncodeCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), singleProcessCheckpoint(t, flows)) {
+	if !bytes.Equal(buf.Bytes(), singleProcessCheckpoint(t, testTrace(flows))) {
 		t.Fatal("checkpoint diverged from the single-process run")
 	}
 }
@@ -381,7 +381,7 @@ func TestChaosHandoffSpans(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("fleet-status reader never ran")
 	}
-	if !bytes.Equal(got, singleProcessCheckpoint(t, flows)) {
+	if !bytes.Equal(got, singleProcessCheckpoint(t, testTrace(flows))) {
 		t.Fatal("checkpoint diverged under chaos with a concurrent fleet-status reader")
 	}
 

@@ -67,7 +67,7 @@ func startTCPWorker(t *testing.T, addr string, clk clock, cfg WorkerConfig) (w *
 // still be byte-identical to the fault-free single-process run.
 func TestClusterTCPChaos(t *testing.T) {
 	flows := testFlows(2000)
-	want := singleProcessCheckpoint(t, flows)
+	want := singleProcessCheckpoint(t, testTrace(flows))
 
 	tel := obs.NewTelemetry()
 	secret := []byte("tcp-chaos-secret")
@@ -143,7 +143,7 @@ func TestClusterTCPChaos(t *testing.T) {
 // byte-identical to the fault-free single-process one.
 func TestStandbyTakeover(t *testing.T) {
 	flows := testFlows(1600)
-	want := singleProcessCheckpoint(t, flows)
+	want := singleProcessCheckpoint(t, testTrace(flows))
 
 	tel := obs.NewTelemetry()
 	secret := []byte("standby-secret")

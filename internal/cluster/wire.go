@@ -273,20 +273,23 @@ type epochMsg struct {
 	anns      []bgp.Announcement
 }
 
-// epochStampOffset is the byte offset of the trace+shipNanos pair in an
-// encoded epoch body: [type][seq u64][trace u64][ship i64].... The
+// epochStampOffset is the byte offset of the seq+trace+shipNanos triple in
+// an encoded epoch body: [type][seq u64][trace u64][ship i64].... The
 // coordinator caches the latest full epoch's body for late joiners (and in
-// the ledger) and re-stamps these 16 bytes per send, so a joiner's
-// propagation span measures its own delivery, not the original
-// distribution's.
-const epochStampOffset = 1 + 8
+// the ledger) and re-stamps these 24 bytes per send: the sequence, because
+// bumps since that full epoch leave its tables current but its sequence
+// stale; the trace and ship time, so a joiner's propagation span measures
+// its own delivery, not the original distribution's.
+const epochStampOffset = 1
 
 // stampEpochFrame copies a cached epoch body into a wire-ready frame of its
 // own, re-stamped.
-func stampEpochFrame(body []byte, trace uint64, shipNanos int64) []byte {
+func stampEpochFrame(body []byte, seq, trace uint64, shipNanos int64) []byte {
 	out := append(beginFrame(make([]byte, 0, frameHeadLen+len(body))), body...)
-	binary.BigEndian.PutUint64(out[frameHeadLen+epochStampOffset:], trace)
-	binary.BigEndian.PutUint64(out[frameHeadLen+epochStampOffset+8:], uint64(shipNanos))
+	at := out[frameHeadLen+epochStampOffset:]
+	binary.BigEndian.PutUint64(at, seq)
+	binary.BigEndian.PutUint64(at[8:], trace)
+	binary.BigEndian.PutUint64(at[16:], uint64(shipNanos))
 	return sealFrame(out)
 }
 

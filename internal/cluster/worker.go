@@ -418,10 +418,15 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 // just advances the sequence; a full epoch rebuilds the RIB and recompiles
 // the pipeline, reusing layers the previous pipeline's fingerprint still
 // covers. Every flow frame read after it classifies under the new pipeline.
+// Each shard's next report is sent even if its cursor has not moved: the
+// last one states the old epoch.
 func (w *Worker) applyEpoch(m epochMsg) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.epochSeq = m.seq
+	for _, s := range w.shards {
+		s.reportedAt = noReport
+	}
 	if !m.full {
 		return nil
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -69,40 +68,6 @@ func TestClassifyBatchShortBufferPanics(t *testing.T) {
 		}
 	}()
 	p.ClassifyBatch(flows, make([]Verdict, len(flows)-1))
-}
-
-// TestBatchCheckpointMatchesOraclePerFlow closes the equivalence loop at the
-// checkpoint codec: an aggregate built flow by flow from the index-free
-// oracle's verdicts, and the one a four-worker parallel drain (ClassifyBatch
-// throughout) builds from the same flows, must have byte-identical canonical
-// encodings.
-func TestBatchCheckpointMatchesOraclePerFlow(t *testing.T) {
-	s, rib, p, flows, _ := buildEndToEndRIB(t)
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
-	ref := NewAggregator(cpStart, time.Hour)
-	for _, f := range flows {
-		ref.Add(f, oracle.classify(f))
-	}
-	rt, err := NewRuntime(RuntimeConfig{
-		Pipeline: p,
-		Start:    cpStart, Bucket: time.Hour,
-		Queue: unboundedQueue(len(flows)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := rt.IngestBatch(flows); n != len(flows) {
-		t.Fatalf("ingest queued %d of %d flows with shedding disabled", n, len(flows))
-	}
-	rt.Close()
-	if err := rt.RunParallel(nil, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := encodeAgg(t, &Checkpoint{Agg: ref})
-	got := encodeAgg(t, &Checkpoint{Agg: rt.Aggregator()})
-	if !bytes.Equal(want, got) {
-		t.Fatal("batched parallel drain's aggregate differs from the per-flow oracle's")
-	}
 }
 
 // TestBatchDrainLatencyHistogramNonEmpty: the classify-latency telemetry

@@ -11,22 +11,41 @@ import (
 	"testing"
 	"time"
 
+	"spoofscope/internal/bogon"
 	"spoofscope/internal/ipfix"
 )
 
+// drainTrace is one trace of the drain table and the bytes every mode must
+// reproduce from it.
+type drainTrace struct {
+	name  string
+	flows []ipfix.Flow
+	// verdicts, when set, replace the pipeline's: flow i (its index in
+	// Egress) gets verdicts[i].
+	verdicts []Verdict
+	// header, when set, is the cursor block the drained aggregate is encoded
+	// under; unset, the bytes are the runtime's own checkpoint.
+	header *Checkpoint
+	want   []byte
+}
+
 // TestDrainModesReproduceGoldenCheckpoints is the drain engine's equivalence
-// table: however the one loop is entered, and wherever its batches land, the
-// golden traces must aggregate to the committed testdata/*.ckpt byte for
-// byte. The golden verdicts are synthesised, so the drain hook substitutes
-// them for the pipeline's (each flow carries its index in Egress, which no
-// aggregate reads). The observed row passes Run a counting observer: same
+// table: however the one loop is entered, and wherever its batches land,
+// every trace must come out as its expected bytes. The golden traces must
+// aggregate to the committed testdata/*.ckpt byte for byte; their verdicts
+// are synthesised, so the drain hook substitutes them for the pipeline's
+// (each flow carries its index in Egress, which no aggregate reads). The
+// end-to-end trace is the simulated IXP's flows as the pipeline classifies
+// them, and its expected bytes are the per-flow reference over the Figure 3
+// oracle's verdicts: the runtime's own checkpoint, cursor and aggregate,
+// must equal them. The observed row passes Run a counting observer: same
 // loop, same bytes, one call per flow. The forced-spill row starts with the
 // runtime lock held, so both workers spill every batch into their private
 // shards, and lets go half way: the rest of the run folds those shards back
 // on lock wins and aggregates in place.
 func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // RunParallel clamps to it
-	_, p, _, _ := buildEndToEnd(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // RunParallel clamps to it
+	s, rib, p, e2e, _ := buildEndToEndRIB(t)
 	modes := []struct {
 		name     string
 		workers  int // 0 is Run
@@ -38,8 +57,10 @@ func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 		{"parallel-1", 1, false, false},
 		{"parallel-2", 2, false, false},
 		{"parallel-4", 4, false, false},
+		{"parallel-7", 7, false, false},
 		{"parallel-2-spilled", 2, false, true},
 	}
+	var traces []drainTrace
 	for _, shape := range goldenShapes {
 		want, err := os.ReadFile(filepath.Join("testdata", shape.name+".ckpt"))
 		if err != nil {
@@ -50,8 +71,15 @@ func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 		for i := range flows {
 			flows[i].Egress = uint32(i)
 		}
+		traces = append(traces, drainTrace{shape.name, flows, verdicts, golden, want})
+	}
+	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
+	ref := perFlowReference(t, oracle, e2e, filepath.Join(t.TempDir(), "ref.ckpt"))
+	traces = append(traces, drainTrace{name: "end-to-end", flows: e2e, want: ref})
+	for _, tr := range traces {
+		flows := tr.flows
 		for _, mode := range modes {
-			t.Run(shape.name+"/"+mode.name, func(t *testing.T) {
+			t.Run(tr.name+"/"+mode.name, func(t *testing.T) {
 				rt, err := NewRuntime(RuntimeConfig{
 					Pipeline: p, Start: cpStart, Bucket: time.Hour,
 					Queue: unboundedQueue(len(flows)),
@@ -62,8 +90,10 @@ func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 				var seen atomic.Int64
 				var release sync.Once
 				rt.drainHook = func(batch []ipfix.Flow, out []Verdict) {
-					for i, f := range batch {
-						out[i] = verdicts[f.Egress]
+					if tr.verdicts != nil {
+						for i, f := range batch {
+							out[i] = tr.verdicts[f.Egress]
+						}
 					}
 					if mode.spill && seen.Add(int64(len(batch))) >= int64(len(flows)/2) {
 						release.Do(rt.mu.Unlock)
@@ -97,11 +127,21 @@ func TestDrainModesReproduceGoldenCheckpoints(t *testing.T) {
 				case mode.workers <= 1 && st.DrainSpilled+st.DrainMerges != 0:
 					t.Fatalf("a single consumer spilled %d batches and merged %d times", st.DrainSpilled, st.DrainMerges)
 				}
-				cp := *golden
-				cp.Agg = rt.Aggregator()
-				if got := AppendCheckpoint(nil, &cp); !bytes.Equal(got, want) {
-					t.Fatalf("checkpoint differs from testdata/%s.ckpt at byte %d (%d spilled batches, %d merges)",
-						shape.name, firstDiff(got, want), st.DrainSpilled, st.DrainMerges)
+				var got []byte
+				if tr.header != nil {
+					cp := *tr.header
+					cp.Agg = rt.Aggregator()
+					got = AppendCheckpoint(nil, &cp)
+				} else {
+					var buf bytes.Buffer
+					if err := rt.WriteCheckpoint(&buf); err != nil {
+						t.Fatal(err)
+					}
+					got = buf.Bytes()
+				}
+				if !bytes.Equal(got, tr.want) {
+					t.Fatalf("%s checkpoint differs from its expected bytes at byte %d (%d spilled batches, %d merges)",
+						tr.name, firstDiff(got, tr.want), st.DrainSpilled, st.DrainMerges)
 				}
 			})
 		}

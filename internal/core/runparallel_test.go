@@ -82,23 +82,6 @@ func runParallel(t *testing.T, p *Pipeline, flows []ipfix.Flow, workers int, pat
 	return mustRead(t, path)
 }
 
-// TestRunParallelMatchesSequentialCheckpoint is the drain's determinism
-// oracle: its checkpoint — cursor and aggregate, in the canonical encoding —
-// must be byte-identical to the per-flow reference's over the same flows, for
-// Run and for any worker count.
-func TestRunParallelMatchesSequentialCheckpoint(t *testing.T) {
-	s, rib, p, flows, _ := buildEndToEndRIB(t)
-	dir := t.TempDir()
-	oracle := newFigure3Oracle(p, rib, bogon.NewReferenceSet(), endToEndRouters(s)...)
-	ref := perFlowReference(t, oracle, flows, filepath.Join(dir, "seq.ckpt"))
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got := runParallel(t, p, flows, workers, filepath.Join(dir, "par.ckpt"))
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("workers=%d: drained checkpoint differs from the per-flow reference's", workers)
-		}
-	}
-}
-
 // TestRunParallelObserverSeesEveryFlow: the serialized fn callback observes
 // each flow exactly once, tagged with a live epoch, and no two calls overlap
 // — workers take the observer lock a batch at a time.

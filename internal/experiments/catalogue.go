@@ -17,7 +17,7 @@ type AttackCatalogueResult struct {
 
 // AttackCatalogue runs the event detector over the environment's traffic.
 func AttackCatalogue(env *Env) *AttackCatalogueResult {
-	d := attacks.NewDetector(attacks.Config{})
+	d := attacks.NewDetector()
 	for _, f := range env.Flows {
 		d.Add(f, env.Pipeline.Classify(f))
 	}

@@ -6,22 +6,17 @@ package spoofscope
 // classified-flow tally identical to a run with no faults at all.
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"spoofscope/internal/bgp"
-	"spoofscope/internal/cluster"
-	"spoofscope/internal/core"
 	"spoofscope/internal/faultnet"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
-	"spoofscope/internal/obs"
 )
 
 // serveAnnouncements replays the announcement table to every peer that
@@ -302,182 +297,4 @@ func TestResilientIPFIXFeedMatchesNoFaultRun(t *testing.T) {
 			t.Errorf("%s: direct %d, via faulted feed %d", c, want[c], have[c])
 		}
 	}
-}
-
-// TestResilientClusterMatchesSingleProcess is the cluster-mode acceptance
-// run over the simulated IXP: flows shard across two workers, one worker
-// is killed mid-feed, the coordinator hands its shards to the survivor
-// from the last durable checkpoint, and the merged cluster checkpoint must
-// be byte-identical to a fault-free single-process run over the same
-// traffic — the tally cannot merely be close, it must be exact.
-func TestResilientClusterMatchesSingleProcess(t *testing.T) {
-	sim := newSmallSim(t)
-	anns := sim.Env().Scenario.Anns
-	members := sim.Members()
-	flows := sim.Flows()
-	if len(flows) > 4000 {
-		flows = flows[:4000]
-	}
-	rib := bgp.NewRIB()
-	for _, a := range anns {
-		rib.AddAnnouncement(a.Prefix, a.Path)
-	}
-	start := time.Unix(1486252800, 0).UTC()
-
-	// Fault-free single-process reference.
-	p, _, err := core.RebuildPipeline(nil, rib, members, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.NewRuntime(core.RuntimeConfig{Pipeline: p, Start: start, Bucket: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drained := make(chan struct{})
-	go func() { defer close(drained); rt.RunParallel(context.Background(), 0, nil) }()
-	for _, f := range flows {
-		if !rt.IngestBatchWait([]Flow{f}) {
-			t.Fatal("reference runtime closed mid-feed")
-		}
-	}
-	rt.Close() // stop intake; the drain exits once the queue is empty
-	<-drained
-	var want bytes.Buffer
-	if err := rt.WriteCheckpoint(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	// Cluster run: two workers over in-process pipes, one killed mid-feed.
-	tel := obs.NewTelemetry()
-	coord, err := cluster.NewCoordinator(cluster.Config{
-		Shards: 4, Members: members, Start: start, Bucket: time.Hour,
-		HeartbeatInterval: 20 * time.Millisecond, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	startWorker := func(name string, seed int64) (cancel context.CancelFunc, done chan struct{}) {
-		w, err := cluster.NewWorker(cluster.WorkerConfig{
-			Name: name,
-			Dial: func() (net.Conn, error) {
-				coordSide, workerSide := net.Pipe()
-				coord.AddConn(coordSide)
-				return workerSide, nil
-			},
-			HeartbeatInterval: 20 * time.Millisecond,
-			InitialBackoff:    5 * time.Millisecond,
-			Seed:              seed,
-			Telemetry:         tel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done = make(chan struct{})
-		go func() { defer close(done); w.Run(ctx) }()
-		deadline := time.Now().Add(10 * time.Second)
-		for coordStats := coord.Stats(); ; coordStats = coord.Stats() {
-			if coordStats.Workers >= 1 && hasJoinEvent(tel, name) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("worker %s never joined", name)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return cancel, done
-	}
-	cancelA, doneA := startWorker("wa", 1)
-	defer cancelA()
-	cancelB, doneB := startWorker("wb", 2)
-	defer cancelB()
-	if _, err := coord.DistributeEpoch(rib); err != nil {
-		t.Fatal(err)
-	}
-
-	half := len(flows) / 2
-	for _, f := range flows[:half] {
-		coord.Ingest(f)
-	}
-	// A graceful move parks the shard until the old owner's drain report
-	// lands, so B acquires its shards asynchronously after joining. Wait
-	// for B to own at least one before the kill, or there is no failover
-	// to exercise.
-	ownDeadline := time.Now().Add(10 * time.Second)
-	for {
-		owned := 0
-		for _, w := range coord.FleetStatus().Workers {
-			if w.Name == "wb" {
-				owned = w.Shards
-			}
-		}
-		if owned > 0 {
-			break
-		}
-		if time.Now().After(ownDeadline) {
-			t.Fatalf("worker B never acquired a shard: %+v", coord.FleetStatus())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Kill worker B outright mid-run: its runtimes die with it, and the
-	// coordinator must resume its shards on worker A from the last
-	// durable report plus the replay buffer.
-	cancelB()
-	select {
-	case <-doneB:
-	case <-time.After(10 * time.Second):
-		t.Fatal("killed worker did not exit")
-	}
-	for _, f := range flows[half:] {
-		coord.Ingest(f)
-	}
-
-	cctx, ccancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer ccancel()
-	cp, err := coord.Checkpoint(cctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := core.EncodeCheckpoint(&got, cp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("cluster checkpoint (%d bytes) differs from single-process run (%d bytes)",
-			got.Len(), want.Len())
-	}
-	st := coord.Stats()
-	if st.Handoffs == 0 {
-		t.Fatalf("worker kill produced no handoffs: %+v", st)
-	}
-	if st.ReplayFlows != 0 || st.Orphaned != 0 {
-		t.Fatalf("cursor invariant violated after checkpoint: %+v", st)
-	}
-	if st.FlowsRouted != uint64(len(flows)) {
-		t.Fatalf("routed %d flows, fed %d", st.FlowsRouted, len(flows))
-	}
-
-	// The classified tallies implied by the checkpoints match by
-	// construction (the encodings are byte-identical); sanity-check the
-	// merged aggregate actually classified everything.
-	if total := cp.Agg.GrandTotal; total.Packets == 0 {
-		t.Fatal("merged aggregate is empty")
-	}
-	cancelA()
-	select {
-	case <-doneA:
-	case <-time.After(10 * time.Second):
-		t.Fatal("surviving worker did not stop")
-	}
-}
-
-func hasJoinEvent(tel *obs.Telemetry, name string) bool {
-	for _, e := range tel.Journal.Events() {
-		if e.Kind == obs.EventWorkerJoin && strings.HasPrefix(e.Msg, name+" ") {
-			return true
-		}
-	}
-	return false
 }

@@ -171,7 +171,7 @@ type (
 // DetectAttacks classifies flows and extracts the §7 attack events:
 // random-spoofing floods and NTP amplification campaigns, largest first.
 func (c *Classifier) DetectAttacks(flows []Flow) ([]FloodEvent, []AmplificationCampaign) {
-	d := attacks.NewDetector(attacks.Config{})
+	d := attacks.NewDetector()
 	for _, f := range flows {
 		d.Add(f, c.pipeline.Classify(f))
 	}
