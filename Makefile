@@ -139,25 +139,29 @@ obs-smoke:
 # backoff and the stats and metric readers.
 stress:
 	$(GO) test -race -count=20 -run 'Queue|RunParallel|Drain|Spill|Merge|Reset' ./internal/core
-	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|ClusterMatchesSingleProcess' ./internal/cluster
+	$(GO) test -race -count=20 -run 'Book|WorkerLiveness|TCPChaos|ChaosHandoffSpans|AuthDropsSilent|Report|CheckpointAsksEachShardOnce|ClusterMatchesSingleProcess' ./internal/cluster
 	$(GO) test -race -count=20 -run 'ServeStream|FileReader|Collector' ./internal/ipfix
 	$(GO) test -race -count=20 -run 'Feed|Reconnector' ./internal/bgp
 
 # cluster-chaos is the fault-tolerance gate: the equivalence table
 # (TestClusterMatchesSingleProcess) kills, stalls, partitions and drops
 # workers mid-feed, restarts the coordinator from its ledger, joins a worker
-# late, bumps the epoch and resumes a prior run, on the test flows and on
-# the simulated IXP's traffic, all on the virtual clock — every row must
-# produce a merged checkpoint byte-identical to the fault-free
-# single-process run. Raced, because the shell around the shard
-# book is concurrent by construction. It carries the observability plane too:
+# late, bumps the epoch (and loses an unsaved bump with the coordinator) and
+# resumes a prior run, on the test flows and on the simulated IXP's traffic,
+# all on the virtual clock — every row must produce a merged checkpoint
+# byte-identical to the fault-free single-process run. Beside it, the report
+# protocol's ordering: a report request trails its shard's queued flows
+# (TestReportRequestTrailsItsFlows), so one report round completes a
+# checkpoint on a clock that stands still (TestCheckpointAsksEachShardOnce).
+# Raced, because the shell around the shard book is concurrent by
+# construction. It carries the observability plane too:
 # two TCP worker daemons whose own /metrics sum to the merged tallies and
 # whose /cluster rows match the shard ledger, and a kill+partition run whose
 # concurrently read fleet status never moves a cursor backwards and whose
 # handoff spans all terminate. The cluster-tcp prerequisite reruns the
 # discipline over real loopback TCP.
 cluster-chaos: cluster-tcp
-	$(GO) test -race -timeout 120s -run 'TestClusterMatchesSingleProcess|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
+	$(GO) test -race -timeout 120s -run 'TestClusterMatchesSingleProcess|TestReportRequestTrailsItsFlows|TestCheckpointAsksEachShardOnce|TestFleetStatusMatchesLedger|TestChaosHandoffSpans' -count=1 ./internal/cluster
 
 # cluster-tcp is the deployment-transport gate: the chaos and failover
 # scenarios again, but over real loopback TCP with authenticated hellos —

@@ -35,8 +35,8 @@ const maxConns = 256
 
 // outbox is a link's outbound side as the book sees it. Both planes carry
 // wire-ready frames and refuse rather than block when full. The data plane
-// carries flow batches and the revoke frame, which must stay ordered behind
-// its shard's flows; the control plane carries everything else and is
+// carries flow batches, plus the report requests and revokes that must trail
+// their shard's flows; the control plane carries everything else and is
 // written first, so a queue of in-flight flow batches never delays a
 // heartbeat or an assign.
 type outbox interface {
@@ -339,10 +339,13 @@ func (b *book) live(p *peer, now time.Time) bool {
 // behind — or whose handoff still waits for the new owner's first report —
 // for a fresh quiescent report, flushing its buffered flows first. A shard
 // whose durable report covers its cursor under the book's epoch has nothing
-// to add; one that covers it under another epoch is asked again. Each request
-// carries a trace ID and the send time; the report echoes both, closing the
-// round-trip histogram. Requests recur, so a full control queue just skips
-// a round.
+// to add; one that covers it under another epoch is asked again. The request
+// queues on the data plane, behind every flow frame of the shard, so the
+// worker reads it at the shard's cursor and answers once with a report that
+// covers it. Each request carries a trace ID and the send time; the report
+// echoes both, closing the round-trip histogram. Requests recur
+// (Checkpoint's re-request, the tick's report round), so a data plane too
+// full to take one just skips a round.
 func (b *book) requestReports(now time.Time) {
 	for i := range b.shards {
 		s := &b.shards[i]
@@ -350,7 +353,7 @@ func (b *book) requestReports(now time.Time) {
 			continue
 		}
 		b.flushToOwner(s)
-		s.owner.out.ctrl(encodeShardCtrl(msgReportReq,
+		s.owner.out.data(encodeShardCtrl(msgReportReq,
 			shardCtrlMsg{shard: s.id, trace: b.nextTrace(), nanos: now.UnixNano()}))
 	}
 }
@@ -516,9 +519,11 @@ func (b *book) report(p *peer, m reportMsg, now time.Time) {
 		return
 	}
 	// A solicited report echoes the request's send time, so the round trip
-	// is measured on the coordinator's clock alone.
+	// is measured on the coordinator's clock alone. Only a negative one — the
+	// wall clock stepped back — is no measurement; a clock that stood still
+	// reads zero.
 	if m.reqNanos > 0 && b.rttHist != nil {
-		if rtt := now.Sub(time.Unix(0, m.reqNanos)); rtt > 0 {
+		if rtt := now.Sub(time.Unix(0, m.reqNanos)); rtt >= 0 {
 			b.rttHist.Observe(rtt.Seconds())
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,6 +58,9 @@ type modelWorker struct {
 type modelShard struct {
 	cursor  uint64
 	revoked bool
+	// asked is the cursor at each report request read for the shard: the
+	// position a worker's answer would cover.
+	asked []uint64
 }
 
 // bookRig is a book on a hand-driven clock with model workers.
@@ -177,6 +181,15 @@ func (r *bookRig) deliver(w *modelWorker) {
 				r.t.Fatalf("shard %d assigned twice to %s", m.shard, w.id)
 			}
 			w.held[m.shard] = &modelShard{cursor: m.cursor}
+		case msgReportReq:
+			m, err := decodeShardCtrl(body)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			// A worker ignores a request for a shard it does not hold.
+			if ms := w.held[m.shard]; ms != nil {
+				ms.asked = append(ms.asked, ms.cursor)
+			}
 		case msgRevoke:
 			m, _ := decodeShardCtrl(body)
 			if ms := w.held[m.shard]; ms != nil {
@@ -364,6 +377,48 @@ func TestBookHandoffReplaysExactlyTheUnreported(t *testing.T) {
 	r.b.frame(a.p, bytes.Clone(encodeReport(reportMsg{shard: 0, cursor: 10, checkpoint: r.checkpointAt(10)})[frameHeadLen:]), r.now)
 	if st := r.b.stats(); st.ReplayFlows != 0 || st.StaleReports != 0 || s.ackBase != 10 {
 		t.Fatalf("after the survivor's report: %+v, ackBase %d", st, s.ackBase)
+	}
+}
+
+// TestReportRequestTrailsItsFlows: a report request reaches the worker behind
+// every flow frame queued for its shard before it, the tail requestReports
+// flushes included, even though the writer empties the control plane first.
+// The worker therefore reads each request at the book's cursor, and its one
+// answer covers every flow the book asked about. A shard no flow reached is
+// not behind, and is not asked.
+func TestReportRequestTrailsItsFlows(t *testing.T) {
+	r := newBookRig(t, 4, 8)
+	w := r.connect(0)
+	r.hello(w, "node-1", true)
+	r.epoch()
+	r.deliver(w)
+	r.b.ingest(testFlows(150))
+	fed, tails := 0, 0
+	for i := range r.b.shards {
+		s := &r.b.shards[i]
+		if s.cursor > 0 {
+			fed++
+		}
+		if s.sentCursor < s.cursor {
+			tails++
+		}
+	}
+	if fed < 2 || tails == 0 {
+		t.Fatalf("%d shards fed, %d with a tail below the flow batch; want several, and a tail for requestReports to flush",
+			fed, tails)
+	}
+	r.b.requestReports(r.now)
+	r.apply()
+	r.deliver(w)
+	for i := range r.b.shards {
+		s := &r.b.shards[i]
+		want := []uint64{s.cursor}
+		if s.cursor == 0 {
+			want = nil
+		}
+		if asked := w.held[s.id].asked; !slices.Equal(asked, want) {
+			t.Fatalf("shard %d: report requests read at %v, want %v", i, asked, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -401,6 +402,7 @@ type testCluster struct {
 	runDone map[int]chan struct{}
 	conns   map[int]net.Conn // latest worker-side conn per worker
 	cuts    map[int]*cut     // latest link's cut per worker
+	durable []byte           // the ledger opDurable saw
 }
 
 // coordinator returns the current coordinator (it changes across a
@@ -798,6 +800,10 @@ const (
 	opIdle                // three heartbeats pass, and nothing ships: no epoch exists yet
 	opDurable             // time passes until the ledger on disk holds reported progress
 	opRestart             // kill the coordinator; resume a new one from its ledger
+	// opRestartUnsaved kills the coordinator before any ledger write since
+	// the last opDurable reaches the disk, and resumes a new one from the
+	// ledger that step saw: the epochs distributed in between are lost.
+	opRestartUnsaved
 )
 
 // step is op, on worker arg where it names one, once the first at flows of
@@ -895,6 +901,15 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			config: withLedger,
 			steps:  []step{{0, opEpoch, 0}, {600, opEpoch, 0}, {1300, opDurable, 0}, {1800, opRestart, 0}},
 			checks: []rowCheck{bothBack}},
+		// A bump the ledger never held is lost with the coordinator, which
+		// resumes a sequence behind its workers. Their new sessions adopt the
+		// restored one (hello re-stamps the full epoch, teardown dropped what
+		// they classified under the bump), so the checkpoint completes and
+		// states the restored epoch.
+		{name: "unsaved-bump-then-coordinator-kill", trace: flowsTrace(2400), shards: 6, workers: 2,
+			config: withLedger,
+			steps:  []step{{0, opEpoch, 0}, {600, opDurable, 0}, {900, opEpoch, 0}, {1800, opRestartUnsaved, 0}},
+			checks: []rowCheck{bothBack}},
 		{name: "resume", trace: flowsTrace(2000), shards: 4, workers: 2,
 			config: func(t *testing.T, tr trace, cfg *Config) {
 				tr.flows = tr.flows[:1000]
@@ -918,15 +933,28 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 // fed the same trace with the schedule's steps at their offsets.
 func (row clusterRow) run(t *testing.T) {
 	tr := row.trace(t)
-	var swapsAt []int // every epoch after the first is a swap
+	// Every epoch after the first is a swap, unless a restart loses it.
+	var swapsAt, unsaved []int // unsaved: epochs since the last opDurable
 	epochs := 0
-	for _, s := range row.steps {
-		if s.op == opEpoch {
+	keep := func() {
+		for _, at := range unsaved {
 			if epochs++; epochs > 1 {
-				swapsAt = append(swapsAt, s.at)
+				swapsAt = append(swapsAt, at)
 			}
 		}
+		unsaved = nil
 	}
+	for _, s := range row.steps {
+		switch s.op {
+		case opEpoch:
+			unsaved = append(unsaved, s.at)
+		case opDurable:
+			keep()
+		case opRestartUnsaved:
+			unsaved = nil
+		}
+	}
+	keep()
 	want := singleProcessCheckpoint(t, tr, swapsAt...)
 	ref, err := core.DecodeCheckpointBytes(want)
 	if err != nil {
@@ -958,8 +986,8 @@ func (row clusterRow) run(t *testing.T) {
 	}
 	for _, s := range row.steps {
 		feed(s.at)
-		if s.op == opRestart {
-			next = tc.restart(s.at, tr.rib)
+		if s.op == opRestart || s.op == opRestartUnsaved {
+			next = tc.restart(s, tr.rib)
 		} else {
 			tc.play(s, tr.rib)
 		}
@@ -1010,7 +1038,12 @@ func (tc *testCluster) play(s step, rib *bgp.RIB) {
 		}
 	case opDurable:
 		tc.elapse("the ledger holds reported progress", func() bool {
-			lg, err := loadLedgerFile(tc.cfg.LedgerPath)
+			body, err := os.ReadFile(tc.cfg.LedgerPath)
+			if err != nil {
+				return false
+			}
+			lg, err := decodeLedger(body)
+			tc.durable = body
 			return err == nil && slices.ContainsFunc(lg.shards, func(s shard) bool { return s.ackBase > 0 })
 		}, tc.running()...)
 	default:
@@ -1021,11 +1054,18 @@ func (tc *testCluster) play(s step, rib *bgp.RIB) {
 // restart kills the coordinator outright (Close is crash-equivalent: no
 // ledger sync) and resumes a replacement from its ledger, on the same
 // configuration and clock; redialing workers reach it because the dial
-// closure re-reads tc.coord. It returns the restored feed position, which
-// the feed resumes from.
-func (tc *testCluster) restart(fed int, rib *bgp.RIB) int {
+// closure re-reads tc.coord. An opRestartUnsaved step puts the ledger back
+// the way its opDurable step found it first. It returns the restored feed
+// position, which the feed resumes from.
+func (tc *testCluster) restart(s step, rib *bgp.RIB) int {
 	tc.t.Helper()
+	fed := s.at
 	tc.coordinator().Close()
+	if s.op == opRestartUnsaved {
+		if err := writeLedgerFile(tc.cfg.LedgerPath, tc.durable); err != nil {
+			tc.t.Fatal(err)
+		}
+	}
 	lg, err := loadLedgerFile(tc.cfg.LedgerPath)
 	if err != nil {
 		tc.t.Fatal(err)
@@ -1104,6 +1144,59 @@ func ixpTrace(t *testing.T) trace {
 		}
 	})
 	return tr
+}
+
+// TestCheckpointAsksEachShardOnce: with flow frames still queued behind the
+// coordinator's writers when Checkpoint starts, its first report round
+// completes the checkpoint on its own. The clock stands still, so nothing
+// re-asks — no tick's report round, no Checkpoint re-request — and each shard
+// the round asks answers exactly once: every fed shard, with a report that
+// covers its whole stream, and every shard a joiner took over, whose handoff
+// waits for its new owner's first report.
+func TestCheckpointAsksEachShardOnce(t *testing.T) {
+	tr := testTrace(testFlows(20000))
+	want := singleProcessCheckpoint(t, tr)
+	tc := newVirtualCluster(t, 4, func(cfg *Config) { cfg.FlowBatch = 64 })
+	tc.startWorker(0)
+	tc.startWorker(1)
+	c := tc.coordinator()
+	awaitOwners(t, c, "w0", "w1")
+	tc.distribute(tr.rib)
+	reports := func() uint64 {
+		var n uint64
+		for _, f := range tc.tel.Metrics.Export() {
+			if f.Name == MetricReportRTT {
+				for _, s := range f.Samples {
+					n += s.Histogram.Count
+				}
+			}
+		}
+		return n
+	}
+	before := reports()
+	for _, f := range tr.flows {
+		c.Ingest(f)
+	}
+	c.mu.Lock()
+	b := c.book
+	asked := b.count(func(s *shard) bool { return b.behind(s) || s.span != nil })
+	c.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cp, err := c.Checkpoint(ctx)
+	if err != nil {
+		t.Fatalf("checkpoint on a frozen clock: %v", err)
+	}
+	var got bytes.Buffer
+	if err := core.EncodeCheckpoint(&got, cp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("merged checkpoint differs from the single-process run's (%d vs %d bytes)", got.Len(), len(want))
+	}
+	if n := reports() - before; asked < 2 || n != uint64(asked) {
+		t.Fatalf("%d solicited reports for %d shards asked, want one each", n, asked)
+	}
 }
 
 // TestEpochFingerprintGating: an unchanged RIB ships a sequence bump, not

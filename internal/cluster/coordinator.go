@@ -149,9 +149,10 @@ type link struct {
 	// ctrlQ first, so control frames may overtake flow frames but never
 	// fall behind one queued after them — a shard's flows depend on the
 	// epoch and the assign queued before them. Every control message is
-	// either flow-order-independent (heartbeat, report request) or ordered
-	// only against other control frames (epoch before assign), which FIFO
-	// within ctrlQ preserves.
+	// either flow-order-independent (heartbeat) or ordered only against
+	// other control frames (epoch before assign), which FIFO within ctrlQ
+	// preserves. A frame that must not overtake its shard's flows (a report
+	// request, a revoke) goes on dataQ behind them.
 	ctrlQ, dataQ chan []byte
 	// free is where the writer hands flow-frame buffers back once they are
 	// on the wire. Frames of one link are one size (the flow batch), so a
@@ -426,7 +427,7 @@ func (c *Coordinator) instrument(tel *obs.Telemetry) {
 		"Shard handoff stage latency: revoke/death to the named stage.",
 		obs.WireBuckets, obs.Label{Name: "stage", Value: "resumed"})
 	b.rttHist = m.Histogram(MetricReportRTT,
-		"Report-request round-trip, coordinator clock both ends.",
+		"Report-request round-trip on the coordinator's clock, including the wait behind the shard's queued flows.",
 		obs.WireBuckets)
 	tel.PublishJSON("/cluster", func() any { return c.FleetStatus() })
 	tel.SetHealth(func() obs.Health {
@@ -646,8 +647,10 @@ func (c *Coordinator) Checkpoint(ctx context.Context) (*core.Checkpoint, error) 
 		if b.behindShards() == 0 {
 			break
 		}
-		// Re-request periodically: a handoff between our first request and
-		// quiescence moves a shard to an owner that never saw the request.
+		// Re-request periodically. A request trails its shard's flows, so
+		// the first round covers every cursor; this only recovers a request
+		// lost to a handoff (the shard's new owner never saw it) or to a
+		// data plane too full to take it.
 		if now := c.clock.now(); now.Sub(lastNudge) >= c.cfg.interval() {
 			b.requestReports(now)
 			lastNudge = now

@@ -32,7 +32,9 @@ const (
 	// (stage="resumed").
 	MetricHandoff = "spoofscope_cluster_handoff_seconds"
 	// MetricReportRTT is the report-request round-trip, measured entirely
-	// on the coordinator's clock via the echoed request timestamp.
+	// on the coordinator's clock via the echoed request timestamp. The
+	// request trails its shard's queued flow frames, so the round trip
+	// includes writing them and the worker classifying them.
 	MetricReportRTT = "spoofscope_cluster_report_rtt_seconds"
 	// MetricWorkerClassFlows is the per-worker, per-class flow tally a
 	// worker exports on its own registry; summing it over every worker's

@@ -420,6 +420,13 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 // covers. Every flow frame read after it classifies under the new pipeline.
 // Each shard's next report is sent even if its cursor has not moved: the
 // last one states the old epoch.
+//
+// The sequence is adopted as it comes, even one behind the last session's:
+// a coordinator that crashed before its ledger held a distribution resumes
+// the sequence before it, and a new session's first frame is that sequence's
+// full epoch (hello re-stamps it). Teardown dropped every shard classified
+// under the lost one, so the reports state the sequence the merged
+// checkpoint does.
 func (w *Worker) applyEpoch(m epochMsg) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
