@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-module docs-check fuzz bench bench-smoke
+.PHONY: build test vet race verify inline-check loc closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-module docs-check fuzz bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# verify is the CI entry point: static checks, the plain suite (tier-1's
+# verify is the CI entry point: static checks, the inliner's report on the
+# aggregate's per-flow fold, the plain suite (tier-1's
 # command — the allocation-count tests skip under the race detector, so this
 # is the pass that holds them), the race-checked suite, the
 # topology property tests, the observability smoke, the
@@ -25,7 +26,26 @@ race:
 # observability plane), every benchmark in the module run once, the
 # identifier check over the docs, and the nested benchmark module's own vet
 # and tests.
-verify: vet test race closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-smoke docs-check bench-module
+verify: vet inline-check test race closure-prop obs-smoke stress cluster-chaos cluster-tcp bench-smoke docs-check bench-module
+
+# inline-check holds Aggregator.Add's per-flow fold free of calls on its
+# common path: the compiler (go build -gcflags=-m) must report the tally
+# pages' fast path, (*portPage).addFast, inlined at all three tally sites in
+# (*Aggregator).Add — the size add and the two port adds — and classesInto
+# inlinable. Either one pushed over the inliner's budget of 80 would put a
+# call back on every flow, which no test sees and a benchmark sees only as a
+# slower fold.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	src=internal/core/aggregate.go; \
+	lo=$$(grep -n '^func (a \*Aggregator) Add(' $$src | cut -d: -f1); \
+	hi=$$(awk -v lo="$$lo" 'NR > lo && /^}/ { print NR; exit }' $$src); \
+	sites=$$(echo "$$out" | grep -F ': inlining call to (*portPage).addFast' | grep "^$$src:" | \
+		awk -F: -v lo="$$lo" -v hi="$$hi" '$$2 > lo && $$2 < hi { print $$2 ":" $$3 }' | sort -u | wc -l); \
+	fail=0; \
+	[ -n "$$lo" ] && [ "$$sites" -eq 3 ] || { echo "inline-check: (*portPage).addFast is inlined at $$sites of the 3 tally sites in (*Aggregator).Add"; fail=1; }; \
+	echo "$$out" | grep -qF 'can inline classesInto' || { echo "inline-check: classesInto is not inlinable"; fail=1; }; \
+	exit $$fail
 
 # bench-module vets and tests the repository benchmark where it lives:
 # benchmark/ is a nested module (its go.mod has only the replace, so no

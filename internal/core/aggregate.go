@@ -198,29 +198,54 @@ type Aggregator struct {
 	lastMember *MemberStats
 
 	// Bucket-index memo: flows arrive roughly time-ordered, so consecutive
-	// Adds usually land in the same series bucket and skip the division.
-	// start and bucket are immutable, so this never needs invalidation.
-	biLo, biHi time.Duration
+	// Adds usually land in the same series bucket. biLo and biHi bound the
+	// Unix seconds s, biLo <= s < biHi, whose whole second [s, s+1) lies
+	// inside bucket biIdx, so a hit compares t.Unix() and pays neither
+	// time.Time.Sub nor a division. start and bucket are immutable, so the
+	// memo never needs invalidation. It stays empty (biLo == biHi) while
+	// biWall is false: a start that holds a monotonic clock reading makes Sub
+	// measure a flow start holding one too on that clock, not on the wall.
+	biLo, biHi int64
 	biIdx      int
+	biWall     bool
 
 	// nodes hands out every inner node of the maps above (see nodes.go).
 	nodes nodeAlloc
 }
 
-// bucketIndex maps a flow start to its series bucket, memoizing the bucket
-// bounds so time-clustered flows skip the int64 division. Semantics match
-// the original inline computation exactly, including the truncation of
-// slightly-negative offsets toward bucket zero.
+// maxSeriesBuckets bounds the time series: a flow whose bucket index is
+// this or more is left out of Series, TriggerSeries and ResponseSeries, as a
+// flow before start is, and the checkpoint decoder refuses a longer series.
+// Without it one far-future flow start grows every series to its index —
+// 97 MB for a start of 2^62 ms in hour buckets. 1<<20 buckets are two years
+// of minute buckets, and 8 MB per class.
+const maxSeriesBuckets = 1 << 20
+
+// bucketHit answers from the memo: t's bucket index, and whether the memo
+// holds it. It makes no call, so it inlines into Add.
+func (a *Aggregator) bucketHit(t time.Time) (int, bool) {
+	s := t.Unix()
+	return a.biIdx, a.biLo <= s && s < a.biHi
+}
+
+// bucketIndex maps a flow start to its series bucket: int(t.Sub(start) /
+// bucket) exactly, including the truncation of slightly-negative offsets
+// toward bucket zero and Sub's saturation. A miss memoizes the bucket's
+// whole seconds when the offset is not negative and the bucket's end is a
+// Duration.
 func (a *Aggregator) bucketIndex(t time.Time) int {
-	d := t.Sub(a.start)
-	if d >= 0 && d >= a.biLo && d < a.biHi {
-		return a.biIdx
+	if bi, ok := a.bucketHit(t); ok {
+		return bi
 	}
+	d := t.Sub(a.start)
 	bi := int(d / a.bucket)
-	if d >= 0 {
-		a.biLo = time.Duration(bi) * a.bucket
-		a.biHi = a.biLo + a.bucket
-		a.biIdx = bi
+	if lo := time.Duration(bi) * a.bucket; a.biWall && d >= 0 && lo+a.bucket > lo {
+		l := a.start.Add(lo)
+		a.biLo = l.Unix()
+		if l.Nanosecond() != 0 {
+			a.biLo++
+		}
+		a.biHi, a.biIdx = a.start.Add(lo+a.bucket).Unix(), bi
 	}
 	return bi
 }
@@ -230,6 +255,7 @@ func NewAggregator(start time.Time, bucket time.Duration) *Aggregator {
 	a := &Aggregator{
 		start:         start,
 		bucket:        bucket,
+		biWall:        start == start.Round(0),
 		members:       make(map[uint32]*MemberStats),
 		SizeHist:      NewSizeTab(),
 		Ports:         NewPortTab(),
@@ -287,33 +313,28 @@ func (a *Aggregator) Reset() {
 
 // classesInto writes the aggregate classes a verdict contributes to into
 // out and returns how many. The fixed-size buffer keeps the per-flow hot
-// path free of a slice allocation for invalid verdicts.
+// path free of a slice allocation for invalid verdicts; the function is
+// small enough to inline into Add.
 func classesInto(v Verdict, out *[3]TrafficClass) int {
+	c := TCRegular
 	switch v.Class {
 	case ClassBogon:
-		out[0] = TCBogon
-		return 1
+		c = TCBogon
 	case ClassUnrouted:
-		out[0] = TCUnrouted
-		return 1
+		c = TCUnrouted
 	case ClassValid:
-		out[0] = TCRegular
-		return 1
+	default:
+		n := 0
+		for ap, ic := range [numApproaches]TrafficClass{TCInvalidNaive, TCInvalidCC, TCInvalidFull} {
+			if v.Invalid[ap] {
+				out[n] = ic
+				n++
+			}
+		}
+		return n
 	}
-	n := 0
-	if v.Invalid[ApproachNaive] {
-		out[n] = TCInvalidNaive
-		n++
-	}
-	if v.Invalid[ApproachCC] {
-		out[n] = TCInvalidCC
-		n++
-	}
-	if v.Invalid[ApproachFull] {
-		out[n] = TCInvalidFull
-		n++
-	}
-	return n
+	out[0] = c
+	return 1
 }
 
 // primaryClass is the class used for the single-class breakdowns (size
@@ -371,8 +392,11 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 	}
 
 	// Time series.
-	bi := a.bucketIndex(f.Start)
-	if bi >= 0 {
+	bi, ok := a.bucketHit(f.Start)
+	if !ok {
+		bi = a.bucketIndex(f.Start)
+	}
+	if uint(bi) < maxSeriesBuckets {
 		s := a.Series[pc]
 		if len(s) <= bi {
 			if s == nil {
@@ -386,15 +410,27 @@ func (a *Aggregator) Add(f ipfix.Flow, v Verdict) {
 		s[bi] += f.Packets
 	}
 
-	// Packet sizes.
+	// Packet sizes, in the class's page, looked up once.
 	if f.Packets > 0 {
-		a.SizeHist.Add(pc, int(f.Bytes/f.Packets), f.Packets)
+		sp := a.SizeHist.page(pc)
+		if size := f.Bytes / f.Packets; size < 1<<16 {
+			if !sp.addFast(uint16(size), f.Packets) {
+				sp.portPage.add(uint16(size), f.Packets)
+			}
+		} else {
+			sp.spill[int(size)] += f.Packets
+		}
 	}
 
-	// Port mix.
-	if f.Protocol == ipfix.ProtoTCP || f.Protocol == ipfix.ProtoUDP {
-		a.Ports.Add(pc, f.Protocol, 0, f.DstPort, f.Packets)
-		a.Ports.Add(pc, f.Protocol, 1, f.SrcPort, f.Packets)
+	// Port mix: one lookup resolves the pages of both directions.
+	if pi := protoIdx(f.Protocol); pi >= 0 {
+		pp := a.Ports.pair(pc, pi)
+		if dst := pp[0]; !dst.addFast(f.DstPort, f.Packets) {
+			dst.add(f.DstPort, f.Packets)
+		}
+		if src := pp[1]; !src.addFast(f.SrcPort, f.Packets) {
+			src.add(f.SrcPort, f.Packets)
+		}
 	}
 
 	// Address structure.
@@ -460,7 +496,7 @@ func (a *Aggregator) AddBatch(flows []ipfix.Flow, verdicts []Verdict) {
 }
 
 func extendSeries(s []Counter, bi int, f *ipfix.Flow) []Counter {
-	if bi < 0 {
+	if uint(bi) >= maxSeriesBuckets {
 		return s
 	}
 	for len(s) <= bi {

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,6 +46,7 @@ func TestClassesOf(t *testing.T) {
 		{verdictOf(ClassInvalid, true, true, true),
 			[]TrafficClass{TCInvalidNaive, TCInvalidCC, TCInvalidFull}},
 		{verdictOf(ClassInvalid, true, false, false), []TrafficClass{TCInvalidNaive}},
+		{verdictOf(ClassInvalid, false, true, true), []TrafficClass{TCInvalidCC, TCInvalidFull}},
 	}
 	for i, c := range cases {
 		var buf [3]TrafficClass
@@ -109,6 +114,128 @@ func TestAggregatorSeriesBucketing(t *testing.T) {
 	// Flows before the start are ignored by the series, not a panic.
 	f.Start = aggT0.Add(-time.Hour)
 	a.Add(f, verdictOf(ClassValid, false, false, false))
+}
+
+// TestBucketIndexMatchesSub holds the series memo to its definition: every
+// index bucketIndex returns is int(t.Sub(start)/bucket). Starts with and
+// without a monotonic clock reading, flow starts with and without one,
+// buckets from 1 ns to 1<<62, offsets at bucket bounds and 1 ns either side,
+// negative offsets, offsets ±300 years out (Sub saturates), bucket indexes
+// past maxSeriesBuckets, and orders that hit the memo (a bucket asked
+// again, and its neighbours) and miss it (a jump, then a jump back).
+func TestBucketIndexMatchesSub(t *testing.T) {
+	mono := time.Now()
+	starts := []time.Time{cpStart, aggT0.Add(time.Nanosecond), time.Unix(-1e10, 999999999),
+		time.Unix(1500000000, 5e8).In(time.FixedZone("", -7*3600)), mono, mono.Round(0)}
+	buckets := []time.Duration{1, 999, time.Microsecond, time.Second - 1, time.Second, time.Second + 1,
+		7 * time.Second / 3, time.Minute, time.Hour, 24 * time.Hour, 1 << 40, 1 << 62}
+	ks := []int64{0, 1, 2, 5, 1000, maxSeriesBuckets - 1, maxSeriesBuckets, maxSeriesBuckets + 1, -1, -2, 1 << 40}
+	rng := splitmix(7)
+	for _, start := range starts {
+		for _, bucket := range buckets {
+			var ts []time.Time
+			for _, k := range ks {
+				if k != 0 && int64(bucket) > math.MaxInt64/max(k, -k) {
+					continue // k buckets overflow a Duration
+				}
+				at := start.Add(time.Duration(k) * bucket)
+				for _, d := range []time.Duration{0, -1, 1, bucket / 2, bucket - 1, -time.Second, time.Second} {
+					ts = append(ts, at.Add(d), at.Add(d))
+				}
+			}
+			for _, years := range []int{300, -300} {
+				far := start.AddDate(years, 0, 0)
+				ts = append(ts, far, far.Add(-1), far.Add(1), far)
+			}
+			for range 64 {
+				ts = append(ts, start.Add(time.Duration(rng.next())))
+				ts = append(ts, start.Add(time.Duration(rng.intn(5*int(min(bucket, 1<<50))))))
+			}
+			// A jump back to where the walk began, after the memo moved.
+			ts = append(ts, ts[:8]...)
+			a, hits := NewAggregator(start, bucket), 0
+			for _, at := range ts {
+				for _, tt := range []time.Time{at, at.Round(0)} {
+					if _, ok := a.bucketHit(tt); ok {
+						hits++
+					}
+					want := int(tt.Sub(start) / bucket)
+					if got := a.bucketIndex(tt); got != want {
+						t.Fatalf("start %v (monotonic %v), bucket %v: %v lands in bucket %d, want %d",
+							start, start != start.Round(0), bucket, tt, got, want)
+					}
+				}
+			}
+			if hits == 0 && bucket >= 2*time.Second && start == start.Round(0) {
+				t.Fatalf("start %v, bucket %v: no start hit the memo", start, bucket)
+			}
+		}
+	}
+}
+
+// TestFarFutureFlowLeavesSeriesBounded: a flow whose bucket index is
+// maxSeriesBuckets or more is left out of every series, as one before start
+// is, so one forged start cannot grow them — 2^62 ms in hour buckets took
+// 97 MB — and a series of maxSeriesBuckets buckets, the longest Add builds,
+// round-trips while the decoders refuse a longer one.
+func TestFarFutureFlowLeavesSeriesBounded(t *testing.T) {
+	trig := aggFlow("203.0.113.1", "198.51.100.1", 1, 60)
+	trig.Protocol, trig.DstPort = ipfix.ProtoUDP, 123
+	resp := aggFlow("198.51.100.1", "203.0.113.1", 1, 600)
+	resp.Protocol, resp.SrcPort = ipfix.ProtoUDP, 123
+	invalid, valid := verdictOf(ClassInvalid, true, true, true), verdictOf(ClassValid, false, false, false)
+	for _, bucket := range []time.Duration{time.Minute, time.Hour} {
+		a := NewAggregator(aggT0, bucket)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, start := range []time.Time{time.UnixMilli(1 << 62), aggT0.Add(maxSeriesBuckets * bucket)} {
+			trig.Start, resp.Start = start, start
+			a.Add(trig, invalid)
+			a.Add(resp, valid)
+		}
+		runtime.ReadMemStats(&after)
+		for c, s := range a.Series {
+			if s != nil {
+				t.Fatalf("bucket %v: far-future flows made a class %d series of %d buckets", bucket, c, len(s))
+			}
+		}
+		if a.TriggerSeries != nil || a.ResponseSeries != nil {
+			t.Fatalf("bucket %v: far-future flows reached the NTP series", bucket)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > 4<<20 {
+			t.Fatalf("bucket %v: four far-future flows allocated %d bytes", bucket, got)
+		}
+	}
+
+	a := NewAggregator(aggT0, time.Second)
+	trig.Start, resp.Start = aggT0.Add((maxSeriesBuckets-1)*time.Second), aggT0.Add((maxSeriesBuckets-1)*time.Second)
+	a.Add(trig, invalid)
+	a.Add(resp, valid)
+	if len(a.Series[TCInvalidFull]) != maxSeriesBuckets || len(a.TriggerSeries) != maxSeriesBuckets || len(a.ResponseSeries) != maxSeriesBuckets {
+		t.Fatalf("the last bucket made series of %d, %d and %d buckets, want %d",
+			len(a.Series[TCInvalidFull]), len(a.TriggerSeries), len(a.ResponseSeries), maxSeriesBuckets)
+	}
+	if _, err := DecodeCheckpointBytes(AppendCheckpoint(nil, &Checkpoint{Agg: a})); err != nil {
+		t.Fatalf("a series of maxSeriesBuckets buckets: %v", err)
+	}
+
+	long := make([]byte, 8*(maxSeriesBuckets+1))
+	long[len(long)-1] = 1
+	empty := AppendCheckpoint(nil, &Checkpoint{Agg: NewAggregator(cpStart, time.Hour)})
+	ntp := make([]byte, counterLen*(maxSeriesBuckets+1))
+	// An empty aggregate's checkpoint ends with the two NTP series' counts.
+	for name, raw := range map[string][]byte{
+		"series":     withSection("series", packBE(uint32(1), uint32(TCRegular), uint32(maxSeriesBuckets+1), long)),
+		"NTP series": slices.Concat(empty[:len(empty)-8], packBE(uint32(maxSeriesBuckets+1), ntp), empty[len(empty)-4:]),
+	} {
+		_, err := DecodeCheckpointBytes(raw)
+		_, oracleErr := oracleDecodeCheckpoint(bytes.NewReader(raw))
+		for decoder, err := range map[string]error{"decoder": err, "oracle decoder": oracleErr} {
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("a %s of maxSeriesBuckets+1 buckets: the %s's error is %v", name, decoder, err)
+			}
+		}
+	}
 }
 
 func TestAggregatorRouterAndOrigins(t *testing.T) {

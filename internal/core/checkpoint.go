@@ -533,6 +533,16 @@ func (d *cpDec) some(section string, class uint32, n int) bool {
 	return d.Err() == nil
 }
 
+// within reports whether a series of n buckets is one Add can build,
+// refusing it if not: Add leaves out a flow whose bucket index is
+// maxSeriesBuckets or more.
+func (d *cpDec) within(section string, n int) bool {
+	if n > maxSeriesBuckets {
+		d.refuse("%s of %d buckets is longer than %d", section, n, maxSeriesBuckets)
+	}
+	return d.Err() == nil
+}
+
 func addCounter(c *Counter, p []byte) {
 	c.Flows += be.Uint64(p)
 	c.Packets += be.Uint64(p[8:])
@@ -612,7 +622,7 @@ func (d *cpDec) series(a *Aggregator) {
 			return
 		}
 		n := d.count("series bucket", 8)
-		if !d.primary("series", class) || !d.some("series", class, n) {
+		if !d.primary("series", class) || !d.some("series", class, n) || !d.within("series", n) {
 			return
 		}
 		p := d.Take(8 * n)
@@ -768,6 +778,9 @@ func (d *cpDec) pairs(pairs *map[netx.Addr]map[netx.Addr]uint64, nodes *nodeAllo
 
 func (d *cpDec) counters(s []Counter) []Counter {
 	n := d.count("NTP series bucket", counterLen)
+	if !d.within("NTP series", n) {
+		return s
+	}
 	p := d.Take(counterLen * n)
 	if len(s) < n {
 		s = append(s, make([]Counter, n-len(s))...)

@@ -345,6 +345,14 @@ func oracleSome(r *oracleReader, section string, c TrafficClass, n int) {
 	}
 }
 
+// oracleWithin latches an error unless a series of n buckets fits
+// maxSeriesBuckets.
+func oracleWithin(r *oracleReader, section string, n int) {
+	if r.err == nil && n > maxSeriesBuckets {
+		r.err = fmt.Errorf("core: checkpoint %s has %d buckets, more than %d", section, n, maxSeriesBuckets)
+	}
+}
+
 // oracleDecodeCheckpoint reads a checkpoint previously written by
 // oracleEncodeCheckpoint, rejecting unknown magic or versions.
 func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
@@ -413,6 +421,7 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		n := r.count("series bucket")
 		oracleClass(r, "series", c)
 		oracleSome(r, "series", c, n)
+		oracleWithin(r, "series", n)
 		if r.err != nil {
 			break
 		}
@@ -423,7 +432,7 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		a.Series[c] = s
 	}
 
-	// The tables' own Add stands in for assignment: with every key in a
+	// The pages' own add stands in for assignment: with every key in a
 	// section distinct, adding into a fresh table is assigning.
 	nHists := r.count("size histogram")
 	for i := 0; i < nHists && r.err == nil; i++ {
@@ -435,7 +444,7 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 		for j := 0; j < n && r.err == nil; j++ {
 			oracleAscending(r, "size bin", j, &size, int(r.i64()))
 			if pkts := r.u64(); r.err == nil {
-				a.SizeHist.Add(c, size, pkts)
+				a.SizeHist.page(c).add(size, pkts)
 			}
 		}
 	}
@@ -459,7 +468,7 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 			r.err = fmt.Errorf("core: checkpoint port-mix key %v is not a TCP or UDP destination or source port", k)
 		}
 		if pkts := r.u64(); r.err == nil {
-			a.Ports.Add(k.Class, k.Proto, k.Dir, k.Port, pkts)
+			a.Ports.pair(k.Class, protoIdx(k.Proto))[k.Dir].add(k.Port, pkts)
 		}
 	}
 
@@ -534,7 +543,7 @@ func oracleDecodeCheckpoint(in io.Reader) (*Checkpoint, error) {
 	readPairs(a.ResponsePairs)
 	readSeries := func() []Counter {
 		n := r.count("NTP series bucket")
-		if n == 0 {
+		if oracleWithin(r, "NTP series", n); n == 0 || r.err != nil {
 			return nil
 		}
 		s := make([]Counter, 0, oraclePreallocCap(n))

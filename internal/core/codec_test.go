@@ -23,11 +23,11 @@ import (
 func exoticAggregate(attack bool, n int, seed uint64) *Aggregator {
 	a := shapedAggregate(attack, n, seed)
 	rng := splitmix(seed ^ 0xe0)
-	a.SizeHist.Add(TCUnrouted, -3, 5)
-	a.SizeHist.Add(TCBogon, -1, rng.next())
-	a.SizeHist.Add(TCBogon, 1<<20, 9)
-	a.Ports.Add(TCRegular, ipfix.ProtoTCP, 0, 7, 0)
-	a.Ports.Add(TCInvalidFull, ipfix.ProtoUDP, 1, uint16(rng.next()), 0)
+	a.SizeHist.page(TCUnrouted).add(-3, 5)
+	a.SizeHist.page(TCBogon).add(-1, rng.next())
+	a.SizeHist.page(TCBogon).add(1<<20, 9)
+	a.Ports.pair(TCRegular, protoIdx(ipfix.ProtoTCP))[0].add(7, 0)
+	a.Ports.pair(TCInvalidFull, protoIdx(ipfix.ProtoUDP))[1].add(uint16(rng.next()), 0)
 	a.TriggerPairs[netx.Addr(rng.next())] = map[netx.Addr]uint64{}
 	return a
 }

@@ -101,7 +101,8 @@ func (p *portPage) addCarry(b, i int, s uint64) {
 
 // add records key and adds pkts to its tally. The common case — the block
 // exists and the sum fits the cell — makes no call; a block's first touch
-// and a carry go to addSlow.
+// and a carry go to addSlow. It is the decoder's fold's add, and the path
+// Aggregator.Add takes where addFast declines.
 func (p *portPage) add(key uint16, pkts uint64) {
 	b, i := int(key>>8), int(key&0xff)
 	if blk := p.blk[b]; blk != nil && uint64(blk[i])+pkts <= 0xffff {
@@ -121,6 +122,25 @@ func (p *portPage) addSlow(b, i int, pkts uint64) {
 	if c := addCell(&p.cells(b)[i], pkts); c != 0 {
 		p.addCarry(b, i, c)
 	}
+}
+
+// addFast adds pkts to key's tally when that needs the key's cell alone, and
+// reports whether it did. A non-zero cell proves its key recorded — only
+// add, mergeFrom and the decoder's fold make a cell non-zero, and each marks
+// the key in seen as it does — so when the block exists, the cell is
+// non-zero and the sum fits 16 bits, the add is one cell write and leaves
+// seen alone. It makes no call, so it inlines where Aggregator.Add tallies a
+// flow; what it declines — a block's first touch, a zero cell (a key's
+// first add, or a cell a carry emptied), and a sum past 0xFFFF, one that
+// wraps mod 2^64 included — goes to add.
+func (p *portPage) addFast(key uint16, pkts uint64) bool {
+	if blk := p.blk[key>>8]; blk != nil {
+		if c := blk[key&0xff]; c != 0 && pkts <= uint64(0xffff-c) {
+			blk[key&0xff] = c + uint16(pkts)
+			return true
+		}
+	}
+	return false
 }
 
 // eachWord visits the non-empty words of the presence bitmap in ascending
@@ -250,21 +270,15 @@ func protoIdx(proto uint8) int {
 	return -1
 }
 
-// page returns the page for (class, proto, dir), creating it if asked. The
-// key must be in the table's range: proto TCP or UDP, dir 0 or 1.
-func (t *PortTab) page(c TrafficClass, proto, dir uint8, create bool) *portPage {
-	slot := &t.fast[c][protoIdx(proto)][dir]
-	if *slot == nil && create {
-		*slot = &portPage{slab: &t.slab}
+// pair returns the pages of class c and protocol index pi (see protoIdx):
+// destination ports, then source ports. Aggregator.Add tallies both for
+// every flow, so the two are made together and exist together.
+func (t *PortTab) pair(c TrafficClass, pi int) *[2]*portPage {
+	pp := &t.fast[c][pi]
+	if pp[0] == nil {
+		pp[0], pp[1] = &portPage{slab: &t.slab}, &portPage{slab: &t.slab}
 	}
-	return *slot
-}
-
-// Add accumulates pkts for one key, which must be in the table's range
-// (proto TCP or UDP, dir 0 or 1; anything else panics). This is the hot
-// path: array indexes and a bitmap update, no hashing.
-func (t *PortTab) Add(c TrafficClass, proto, dir uint8, port uint16, pkts uint64) {
-	t.page(c, proto, dir, true).add(port, pkts)
+	return pp
 }
 
 // Len counts recorded keys.
@@ -318,7 +332,7 @@ func (t *PortTab) fold(d *cpDec) {
 				d.refuse("port-mix key of protocol %d, direction %d: only TCP and UDP destination (0) and source (1) ports are recorded", proto, dir)
 				return
 			}
-			pg = t.page(TrafficClass(class), proto, dir, true)
+			pg = t.pair(TrafficClass(class), protoIdx(proto))[dir]
 		}
 		pg.add(uint16(head), be.Uint64(p[8:]))
 	}
@@ -339,7 +353,7 @@ func (t *PortTab) MergeFrom(other *PortTab) {
 	}
 	other.pages(func(k portPageKey, op *portPage) {
 		if op.n > 0 { // a Reset page stays allocated, and has nothing to fold
-			t.page(k.class, k.proto, k.dir, true).mergeFrom(op)
+			t.pair(k.class, protoIdx(k.proto))[k.dir].mergeFrom(op)
 		}
 	})
 }
@@ -353,8 +367,9 @@ func (t *PortTab) Reset() {
 // sizePage is one class's packet-size histogram: a dense page over sizes in
 // [0, 65536) — every IPv4 total length — and an exact map, spill, for the
 // rest: the negative or huge Bytes/Packets quotients of degenerate records.
-// spill is made with the page and never nil, which keeps add small enough
-// for the compiler to inline: SizeTab.Add then calls the page's add itself.
+// spill is made with the page and never nil. Aggregator.Add splits a size
+// between the two itself, so that the dense add inlines there; add is the
+// same split for the decoder's fold and MergeFrom's spilled sizes.
 type sizePage struct {
 	portPage
 	spill map[int]uint64
@@ -405,11 +420,6 @@ func (t *SizeTab) page(c TrafficClass) *sizePage {
 		t.pages[c] = p
 	}
 	return p
-}
-
-// Add accumulates pkts into class c's histogram at size.
-func (t *SizeTab) Add(c TrafficClass, size int, pkts uint64) {
-	t.page(c).add(size, pkts)
 }
 
 // classList appends the present classes to buf in ascending order.

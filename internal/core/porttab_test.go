@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"spoofscope/internal/ipfix"
 )
 
 // portOp is one port-mix add.
@@ -46,7 +48,7 @@ func portOps(rng *splitmix, n int) []portOp {
 // addPortOps adds ops to a's port mix and to the map oracle want.
 func addPortOps(a *Aggregator, want map[PortKey]uint64, ops []portOp) {
 	for _, op := range ops {
-		a.Ports.Add(op.k.Class, op.k.Proto, op.k.Dir, op.k.Port, op.pkts)
+		a.Ports.pair(op.k.Class, protoIdx(op.k.Proto))[op.k.Dir].add(op.k.Port, op.pkts)
 		want[op.k] += op.pkts
 	}
 }
@@ -178,7 +180,7 @@ func sizeOps(rng *splitmix, n int) []sizeOp {
 // addSizeOps adds ops to a's size histogram and to the map oracle want.
 func addSizeOps(a *Aggregator, want map[TrafficClass]map[int]uint64, ops []sizeOp) {
 	for _, op := range ops {
-		a.SizeHist.Add(op.class, op.size, op.pkts)
+		a.SizeHist.page(op.class).add(op.size, op.pkts)
 		if want[op.class] == nil {
 			want[op.class] = map[int]uint64{}
 		}
@@ -273,6 +275,149 @@ func TestSizeTabMatchesMapOracle(t *testing.T) {
 		fresh.SizeHist.Reset()
 		fresh.SizeHist.MergeFrom(a.SizeHist)
 		requireSizeHist(t, "MergeFrom after Reset", fresh, refill)
+	}
+}
+
+// talliedTrace draws about n flows whose port and size adds sit where the
+// pages' inlined fast path hands over to addSlow: zero-packet flows; runs of
+// adds on one flow's keys that cross 0xFFFF, followed by small adds into the
+// cell the carry emptied; a tally of 2^64-1 followed by 1 (the sum wraps to
+// 0); sizes at the blocks' edges, in the last block, at 65536 and beyond, and
+// Bytes/Packets quotients past the int range (the spill map's negative
+// keys); ports in the last block; and portless flows. Verdicts cover every
+// primary class, an Invalid-NAIVE-only flow counting as Regular.
+func talliedTrace(rng *splitmix, n int) ([]ipfix.Flow, []Verdict) {
+	verdicts := [...]Verdict{
+		{Class: ClassValid, KnownMember: true},
+		{Class: ClassBogon, KnownMember: true},
+		{Class: ClassUnrouted},
+		{Class: ClassInvalid, Invalid: [numApproaches]bool{true, true, true}, KnownMember: true},
+		{Class: ClassInvalid, Invalid: [numApproaches]bool{true, false, false}, KnownMember: true},
+	}
+	edges := [...]uint64{0, 1, 0xFFFF, 0x10000, 1 << 32, ^uint64(0)}
+	sizes := [...]uint64{0, 255, 256, 4096, 9000, 0xFF00, 0xFFFF, 1 << 16, 1 << 20}
+	wideBytes := [...]uint64{1 << 63, ^uint64(0), 1<<63 + 1<<40}
+	port := func() uint16 {
+		if rng.intn(8) == 0 {
+			return uint16(0xFFFF - rng.intn(64))
+		}
+		return uint16(rng.intn(4)<<14 | rng.intn(600))
+	}
+	var flows []ipfix.Flow
+	var vs []Verdict
+	add := func(f ipfix.Flow, v Verdict, pkts ...uint64) {
+		size := f.Bytes
+		for _, p := range pkts {
+			f.Packets, f.Bytes = p, size*p
+			if size > 1<<20 {
+				f.Bytes = size // a quotient past the int range, whatever the count
+			}
+			flows, vs = append(flows, f), append(vs, v)
+		}
+	}
+	for len(flows) < n {
+		f := ipfix.Flow{Start: cpStart, Ingress: uint32(1 + rng.intn(4)), Protocol: ipfix.ProtoTCP,
+			SrcPort: port(), DstPort: port(), Bytes: uint64(40 + rng.intn(1461))}
+		switch rng.intn(8) {
+		case 0:
+			f.Protocol = ipfix.ProtoICMP
+		case 1, 2, 3:
+			f.Protocol = ipfix.ProtoUDP
+		}
+		switch rng.intn(6) {
+		case 0:
+			f.Bytes = sizes[rng.intn(len(sizes))]
+		case 1:
+			f.Bytes = wideBytes[rng.intn(len(wideBytes))]
+		}
+		v := verdicts[rng.intn(len(verdicts))]
+		switch rng.intn(5) {
+		case 0:
+			add(f, v, edges[rng.intn(len(edges))])
+		case 1:
+			runs := make([]uint64, 2+rng.intn(4), 8)
+			for i := range runs {
+				runs[i] = uint64(0x5000 + rng.intn(0x1000))
+			}
+			for range 1 + rng.intn(3) {
+				runs = append(runs, uint64(rng.intn(20)))
+			}
+			add(f, v, runs...)
+		case 2:
+			add(f, v, ^uint64(0), 1, uint64(1+rng.intn(20)))
+		default:
+			add(f, v, uint64(rng.intn(21)))
+		}
+	}
+	return flows, vs
+}
+
+// tallyOracle adds what Aggregator.Add records of flows in the port mix and
+// the size histogram to the map oracles ports and sizes.
+func tallyOracle(ports map[PortKey]uint64, sizes map[TrafficClass]map[int]uint64, flows []ipfix.Flow, vs []Verdict) {
+	for i, f := range flows {
+		pc := primaryClass(vs[i])
+		if f.Protocol == ipfix.ProtoTCP || f.Protocol == ipfix.ProtoUDP {
+			ports[PortKey{pc, f.Protocol, 0, f.DstPort}] += f.Packets
+			ports[PortKey{pc, f.Protocol, 1, f.SrcPort}] += f.Packets
+		}
+		if f.Packets > 0 {
+			if sizes[pc] == nil {
+				sizes[pc] = map[int]uint64{}
+			}
+			sizes[pc][int(f.Bytes/f.Packets)] += f.Packets
+		}
+	}
+}
+
+// TestAggregatorTalliesMatchOracle drives the port mix and the size
+// histogram through Aggregator.Add itself — the pages' inlined fast path and
+// its hand-over to addSlow, as production runs them — and holds each result
+// to map oracles fed the same flows and to the oracle encoder's bytes: after
+// the adds, after folding a second aggregate in by Merge and by
+// MergeCheckpointBytes, after a decode, and after Reset and a refill.
+func TestAggregatorTalliesMatchOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := splitmix(seed)
+		a, b := NewAggregator(cpStart, time.Hour), NewAggregator(cpStart, time.Hour)
+		portsA, sizesA := map[PortKey]uint64{}, map[TrafficClass]map[int]uint64{}
+		portsB, sizesB := map[PortKey]uint64{}, map[TrafficClass]map[int]uint64{}
+		flows, vs := talliedTrace(&rng, 1500)
+		a.AddBatch(flows, vs)
+		tallyOracle(portsA, sizesA, flows, vs)
+		requirePortMix(t, "Add", a, portsA)
+		requireSizeHist(t, "Add", a, sizesA)
+		flows, vs = talliedTrace(&rng, 1500)
+		b.AddBatch(flows, vs)
+		tallyOracle(portsB, sizesB, flows, vs)
+
+		a.Merge(b)
+		tallyOracle(portsA, sizesA, flows, vs)
+		requirePortMix(t, "Merge", a, portsA)
+		requireSizeHist(t, "Merge", a, sizesA)
+		raw := AppendCheckpoint(nil, &Checkpoint{Agg: b})
+		if _, err := MergeCheckpointBytes(a, raw); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tallyOracle(portsA, sizesA, flows, vs)
+		requirePortMix(t, "MergeCheckpointBytes", a, portsA)
+		requireSizeHist(t, "MergeCheckpointBytes", a, sizesA)
+		decoded, err := DecodeCheckpointBytes(raw)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		requirePortMix(t, "DecodeCheckpointBytes", decoded.Agg, portsB)
+		requireSizeHist(t, "DecodeCheckpointBytes", decoded.Agg, sizesB)
+
+		// Reset keeps every cell and carry block: the refill's adds meet
+		// zero cells in allocated blocks, which the fast path must decline.
+		a.Reset()
+		portsA, sizesA = map[PortKey]uint64{}, map[TrafficClass]map[int]uint64{}
+		flows, vs = talliedTrace(&rng, 1500)
+		a.AddBatch(flows, vs)
+		tallyOracle(portsA, sizesA, flows, vs)
+		requirePortMix(t, "Reset and refill", a, portsA)
+		requireSizeHist(t, "Reset and refill", a, sizesA)
 	}
 }
 
