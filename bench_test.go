@@ -14,6 +14,7 @@ import (
 	"spoofscope/internal/bgp"
 	"spoofscope/internal/core"
 	"spoofscope/internal/experiments"
+	"spoofscope/internal/flowgen"
 	"spoofscope/internal/ipfix"
 	"spoofscope/internal/netx"
 	"spoofscope/internal/scenario"
@@ -788,5 +789,66 @@ func BenchmarkEndToEndSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 		io.Discard.Write([]byte{byte(len(env.Flows))})
+	}
+}
+
+// setupScales are the environments experiments.NewEnv synthesises: the
+// small test scenario, the default one and the paper-scale one (≈6.4K
+// ASes, 700 members, four weeks). The paper row is left out under -short
+// so `make bench-smoke` stays quick.
+func setupScales() []setupScale {
+	paper := experiments.DefaultOptions()
+	paper.Scenario = scenario.PaperScaleConfig()
+	rows := []setupScale{
+		{"small", experiments.SmallOptions()},
+		{"default", experiments.DefaultOptions()},
+		{"paper", paper},
+	}
+	if testing.Short() {
+		rows = rows[:2]
+	}
+	return rows
+}
+
+type setupScale struct {
+	name string
+	opts experiments.Options
+}
+
+// BenchmarkScenarioBuild measures synthesising the ground truth: the AS
+// graph, the address plan and the route propagation that stands in for the
+// collectors' RIB dumps.
+func BenchmarkScenarioBuild(b *testing.B) {
+	for _, sc := range setupScales() {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scenario.Build(sc.opts.Scenario); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate measures synthesising the sampled IPFIX trace from a
+// built scenario: the generator's pools and cones (flowgen.New) and the
+// whole window's flows, each handed to an emitter that counts it.
+func BenchmarkGenerate(b *testing.B) {
+	for _, sc := range setupScales() {
+		b.Run(sc.name, func(b *testing.B) {
+			s, err := scenario.Build(sc.opts.Scenario)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var flows int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flows = 0
+				flowgen.New(s, sc.opts.Flowgen).Generate(func(ipfix.Flow, flowgen.Label) { flows++ })
+			}
+			b.ReportMetric(float64(flows), "flows")
+		})
 	}
 }

@@ -114,6 +114,9 @@ type Generator struct {
 	routed     []netx.Prefix // all announced prefixes
 	originLPM  *netx.FlatLPM // announced prefix -> AS index
 	carrier    []int         // AS index -> member index carrying it (-1)
+	cones      []netx.Bitset // per member: its ground-truth customer cone
+	outside    []int         // per member: announcing ASes outside its cone
+	announcing int           // ASes that announce a prefix
 	bigMembers []int         // fallback egress member indices
 	routerIPs  [][]netx.Addr // per member: its stray router addresses
 
@@ -153,6 +156,9 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	g.heldAll = s.AllHeldPrefixes()
 	var originAS []uint32
 	for i := 0; i < s.NumASes(); i++ {
+		if len(s.ASInfo(i).Announced) > 0 {
+			g.announcing++
+		}
 		for _, p := range s.ASInfo(i).Announced {
 			g.routed = append(g.routed, p)
 			originAS = append(originAS, uint32(i))
@@ -177,6 +183,22 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 		}
 	}
 
+	// Every AS's customer cone is computed once, on first use: members'
+	// cones feed the TE pools, the carrier table and emitInvalidSpoof,
+	// their peers' cones the peer pools.
+	cones := make([][]int, s.NumASes())
+	coneOf := func(as int) []int {
+		if cones[as] == nil {
+			cones[as] = s.CustomerConeIndices(as)
+		}
+		return cones[as]
+	}
+	g.cones = netx.NewBitsets(len(s.Members), s.NumASes())
+	g.outside = make([]int, len(s.Members))
+	for i := range s.Members {
+		g.setCone(i, coneOf(s.Members[i].ASIndex))
+	}
+
 	// Traffic-engineered prefixes: cone customers announce them to a
 	// provider subset but load-balance return traffic across all exits,
 	// so members off the announced branch legitimately source them. This
@@ -186,7 +208,7 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	g.tePool = make([][]netx.Prefix, len(s.Members))
 	for i := range s.Members {
 		m := &s.Members[i]
-		for _, ci := range s.CustomerConeIndices(m.ASIndex) {
+		for _, ci := range coneOf(m.ASIndex) {
 			c := s.ASInfo(ci)
 			for p := range c.SelectiveExport {
 				if ci != m.ASIndex && !onPath[p][m.ASIndex] {
@@ -207,7 +229,7 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	for i := range s.Members {
 		m := &s.Members[i]
 		for _, peer := range s.ASInfo(m.ASIndex).Peers {
-			for _, ci := range s.CustomerConeIndices(peer) {
+			for _, ci := range coneOf(peer) {
 				if !onPath[firstPrefix(s, ci)][m.ASIndex] {
 					g.peerPool[i] = append(g.peerPool[i], s.ASInfo(ci).Announced...)
 				}
@@ -230,7 +252,7 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	}
 	var mcs []mc
 	for i := range s.Members {
-		mcs = append(mcs, mc{i, s.CustomerConeIndices(s.Members[i].ASIndex)})
+		mcs = append(mcs, mc{i, coneOf(s.Members[i].ASIndex)})
 	}
 	sort.Slice(mcs, func(a, b int) bool {
 		if len(mcs[a].cone) != len(mcs[b].cone) {
@@ -256,6 +278,19 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 
 	g.scheduleFloods()
 	return g
+}
+
+// setCone records member mi's customer cone (AS indices) and counts the
+// announcing ASes outside it, the sources emitInvalidSpoof may spoof.
+func (g *Generator) setCone(mi int, cone []int) {
+	c := &g.cones[mi]
+	g.outside[mi] = g.announcing
+	for _, as := range cone {
+		c.Set(as)
+		if len(g.s.ASInfo(as).Announced) > 0 {
+			g.outside[mi]--
+		}
+	}
 }
 
 // sortPrefixes orders a pool deterministically (map iteration above).
@@ -329,7 +364,11 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return v
 	}
-	l := math.Exp(-lambda)
+	return knuth(rng, math.Exp(-lambda))
+}
+
+// knuth multiplies uniform draws until the product falls to l = e^-λ.
+func knuth(rng *rand.Rand, l float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
@@ -338,6 +377,20 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		k++
 	}
+}
+
+// rate is a Poisson rate that stays fixed across buckets, with e^-λ
+// computed once.
+type rate struct{ lambda, expNeg float64 }
+
+func fixedRate(lambda float64) rate { return rate{lambda, math.Exp(-lambda)} }
+
+// draw is poisson(rng, r.lambda).
+func (r rate) draw(rng *rand.Rand) int {
+	if r.lambda <= 0 || r.lambda > 30 {
+		return poisson(rng, r.lambda)
+	}
+	return knuth(rng, r.expNeg)
 }
 
 // hostIn picks a host address inside a prefix.

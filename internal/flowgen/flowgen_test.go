@@ -353,3 +353,109 @@ func TestGenerateGolden(t *testing.T) {
 		t.Fatalf("trace = %d flows, FNV-1a %#016x; want %d flows, %#016x", n, got, wantFlows, wantHash)
 	}
 }
+
+// spoofGenerator builds the small scenario's generator and picks a member
+// that emits Invalid spoofs.
+func spoofGenerator(t *testing.T) (*Generator, int) {
+	t.Helper()
+	s, err := scenario.Build(scenario.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(s, DefaultConfig())
+	for mi := range s.Members {
+		if s.Members[mi].EmitsInvalid {
+			return g, mi
+		}
+	}
+	t.Fatal("no member emits Invalid spoofs")
+	return nil, 0
+}
+
+// TestInvalidSpoofSourcesOutsideCone holds the ground truth of the
+// Invalid label: every LabelInvalidSpoof source originates at an AS that
+// announces it, outside its ingress member's customer cone.
+func TestInvalidSpoofSourcesOutsideCone(t *testing.T) {
+	s, err := scenario.Build(scenario.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(s, DefaultConfig())
+	n := 0
+	g.Generate(func(f ipfix.Flow, l Label) {
+		if l != LabelInvalidSpoof {
+			return
+		}
+		n++
+		m := s.MemberByPort(f.Ingress)
+		origin, ok := g.originLPM.Lookup(f.SrcAddr)
+		if !ok {
+			t.Fatalf("invalid-spoof source %s is unrouted", f.SrcAddr)
+		}
+		for _, c := range s.CustomerConeIndices(m.ASIndex) {
+			if c == int(origin) {
+				t.Fatalf("invalid-spoof source %s at %s lies in the cone of member %s", f.SrcAddr, s.ASInfo(c).ASN, m.ASN)
+			}
+		}
+	})
+	if n == 0 {
+		t.Fatal("no invalid-spoof flows")
+	}
+}
+
+// TestInvalidSpoofRetryBudget drives emitInvalidSpoof past its retry
+// budget. With one announcing AS left outside the member's cone, most
+// calls exhaust their uniform draws, and every source must still come from
+// that AS; with none left, the member emits nothing and the call returns.
+func TestInvalidSpoofRetryBudget(t *testing.T) {
+	g, mi := spoofGenerator(t)
+	s := g.s
+	last := -1
+	var all []int
+	for as := 0; as < s.NumASes(); as++ {
+		all = append(all, as)
+		if len(s.ASInfo(as).Announced) > 0 && !g.cones[mi].Test(as) {
+			last = as
+		}
+	}
+	if last < 0 {
+		t.Fatal("member's cone covers every announcing AS")
+	}
+	g.setCone(mi, append(all[:last:last], all[last+1:]...))
+	if g.outside[mi] != 1 {
+		t.Fatalf("outside = %d, want 1", g.outside[mi])
+	}
+	start, _ := s.Window()
+	n := 0
+	g.emitInvalidSpoof(func(f ipfix.Flow, l Label) {
+		n++
+		if origin, ok := g.originLPM.Lookup(f.SrcAddr); !ok || int(origin) != last {
+			t.Fatalf("source %s originates at %d, want the one AS outside the cone, %d", f.SrcAddr, origin, last)
+		}
+	}, start, mi, 200)
+	if n != 200 {
+		t.Fatalf("emitted %d flows, want 200", n)
+	}
+
+	g.setCone(mi, all)
+	if g.outside[mi] != 0 {
+		t.Fatalf("outside = %d, want 0", g.outside[mi])
+	}
+	g.emitInvalidSpoof(func(f ipfix.Flow, l Label) {
+		t.Fatalf("member whose cone covers every AS spoofed %s", f.SrcAddr)
+	}, start, mi, 200)
+}
+
+// TestInvalidSpoofAllocatesNothing: the member's cone is looked up, not
+// rebuilt, on every call.
+func TestInvalidSpoofAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g, mi := spoofGenerator(t)
+	start, _ := g.s.Window()
+	emit := func(ipfix.Flow, Label) {}
+	if allocs := testing.AllocsPerRun(100, func() { g.emitInvalidSpoof(emit, start, mi, 20) }); allocs != 0 {
+		t.Fatalf("emitInvalidSpoof allocates %.1f times per call, want 0", allocs)
+	}
+}

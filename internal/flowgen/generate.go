@@ -70,6 +70,20 @@ func (g *Generator) Generate(emit EmitFunc) {
 		return lambda
 	}
 
+	// The rates that do not follow the diurnal curve are fixed per member.
+	type memberRates struct{ unrouted, invalid, stray, ntp rate }
+	fixed := make([]memberRates, len(g.s.Members))
+	for mi := range g.s.Members {
+		m := &g.s.Members[mi]
+		share, w := m.TrafficScale/totalScale, weight[mi]
+		fixed[mi] = memberRates{
+			unrouted: fixedRate(capped(0.005*r*norm(w, sumUnroutedW), share, 0.08)),
+			invalid:  fixedRate(capped(0.005*r*norm(w, sumInvalidW), share, 0.08)),
+			stray:    fixedRate(capped(0.012*r*norm(w, sumStrayW), share, 0.30)),
+			ntp:      fixedRate(0.025 * r * m.NTPAttackWeight),
+		}
+	}
+
 	for b := 0; b < n; b++ {
 		t := g.s.Cfg.Start.Add(time.Duration(b) * g.cfg.BucketLength)
 		day := diurnal(t)
@@ -88,16 +102,16 @@ func (g *Generator) Generate(emit EmitFunc) {
 				g.emitBogonLeak(emit, t, mi, poisson(g.rng, capped(0.012*r*norm(w, sumBogonW), share, 0.10)*day))
 			}
 			if m.EmitsUnrouted {
-				g.emitUnroutedLeak(emit, t, mi, poisson(g.rng, capped(0.005*r*norm(w, sumUnroutedW), share, 0.08)))
+				g.emitUnroutedLeak(emit, t, mi, fixed[mi].unrouted.draw(g.rng))
 			}
 			if m.EmitsInvalid {
-				g.emitInvalidSpoof(emit, t, mi, poisson(g.rng, capped(0.005*r*norm(w, sumInvalidW), share, 0.08)))
+				g.emitInvalidSpoof(emit, t, mi, fixed[mi].invalid.draw(g.rng))
 				if m.StrayRouter {
-					g.emitStrayRouter(emit, t, mi, poisson(g.rng, capped(0.012*r*norm(w, sumStrayW), share, 0.30)))
+					g.emitStrayRouter(emit, t, mi, fixed[mi].stray.draw(g.rng))
 				}
 			}
 			if m.NTPAttackWeight > 0 {
-				g.emitNTP(emit, t, mi, poisson(g.rng, 0.025*r*m.NTPAttackWeight))
+				g.emitNTP(emit, t, mi, fixed[mi].ntp.draw(g.rng))
 			}
 		}
 		// Flood attacks active this bucket, scaled to the hosting network.
@@ -402,31 +416,34 @@ func (g *Generator) emitRandomFlood(emit EmitFunc, t time.Time, mi, count int) {
 	}
 }
 
+// spoofRetries is how many uniform draws emitInvalidSpoof makes for an
+// announcing AS outside the member's cone before it draws among those ASes
+// directly.
+const spoofRetries = 50
+
 // emitInvalidSpoof sends spoofed routed sources (outside the member's
-// legitimate space) toward routed destinations.
+// legitimate space) toward routed destinations. A member whose cone covers
+// every announcing AS has nothing to spoof and emits nothing.
 func (g *Generator) emitInvalidSpoof(emit EmitFunc, t time.Time, mi, count int) {
 	m := &g.s.Members[mi]
-	cone := make(map[int]bool)
-	for _, i := range g.s.CustomerConeIndices(m.ASIndex) {
-		cone[i] = true
+	cone := &g.cones[mi]
+	if g.outside[mi] == 0 {
+		return
 	}
 	for i := 0; i < count; i++ {
 		// A routed source from an AS outside the member's cone.
-		var src netx.Addr
-		for tries := 0; ; tries++ {
-			oi := g.rng.Intn(g.s.NumASes())
-			if cone[oi] || len(g.s.ASInfo(oi).Announced) == 0 {
-				if tries < 50 {
-					continue
-				}
+		oi := -1
+		for tries := 0; tries < spoofRetries; tries++ {
+			if d := g.rng.Intn(g.s.NumASes()); !cone.Test(d) && len(g.s.ASInfo(d).Announced) > 0 {
+				oi = d
+				break
 			}
-			anns := g.s.ASInfo(oi).Announced
-			if len(anns) == 0 {
-				continue
-			}
-			src = g.hostIn(anns[g.rng.Intn(len(anns))])
-			break
 		}
+		if oi < 0 {
+			oi = g.outsideAS(mi, g.rng.Intn(g.outside[mi]))
+		}
+		anns := g.s.ASInfo(oi).Announced
+		src := g.hostIn(anns[g.rng.Intn(len(anns))])
 		dst := g.randomRoutedHost()
 		f := ipfix.Flow{
 			Start:    g.stamp(t),
@@ -442,6 +459,20 @@ func (g *Generator) emitInvalidSpoof(emit EmitFunc, t time.Time, mi, count int) 
 			Egress:   g.egressFor(dst, m.Port),
 		}
 		emit(f, LabelInvalidSpoof)
+	}
+}
+
+// outsideAS returns the k-th announcing AS, in index order, outside member
+// mi's cone.
+func (g *Generator) outsideAS(mi, k int) int {
+	cone := &g.cones[mi]
+	for as := 0; ; as++ {
+		if !cone.Test(as) && len(g.s.ASInfo(as).Announced) > 0 {
+			if k == 0 {
+				return as
+			}
+			k--
+		}
 	}
 }
 

@@ -483,7 +483,8 @@ func (s *Scenario) planSpoofer(rng *rand.Rand) {
 // CustomerConeIndices returns the ground-truth customer cone of an AS
 // (itself included), via BFS over customer links.
 func (s *Scenario) CustomerConeIndices(asIdx int) []int {
-	seen := map[int]bool{asIdx: true}
+	seen := make([]bool, len(s.topo.ases))
+	seen[asIdx] = true
 	queue := []int{asIdx}
 	for head := 0; head < len(queue); head++ {
 		for _, c := range s.topo.ases[queue[head]].Customers {

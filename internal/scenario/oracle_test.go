@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"spoofscope/internal/netx"
 )
 
 // oraclePropagate is the phase-by-phase propagation that the level-ordered
@@ -168,6 +170,73 @@ func TestPropagateMatchesOracle(t *testing.T) {
 				}
 			}
 			t.Logf("%d routing trees match", trees)
+		})
+	}
+}
+
+// TestSingleHomedRoutesMatchPropagate checks the derivation announcementSet
+// uses for single-homed stubs: the provider's tree, turned into the stub's
+// by withStub, must give every AS the class and next hop that the stub's
+// own walk gives it, and so the same announcements at every vantage —
+// every AS at the small scale, the collectors and members at the default
+// one — and withStub must hand the provider's tree back unchanged.
+func TestSingleHomedRoutesMatchPropagate(t *testing.T) {
+	var cfgs []Config
+	for seed := int64(1); seed <= 4; seed++ {
+		c := SmallConfig()
+		c.Seed = seed
+		cfgs = append(cfgs, c)
+	}
+	cfgs = append(cfgs, DefaultConfig())
+	for _, cfg := range cfgs {
+		n := cfg.NumTier1 + cfg.NumTransit + cfg.NumStub
+		t.Run(fmt.Sprintf("%d-ases-seed%d", n, cfg.Seed), func(t *testing.T) {
+			s, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo := s.topo
+			collectors, members := s.Collectors, sortedCopy(s.memberIndices())
+			if n < 1000 {
+				collectors = make([]int, n)
+				for i := range collectors {
+					collectors[i] = i
+				}
+				members = collectors
+			}
+			stubs := 0
+			for stub := range topo.ases {
+				provider, ok := topo.singleHomed(stub)
+				if !ok {
+					continue
+				}
+				stubs++
+				want := topo.propagate(stub, nil)
+				rt := topo.propagate(provider, nil)
+				before := topo.propagate(provider, nil)
+				prefixes := topo.ases[stub].Announced
+				if len(prefixes) == 0 {
+					prefixes = []netx.Prefix{netx.MustParsePrefix("192.0.2.0/24")}
+				}
+				rt.withStub(stub, func() {
+					if rt.origin != stub || !reflect.DeepEqual(rt.class, want.class) || !reflect.DeepEqual(rt.next, want.next) {
+						t.Fatalf("stub %s under %s: derived tree differs from its own walk", topo.ases[stub].ASN, topo.ases[provider].ASN)
+					}
+					for _, p := range prefixes {
+						got := topo.emitVantages(rt, p, collectors, members, nil)
+						if exp := topo.emitVantages(want, p, collectors, members, nil); !reflect.DeepEqual(got, exp) {
+							t.Fatalf("stub %s, %s: derived announcements %v, its own walk's %v", topo.ases[stub].ASN, p, got, exp)
+						}
+					}
+				})
+				if !reflect.DeepEqual(rt, before) {
+					t.Fatalf("withStub(%s) left %s's tree changed", topo.ases[stub].ASN, topo.ases[provider].ASN)
+				}
+			}
+			if stubs == 0 {
+				t.Fatal("no single-homed stub")
+			}
+			t.Logf("%d single-homed stubs of %d ASes", stubs, n)
 		})
 	}
 }

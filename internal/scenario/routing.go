@@ -39,18 +39,36 @@ func (f exportFilter) allows(neighbor int) bool {
 	return f[neighbor]
 }
 
+// propagate computes the valley-free routing tree for origin in a tree of
+// its own.
+func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
+	return new(walker).propagate(t, origin, filter)
+}
+
+// walker is one propagation's storage — the tree and the walk's queues and
+// level bitmaps — which successive walks reuse: a walk overwrites the tree
+// the previous one returned.
+type walker struct {
+	rt              routeTree
+	climbed, peered []int
+	level, below    *netx.Bitset
+}
+
 // propagate computes the valley-free routing tree for origin. Neighbours
 // are visited in index order and the descent takes one distance level at a
 // time, each in index order, so the tree (and therefore every AS path) is
 // reproducible.
-func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
+func (w *walker) propagate(t *topology, origin int, filter exportFilter) *routeTree {
 	n := len(t.ases)
-	rt := &routeTree{
-		origin: origin,
-		class:  make([]int8, n),
-		dist:   make([]int32, n),
-		next:   make([]int32, n),
+	rt := &w.rt
+	if len(rt.class) != n {
+		rt.class, rt.dist, rt.next = make([]int8, n), make([]int32, n), make([]int32, n)
+		// Every walk leaves both bitmaps empty (it ends on an empty level
+		// that relaxed nothing into the next).
+		w.level, w.below = netx.NewBitset(n), netx.NewBitset(n)
 	}
+	rt.origin = origin
+	clear(rt.class)
 	for i := range rt.next {
 		rt.next[i] = -1
 		rt.dist[i] = 1 << 30
@@ -71,7 +89,7 @@ func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 	// org-sibling links provide mutual transit: a sibling adopts the route
 	// as if learned from a customer and re-exports it upward, making these
 	// internal links broadly visible on AS paths.
-	climbed := []int{origin}
+	climbed := append(w.climbed[:0], origin)
 	for head := 0; head < len(climbed); head++ {
 		x := climbed[head]
 		for _, y := range t.adj[x].up {
@@ -81,7 +99,7 @@ func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 		}
 	}
 	// One peering hop from any customer-route holder (or the origin).
-	var peered []int
+	peered := w.peered[:0]
 	for _, x := range climbed {
 		for _, y := range t.adj[x].peers {
 			if relax(x, y, classPeer) {
@@ -96,7 +114,7 @@ func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 	// distance order) plus what the level above relaxed into it. Every
 	// holder's next hop is one level closer, so the first empty level ends
 	// the walk.
-	level, below := netx.NewBitset(n), netx.NewBitset(n)
+	level, below := w.level, w.below
 	i, j := 0, 0
 	for d, more := int32(0), true; more; d++ {
 		for ; i < len(climbed) && rt.dist[climbed[i]] == d; i++ {
@@ -117,6 +135,7 @@ func (t *topology) propagate(origin int, filter exportFilter) *routeTree {
 		})
 		level, below = below, level
 	}
+	w.climbed, w.peered = climbed, peered
 	return rt
 }
 
@@ -142,39 +161,68 @@ func (rt *routeTree) path(t *topology, vantage int) []bgp.ASN {
 
 // announcementSet computes all (prefix, path) observations for the given
 // vantage ASes (route collector peers) and member ASes (route server
-// sessions: members export their own and customer routes).
+// sessions: members export their own and customer routes), grouped by
+// origin in index order: each origin's full-export prefixes, then its
+// selectively exported ones in prefix order.
+//
+// A single-homed stub's full-export routes are read off its provider's
+// tree (withStub) instead of a walk of its own. Only one tree is alive at
+// a time, so memory does not grow with the number of providers: the walks
+// run in origin order, each provider's tree — built when its turn comes,
+// whether or not it announces anything itself — emits its stubs'
+// announcements before the next walk overwrites it, each origin's
+// full-export announcements land in one slot of a scratch buffer, and the
+// slots are copied out in origin order at the end.
 func (t *topology) announcementSet(collectors, members []int) []bgp.Announcement {
 	memberList := sortedCopy(members)
-	var anns []bgp.Announcement
-	add := func(p netx.Prefix, path []bgp.ASN) {
-		if path == nil {
-			return
-		}
-		anns = append(anns, bgp.Announcement{
-			Prefix: p,
-			Path:   path,
-			Origin: path[len(path)-1],
-		})
-	}
-
+	full := make([][]netx.Prefix, len(t.ases))
+	stubs := make([][]int, len(t.ases))
+	nSelective := 0
 	for oi := range t.ases {
 		o := &t.ases[oi]
-		if len(o.Announced) == 0 {
-			continue
-		}
-		// Group prefixes by export filter (nil for full export).
-		full := o.Announced[:0:0]
 		for _, p := range o.Announced {
 			if o.SelectiveExport == nil || o.SelectiveExport[p] == nil {
-				full = append(full, p)
+				full[oi] = append(full[oi], p)
 			}
 		}
-		if len(full) > 0 {
-			rt := t.propagate(oi, nil)
-			for _, p := range full {
-				t.emitVantages(rt, p, collectors, memberList, add)
+		nSelective += len(o.SelectiveExport)
+		if len(full[oi]) > 0 {
+			if p, ok := t.singleHomed(oi); ok {
+				stubs[p] = append(stubs[p], oi)
 			}
 		}
+	}
+
+	var w walker
+	var buf []bgp.Announcement
+	slot := make([][2]int, len(t.ases))
+	emitFull := func(rt *routeTree, oi int) {
+		lo := len(buf)
+		for _, p := range full[oi] {
+			buf = t.emitVantages(rt, p, collectors, memberList, buf)
+		}
+		slot[oi] = [2]int{lo, len(buf)}
+	}
+	for oi := range t.ases {
+		_, derived := t.singleHomed(oi)
+		own := len(full[oi]) > 0 && !derived
+		if !own && len(stubs[oi]) == 0 {
+			continue
+		}
+		rt := w.propagate(t, oi, nil)
+		if own {
+			emitFull(rt, oi)
+		}
+		for _, s := range stubs[oi] {
+			rt.withStub(s, func() { emitFull(rt, s) })
+		}
+	}
+
+	// Selective prefixes reach collectors only, at most one path each.
+	anns := make([]bgp.Announcement, 0, len(buf)+nSelective*len(collectors))
+	for oi := range t.ases {
+		anns = append(anns, buf[slot[oi][0]:slot[oi][1]]...)
+		o := &t.ases[oi]
 		// Deterministic iteration over the (small) selective-export map.
 		selective := make([]netx.Prefix, 0, len(o.SelectiveExport))
 		for p := range o.SelectiveExport {
@@ -188,19 +236,56 @@ func (t *topology) announcementSet(collectors, members []int) []bgp.Announcement
 			for _, a := range o.SelectiveExport[p] {
 				f[a] = true
 			}
-			rt := t.propagate(oi, f)
+			rt := w.propagate(t, oi, f)
 			// Selectively-announced prefixes are not announced at the IXP
 			// route server either (the origin exports them to one provider
 			// only) — the naive approach therefore misses them entirely,
 			// the paper's §3.2 asymmetric-announcement blind spot.
-			t.emitVantages(rt, p, collectors, nil, add)
+			anns = t.emitVantages(rt, p, collectors, nil, anns)
 		}
 	}
 	return anns
 }
 
-// emitVantages emits one prefix's paths at all vantages.
-func (t *topology) emitVantages(rt *routeTree, p netx.Prefix, collectors, members []int, add func(netx.Prefix, []bgp.ASN)) {
+// singleHomed reports whether origin is a single-homed stub — one
+// neighbour to climb to, no peers, nothing below, hence no visible sibling
+// either — and returns its provider. No AS can route through such a stub,
+// so its full-export tree is its provider's, one hop longer (withStub).
+func (t *topology) singleHomed(origin int) (provider int, ok bool) {
+	a := &t.adj[origin]
+	if len(a.up) != 1 || len(a.peers) != 0 || len(a.down) != 0 {
+		return -1, false
+	}
+	return a.up[0], true
+}
+
+// withStub runs fn with rt, the full-export tree of stub's provider,
+// turned into stub's own full-export tree, and then turns it back.
+// propagate(stub, nil) climbs from the stub to its provider alone, which
+// then holds a customer route; from there the walk is the provider's own,
+// one level deeper, except that the stub refuses the provider route it
+// would have taken. So every other AS keeps its class and next hop, and
+// each path is the provider's with the stub appended. dist, which only
+// the walk reads, is left as the provider's.
+func (rt *routeTree) withStub(stub int, fn func()) {
+	provider := rt.origin
+	stubClass, stubNext := rt.class[stub], rt.next[stub]
+	rt.origin = stub
+	rt.class[stub], rt.next[stub] = classSelf, -1
+	rt.class[provider], rt.next[provider] = classCustomer, int32(stub)
+	fn()
+	rt.origin = provider
+	rt.class[stub], rt.next[stub] = stubClass, stubNext
+	rt.class[provider], rt.next[provider] = classSelf, -1
+}
+
+// emitVantages appends one prefix's paths at all vantages to anns.
+func (t *topology) emitVantages(rt *routeTree, p netx.Prefix, collectors, members []int, anns []bgp.Announcement) []bgp.Announcement {
+	add := func(p netx.Prefix, path []bgp.ASN) {
+		if path != nil {
+			anns = append(anns, bgp.Announcement{Prefix: p, Path: path, Origin: path[len(path)-1]})
+		}
+	}
 	for _, c := range collectors {
 		add(p, rt.path(t, c))
 	}
@@ -225,6 +310,7 @@ func (t *topology) emitVantages(rt *routeTree, p netx.Prefix, collectors, member
 			add(p, path)
 		}
 	}
+	return anns
 }
 
 // rsExports is a deterministic pseudo-random RS export policy.
