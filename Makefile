@@ -110,10 +110,10 @@ loc:
 # closure-prop runs the topology property tests explicitly: on random
 # cyclic topologies, with and without an org mesh, every AS's cone walks
 # (Full Cone and Customer Cone, unbounded and cut at depths 0/1/2) must match
-# the SCC closure kept as their oracle and the frontier BFS; the closures
-# Figure 2 and the §3.4 check build from those walks must give the oracle's
-# cone members, ConeSize, WeightedSizes and ExactValidSpace for every AS,
-# there and on the default-scale scenario; the counting-scatter naive
+# the SCC closure kept as their oracle and the frontier BFS; every AS's
+# cone as astopo.EachCone hands it to Figure 2 and the §3.4 check must have
+# the oracle's members and size and give its weighted size and exact valid
+# space, there and on the default-scale scenario; the counting-scatter naive
 # index must match its map-based oracle (per-AS prefix sets, announcements
 # shuffled and in prefix order); NewGraph must build the graph the old
 # mutable graph's constructor, org mesh, extra links and inference built,
@@ -130,7 +130,7 @@ loc:
 # suite too; the dedicated target keeps the equivalence gate visible in CI
 # logs.
 closure-prop:
-	$(GO) test -race -run 'TestConeWalksMatchClosures|TestClosureMatchesOracle|TestNaiveIndexMatchesOracle|TestNewGraphMatchesOracle|TestGraphIndexMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
+	$(GO) test -race -run 'TestConeWalksMatchClosures|TestEachConeMatchesOracle|TestNaiveIndexMatchesOracle|TestNewGraphMatchesOracle|TestGraphIndexMatchesOracle|TestPackedKeyWidthBoundary' -count=1 ./internal/astopo
 	$(GO) test -race -run 'TestMemberNaiveRows' -count=1 ./internal/core
 
 # obs-smoke drives a live parallel run with telemetry enabled and asserts the

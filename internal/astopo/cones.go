@@ -8,87 +8,6 @@ import (
 	"spoofscope/internal/netx"
 )
 
-// Method selects one of the paper's three valid-space inference approaches.
-type Method int
-
-// The three approaches of §3.2, ordered conservative-to-liberal in the
-// amount of address space they grant each AS.
-const (
-	Naive Method = iota
-	CustomerCone
-	FullCone
-)
-
-func (m Method) String() string {
-	switch m {
-	case Naive:
-		return "naive"
-	case CustomerCone:
-		return "customer-cone"
-	case FullCone:
-		return "full-cone"
-	default:
-		return "unknown"
-	}
-}
-
-// Closure holds every AS's cone over a directed AS adjacency, as found by
-// one walk per AS (Adjacency.Cone, the walk the classifier runs for its
-// members): AS u's cone is flat[off[u]:off[u+1]], the dense indices the walk
-// from u reaches, u first. Figure 2 and the §3.4 containment check, which
-// size every AS's cone, build one.
-type Closure struct {
-	off  []int // int, not int32: the lists' total grows as ASes × cone size
-	flat []int32
-}
-
-// newClosure walks every AS's cone down adj twice, on one queue and one
-// scratch bitset cleared through the queue after each walk. The first pass
-// sizes the cones; the second walks each AS with its own span of flat as the
-// queue, so the lists land in place in one exactly sized array.
-func newClosure(adj Adjacency) *Closure {
-	n := len(adj)
-	seen := netx.NewBitset(n)
-	walk := func(queue []int32, u int) []int32 {
-		queue = adj.Cone(seen, queue, u, math.MaxInt)
-		for _, v := range queue {
-			seen.Clear(int(v))
-		}
-		return queue
-	}
-	c := &Closure{off: make([]int, n+1)}
-	queue := make([]int32, 0, n)
-	for u := range n {
-		c.off[u+1] = c.off[u] + len(walk(queue, u))
-	}
-	c.flat = make([]int32, c.off[n])
-	for u := range n {
-		walk(c.flat[c.off[u]:c.off[u]:c.off[u+1]], u)
-	}
-	return c
-}
-
-// cone lists the dense indices of the ASes in u's cone, u first.
-func (c *Closure) cone(u int) []int32 { return c.flat[c.off[u]:c.off[u+1]] }
-
-// ConeSize returns the number of ASes in u's cone, including u itself.
-func (c *Closure) ConeSize(u int) int { return c.off[u+1] - c.off[u] }
-
-// WeightedSizes returns, for every AS index, the sum of w over the ASes in
-// its cone. w is indexed by AS index. This is how Figure 2 sizes per-AS valid
-// address space: with w the origin spaces' /24 equivalents
-// (OriginSpaceWeights) the sum is the exact size when the origin spaces are
-// disjoint, and an upper bound otherwise (ExactValidSpace is the union).
-func (c *Closure) WeightedSizes(w []uint64) []uint64 {
-	out := make([]uint64, len(c.off)-1)
-	for u := range out {
-		for _, v := range c.cone(u) {
-			out[u] += w[v]
-		}
-	}
-	return out
-}
-
 // Adjacency is a directed AS adjacency over a graph's dense indices: a[u]
 // lists the ASes one hop below u. A cone is what a walk down it reaches.
 type Adjacency [][]int32
@@ -115,10 +34,6 @@ func (a Adjacency) Cone(out *netx.Bitset, queue []int32, u, depth int) []int32 {
 	return queue
 }
 
-// FullConeClosure computes the Full Cone: transitive closure over the raw
-// directed AS graph (including its organization and extra links).
-func (g *Graph) FullConeClosure() *Closure { return newClosure(g.down) }
-
 // BoundedCone walks u's Full Cone cut at depth directed hops into out: the
 // paper's future-work idea of trading the full transitive closure's
 // false-negative rate for tighter per-AS valid spaces. It is Adjacency.Cone
@@ -128,10 +43,31 @@ func (g *Graph) BoundedCone(out *netx.Bitset, queue []int32, u, depth int) []int
 	return Adjacency(g.down).Cone(out, queue, u, depth)
 }
 
+// EachCone walks the whole cone of every AS of an n-AS graph with walk
+// (Graph.BoundedCone for the Full Cone, a CustomerAdjacency's Cone for the
+// Customer Cone) and hands fn each AS with its cone's dense indices, u
+// first. Every walk runs on one queue and one scratch bitset, cleared
+// through the queue, so the list fn gets is overwritten by the next walk.
+// Figure 2 and the §3.4 containment check reduce each cone as they read it.
+func EachCone(n int, walk func(out *netx.Bitset, queue []int32, u, depth int) []int32, fn func(u int, cone []int32)) {
+	seen := netx.NewBitset(n)
+	queue := make([]int32, 0, n)
+	for u := range n {
+		queue = walk(seen, queue, u, math.MaxInt)
+		fn(u, queue)
+		for _, v := range queue {
+			seen.Clear(int(v))
+		}
+	}
+}
+
 // CustomerAdjacency returns the adjacency the Customer Cone walks: every
 // directed edge u→v of the graph whose inferred relationship makes u v's
 // provider, plus, when orgs is non-nil, each organization's internal links
-// in both directions. A provider→customer edge counts only if it was also
+// in both directions. Sibling links are treated like peering and excluded;
+// with orgs the walk is the paper's "Customer Cone (multi-AS orgs)" variant,
+// where an organization's ASes share their joint cone but unrelated peering
+// links stay excluded. A provider→customer edge counts only if it was also
 // observed in that direction on some AS path (it exists in the directed
 // graph); this makes the Customer Cone structurally contained in the Full
 // Cone, the §3.4 property the paper verified empirically. The org links are
@@ -180,23 +116,14 @@ func (g *Graph) CustomerAdjacency(orgs [][]bgp.ASN) Adjacency {
 	return adj
 }
 
-// CustomerConeWithOrgs computes the Customer Cone: reachability over
-// inferred provider→customer links only (sibling links are treated like
-// peering and excluded), plus, when orgs is non-nil, the given
-// organizations' internal links in both directions (CustomerAdjacency). With
-// orgs it is the paper's "Customer Cone (multi-AS orgs)" variant: orgs share
-// their joint cone, but unrelated peering links stay excluded.
-func (g *Graph) CustomerConeWithOrgs(orgs [][]bgp.ASN) *Closure {
-	return newClosure(g.CustomerAdjacency(orgs))
-}
-
-// ConeClosures returns FullConeClosure and CustomerConeWithOrgs(orgs). The
-// pipeline builds no closure: it walks only its members' cones. The function
-// and its signature stay for the repository benchmark, whose
-// astopo.cone_closures_ms line calls it (benchmark/layers.go); workers is
-// unused.
-func (g *Graph) ConeClosures(orgs [][]bgp.ASN, workers int) (full, cc *Closure) {
-	return g.FullConeClosure(), g.CustomerConeWithOrgs(orgs)
+// ConeClosures walks every AS's Full Cone and Customer Cone with orgs once
+// and keeps nothing. It stays only for the repository benchmark's
+// astopo.cone_closures_ms line (benchmark/layers.go) until a benchmark
+// change retargets it (ROADMAP); workers is unused.
+func (g *Graph) ConeClosures(orgs [][]bgp.ASN, workers int) {
+	n := g.NumASes()
+	EachCone(n, g.BoundedCone, func(int, []int32) {})
+	EachCone(n, g.CustomerAdjacency(orgs).Cone, func(int, []int32) {})
 }
 
 // OriginSpaces returns, indexed by dense AS index, each AS's own announced
@@ -224,16 +151,6 @@ func OriginSpaceWeights(spaces []netx.IntervalSet) []uint64 {
 		w[i] = s.Slash24Equivalents()
 	}
 	return w
-}
-
-// ExactValidSpace computes the exact union of the origin spaces of the ASes
-// in u's cone, in one pass over its list.
-func (c *Closure) ExactValidSpace(u int, spaces []netx.IntervalSet) netx.IntervalSet {
-	var ivs []netx.Interval
-	for _, v := range c.cone(u) {
-		ivs = append(ivs, spaces[v].Intervals()...)
-	}
-	return netx.NewIntervalSet(ivs...)
 }
 
 // NaiveIndex implements the Naive approach: per AS, the set of prefixes on

@@ -92,8 +92,8 @@ func bruteReach(adj [][]int32) [][]bool {
 	return r
 }
 
-// TestClosureAgainstBruteForce holds the SCC oracle and the walk closure to
-// brute-force reachability on random small graphs.
+// TestClosureAgainstBruteForce holds the SCC oracle and the Full Cone walks
+// to brute-force reachability on random small graphs.
 func TestClosureAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 30; iter++ {
@@ -108,7 +108,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 			anns = append(anns, ann("10.0.0.0/8", path...))
 		}
 		g := mustGraph(t, anns, nil, nil)
-		oracle, c := newSCCClosure(g.down), g.FullConeClosure()
+		oracle, c := newSCCClosure(g.down), fullCones(g)
 		reach := bruteReach(g.down)
 		for u := 0; u < g.NumASes(); u++ {
 			want := 0
@@ -123,8 +123,8 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 					t.Fatalf("walk cone of %d holding %d mismatch", u, v)
 				}
 			}
-			if oracle.ConeSize(u) != want || c.ConeSize(u) != want {
-				t.Fatalf("ConeSize(%d) = %d (oracle %d) want %d", u, c.ConeSize(u), oracle.ConeSize(u), want)
+			if oracle.ConeSize(u) != want || len(c[u]) != want {
+				t.Fatalf("cone size of %d = %d (oracle %d) want %d", u, len(c[u]), oracle.ConeSize(u), want)
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestClosureAgainstBruteForce(t *testing.T) {
 func TestFullConeHierarchy(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	c := g.FullConeClosure()
+	c := fullCones(g)
 
 	coneOf := func(as bgp.ASN) map[bgp.ASN]bool {
 		out := map[bgp.ASN]bool{}
@@ -169,7 +169,7 @@ func TestFullConeHierarchy(t *testing.T) {
 func TestCustomerConeExcludesPeering(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	cc := g.CustomerConeWithOrgs(nil)
+	cc := customerCones(g, nil)
 
 	i100, i2001 := g.Index(100), g.Index(2001)
 	if inCone(cc, i100, i2001) {
@@ -180,7 +180,7 @@ func TestCustomerConeExcludesPeering(t *testing.T) {
 		t.Error("customer cone missing direct customers")
 	}
 	// Full cone contains the customer cone (§3.4).
-	fc := g.FullConeClosure()
+	fc := fullCones(g)
 	for u := 0; u < g.NumASes(); u++ {
 		for v := 0; v < g.NumASes(); v++ {
 			if inCone(cc, u, v) && !inCone(fc, u, v) {
@@ -194,14 +194,14 @@ func TestCustomerConeWithOrgs(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
 	// Put 100 and 200 in one organization: their joint cones merge.
-	cc := g.CustomerConeWithOrgs([][]bgp.ASN{{100, 200}})
+	cc := customerCones(g, [][]bgp.ASN{{100, 200}})
 	if !inCone(cc, g.Index(100), g.Index(2001)) {
 		t.Error("org-merged customer cone must reach sibling's customers")
 	}
-	plain := g.CustomerConeWithOrgs(nil)
+	plain := customerCones(g, nil)
 	// Org merging only grows cones.
 	for u := 0; u < g.NumASes(); u++ {
-		if cc.ConeSize(u) < plain.ConeSize(u) {
+		if len(cc[u]) < len(plain[u]) {
 			t.Fatalf("org merge shrank cone of %s", g.asns[u])
 		}
 	}
@@ -239,16 +239,16 @@ func TestConeContainmentProperty(t *testing.T) {
 		anns := randomValleyFreeAnns(rng)
 		g := mustGraph(t, anns, nil, nil)
 		ni := NewNaiveIndex(g, anns)
-		cc := g.CustomerConeWithOrgs(nil)
-		fc := g.FullConeClosure()
+		cc := customerCones(g, nil)
+		fc := fullCones(g)
 		spaces := OriginSpaces(g, anns)
 
 		for u := 0; u < g.NumASes(); u++ {
-			full := fc.ExactValidSpace(u, spaces)
+			full := coneSpace(fc[u], spaces)
 			if !full.ContainsSet(ni.ValidSpace(u)) {
 				t.Fatalf("iter %d: naive space of %s not inside full cone", iter, g.asns[u])
 			}
-			if !full.ContainsSet(cc.ExactValidSpace(u, spaces)) {
+			if !full.ContainsSet(coneSpace(cc[u], spaces)) {
 				t.Fatalf("iter %d: CC space of %s not inside full cone", iter, g.asns[u])
 			}
 		}
@@ -307,14 +307,13 @@ func randomValleyFreeAnns(rng *rand.Rand) []bgp.Announcement {
 func TestWeightedSizesMatchesExactWhenDisjoint(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	fc := g.FullConeClosure()
+	fc := fullCones(g)
 	spaces := OriginSpaces(g, anns)
 	w := OriginSpaceWeights(spaces)
-	sizes := fc.WeightedSizes(w)
 	for u := 0; u < g.NumASes(); u++ {
-		exact := fc.ExactValidSpace(u, spaces).Slash24Equivalents()
-		if sizes[u] != exact {
-			t.Fatalf("WeightedSizes(%s) = %d, exact = %d", g.asns[u], sizes[u], exact)
+		size, exact := coneWeight(fc[u], w), coneSpace(fc[u], spaces).Slash24Equivalents()
+		if size != exact {
+			t.Fatalf("weighted size of %s = %d, exact = %d", g.asns[u], size, exact)
 		}
 	}
 }
@@ -325,7 +324,7 @@ func TestWeightedSizesMatchesExactWhenDisjoint(t *testing.T) {
 func TestValidOriginSet(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	fc := g.FullConeClosure()
+	fc := fullCones(g)
 	spaces := make([]netx.IntervalSet, g.NumASes())
 	for v := range spaces {
 		spaces[v] = netx.IntervalSetOfPrefixes(netx.PrefixFrom(netx.Addr(v+1)<<24, 8))
@@ -333,7 +332,7 @@ func TestValidOriginSet(t *testing.T) {
 	for u := 0; u < g.NumASes(); u++ {
 		var want []netx.Prefix
 		boundedCone(g, u, g.NumASes()).ForEach(func(v int) { want = append(want, spaces[v].Prefixes()...) })
-		got := fc.ExactValidSpace(u, spaces)
+		got := coneSpace(fc[u], spaces)
 		if !slices.Equal(got.Intervals(), netx.IntervalSetOfPrefixes(want...).Intervals()) {
 			t.Fatalf("valid space of %s = %v, want the blocks of %v", g.asns[u], got, want)
 		}
@@ -343,7 +342,7 @@ func TestValidOriginSet(t *testing.T) {
 func TestBoundedCone(t *testing.T) {
 	anns := hierarchyAnns()
 	g := mustGraph(t, anns, nil, nil)
-	fc := g.FullConeClosure()
+	fc := fullCones(g)
 	u := g.Index(10)
 
 	// Depth 0: only self.
@@ -389,6 +388,41 @@ func TestBoundedConeDepthOne(t *testing.T) {
 	})
 }
 
+// allCones lists every AS's cone under walk, as EachCone hands them out.
+func allCones(n int, walk func(*netx.Bitset, []int32, int, int) []int32) [][]int32 {
+	out := make([][]int32, n)
+	EachCone(n, walk, func(u int, cone []int32) { out[u] = slices.Clone(cone) })
+	return out
+}
+
+// fullCones lists every AS's Full Cone.
+func fullCones(g *Graph) [][]int32 { return allCones(g.NumASes(), g.BoundedCone) }
+
+// customerCones lists every AS's Customer Cone, org-merged when orgs is
+// non-nil.
+func customerCones(g *Graph, orgs [][]bgp.ASN) [][]int32 {
+	return allCones(g.NumASes(), g.CustomerAdjacency(orgs).Cone)
+}
+
 // inCone reports whether the AS at dense index v is inside the cone of the
 // AS at dense index u (every AS is inside its own cone).
-func inCone(c *Closure, u, v int) bool { return slices.Contains(c.cone(u), int32(v)) }
+func inCone(cones [][]int32, u, v int) bool { return slices.Contains(cones[u], int32(v)) }
+
+// coneWeight sums w over a cone's ASes, as Figure 2 sizes a valid space.
+func coneWeight(cone []int32, w []uint64) uint64 {
+	var sum uint64
+	for _, v := range cone {
+		sum += w[v]
+	}
+	return sum
+}
+
+// coneSpace is the exact union of the origin spaces of a cone's ASes, as
+// the §3.4 containment check reads it.
+func coneSpace(cone []int32, spaces []netx.IntervalSet) netx.IntervalSet {
+	var ivs []netx.Interval
+	for _, v := range cone {
+		ivs = append(ivs, spaces[v].Intervals()...)
+	}
+	return netx.NewIntervalSet(ivs...)
+}

@@ -913,13 +913,12 @@ func disjointCopies(base []bgp.Announcement, baseOrgs [][]bgp.ASN, copies int) (
 	return anns, orgs
 }
 
-// TestClosureAllocsConstant: building a closure allocates the same few
-// objects whatever the AS count — the Closure, its list offsets and lists,
-// one queue and one scratch bitset, none per AS or per cone. The Customer
-// Cone's count also holds CustomerAdjacency's three slices. Each must be one
-// count, within its bound, at 1× and at 8 ASN-disjoint copies of a random
-// topology.
-func TestClosureAllocsConstant(t *testing.T) {
+// TestEachConeAllocsConstant: walking every AS's cone allocates the same
+// few objects whatever the AS count — one queue and one scratch bitset,
+// none per AS or per cone. The Customer Cone's count also holds
+// CustomerAdjacency's three slices. Each must be one count, within its
+// bound, at 1× and at 8 ASN-disjoint copies of a random topology.
+func TestEachConeAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -929,24 +928,25 @@ func TestClosureAllocsConstant(t *testing.T) {
 	for _, copies := range []int{1, 8} {
 		anns, orgs := disjointCopies(base, baseOrgs, copies)
 		g := mustGraph(t, anns, orgs, nil)
-		full = append(full, testing.AllocsPerRun(5, func() { g.FullConeClosure() }))
-		cc = append(cc, testing.AllocsPerRun(5, func() { g.CustomerConeWithOrgs(orgs) }))
+		n := g.NumASes()
+		full = append(full, testing.AllocsPerRun(5, func() { EachCone(n, g.BoundedCone, func(int, []int32) {}) }))
+		cc = append(cc, testing.AllocsPerRun(5, func() { EachCone(n, g.CustomerAdjacency(orgs).Cone, func(int, []int32) {}) }))
 	}
-	t.Logf("closure allocations at 1× and 8× the topology: full %v, customer %v", full, cc)
+	t.Logf("cone walk allocations at 1× and 8× the topology: full %v, customer %v", full, cc)
 	if full[0] != full[1] || full[0] > fullBound {
-		t.Fatalf("FullConeClosure allocates %v times at 1× and 8× the topology, want one count of at most %d", full, fullBound)
+		t.Fatalf("EachCone over the Full Cone allocates %v times at 1× and 8× the topology, want one count of at most %d", full, fullBound)
 	}
 	if cc[0] != cc[1] || cc[0] > ccBound {
-		t.Fatalf("CustomerConeWithOrgs allocates %v times at 1× and 8× the topology, want one count of at most %d", cc, ccBound)
+		t.Fatalf("EachCone over the Customer Cone allocates %v times at 1× and 8× the topology, want one count of at most %d", cc, ccBound)
 	}
 }
 
-// sccClosure is Closure as it was before it became one walk per AS: the
-// transitive closure over a Tarjan SCC condensation of the adjacency, with
-// one bitset per component over component ids. It answers "is v inside u's
-// cone" in O(1) for every pair of ASes at components² bits. Kept as the
-// oracle the walks are held to (TestClosureMatchesOracle,
-// TestConeWalksMatchClosures); its one change is that a component's bitset
+// sccClosure is how every AS's cone was once computed, before the cones
+// became one walk per AS: the transitive closure over a Tarjan SCC
+// condensation of the adjacency, with one bitset per component over
+// component ids. It answers "is v inside u's cone" in O(1) for every pair of
+// ASes at components² bits. Kept as the oracle the walks are held to
+// (TestEachConeMatchesOracle, TestConeWalksMatchClosures); its one change is that a component's bitset
 // takes its successors' bits through ForEach, not the deleted Bitset.Or.
 type sccClosure struct {
 	comp  []int // AS index -> component id

@@ -168,53 +168,64 @@ func TestConeWalksMatchClosures(t *testing.T) {
 	}
 }
 
-// requireClosureMatchesOracle asserts that the walk closure c and the SCC
-// oracle over the same adjacency hold the same cone for every AS, and give
-// the same ConeSize, WeightedSizes and ExactValidSpace.
-func requireClosureMatchesOracle(t *testing.T, label string, c *Closure, oracle *sccClosure, spaces []netx.IntervalSet) {
+// requireConesMatchOracle asserts that EachCone under walk hands out every
+// AS's cone once, in index order, and that each has the SCC oracle's
+// members and size, and gives the oracle's weighted size (coneWeight, as
+// Figure 2 reads it) and exact valid space (coneSpace, as the §3.4 check
+// reads it).
+func requireConesMatchOracle(t *testing.T, label string, walk func(*netx.Bitset, []int32, int, int) []int32, oracle *sccClosure, spaces []netx.IntervalSet) {
 	t.Helper()
 	n := len(oracle.comp)
-	if got := len(c.off) - 1; got != n {
-		t.Fatalf("%s: closure over %d ASes, oracle over %d", label, got, n)
-	}
 	w := OriginSpaceWeights(spaces)
-	sizes, wantSizes := c.WeightedSizes(w), oracle.WeightedSizes(w)
-	for u := 0; u < n; u++ {
-		cone := netx.NewBitset(n)
-		for _, v := range c.cone(u) {
-			cone.Set(int(v))
+	wantSizes := oracle.WeightedSizes(w)
+	next := 0
+	EachCone(n, walk, func(u int, cone []int32) {
+		if u != next {
+			t.Fatalf("%s: EachCone handed out AS %d, want %d", label, u, next)
 		}
-		requireSameSet(t, fmt.Sprintf("%s u=%d", label, u), n, oracle.coneSet(u), cone)
-		if got, want := c.ConeSize(u), oracle.ConeSize(u); got != want {
-			t.Fatalf("%s: ConeSize(%d) = %d, oracle %d", label, u, got, want)
+		next++
+		if len(cone) == 0 || cone[0] != int32(u) {
+			t.Fatalf("%s: cone of %d = %v, want it first", label, u, cone)
 		}
-		if sizes[u] != wantSizes[u] {
-			t.Fatalf("%s: WeightedSizes[%d] = %d, oracle %d", label, u, sizes[u], wantSizes[u])
+		set := netx.NewBitset(n)
+		for _, v := range cone {
+			set.Set(int(v))
 		}
-		got, want := c.ExactValidSpace(u, spaces), oracle.ExactValidSpace(u, spaces)
+		requireSameSet(t, fmt.Sprintf("%s u=%d", label, u), n, oracle.coneSet(u), set)
+		if got, want := len(cone), oracle.ConeSize(u); got != want {
+			t.Fatalf("%s: cone size of %d = %d, oracle %d", label, u, got, want)
+		}
+		if got := coneWeight(cone, w); got != wantSizes[u] {
+			t.Fatalf("%s: weighted size of %d = %d, oracle %d", label, u, got, wantSizes[u])
+		}
+		got, want := coneSpace(cone, spaces), oracle.ExactValidSpace(u, spaces)
 		if !slices.Equal(got.Intervals(), want.Intervals()) {
-			t.Fatalf("%s: ExactValidSpace(%d) = %v, oracle %v", label, u, got, want)
+			t.Fatalf("%s: valid space of %d = %v, oracle %v", label, u, got, want)
 		}
+	})
+	if next != n {
+		t.Fatalf("%s: EachCone handed out %d cones over %d ASes", label, next, n)
 	}
 }
 
-// TestClosureMatchesOracle holds the walk closure to the SCC closure it
-// replaced: on random cyclic topologies, with and without an org mesh, and
-// on the default-scale scenario (unless -short), every AS's Full Cone and
-// Customer Cone (plain and org-merged) must have the oracle's members,
-// ConeSize, WeightedSizes and ExactValidSpace. Figure 2 and the §3.4 check
-// read these three.
-func TestClosureMatchesOracle(t *testing.T) {
+// TestEachConeMatchesOracle holds the per-AS cone walks Figure 2 and the
+// §3.4 check read (EachCone over Graph.BoundedCone and CustomerAdjacency's
+// Cone) to the SCC closure they replaced: on random cyclic topologies, with
+// and without an org mesh, and on the default-scale scenario (unless
+// -short), every AS's Full Cone and Customer Cone (plain and org-merged)
+// must have the oracle's members, cone size, weighted size and exact valid
+// space.
+func TestEachConeMatchesOracle(t *testing.T) {
 	check := func(label string, anns []bgp.Announcement, orgs [][]bgp.ASN) {
 		t.Helper()
 		for _, graphOrgs := range [][][]bgp.ASN{nil, orgs} {
 			g := mustGraph(t, anns, graphOrgs, nil)
 			spaces := OriginSpaces(g, anns)
 			gl := fmt.Sprintf("%s orgs-in-graph=%v", label, graphOrgs != nil)
-			requireClosureMatchesOracle(t, gl+" full", g.FullConeClosure(), newSCCClosure(g.down), spaces)
+			requireConesMatchOracle(t, gl+" full", g.BoundedCone, newSCCClosure(g.down), spaces)
 			for _, ccOrgs := range [][][]bgp.ASN{nil, orgs} {
-				requireClosureMatchesOracle(t, fmt.Sprintf("%s cc orgs=%v", gl, ccOrgs != nil),
-					g.CustomerConeWithOrgs(ccOrgs), newSCCClosure(g.CustomerAdjacency(ccOrgs)), spaces)
+				adj := g.CustomerAdjacency(ccOrgs)
+				requireConesMatchOracle(t, fmt.Sprintf("%s cc orgs=%v", gl, ccOrgs != nil), adj.Cone, newSCCClosure(adj), spaces)
 			}
 		}
 	}

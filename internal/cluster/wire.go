@@ -2,9 +2,11 @@
 //
 // A Coordinator owns the flow source and the routing feed; Workers own
 // disjoint ingress-member shards (stable hash of the ingress port, so a
-// member's traffic always lands on the same shard) and run the ordinary
-// single-process runtime — compiled pipeline, bounded queue, batch-parallel
-// drain — against their slice of the traffic. The coordinator distributes
+// member's traffic always lands on the same shard). A worker classifies each
+// flow frame with its compiled pipeline's ClassifyBatch and folds the
+// verdicts into the shard's aggregate under the worker's lock, in the
+// session's read loop: it runs no ingest queue and no drain. The
+// coordinator distributes
 // RIB epochs (fingerprint-gated, so an unchanged table ships a few bytes),
 // folds worker reports through the order-independent aggregate merge, and
 // survives worker crashes by reassigning a dead worker's shards from their

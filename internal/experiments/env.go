@@ -41,13 +41,17 @@ type Env struct {
 	Agg *core.Aggregator
 }
 
+// The traceroute campaign standing in for the Ark substrate: its monitor
+// count and per-probe loss.
+const (
+	tracerouteMonitors = 10
+	tracerouteLoss     = 0.05
+)
+
 // Options tunes environment construction.
 type Options struct {
 	Scenario scenario.Config
 	Flowgen  flowgen.Config
-	// TracerouteMonitors / TracerouteLoss parameterize the Ark substrate.
-	TracerouteMonitors int
-	TracerouteLoss     float64
 	// SpooferMemberFraction is the member coverage of the active probes
 	// (the paper found direct data for ~8% of members; default 0.08).
 	SpooferMemberFraction float64
@@ -58,8 +62,6 @@ func DefaultOptions() Options {
 	return Options{
 		Scenario:              scenario.DefaultConfig(),
 		Flowgen:               flowgen.DefaultConfig(),
-		TracerouteMonitors:    10,
-		TracerouteLoss:        0.05,
 		SpooferMemberFraction: 0.08,
 	}
 }
@@ -89,7 +91,7 @@ func NewEnv(opts Options) (*Env, error) {
 		return nil, fmt.Errorf("experiments: loading MRT: %w", err)
 	}
 
-	routers := traceroute.Simulate(s, opts.TracerouteMonitors, opts.TracerouteLoss, opts.Scenario.Seed+1).ExtractRouters()
+	routers := traceroute.Simulate(s, tracerouteMonitors, tracerouteLoss, opts.Scenario.Seed+1).ExtractRouters()
 
 	var members []core.MemberInfo
 	for _, m := range s.Members {
@@ -112,23 +114,18 @@ func NewEnv(opts Options) (*Env, error) {
 		Spoofer:  spoofer.Simulate(s, opts.SpooferMemberFraction, opts.Scenario.Seed+2),
 	}
 
-	g := flowgen.New(s, opts.Flowgen)
-	env.Agg = core.NewAggregator(s.Cfg.Start, s.Cfg.Duration/168) // ~hourly for a week
-	g.Generate(func(f ipfix.Flow, l flowgen.Label) {
+	flowgen.New(s, opts.Flowgen).Generate(func(f ipfix.Flow, l flowgen.Label) {
 		env.Flows = append(env.Flows, f)
 		env.Labels = append(env.Labels, l)
-		env.Agg.Add(f, p.Classify(f))
 	})
-	for _, m := range s.Members {
-		env.Agg.SetMemberASN(m.Port, m.ASN)
-	}
+	env.Agg = env.reclassify()
 	return env, nil
 }
 
-// Reclassify rebuilds the aggregate after pipeline mutations (§4.4's
-// whitelist corrections). It returns the fresh aggregate without replacing
-// env.Agg.
-func (e *Env) Reclassify() *core.Aggregator {
+// reclassify classifies every flow with the current pipeline into a fresh
+// aggregate (~hourly buckets for a week) and names every member's port:
+// env.Agg, and Section44's aggregate after its whitelist corrections.
+func (e *Env) reclassify() *core.Aggregator {
 	agg := core.NewAggregator(e.Scenario.Cfg.Start, e.Scenario.Cfg.Duration/168)
 	for _, f := range e.Flows {
 		agg.Add(f, e.Pipeline.Classify(f))

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"spoofscope/internal/astopo"
+	"spoofscope/internal/netx"
 	"spoofscope/internal/stats"
 )
 
@@ -61,11 +62,22 @@ func Figure2(env *Env) *Figure2Result {
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		res.Curves[name] = s
 	}
+	// weighted sums w over every AS's cone: the exact size when the origin
+	// spaces are disjoint, an upper bound otherwise.
+	weighted := func(walk func(*netx.Bitset, []int32, int, int) []int32, w []uint64) []uint64 {
+		sizes := make([]uint64, len(w))
+		astopo.EachCone(len(w), walk, func(u int, cone []int32) {
+			for _, v := range cone {
+				sizes[u] += w[v]
+			}
+		})
+		return sizes
+	}
 	put("naive", naive.Sizes())
-	put("customer-cone", gPlain.CustomerConeWithOrgs(nil).WeightedSizes(wPlain))
-	put("customer-cone+orgs", gPlain.CustomerConeWithOrgs(orgs).WeightedSizes(wPlain))
-	put("full-cone", gPlain.FullConeClosure().WeightedSizes(wPlain))
-	fullOrg := gOrg.FullConeClosure().WeightedSizes(wOrg)
+	put("customer-cone", weighted(gPlain.CustomerAdjacency(nil).Cone, wPlain))
+	put("customer-cone+orgs", weighted(gPlain.CustomerAdjacency(orgs).Cone, wPlain))
+	put("full-cone", weighted(gPlain.BoundedCone, wPlain))
+	fullOrg := weighted(gOrg.BoundedCone, wOrg)
 	put("full-cone+orgs", fullOrg)
 
 	threshold := res.RoutedSlash24 * 95 / 100
@@ -119,33 +131,49 @@ type ConeContainmentResult struct {
 }
 
 // ConeContainment checks Naive ⊆ Full and CC ⊆ Full per AS (by exact
-// space containment), and that org merging never shrinks a cone.
+// space containment), and that org merging never shrinks a cone. It walks
+// the Customer Cones first, keeping each one's size and space, then the
+// org-merged ones and the Full Cones, comparing as it reads.
 func ConeContainment(env *Env) *ConeContainmentResult {
 	anns := env.RIB.Announcements()
 	orgs := env.Scenario.Orgs().MultiASGroups()
 	g := envGraph(env)
+	n := g.NumASes()
 	naive := astopo.NewNaiveIndex(g, anns)
-	cc := g.CustomerConeWithOrgs(nil)
-	ccOrg := g.CustomerConeWithOrgs(orgs)
-	fc := g.FullConeClosure()
 	spaces := astopo.OriginSpaces(g, anns)
+	// space is the union of the origin spaces of the ASes in a cone.
+	var ivs []netx.Interval
+	space := func(cone []int32) netx.IntervalSet {
+		ivs = ivs[:0]
+		for _, v := range cone {
+			ivs = append(ivs, spaces[v].Intervals()...)
+		}
+		return netx.NewIntervalSet(ivs...)
+	}
 
-	res := &ConeContainmentResult{ASesChecked: g.NumASes()}
-	for u := 0; u < g.NumASes(); u++ {
-		full := fc.ExactValidSpace(u, spaces)
+	res := &ConeContainmentResult{ASesChecked: n}
+	ccSize := make([]int, n)
+	ccSpace := make([]netx.IntervalSet, n)
+	astopo.EachCone(n, g.CustomerAdjacency(nil).Cone, func(u int, cone []int32) {
+		ccSize[u], ccSpace[u] = len(cone), space(cone)
+	})
+	astopo.EachCone(n, g.CustomerAdjacency(orgs).Cone, func(u int, cone []int32) {
+		if len(cone) > ccSize[u] {
+			res.OrgGrowsCC++
+		}
+		if len(cone) < ccSize[u] {
+			res.OrgShrinksAny++
+		}
+	})
+	astopo.EachCone(n, g.BoundedCone, func(u int, cone []int32) {
+		full := space(cone)
 		if !full.ContainsSet(naive.ValidSpace(u)) {
 			res.NaiveViolets++
 		}
-		if !full.ContainsSet(cc.ExactValidSpace(u, spaces)) {
+		if !full.ContainsSet(ccSpace[u]) {
 			res.CCViolets++
 		}
-		if ccOrg.ConeSize(u) > cc.ConeSize(u) {
-			res.OrgGrowsCC++
-		}
-		if ccOrg.ConeSize(u) < cc.ConeSize(u) {
-			res.OrgShrinksAny++
-		}
-	}
+	})
 	return res
 }
 

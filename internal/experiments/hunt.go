@@ -27,7 +27,7 @@ type Section44Result struct {
 
 // Section44 runs the FP hunt on the top-N members by Invalid share.
 // It mutates env.Pipeline (whitelists) — run it after the read-only
-// experiments, or Reclassify afterwards.
+// experiments; env.Agg stays the aggregate from before the corrections.
 func Section44(env *Env, topN int) *Section44Result {
 	r := &Section44Result{EvidenceKinds: make(map[string]int)}
 	agg := env.Agg
@@ -97,7 +97,7 @@ func Section44(env *Env, topN int) *Section44Result {
 		}
 	}
 
-	after := env.Reclassify()
+	after := env.reclassify()
 	r.InvalidBytesAfter = after.Total[core.TCInvalidFull].Bytes
 	r.InvalidPktsAfter = after.Total[core.TCInvalidFull].Packets
 	if r.InvalidBytesBefore > 0 {

@@ -83,20 +83,21 @@ func (l Label) Spoofed() bool {
 	return false
 }
 
+// bucketLength is the generation granularity.
+const bucketLength = 10 * time.Minute
+
 // Config tunes traffic volume. Rates are sampled flows per 10-minute
 // bucket across the whole IXP (before per-member weighting).
 type Config struct {
 	Seed int64
 	// RegularPerBucket is the total regular sampled-flow budget per bucket.
 	RegularPerBucket int
-	// BucketLength is the generation granularity.
-	BucketLength time.Duration
 }
 
 // DefaultConfig returns moderate volumes (a one-week default scenario
 // yields roughly half a million sampled flows).
 func DefaultConfig() Config {
-	return Config{Seed: 7, RegularPerBucket: 420, BucketLength: 10 * time.Minute}
+	return Config{Seed: 7, RegularPerBucket: 420}
 }
 
 // Generator produces the flow stream for one scenario.
@@ -127,9 +128,6 @@ type Generator struct {
 // New builds a generator. It precomputes the member source pools and
 // attack schedule.
 func New(s *scenario.Scenario, cfg Config) *Generator {
-	if cfg.BucketLength <= 0 {
-		cfg.BucketLength = 10 * time.Minute
-	}
 	if cfg.RegularPerBucket <= 0 {
 		cfg.RegularPerBucket = 420
 	}
@@ -144,7 +142,6 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	g.routerIPs = make([][]netx.Addr, len(s.Members))
 	for i := range s.Members {
 		m := &s.Members[i]
-		g.pools[i] = s.SourcePool(m, 200)
 		if m.HiddenPeerAS >= 0 {
 			g.hiddenPool[i] = s.ASInfo(m.HiddenPeerAS).Announced
 		}
@@ -153,9 +150,9 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 		}
 		g.routerIPs[i] = s.LinkRouterAddrs(m.ASIndex)
 	}
-	g.heldAll = s.AllHeldPrefixes()
 	var originAS []uint32
 	for i := 0; i < s.NumASes(); i++ {
+		g.heldAll = append(g.heldAll, s.ASInfo(i).Held...)
 		if len(s.ASInfo(i).Announced) > 0 {
 			g.announcing++
 		}
@@ -184,8 +181,8 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	}
 
 	// Every AS's customer cone is computed once, on first use: members'
-	// cones feed the TE pools, the carrier table and emitInvalidSpoof,
-	// their peers' cones the peer pools.
+	// cones feed the source pools, the TE pools, the carrier table and
+	// emitInvalidSpoof, their peers' cones the peer pools.
 	cones := make([][]int, s.NumASes())
 	coneOf := func(as int) []int {
 		if cones[as] == nil {
@@ -196,7 +193,20 @@ func New(s *scenario.Scenario, cfg Config) *Generator {
 	g.cones = netx.NewBitsets(len(s.Members), s.NumASes())
 	g.outside = make([]int, len(s.Members))
 	for i := range s.Members {
-		g.setCone(i, coneOf(s.Members[i].ASIndex))
+		cone := coneOf(s.Members[i].ASIndex)
+		g.setCone(i, cone)
+		// The legitimate source pool: the cone's announced space (the
+		// member's own included), then its siblings' and its hidden peer's,
+		// cut at 200 prefixes.
+		var pool []netx.Prefix
+		for _, as := range cone {
+			if len(pool) >= 200 {
+				break
+			}
+			pool = append(pool, s.ASInfo(as).Announced...)
+		}
+		pool = append(append(pool, g.sibPool[i]...), g.hiddenPool[i]...)
+		g.pools[i] = pool[:min(len(pool), 200)]
 	}
 
 	// Traffic-engineered prefixes: cone customers announce them to a
@@ -308,7 +318,7 @@ func firstPrefix(s *scenario.Scenario, idx int) netx.Prefix {
 
 // numBuckets returns the bucket count of the window.
 func (g *Generator) numBuckets() int {
-	return int(g.s.Cfg.Duration / g.cfg.BucketLength)
+	return int(g.s.Cfg.Duration / bucketLength)
 }
 
 // scheduleFloods fixes random-spoof attack windows for each flooder and

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -351,6 +352,26 @@ func TestGenerateGolden(t *testing.T) {
 	})
 	if got := h.Sum64(); n != wantFlows || got != wantHash {
 		t.Fatalf("trace = %d flows, FNV-1a %#016x; want %d flows, %#016x", n, got, wantFlows, wantHash)
+	}
+}
+
+// TestSourcePool holds every member's legitimate source pool non-empty, at
+// most 200 prefixes, and holding the member's own first announced prefix.
+func TestSourcePool(t *testing.T) {
+	s, err := scenario.Build(scenario.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(s, DefaultConfig())
+	for i := range s.Members {
+		m := &s.Members[i]
+		pool := g.pools[i]
+		if len(pool) == 0 || len(pool) > 200 {
+			t.Fatalf("member %s has a source pool of %d prefixes, want 1 to 200", m.ASN, len(pool))
+		}
+		if own := s.ASInfo(m.ASIndex).Announced; len(own) > 0 && !slices.Contains(pool, own[0]) {
+			t.Fatalf("member %s pool missing own prefix", m.ASN)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (g *Generator) Generate(emit EmitFunc) {
 	}
 
 	for b := 0; b < n; b++ {
-		t := g.s.Cfg.Start.Add(time.Duration(b) * g.cfg.BucketLength)
+		t := g.s.Cfg.Start.Add(time.Duration(b) * bucketLength)
 		day := diurnal(t)
 
 		for mi := range g.s.Members {
@@ -138,7 +138,7 @@ func maxI(a, b int) int {
 
 // stamp spreads flows across the bucket.
 func (g *Generator) stamp(t time.Time) time.Time {
-	return t.Add(time.Duration(g.rng.Int63n(int64(g.cfg.BucketLength))))
+	return t.Add(time.Duration(g.rng.Int63n(int64(bucketLength))))
 }
 
 func (g *Generator) emitRegular(emit EmitFunc, t time.Time, mi, count int) {
@@ -320,7 +320,7 @@ func (g *Generator) emitBogonAttack(emit EmitFunc, t time.Time, count int) {
 
 func (g *Generator) emitUnroutedLeak(emit EmitFunc, t time.Time, mi, count int) {
 	m := &g.s.Members[mi]
-	held := g.s.HeldPool(m)
+	held := g.s.ASInfo(m.ASIndex).Held
 	if len(held) == 0 {
 		held = g.heldAll
 	}

@@ -498,48 +498,6 @@ func (s *Scenario) CustomerConeIndices(asIdx int) []int {
 	return queue
 }
 
-// SourcePool returns prefixes a member legitimately sources: its own
-// announced space, its ground-truth customer cone's space, its hidden
-// peer's space, and its org siblings' space. Capped at maxPrefixes.
-func (s *Scenario) SourcePool(m *Member, maxPrefixes int) []netx.Prefix {
-	var out []netx.Prefix
-	add := func(idx int) {
-		out = append(out, s.topo.ases[idx].Announced...)
-	}
-	for _, idx := range s.CustomerConeIndices(m.ASIndex) {
-		add(idx)
-		if len(out) >= maxPrefixes {
-			return out[:maxPrefixes]
-		}
-	}
-	for _, sib := range s.topo.ases[m.ASIndex].Siblings {
-		add(sib)
-	}
-	if m.HiddenPeerAS >= 0 {
-		add(m.HiddenPeerAS)
-	}
-	if len(out) > maxPrefixes {
-		out = out[:maxPrefixes]
-	}
-	return out
-}
-
-// HeldPool returns the member's allocated-but-unannounced prefixes (their
-// own genuinely unrouted space; misconfigured hosts may source from it).
-func (s *Scenario) HeldPool(m *Member) []netx.Prefix {
-	return s.topo.ases[m.ASIndex].Held
-}
-
-// AllHeldPrefixes returns every held prefix in the scenario (the global
-// unrouted-but-allocated pool attackers draw from).
-func (s *Scenario) AllHeldPrefixes() []netx.Prefix {
-	var out []netx.Prefix
-	for i := range s.topo.ases {
-		out = append(out, s.topo.ases[i].Held...)
-	}
-	return out
-}
-
 // String summarizes the scenario.
 func (s *Scenario) String() string {
 	return fmt.Sprintf("scenario{ases=%d members=%d collectors=%d anns=%d window=%s}",

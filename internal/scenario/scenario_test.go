@@ -390,31 +390,6 @@ func TestAttackPlanShape(t *testing.T) {
 	}
 }
 
-func TestSourcePool(t *testing.T) {
-	s := buildSmall(t)
-	for i := range s.Members {
-		m := &s.Members[i]
-		pool := s.SourcePool(m, 200)
-		if len(pool) == 0 {
-			t.Fatalf("member %s has empty source pool", m.ASN)
-		}
-		// Own announced space must be in the pool.
-		own := s.ASInfo(m.ASIndex).Announced
-		if len(own) > 0 {
-			found := false
-			for _, p := range pool {
-				if p == own[0] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("member %s pool missing own prefix", m.ASN)
-			}
-		}
-	}
-}
-
 func TestWriteMRTRoundTrip(t *testing.T) {
 	s := buildSmall(t)
 	var buf bytes.Buffer
@@ -459,7 +434,10 @@ func announcementKeyForTest(a bgp.Announcement) string {
 
 func TestUnroutedSpaceExists(t *testing.T) {
 	s := buildSmall(t)
-	held := s.AllHeldPrefixes()
+	var held []netx.Prefix
+	for i := 0; i < s.NumASes(); i++ {
+		held = append(held, s.ASInfo(i).Held...)
+	}
 	if len(held) == 0 {
 		t.Fatal("no held (unrouted) prefixes")
 	}
